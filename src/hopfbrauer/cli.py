@@ -121,6 +121,9 @@ def _emit(payload: dict, json_path: str | None) -> None:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return USAGE_ERROR
     options = {}
     if args.t is not None:
         options["t"] = args.t

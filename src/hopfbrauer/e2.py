@@ -28,9 +28,10 @@ from .algebra import (
     super_center,
 )
 from .hopf import HopfAlgebra, HopfMorphism, QTStructure, qt_structure
-from .linalg import Matrix, in_span, is_zero_vec, mat_det, zero_vec
+from .linalg import Matrix, dense_vec, in_span, is_zero_vec, mat_det, sparse_vec, zero_vec
 from .sweedler import build_dh4, build_h4, dh4_named
 from .yd import (
+    FGContraction,
     Module,
     ModuleAlgebra,
     YDAlgebra,
@@ -39,7 +40,6 @@ from .yd import (
     check_module,
     check_module_algebra,
     check_yd_algebra,
-    coaction_sparse,
     conjugation_implementer,
     gradings,
     induced_coaction,
@@ -641,29 +641,15 @@ def fg_decomposition_residuals(a: YDAlgebra, xv, yv, zv) -> tuple[list[Fraction]
     px = _parity_of(xv, parity)
     pz = _parity_of(zv, parity)
 
+    fg = FGContraction(a)
+
     def fmap(x, y, z):
-        out = zero_vec(alg.dim)
-        for j, cz in enumerate(z):
-            if not cz:
-                continue
-            for z0, z1, c in coaction_sparse(a.coaction, e2.dim, j):
-                acted = a.action[z1].apply(y)
-                part = alg.mul_vec(alg.mul_vec(x, alg.basis_vec(z0)), acted)
-                for p, v in enumerate(part):
-                    out[p] += cz * c * v
-        return out
+        sx, sy, sz = sparse_vec(x), sparse_vec(y), sparse_vec(z)
+        return dense_vec(fg.f(fg.f_left(sx, sz), fg.images_of(sy)), alg.dim)
 
     def gmap(x, y, z):
-        out = zero_vec(alg.dim)
-        for i, cx in enumerate(x):
-            if not cx:
-                continue
-            for x0, x1_, c in coaction_sparse(a.coaction, e2.dim, i):
-                acted = a.action[x1_].apply(z)
-                part = alg.mul_vec(alg.mul_vec(alg.basis_vec(x0), acted), y)
-                for p, v in enumerate(part):
-                    out[p] += cx * c * v
-        return out
+        sx, sy, sz = sparse_vec(x), sparse_vec(y), sparse_vec(z)
+        return dense_vec(alg.mul_sparse(fg.g_left(sx, fg.images_of(sz)), sy), alg.dim)
 
     def f0map(x, y, z):
         zpar = _parity_of(z, parity)

@@ -59,24 +59,32 @@ def zero_vec(n: int) -> list[Fraction]:
     return [Fraction(0)] * n
 
 
-def add_into(target: list[Fraction], src: Sequence[Fraction], scale: Fraction = Fraction(1)) -> None:
-    if scale:
-        for i, v in enumerate(src):
-            if v:
-                target[i] += v * scale
-
-
-def scale_vec(v: Sequence[Fraction], c) -> list[Fraction]:
-    c = Fraction(c)
-    return [x * c for x in v]
-
-
-def vec_eq(a: Sequence[Fraction], b: Sequence[Fraction]) -> bool:
-    return len(a) == len(b) and all(x == y for x, y in zip(a, b))
-
-
 def is_zero_vec(a: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in a)
+
+
+# A sparse vector: {index: nonzero coefficient}.
+SparseVec = dict[int, Fraction]
+
+
+def sparse_vec(v: Sequence[Fraction]) -> SparseVec:
+    return {k: c for k, c in enumerate(v) if c}
+
+
+def dense_vec(v: SparseVec, dim: int) -> list[Fraction]:
+    out = zero_vec(dim)
+    for k, c in v.items():
+        out[k] = c
+    return out
+
+
+def sparse_sum(terms: Iterable[tuple[Fraction, SparseVec]]) -> SparseVec:
+    """Σ c·v over (c, v) pairs of scalars and sparse vectors, zeros dropped."""
+    out: SparseVec = {}
+    for c, v in terms:
+        for k, x in v.items():
+            out[k] = out[k] + c * x if k in out else c * x
+    return {k: x for k, x in out.items() if x}
 
 
 class DimensionError(ValueError):
@@ -224,7 +232,7 @@ class Matrix:
         return Matrix.from_cols(cols)
 
     def rank(self) -> int:
-        rows = [_row_dict(r) for r in self.data]
+        rows = [sparse_vec(r) for r in self.data]
         return len(_sparse_rref(rows, self.cols))
 
 
@@ -298,11 +306,18 @@ def _det_bareiss(m: Matrix) -> Fraction:
 
 
 def _det_sparse(m: Matrix) -> Fraction:
-    # Markowitz-style pivoting on dict rows; det = sign * product of pivots.
-    n = m.rows
+    """Sparse elimination on dict rows; det = sign · product of pivots.
+
+    Pivot rule: the remaining row with the fewest nonzeros (lowest index on
+    ties), and in it the column with the fewest nonzeros among the remaining
+    rows (lowest index on ties). The rule only steers fill-in and cost: every
+    step is an exact row operation, and the sign of the row and column
+    permutations is accounted for, so the value does not depend on which
+    nonzero pivots are taken.
+    """
     rows: dict[int, dict[int, Fraction]] = {}
     for i, r in enumerate(m.data):
-        d = _row_dict(r)
+        d = sparse_vec(r)
         if not d:
             return Fraction(0)
         rows[i] = d
@@ -314,15 +329,9 @@ def _det_sparse(m: Matrix) -> Fraction:
     row_order: list[int] = []
     col_order: list[int] = []
     while rows:
-        best = None
-        for ri, d in rows.items():
-            rnnz = len(d)
-            for c, v in d.items():
-                cost = (rnnz - 1) * (col_count[c] - 1)
-                key = (cost, ri, c)
-                if best is None or key < best[0]:
-                    best = (key, ri, c, v)
-        _, pr, pc, pv = best
+        pr = min(rows, key=lambda ri: (len(rows[ri]), ri))
+        pc = min(rows[pr], key=lambda c: (col_count[c], c))
+        pv = rows[pr][pc]
         det *= pv
         row_order.append(pr)
         col_order.append(pc)
@@ -338,12 +347,15 @@ def _det_sparse(m: Matrix) -> Fraction:
             for c, v in prow.items():
                 if c == pc:
                     continue
-                nv = d.get(c, Fraction(0)) - factor * v
+                old = d.get(c)
+                if old is None:
+                    d[c] = -factor * v
+                    col_count[c] += 1
+                    continue
+                nv = old - factor * v
                 if nv:
-                    if c not in d:
-                        col_count[c] = col_count.get(c, 0) + 1
                     d[c] = nv
-                elif c in d:
+                else:
                     del d[c]
                     col_count[c] -= 1
             del d[pc]
@@ -387,10 +399,6 @@ class LinearSolution:
     @property
     def consistent(self) -> bool:
         return self.particular is not None
-
-
-def _row_dict(row: Sequence[Fraction]) -> dict[int, Fraction]:
-    return {j: v for j, v in enumerate(row) if v}
 
 
 def _sparse_rref(rows: list[dict[int, Fraction]], ncols: int) -> dict[int, dict[int, Fraction]]:
@@ -469,12 +477,12 @@ def solve_linear(a: Matrix, b: Sequence[Fraction]) -> LinearSolution:
     """Solve A·x = b exactly; also returns a basis of ker(A)."""
     if a.rows != len(b):
         raise DimensionError("rhs length does not match row count")
-    rows = [_row_dict(r) for r in a.data]
+    rows = [sparse_vec(r) for r in a.data]
     return solve_sparse(rows, vec(b), a.cols)
 
 
 def kernel_basis(a: Matrix) -> list[list[Fraction]]:
-    rows = [_row_dict(r) for r in a.data]
+    rows = [sparse_vec(r) for r in a.data]
     return _kernel_from_rref(_sparse_rref(rows, a.cols), a.cols)
 
 

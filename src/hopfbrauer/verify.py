@@ -706,5 +706,5 @@ def run_verification(suites=("all",), seed: int = 0, samples: int = 20, options:
         "suites": per_suite,
         "checks": [asdict(r) for r in records],
         "summary": {"pass": n_pass, "fail": len(records) - n_pass, "total": len(records)},
-        "all_pass": n_pass == len(records),
+        "all_pass": bool(records) and n_pass == len(records),
     }

@@ -25,11 +25,15 @@ from .algebra import CheckReport, StructureAlgebra, opposite_algebra
 from .hopf import CoQTStructure, HopfAlgebra, QTStructure
 from .linalg import (
     Matrix,
+    SparseVec,
+    dense_vec,
     in_span,
     is_zero_vec,
     mat_det,
     rational_is_square,
     solve_sparse,
+    sparse_sum,
+    sparse_vec,
     zero_vec,
 )
 
@@ -57,14 +61,6 @@ class Module:
     dim: int
     action: list[Matrix]
 
-    def act(self, hvec: Sequence[Fraction], m: Sequence[Fraction]) -> list[Fraction]:
-        out = zero_vec(self.dim)
-        for i, c in enumerate(hvec):
-            if c:
-                for k, v in enumerate(self.action[i].apply(m)):
-                    out[k] += c * v
-        return out
-
     def act_matrix(self, hvec: Sequence[Fraction]) -> Matrix:
         out = Matrix.zero(self.dim, self.dim)
         for i, c in enumerate(hvec):
@@ -77,14 +73,6 @@ class Module:
 class YDModule(Module):
     coaction: list[list[Fraction]]
 
-    def coact(self, m: Sequence[Fraction]) -> list[Fraction]:
-        out = zero_vec(self.dim * self.hopf.dim)
-        for j, c in enumerate(m):
-            if c:
-                for k, v in enumerate(self.coaction[j]):
-                    out[k] += c * v
-        return out
-
 
 @dataclass
 class ModuleAlgebra:
@@ -95,9 +83,6 @@ class ModuleAlgebra:
     @property
     def dim(self) -> int:
         return self.alg.dim
-
-    def act(self, hvec, m):
-        return Module(self.hopf, self.dim, self.action).act(hvec, m)
 
     def module(self) -> Module:
         return Module(self.hopf, self.dim, self.action)
@@ -125,9 +110,6 @@ class YDAlgebra:
     def dim(self) -> int:
         return self.alg.dim
 
-    def act(self, hvec, m):
-        return Module(self.hopf, self.dim, self.action).act(hvec, m)
-
     def module(self) -> Module:
         return Module(self.hopf, self.dim, self.action)
 
@@ -148,6 +130,12 @@ def coaction_sparse(coaction: list[list[Fraction]], hdim: int, j: int):
     )
 
 
+def action_images(a) -> list[list[SparseVec]]:
+    """images[j][k] = e_kᴴ · e_j as a sparse vector, from the action matrices."""
+    cols = [[sparse_vec(m.col(j)) for j in range(a.dim)] for m in a.action]
+    return [[col[j] for col in cols] for j in range(a.dim)]
+
+
 # ---------------------------------------------------------------------------
 # Axiom checks
 # ---------------------------------------------------------------------------
@@ -157,11 +145,16 @@ def check_module(m: Module) -> CheckReport:
     rep = CheckReport(f"H-module over {m.hopf.name}")
     h = m.hopf
     rep.require(m.act_matrix(h.alg.unit) == Matrix.identity(m.dim), "unit of H does not act as id")
+    images = action_images(m)
     for i in range(h.dim):
         for j in range(h.dim):
-            lhs = m.action[i] @ m.action[j]
-            rhs = m.act_matrix(h.alg.mul_vec(h.alg.basis_vec(i), h.alg.basis_vec(j)))
-            rep.require(lhs == rhs, f"action not multiplicative at ({h.alg.basis[i]},{h.alg.basis[j]})")
+            ij = h.alg.mul_basis(i, j)
+            ok = all(
+                sparse_sum((c, images[k][i]) for k, c in images[y][j].items())
+                == sparse_sum((c, images[y][k]) for k, c in ij)
+                for y in range(m.dim)
+            )
+            rep.require(ok, f"action not multiplicative at ({h.alg.basis[i]},{h.alg.basis[j]})")
     return rep
 
 
@@ -171,23 +164,18 @@ def check_module_algebra(a: ModuleAlgebra | YDAlgebra) -> CheckReport:
     rep.merge(check_module(a.module() if hasattr(a, "module") else a))
     h = a.hopf
     alg = a.alg
+    images = action_images(a)
     for i in range(h.dim):
         acted_one = a.action[i].apply(alg.unit)
         rep.require(
             acted_one == [h.counit[i] * u for u in alg.unit],
             f"h·1 ≠ ε(h)1 at {h.alg.basis[i]}",
         )
+        cop = h.cop_sparse(i)
         for x in range(alg.dim):
-            ex = alg.basis_vec(x)
             for y in range(alg.dim):
-                ey = alg.basis_vec(y)
-                lhs = a.action[i].apply(alg.mul_vec(ex, ey))
-                rhs = zero_vec(alg.dim)
-                for p, q, c in h.cop_sparse(i):
-                    px = a.action[p].apply(ex)
-                    qy = a.action[q].apply(ey)
-                    for k, v in enumerate(alg.mul_vec(px, qy)):
-                        rhs[k] += c * v
+                lhs = sparse_sum((c, images[k][i]) for k, c in alg.mul_basis(x, y))
+                rhs = sparse_sum((c, alg.mul_sparse(images[x][p], images[y][q])) for p, q, c in cop)
                 rep.require(
                     lhs == rhs,
                     f"module-algebra law fails at ({h.alg.basis[i]}; {alg.basis[x]},{alg.basis[y]})",
@@ -241,27 +229,16 @@ def check_comodule_algebra_op(a: ComoduleAlgebra | YDAlgebra) -> CheckReport:
             if u * e:
                 want[i * n + k] = u * e
     rep.require(rho_one == want, "ρ(1) ≠ 1⊗1")
+    rho = [coaction_sparse(a.coaction, n, j) for j in range(alg.dim)]
+    rho_flat = [sparse_vec(row) for row in a.coaction]
     for x in range(alg.dim):
-        spx = coaction_sparse(a.coaction, n, x)
         for y in range(alg.dim):
-            spy = coaction_sparse(a.coaction, n, y)
-            prod = alg.mul_vec(alg.basis_vec(x), alg.basis_vec(y))
-            lhs = zero_vec(alg.dim * n)
-            for j, c in enumerate(prod):
-                if c:
-                    for k, v in enumerate(a.coaction[j]):
-                        lhs[k] += c * v
-            rhs = zero_vec(alg.dim * n)
-            for ax, kx, cx in spx:
-                for ay, ky, cy in spy:
-                    coef = cx * cy
-                    apart = alg.mul_vec(alg.basis_vec(ax), alg.basis_vec(ay))
-                    hpart = h.alg.mul_vec(h.alg.basis_vec(ky), h.alg.basis_vec(kx))
-                    for p, cp in enumerate(apart):
-                        if cp:
-                            for q, cq in enumerate(hpart):
-                                if cq:
-                                    rhs[p * n + q] += coef * cp * cq
+            lhs = sparse_sum((c, rho_flat[j]) for j, c in alg.mul_basis(x, y))
+            rhs = sparse_sum(
+                (cx * cy, _tensor(alg.mul_basis(ax, ay), h.alg.mul_basis(ky, kx), n))
+                for ax, kx, cx in rho[x]
+                for ay, ky, cy in rho[y]
+            )
             rep.require(lhs == rhs, f"ρ not H^op-multiplicative at ({alg.basis[x]},{alg.basis[y]})")
     return rep
 
@@ -272,35 +249,34 @@ def check_yd_condition(m: YDModule | YDAlgebra) -> CheckReport:
     h = m.hopf
     n = h.dim
     dim = m.dim
-    action = m.action
+    images = action_images(m)
+    rho = [coaction_sparse(m.coaction, n, j) for j in range(dim)]
+    rho_flat = [sparse_vec(row) for row in m.coaction]
+    sinv = [sparse_vec(h.antipode_inv.col(k)) for k in range(n)]
+
+    def h_factor(l3: int, k: int, l1: int):
+        """(e_l3 e_k) S⁻¹(e_l1), bracketed as in the condition."""
+        return h.alg.mul_sparse(dict(h.alg.mul_basis(l3, k)), sinv[l1]).items()
+
     for li in range(n):
         sw2 = h.sweedler2(li)
         for b in range(dim):
-            acted = action[li].apply(_unit_vec(dim, b))
-            lhs = zero_vec(dim * n)
-            for j, c in enumerate(acted):
-                if c:
-                    for k, v in enumerate(m.coaction[j]):
-                        lhs[k] += c * v
-            rhs = zero_vec(dim * n)
-            for l1, l2, l3, c in sw2:
-                sinv_l1 = h.antipode_inv.col(l1)
-                for a, k, d in coaction_sparse(m.coaction, n, b):
-                    part = action[l2].apply(_unit_vec(dim, a))
-                    hpart = h.alg.mul_vec(
-                        h.alg.mul_vec(h.alg.basis_vec(l3), h.alg.basis_vec(k)), sinv_l1
-                    )
-                    coef = c * d
-                    for p, cp in enumerate(part):
-                        if cp:
-                            for q, cq in enumerate(hpart):
-                                if cq:
-                                    rhs[p * n + q] += coef * cp * cq
+            lhs = sparse_sum((c, rho_flat[j]) for j, c in images[b][li].items())
+            rhs = sparse_sum(
+                (c * d, _tensor(images[a][l2].items(), h_factor(l3, k, l1), n))
+                for l1, l2, l3, c in sw2
+                for a, k, d in rho[b]
+            )
             rep.require(
                 lhs == rhs,
                 f"YD condition fails at (l={h.alg.basis[li]}, b=index {b})",
             )
     return rep
+
+
+def _tensor(u, w, n: int) -> SparseVec:
+    """u ⊗ w at flat indices p·n + q, from (index, coefficient) pairs."""
+    return {p * n + q: cp * cq for p, cp in u for q, cq in w}
 
 
 def _unit_vec(n: int, i: int) -> list[Fraction]:
@@ -335,14 +311,13 @@ def h_opposite(a: YDAlgebra) -> YDAlgebra:
     """The H-opposite algebra: same action and coaction, x∘y = y₍₀₎(y₍₁₎·x)."""
     alg = a.alg
     n = a.hopf.dim
-    mult = [[zero_vec(alg.dim) for _ in range(alg.dim)] for _ in range(alg.dim)]
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            out = mult[i][j]
-            for b, k, c in coaction_sparse(a.coaction, n, j):
-                acted = a.action[k].apply(alg.basis_vec(i))
-                for p, v in enumerate(alg.mul_vec(alg.basis_vec(b), acted)):
-                    out[p] += c * v
+    images = action_images(a)
+    rho = [coaction_sparse(a.coaction, n, j) for j in range(alg.dim)]
+    mult = [
+        [sparse_sum((c, alg.mul_sparse({b: Q(1)}, images[i][k])) for b, k, c in rho[j]) for j in range(alg.dim)]
+        for i in range(alg.dim)
+    ]
+    mult = [[dense_vec(v, alg.dim) for v in row] for row in mult]
     new_alg = StructureAlgebra(alg.basis, alg.unit, mult, name=f"{alg.name}~" if alg.name else "opposite")
     return YDAlgebra(a.hopf, new_alg, a.action, a.coaction)
 
@@ -440,31 +415,7 @@ def end_yd(m: YDModule, variant: str = "plain") -> YDAlgebra:
     alg = endomorphism_algebra(d)
     if variant == "op":
         alg = opposite_algebra(alg)
-
-    action = []
-    for i in range(n):
-        acc = Matrix.zero(d * d, d * d)
-        rows = [[Q(0)] * (d * d) for _ in range(d * d)]
-        for p, q, c in h.cop_sparse(i):
-            if variant == "plain":
-                left = m.act_matrix(h.alg.basis_vec(p))
-                right = m.act_matrix(h.antipode.col(q))
-            else:
-                left = m.act_matrix(h.alg.basis_vec(q))
-                right = m.act_matrix(h.antipode_inv.col(p))
-            # f ↦ left ∘ f ∘ right, expanded on matrix units
-            for s in range(d):
-                for t in range(d):
-                    f = Matrix.zero(d, d)
-                    f.data[s][t] = Q(1)
-                    img = left @ f @ right
-                    col = t * d + s
-                    for pp in range(d):
-                        for qq in range(d):
-                            v = img.data[pp][qq]
-                            if v:
-                                rows[qq * d + pp][col] += c * v
-        action.append(Matrix(rows))
+    action = _end_action(m, variant)
 
     coaction = []
     for t in range(d):
@@ -492,17 +443,26 @@ def end_yd(m: YDModule, variant: str = "plain") -> YDAlgebra:
 
 def end_module_action(m: Module) -> ModuleAlgebra:
     """End(M) with only the module-algebra structure (h·f) = h₍₁₎·f(S(h₍₂₎)·)."""
-    h = m.hopf
-    d = m.dim
     from .algebra import endomorphism_algebra
 
-    alg = endomorphism_algebra(d)
+    return ModuleAlgebra(m.hopf, endomorphism_algebra(m.dim), _end_action(m, "plain"))
+
+
+def _end_action(m: Module, variant: str) -> list[Matrix]:
+    """The action of H on End(M) of ``end_yd``, one matrix per H-basis element."""
+    h = m.hopf
+    d = m.dim
     action = []
     for i in range(h.dim):
         rows = [[Q(0)] * (d * d) for _ in range(d * d)]
         for p, q, c in h.cop_sparse(i):
-            left = m.act_matrix(h.alg.basis_vec(p))
-            right = m.act_matrix(h.antipode.col(q))
+            if variant == "plain":
+                left = m.act_matrix(h.alg.basis_vec(p))
+                right = m.act_matrix(h.antipode.col(q))
+            else:
+                left = m.act_matrix(h.alg.basis_vec(q))
+                right = m.act_matrix(h.antipode_inv.col(p))
+            # f ↦ left ∘ f ∘ right, expanded on matrix units
             for s in range(d):
                 for t in range(d):
                     f = Matrix.zero(d, d)
@@ -515,12 +475,62 @@ def end_module_action(m: Module) -> ModuleAlgebra:
                             if v:
                                 rows[qq * d + pp][col] += c * v
         action.append(Matrix(rows))
-    return ModuleAlgebra(h, alg, action)
+    return action
 
 
 # ---------------------------------------------------------------------------
 # The F and G maps; Azumaya test
 # ---------------------------------------------------------------------------
+
+
+class FGContraction:
+    """F and G of one YD algebra, evaluated on sparse vectors.
+
+    F(x#y)(z) = Σ (Σ c·x z₍₀₎)(z₍₁₎·y), the inner sum over the terms of ρ(z)
+    with a given z₍₁₎, and G(x#y)(z) = (Σ c·x₍₀₎(x₍₁₎·z))·y. Every product is
+    taken by ``StructureAlgebra.mul_sparse``. Both forms follow from the
+    definitions by bilinearity of the product alone: F keeps the bracketing
+    (x z₍₀₎)(z₍₁₎·y) of its definition and collects terms in its left factor,
+    and G moves the sum over ρ(x) into the left factor of its outer product.
+    Nothing is reassociated, so the values equal the definitions' even for a
+    non-associative multiplication.
+
+    The y-free factors come from ``f_left`` and ``g_left``, so a caller that
+    sweeps y computes them once per (x, z). Vectors acted on by H enter as
+    their images [e_kᴴ·v for each H-basis index k] (``images_of``).
+    """
+
+    def __init__(self, a: YDAlgebra):
+        self.alg = a.alg
+        self.hdim = a.hopf.dim
+        self.rho = [coaction_sparse(a.coaction, self.hdim, j) for j in range(a.dim)]
+        self.images = action_images(a)
+
+    def images_of(self, v: SparseVec) -> list[SparseVec]:
+        return [sparse_sum((c, self.images[j][k]) for j, c in v.items()) for k in range(self.hdim)]
+
+    def f_left(self, x: SparseVec, z: SparseVec) -> list[tuple[int, SparseVec]]:
+        """Pairs (h, Σ c·x z₍₀₎ over the terms of ρ(z) with z₍₁₎ = e_h)."""
+        by_h: dict[int, SparseVec] = {}
+        for j, cz in z.items():
+            for z0, z1, c in self.rho[j]:
+                self.alg.mul_sparse(x, {z0: c * cz}, by_h.setdefault(z1, {}))
+        return list(by_h.items())
+
+    def f(self, left: list[tuple[int, SparseVec]], y_images: list[SparseVec]) -> SparseVec:
+        """F(x#y)(z) from ``f_left(x, z)`` and the images of y."""
+        out: SparseVec = {}
+        for h, u in left:
+            self.alg.mul_sparse(u, y_images[h], out)
+        return out
+
+    def g_left(self, x: SparseVec, z_images: list[SparseVec]) -> SparseVec:
+        """Σ c·x₍₀₎(x₍₁₎·z), the left factor of G(x#y)(z) = (…)·y."""
+        out: SparseVec = {}
+        for i, cx in x.items():
+            for x0, x1, c in self.rho[i]:
+                self.alg.mul_sparse({x0: c * cx}, z_images[x1], out)
+        return out
 
 
 def fg_maps(a: YDAlgebra) -> tuple[Matrix, Matrix]:
@@ -529,35 +539,31 @@ def fg_maps(a: YDAlgebra) -> tuple[Matrix, Matrix]:
 
     Columns run over the #-basis x⊗y (left-major); rows over the matrix
     units of End(A) in dual-major order, matching endomorphism_algebra.
+
+    Built by ``FGContraction`` on the sparse structure constants, action
+    columns and coaction: F(x#y)(z) = Σ c·(x z₍₀₎)(z₍₁₎·y), bracketed as
+    above, and G(x#y)(z) = (Σ c·x₍₀₎(x₍₁₎·z))·y, whose inner sum depends on
+    (x, z) only. Both use bilinearity alone; no product is reassociated.
     """
     alg = a.alg
     d = alg.dim
-    n = a.hopf.dim
-    f = [[Q(0)] * (d * d) for _ in range(d * d)]
-    g = [[Q(0)] * (d * d) for _ in range(d * d)]
+    fg = FGContraction(a)
+    basis = [{j: Q(1)} for j in range(d)]
+    # int zeros: Matrix() coerces every entry, and ints convert fastest
+    f = [[0] * (d * d) for _ in range(d * d)]
+    g = [[0] * (d * d) for _ in range(d * d)]
     for x in range(d):
-        ex = alg.basis_vec(x)
-        for y in range(d):
-            ey = alg.basis_vec(y)
-            col = x * d + y
-            for z in range(d):
-                outf = zero_vec(d)
-                outg = zero_vec(d)
-                for z0, z1, c in coaction_sparse(a.coaction, n, z):
-                    acted = a.action[z1].apply(ey)
-                    part = alg.mul_vec(alg.mul_vec(ex, alg.basis_vec(z0)), acted)
-                    for p, v in enumerate(part):
-                        outf[p] += c * v
-                for x0, x1, c in coaction_sparse(a.coaction, n, x):
-                    acted = a.action[x1].apply(alg.basis_vec(z))
-                    part = alg.mul_vec(alg.mul_vec(alg.basis_vec(x0), acted), ey)
-                    for p, v in enumerate(part):
-                        outg[p] += c * v
-                for p in range(d):
-                    if outf[p]:
-                        f[z * d + p][col] = outf[p]
-                    if outg[p]:
-                        g[z * d + p][col] = outg[p]
+        for z in range(d):
+            f_left = fg.f_left(basis[x], basis[z])
+            g_left = fg.g_left(basis[x], fg.images[z])
+            frows = f[z * d:(z + 1) * d]
+            grows = g[z * d:(z + 1) * d]
+            for y in range(d):
+                col = x * d + y
+                for p, v in fg.f(f_left, fg.images[y]).items():
+                    frows[p][col] = v
+                for p, v in alg.mul_sparse(g_left, basis[y]).items():
+                    grows[p][col] = v
     return Matrix(f), Matrix(g)
 
 
@@ -574,23 +580,15 @@ def is_h_azumaya(a: YDAlgebra) -> bool:
 
 def induced_coaction(a: ModuleAlgebra | YDAlgebra, r: QTStructure) -> YDAlgebra:
     """Equip a module algebra with ρ(x) = (R⁽²⁾·x) ⊗ R⁽¹⁾."""
-    h = a.hopf
-    n = h.dim
-    coaction = []
-    for j in range(a.dim):
-        out = zero_vec(a.dim * n)
-        for (i, k), c in r.pairs().items():
-            acted = a.action[k].apply(_unit_vec(a.dim, j))
-            for p, v in enumerate(acted):
-                if v:
-                    out[p * n + i] += c * v
-        coaction.append(out)
-    return YDAlgebra(h, a.alg, a.action, coaction)
+    return YDAlgebra(a.hopf, a.alg, a.action, _induced_coaction_rows(a, r))
 
 
 def induced_module_coaction(m: Module, r: QTStructure) -> YDModule:
-    h = m.hopf
-    n = h.dim
+    return YDModule(m.hopf, m.dim, m.action, _induced_coaction_rows(m, r))
+
+
+def _induced_coaction_rows(m, r: QTStructure) -> list[list[Fraction]]:
+    n = m.hopf.dim
     coaction = []
     for j in range(m.dim):
         out = zero_vec(m.dim * n)
@@ -600,7 +598,7 @@ def induced_module_coaction(m: Module, r: QTStructure) -> YDModule:
                 if v:
                     out[p * n + i] += c * v
         coaction.append(out)
-    return YDModule(h, m.dim, m.action, coaction)
+    return coaction
 
 
 def induced_action(a: ComoduleAlgebra | YDAlgebra, r: CoQTStructure) -> YDAlgebra:
@@ -1050,38 +1048,17 @@ def yd_to_double(a: YDAlgebra, double: HopfAlgebra) -> ModuleAlgebra:
     return ModuleAlgebra(double, a.alg, action)
 
 
-def yd_module_to_double(m: YDModule, double: HopfAlgebra) -> Module:
-    h = m.hopf
-    n = h.dim
-    pairing = []
-    for i in range(n):
-        rows = [[Q(0)] * m.dim for _ in range(m.dim)]
-        for b in range(m.dim):
-            for p, k, c in coaction_sparse(m.coaction, n, b):
-                if k == i:
-                    rows[p][b] += c
-        pairing.append(Matrix(rows))
-    return Module(double, m.dim, [pairing[i] @ m.action[j] for i in range(n) for j in range(n)])
-
-
 def double_to_yd(a: ModuleAlgebra, h: HopfAlgebra) -> YDAlgebra:
     """Inverse conversion: restrict to 1⋈H₄ and rebuild the coaction by
     pairing with the dual basis, ρ(m) = Σᵢ ((e_i*⋈1)·m) ⊗ e_i."""
-    n = h.dim
-    action = [_restrict_double_action(a, h, j) for j in range(n)]
-    coaction = []
-    for b in range(a.dim):
-        out = zero_vec(a.dim * n)
-        for i in range(n):
-            col = _dual_side_action(a, h, i).col(b)
-            for p, v in enumerate(col):
-                if v:
-                    out[p * n + i] += v
-        coaction.append(out)
-    return YDAlgebra(h, a.alg, action, coaction)
+    return YDAlgebra(h, a.alg, *_double_to_yd_structure(a, h))
 
 
 def double_module_to_yd(m: Module, h: HopfAlgebra) -> YDModule:
+    return YDModule(h, m.dim, *_double_to_yd_structure(m, h))
+
+
+def _double_to_yd_structure(m, h: HopfAlgebra) -> tuple[list[Matrix], list[list[Fraction]]]:
     n = h.dim
     action = [_restrict_double_action(m, h, j) for j in range(n)]
     coaction = []
@@ -1093,7 +1070,7 @@ def double_module_to_yd(m: Module, h: HopfAlgebra) -> YDModule:
                 if v:
                     out[p * n + i] += v
         coaction.append(out)
-    return YDModule(h, m.dim, action, coaction)
+    return action, coaction
 
 
 def _dual_side_action(a, h: HopfAlgebra, i: int) -> Matrix:

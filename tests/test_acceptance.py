@@ -6,12 +6,16 @@ exact, so every comparison is an equality at zero tolerance; the sampled
 checks use the fixed seed below and the per-criterion sample counts.
 """
 
+import hashlib
 import json
 import time
 
 from hopfbrauer.verify import run_verification
 
 SEED = 2026
+# sha256 of the canonical JSON of the `checks` of run_verification(("all",), SEED, 10),
+# measured before the sparse contraction kernel replaced the dense loops
+CHECKS_SHA256_SEED_2026_SAMPLES_10 = "89b7c6b8934c470f98dbf6ff20932ad899c6b261dd6c08724ed9f6318aa55b8c"
 
 
 def _criterion(number: int, description: str, suites, samples: int, options=None) -> dict:
@@ -162,3 +166,5 @@ def test_criterion_11_determinism():
     )
     assert identical
     assert first["all_pass"]
+    canonical = json.dumps(first["checks"], sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == CHECKS_SHA256_SEED_2026_SAMPLES_10

@@ -221,3 +221,43 @@ def test_incompatible_grading_rejected():
     alg = c_algebra(Q(1))
     with pytest.raises(AssertionError):
         super_center(alg, Grading(alg, (1, 0)))
+
+
+def _check_algebra_axioms_reference(a):
+    """Failure messages of the unit and associativity laws by dense loops."""
+    failures = []
+    for i in range(a.dim):
+        ei = a.basis_vec(i)
+        if not (a.mul_vec(a.unit, ei) == ei and a.mul_vec(ei, a.unit) == ei):
+            failures.append(f"unit law fails at basis element {a.basis[i]}")
+    for i in range(a.dim):
+        for j in range(a.dim):
+            ij = a.mul_vec(a.basis_vec(i), a.basis_vec(j))
+            for l in range(a.dim):
+                el = a.basis_vec(l)
+                lhs = a.mul_vec(ij, el)
+                rhs = a.mul_vec(a.basis_vec(i), a.mul_vec(a.basis_vec(j), el))
+                if lhs != rhs:
+                    failures.append(f"associativity fails at triple ({i},{j},{l})")
+    return failures
+
+
+def test_axioms_match_dense_reference():
+    good = quaternion_algebra(Q(2), Q(-3), Q(1))
+    mult = [[list(v) for v in row] for row in good.mult]
+    mult[1][2][0] += Q(1)
+    mult[3][3][3] -= Q(2)
+    unit = [Q(1), Q(0), Q(1, 2), Q(0)]
+    algebras = [
+        good,
+        endomorphism_algebra(3),
+        opposite_algebra(c_algebra(Q(-7))),
+        StructureAlgebra(good.basis, good.unit, mult),
+        StructureAlgebra(good.basis, unit, good.mult),
+    ]
+    for alg in algebras:
+        want = _check_algebra_axioms_reference(alg)
+        assert check_algebra_axioms(alg).failures == want
+    assert _check_algebra_axioms_reference(good) == []
+    assert any("associativity" in f for f in _check_algebra_axioms_reference(algebras[3]))
+    assert any("unit law" in f for f in _check_algebra_axioms_reference(algebras[4]))

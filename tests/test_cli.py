@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction as Q
 
+import pytest
+
 from hopfbrauer.cli import main
 from hopfbrauer.defio import yd_to_json
 from hopfbrauer.sweedler import CFamilyDescriptor, build_C
@@ -150,3 +152,21 @@ def test_define_builtin_and_files(capsys, tmp_path):
     assert code == 1 and "invalid" in out
 
     assert run_cli(capsys, "define", str(tmp_path / "missing.json"))[0] == 2
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_rejects_samples_below_one(capsys, samples):
+    code, out, err = run_cli(capsys, "verify", "--suite", "aut", "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == [f"error: --samples must be at least 1, got {samples}"]
+
+
+def test_empty_report_does_not_pass():
+    from hopfbrauer.verify import run_verification
+
+    report = run_verification(("thm3.3",), seed=1, samples=1)
+    assert report["checks"] and report["all_pass"]
+    report = run_verification((), seed=1, samples=1)
+    assert report["checks"] == [] and report["summary"]["total"] == 0
+    assert report["all_pass"] is False

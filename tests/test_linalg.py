@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hopfbrauer.linalg import (
     DimensionError,
     Matrix,
+    _det_bareiss,
     format_rational,
     kron,
     mat_det,
@@ -82,6 +83,66 @@ def test_det_sparse_path_matches_bareiss():
         from hopfbrauer.linalg import _det_bareiss, _det_sparse
 
         assert _det_bareiss(m) == _det_sparse(m)
+
+
+SPARSE_DET_KINDS = ("full", "full", "zero row", "zero column", "dependent row", "dependent rows")
+
+
+def _sparse_det_cases(seed: int, dense_rows: bool) -> list[tuple[str, Matrix]]:
+    """Seeded sparse rational matrices of size 65–96, above the Bareiss limit.
+
+    Each row has a nonzero diagonal entry and at most one more; with
+    ``dense_rows`` every 16th row gets up to ten more, which causes fill-in. The
+    singular kinds have a zero row, a zero column, or rows replaced by
+    combinations of two others, which elimination only exposes midway.
+    """
+    rng = random.Random(seed)
+
+    def rat():
+        return Q(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+    cases = []
+    for kind in SPARSE_DET_KINDS:
+        n = rng.randint(65, 96)
+        rows = []
+        for i in range(n):
+            row = [Q(0)] * n
+            for _ in range(10 if dense_rows and i % 16 == 0 else 1):
+                row[rng.randrange(n)] += rat()
+            row[i] = rat()
+            rows.append(row)
+        if kind == "zero row":
+            rows[rng.randrange(n)] = [Q(0)] * n
+        elif kind == "zero column":
+            c = rng.randrange(n)
+            for row in rows:
+                row[c] = Q(0)
+        elif kind.startswith("dependent"):
+            for _ in range(1 if kind == "dependent row" else 3):
+                i, j, k = rng.sample(range(n), 3)
+                a, b = rat(), rat()
+                rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+        cases.append((kind, Matrix(rows)))
+    return cases
+
+
+@pytest.mark.parametrize("dense_rows", [False, True])
+def test_sparse_det_matches_bareiss(dense_rows):
+    for seed in (65, 96):
+        for kind, m in _sparse_det_cases(seed, dense_rows):
+            assert 65 <= m.rows <= 96
+            det = mat_det(m)
+            assert det == _det_bareiss(m), kind
+            assert (det == 0) == (kind != "full"), kind
+
+
+def test_sparse_det_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for kind, m in _sparse_det_cases(65, dense_rows=False):
+        want = sympy.Matrix(
+            [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in m.data]
+        ).det()
+        assert mat_det(m) == Q(int(want.p), int(want.q)), kind
 
 
 @settings(max_examples=40, deadline=None)

@@ -514,3 +514,185 @@ def test_cocycle_twist_rejects_invalid_cocycle():
     bad = LazyCocycle(Q(1), Matrix([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]]))
     with pytest.raises(AssertionError):
         cocycle_twist(build_C(CFamilyDescriptor(Q(1), Q(0), Q(1))), bad)
+
+
+# ---------------------------------------------------------------------------
+# Dense reference loops for the sparse contraction kernel
+# ---------------------------------------------------------------------------
+
+
+def _fg_maps_reference(a):
+    """F and G by dense basis loops, straight from the defining formulas."""
+    alg = a.alg
+    d = alg.dim
+    n = a.hopf.dim
+    f = [[Q(0)] * (d * d) for _ in range(d * d)]
+    g = [[Q(0)] * (d * d) for _ in range(d * d)]
+    for x in range(d):
+        ex = alg.basis_vec(x)
+        for y in range(d):
+            ey = alg.basis_vec(y)
+            col = x * d + y
+            for z in range(d):
+                outf = zero_vec(d)
+                outg = zero_vec(d)
+                for z0, z1, c in coaction_sparse(a.coaction, n, z):
+                    acted = a.action[z1].apply(ey)
+                    part = alg.mul_vec(alg.mul_vec(ex, alg.basis_vec(z0)), acted)
+                    for p, v in enumerate(part):
+                        outf[p] += c * v
+                for x0, x1, c in coaction_sparse(a.coaction, n, x):
+                    acted = a.action[x1].apply(alg.basis_vec(z))
+                    part = alg.mul_vec(alg.mul_vec(alg.basis_vec(x0), acted), ey)
+                    for p, v in enumerate(part):
+                        outg[p] += c * v
+                for p in range(d):
+                    if outf[p]:
+                        f[z * d + p][col] = outf[p]
+                    if outg[p]:
+                        g[z * d + p][col] = outg[p]
+    return Matrix(f), Matrix(g)
+
+
+def _h_opposite_mult_reference(a):
+    """Structure constants of x∘y = y₍₀₎(y₍₁₎·x) by dense loops."""
+    alg = a.alg
+    n = a.hopf.dim
+    mult = [[zero_vec(alg.dim) for _ in range(alg.dim)] for _ in range(alg.dim)]
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            out = mult[i][j]
+            for b, k, c in coaction_sparse(a.coaction, n, j):
+                acted = a.action[k].apply(alg.basis_vec(i))
+                for p, v in enumerate(alg.mul_vec(alg.basis_vec(b), acted)):
+                    out[p] += c * v
+    return mult
+
+
+def _module_algebra_failures_reference(a):
+    """Failure messages of the module-algebra law h·(xy) = (h₍₁₎·x)(h₍₂₎·y)."""
+    h, alg = a.hopf, a.alg
+    failures = []
+    for i in range(h.dim):
+        for x in range(alg.dim):
+            ex = alg.basis_vec(x)
+            for y in range(alg.dim):
+                ey = alg.basis_vec(y)
+                lhs = a.action[i].apply(alg.mul_vec(ex, ey))
+                rhs = zero_vec(alg.dim)
+                for p, q, c in h.cop_sparse(i):
+                    for k, v in enumerate(alg.mul_vec(a.action[p].apply(ex), a.action[q].apply(ey))):
+                        rhs[k] += c * v
+                if lhs != rhs:
+                    failures.append(
+                        f"module-algebra law fails at ({h.alg.basis[i]}; {alg.basis[x]},{alg.basis[y]})"
+                    )
+    return failures
+
+
+def _comodule_algebra_failures_reference(a):
+    """Failure messages of ρ(xy) = x₍₀₎y₍₀₎ ⊗ y₍₁₎x₍₁₎ on basis pairs."""
+    h, alg = a.hopf, a.alg
+    n = h.dim
+    failures = []
+    for x in range(alg.dim):
+        for y in range(alg.dim):
+            lhs = zero_vec(alg.dim * n)
+            for j, c in enumerate(alg.mul_vec(alg.basis_vec(x), alg.basis_vec(y))):
+                for k, v in enumerate(a.coaction[j]):
+                    lhs[k] += c * v
+            rhs = zero_vec(alg.dim * n)
+            for ax, kx, cx in coaction_sparse(a.coaction, n, x):
+                for ay, ky, cy in coaction_sparse(a.coaction, n, y):
+                    apart = alg.mul_vec(alg.basis_vec(ax), alg.basis_vec(ay))
+                    hpart = h.alg.mul_vec(h.alg.basis_vec(ky), h.alg.basis_vec(kx))
+                    for p, cp in enumerate(apart):
+                        for q, cq in enumerate(hpart):
+                            rhs[p * n + q] += cx * cy * cp * cq
+            if lhs != rhs:
+                failures.append(f"ρ not H^op-multiplicative at ({alg.basis[x]},{alg.basis[y]})")
+    return failures
+
+
+def _kernel_cases():
+    local = random.Random(2718)
+
+    def rat():
+        n = 0
+        while n == 0:
+            n = local.randint(-9, 9)
+        return Q(n, local.randint(1, 9))
+
+    from hopfbrauer.e2 import build_c_e2
+    from hopfbrauer.sweedler import aut_algebra
+
+    c1, c2, c3 = (build_C(CFamilyDescriptor(rat(), rat(), rat())) for _ in range(3))
+    d4 = sharp_product(c1, c2)
+    singular = build_C(CFamilyDescriptor(Q(3), Q(2), Q(3)))  # 2a = st
+    return {
+        "C(a;t,s)": c1,
+        "singular C": singular,
+        "C#C d=4": d4,
+        "C#C#C d=8": sharp_product(d4, c3),
+        "A_alpha": aut_algebra(rat()),
+        "H-opposite of C#C": h_opposite(d4),
+        "C(a;t1,t2) over E(2)": build_c_e2(rat(), rat(), rat()),
+    }
+
+
+def _perturbed(a):
+    """``a`` with one structure constant of its product changed, so the
+    product is no longer associative."""
+    mult = [[list(v) for v in row] for row in a.alg.mult]
+    mult[1][a.dim - 1][0] += Q(1)
+    return YDAlgebra(a.hopf, StructureAlgebra(a.alg.basis, a.alg.unit, mult), a.action, a.coaction)
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_fg_maps_match_dense_reference(name):
+    a = KERNEL_CASES[name]
+    assert fg_maps(a) == _fg_maps_reference(a)
+
+
+def test_fg_maps_match_reference_without_associativity():
+    a = _perturbed(KERNEL_CASES["C#C d=4"])
+    assert fg_maps(a) == _fg_maps_reference(a)
+
+
+@pytest.mark.parametrize("name", ["C(a;t,s)", "C#C d=4", "C#C#C d=8", "C(a;t1,t2) over E(2)"])
+def test_h_opposite_matches_dense_reference(name):
+    a = KERNEL_CASES[name]
+    assert h_opposite(a).alg.mult == _h_opposite_mult_reference(a)
+
+
+def test_yd_algebra_checks_report_reference_failures():
+    from hopfbrauer.yd import check_comodule_algebra_op
+
+    good = KERNEL_CASES["C#C d=4"]
+    bad = _perturbed(good)
+    module_law = [f for f in check_module_algebra(bad).failures if "module-algebra law" in f]
+    comodule_law = [f for f in check_comodule_algebra_op(bad).failures if "H^op-multiplicative" in f]
+    assert module_law and module_law == _module_algebra_failures_reference(bad)
+    assert comodule_law and comodule_law == _comodule_algebra_failures_reference(bad)
+    assert _module_algebra_failures_reference(good) == []
+    assert _comodule_algebra_failures_reference(good) == []
+
+
+def test_corruption_failure_messages_are_pinned():
+    c = build_C(CFamilyDescriptor(Q(1), Q(2), Q(0)))
+    bad_coaction = [list(row) for row in c.coaction]
+    bad_coaction[1][1 * 4 + 1] = Q(0)
+    bad_coaction[1][1 * 4 + 0] = Q(1)
+    assert check_yd_algebra(YDAlgebra(c.hopf, c.alg, c.action, bad_coaction)).failures == [
+        "Yetter-Drinfeld condition over H4: YD condition fails at (l=h, b=index 1)",
+        "Yetter-Drinfeld condition over H4: YD condition fails at (l=gh, b=index 1)",
+    ]
+    action = list(c.action)
+    action[c.hopf.meta["h"]] = action[c.hopf.meta["h"]] * 2
+    prefix = "module algebra over H4: H-module over H4: action not multiplicative at"
+    assert check_yd_algebra(YDAlgebra(c.hopf, c.alg, action, c.coaction)).failures == [
+        f"{prefix} (g,h)", f"{prefix} (g,gh)", f"{prefix} (h,g)", f"{prefix} (gh,g)",
+    ]
