@@ -55,6 +55,12 @@ def _vector(value, n: int, path: str) -> list[Fraction]:
     return [_rational(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
+def _square(value, n: int, path: str) -> Matrix:
+    if not isinstance(value, list) or len(value) != n:
+        raise SchemaError(path, f"expected {n} rows")
+    return Matrix([_vector(r, n, f"{path}[{p}]") for p, r in enumerate(value)])
+
+
 def load_algebra(obj: dict, path: str = "algebra") -> StructureAlgebra:
     dim = _need(obj, "dim", path)
     if not isinstance(dim, int) or dim < 1:
@@ -89,13 +95,15 @@ def load_hopf(obj: dict, path: str = "hopf") -> HopfAlgebra:
             flat.extend(_vector(row, dim, f"{path}.coproduct[{i}][{p}]"))
         cop.append(flat)
     counit = _vector(_need(obj, "counit", path), dim, f"{path}.counit")
-    anti_raw = _need(obj, "antipode", path)
-    antipode = Matrix([_vector(r, dim, f"{path}.antipode[{p}]") for p, r in enumerate(anti_raw)])
-    antipode_inv = None
+    antipode = _square(_need(obj, "antipode", path), dim, f"{path}.antipode")
     if "antipode_inv" in obj:
-        antipode_inv = Matrix(
-            [_vector(r, dim, f"{path}.antipode_inv[{p}]") for p, r in enumerate(obj["antipode_inv"])]
-        )
+        antipode_inv = _square(obj["antipode_inv"], dim, f"{path}.antipode_inv")
+    else:
+        try:
+            antipode_inv = antipode.inverse()
+        except ZeroDivisionError:
+            # the antipode of a finite-dimensional Hopf algebra is bijective
+            raise SchemaError(f"{path}.antipode", "singular matrix, so not an antipode") from None
     meta = obj.get("meta", {})
     return HopfAlgebra(alg, cop, counit, antipode, antipode_inv, name=str(obj.get("name", "")), meta=meta)
 

@@ -52,7 +52,8 @@ def rational_is_square(x) -> Fraction | None:
 
 
 def vec(values: Iterable) -> list[Fraction]:
-    return [Fraction(v) for v in values]
+    # entries that already are Fractions are kept, not rebuilt
+    return [v if type(v) is Fraction else Fraction(v) for v in values]
 
 
 def zero_vec(n: int) -> list[Fraction]:
@@ -97,7 +98,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Sequence[Sequence]):
-        self.data = [[Fraction(v) for v in row] for row in data]
+        self.data = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in data]
         self.rows = len(self.data)
         self.cols = len(self.data[0]) if self.data else 0
         if any(len(row) != self.cols for row in self.data):

@@ -154,6 +154,24 @@ def test_define_builtin_and_files(capsys, tmp_path):
     assert run_cli(capsys, "define", str(tmp_path / "missing.json"))[0] == 2
 
 
+def test_define_rejects_bad_antipodes_with_field_path(capsys, tmp_path):
+    from hopfbrauer.defio import hopf_to_json
+    from hopfbrauer.sweedler import build_h4
+
+    good = hopf_to_json(build_h4())
+    no_inv = {k: v for k, v in good.items() if k != "antipode_inv"}
+    cases = [
+        (dict(no_inv, antipode=[["0"] * 4 for _ in range(4)]), "hopf.antipode: singular"),
+        (dict(no_inv, antipode=good["antipode"][:3]), "hopf.antipode: expected 4 rows"),
+        (dict(good, antipode_inv=good["antipode_inv"][:2]), "hopf.antipode_inv: expected 4 rows"),
+    ]
+    for k, (obj, message) in enumerate(cases):
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run_cli(capsys, "define", str(path))
+        assert code == 2 and message in err, (k, err)
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_verify_rejects_samples_below_one(capsys, samples):
     code, out, err = run_cli(capsys, "verify", "--suite", "aut", "--samples", samples)

@@ -1,12 +1,16 @@
+import hashlib
+import json
 from fractions import Fraction as Q
 
 import pytest
 
 from hopfbrauer.algebra import StructureAlgebra
 from hopfbrauer.e2 import build_e2
+from hopfbrauer import hopf
 from hopfbrauer.hopf import (
     HopfAlgebra,
     HopfMorphism,
+    antipode_from_bialgebra,
     check_coquasitriangular,
     check_hopf_axioms,
     check_hopf_morphism,
@@ -16,7 +20,7 @@ from hopfbrauer.hopf import (
     push_qt,
     qt_structure,
 )
-from hopfbrauer.linalg import Matrix, zero_vec
+from hopfbrauer.linalg import Matrix, format_rational, zero_vec
 from hopfbrauer.sweedler import (
     build_dh4,
     build_h4,
@@ -55,6 +59,57 @@ def test_corrupted_antipode_fails():
     rep = check_hopf_axioms(bad)
     assert not rep.ok
     assert any("S" in f and "Δ" in f for f in rep.failures)
+
+
+def _with(h, cop=None, counit=None, antipode=None):
+    return HopfAlgebra(
+        h.alg,
+        cop or h.cop,
+        counit or h.counit,
+        antipode or h.antipode,
+        None if antipode else h.antipode_inv,
+        name="bad",
+    )
+
+
+def _bump(h, i, k, delta):
+    cop = [list(c) for c in h.cop]
+    cop[i][k] += delta
+    return cop
+
+
+# (count, sha256 of the newline-joined failures), measured with the earlier
+# dense Δ-multiplicativity and antipode loops: same messages, same order
+@pytest.mark.parametrize(
+    "make_bad, count, digest",
+    [
+        (
+            lambda: _with(build_h4(), antipode=Matrix.identity(4)),
+            4,
+            "b938c6b0a02c13e9578037bae3c4334671367304a0d749dc4226d3fb7eee1b39",
+        ),
+        (
+            lambda: _with(build_h4(), cop=_bump(build_h4(), 2, 5, Q(1, 2))),
+            12,
+            "f5434e5c4d61617c56141f259a897a2aad479062b8f702c0a9e91862e68f8866",
+        ),
+        (
+            lambda: _with(build_e2(), cop=_bump(build_e2(), 3, 17, Q(-2))),
+            21,
+            "4870c279a2efe615f0f21e1a5b68cc99b47cd2119f302d83be2501db3d2b5666",
+        ),
+        (
+            lambda: _with(build_h4(), counit=[Q(1), Q(1), Q(1), Q(0)]),
+            9,
+            "1738a65dce5950194cd24e9b31b39f7fc7ec200bf1fc8aa402dc76b520c3f989",
+        ),
+    ],
+    ids=["identity antipode", "H4 coproduct", "E2 coproduct", "H4 counit"],
+)
+def test_hopf_axiom_failures_are_pinned(make_bad, count, digest):
+    failures = check_hopf_axioms(make_bad()).failures
+    assert len(failures) == count
+    assert hashlib.sha256("\n".join(failures).encode()).hexdigest() == digest
 
 
 def test_kz2_self_dual():
@@ -147,3 +202,84 @@ def test_morphism_rejects_non_algebra_map():
     bad = Matrix.diag([1, 1, 2, 1])  # scaling h alone breaks Δ-compatibility
     rep = check_hopf_morphism(HopfMorphism(h4, h4, bad))
     assert not rep.ok
+
+
+# -- Drinfeld doubles: closed-form antipode and R⁻¹ ---------------------------
+
+
+def _sparse_dump(v):
+    return [[k, format_rational(c)] for k, c in enumerate(v) if c]
+
+
+def double_sha256(double, qt) -> str:
+    """sha256 of a canonical JSON dump of a double and its R, R⁻¹."""
+    a = double.alg
+    obj = {
+        "basis": a.basis,
+        "unit": _sparse_dump(a.unit),
+        "mult": [[_sparse_dump(a.mult[i][j]) for j in range(a.dim)] for i in range(a.dim)],
+        "cop": [_sparse_dump(c) for c in double.cop],
+        "counit": _sparse_dump(double.counit),
+        "antipode": [_sparse_dump(r) for r in double.antipode.data],
+        "antipode_inv": [_sparse_dump(r) for r in double.antipode_inv.data],
+        "r": _sparse_dump(qt.r),
+        "r_inv": _sparse_dump(qt.r_inv),
+    }
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Computed with the earlier build, which solved for the antipode and for R⁻¹.
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (build_h4, "f64da95fb44de20b366e44f8565cc5c8024eb035478dd442b5f97212373f8f03"),
+        (build_e2, "ffce297e163310dc00d4ff84957c699f5ad17f73bba57daf80405fd33f4f3dea"),
+    ],
+    ids=["H4", "E2"],
+)
+def test_double_tensors_are_pinned(build, digest):
+    h = build()
+    double, qt = drinfeld_double(h)
+    assert double_sha256(double, qt) == digest
+    assert double.meta == {"double_of": h.name, "factor_dim": h.dim}
+
+
+@pytest.mark.parametrize("build", [group_hopf_z2, build_h4])
+def test_closed_form_antipode_matches_the_solved_one(build):
+    double, _ = drinfeld_double(build())
+    solved = antipode_from_bialgebra(double.alg, double.cop_sparse, double.counit)
+    assert double.antipode == solved
+    assert double.antipode_inv == solved.inverse()
+
+
+def test_double_of_e2_passes_hopf_and_qt_checks():
+    double, canonical = drinfeld_double(build_e2())
+    assert double.dim == 64
+    assert check_hopf_axioms(double).ok
+    rep = check_quasitriangular(double, canonical)
+    assert rep.ok and rep.data["triangular"] is False
+
+
+def test_double_rejects_corrupted_antipode_inv():
+    h4 = build_h4()
+    bad = HopfAlgebra(h4.alg, h4.cop, h4.counit, h4.antipode, Matrix.identity(4), name="bad")
+    with pytest.raises(ValueError):
+        drinfeld_double(bad)
+
+
+def test_double_rejects_corrupted_antipode():
+    # S enters only the closed-form S_D and R⁻¹, not the product, so the
+    # convolution check is what must catch it
+    h4 = build_h4()
+    bad = HopfAlgebra(h4.alg, h4.cop, h4.counit, Matrix.identity(4), h4.antipode_inv, name="bad")
+    with pytest.raises(ValueError, match="antipode fails"):
+        drinfeld_double(bad)
+
+
+def test_double_checks_r_inverse(monkeypatch):
+    h4 = build_h4()
+    bad = HopfAlgebra(h4.alg, h4.cop, h4.counit, Matrix.identity(4), h4.antipode_inv, name="bad")
+    monkeypatch.setattr(hopf, "_require_antipode", lambda *args: None)
+    with pytest.raises(ValueError, match="not the inverse of R"):
+        drinfeld_double(bad)
