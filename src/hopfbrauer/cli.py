@@ -141,6 +141,8 @@ def cmd_verify(args) -> int:
     for rec in report["checks"]:
         if rec["status"] == "fail":
             print(f"FAIL {rec['check_id']} [{rec['anchor']}] params={rec['params']}")
+        elif rec["status"] == "error":
+            print(f"ERROR {rec['check_id']}: {rec['witness']['type']}: {rec['witness']['message']}")
     s = report["summary"]
     print(f"{s['pass']}/{s['total']} checks passed (seed={report['seed']}, samples={report['samples']})")
     return 0 if report["all_pass"] else CHECK_FAILED

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .algebra import StructureAlgebra, check_algebra_axioms
 from .hopf import HopfAlgebra, check_hopf_axioms
 from .linalg import Matrix, format_rational, parse_rational
-from .yd import YDAlgebra, check_yd_algebra
+from .yd import YDObject, check_yd_algebra
 
 
 class SchemaError(ValueError):
@@ -104,8 +104,34 @@ def load_hopf(obj: dict, path: str = "hopf") -> HopfAlgebra:
         except ZeroDivisionError:
             # the antipode of a finite-dimensional Hopf algebra is bijective
             raise SchemaError(f"{path}.antipode", "singular matrix, so not an antipode") from None
-    meta = obj.get("meta", {})
+    meta = _meta(obj.get("meta", {}), dim, f"{path}.meta")
     return HopfAlgebra(alg, cop, counit, antipode, antipode_inv, name=str(obj.get("name", "")), meta=meta)
+
+
+# meta keys naming one basis element each; "pi_keep" names two
+META_INDEX_KEYS = ("g", "h", "c", "x1", "x2")
+
+
+def _meta(meta, dim: int, path: str) -> dict:
+    """Check that every basis index in ``meta`` is an int in range(dim)."""
+    if not isinstance(meta, dict):
+        raise SchemaError(path, "expected an object")
+
+    def index(value, where: str) -> int:
+        if type(value) is not int or not 0 <= value < dim:
+            raise SchemaError(where, f"expected a basis index in 0..{dim - 1}, got {value!r}")
+        return value
+
+    out = dict(meta)
+    for key in META_INDEX_KEYS:
+        if key in out:
+            index(out[key], f"{path}.{key}")
+    if "pi_keep" in out:
+        pair = out["pi_keep"]
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise SchemaError(f"{path}.pi_keep", "expected a pair of basis indices")
+        out["pi_keep"] = tuple(index(v, f"{path}.pi_keep[{i}]") for i, v in enumerate(pair))
+    return out
 
 
 def builtin_hopf(name: str) -> HopfAlgebra:
@@ -123,7 +149,7 @@ def builtin_hopf(name: str) -> HopfAlgebra:
     return table[name]()
 
 
-def load_yd(obj: dict, path: str = "yd") -> YDAlgebra:
+def load_yd(obj: dict, path: str = "yd") -> YDObject:
     alg = load_algebra(obj, path)
     hopf_field = _need(obj, "hopf", path)
     if isinstance(hopf_field, str):
@@ -152,7 +178,7 @@ def load_yd(obj: dict, path: str = "yd") -> YDAlgebra:
         for a, hvec in enumerate(row):
             flat.extend(_vector(hvec, hopf.dim, f"{path}.coaction[{j}][{a}]"))
         coaction.append(flat)
-    return YDAlgebra(hopf, alg, action, coaction)
+    return YDObject(hopf, alg.dim, alg, action, coaction)
 
 
 def detect_kind(obj: dict) -> str:
@@ -214,7 +240,7 @@ def hopf_to_json(h: HopfAlgebra) -> dict:
     return out
 
 
-def yd_to_json(a: YDAlgebra, hopf_name: str | None = None) -> dict:
+def yd_to_json(a: YDObject, hopf_name: str | None = None) -> dict:
     out = algebra_to_json(a.alg)
     out["hopf"] = hopf_name if hopf_name else hopf_to_json(a.hopf)
     out["action"] = [

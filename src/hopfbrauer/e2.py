@@ -32,24 +32,23 @@ from .linalg import Matrix, dense_vec, in_span, is_zero_vec, mat_det, sparse_vec
 from .sweedler import build_dh4, build_h4, dh4_named
 from .yd import (
     FGContraction,
-    Module,
-    ModuleAlgebra,
-    YDAlgebra,
-    YDModule,
+    YDObject,
     action_grading,
+    braiding_psi,
     check_module,
     check_module_algebra,
     check_yd_algebra,
     conjugation_implementer,
+    end_yd,
+    graded_flip,
     gradings,
+    grouplike_index,
     induced_coaction,
-    induced_module_coaction,
     inner_witness,
     is_h_azumaya,
     module_tensor,
     sharp_product,
     strongly_inner_witness_e2,
-    end_yd,
 )
 
 Q = Fraction
@@ -213,14 +212,14 @@ def theta(lam, mu) -> HopfMorphism:
 # ---------------------------------------------------------------------------
 
 
-def e2_action_from_generators(alg: StructureAlgebra, c_mat: Matrix, x1_mat: Matrix, x2_mat: Matrix) -> list[Matrix]:
+def e2_action_from_generators(c_mat: Matrix, x1_mat: Matrix, x2_mat: Matrix) -> list[Matrix]:
     """Extend generator operators to all eight monomial basis actions."""
     mats = {1: c_mat, 2: x1_mat, 4: x2_mat}
     action = []
     for d in (0, 1):
         for b in (0, 1):
             for a in (0, 1):
-                acc = Matrix.identity(alg.dim)
+                acc = Matrix.identity(c_mat.rows)
                 for gen, e in ((1, a), (2, b), (4, d)):
                     for _ in range(e):
                         acc = acc @ mats[gen]
@@ -229,7 +228,7 @@ def e2_action_from_generators(alg: StructureAlgebra, c_mat: Matrix, x1_mat: Matr
     return [m for _, m in action]
 
 
-def build_c_e2(a, t1, t2) -> YDAlgebra:
+def build_c_e2(a, t1, t2) -> YDObject:
     """The two-dimensional (E(2), R_N)-algebra: x² = a, c·x = −x,
     x₁·x = t₁, x₂·x = t₂, coaction induced by R_N."""
     a, t1, t2 = Q(a), Q(t1), Q(t2)
@@ -243,35 +242,28 @@ def build_c_e2(a, t1, t2) -> YDAlgebra:
     cm = Matrix.diag([1, -1])
     x1m = Matrix([[0, t1], [0, 0]])
     x2m = Matrix([[0, t2], [0, 0]])
-    action = e2_action_from_generators(alg, cm, x1m, x2m)
-    carrier = ModuleAlgebra(e2, alg, action)
-    return induced_coaction(carrier, build_RN())
+    action = e2_action_from_generators(cm, x1m, x2m)
+    return induced_coaction(YDObject(e2, 2, alg, action), build_RN())
 
 
-def restrict_along(f: HopfMorphism, a, r_source: QTStructure | None = None):
+def restrict_along(f: HopfMorphism, a: YDObject, r_source: QTStructure | None = None) -> YDObject:
     """Pull a module algebra over f.target back to f.source (action ∘ f).
 
-    When a source quasitriangular structure is supplied the result is the
-    full YD algebra with the induced coaction; otherwise a plain module
-    algebra. Module-algebra validity is re-checked.
+    Any coaction of ``a`` is dropped. When a source quasitriangular
+    structure is supplied the result is the full YD algebra with the
+    induced coaction; otherwise a plain module algebra. Module-algebra
+    validity is re-checked.
     """
     src = f.source
-    action = []
-    for i in range(src.dim):
-        img = f.apply(src.alg.basis_vec(i))
-        m = Matrix.zero(a.dim, a.dim)
-        for j, c in enumerate(img):
-            if c:
-                m = m + a.action[j] * c
-        action.append(m)
-    out = ModuleAlgebra(src, a.alg, action)
+    action = [a.act_matrix(f.apply(src.alg.basis_vec(i))) for i in range(src.dim)]
+    out = YDObject(src, a.dim, a.alg, action)
     check_module_algebra(out).raise_if_failed()
     if r_source is None:
         return out
     return induced_coaction(out, r_source)
 
 
-def bq_grad_member(a: YDAlgebra) -> bool:
+def bq_grad_member(a: YDObject) -> bool:
     """Do the action grading and the coaction grading of this representative
     coincide?"""
     return gradings(a).equal
@@ -282,7 +274,7 @@ def bq_grad_member(a: YDAlgebra) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def f0_g0_matrices(a, c_index: int | None = None) -> tuple[Matrix, Matrix]:
+def f0_g0_matrices(a: YDObject, c_index: int | None = None) -> tuple[Matrix, Matrix]:
     """The parity-flip versions of F and G.
 
     F₀(x#y)(z) = (−1)^{|z||y|} x z y and G₀(x#y)(z) = (−1)^{|x||z|} x z y,
@@ -290,8 +282,7 @@ def f0_g0_matrices(a, c_index: int | None = None) -> tuple[Matrix, Matrix]:
     central simple. Only the grouplike action (the grading) enters.
     """
     if c_index is None:
-        meta = a.hopf.meta
-        c_index = meta.get("g") if meta.get("g") is not None else meta.get("c")
+        c_index = grouplike_index(a.hopf)
     parity = action_grading(a, c_index)
     alg = a.alg
     d = alg.dim
@@ -327,8 +318,8 @@ class KernelWitness:
     w: Matrix
     big_u: Matrix
     big_w: Matrix
-    p_module: Module          # over D(H₄)
-    end_p: YDAlgebra          # over E(2), coaction induced by R_N
+    p_module: YDObject        # over D(H₄)
+    end_p: YDObject           # over E(2), coaction induced by R_N
     report: CheckReport
     steps: dict = field(default_factory=dict)  # step label -> bool
 
@@ -341,7 +332,7 @@ def _witness_matrices() -> tuple[Matrix, Matrix, Matrix, Matrix]:
     return u, w, big_u, big_w
 
 
-def witness_p_module() -> Module:
+def witness_p_module() -> YDObject:
     """P = k² as a D(H₄)-module: g, h, φ(g), φ(h) act by u, w, U, W."""
     double, _ = build_dh4()
     u, w, big_u, big_w = _witness_matrices()
@@ -353,10 +344,10 @@ def witness_p_module() -> Module:
         (big_w - big_u @ big_w) * Q(1, 2),        # gh* = φ((h−gh)/2)
     ]
     action = [act_dual[i] @ act_alg[j] for i in range(4) for j in range(4)]
-    return Module(double, 2, action)
+    return YDObject(double, 2, action=action)
 
 
-def witness_end_p() -> YDAlgebra:
+def witness_end_p() -> YDObject:
     """End(P) as an (E(2), R_N)-Azumaya algebra: c·f = ufu⁻¹,
     x₁·f = wfu⁻¹ + fuw, (cx₂)·f = Wf − UfU⁻¹W."""
     e2 = build_e2()
@@ -381,9 +372,8 @@ def witness_end_p() -> YDAlgebra:
     x1_mat = op_map(lambda f: w @ f @ u_inv + f @ u @ w)
     cx2_mat = op_map(lambda f: big_w @ f - big_u @ f @ big_u_inv @ big_w)
     x2_mat = c_mat @ cx2_mat  # x₂ = c·(cx₂)
-    action = e2_action_from_generators(alg, c_mat, x1_mat, x2_mat)
-    carrier = ModuleAlgebra(e2, alg, action)
-    return induced_coaction(carrier, build_RN())
+    action = e2_action_from_generators(c_mat, x1_mat, x2_mat)
+    return induced_coaction(YDObject(e2, alg.dim, alg, action), build_RN())
 
 
 def kernel_witness() -> KernelWitness:
@@ -417,25 +407,16 @@ def kernel_witness() -> KernelWitness:
     steps["iii: End(P) is an E(2)-module algebra"] = step_iii.ok and yd_iii.ok
 
     # the explicit action formulas agree with the canonical End(P) structure
-    from .yd import end_module_action
-
-    canonical = end_module_action(p)
-    double, _ = build_dh4()
+    canonical = end_yd(p)
     for label, e2_gen in (("g", 1), ("h", 2)):
-        lhs = end_p.action[e2_gen]
-        rhs = Matrix.zero(4, 4)
-        named = dh4_named(label)
-        for i, c in enumerate(named):
-            if c:
-                rhs = rhs + canonical.action[i] * c
-        rep.require(lhs == rhs, f"End(P) action of {label} disagrees with the canonical one")
-    named = dh4_named("phi_h")
-    rhs = Matrix.zero(4, 4)
-    for i, c in enumerate(named):
-        if c:
-            rhs = rhs + canonical.action[i] * c
-    cx2_action = end_p.action[_e2_index(1, 0, 1)]
-    rep.require(cx2_action == rhs, "End(P) action of φ(h) disagrees with the canonical one")
+        rep.require(
+            end_p.action[e2_gen] == canonical.act_matrix(dh4_named(label)),
+            f"End(P) action of {label} disagrees with the canonical one",
+        )
+    rep.require(
+        end_p.action[_e2_index(1, 0, 1)] == canonical.act_matrix(dh4_named("phi_h")),
+        "End(P) action of φ(h) disagrees with the canonical one",
+    )
 
     steps["iv: End(P) is (E(2),R_N)-Azumaya"] = is_h_azumaya(end_p)
     rep.require(steps["iv: End(P) is (E(2),R_N)-Azumaya"], "(iv) End(P) must be (E(2),R_N)-Azumaya")
@@ -481,7 +462,7 @@ class Thm61Report:
         return self.e2_inner == self.central_simple
 
 
-def theorem61_check(a: YDAlgebra) -> Thm61Report:
+def theorem61_check(a: YDObject) -> Thm61Report:
     """Evaluate the three equivalent predicates for an (E(2),R_N)-Azumaya
     algebra, plus the addendum comparing full inner-ness with central
     simplicity."""
@@ -554,7 +535,7 @@ def not_subgroup_demo(t, q) -> NotSubgroupReport:
     )
 
 
-def build_e2_module(dim2_params: tuple = (1, 0)) -> YDModule:
+def build_e2_module(dim2_params: tuple = (1, 0)) -> YDObject:
     """A two-dimensional E(2)-module (c = diag(1,−1), x_i = λ_i·E₁₂) with
     the R_N-induced coaction."""
     l1, l2 = (Q(x) for x in dim2_params)
@@ -562,14 +543,13 @@ def build_e2_module(dim2_params: tuple = (1, 0)) -> YDModule:
     cm = Matrix.diag([1, -1])
     x1m = Matrix([[0, l1], [0, 0]])
     x2m = Matrix([[0, l2], [0, 0]])
-    dummy = StructureAlgebra(["e1", "e2"], [1, 0], [[[1, 0], [0, 1]], [[0, 1], [0, 0]]])
-    action = e2_action_from_generators(dummy, cm, x1m, x2m)
-    mod = Module(e2, 2, action)
+    action = e2_action_from_generators(cm, x1m, x2m)
+    mod = YDObject(e2, 2, action=action)
     check_module(mod).raise_if_failed()
-    return induced_module_coaction(mod, build_RN())
+    return induced_coaction(mod, build_RN())
 
 
-def prop62_instance_check(a: YDAlgebra, q_module: YDModule) -> dict:
+def prop62_instance_check(a: YDObject, q_module: YDObject) -> dict:
     """Inner-ness of the x_i-actions is invariant under # with End(Q)."""
     e2 = a.hopf
     c_idx = e2.meta["c"]
@@ -589,12 +569,10 @@ def prop62_instance_check(a: YDAlgebra, q_module: YDModule) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def braiding_decomposition_residual(v: Module, w: Module, vvec, wvec) -> list[Fraction]:
+def braiding_decomposition_residual(v: YDObject, w: YDObject, vvec, wvec) -> list[Fraction]:
     """ψ(v⊗w) − ψ₀(v⊗w) − (−1)^{|w|+1} ψ₀(x₁·v ⊗ x₂·w) for homogeneous v, w."""
     e2 = v.hopf
     c_idx, x1_idx, x2_idx = e2.meta["c"], e2.meta["x1"], e2.meta["x2"]
-    from .yd import braiding_psi, graded_flip
-
     rn = build_RN()
     par_v = action_grading(v, c_idx)
     par_w = action_grading(w, c_idx)
@@ -628,7 +606,7 @@ def _tensor_vec(x, y) -> list[Fraction]:
     return out
 
 
-def fg_decomposition_residuals(a: YDAlgebra, xv, yv, zv) -> tuple[list[Fraction], list[Fraction]]:
+def fg_decomposition_residuals(a: YDObject, xv, yv, zv) -> tuple[list[Fraction], list[Fraction]]:
     """Residuals of the two decompositions, for homogeneous x, y, z:
 
         F(x#y)(z) = F₀(x#y)(z) + (−1)^{|z|+1} F₀(x # x₁·y)(x₂·z)

@@ -88,14 +88,8 @@ class HopfAlgebra:
     def antipode_vec(self, x: Sequence[Fraction]) -> list[Fraction]:
         return self.antipode.apply(x)
 
-    def antipode_inv_vec(self, x: Sequence[Fraction]) -> list[Fraction]:
-        return self.antipode_inv.apply(x)
-
     def counit_of(self, x: Sequence[Fraction]) -> Fraction:
         return sum((c * e for c, e in zip(x, self.counit)), Fraction(0))
-
-    def basis_index(self, label: str) -> int:
-        return self.alg.basis.index(label)
 
     def __repr__(self) -> str:
         return f"HopfAlgebra({self.name or 'unnamed'}, dim={self.dim})"

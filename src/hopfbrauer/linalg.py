@@ -254,6 +254,21 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(out)
 
 
+def kron_sum(terms: Iterable[tuple[Fraction, Matrix, Matrix]], rows: int, cols: int) -> Matrix:
+    """Σ c·(a ⊗ b) over (c, a, b) triples, left factor major like ``kron``,
+    accumulated entry by entry over the nonzeros of each factor."""
+    out = [[Fraction(0)] * cols for _ in range(rows)]
+    for c, a, b in terms:
+        b_entries = [(i2, j2, w) for i2, row in enumerate(b.data) for j2, w in enumerate(row) if w]
+        for i1, row in enumerate(a.data):
+            for j1, v in enumerate(row):
+                if v:
+                    cv = c * v
+                    for i2, j2, w in b_entries:
+                        out[i1 * b.rows + i2][j1 * b.cols + j2] += cv * w
+    return Matrix(out)
+
+
 # ---------------------------------------------------------------------------
 # Determinants
 # ---------------------------------------------------------------------------

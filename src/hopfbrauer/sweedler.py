@@ -12,6 +12,7 @@ transports, Aut(H₄) conjugation, subgroup intersections).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +29,14 @@ from .hopf import (
     qt_structure,
 )
 from .linalg import Matrix, rational_is_square, zero_vec
+from .yd import (
+    YDObject,
+    check_yd_algebra,
+    end_yd,
+    induced_action,
+    sharp_product,
+    strongly_inner_witness_h4,
+)
 
 Q = Fraction
 
@@ -212,30 +221,45 @@ class CFamilyDescriptor:
         return f"C({fr(self.a)};{fr(self.t)},{fr(self.s)})"
 
 
+TRIAL_DIVISION_BOUND = 10**6
+
+
 def squarefree_part(x) -> int:
-    """Signed squarefree integer representing the square class of x in ℚ*."""
+    """Signed squarefree integer representing the square class of x in ℚ*.
+
+    Trial division stops at B = TRIAL_DIVISION_BOUND, so any input ends in
+    bounded time. The cofactor left then has no prime factor up to B, and
+    its square class is known exactly when it is below B² (then it is 1 or
+    a prime) or a perfect square. Any other cofactor (p·q and p²·q with
+    p, q > B look alike) raises ValueError instead of guessing.
+    """
     x = Q(x)
     if x == 0:
         return 0
     n = abs(x.numerator * x.denominator)
     out = 1
     d = 2
-    while d * d <= n:
+    while d <= TRIAL_DIVISION_BOUND and d * d <= n:
         e = 0
         while n % d == 0:
             n //= d
             e ^= 1
         if e:
             out *= d
-        d += 1
+        d += 1 if d == 2 else 2
+    if n >= TRIAL_DIVISION_BOUND**2:
+        if math.isqrt(n) ** 2 != n:
+            raise ValueError(
+                f"square class of {x} undecided: the cofactor {n} has no prime factor "
+                f"up to {TRIAL_DIVISION_BOUND} and is neither below {TRIAL_DIVISION_BOUND}² nor a square"
+            )
+        n = 1
     out *= n
     return out if x > 0 else -out
 
 
 def build_C(d: CFamilyDescriptor):
     """C(a;t,s) as a Yetter-Drinfeld module algebra over H₄."""
-    from .yd import YDAlgebra
-
     h4 = build_h4()
     alg = StructureAlgebra(
         ["1", "x"],
@@ -252,7 +276,7 @@ def build_C(d: CFamilyDescriptor):
     rhox = zero_vec(8)
     rhox[1 * 4 + 1] = Q(1)          # x ⊗ g
     rhox[0 * 4 + 2] = d.s           # s·1 ⊗ h
-    return YDAlgebra(h4, alg, action, [rho1, rhox])
+    return YDObject(h4, 2, alg, action, [rho1, rhox])
 
 
 def c_equivalent(d1: CFamilyDescriptor, d2: CFamilyDescriptor) -> Fraction | None:
@@ -352,8 +376,6 @@ def c_product(d1: CFamilyDescriptor, d2: CFamilyDescriptor) -> CProductPresentat
 
 def quaternion_yd_algebra(p: CProductPresentation):
     """Build the YD algebra named by a quaternion presentation directly."""
-    from .yd import YDAlgebra
-
     h4 = build_h4()
     a, b, m = p.x_sq, p.y_sq, p.anticommutator
     # basis 1, X, Y, XY with X² = a, Y² = b, YX = m − XY
@@ -401,7 +423,7 @@ def quaternion_yd_algebra(p: CProductPresentation):
                         if cq:
                             acc[pp * 4 + qq] += cx * cy * cp * cq
     rho[3] = acc
-    return YDAlgebra(h4, alg, action, rho)
+    return YDObject(h4, 4, alg, action, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +446,6 @@ def classify_bm0(d: CFamilyDescriptor) -> BM0Invariant:
         raise ValueError("BM₀ classification needs s = 0")
     if d.a == 0:
         raise ValueError("BM₀ classification needs a ≠ 0")
-    from .yd import sharp_product, strongly_inner_witness_h4
-
     beta = d.t * d.t / (4 * d.a)
     neutralizer = CFamilyDescriptor(-d.a, 0, 0)
     witness_carrier = sharp_product(build_C(d), build_C(neutralizer))
@@ -516,26 +536,22 @@ def cocycle_twist(a, sigma: LazyCocycle):
     on the input is dropped — transported actions are reinduced from the
     matching cotriangular structure by the caller).
     """
-    from .yd import ComoduleAlgebra, coaction_sparse
-
     check_lazy_cocycle(sigma).raise_if_failed()
     alg = a.alg
     h = build_h4()
-    n = h.dim
     s = sigma.table.data
     mult = [[zero_vec(alg.dim) for _ in range(alg.dim)] for _ in range(alg.dim)]
     for i in range(alg.dim):
-        spi = coaction_sparse(a.coaction, n, i)
         for j in range(alg.dim):
             out = mult[i][j]
-            for a0, k0, c0 in spi:
-                for b0, l0, c1 in coaction_sparse(a.coaction, n, j):
+            for a0, k0, c0 in a.rho[i]:
+                for b0, l0, c1 in a.rho[j]:
                     coef = c0 * c1 * s[k0][l0]
                     if coef:
-                        for p, v in enumerate(alg.mul_vec(alg.basis_vec(a0), alg.basis_vec(b0))):
+                        for p, v in alg.mul_basis(a0, b0):
                             out[p] += coef * v
     twisted = StructureAlgebra(alg.basis, alg.unit, mult, name=f"{alg.name}_twist")
-    return ComoduleAlgebra(h, twisted, [list(row) for row in a.coaction])
+    return YDObject(h, alg.dim, twisted, coaction=[list(row) for row in a.coaction])
 
 
 class TransportShapeError(ValueError):
@@ -562,17 +578,9 @@ def psi_transport(d: CFamilyDescriptor, s, inverse: bool = False) -> CFamilyDesc
 
 
 def _validate_psi(d: CFamilyDescriptor, s: Fraction, result: CFamilyDescriptor) -> None:
-    from .yd import induced_action
-
     twisted = cocycle_twist(build_C(d), build_sigma(s))
     candidate = induced_action(twisted, build_rt_form(s))
-    expected = build_C(result)
-    same = (
-        candidate.alg.mult == expected.alg.mult
-        and candidate.action == expected.action
-        and candidate.coaction == expected.coaction
-    )
-    if not same:
+    if not candidate.same_structure(build_C(result)):
         raise AssertionError(f"Ψ transport of {d!r} does not rebuild {result!r}")
 
 
@@ -596,8 +604,6 @@ def phi_transport(d: CFamilyDescriptor, inverse: bool = False) -> CFamilyDescrip
 
 
 def _validate_phi(d: CFamilyDescriptor, t: Fraction, result: CFamilyDescriptor) -> None:
-    from .yd import ComoduleAlgebra, induced_action
-
     h4 = build_h4()
     built = build_C(d)
     phinv = phi_iso().matrix.inverse()
@@ -606,21 +612,13 @@ def _validate_phi(d: CFamilyDescriptor, t: Fraction, result: CFamilyDescriptor) 
     for j in range(built.dim):
         out = zero_vec(built.dim * 4)
         for i in range(4):
-            col = built.action[i].apply(built.alg.basis_vec(j))
-            for p, v in enumerate(col):
-                if v:
-                    for k, w in enumerate(phinv.col(i)):
-                        if w:
-                            out[p * 4 + k] += v * w
+            for p, v in built.images[j][i].items():
+                for k, w in enumerate(phinv.col(i)):
+                    if w:
+                        out[p * 4 + k] += v * w
         coaction.append(out)
-    candidate = induced_action(ComoduleAlgebra(h4, opp, coaction), build_rt_form(t))
-    expected = build_C(result)
-    same = (
-        candidate.alg.mult == expected.alg.mult
-        and candidate.action == expected.action
-        and candidate.coaction == expected.coaction
-    )
-    if not same:
+    candidate = induced_action(YDObject(h4, built.dim, opp, coaction=coaction), build_rt_form(t))
+    if not candidate.same_structure(build_C(result)):
         raise AssertionError(f"Φ transport of {d!r} does not rebuild {result!r}")
 
 
@@ -632,8 +630,6 @@ def _validate_phi(d: CFamilyDescriptor, t: Fraction, result: CFamilyDescriptor) 
 def aut_twist(a, alpha):
     """Twist a YD algebra by the automorphism h ↦ αh: the action becomes
     h·_α b = α(h)·b and the coaction ρ_α(b) = b₍₀₎ ⊗ α⁻¹(b₍₁₎)."""
-    from .yd import YDAlgebra
-
     alpha = Q(alpha)
     if alpha == 0:
         raise ValueError("automorphism parameter must be nonzero")
@@ -642,11 +638,11 @@ def aut_twist(a, alpha):
     inv = [Q(1), Q(1), 1 / alpha, 1 / alpha]
     coaction = []
     for j in range(a.dim):
-        row = list(a.coaction[j])
-        for idx in range(len(row)):
-            row[idx] = row[idx] * inv[idx % 4]
+        row = zero_vec(a.dim * 4)
+        for p, k, c in a.rho[j]:
+            row[p * 4 + k] = c * inv[k]
         coaction.append(row)
-    return YDAlgebra(a.hopf, a.alg, action, coaction)
+    return YDObject(a.hopf, a.dim, a.alg, action, coaction)
 
 
 def aut_conjugate(d: CFamilyDescriptor, alpha) -> CFamilyDescriptor:
@@ -656,9 +652,7 @@ def aut_conjugate(d: CFamilyDescriptor, alpha) -> CFamilyDescriptor:
     if alpha == 0:
         raise ValueError("automorphism parameter must be nonzero")
     result = CFamilyDescriptor(d.a, alpha * d.t, d.s / alpha)
-    twisted = aut_twist(build_C(d), alpha)
-    expected = build_C(result)
-    if not (twisted.action == expected.action and twisted.coaction == expected.coaction):
+    if not aut_twist(build_C(d), alpha).same_structure(build_C(result)):
         raise AssertionError(f"Aut-twist of {d!r} does not rebuild {result!r}")
     return result
 
@@ -666,8 +660,6 @@ def aut_conjugate(d: CFamilyDescriptor, alpha) -> CFamilyDescriptor:
 def build_h_alpha(alpha):
     """The module H_α: carrier H₄ with l·m = α(l₍₂₎) m S⁻¹(l₍₁₎) and
     the regular coaction Δ."""
-    from .yd import YDModule
-
     alpha = Q(alpha)
     h4 = build_h4()
     alg = h4.alg
@@ -683,13 +675,11 @@ def build_h_alpha(alpha):
                     rows[k][j] += c * scales[q] * v
         action.append(Matrix(rows))
     coaction = [list(h4.cop[j]) for j in range(4)]
-    return YDModule(h4, 4, action, coaction)
+    return YDObject(h4, 4, action=action, coaction=coaction)
 
 
 def aut_algebra(alpha):
     """A_α = End(H_α) with its H₄-Azumaya structure."""
-    from .yd import end_yd
-
     return end_yd(build_h_alpha(alpha), "plain")
 
 
@@ -770,8 +760,6 @@ def _azumaya_iota_witness(t: Fraction) -> CFamilyDescriptor:
 def sharp_product_matches_presentation(d1: CFamilyDescriptor, d2: CFamilyDescriptor, pres=None) -> bool:
     """Lemma 2.2 cross-check: # product of two C's equals the quaternion
     presentation (as YD data, under 1#1, x#1, 1#y, x#y ↔ 1, X, Y, XY)."""
-    from .yd import check_yd_algebra, sharp_product
-
     pres = pres or c_product(d1, d2)
     built = sharp_product(build_C(d1), build_C(d2))
     named = quaternion_yd_algebra(pres)
@@ -790,10 +778,8 @@ def sharp_product_matches_presentation(d1: CFamilyDescriptor, d2: CFamilyDescrip
                 if named.action[h].data[p][q] != built.action[h].data[perm[p]][perm[q]]:
                     return False
     for j in range(4):
-        for p in range(4):
-            for k in range(4):
-                if named.coaction[j][p * 4 + k] != built.coaction[perm[j]][perm[p] * 4 + k]:
-                    return False
+        if sorted((perm[p], k, c) for p, k, c in named.rho[j]) != sorted(built.rho[perm[j]]):
+            return False
     return True
 
 
@@ -820,18 +806,14 @@ def validate_c_iso(d1: CFamilyDescriptor, d2: CFamilyDescriptor, alpha,
     if coaction:
         for j in range(2):
             lhs = zero_vec(8)
-            for p, k, c in _coaction_triples(a1.coaction[j]):
-                for pp, v in enumerate(m.apply([Q(1) if q == p else Q(0) for q in range(2)])):
+            for p, k, c in a1.rho[j]:
+                for pp, v in enumerate(m.col(p)):
                     lhs[pp * 4 + k] += c * v
             rhs = zero_vec(8)
             for jj, c in enumerate(m.col(j)):
                 if c:
-                    for idx, v in enumerate(a2.coaction[jj]):
-                        rhs[idx] += c * v
+                    for p, k, v in a2.rho[jj]:
+                        rhs[p * 4 + k] += c * v
             if lhs != rhs:
                 return False
     return True
-
-
-def _coaction_triples(row):
-    return tuple((k // 4, k % 4, c) for k, c in enumerate(row) if c)

@@ -1,9 +1,10 @@
 """Yetter-Drinfeld modules and module algebras.
 
-Objects over a fixed Hopf algebra H carry a left H-action (one matrix per
-H-basis element) and/or a right H-coaction. Coactions are stored as one
-dense vector per carrier basis element: ``coaction[j][a·dim(H) + k]`` is
-the coefficient of e_a ⊗ e_k in ρ(e_j).
+Every object over a fixed Hopf algebra H is a ``YDObject``: a carrier with
+some of a product, a left H-action (one matrix per H-basis element) and a
+right H-coaction. Coactions are stored as one dense vector per carrier
+basis element, ``coaction[j][a·dim(H) + k]`` the coefficient of e_a ⊗ e_k
+in ρ(e_j), and read through the sparse view ``YDObject.rho``.
 
 The compatibility demanded throughout is the one for right H^op-comodule
 algebras, ρ(ab) = a₍₀₎b₍₀₎ ⊗ b₍₁₎a₍₁₎, together with the Yetter-Drinfeld
@@ -18,17 +19,19 @@ inner action solvers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import CheckReport, StructureAlgebra, opposite_algebra
-from .hopf import CoQTStructure, HopfAlgebra, QTStructure
+from .algebra import CheckReport, StructureAlgebra, endomorphism_algebra, opposite_algebra
+from .hopf import CoQTStructure, HopfAlgebra, QTStructure, bowtie_vec
 from .linalg import (
     Matrix,
     SparseVec,
     dense_vec,
     in_span,
     is_zero_vec,
+    kron_sum,
     mat_det,
     rational_is_square,
     solve_sparse,
@@ -49,78 +52,65 @@ class NoRationalNormalization(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Carriers
+# The carrier
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Module:
-    """Left H-module: action[i] is the matrix of e_iᴴ acting on the carrier."""
+@dataclass(frozen=True, eq=False)
+class YDObject:
+    """A space over H carrying some of a product, a left H-action and a
+    right H-coaction; a module, a module algebra, a comodule algebra, a YD
+    module or a YD module algebra is this one type with the other fields None.
+
+    ``dim`` is the carrier dimension (``alg.dim`` when there is a product);
+    ``action[i]`` is the matrix of e_iᴴ; ``coaction[j]`` is ρ(e_j) in the
+    flat format of the module docstring. Objects are never mutated, so the
+    sparse views ``rho`` (of the coaction) and ``images`` (of the action)
+    are computed once, on first use, and shared by every construction and
+    check applied to the object.
+    """
 
     hopf: HopfAlgebra
     dim: int
-    action: list[Matrix]
+    alg: StructureAlgebra | None = None
+    action: list[Matrix] | None = None
+    coaction: list[list[Fraction]] | None = None
+
+    def __post_init__(self):
+        if self.alg is not None and self.alg.dim != self.dim:
+            raise ValueError(f"carrier dimension {self.dim} differs from the algebra's {self.alg.dim}")
+
+    @cached_property
+    def rho(self) -> list[tuple[tuple[int, int, Fraction], ...]]:
+        """rho[j] = ρ(e_j) as sparse (carrier index, H index, coeff) triples."""
+        return [coaction_sparse(self.coaction, self.hopf.dim, j) for j in range(self.dim)]
+
+    @cached_property
+    def images(self) -> list[list[SparseVec]]:
+        """images[j][k] = e_kᴴ · e_j as a sparse vector."""
+        cols = [[sparse_vec(m.col(j)) for j in range(self.dim)] for m in self.action]
+        return [[col[j] for col in cols] for j in range(self.dim)]
 
     def act_matrix(self, hvec: Sequence[Fraction]) -> Matrix:
-        out = Matrix.zero(self.dim, self.dim)
+        """The matrix by which the element Σ hvec[i]·e_i of H acts."""
+        out = [[Q(0)] * self.dim for _ in range(self.dim)]
         for i, c in enumerate(hvec):
             if c:
-                out = out + self.action[i] * c
-        return out
+                for r, row in enumerate(self.action[i].data):
+                    for s, v in enumerate(row):
+                        if v:
+                            out[r][s] += c * v
+        return Matrix(out)
 
-
-@dataclass
-class YDModule(Module):
-    coaction: list[list[Fraction]]
-
-
-@dataclass
-class ModuleAlgebra:
-    hopf: HopfAlgebra
-    alg: StructureAlgebra
-    action: list[Matrix]
-
-    @property
-    def dim(self) -> int:
-        return self.alg.dim
-
-    def module(self) -> Module:
-        return Module(self.hopf, self.dim, self.action)
-
-
-@dataclass
-class ComoduleAlgebra:
-    hopf: HopfAlgebra
-    alg: StructureAlgebra
-    coaction: list[list[Fraction]]
-
-    @property
-    def dim(self) -> int:
-        return self.alg.dim
-
-
-@dataclass
-class YDAlgebra:
-    hopf: HopfAlgebra
-    alg: StructureAlgebra
-    action: list[Matrix]
-    coaction: list[list[Fraction]]
-
-    @property
-    def dim(self) -> int:
-        return self.alg.dim
-
-    def module(self) -> Module:
-        return Module(self.hopf, self.dim, self.action)
-
-    def yd_module(self) -> YDModule:
-        return YDModule(self.hopf, self.dim, self.action, self.coaction)
-
-    def module_algebra(self) -> ModuleAlgebra:
-        return ModuleAlgebra(self.hopf, self.alg, self.action)
-
-    def comodule_algebra(self) -> ComoduleAlgebra:
-        return ComoduleAlgebra(self.hopf, self.alg, self.coaction)
+    def same_structure(self, other: "YDObject") -> bool:
+        """Equal product, action and coaction (compared exactly; None only
+        equals None)."""
+        return (
+            (self.alg is None) == (other.alg is None)
+            and (self.alg is None or self.alg.mult == other.alg.mult)
+            and self.action == other.action
+            and self.coaction == other.coaction
+        )
 
 
 def coaction_sparse(coaction: list[list[Fraction]], hdim: int, j: int):
@@ -130,10 +120,9 @@ def coaction_sparse(coaction: list[list[Fraction]], hdim: int, j: int):
     )
 
 
-def action_images(a) -> list[list[SparseVec]]:
-    """images[j][k] = e_kᴴ · e_j as a sparse vector, from the action matrices."""
-    cols = [[sparse_vec(m.col(j)) for j in range(a.dim)] for m in a.action]
-    return [[col[j] for col in cols] for j in range(a.dim)]
+def grouplike_index(h: HopfAlgebra) -> int | None:
+    """Index of the grouplike that grades objects over H: meta "g" (H₄) or "c" (E(2))."""
+    return h.meta.get("g") if h.meta.get("g") is not None else h.meta.get("c")
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +130,11 @@ def action_images(a) -> list[list[SparseVec]]:
 # ---------------------------------------------------------------------------
 
 
-def check_module(m: Module) -> CheckReport:
+def check_module(m: YDObject) -> CheckReport:
     rep = CheckReport(f"H-module over {m.hopf.name}")
     h = m.hopf
     rep.require(m.act_matrix(h.alg.unit) == Matrix.identity(m.dim), "unit of H does not act as id")
-    images = action_images(m)
+    images = m.images
     for i in range(h.dim):
         for j in range(h.dim):
             ij = h.alg.mul_basis(i, j)
@@ -158,13 +147,13 @@ def check_module(m: Module) -> CheckReport:
     return rep
 
 
-def check_module_algebra(a: ModuleAlgebra | YDAlgebra) -> CheckReport:
+def check_module_algebra(a: YDObject) -> CheckReport:
     """Left H-module algebra: h·(xy) = (h₍₁₎·x)(h₍₂₎·y), h·1 = ε(h)1."""
     rep = CheckReport(f"module algebra over {a.hopf.name}")
-    rep.merge(check_module(a.module() if hasattr(a, "module") else a))
+    rep.merge(check_module(a))
     h = a.hopf
     alg = a.alg
-    images = action_images(a)
+    images = a.images
     for i in range(h.dim):
         acted_one = a.action[i].apply(alg.unit)
         rep.require(
@@ -183,13 +172,12 @@ def check_module_algebra(a: ModuleAlgebra | YDAlgebra) -> CheckReport:
     return rep
 
 
-def check_comodule(m: YDModule | ComoduleAlgebra | YDAlgebra) -> CheckReport:
+def check_comodule(m: YDObject) -> CheckReport:
     rep = CheckReport(f"H-comodule over {m.hopf.name}")
     h = m.hopf
-    n = h.dim
     dim = m.dim
     for j in range(dim):
-        sp = coaction_sparse(m.coaction, n, j)
+        sp = m.rho[j]
         ej = zero_vec(dim)
         for a, k, c in sp:
             ej[a] += c * h.counit[k]
@@ -199,7 +187,7 @@ def check_comodule(m: YDModule | ComoduleAlgebra | YDAlgebra) -> CheckReport:
         lhs: dict[tuple[int, int, int], Fraction] = {}
         rhs: dict[tuple[int, int, int], Fraction] = {}
         for a, k, c in sp:
-            for b, l, d in coaction_sparse(m.coaction, n, a):
+            for b, l, d in m.rho[a]:
                 key = (b, l, k)
                 lhs[key] = lhs.get(key, Q(0)) + c * d
             for p, q, d in h.cop_sparse(k):
@@ -211,26 +199,18 @@ def check_comodule(m: YDModule | ComoduleAlgebra | YDAlgebra) -> CheckReport:
     return rep
 
 
-def check_comodule_algebra_op(a: ComoduleAlgebra | YDAlgebra) -> CheckReport:
+def check_comodule_algebra_op(a: YDObject) -> CheckReport:
     """Right H^op-comodule algebra: ρ(xy) = x₍₀₎y₍₀₎ ⊗ y₍₁₎x₍₁₎, ρ(1) = 1⊗1."""
     rep = CheckReport(f"H^op-comodule algebra over {a.hopf.name}")
     rep.merge(check_comodule(a))
     h = a.hopf
     alg = a.alg
     n = h.dim
-    rho_one = zero_vec(alg.dim * n)
-    for j, c in enumerate(alg.unit):
-        if c:
-            for k, v in enumerate(a.coaction[j]):
-                rho_one[k] += c * v
-    want = zero_vec(alg.dim * n)
-    for i, u in enumerate(alg.unit):
-        for k, e in enumerate(h.alg.unit):
-            if u * e:
-                want[i * n + k] = u * e
-    rep.require(rho_one == want, "ρ(1) ≠ 1⊗1")
-    rho = [coaction_sparse(a.coaction, n, j) for j in range(alg.dim)]
-    rho_flat = [sparse_vec(row) for row in a.coaction]
+    rho = a.rho
+    rho_flat = [_flat(row, n) for row in rho]
+    unit = sparse_vec(alg.unit)
+    rho_one = sparse_sum((c, rho_flat[j]) for j, c in unit.items())
+    rep.require(rho_one == _tensor(unit.items(), sparse_vec(h.alg.unit).items(), n), "ρ(1) ≠ 1⊗1")
     for x in range(alg.dim):
         for y in range(alg.dim):
             lhs = sparse_sum((c, rho_flat[j]) for j, c in alg.mul_basis(x, y))
@@ -243,15 +223,15 @@ def check_comodule_algebra_op(a: ComoduleAlgebra | YDAlgebra) -> CheckReport:
     return rep
 
 
-def check_yd_condition(m: YDModule | YDAlgebra) -> CheckReport:
+def check_yd_condition(m: YDObject) -> CheckReport:
     """ρ(l·b) = l₍₂₎·b₍₀₎ ⊗ l₍₃₎ b₍₁₎ S⁻¹(l₍₁₎) on all basis pairs."""
     rep = CheckReport(f"Yetter-Drinfeld condition over {m.hopf.name}")
     h = m.hopf
     n = h.dim
     dim = m.dim
-    images = action_images(m)
-    rho = [coaction_sparse(m.coaction, n, j) for j in range(dim)]
-    rho_flat = [sparse_vec(row) for row in m.coaction]
+    images = m.images
+    rho = m.rho
+    rho_flat = [_flat(row, n) for row in rho]
     sinv = [sparse_vec(h.antipode_inv.col(k)) for k in range(n)]
 
     def h_factor(l3: int, k: int, l1: int):
@@ -274,18 +254,17 @@ def check_yd_condition(m: YDModule | YDAlgebra) -> CheckReport:
     return rep
 
 
+def _flat(triples, n: int) -> SparseVec:
+    """(carrier index, H index, coeff) triples as a sparse flat M ⊗ H vector."""
+    return {p * n + k: c for p, k, c in triples}
+
+
 def _tensor(u, w, n: int) -> SparseVec:
     """u ⊗ w at flat indices p·n + q, from (index, coefficient) pairs."""
     return {p * n + q: cp * cq for p, cp in u for q, cq in w}
 
 
-def _unit_vec(n: int, i: int) -> list[Fraction]:
-    v = zero_vec(n)
-    v[i] = Q(1)
-    return v
-
-
-def check_yd_module(m: YDModule) -> CheckReport:
+def check_yd_module(m: YDObject) -> CheckReport:
     rep = CheckReport("Yetter-Drinfeld module")
     rep.merge(check_module(m))
     rep.merge(check_comodule(m))
@@ -293,7 +272,7 @@ def check_yd_module(m: YDModule) -> CheckReport:
     return rep
 
 
-def check_yd_algebra(a: YDAlgebra) -> CheckReport:
+def check_yd_algebra(a: YDObject) -> CheckReport:
     """Module algebra + H^op-comodule algebra + YD compatibility, itemised."""
     rep = CheckReport("Yetter-Drinfeld module algebra")
     rep.merge(check_module_algebra(a))
@@ -307,98 +286,61 @@ def check_yd_algebra(a: YDAlgebra) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def h_opposite(a: YDAlgebra) -> YDAlgebra:
+def h_opposite(a: YDObject) -> YDObject:
     """The H-opposite algebra: same action and coaction, x∘y = y₍₀₎(y₍₁₎·x)."""
     alg = a.alg
-    n = a.hopf.dim
-    images = action_images(a)
-    rho = [coaction_sparse(a.coaction, n, j) for j in range(alg.dim)]
+    images = a.images
+    rho = a.rho
     mult = [
         [sparse_sum((c, alg.mul_sparse({b: Q(1)}, images[i][k])) for b, k, c in rho[j]) for j in range(alg.dim)]
         for i in range(alg.dim)
     ]
     mult = [[dense_vec(v, alg.dim) for v in row] for row in mult]
     new_alg = StructureAlgebra(alg.basis, alg.unit, mult, name=f"{alg.name}~" if alg.name else "opposite")
-    return YDAlgebra(a.hopf, new_alg, a.action, a.coaction)
+    return YDObject(a.hopf, alg.dim, new_alg, a.action, a.coaction)
 
 
-def sharp_product(a: YDAlgebra, b: YDAlgebra) -> YDAlgebra:
-    """Braided product A # B: (x#y)(z#w) = x z₍₀₎ # (z₍₁₎·y) w."""
+def sharp_product(a: YDObject, b: YDObject) -> YDObject:
+    """Braided product A # B: (x#y)(z#w) = x z₍₀₎ # (z₍₁₎·y) w, with the
+    tensor-product action (``module_tensor``) and the H^op coaction
+    ρ(x#y) = x₍₀₎#y₍₀₎ ⊗ y₍₁₎x₍₁₎. Flat index of x#y: x·dim(B) + y."""
     if a.hopf is not b.hopf:
         raise ValueError("sharp product requires the same Hopf algebra")
     h = a.hopf
     n = h.dim
     da, db = a.dim, b.dim
     dim = da * db
-
-    def flat(i: int, j: int) -> int:
-        return i * db + j
-
     basis = [f"{a.alg.basis[i]}#{b.alg.basis[j]}" for i in range(da) for j in range(db)]
-    unit = zero_vec(dim)
-    for i, u in enumerate(a.alg.unit):
-        if u:
-            for j, w in enumerate(b.alg.unit):
-                if w:
-                    unit[flat(i, j)] = u * w
-
-    mult = [[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
-    for x in range(da):
-        for y in range(db):
-            row = flat(x, y)
-            for z in range(da):
-                spz = coaction_sparse(a.coaction, n, z)
-                for w in range(db):
-                    out = mult[row][flat(z, w)]
-                    for z0, z1, c in spz:
-                        apart = a.alg.mul_vec(a.alg.basis_vec(x), a.alg.basis_vec(z0))
-                        acted = b.action[z1].apply(b.alg.basis_vec(y))
-                        bpart = b.alg.mul_vec(acted, b.alg.basis_vec(w))
-                        for p, cp in enumerate(apart):
-                            if cp:
-                                for q, cq in enumerate(bpart):
-                                    if cq:
-                                        out[flat(p, q)] += c * cp * cq
+    unit = dense_vec(_tensor(sparse_vec(a.alg.unit).items(), sparse_vec(b.alg.unit).items(), db), dim)
+    basis_b = [{w: Q(1)} for w in range(db)]
+    mult = [
+        [
+            dense_vec(sparse_sum(
+                (c, _tensor(a.alg.mul_basis(x, z0), b.alg.mul_sparse(b.images[y][z1], basis_b[w]).items(), db))
+                for z0, z1, c in a.rho[z]
+            ), dim)
+            for z in range(da)
+            for w in range(db)
+        ]
+        for x in range(da)
+        for y in range(db)
+    ]
     alg = StructureAlgebra(basis, unit, mult, name=f"{a.alg.name}#{b.alg.name}")
-
-    action = []
-    for i in range(n):
-        m = Matrix.zero(dim, dim)
-        acc = [[Q(0)] * dim for _ in range(dim)]
-        for p, q, c in h.cop_sparse(i):
-            ma = a.action[p]
-            mb = b.action[q]
-            for x in range(da):
-                for xx in range(da):
-                    va = ma.data[xx][x]
-                    if not va:
-                        continue
-                    for y in range(db):
-                        col = flat(x, y)
-                        for yy in range(db):
-                            vb = mb.data[yy][y]
-                            if vb:
-                                acc[flat(xx, yy)][col] += c * va * vb
-        action.append(Matrix(acc))
-
-    coaction = []
-    for x in range(da):
-        spx = coaction_sparse(a.coaction, n, x)
-        for y in range(db):
-            spy = coaction_sparse(b.coaction, n, y)
-            row = zero_vec(dim * n)
-            for ax, kx, cx in spx:
-                for by, ky, cy in spy:
-                    hp = h.alg.mul_vec(h.alg.basis_vec(ky), h.alg.basis_vec(kx))
-                    for q, cq in enumerate(hp):
-                        if cq:
-                            row[flat(ax, by) * n + q] += cx * cy * cq
-            coaction.append(row)
-    return YDAlgebra(h, alg, action, coaction)
+    coaction = [
+        dense_vec(sparse_sum(
+            (cx * cy, _tensor([(ax * db + by, Q(1))], h.alg.mul_basis(ky, kx), n))
+            for ax, kx, cx in a.rho[x]
+            for by, ky, cy in b.rho[y]
+        ), dim * n)
+        for x in range(da)
+        for y in range(db)
+    ]
+    return YDObject(h, dim, alg, module_tensor(a, b).action, coaction)
 
 
-def end_yd(m: YDModule, variant: str = "plain") -> YDAlgebra:
-    """End(M) (variant "plain") or End(M)^op (variant "op") as a YD algebra.
+def end_yd(m: YDObject, variant: str = "plain") -> YDObject:
+    """End(M) (variant "plain") or End(M)^op (variant "op") over an H-module M;
+    the coaction is built only when M has one.
 
     plain:  (h·f)(x) = h₍₁₎·f(S(h₍₂₎)·x),
             ρ(f)(x) = f(x₍₀₎)₍₀₎ ⊗ S⁻¹(x₍₁₎) f(x₍₀₎)₍₁₎.
@@ -410,51 +352,13 @@ def end_yd(m: YDModule, variant: str = "plain") -> YDAlgebra:
     h = m.hopf
     n = h.dim
     d = m.dim
-    from .algebra import endomorphism_algebra
-
     alg = endomorphism_algebra(d)
     if variant == "op":
         alg = opposite_algebra(alg)
-    action = _end_action(m, variant)
 
-    coaction = []
-    for t in range(d):
-        for s in range(d):
-            # f = E_st (e_t ↦ e_s), appended at its flat End index t*d + s
-            out = zero_vec(d * d * n)
-            for r in range(d):
-                # evaluate ρ(f)(e_r) ∈ M ⊗ H, then read off End ⊗ H coefficients
-                for a0, k0, c0 in coaction_sparse(m.coaction, n, r):
-                    if a0 != t:
-                        continue
-                    fv = s  # f(e_{a0}) = e_s
-                    for b1, l1, c1 in coaction_sparse(m.coaction, n, fv):
-                        if variant == "plain":
-                            hp = h.alg.mul_vec(h.antipode_inv.col(k0), h.alg.basis_vec(l1))
-                        else:
-                            hp = h.alg.mul_vec(h.alg.basis_vec(l1), h.antipode.col(k0))
-                        for q, cq in enumerate(hp):
-                            if cq:
-                                # contributes (e_r* ⊗ e_{b1}) ⊗ e_q
-                                out[(r * d + b1) * n + q] += c0 * c1 * cq
-            coaction.append(out)
-    return YDAlgebra(h, alg, action, coaction)
-
-
-def end_module_action(m: Module) -> ModuleAlgebra:
-    """End(M) with only the module-algebra structure (h·f) = h₍₁₎·f(S(h₍₂₎)·)."""
-    from .algebra import endomorphism_algebra
-
-    return ModuleAlgebra(m.hopf, endomorphism_algebra(m.dim), _end_action(m, "plain"))
-
-
-def _end_action(m: Module, variant: str) -> list[Matrix]:
-    """The action of H on End(M) of ``end_yd``, one matrix per H-basis element."""
-    h = m.hopf
-    d = m.dim
     action = []
-    for i in range(h.dim):
-        rows = [[Q(0)] * (d * d) for _ in range(d * d)]
+    for i in range(n):
+        terms = []
         for p, q, c in h.cop_sparse(i):
             if variant == "plain":
                 left = m.act_matrix(h.alg.basis_vec(p))
@@ -462,20 +366,33 @@ def _end_action(m: Module, variant: str) -> list[Matrix]:
             else:
                 left = m.act_matrix(h.alg.basis_vec(q))
                 right = m.act_matrix(h.antipode_inv.col(p))
-            # f ↦ left ∘ f ∘ right, expanded on matrix units
+            # f ↦ left ∘ f ∘ right is rightᵀ ⊗ left on the flat index q·d + p of E_pq
+            terms.append((c, right.transpose(), left))
+        action.append(kron_sum(terms, d * d, d * d))
+    if m.coaction is None:
+        return YDObject(h, d * d, alg, action)
+
+    antipode = h.antipode_inv if variant == "plain" else h.antipode
+    s_cols = [sparse_vec(antipode.col(k)) for k in range(n)]
+
+    def h_part(k0: int, l1: int) -> SparseVec:
+        """S⁻¹(e_k0)·e_l1 (plain) or e_l1·S(e_k0) (op)."""
+        if variant == "plain":
+            return h.alg.mul_sparse(s_cols[k0], {l1: Q(1)})
+        return h.alg.mul_sparse({l1: Q(1)}, s_cols[k0])
+
+    # row t·d + s is ρ(E_st) for the matrix unit E_st: e_t ↦ e_s; evaluated
+    # at e_r, only the terms e_t ⊗ e_k0 of ρ(e_r) survive, giving
+    # Σ e_b1 ⊗ h_part(k0, l1) over ρ(e_s), read off at (e_r* ⊗ e_b1) ⊗ e_q
+    coaction = [zero_vec(d * d * n) for _ in range(d * d)]
+    for r in range(d):
+        for t, k0, c0 in m.rho[r]:
             for s in range(d):
-                for t in range(d):
-                    f = Matrix.zero(d, d)
-                    f.data[s][t] = Q(1)
-                    img = left @ f @ right
-                    col = t * d + s
-                    for pp in range(d):
-                        for qq in range(d):
-                            v = img.data[pp][qq]
-                            if v:
-                                rows[qq * d + pp][col] += c * v
-        action.append(Matrix(rows))
-    return action
+                out = coaction[t * d + s]
+                for b1, l1, c1 in m.rho[s]:
+                    for q, cq in h_part(k0, l1).items():
+                        out[(r * d + b1) * n + q] += c0 * c1 * cq
+    return YDObject(h, d * d, alg, action, coaction)
 
 
 # ---------------------------------------------------------------------------
@@ -500,11 +417,11 @@ class FGContraction:
     their images [e_kᴴ·v for each H-basis index k] (``images_of``).
     """
 
-    def __init__(self, a: YDAlgebra):
+    def __init__(self, a: YDObject):
         self.alg = a.alg
         self.hdim = a.hopf.dim
-        self.rho = [coaction_sparse(a.coaction, self.hdim, j) for j in range(a.dim)]
-        self.images = action_images(a)
+        self.rho = a.rho
+        self.images = a.images
 
     def images_of(self, v: SparseVec) -> list[SparseVec]:
         return [sparse_sum((c, self.images[j][k]) for j, c in v.items()) for k in range(self.hdim)]
@@ -533,7 +450,7 @@ class FGContraction:
         return out
 
 
-def fg_maps(a: YDAlgebra) -> tuple[Matrix, Matrix]:
+def fg_maps(a: YDObject) -> tuple[Matrix, Matrix]:
     """Matrices of F: A#Ā → End(A), F(x#y)(z) = x z₍₀₎ (z₍₁₎·y)
     and G: Ā#A → End(A)^op, G(x#y)(z) = x₍₀₎(x₍₁₎·z) y.
 
@@ -567,7 +484,7 @@ def fg_maps(a: YDAlgebra) -> tuple[Matrix, Matrix]:
     return Matrix(f), Matrix(g)
 
 
-def is_h_azumaya(a: YDAlgebra) -> bool:
+def is_h_azumaya(a: YDObject) -> bool:
     """A is H-Azumaya iff both F and G are bijective."""
     f, g = fg_maps(a)
     return mat_det(f) != 0 and mat_det(g) != 0
@@ -578,41 +495,34 @@ def is_h_azumaya(a: YDAlgebra) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def induced_coaction(a: ModuleAlgebra | YDAlgebra, r: QTStructure) -> YDAlgebra:
-    """Equip a module algebra with ρ(x) = (R⁽²⁾·x) ⊗ R⁽¹⁾."""
-    return YDAlgebra(a.hopf, a.alg, a.action, _induced_coaction_rows(a, r))
-
-
-def induced_module_coaction(m: Module, r: QTStructure) -> YDModule:
-    return YDModule(m.hopf, m.dim, m.action, _induced_coaction_rows(m, r))
-
-
-def _induced_coaction_rows(m, r: QTStructure) -> list[list[Fraction]]:
-    n = m.hopf.dim
+def induced_coaction(a: YDObject, r: QTStructure) -> YDObject:
+    """Equip an H-module (algebra) with ρ(x) = (R⁽²⁾·x) ⊗ R⁽¹⁾, replacing
+    any coaction it has."""
+    n = a.hopf.dim
+    pairs = r.pairs().items()
     coaction = []
-    for j in range(m.dim):
-        out = zero_vec(m.dim * n)
-        for (i, k), c in r.pairs().items():
-            acted = m.action[k].apply(_unit_vec(m.dim, j))
-            for p, v in enumerate(acted):
-                if v:
-                    out[p * n + i] += c * v
+    for j in range(a.dim):
+        out = zero_vec(a.dim * n)
+        for (i, k), c in pairs:
+            for p, v in a.images[j][k].items():
+                out[p * n + i] += c * v
         coaction.append(out)
-    return coaction
+    return YDObject(a.hopf, a.dim, a.alg, a.action, coaction)
 
 
-def induced_action(a: ComoduleAlgebra | YDAlgebra, r: CoQTStructure) -> YDAlgebra:
-    """Equip a comodule algebra with h·x = x₍₀₎ r(h ⊗ x₍₁₎)."""
+def induced_action(a: YDObject, r: CoQTStructure) -> YDObject:
+    """Equip an H-comodule (algebra) with h·x = x₍₀₎ r(h ⊗ x₍₁₎), replacing
+    any action it has."""
     h = a.hopf
     n = h.dim
     action = []
     for i in range(n):
         rows = [[Q(0)] * a.dim for _ in range(a.dim)]
         for j in range(a.dim):
-            for b, k, c in coaction_sparse(a.coaction, n, j):
+            for b, k, c in a.rho[j]:
                 rows[b][j] += c * r.form.data[i][k]
         action.append(Matrix(rows))
-    return YDAlgebra(h, a.alg, action, a.coaction)
+    return YDObject(h, a.dim, a.alg, action, a.coaction)
 
 
 # ---------------------------------------------------------------------------
@@ -620,24 +530,12 @@ def induced_action(a: ComoduleAlgebra | YDAlgebra, r: CoQTStructure) -> YDAlgebr
 # ---------------------------------------------------------------------------
 
 
-def braiding_psi(v: Module, w: Module, r: QTStructure) -> Matrix:
-    """ψ: V⊗W → W⊗V, v⊗w ↦ R⁽²⁾·w ⊗ R⁽¹⁾·v (left-major flat indices)."""
-    dv, dw = v.dim, w.dim
-    out = [[Q(0)] * (dv * dw) for _ in range(dw * dv)]
-    for (i, j), c in r.pairs().items():
-        mv = v.action[i]
-        mw = w.action[j]
-        for x in range(dv):
-            for y in range(dw):
-                col = x * dw + y
-                wy = mw.col(y)
-                vx = mv.col(x)
-                for p, cp in enumerate(wy):
-                    if cp:
-                        for q, cq in enumerate(vx):
-                            if cq:
-                                out[p * dv + q][col] += c * cp * cq
-    return Matrix(out)
+def braiding_psi(v: YDObject, w: YDObject, r: QTStructure) -> Matrix:
+    """ψ: V⊗W → W⊗V, v⊗w ↦ R⁽²⁾·w ⊗ R⁽¹⁾·v (left-major flat indices):
+    Σ R⁽²⁾ ⊗ R⁽¹⁾ acting on W⊗V, after the plain flip V⊗W → W⊗V."""
+    dim = w.dim * v.dim
+    acc = kron_sum(((c, w.action[j], v.action[i]) for (i, j), c in r.pairs().items()), dim, dim)
+    return acc @ graded_flip((0,) * v.dim, (0,) * w.dim)
 
 
 def graded_flip(v_par: Sequence[int], w_par: Sequence[int]) -> Matrix:
@@ -666,36 +564,32 @@ class GradingPair:
         return self.action_parity == self.coaction_parity
 
 
-def action_grading(obj, g_index: int) -> tuple[int, ...]:
+def action_grading(obj: YDObject, g_index: int) -> tuple[int, ...]:
     """Parity per basis vector from the grouplike action: |a| = 1 iff g·a = −a."""
-    mat = obj.action[g_index]
-    dim = obj.dim
     parity = []
-    for j in range(dim):
-        col = mat.col(j)
-        target = _unit_vec(dim, j)
-        if col == target:
+    for j in range(obj.dim):
+        col = obj.images[j][g_index]
+        if col == {j: 1}:
             parity.append(0)
-        elif col == [-t for t in target]:
+        elif col == {j: -1}:
             parity.append(1)
         else:
             raise GradingError(f"basis vector {j} is not a ±1 eigenvector of the grouplike action")
     return tuple(parity)
 
 
-def coaction_grading(obj, pi_keep: Sequence[int]) -> tuple[int, ...]:
+def coaction_grading(obj: YDObject, pi_keep: Sequence[int]) -> tuple[int, ...]:
     """Parity from (id ⊗ π)ρ, with π the projection onto the grouplike part.
 
     pi_keep = (index of 1, index of the grouplike); deg(a) = 0 or 1
     according to (id⊗π)ρ(a) = a⊗1 or a⊗g, anything else is an error.
     """
     one_idx, g_idx = pi_keep
-    n = obj.hopf.dim
     dim = obj.dim
     parity = []
     for j in range(dim):
         kept: dict[int, dict[int, Fraction]] = {one_idx: {}, g_idx: {}}
-        for a, k, c in coaction_sparse(obj.coaction, n, j):
+        for a, k, c in obj.rho[j]:
             if k in kept:
                 kept[k][a] = kept[k].get(a, Q(0)) + c
         proj_one = {a: c for a, c in kept[one_idx].items() if c}
@@ -709,13 +603,12 @@ def coaction_grading(obj, pi_keep: Sequence[int]) -> tuple[int, ...]:
     return tuple(parity)
 
 
-def gradings(a) -> GradingPair:
+def gradings(a: YDObject) -> GradingPair:
     """Both natural ℤ₂-gradings of a YD object over H₄ or E(2)."""
-    meta = a.hopf.meta
-    g_index = meta.get("g") if meta.get("g") is not None else meta.get("c")
+    g_index = grouplike_index(a.hopf)
     if g_index is None:
         raise ValueError("Hopf algebra metadata lacks a grouplike generator index")
-    return GradingPair(action_grading(a, g_index), coaction_grading(a, meta["pi_keep"]))
+    return GradingPair(action_grading(a, g_index), coaction_grading(a, a.hopf.meta["pi_keep"]))
 
 
 # ---------------------------------------------------------------------------
@@ -723,37 +616,37 @@ def gradings(a) -> GradingPair:
 # ---------------------------------------------------------------------------
 
 
-def yd_centralizers(a: YDAlgebra, sub_basis: list[list[Fraction]]) -> tuple[list, list]:
+def yd_centralizers(a: YDObject, sub_basis: list[list[Fraction]]) -> tuple[list, list]:
     """Left and right centralizers of a YD submodule algebra B ⊆ A.
 
     C^l = {x : b·x = x₍₀₎(x₍₁₎·b) ∀b∈B}, C^r = {x : x·b = b₍₀₎(b₍₁₎·x) ∀b∈B}.
     """
     alg = a.alg
-    h = a.hopf
-    n = h.dim
+    n = a.hopf.dim
+    rho = a.rho
     for b in sub_basis:
         for i in range(n):
             if not in_span(sub_basis, a.action[i].apply(b)):
                 raise ValueError("subspace not closed under the H-action")
-        rho = zero_vec(alg.dim * n)
+        components = [zero_vec(alg.dim) for _ in range(n)]  # ρ(b) = Σ_k components[k] ⊗ e_k
         for j, c in enumerate(b):
             if c:
-                for k, v in enumerate(a.coaction[j]):
-                    rho[k] += c * v
-        for k in range(n):
-            comp = [rho[p * n + k] for p in range(alg.dim)]
+                for p, k, v in rho[j]:
+                    components[k][p] += c * v
+        for comp in components:
             if not in_span(sub_basis, comp):
                 raise ValueError("subspace not closed under the H-coaction")
 
-    left_rows: list[dict[int, Fraction]] = []
-    right_rows: list[dict[int, Fraction]] = []
+    zero = zero_vec(alg.dim)
+    left_eqs = []
+    right_eqs = []
     for b in sub_basis:
         lcols = []
         rcols = []
         for j in range(alg.dim):
             ej = alg.basis_vec(j)
             twisted = zero_vec(alg.dim)
-            for a0, a1, c in coaction_sparse(a.coaction, n, j):
+            for a0, a1, c in rho[j]:
                 acted = a.action[a1].apply(b)
                 for p, v in enumerate(alg.mul_vec(alg.basis_vec(a0), acted)):
                     twisted[p] += c * v
@@ -761,18 +654,14 @@ def yd_centralizers(a: YDAlgebra, sub_basis: list[list[Fraction]]) -> tuple[list
             tw2 = zero_vec(alg.dim)
             for j2, cb in enumerate(b):
                 if cb:
-                    for b0, b1, c in coaction_sparse(a.coaction, n, j2):
+                    for b0, b1, c in rho[j2]:
                         acted = a.action[b1].apply(ej)
                         for p, v in enumerate(alg.mul_vec(alg.basis_vec(b0), acted)):
                             tw2[p] += cb * c * v
             rcols.append([x - y for x, y in zip(alg.mul_vec(ej, b), tw2)])
-        for k in range(alg.dim):
-            left_rows.append({j: lcols[j][k] for j in range(alg.dim) if lcols[j][k]})
-            right_rows.append({j: rcols[j][k] for j in range(alg.dim) if rcols[j][k]})
-    zero = zero_vec(len(left_rows))
-    left = solve_sparse(left_rows, zero, alg.dim).kernel
-    right = solve_sparse(right_rows, zero, alg.dim).kernel
-    return left, right
+        left_eqs.append((lcols, zero))
+        right_eqs.append((rcols, zero))
+    return _solve_affine(left_eqs, alg.dim).kernel, _solve_affine(right_eqs, alg.dim).kernel
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +669,7 @@ def yd_centralizers(a: YDAlgebra, sub_basis: list[list[Fraction]]) -> tuple[list
 # ---------------------------------------------------------------------------
 
 
-def inner_witness(a, x_index: int, c_index: int) -> list[Fraction] | None:
+def inner_witness(a: YDObject, x_index: int, c_index: int) -> list[Fraction] | None:
     """Solve x·z = v(c·z) − zv for an odd element v; None when inconsistent.
 
     ``a`` needs an action and an action-grading; any odd solution is
@@ -789,20 +678,13 @@ def inner_witness(a, x_index: int, c_index: int) -> list[Fraction] | None:
     alg = a.alg
     parity = action_grading(a, c_index)
     odd = [j for j in range(alg.dim) if parity[j] == 1]
-    rows: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
+    equations = []
     for z in range(alg.dim):
         ez = alg.basis_vec(z)
         cz = a.action[c_index].apply(ez)
-        target = a.action[x_index].apply(ez)
-        cols = []
-        for j in odd:
-            vj = alg.basis_vec(j)
-            cols.append([x - y for x, y in zip(alg.mul_vec(vj, cz), alg.mul_vec(ez, vj))])
-        for k in range(alg.dim):
-            rows.append({c: cols[c][k] for c in range(len(odd)) if cols[c][k]})
-            rhs.append(target[k])
-    sol = solve_sparse(rows, rhs, len(odd))
+        cols = [[x - y for x, y in zip(alg.mul_vec(vj, cz), alg.mul_vec(ez, vj))] for vj in map(alg.basis_vec, odd)]
+        equations.append((cols, a.action[x_index].apply(ez)))
+    sol = _solve_affine(equations, len(odd))
     if sol.particular is None:
         return None
     out = zero_vec(alg.dim)
@@ -811,7 +693,7 @@ def inner_witness(a, x_index: int, c_index: int) -> list[Fraction] | None:
     return out
 
 
-def conjugation_implementer(a, g_index: int, rng=None) -> list[Fraction] | None:
+def conjugation_implementer(a: YDObject, g_index: int, rng=None) -> list[Fraction] | None:
     """Find invertible u with u·z = (g·z)·u for all z, or None.
 
     The solution space is computed exactly; an invertible representative is
@@ -819,7 +701,7 @@ def conjugation_implementer(a, g_index: int, rng=None) -> list[Fraction] | None:
     pseudo-random combinations.
     """
     alg = a.alg
-    rows: list[dict[int, Fraction]] = []
+    equations = []
     for z in range(alg.dim):
         ez = alg.basis_vec(z)
         gz = a.action[g_index].apply(ez)
@@ -827,9 +709,8 @@ def conjugation_implementer(a, g_index: int, rng=None) -> list[Fraction] | None:
         for j in range(alg.dim):
             uj = alg.basis_vec(j)
             cols.append([x - y for x, y in zip(alg.mul_vec(uj, ez), alg.mul_vec(gz, uj))])
-        for k in range(alg.dim):
-            rows.append({j: cols[j][k] for j in range(alg.dim) if cols[j][k]})
-    space = solve_sparse(rows, zero_vec(len(rows)), alg.dim).kernel
+        equations.append((cols, zero_vec(alg.dim)))
+    space = _solve_affine(equations, alg.dim).kernel
     if not space:
         return None
     candidates = list(space)
@@ -850,7 +731,7 @@ def conjugation_implementer(a, g_index: int, rng=None) -> list[Fraction] | None:
     return None
 
 
-def normalized_implementer(a, g_index: int) -> list[Fraction] | None:
+def normalized_implementer(a: YDObject, g_index: int) -> list[Fraction] | None:
     """Invertible u with u·z·u⁻¹ = g·z and u² = 1, rationally normalized."""
     u = conjugation_implementer(a, g_index)
     if u is None:
@@ -866,8 +747,12 @@ def normalized_implementer(a, g_index: int) -> list[Fraction] | None:
     return [x / root for x in u]
 
 
-def _solve_affine(alg: StructureAlgebra, equations, unknown_dim: int):
-    """Solve a list of (columns, rhs-vector) linear conditions on one unknown."""
+def _solve_affine(equations, unknown_dim: int):
+    """Solve a list of (columns, rhs-vector) linear conditions on one unknown.
+
+    cols[j] is the image of the j-th unknown coordinate; the rows are taken
+    in equation order, then component order, which fixes the particular
+    solution and kernel basis ``solve_sparse`` returns."""
     rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
     for cols, target in equations:
@@ -877,7 +762,7 @@ def _solve_affine(alg: StructureAlgebra, equations, unknown_dim: int):
     return solve_sparse(rows, rhs, unknown_dim)
 
 
-def strongly_inner_witness_h4(a: YDAlgebra | ModuleAlgebra):
+def strongly_inner_witness_h4(a: YDObject):
     """Witness (u, w, β) for g·z = uzu⁻¹, h·z = w(g·z) − zw, u²=1, wu+uw=0, w²=β.
 
     Returns None when the defining linear systems are inconsistent. β is the
@@ -907,7 +792,7 @@ def strongly_inner_witness_h4(a: YDAlgebra | ModuleAlgebra):
         for j in range(alg.dim)
     ]
     equations.append((anti_cols, zero_vec(alg.dim)))
-    sol = _solve_affine(alg, equations, alg.dim)
+    sol = _solve_affine(equations, alg.dim)
     if sol.particular is None:
         return None
     w = sol.particular
@@ -927,7 +812,7 @@ class StrongInnerE2Result:
         return self.witness is not None
 
 
-def strongly_inner_witness_e2(a: YDAlgebra | ModuleAlgebra) -> StrongInnerE2Result:
+def strongly_inner_witness_e2(a: YDObject) -> StrongInnerE2Result:
     """Exhaustive branch analysis for a strongly inner E(2)-action.
 
     A convolution-invertible algebra map p: E(2) → A giving the action
@@ -971,7 +856,7 @@ def strongly_inner_witness_e2(a: YDAlgebra | ModuleAlgebra) -> StrongInnerE2Resu
             ]
             eqs.append((cols, a.action[x1_index].apply(ez)))
         eqs.append(([anti(alg.basis_vec(j)) for j in range(alg.dim)], zero_vec(alg.dim)))
-        sol_w = _solve_affine(alg, eqs, alg.dim)
+        sol_w = _solve_affine(eqs, alg.dim)
         if sol_w.particular is None:
             failures.append(f"{label}: no solution for p(x₁)")
             continue
@@ -993,7 +878,7 @@ def strongly_inner_witness_e2(a: YDAlgebra | ModuleAlgebra) -> StrongInnerE2Resu
             ]
             eqs.append((cols, cx2[0].apply(ez)))
         eqs.append(([anti(alg.basis_vec(j)) for j in range(alg.dim)], zero_vec(alg.dim)))
-        sol_big = _solve_affine(alg, eqs, alg.dim)
+        sol_big = _solve_affine(eqs, alg.dim)
         if sol_big.particular is None:
             failures.append(f"{label}: no solution for p(cx₂)")
             continue
@@ -1025,19 +910,18 @@ def strongly_inner_witness_e2(a: YDAlgebra | ModuleAlgebra) -> StrongInnerE2Resu
 # ---------------------------------------------------------------------------
 
 
-def yd_to_double(a: YDAlgebra, double: HopfAlgebra) -> ModuleAlgebra:
+def yd_to_double(a: YDObject, double: HopfAlgebra) -> YDObject:
     """Make a YD H₄-algebra into a D(H₄)-module algebra.
 
     1⋈l acts as l; (f⋈1)·m = m₍₀₎ f(m₍₁₎); general basis elements are the
     composites (f⋈1)(1⋈l).
     """
-    h = a.hopf
-    n = h.dim
+    n = a.hopf.dim
     pairing = []
     for i in range(n):
         rows = [[Q(0)] * a.dim for _ in range(a.dim)]
         for b in range(a.dim):
-            for p, k, c in coaction_sparse(a.coaction, n, b):
+            for p, k, c in a.rho[b]:
                 if k == i:
                     rows[p][b] += c
         pairing.append(Matrix(rows))
@@ -1045,61 +929,35 @@ def yd_to_double(a: YDAlgebra, double: HopfAlgebra) -> ModuleAlgebra:
     for i in range(n):
         for j in range(n):
             action.append(pairing[i] @ a.action[j])
-    return ModuleAlgebra(double, a.alg, action)
+    return YDObject(double, a.dim, a.alg, action)
 
 
-def double_to_yd(a: ModuleAlgebra, h: HopfAlgebra) -> YDAlgebra:
+def double_to_yd(a: YDObject, h: HopfAlgebra) -> YDObject:
     """Inverse conversion: restrict to 1⋈H₄ and rebuild the coaction by
-    pairing with the dual basis, ρ(m) = Σᵢ ((e_i*⋈1)·m) ⊗ e_i."""
-    return YDAlgebra(h, a.alg, *_double_to_yd_structure(a, h))
+    pairing with the dual basis, ρ(m) = Σᵢ ((e_i*⋈1)·m) ⊗ e_i.
 
-
-def double_module_to_yd(m: Module, h: HopfAlgebra) -> YDModule:
-    return YDModule(h, m.dim, *_double_to_yd_structure(m, h))
-
-
-def _double_to_yd_structure(m, h: HopfAlgebra) -> tuple[list[Matrix], list[list[Fraction]]]:
+    1⋈e_j = Σ_i ε(e_i)(e_i*⋈e_j), since the counit of H is the unit of H*.
+    """
     n = h.dim
-    action = [_restrict_double_action(m, h, j) for j in range(n)]
+    action = [a.act_matrix(bowtie_vec(n, h.counit, h.alg.basis_vec(j))) for j in range(n)]
+    dual = [a.act_matrix(bowtie_vec(n, h.alg.basis_vec(i), h.alg.unit)) for i in range(n)]
     coaction = []
-    for b in range(m.dim):
-        out = zero_vec(m.dim * n)
+    for b in range(a.dim):
+        out = zero_vec(a.dim * n)
         for i in range(n):
-            col = _dual_side_action(m, h, i).col(b)
-            for p, v in enumerate(col):
+            for p, v in enumerate(dual[i].col(b)):
                 if v:
                     out[p * n + i] += v
         coaction.append(out)
-    return action, coaction
+    return YDObject(h, a.dim, a.alg, action, coaction)
 
 
-def _dual_side_action(a, h: HopfAlgebra, i: int) -> Matrix:
-    # e_i* ⋈ 1 = Σ_j unit_j (e_i* ⋈ e_j)
-    n = h.dim
-    out = Matrix.zero(a.dim, a.dim)
-    for j, c in enumerate(h.alg.unit):
-        if c:
-            out = out + a.action[i * n + j] * c
-    return out
-
-
-def _restrict_double_action(a, h: HopfAlgebra, j: int) -> Matrix:
-    # 1⋈e_j = Σ_i ε_i (f_i⋈e_j), where ε is the unit of H* (the counit of H)
-    n = h.dim
-    out = Matrix.zero(a.dim, a.dim)
-    for i, c in enumerate(h.counit):
-        if c:
-            out = out + a.action[i * n + j] * c
-    return out
-
-
-def module_tensor(m: Module, w: Module) -> Module:
+def module_tensor(m: YDObject, w: YDObject) -> YDObject:
     """Tensor product of two H-modules via Δ (left factor major)."""
     h = m.hopf
-    action = []
-    for i in range(h.dim):
-        acc = Matrix.zero(m.dim * w.dim, m.dim * w.dim)
-        for p, q, c in h.cop_sparse(i):
-            acc = acc + m.action[p].kron(w.action[q]) * c
-        action.append(acc)
-    return Module(h, m.dim * w.dim, action)
+    dim = m.dim * w.dim
+    action = [
+        kron_sum(((c, m.action[p], w.action[q]) for p, q, c in h.cop_sparse(i)), dim, dim)
+        for i in range(h.dim)
+    ]
+    return YDObject(h, dim, action=action)

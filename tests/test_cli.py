@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -71,6 +72,41 @@ def test_classify_parse_failure_is_exit_2(capsys):
     assert run_cli(capsys, "classify", "one", "2", "0")[0] == 2
 
 
+def test_classify_large_numerator_ends_with_exit_2(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "classify", "1000000000000000003", "0", "0")
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "square class" in err
+
+
+def test_raising_suite_is_recorded_and_the_run_goes_on(capsys, monkeypatch):
+    from hopfbrauer import verify
+
+    def broken(s):
+        s.check("first", "before the fault", True)
+        raise RuntimeError("suite body broke")
+
+    monkeypatch.setitem(verify.SUITES, "qt", broken)
+    report = verify.run_verification(("qt", "thm3.3"), seed=1, samples=2)
+    assert [r for r in report["checks"] if r["check_id"].startswith("qt.")] == [
+        {"check_id": "qt.first", "anchor": "before the fault", "params": {}, "status": "pass", "witness": None},
+        {
+            "check_id": "qt.suite-error",
+            "anchor": "the suite raised before finishing",
+            "params": {},
+            "status": "error",
+            "witness": {"type": "RuntimeError", "message": "suite body broke"},
+        },
+    ]
+    assert report["suites"]["qt"] == {"pass": 1, "fail": 1}
+    assert report["suites"]["thm3.3"]["pass"] > 0
+    assert report["all_pass"] is False
+    code, out, _ = run_cli(capsys, "verify", "--suite", "qt", "--suite", "thm3.3", "--samples", "2")
+    assert code == 1
+    assert "ERROR qt.suite-error: RuntimeError: suite body broke" in out
+
+
 def test_product_presentation(capsys):
     code, out, _ = run_cli(capsys, "product", "1", "0", "2", "1", "1", "4")
     assert code == 0
@@ -127,6 +163,33 @@ def test_theorem61_from_file(capsys, tmp_path):
     path.write_text(json.dumps(yd_to_json(build_c_e2(1, 2, 3), hopf_name="E2")))
     code, out, _ = run_cli(capsys, "theorem61", str(path))
     assert code == 0
+
+
+def test_inline_hopf_meta_indices_are_validated(capsys, tmp_path):
+    from hopfbrauer.defio import hopf_to_json
+    from hopfbrauer.e2 import build_c_e2, build_e2
+
+    good_meta = {"c": 1, "x1": 2, "x2": 4, "pi_keep": [0, 1]}
+
+    def write(meta):
+        obj = yd_to_json(build_c_e2(1, 2, 3))
+        obj["hopf"] = dict(hopf_to_json(build_e2()), meta=meta)
+        path = tmp_path / "inline.json"
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    assert run_cli(capsys, "theorem61", write(good_meta))[0] == 0
+    for field, bad in (
+        ("c", 99),
+        ("x1", "2"),
+        ("x2", -1),
+        ("pi_keep", [0]),
+        ("pi_keep[1]", [0, 8]),
+    ):
+        key = field.split("[")[0]
+        code, _, err = run_cli(capsys, "theorem61", write(dict(good_meta, **{key: bad})))
+        assert code == 2, field
+        assert f"yd.hopf.meta.{field}:" in err and len(err.strip().splitlines()) == 1
 
 
 def test_define_builtin_and_files(capsys, tmp_path):

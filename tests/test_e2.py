@@ -28,15 +28,13 @@ from hopfbrauer.hopf import HopfMorphism, check_hopf_morphism, check_quasitriang
 from hopfbrauer.linalg import Matrix, is_zero_vec
 from hopfbrauer.sweedler import CFamilyDescriptor, build_C, build_dh4, build_h4, build_rt, dh4_named
 from hopfbrauer.yd import (
-    ModuleAlgebra,
+    YDObject,
     action_grading,
     check_module,
     check_module_algebra,
     check_yd_algebra,
     check_yd_module,
-    double_module_to_yd,
     double_to_yd,
-    end_module_action,
     end_yd,
     fg_maps,
     gradings,
@@ -97,25 +95,25 @@ def test_theta_morphisms_and_pushforwards():
 def test_restrict_along_identity():
     e2 = build_e2()
     a = build_c_e2(1, 2, 3)
-    out = restrict_along(HopfMorphism(e2, e2, Matrix.identity(8)), a.module_algebra())
+    out = restrict_along(HopfMorphism(e2, e2, Matrix.identity(8)), a)
     assert out.action == a.action
 
 
 def test_pullback_of_c_family():
     lam, mu, a = Q(3), Q(5), Q(7)
     c_h4 = build_C(CFamilyDescriptor(a, 1, lam * mu))
-    pulled = restrict_along(theta(lam, mu), c_h4.module_algebra(), build_RN())
+    pulled = restrict_along(theta(lam, mu), c_h4, build_RN())
     assert check_yd_algebra(pulled).ok
     direct = build_c_e2(a, lam, mu)
     assert pulled.action == direct.action and pulled.coaction == direct.coaction
-    back = double_to_yd(restrict_along(t_morphism(), pulled.module_algebra()), build_h4())
+    back = double_to_yd(restrict_along(t_morphism(), pulled), build_h4())
     expect = build_C(CFamilyDescriptor(a, lam, mu))
     assert back.action == expect.action and back.coaction == expect.coaction
 
 
 def test_theta00_gives_trivial_x_actions():
     a = build_C(CFamilyDescriptor(Q(5), Q(0), Q(0)))  # Brauer-Wall type representative
-    pulled = restrict_along(theta(0, 0), a.module_algebra(), build_RN())
+    pulled = restrict_along(theta(0, 0), a, build_RN())
     e2 = build_e2()
     assert pulled.action[e2.meta["x1"]].is_zero()
     assert pulled.action[e2.meta["x2"]].is_zero()
@@ -123,7 +121,7 @@ def test_theta00_gives_trivial_x_actions():
 
 def test_bq_grad_membership():
     assert bq_grad_member(build_C(CFamilyDescriptor(Q(2), Q(3), Q(4))))
-    p_yd = double_module_to_yd(witness_p_module(), build_h4())
+    p_yd = double_to_yd(witness_p_module(), build_h4())
     assert check_yd_module(p_yd).ok
     assert not gradings(p_yd).equal
     end_p_yd = end_yd(p_yd, "plain")
@@ -166,7 +164,7 @@ def test_end_p_actions_match_printed_formulas():
     # the canonical End(P) structure reproduces c·f = ufu⁻¹,
     # x₁·f = wfu⁻¹ + fuw, (cx₂)·f = Wf − UfU⁻¹W
     end_p = witness_end_p()
-    canonical = end_module_action(witness_p_module())
+    canonical = end_yd(witness_p_module())
     for e2_idx, name in ((1, "g"), (2, "h"), (5, "phi_h")):
         named = dh4_named(name)
         expected = Matrix.zero(4, 4)
@@ -184,7 +182,7 @@ def test_gcs_examples():
     e2 = build_e2()
     end = endomorphism_algebra(2)
     action = [Matrix.identity(4) * e2.counit[i] for i in range(8)]
-    triv = induced_coaction(ModuleAlgebra(e2, end, action), build_RN())
+    triv = induced_coaction(YDObject(e2, end.dim, end, action), build_RN())
     assert check_yd_algebra(triv).ok
     assert is_graded_central_simple(triv)
     rep = theorem61_check(triv)
@@ -256,7 +254,7 @@ def test_braiding_decomposition_random():
     c_idx = e2.meta["c"]
     for _ in range(20):
         v = build_e2_module((rnd(), rnd()))
-        w = build_c_e2(rnd(True), rnd(), rnd()).module()
+        w = build_c_e2(rnd(True), rnd(), rnd())
         pv, pw = action_grading(v, c_idx), action_grading(w, c_idx)
         for piv in (0, 1):
             for piw in (0, 1):
@@ -317,7 +315,7 @@ def test_braiding_with_parity_structure_is_graded_flip():
     for (i, j), c in {(0, 0): half, (0, 1): half, (1, 0): half, (1, 1): -half}.items():
         r0[i * 8 + j] = c
     rt0 = qt_structure(e2, r0)
-    v = build_c_e2(2, 3, 4).module()
+    v = build_c_e2(2, 3, 4)
     w = build_e2_module((5, 7))
     psi = braiding_psi(v, w, rt0)
     assert psi == graded_flip((0, 1), (0, 1))

@@ -170,6 +170,47 @@ def test_squarefree_part():
     assert squarefree_part(Q(0)) == 0
 
 
+def _squarefree_by_trial_division(x):
+    """Square class of x by trial division up to the square root, unbounded."""
+    n = abs(x.numerator * x.denominator)
+    out, d = 1, 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e ^= 1
+        if e:
+            out *= d
+        d += 1
+    out *= n
+    return out if x > 0 else -out
+
+
+def test_squarefree_part_matches_trial_division():
+    local = random.Random(6151)
+    primes = [2, 3, 5, 7, 11, 13, 101, 997, 7919]
+    values = []
+    for _ in range(200):  # smooth values: products of powers of the primes above
+        num = den = 1
+        for p in local.sample(primes, 3):
+            num *= p ** local.randint(0, 3)
+            den *= local.choice(primes) ** local.randint(0, 2)
+        values.append(Q(local.choice((-1, 1)) * num, den))
+    values += [Q(local.randint(-10**5, 10**5) or 1, local.randint(1, 100)) for _ in range(200)]
+    for x in values:
+        assert squarefree_part(x) == _squarefree_by_trial_division(x), x
+
+
+def test_squarefree_part_large_cofactors():
+    p, q = 1000003, 1000033  # primes above the trial-division bound
+    assert squarefree_part(Q(p)) == p                   # cofactor below B²: prime
+    assert squarefree_part(Q(-12 * p * p)) == -3        # cofactor a square
+    assert squarefree_part(Q(5, p * p)) == 5
+    for undecided in (Q(p * p * q), Q(3, p * p * q), Q(p * q)):
+        with pytest.raises(ValueError):
+            squarefree_part(undecided)
+
+
 # -- lazy cocycles and transports ----------------------------------------------
 
 
@@ -317,7 +358,7 @@ def test_induced_action_from_transport_target():
     # the Φ image (a;t,1) carries the r_t-induced action
     a, t = Q(5), Q(7)
     c = build_C(CFamilyDescriptor(a, t, 1))
-    induced = induced_action(c.comodule_algebra(), build_rt_form(t))
+    induced = induced_action(c, build_rt_form(t))
     assert induced.action == c.action
 
 

@@ -15,10 +15,8 @@ from hopfbrauer.sweedler import (
     c_opposite,
 )
 from hopfbrauer.yd import (
-    ModuleAlgebra,
     NoRationalNormalization,
-    YDAlgebra,
-    YDModule,
+    YDObject,
     braiding_psi,
     check_module_algebra,
     check_yd_algebra,
@@ -50,7 +48,7 @@ def rnd(nonzero=False):
     return Q(n, rng.randint(1, 9))
 
 
-def trivial_yd_on(alg: StructureAlgebra) -> YDAlgebra:
+def trivial_yd_on(alg: StructureAlgebra) -> YDObject:
     """Action through ε, coaction a ↦ a⊗1."""
     h4 = build_h4()
     action = [Matrix.identity(alg.dim) * h4.counit[i] for i in range(4)]
@@ -59,7 +57,23 @@ def trivial_yd_on(alg: StructureAlgebra) -> YDAlgebra:
         row = zero_vec(alg.dim * 4)
         row[j * 4 + 0] = Q(1)
         coaction.append(row)
-    return YDAlgebra(h4, alg, action, coaction)
+    return YDObject(h4, alg.dim, alg, action, coaction)
+
+
+def test_carrier_is_frozen_and_computes_its_views_once():
+    import dataclasses
+
+    c = build_C(CFamilyDescriptor(Q(3), Q(2), Q(5)))
+    assert c.rho is c.rho and c.images is c.images
+    assert c.rho == [coaction_sparse(c.coaction, 4, j) for j in range(2)]
+    assert c.images == [[{k: v for k, v in enumerate(m.col(j)) if v} for m in c.action] for j in range(2)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.coaction = []
+    with pytest.raises(ValueError):
+        YDObject(c.hopf, 3, c.alg)
+    assert c.same_structure(build_C(CFamilyDescriptor(Q(3), Q(2), Q(5))))
+    assert not c.same_structure(build_C(CFamilyDescriptor(Q(3), Q(2), Q(4))))
+    assert not c.same_structure(YDObject(c.hopf, 2, action=c.action, coaction=c.coaction))
 
 
 def test_c_family_is_yd():
@@ -79,7 +93,7 @@ def test_dropping_s_term_still_yd():
     c = build_C(d)
     dropped = [list(row) for row in c.coaction]
     dropped[1][0 * 4 + 2] = Q(0)
-    assert check_yd_algebra(YDAlgebra(c.hopf, c.alg, c.action, dropped)).ok
+    assert check_yd_algebra(YDObject(c.hopf, c.dim, c.alg, c.action, dropped)).ok
 
 
 def test_corrupted_coaction_breaks_yd_only():
@@ -89,7 +103,7 @@ def test_corrupted_coaction_breaks_yd_only():
     bad_coaction = [list(row) for row in c.coaction]
     bad_coaction[1][1 * 4 + 1] = Q(0)  # remove x⊗g
     bad_coaction[1][1 * 4 + 0] = Q(1)  # insert x⊗1
-    bad = YDAlgebra(c.hopf, c.alg, c.action, bad_coaction)
+    bad = YDObject(c.hopf, c.dim, c.alg, c.action, bad_coaction)
     from hopfbrauer.yd import check_comodule_algebra_op, check_module_algebra
 
     assert check_module_algebra(bad).ok
@@ -191,11 +205,11 @@ def test_sharp_products_pass_checks_and_stay_azumaya():
 
 def test_end_yd_trivial_module():
     h4 = build_h4()
-    triv = YDModule(
+    triv = YDObject(
         h4,
         1,
-        [Matrix([[h4.counit[i]]]) for i in range(4)],
-        [[Q(1), Q(0), Q(0), Q(0)]],
+        action=[Matrix([[h4.counit[i]]]) for i in range(4)],
+        coaction=[[Q(1), Q(0), Q(0), Q(0)]],
     )
     e = end_yd(triv, "plain")
     assert e.dim == 1
@@ -207,7 +221,7 @@ def test_end_yd_trivial_module():
 @pytest.mark.parametrize("variant", ["plain", "op"])
 def test_end_yd_of_c_modules(variant):
     d = CFamilyDescriptor(Q(2), Q(1), Q(3))
-    e = end_yd(build_C(d).yd_module(), variant)
+    e = end_yd(build_C(d), variant)
     assert check_yd_algebra(e).ok
     assert is_h_azumaya(e)
 
@@ -252,18 +266,18 @@ def test_induced_coaction_forces_s_equals_lt():
     a, t = Q(2), Q(3)
     for l in (Q(0), Q(1), Q(-2, 3)):
         c = build_C(CFamilyDescriptor(a, t, l * t))
-        induced = induced_coaction(c.module_algebra(), build_rt(l))
+        induced = induced_coaction(c, build_rt(l))
         assert induced.coaction == c.coaction
         assert check_yd_algebra(induced).ok
         wrong = build_C(CFamilyDescriptor(a, t, l * t + 1))
-        assert induced_coaction(wrong.module_algebra(), build_rt(l)).coaction != wrong.coaction
+        assert induced_coaction(wrong, build_rt(l)).coaction != wrong.coaction
 
 
 def test_induced_action_forces_t_equals_sl():
     a, s = Q(2), Q(3)
     for l in (Q(0), Q(1), Q(-2, 3)):
         c = build_C(CFamilyDescriptor(a, s * l, s))
-        induced = induced_action(c.comodule_algebra(), build_rt_form(l))
+        induced = induced_action(c, build_rt_form(l))
         assert induced.action == c.action
         assert check_yd_algebra(induced).ok
 
@@ -272,13 +286,13 @@ def test_trivial_action_induces_trivial_coaction():
     alg = StructureAlgebra(["1", "x"], [1, 0], [[[1, 0], [0, 1]], [[0, 1], [5, 0]]])
     triv = trivial_yd_on(alg)
     for t in (Q(0), Q(7)):
-        out = induced_coaction(triv.module_algebra(), build_rt(t))
+        out = induced_coaction(triv, build_rt(t))
         assert out.coaction == triv.coaction
 
 
 def test_lemma24_trivial_h_action_is_t_independent():
     a = Q(5)
-    carrier = build_C(CFamilyDescriptor(a, 0, 0)).module_algebra()
+    carrier = build_C(CFamilyDescriptor(a, 0, 0))
     base = induced_coaction(carrier, build_rt(0))
     f0, g0 = fg_maps(base)
     for t in (Q(1), Q(-3), Q(7, 2)):
@@ -292,7 +306,7 @@ def test_lemma24_trivial_h_action_is_t_independent():
 def test_braiding_with_r0_is_graded_flip():
     c1 = build_C(CFamilyDescriptor(Q(1), Q(2), Q(0)))
     c2 = build_C(CFamilyDescriptor(Q(-2), Q(3), Q(0)))
-    v, w = c1.module(), c2.module()
+    v, w = c1, c2
     psi = braiding_psi(v, w, build_rt(0))
     assert psi == graded_flip((0, 1), (0, 1))
 
@@ -301,7 +315,7 @@ def test_braiding_matches_term_expansion():
     rt = build_rt(Q(3))
     c1 = build_C(CFamilyDescriptor(Q(1), Q(2), Q(6)))
     c2 = build_C(CFamilyDescriptor(Q(-2), Q(3), Q(9)))
-    v, w = c1.module(), c2.module()
+    v, w = c1, c2
     psi = braiding_psi(v, w, rt)
     for _ in range(5):
         x = [rnd(), rnd()]
@@ -405,7 +419,7 @@ def test_inner_witness_trivial_action_is_zero():
     alg = StructureAlgebra(["1", "x"], [1, 0], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
     h4 = build_h4()
     action = [Matrix.identity(2), Matrix.diag([1, -1]), Matrix.zero(2, 2), Matrix.zero(2, 2)]
-    a = ModuleAlgebra(h4, alg, action)
+    a = YDObject(h4, alg.dim, alg, action)
     v = inner_witness(a, h4.meta["h"], h4.meta["g"])
     assert v == [Q(0), Q(0)]
 
@@ -430,7 +444,7 @@ def test_strongly_inner_trivial_action():
     h4 = build_h4()
     end = endomorphism_algebra(2)
     action = [Matrix.identity(4) * h4.counit[i] for i in range(4)]
-    a = ModuleAlgebra(h4, end, action)
+    a = YDObject(h4, end.dim, end, action)
     u, w, beta = strongly_inner_witness_h4(a)
     assert u == end.one()
     assert is_zero_vec(w)
@@ -453,8 +467,8 @@ def test_fg_maps_are_yd_morphisms():
     a = build_C(d)
     abar = h_opposite(a)
     f, g = fg_maps(a)
-    e_plain = end_yd(a.yd_module(), "plain")
-    e_op = end_yd(a.yd_module(), "op")
+    e_plain = end_yd(a, "plain")
+    e_op = end_yd(a, "op")
     for source, matrix, target in ((sharp_product(a, abar), f, e_plain),
                                    (sharp_product(abar, a), g, e_op)):
         assert matrix.apply(source.alg.unit) == target.alg.one()
@@ -482,11 +496,11 @@ def test_fg_maps_are_yd_morphisms():
 
 
 def test_grading_error_on_non_homogeneous_basis():
-    from hopfbrauer.yd import GradingError, Module, action_grading
+    from hopfbrauer.yd import GradingError, action_grading
 
     h4 = build_h4()
     swap = Matrix([[0, 1], [1, 0]])
-    mod = Module(h4, 2, [Matrix.identity(2), swap, Matrix.zero(2, 2), Matrix.zero(2, 2)])
+    mod = YDObject(h4, 2, action=[Matrix.identity(2), swap, Matrix.zero(2, 2), Matrix.zero(2, 2)])
     from hopfbrauer.yd import check_module
 
     assert check_module(mod).ok
@@ -645,7 +659,7 @@ def _perturbed(a):
     product is no longer associative."""
     mult = [[list(v) for v in row] for row in a.alg.mult]
     mult[1][a.dim - 1][0] += Q(1)
-    return YDAlgebra(a.hopf, StructureAlgebra(a.alg.basis, a.alg.unit, mult), a.action, a.coaction)
+    return YDObject(a.hopf, a.dim, StructureAlgebra(a.alg.basis, a.alg.unit, mult), a.action, a.coaction)
 
 
 KERNEL_CASES = _kernel_cases()
@@ -686,13 +700,13 @@ def test_corruption_failure_messages_are_pinned():
     bad_coaction = [list(row) for row in c.coaction]
     bad_coaction[1][1 * 4 + 1] = Q(0)
     bad_coaction[1][1 * 4 + 0] = Q(1)
-    assert check_yd_algebra(YDAlgebra(c.hopf, c.alg, c.action, bad_coaction)).failures == [
+    assert check_yd_algebra(YDObject(c.hopf, c.dim, c.alg, c.action, bad_coaction)).failures == [
         "Yetter-Drinfeld condition over H4: YD condition fails at (l=h, b=index 1)",
         "Yetter-Drinfeld condition over H4: YD condition fails at (l=gh, b=index 1)",
     ]
     action = list(c.action)
     action[c.hopf.meta["h"]] = action[c.hopf.meta["h"]] * 2
     prefix = "module algebra over H4: H-module over H4: action not multiplicative at"
-    assert check_yd_algebra(YDAlgebra(c.hopf, c.alg, action, c.coaction)).failures == [
+    assert check_yd_algebra(YDObject(c.hopf, c.dim, c.alg, action, c.coaction)).failures == [
         f"{prefix} (g,h)", f"{prefix} (g,gh)", f"{prefix} (h,g)", f"{prefix} (gh,g)",
     ]
