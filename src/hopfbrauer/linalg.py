@@ -210,9 +210,6 @@ class Matrix:
                         out[i] += a * x
         return out
 
-    def kron(self, other: "Matrix") -> "Matrix":
-        return kron(self, other)
-
     # -- elimination-based operations -----------------------------------
 
     def det(self) -> Fraction:
@@ -239,23 +236,11 @@ class Matrix:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product with the left factor major in both indices."""
-    out = [[Fraction(0)] * (a.cols * b.cols) for _ in range(a.rows * b.rows)]
-    for i1 in range(a.rows):
-        for j1 in range(a.cols):
-            v = a.data[i1][j1]
-            if not v:
-                continue
-            for i2 in range(b.rows):
-                base_r = i1 * b.rows + i2
-                for j2 in range(b.cols):
-                    w = b.data[i2][j2]
-                    if w:
-                        out[base_r][j1 * b.cols + j2] = v * w
-    return Matrix(out)
+    return kron_sum([(Fraction(1), a, b)], a.rows * b.rows, a.cols * b.cols)
 
 
 def kron_sum(terms: Iterable[tuple[Fraction, Matrix, Matrix]], rows: int, cols: int) -> Matrix:
-    """Σ c·(a ⊗ b) over (c, a, b) triples, left factor major like ``kron``,
+    """Σ c·(a ⊗ b) over (c, a, b) triples, left factor major in both indices,
     accumulated entry by entry over the nonzeros of each factor."""
     out = [[Fraction(0)] * cols for _ in range(rows)]
     for c, a, b in terms:

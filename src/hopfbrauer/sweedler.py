@@ -228,10 +228,11 @@ def squarefree_part(x) -> int:
     """Signed squarefree integer representing the square class of x in ℚ*.
 
     Trial division stops at B = TRIAL_DIVISION_BOUND, so any input ends in
-    bounded time. The cofactor left then has no prime factor up to B, and
-    its square class is known exactly when it is below B² (then it is 1 or
-    a prime) or a perfect square. Any other cofactor (p·q and p²·q with
-    p, q > B look alike) raises ValueError instead of guessing.
+    bounded time. When it stops at a divisor d with d² above the cofactor,
+    the cofactor has no prime factor below d, so it is 1 or a prime. When
+    it stops at the bound first, the cofactor is decided only if it is a
+    perfect square; any other one (p·q and p²·q with p, q > B look alike)
+    raises ValueError instead of guessing.
     """
     x = Q(x)
     if x == 0:
@@ -247,11 +248,11 @@ def squarefree_part(x) -> int:
         if e:
             out *= d
         d += 1 if d == 2 else 2
-    if n >= TRIAL_DIVISION_BOUND**2:
+    if d * d <= n:
         if math.isqrt(n) ** 2 != n:
             raise ValueError(
                 f"square class of {x} undecided: the cofactor {n} has no prime factor "
-                f"up to {TRIAL_DIVISION_BOUND} and is neither below {TRIAL_DIVISION_BOUND}² nor a square"
+                f"below {d} and is neither below {d}² nor a square"
             )
         n = 1
     out *= n

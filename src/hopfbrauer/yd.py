@@ -207,7 +207,7 @@ def check_comodule_algebra_op(a: YDObject) -> CheckReport:
     alg = a.alg
     n = h.dim
     rho = a.rho
-    rho_flat = [_flat(row, n) for row in rho]
+    rho_flat = [sparse_vec(row) for row in a.coaction]
     unit = sparse_vec(alg.unit)
     rho_one = sparse_sum((c, rho_flat[j]) for j, c in unit.items())
     rep.require(rho_one == _tensor(unit.items(), sparse_vec(h.alg.unit).items(), n), "ρ(1) ≠ 1⊗1")
@@ -231,7 +231,7 @@ def check_yd_condition(m: YDObject) -> CheckReport:
     dim = m.dim
     images = m.images
     rho = m.rho
-    rho_flat = [_flat(row, n) for row in rho]
+    rho_flat = [sparse_vec(row) for row in m.coaction]
     sinv = [sparse_vec(h.antipode_inv.col(k)) for k in range(n)]
 
     def h_factor(l3: int, k: int, l1: int):
@@ -252,11 +252,6 @@ def check_yd_condition(m: YDObject) -> CheckReport:
                 f"YD condition fails at (l={h.alg.basis[li]}, b=index {b})",
             )
     return rep
-
-
-def _flat(triples, n: int) -> SparseVec:
-    """(carrier index, H index, coeff) triples as a sparse flat M ⊗ H vector."""
-    return {p * n + k: c for p, k, c in triples}
 
 
 def _tensor(u, w, n: int) -> SparseVec:
@@ -533,9 +528,10 @@ def induced_action(a: YDObject, r: CoQTStructure) -> YDObject:
 def braiding_psi(v: YDObject, w: YDObject, r: QTStructure) -> Matrix:
     """ψ: V⊗W → W⊗V, v⊗w ↦ R⁽²⁾·w ⊗ R⁽¹⁾·v (left-major flat indices):
     Σ R⁽²⁾ ⊗ R⁽¹⁾ acting on W⊗V, after the plain flip V⊗W → W⊗V."""
-    dim = w.dim * v.dim
-    acc = kron_sum(((c, w.action[j], v.action[i]) for (i, j), c in r.pairs().items()), dim, dim)
-    return acc @ graded_flip((0,) * v.dim, (0,) * w.dim)
+    dv, dw = v.dim, w.dim
+    acc = kron_sum(((c, w.action[j], v.action[i]) for (i, j), c in r.pairs().items()), dv * dw, dv * dw)
+    # column x·dw + y of ψ is column y·dv + x of acc: the flip as a permutation
+    return Matrix([[row[y * dv + x] for x in range(dv) for y in range(dw)] for row in acc.data])
 
 
 def graded_flip(v_par: Sequence[int], w_par: Sequence[int]) -> Matrix:

@@ -206,6 +206,12 @@ def test_squarefree_part_large_cofactors():
     assert squarefree_part(Q(p)) == p                   # cofactor below B²: prime
     assert squarefree_part(Q(-12 * p * p)) == -3        # cofactor a square
     assert squarefree_part(Q(5, p * p)) == 5
+    # the first prime above B² = 10¹² and the last below 1000001²: trial division
+    # stops at d = 1000001, and a cofactor below d² is a prime
+    for big in (1000000000039, 1000001999917):
+        assert squarefree_part(Q(big)) == big
+        assert squarefree_part(Q(-7 * big)) == -7 * big
+        assert squarefree_part(Q(3, 4 * big)) == 3 * big
     for undecided in (Q(p * p * q), Q(3, p * p * q), Q(p * q)):
         with pytest.raises(ValueError):
             squarefree_part(undecided)

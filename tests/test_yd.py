@@ -334,6 +334,26 @@ def test_braiding_matches_term_expansion():
         assert psi.apply(flat) == expanded
 
 
+def test_braiding_on_unequal_dimensions_matches_term_expansion():
+    rt = build_rt(Q(3))
+    v = build_C(CFamilyDescriptor(Q(1), Q(2), Q(6)))
+    w = sharp_product(build_C(CFamilyDescriptor(Q(-2), Q(3), Q(9))), build_C(CFamilyDescriptor(Q(5), Q(1), Q(4))))
+    psi = braiding_psi(v, w, rt)
+    assert (psi.rows, psi.cols) == (8, 8)
+    for _ in range(5):
+        x = [rnd() for _ in range(2)]
+        y = [rnd() for _ in range(4)]
+        flat = [xi * yj for xi in x for yj in y]
+        expanded = [Q(0)] * 8
+        for (i, j), coef in rt.pairs().items():
+            wy = w.action[j].apply(y)
+            vx = v.action[i].apply(x)
+            for p, cp in enumerate(wy):
+                for q, cq in enumerate(vx):
+                    expanded[p * 2 + q] += coef * cp * cq
+        assert psi.apply(flat) == expanded
+
+
 def test_gradings_of_c_family_coincide():
     g = gradings(build_C(CFamilyDescriptor(Q(2), Q(3), Q(4))))
     assert g.action_parity == (0, 1)
