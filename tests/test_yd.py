@@ -315,43 +315,23 @@ def test_braiding_matches_term_expansion():
     rt = build_rt(Q(3))
     c1 = build_C(CFamilyDescriptor(Q(1), Q(2), Q(6)))
     c2 = build_C(CFamilyDescriptor(Q(-2), Q(3), Q(9)))
-    v, w = c1, c2
-    psi = braiding_psi(v, w, rt)
-    for _ in range(5):
-        x = [rnd(), rnd()]
-        y = [rnd(), rnd()]
-        flat = [Q(0)] * 4
-        for i, xi in enumerate(x):
-            for j, yj in enumerate(y):
-                flat[i * 2 + j] = xi * yj
-        expanded = [Q(0)] * 4
-        for (i, j), coef in rt.pairs().items():
-            wy = w.action[j].apply(y)
-            vx = v.action[i].apply(x)
-            for p, cp in enumerate(wy):
-                for q, cq in enumerate(vx):
-                    expanded[p * 2 + q] += coef * cp * cq
-        assert psi.apply(flat) == expanded
-
-
-def test_braiding_on_unequal_dimensions_matches_term_expansion():
-    rt = build_rt(Q(3))
-    v = build_C(CFamilyDescriptor(Q(1), Q(2), Q(6)))
-    w = sharp_product(build_C(CFamilyDescriptor(Q(-2), Q(3), Q(9))), build_C(CFamilyDescriptor(Q(5), Q(1), Q(4))))
-    psi = braiding_psi(v, w, rt)
-    assert (psi.rows, psi.cols) == (8, 8)
-    for _ in range(5):
-        x = [rnd() for _ in range(2)]
-        y = [rnd() for _ in range(4)]
-        flat = [xi * yj for xi in x for yj in y]
-        expanded = [Q(0)] * 8
-        for (i, j), coef in rt.pairs().items():
-            wy = w.action[j].apply(y)
-            vx = v.action[i].apply(x)
-            for p, cp in enumerate(wy):
-                for q, cq in enumerate(vx):
-                    expanded[p * 2 + q] += coef * cp * cq
-        assert psi.apply(flat) == expanded
+    c3 = build_C(CFamilyDescriptor(Q(5), Q(1), Q(4)))
+    # the 2 × 4 pair tells dim V from dim W in the flip's index arithmetic
+    for v, w in ((c1, c2), (c1, sharp_product(c2, c3))):
+        dv, dw = v.dim, w.dim
+        psi = braiding_psi(v, w, rt)
+        for _ in range(5):
+            x = [rnd() for _ in range(dv)]
+            y = [rnd() for _ in range(dw)]
+            flat = [xi * yj for xi in x for yj in y]
+            expanded = [Q(0)] * (dv * dw)
+            for (i, j), coef in rt.pairs().items():
+                wy = w.action[j].apply(y)
+                vx = v.action[i].apply(x)
+                for p, cp in enumerate(wy):
+                    for q, cq in enumerate(vx):
+                        expanded[p * dv + q] += coef * cp * cq
+            assert psi.apply(flat) == expanded
 
 
 def test_gradings_of_c_family_coincide():
