@@ -622,12 +622,10 @@ def fg_decomposition_residuals(a: YDObject, xv, yv, zv) -> tuple[list[Fraction],
     fg = FGContraction(a)
 
     def fmap(x, y, z):
-        sx, sy, sz = sparse_vec(x), sparse_vec(y), sparse_vec(z)
-        return dense_vec(fg.f(fg.f_left(sx, sz), fg.images_of(sy)), alg.dim)
+        return dense_vec(fg.f_value(sparse_vec(x), sparse_vec(y), sparse_vec(z)), alg.dim)
 
     def gmap(x, y, z):
-        sx, sy, sz = sparse_vec(x), sparse_vec(y), sparse_vec(z)
-        return dense_vec(alg.mul_sparse(fg.g_left(sx, fg.images_of(sz)), sy), alg.dim)
+        return dense_vec(fg.g_value(sparse_vec(x), sparse_vec(y), sparse_vec(z)), alg.dim)
 
     def f0map(x, y, z):
         zpar = _parity_of(z, parity)

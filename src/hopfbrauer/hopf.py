@@ -470,10 +470,21 @@ class QTStructure:
         return t2_from_vec(self.r, self.hopf.dim)
 
 
-def qt_structure(h: HopfAlgebra, rvec: Sequence[Fraction]) -> QTStructure:
-    """Wrap an element of H⊗H, solving for its multiplicative inverse."""
+def qt_structure(h: HopfAlgebra, rvec: Sequence[Fraction], rinv: Sequence[Fraction] | None = None) -> QTStructure:
+    """Wrap an element R of H⊗H with its multiplicative inverse.
+
+    A known inverse ``rinv`` (say R₂₁ for a triangular R) is checked exactly,
+    R·R⁻¹ = 1⊗1 = R⁻¹·R, and ``ValueError`` is raised if it fails; only
+    without one is R⁻¹ solved for.
+    """
     n = h.dim
     r = t2_from_vec(vec(rvec), n)
+    if rinv is not None:
+        rinv = vec(rinv)
+        ri = t2_from_vec(rinv, n)
+        if t2_mul(h.alg, r, ri) != t2_unit(h) or t2_mul(h.alg, ri, r) != t2_unit(h):
+            raise ValueError("given R⁻¹ is not a two-sided inverse of R")
+        return QTStructure(h, vec(rvec), rinv)
     rows: list[dict[int, Fraction]] = [dict() for _ in range(n * n)]
     for (i, j), c in r.items():
         for k in range(n):
@@ -555,9 +566,35 @@ class CoQTStructure:
     form_inv: Matrix
 
 
-def coqt_structure(h: HopfAlgebra, form: Matrix) -> CoQTStructure:
-    """Wrap a bilinear form on H, solving for its convolution inverse."""
+def _convolution(h: HopfAlgebra, a: Matrix, b: Matrix, x: int, y: int) -> Fraction:
+    """(a * b)(e_x ⊗ e_y) = Σ a(x₍₁₎⊗y₍₁₎)·b(x₍₂₎⊗y₍₂₎) for bilinear forms a, b,
+    over the terms where neither form vanishes."""
+    total = Fraction(0)
+    for p, q, c in h.cop_sparse(x):
+        for u, v, d in h.cop_sparse(y):
+            apu = a.data[p][u]
+            if apu:
+                bqv = b.data[q][v]
+                if bqv:
+                    total += c * d * apu * bqv
+    return total
+
+
+def coqt_structure(h: HopfAlgebra, form: Matrix, form_inv: Matrix | None = None) -> CoQTStructure:
+    """Wrap a bilinear form r on H with its convolution inverse.
+
+    A known inverse ``form_inv`` (say the transposed form of a cotriangular
+    r) is checked exactly, r⁻¹ * r = ε⊗ε = r * r⁻¹, and ``ValueError`` is
+    raised if it fails; only without one is r⁻¹ solved for.
+    """
     n = h.dim
+    if form_inv is not None:
+        for x in range(n):
+            for y in range(n):
+                unit = h.counit[x] * h.counit[y]
+                if _convolution(h, form_inv, form, x, y) != unit or _convolution(h, form, form_inv, x, y) != unit:
+                    raise ValueError("given form is not a convolution inverse")
+        return CoQTStructure(h, form, form_inv)
     rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
     for x in range(n):
@@ -621,25 +658,10 @@ def check_coquasitriangular(h: HopfAlgebra, ct: CoQTStructure) -> CheckReport:
                 f"r-commutation axiom fails at ({alg.basis[x]},{alg.basis[y]})",
             )
 
-    ri = ct.form_inv.data
     for x in range(n):
         for y in range(n):
-            conv = sum(
-                (
-                    c * d * ri[p][u] * r[q][v]
-                    for p, q, c in h.cop_sparse(x)
-                    for u, v, d in h.cop_sparse(y)
-                ),
-                Fraction(0),
-            )
-            conv2 = sum(
-                (
-                    c * d * r[p][u] * ri[q][v]
-                    for p, q, c in h.cop_sparse(x)
-                    for u, v, d in h.cop_sparse(y)
-                ),
-                Fraction(0),
-            )
+            conv = _convolution(h, ct.form_inv, ct.form, x, y)
+            conv2 = _convolution(h, ct.form, ct.form_inv, x, y)
             want = h.counit[x] * h.counit[y]
             rep.require(conv == want and conv2 == want, f"convolution inverse fails at ({x},{y})")
 

@@ -1,10 +1,10 @@
 """Exact rational linear algebra.
 
 Everything in this package runs over ℚ, represented by ``fractions.Fraction``.
-This module supplies the dense matrix type, determinants (fraction-free
-Bareiss for small dense matrices, sparse pivoting elimination for the large
-structural maps), exact linear solving with kernel bases, Kronecker products
-and rational square testing.
+This module supplies the dense matrix type, determinants (sparse pivoting
+elimination on integer rows, each over one row denominator, for every size),
+exact linear solving with kernel bases, Kronecker products and rational
+square testing.
 
 Tensor index convention, fixed globally: the left factor is major, so the
 basis vector e_i ⊗ e_j of V ⊗ W sits at flat index ``i * dim(W) + j``.
@@ -18,11 +18,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 Q = Fraction
-
-# Dense Bareiss is preferred up to this size; beyond it the structural
-# matrices in this package are very sparse and sparse elimination wins.
-_BAREISS_LIMIT = 64
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" into a Fraction."""
@@ -260,110 +255,88 @@ def kron_sum(terms: Iterable[tuple[Fraction, Matrix, Matrix]], rows: int, cols: 
 
 
 def mat_det(m: Matrix) -> Fraction:
-    """Exact determinant of a square matrix."""
+    """Exact determinant of a square matrix, by sparse elimination on integer
+    rows.
+
+    Each row is stored once as integer numerators over one positive row
+    denominator, so the loop does no Fraction arithmetic. Pivot rule: the
+    remaining row with the fewest nonzeros (lowest index on ties), and in it
+    the column with the fewest nonzeros among the remaining rows (lowest
+    index on ties). An integer row is a positive multiple of its rational
+    row, so it has the same nonzero pattern and the same fill-in. With pivot
+    value pv and entry f in the pivot column, a row becomes (pv/g)·R − (f/g)·P
+    for g = ±gcd(pv, f) signed like pv, its denominator is multiplied by pv/g,
+    and then row and denominator are divided by their common gcd. Each step
+    is an exact row operation of the rational matrix, so
+
+        det = sign(row order)·sign(column order)·∏ pv / ∏ den(pivot row),
+
+    whichever nonzero pivots the rule takes.
+    """
     if not m.is_square():
         raise DimensionError("determinant of non-square matrix")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    if n <= _BAREISS_LIMIT:
-        return _det_bareiss(m)
-    return _det_sparse(m)
-
-
-def _det_bareiss(m: Matrix) -> Fraction:
-    # Clear denominators row by row, run integer fraction-free elimination,
-    # divide the scale factor back out at the end.
-    n = m.rows
-    a: list[list[int]] = []
-    scale = Fraction(1)
-    for row in m.data:
-        lcm = 1
-        for v in row:
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-        scale *= lcm
-        a.append([int(v * lcm) for v in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            ai = a[i]
-            ak = a[k]
-            for j in range(k + 1, n):
-                ai[j] = (ai[j] * pk - aik * ak[j]) // prev
-            ai[k] = 0
-        prev = pk
-    return Fraction(sign * a[n - 1][n - 1]) / scale
-
-
-def _det_sparse(m: Matrix) -> Fraction:
-    """Sparse elimination on dict rows; det = sign · product of pivots.
-
-    Pivot rule: the remaining row with the fewest nonzeros (lowest index on
-    ties), and in it the column with the fewest nonzeros among the remaining
-    rows (lowest index on ties). The rule only steers fill-in and cost: every
-    step is an exact row operation, and the sign of the row and column
-    permutations is accounted for, so the value does not depend on which
-    nonzero pivots are taken.
-    """
-    rows: dict[int, dict[int, Fraction]] = {}
+    rows: dict[int, dict[int, int]] = {}
+    dens: dict[int, int] = {}
     for i, r in enumerate(m.data):
-        d = sparse_vec(r)
-        if not d:
+        entries = [(c, v) for c, v in enumerate(r) if v]
+        if not entries:
             return Fraction(0)
-        rows[i] = d
+        den = math.lcm(*(v.denominator for _, v in entries))
+        rows[i] = {c: v.numerator * (den // v.denominator) for c, v in entries}
+        dens[i] = den
     col_count: dict[int, int] = {}
     for d in rows.values():
         for c in d:
             col_count[c] = col_count.get(c, 0) + 1
-    det = Fraction(1)
+    num = den = 1
     row_order: list[int] = []
     col_order: list[int] = []
     while rows:
         pr = min(rows, key=lambda ri: (len(rows[ri]), ri))
         pc = min(rows[pr], key=lambda c: (col_count[c], c))
-        pv = rows[pr][pc]
-        det *= pv
+        prow = rows.pop(pr)
+        pv = prow.pop(pc)
+        num *= pv
+        den *= dens.pop(pr)
         row_order.append(pr)
         col_order.append(pc)
-        prow = rows.pop(pr)
+        col_count[pc] -= 1
         for c in prow:
             col_count[c] -= 1
-        for ri in list(rows):
-            d = rows[ri]
-            f = d.get(pc)
+        pitems = list(prow.items())
+        for ri, d in rows.items():
+            f = d.pop(pc, None)
             if f is None:
                 continue
-            factor = f / pv
-            for c, v in prow.items():
-                if c == pc:
-                    continue
+            col_count[pc] -= 1
+            g = math.gcd(pv, f)
+            if pv < 0:
+                g = -g
+            a, b = pv // g, f // g
+            if a != 1:
+                for c in d:
+                    d[c] *= a
+                dens[ri] *= a
+            for c, v in pitems:
                 old = d.get(c)
                 if old is None:
-                    d[c] = -factor * v
+                    d[c] = -b * v
                     col_count[c] += 1
                     continue
-                nv = old - factor * v
+                nv = old - b * v
                 if nv:
                     d[c] = nv
                 else:
                     del d[c]
                     col_count[c] -= 1
-            del d[pc]
-            col_count[pc] -= 1
             if not d:
                 return Fraction(0)
-    return det * _perm_sign(row_order) * _perm_sign(col_order)
+            content = math.gcd(dens[ri], *d.values())
+            if content != 1:
+                for c in d:
+                    d[c] //= content
+                dens[ri] //= content
+    return Fraction(num * _perm_sign(row_order) * _perm_sign(col_order), den)
 
 
 def _perm_sign(order: list[int]) -> int:

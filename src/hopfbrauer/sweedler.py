@@ -82,7 +82,9 @@ def build_rt(t) -> QTStructure:
     th = t / 2
     for (i, j), c in {(2, 2): th, (2, 3): th, (3, 3): th, (3, 2): -th}.items():
         r[i * 4 + j] += c
-    return qt_structure(h4, r)
+    # R_t is triangular, so R_t⁻¹ = (R_t)₂₁; qt_structure checks it exactly
+    r21 = [r[(k % 4) * 4 + k // 4] for k in range(16)]
+    return qt_structure(h4, r, r21)
 
 
 def build_rt_form(t) -> CoQTStructure:
@@ -97,7 +99,9 @@ def build_rt_form(t) -> CoQTStructure:
             [0, 0, t, t],
         ]
     )
-    return coqt_structure(h4, form)
+    # r_t is cotriangular, so its convolution inverse is the transposed form;
+    # coqt_structure checks it exactly
+    return coqt_structure(h4, form, form.transpose())
 
 
 @functools.lru_cache(maxsize=None)
@@ -488,9 +492,8 @@ def build_sigma(t) -> LazyCocycle:
             [0, 0, t / 2, -t / 2],
         ]
     )
-    sigma = LazyCocycle(t, table)
-    check_lazy_cocycle(sigma).raise_if_failed()
-    return sigma
+    # checked where it is consumed, by cocycle_twist
+    return LazyCocycle(t, table)
 
 
 def check_lazy_cocycle(sigma: LazyCocycle) -> CheckReport:

@@ -398,18 +398,23 @@ def end_yd(m: YDObject, variant: str = "plain") -> YDObject:
 class FGContraction:
     """F and G of one YD algebra, evaluated on sparse vectors.
 
-    F(x#y)(z) = Σ (Σ c·x z₍₀₎)(z₍₁₎·y), the inner sum over the terms of ρ(z)
-    with a given z₍₁₎, and G(x#y)(z) = (Σ c·x₍₀₎(x₍₁₎·z))·y. Every product is
-    taken by ``StructureAlgebra.mul_sparse``. Both forms follow from the
-    definitions by bilinearity of the product alone: F keeps the bracketing
+    F(x#y)(z) = Σ_h u_h·(e_h·y) with u_h = Σ c·x z₍₀₎ over the terms of ρ(z)
+    with z₍₁₎ = e_h, and G(x#y)(z) = (Σ c·x₍₀₎(x₍₁₎·z))·y. The right factor
+    of F is read from ``right``, the table right[y][h][k] = e_k·(e_h·e_y)
+    built once per object with d·n·d ``mul_sparse`` calls, as
+    u_h·(e_h·y) = Σ_k u_h[k]·right[y][h][k]; every other product is taken by
+    ``StructureAlgebra.mul_sparse``. Both forms follow from the definitions
+    by bilinearity of the product alone: F keeps the bracketing
     (x z₍₀₎)(z₍₁₎·y) of its definition and collects terms in its left factor,
     and G moves the sum over ρ(x) into the left factor of its outer product.
     Nothing is reassociated, so the values equal the definitions' even for a
     non-associative multiplication.
 
     The y-free factors come from ``f_left`` and ``g_left``, so a caller that
-    sweeps y computes them once per (x, z). Vectors acted on by H enter as
-    their images [e_kᴴ·v for each H-basis index k] (``images_of``).
+    sweeps y computes them once per (x, z). A vector y enters F as its table
+    slice (``right[j]`` for a basis vector, ``right_of`` otherwise), and a
+    vector z enters G as its images [e_kᴴ·z for each H-basis index k]
+    (``images[j]`` or ``images_of``).
     """
 
     def __init__(self, a: YDObject):
@@ -417,9 +422,20 @@ class FGContraction:
         self.hdim = a.hopf.dim
         self.rho = a.rho
         self.images = a.images
+        mul = self.alg.mul_sparse
+        self.right = [
+            [[mul({k: Q(1)}, hy) for k in range(a.dim)] for hy in self.images[y]]
+            for y in range(a.dim)
+        ]
 
     def images_of(self, v: SparseVec) -> list[SparseVec]:
         return [sparse_sum((c, self.images[j][k]) for j, c in v.items()) for k in range(self.hdim)]
+
+    def right_of(self, y: SparseVec) -> list[list[SparseVec]]:
+        return [
+            [sparse_sum((c, self.right[j][h][k]) for j, c in y.items()) for k in range(self.alg.dim)]
+            for h in range(self.hdim)
+        ]
 
     def f_left(self, x: SparseVec, z: SparseVec) -> list[tuple[int, SparseVec]]:
         """Pairs (h, Σ c·x z₍₀₎ over the terms of ρ(z) with z₍₁₎ = e_h)."""
@@ -429,12 +445,17 @@ class FGContraction:
                 self.alg.mul_sparse(x, {z0: c * cz}, by_h.setdefault(z1, {}))
         return list(by_h.items())
 
-    def f(self, left: list[tuple[int, SparseVec]], y_images: list[SparseVec]) -> SparseVec:
-        """F(x#y)(z) from ``f_left(x, z)`` and the images of y."""
-        out: SparseVec = {}
-        for h, u in left:
-            self.alg.mul_sparse(u, y_images[h], out)
-        return out
+    def f(self, left: list[tuple[int, SparseVec]], y_right: list[list[SparseVec]]) -> SparseVec:
+        """F(x#y)(z) from ``f_left(x, z)`` and the table slice of y."""
+        return sparse_sum((uk, y_right[h][k]) for h, u in left for k, uk in u.items())
+
+    def f_value(self, x: SparseVec, y: SparseVec, z: SparseVec) -> SparseVec:
+        """F(x#y)(z) for arbitrary sparse x, y, z."""
+        return self.f(self.f_left(x, z), self.right_of(y))
+
+    def g_value(self, x: SparseVec, y: SparseVec, z: SparseVec) -> SparseVec:
+        """G(x#y)(z) for arbitrary sparse x, y, z."""
+        return self.alg.mul_sparse(self.g_left(x, self.images_of(z)), y)
 
     def g_left(self, x: SparseVec, z_images: list[SparseVec]) -> SparseVec:
         """Σ c·x₍₀₎(x₍₁₎·z), the left factor of G(x#y)(z) = (…)·y."""
@@ -452,18 +473,19 @@ def fg_maps(a: YDObject) -> tuple[Matrix, Matrix]:
     Columns run over the #-basis x⊗y (left-major); rows over the matrix
     units of End(A) in dual-major order, matching endomorphism_algebra.
 
-    Built by ``FGContraction`` on the sparse structure constants, action
-    columns and coaction: F(x#y)(z) = Σ c·(x z₍₀₎)(z₍₁₎·y), bracketed as
-    above, and G(x#y)(z) = (Σ c·x₍₀₎(x₍₁₎·z))·y, whose inner sum depends on
-    (x, z) only. Both use bilinearity alone; no product is reassociated.
+    Built by ``FGContraction``: F(x#y)(z) = Σ_h u_h·(e_h·y), the right
+    factors e_k·(e_h·e_y) read from its table, and G(x#y)(z) =
+    (Σ c·x₍₀₎(x₍₁₎·z))·y, whose inner sum depends on (x, z) only. Both use
+    bilinearity alone; no product is reassociated. Both matrices are filled
+    with one shared Fraction zero, which ``Matrix`` keeps as it is.
     """
     alg = a.alg
     d = alg.dim
     fg = FGContraction(a)
     basis = [{j: Q(1)} for j in range(d)]
-    # int zeros: Matrix() coerces every entry, and ints convert fastest
-    f = [[0] * (d * d) for _ in range(d * d)]
-    g = [[0] * (d * d) for _ in range(d * d)]
+    zero = Q(0)
+    f = [[zero] * (d * d) for _ in range(d * d)]
+    g = [[zero] * (d * d) for _ in range(d * d)]
     for x in range(d):
         for z in range(d):
             f_left = fg.f_left(basis[x], basis[z])
@@ -472,7 +494,7 @@ def fg_maps(a: YDObject) -> tuple[Matrix, Matrix]:
             grows = g[z * d:(z + 1) * d]
             for y in range(d):
                 col = x * d + y
-                for p, v in fg.f(f_left, fg.images[y]).items():
+                for p, v in fg.f(f_left, fg.right[y]).items():
                     frows[p][col] = v
                 for p, v in alg.mul_sparse(g_left, basis[y]).items():
                     grows[p][col] = v

@@ -15,6 +15,7 @@ from hopfbrauer.hopf import (
     check_hopf_axioms,
     check_hopf_morphism,
     check_quasitriangular,
+    coqt_structure,
     drinfeld_double,
     dual_hopf,
     push_qt,
@@ -173,6 +174,29 @@ def test_rt_is_triangular(t):
 def test_rt_form_is_cotriangular(t):
     rep = check_coquasitriangular(build_h4(), build_rt_form(t))
     assert rep.ok and rep.data["cotriangular"]
+
+
+@pytest.mark.parametrize("t", [Q(0), Q(3, 2), Q(-7)])
+def test_closed_form_inverses_equal_the_solved_ones(t):
+    h4 = build_h4()
+    rt, form = build_rt(t), build_rt_form(t)
+    assert rt.r_inv == qt_structure(h4, rt.r).r_inv
+    assert form.form_inv == coqt_structure(h4, form.form).form_inv
+
+
+def test_wrong_known_inverses_are_rejected():
+    h4 = build_h4()
+    rt, form = build_rt(Q(3, 2)), build_rt_form(Q(3, 2))
+    # R_t ≠ (R_t)₂₁ and r_t ≠ r_tᵀ at t ≠ 0, so neither is its own inverse
+    with pytest.raises(ValueError):
+        qt_structure(h4, rt.r, rt.r)
+    with pytest.raises(ValueError):
+        coqt_structure(h4, form.form, form.form)
+    # one perturbed coefficient of R⁻¹
+    wrong = list(rt.r_inv)
+    wrong[5] += 1
+    with pytest.raises(ValueError):
+        qt_structure(h4, rt.r, wrong)
 
 
 def test_unit_tensor_fails_qt_on_h4():

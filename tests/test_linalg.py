@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Q
 
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from hopfbrauer.linalg import (
     DimensionError,
     Matrix,
-    _det_bareiss,
     format_rational,
     kron,
     mat_det,
@@ -36,6 +36,42 @@ def cofactor_det(m: Matrix) -> Q:
         sign = Q(-1) ** j
         total += sign * m.data[0][j] * cofactor_det(minor)
     return total
+
+
+def _det_bareiss(m: Matrix) -> Q:
+    """Reference determinant: clear each row's denominators, run dense
+    fraction-free Bareiss elimination on the integers, divide the scale back
+    out. Test-only; ``mat_det`` is the package's one determinant."""
+    n = m.rows
+    if n == 0:
+        return Q(1)
+    a: list[list[int]] = []
+    scale = Q(1)
+    for row in m.data:
+        lcm = math.lcm(*(v.denominator for v in row))
+        scale *= lcm
+        a.append([int(v * lcm) for v in row])
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return Q(0)
+        pk = a[k][k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            ai = a[i]
+            ak = a[k]
+            for j in range(k + 1, n):
+                ai[j] = (ai[j] * pk - aik * ak[j]) // prev
+            ai[k] = 0
+        prev = pk
+    return Q(sign * a[n - 1][n - 1]) / scale
 
 
 def test_det_identity():
@@ -80,16 +116,14 @@ def test_det_sparse_path_matches_bareiss():
                 row[rng.randrange(12)] = Q(rng.randint(-5, 5))
             rows.append(row)
         m = Matrix(rows)
-        from hopfbrauer.linalg import _det_bareiss, _det_sparse
-
-        assert _det_bareiss(m) == _det_sparse(m)
+        assert _det_bareiss(m) == mat_det(m)
 
 
 SPARSE_DET_KINDS = ("full", "full", "zero row", "zero column", "dependent row", "dependent rows")
 
 
 def _sparse_det_cases(seed: int, dense_rows: bool) -> list[tuple[str, Matrix]]:
-    """Seeded sparse rational matrices of size 65–96, above the Bareiss limit.
+    """Seeded sparse rational matrices of size 65–96.
 
     Each row has a nonzero diagonal entry and at most one more; with
     ``dense_rows`` every 16th row gets up to ten more, which causes fill-in. The
@@ -143,6 +177,71 @@ def test_sparse_det_matches_sympy():
             [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in m.data]
         ).det()
         assert mat_det(m) == Q(int(want.p), int(want.q)), kind
+
+
+try:
+    import sympy
+except ImportError:  # the oracle below is skipped; the package needs no sympy
+    sympy = None
+
+ORACLE_KINDS = ("random", "block diagonal", "zero row", "zero column", "dependent rows")
+
+
+@st.composite
+def oracle_matrices(draw):
+    """(kind, matrix) with n ≤ 24, entries p/q with |p| ≤ 9 and q up to 9 or
+    10⁶. "block diagonal" has its rows and columns randomly permuted; the
+    singular kinds get a zero row, a zero column, or one to three rows
+    replaced by combinations of two others."""
+    kind = draw(st.sampled_from(ORACLE_KINDS))
+    n = draw(st.integers(min_value=3 if kind == "dependent rows" else 1, max_value=24))
+    max_den = draw(st.sampled_from((9, 10**6)))
+    density = draw(st.sampled_from((0.15, 0.5, 1.0)))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def rat():
+        return Q(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, max_den))
+
+    def dense(rows, cols):
+        return [[rat() if rng.random() < density else Q(0) for _ in range(cols)] for _ in range(rows)]
+
+    if kind == "block diagonal":
+        rows = [[Q(0)] * n for _ in range(n)]
+        start = 0
+        while start < n:
+            size = rng.randint(1, n - start)
+            for i, row in enumerate(dense(size, size)):
+                rows[start + i][start:start + size] = row
+            start += size
+        rperm, cperm = rng.sample(range(n), n), rng.sample(range(n), n)
+        rows = [[rows[r][c] for c in cperm] for r in rperm]
+    else:
+        rows = dense(n, n)
+    if kind == "zero row":
+        rows[rng.randrange(n)] = [Q(0)] * n
+    elif kind == "zero column":
+        c = rng.randrange(n)
+        for row in rows:
+            row[c] = Q(0)
+    elif kind == "dependent rows":
+        for _ in range(rng.randint(1, 3)):
+            i, j, k = rng.sample(range(n), 3)
+            a, b = rat(), rat()
+            rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    return kind, Matrix(rows)
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(max_examples=60)
+@given(case=oracle_matrices())
+def test_det_matches_sympy_oracle(case):
+    kind, m = case
+    exact = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in m.data])
+    want = exact.det(method="domain-ge")  # exact elimination over QQ
+    got = mat_det(m)
+    assert got == Q(int(want.p), int(want.q))
+    if kind in ("zero row", "zero column", "dependent rows"):
+        assert got == 0
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,10 +1,12 @@
 """Deterministic work counts: the Drinfeld double is built without the dense
-product and without linear solves, so a regression to either shows here
-without timing noise."""
+product and without linear solves, R_t and r_t take their inverses in closed
+form, and a Ψ transport checks its lazy cocycle once, so a regression to any
+of these shows here without timing noise."""
 
 from collections import Counter
+from fractions import Fraction as Q
 
-from hopfbrauer import hopf
+from hopfbrauer import hopf, sweedler
 from hopfbrauer.algebra import StructureAlgebra
 from hopfbrauer.e2 import build_e2
 
@@ -27,3 +29,25 @@ def test_drinfeld_double_of_e2_uses_no_dense_product_and_no_solve(monkeypatch):
     double, _ = hopf.drinfeld_double(e2)
     assert double.dim == 64
     assert counts == Counter()
+
+
+def test_rt_and_rt_form_are_built_without_a_solve(monkeypatch):
+    calls = []
+    monkeypatch.setattr(hopf, "solve_sparse", lambda *args: calls.append(args))
+    for t in (Q(0), Q(3, 2), Q(-7)):
+        sweedler.build_rt(t)
+        sweedler.build_rt_form(t)
+    assert calls == []
+
+
+def test_psi_transport_checks_its_cocycle_once(monkeypatch):
+    calls = []
+    check = sweedler.check_lazy_cocycle
+
+    def counted(sigma):
+        calls.append(sigma.t)
+        return check(sigma)
+
+    monkeypatch.setattr(sweedler, "check_lazy_cocycle", counted)
+    sweedler.psi_transport(sweedler.CFamilyDescriptor(Q(1), Q(0), Q(1)), Q(2))
+    assert calls == [Q(2)]
