@@ -10,15 +10,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .linalg import (
+    IntVec,
     Matrix,
     SparseVec,
+    common_denominator,
     format_rational,
     is_zero_vec,
     kernel_basis,
     mat_det,
+    scale_sparse,
     sparse_vec,
     vec,
     zero_vec,
@@ -56,6 +60,25 @@ class CheckReport:
     def __repr__(self) -> str:
         state = "ok" if self.ok else f"{len(self.failures)} failures"
         return f"CheckReport({self.title}: {state})"
+
+
+def _contract(sp, x: dict, y: dict, out: dict) -> dict:
+    """Add Σ x_i·y_j·e_i e_j into ``out`` in place and return it, e_i e_j read
+    from the sparse table sp[i][j] = ((k, c), ...); the number type of x, y
+    and sp is whatever they share. Entries that cancel are removed."""
+    for i, xi in x.items():
+        spi = sp[i]
+        for j, yj in y.items():
+            coef = xi * yj
+            for k, c in spi[j]:
+                v = coef * c
+                if k in out:
+                    v += out[k]
+                    if not v:
+                        del out[k]
+                        continue
+                out[k] = v
+    return out
 
 
 class StructureAlgebra:
@@ -103,26 +126,30 @@ class StructureAlgebra:
     def mul_sparse(self, x: SparseVec, y: SparseVec, out: SparseVec | None = None) -> SparseVec:
         """x·y for sparse vectors ``{basis index: nonzero coefficient}``.
 
-        Contracts x ⊗ y against the sparse structure constants ``_sp``, so
-        the cost is nnz(x)·nnz(y)·nnz(e_i e_j); only bilinearity of the
-        product is used. When ``out`` is given, x·y is added into it in place
-        and it is returned. Coefficients that cancel are removed.
+        Contracts x ⊗ y against the sparse structure constants ``_sp`` with
+        ``_contract``, so the cost is nnz(x)·nnz(y)·nnz(e_i e_j); only
+        bilinearity of the product is used. When ``out`` is given, x·y is
+        added into it in place and it is returned. Coefficients that cancel
+        are removed. ``mul_int`` is the same contraction on integers.
         """
-        out = {} if out is None else out
-        sp = self._sp
-        for i, xi in x.items():
-            spi = sp[i]
-            for j, yj in y.items():
-                coef = xi * yj
-                for k, c in spi[j]:
-                    v = coef * c
-                    if k in out:
-                        v += out[k]
-                        if not v:
-                            del out[k]
-                            continue
-                    out[k] = v
-        return out
+        return _contract(self._sp, x, y, {} if out is None else out)
+
+    @cached_property
+    def int_sp(self) -> tuple[int, list[list[tuple[tuple[int, int], ...]]]]:
+        """(D_m, table): D_m is the least common denominator of all structure
+        constants and table[i][j] is ``_sp[i][j]`` times D_m, as integers.
+        Built on first use, so an algebra that is never contracted on
+        integers does not pay for it."""
+        den = common_denominator(c for row in self._sp for term in row for _, c in term)
+        return den, [
+            [tuple((k, c.numerator * (den // c.denominator)) for k, c in term) for term in row]
+            for row in self._sp
+        ]
+
+    def mul_int(self, x: IntVec, y: IntVec, out: IntVec | None = None) -> IntVec:
+        """D_m·(x·y) for integer sparse x and y, contracted against the table
+        of ``int_sp`` by the loop of ``mul_sparse``; ``out`` as there."""
+        return _contract(self.int_sp[1], x, y, {} if out is None else out)
 
     def one(self) -> list[Fraction]:
         return list(self.unit)
@@ -254,23 +281,31 @@ class Grading:
 def check_algebra_axioms(a: StructureAlgebra) -> CheckReport:
     """Associativity on all basis triples plus the two-sided unit law.
 
-    Both sides of (e_i e_j) e_l = e_i (e_j e_l) are contracted from the
-    sparse structure constants with ``mul_sparse``.
+    Both sides of (e_i e_j) e_l = e_i (e_j e_l) have degree two in the
+    structure constants, so they are compared as integers over D_m²,
+    contracted from ``int_sp`` with ``mul_int``. The unit u is scaled to
+    integers U = D_u·u, and u·e_i = e_i becomes U·e_i = D_u·D_m·e_i. No
+    Fraction is built after the scaling.
     """
     rep = CheckReport(f"algebra axioms ({a.name or 'unnamed'})")
+    den_m, sp = a.int_sp
     unit = sparse_vec(a.unit)
-    basis = [{i: Fraction(1)} for i in range(a.dim)]
+    den_u = common_denominator(unit.values())
+    unit = scale_sparse(unit, den_u)
+    basis = [{i: 1} for i in range(a.dim)]
+    mul = a.mul_int
     for i, ei in enumerate(basis):
+        scaled = {i: den_u * den_m}
         rep.require(
-            a.mul_sparse(unit, ei) == ei and a.mul_sparse(ei, unit) == ei,
+            mul(unit, ei) == scaled and mul(ei, unit) == scaled,
             f"unit law fails at basis element {a.basis[i]}",
         )
     for i, ei in enumerate(basis):
         for j in range(a.dim):
-            ij = dict(a.mul_basis(i, j))
+            ij = dict(sp[i][j])
             for l, el in enumerate(basis):
-                lhs = a.mul_sparse(ij, el)
-                rhs = a.mul_sparse(ei, dict(a.mul_basis(j, l)))
+                lhs = mul(ij, el)
+                rhs = mul(ei, dict(sp[j][l]))
                 rep.require(lhs == rhs, f"associativity fails at triple ({i},{j},{l})")
     return rep
 

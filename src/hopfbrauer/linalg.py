@@ -74,6 +74,20 @@ def dense_vec(v: SparseVec, dim: int) -> list[Fraction]:
     return out
 
 
+# A sparse vector of integers, standing for itself over a known denominator.
+IntVec = dict[int, int]
+
+
+def common_denominator(values: Iterable[Fraction]) -> int:
+    """Least common multiple of the denominators of the values (1 for none)."""
+    return math.lcm(*{v.denominator for v in values})
+
+
+def scale_sparse(v: SparseVec, den: int) -> IntVec:
+    """den·v as integers; den must be a multiple of every denominator in v."""
+    return {k: c.numerator * (den // c.denominator) for k, c in v.items()}
+
+
 def sparse_sum(terms: Iterable[tuple[Fraction, SparseVec]]) -> SparseVec:
     """Σ c·v over (c, v) pairs of scalars and sparse vectors, zeros dropped."""
     out: SparseVec = {}

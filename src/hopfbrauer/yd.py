@@ -19,21 +19,24 @@ inner action solvers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import Sequence
 
 from .algebra import CheckReport, StructureAlgebra, endomorphism_algebra, opposite_algebra
 from .hopf import CoQTStructure, HopfAlgebra, QTStructure, bowtie_vec
 from .linalg import (
+    IntVec,
     Matrix,
     SparseVec,
+    common_denominator,
     dense_vec,
     in_span,
     is_zero_vec,
     kron_sum,
     mat_det,
     rational_is_square,
+    scale_sparse,
     solve_sparse,
     sparse_sum,
     sparse_vec,
@@ -401,69 +404,94 @@ class FGContraction:
     F(x#y)(z) = Σ_h u_h·(e_h·y) with u_h = Σ c·x z₍₀₎ over the terms of ρ(z)
     with z₍₁₎ = e_h, and G(x#y)(z) = (Σ c·x₍₀₎(x₍₁₎·z))·y. The right factor
     of F is read from ``right``, the table right[y][h][k] = e_k·(e_h·e_y)
-    built once per object with d·n·d ``mul_sparse`` calls, as
-    u_h·(e_h·y) = Σ_k u_h[k]·right[y][h][k]; every other product is taken by
-    ``StructureAlgebra.mul_sparse``. Both forms follow from the definitions
-    by bilinearity of the product alone: F keeps the bracketing
+    built once per object with d·n·d products, as
+    u_h·(e_h·y) = Σ_k u_h[k]·right[y][h][k]. Both forms follow from the
+    definitions by bilinearity of the product alone: F keeps the bracketing
     (x z₍₀₎)(z₍₁₎·y) of its definition and collects terms in its left factor,
     and G moves the sum over ρ(x) into the left factor of its outer product.
     Nothing is reassociated, so the values equal the definitions' even for a
     non-associative multiplication.
 
+    The contraction runs on integers only. Each tensor it reads is scaled by
+    its own common denominator: the product by D_m (``StructureAlgebra.int_sp``,
+    multiplied with ``mul_int``), ``rho`` by D_c and ``images`` by D_a. Every
+    term of F and G has degree one in ρ, one in the action and two in the
+    product, so an integer value v of the contraction on integer inputs
+    stands for v / ``den`` with den = D_c·D_a·D_m².
+
     The y-free factors come from ``f_left`` and ``g_left``, so a caller that
     sweeps y computes them once per (x, z). A vector y enters F as its table
     slice (``right[j]`` for a basis vector, ``right_of`` otherwise), and a
     vector z enters G as its images [e_kᴴ·z for each H-basis index k]
-    (``images[j]`` or ``images_of``).
+    (``images[j]`` or ``images_of``). ``f_value`` and ``g_value`` take
+    rational x, y, z, scale each to integers and return rational values.
     """
 
     def __init__(self, a: YDObject):
         self.alg = a.alg
         self.hdim = a.hopf.dim
-        self.rho = a.rho
-        self.images = a.images
-        mul = self.alg.mul_sparse
+        den_c = common_denominator(c for row in a.rho for _, _, c in row)
+        self.rho = [
+            tuple((z0, z1, c.numerator * (den_c // c.denominator)) for z0, z1, c in row) for row in a.rho
+        ]
+        den_a = common_denominator(c for row in a.images for v in row for c in v.values())
+        self.images = [[scale_sparse(v, den_a) for v in row] for row in a.images]
+        den_m = a.alg.int_sp[0]
+        self.den = den_c * den_a * den_m * den_m
+        mul = self.alg.mul_int
         self.right = [
-            [[mul({k: Q(1)}, hy) for k in range(a.dim)] for hy in self.images[y]]
+            [[mul({k: 1}, hy) for k in range(a.dim)] for hy in self.images[y]]
             for y in range(a.dim)
         ]
 
-    def images_of(self, v: SparseVec) -> list[SparseVec]:
+    def images_of(self, v: IntVec) -> list[IntVec]:
         return [sparse_sum((c, self.images[j][k]) for j, c in v.items()) for k in range(self.hdim)]
 
-    def right_of(self, y: SparseVec) -> list[list[SparseVec]]:
+    def right_of(self, y: IntVec) -> list[list[IntVec]]:
         return [
             [sparse_sum((c, self.right[j][h][k]) for j, c in y.items()) for k in range(self.alg.dim)]
             for h in range(self.hdim)
         ]
 
-    def f_left(self, x: SparseVec, z: SparseVec) -> list[tuple[int, SparseVec]]:
+    def f_left(self, x: IntVec, z: IntVec) -> list[tuple[int, IntVec]]:
         """Pairs (h, Σ c·x z₍₀₎ over the terms of ρ(z) with z₍₁₎ = e_h)."""
-        by_h: dict[int, SparseVec] = {}
+        by_h: dict[int, IntVec] = {}
         for j, cz in z.items():
             for z0, z1, c in self.rho[j]:
-                self.alg.mul_sparse(x, {z0: c * cz}, by_h.setdefault(z1, {}))
+                self.alg.mul_int(x, {z0: c * cz}, by_h.setdefault(z1, {}))
         return list(by_h.items())
 
-    def f(self, left: list[tuple[int, SparseVec]], y_right: list[list[SparseVec]]) -> SparseVec:
-        """F(x#y)(z) from ``f_left(x, z)`` and the table slice of y."""
+    def f(self, left: list[tuple[int, IntVec]], y_right: list[list[IntVec]]) -> IntVec:
+        """F(x#y)(z), times ``den``, from ``f_left(x, z)`` and the table slice of y."""
         return sparse_sum((uk, y_right[h][k]) for h, u in left for k, uk in u.items())
 
     def f_value(self, x: SparseVec, y: SparseVec, z: SparseVec) -> SparseVec:
-        """F(x#y)(z) for arbitrary sparse x, y, z."""
-        return self.f(self.f_left(x, z), self.right_of(y))
+        """F(x#y)(z) for arbitrary rational sparse x, y, z."""
+        (xi, dx), (yi, dy), (zi, dz) = (_scaled(v) for v in (x, y, z))
+        return _over(self.f(self.f_left(xi, zi), self.right_of(yi)), self.den * dx * dy * dz)
 
     def g_value(self, x: SparseVec, y: SparseVec, z: SparseVec) -> SparseVec:
-        """G(x#y)(z) for arbitrary sparse x, y, z."""
-        return self.alg.mul_sparse(self.g_left(x, self.images_of(z)), y)
+        """G(x#y)(z) for arbitrary rational sparse x, y, z."""
+        (xi, dx), (yi, dy), (zi, dz) = (_scaled(v) for v in (x, y, z))
+        return _over(self.alg.mul_int(self.g_left(xi, self.images_of(zi)), yi), self.den * dx * dy * dz)
 
-    def g_left(self, x: SparseVec, z_images: list[SparseVec]) -> SparseVec:
+    def g_left(self, x: IntVec, z_images: list[IntVec]) -> IntVec:
         """Σ c·x₍₀₎(x₍₁₎·z), the left factor of G(x#y)(z) = (…)·y."""
-        out: SparseVec = {}
+        out: IntVec = {}
         for i, cx in x.items():
             for x0, x1, c in self.rho[i]:
-                self.alg.mul_sparse({x0: c * cx}, z_images[x1], out)
+                self.alg.mul_int({x0: c * cx}, z_images[x1], out)
         return out
+
+
+def _scaled(v: SparseVec) -> tuple[IntVec, int]:
+    """(D·v as integers, D) for the least common denominator D of v."""
+    den = common_denominator(v.values())
+    return scale_sparse(v, den), den
+
+
+def _over(v: IntVec, den: int) -> SparseVec:
+    return {k: Q(c, den) for k, c in v.items()}
 
 
 def fg_maps(a: YDObject) -> tuple[Matrix, Matrix]:
@@ -473,16 +501,22 @@ def fg_maps(a: YDObject) -> tuple[Matrix, Matrix]:
     Columns run over the #-basis x⊗y (left-major); rows over the matrix
     units of End(A) in dual-major order, matching endomorphism_algebra.
 
-    Built by ``FGContraction``: F(x#y)(z) = Σ_h u_h·(e_h·y), the right
-    factors e_k·(e_h·e_y) read from its table, and G(x#y)(z) =
+    Built by ``FGContraction`` on integers: F(x#y)(z) = Σ_h u_h·(e_h·y), the
+    right factors e_k·(e_h·e_y) read from its table, and G(x#y)(z) =
     (Σ c·x₍₀₎(x₍₁₎·z))·y, whose inner sum depends on (x, z) only. Both use
-    bilinearity alone; no product is reassociated. Both matrices are filled
-    with one shared Fraction zero, which ``Matrix`` keeps as it is.
+    bilinearity alone; no product is reassociated. Every entry is
+    accumulated as an integer and written once, as that integer over the
+    contraction's single denominator D_c·D_a·D_m²; the other entries are
+    one shared Fraction zero, which ``Matrix`` keeps as it is.
     """
     alg = a.alg
     d = alg.dim
     fg = FGContraction(a)
-    basis = [{j: Q(1)} for j in range(d)]
+    # one Fraction per distinct value: F and G of the d = 16 ladder tower hold
+    # 4,932 distinct values among 40,272 nonzero entries
+    over = cache(lambda v: Q(v, fg.den))
+    mul = alg.mul_int
+    basis = [{j: 1} for j in range(d)]
     zero = Q(0)
     f = [[zero] * (d * d) for _ in range(d * d)]
     g = [[zero] * (d * d) for _ in range(d * d)]
@@ -495,9 +529,9 @@ def fg_maps(a: YDObject) -> tuple[Matrix, Matrix]:
             for y in range(d):
                 col = x * d + y
                 for p, v in fg.f(f_left, fg.right[y]).items():
-                    frows[p][col] = v
-                for p, v in alg.mul_sparse(g_left, basis[y]).items():
-                    grows[p][col] = v
+                    frows[p][col] = over(v)
+                for p, v in mul(g_left, basis[y]).items():
+                    grows[p][col] = over(v)
     return Matrix(f), Matrix(g)
 
 

@@ -1,14 +1,16 @@
 """Deterministic work counts: the Drinfeld double is built without the dense
 product and without linear solves, R_t and r_t take their inverses in closed
-form, and a Ψ transport checks its lazy cocycle once, so a regression to any
-of these shows here without timing noise."""
+form, a Ψ transport checks its lazy cocycle once, and F, G and the
+associativity check contract on integers without the Fraction product, so a
+regression to any of these shows here without timing noise."""
 
 from collections import Counter
 from fractions import Fraction as Q
 
 from hopfbrauer import hopf, sweedler
-from hopfbrauer.algebra import StructureAlgebra
+from hopfbrauer.algebra import StructureAlgebra, check_algebra_axioms
 from hopfbrauer.e2 import build_e2
+from hopfbrauer.yd import fg_maps, sharp_product
 
 
 def test_drinfeld_double_of_e2_uses_no_dense_product_and_no_solve(monkeypatch):
@@ -51,3 +53,23 @@ def test_psi_transport_checks_its_cocycle_once(monkeypatch):
     monkeypatch.setattr(sweedler, "check_lazy_cocycle", counted)
     sweedler.psi_transport(sweedler.CFamilyDescriptor(Q(1), Q(0), Q(1)), Q(2))
     assert calls == [Q(2)]
+
+
+def test_fg_maps_and_associativity_make_no_fraction_product(monkeypatch):
+    # the d = 8 rung of the seed-7 azumaya_ladder tower
+    factors = [(Q(2, 3), Q(1), Q(-1)), (Q(-7, 9), Q(1, 2), Q(-4)), (Q(5, 2), Q(7, 8), Q(-6))]
+    rung = sweedler.build_C(sweedler.CFamilyDescriptor(*factors[0]))
+    for factor in factors[1:]:
+        rung = sharp_product(rung, sweedler.build_C(sweedler.CFamilyDescriptor(*factor)))
+    calls = []
+    mul_sparse = StructureAlgebra.mul_sparse
+
+    def counted(alg, *args):
+        calls.append(alg.dim)
+        return mul_sparse(alg, *args)
+
+    monkeypatch.setattr(StructureAlgebra, "mul_sparse", counted)
+    assert rung.dim == 8
+    fg_maps(rung)
+    assert check_algebra_axioms(rung.alg).ok
+    assert calls == []
