@@ -10,6 +10,14 @@ The compatibility demanded throughout is the one for right H^op-comodule
 algebras, ρ(ab) = a₍₀₎b₍₀₎ ⊗ b₍₁₎a₍₁₎, together with the Yetter-Drinfeld
 condition ρ(l·b) = l₍₂₎·b₍₀₎ ⊗ l₍₃₎ b₍₁₎ S⁻¹(l₍₁₎).
 
+The axiom checks, the H-opposite and F/G contract on integers: each tensor
+is read times the least common denominator D of its entries, the action
+over D_a (``YDObject.int_images``), the coaction over D_c (``int_rho``), a
+product over D_m (``StructureAlgebra.int_sp``, ``mul_int``) and, locally, Δ,
+(Δ⊗id)Δ, S⁻¹, ε and a unit over their own D. Each side of an identity is an
+integer vector over a known positive scale, and each is multiplied by the
+scale factors the other has and it lacks before the exact comparison.
+
 This module also hosts the braided machinery: the # product, H-opposites,
 End(M) structures, the F/G maps whose bijectivity defines H-Azumaya
 algebras, gradings, braidings, centralizers, and the inner / strongly
@@ -94,6 +102,17 @@ class YDObject:
         cols = [[sparse_vec(m.col(j)) for j in range(self.dim)] for m in self.action]
         return [[col[j] for col in cols] for j in range(self.dim)]
 
+    @cached_property
+    def int_rho(self) -> tuple[int, list[tuple[tuple[int, int, int], ...]]]:
+        """(D_c, ``rho`` times D_c), D_c the least common denominator of the coaction."""
+        return _scaled_rows(self.rho)
+
+    @cached_property
+    def int_images(self) -> tuple[int, list[list[IntVec]]]:
+        """(D_a, ``images`` times D_a), D_a the least common denominator of the action."""
+        den = common_denominator(c for row in self.images for v in row for c in v.values())
+        return den, [[scale_sparse(v, den) for v in row] for row in self.images]
+
     def act_matrix(self, hvec: Sequence[Fraction]) -> Matrix:
         """The matrix by which the element Σ hvec[i]·e_i of H acts."""
         out = [[Q(0)] * self.dim for _ in range(self.dim)]
@@ -128,22 +147,46 @@ def grouplike_index(h: HopfAlgebra) -> int | None:
     return h.meta.get("g") if h.meta.get("g") is not None else h.meta.get("c")
 
 
+def _scaled(v: SparseVec) -> tuple[IntVec, int]:
+    """(D·v as integers, D) for the least common denominator D of v."""
+    den = common_denominator(v.values())
+    return scale_sparse(v, den), den
+
+
+def _scaled_rows(rows) -> tuple[int, list[tuple]]:
+    """(D, rows) for rows of sparse terms whose last entry is the coefficient:
+    every coefficient times D, the least common denominator of them all."""
+    rows = list(rows)
+    den = common_denominator(t[-1] for row in rows for t in row)
+    return den, [tuple((*t[:-1], t[-1].numerator * (den // t[-1].denominator)) for t in row) for row in rows]
+
+
+def _over(v: IntVec, den: int) -> SparseVec:
+    return {k: Q(c, den) for k, c in v.items()}
+
+
 # ---------------------------------------------------------------------------
-# Axiom checks
+# Axiom checks (integer forms in the docstrings; U = D_u·1, E = D_ε·ε)
 # ---------------------------------------------------------------------------
 
 
 def check_module(m: YDObject) -> CheckReport:
+    """1·v = v and e_i·(e_j·v) = (e_i e_j)·v, as Σ U_k·(e_k·v) = D_u·D_a·v and
+    D_m·Σ (e_j·v)_k·(e_i·e_k) = D_a·Σ (e_i e_j)_k·(e_k·v), D_m that of H."""
     rep = CheckReport(f"H-module over {m.hopf.name}")
     h = m.hopf
-    rep.require(m.act_matrix(h.alg.unit) == Matrix.identity(m.dim), "unit of H does not act as id")
-    images = m.images
+    den_a, images = m.int_images
+    den_m, sp = h.alg.int_sp
+    unit, den_u = _scaled(sparse_vec(h.alg.unit))
+    rep.require(
+        all(sparse_sum((c, images[y][k]) for k, c in unit.items()) == {y: den_u * den_a} for y in range(m.dim)),
+        "unit of H does not act as id",
+    )
     for i in range(h.dim):
         for j in range(h.dim):
-            ij = h.alg.mul_basis(i, j)
             ok = all(
-                sparse_sum((c, images[k][i]) for k, c in images[y][j].items())
-                == sparse_sum((c, images[y][k]) for k, c in ij)
+                sparse_sum((den_m * c, images[k][i]) for k, c in images[y][j].items())
+                == sparse_sum((den_a * c, images[y][k]) for k, c in sp[i][j])
                 for y in range(m.dim)
             )
             rep.require(ok, f"action not multiplicative at ({h.alg.basis[i]},{h.alg.basis[j]})")
@@ -151,23 +194,28 @@ def check_module(m: YDObject) -> CheckReport:
 
 
 def check_module_algebra(a: YDObject) -> CheckReport:
-    """Left H-module algebra: h·(xy) = (h₍₁₎·x)(h₍₂₎·y), h·1 = ε(h)1."""
+    """Left H-module algebra: h·(xy) = (h₍₁₎·x)(h₍₂₎·y), h·1 = ε(h)1, as
+    D_Δ·D_a·Σ (xy)_k·(e_i·e_k) = Σ Δ_pq·``mul_int``(e_p·x, e_q·y) and
+    D_ε·Σ U_j·(e_i·e_j) = D_a·E_i·U."""
     rep = CheckReport(f"module algebra over {a.hopf.name}")
     rep.merge(check_module(a))
     h = a.hopf
     alg = a.alg
-    images = a.images
+    den_a, images = a.int_images
+    sp = alg.int_sp[1]
+    den_d, cop = _scaled_rows(h.cop_sparse(i) for i in range(h.dim))
+    counit, den_e = _scaled(sparse_vec(h.counit))
+    unit, _ = _scaled(sparse_vec(alg.unit))
     for i in range(h.dim):
-        acted_one = a.action[i].apply(alg.unit)
         rep.require(
-            acted_one == [h.counit[i] * u for u in alg.unit],
+            sparse_sum((den_e * c, images[j][i]) for j, c in unit.items())
+            == sparse_sum([(den_a * counit.get(i, 0), unit)]),
             f"h·1 ≠ ε(h)1 at {h.alg.basis[i]}",
         )
-        cop = h.cop_sparse(i)
         for x in range(alg.dim):
             for y in range(alg.dim):
-                lhs = sparse_sum((c, images[k][i]) for k, c in alg.mul_basis(x, y))
-                rhs = sparse_sum((c, alg.mul_sparse(images[x][p], images[y][q])) for p, q, c in cop)
+                lhs = sparse_sum((den_d * den_a * c, images[k][i]) for k, c in sp[x][y])
+                rhs = sparse_sum((c, alg.mul_int(images[x][p], images[y][q])) for p, q, c in cop[i])
                 rep.require(
                     lhs == rhs,
                     f"module-algebra law fails at ({h.alg.basis[i]}; {alg.basis[x]},{alg.basis[y]})",
@@ -176,26 +224,26 @@ def check_module_algebra(a: YDObject) -> CheckReport:
 
 
 def check_comodule(m: YDObject) -> CheckReport:
+    """(id⊗ε)ρ = id and (ρ⊗id)ρ = (id⊗Δ)ρ, as (id⊗E)ρ(e_j) = D_c·D_ε·e_j and
+    D_Δ·(ρ⊗id)ρ = D_c·(id⊗Δ)ρ."""
     rep = CheckReport(f"H-comodule over {m.hopf.name}")
     h = m.hopf
-    dim = m.dim
-    for j in range(dim):
-        sp = m.rho[j]
-        ej = zero_vec(dim)
+    den_c, rho = m.int_rho
+    den_d, cop = _scaled_rows(h.cop_sparse(i) for i in range(h.dim))
+    counit, den_e = _scaled(sparse_vec(h.counit))
+    for j in range(m.dim):
+        sp = rho[j]
+        ej = sparse_sum((c * counit.get(k, 0), {a: 1}) for a, k, c in sp)
+        rep.require(ej == {j: den_c * den_e}, f"(id⊗ε)ρ fails at index {j}")
+        lhs: dict[tuple[int, int, int], int] = {}
+        rhs: dict[tuple[int, int, int], int] = {}
         for a, k, c in sp:
-            ej[a] += c * h.counit[k]
-        want = zero_vec(dim)
-        want[j] = Q(1)
-        rep.require(ej == want, f"(id⊗ε)ρ fails at index {j}")
-        lhs: dict[tuple[int, int, int], Fraction] = {}
-        rhs: dict[tuple[int, int, int], Fraction] = {}
-        for a, k, c in sp:
-            for b, l, d in m.rho[a]:
+            for b, l, d in rho[a]:
                 key = (b, l, k)
-                lhs[key] = lhs.get(key, Q(0)) + c * d
-            for p, q, d in h.cop_sparse(k):
+                lhs[key] = lhs.get(key, 0) + den_d * c * d
+            for p, q, d in cop[k]:
                 key = (a, p, q)
-                rhs[key] = rhs.get(key, Q(0)) + c * d
+                rhs[key] = rhs.get(key, 0) + den_c * c * d
         lhs = {k: v for k, v in lhs.items() if v}
         rhs = {k: v for k, v in rhs.items() if v}
         rep.require(lhs == rhs, f"coassociativity of ρ fails at index {j}")
@@ -203,22 +251,27 @@ def check_comodule(m: YDObject) -> CheckReport:
 
 
 def check_comodule_algebra_op(a: YDObject) -> CheckReport:
-    """Right H^op-comodule algebra: ρ(xy) = x₍₀₎y₍₀₎ ⊗ y₍₁₎x₍₁₎, ρ(1) = 1⊗1."""
+    """Right H^op-comodule algebra: ρ(xy) = x₍₀₎y₍₀₎ ⊗ y₍₁₎x₍₁₎, ρ(1) = 1⊗1, as
+    D_c·D_n·ρ(xy) = Σ c_x·c_y·(x₀y₀) ⊗ (y₁x₁) on ``int_sp`` (D_n that of H)
+    and D_u(H)·ρ(U) = D_c·U ⊗ U_H."""
     rep = CheckReport(f"H^op-comodule algebra over {a.hopf.name}")
     rep.merge(check_comodule(a))
     h = a.hopf
     alg = a.alg
     n = h.dim
-    rho = a.rho
-    rho_flat = [sparse_vec(row) for row in a.coaction]
-    unit = sparse_vec(alg.unit)
-    rho_one = sparse_sum((c, rho_flat[j]) for j, c in unit.items())
-    rep.require(rho_one == _tensor(unit.items(), sparse_vec(h.alg.unit).items(), n), "ρ(1) ≠ 1⊗1")
+    den_c, rho = a.int_rho
+    sp = alg.int_sp[1]
+    den_n, hsp = h.alg.int_sp
+    rho_flat = [{x0 * n + x1: c for x0, x1, c in row} for row in rho]
+    unit, _ = _scaled(sparse_vec(alg.unit))
+    hunit, den_hu = _scaled(sparse_vec(h.alg.unit))
+    rho_one = sparse_sum((den_hu * c, rho_flat[j]) for j, c in unit.items())
+    rep.require(rho_one == _tensor(unit.items(), [(k, den_c * c) for k, c in hunit.items()], n), "ρ(1) ≠ 1⊗1")
     for x in range(alg.dim):
         for y in range(alg.dim):
-            lhs = sparse_sum((c, rho_flat[j]) for j, c in alg.mul_basis(x, y))
+            lhs = sparse_sum((den_c * den_n * c, rho_flat[j]) for j, c in sp[x][y])
             rhs = sparse_sum(
-                (cx * cy, _tensor(alg.mul_basis(ax, ay), h.alg.mul_basis(ky, kx), n))
+                (cx * cy, _tensor(sp[ax][ay], hsp[ky][kx], n))
                 for ax, kx, cx in rho[x]
                 for ay, ky, cy in rho[y]
             )
@@ -227,27 +280,33 @@ def check_comodule_algebra_op(a: YDObject) -> CheckReport:
 
 
 def check_yd_condition(m: YDObject) -> CheckReport:
-    """ρ(l·b) = l₍₂₎·b₍₀₎ ⊗ l₍₃₎ b₍₁₎ S⁻¹(l₍₁₎) on all basis pairs."""
+    """ρ(l·b) = l₍₂₎·b₍₀₎ ⊗ l₍₃₎ b₍₁₎ S⁻¹(l₍₁₎) on all basis pairs, as
+    D_Δ₂·D_n²·D_S·ρ(l·b) = Σ c·d·(l₂·b₀) ⊗ ``mul_int``(l₃ b₁, S⁻¹(l₁)), with
+    (Δ⊗id)Δ over D_Δ₂, S⁻¹ over D_S and H's product over D_n."""
     rep = CheckReport(f"Yetter-Drinfeld condition over {m.hopf.name}")
     h = m.hopf
     n = h.dim
-    dim = m.dim
-    images = m.images
-    rho = m.rho
-    rho_flat = [sparse_vec(row) for row in m.coaction]
+    images = m.int_images[1]
+    rho = m.int_rho[1]
+    den_n, hsp = h.alg.int_sp
+    den_w, sw2 = _scaled_rows(h.sweedler2(li) for li in range(n))
+    rho_flat = [{b0 * n + b1: c for b0, b1, c in row} for row in rho]
     sinv = [sparse_vec(h.antipode_inv.col(k)) for k in range(n)]
+    den_s = common_denominator(c for v in sinv for c in v.values())
+    sinv = [scale_sparse(v, den_s) for v in sinv]
+    scale = den_w * den_n * den_n * den_s
 
+    @cache
     def h_factor(l3: int, k: int, l1: int):
         """(e_l3 e_k) S⁻¹(e_l1), bracketed as in the condition."""
-        return h.alg.mul_sparse(dict(h.alg.mul_basis(l3, k)), sinv[l1]).items()
+        return tuple(h.alg.mul_int(dict(hsp[l3][k]), sinv[l1]).items())
 
     for li in range(n):
-        sw2 = h.sweedler2(li)
-        for b in range(dim):
-            lhs = sparse_sum((c, rho_flat[j]) for j, c in images[b][li].items())
+        for b in range(m.dim):
+            lhs = sparse_sum((scale * c, rho_flat[j]) for j, c in images[b][li].items())
             rhs = sparse_sum(
                 (c * d, _tensor(images[a][l2].items(), h_factor(l3, k, l1), n))
-                for l1, l2, l3, c in sw2
+                for l1, l2, l3, c in sw2[li]
                 for a, k, d in rho[b]
             )
             rep.require(
@@ -271,7 +330,11 @@ def check_yd_module(m: YDObject) -> CheckReport:
 
 
 def check_yd_algebra(a: YDObject) -> CheckReport:
-    """Module algebra + H^op-comodule algebra + YD compatibility, itemised."""
+    """Module algebra + H^op-comodule algebra + YD compatibility, itemised.
+
+    Every identity is compared on integers, from the object's ``int_images``
+    and ``int_rho`` and the ``int_sp`` of A and H (module docstring); ``fg_maps``
+    reads the same views, so the object is scaled once for both."""
     rep = CheckReport("Yetter-Drinfeld module algebra")
     rep.merge(check_module_algebra(a))
     rep.merge(check_comodule_algebra_op(a))
@@ -285,15 +348,20 @@ def check_yd_algebra(a: YDObject) -> CheckReport:
 
 
 def h_opposite(a: YDObject) -> YDObject:
-    """The H-opposite algebra: same action and coaction, x∘y = y₍₀₎(y₍₁₎·x)."""
+    """The H-opposite algebra: same action and coaction, x∘y = y₍₀₎(y₍₁₎·x),
+    contracted on integers and divided once by D_c·D_a·D_m."""
     alg = a.alg
-    images = a.images
-    rho = a.rho
-    mult = [
-        [sparse_sum((c, alg.mul_sparse({b: Q(1)}, images[i][k])) for b, k, c in rho[j]) for j in range(alg.dim)]
-        for i in range(alg.dim)
-    ]
-    mult = [[dense_vec(v, alg.dim) for v in row] for row in mult]
+    den_c, rho = a.int_rho
+    den_a, images = a.int_images
+    den = den_c * den_a * alg.int_sp[0]
+
+    def product(i: int, j: int) -> list[Fraction]:
+        out: IntVec = {}
+        for b, k, c in rho[j]:
+            alg.mul_int({b: c}, images[i][k], out)
+        return dense_vec(_over(out, den), alg.dim)
+
+    mult = [[product(i, j) for j in range(alg.dim)] for i in range(alg.dim)]
     new_alg = StructureAlgebra(alg.basis, alg.unit, mult, name=f"{alg.name}~" if alg.name else "opposite")
     return YDObject(a.hopf, alg.dim, new_alg, a.action, a.coaction)
 
@@ -414,7 +482,8 @@ class FGContraction:
 
     The contraction runs on integers only. Each tensor it reads is scaled by
     its own common denominator: the product by D_m (``StructureAlgebra.int_sp``,
-    multiplied with ``mul_int``), ``rho`` by D_c and ``images`` by D_a. Every
+    multiplied with ``mul_int``), ``rho`` by D_c and ``images`` by D_a (the
+    object's ``int_rho`` and ``int_images``). Every
     term of F and G has degree one in ρ, one in the action and two in the
     product, so an integer value v of the contraction on integer inputs
     stands for v / ``den`` with den = D_c·D_a·D_m².
@@ -430,12 +499,8 @@ class FGContraction:
     def __init__(self, a: YDObject):
         self.alg = a.alg
         self.hdim = a.hopf.dim
-        den_c = common_denominator(c for row in a.rho for _, _, c in row)
-        self.rho = [
-            tuple((z0, z1, c.numerator * (den_c // c.denominator)) for z0, z1, c in row) for row in a.rho
-        ]
-        den_a = common_denominator(c for row in a.images for v in row for c in v.values())
-        self.images = [[scale_sparse(v, den_a) for v in row] for row in a.images]
+        den_c, self.rho = a.int_rho
+        den_a, self.images = a.int_images
         den_m = a.alg.int_sp[0]
         self.den = den_c * den_a * den_m * den_m
         mul = self.alg.mul_int
@@ -482,16 +547,6 @@ class FGContraction:
             for x0, x1, c in self.rho[i]:
                 self.alg.mul_int({x0: c * cx}, z_images[x1], out)
         return out
-
-
-def _scaled(v: SparseVec) -> tuple[IntVec, int]:
-    """(D·v as integers, D) for the least common denominator D of v."""
-    den = common_denominator(v.values())
-    return scale_sparse(v, den), den
-
-
-def _over(v: IntVec, den: int) -> SparseVec:
-    return {k: Q(c, den) for k, c in v.items()}
 
 
 def fg_maps(a: YDObject) -> tuple[Matrix, Matrix]:

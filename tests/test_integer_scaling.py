@@ -1,8 +1,10 @@
-"""F, G and the associativity check contract on integers, each tensor over
-its own common denominator. These tests compare them with Fraction
-references on objects whose product, action and coaction have different
-denominators, so a scale applied to the wrong tensor, or a missing one,
-changes an entry."""
+"""F, G, the associativity check, the Yetter-Drinfeld axiom checks and the
+H-opposite contract on integers, each tensor over its own common
+denominator. These tests compare them with Fraction references on objects
+whose product, action and coaction have different denominators, and on an
+H₄ whose rescaled basis gives its unit, counit, product, coproduct and S⁻¹
+non-integer coefficients, so a scale applied to the wrong tensor, or a
+missing one, changes an entry or a failure list."""
 
 import random
 from fractions import Fraction as Q
@@ -11,12 +13,59 @@ import pytest
 
 from hopfbrauer.algebra import CheckReport, StructureAlgebra, check_algebra_axioms
 from hopfbrauer.e2 import build_c_e2
-from hopfbrauer.linalg import common_denominator, sparse_sum, sparse_vec
-from hopfbrauer.sweedler import CFamilyDescriptor, build_C
-from hopfbrauer.yd import FGContraction, fg_maps, h_opposite, sharp_product
+from hopfbrauer.hopf import HopfAlgebra
+from hopfbrauer.linalg import Matrix, common_denominator, sparse_sum, sparse_vec, zero_vec
+from hopfbrauer.sweedler import CFamilyDescriptor, build_C, build_h4
+from hopfbrauer.yd import (
+    FGContraction,
+    YDObject,
+    check_yd_algebra,
+    check_yd_module,
+    fg_maps,
+    h_opposite,
+    sharp_product,
+)
+
+# H₄ on the basis 2·1, g/2, h/3, gh/5. Scaling h and gh alone would leave
+# Δ and S⁻¹ integral (each of their terms is linear in h), so 1 and g are
+# scaled too.
+H4_SCALES = [Q(2), Q(1, 2), Q(1, 3), Q(1, 5)]
+
+
+def _rescaled_hopf(h, s):
+    """``h`` on the basis s_i·e_i."""
+    n = h.dim
+    cop = [[s[i] * c / (s[k // n] * s[k % n]) for k, c in enumerate(h.cop[i])] for i in range(n)]
+    counit = [s[i] * e for i, e in enumerate(h.counit)]
+
+    def conj(m):
+        return Matrix([[s[j] * m.data[k][j] / s[k] for j in range(n)] for k in range(n)])
+
+    return HopfAlgebra(
+        _rescaled(h.alg, s), cop, counit, conj(h.antipode), conj(h.antipode_inv), name="H4'", meta=h.meta
+    )
+
+
+def _transported(a, hopf, s, r):
+    """``a`` moved to ``hopf``, its H on the basis s_i·e_i, with its own
+    carrier on the basis r_j·e_j."""
+    n, d = hopf.dim, a.dim
+    action = [
+        Matrix([[s[i] * r[j] * m.data[k][j] / r[k] for j in range(d)] for k in range(d)])
+        for i, m in enumerate(a.action)
+    ]
+    coaction = [[r[j] * c / (r[k // n] * s[k % n]) for k, c in enumerate(row)] for j, row in enumerate(a.coaction)]
+    return YDObject(hopf, d, _rescaled(a.alg, r), action, coaction)
 
 
 def _object(name):
+    if name.endswith("rescaled H4"):
+        h4 = _rescaled_hopf(build_h4(), H4_SCALES)
+        c1, c2 = (
+            _transported(build_C(CFamilyDescriptor(*p)), h4, H4_SCALES, r)
+            for p, r in (((Q(1, 7), Q(3, 11), Q(5, 13)), [Q(7, 3), Q(2, 5)]), ((Q(-2, 5), Q(9, 4), Q(1, 3)), [1, 3]))
+        )
+        return c1 if name.startswith("C ") else sharp_product(c1, c2)
     if name.startswith("C#C"):
         a = sharp_product(
             build_C(CFamilyDescriptor(Q(1, 7), Q(3, 11), Q(5, 13))),
@@ -124,10 +173,9 @@ def test_f_and_g_values_are_column_combinations(name):
             assert value == {p: v for p, v in want.items() if v}
 
 
-def _rescaled(alg, lam):
-    """The same algebra on the basis λ·e_0, e_1, …, so that its unit is 1/λ
-    times a basis vector and the unit law needs the unit's own scale."""
-    s = [lam] + [1] * (alg.dim - 1)
+def _rescaled(alg, s):
+    """The same algebra on the basis s_i·e_i; with s_0 ≠ 1 its unit is 1/s_0
+    times a basis vector, and the unit law needs the unit's own scale."""
     mult = [
         [[s[i] * s[j] * c / s[k] for k, c in enumerate(alg.mult[i][j])] for j in range(alg.dim)]
         for i in range(alg.dim)
@@ -150,10 +198,244 @@ def _corrupt(alg, kind):
 @pytest.mark.parametrize("kind", ["constant + 1/97", "constant - 3", "unit law"])
 @pytest.mark.parametrize("name", OBJECTS)
 def test_axiom_failures_match_the_fraction_check(name, kind):
-    alg = _rescaled(_object(name).alg, Q(7, 3))
+    alg = _object(name).alg
+    alg = _rescaled(alg, [Q(7, 3)] + [1] * (alg.dim - 1))
     assert check_algebra_axioms(alg).failures == _reference_axioms(alg) == []
     bad = _corrupt(alg, kind)
     failures = check_algebra_axioms(bad).failures
     assert failures == _reference_axioms(bad)
     assert failures
     assert any(f.startswith("unit law") for f in failures) == (kind == "unit law")
+
+
+# ---------------------------------------------------------------------------
+# Yetter-Drinfeld axiom checks and the H-opposite against their Fraction loops
+# ---------------------------------------------------------------------------
+
+
+def _tensor(u, w, n):
+    return {p * n + q: cp * cq for p, cp in u for q, cq in w}
+
+
+def _reference_module(m):
+    """``check_module`` as it was on Fractions."""
+    rep = CheckReport(f"H-module over {m.hopf.name}")
+    h = m.hopf
+    rep.require(m.act_matrix(h.alg.unit) == Matrix.identity(m.dim), "unit of H does not act as id")
+    images = m.images
+    for i in range(h.dim):
+        for j in range(h.dim):
+            ij = h.alg.mul_basis(i, j)
+            ok = all(
+                sparse_sum((c, images[k][i]) for k, c in images[y][j].items())
+                == sparse_sum((c, images[y][k]) for k, c in ij)
+                for y in range(m.dim)
+            )
+            rep.require(ok, f"action not multiplicative at ({h.alg.basis[i]},{h.alg.basis[j]})")
+    return rep
+
+
+def _reference_module_algebra(a):
+    """``check_module_algebra`` as it was on Fractions."""
+    rep = CheckReport(f"module algebra over {a.hopf.name}")
+    rep.merge(_reference_module(a))
+    h, alg, images = a.hopf, a.alg, a.images
+    for i in range(h.dim):
+        acted_one = a.action[i].apply(alg.unit)
+        rep.require(acted_one == [h.counit[i] * u for u in alg.unit], f"h·1 ≠ ε(h)1 at {h.alg.basis[i]}")
+        cop = h.cop_sparse(i)
+        for x in range(alg.dim):
+            for y in range(alg.dim):
+                lhs = sparse_sum((c, images[k][i]) for k, c in alg.mul_basis(x, y))
+                rhs = sparse_sum((c, alg.mul_sparse(images[x][p], images[y][q])) for p, q, c in cop)
+                rep.require(
+                    lhs == rhs,
+                    f"module-algebra law fails at ({h.alg.basis[i]}; {alg.basis[x]},{alg.basis[y]})",
+                )
+    return rep
+
+
+def _reference_comodule(m):
+    """``check_comodule`` as it was on Fractions."""
+    rep = CheckReport(f"H-comodule over {m.hopf.name}")
+    h, dim = m.hopf, m.dim
+    for j in range(dim):
+        sp = m.rho[j]
+        ej = zero_vec(dim)
+        for a, k, c in sp:
+            ej[a] += c * h.counit[k]
+        want = zero_vec(dim)
+        want[j] = Q(1)
+        rep.require(ej == want, f"(id⊗ε)ρ fails at index {j}")
+        lhs, rhs = {}, {}
+        for a, k, c in sp:
+            for b, l, d in m.rho[a]:
+                lhs[(b, l, k)] = lhs.get((b, l, k), Q(0)) + c * d
+            for p, q, d in h.cop_sparse(k):
+                rhs[(a, p, q)] = rhs.get((a, p, q), Q(0)) + c * d
+        lhs = {k: v for k, v in lhs.items() if v}
+        rhs = {k: v for k, v in rhs.items() if v}
+        rep.require(lhs == rhs, f"coassociativity of ρ fails at index {j}")
+    return rep
+
+
+def _reference_comodule_algebra_op(a):
+    """``check_comodule_algebra_op`` as it was on Fractions."""
+    rep = CheckReport(f"H^op-comodule algebra over {a.hopf.name}")
+    rep.merge(_reference_comodule(a))
+    h, alg, rho = a.hopf, a.alg, a.rho
+    n = h.dim
+    rho_flat = [sparse_vec(row) for row in a.coaction]
+    unit = sparse_vec(alg.unit)
+    rho_one = sparse_sum((c, rho_flat[j]) for j, c in unit.items())
+    rep.require(rho_one == _tensor(unit.items(), sparse_vec(h.alg.unit).items(), n), "ρ(1) ≠ 1⊗1")
+    for x in range(alg.dim):
+        for y in range(alg.dim):
+            lhs = sparse_sum((c, rho_flat[j]) for j, c in alg.mul_basis(x, y))
+            rhs = sparse_sum(
+                (cx * cy, _tensor(alg.mul_basis(ax, ay), h.alg.mul_basis(ky, kx), n))
+                for ax, kx, cx in rho[x]
+                for ay, ky, cy in rho[y]
+            )
+            rep.require(lhs == rhs, f"ρ not H^op-multiplicative at ({alg.basis[x]},{alg.basis[y]})")
+    return rep
+
+
+def _reference_yd_condition(m):
+    """``check_yd_condition`` as it was on Fractions."""
+    rep = CheckReport(f"Yetter-Drinfeld condition over {m.hopf.name}")
+    h, images, rho = m.hopf, m.images, m.rho
+    n = h.dim
+    rho_flat = [sparse_vec(row) for row in m.coaction]
+    sinv = [sparse_vec(h.antipode_inv.col(k)) for k in range(n)]
+
+    def h_factor(l3, k, l1):
+        return h.alg.mul_sparse(dict(h.alg.mul_basis(l3, k)), sinv[l1]).items()
+
+    for li in range(n):
+        sw2 = h.sweedler2(li)
+        for b in range(m.dim):
+            lhs = sparse_sum((c, rho_flat[j]) for j, c in images[b][li].items())
+            rhs = sparse_sum(
+                (c * d, _tensor(images[a][l2].items(), h_factor(l3, k, l1), n))
+                for l1, l2, l3, c in sw2
+                for a, k, d in rho[b]
+            )
+            rep.require(lhs == rhs, f"YD condition fails at (l={h.alg.basis[li]}, b=index {b})")
+    return rep
+
+
+def _reference_yd_failures(a):
+    """Failures of ``check_yd_algebra`` (or ``check_yd_module`` when ``a``
+    has no product) by the Fraction loops, merged in the same order."""
+    if a.alg is None:
+        rep = CheckReport("Yetter-Drinfeld module")
+        parts = (_reference_module(a), _reference_comodule(a), _reference_yd_condition(a))
+    else:
+        rep = CheckReport("Yetter-Drinfeld module algebra")
+        parts = (_reference_module_algebra(a), _reference_comodule_algebra_op(a), _reference_yd_condition(a))
+    for part in parts:
+        rep.merge(part)
+    return rep.failures
+
+
+def _reference_h_opposite_mult(a):
+    """The H-opposite's structure constants by the Fraction loop."""
+    alg = a.alg
+    return [
+        [
+            [
+                sparse_sum((c, alg.mul_sparse({b: Q(1)}, a.images[i][k])) for b, k, c in a.rho[j]).get(p, Q(0))
+                for p in range(alg.dim)
+            ]
+            for j in range(alg.dim)
+        ]
+        for i in range(alg.dim)
+    ]
+
+
+YD_OBJECTS = OBJECTS + ["C over rescaled H4", "C#C over rescaled H4"]
+YD_MODULES = ["C#C module", "C#C module over rescaled H4"]
+
+
+def _yd_object(name):
+    if name.endswith("module") or "module over" in name:
+        a = _object(name.replace(" module", ""))
+        return YDObject(a.hopf, a.dim, None, a.action, a.coaction)
+    return _object(name)
+
+
+def _corrupt_yd(a, kind):
+    """``a`` with one entry changed: of an action matrix, of the coaction, of
+    A's product or of H's product."""
+    h, d, n = a.hopf, a.dim, a.hopf.dim
+    action, coaction, alg = list(a.action), a.coaction, a.alg
+    if kind == "action + 1/97":
+        data = [list(row) for row in action[n - 1].data]
+        data[0][d - 1] += Q(1, 97)
+        action[n - 1] = Matrix(data)
+    elif kind == "coaction - 3":
+        coaction = [list(row) for row in coaction]
+        coaction[d - 1][0] -= 3
+    elif kind == "A constant + 1/5":
+        mult = [[list(v) for v in row] for row in alg.mult]
+        mult[d - 1][0][d - 1] += Q(1, 5)
+        alg = StructureAlgebra(alg.basis, alg.unit, mult, name=alg.name)
+    else:
+        mult = [[list(v) for v in row] for row in h.alg.mult]
+        mult[1][n - 1][0] += Q(1, 5)
+        h_alg = StructureAlgebra(h.alg.basis, h.alg.unit, mult, name=h.alg.name)
+        h = HopfAlgebra(h_alg, h.cop, h.counit, h.antipode, h.antipode_inv, name=h.name, meta=h.meta)
+    return YDObject(h, d, alg, action, coaction)
+
+
+def _yd_failures(a):
+    return (check_yd_algebra(a) if a.alg is not None else check_yd_module(a)).failures
+
+
+def test_rescaled_h4_has_a_scale_on_every_tensor():
+    a = _object("C#C over rescaled H4")
+    h = a.hopf
+    scales = {
+        "unit of H": common_denominator(h.alg.unit),
+        "unit of A": common_denominator(a.alg.unit),
+        "counit": common_denominator(h.counit),
+        "product of H": h.alg.int_sp[0],
+        "product of A": a.alg.int_sp[0],
+        "coproduct": common_denominator(c for i in range(h.dim) for _, _, c in h.cop_sparse(i)),
+        "(Δ⊗id)Δ": common_denominator(c for i in range(h.dim) for *_, c in h.sweedler2(i)),
+        "S⁻¹": common_denominator(c for row in h.antipode_inv.data for c in row),
+        "action": a.int_images[0],
+        "coaction": a.int_rho[0],
+    }
+    assert all(den > 1 for den in scales.values()), scales
+
+
+@pytest.mark.parametrize("name", YD_OBJECTS + YD_MODULES)
+def test_yd_checks_pass_like_the_fraction_loops(name):
+    a = _yd_object(name)
+    assert _yd_failures(a) == _reference_yd_failures(a) == []
+
+
+YD_CORRUPTIONS = [
+    (name, kind)
+    for name in YD_OBJECTS + YD_MODULES
+    for kind in ("action + 1/97", "coaction - 3", "A constant + 1/5", "H constant + 1/5")
+    if name in YD_OBJECTS or kind != "A constant + 1/5"
+]
+
+
+@pytest.mark.parametrize("name,kind", YD_CORRUPTIONS)
+def test_yd_failures_match_the_fraction_loops(name, kind):
+    bad = _corrupt_yd(_yd_object(name), kind)
+    failures = _yd_failures(bad)
+    assert failures
+    assert failures == _reference_yd_failures(bad)
+
+
+@pytest.mark.parametrize("name", ["C#C", "E(2) C#C", "C over rescaled H4", "C#C over rescaled H4"])
+def test_h_opposite_equals_the_fraction_loop(name):
+    a = _object(name)
+    opposite = h_opposite(a)
+    assert opposite.alg.mult == _reference_h_opposite_mult(a)
+    assert _yd_failures(opposite) == _reference_yd_failures(opposite) == []

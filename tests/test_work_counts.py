@@ -1,16 +1,17 @@
 """Deterministic work counts: the Drinfeld double is built without the dense
 product and without linear solves, R_t and r_t take their inverses in closed
-form, a Ψ transport checks its lazy cocycle once, and F, G and the
-associativity check contract on integers without the Fraction product, so a
-regression to any of these shows here without timing noise."""
+form, a Ψ transport checks its lazy cocycle once, and F, G, the
+associativity check, the Yetter-Drinfeld axiom checks and the H-opposite
+contract on integers without the Fraction product, so a regression to any of
+these shows here without timing noise."""
 
 from collections import Counter
 from fractions import Fraction as Q
 
 from hopfbrauer import hopf, sweedler
 from hopfbrauer.algebra import StructureAlgebra, check_algebra_axioms
-from hopfbrauer.e2 import build_e2
-from hopfbrauer.yd import fg_maps, sharp_product
+from hopfbrauer.e2 import build_c_e2, build_e2
+from hopfbrauer.yd import check_yd_algebra, fg_maps, h_opposite, sharp_product
 
 
 def test_drinfeld_double_of_e2_uses_no_dense_product_and_no_solve(monkeypatch):
@@ -55,21 +56,42 @@ def test_psi_transport_checks_its_cocycle_once(monkeypatch):
     assert calls == [Q(2)]
 
 
-def test_fg_maps_and_associativity_make_no_fraction_product(monkeypatch):
-    # the d = 8 rung of the seed-7 azumaya_ladder tower
+def _ladder_rung_d8():
+    """The d = 8 rung of the seed-7 azumaya_ladder tower."""
     factors = [(Q(2, 3), Q(1), Q(-1)), (Q(-7, 9), Q(1, 2), Q(-4)), (Q(5, 2), Q(7, 8), Q(-6))]
     rung = sweedler.build_C(sweedler.CFamilyDescriptor(*factors[0]))
     for factor in factors[1:]:
         rung = sharp_product(rung, sweedler.build_C(sweedler.CFamilyDescriptor(*factor)))
+    assert rung.dim == 8
+    return rung
+
+
+def _count_fraction_products(monkeypatch) -> list[str]:
+    """Record the algebra of every call to the Fraction ``mul_sparse``."""
     calls = []
     mul_sparse = StructureAlgebra.mul_sparse
 
     def counted(alg, *args):
-        calls.append(alg.dim)
+        calls.append(alg.name)
         return mul_sparse(alg, *args)
 
     monkeypatch.setattr(StructureAlgebra, "mul_sparse", counted)
-    assert rung.dim == 8
+    return calls
+
+
+def test_fg_maps_and_associativity_make_no_fraction_product(monkeypatch):
+    rung = _ladder_rung_d8()
+    calls = _count_fraction_products(monkeypatch)
     fg_maps(rung)
     assert check_algebra_axioms(rung.alg).ok
+    assert calls == []
+
+
+def test_yd_checks_and_h_opposite_make_no_fraction_product(monkeypatch):
+    rung = _ladder_rung_d8()
+    e2_object = build_c_e2(Q(2, 7), Q(3, 5), Q(-1, 11))
+    calls = _count_fraction_products(monkeypatch)
+    assert check_yd_algebra(rung).ok
+    assert check_yd_algebra(e2_object).ok
+    assert check_yd_algebra(h_opposite(rung)).ok
     assert calls == []
