@@ -1,9 +1,12 @@
 """Finite-dimensional unital associative algebras via structure constants.
 
-An algebra is a basis, a unit vector and a multiplication tensor
-``mult[i][j]`` = coefficient vector of e_i · e_j. Elements are coefficient
-vectors over ℚ. Everything downstream (Hopf algebras, Yetter-Drinfeld
-module algebras, endomorphism algebras) is layered over this module.
+An algebra is a basis, a unit vector and the structure constants of its
+product, stored sparse: ``_sp[i][j]`` = e_i · e_j as (k, c) pairs sorted by
+k, every c a nonzero Fraction. The dense tensor ``mult[i][j]`` (coefficient
+vector of e_i · e_j) is a view, built on first read. Elements are
+coefficient vectors over ℚ. Everything downstream (Hopf algebras,
+Yetter-Drinfeld module algebras, endomorphism algebras) is layered over
+this module.
 """
 
 from __future__ import annotations
@@ -11,13 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .linalg import (
     IntVec,
     Matrix,
     SparseVec,
     common_denominator,
+    dense_vec,
     format_rational,
     is_zero_vec,
     kernel_basis,
@@ -81,28 +85,86 @@ def _contract(sp, x: dict, y: dict, out: dict) -> dict:
     return out
 
 
+def canonical_terms(terms: Iterable[Sequence], dim: int) -> tuple[tuple, ...]:
+    """The sparse terms (i₁, …, i_r, c) as a tuple sorted by index, every c
+    stored as a Fraction.
+
+    ``ValueError`` unless every index is an int in range(dim), no index tuple
+    occurs twice and every c is a nonzero int or Fraction. The result is the
+    table a scan of the dense tensor would give, in one pass over the terms.
+    """
+    out: dict[tuple[int, ...], Fraction] = {}
+    for *idx, c in terms:
+        key = tuple(idx)
+        for i in key:
+            if type(i) is not int or not 0 <= i < dim:
+                raise ValueError(f"sparse term index {key} is not in range({dim})")
+        if key in out:
+            raise ValueError(f"sparse term index {key} occurs twice")
+        if type(c) is not Fraction:
+            if not isinstance(c, int):
+                raise ValueError(f"coefficient {c!r} at {key} is not rational")
+            c = Fraction(c)
+        if not c:
+            raise ValueError(f"zero coefficient at {key}")
+        out[key] = c
+    return tuple([(*key, c) for key, c in sorted(out.items())])
+
+
 class StructureAlgebra:
-    """Unital associative algebra given by structure constants over ℚ."""
+    """Unital associative algebra given by structure constants over ℚ.
+
+    Only the sparse table ``_sp`` is stored; ``__init__`` takes the dense
+    tensor and ``from_sparse`` the table itself.
+    """
 
     def __init__(self, basis: Sequence[str], unit: Sequence, mult: Sequence[Sequence[Sequence]], name: str = ""):
+        dim = len(basis)
+        if len(mult) != dim or any(len(row) != dim for row in mult):
+            raise ValueError("multiplication tensor has wrong shape")
+        sp = []
+        for row in mult:
+            sp_row = []
+            for v in row:
+                v = vec(v)
+                if len(v) != dim:
+                    raise ValueError("multiplication tensor entry has wrong length")
+                sp_row.append(tuple((k, c) for k, c in enumerate(v) if c))
+            sp.append(sp_row)
+        self._set(basis, unit, sp, name)
+
+    @classmethod
+    def from_sparse(
+        cls, basis: Sequence[str], unit: Sequence, table: Sequence[Sequence[Iterable[Sequence]]], name: str = ""
+    ) -> "StructureAlgebra":
+        """The algebra whose e_i · e_j is Σ c·e_k over the (k, c) pairs of
+        table[i][j], canonicalized by ``canonical_terms`` (so ``ValueError``
+        on a bad index, a repeated index or a zero or non-rational c)."""
+        dim = len(basis)
+        if len(table) != dim or any(len(row) != dim for row in table):
+            raise ValueError("multiplication table has wrong shape")
+        alg = cls.__new__(cls)
+        alg._set(basis, unit, [[canonical_terms(term, dim) for term in row] for row in table], name)
+        return alg
+
+    def _set(self, basis: Sequence[str], unit: Sequence, sp: list, name: str) -> None:
         self.dim = len(basis)
         self.basis = [str(b) for b in basis]
         self.unit = vec(unit)
-        self.mult = [[vec(mult[i][j]) for j in range(self.dim)] for i in range(self.dim)]
         self.name = name
         if len(self.unit) != self.dim:
             raise ValueError("unit vector has wrong length")
-        if len(self.mult) != self.dim or any(len(row) != self.dim for row in self.mult):
-            raise ValueError("multiplication tensor has wrong shape")
-        for row in self.mult:
-            for v in row:
-                if len(v) != self.dim:
-                    raise ValueError("multiplication tensor entry has wrong length")
-        # sparse view of the multiplication tensor, used by every hot loop
-        self._sp = [
-            [tuple((k, c) for k, c in enumerate(self.mult[i][j]) if c) for j in range(self.dim)]
-            for i in range(self.dim)
-        ]
+        # sparse structure constants, read by every hot loop
+        self._sp = sp
+
+    @cached_property
+    def mult(self) -> list[list[list[Fraction]]]:
+        """Dense view: mult[i][j] is the coefficient vector of e_i · e_j."""
+        return [[dense_vec(dict(term), self.dim) for term in row] for row in self._sp]
+
+    def same_product(self, other: "StructureAlgebra") -> bool:
+        """Equal structure constants, compared on the canonical sparse tables."""
+        return self._sp == other._sp
 
     # -- element arithmetic on raw coefficient vectors -------------------
 
@@ -311,8 +373,8 @@ def check_algebra_axioms(a: StructureAlgebra) -> CheckReport:
 
 
 def opposite_algebra(a: StructureAlgebra) -> StructureAlgebra:
-    mult = [[a.mult[j][i] for j in range(a.dim)] for i in range(a.dim)]
-    return StructureAlgebra(a.basis, a.unit, mult, name=f"{a.name}^op" if a.name else "op")
+    table = [[a.mul_basis(j, i) for j in range(a.dim)] for i in range(a.dim)]
+    return StructureAlgebra.from_sparse(a.basis, a.unit, table, name=f"{a.name}^op" if a.name else "op")
 
 
 def endomorphism_algebra(n: int) -> StructureAlgebra:

@@ -363,8 +363,7 @@ def witness_end_p() -> YDObject:
         cols = []
         for q in range(d):
             for p in range(d):
-                e = Matrix.zero(d, d)
-                e.data[p][q] = Q(1)
+                e = Matrix([[1 if (r, s) == (p, q) else 0 for s in range(d)] for r in range(d)])
                 cols.append(operator_to_vec(fun(e)))
         return Matrix.from_cols(cols)
 

@@ -1,10 +1,13 @@
 """Hopf algebras as structure-constant data.
 
 A Hopf algebra is a :class:`~hopfbrauer.algebra.StructureAlgebra` together
-with a coproduct tensor Δ[i] ∈ k^{dim×dim}, a counit vector, and antipode
-matrices S, S⁻¹. The module provides axiom checking, duals, Drinfeld
-doubles with their canonical quasitriangular element, (co)quasitriangular
-structure validation, and Hopf morphism checking.
+with a coproduct, a counit vector, and antipode matrices S, S⁻¹. The
+coproduct is stored sparse, ``_spcop[i]`` = Δ(e_i) as (p, q, c) triples
+sorted by (p, q), every c a nonzero Fraction; the dense Δ[i] ∈ k^{dim×dim}
+(``cop[i][p·dim + q]``) is a view, built on first read. The module
+provides axiom checking, duals, Drinfeld doubles with their canonical
+quasitriangular element, (co)quasitriangular structure validation, and
+Hopf morphism checking.
 
 Elements of H ⊗ H and H ⊗ H ⊗ H appearing in checks are handled as sparse
 dicts keyed by index tuples; the flat basis ordering is left-factor major.
@@ -14,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
-from .algebra import CheckReport, StructureAlgebra, check_algebra_axioms
+from .algebra import CheckReport, StructureAlgebra, canonical_terms, check_algebra_axioms
 from .linalg import (
     Matrix,
     SparseVec,
@@ -30,6 +34,10 @@ from .linalg import (
 
 
 class HopfAlgebra:
+    """A Hopf algebra on the basis of ``alg``. Only the sparse coproduct
+    ``_spcop`` is stored; ``__init__`` takes the dense Δ and ``from_sparse``
+    the triples themselves."""
+
     def __init__(
         self,
         alg: StructureAlgebra,
@@ -40,23 +48,66 @@ class HopfAlgebra:
         name: str = "",
         meta: dict | None = None,
     ):
+        n = alg.dim
+        cop = [vec(c) for c in coproduct]
+        if len(cop) != n or any(len(c) != n * n for c in cop):
+            raise ValueError("coproduct tensor has wrong shape")
+        spcop = [tuple((k // n, k % n, c) for k, c in enumerate(row) if c) for row in cop]
+        self._set(alg, spcop, counit, antipode, antipode_inv, name, meta)
+
+    @classmethod
+    def from_sparse(
+        cls,
+        alg: StructureAlgebra,
+        coproduct: Sequence[Iterable[Sequence]],
+        counit: Sequence,
+        antipode: Matrix,
+        antipode_inv: Matrix | None = None,
+        name: str = "",
+        meta: dict | None = None,
+    ) -> "HopfAlgebra":
+        """The Hopf algebra with Δ(e_i) = Σ c·e_p ⊗ e_q over the (p, q, c)
+        triples of coproduct[i], canonicalized by ``canonical_terms`` (so
+        ``ValueError`` on a bad index, a repeated (p, q) or a zero or
+        non-rational c)."""
+        n = alg.dim
+        if len(coproduct) != n:
+            raise ValueError("coproduct table has wrong length")
+        h = cls.__new__(cls)
+        h._set(alg, [canonical_terms(terms, n) for terms in coproduct], counit, antipode, antipode_inv, name, meta)
+        return h
+
+    def _set(
+        self,
+        alg: StructureAlgebra,
+        spcop: list,
+        counit: Sequence,
+        antipode: Matrix,
+        antipode_inv: Matrix | None,
+        name: str,
+        meta: dict | None,
+    ) -> None:
         self.alg = alg
         self.dim = alg.dim
-        self.cop = [vec(c) for c in coproduct]
         self.counit = vec(counit)
         self.antipode = antipode
         self.antipode_inv = antipode_inv if antipode_inv is not None else antipode.inverse()
         self.name = name or alg.name
         self.meta = dict(meta or {})
-        if len(self.cop) != self.dim or any(len(c) != self.dim * self.dim for c in self.cop):
-            raise ValueError("coproduct tensor has wrong shape")
         if len(self.counit) != self.dim:
             raise ValueError("counit vector has wrong length")
-        n = self.dim
-        self._spcop = [
-            tuple((k // n, k % n, c) for k, c in enumerate(self.cop[i]) if c) for i in range(n)
-        ]
+        self._spcop = spcop
         self._sw2: list[tuple[tuple[int, int, int, Fraction], ...]] | None = None
+
+    @cached_property
+    def cop(self) -> list[list[Fraction]]:
+        """Dense view: cop[i][p·dim + q] is the coefficient of e_p ⊗ e_q in Δ(e_i)."""
+        n = self.dim
+        return [dense_vec({p * n + q: c for p, q, c in terms}, n * n) for terms in self._spcop]
+
+    def same_coproduct(self, other: "HopfAlgebra") -> bool:
+        """Equal coproducts, compared on the canonical sparse tables."""
+        return self._spcop == other._spcop
 
     # -- Sweedler expansions -------------------------------------------
 
@@ -243,20 +294,20 @@ def dual_hopf(h: HopfAlgebra) -> HopfAlgebra:
     """H* on the dual basis: mult = Δᵀ, coproduct = multᵀ, antipode = Sᵀ."""
     n = h.dim
     basis = [b + "*" for b in h.alg.basis]
-    mult = [[zero_vec(n) for _ in range(n)] for _ in range(n)]
+    table: list[list[list[tuple[int, Fraction]]]] = [[[] for _ in range(n)] for _ in range(n)]
     for m in range(n):
         for p, q, c in h.cop_sparse(m):
-            mult[p][q][m] += c
-    alg = StructureAlgebra(basis, h.counit, mult, name=(h.name or "H") + "*")
-    cop = [zero_vec(n * n) for _ in range(n)]
+            table[p][q].append((m, c))
+    alg = StructureAlgebra.from_sparse(basis, h.counit, table, name=(h.name or "H") + "*")
+    cop: list[list[tuple[int, int, Fraction]]] = [[] for _ in range(n)]
     for u in range(n):
         for v in range(n):
             for i, c in h.alg.mul_basis(u, v):
-                cop[i][u * n + v] += c
+                cop[i].append((u, v, c))
     counit = list(h.alg.unit)
     antipode = h.antipode.transpose()
     antipode_inv = h.antipode_inv.transpose()
-    return HopfAlgebra(alg, cop, counit, antipode, antipode_inv, name=alg.name)
+    return HopfAlgebra.from_sparse(alg, cop, counit, antipode, antipode_inv, name=alg.name)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +396,7 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
                 for i2, c in ha.mul_sparse(left, {p: one}).items():
                     lam.setdefault((p, r, i2), {})[m] = c
 
-    mult = [[zero_vec(big) for _ in range(big)] for _ in range(big)]
+    table: list[list[SparseVec]] = [[{} for _ in range(big)] for _ in range(big)]
     for j in range(n):
         sw2 = h.sweedler2(j)
         for i2 in range(n):
@@ -355,7 +406,7 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
                 fparts: dict[int, SparseVec] = {}
                 for q, c, lm in terms:
                     da.mul_sparse({i: c}, lm, fparts.setdefault(q, {}))
-                row = mult[i * n + j]
+                row = table[i * n + j]
                 for j2 in range(n):
                     out = row[i2 * n + j2]
                     for q, fpart in fparts.items():
@@ -363,16 +414,27 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
                         for wi, fv in fpart.items():
                             base = wi * n
                             for hj, hv in hq:
-                                out[base + hj] += fv * hv
-    alg = StructureAlgebra(basis, unit, mult, name=f"D({h.name or 'H'})")
+                                k = base + hj
+                                out[k] = out[k] + fv * hv if k in out else fv * hv
+    # sums that cancelled to zero are dropped: from_sparse rejects zero terms
+    alg = StructureAlgebra.from_sparse(
+        basis,
+        unit,
+        [[[(k, c) for k, c in out.items() if c] for out in row] for row in table],
+        name=f"D({h.name or 'H'})",
+    )
 
-    cop = [zero_vec(big * big) for _ in range(big)]
-    for i in range(n):
-        for j in range(n):
-            row = cop[i * n + j]
-            for u, v, cuv in hd.cop_sparse(i):
-                for p, q, cpq in h.cop_sparse(j):
-                    row[(v * n + p) * big + u * n + q] += cuv * cpq
+    # Δ(f ⋈ a) = (f₍₂₎ ⋈ a₍₁₎) ⊗ (f₍₁₎ ⋈ a₍₂₎), Δ of H* on f; each (u, v, p, q)
+    # fills its own slot, so no two triples share an index
+    cop = [
+        [
+            (v * n + p, u * n + q, cuv * cpq)
+            for u, v, cuv in hd.cop_sparse(i)
+            for p, q, cpq in h.cop_sparse(j)
+        ]
+        for i in range(n)
+        for j in range(n)
+    ]
     counit = [hd.counit[i] * h.counit[j] for i in range(n) for j in range(n)]
 
     def closed_antipode(s_h: Matrix, s_dual: Matrix) -> list[SparseVec]:
@@ -387,7 +449,7 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
 
     s = closed_antipode(h.antipode, hd.antipode_inv)
     s_inv = closed_antipode(h.antipode_inv, hd.antipode)
-    double = HopfAlgebra(
+    double = HopfAlgebra.from_sparse(
         alg,
         cop,
         counit,

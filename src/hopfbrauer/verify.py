@@ -175,7 +175,7 @@ def suite_hopf(s: Suite) -> None:
     s.check(
         "double-dual",
         "§1 self-duality of H₄",
-        dd.alg.mult == h4.alg.mult and dd.cop == h4.cop and dd.antipode == h4.antipode,
+        dd.alg.same_product(h4.alg) and dd.same_coproduct(h4) and dd.antipode == h4.antipode,
     )
     s.check(
         "canonical-R",

@@ -129,7 +129,7 @@ class YDObject:
         equals None)."""
         return (
             (self.alg is None) == (other.alg is None)
-            and (self.alg is None or self.alg.mult == other.alg.mult)
+            and (self.alg is None or self.alg.same_product(other.alg))
             and self.action == other.action
             and self.coaction == other.coaction
         )
@@ -355,14 +355,15 @@ def h_opposite(a: YDObject) -> YDObject:
     den_a, images = a.int_images
     den = den_c * den_a * alg.int_sp[0]
 
-    def product(i: int, j: int) -> list[Fraction]:
+    def product(i: int, j: int) -> SparseVec:
         out: IntVec = {}
         for b, k, c in rho[j]:
             alg.mul_int({b: c}, images[i][k], out)
-        return dense_vec(_over(out, den), alg.dim)
+        return _over(out, den)
 
-    mult = [[product(i, j) for j in range(alg.dim)] for i in range(alg.dim)]
-    new_alg = StructureAlgebra(alg.basis, alg.unit, mult, name=f"{alg.name}~" if alg.name else "opposite")
+    table = [[product(i, j).items() for j in range(alg.dim)] for i in range(alg.dim)]
+    name = f"{alg.name}~" if alg.name else "opposite"
+    new_alg = StructureAlgebra.from_sparse(alg.basis, alg.unit, table, name=name)
     return YDObject(a.hopf, alg.dim, new_alg, a.action, a.coaction)
 
 

@@ -1,0 +1,276 @@
+"""The sparse constructors of ``StructureAlgebra`` and ``HopfAlgebra``.
+
+``dual_hopf`` and ``drinfeld_double`` hand their products and coproducts to
+``from_sparse`` as sparse terms. These tests compare every stored table,
+dense view, unit, counit and antipode with the earlier dense build, whose
+loops are kept below as the reference, and check that the sparse
+constructors reject malformed tables as the dense ones do.
+"""
+
+from fractions import Fraction as Q
+
+import pytest
+
+from test_integer_scaling import H4_SCALES, _rescaled_hopf
+
+from hopfbrauer.algebra import StructureAlgebra, opposite_algebra
+from hopfbrauer.e2 import build_e2
+from hopfbrauer.hopf import HopfAlgebra, drinfeld_double, dual_hopf
+from hopfbrauer.linalg import Matrix, dense_vec, sparse_vec, zero_vec
+from hopfbrauer.sweedler import build_h4
+
+
+# -- the earlier dense builds, kept as the reference ---------------------------
+
+
+def _reference_dual(h: HopfAlgebra) -> HopfAlgebra:
+    n = h.dim
+    basis = [b + "*" for b in h.alg.basis]
+    mult = [[zero_vec(n) for _ in range(n)] for _ in range(n)]
+    for m in range(n):
+        for p, q, c in h.cop_sparse(m):
+            mult[p][q][m] += c
+    alg = StructureAlgebra(basis, h.counit, mult, name=(h.name or "H") + "*")
+    cop = [zero_vec(n * n) for _ in range(n)]
+    for u in range(n):
+        for v in range(n):
+            for i, c in h.alg.mul_basis(u, v):
+                cop[i][u * n + v] += c
+    return HopfAlgebra(
+        alg, cop, list(h.alg.unit), h.antipode.transpose(), h.antipode_inv.transpose(), name=alg.name
+    )
+
+
+def _bowtie(n, f, a):
+    return {i * n + j: x * y for i, x in f.items() for j, y in a.items()}
+
+
+def _reference_double(h: HopfAlgebra) -> HopfAlgebra:
+    hd = _reference_dual(h)
+    ha, da = h.alg, hd.alg
+    n = h.dim
+    big = n * n
+    one = Q(1)
+    basis = [f"{da.basis[i]}⋈{ha.basis[j]}" for i in range(n) for j in range(n)]
+    eps = sparse_vec(da.unit)
+    unit_h = sparse_vec(ha.unit)
+    unit = dense_vec(_bowtie(n, eps, unit_h), big)
+
+    lam = {}
+    for r in range(n):
+        sinv_r = sparse_vec(h.antipode_inv.col(r))
+        for m in range(n):
+            left = ha.mul_sparse(sinv_r, {m: one})
+            for p in range(n):
+                for i2, c in ha.mul_sparse(left, {p: one}).items():
+                    lam.setdefault((p, r, i2), {})[m] = c
+
+    mult = [[zero_vec(big) for _ in range(big)] for _ in range(big)]
+    for j in range(n):
+        sw2 = h.sweedler2(j)
+        for i2 in range(n):
+            terms = [(q, c, lam[(p, r, i2)]) for p, q, r, c in sw2 if (p, r, i2) in lam]
+            for i in range(n):
+                fparts = {}
+                for q, c, lm in terms:
+                    da.mul_sparse({i: c}, lm, fparts.setdefault(q, {}))
+                row = mult[i * n + j]
+                for j2 in range(n):
+                    out = row[i2 * n + j2]
+                    for q, fpart in fparts.items():
+                        hq = ha.mul_basis(q, j2)
+                        for wi, fv in fpart.items():
+                            for hj, hv in hq:
+                                out[wi * n + hj] += fv * hv
+    alg = StructureAlgebra(basis, unit, mult, name=f"D({h.name or 'H'})")
+
+    cop = [zero_vec(big * big) for _ in range(big)]
+    for i in range(n):
+        for j in range(n):
+            row = cop[i * n + j]
+            for u, v, cuv in hd.cop_sparse(i):
+                for p, q, cpq in h.cop_sparse(j):
+                    row[(v * n + p) * big + u * n + q] += cuv * cpq
+    counit = [hd.counit[i] * h.counit[j] for i in range(n) for j in range(n)]
+
+    def closed_antipode(s_h, s_dual):
+        hcols = [sparse_vec(s_h.col(j)) for j in range(n)]
+        dcols = [sparse_vec(s_dual.col(i)) for i in range(n)]
+        return Matrix.from_cols([
+            dense_vec(alg.mul_sparse(_bowtie(n, eps, hcols[j]), _bowtie(n, dcols[i], unit_h)), big)
+            for i in range(n)
+            for j in range(n)
+        ])
+
+    return HopfAlgebra(
+        alg,
+        cop,
+        counit,
+        closed_antipode(h.antipode, hd.antipode_inv),
+        closed_antipode(h.antipode_inv, hd.antipode),
+        name=alg.name,
+    )
+
+
+# -- differential tests --------------------------------------------------------
+
+
+def _rescaled_h4():
+    return _rescaled_hopf(build_h4(), H4_SCALES)
+
+
+BUILDS = [build_h4, build_e2, _rescaled_h4]
+BUILD_IDS = ["H4", "E2", "rescaled H4"]
+
+
+def _assert_same_hopf(got: HopfAlgebra, want: HopfAlgebra) -> None:
+    assert got.alg.basis == want.alg.basis and got.alg.name == want.alg.name
+    assert got.alg._sp == want.alg._sp
+    assert got._spcop == want._spcop
+    assert got.alg.unit == want.alg.unit
+    assert got.counit == want.counit
+    assert got.antipode == want.antipode
+    assert got.antipode_inv == want.antipode_inv
+    # the dense views are derived on first read
+    assert "mult" not in got.alg.__dict__ and "cop" not in got.__dict__
+    assert got.alg.mult == want.alg.mult
+    assert got.cop == want.cop
+    assert got.alg.same_product(want.alg) and got.same_coproduct(want)
+
+
+@pytest.mark.parametrize("build", BUILDS, ids=BUILD_IDS)
+def test_dual_equals_the_dense_build(build):
+    h = build()
+    _assert_same_hopf(dual_hopf(h), _reference_dual(h))
+
+
+@pytest.mark.parametrize("build", BUILDS, ids=BUILD_IDS)
+def test_double_equals_the_dense_build(build):
+    h = build()
+    _assert_same_hopf(drinfeld_double(h)[0], _reference_double(h))
+
+
+def test_opposite_transposes_the_sparse_table():
+    h = _rescaled_h4()
+    opp = opposite_algebra(h.alg)
+    dense = [[h.alg.mult[j][i] for j in range(h.dim)] for i in range(h.dim)]
+    assert opp._sp == StructureAlgebra(h.alg.basis, h.alg.unit, dense)._sp
+    assert opp.mult == dense
+    assert opposite_algebra(opp).same_product(h.alg)
+
+
+def test_same_product_and_coproduct_see_one_coefficient():
+    h = _rescaled_h4()
+    mult = [[list(v) for v in row] for row in h.alg.mult]
+    mult[1][2][3] += Q(1, 7)
+    assert not StructureAlgebra(h.alg.basis, h.alg.unit, mult).same_product(h.alg)
+    cop = [list(c) for c in h.cop]
+    cop[2][5] -= Q(3)
+    assert not HopfAlgebra(h.alg, cop, h.counit, h.antipode, h.antipode_inv).same_coproduct(h)
+    assert dual_hopf(dual_hopf(h)).same_coproduct(h)
+
+
+# -- robustness ----------------------------------------------------------------
+
+KZ2_TABLE = [[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, 1)]]]
+
+
+def _kz2(table):
+    return StructureAlgebra.from_sparse(["1", "g"], [1, 0], table)
+
+
+def _with_term(term):
+    return [[[(0, 1)], [(1, 1)]], [[(1, 1)], [term]]]
+
+
+def test_sparse_algebra_equals_the_dense_one():
+    alg = _kz2([[[(0, Q(1))], [(1, 1)]], [[(1, 1)], [(0, 1)]]])
+    dense = StructureAlgebra(["1", "g"], [1, 0], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
+    assert alg._sp == dense._sp and alg.mult == dense.mult
+    # the terms of a product may come in any order
+    alg = _kz2([[[], []], [[], [(1, Q(2)), (0, 3)]]])
+    assert alg.mul_basis(1, 1) == ((0, Q(3)), (1, Q(2)))
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        KZ2_TABLE[:1],
+        [KZ2_TABLE[0], KZ2_TABLE[1][:1]],
+        _with_term((2, 1)),
+        _with_term((-1, 1)),
+        [[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, 1), (0, 2)]]],
+        _with_term((0, 0)),
+        _with_term((0, Q(0))),
+        _with_term((0, 0.5)),
+        _with_term((0, "1/2")),
+        _with_term((0, None)),
+        _with_term((1.0, 1)),
+    ],
+    ids=[
+        "rows", "entries", "index=dim", "index<0", "duplicate", "zero int",
+        "zero Fraction", "float", "string", "None", "float index",
+    ],
+)
+def test_sparse_algebra_rejects_bad_tables(table):
+    with pytest.raises(ValueError):
+        _kz2(table)
+
+
+def test_sparse_algebra_rejects_a_short_unit():
+    with pytest.raises(ValueError):
+        StructureAlgebra.from_sparse(["1", "g"], [1], KZ2_TABLE)
+
+
+def test_dense_constructors_reject_bad_shapes():
+    # the dense counterparts of the shape errors above; a short tensor used
+    # to raise IndexError
+    with pytest.raises(ValueError):
+        StructureAlgebra(["1", "g"], [1, 0], [[[1, 0], [0, 1]]])
+    with pytest.raises(ValueError):
+        StructureAlgebra(["1", "g"], [1, 0], [[[1, 0], [0, 1]], [[0, 1], [1, 0, 0]]])
+    with pytest.raises(ValueError):
+        StructureAlgebra(["1", "g"], [1, 0], [[[1, 0], [0, 1]], [[0, 1], [1, "x"]]])
+    alg = _kz2(KZ2_TABLE)
+    with pytest.raises(ValueError):
+        HopfAlgebra(alg, [[1, 0, 0, 0]], [1, 1], Matrix.identity(2))
+    with pytest.raises(ValueError):
+        HopfAlgebra(alg, [[1, 0, 0, 0], [0, 0, 0]], [1, 1], Matrix.identity(2))
+
+
+KZ2_COP = [[(0, 0, 1)], [(1, 1, 1)]]
+
+
+def _kz2_hopf(cop, counit=(1, 1)):
+    return HopfAlgebra.from_sparse(_kz2(KZ2_TABLE), cop, counit, Matrix.identity(2))
+
+
+def test_sparse_hopf_equals_the_dense_one():
+    h = _kz2_hopf(KZ2_COP)
+    dense = HopfAlgebra(h.alg, [[1, 0, 0, 0], [0, 0, 0, 1]], [1, 1], Matrix.identity(2))
+    assert h._spcop == dense._spcop and h.cop == dense.cop
+    assert h.antipode_inv == Matrix.identity(2)
+
+
+@pytest.mark.parametrize(
+    "cop",
+    [
+        KZ2_COP[:1],
+        KZ2_COP + [[]],
+        [[(0, 0, 1)], [(1, 2, 1)]],
+        [[(0, 0, 1)], [(-1, 1, 1)]],
+        [[(0, 0, 1)], [(1, 1, 1), (1, 1, Q(2))]],
+        [[(0, 0, 1)], [(1, 1, 0)]],
+        [[(0, 0, 1)], [(1, 1, 1.5)]],
+        [[(0, 0, 1)], [(1, 1, "1")]],
+    ],
+    ids=["rows", "extra row", "index=dim", "index<0", "duplicate", "zero", "float", "string"],
+)
+def test_sparse_hopf_rejects_bad_coproducts(cop):
+    with pytest.raises(ValueError):
+        _kz2_hopf(cop)
+
+
+def test_sparse_hopf_rejects_a_short_counit():
+    with pytest.raises(ValueError):
+        _kz2_hopf(KZ2_COP, counit=(1,))

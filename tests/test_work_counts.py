@@ -1,5 +1,5 @@
 """Deterministic work counts: the Drinfeld double is built without the dense
-product and without linear solves, R_t and r_t take their inverses in closed
+product, without linear solves and without a dense view of its tables, R_t and r_t take their inverses in closed
 form, a Ψ transport checks its lazy cocycle once, and F, G, the
 associativity check, the Yetter-Drinfeld axiom checks and the H-opposite
 contract on integers without the Fraction product, so a regression to any of
@@ -32,6 +32,13 @@ def test_drinfeld_double_of_e2_uses_no_dense_product_and_no_solve(monkeypatch):
     double, _ = hopf.drinfeld_double(e2)
     assert double.dim == 64
     assert counts == Counter()
+
+
+def test_double_of_e2_builds_no_dense_view():
+    double, canonical = hopf.drinfeld_double(build_e2())
+    assert hopf.check_quasitriangular(double, canonical).ok
+    assert "mult" not in double.alg.__dict__
+    assert "cop" not in double.__dict__
 
 
 def test_rt_and_rt_form_are_built_without_a_solve(monkeypatch):
