@@ -39,7 +39,7 @@ from .sweedler import (
     psi_transport,
     sharp_product_matches_presentation,
 )
-from .verify import run_verification
+from .verify import run_verification, thm63_params
 from .yd import is_h_azumaya
 
 USAGE_ERROR = 2
@@ -129,6 +129,7 @@ def cmd_verify(args) -> int:
         options["t"] = args.t
     if args.q is not None:
         options["q"] = args.q
+    thm63_params(options)  # excluded --t/--q are bad input (exit 2), not a failed suite
     try:
         report = run_verification(args.suite or ("all",), args.seed, args.samples, options)
     except KeyError as exc:

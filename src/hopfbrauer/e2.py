@@ -8,7 +8,9 @@ along the surjection T; restriction along T and along the sections
 θ_{λ,μ}: E(2) → H₄ moves module algebras between the two worlds.
 
 The module also hosts the graded-central-simplicity machinery (the maps
-F₀/G₀ built from the parity flip), the exactness witness End(P) with its
+F₀/G₀, which are F and G of the parity view: the same product over kℤ₂,
+with g·x = (−1)^{|x|}x and ρ(x) = x⊗g^{|x|}, so the one F/G contraction of
+``yd`` builds them), the exactness witness End(P) with its
 failed strongly-inner analysis, and the closure counterexample where two
 graded central simple representatives multiply into a class with no
 graded central simple representative.
@@ -28,7 +30,7 @@ from .algebra import (
     super_center,
 )
 from .hopf import HopfAlgebra, HopfMorphism, QTStructure, qt_structure
-from .linalg import Matrix, dense_vec, in_span, is_zero_vec, mat_det, sparse_vec, zero_vec
+from .linalg import Matrix, dense_vec, in_span, sparse_sum, sparse_vec, zero_vec
 from .sweedler import build_dh4, build_h4, dh4_named
 from .yd import (
     FGContraction,
@@ -40,6 +42,7 @@ from .yd import (
     check_yd_algebra,
     conjugation_implementer,
     end_yd,
+    fg_maps,
     graded_flip,
     gradings,
     grouplike_index,
@@ -274,37 +277,45 @@ def bq_grad_member(a: YDObject) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def f0_g0_matrices(a: YDObject, c_index: int | None = None) -> tuple[Matrix, Matrix]:
+@functools.cache
+def _k_z2() -> HopfAlgebra:
+    """The group algebra kℤ₂ on the basis 1, g, with g grouplike and g² = 1."""
+    alg = StructureAlgebra.from_sparse(["1", "g"], [1, 0], [[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, 1)]]], name="kZ2")
+    antipode = Matrix.identity(2)
+    return HopfAlgebra.from_sparse(
+        alg, [[(0, 0, 1)], [(1, 1, 1)]], [1, 1], antipode, antipode, name="kZ2", meta={"g": 1, "pi_keep": (0, 1)}
+    )
+
+
+def parity_view(a: YDObject) -> YDObject:
+    """``a``'s product as a YD algebra over kℤ₂, graded by the action of the
+    grouplike of a's Hopf algebra: g·e_j = (−1)^{|j|}e_j, ρ(e_j) = e_j ⊗ g^{|j|}.
+
+    Its F and G are F₀ and G₀: z₍₁₎·y = (−1)^{|z||y|}y in F(x#y)(z) and
+    x₍₁₎·z = (−1)^{|x||z|}z in G(x#y)(z). ``GradingError`` when a basis
+    vector is not homogeneous.
+    """
+    parity = action_grading(a, grouplike_index(a.hopf))
+    d = a.dim
+    coaction = [dense_vec({2 * j + p: Q(1)}, 2 * d) for j, p in enumerate(parity)]
+    action = [Matrix.identity(d), Matrix.diag([(-1) ** p for p in parity])]
+    return YDObject(_k_z2(), d, a.alg, action, coaction)
+
+
+def f0_g0_matrices(a: YDObject) -> tuple[Matrix, Matrix]:
     """The parity-flip versions of F and G.
 
     F₀(x#y)(z) = (−1)^{|z||y|} x z y and G₀(x#y)(z) = (−1)^{|x||z|} x z y,
     the maps whose bijectivity says the underlying superalgebra is graded
-    central simple. Only the grouplike action (the grading) enters.
+    central simple: F and G of the parity view. Only the grouplike action
+    (the grading) enters.
     """
-    if c_index is None:
-        c_index = grouplike_index(a.hopf)
-    parity = action_grading(a, c_index)
-    alg = a.alg
-    d = alg.dim
-    f = [[Q(0)] * (d * d) for _ in range(d * d)]
-    g = [[Q(0)] * (d * d) for _ in range(d * d)]
-    for x in range(d):
-        for y in range(d):
-            col = x * d + y
-            for z in range(d):
-                prod = alg.mul_vec(alg.mul_vec(alg.basis_vec(x), alg.basis_vec(z)), alg.basis_vec(y))
-                sf = -1 if parity[z] and parity[y] else 1
-                sg = -1 if parity[x] and parity[z] else 1
-                for p, v in enumerate(prod):
-                    if v:
-                        f[z * d + p][col] = sf * v
-                        g[z * d + p][col] = sg * v
-    return Matrix(f), Matrix(g)
+    return fg_maps(parity_view(a))
 
 
-def is_graded_central_simple(a) -> bool:
-    f0, g0 = f0_g0_matrices(a)
-    return mat_det(f0) != 0 and mat_det(g0) != 0
+def is_graded_central_simple(a: YDObject) -> bool:
+    """F₀ and G₀ are both bijective."""
+    return is_h_azumaya(parity_view(a))
 
 
 # ---------------------------------------------------------------------------
@@ -501,14 +512,21 @@ class NotSubgroupReport:
         )
 
 
+def closure_params(t, q) -> tuple[Fraction, Fraction]:
+    """(t, q) as Fractions; ``ValueError`` unless t ∉ {0,1} and q ≠ 2, the
+    parameters for which the closure counterexample is stated."""
+    t, q = Q(t), Q(q)
+    if t in (0, 1) or q == 2:
+        raise ValueError("need t ∉ {0,1} and q ≠ 2")
+    return t, q
+
+
 def not_subgroup_demo(t, q) -> NotSubgroupReport:
     """The closure failure: C(1;t,2) and C(1;1,q) are (E(2),R_N)-Azumaya and
     graded central simple, but their product contains the super-central
     odd element X−Y, is not graded central simple, and admits no inner
     witness for either x_i. Requires t ∉ {0,1} and q ≠ 2."""
-    t, q = Q(t), Q(q)
-    if t in (0, 1) or q == 2:
-        raise ValueError("need t ∉ {0,1} and q ≠ 2")
+    t, q = closure_params(t, q)
     e2 = build_e2()
     a = build_c_e2(1, t, 2)
     b = build_c_e2(1, 1, q)
@@ -610,54 +628,29 @@ def fg_decomposition_residuals(a: YDObject, xv, yv, zv) -> tuple[list[Fraction],
 
         F(x#y)(z) = F₀(x#y)(z) + (−1)^{|z|+1} F₀(x # x₁·y)(x₂·z)
         G(x#y)(z) = G₀(x#y)(z) + (−1)^{|x|+1} G₀(x₂·x # y)(x₁·z)
+
+    F and G are evaluated on ``a``, F₀ and G₀ as F and G of its parity
+    view. ``ValueError`` unless each of x, y, z is nonzero and homogeneous.
     """
     e2 = a.hopf
-    c_idx, x1_idx, x2_idx = e2.meta["c"], e2.meta["x1"], e2.meta["x2"]
-    alg = a.alg
-    parity = action_grading(a, c_idx)
-    px = _parity_of(xv, parity)
-    pz = _parity_of(zv, parity)
+    x1_idx, x2_idx = e2.meta["x1"], e2.meta["x2"]
+    parity = action_grading(a, e2.meta["c"])
+    px, _, pz = (_parity_of(v, parity) for v in (xv, yv, zv))
+    x, y, z = (sparse_vec(v) for v in (xv, yv, zv))
 
-    fg = FGContraction(a)
+    def act(k, v):
+        return sparse_sum((c, a.images[j][k]) for j, c in v.items())
 
-    def fmap(x, y, z):
-        return dense_vec(fg.f_value(sparse_vec(x), sparse_vec(y), sparse_vec(z)), alg.dim)
-
-    def gmap(x, y, z):
-        return dense_vec(fg.g_value(sparse_vec(x), sparse_vec(y), sparse_vec(z)), alg.dim)
-
-    def f0map(x, y, z):
-        zpar = _parity_of(z, parity)
-        ypar = _parity_of(y, parity) if not is_zero_vec(y) else 0
-        sign = Q(-1) if zpar and ypar else Q(1)
-        return [sign * v for v in alg.mul_vec(alg.mul_vec(x, z), y)]
-
-    def g0map(x, y, z):
-        xpar = _parity_of(x, parity) if not is_zero_vec(x) else 0
-        zpar = _parity_of(z, parity)
-        sign = Q(-1) if xpar and zpar else Q(1)
-        return [sign * v for v in alg.mul_vec(alg.mul_vec(x, z), y)]
-
-    x1y = a.action[x1_idx].apply(yv)
-    x2z = a.action[x2_idx].apply(zv)
-    sf = Q(-1) if pz == 0 else Q(1)
-    res_f = [
-        l - (m + sf * n)
-        for l, m, n in zip(
-            fmap(xv, yv, zv),
-            f0map(xv, yv, zv),
-            f0map(xv, x1y, x2z) if not is_zero_vec(x2z) else zero_vec(alg.dim),
-        )
-    ]
-    x2x = a.action[x2_idx].apply(xv)
-    x1z = a.action[x1_idx].apply(zv)
-    sg = Q(-1) if px == 0 else Q(1)
-    res_g = [
-        l - (m + sg * n)
-        for l, m, n in zip(
-            gmap(xv, yv, zv),
-            g0map(xv, yv, zv),
-            g0map(x2x, yv, x1z) if not (is_zero_vec(x2x) or is_zero_vec(x1z)) else zero_vec(alg.dim),
-        )
-    ]
-    return res_f, res_g
+    fg, fg0 = FGContraction(a), FGContraction(parity_view(a))
+    # the last term of each residual is −(−1)^{|z|+1} = (−1)^{|z|} (for G, |x|) times F₀ (G₀)
+    res_f = sparse_sum((
+        (1, fg.f_value(x, y, z)),
+        (-1, fg0.f_value(x, y, z)),
+        ((-1) ** pz, fg0.f_value(x, act(x1_idx, y), act(x2_idx, z))),
+    ))
+    res_g = sparse_sum((
+        (1, fg.g_value(x, y, z)),
+        (-1, fg0.g_value(x, y, z)),
+        ((-1) ** px, fg0.g_value(act(x2_idx, x), y, act(x1_idx, z))),
+    ))
+    return dense_vec(res_f, a.dim), dense_vec(res_g, a.dim)

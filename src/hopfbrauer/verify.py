@@ -23,6 +23,7 @@ from .e2 import (
     build_e2,
     build_e2_module,
     build_RN,
+    closure_params,
     fg_decomposition_residuals,
     kernel_witness,
     not_subgroup_demo,
@@ -632,11 +633,15 @@ def suite_appendix(s: Suite) -> None:
     s.check("prop6.2-noninner", "Prop 6.2", res["agree"] and not res["x1"][0], witness=res)
 
 
+def thm63_params(options: dict) -> tuple[Q, Q]:
+    """The (t, q) of the thm6.3 suite: the options' values, (2, 3) where
+    absent; ``ValueError`` from ``closure_params`` on excluded values."""
+    t, q = options.get("t"), options.get("q")
+    return closure_params(Q(2) if t is None else t, Q(3) if q is None else q)
+
+
 def suite_thm63(s: Suite) -> None:
-    t = s.options.get("t")
-    q = s.options.get("q")
-    t = Q(t) if t is not None else Q(2)
-    q = Q(q) if q is not None else Q(3)
+    t, q = thm63_params(s.options)
     ns = not_subgroup_demo(t, q)
     s.check(
         "closure-fails",

@@ -38,6 +38,14 @@ def test_verify_thm63_with_parameters(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("bad", [("--t", "0"), ("--t", "1"), ("--q", "2")])
+def test_verify_thm63_excluded_parameters_are_usage_errors(capsys, bad):
+    code, out, err = run_cli(capsys, "verify", "--suite", "thm6.3", *bad)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "q ≠ 2" in err
+
+
 def test_verify_determinism(capsys, tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     assert run_cli(capsys, "verify", "--suite", "qt", "--seed", "11", "--json", str(p1))[0] == 0

@@ -16,6 +16,7 @@ from hopfbrauer.e2 import (
     is_graded_central_simple,
     kernel_witness,
     not_subgroup_demo,
+    parity_view,
     prop62_instance_check,
     restrict_along,
     t_morphism,
@@ -28,6 +29,7 @@ from hopfbrauer.hopf import HopfMorphism, check_hopf_morphism, check_quasitriang
 from hopfbrauer.linalg import Matrix, is_zero_vec
 from hopfbrauer.sweedler import CFamilyDescriptor, build_C, build_dh4, build_h4, build_rt, dh4_named
 from hopfbrauer.yd import (
+    GradingError,
     YDObject,
     action_grading,
     check_module,
@@ -287,6 +289,30 @@ def test_fg_decomposition_random():
                 vecs.append(v)
             rf, rg = fg_decomposition_residuals(a, *vecs)
             assert is_zero_vec(rf) and is_zero_vec(rg)
+
+
+def test_fg_decomposition_rejects_inhomogeneous_elements():
+    a = build_c_e2(Q(2), Q(3), Q(-1))
+    even, odd, mixed = [Q(1), Q(0)], [Q(0), Q(1)], [Q(1), Q(1)]
+    assert action_grading(a, build_e2().meta["c"]) == (0, 1)
+    for k in range(3):
+        vecs = [even, odd, odd]
+        vecs[k] = mixed
+        with pytest.raises(ValueError, match="not homogeneous"):
+            fg_decomposition_residuals(a, *vecs)
+
+
+def test_parity_view_is_a_yd_algebra_over_kz2():
+    a = build_c_e2(Q(2), Q(3), Q(-1))
+    for obj in (a, sharp_product(a, build_c_e2(5, 1, 2)), witness_end_p()):
+        view = parity_view(obj)
+        assert view.hopf.dim == 2 and view.alg is obj.alg
+        assert check_yd_algebra(view).ok
+        assert gradings(view).equal and gradings(view).action_parity == action_grading(obj, build_e2().meta["c"])
+    swap = Matrix([[0, 1], [1, 0]])
+    not_graded = YDObject(build_e2(), 2, a.alg, [Matrix.identity(2), swap] + [Matrix.zero(2, 2)] * 6)
+    with pytest.raises(GradingError):
+        f0_g0_matrices(not_graded)
 
 
 def test_end_p_is_azumaya_and_module_checks():

@@ -2,15 +2,22 @@
 product, without linear solves and without a dense view of its tables, R_t and r_t take their inverses in closed
 form, a Ψ transport checks its lazy cocycle once, and F, G, the
 associativity check, the Yetter-Drinfeld axiom checks and the H-opposite
-contract on integers without the Fraction product, so a regression to any of
-these shows here without timing noise."""
+contract on integers without the Fraction product, as do F₀, G₀ and the F/G
+decomposition residuals over E(2), so a regression to any of these shows here
+without timing noise."""
 
 from collections import Counter
 from fractions import Fraction as Q
 
 from hopfbrauer import hopf, sweedler
 from hopfbrauer.algebra import StructureAlgebra, check_algebra_axioms
-from hopfbrauer.e2 import build_c_e2, build_e2
+from hopfbrauer.e2 import (
+    build_c_e2,
+    build_e2,
+    f0_g0_matrices,
+    fg_decomposition_residuals,
+    is_graded_central_simple,
+)
 from hopfbrauer.yd import check_yd_algebra, fg_maps, h_opposite, sharp_product
 
 
@@ -102,3 +109,26 @@ def test_yd_checks_and_h_opposite_make_no_fraction_product(monkeypatch):
     assert check_yd_algebra(e2_object).ok
     assert check_yd_algebra(h_opposite(rung)).ok
     assert calls == []
+
+
+def test_graded_verdict_maps_make_no_fraction_product(monkeypatch):
+    small = build_c_e2(Q(2), Q(3), Q(-1))
+    objects = [small, sharp_product(small, build_c_e2(Q(5), Q(1), Q(2)))]
+    vec_calls = Counter()
+    mul_vec = StructureAlgebra.mul_vec
+
+    def counted_mul_vec(alg, *args):
+        vec_calls[alg.name] += 1
+        return mul_vec(alg, *args)
+
+    monkeypatch.setattr(StructureAlgebra, "mul_vec", counted_mul_vec)
+    calls = _count_fraction_products(monkeypatch)
+    for a in objects:
+        f0_g0_matrices(a)
+        assert is_graded_central_simple(a)
+        # basis vectors are homogeneous, and e_1 is odd
+        x, y, z = ([Q(int(i == k)) for i in range(a.dim)] for k in (0, a.dim - 1, 1))
+        rf, rg = fg_decomposition_residuals(a, x, y, z)
+        assert not any(rf) and not any(rg)
+    assert [a.dim for a in objects] == [2, 4]
+    assert calls == [] and vec_calls == Counter()
