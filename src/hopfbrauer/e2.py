@@ -512,11 +512,17 @@ class NotSubgroupReport:
         )
 
 
+# the values of t and q for which the closure counterexample is not stated
+CLOSURE_EXCLUDED_T = (0, 1)
+CLOSURE_EXCLUDED_Q = (2,)
+
+
 def closure_params(t, q) -> tuple[Fraction, Fraction]:
-    """(t, q) as Fractions; ``ValueError`` unless t ∉ {0,1} and q ≠ 2, the
-    parameters for which the closure counterexample is stated."""
+    """(t, q) as Fractions; ``ValueError`` unless t ∉ {0,1} and q ≠ 2
+    (``CLOSURE_EXCLUDED_T``, ``CLOSURE_EXCLUDED_Q``), the parameters for
+    which the closure counterexample is stated."""
     t, q = Q(t), Q(q)
-    if t in (0, 1) or q == 2:
+    if t in CLOSURE_EXCLUDED_T or q in CLOSURE_EXCLUDED_Q:
         raise ValueError("need t ∉ {0,1} and q ≠ 2")
     return t, q
 

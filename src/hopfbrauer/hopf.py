@@ -11,6 +11,13 @@ Hopf morphism checking.
 
 Elements of H ⊗ H and H ⊗ H ⊗ H appearing in checks are handled as sparse
 dicts keyed by index tuples; the flat basis ordering is left-factor major.
+
+Products in H ⊗ H and H ⊗ H ⊗ H (``t2_mul``, ``t3_mul``), the Hopf and
+quasitriangular axiom checks and the Drinfeld-double build run on
+integer-scaled tables: each operand is scaled to integers over its least
+common denominator, contracted on ``StructureAlgebra.int_sp`` (the product
+over D_m), and either compared as integers over a known scale or divided
+once per entry of the result.
 """
 
 from __future__ import annotations
@@ -22,9 +29,14 @@ from typing import Iterable, Sequence
 
 from .algebra import CheckReport, StructureAlgebra, canonical_terms, check_algebra_axioms
 from .linalg import (
+    IntVec,
     Matrix,
     SparseVec,
     dense_vec,
+    over,
+    scaled,
+    scaled_rows,
+    scaled_vecs,
     solve_sparse,
     sparse_sum,
     sparse_vec,
@@ -105,6 +117,12 @@ class HopfAlgebra:
         n = self.dim
         return [dense_vec({p * n + q: c for p, q, c in terms}, n * n) for terms in self._spcop]
 
+    @cached_property
+    def int_cop(self) -> tuple[int, list[tuple[tuple[int, int, int], ...]]]:
+        """(D_Δ, ``_spcop`` with every coefficient times D_Δ), D_Δ the least
+        common denominator of Δ. Built on first use, like ``int_sp``."""
+        return scaled_rows(self._spcop)
+
     def same_coproduct(self, other: "HopfAlgebra") -> bool:
         """Equal coproducts, compared on the canonical sparse tables."""
         return self._spcop == other._spcop
@@ -170,40 +188,61 @@ def t2_to_vec(x: dict[tuple[int, int], Fraction], dim: int) -> list[Fraction]:
     return out
 
 
-def t2_mul(alg: StructureAlgebra, x: dict, y: dict) -> dict:
-    out: dict[tuple[int, int], Fraction] = {}
-    mul_basis = alg.mul_basis
+def _t2_int(sp, x: dict, y: dict) -> dict:
+    """Σ x_ij·y_kl·(e_i e_k) ⊗ (e_j e_l) for integer x, y keyed by (i, j), read
+    from the integer table sp of ``int_sp``: D_m²·(x·y). Entries that cancel
+    are dropped."""
+    out: dict[tuple[int, int], int] = {}
     ys = list(y.items())
     for (i, j), c in x.items():
+        spi, spj = sp[i], sp[j]
         for (k, l), d in ys:
-            right = mul_basis(j, l)
+            right = spj[l]
             if not right:
                 continue
             coef = c * d
-            for p, cp in mul_basis(i, k):
+            for p, cp in spi[k]:
                 a = coef * cp
                 for q, cq in right:
-                    v = a * cq
                     key = (p, q)
-                    if key in out:
-                        v += out[key]
-                        if not v:
-                            del out[key]
-                            continue
-                    out[key] = v
-    return out
+                    out[key] = out.get(key, 0) + a * cq
+    return {key: v for key, v in out.items() if v}
+
+
+def t2_mul(alg: StructureAlgebra, x: dict, y: dict) -> dict:
+    """x·y in H⊗H for sparse x, y keyed by (i, j).
+
+    x and y are scaled to integers over their least common denominators D_x
+    and D_y and contracted on ``int_sp``; each entry of the product is
+    written once, as an integer over D_x·D_y·D_m².
+    """
+    den_m, sp = alg.int_sp
+    (xi, dx), (yi, dy) = scaled(x), scaled(y)
+    return over(_t2_int(sp, xi, yi), dx * dy * den_m * den_m)
 
 
 def t3_mul(alg: StructureAlgebra, x: dict, y: dict) -> dict:
-    out: dict[tuple[int, int, int], Fraction] = {}
-    for (i, j, m), c in x.items():
-        for (k, l, n), d in y.items():
+    """x·y in H⊗H⊗H for sparse x, y keyed by (i, j, m), as ``t2_mul`` does
+    it: each entry is written once, as an integer over D_x·D_y·D_m³."""
+    den_m, sp = alg.int_sp
+    (xi, dx), (yi, dy) = scaled(x), scaled(y)
+    out: dict[tuple[int, int, int], int] = {}
+    ys = list(yi.items())
+    for (i, j, m), c in xi.items():
+        spi, spj, spm = sp[i], sp[j], sp[m]
+        for (k, l, n), d in ys:
+            mid, last = spj[l], spm[n]
+            if not mid or not last:
+                continue
             coef = c * d
-            for p, cp in alg.mul_basis(i, k):
-                for q, cq in alg.mul_basis(j, l):
-                    for r, cr in alg.mul_basis(m, n):
-                        _acc(out, (p, q, r), coef * cp * cq * cr)
-    return out
+            for p, cp in spi[k]:
+                a = coef * cp
+                for q, cq in mid:
+                    b = a * cq
+                    for r, cr in last:
+                        key = (p, q, r)
+                        out[key] = out.get(key, 0) + b * cr
+    return over({key: v for key, v in out.items() if v}, dx * dy * den_m**3)
 
 
 def t2_unit(h: HopfAlgebra) -> dict[tuple[int, int], Fraction]:
@@ -222,7 +261,11 @@ def t2_unit(h: HopfAlgebra) -> dict[tuple[int, int], Fraction]:
 
 
 def check_hopf_axioms(h: HopfAlgebra) -> CheckReport:
-    """Itemized verification of all Hopf axiom families, exactly."""
+    """Itemized verification of all Hopf axiom families, exactly.
+
+    Δ- and ε-multiplicativity and the antipode laws compare integer sides
+    over known scales, contracted on ``int_sp``; messages name the basis
+    elements where an identity fails."""
     rep = CheckReport(f"Hopf axioms ({h.name or 'unnamed'})")
     alg = h.alg
     n = h.dim
@@ -251,33 +294,37 @@ def check_hopf_axioms(h: HopfAlgebra) -> CheckReport:
         rep.require(left == ei, f"(ε⊗id)Δ fails at {alg.basis[i]}")
         rep.require(right == ei, f"(id⊗ε)Δ fails at {alg.basis[i]}")
 
-    # Δ and ε are algebra maps
+    # Δ and ε are algebra maps. With Δ over D_Δ and ε over D_ε as integers,
+    # D_Δ·D_m·Δ(e_i e_j) = Δ(e_i)·Δ(e_j) over D_Δ²·D_m², and
+    # D_ε·ε(e_i e_j) = ε(e_i)·ε(e_j) over D_ε²·D_m
     rep.require(h.cop_of_vec(alg.unit) == t2_unit(h), "Δ(1) ≠ 1⊗1")
     rep.require(h.counit_of(alg.unit) == 1, "ε(1) ≠ 1")
-    cops = [{(p, q): c for p, q, c in h.cop_sparse(i)} for i in range(n)]
+    den_m, sp = alg.int_sp
+    den_d, cop = h.int_cop
+    cops = [{(p, q): c for p, q, c in row} for row in cop]
+    counit, den_e = scaled(sparse_vec(h.counit))
+    lift = den_d * den_m
     for i in range(n):
         for j in range(n):
-            prod = alg.mul_basis(i, j)
-            d_prod: dict[tuple[int, int], Fraction] = {}
+            prod = sp[i][j]
+            d_prod: dict[tuple[int, int], int] = {}
             for k, c in prod:
-                for p, q, d in h.cop_sparse(k):
-                    _acc(d_prod, (p, q), c * d)
+                c *= lift
+                for key, d in cops[k].items():
+                    d_prod[key] = d_prod.get(key, 0) + c * d
             rep.require(
-                d_prod == t2_mul(alg, cops[i], cops[j]),
+                {key: v for key, v in d_prod.items() if v} == _t2_int(sp, cops[i], cops[j]),
                 f"Δ not multiplicative at ({alg.basis[i]},{alg.basis[j]})",
             )
             rep.require(
-                sum((c * h.counit[k] for k, c in prod), Fraction(0)) == h.counit[i] * h.counit[j],
+                den_e * sum(c * counit.get(k, 0) for k, c in prod) == den_m * counit.get(i, 0) * counit.get(j, 0),
                 f"ε not multiplicative at ({alg.basis[i]},{alg.basis[j]})",
             )
 
     # antipode law
-    s = [sparse_vec(h.antipode.col(p)) for p in range(n)]
-    for i in range(n):
-        left, right = _convolution_sides(h, s, i)
-        target = _unit_times_counit(h, i)
-        rep.require(left == target, f"m(S⊗id)Δ fails at {alg.basis[i]}")
-        rep.require(right == target, f"m(id⊗S)Δ fails at {alg.basis[i]}")
+    for i, (left, right) in enumerate(_antipode_laws(h, [sparse_vec(h.antipode.col(p)) for p in range(n)])):
+        rep.require(left, f"m(S⊗id)Δ fails at {alg.basis[i]}")
+        rep.require(right, f"m(id⊗S)Δ fails at {alg.basis[i]}")
 
     ident = Matrix.identity(n)
     rep.require(h.antipode @ h.antipode_inv == ident, "S∘S⁻¹ ≠ id")
@@ -300,9 +347,9 @@ def dual_hopf(h: HopfAlgebra) -> HopfAlgebra:
             table[p][q].append((m, c))
     alg = StructureAlgebra.from_sparse(basis, h.counit, table, name=(h.name or "H") + "*")
     cop: list[list[tuple[int, int, Fraction]]] = [[] for _ in range(n)]
-    for u in range(n):
-        for v in range(n):
-            for i, c in h.alg.mul_basis(u, v):
+    for u, row in enumerate(h.alg._sp):
+        for v, terms in enumerate(row):
+            for i, c in terms:
                 cop[i].append((u, v, c))
     counit = list(h.alg.unit)
     antipode = h.antipode.transpose()
@@ -378,7 +425,7 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
     ha, da = h.alg, hd.alg
     n = h.dim
     big = n * n
-    one = Fraction(1)
+    den_h, sp_h = ha.int_sp
 
     basis = [f"{da.basis[i]}⋈{ha.basis[j]}" for i in range(n) for j in range(n)]
     eps = sparse_vec(da.unit)
@@ -386,41 +433,45 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
     unit = dense_vec(_bowtie(n, eps, unit_h), big)
 
     # lam[(p, r, i2)] = {m: [e_i2] S⁻¹(e_r)·e_m·e_p}, the functional
-    # e_p ⇀ f_i2 ↼ S⁻¹(e_r) on the basis of H
-    lam: dict[tuple[int, int, int], SparseVec] = {}
+    # e_p ⇀ f_i2 ↼ S⁻¹(e_r) on the basis of H, as integers over D_s·D_h²
+    # (S⁻¹ over D_s, the product of H over D_h)
+    den_s, sinv = scaled_vecs([sparse_vec(h.antipode_inv.col(r)) for r in range(n)])
+    lam: dict[tuple[int, int, int], IntVec] = {}
     for r in range(n):
-        sinv_r = sparse_vec(h.antipode_inv.col(r))
         for m in range(n):
-            left = ha.mul_sparse(sinv_r, {m: one})
+            left = ha.mul_int(sinv[r], {m: 1})
             for p in range(n):
-                for i2, c in ha.mul_sparse(left, {p: one}).items():
+                for i2, c in ha.mul_int(left, {p: 1}).items():
                     lam.setdefault((p, r, i2), {})[m] = c
 
-    table: list[list[SparseVec]] = [[{} for _ in range(big)] for _ in range(big)]
+    # (Δ⊗id)Δ over D_w; each constant of the double is then an integer over
+    # D_w·D_s·D_h³·D_d (the product of H* over D_d), divided once below
+    den_w, sw2 = scaled_rows(h.sweedler2(j) for j in range(n))
+    table: list[list[IntVec]] = [[{} for _ in range(big)] for _ in range(big)]
     for j in range(n):
-        sw2 = h.sweedler2(j)
         for i2 in range(n):
-            terms = [(q, c, lam[(p, r, i2)]) for p, q, r, c in sw2 if (p, r, i2) in lam]
+            terms = [(q, c, lam[(p, r, i2)]) for p, q, r, c in sw2[j] if (p, r, i2) in lam]
             for i in range(n):
                 # Σ c·(f_i · lam) over the Sweedler terms, collected by e_q
-                fparts: dict[int, SparseVec] = {}
+                fparts: dict[int, IntVec] = {}
                 for q, c, lm in terms:
-                    da.mul_sparse({i: c}, lm, fparts.setdefault(q, {}))
+                    da.mul_int({i: c}, lm, fparts.setdefault(q, {}))
                 row = table[i * n + j]
                 for j2 in range(n):
                     out = row[i2 * n + j2]
                     for q, fpart in fparts.items():
-                        hq = ha.mul_basis(q, j2)
+                        hq = sp_h[q][j2]
                         for wi, fv in fpart.items():
                             base = wi * n
                             for hj, hv in hq:
                                 k = base + hj
                                 out[k] = out[k] + fv * hv if k in out else fv * hv
+    den = den_w * den_s * den_h**3 * da.int_sp[0]
     # sums that cancelled to zero are dropped: from_sparse rejects zero terms
     alg = StructureAlgebra.from_sparse(
         basis,
         unit,
-        [[[(k, c) for k, c in out.items() if c] for out in row] for row in table],
+        [[[(k, Fraction(c, den)) for k, c in out.items() if c] for out in row] for row in table],
         name=f"D({h.name or 'H'})",
     )
 
@@ -438,14 +489,12 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
     counit = [hd.counit[i] * h.counit[j] for i in range(n) for j in range(n)]
 
     def closed_antipode(s_h: Matrix, s_dual: Matrix) -> list[SparseVec]:
-        # column i·n + j is (ε ⋈ s_h e_j)(s_dual f_i ⋈ 1)
-        hcols = [sparse_vec(s_h.col(j)) for j in range(n)]
-        dcols = [sparse_vec(s_dual.col(i)) for i in range(n)]
-        return [
-            alg.mul_sparse(_bowtie(n, eps, hcols[j]), _bowtie(n, dcols[i], unit_h))
-            for i in range(n)
-            for j in range(n)
-        ]
+        # column i·n + j is (ε ⋈ s_h e_j)(s_dual f_i ⋈ 1), contracted on
+        # integers over D_l·D_r·D_m of the double and divided once
+        den_l, lefts = scaled_vecs([_bowtie(n, eps, sparse_vec(s_h.col(j))) for j in range(n)])
+        den_r, rights = scaled_vecs([_bowtie(n, sparse_vec(s_dual.col(i)), unit_h) for i in range(n)])
+        scale = den_l * den_r * alg.int_sp[0]
+        return [over(alg.mul_int(lefts[j], rights[i]), scale) for i in range(n) for j in range(n)]
 
     s = closed_antipode(h.antipode, hd.antipode_inv)
     s_inv = closed_antipode(h.antipode_inv, hd.antipode)
@@ -481,33 +530,48 @@ def _bowtie(n: int, f: SparseVec, a: SparseVec) -> SparseVec:
     return {i * n + j: x * y for i, x in f.items() for j, y in a.items()}
 
 
-def _convolution_sides(h: HopfAlgebra, s: list[SparseVec], z: int) -> tuple[SparseVec, SparseVec]:
-    """(m(S⊗id)Δ(e_z), m(id⊗S)Δ(e_z)) for S given by its sparse columns."""
-    left: SparseVec = {}
-    right: SparseVec = {}
-    for u, v, c in h.cop_sparse(z):
-        h.alg.mul_sparse(s[u], {v: c}, left)
-        h.alg.mul_sparse({u: c}, s[v], right)
-    return left, right
+def _antipode_laws(h: HopfAlgebra, s_cols: list[SparseVec]) -> list[tuple[bool, bool]]:
+    """For each basis index z, whether m(S⊗id)Δ(e_z) and m(id⊗S)Δ(e_z) equal
+    ε(e_z)·1, for S given by its sparse columns.
 
-
-def _unit_times_counit(h: HopfAlgebra, z: int) -> SparseVec:
-    """ε(e_z)·1 as a sparse vector."""
-    e = h.counit[z]
-    return {k: e * u for k, u in enumerate(h.alg.unit) if e and u}
+    Compared on integers: with S, Δ, ε and 1 scaled over D_S, D_Δ, D_ε and
+    D_u, each side Σ C·(S_u·e_v) is contracted by ``mul_int`` over
+    D_S·D_Δ·D_m, and D_ε·D_u times it must equal D_S·D_Δ·D_m·E_z·U.
+    """
+    alg = h.alg
+    den_s, s = scaled_vecs(s_cols)
+    den_d, cop = h.int_cop
+    counit, den_e = scaled(sparse_vec(h.counit))
+    unit, den_u = scaled(sparse_vec(alg.unit))
+    mul = alg.mul_int
+    lift = den_e * den_u
+    target_scale = den_s * den_d * alg.int_sp[0]
+    laws = []
+    for z in range(h.dim):
+        left: IntVec = {}
+        right: IntVec = {}
+        for u, v, c in cop[z]:
+            mul(s[u], {v: c}, left)
+            mul({u: c}, s[v], right)
+        e = counit.get(z, 0) * target_scale
+        target = {k: e * x for k, x in unit.items()} if e else {}
+        laws.append(tuple({k: lift * x for k, x in side.items()} == target for side in (left, right)))
+    return laws
 
 
 def _require_antipode(h: HopfAlgebra, s: list[SparseVec], s_inv: list[SparseVec]) -> None:
     """Raise ValueError unless the columns s satisfy m(S⊗id)Δ = uε = m(id⊗S)Δ
-    and s_inv is their two-sided inverse, all exactly."""
+    and s_inv is their two-sided inverse, all exactly and on integers."""
     alg = h.alg
+    laws = _antipode_laws(h, s)
+    (den_s, si), (den_t, ti) = scaled_vecs(s), scaled_vecs(s_inv)
+    one = den_s * den_t
     for z in range(h.dim):
-        target = _unit_times_counit(h, z)
-        for side, got in zip(("m(S⊗id)Δ", "m(id⊗S)Δ"), _convolution_sides(h, s, z)):
-            if got != target:
+        for side, ok in zip(("m(S⊗id)Δ", "m(id⊗S)Δ"), laws[z]):
+            if not ok:
                 raise ValueError(f"{alg.name}: closed-form antipode fails {side} = uε at {alg.basis[z]}")
-        for a, b, label in ((s, s_inv, "S∘S⁻¹"), (s_inv, s, "S⁻¹∘S")):
-            if sparse_sum((c, a[k]) for k, c in b[z].items()) != {z: 1}:
+        for a, b, label in ((si, ti, "S∘S⁻¹"), (ti, si, "S⁻¹∘S")):
+            if sparse_sum((c, a[k]) for k, c in b[z].items()) != {z: one}:
                 raise ValueError(f"{alg.name}: closed-form {label} ≠ id at {alg.basis[z]}")
 
 
@@ -532,21 +596,31 @@ class QTStructure:
         return t2_from_vec(self.r, self.hopf.dim)
 
 
+def _tensor_square(v: Sequence, n: int, label: str) -> list[Fraction]:
+    """v as an element of H⊗H; ``ValueError`` unless it has n² entries."""
+    v = vec(v)
+    if len(v) != n * n:
+        raise ValueError(f"{label} has {len(v)} entries, expected dim² = {n * n}")
+    return v
+
+
 def qt_structure(h: HopfAlgebra, rvec: Sequence[Fraction], rinv: Sequence[Fraction] | None = None) -> QTStructure:
     """Wrap an element R of H⊗H with its multiplicative inverse.
 
     A known inverse ``rinv`` (say R₂₁ for a triangular R) is checked exactly,
     R·R⁻¹ = 1⊗1 = R⁻¹·R, and ``ValueError`` is raised if it fails; only
-    without one is R⁻¹ solved for.
+    without one is R⁻¹ solved for. R and R⁻¹ must have dim² entries
+    (``ValueError`` otherwise).
     """
     n = h.dim
-    r = t2_from_vec(vec(rvec), n)
+    rvec = _tensor_square(rvec, n, "R")
+    r = t2_from_vec(rvec, n)
     if rinv is not None:
-        rinv = vec(rinv)
+        rinv = _tensor_square(rinv, n, "R⁻¹")
         ri = t2_from_vec(rinv, n)
         if t2_mul(h.alg, r, ri) != t2_unit(h) or t2_mul(h.alg, ri, r) != t2_unit(h):
             raise ValueError("given R⁻¹ is not a two-sided inverse of R")
-        return QTStructure(h, vec(rvec), rinv)
+        return QTStructure(h, rvec, rinv)
     rows: list[dict[int, Fraction]] = [dict() for _ in range(n * n)]
     for (i, j), c in r.items():
         for k in range(n):
@@ -561,7 +635,7 @@ def qt_structure(h: HopfAlgebra, rvec: Sequence[Fraction], rinv: Sequence[Fracti
     rinv = sol.particular
     if t2_mul(h.alg, t2_from_vec(rinv, n), r) != t2_unit(h):
         raise ValueError("right inverse is not two-sided")
-    return QTStructure(h, vec(rvec), rinv)
+    return QTStructure(h, rvec, rinv)
 
 
 def check_quasitriangular(h: HopfAlgebra, rt: QTStructure) -> CheckReport:
@@ -601,11 +675,13 @@ def check_quasitriangular(h: HopfAlgebra, rt: QTStructure) -> CheckReport:
             _acc(lhs2, (i, p, q), c * d)
     rep.require(lhs2 == t3_mul(alg, r13, r12), "(id⊗Δ)R ≠ R₁₃R₁₂")
 
-    for z in range(n):
-        dz = h.cop_of_vec(alg.basis_vec(z))
-        dz_cop = {(j, i): c for (i, j), c in dz.items()}
+    # both sides of R·Δ(e_z) = Δ^cop(e_z)·R are integers over D_R·D_Δ·D_m²
+    sp = alg.int_sp[1]
+    r_int = scaled(r)[0]
+    for z, terms in enumerate(h.int_cop[1]):
         rep.require(
-            t2_mul(alg, r, dz) == t2_mul(alg, dz_cop, r),
+            _t2_int(sp, r_int, {(p, q): c for p, q, c in terms})
+            == _t2_int(sp, {(q, p): c for p, q, c in terms}, r_int),
             f"R·Δ ≠ Δ^cop·R at {alg.basis[z]}",
         )
 
@@ -647,9 +723,13 @@ def coqt_structure(h: HopfAlgebra, form: Matrix, form_inv: Matrix | None = None)
 
     A known inverse ``form_inv`` (say the transposed form of a cotriangular
     r) is checked exactly, r⁻¹ * r = ε⊗ε = r * r⁻¹, and ``ValueError`` is
-    raised if it fails; only without one is r⁻¹ solved for.
+    raised if it fails; only without one is r⁻¹ solved for. The form and
+    its inverse must be dim × dim (``ValueError`` otherwise).
     """
     n = h.dim
+    for label, m in (("form", form), ("inverse form", form_inv)):
+        if m is not None and (m.rows, m.cols) != (n, n):
+            raise ValueError(f"{label} is {m.rows}×{m.cols}, expected {n}×{n}")
     if form_inv is not None:
         for x in range(n):
             for y in range(n):

@@ -88,6 +88,33 @@ def scale_sparse(v: SparseVec, den: int) -> IntVec:
     return {k: c.numerator * (den // c.denominator) for k, c in v.items()}
 
 
+def scaled(v: dict) -> tuple[dict, int]:
+    """(D·v as integers, D) for the least common denominator D of the values
+    of v, whatever its keys."""
+    den = common_denominator(v.values())
+    return scale_sparse(v, den), den
+
+
+def scaled_vecs(vs: Iterable[SparseVec]) -> tuple[int, list[IntVec]]:
+    """(D, the vectors times D) for D the least common denominator of them all."""
+    vs = list(vs)
+    den = common_denominator(c for v in vs for c in v.values())
+    return den, [scale_sparse(v, den) for v in vs]
+
+
+def scaled_rows(rows) -> tuple[int, list[tuple]]:
+    """(D, rows) for rows of sparse terms whose last entry is the coefficient:
+    every coefficient times D, the least common denominator of them all."""
+    rows = list(rows)
+    den = common_denominator(t[-1] for row in rows for t in row)
+    return den, [tuple((*t[:-1], t[-1].numerator * (den // t[-1].denominator)) for t in row) for row in rows]
+
+
+def over(v: dict, den: int) -> dict:
+    """v/den, each integer value written once as a Fraction."""
+    return {k: Fraction(c, den) for k, c in v.items()}
+
+
 def sparse_sum(terms: Iterable[tuple[Fraction, SparseVec]]) -> SparseVec:
     """Σ c·v over (c, v) pairs of scalars and sparse vectors, zeros dropped."""
     out: SparseVec = {}

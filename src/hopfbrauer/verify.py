@@ -23,6 +23,8 @@ from .e2 import (
     build_e2,
     build_e2_module,
     build_RN,
+    CLOSURE_EXCLUDED_Q,
+    CLOSURE_EXCLUDED_T,
     closure_params,
     fg_decomposition_residuals,
     kernel_witness,
@@ -521,6 +523,13 @@ def _homog_vec(s: Suite, dim: int, parity, want: int):
     return v
 
 
+def _redraw_excluded(s: Suite, x: Fraction, excluded: tuple) -> Fraction:
+    """x, or the first of further seeded draws that is not an excluded value."""
+    while x in excluded:
+        x = s.rat()
+    return x
+
+
 def suite_appendix(s: Suite) -> None:
     e2 = build_e2()
     c_idx = e2.meta["c"]
@@ -571,12 +580,9 @@ def suite_appendix(s: Suite) -> None:
     endq = end_yd(build_e2_module((1, 0)), "plain")
     corpus.append(("end-q", induced_coaction(endq, build_RN())))
     for k in range(4):
-        t = s.rat()
-        q = s.rat()
-        while t in (0, 1):
-            t = s.rat()
-        while q == 2:
-            q = s.rat()
+        t, q = s.rat(), s.rat()
+        t = _redraw_excluded(s, t, CLOSURE_EXCLUDED_T)
+        q = _redraw_excluded(s, q, CLOSURE_EXCLUDED_Q)
         corpus.append((f"product-{k}", sharp_product(build_c_e2(1, t, 2), build_c_e2(1, 1, q))))
     mixed = set()
     for label, inst in corpus:
@@ -602,12 +608,8 @@ def suite_appendix(s: Suite) -> None:
 
     demos = 0
     for k in range(5):
-        t = s.rat()
-        while t in (0, 1):
-            t = s.rat()
-        q = s.rat()
-        while q == 2:
-            q = s.rat()
+        t = _redraw_excluded(s, s.rat(), CLOSURE_EXCLUDED_T)
+        q = _redraw_excluded(s, s.rat(), CLOSURE_EXCLUDED_Q)
         ns = not_subgroup_demo(t, q)
         demos += 1
         s.check(
@@ -622,12 +624,8 @@ def suite_appendix(s: Suite) -> None:
     qmod = build_e2_module((1, s.rat()))
     res = prop62_instance_check(a, qmod)
     s.check("prop6.2-inner", "Prop 6.2", res["agree"] and res["x1"][0], witness=res)
-    t = s.rat()
-    while t in (0, 1):
-        t = s.rat()
-    q = s.rat()
-    while q == 2:
-        q = s.rat()
+    t = _redraw_excluded(s, s.rat(), CLOSURE_EXCLUDED_T)
+    q = _redraw_excluded(s, s.rat(), CLOSURE_EXCLUDED_Q)
     prod = sharp_product(build_c_e2(1, t, 2), build_c_e2(1, 1, q))
     res = prop62_instance_check(prod, qmod)
     s.check("prop6.2-noninner", "Prop 6.2", res["agree"] and not res["x1"][0], witness=res)

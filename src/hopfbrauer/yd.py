@@ -43,8 +43,12 @@ from .linalg import (
     is_zero_vec,
     kron_sum,
     mat_det,
+    over,
     rational_is_square,
     scale_sparse,
+    scaled,
+    scaled_rows,
+    scaled_vecs,
     solve_sparse,
     sparse_sum,
     sparse_vec,
@@ -105,7 +109,7 @@ class YDObject:
     @cached_property
     def int_rho(self) -> tuple[int, list[tuple[tuple[int, int, int], ...]]]:
         """(D_c, ``rho`` times D_c), D_c the least common denominator of the coaction."""
-        return _scaled_rows(self.rho)
+        return scaled_rows(self.rho)
 
     @cached_property
     def int_images(self) -> tuple[int, list[list[IntVec]]]:
@@ -147,24 +151,6 @@ def grouplike_index(h: HopfAlgebra) -> int | None:
     return h.meta.get("g") if h.meta.get("g") is not None else h.meta.get("c")
 
 
-def _scaled(v: SparseVec) -> tuple[IntVec, int]:
-    """(D·v as integers, D) for the least common denominator D of v."""
-    den = common_denominator(v.values())
-    return scale_sparse(v, den), den
-
-
-def _scaled_rows(rows) -> tuple[int, list[tuple]]:
-    """(D, rows) for rows of sparse terms whose last entry is the coefficient:
-    every coefficient times D, the least common denominator of them all."""
-    rows = list(rows)
-    den = common_denominator(t[-1] for row in rows for t in row)
-    return den, [tuple((*t[:-1], t[-1].numerator * (den // t[-1].denominator)) for t in row) for row in rows]
-
-
-def _over(v: IntVec, den: int) -> SparseVec:
-    return {k: Q(c, den) for k, c in v.items()}
-
-
 # ---------------------------------------------------------------------------
 # Axiom checks (integer forms in the docstrings; U = D_u·1, E = D_ε·ε)
 # ---------------------------------------------------------------------------
@@ -177,7 +163,7 @@ def check_module(m: YDObject) -> CheckReport:
     h = m.hopf
     den_a, images = m.int_images
     den_m, sp = h.alg.int_sp
-    unit, den_u = _scaled(sparse_vec(h.alg.unit))
+    unit, den_u = scaled(sparse_vec(h.alg.unit))
     rep.require(
         all(sparse_sum((c, images[y][k]) for k, c in unit.items()) == {y: den_u * den_a} for y in range(m.dim)),
         "unit of H does not act as id",
@@ -203,9 +189,9 @@ def check_module_algebra(a: YDObject) -> CheckReport:
     alg = a.alg
     den_a, images = a.int_images
     sp = alg.int_sp[1]
-    den_d, cop = _scaled_rows(h.cop_sparse(i) for i in range(h.dim))
-    counit, den_e = _scaled(sparse_vec(h.counit))
-    unit, _ = _scaled(sparse_vec(alg.unit))
+    den_d, cop = h.int_cop
+    counit, den_e = scaled(sparse_vec(h.counit))
+    unit, _ = scaled(sparse_vec(alg.unit))
     for i in range(h.dim):
         rep.require(
             sparse_sum((den_e * c, images[j][i]) for j, c in unit.items())
@@ -229,8 +215,8 @@ def check_comodule(m: YDObject) -> CheckReport:
     rep = CheckReport(f"H-comodule over {m.hopf.name}")
     h = m.hopf
     den_c, rho = m.int_rho
-    den_d, cop = _scaled_rows(h.cop_sparse(i) for i in range(h.dim))
-    counit, den_e = _scaled(sparse_vec(h.counit))
+    den_d, cop = h.int_cop
+    counit, den_e = scaled(sparse_vec(h.counit))
     for j in range(m.dim):
         sp = rho[j]
         ej = sparse_sum((c * counit.get(k, 0), {a: 1}) for a, k, c in sp)
@@ -263,8 +249,8 @@ def check_comodule_algebra_op(a: YDObject) -> CheckReport:
     sp = alg.int_sp[1]
     den_n, hsp = h.alg.int_sp
     rho_flat = [{x0 * n + x1: c for x0, x1, c in row} for row in rho]
-    unit, _ = _scaled(sparse_vec(alg.unit))
-    hunit, den_hu = _scaled(sparse_vec(h.alg.unit))
+    unit, _ = scaled(sparse_vec(alg.unit))
+    hunit, den_hu = scaled(sparse_vec(h.alg.unit))
     rho_one = sparse_sum((den_hu * c, rho_flat[j]) for j, c in unit.items())
     rep.require(rho_one == _tensor(unit.items(), [(k, den_c * c) for k, c in hunit.items()], n), "ρ(1) ≠ 1⊗1")
     for x in range(alg.dim):
@@ -289,11 +275,9 @@ def check_yd_condition(m: YDObject) -> CheckReport:
     images = m.int_images[1]
     rho = m.int_rho[1]
     den_n, hsp = h.alg.int_sp
-    den_w, sw2 = _scaled_rows(h.sweedler2(li) for li in range(n))
+    den_w, sw2 = scaled_rows(h.sweedler2(li) for li in range(n))
     rho_flat = [{b0 * n + b1: c for b0, b1, c in row} for row in rho]
-    sinv = [sparse_vec(h.antipode_inv.col(k)) for k in range(n)]
-    den_s = common_denominator(c for v in sinv for c in v.values())
-    sinv = [scale_sparse(v, den_s) for v in sinv]
+    den_s, sinv = scaled_vecs(sparse_vec(h.antipode_inv.col(k)) for k in range(n))
     scale = den_w * den_n * den_n * den_s
 
     @cache
@@ -359,7 +343,7 @@ def h_opposite(a: YDObject) -> YDObject:
         out: IntVec = {}
         for b, k, c in rho[j]:
             alg.mul_int({b: c}, images[i][k], out)
-        return _over(out, den)
+        return over(out, den)
 
     table = [[product(i, j).items() for j in range(alg.dim)] for i in range(alg.dim)]
     name = f"{alg.name}~" if alg.name else "opposite"
@@ -533,13 +517,13 @@ class FGContraction:
 
     def f_value(self, x: SparseVec, y: SparseVec, z: SparseVec) -> SparseVec:
         """F(x#y)(z) for arbitrary rational sparse x, y, z."""
-        (xi, dx), (yi, dy), (zi, dz) = (_scaled(v) for v in (x, y, z))
-        return _over(self.f(self.f_left(xi, zi), self.right_of(yi)), self.den * dx * dy * dz)
+        (xi, dx), (yi, dy), (zi, dz) = (scaled(v) for v in (x, y, z))
+        return over(self.f(self.f_left(xi, zi), self.right_of(yi)), self.den * dx * dy * dz)
 
     def g_value(self, x: SparseVec, y: SparseVec, z: SparseVec) -> SparseVec:
         """G(x#y)(z) for arbitrary rational sparse x, y, z."""
-        (xi, dx), (yi, dy), (zi, dz) = (_scaled(v) for v in (x, y, z))
-        return _over(self.alg.mul_int(self.g_left(xi, self.images_of(zi)), yi), self.den * dx * dy * dz)
+        (xi, dx), (yi, dy), (zi, dz) = (scaled(v) for v in (x, y, z))
+        return over(self.alg.mul_int(self.g_left(xi, self.images_of(zi)), yi), self.den * dx * dy * dz)
 
     def g_left(self, x: IntVec, z_images: list[IntVec]) -> IntVec:
         """Σ c·x₍₀₎(x₍₁₎·z), the left factor of G(x#y)(z) = (…)·y."""
@@ -570,7 +554,7 @@ def fg_maps(a: YDObject) -> tuple[Matrix, Matrix]:
     fg = FGContraction(a)
     # one Fraction per distinct value: F and G of the d = 16 ladder tower hold
     # 4,932 distinct values among 40,272 nonzero entries
-    over = cache(lambda v: Q(v, fg.den))
+    entry = cache(lambda v: Q(v, fg.den))
     mul = alg.mul_int
     basis = [{j: 1} for j in range(d)]
     zero = Q(0)
@@ -585,9 +569,9 @@ def fg_maps(a: YDObject) -> tuple[Matrix, Matrix]:
             for y in range(d):
                 col = x * d + y
                 for p, v in fg.f(f_left, fg.right[y]).items():
-                    frows[p][col] = over(v)
+                    frows[p][col] = entry(v)
                 for p, v in mul(g_left, basis[y]).items():
-                    grows[p][col] = over(v)
+                    grows[p][col] = entry(v)
     return Matrix(f), Matrix(g)
 
 

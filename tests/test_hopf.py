@@ -199,6 +199,31 @@ def test_wrong_known_inverses_are_rejected():
         qt_structure(h4, rt.r, wrong)
 
 
+@pytest.mark.parametrize("length", [3, 15, 17])
+def test_qt_structure_rejects_a_misshapen_r(length):
+    h4 = build_h4()
+    rt = build_rt(Q(3, 2))
+    with pytest.raises(ValueError, match="expected dim²"):
+        qt_structure(h4, [1] * length)
+    with pytest.raises(ValueError, match="expected dim²"):
+        qt_structure(h4, [1] * length, rt.r_inv)
+    with pytest.raises(ValueError, match="expected dim²"):
+        qt_structure(h4, rt.r, [1] * length)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 3), (3, 4), (5, 5)])
+def test_coqt_structure_rejects_a_misshapen_form(shape):
+    h4 = build_h4()
+    form = build_rt_form(Q(3, 2))
+    bad = Matrix([[Q(int(i == j)) for j in range(shape[1])] for i in range(shape[0])])
+    with pytest.raises(ValueError, match="expected 4×4"):
+        coqt_structure(h4, bad)
+    with pytest.raises(ValueError, match="expected 4×4"):
+        coqt_structure(h4, bad, form.form_inv)
+    with pytest.raises(ValueError, match="expected 4×4"):
+        coqt_structure(h4, form.form, bad)
+
+
 def test_unit_tensor_fails_qt_on_h4():
     h4 = build_h4()
     r = zero_vec(16)

@@ -1,5 +1,7 @@
 """Deterministic work counts: the Drinfeld double is built without the dense
-product, without linear solves and without a dense view of its tables, R_t and r_t take their inverses in closed
+product, without linear solves and without a dense view of its tables, the
+double's build, its quasitriangular check and the Hopf check of D(H₄) read
+no Fraction structure constant, R_t and r_t take their inverses in closed
 form, a Ψ transport checks its lazy cocycle once, and F, G, the
 associativity check, the Yetter-Drinfeld axiom checks and the H-opposite
 contract on integers without the Fraction product, as do F₀, G₀ and the F/G
@@ -46,6 +48,21 @@ def test_double_of_e2_builds_no_dense_view():
     assert hopf.check_quasitriangular(double, canonical).ok
     assert "mult" not in double.alg.__dict__
     assert "cop" not in double.__dict__
+
+
+def test_double_and_its_checks_read_no_fraction_structure_constant(monkeypatch):
+    calls = _count_fraction_products(monkeypatch)
+    mul_basis = StructureAlgebra.mul_basis
+
+    def counted(alg, *args):
+        calls.append(f"{alg.name}.mul_basis")
+        return mul_basis(alg, *args)
+
+    monkeypatch.setattr(StructureAlgebra, "mul_basis", counted)
+    double, canonical = hopf.drinfeld_double(build_e2())
+    assert hopf.check_quasitriangular(double, canonical).ok
+    assert hopf.check_hopf_axioms(hopf.drinfeld_double(sweedler.build_h4())[0]).ok
+    assert calls == []
 
 
 def test_rt_and_rt_form_are_built_without_a_solve(monkeypatch):
