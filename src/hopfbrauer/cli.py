@@ -39,7 +39,7 @@ from .sweedler import (
     psi_transport,
     sharp_product_matches_presentation,
 )
-from .verify import run_verification, thm63_params
+from .verify import run_verification, selected_suites, thm63_params
 from .yd import is_h_azumaya
 
 USAGE_ERROR = 2
@@ -131,10 +131,11 @@ def cmd_verify(args) -> int:
         options["q"] = args.q
     thm63_params(options)  # excluded --t/--q are bad input (exit 2), not a failed suite
     try:
-        report = run_verification(args.suite or ("all",), args.seed, args.samples, options)
+        suites = selected_suites(args.suite or ("all",))
     except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return USAGE_ERROR
+    report = run_verification(suites, args.seed, args.samples, options)
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)

@@ -1,10 +1,10 @@
 """Exact rational linear algebra.
 
 Everything in this package runs over ℚ, represented by ``fractions.Fraction``.
-This module supplies the dense matrix type, determinants (sparse pivoting
-elimination on integer rows, each over one row denominator, for every size),
-exact linear solving with kernel bases, Kronecker products and rational
-square testing.
+This module supplies the matrix type (built dense or from integer rows, each
+form a lazy view of the other), determinants (sparse pivoting elimination on
+integer rows, each over one row denominator, for every size), exact linear
+solving with kernel bases, Kronecker products and rational square testing.
 
 Tensor index convention, fixed globally: the left factor is major, so the
 basis vector e_i ⊗ e_j of V ⊗ W sits at flat index ``i * dim(W) + j``.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -129,9 +130,14 @@ class DimensionError(ValueError):
 
 
 class Matrix:
-    """Dense matrix over ℚ. Treated as immutable after construction."""
+    """Matrix over ℚ. Treated as immutable after construction.
 
-    __slots__ = ("rows", "cols", "data")
+    It is built either dense, from rows of rationals, or from integer rows
+    (``from_int_rows``). Each form is a view of the other, built the first
+    time it is read: ``data`` holds the dense Fraction rows and ``int_rows``
+    the integer rows that ``mat_det`` eliminates. A matrix built from integer
+    rows and only handed to ``mat_det`` never allocates its rows × cols list.
+    """
 
     def __init__(self, data: Sequence[Sequence]):
         self.data = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in data]
@@ -141,6 +147,15 @@ class Matrix:
             raise DimensionError("ragged rows")
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def from_int_rows(cls, rows: Sequence[tuple[int, IntVec]], cols: int) -> "Matrix":
+        """The matrix whose row i is v/den for rows[i] = (den, v): den a
+        positive integer and v a sparse vector {column: nonzero integer}. The
+        rows are kept as given, not copied and not reduced."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.int_rows = len(rows), cols, rows
+        return m
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
@@ -159,6 +174,30 @@ class Matrix:
     def from_cols(cls, cols: Sequence[Sequence]) -> "Matrix":
         n = len(cols[0])
         return cls([[col[i] for col in cols] for i in range(n)])
+
+    # -- views -----------------------------------------------------------
+
+    @cached_property
+    def data(self) -> list[list[Fraction]]:
+        """Dense rows of Fractions, one shared zero for the absent entries."""
+        zero = Fraction(0)
+        out = [[zero] * self.cols for _ in range(self.rows)]
+        for row, (den, v) in zip(out, self.int_rows):
+            for c, x in v.items():
+                row[c] = Fraction(x, den)
+        return out
+
+    @cached_property
+    def int_rows(self) -> list[tuple[int, IntVec]]:
+        """(den, {column: integer}) for each row: den is the least common
+        denominator of the row's nonzero entries and the integers are those
+        entries times den, so they share no factor with den."""
+        out = []
+        for r in self.data:
+            entries = [(c, v) for c, v in enumerate(r) if v]
+            den = math.lcm(*(v.denominator for _, v in entries))
+            out.append((den, {c: v.numerator * (den // v.denominator) for c, v in entries}))
+        return out
 
     # -- basics --------------------------------------------------------
 
@@ -295,36 +334,45 @@ def kron_sum(terms: Iterable[tuple[Fraction, Matrix, Matrix]], rows: int, cols: 
 # ---------------------------------------------------------------------------
 
 
-def mat_det(m: Matrix) -> Fraction:
-    """Exact determinant of a square matrix, by sparse elimination on integer
-    rows.
+# mat_det divides a row by its content (the gcd of its denominator and its
+# integers) only once the denominator has grown past this many bits. Clearing
+# it after every update costs more gcds than the smaller integers save; never
+# clearing it lets the entries grow without bound on larger matrices.
+CONTENT_BITS = 128
 
-    Each row is stored once as integer numerators over one positive row
-    denominator, so the loop does no Fraction arithmetic. Pivot rule: the
+
+def mat_det(m: Matrix) -> Fraction:
+    """Exact determinant of a square matrix, by sparse elimination on the
+    integer rows of ``m.int_rows``.
+
+    Each row is copied once into the working set as integer numerators over
+    one positive row denominator, divided there by its content, so the loop
+    does no Fraction arithmetic and reads no dense row. Pivot rule: the
     remaining row with the fewest nonzeros (lowest index on ties), and in it
     the column with the fewest nonzeros among the remaining rows (lowest
     index on ties). An integer row is a positive multiple of its rational
     row, so it has the same nonzero pattern and the same fill-in. With pivot
     value pv and entry f in the pivot column, a row becomes (pv/g)·R − (f/g)·P
-    for g = ±gcd(pv, f) signed like pv, its denominator is multiplied by pv/g,
-    and then row and denominator are divided by their common gcd. Each step
-    is an exact row operation of the rational matrix, so
+    for g = ±gcd(pv, f) signed like pv, and its denominator is multiplied by
+    pv/g. Once that denominator has more than ``CONTENT_BITS`` bits, row and
+    denominator are divided by their common gcd. Each step is an exact row
+    operation of the rational matrix, so
 
         det = sign(row order)·sign(column order)·∏ pv / ∏ den(pivot row),
 
-    whichever nonzero pivots the rule takes.
+    whichever nonzero pivots the rule takes and whenever contents are cleared.
     """
     if not m.is_square():
         raise DimensionError("determinant of non-square matrix")
     rows: dict[int, dict[int, int]] = {}
     dens: dict[int, int] = {}
-    for i, r in enumerate(m.data):
-        entries = [(c, v) for c, v in enumerate(r) if v]
-        if not entries:
+    for i, (row_den, r) in enumerate(m.int_rows):
+        content = math.gcd(row_den, *r.values())
+        d = {c: v // content for c, v in r.items() if v}
+        if not d:
             return Fraction(0)
-        den = math.lcm(*(v.denominator for _, v in entries))
-        rows[i] = {c: v.numerator * (den // v.denominator) for c, v in entries}
-        dens[i] = den
+        rows[i] = d
+        dens[i] = row_den // content
     col_count: dict[int, int] = {}
     for d in rows.values():
         for c in d:
@@ -372,11 +420,12 @@ def mat_det(m: Matrix) -> Fraction:
                     col_count[c] -= 1
             if not d:
                 return Fraction(0)
-            content = math.gcd(dens[ri], *d.values())
-            if content != 1:
-                for c in d:
-                    d[c] //= content
-                dens[ri] //= content
+            if dens[ri].bit_length() > CONTENT_BITS:
+                content = math.gcd(dens[ri], *d.values())
+                if content != 1:
+                    for c in d:
+                        d[c] //= content
+                    dens[ri] //= content
     return Fraction(num * _perm_sign(row_order) * _perm_sign(col_order), den)
 
 

@@ -679,13 +679,21 @@ SUITES = {
 }
 
 
-def run_verification(suites=("all",), seed: int = 0, samples: int = 20, options: dict | None = None) -> dict:
-    """Run the selected suites and assemble the machine-readable report."""
-    options = options or {}
+def selected_suites(suites) -> list[str]:
+    """The suite ids to run, in order: every suite for "all".
+
+    ``KeyError`` whose single argument is the message, on an unknown id."""
     wanted = list(SUITES) if "all" in suites else list(suites)
     unknown = [x for x in wanted if x not in SUITES]
     if unknown:
         raise KeyError(f"unknown suite(s): {unknown}; known: {sorted(SUITES)}")
+    return wanted
+
+
+def run_verification(suites=("all",), seed: int = 0, samples: int = 20, options: dict | None = None) -> dict:
+    """Run the selected suites and assemble the machine-readable report."""
+    options = options or {}
+    wanted = selected_suites(suites)
     records: list[CheckRecord] = []
     per_suite = {}
     for suite_id in wanted:

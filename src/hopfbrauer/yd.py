@@ -545,21 +545,22 @@ def fg_maps(a: YDObject) -> tuple[Matrix, Matrix]:
     right factors e_k·(e_h·e_y) read from its table, and G(x#y)(z) =
     (Σ c·x₍₀₎(x₍₁₎·z))·y, whose inner sum depends on (x, z) only. Both use
     bilinearity alone; no product is reassociated. Every entry is
-    accumulated as an integer and written once, as that integer over the
-    contraction's single denominator D_c·D_a·D_m²; the other entries are
-    one shared Fraction zero, which ``Matrix`` keeps as it is.
+    accumulated as an integer over the contraction's single denominator
+    D = D_c·D_a·D_m² and stored as it is, in sparse rows (D, {column: integer})
+    handed to ``Matrix.from_int_rows``: no d²-wide row is allocated, and
+    ``mat_det`` reads the rows as given. Equal values share one int object.
     """
     alg = a.alg
     d = alg.dim
     fg = FGContraction(a)
-    # one Fraction per distinct value: F and G of the d = 16 ladder tower hold
-    # 4,932 distinct values among 40,272 nonzero entries
-    entry = cache(lambda v: Q(v, fg.den))
+    # F and G of the d = 16 ladder tower hold 4,932 distinct values among
+    # 40,272 nonzero entries
+    values: dict[int, int] = {}
+    value = values.setdefault
     mul = alg.mul_int
     basis = [{j: 1} for j in range(d)]
-    zero = Q(0)
-    f = [[zero] * (d * d) for _ in range(d * d)]
-    g = [[zero] * (d * d) for _ in range(d * d)]
+    f: list[IntVec] = [{} for _ in range(d * d)]
+    g: list[IntVec] = [{} for _ in range(d * d)]
     for x in range(d):
         for z in range(d):
             f_left = fg.f_left(basis[x], basis[z])
@@ -569,10 +570,11 @@ def fg_maps(a: YDObject) -> tuple[Matrix, Matrix]:
             for y in range(d):
                 col = x * d + y
                 for p, v in fg.f(f_left, fg.right[y]).items():
-                    frows[p][col] = entry(v)
+                    frows[p][col] = value(v, v)
                 for p, v in mul(g_left, basis[y]).items():
-                    grows[p][col] = entry(v)
-    return Matrix(f), Matrix(g)
+                    grows[p][col] = value(v, v)
+    return (Matrix.from_int_rows([(fg.den, r) for r in f], d * d),
+            Matrix.from_int_rows([(fg.den, r) for r in g], d * d))
 
 
 def is_h_azumaya(a: YDObject) -> bool:

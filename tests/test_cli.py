@@ -28,9 +28,12 @@ def test_verify_single_suite(capsys, tmp_path):
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "verify", "--suite", "nope")
+    from hopfbrauer.verify import SUITES
+
+    code, out, err = run_cli(capsys, "verify", "--suite", "nope")
     assert code == 2
-    assert "unknown suite" in err
+    assert out == ""
+    assert err.splitlines() == [f"error: unknown suite(s): ['nope']; known: {sorted(SUITES)}"]
 
 
 def test_verify_thm63_with_parameters(capsys):

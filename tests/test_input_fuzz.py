@@ -1,0 +1,93 @@
+"""Seeded mutation fuzz of the CLI's file inputs: mutants of valid ``define``
+and ``theorem61`` definitions must end with exit code 0, 1 or 2 and never
+raise, as the documented exit codes promise for any input."""
+
+import copy
+import json
+import random
+from collections import Counter
+from fractions import Fraction as Q
+
+from hopfbrauer.cli import main
+from hopfbrauer.defio import algebra_to_json, hopf_to_json, yd_to_json
+from hopfbrauer.e2 import build_c_e2, build_e2
+from hopfbrauer.sweedler import CFamilyDescriptor, build_C, build_h4
+
+# replacement values: valid and invalid rationals, wrong JSON types, indices
+# in and out of range, and builtin and unknown Hopf names
+POOL = ["0", "1", "-1", "2/3", "-7/2", "1.5", "1/0", "x", "", 0, 1, -1, 2, 99, 1.5,
+        None, True, [], {}, ["0"], "H4", "E2", "H6"]
+
+
+def _paths(obj, path=()):
+    """Every position in a JSON tree, the root excluded."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+def _mutant(base: dict, rng: random.Random) -> dict:
+    """base with one to three random replacements, deletions or duplications."""
+    obj = copy.deepcopy(base)
+    for _ in range(rng.randint(1, 3)):
+        paths = list(_paths(obj))
+        if not paths:
+            break
+        *parent_path, key = rng.choice(paths)
+        parent = obj
+        for k in parent_path:
+            parent = parent[k]
+        action = rng.random()
+        if action < 0.7:
+            parent[key] = copy.deepcopy(rng.choice(POOL))
+        elif action < 0.85:
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[key] = [parent[key]]
+    return obj
+
+
+def _fuzz(capsys, tmp_path, command: str, bases: list[dict], per_base: int, seed: int) -> Counter:
+    rng = random.Random(seed)
+    path = tmp_path / "mutant.json"
+    codes: Counter = Counter()
+    raised = []
+    for b, base in enumerate(bases):
+        for k in range(per_base):
+            path.write_text(json.dumps(_mutant(base, rng)))
+            try:
+                code = main([command, str(path)])
+            except Exception as exc:  # a traceback at the command line
+                raised.append(f"{command} base {b} mutant {k}: {type(exc).__name__}: {exc}")
+                continue
+            finally:
+                capsys.readouterr()
+            assert code in (0, 1, 2), (command, b, k, code)
+            codes[code] += 1
+    assert raised == []
+    return codes
+
+
+def test_define_mutants_exit_cleanly(capsys, tmp_path):
+    c = build_C(CFamilyDescriptor(Q(3), Q(2), Q(5)))
+    bases = [
+        algebra_to_json(build_h4().alg),
+        hopf_to_json(build_h4()),
+        yd_to_json(c, hopf_name="H4"),
+        yd_to_json(build_C(CFamilyDescriptor(Q(1), Q(0), Q(2)))),  # inline Hopf algebra
+    ]
+    codes = _fuzz(capsys, tmp_path, "define", bases, 60, seed=11)
+    assert sum(codes.values()) == 240
+    assert set(codes) == {0, 1, 2}
+
+
+def test_theorem61_mutants_exit_cleanly(capsys, tmp_path):
+    named = yd_to_json(build_c_e2(1, 2, 3), hopf_name="E2")
+    inline = yd_to_json(build_c_e2(2, 1, 5))
+    inline["hopf"] = dict(hopf_to_json(build_e2()), meta={"c": 1, "x1": 2, "x2": 4, "pi_keep": [0, 1]})
+    codes = _fuzz(capsys, tmp_path, "theorem61", [named, inline], 150, seed=61)
+    assert sum(codes.values()) == 300
+    assert {0, 2} <= set(codes)

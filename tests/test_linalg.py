@@ -1,5 +1,8 @@
+import inspect
 import math
 import random
+import sys
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from hopfbrauer.linalg import (
+    CONTENT_BITS,
     DimensionError,
     Matrix,
     format_rational,
@@ -171,6 +175,94 @@ def test_sparse_det_matches_bareiss(dense_rows):
             det = mat_det(m)
             assert det == _det_bareiss(m), kind
             assert (det == 0) == (kind != "full"), kind
+
+
+INT_ROW_KINDS = ("full", "full", "zero row", "dependent row", "dependent rows")
+
+
+def _int_row_cases(seed: int) -> list[tuple[str, list[tuple[int, dict[int, int]]], int]]:
+    """Seeded (kind, integer rows, size) with n = 10–14, four to six nonzeros
+    a row up to 2⁴⁰ over denominators up to 2⁶⁰, and each row times a common
+    factor up to 2²⁰, so the rows are not reduced. Independent rows start
+    over denominators below 2⁸¹, far under 2^CONTENT_BITS, but each update
+    multiplies a denominator by up to a pivot's size, so they pass the bound
+    midway. A dependent row is p·row i + q·row j, written over den_i·den_j."""
+    rng = random.Random(seed)
+    cases = []
+    for kind in INT_ROW_KINDS:
+        n = rng.randint(10, 14)
+        rows = []
+        for i in range(n):
+            k = rng.randint(1, 2**20)
+            v = {c: k * rng.choice((-1, 1)) * rng.randint(1, 2**40)
+                 for c in rng.sample(range(n), rng.randint(4, 6))}
+            rows.append((k * rng.randint(1, 2**60), v))
+        if kind == "zero row":
+            rows[rng.randrange(n)] = (rng.randint(1, 2**60), {})
+        elif kind.startswith("dependent"):
+            for _ in range(1 if kind == "dependent row" else 3):
+                i, j, k = rng.sample(range(n), 3)
+                (di, vi), (dj, vj) = rows[i], rows[j]
+                p, q = rng.randint(1, 2**30), -rng.randint(1, 2**30)
+                v = {c: p * vi.get(c, 0) * dj + q * vj.get(c, 0) * di for c in vi.keys() | vj.keys()}
+                rows[k] = (di * dj, {c: x for c, x in v.items() if x})
+        cases.append((kind, rows, n))
+    return cases
+
+
+def _mat_det_content_lines(m: Matrix) -> tuple[Q, int, int]:
+    """(mat_det(m), the updates that reached the content bound's test, the
+    updates that went on to clear content), read from line events of
+    mat_det's own frame."""
+    lines, first = inspect.getsourcelines(mat_det)
+    test_line = first + next(i for i, line in enumerate(lines) if "> CONTENT_BITS" in line)
+    hits = Counter()
+
+    def local(frame, event, arg):
+        if event == "line":
+            hits[frame.f_lineno] += 1
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is mat_det.__code__ else None)
+    try:
+        det = mat_det(m)
+    finally:
+        sys.settrace(previous)
+    return det, hits[test_line], hits[test_line + 1]
+
+
+def test_int_row_matrix_equals_the_dense_matrix():
+    for _, rows, n in _int_row_cases(3):
+        dense = Matrix([[Q(v.get(c, 0), den) for c in range(n)] for den, v in rows])
+        m = Matrix.from_int_rows(rows, n)
+        assert (m.rows, m.cols) == (dense.rows, dense.cols) == (n, n)
+        assert "data" not in vars(m)
+        assert m.data == dense.data
+        assert m == dense and dense == m
+        assert hash(m) == hash(dense)
+        assert Matrix.from_int_rows(rows, n).transpose() == dense.transpose()
+        # the integer-row view of the dense matrix is the same rows, reduced
+        assert [{c: Q(x, den) for c, x in v.items()} for den, v in dense.int_rows] == [
+            {c: Q(x, den) for c, x in v.items() if x} for den, v in rows
+        ]
+
+
+def test_int_row_det_matches_bareiss_across_the_content_bound():
+    assert CONTENT_BITS == 128
+    below = cleared = 0
+    for seed in (7, 8):
+        for kind, rows, n in _int_row_cases(seed):
+            m = Matrix.from_int_rows(rows, n)
+            det, tested, clears = _mat_det_content_lines(m)
+            assert "data" not in vars(m)  # elimination reads the integer rows only
+            assert det == _det_bareiss(m), kind
+            assert (det == 0) == (kind != "full"), kind
+            below += tested - clears
+            cleared += clears
+    # both sides of the bound ran: updates that left content in place and
+    # updates that cleared it
+    assert below > 0 and cleared > 0
 
 
 def test_sparse_det_matches_sympy():

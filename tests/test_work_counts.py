@@ -5,8 +5,9 @@ no Fraction structure constant, R_t and r_t take their inverses in closed
 form, a Ψ transport checks its lazy cocycle once, and F, G, the
 associativity check, the Yetter-Drinfeld axiom checks and the H-opposite
 contract on integers without the Fraction product, as do F₀, G₀ and the F/G
-decomposition residuals over E(2), so a regression to any of these shows here
-without timing noise."""
+decomposition residuals over E(2), and the H-Azumaya verdict hands F and G to
+the determinant as integer rows without a dense d²×d² matrix, so a
+regression to any of these shows here without timing noise."""
 
 from collections import Counter
 from fractions import Fraction as Q
@@ -20,7 +21,8 @@ from hopfbrauer.e2 import (
     fg_decomposition_residuals,
     is_graded_central_simple,
 )
-from hopfbrauer.yd import check_yd_algebra, fg_maps, h_opposite, sharp_product
+from hopfbrauer.linalg import Matrix
+from hopfbrauer.yd import check_yd_algebra, fg_maps, h_opposite, is_h_azumaya, sharp_product
 
 
 def test_drinfeld_double_of_e2_uses_no_dense_product_and_no_solve(monkeypatch):
@@ -116,6 +118,20 @@ def test_fg_maps_and_associativity_make_no_fraction_product(monkeypatch):
     fg_maps(rung)
     assert check_algebra_axioms(rung.alg).ok
     assert calls == []
+
+
+def test_azumaya_verdict_builds_no_dense_fg_matrix(monkeypatch):
+    rung = _ladder_rung_d8()
+    shapes = []
+    init = Matrix.__init__
+
+    def recorded(m, data):
+        init(m, data)
+        shapes.append((m.rows, m.cols))
+
+    monkeypatch.setattr(Matrix, "__init__", recorded)
+    assert is_h_azumaya(rung)
+    assert (rung.dim**2, rung.dim**2) not in shapes
 
 
 def test_yd_checks_and_h_opposite_make_no_fraction_product(monkeypatch):
