@@ -1,9 +1,11 @@
 """Finite-dimensional unital associative algebras via structure constants.
 
 An algebra is a basis, a unit vector and the structure constants of its
-product, stored sparse: ``_sp[i][j]`` = e_i · e_j as (k, c) pairs sorted by
-k, every c a nonzero Fraction. The dense tensor ``mult[i][j]`` (coefficient
-vector of e_i · e_j) is a view, built on first read. Elements are
+product, held sparse in two views, each built from the other on first read:
+``_sp[i][j]`` = e_i · e_j as (k, c) pairs sorted by k, every c a nonzero
+Fraction, and ``int_sp``, the same pairs as integers over one scale D_m. The
+dense tensor ``mult[i][j]`` (coefficient vector of e_i · e_j) is a view of
+``_sp``, built on first read. Elements are
 coefficient vectors over ℚ. Everything downstream (Hopf algebras,
 Yetter-Drinfeld module algebras, endomorphism algebras) is layered over
 this module.
@@ -11,6 +13,7 @@ this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -111,11 +114,24 @@ def canonical_terms(terms: Iterable[Sequence], dim: int) -> tuple[tuple, ...]:
     return tuple([(*key, c) for key, c in sorted(out.items())])
 
 
+def _table_dim(basis: Sequence[str], table: Sequence[Sequence]) -> int:
+    """dim = len(basis), after checking that the table is dim × dim."""
+    dim = len(basis)
+    if len(table) != dim or any(len(row) != dim for row in table):
+        raise ValueError("multiplication table has wrong shape")
+    return dim
+
+
 class StructureAlgebra:
     """Unital associative algebra given by structure constants over ℚ.
 
-    Only the sparse table ``_sp`` is stored; ``__init__`` takes the dense
-    tensor and ``from_sparse`` the table itself.
+    The product has two views, each a ``cached_property`` built from the
+    other the first time it is read: ``_sp``, the canonical Fraction table
+    (module docstring), and ``int_sp``, the same table as integers over one
+    scale D_m. ``__init__`` (the dense tensor) and ``from_sparse`` (Fraction
+    terms) seed ``_sp``; ``from_int`` (integer terms over a scale) seeds
+    ``int_sp``, so an algebra that is only contracted on integers never
+    builds a Fraction constant.
     """
 
     def __init__(self, basis: Sequence[str], unit: Sequence, mult: Sequence[Sequence[Sequence]], name: str = ""):
@@ -131,7 +147,8 @@ class StructureAlgebra:
                     raise ValueError("multiplication tensor entry has wrong length")
                 sp_row.append(tuple((k, c) for k, c in enumerate(v) if c))
             sp.append(sp_row)
-        self._set(basis, unit, sp, name)
+        self._set(basis, unit, name)
+        self._sp = sp
 
     @classmethod
     def from_sparse(
@@ -140,22 +157,86 @@ class StructureAlgebra:
         """The algebra whose e_i · e_j is Σ c·e_k over the (k, c) pairs of
         table[i][j], canonicalized by ``canonical_terms`` (so ``ValueError``
         on a bad index, a repeated index or a zero or non-rational c)."""
-        dim = len(basis)
-        if len(table) != dim or any(len(row) != dim for row in table):
-            raise ValueError("multiplication table has wrong shape")
+        dim = _table_dim(basis, table)
         alg = cls.__new__(cls)
-        alg._set(basis, unit, [[canonical_terms(term, dim) for term in row] for row in table], name)
+        alg._set(basis, unit, name)
+        alg._sp = [[canonical_terms(term, dim) for term in row] for row in table]
         return alg
 
-    def _set(self, basis: Sequence[str], unit: Sequence, sp: list, name: str) -> None:
+    @classmethod
+    def from_int(
+        cls, basis: Sequence[str], unit: Sequence, table: Sequence[Sequence[Iterable[tuple[int, int]]]], den: int,
+        name: str = "",
+    ) -> "StructureAlgebra":
+        """The algebra whose e_i · e_j is Σ (c/den)·e_k over the (k, c) pairs
+        of table[i][j], every c a nonzero int and den a positive int.
+
+        Each table[i][j] is a collection read twice (a list, or the items of
+        a dict). The first pass validates by the rule of ``canonical_terms``:
+        ``ValueError`` unless every index is an int in range, none repeats,
+        every c is a nonzero int, den is a positive int and no term is a
+        one-shot iterator. The second pass builds each term, sorted by index,
+        with den and every c divided by their common gcd, so ``int_sp`` is
+        the table the Fraction path would compute. ``_sp`` is built only
+        when read.
+        """
+        dim = _table_dim(basis, table)
+        if type(den) is not int or den <= 0:
+            raise ValueError(f"scale {den!r} is not a positive int")
+        g = den
+        for row in table:
+            for pairs in row:
+                if iter(pairs) is pairs:
+                    raise ValueError("integer terms must be a collection, not an iterator")
+                seen = set()
+                for k, c in pairs:
+                    if type(k) is not int or not 0 <= k < dim:
+                        raise ValueError(f"sparse term index {(k,)} is not in range({dim})")
+                    if k in seen:
+                        raise ValueError(f"sparse term index {(k,)} occurs twice")
+                    if type(c) is not int:
+                        raise ValueError(f"coefficient {c!r} at {(k,)} is not an int")
+                    if not c:
+                        raise ValueError(f"zero coefficient at {(k,)}")
+                    seen.add(k)
+                    if g != 1:
+                        g = math.gcd(g, c)
+        if g == 1:
+            sp = [[tuple(sorted(pairs)) for pairs in row] for row in table]
+        else:
+            den //= g
+            sp = [[tuple(sorted((k, c // g) for k, c in pairs)) for pairs in row] for row in table]
+        alg = cls.__new__(cls)
+        alg._set(basis, unit, name)
+        alg.int_sp = den, sp
+        return alg
+
+    def _set(self, basis: Sequence[str], unit: Sequence, name: str) -> None:
         self.dim = len(basis)
         self.basis = [str(b) for b in basis]
         self.unit = vec(unit)
         self.name = name
         if len(self.unit) != self.dim:
             raise ValueError("unit vector has wrong length")
-        # sparse structure constants, read by every hot loop
-        self._sp = sp
+
+    @cached_property
+    def _sp(self) -> list[list[tuple[tuple[int, Fraction], ...]]]:
+        """The canonical Fraction table, read by the Fraction products: the
+        integers of ``int_sp`` divided by its scale."""
+        den, table = self.int_sp
+        return [[tuple((k, Fraction(c, den)) for k, c in term) for term in row] for row in table]
+
+    @cached_property
+    def int_sp(self) -> tuple[int, list[list[tuple[tuple[int, int], ...]]]]:
+        """(D_m, table): D_m is the least common denominator of all structure
+        constants and table[i][j] is ``_sp[i][j]`` times D_m, as integers.
+        Seeded by ``from_int``, otherwise built from ``_sp`` on first use, so
+        an algebra that is never contracted on integers does not pay for it."""
+        den = common_denominator(c for row in self._sp for term in row for _, c in term)
+        return den, [
+            [tuple((k, c.numerator * (den // c.denominator)) for k, c in term) for term in row]
+            for row in self._sp
+        ]
 
     @cached_property
     def mult(self) -> list[list[list[Fraction]]]:
@@ -195,18 +276,6 @@ class StructureAlgebra:
         are removed. ``mul_int`` is the same contraction on integers.
         """
         return _contract(self._sp, x, y, {} if out is None else out)
-
-    @cached_property
-    def int_sp(self) -> tuple[int, list[list[tuple[tuple[int, int], ...]]]]:
-        """(D_m, table): D_m is the least common denominator of all structure
-        constants and table[i][j] is ``_sp[i][j]`` times D_m, as integers.
-        Built on first use, so an algebra that is never contracted on
-        integers does not pay for it."""
-        den = common_denominator(c for row in self._sp for term in row for _, c in term)
-        return den, [
-            [tuple((k, c.numerator * (den // c.denominator)) for k, c in term) for term in row]
-            for row in self._sp
-        ]
 
     def mul_int(self, x: IntVec, y: IntVec, out: IntVec | None = None) -> IntVec:
         """D_m·(x·y) for integer sparse x and y, contracted against the table
@@ -345,9 +414,9 @@ def check_algebra_axioms(a: StructureAlgebra) -> CheckReport:
 
     Both sides of (e_i e_j) e_l = e_i (e_j e_l) have degree two in the
     structure constants, so they are compared as integers over D_m²,
-    contracted from ``int_sp`` with ``mul_int``. The unit u is scaled to
-    integers U = D_u·u, and u·e_i = e_i becomes U·e_i = D_u·D_m·e_i. No
-    Fraction is built after the scaling.
+    contracted on the table of ``int_sp`` as ``mul_int`` does. The unit u is
+    scaled to integers U = D_u·u, and u·e_i = e_i becomes U·e_i = D_u·D_m·e_i.
+    No Fraction is built after the scaling.
     """
     rep = CheckReport(f"algebra axioms ({a.name or 'unnamed'})")
     den_m, sp = a.int_sp
@@ -355,20 +424,18 @@ def check_algebra_axioms(a: StructureAlgebra) -> CheckReport:
     den_u = common_denominator(unit.values())
     unit = scale_sparse(unit, den_u)
     basis = [{i: 1} for i in range(a.dim)]
-    mul = a.mul_int
     for i, ei in enumerate(basis):
         scaled = {i: den_u * den_m}
-        rep.require(
-            mul(unit, ei) == scaled and mul(ei, unit) == scaled,
-            f"unit law fails at basis element {a.basis[i]}",
-        )
+        if _contract(sp, unit, ei, {}) != scaled or _contract(sp, ei, unit, {}) != scaled:
+            rep.failures.append(f"unit law fails at basis element {a.basis[i]}")
+    # e_j e_l as a dict, built once per pair and read by every i
+    products = [[dict(term) for term in row] for row in sp]
     for i, ei in enumerate(basis):
-        for j in range(a.dim):
-            ij = dict(sp[i][j])
+        for j, ij in enumerate(products[i]):
+            jl = products[j]
             for l, el in enumerate(basis):
-                lhs = mul(ij, el)
-                rhs = mul(ei, dict(sp[j][l]))
-                rep.require(lhs == rhs, f"associativity fails at triple ({i},{j},{l})")
+                if _contract(sp, ij, el, {}) != _contract(sp, ei, jl[l], {}):
+                    rep.failures.append(f"associativity fails at triple ({i},{j},{l})")
     return rep
 
 

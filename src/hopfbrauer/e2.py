@@ -216,19 +216,13 @@ def theta(lam, mu) -> HopfMorphism:
 
 
 def e2_action_from_generators(c_mat: Matrix, x1_mat: Matrix, x2_mat: Matrix) -> list[Matrix]:
-    """Extend generator operators to all eight monomial basis actions."""
-    mats = {1: c_mat, 2: x1_mat, 4: x2_mat}
-    action = []
-    for d in (0, 1):
-        for b in (0, 1):
-            for a in (0, 1):
-                acc = Matrix.identity(c_mat.rows)
-                for gen, e in ((1, a), (2, b), (4, d)):
-                    for _ in range(e):
-                        acc = acc @ mats[gen]
-                action.append((_e2_index(a, b, d), acc))
-    action.sort(key=lambda t: t[0])
-    return [m for _, m in action]
+    """Extend generator operators to all eight monomial basis actions,
+    c^a x₁^b x₂^d at index a + 2b + 4d: one identity and four products."""
+    c_x1 = c_mat @ x1_mat
+    return [
+        Matrix.identity(c_mat.rows), c_mat, x1_mat, c_x1,
+        x2_mat, c_mat @ x2_mat, x1_mat @ x2_mat, c_x1 @ x2_mat,
+    ]
 
 
 def build_c_e2(a, t1, t2) -> YDObject:

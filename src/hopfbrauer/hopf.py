@@ -420,6 +420,11 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
     convolution laws, S∘S⁻¹ = id = S⁻¹∘S and R·R⁻¹ = 1⊗1 = R⁻¹·R. Antipode
     and inverse are unique, so no sign convention is guessed; a failed
     check raises ValueError. Every product is a sparse contraction.
+
+    The double's structure constants are accumulated as integers over
+    D_w·D_s·D_h³·D_d and handed to ``StructureAlgebra.from_int`` with that
+    scale, so the build and the checks that follow read ``int_sp`` and no
+    Fraction constant of the double is made unless a caller reads ``_sp``.
     """
     hd = dual_hopf(h)
     ha, da = h.alg, hd.alg
@@ -466,12 +471,17 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
                             for hj, hv in hq:
                                 k = base + hj
                                 out[k] = out[k] + fv * hv if k in out else fv * hv
-    den = den_w * den_s * den_h**3 * da.int_sp[0]
-    # sums that cancelled to zero are dropped: from_sparse rejects zero terms
-    alg = StructureAlgebra.from_sparse(
+    # sums that cancelled to zero are dropped: from_int rejects zero terms
+    for row in table:
+        for out in row:
+            if 0 in out.values():
+                for k in [k for k, c in out.items() if not c]:
+                    del out[k]
+    alg = StructureAlgebra.from_int(
         basis,
         unit,
-        [[[(k, Fraction(c, den)) for k, c in out.items() if c] for out in row] for row in table],
+        [[out.items() for out in row] for row in table],
+        den_w * den_s * den_h**3 * da.int_sp[0],
         name=f"D({h.name or 'H'})",
     )
 

@@ -10,13 +10,15 @@ The compatibility demanded throughout is the one for right H^op-comodule
 algebras, ρ(ab) = a₍₀₎b₍₀₎ ⊗ b₍₁₎a₍₁₎, together with the Yetter-Drinfeld
 condition ρ(l·b) = l₍₂₎·b₍₀₎ ⊗ l₍₃₎ b₍₁₎ S⁻¹(l₍₁₎).
 
-The axiom checks, the H-opposite and F/G contract on integers: each tensor
-is read times the least common denominator D of its entries, the action
-over D_a (``YDObject.int_images``), the coaction over D_c (``int_rho``), a
-product over D_m (``StructureAlgebra.int_sp``, ``mul_int``) and, locally, Δ,
-(Δ⊗id)Δ, S⁻¹, ε and a unit over their own D. Each side of an identity is an
-integer vector over a known positive scale, and each is multiplied by the
-scale factors the other has and it lacks before the exact comparison.
+The axiom checks, the # product, the H-opposite and F/G contract on
+integers: each tensor is read times the least common denominator D of its
+entries, the action over D_a (``YDObject.int_images``), the coaction over D_c
+(``int_rho``), a product over D_m (``StructureAlgebra.int_sp``, ``mul_int``)
+and, locally, Δ, (Δ⊗id)Δ, S⁻¹, ε and a unit over their own D. Each side of
+an identity is an integer vector over a known positive scale, and each is
+multiplied by the scale factors the other has and it lacks before the exact
+comparison. The # product and the H-opposite hand their integer products to
+``StructureAlgebra.from_int`` with their scale.
 
 This module also hosts the braided machinery: the # product, H-opposites,
 End(M) structures, the F/G maps whose bijectivity defines H-Azumaya
@@ -332,29 +334,36 @@ def check_yd_algebra(a: YDObject) -> CheckReport:
 
 
 def h_opposite(a: YDObject) -> YDObject:
-    """The H-opposite algebra: same action and coaction, x∘y = y₍₀₎(y₍₁₎·x),
-    contracted on integers and divided once by D_c·D_a·D_m."""
+    """The H-opposite algebra: same action and coaction, x∘y = y₍₀₎(y₍₁₎·x).
+    Each product is contracted on integers over D_c·D_a·D_m and handed to
+    ``StructureAlgebra.from_int`` with that scale, so no Fraction constant
+    is built."""
     alg = a.alg
     den_c, rho = a.int_rho
     den_a, images = a.int_images
-    den = den_c * den_a * alg.int_sp[0]
 
-    def product(i: int, j: int) -> SparseVec:
+    def product(i: int, j: int) -> IntVec:
         out: IntVec = {}
         for b, k, c in rho[j]:
             alg.mul_int({b: c}, images[i][k], out)
-        return over(out, den)
+        return out
 
     table = [[product(i, j).items() for j in range(alg.dim)] for i in range(alg.dim)]
     name = f"{alg.name}~" if alg.name else "opposite"
-    new_alg = StructureAlgebra.from_sparse(alg.basis, alg.unit, table, name=name)
+    new_alg = StructureAlgebra.from_int(alg.basis, alg.unit, table, den_c * den_a * alg.int_sp[0], name=name)
     return YDObject(a.hopf, alg.dim, new_alg, a.action, a.coaction)
 
 
 def sharp_product(a: YDObject, b: YDObject) -> YDObject:
     """Braided product A # B: (x#y)(z#w) = x z₍₀₎ # (z₍₁₎·y) w, with the
     tensor-product action (``module_tensor``) and the H^op coaction
-    ρ(x#y) = x₍₀₎#y₍₀₎ ⊗ y₍₁₎x₍₁₎. Flat index of x#y: x·dim(B) + y."""
+    ρ(x#y) = x₍₀₎#y₍₀₎ ⊗ y₍₁₎x₍₁₎. Flat index of x#y: x·dim(B) + y.
+
+    Both are contracted on integers: the product from the coaction of A
+    (``int_rho``, over D_c), the action on B (``int_images``, over D_a) and
+    the products of A and B (``int_sp``), and handed to
+    ``StructureAlgebra.from_int`` over D_c·D_a·D_A·D_B; the coaction from the
+    coactions of A and B and the product of H, divided once per entry."""
     if a.hopf is not b.hopf:
         raise ValueError("sharp product requires the same Hopf algebra")
     h = a.hopf
@@ -363,26 +372,35 @@ def sharp_product(a: YDObject, b: YDObject) -> YDObject:
     dim = da * db
     basis = [f"{a.alg.basis[i]}#{b.alg.basis[j]}" for i in range(da) for j in range(db)]
     unit = dense_vec(_tensor(sparse_vec(a.alg.unit).items(), sparse_vec(b.alg.unit).items(), db), dim)
-    basis_b = [{w: Q(1)} for w in range(db)]
-    mult = [
+
+    den_c, rho_a = a.int_rho
+    den_a, images_b = b.int_images
+    den_ma, sp_a = a.alg.int_sp
+    mul_b = b.alg.mul_int
+    # right[y][k][w] = (e_k·y)·w in B over D_a·D_B, for the H indices k that
+    # occur in the coaction of A
+    ks = {k for terms in rho_a for _, k, _ in terms}
+    right = [{k: [mul_b(images_b[y][k], {w: 1}) for w in range(db)] for k in ks} for y in range(db)]
+    table = [
         [
-            dense_vec(sparse_sum(
-                (c, _tensor(a.alg.mul_basis(x, z0), b.alg.mul_sparse(b.images[y][z1], basis_b[w]).items(), db))
-                for z0, z1, c in a.rho[z]
-            ), dim)
+            sparse_sum((c, _tensor(sp_a[x][z0], right[y][z1][w].items(), db)) for z0, z1, c in rho_a[z]).items()
             for z in range(da)
             for w in range(db)
         ]
         for x in range(da)
         for y in range(db)
     ]
-    alg = StructureAlgebra(basis, unit, mult, name=f"{a.alg.name}#{b.alg.name}")
+    den = den_c * den_a * den_ma * b.alg.int_sp[0]
+    alg = StructureAlgebra.from_int(basis, unit, table, den, name=f"{a.alg.name}#{b.alg.name}")
+
+    den_cb, rho_b = b.int_rho
+    den_h, sp_h = h.alg.int_sp
     coaction = [
-        dense_vec(sparse_sum(
-            (cx * cy, _tensor([(ax * db + by, Q(1))], h.alg.mul_basis(ky, kx), n))
-            for ax, kx, cx in a.rho[x]
-            for by, ky, cy in b.rho[y]
-        ), dim * n)
+        dense_vec(over(sparse_sum(
+            (cx * cy, _tensor([(ax * db + by, 1)], sp_h[ky][kx], n))
+            for ax, kx, cx in rho_a[x]
+            for by, ky, cy in rho_b[y]
+        ), den_c * den_cb * den_h), dim * n)
         for x in range(da)
         for y in range(db)
     ]

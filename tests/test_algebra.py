@@ -69,6 +69,29 @@ def test_axioms_detect_corruption():
     assert not rep.ok and any("associativity" in f for f in rep.failures)
 
 
+def test_axiom_failures_on_a_corrupted_sharp_rung_are_pinned():
+    from test_work_counts import _ladder_rung_d8
+
+    rung = _ladder_rung_d8().alg
+    mult = [[list(v) for v in row] for row in rung.mult]
+    mult[3][5][6] += Q(1, 3)  # perturb (1#x#x)·(x#1#x)
+    rep = check_algebra_axioms(StructureAlgebra(rung.basis, rung.unit, mult))
+    triples = [
+        (1, 2, 5), (1, 3, 5), (1, 7, 5), (2, 1, 5), (2, 3, 5), (2, 7, 5), (3, 1, 4), (3, 1, 7),
+        (3, 2, 7), (3, 3, 5), (3, 3, 6), (3, 4, 1), (3, 5, 1), (3, 5, 2), (3, 5, 3), (3, 5, 4),
+        (3, 5, 5), (3, 5, 6), (3, 5, 7), (3, 6, 3), (3, 7, 2), (3, 7, 4), (3, 7, 7), (4, 3, 5),
+        (4, 7, 5), (5, 3, 5), (5, 6, 5), (6, 3, 5), (6, 5, 5), (7, 3, 5), (7, 4, 5), (7, 7, 5),
+    ]
+    assert rep.failures == [f"associativity fails at triple ({i},{j},{l})" for i, j, l in triples]
+    mult = [[list(v) for v in row] for row in rung.mult]
+    mult[0][2][2] -= 1  # the unit no longer fixes 1#x#1
+    mult[0][2][3] += 2
+    rep = check_algebra_axioms(StructureAlgebra(rung.basis, rung.unit, mult))
+    assert rep.failures[0] == "unit law fails at basis element 1#x#1"
+    assert len(rep.failures) == 39 and rep.failures[1] == "associativity fails at triple (0,1,3)"
+    assert rep.failures[-1] == "associativity fails at triple (7,7,2)"
+
+
 def test_multiply_unit_and_relation():
     alg = c_algebra(Q(5))
     x = alg.basis_element(1)

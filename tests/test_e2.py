@@ -11,6 +11,7 @@ from hopfbrauer.e2 import (
     build_e2_module,
     build_RN,
     bq_grad_member,
+    e2_action_from_generators,
     f0_g0_matrices,
     fg_decomposition_residuals,
     is_graded_central_simple,
@@ -351,3 +352,34 @@ def test_prop62_with_trivial_module():
     triv_q = build_e2_module((0, 0))
     res = prop62_instance_check(build_c_e2(1, 0, 0), triv_q)
     assert res["agree"] and res["x1"][0] and res["x2"][0]
+
+
+def _reference_e2_action(c_mat, x1_mat, x2_mat):
+    """The earlier loop: each monomial c^a x₁^b x₂^d as a product from the
+    identity, twelve products and eight identities in all."""
+    mats = {1: c_mat, 2: x1_mat, 4: x2_mat}
+    action = []
+    for d in (0, 1):
+        for b in (0, 1):
+            for a in (0, 1):
+                acc = Matrix.identity(c_mat.rows)
+                for gen, e in ((1, a), (2, b), (4, d)):
+                    for _ in range(e):
+                        acc = acc @ mats[gen]
+                action.append((a + 2 * b + 4 * d, acc))
+    action.sort(key=lambda t: t[0])
+    return [m for _, m in action]
+
+
+def test_e2_action_from_generators_matches_the_monomial_loop():
+    gen = random.Random(41)
+
+    def rnd_matrix():
+        return Matrix([[Q(gen.randint(-9, 9), gen.randint(1, 9)) for _ in range(2)] for _ in range(2)])
+
+    cases = [tuple(rnd_matrix() for _ in range(3)) for _ in range(20)]
+    end_p = witness_end_p().action
+    cases.append((end_p[1], end_p[2], end_p[4]))  # c, x₁, x₂ on End(P)
+    assert end_p[1].rows == 4
+    for c_mat, x1_mat, x2_mat in cases:
+        assert e2_action_from_generators(c_mat, x1_mat, x2_mat) == _reference_e2_action(c_mat, x1_mat, x2_mat)

@@ -1,12 +1,16 @@
 """The sparse constructors of ``StructureAlgebra`` and ``HopfAlgebra``.
 
-``dual_hopf`` and ``drinfeld_double`` hand their products and coproducts to
-``from_sparse`` as sparse terms. These tests compare every stored table,
-dense view, unit, counit and antipode with the earlier dense build, whose
-loops are kept below as the reference, and check that the sparse
-constructors reject malformed tables as the dense ones do.
+``dual_hopf`` hands its product to ``from_sparse`` as sparse terms and
+``drinfeld_double`` its product to ``from_int`` as integer terms over one
+scale; both hand their coproducts to ``HopfAlgebra.from_sparse``. These
+tests compare every stored table, dense view, unit, counit and antipode with
+the earlier dense build, whose loops are kept below as the reference, check
+that ``from_int`` gives the algebra ``from_sparse`` gives on the same
+constants, and check that the sparse constructors reject malformed tables as
+the dense ones do.
 """
 
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -15,7 +19,7 @@ from test_integer_scaling import H4_SCALES, _rescaled_hopf
 
 from hopfbrauer.algebra import StructureAlgebra, opposite_algebra
 from hopfbrauer.e2 import build_e2
-from hopfbrauer.hopf import HopfAlgebra, drinfeld_double, dual_hopf
+from hopfbrauer.hopf import HopfAlgebra, check_hopf_axioms, drinfeld_double, dual_hopf
 from hopfbrauer.linalg import Matrix, dense_vec, sparse_vec, zero_vec
 from hopfbrauer.sweedler import build_h4
 
@@ -119,8 +123,42 @@ def _rescaled_h4():
     return _rescaled_hopf(build_h4(), H4_SCALES)
 
 
-BUILDS = [build_h4, build_e2, _rescaled_h4]
-BUILD_IDS = ["H4", "E2", "rescaled H4"]
+def _rebased_h4():
+    """H₄ on the basis b_i = Σ_k P[k][i]·e_k for a unipotent P. Its double has
+    structure constants whose sums cancel to zero, which the build drops."""
+    h = build_h4()
+    n = h.dim
+    p = Matrix([[1, 0, 0, -1], [-1, 1, 0, 1], [0, 0, 1, 0], [0, 0, -1, 1]])
+    p_inv = p.inverse()
+    cols = [p.col(i) for i in range(n)]
+
+    def product(x, y):
+        return p_inv.apply([
+            sum(x[a] * y[b] * h.alg.mult[a][b][k] for a in range(n) for b in range(n)) for k in range(n)
+        ])
+
+    alg = StructureAlgebra(
+        [f"b{i}" for i in range(n)], p_inv.apply(h.alg.unit),
+        [[product(cols[i], cols[j]) for j in range(n)] for i in range(n)], name="H4 rebased",
+    )
+    cop = []
+    for i in range(n):
+        old = [sum(cols[i][k] * h.cop[k][x] for k in range(n)) for x in range(n * n)]
+        cop.append([
+            sum(old[u * n + v] * p_inv.data[a][u] * p_inv.data[b][v] for u in range(n) for v in range(n))
+            for a in range(n)
+            for b in range(n)
+        ])
+    counit = [sum(cols[i][k] * h.counit[k] for k in range(n)) for i in range(n)]
+    return HopfAlgebra(alg, cop, counit, p_inv @ h.antipode @ p, p_inv @ h.antipode_inv @ p, name=alg.name)
+
+
+BUILDS = [build_h4, build_e2, _rescaled_h4, _rebased_h4]
+BUILD_IDS = ["H4", "E2", "rescaled H4", "rebased H4"]
+
+
+def test_rebased_h4_is_a_hopf_algebra():
+    assert check_hopf_axioms(_rebased_h4()).ok
 
 
 def _assert_same_hopf(got: HopfAlgebra, want: HopfAlgebra) -> None:
@@ -133,6 +171,7 @@ def _assert_same_hopf(got: HopfAlgebra, want: HopfAlgebra) -> None:
     assert got.antipode_inv == want.antipode_inv
     # the dense views are derived on first read
     assert "mult" not in got.alg.__dict__ and "cop" not in got.__dict__
+    assert got.alg.int_sp == want.alg.int_sp
     assert got.alg.mult == want.alg.mult
     assert got.cop == want.cop
     assert got.alg.same_product(want.alg) and got.same_coproduct(want)
@@ -274,3 +313,101 @@ def test_sparse_hopf_rejects_bad_coproducts(cop):
 def test_sparse_hopf_rejects_a_short_counit():
     with pytest.raises(ValueError):
         _kz2_hopf(KZ2_COP, counit=(1,))
+
+
+# -- integer tables ------------------------------------------------------------
+
+
+def _seeded_int_table(rng, dim):
+    """A dim × dim table of shuffled (k, c) terms, c a nonzero int."""
+    table = []
+    for _ in range(dim):
+        row = []
+        for _ in range(dim):
+            keys = rng.sample(range(dim), rng.randint(0, dim))
+            row.append([(k, rng.choice([-1, 1]) * rng.randint(1, 10**6)) for k in keys])
+        table.append(row)
+    return table
+
+
+def _same_algebra(got: StructureAlgebra, want: StructureAlgebra) -> None:
+    assert "_sp" not in got.__dict__  # the Fraction view waits for a reader
+    assert got.int_sp == want.int_sp
+    assert got._sp == want._sp
+    assert got.mult == want.mult
+    assert got.same_product(want) and want.same_product(got)
+    assert (got.basis, got.unit, got.name) == (want.basis, want.unit, want.name)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_int_algebra_equals_the_fraction_one(seed):
+    rng = random.Random(seed)
+    dim = rng.randint(1, 6)
+    basis = [f"e{i}" for i in range(dim)]
+    unit = [Q(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(dim)]
+    table = _seeded_int_table(rng, dim)
+    den = rng.randint(1, 10**4)
+    # a factor of den shared by every entry, which from_int divides out
+    shared = rng.choice([2, 6, 35, 10**3])
+    for terms, scale in ((table, den), ([[[(k, shared * c) for k, c in t] for t in r] for r in table], shared * den)):
+        want = StructureAlgebra.from_sparse(
+            basis, unit, [[[(k, Q(c, scale)) for k, c in t] for t in r] for r in terms], name="A"
+        )
+        _same_algebra(StructureAlgebra.from_int(basis, unit, terms, scale, name="A"), want)
+
+
+def test_int_algebra_reduces_its_scale():
+    # e_1·e_1 = (6/4)·e_0 and e_0·e_1 = (2/4)·e_1: the scale is 2, not 4
+    table = [[[(0, 4)], [(1, 2)]], [[(1, 4)], [(0, 6)]]]
+    alg = StructureAlgebra.from_int(["1", "g"], [1, 0], table, 4)
+    assert alg.int_sp == (2, [[((0, 2),), ((1, 1),)], [((1, 2),), ((0, 3),)]])
+    assert alg.mul_basis(1, 1) == ((0, Q(3, 2)),)
+    # an empty table has scale 1, as the Fraction path gives
+    empty = StructureAlgebra.from_int(["1", "g"], [1, 0], [[[], []], [[], []]], 9)
+    assert empty.int_sp == StructureAlgebra.from_sparse(["1", "g"], [1, 0], [[[], []], [[], []]]).int_sp
+    assert empty.int_sp[0] == 1
+
+
+def test_int_algebra_matches_the_double():
+    double = drinfeld_double(build_e2())[0].alg
+    den, table = double.int_sp
+    again = StructureAlgebra.from_int(double.basis, double.unit, table, den, name=double.name)
+    _same_algebra(again, StructureAlgebra.from_sparse(double.basis, double.unit, double._sp, name=double.name))
+
+
+KZ2_INT = [[[(0, 2)], [(1, 2)]], [[(1, 2)], [(0, 2)]]]
+
+
+def _with_int_term(term):
+    return [[[(0, 2)], [(1, 2)]], [[(1, 2)], [term]]]
+
+
+@pytest.mark.parametrize(
+    "table, den",
+    [
+        (KZ2_INT[:1], 2),
+        ([KZ2_INT[0], KZ2_INT[1][:1]], 2),
+        (_with_int_term((2, 2)), 2),
+        (_with_int_term((-1, 2)), 2),
+        (_with_int_term((1.0, 2)), 2),
+        ([[[(0, 2)], [(1, 2)]], [[(1, 2)], [(0, 2), (0, 4)]]], 2),
+        (_with_int_term((0, 0)), 2),
+        (_with_int_term((0, Q(2))), 2),
+        (_with_int_term((0, 2.0)), 2),
+        (_with_int_term((0, True)), 2),
+        (_with_int_term((0, "2")), 2),
+        (KZ2_INT, 0),
+        (KZ2_INT, -2),
+        (KZ2_INT, Q(2)),
+        (KZ2_INT, 2.0),
+        ([[[(0, 2)], [(1, 2)]], [[(1, 2)], iter([(0, 2)])]], 2),
+    ],
+    ids=[
+        "rows", "entries", "index=dim", "index<0", "float index", "duplicate", "zero", "Fraction",
+        "float", "bool", "string", "scale 0", "scale<0", "Fraction scale", "float scale",
+        "iterator",
+    ],
+)
+def test_int_algebra_rejects_bad_tables(table, den):
+    with pytest.raises(ValueError):
+        StructureAlgebra.from_int(["1", "g"], [1, 0], table, den)

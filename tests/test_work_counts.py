@@ -7,12 +7,15 @@ associativity check, the Yetter-Drinfeld axiom checks and the H-opposite
 contract on integers without the Fraction product, as do F₀, G₀ and the F/G
 decomposition residuals over E(2), and the H-Azumaya verdict hands F and G to
 the determinant as integer rows without a dense d²×d² matrix, so a
-regression to any of these shows here without timing noise."""
+regression to any of these shows here without timing noise. The double's
+product, # products and H-opposites are built from integer tables
+(``StructureAlgebra.from_int``): the double's 64-wide table never passes
+through ``canonical_terms`` and its Fraction view is never built."""
 
 from collections import Counter
 from fractions import Fraction as Q
 
-from hopfbrauer import hopf, sweedler
+from hopfbrauer import algebra, hopf, sweedler
 from hopfbrauer.algebra import StructureAlgebra, check_algebra_axioms
 from hopfbrauer.e2 import (
     build_c_e2,
@@ -65,6 +68,22 @@ def test_double_and_its_checks_read_no_fraction_structure_constant(monkeypatch):
     assert hopf.check_quasitriangular(double, canonical).ok
     assert hopf.check_hopf_axioms(hopf.drinfeld_double(sweedler.build_h4())[0]).ok
     assert calls == []
+
+
+def test_double_keeps_its_product_on_integers(monkeypatch):
+    widths = []
+    canonical_terms = algebra.canonical_terms
+
+    def recorded(terms, dim):
+        widths.append(dim)
+        return canonical_terms(terms, dim)
+
+    monkeypatch.setattr(algebra, "canonical_terms", recorded)
+    double, canonical = hopf.drinfeld_double(build_e2())
+    assert hopf.check_quasitriangular(double, canonical).ok
+    # the product went to from_int as integers and its Fraction view was never read
+    assert "_sp" not in double.alg.__dict__
+    assert double.dim == 64 and 64 not in widths
 
 
 def test_rt_and_rt_form_are_built_without_a_solve(monkeypatch):
@@ -141,6 +160,22 @@ def test_yd_checks_and_h_opposite_make_no_fraction_product(monkeypatch):
     assert check_yd_algebra(rung).ok
     assert check_yd_algebra(e2_object).ok
     assert check_yd_algebra(h_opposite(rung)).ok
+    assert calls == []
+
+
+def test_sharp_product_and_h_opposite_read_no_fraction_structure_constant(monkeypatch):
+    factors = [sweedler.build_C(sweedler.CFamilyDescriptor(Q(2, 3), Q(1), Q(-1))), _ladder_rung_d8()]
+    e2_factors = [build_c_e2(Q(2, 7), Q(3, 5), Q(-1, 11)), build_c_e2(Q(5), Q(1, 3), Q(2))]
+    calls = _count_fraction_products(monkeypatch)
+    mul_basis = StructureAlgebra.mul_basis
+
+    def counted(alg, *args):
+        calls.append(f"{alg.name}.mul_basis")
+        return mul_basis(alg, *args)
+
+    monkeypatch.setattr(StructureAlgebra, "mul_basis", counted)
+    for left, right in (factors, e2_factors):
+        h_opposite(sharp_product(left, right))
     assert calls == []
 
 
