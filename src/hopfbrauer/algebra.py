@@ -27,9 +27,11 @@ from .linalg import (
     dense_vec,
     format_rational,
     is_zero_vec,
-    kernel_basis,
     mat_det,
     scale_sparse,
+    scaled,
+    solve_columns,
+    sparse_sum,
     sparse_vec,
     vec,
     zero_vec,
@@ -299,23 +301,24 @@ class StructureAlgebra:
     def scalar(self, c) -> "AlgebraElement":
         return AlgebraElement(self, [Fraction(c) * u for u in self.unit])
 
-    def left_mult_matrix(self, x: Sequence[Fraction]) -> Matrix:
-        return Matrix.from_cols([self.mul_vec(x, self.basis_vec(j)) for j in range(self.dim)])
-
-    def right_mult_matrix(self, x: Sequence[Fraction]) -> Matrix:
-        return Matrix.from_cols([self.mul_vec(self.basis_vec(j), x) for j in range(self.dim)])
-
     def is_invertible(self, x: Sequence[Fraction]) -> bool:
-        return mat_det(self.left_mult_matrix(x)) != 0
+        """Whether left multiplication by x is bijective; its matrix goes to
+        ``mat_det`` as integer rows over D_x·D_m."""
+        xi, den = scaled(sparse_vec(x))
+        rows = [{} for _ in range(self.dim)]
+        for j in range(self.dim):
+            for k, c in self.mul_int(xi, {j: 1}).items():
+                rows[k][j] = c
+        den *= self.int_sp[0]
+        return mat_det(Matrix.from_int_rows([(den, row) for row in rows], self.dim)) != 0
 
-    def scalar_part(self, x: Sequence[Fraction]) -> Fraction | None:
-        """If x = c·1, return c, else None."""
-        unit = self.unit
-        pivot = next((i for i, u in enumerate(unit) if u), None)
-        if pivot is None:
+    def scalar_part(self, x: SparseVec) -> Fraction | None:
+        """If the sparse vector x is c·1, return c, else None."""
+        unit = sparse_vec(self.unit)
+        if not unit:
             return None
-        c = x[pivot] / unit[pivot]
-        return c if all(x[i] == c * unit[i] for i in range(self.dim)) else None
+        c = x.get(min(unit), 0) / unit[min(unit)]
+        return c if {k: c * u for k, u in unit.items() if c} == x else None
 
     def show(self, x: Sequence[Fraction]) -> str:
         terms = [
@@ -481,15 +484,18 @@ def operator_to_vec(m: Matrix) -> list[Fraction]:
     return out
 
 
+def _commutator_blocks(a: StructureAlgebra, cols: Sequence[int], signs: Sequence[int]) -> list:
+    """z·e_i = signs[i]·e_i·z for z = Σ_c z_c·e_{cols[c]}, one ``solve_columns``
+    block per i with column c = e_j·e_i − signs[i]·e_i·e_j, j = cols[c]."""
+    return [
+        ([sparse_sum(((1, dict(a.mul_basis(j, i))), (-sign, dict(a.mul_basis(i, j))))) for j in cols], {})
+        for i, sign in enumerate(signs)
+    ]
+
+
 def center(a: StructureAlgebra) -> list[list[Fraction]]:
     """Basis of {z : z·e_i = e_i·z for all i}, by one linear solve."""
-    rows = []
-    for i in range(a.dim):
-        li = a.left_mult_matrix(a.basis_vec(i))
-        ri = a.right_mult_matrix(a.basis_vec(i))
-        diff = ri - li  # columns: e_j·e_i - e_i·e_j as functions of z-coefficient j
-        rows.extend(diff.data)
-    return kernel_basis(Matrix(rows))
+    return solve_columns(_commutator_blocks(a, range(a.dim), [1] * a.dim), a.dim, a.dim).kernel
 
 
 def super_center(a: StructureAlgebra, grading: Grading) -> list[list[Fraction]]:
@@ -504,25 +510,9 @@ def super_center(a: StructureAlgebra, grading: Grading) -> list[list[Fraction]]:
         cols = [j for j in range(a.dim) if grading.parity[j] == pz]
         if not cols:
             continue
-        rows: list[list[Fraction]] = []
-        for i in range(a.dim):
-            sign = -1 if (pz and grading.parity[i]) else 1
-            ei = a.basis_vec(i)
-            block = [
-                [
-                    x - sign * y
-                    for x, y in zip(a.mul_vec(a.basis_vec(j), ei), a.mul_vec(ei, a.basis_vec(j)))
-                ]
-                for j in cols
-            ]
-            # block[c][k]: coefficient of unknown z_{cols[c]} in component k
-            for k in range(a.dim):
-                rows.append([block[c][k] for c in range(len(cols))])
-        for kvec in kernel_basis(Matrix(rows)):
-            full = zero_vec(a.dim)
-            for c, j in enumerate(cols):
-                full[j] = kvec[c]
-            out.append(full)
+        signs = [-1 if pz and p else 1 for p in grading.parity]
+        kernel = solve_columns(_commutator_blocks(a, cols, signs), len(cols), a.dim).kernel
+        out += [dense_vec(dict(zip(cols, kvec)), a.dim) for kvec in kernel]
     return out
 
 

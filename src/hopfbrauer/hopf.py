@@ -12,12 +12,14 @@ Hopf morphism checking.
 Elements of H ⊗ H and H ⊗ H ⊗ H appearing in checks are handled as sparse
 dicts keyed by index tuples; the flat basis ordering is left-factor major.
 
-Products in H ⊗ H and H ⊗ H ⊗ H (``t2_mul``, ``t3_mul``), the Hopf and
-quasitriangular axiom checks and the Drinfeld-double build run on
-integer-scaled tables: each operand is scaled to integers over its least
-common denominator, contracted on ``StructureAlgebra.int_sp`` (the product
-over D_m), and either compared as integers over a known scale or divided
-once per entry of the result.
+Products in H ⊗ H and H ⊗ H ⊗ H (``t2_mul``, ``t3_mul``), the Hopf,
+quasitriangular and coquasitriangular checks and the Drinfeld-double build
+run on integer-scaled tables: each operand is scaled to integers over its
+least common denominator (a bilinear form by ``int_form``), contracted on
+``StructureAlgebra.int_sp`` (the product over D_m) and ``int_cop`` (Δ over
+D_Δ), and either compared as integers over a known scale or divided once per
+entry of the result. Hopf morphisms are checked on the sparse columns of
+their matrix.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .linalg import (
     IntVec,
     Matrix,
     SparseVec,
+    common_denominator,
     dense_vec,
     over,
     scaled,
@@ -133,14 +136,6 @@ class HopfAlgebra:
         """Δ(e_i) as sparse (left, right, coeff) triples."""
         return self._spcop[i]
 
-    def cop_of_vec(self, x: Sequence[Fraction]) -> dict[tuple[int, int], Fraction]:
-        out: dict[tuple[int, int], Fraction] = {}
-        for i, xi in enumerate(x):
-            if xi:
-                for p, q, c in self._spcop[i]:
-                    _acc(out, (p, q), xi * c)
-        return out
-
     def sweedler2(self, i: int) -> tuple[tuple[int, int, int, Fraction], ...]:
         """(Δ ⊗ id)Δ(e_i) as sparse (l1, l2, l3, coeff) tuples."""
         if self._sw2 is None:
@@ -153,12 +148,6 @@ class HopfAlgebra:
                 table.append(tuple((a, b, c_, v) for (a, b, c_), v in acc.items() if v))
             self._sw2 = table
         return self._sw2[i]
-
-    def antipode_vec(self, x: Sequence[Fraction]) -> list[Fraction]:
-        return self.antipode.apply(x)
-
-    def counit_of(self, x: Sequence[Fraction]) -> Fraction:
-        return sum((c * e for c, e in zip(x, self.counit)), Fraction(0))
 
     def __repr__(self) -> str:
         return f"HopfAlgebra({self.name or 'unnamed'}, dim={self.dim})"
@@ -297,8 +286,9 @@ def check_hopf_axioms(h: HopfAlgebra) -> CheckReport:
     # Δ and ε are algebra maps. With Δ over D_Δ and ε over D_ε as integers,
     # D_Δ·D_m·Δ(e_i e_j) = Δ(e_i)·Δ(e_j) over D_Δ²·D_m², and
     # D_ε·ε(e_i e_j) = ε(e_i)·ε(e_j) over D_ε²·D_m
-    rep.require(h.cop_of_vec(alg.unit) == t2_unit(h), "Δ(1) ≠ 1⊗1")
-    rep.require(h.counit_of(alg.unit) == 1, "ε(1) ≠ 1")
+    cop_unit = sparse_sum((u, {(p, q): c for p, q, c in h.cop_sparse(i)}) for i, u in enumerate(alg.unit) if u)
+    rep.require(cop_unit == t2_unit(h), "Δ(1) ≠ 1⊗1")
+    rep.require(sum(c * e for c, e in zip(alg.unit, h.counit)) == 1, "ε(1) ≠ 1")
     den_m, sp = alg.int_sp
     den_d, cop = h.int_cop
     cops = [{(p, q): c for p, q, c in row} for row in cop]
@@ -714,18 +704,46 @@ class CoQTStructure:
     form_inv: Matrix
 
 
-def _convolution(h: HopfAlgebra, a: Matrix, b: Matrix, x: int, y: int) -> Fraction:
-    """(a * b)(e_x ⊗ e_y) = Σ a(x₍₁₎⊗y₍₁₎)·b(x₍₂₎⊗y₍₂₎) for bilinear forms a, b,
-    over the terms where neither form vanishes."""
-    total = Fraction(0)
-    for p, q, c in h.cop_sparse(x):
-        for u, v, d in h.cop_sparse(y):
-            apu = a.data[p][u]
-            if apu:
-                bqv = b.data[q][v]
-                if bqv:
-                    total += c * d * apu * bqv
-    return total
+def int_form(m: Matrix) -> tuple[int, list[list[int]]]:
+    """(D_r, D_r·m as integer rows), D_r the least common denominator of m."""
+    den = common_denominator(v for row in m.data for v in row)
+    return den, [[v.numerator * (den // v.denominator) for v in row] for row in m.data]
+
+
+def form_products(h: HopfAlgebra, form: list[list[int]], x: int, y: int, flip: bool) -> tuple[IntVec, IntVec]:
+    """r(x₍₁₎⊗y₍₁₎)·x₍₂₎y₍₂₎ and x₍₁₎y₍₁₎·r(x₍₂₎⊗y₍₂₎) (y₍₁₎x₍₁₎ if ``flip``) for
+    basis elements x, y and an ``int_form`` r: integers over D_Δ²·D_r·D_m."""
+    cop, mul = h.int_cop[1], h.alg.mul_int
+    lhs: IntVec = {}
+    rhs: IntVec = {}
+    for p, q, c in cop[x]:
+        for u, v, d in cop[y]:
+            if form[p][u]:
+                mul({q: c * d * form[p][u]}, {v: 1}, lhs)
+            if form[q][v]:
+                left, right = (u, p) if flip else (p, u)
+                mul({left: c * d * form[q][v]}, {right: 1}, rhs)
+    return lhs, rhs
+
+
+def _inverse_failures(h: HopfAlgebra, form: Matrix, form_inv: Matrix):
+    """Yield each (x, y) where r⁻¹ * r or r * r⁻¹ is not ε⊗ε at e_x ⊗ e_y,
+    (a * b)(x⊗y) = Σ a(x₍₁₎⊗y₍₁₎)·b(x₍₂₎⊗y₍₂₎) compared as integers: over
+    D_Δ²·D_r·D_i, against ε(x)ε(y) over D_ε²."""
+    den_d, cop = h.int_cop
+    (den_r, r), (den_i, ri) = int_form(form), int_form(form_inv)
+    counit, den_e = scaled(sparse_vec(h.counit))
+    scale = den_d * den_d * den_r * den_i
+    for x in range(h.dim):
+        for y in range(h.dim):
+            left = right = 0
+            for p, q, c in cop[x]:
+                for u, v, d in cop[y]:
+                    left += c * d * ri[p][u] * r[q][v]
+                    right += c * d * r[p][u] * ri[q][v]
+            want = counit.get(x, 0) * counit.get(y, 0) * scale
+            if left * den_e * den_e != want or right * den_e * den_e != want:
+                yield x, y
 
 
 def coqt_structure(h: HopfAlgebra, form: Matrix, form_inv: Matrix | None = None) -> CoQTStructure:
@@ -741,11 +759,8 @@ def coqt_structure(h: HopfAlgebra, form: Matrix, form_inv: Matrix | None = None)
         if m is not None and (m.rows, m.cols) != (n, n):
             raise ValueError(f"{label} is {m.rows}×{m.cols}, expected {n}×{n}")
     if form_inv is not None:
-        for x in range(n):
-            for y in range(n):
-                unit = h.counit[x] * h.counit[y]
-                if _convolution(h, form_inv, form, x, y) != unit or _convolution(h, form, form_inv, x, y) != unit:
-                    raise ValueError("given form is not a convolution inverse")
+        if any(_inverse_failures(h, form, form_inv)):
+            raise ValueError("given form is not a convolution inverse")
         return CoQTStructure(h, form, form_inv)
     rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
@@ -765,57 +780,53 @@ def coqt_structure(h: HopfAlgebra, form: Matrix, form_inv: Matrix | None = None)
 
 
 def check_coquasitriangular(h: HopfAlgebra, ct: CoQTStructure) -> CheckReport:
-    """Coquasitriangular axioms on basis triples; data["cotriangular"]."""
+    """Coquasitriangular axioms on basis triples; data["cotriangular"].
+
+    Compared on integers, r over D_r (``int_form``): r(ab⊗c) and r(a⊗bc)
+    over D_m·D_r against r(a⊗c₍₁₎)r(b⊗c₍₂₎) and r(a₍₁₎⊗c)r(a₍₂₎⊗b) over
+    D_Δ·D_r², each lifted by the other's scale; the r-commutation by
+    ``form_products``. Messages are formatted only for failures.
+    """
     rep = CheckReport(f"coquasitriangular ({h.name})")
     n = h.dim
     alg = h.alg
-    r = ct.form.data
+    basis = alg.basis
+    den_m, sp = alg.int_sp
+    den_d, cop = h.int_cop
+    den_r, r = int_form(ct.form)
+    unit, den_u = scaled(sparse_vec(alg.unit))
+    counit, den_e = scaled(sparse_vec(h.counit))
 
     for x in range(n):
-        val_left = sum((a * r[i][x] for i, a in enumerate(alg.unit)), Fraction(0))
-        val_right = sum((a * r[x][i] for i, a in enumerate(alg.unit)), Fraction(0))
-        rep.require(val_left == h.counit[x], f"r(1⊗{alg.basis[x]}) ≠ ε")
-        rep.require(val_right == h.counit[x], f"r({alg.basis[x]}⊗1) ≠ ε")
+        want = den_u * den_r * counit.get(x, 0)
+        if den_e * sum(a * r[i][x] for i, a in unit.items()) != want:
+            rep.failures.append(f"r(1⊗{basis[x]}) ≠ ε")
+        if den_e * sum(a * r[x][i] for i, a in unit.items()) != want:
+            rep.failures.append(f"r({basis[x]}⊗1) ≠ ε")
 
+    lift = den_d * den_r
     for u in range(n):
+        ru = r[u]
         for v in range(n):
-            prod_uv = alg.mul_basis(u, v)
+            rv, prod_uv = r[v], sp[u][v]
             for w in range(n):
-                lhs = sum((c * r[k][w] for k, c in prod_uv), Fraction(0))
-                rhs = sum((d * r[u][p] * r[v][q] for p, q, d in h.cop_sparse(w)), Fraction(0))
-                rep.require(
-                    lhs == rhs,
-                    f"r(ab⊗c) axiom fails at ({alg.basis[u]},{alg.basis[v]},{alg.basis[w]})",
-                )
-                lhs2 = sum((c * r[u][k] for k, c in alg.mul_basis(v, w)), Fraction(0))
-                rhs2 = sum((d * r[p][w] * r[q][v] for p, q, d in h.cop_sparse(u)), Fraction(0))
-                rep.require(
-                    lhs2 == rhs2,
-                    f"r(a⊗bc) axiom fails at ({alg.basis[u]},{alg.basis[v]},{alg.basis[w]})",
-                )
+                lhs = sum(c * r[k][w] for k, c in prod_uv)
+                rhs = sum(d * ru[p] * rv[q] for p, q, d in cop[w])
+                if lhs * lift != rhs * den_m:
+                    rep.failures.append(f"r(ab⊗c) axiom fails at ({basis[u]},{basis[v]},{basis[w]})")
+                lhs = sum(c * ru[k] for k, c in sp[v][w])
+                rhs = sum(d * r[p][w] * r[q][v] for p, q, d in cop[u])
+                if lhs * lift != rhs * den_m:
+                    rep.failures.append(f"r(a⊗bc) axiom fails at ({basis[u]},{basis[v]},{basis[w]})")
 
     for x in range(n):
         for y in range(n):
-            lhs = zero_vec(n)
-            rhs = zero_vec(n)
-            for p, q, c in h.cop_sparse(x):
-                for u, v, d in h.cop_sparse(y):
-                    coef = c * d
-                    for k, e in alg.mul_basis(q, v):
-                        lhs[k] += coef * r[p][u] * e
-                    for k, e in alg.mul_basis(u, p):
-                        rhs[k] += coef * r[q][v] * e
-            rep.require(
-                lhs == rhs,
-                f"r-commutation axiom fails at ({alg.basis[x]},{alg.basis[y]})",
-            )
+            lhs, rhs = form_products(h, r, x, y, flip=True)
+            if lhs != rhs:
+                rep.failures.append(f"r-commutation axiom fails at ({basis[x]},{basis[y]})")
 
-    for x in range(n):
-        for y in range(n):
-            conv = _convolution(h, ct.form_inv, ct.form, x, y)
-            conv2 = _convolution(h, ct.form, ct.form_inv, x, y)
-            want = h.counit[x] * h.counit[y]
-            rep.require(conv == want and conv2 == want, f"convolution inverse fails at ({x},{y})")
+    for x, y in _inverse_failures(h, ct.form, ct.form_inv):
+        rep.failures.append(f"convolution inverse fails at ({x},{y})")
 
     rep.data["cotriangular"] = ct.form_inv == ct.form.transpose()
     return rep
@@ -842,51 +853,43 @@ class HopfMorphism:
 
 
 def check_hopf_morphism(f: HopfMorphism) -> CheckReport:
+    """Unit, product, counit, coproduct and antipode preserved, compared on
+    the sparse columns f(e_i); a message is formatted only on failure."""
     rep = CheckReport(f"Hopf morphism ({f.name or f.source.name + '→' + f.target.name})")
     src, tgt = f.source, f.target
-    n = src.dim
-    rep.require(f.apply(src.alg.unit) == tgt.alg.one(), "f(1) ≠ 1")
-    images = [f.apply(src.alg.basis_vec(i)) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lhs = f.apply(src.alg.mul_vec(src.alg.basis_vec(i), src.alg.basis_vec(j)))
-            rhs = tgt.alg.mul_vec(images[i], images[j])
-            rep.require(lhs == rhs, f"not an algebra map at ({src.alg.basis[i]},{src.alg.basis[j]})")
-    for i in range(n):
-        rep.require(
-            tgt.counit_of(images[i]) == src.counit[i],
-            f"counit not preserved at {src.alg.basis[i]}",
+    basis = src.alg.basis
+    cols = [sparse_vec(f.matrix.col(i)) for i in range(src.dim)]
+    t_cols = [sparse_vec(tgt.antipode.col(k)) for k in range(tgt.dim)]
+
+    def image(v, images=cols) -> SparseVec:
+        return sparse_sum((c, images[k]) for k, c in v.items())
+
+    rep.require(image(sparse_vec(src.alg.unit)) == sparse_vec(tgt.alg.unit), "f(1) ≠ 1")
+    for i in range(src.dim):
+        for j in range(src.dim):
+            if image(dict(src.alg.mul_basis(i, j))) != tgt.alg.mul_sparse(cols[i], cols[j]):
+                rep.failures.append(f"not an algebra map at ({basis[i]},{basis[j]})")
+    for i, fi in enumerate(cols):
+        if sum(c * tgt.counit[k] for k, c in fi.items()) != src.counit[i]:
+            rep.failures.append(f"counit not preserved at {basis[i]}")
+        lhs = sparse_sum(
+            (c, {(a, b): va * vb for a, va in cols[p].items() for b, vb in cols[q].items()})
+            for p, q, c in src.cop_sparse(i)
         )
-        lhs: dict[tuple[int, int], Fraction] = {}
-        for p, q, c in src.cop_sparse(i):
-            for a, va in enumerate(images[p]):
-                if va:
-                    for b, vb in enumerate(images[q]):
-                        if vb:
-                            _acc(lhs, (a, b), c * va * vb)
-        rep.require(
-            lhs == tgt.cop_of_vec(images[i]),
-            f"not a coalgebra map at {src.alg.basis[i]}",
-        )
-        rep.require(
-            f.apply(src.antipode.col(i)) == tgt.antipode_vec(images[i]),
-            f"antipode not intertwined at {src.alg.basis[i]}",
-        )
+        if lhs != sparse_sum((c, {(a, b): d for a, b, d in tgt.cop_sparse(k)}) for k, c in fi.items()):
+            rep.failures.append(f"not a coalgebra map at {basis[i]}")
+        if image(sparse_vec(src.antipode.col(i))) != image(fi, t_cols):
+            rep.failures.append(f"antipode not intertwined at {basis[i]}")
     return rep
 
 
 def push_qt(f: HopfMorphism, rvec: Sequence[Fraction]) -> list[Fraction]:
-    """(f ⊗ f)(R) as an element of target ⊗ target."""
-    n = f.source.dim
+    """(f ⊗ f)(R) in target ⊗ target, from the sparse columns of f."""
     m = f.target.dim
-    out = zero_vec(m * m)
-    r = t2_from_vec(vec(rvec), n)
-    for (i, j), c in r.items():
-        fi = f.apply(f.source.alg.basis_vec(i))
-        fj = f.apply(f.source.alg.basis_vec(j))
-        for a, va in enumerate(fi):
-            if va:
-                for b, vb in enumerate(fj):
-                    if vb:
-                        out[a * m + b] += c * va * vb
-    return out
+    cols = [sparse_vec(f.matrix.col(i)) for i in range(f.source.dim)]
+    out = sparse_sum(
+        (c * va, {a * m + b: vb for b, vb in cols[j].items()})
+        for (i, j), c in t2_from_vec(vec(rvec), f.source.dim).items()
+        for a, va in cols[i].items()
+    )
+    return dense_vec(out, m * m)

@@ -523,6 +523,22 @@ def solve_sparse(rows: list[dict[int, Fraction]], rhs: list[Fraction], nunknowns
     return LinearSolution(particular, kernel)
 
 
+def solve_columns(blocks, unknowns: int, dim: int) -> LinearSolution:
+    """Solve Σ_j x_j·cols[j] = target for every (cols, target) in ``blocks``,
+    the columns and targets sparse vectors in kᵈⁱᵐ. Row k of a block holds
+    coefficient k of each column; rows go to ``solve_sparse`` block by block,
+    k ascending, zero rows included, which fixes the solution it returns."""
+    rows, rhs = [], []
+    for cols, target in blocks:
+        block = [{} for _ in range(dim)]
+        for j, col in enumerate(cols):
+            for k, v in col.items():
+                block[k][j] = v
+        rows += block
+        rhs += dense_vec(target, dim)
+    return solve_sparse(rows, rhs, unknowns)
+
+
 def _kernel_from_rref(pivots: dict[int, dict[int, Fraction]], nunknowns: int) -> list[list[Fraction]]:
     free = [c for c in range(nunknowns) if c not in pivots]
     basis = []

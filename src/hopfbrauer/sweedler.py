@@ -26,6 +26,8 @@ from .hopf import (
     coqt_structure,
     drinfeld_double,
     dual_hopf,
+    form_products,
+    int_form,
     qt_structure,
 )
 from .linalg import Matrix, rational_is_square, zero_vec
@@ -497,39 +499,31 @@ def build_sigma(t) -> LazyCocycle:
 
 
 def check_lazy_cocycle(sigma: LazyCocycle) -> CheckReport:
-    """Left 2-cocycle condition plus the laziness condition, on basis triples."""
+    """Left 2-cocycle condition plus the laziness condition, on basis triples,
+    compared on integers (σ over D_s by ``int_form``): the cocycle sides over
+    D_Δ²·D_s²·D_m, the laziness sides by ``form_products``."""
     rep = CheckReport("lazy cocycle")
     h = build_h4()
-    alg = h.alg
     s = sigma.table.data
     rep.require(all(s[0][k] == h.counit[k] for k in range(4)), "σ(1⊗·) ≠ ε")
     rep.require(all(s[k][0] == h.counit[k] for k in range(4)), "σ(·⊗1) ≠ ε")
+    sp, cop = h.alg.int_sp[1], h.int_cop[1]
+    s = int_form(sigma.table)[1]
+    # σ(e_q e_v ⊗ e_m) at [q][v][m] and σ(e_i ⊗ e_v e_q) at [v][q][i]
+    left = [[[sum(e * s[k][m] for k, e in sp[q][v]) for m in range(4)] for v in range(4)] for q in range(4)]
+    right = [[[sum(e * s[i][k] for k, e in sp[v][q]) for i in range(4)] for q in range(4)] for v in range(4)]
     for i in range(4):
         for j in range(4):
             for m in range(4):
-                lhs = Q(0)
-                for p, q, c in h.cop_sparse(i):
-                    for u, v, d in h.cop_sparse(j):
-                        inner = sum((e * s[k][m] for k, e in alg.mul_basis(q, v)), Q(0))
-                        lhs += c * d * s[p][u] * inner
-                rhs = Q(0)
-                for u, v, d in h.cop_sparse(j):
-                    for p, q, c in h.cop_sparse(m):
-                        inner = sum((e * s[i][k] for k, e in alg.mul_basis(v, q)), Q(0))
-                        rhs += c * d * s[u][p] * inner
-                rep.require(lhs == rhs, f"cocycle condition fails at ({i},{j},{m})")
+                lhs = sum(c * d * s[p][u] * left[q][v][m] for p, q, c in cop[i] for u, v, d in cop[j])
+                rhs = sum(c * d * s[u][p] * right[v][q][i] for u, v, d in cop[j] for p, q, c in cop[m])
+                if lhs != rhs:
+                    rep.failures.append(f"cocycle condition fails at ({i},{j},{m})")
     for i in range(4):
         for j in range(4):
-            lhs = zero_vec(4)
-            rhs = zero_vec(4)
-            for p, q, c in h.cop_sparse(i):
-                for u, v, d in h.cop_sparse(j):
-                    coef = c * d
-                    for k, e in alg.mul_basis(q, v):
-                        lhs[k] += coef * s[p][u] * e
-                    for k, e in alg.mul_basis(p, u):
-                        rhs[k] += coef * s[q][v] * e
-            rep.require(lhs == rhs, f"laziness fails at ({i},{j})")
+            lhs, rhs = form_products(h, s, i, j, flip=False)
+            if lhs != rhs:
+                rep.failures.append(f"laziness fails at ({i},{j})")
     return rep
 
 
@@ -538,24 +532,29 @@ def cocycle_twist(a, sigma: LazyCocycle):
 
     The coaction is unchanged; the output is a comodule algebra (any action
     on the input is dropped — transported actions are reinduced from the
-    matching cotriangular structure by the caller).
+    matching cotriangular structure by the caller). The product goes to
+    ``StructureAlgebra.from_int`` as integers over D_c²·D_s·D_m.
     """
     check_lazy_cocycle(sigma).raise_if_failed()
     alg = a.alg
-    h = build_h4()
-    s = sigma.table.data
-    mult = [[zero_vec(alg.dim) for _ in range(alg.dim)] for _ in range(alg.dim)]
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            out = mult[i][j]
-            for a0, k0, c0 in a.rho[i]:
-                for b0, l0, c1 in a.rho[j]:
-                    coef = c0 * c1 * s[k0][l0]
-                    if coef:
-                        for p, v in alg.mul_basis(a0, b0):
-                            out[p] += coef * v
-    twisted = StructureAlgebra(alg.basis, alg.unit, mult, name=f"{alg.name}_twist")
-    return YDObject(h, alg.dim, twisted, coaction=[list(row) for row in a.coaction])
+    mul = alg.mul_int
+    den_s, s = int_form(sigma.table)
+    den_c, rho = a.int_rho
+    table = []
+    for rho_i in rho:
+        row = []
+        for rho_j in rho:
+            out: dict[int, int] = {}
+            for a0, k0, c0 in rho_i:
+                for b0, l0, c1 in rho_j:
+                    if s[k0][l0]:
+                        mul({a0: c0 * c1 * s[k0][l0]}, {b0: 1}, out)
+            row.append(out.items())
+        table.append(row)
+    twisted = StructureAlgebra.from_int(
+        alg.basis, alg.unit, table, den_c * den_c * den_s * alg.int_sp[0], name=f"{alg.name}_twist"
+    )
+    return YDObject(build_h4(), alg.dim, twisted, coaction=[list(row) for row in a.coaction])
 
 
 class TransportShapeError(ValueError):

@@ -23,11 +23,14 @@ comparison. The # product and the H-opposite hand their integer products to
 This module also hosts the braided machinery: the # product, H-opposites,
 End(M) structures, the F/G maps whose bijectivity defines H-Azumaya
 algebras, gradings, braidings, centralizers, and the inner / strongly
-inner action solvers.
+inner action solvers. The centralizer and witness solvers state each linear
+condition as a block of sparse columns, read from ``mul_basis``, ``images``
+and ``mul_sparse``, and solve the blocks at once with ``solve_columns``.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from fractions import Fraction
@@ -42,7 +45,6 @@ from .linalg import (
     common_denominator,
     dense_vec,
     in_span,
-    is_zero_vec,
     kron_sum,
     mat_det,
     over,
@@ -51,7 +53,7 @@ from .linalg import (
     scaled,
     scaled_rows,
     scaled_vecs,
-    solve_sparse,
+    solve_columns,
     sparse_sum,
     sparse_vec,
     zero_vec,
@@ -430,10 +432,10 @@ def end_yd(m: YDObject, variant: str = "plain") -> YDObject:
         terms = []
         for p, q, c in h.cop_sparse(i):
             if variant == "plain":
-                left = m.act_matrix(h.alg.basis_vec(p))
+                left = m.action[p]
                 right = m.act_matrix(h.antipode.col(q))
             else:
-                left = m.act_matrix(h.alg.basis_vec(q))
+                left = m.action[q]
                 right = m.act_matrix(h.antipode_inv.col(p))
             # f ↦ left ∘ f ∘ right is rightᵀ ⊗ left on the flat index q·d + p of E_pq
             terms.append((c, right.transpose(), left))
@@ -734,51 +736,52 @@ def yd_centralizers(a: YDObject, sub_basis: list[list[Fraction]]) -> tuple[list,
     C^l = {x : b·x = x₍₀₎(x₍₁₎·b) ∀b∈B}, C^r = {x : x·b = b₍₀₎(b₍₁₎·x) ∀b∈B}.
     """
     alg = a.alg
-    n = a.hopf.dim
-    rho = a.rho
-    for b in sub_basis:
-        for i in range(n):
-            if not in_span(sub_basis, a.action[i].apply(b)):
-                raise ValueError("subspace not closed under the H-action")
-        components = [zero_vec(alg.dim) for _ in range(n)]  # ρ(b) = Σ_k components[k] ⊗ e_k
-        for j, c in enumerate(b):
-            if c:
-                for p, k, v in rho[j]:
-                    components[k][p] += c * v
-        for comp in components:
-            if not in_span(sub_basis, comp):
-                raise ValueError("subspace not closed under the H-coaction")
+    d, n = alg.dim, a.hopf.dim
+    rho, images = a.rho, a.images
+    subs = [sparse_vec(b) for b in sub_basis]
+    # acted[k] = e_k·b, one list per b
+    acted_all = [[sparse_sum((c, images[j][k]) for j, c in b.items()) for k in range(n)] for b in subs]
+    for b, acted in zip(subs, acted_all):
+        if not all(in_span(sub_basis, dense_vec(v, d)) for v in acted):
+            raise ValueError("subspace not closed under the H-action")
+        # ρ(b) = Σ_k components[k] ⊗ e_k
+        components = [
+            sparse_sum((c * v, {p: 1}) for j, c in b.items() for p, i, v in rho[j] if i == k) for k in range(n)
+        ]
+        if not all(in_span(sub_basis, dense_vec(comp, d)) for comp in components):
+            raise ValueError("subspace not closed under the H-coaction")
 
-    zero = zero_vec(alg.dim)
     left_eqs = []
     right_eqs = []
-    for b in sub_basis:
+    for b, acted in zip(subs, acted_all):
         lcols = []
         rcols = []
-        for j in range(alg.dim):
-            ej = alg.basis_vec(j)
-            twisted = zero_vec(alg.dim)
+        for j in range(d):
+            # b·e_j − e_j₍₀₎(e_j₍₁₎·b) and e_j·b − b₍₀₎(b₍₁₎·e_j)
+            out: SparseVec = {}
             for a0, a1, c in rho[j]:
-                acted = a.action[a1].apply(b)
-                for p, v in enumerate(alg.mul_vec(alg.basis_vec(a0), acted)):
-                    twisted[p] += c * v
-            lcols.append([x - y for x, y in zip(alg.mul_vec(b, ej), twisted)])
-            tw2 = zero_vec(alg.dim)
-            for j2, cb in enumerate(b):
-                if cb:
-                    for b0, b1, c in rho[j2]:
-                        acted = a.action[b1].apply(ej)
-                        for p, v in enumerate(alg.mul_vec(alg.basis_vec(b0), acted)):
-                            tw2[p] += cb * c * v
-            rcols.append([x - y for x, y in zip(alg.mul_vec(ej, b), tw2)])
-        left_eqs.append((lcols, zero))
-        right_eqs.append((rcols, zero))
-    return _solve_affine(left_eqs, alg.dim).kernel, _solve_affine(right_eqs, alg.dim).kernel
+                alg.mul_sparse({a0: -c}, acted[a1], out)
+            lcols.append(alg.mul_sparse(b, {j: 1}, out))
+            out = {}
+            for j2, cb in b.items():
+                for b0, b1, c in rho[j2]:
+                    alg.mul_sparse({b0: -cb * c}, images[j][b1], out)
+            rcols.append(alg.mul_sparse({j: 1}, b, out))
+        left_eqs.append((lcols, {}))
+        right_eqs.append((rcols, {}))
+    return solve_columns(left_eqs, d, d).kernel, solve_columns(right_eqs, d, d).kernel
 
 
 # ---------------------------------------------------------------------------
 # Inner and strongly inner action solvers
 # ---------------------------------------------------------------------------
+
+
+def _columns(alg: StructureAlgebra, x: SparseVec, sign: int, y: SparseVec, js) -> list[SparseVec]:
+    """e_j·x + sign·(y·e_j) for each j in js, sparse: the columns of the map
+    v ↦ v·x + sign·(y·v) on the coordinates js."""
+    y = {k: sign * c for k, c in y.items()}
+    return [alg.mul_sparse({j: 1}, x, alg.mul_sparse(y, {j: 1})) for j in js]
 
 
 def inner_witness(a: YDObject, x_index: int, c_index: int) -> list[Fraction] | None:
@@ -790,57 +793,43 @@ def inner_witness(a: YDObject, x_index: int, c_index: int) -> list[Fraction] | N
     alg = a.alg
     parity = action_grading(a, c_index)
     odd = [j for j in range(alg.dim) if parity[j] == 1]
-    equations = []
-    for z in range(alg.dim):
-        ez = alg.basis_vec(z)
-        cz = a.action[c_index].apply(ez)
-        cols = [[x - y for x, y in zip(alg.mul_vec(vj, cz), alg.mul_vec(ez, vj))] for vj in map(alg.basis_vec, odd)]
-        equations.append((cols, a.action[x_index].apply(ez)))
-    sol = _solve_affine(equations, len(odd))
-    if sol.particular is None:
-        return None
-    out = zero_vec(alg.dim)
-    for c, j in enumerate(odd):
-        out[j] = sol.particular[c]
-    return out
+    equations = [
+        (_columns(alg, acts[c_index], -1, {z: 1}, odd), acts[x_index])
+        for z, acts in enumerate(a.images)
+    ]
+    sol = solve_columns(equations, len(odd), alg.dim)
+    return None if sol.particular is None else dense_vec(dict(zip(odd, sol.particular)), alg.dim)
 
 
-def conjugation_implementer(a: YDObject, g_index: int, rng=None) -> list[Fraction] | None:
+def _candidates(space: list[list[Fraction]]):
+    """Kernel vectors, their pairwise sums, then 20 combinations with
+    coefficients in [−5, 5] from ``random.Random(20259)``, built lazily."""
+    yield from space
+    for i, x in enumerate(space):
+        for y in space[i + 1:]:
+            yield [p + q for p, q in zip(x, y)]
+    prng = random.Random(20259)
+    for _ in range(20):
+        coeffs = [Q(prng.randint(-5, 5)) for _ in space]
+        yield [sum((c * v[k] for c, v in zip(coeffs, space)), Q(0)) for k in range(len(space[0]))]
+
+
+def conjugation_implementer(a: YDObject, g_index: int) -> list[Fraction] | None:
     """Find invertible u with u·z = (g·z)·u for all z, or None.
 
     The solution space is computed exactly; an invertible representative is
     searched among basis vectors, pairwise sums and a few deterministic
-    pseudo-random combinations.
+    pseudo-random combinations (``_candidates``).
     """
     alg = a.alg
-    equations = []
-    for z in range(alg.dim):
-        ez = alg.basis_vec(z)
-        gz = a.action[g_index].apply(ez)
-        cols = []
-        for j in range(alg.dim):
-            uj = alg.basis_vec(j)
-            cols.append([x - y for x, y in zip(alg.mul_vec(uj, ez), alg.mul_vec(gz, uj))])
-        equations.append((cols, zero_vec(alg.dim)))
-    space = _solve_affine(equations, alg.dim).kernel
+    equations = [
+        (_columns(alg, {z: 1}, -1, acts[g_index], range(alg.dim)), {})
+        for z, acts in enumerate(a.images)
+    ]
+    space = solve_columns(equations, alg.dim, alg.dim).kernel
     if not space:
         return None
-    candidates = list(space)
-    for i in range(len(space)):
-        for j in range(i + 1, len(space)):
-            candidates.append([x + y for x, y in zip(space[i], space[j])])
-    import random
-
-    prng = rng or random.Random(20259)
-    for _ in range(20):
-        coeffs = [Q(prng.randint(-5, 5)) for _ in space]
-        candidates.append(
-            [sum((c * v[k] for c, v in zip(coeffs, space)), Q(0)) for k in range(alg.dim)]
-        )
-    for u in candidates:
-        if not is_zero_vec(u) and alg.is_invertible(u):
-            return u
-    return None
+    return next((u for u in _candidates(space) if any(u) and alg.is_invertible(u)), None)
 
 
 def normalized_implementer(a: YDObject, g_index: int) -> list[Fraction] | None:
@@ -848,30 +837,14 @@ def normalized_implementer(a: YDObject, g_index: int) -> list[Fraction] | None:
     u = conjugation_implementer(a, g_index)
     if u is None:
         return None
-    alg = a.alg
-    sq = alg.mul_vec(u, u)
-    lam = alg.scalar_part(sq)
+    su = sparse_vec(u)
+    lam = a.alg.scalar_part(a.alg.mul_sparse(su, su))
     if lam is None:
         raise NoRationalNormalization("u² is not scalar")
     root = rational_is_square(lam)
     if root is None:
         raise NoRationalNormalization(f"u² = {lam} has no rational square root")
     return [x / root for x in u]
-
-
-def _solve_affine(equations, unknown_dim: int):
-    """Solve a list of (columns, rhs-vector) linear conditions on one unknown.
-
-    cols[j] is the image of the j-th unknown coordinate; the rows are taken
-    in equation order, then component order, which fixes the particular
-    solution and kernel basis ``solve_sparse`` returns."""
-    rows: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
-    for cols, target in equations:
-        for k in range(len(target)):
-            rows.append({j: cols[j][k] for j in range(unknown_dim) if cols[j][k]})
-            rhs.append(target[k])
-    return solve_sparse(rows, rhs, unknown_dim)
 
 
 def strongly_inner_witness_h4(a: YDObject):
@@ -887,28 +860,18 @@ def strongly_inner_witness_h4(a: YDObject):
     if u is None:
         return None
     alg = a.alg
-    equations = []
-    for z in range(alg.dim):
-        ez = alg.basis_vec(z)
-        gz = a.action[g_index].apply(ez)
-        cols = [
-            [x - y for x, y in zip(alg.mul_vec(alg.basis_vec(j), gz), alg.mul_vec(ez, alg.basis_vec(j)))]
-            for j in range(alg.dim)
-        ]
-        equations.append((cols, a.action[h_index].apply(ez)))
-    anti_cols = [
-        [
-            x + y
-            for x, y in zip(alg.mul_vec(alg.basis_vec(j), u), alg.mul_vec(u, alg.basis_vec(j)))
-        ]
-        for j in range(alg.dim)
+    equations = [
+        (_columns(alg, acts[g_index], -1, {z: 1}, range(alg.dim)), acts[h_index])
+        for z, acts in enumerate(a.images)
     ]
-    equations.append((anti_cols, zero_vec(alg.dim)))
-    sol = _solve_affine(equations, alg.dim)
+    su = sparse_vec(u)
+    equations.append((_columns(alg, su, 1, su, range(alg.dim)), {}))
+    sol = solve_columns(equations, alg.dim, alg.dim)
     if sol.particular is None:
         return None
     w = sol.particular
-    beta = alg.scalar_part(alg.mul_vec(w, w))
+    sw = sparse_vec(w)
+    beta = alg.scalar_part(alg.mul_sparse(sw, sw))
     if beta is None:
         raise ValueError("w² is not scalar; the (k,+)-invariant is undefined here")
     return u, w, beta
@@ -940,35 +903,27 @@ def strongly_inner_witness_e2(a: YDObject) -> StrongInnerE2Result:
     x1_index = e2.meta["x1"]
     x2_index = e2.meta["x2"]
     alg = a.alg
+    d = alg.dim
     u0 = normalized_implementer(a, c_index)
     if u0 is None:
         return StrongInnerE2Result(None, ["c-action is not implemented by conjugation"])
-    cx2 = [a.action[c_index] @ a.action[x2_index]]  # action of cx₂ = c·(x₂·-)
+    images = a.images
+    # cx₂ acts as c·(x₂·-): (cx₂)·e_z = Σ_k (x₂·e_z)_k·(c·e_k)
+    cx2 = [sparse_sum((v, images[k][c_index]) for k, v in acts[x2_index].items()) for acts in images]
     failures = []
     for lam in (Q(1), Q(-1)):
         u = [lam * x for x in u0]
+        su = sparse_vec(u)
+        anti = (_columns(alg, su, 1, su, range(d)), {})  # u'v + vu' = 0 for v = w' and v = W'
         label = f"branch u' = {'+' if lam > 0 else '-'}u"
-
-        def anti(vj):
-            return [x + y for x, y in zip(alg.mul_vec(vj, u), alg.mul_vec(u, vj))]
 
         # x₁·z = w'zu + zuw', plus u'w' + w'u' = 0
         eqs = []
-        for z in range(alg.dim):
-            ez = alg.basis_vec(z)
-            ezu = alg.mul_vec(ez, u)
-            cols = [
-                [
-                    x + y
-                    for x, y in zip(
-                        alg.mul_vec(alg.basis_vec(j), ezu), alg.mul_vec(ezu, alg.basis_vec(j))
-                    )
-                ]
-                for j in range(alg.dim)
-            ]
-            eqs.append((cols, a.action[x1_index].apply(ez)))
-        eqs.append(([anti(alg.basis_vec(j)) for j in range(alg.dim)], zero_vec(alg.dim)))
-        sol_w = _solve_affine(eqs, alg.dim)
+        for z, acts in enumerate(images):
+            ezu = alg.mul_sparse({z: 1}, su)
+            eqs.append((_columns(alg, ezu, 1, ezu, range(d)), acts[x1_index]))
+        eqs.append(anti)
+        sol_w = solve_columns(eqs, d, d)
         if sol_w.particular is None:
             failures.append(f"{label}: no solution for p(x₁)")
             continue
@@ -976,40 +931,25 @@ def strongly_inner_witness_e2(a: YDObject) -> StrongInnerE2Result:
 
         # (cx₂)·z = W'z − uzuW', plus u'W' + W'u' = 0
         eqs = []
-        for z in range(alg.dim):
-            ez = alg.basis_vec(z)
-            uzu = alg.mul_vec(alg.mul_vec(u, ez), u)
-            cols = [
-                [
-                    x - y
-                    for x, y in zip(
-                        alg.mul_vec(alg.basis_vec(j), ez), alg.mul_vec(uzu, alg.basis_vec(j))
-                    )
-                ]
-                for j in range(alg.dim)
-            ]
-            eqs.append((cols, cx2[0].apply(ez)))
-        eqs.append(([anti(alg.basis_vec(j)) for j in range(alg.dim)], zero_vec(alg.dim)))
-        sol_big = _solve_affine(eqs, alg.dim)
+        for z in range(d):
+            uzu = alg.mul_sparse(alg.mul_sparse(su, {z: 1}), su)
+            eqs.append((_columns(alg, {z: 1}, -1, uzu, range(d)), cx2[z]))
+        eqs.append(anti)
+        sol_big = solve_columns(eqs, d, d)
         if sol_big.particular is None:
             failures.append(f"{label}: no solution for p(cx₂)")
             continue
         bigw = sol_big.particular
 
-        px2 = alg.mul_vec(u, bigw)  # p(x₂) = p(c)p(cx₂)
+        sw, sbig = sparse_vec(w), sparse_vec(bigw)
+        px2 = alg.mul_sparse(su, sbig)  # p(x₂) = p(c)p(cx₂)
         relation_checks = [
-            ("p(x₁)² = 0", alg.mul_vec(w, w)),
-            ("p(x₂)² = 0", alg.mul_vec(px2, px2)),
-            (
-                "p(x₁)p(x₂) + p(x₂)p(x₁) = 0",
-                [x + y for x, y in zip(alg.mul_vec(w, px2), alg.mul_vec(px2, w))],
-            ),
-            (
-                "(cx₂)x₁ − x₁(cx₂) = 0",
-                [x - y for x, y in zip(alg.mul_vec(bigw, w), alg.mul_vec(w, bigw))],
-            ),
+            ("p(x₁)² = 0", alg.mul_sparse(sw, sw)),
+            ("p(x₂)² = 0", alg.mul_sparse(px2, px2)),
+            ("p(x₁)p(x₂) + p(x₂)p(x₁) = 0", alg.mul_sparse(sw, px2, alg.mul_sparse(px2, sw))),
+            ("(cx₂)x₁ − x₁(cx₂) = 0", sparse_sum(((1, alg.mul_sparse(sbig, sw)), (-1, alg.mul_sparse(sw, sbig))))),
         ]
-        bad = [name for name, valvec in relation_checks if not is_zero_vec(valvec)]
+        bad = [name for name, value in relation_checks if value]
         if bad:
             failures.append(f"{label}: relation(s) not respected: {', '.join(bad)}")
             continue

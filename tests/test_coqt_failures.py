@@ -1,0 +1,172 @@
+"""Failure lists of the coquasitriangular check, the lazy-cocycle check and
+the Hopf-morphism check, pinned on corrupted inputs.
+
+Each case bumps one coefficient by 1/3: an entry of the form r_t or of its
+convolution inverse, an entry of the table of σ_t, or an entry of one column
+of φ: H₄ → H₄*. The pins are (number of failures, the first 16 hex digits of
+the sha256 of the JSON failure list) and were computed with the Fraction
+loops these checks ran before they contracted on integers. The coquasi-
+triangular and morphism cases are repeated on H₄ over the basis 2·1, g/2,
+h/3, gh/5, where the product, the coproduct and H₄*'s coproduct have
+denominators; rescaling a basis changes no identity's truth, so the lists
+agree, while a scale factor dropped on either side of an identity changes
+them. The cocycle twist is compared with the Fraction loop it replaced, on
+carriers whose coaction and product have denominators.
+"""
+
+import hashlib
+import json
+from fractions import Fraction as Q
+
+import pytest
+
+from test_integer_scaling import H4_SCALES, _rescaled_hopf, _transported
+
+from hopfbrauer.algebra import StructureAlgebra
+from hopfbrauer.hopf import CoQTStructure, HopfMorphism, check_coquasitriangular, check_hopf_morphism, dual_hopf
+from hopfbrauer.linalg import Matrix
+from hopfbrauer.sweedler import (
+    CFamilyDescriptor,
+    LazyCocycle,
+    build_C,
+    build_h4,
+    build_rt_form,
+    build_sigma,
+    check_lazy_cocycle,
+    cocycle_twist,
+    phi_iso,
+)
+from hopfbrauer.yd import sharp_product
+
+
+def _bumped(m, i, j):
+    rows = [list(r) for r in m.data]
+    rows[i][j] += Q(1, 3)
+    return Matrix(rows)
+
+
+def _pin(failures):
+    return len(failures), hashlib.sha256(json.dumps(failures).encode()).hexdigest()[:16]
+
+
+def _congruent(m, s):
+    """Pᵀ m P for P = diag(s): the bilinear form m on the basis s_i·e_i."""
+    return Matrix([[s[i] * s[j] * m.data[i][j] for j in range(len(s))] for i in range(len(s))])
+
+
+# (t, corrupted tensor, bumped entry) -> (failures, digest, data["cotriangular"])
+COQT_PINS = {
+    (Q(0), "form", None): (0, "4f53cda18c2baa0c", True),
+    (Q(0), "form", (1, 1)): (7, "44b79d0288094ba9", False),
+    (Q(0), "form", (2, 3)): (9, "6deb487c2c16469b", False),
+    (Q(0), "form", (3, 0)): (14, "727162cc43f56ac9", False),
+    (Q(0), "inverse", (0, 0)): (1, "c32cd2241619be9c", False),
+    (Q(0), "inverse", (3, 2)): (1, "0e7b42f35442aeff", False),
+    (Q(-3, 2), "form", None): (0, "4f53cda18c2baa0c", True),
+    (Q(-3, 2), "form", (1, 1)): (17, "8d76deca64e33cec", False),
+    (Q(-3, 2), "form", (2, 3)): (9, "6deb487c2c16469b", False),
+    (Q(-3, 2), "form", (3, 0)): (18, "52a6264c2f07e1ff", False),
+    (Q(-3, 2), "inverse", (0, 0)): (3, "f6f42ac0a5687378", False),
+    (Q(-3, 2), "inverse", (3, 2)): (1, "0e7b42f35442aeff", False),
+}
+
+
+@pytest.mark.parametrize("case", COQT_PINS)
+def test_coquasitriangular_failures_are_pinned(case):
+    t, which, bump = case
+    ct = build_rt_form(t)
+    form, inv = ct.form, ct.form_inv
+    if bump is not None:
+        if which == "form":
+            form = _bumped(form, *bump)
+        else:
+            inv = _bumped(inv, *bump)
+    h4 = build_h4()
+    rep = check_coquasitriangular(h4, CoQTStructure(h4, form, inv))
+    assert _pin(rep.failures) + (rep.data["cotriangular"],) == COQT_PINS[case]
+    scaled = _rescaled_hopf(h4, H4_SCALES)
+    assert scaled.alg.int_sp[0] > 1 and scaled.int_cop[0] > 1
+    moved = CoQTStructure(scaled, _congruent(form, H4_SCALES), _congruent(inv, H4_SCALES))
+    rescaled = check_coquasitriangular(scaled, moved)
+    assert rescaled.failures == rep.failures
+    assert rescaled.data == rep.data
+
+
+# (t, bumped entry of σ_t) -> (failures, digest)
+SIGMA_PINS = {
+    (Q(0), None): (0, "4f53cda18c2baa0c"),
+    (Q(0), (2, 2)): (6, "4a42d8523888607f"),
+    (Q(0), (0, 1)): (9, "d46f6dd4dc80bac9"),
+    (Q(0), (1, 1)): (4, "e5948a9f95f5b565"),
+    (Q(3, 2), None): (0, "4f53cda18c2baa0c"),
+    (Q(3, 2), (2, 2)): (6, "4a42d8523888607f"),
+    (Q(3, 2), (0, 1)): (17, "ffc281149f007d04"),
+    (Q(3, 2), (1, 1)): (10, "15310ea2b306ecdc"),
+}
+
+
+@pytest.mark.parametrize("case", SIGMA_PINS)
+def test_lazy_cocycle_failures_are_pinned(case):
+    t, bump = case
+    table = build_sigma(t).table
+    if bump is not None:
+        table = _bumped(table, *bump)
+    assert _pin(check_lazy_cocycle(LazyCocycle(t, table)).failures) == SIGMA_PINS[case]
+
+
+# bumped entry (row, column) of φ -> (failures, digest)
+PHI_PINS = {
+    None: (0, "4f53cda18c2baa0c"),
+    (1, 0): (12, "b4e50436a0d013a1"),
+    (2, 1): (4, "f90d85b5ead579a4"),
+    (3, 2): (7, "5484c22b9ad762b9"),
+    (0, 3): (11, "817ae686c9d18084"),
+    (0, 0): (13, "788f8d9fdb2b1e63"),
+}
+
+
+@pytest.mark.parametrize("bump", PHI_PINS)
+def test_hopf_morphism_failures_are_pinned(bump):
+    phi = phi_iso()
+    m = phi.matrix if bump is None else _bumped(phi.matrix, *bump)
+    failures = check_hopf_morphism(HopfMorphism(phi.source, phi.target, m, name="phi")).failures
+    assert _pin(failures) == PHI_PINS[bump]
+    # φ from H₄ on the basis s_i·e_i to its dual on the basis e_i*/s_i
+    s = H4_SCALES
+    source = _rescaled_hopf(build_h4(), s)
+    target = dual_hopf(source)
+    assert target.alg.int_sp[0] > 1 and target.int_cop[0] > 1
+    moved = Matrix([[s[k] * s[j] * m.data[k][j] for j in range(4)] for k in range(4)])
+    assert check_hopf_morphism(HopfMorphism(source, target, moved, name="phi")).failures == failures
+
+
+def _reference_twist(a, sigma):
+    """x•y = x₍₀₎y₍₀₎σ(x₍₁₎⊗y₍₁₎) by the dense Fraction loop."""
+    alg, s = a.alg, sigma.table.data
+    mult = [[[Q(0)] * alg.dim for _ in range(alg.dim)] for _ in range(alg.dim)]
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for a0, k0, c0 in a.rho[i]:
+                for b0, l0, c1 in a.rho[j]:
+                    for p, v in alg.mul_basis(a0, b0):
+                        mult[i][j][p] += c0 * c1 * s[k0][l0] * v
+    return StructureAlgebra(alg.basis, alg.unit, mult)
+
+
+def _twist_input(name):
+    a = build_C(CFamilyDescriptor(Q(3, 4), Q(0), Q(1)))
+    if name == "C":
+        return a
+    # a noncommutative carrier, then the same on the basis r_j·e_j
+    a = sharp_product(a, build_C(CFamilyDescriptor(Q(-2, 5), Q(9, 4), Q(1, 3))))
+    return a if name == "C#C" else _transported(a, build_h4(), [1, 1, 1, 1], [Q(7, 3), Q(2, 5), 1, 3])
+
+
+@pytest.mark.parametrize("name", ["C", "C#C", "C#C rescaled"])
+@pytest.mark.parametrize("t", [Q(0), Q(5, 3)])
+def test_cocycle_twist_equals_the_fraction_loop(name, t):
+    a = _twist_input(name)
+    assert name == "C" or a.int_rho[0] > 1
+    twisted = cocycle_twist(a, build_sigma(t))
+    assert twisted.alg.same_product(_reference_twist(a, build_sigma(t)))
+    assert twisted.coaction == a.coaction

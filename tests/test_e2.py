@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from hopfbrauer.algebra import endomorphism_algebra, is_central_simple
+from hopfbrauer.algebra import endomorphism_algebra, is_central_simple, operator_to_vec
 from hopfbrauer.e2 import (
     braiding_decomposition_residual,
     build_c_e2,
@@ -161,6 +161,40 @@ def test_witness_strong_inner_branches_fail_at_commutation():
     assert not strong.strongly_inner
     assert len(strong.branch_failures) == 2
     assert all("(cx₂)x₁ − x₁(cx₂)" in f for f in strong.branch_failures)
+
+
+def _inner_end(u, w, big_w):
+    """End(kᵈ) with c·f = ufu, x₁·f = wfu + fuw, (cx₂)·f = Wf − ufuW (u² = 1),
+    the action of the algebra map c ↦ u, x₁ ↦ w, cx₂ ↦ W when that map
+    respects the E(2) relations."""
+    d = u.rows
+    alg = endomorphism_algebra(d)
+
+    def op_map(fun):
+        cols = []
+        for q in range(d):
+            for p in range(d):
+                e = Matrix([[int((r, s) == (p, q)) for s in range(d)] for r in range(d)])
+                cols.append(operator_to_vec(fun(e)))
+        return Matrix.from_cols(cols)
+
+    c_mat = op_map(lambda f: u @ f @ u)
+    x1_mat = op_map(lambda f: w @ f @ u + f @ u @ w)
+    cx2_mat = op_map(lambda f: big_w @ f - u @ f @ u @ big_w)
+    action = e2_action_from_generators(c_mat, x1_mat, c_mat @ cx2_mat)
+    return induced_coaction(YDObject(build_e2(), alg.dim, alg, action), build_RN())
+
+
+def test_strongly_inner_witness_of_an_inner_end():
+    u = Matrix.diag([1, -1, 1])
+    w = Matrix([[0, 0, 0], [2, 0, 0], [0, 0, 0]])
+    big_w = Matrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
+    a = _inner_end(u, w, big_w)
+    assert check_yd_algebra(a).ok
+    strong = strongly_inner_witness_e2(a)
+    assert strong.branch_failures == []
+    # u, w and W in the matrix-unit basis E_pq at q·3 + p
+    assert strong.witness == ([1, 0, 0, 0, -1, 0, 0, 0, 1], [0, 2, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 1, 0])
 
 
 def test_end_p_actions_match_printed_formulas():

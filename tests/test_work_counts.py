@@ -7,15 +7,20 @@ associativity check, the Yetter-Drinfeld axiom checks and the H-opposite
 contract on integers without the Fraction product, as do F₀, G₀ and the F/G
 decomposition residuals over E(2), and the H-Azumaya verdict hands F and G to
 the determinant as integer rows without a dense d²×d² matrix, so a
-regression to any of these shows here without timing noise. The double's
+regression to any of these shows here without timing noise. The
+coquasitriangular check, the known-inverse test of ``coqt_structure``, the
+lazy-cocycle check and the cocycle twist read no Fraction structure
+constant, and the witness and centralizer solvers, ``is_invertible`` and the
+Hopf-morphism check make no dense product. The double's
 product, # products and H-opposites are built from integer tables
 (``StructureAlgebra.from_int``): the double's 64-wide table never passes
 through ``canonical_terms`` and its Fraction view is never built."""
 
+import random
 from collections import Counter
 from fractions import Fraction as Q
 
-from hopfbrauer import algebra, hopf, sweedler
+from hopfbrauer import algebra, hopf, sweedler, yd
 from hopfbrauer.algebra import StructureAlgebra, check_algebra_axioms
 from hopfbrauer.e2 import (
     build_c_e2,
@@ -23,6 +28,9 @@ from hopfbrauer.e2 import (
     f0_g0_matrices,
     fg_decomposition_residuals,
     is_graded_central_simple,
+    t_morphism,
+    theta,
+    witness_end_p,
 )
 from hopfbrauer.linalg import Matrix
 from hopfbrauer.yd import check_yd_algebra, fg_maps, h_opposite, is_h_azumaya, sharp_product
@@ -200,3 +208,77 @@ def test_graded_verdict_maps_make_no_fraction_product(monkeypatch):
         assert not any(rf) and not any(rg)
     assert [a.dim for a in objects] == [2, 4]
     assert calls == [] and vec_calls == Counter()
+
+
+def _count_dense_products(monkeypatch) -> Counter:
+    """Count the calls to the dense ``mul_vec``, by algebra name."""
+    calls = Counter()
+    mul_vec = StructureAlgebra.mul_vec
+
+    def counted(alg, *args):
+        calls[alg.name] += 1
+        return mul_vec(alg, *args)
+
+    monkeypatch.setattr(StructureAlgebra, "mul_vec", counted)
+    return calls
+
+
+def test_coquasitriangular_family_reads_no_fraction_structure_constant(monkeypatch):
+    c01 = sweedler.build_C(sweedler.CFamilyDescriptor(Q(3, 4), Q(0), Q(1)))
+    h4 = sweedler.build_h4()
+    vec_calls = _count_dense_products(monkeypatch)
+    calls = _count_fraction_products(monkeypatch)
+    for name in ("mul_basis", "cop_sparse"):
+        owner = StructureAlgebra if name == "mul_basis" else hopf.HopfAlgebra
+        original = getattr(owner, name)
+
+        def counted(obj, *args, name=name, original=original):
+            calls.append(f"{obj.name}.{name}")
+            return original(obj, *args)
+
+        monkeypatch.setattr(owner, name, counted)
+    for t in (Q(0), Q(-3, 2), Q(7)):
+        form = sweedler.build_rt_form(t)  # the known inverse is checked here
+        assert hopf.check_coquasitriangular(h4, form).ok
+        assert sweedler.check_lazy_cocycle(sweedler.build_sigma(t)).ok
+        twisted = sweedler.cocycle_twist(c01, sweedler.build_sigma(t))
+        assert "_sp" not in twisted.alg.__dict__
+    assert calls == [] and vec_calls == Counter()
+
+
+def test_witness_solvers_and_morphism_checks_make_no_dense_product(monkeypatch):
+    d = sweedler.CFamilyDescriptor(Q(2, 3), Q(5), Q(0))
+    h4_carrier = sharp_product(sweedler.build_C(d), sweedler.build_C(sweedler.CFamilyDescriptor(-d.a, 0, 0)))
+    e2_object = build_c_e2(Q(2, 7), Q(3, 5), Q(-1, 11))
+    end_p = witness_end_p()
+    morphisms = [sweedler.phi_iso(), t_morphism(), theta(Q(2), Q(-3, 4))]
+    vec_calls = _count_dense_products(monkeypatch)
+    _, _, beta = yd.strongly_inner_witness_h4(h4_carrier)
+    assert beta == d.t * d.t / (4 * d.a)
+    assert yd.normalized_implementer(h4_carrier, 1) is not None
+    meta = e2_object.hopf.meta
+    assert yd.inner_witness(e2_object, meta["x1"], meta["c"]) is not None
+    assert yd.conjugation_implementer(e2_object, meta["c"]) is None
+    assert not yd.strongly_inner_witness_e2(end_p).strongly_inner
+    left, right = yd.yd_centralizers(h4_carrier, [h4_carrier.alg.one()])
+    assert len(left) == len(right) == 4
+    assert h4_carrier.alg.is_invertible(h4_carrier.alg.one())
+    assert all(hopf.check_hopf_morphism(f).ok for f in morphisms)
+    assert vec_calls == Counter()
+
+
+def test_conjugation_implementer_draws_no_combination_it_does_not_test(monkeypatch):
+    d = sweedler.CFamilyDescriptor(Q(2, 3), Q(5), Q(0))
+    carrier = sharp_product(sweedler.build_C(d), sweedler.build_C(sweedler.CFamilyDescriptor(-d.a, 0, 0)))
+    drawn = []
+    generator = random.Random
+
+    def recorded(seed):
+        drawn.append(seed)
+        return generator(seed)
+
+    monkeypatch.setattr(random, "Random", recorded)
+    u = yd.conjugation_implementer(carrier, 1)
+    # a kernel vector or a pairwise sum is invertible, so no pseudo-random
+    # combination is built
+    assert u is not None and drawn == []

@@ -22,6 +22,7 @@ from hopfbrauer.yd import (
     check_yd_algebra,
     check_yd_condition,
     coaction_sparse,
+    conjugation_implementer,
     double_to_yd,
     end_yd,
     fg_maps,
@@ -394,6 +395,34 @@ def test_centers_trivial_for_azumaya():
     left, right = yd_centralizers(c, full)
     assert len(left) == 1 and in_span(left, c.alg.one())
     assert len(right) == 1 and in_span(right, c.alg.one())
+
+
+def test_centralizers_of_a_factor_are_pinned():
+    # A#1 inside A#B for A = C(2/3;1,−1), B = C(−7/9;1/2,−4): basis e_0, e_2;
+    # the bases were computed by the dense solver these replaced
+    a = sharp_product(
+        build_C(CFamilyDescriptor(Q(2, 3), Q(1), Q(-1))), build_C(CFamilyDescriptor(Q(-7, 9), Q(1, 2), Q(-4)))
+    )
+    left, right = yd_centralizers(a, [[Q(int(k == i)) for k in range(4)] for i in (0, 2)])
+    assert left == [[1, 0, 0, 0], [0, Q(-2, 3), 1, 0]]
+    assert right == [[1, 0, 0, 0], [0, 1, 0, 0]]
+
+
+def _product_of_fields(n):
+    """kⁿ with g acting trivially: every element commutes with g·z = z, and
+    only the vectors with no zero coordinate are invertible."""
+    table = [[[(i, 1)] if i == j else [] for j in range(n)] for i in range(n)]
+    alg = StructureAlgebra.from_sparse([f"e{i}" for i in range(n)], [1] * n, table, name=f"k^{n}")
+    return YDObject(build_h4(), n, alg, [Matrix.identity(n)] * 4)
+
+
+def test_conjugation_implementer_candidate_order():
+    # k²: no kernel vector is invertible, the pairwise sum e₀ + e₁ is; k³ and
+    # k⁴: no pairwise sum is either, so the first pseudo-random combination
+    # with no zero coefficient is returned (values from the eager search)
+    assert conjugation_implementer(_product_of_fields(2), 1) == [1, 1]
+    assert conjugation_implementer(_product_of_fields(3), 1) == [1, -4, -2]
+    assert conjugation_implementer(_product_of_fields(4), 1) == [1, -4, -2, -4]
 
 
 def test_centralizer_requires_closed_subspace():
