@@ -3,12 +3,13 @@
 An algebra is a basis, a unit vector and the structure constants of its
 product, held sparse in two views, each built from the other on first read:
 ``_sp[i][j]`` = e_i · e_j as (k, c) pairs sorted by k, every c a nonzero
-Fraction, and ``int_sp``, the same pairs as integers over one scale D_m. The
-dense tensor ``mult[i][j]`` (coefficient vector of e_i · e_j) is a view of
-``_sp``, built on first read. Elements are
-coefficient vectors over ℚ. Everything downstream (Hopf algebras,
-Yetter-Drinfeld module algebras, endomorphism algebras) is layered over
-this module.
+Fraction, and ``int_sp``, the same pairs as integers over one scale D_m.
+Elements are coefficient vectors over ℚ, dense or sparse
+(``{basis index: nonzero coefficient}``). Every product is one loop,
+``_contract``, over either table: ``mul_sparse`` on Fractions, ``mul_int``
+on integers, and a wrapper on dense vectors that only ``sandwich_matrix``
+calls. Everything downstream (Hopf algebras, Yetter-Drinfeld module
+algebras, endomorphism algebras) is layered over this module.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .linalg import (
     SparseVec,
     common_denominator,
     dense_vec,
-    format_rational,
-    is_zero_vec,
     mat_det,
     scale_sparse,
     scaled,
@@ -240,11 +239,6 @@ class StructureAlgebra:
             for row in self._sp
         ]
 
-    @cached_property
-    def mult(self) -> list[list[list[Fraction]]]:
-        """Dense view: mult[i][j] is the coefficient vector of e_i · e_j."""
-        return [[dense_vec(dict(term), self.dim) for term in row] for row in self._sp]
-
     def same_product(self, other: "StructureAlgebra") -> bool:
         """Equal structure constants, compared on the canonical sparse tables."""
         return self._sp == other._sp
@@ -252,18 +246,9 @@ class StructureAlgebra:
     # -- element arithmetic on raw coefficient vectors -------------------
 
     def mul_vec(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
-        out = zero_vec(self.dim)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            spi = self._sp[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                coef = xi * yj
-                for k, c in spi[j]:
-                    out[k] += coef * c
-        return out
+        """x·y for dense coefficient vectors, contracted as ``mul_sparse``
+        contracts their nonzero entries."""
+        return dense_vec(_contract(self._sp, sparse_vec(x), sparse_vec(y), {}), self.dim)
 
     def mul_basis(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
         return self._sp[i][j]
@@ -292,15 +277,6 @@ class StructureAlgebra:
         v[i] = Fraction(1)
         return v
 
-    def element(self, coeffs: Sequence) -> "AlgebraElement":
-        return AlgebraElement(self, vec(coeffs))
-
-    def basis_element(self, i: int) -> "AlgebraElement":
-        return AlgebraElement(self, self.basis_vec(i))
-
-    def scalar(self, c) -> "AlgebraElement":
-        return AlgebraElement(self, [Fraction(c) * u for u in self.unit])
-
     def is_invertible(self, x: Sequence[Fraction]) -> bool:
         """Whether left multiplication by x is bijective; its matrix goes to
         ``mat_det`` as integer rows over D_x·D_m."""
@@ -320,68 +296,9 @@ class StructureAlgebra:
         c = x.get(min(unit), 0) / unit[min(unit)]
         return c if {k: c * u for k, u in unit.items() if c} == x else None
 
-    def show(self, x: Sequence[Fraction]) -> str:
-        terms = [
-            (f"{format_rational(c)}·" if c != 1 else "") + self.basis[i]
-            for i, c in enumerate(x)
-            if c
-        ]
-        return " + ".join(terms) if terms else "0"
-
     def __repr__(self) -> str:
         label = self.name or "algebra"
         return f"StructureAlgebra({label}, dim={self.dim})"
-
-
-@dataclass
-class AlgebraElement:
-    parent: StructureAlgebra
-    coeffs: list[Fraction]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.parent.dim:
-            raise ValueError("coefficient vector has wrong length")
-
-    def _check_parent(self, other: "AlgebraElement") -> None:
-        if self.parent is not other.parent:
-            raise ValueError("elements live in different algebras")
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_parent(other)
-        return AlgebraElement(self.parent, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_parent(other)
-        return AlgebraElement(self.parent, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.parent, [-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            self._check_parent(other)
-            return AlgebraElement(self.parent, self.parent.mul_vec(self.coeffs, other.coeffs))
-        return AlgebraElement(self.parent, [a * Fraction(other) for a in self.coeffs])
-
-    def __rmul__(self, scalar):
-        return AlgebraElement(self.parent, [Fraction(scalar) * a for a in self.coeffs])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgebraElement)
-            and self.parent is other.parent
-            and self.coeffs == other.coeffs
-        )
-
-    def is_zero(self) -> bool:
-        return is_zero_vec(self.coeffs)
-
-    def __repr__(self) -> str:
-        return self.parent.show(self.coeffs)
-
-
-def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x * y
 
 
 @dataclass

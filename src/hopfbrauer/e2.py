@@ -129,14 +129,14 @@ def build_e2() -> HopfAlgebra:
     counit = [1 if (b == 0 and d == 0) else 0 for a, b, d in order]
 
     # antipode: anti-multiplicative extension of S(c) = c, S(x_i) = cx_i
-    s_gen = {c_idx: alg.basis_vec(c_idx), x1_idx: alg.basis_vec(3), x2_idx: alg.basis_vec(5)}
+    s_gen = {c_idx: {c_idx: Q(1)}, x1_idx: {3: Q(1)}, x2_idx: {5: Q(1)}}
     cols = []
     for a, b, d in order:
         word = [c_idx] * a + [x1_idx] * b + [x2_idx] * d
-        acc = alg.one()
+        acc = sparse_vec(alg.unit)
         for gen in reversed(word):
-            acc = alg.mul_vec(acc, s_gen[gen])
-        cols.append(acc)
+            acc = alg.mul_sparse(acc, s_gen[gen])
+        cols.append(dense_vec(acc, dim))
     antipode = Matrix.from_cols(cols)
     meta = {"c": 1, "x1": 2, "x2": 4, "pi_keep": (0, 1)}
     return HopfAlgebra(alg, cop, counit, antipode, name="E2", meta=meta)
@@ -174,19 +174,16 @@ def t_morphism() -> HopfMorphism:
     e2 = build_e2()
     alg = e2.alg
     half = Q(1, 2)
-    one, c, x1, cx1, x2, cx2 = (alg.basis_vec(i) for i in (0, 1, 2, 3, 4, 5))
+    one, c, x1, x2, cx2 = ({i: Q(1)} for i in (0, 1, 2, 4, 5))
 
     t_dual = [
-        [(a + b) * half for a, b in zip(one, c)],     # 1*  = (φ(1)+φ(g))/2 ↦ (1+c)/2
-        [(a - b) * half for a, b in zip(one, c)],     # g*  = (φ(1)−φ(g))/2 ↦ (1−c)/2
-        [(a + b) * half for a, b in zip(cx2, x2)],    # h*  = (φ(h)+φ(gh))/2 ↦ (cx₂+x₂)/2
-        [(a - b) * half for a, b in zip(cx2, x2)],    # gh* = (φ(h)−φ(gh))/2 ↦ (cx₂−x₂)/2
+        sparse_sum(((half, one), (half, c))),      # 1*  = (φ(1)+φ(g))/2 ↦ (1+c)/2
+        sparse_sum(((half, one), (-half, c))),     # g*  = (φ(1)−φ(g))/2 ↦ (1−c)/2
+        sparse_sum(((half, cx2), (half, x2))),     # h*  = (φ(h)+φ(gh))/2 ↦ (cx₂+x₂)/2
+        sparse_sum(((half, cx2), (-half, x2))),    # gh* = (φ(h)−φ(gh))/2 ↦ (cx₂−x₂)/2
     ]
-    t_alg = [one, c, x1, alg.mul_vec(c, x1)]
-    cols = []
-    for i in range(4):
-        for j in range(4):
-            cols.append(alg.mul_vec(t_dual[i], t_alg[j]))
+    t_alg = [one, c, x1, alg.mul_sparse(c, x1)]
+    cols = [dense_vec(alg.mul_sparse(f, a), alg.dim) for f in t_dual for a in t_alg]
     return HopfMorphism(double, e2, Matrix.from_cols(cols), name="T")
 
 
@@ -196,16 +193,17 @@ def theta(lam, mu) -> HopfMorphism:
     e2 = build_e2()
     h4 = build_h4()
     alg = h4.alg
-    images = {1: alg.basis_vec(1), 2: [x * lam for x in alg.basis_vec(2)], 4: [x * mu for x in alg.basis_vec(2)]}
+    # c ↦ g, x₁ ↦ λh, x₂ ↦ μh as sparse vectors of H₄ (g at 1, h at 2)
+    images = {1: {1: Q(1)}, 2: {2: lam} if lam else {}, 4: {2: mu} if mu else {}}
     cols = []
     for d in (0, 1):
         for b in (0, 1):
             for a in (0, 1):
-                acc = alg.one()
+                acc = sparse_vec(alg.unit)
                 for gen, e in ((1, a), (2, b), (4, d)):
                     for _ in range(e):
-                        acc = alg.mul_vec(acc, images[gen])
-                cols.append((_e2_index(a, b, d), acc))
+                        acc = alg.mul_sparse(acc, images[gen])
+                cols.append((_e2_index(a, b, d), dense_vec(acc, alg.dim)))
     cols.sort(key=lambda t: t[0])
     return HopfMorphism(e2, h4, Matrix.from_cols([c for _, c in cols]), name=f"theta({lam},{mu})")
 

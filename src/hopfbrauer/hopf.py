@@ -2,9 +2,10 @@
 
 A Hopf algebra is a :class:`~hopfbrauer.algebra.StructureAlgebra` together
 with a coproduct, a counit vector, and antipode matrices S, S⁻¹. The
-coproduct is stored sparse, ``_spcop[i]`` = Δ(e_i) as (p, q, c) triples
-sorted by (p, q), every c a nonzero Fraction; the dense Δ[i] ∈ k^{dim×dim}
-(``cop[i][p·dim + q]``) is a view, built on first read. The module
+coproduct is stored sparse only, ``_spcop[i]`` = Δ(e_i) as (p, q, c)
+triples sorted by (p, q), every c a nonzero Fraction, read through
+``cop_sparse``; the dense Δ[i] ∈ k^{dim×dim} (entry p·dim + q) is an input
+format of the constructor, never a stored view. The module
 provides axiom checking, duals, Drinfeld doubles with their canonical
 quasitriangular element, (co)quasitriangular structure validation, and
 Hopf morphism checking.
@@ -113,12 +114,6 @@ class HopfAlgebra:
             raise ValueError("counit vector has wrong length")
         self._spcop = spcop
         self._sw2: list[tuple[tuple[int, int, int, Fraction], ...]] | None = None
-
-    @cached_property
-    def cop(self) -> list[list[Fraction]]:
-        """Dense view: cop[i][p·dim + q] is the coefficient of e_p ⊗ e_q in Δ(e_i)."""
-        n = self.dim
-        return [dense_vec({p * n + q: c for p, q, c in terms}, n * n) for terms in self._spcop]
 
     @cached_property
     def int_cop(self) -> tuple[int, list[tuple[tuple[int, int, int], ...]]]:
@@ -378,13 +373,13 @@ def antipode_from_bialgebra(alg: StructureAlgebra, cop_sparse, counit: Sequence[
         raise ValueError("no antipode: bialgebra is not Hopf")
     s = Matrix([[sol.particular[u * n + p] for u in range(n)] for p in range(n)])
     # verify the right antipode law, which is not part of the solve
+    cols = [sparse_vec(s.col(v)) for v in range(n)]
+    unit = sparse_vec(alg.unit)
     for z in range(n):
-        acc = zero_vec(n)
+        acc: SparseVec = {}
         for u, v, c in cop_sparse(z):
-            sv = s.col(v)
-            for k, val in enumerate(alg.mul_vec(alg.basis_vec(u), sv)):
-                acc[k] += c * val
-        if acc != [counit[z] * x for x in alg.unit]:
+            alg.mul_sparse({u: c}, cols[v], acc)
+        if acc != ({k: counit[z] * x for k, x in unit.items()} if counit[z] else {}):
             raise ValueError("left convolution inverse of id is not two-sided")
     return s
 

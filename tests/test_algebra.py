@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from conftest import dense_mult
 from hopfbrauer.algebra import (
     Grading,
     StructureAlgebra,
@@ -10,11 +11,10 @@ from hopfbrauer.algebra import (
     check_algebra_axioms,
     endomorphism_algebra,
     is_central_simple,
-    multiply,
     opposite_algebra,
     super_center,
 )
-from hopfbrauer.linalg import in_span
+from hopfbrauer.linalg import in_span, sparse_vec
 
 
 def group_algebra_z2():
@@ -63,7 +63,7 @@ def test_axioms_c_family():
 
 def test_axioms_detect_corruption():
     good = quaternion_algebra(Q(1), Q(1))
-    mult = [[list(v) for v in row] for row in good.mult]
+    mult = dense_mult(good)
     mult[1][2][0] += Q(1)  # perturb X·Y
     rep = check_algebra_axioms(StructureAlgebra(good.basis, good.unit, mult))
     assert not rep.ok and any("associativity" in f for f in rep.failures)
@@ -73,7 +73,7 @@ def test_axiom_failures_on_a_corrupted_sharp_rung_are_pinned():
     from test_work_counts import _ladder_rung_d8
 
     rung = _ladder_rung_d8().alg
-    mult = [[list(v) for v in row] for row in rung.mult]
+    mult = dense_mult(rung)
     mult[3][5][6] += Q(1, 3)  # perturb (1#x#x)·(x#1#x)
     rep = check_algebra_axioms(StructureAlgebra(rung.basis, rung.unit, mult))
     triples = [
@@ -83,7 +83,7 @@ def test_axiom_failures_on_a_corrupted_sharp_rung_are_pinned():
         (4, 7, 5), (5, 3, 5), (5, 6, 5), (6, 3, 5), (6, 5, 5), (7, 3, 5), (7, 4, 5), (7, 7, 5),
     ]
     assert rep.failures == [f"associativity fails at triple ({i},{j},{l})" for i, j, l in triples]
-    mult = [[list(v) for v in row] for row in rung.mult]
+    mult = dense_mult(rung)
     mult[0][2][2] -= 1  # the unit no longer fixes 1#x#1
     mult[0][2][3] += 2
     rep = check_algebra_axioms(StructureAlgebra(rung.basis, rung.unit, mult))
@@ -94,15 +94,16 @@ def test_axiom_failures_on_a_corrupted_sharp_rung_are_pinned():
 
 def test_multiply_unit_and_relation():
     alg = c_algebra(Q(5))
-    x = alg.basis_element(1)
-    one = alg.element(alg.one())
-    assert multiply(one, x) == x
-    assert multiply(x, x) == alg.scalar(5)
+    x = {1: Q(1)}
+    one = sparse_vec(alg.one())
+    assert alg.mul_sparse(one, x) == x == alg.mul_sparse(x, one)
+    assert alg.mul_sparse(x, x) == {k: 5 * u for k, u in one.items()}
 
 
 def test_multiply_matches_double_sum_oracle():
     rng = random.Random(9)
     alg = quaternion_algebra(Q(2), Q(-3), Q(1))
+    mult = dense_mult(alg)
     for _ in range(10):
         x = [Q(rng.randint(-5, 5)) for _ in range(4)]
         y = [Q(rng.randint(-5, 5)) for _ in range(4)]
@@ -110,17 +111,18 @@ def test_multiply_matches_double_sum_oracle():
         for i in range(4):
             for j in range(4):
                 for k in range(4):
-                    naive[k] += x[i] * y[j] * alg.mult[i][j][k]
+                    naive[k] += x[i] * y[j] * mult[i][j][k]
         assert alg.mul_vec(x, y) == naive
+        assert alg.mul_sparse(sparse_vec(x), sparse_vec(y)) == sparse_vec(naive)
 
 
 def test_opposite_involution_and_commutative_case():
     comm = c_algebra(Q(3))
-    assert opposite_algebra(comm).mult == comm.mult
+    assert opposite_algebra(comm).same_product(comm)
     alg = quaternion_algebra(Q(1), Q(1))
     opp = opposite_algebra(alg)
     assert check_algebra_axioms(opp).ok
-    assert opposite_algebra(opp).mult == alg.mult
+    assert opposite_algebra(opp).same_product(alg)
 
 
 def test_opposite_of_matrix_algebra_via_transpose():
@@ -267,7 +269,7 @@ def _check_algebra_axioms_reference(a):
 
 def test_axioms_match_dense_reference():
     good = quaternion_algebra(Q(2), Q(-3), Q(1))
-    mult = [[list(v) for v in row] for row in good.mult]
+    mult = dense_mult(good)
     mult[1][2][0] += Q(1)
     mult[3][3][3] -= Q(2)
     unit = [Q(1), Q(0), Q(1, 2), Q(0)]
@@ -276,7 +278,7 @@ def test_axioms_match_dense_reference():
         endomorphism_algebra(3),
         opposite_algebra(c_algebra(Q(-7))),
         StructureAlgebra(good.basis, good.unit, mult),
-        StructureAlgebra(good.basis, unit, good.mult),
+        StructureAlgebra(good.basis, unit, dense_mult(good)),
     ]
     for alg in algebras:
         want = _check_algebra_axioms_reference(alg)

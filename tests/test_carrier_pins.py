@@ -5,6 +5,11 @@ object with product, action and coaction; the algebra, the action matrices
 and the flat coaction rows otherwise) and hashed. A change to any builder
 that moves a single structure constant, action entry or coaction entry, or
 renames a basis element, changes its digest.
+
+A second table pins the outputs of every builder that multiplies elements
+rather than basis vectors: E(2)'s coproduct and antipode columns, the maps T
+and θ_{λ,μ}, two quaternion presentations, the D(H₄) relation values and
+two sandwich matrices.
 """
 
 import hashlib
@@ -13,8 +18,9 @@ from fractions import Fraction as Q
 
 import pytest
 
+from hopfbrauer.algebra import sandwich_matrix
 from hopfbrauer.defio import algebra_to_json, yd_to_json
-from hopfbrauer.e2 import build_c_e2, witness_end_p, witness_p_module
+from hopfbrauer.e2 import build_c_e2, build_e2, t_morphism, theta, witness_end_p, witness_p_module
 from hopfbrauer.linalg import format_rational
 from hopfbrauer.sweedler import (
     CFamilyDescriptor,
@@ -24,7 +30,10 @@ from hopfbrauer.sweedler import (
     build_h4,
     build_h_alpha,
     build_sigma,
+    c_product,
     cocycle_twist,
+    dh4_relations,
+    quaternion_yd_algebra,
 )
 from hopfbrauer.yd import double_to_yd, end_yd, h_opposite, module_tensor, sharp_product, yd_to_double
 
@@ -99,3 +108,72 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_builder_output_is_pinned(name):
     assert _digest(BUILDERS[name]()) == PINNED[name]
+
+
+def _sha256_of(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def _matrix_dump(m) -> list:
+    return [[format_rational(v) for v in row] for row in m.data]
+
+
+def _e2_dump():
+    e2 = build_e2()
+    return {
+        "coproduct": [[[p, q, format_rational(c)] for p, q, c in e2.cop_sparse(i)] for i in range(e2.dim)],
+        "antipode": [[format_rational(v) for v in e2.antipode.col(j)] for j in range(e2.dim)],
+    }
+
+
+# the d = 8 rung of the seed-7 azumaya_ladder (test_verdict_pins.TOWER[:3])
+SEED7_TOWER = [
+    CFamilyDescriptor(Q(2, 3), Q(1), Q(-1)),
+    CFamilyDescriptor(Q(-7, 9), Q(1, 2), Q(-4)),
+    CFamilyDescriptor(Q(5, 2), Q(7, 8), Q(-6)),
+]
+
+
+def _seed7_tower():
+    rung = build_C(SEED7_TOWER[0])
+    for factor in SEED7_TOWER[1:]:
+        rung = sharp_product(rung, build_C(factor))
+    return rung
+
+
+def _quaternion(d1, d2):
+    return quaternion_yd_algebra(c_product(d1, d2))
+
+
+PRODUCT_DUMPS = {
+    "build_e2": _e2_dump,
+    "t_morphism": lambda: _matrix_dump(t_morphism().matrix),
+    "theta(1,0)": lambda: _matrix_dump(theta(1, 0).matrix),
+    "theta(0,1)": lambda: _matrix_dump(theta(0, 1).matrix),
+    "theta(-3/2,5)": lambda: _matrix_dump(theta(Q(-3, 2), 5).matrix),
+    "quaternion c_product(D1, D2)": lambda: yd_to_json(_quaternion(D1, D2), hopf_name="H4"),
+    "quaternion c_product(D3, D1)": lambda: yd_to_json(_quaternion(D3, D1), hopf_name="H4"),
+    "dh4_relations": lambda: [[label, [format_rational(v) for v in val]] for label, val in dh4_relations()],
+    "sandwich seed-7 tower d=8": lambda: _matrix_dump(sandwich_matrix(_seed7_tower().alg)),
+    "sandwich quaternion c_product(D1, D2)": lambda: _matrix_dump(sandwich_matrix(_quaternion(D1, D2).alg)),
+}
+
+# sha256 of each canonical dump, computed while every one of these products
+# still went through the dense ``mul_vec``
+PINNED_PRODUCTS = {
+    "build_e2": "765725b855ab9861861bf7ffe43979871ddfd2df2ab13aa9bb2a53385066d0f6",
+    "dh4_relations": "3b6892ad014884451caf619ead6cf0a51a0171e36401f66f67d2f16f964ca17a",
+    "quaternion c_product(D1, D2)": "97756726672dbf3cb63ecca93819cc9df228934701a128f8163756369a417799",
+    "quaternion c_product(D3, D1)": "dcdf611b0df7bc45878300a83569e841f5f38e63862f464f6b697897d336d4f6",
+    "sandwich quaternion c_product(D1, D2)": "0d6823e26d654cd95595b72a68428570d6bf391b11425ed8c766b148cc9b85c4",
+    "sandwich seed-7 tower d=8": "ab38f80638b793525797357bcce20ee3e2dce53e5299a8f37f250dba29053b7e",
+    "t_morphism": "0dee7735e3b1b3e605593a4ebf08c36aea5d6b98ea5fe1225e304e1f759a01b1",
+    "theta(-3/2,5)": "084f4020bea1d615e6b9edc3e9de6d672f48b90254645e934a1703ac57f941cd",
+    "theta(0,1)": "03f6d1a905cde5aa72484f0871588f7f6a845759072d63cf14379d8787f9eaa0",
+    "theta(1,0)": "bd64c3456531cbea94cc832c6ab7d943a17b2cebfaa7097eb1770280a98d4f48",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_DUMPS))
+def test_product_dump_is_pinned(name):
+    assert _sha256_of(PRODUCT_DUMPS[name]()) == PINNED_PRODUCTS[name]

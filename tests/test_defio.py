@@ -22,14 +22,14 @@ def test_algebra_round_trip():
     alg = build_h4().alg
     obj = json.loads(json.dumps(algebra_to_json(alg)))
     loaded = load_algebra(obj)
-    assert loaded.mult == alg.mult and loaded.unit == alg.unit
+    assert loaded.same_product(alg) and loaded.unit == alg.unit
 
 
 def test_hopf_round_trip():
     h4 = build_h4()
     obj = json.loads(json.dumps(hopf_to_json(h4)))
     loaded = load_hopf(obj)
-    assert loaded.cop == h4.cop
+    assert loaded.same_coproduct(h4)
     assert loaded.antipode == h4.antipode
     kind, _, report = validate_definition(obj)
     assert kind == "hopf" and report.ok

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -138,6 +139,36 @@ def test_product_presentation():
     assert graded.anticommutator == 0
 
 
+@pytest.mark.parametrize("field", ["anticommutator", "h_dot_y", "rho_y_s"])
+def test_presentation_off_by_one_is_rejected(field):
+    d1, d2 = CFamilyDescriptor(Q(3), Q(2), Q(5)), CFamilyDescriptor(Q(-1, 2), Q(7, 3), Q(1, 4))
+    pres = c_product(d1, d2)
+    assert sharp_product_matches_presentation(d1, d2, pres)
+    off = replace(pres, **{field: getattr(pres, field) + 1})
+    # the named algebra is still a YD algebra, so the comparisons decide
+    assert check_yd_algebra(quaternion_yd_algebra(off)).ok
+    assert not sharp_product_matches_presentation(d1, d2, off)
+
+
+def test_validate_c_iso_rejects_wrong_scales_and_a_wrong_coaction():
+    d = CFamilyDescriptor(Q(3), Q(2), Q(5))
+    alpha = Q(-2, 3)
+    d1 = CFamilyDescriptor(alpha**2 * d.a, alpha * d.t, alpha * d.s)
+    w = c_equivalent(d1, d)
+    assert validate_c_iso(d1, d, w)
+    # −w is an algebra map that the action and the coaction each reject
+    assert validate_c_iso(d1, d, -w, action=False, coaction=False)
+    assert not validate_c_iso(d1, d, -w)
+    assert not validate_c_iso(d1, d, -w, coaction=False)
+    assert not validate_c_iso(d1, d, -w, action=False)
+    # 2w is not even an algebra map
+    assert not validate_c_iso(d1, d, 2 * w)
+    assert not validate_c_iso(d1, d, 2 * w, action=False, coaction=False)
+    other_s = CFamilyDescriptor(d.a, d.t, d.s + 1)
+    assert validate_c_iso(d1, other_s, w, coaction=False)
+    assert not validate_c_iso(d1, other_s, w)
+
+
 def test_quaternion_builder_is_yd():
     pres = c_product(CFamilyDescriptor(1, 2, 3), CFamilyDescriptor(-2, 1, 5))
     assert check_yd_algebra(quaternion_yd_algebra(pres)).ok
@@ -230,7 +261,7 @@ def test_sigma_table_values():
 def test_sigma_zero_twist_is_identity():
     c = build_C(CFamilyDescriptor(Q(3), Q(0), Q(1)))
     twisted = cocycle_twist(c, build_sigma(0))
-    assert twisted.alg.mult == c.alg.mult
+    assert twisted.alg.same_product(c.alg)
     assert twisted.coaction == c.coaction
 
 

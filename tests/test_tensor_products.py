@@ -14,6 +14,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from conftest import dense_cop
 from test_integer_scaling import H4_SCALES, _rescaled_hopf
 
 from hopfbrauer.e2 import build_e2
@@ -194,15 +195,16 @@ def test_rescaled_h4_products_have_a_denominator():
 
 def _h4_corruptions():
     h4 = build_h4()
-    cop = [list(c) for c in h4.cop]
+    h4_cop = dense_cop(h4)
+    cop = dense_cop(h4)
     cop[2][5] += Q(1, 2)
     return {
         "clean": h4,
-        "identity antipode": HopfAlgebra(h4.alg, h4.cop, h4.counit, Matrix.identity(4), name="bad"),
+        "identity antipode": HopfAlgebra(h4.alg, h4_cop, h4.counit, Matrix.identity(4), name="bad"),
         "coproduct": HopfAlgebra(h4.alg, cop, h4.counit, h4.antipode, h4.antipode_inv, name="bad"),
-        "counit": HopfAlgebra(h4.alg, h4.cop, [1, 1, 1, 0], h4.antipode, h4.antipode_inv, name="bad"),
+        "counit": HopfAlgebra(h4.alg, h4_cop, [1, 1, 1, 0], h4.antipode, h4.antipode_inv, name="bad"),
         "antipode inverse": HopfAlgebra(
-            h4.alg, h4.cop, h4.counit, h4.antipode, Matrix.diag([1, 1, 1, 2]), name="bad"
+            h4.alg, h4_cop, h4.counit, h4.antipode, Matrix.diag([1, 1, 1, 2]), name="bad"
         ),
     }
 

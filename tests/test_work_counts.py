@@ -11,12 +11,14 @@ regression to any of these shows here without timing noise. The
 coquasitriangular check, the known-inverse test of ``coqt_structure``, the
 lazy-cocycle check and the cocycle twist read no Fraction structure
 constant, and the witness and centralizer solvers, ``is_invertible`` and the
-Hopf-morphism check make no dense product. The double's
+Hopf-morphism check make no dense product, and no builder or cross-check
+calls the dense ``mul_vec``: only ``sandwich_matrix`` does. The double's
 product, # products and H-opposites are built from integer tables
 (``StructureAlgebra.from_int``): the double's 64-wide table never passes
 through ``canonical_terms`` and its Fraction view is never built."""
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as Q
 
@@ -59,8 +61,8 @@ def test_drinfeld_double_of_e2_uses_no_dense_product_and_no_solve(monkeypatch):
 def test_double_of_e2_builds_no_dense_view():
     double, canonical = hopf.drinfeld_double(build_e2())
     assert hopf.check_quasitriangular(double, canonical).ok
-    assert "mult" not in double.alg.__dict__
-    assert "cop" not in double.__dict__
+    # neither table has a dense view to build
+    assert not hasattr(double.alg, "mult") and not hasattr(double, "cop")
 
 
 def test_double_and_its_checks_read_no_fraction_structure_constant(monkeypatch):
@@ -282,3 +284,34 @@ def test_conjugation_implementer_draws_no_combination_it_does_not_test(monkeypat
     # a kernel vector or a pairwise sum is invertible, so no pseudo-random
     # combination is built
     assert u is not None and drawn == []
+
+
+def test_only_sandwich_matrix_makes_a_dense_product(monkeypatch):
+    build_e2()  # cached, so T and θ below are guarded on their own products
+    mul_vec = StructureAlgebra.mul_vec
+    callers = Counter()
+
+    def guarded(alg, *args):
+        caller = sys._getframe(1).f_code.co_name
+        if caller != "sandwich_matrix":
+            raise AssertionError(f"dense mul_vec called from {caller}")
+        callers[caller] += 1
+        return mul_vec(alg, *args)
+
+    monkeypatch.setattr(StructureAlgebra, "mul_vec", guarded)
+    d1, d2 = sweedler.CFamilyDescriptor(Q(3), Q(2), Q(5)), sweedler.CFamilyDescriptor(Q(-1, 2), Q(7, 3), Q(1, 4))
+    assert not any(any(val) for _, val in sweedler.dh4_relations())
+    assert check_yd_algebra(sweedler.quaternion_yd_algebra(sweedler.c_product(d1, d2))).ok
+    h_alpha = sweedler.build_h_alpha(Q(5, 2))
+    assert yd.check_module(h_alpha).ok and yd.check_comodule(h_alpha).ok
+    e2 = build_e2.__wrapped__()
+    assert hopf.check_hopf_axioms(e2).ok
+    assert hopf.check_hopf_morphism(t_morphism.__wrapped__()).ok
+    assert hopf.check_hopf_morphism(theta(Q(-3, 2), Q(5))).ok
+    assert sweedler.sharp_product_matches_presentation(d1, d2)
+    assert sweedler.validate_c_iso(d1, d1, Q(1))
+    h4 = sweedler.build_h4()
+    assert hopf.antipode_from_bialgebra(h4.alg, h4.cop_sparse, h4.counit) == h4.antipode
+    assert callers == Counter()
+    assert algebra.is_central_simple(algebra.endomorphism_algebra(2))
+    assert callers["sandwich_matrix"] > 0

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from conftest import dense_mult
 from hopfbrauer.algebra import StructureAlgebra
 from hopfbrauer.linalg import Matrix, in_span, is_zero_vec, mat_det, zero_vec
 from hopfbrauer.sweedler import (
@@ -162,7 +163,7 @@ def test_h_opposite_formula_and_validity():
     x = [Q(0), Q(1)]
     assert opp.alg.mul_vec(x, x) == [d.s * d.t - d.a, Q(0)]
     expected = build_C(c_opposite(d))
-    assert opp.alg.mult == expected.alg.mult
+    assert opp.alg.same_product(expected.alg)
 
 
 def test_h_opposite_of_trivial_structure_is_plain_opposite():
@@ -180,7 +181,7 @@ def test_h_opposite_of_trivial_structure_is_plain_opposite():
     opp = h_opposite(triv)
     from hopfbrauer.algebra import opposite_algebra
 
-    assert opp.alg.mult == opposite_algebra(alg).mult
+    assert opp.alg.same_product(opposite_algebra(alg))
 
 
 def test_sharp_with_trivial_factor_is_isomorphic():
@@ -189,7 +190,7 @@ def test_sharp_with_trivial_factor_is_isomorphic():
     one_dim = StructureAlgebra(["1"], [1], [[[1]]])
     s = sharp_product(c, trivial_yd_on(one_dim))
     assert check_yd_algebra(s).ok
-    assert s.alg.mult == c.alg.mult
+    assert s.alg.same_product(c.alg)
     assert s.action == c.action
     assert s.coaction == c.coaction
 
@@ -537,13 +538,6 @@ def test_grading_error_on_non_homogeneous_basis():
         action_grading(mod, h4.meta["g"])
 
 
-def test_element_parent_mismatch():
-    a = build_C(CFamilyDescriptor(Q(1), Q(0), Q(0))).alg
-    b = build_C(CFamilyDescriptor(Q(2), Q(0), Q(0))).alg
-    with pytest.raises(ValueError):
-        a.basis_element(1) * b.basis_element(1)
-
-
 def test_solve_linear_dimension_mismatch():
     from hopfbrauer.linalg import DimensionError, solve_linear
 
@@ -686,7 +680,7 @@ def _kernel_cases():
 def _perturbed(a):
     """``a`` with one structure constant of its product changed, so the
     product is no longer associative."""
-    mult = [[list(v) for v in row] for row in a.alg.mult]
+    mult = dense_mult(a.alg)
     mult[1][a.dim - 1][0] += Q(1)
     return YDObject(a.hopf, a.dim, StructureAlgebra(a.alg.basis, a.alg.unit, mult), a.action, a.coaction)
 
@@ -708,7 +702,8 @@ def test_fg_maps_match_reference_without_associativity():
 @pytest.mark.parametrize("name", ["C(a;t,s)", "C#C d=4", "C#C#C d=8", "C(a;t1,t2) over E(2)"])
 def test_h_opposite_matches_dense_reference(name):
     a = KERNEL_CASES[name]
-    assert h_opposite(a).alg.mult == _h_opposite_mult_reference(a)
+    reference = StructureAlgebra(a.alg.basis, a.alg.unit, _h_opposite_mult_reference(a))
+    assert h_opposite(a).alg.same_product(reference)
 
 
 def test_yd_algebra_checks_report_reference_failures():
