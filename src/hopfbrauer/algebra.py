@@ -437,12 +437,12 @@ def sandwich_matrix(a: StructureAlgebra) -> Matrix:
     """Matrix of A ⊗ A^op → End(A), x ⊗ y ↦ (c ↦ x·c·y)."""
     d = a.dim
     m = [[Fraction(0)] * (d * d) for _ in range(d * d)]
-    for i in range(d):
-        for j in range(d):
-            col = i * d + j
-            for k in range(d):
-                w = a.mul_vec(a.mul_vec(a.basis_vec(i), a.basis_vec(k)), a.basis_vec(j))
-                for p, c in enumerate(w):
+    basis = [a.basis_vec(i) for i in range(d)]
+    for i, ei in enumerate(basis):
+        for k, ek in enumerate(basis):
+            eik = a.mul_vec(ei, ek)  # once, then times every e_j
+            for col, ej in enumerate(basis, i * d):
+                for p, c in enumerate(a.mul_vec(eik, ej)):
                     if c:
                         m[k * d + p][col] = c
     return Matrix(m)

@@ -373,6 +373,8 @@ def mat_det(m: Matrix) -> Fraction:
             return Fraction(0)
         rows[i] = d
         dens[i] = row_den // content
+    # row lengths in row-index order, so the first minimum is the lowest index
+    lens = {i: len(d) for i, d in rows.items()}
     col_count: dict[int, int] = {}
     for d in rows.values():
         for c in d:
@@ -381,7 +383,8 @@ def mat_det(m: Matrix) -> Fraction:
     row_order: list[int] = []
     col_order: list[int] = []
     while rows:
-        pr = min(rows, key=lambda ri: (len(rows[ri]), ri))
+        pr = min(lens, key=lens.get)
+        del lens[pr]
         pc = min(rows[pr], key=lambda c: (col_count[c], c))
         prow = rows.pop(pr)
         pv = prow.pop(pc)
@@ -394,9 +397,9 @@ def mat_det(m: Matrix) -> Fraction:
             col_count[c] -= 1
         pitems = list(prow.items())
         for ri, d in rows.items():
-            f = d.pop(pc, None)
-            if f is None:
+            if pc not in d:
                 continue
+            f = d.pop(pc)
             col_count[pc] -= 1
             g = math.gcd(pv, f)
             if pv < 0:
@@ -420,6 +423,7 @@ def mat_det(m: Matrix) -> Fraction:
                     col_count[c] -= 1
             if not d:
                 return Fraction(0)
+            lens[ri] = len(d)
             if dens[ri].bit_length() > CONTENT_BITS:
                 content = math.gcd(dens[ri], *d.values())
                 if content != 1:

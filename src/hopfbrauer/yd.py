@@ -11,13 +11,12 @@ algebras, ρ(ab) = a₍₀₎b₍₀₎ ⊗ b₍₁₎a₍₁₎, together with 
 condition ρ(l·b) = l₍₂₎·b₍₀₎ ⊗ l₍₃₎ b₍₁₎ S⁻¹(l₍₁₎).
 
 The axiom checks, the # product, the H-opposite and F/G contract on
-integers: each tensor is read times the least common denominator D of its
-entries, the action over D_a (``YDObject.int_images``), the coaction over D_c
-(``int_rho``), a product over D_m (``StructureAlgebra.int_sp``, ``mul_int``)
-and, locally, Δ, (Δ⊗id)Δ, S⁻¹, ε and a unit over their own D. Each side of
-an identity is an integer vector over a known positive scale, and each is
-multiplied by the scale factors the other has and it lacks before the exact
-comparison. The # product and the H-opposite hand their integer products to
+integers: each tensor is read times the least common denominator of its
+entries (the action over D_a, ``YDObject.int_images``; the coaction over D_c,
+``int_rho``; a product over D_m, ``StructureAlgebra.int_sp``; Δ, (Δ⊗id)Δ,
+S⁻¹, ε and a unit over their own). Both sides of an identity are brought to
+one scale and compared exactly, some as one integer dict lhs − rhs. The #
+product and the H-opposite hand their integer products to
 ``StructureAlgebra.from_int`` with their scale.
 
 This module also hosts the braided machinery: the # product, H-opposites,
@@ -174,11 +173,21 @@ def check_module(m: YDObject) -> CheckReport:
     )
     for i in range(h.dim):
         for j in range(h.dim):
-            ok = all(
-                sparse_sum((den_m * c, images[k][i]) for k, c in images[y][j].items())
-                == sparse_sum((den_a * c, images[y][k]) for k, c in sp[i][j])
-                for y in range(m.dim)
-            )
+            ok = True
+            for y in range(m.dim):
+                # lhs − rhs
+                diff: IntVec = {}
+                for k, c in images[y][j].items():
+                    c *= den_m
+                    for q, v in images[k][i].items():
+                        diff[q] = diff.get(q, 0) + c * v
+                for k, c in sp[i][j]:
+                    c *= den_a
+                    for q, v in images[y][k].items():
+                        diff[q] = diff.get(q, 0) - c * v
+                if any(diff.values()):
+                    ok = False
+                    break
             rep.require(ok, f"action not multiplicative at ({h.alg.basis[i]},{h.alg.basis[j]})")
     return rep
 
@@ -204,10 +213,22 @@ def check_module_algebra(a: YDObject) -> CheckReport:
         )
         for x in range(alg.dim):
             for y in range(alg.dim):
-                lhs = sparse_sum((den_d * den_a * c, images[k][i]) for k, c in sp[x][y])
-                rhs = sparse_sum((c, alg.mul_int(images[x][p], images[y][q])) for p, q, c in cop[i])
+                # lhs − rhs, the products contracted in place
+                diff: IntVec = {}
+                for k, c in sp[x][y]:
+                    c *= den_d * den_a
+                    for t, v in images[k][i].items():
+                        diff[t] = diff.get(t, 0) + c * v
+                for p, q, c in cop[i]:
+                    yq = images[y][q].items()
+                    for r, u in images[x][p].items():
+                        spr = sp[r]
+                        for s, w in yq:
+                            cuw = c * u * w
+                            for t, v in spr[s]:
+                                diff[t] = diff.get(t, 0) - cuw * v
                 rep.require(
-                    lhs == rhs,
+                    not any(diff.values()),
                     f"module-algebra law fails at ({h.alg.basis[i]}; {alg.basis[x]},{alg.basis[y]})",
                 )
     return rep
@@ -225,18 +246,15 @@ def check_comodule(m: YDObject) -> CheckReport:
         sp = rho[j]
         ej = sparse_sum((c * counit.get(k, 0), {a: 1}) for a, k, c in sp)
         rep.require(ej == {j: den_c * den_e}, f"(id⊗ε)ρ fails at index {j}")
-        lhs: dict[tuple[int, int, int], int] = {}
-        rhs: dict[tuple[int, int, int], int] = {}
+        diff: dict[tuple[int, int, int], int] = {}
         for a, k, c in sp:
             for b, l, d in rho[a]:
                 key = (b, l, k)
-                lhs[key] = lhs.get(key, 0) + den_d * c * d
+                diff[key] = diff.get(key, 0) + den_d * c * d
             for p, q, d in cop[k]:
                 key = (a, p, q)
-                rhs[key] = rhs.get(key, 0) + den_c * c * d
-        lhs = {k: v for k, v in lhs.items() if v}
-        rhs = {k: v for k, v in rhs.items() if v}
-        rep.require(lhs == rhs, f"coassociativity of ρ fails at index {j}")
+                diff[key] = diff.get(key, 0) - den_c * c * d
+        rep.require(not any(diff.values()), f"coassociativity of ρ fails at index {j}")
     return rep
 
 
@@ -472,33 +490,19 @@ def end_yd(m: YDObject, variant: str = "plain") -> YDObject:
 
 
 class FGContraction:
-    """F and G of one YD algebra, evaluated on sparse vectors.
+    """F and G of one YD algebra, contracted on integers.
 
-    F(x#y)(z) = Σ_h u_h·(e_h·y) with u_h = Σ c·x z₍₀₎ over the terms of ρ(z)
-    with z₍₁₎ = e_h, and G(x#y)(z) = (Σ c·x₍₀₎(x₍₁₎·z))·y. The right factor
-    of F is read from ``right``, the table right[y][h][k] = e_k·(e_h·e_y)
-    built once per object with d·n·d products, as
-    u_h·(e_h·y) = Σ_k u_h[k]·right[y][h][k]. Both forms follow from the
-    definitions by bilinearity of the product alone: F keeps the bracketing
-    (x z₍₀₎)(z₍₁₎·y) of its definition and collects terms in its left factor,
-    and G moves the sum over ρ(x) into the left factor of its outer product.
-    Nothing is reassociated, so the values equal the definitions' even for a
-    non-associative multiplication.
+    F(x#y)(z) = Σ_h u_h·(e_h·y) for u_h = Σ c·x z₍₀₎ over the terms of ρ(z)
+    with z₍₁₎ = e_h (``f_left``), and G(x#y)(z) = (Σ c·x₍₀₎(x₍₁₎·z))·y
+    (``g_left``). F reads its right factor from the table
+    right[y][h][k] = e_k·(e_h·e_y), built once with d·n·d products. Only
+    bilinearity is used and nothing is reassociated, so the values are the
+    definitions' even for a non-associative product.
 
-    The contraction runs on integers only. Each tensor it reads is scaled by
-    its own common denominator: the product by D_m (``StructureAlgebra.int_sp``,
-    multiplied with ``mul_int``), ``rho`` by D_c and ``images`` by D_a (the
-    object's ``int_rho`` and ``int_images``). Every
-    term of F and G has degree one in ρ, one in the action and two in the
-    product, so an integer value v of the contraction on integer inputs
-    stands for v / ``den`` with den = D_c·D_a·D_m².
-
-    The y-free factors come from ``f_left`` and ``g_left``, so a caller that
-    sweeps y computes them once per (x, z). A vector y enters F as its table
-    slice (``right[j]`` for a basis vector, ``right_of`` otherwise), and a
-    vector z enters G as its images [e_kᴴ·z for each H-basis index k]
-    (``images[j]`` or ``images_of``). ``f_value`` and ``g_value`` take
-    rational x, y, z, scale each to integers and return rational values.
+    The product is read over D_m (``int_sp``), ``rho`` over D_c and
+    ``images`` over D_a. Each term has degree one in ρ, one in the action
+    and two in the product, so an integer value v stands for v / ``den``,
+    den = D_c·D_a·D_m². ``f_value`` and ``g_value`` take rational x, y, z.
     """
 
     def __init__(self, a: YDObject):
@@ -517,12 +521,6 @@ class FGContraction:
     def images_of(self, v: IntVec) -> list[IntVec]:
         return [sparse_sum((c, self.images[j][k]) for j, c in v.items()) for k in range(self.hdim)]
 
-    def right_of(self, y: IntVec) -> list[list[IntVec]]:
-        return [
-            [sparse_sum((c, self.right[j][h][k]) for j, c in y.items()) for k in range(self.alg.dim)]
-            for h in range(self.hdim)
-        ]
-
     def f_left(self, x: IntVec, z: IntVec) -> list[tuple[int, IntVec]]:
         """Pairs (h, Σ c·x z₍₀₎ over the terms of ρ(z) with z₍₁₎ = e_h)."""
         by_h: dict[int, IntVec] = {}
@@ -531,14 +529,13 @@ class FGContraction:
                 self.alg.mul_int(x, {z0: c * cz}, by_h.setdefault(z1, {}))
         return list(by_h.items())
 
-    def f(self, left: list[tuple[int, IntVec]], y_right: list[list[IntVec]]) -> IntVec:
-        """F(x#y)(z), times ``den``, from ``f_left(x, z)`` and the table slice of y."""
-        return sparse_sum((uk, y_right[h][k]) for h, u in left for k, uk in u.items())
-
     def f_value(self, x: SparseVec, y: SparseVec, z: SparseVec) -> SparseVec:
         """F(x#y)(z) for arbitrary rational sparse x, y, z."""
         (xi, dx), (yi, dy), (zi, dz) = (scaled(v) for v in (x, y, z))
-        return over(self.f(self.f_left(xi, zi), self.right_of(yi)), self.den * dx * dy * dz)
+        y_images, f = self.images_of(yi), {}
+        for h, u in self.f_left(xi, zi):
+            self.alg.mul_int(u, y_images[h], f)
+        return over(f, self.den * dx * dy * dz)
 
     def g_value(self, x: SparseVec, y: SparseVec, z: SparseVec) -> SparseVec:
         """G(x#y)(z) for arbitrary rational sparse x, y, z."""
@@ -561,38 +558,49 @@ def fg_maps(a: YDObject) -> tuple[Matrix, Matrix]:
     Columns run over the #-basis x⊗y (left-major); rows over the matrix
     units of End(A) in dual-major order, matching endomorphism_algebra.
 
-    Built by ``FGContraction`` on integers: F(x#y)(z) = Σ_h u_h·(e_h·y), the
-    right factors e_k·(e_h·e_y) read from its table, and G(x#y)(z) =
-    (Σ c·x₍₀₎(x₍₁₎·z))·y, whose inner sum depends on (x, z) only. Both use
-    bilinearity alone; no product is reassociated. Every entry is
-    accumulated as an integer over the contraction's single denominator
-    D = D_c·D_a·D_m² and stored as it is, in sparse rows (D, {column: integer})
-    handed to ``Matrix.from_int_rows``: no d²-wide row is allocated, and
-    ``mat_det`` reads the rows as given. Equal values share one int object.
+    Built on ``FGContraction`` over its ``den``, with no product call per
+    column: for each (x, z), F is accumulated for all y at once from
+    ``f_left`` and the ``right`` table read in place, and G from ``g_left``
+    and one flat list per i of the (p·d + y, c) terms of e_i·e_y. Each
+    nonzero is written once, into sparse rows (den, {column: integer}) for
+    ``Matrix.from_int_rows``; equal values share one int object.
     """
-    alg = a.alg
-    d = alg.dim
+    d = a.dim
     fg = FGContraction(a)
+    right = fg.right
+    # the (p·d + y, c) terms of e_i·e_y for every y, one list per i
+    products = [[(p * d + y, c) for y, term in enumerate(row) for p, c in term] for row in a.alg.int_sp[1]]
     # F and G of the d = 16 ladder tower hold 4,932 distinct values among
     # 40,272 nonzero entries
     values: dict[int, int] = {}
     value = values.setdefault
-    mul = alg.mul_int
-    basis = [{j: 1} for j in range(d)]
     f: list[IntVec] = [{} for _ in range(d * d)]
     g: list[IntVec] = [{} for _ in range(d * d)]
     for x in range(d):
+        xv = {x: 1}
         for z in range(d):
-            f_left = fg.f_left(basis[x], basis[z])
-            g_left = fg.g_left(basis[x], fg.images[z])
-            frows = f[z * d:(z + 1) * d]
-            grows = g[z * d:(z + 1) * d]
-            for y in range(d):
-                col = x * d + y
-                for p, v in fg.f(f_left, fg.right[y]).items():
-                    frows[p][col] = value(v, v)
-                for p, v in mul(g_left, basis[y]).items():
-                    grows[p][col] = value(v, v)
+            f_left = fg.f_left(xv, {z: 1})
+            if f_left:
+                # accs[y] = F(e_x#e_y)(e_z), for all y at once
+                accs: list[IntVec] = [{} for _ in right]
+                for h, u in f_left:
+                    for k, uk in u.items():
+                        for acc, ry in zip(accs, right):
+                            for p, v in ry[h][k].items():
+                                acc[p] = acc.get(p, 0) + uk * v
+                frows = f[z * d:(z + 1) * d]
+                for col, acc in enumerate(accs, x * d):
+                    for p, v in acc.items():
+                        if v:
+                            frows[p][col] = value(v, v)
+            acc = {}
+            for i, c in fg.g_left(xv, fg.images[z]).items():
+                for key, v in products[i]:
+                    acc[key] = acc.get(key, 0) + c * v
+            for key, v in acc.items():
+                if v:
+                    p, y = divmod(key, d)
+                    g[z * d + p][x * d + y] = value(v, v)
     return (Matrix.from_int_rows([(fg.den, r) for r in f], d * d),
             Matrix.from_int_rows([(fg.den, r) for r in g], d * d))
 

@@ -15,7 +15,9 @@ Hopf-morphism check make no dense product, and no builder or cross-check
 calls the dense ``mul_vec``: only ``sandwich_matrix`` does. The double's
 product, # products and H-opposites are built from integer tables
 (``StructureAlgebra.from_int``): the double's 64-wide table never passes
-through ``canonical_terms`` and its Fraction view is never built."""
+through ``canonical_terms`` and its Fraction view is never built.
+``sandwich_matrix`` forms each e_i·e_k once (d³ + d² dense products), and
+``fg_maps`` makes no sparse sum and no product per column."""
 
 import random
 import sys
@@ -315,3 +317,40 @@ def test_only_sandwich_matrix_makes_a_dense_product(monkeypatch):
     assert callers == Counter()
     assert algebra.is_central_simple(algebra.endomorphism_algebra(2))
     assert callers["sandwich_matrix"] > 0
+
+
+def test_sandwich_matrix_forms_each_left_product_once(monkeypatch):
+    algebras = [algebra.endomorphism_algebra(2), _ladder_rung_d8().alg]
+    calls = _count_dense_products(monkeypatch)
+    for alg in algebras:
+        calls.clear()
+        algebra.sandwich_matrix(alg)
+        # d² products e_i·e_k, then d³ products (e_i·e_k)·e_j
+        assert sum(calls.values()) == alg.dim**3 + alg.dim**2
+
+
+def test_fg_maps_makes_no_product_per_column(monkeypatch):
+    rung = _ladder_rung_d8()
+    d, n = rung.dim, rung.hopf.dim
+    rho_terms = sum(len(row) for row in rung.int_rho[1])
+    sums = []
+    sparse_sum = yd.sparse_sum
+
+    def counted_sum(terms):
+        sums.append(1)
+        return sparse_sum(terms)
+
+    monkeypatch.setattr(yd, "sparse_sum", counted_sum)
+    products = Counter()
+    mul_int = StructureAlgebra.mul_int
+
+    def counted(alg, *args):
+        products[alg.name] += 1
+        return mul_int(alg, *args)
+
+    monkeypatch.setattr(StructureAlgebra, "mul_int", counted)
+    assert is_h_azumaya(rung)
+    assert sums == []
+    # FGContraction's table (d·n·d), f_left and g_left (one product per term
+    # of ρ(z) and of ρ(x), over every (x, z)); nothing per column
+    assert sum(products.values()) == d * n * d + 2 * d * rho_terms
