@@ -1,15 +1,15 @@
 """Finite-dimensional unital associative algebras via structure constants.
 
-An algebra is a basis, a unit vector and the structure constants of its
-product, held sparse in two views, each built from the other on first read:
-``_sp[i][j]`` = e_i · e_j as (k, c) pairs sorted by k, every c a nonzero
-Fraction, and ``int_sp``, the same pairs as integers over one scale D_m.
-Elements are coefficient vectors over ℚ, dense or sparse
-(``{basis index: nonzero coefficient}``). Every product is one loop,
-``_contract``, over either table: ``mul_sparse`` on Fractions, ``mul_int``
-on integers, and a wrapper on dense vectors that only ``sandwich_matrix``
-calls. Everything downstream (Hopf algebras, Yetter-Drinfeld module
-algebras, endomorphism algebras) is layered over this module.
+An algebra is a basis, a unit vector and its structure constants, held in
+two sparse views, each built from the other on first read: ``_sp[i][j]`` =
+e_i · e_j as (k, c) pairs sorted by k, every c a nonzero Fraction, and
+``int_sp``, the same as integers over one scale D_m. Elements are dense or
+sparse (``{basis index: nonzero coefficient}``) vectors over ℚ. Every
+product is one loop, ``_contract``: ``mul_sparse`` on Fractions, ``mul_int``
+on integers, ``mul_vec`` on dense vectors for ``sandwich_matrix`` only.
+A law whose solutions form a subalgebra is checked on ``generators`` first
+(``on_generators``). Hopf algebras and Yetter-Drinfeld module algebras are
+layered over this module.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .linalg import (
     IntVec,
@@ -27,7 +27,6 @@ from .linalg import (
     common_denominator,
     dense_vec,
     mat_det,
-    scale_sparse,
     scaled,
     solve_columns,
     sparse_sum,
@@ -126,13 +125,11 @@ def _table_dim(basis: Sequence[str], table: Sequence[Sequence]) -> int:
 class StructureAlgebra:
     """Unital associative algebra given by structure constants over ℚ.
 
-    The product has two views, each a ``cached_property`` built from the
-    other the first time it is read: ``_sp``, the canonical Fraction table
-    (module docstring), and ``int_sp``, the same table as integers over one
-    scale D_m. ``__init__`` (the dense tensor) and ``from_sparse`` (Fraction
-    terms) seed ``_sp``; ``from_int`` (integer terms over a scale) seeds
-    ``int_sp``, so an algebra that is only contracted on integers never
-    builds a Fraction constant.
+    ``__init__`` (the dense tensor) and ``from_sparse`` (Fraction terms) seed
+    the view ``_sp``, ``from_int`` (integer terms over a scale) ``int_sp``;
+    the other is built when first read, so an algebra only contracted on
+    integers builds no Fraction constant. ``generators`` and ``associative``
+    are cached certificates.
     """
 
     def __init__(self, basis: Sequence[str], unit: Sequence, mult: Sequence[Sequence[Sequence]], name: str = ""):
@@ -172,14 +169,11 @@ class StructureAlgebra:
         """The algebra whose e_i · e_j is Σ (c/den)·e_k over the (k, c) pairs
         of table[i][j], every c a nonzero int and den a positive int.
 
-        Each table[i][j] is a collection read twice (a list, or the items of
-        a dict). The first pass validates by the rule of ``canonical_terms``:
-        ``ValueError`` unless every index is an int in range, none repeats,
-        every c is a nonzero int, den is a positive int and no term is a
-        one-shot iterator. The second pass builds each term, sorted by index,
-        with den and every c divided by their common gcd, so ``int_sp`` is
-        the table the Fraction path would compute. ``_sp`` is built only
-        when read.
+        Each table[i][j] is a collection (a list, or a dict's items), read
+        twice. The first pass validates as ``canonical_terms`` does
+        (``ValueError`` on a bad index or c, a repeat, a bad den or a one-shot
+        iterator); the second sorts each term and divides den and every c by
+        their gcd, so ``int_sp`` is what the Fraction path would compute.
         """
         dim = _table_dim(basis, table)
         if type(den) is not int or den <= 0:
@@ -238,6 +232,47 @@ class StructureAlgebra:
             [tuple((k, c.numerator * (den // c.denominator)) for k, c in term) for term in row]
             for row in self._sp
         ]
+
+    @cached_property
+    def generators(self) -> tuple[int, ...] | None:
+        """Basis indices G, taken greedily in index order, whose closure from 1
+        under left multiplication by G spans the algebra, decided by an integer
+        echelon on ``int_sp``; None when the unit law fails or the span falls
+        short."""
+        if _unit_law_failures(self):
+            return None
+        echelon: dict[int, IntVec] = {}  # leading index -> row
+        gens, found = [], []
+
+        def residue(v: IntVec) -> IntVec:
+            """A multiple of v minus its part in the echelon's span."""
+            while v and min(v) in echelon:
+                row = echelon[k := min(v)]
+                g = math.gcd(row[k], v[k])
+                v = sparse_sum(((row[k] // g, v), (-v[k] // g, row)))
+            return v
+
+        def close(pairs):
+            for g, v in pairs:  # grows as vectors are found
+                w = residue(v if g is None else self.mul_int({g: 1}, v))
+                if w:
+                    g = math.gcd(*w.values())
+                    found.append(w := {k: c // g for k, c in w.items()})
+                    echelon[min(w)] = w
+                    pairs += [(h, w) for h in gens]
+
+        close([(None, scaled(sparse_vec(self.unit))[0])])
+        for i in range(self.dim):
+            if len(echelon) < self.dim and residue({i: 1}):
+                gens.append(i)
+                close([(i, v) for v in found])
+        return tuple(gens) if len(echelon) == self.dim else None
+
+    @cached_property
+    def associative(self) -> bool:
+        """Associativity on ``generators``: the left nucleus {x : (xy)z =
+        x(yz) ∀y, z} is a subalgebra holding 1, so all of A once it holds G."""
+        return self.generators is not None and next(_associativity_failures(self, self.generators), None) is None
 
     def same_product(self, other: "StructureAlgebra") -> bool:
         """Equal structure constants, compared on the canonical sparse tables."""
@@ -329,33 +364,47 @@ class Grading:
         return rep
 
 
-def check_algebra_axioms(a: StructureAlgebra) -> CheckReport:
-    """Associativity on all basis triples plus the two-sided unit law.
-
-    Both sides of (e_i e_j) e_l = e_i (e_j e_l) have degree two in the
-    structure constants, so they are compared as integers over D_m²,
-    contracted on the table of ``int_sp`` as ``mul_int`` does. The unit u is
-    scaled to integers U = D_u·u, and u·e_i = e_i becomes U·e_i = D_u·D_m·e_i.
-    No Fraction is built after the scaling.
-    """
-    rep = CheckReport(f"algebra axioms ({a.name or 'unnamed'})")
+def _unit_law_failures(a: StructureAlgebra) -> list[int]:
+    """The i with U·e_i or e_i·U ≠ D_u·D_m·e_i, U = D_u·1 on ``int_sp``."""
     den_m, sp = a.int_sp
-    unit = sparse_vec(a.unit)
-    den_u = common_denominator(unit.values())
-    unit = scale_sparse(unit, den_u)
-    basis = [{i: 1} for i in range(a.dim)]
-    for i, ei in enumerate(basis):
-        scaled = {i: den_u * den_m}
-        if _contract(sp, unit, ei, {}) != scaled or _contract(sp, ei, unit, {}) != scaled:
-            rep.failures.append(f"unit law fails at basis element {a.basis[i]}")
+    unit, den_u = scaled(sparse_vec(a.unit))
+    return [
+        i for i in range(a.dim)
+        if not _contract(sp, unit, {i: 1}, {}) == {i: den_u * den_m} == _contract(sp, {i: 1}, unit, {})
+    ]
+
+
+def _associativity_failures(a: StructureAlgebra, idx: Iterable[int]) -> Iterator[str]:
+    """(e_i e_j) e_l = e_i (e_j e_l) for i in idx, both sides over D_m²."""
+    sp = a.int_sp[1]
     # e_j e_l as a dict, built once per pair and read by every i
     products = [[dict(term) for term in row] for row in sp]
-    for i, ei in enumerate(basis):
+    for i in idx:
         for j, ij in enumerate(products[i]):
             jl = products[j]
-            for l, el in enumerate(basis):
-                if _contract(sp, ij, el, {}) != _contract(sp, ei, jl[l], {}):
-                    rep.failures.append(f"associativity fails at triple ({i},{j},{l})")
+            for l in range(a.dim):
+                if _contract(sp, ij, {l: 1}, {}) != _contract(sp, {i: 1}, jl[l], {}):
+                    yield f"associativity fails at triple ({i},{j},{l})"
+
+
+def on_generators(law: Callable[[Iterable[int]], Iterator[str]], alg: StructureAlgebra, ready: bool) -> list[str]:
+    """The failures ``law`` yields over ``alg``'s basis indices: [] when
+    ``ready`` (the prerequisites making the law's solutions a subalgebra),
+    ``alg.associative`` and law(``alg.generators``) yields none, else the
+    itemized list(law(range(alg.dim)))."""
+    if ready and alg.associative and next(law(alg.generators), None) is None:
+        return []
+    return list(law(range(alg.dim)))
+
+
+def check_algebra_axioms(a: StructureAlgebra) -> CheckReport:
+    """The two-sided unit law, then associativity on all basis triples,
+    unless ``a.associative`` holds, both on integers over ``int_sp``."""
+    rep = CheckReport(f"algebra axioms ({a.name or 'unnamed'})")
+    if a.generators is None:
+        rep.failures += [f"unit law fails at basis element {a.basis[i]}" for i in _unit_law_failures(a)]
+    if not a.associative:
+        rep.failures += _associativity_failures(a, range(a.dim))
     return rep
 
 

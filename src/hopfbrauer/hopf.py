@@ -1,26 +1,18 @@
 """Hopf algebras as structure-constant data.
 
-A Hopf algebra is a :class:`~hopfbrauer.algebra.StructureAlgebra` together
-with a coproduct, a counit vector, and antipode matrices S, S⁻¹. The
-coproduct is stored sparse only, ``_spcop[i]`` = Δ(e_i) as (p, q, c)
-triples sorted by (p, q), every c a nonzero Fraction, read through
-``cop_sparse``; the dense Δ[i] ∈ k^{dim×dim} (entry p·dim + q) is an input
-format of the constructor, never a stored view. The module
-provides axiom checking, duals, Drinfeld doubles with their canonical
-quasitriangular element, (co)quasitriangular structure validation, and
-Hopf morphism checking.
+A Hopf algebra is a :class:`~hopfbrauer.algebra.StructureAlgebra` with a
+coproduct, a counit vector and antipode matrices S, S⁻¹. Δ is stored sparse
+only, ``_spcop[i]`` = Δ(e_i) as (p, q, c) triples sorted by (p, q), every c
+a nonzero Fraction; the dense Δ[i] (entry p·dim + q) is only an input
+format. The module checks axioms and builds duals, Drinfeld doubles with
+their canonical R, (co)quasitriangular structures and Hopf morphisms.
 
-Elements of H ⊗ H and H ⊗ H ⊗ H appearing in checks are handled as sparse
-dicts keyed by index tuples; the flat basis ordering is left-factor major.
-
-Products in H ⊗ H and H ⊗ H ⊗ H (``t2_mul``, ``t3_mul``), the Hopf,
-quasitriangular and coquasitriangular checks and the Drinfeld-double build
-run on integer-scaled tables: each operand is scaled to integers over its
-least common denominator (a bilinear form by ``int_form``), contracted on
-``StructureAlgebra.int_sp`` (the product over D_m) and ``int_cop`` (Δ over
-D_Δ), and either compared as integers over a known scale or divided once per
-entry of the result. Hopf morphisms are checked on the sparse columns of
-their matrix.
+Elements of H ⊗ H and H ⊗ H ⊗ H are sparse dicts keyed by index tuples,
+left factor major. Their products (``t2_mul``, ``t3_mul``), the Hopf,
+(co)quasitriangular checks and the double run on integers: each operand
+times its least common denominator (a bilinear form by ``int_form``),
+contracted on ``int_sp`` (the product over D_m) and ``int_cop`` (Δ over
+D_Δ), compared over a known scale or divided once per entry.
 """
 
 from __future__ import annotations
@@ -30,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .algebra import CheckReport, StructureAlgebra, canonical_terms, check_algebra_axioms
+from .algebra import CheckReport, StructureAlgebra, canonical_terms, check_algebra_axioms, on_generators
 from .linalg import (
     IntVec,
     Matrix,
@@ -120,6 +112,33 @@ class HopfAlgebra:
         """(D_Δ, ``_spcop`` with every coefficient times D_Δ), D_Δ the least
         common denominator of Δ. Built on first use, like ``int_sp``."""
         return scaled_rows(self._spcop)
+
+    @cached_property
+    def coalgebra_failures(self) -> list[str]:
+        """The coassociativity and counit messages of ``check_hopf_axioms``."""
+        cop, out = self._spcop, []
+        for i, b in enumerate(self.alg.basis):
+            lhs, rhs = {}, {}
+            for p, q, c in cop[i]:
+                for u, v, d in cop[p]:
+                    _acc(lhs, (u, v, q), c * d)
+                for u, v, d in cop[q]:
+                    _acc(rhs, (p, u, v), c * d)
+            if lhs != rhs:
+                out.append(f"coassociativity fails at {b}")
+        for i, b in enumerate(self.alg.basis):
+            for side, k in (("ε⊗id", 0), ("id⊗ε", 1)):
+                v = zero_vec(self.dim)
+                for t in cop[i]:
+                    v[t[1 - k]] += t[2] * self.counit[t[k]]
+                if v != self.alg.basis_vec(i):
+                    out.append(f"({side})Δ fails at {b}")
+        return out
+
+    @cached_property
+    def certified(self) -> bool:
+        """Whether ``check_hopf_axioms`` passes, decided once."""
+        return check_hopf_axioms(self).ok
 
     def same_coproduct(self, other: "HopfAlgebra") -> bool:
         """Equal coproducts, compared on the canonical sparse tables."""
@@ -249,62 +268,42 @@ def check_hopf_axioms(h: HopfAlgebra) -> CheckReport:
 
     Δ- and ε-multiplicativity and the antipode laws compare integer sides
     over known scales, contracted on ``int_sp``; messages name the basis
-    elements where an identity fails."""
+    elements where an identity fails. Δ- and ε-multiplicativity share one
+    ``on_generators`` loop, given Δ(1) = 1⊗1 and ε(1) = 1."""
     rep = CheckReport(f"Hopf axioms ({h.name or 'unnamed'})")
     alg = h.alg
     n = h.dim
 
     rep.merge(check_algebra_axioms(alg))
-
-    # coassociativity
-    for i in range(n):
-        lhs: dict[tuple[int, int, int], Fraction] = {}
-        rhs: dict[tuple[int, int, int], Fraction] = {}
-        for p, q, c in h.cop_sparse(i):
-            for u, v, d in h.cop_sparse(p):
-                _acc(lhs, (u, v, q), c * d)
-            for u, v, d in h.cop_sparse(q):
-                _acc(rhs, (p, u, v), c * d)
-        rep.require(lhs == rhs, f"coassociativity fails at {alg.basis[i]}")
-
-    # counit law
-    for i in range(n):
-        left = zero_vec(n)
-        right = zero_vec(n)
-        for p, q, c in h.cop_sparse(i):
-            left[q] += c * h.counit[p]
-            right[p] += c * h.counit[q]
-        ei = alg.basis_vec(i)
-        rep.require(left == ei, f"(ε⊗id)Δ fails at {alg.basis[i]}")
-        rep.require(right == ei, f"(id⊗ε)Δ fails at {alg.basis[i]}")
+    rep.failures += h.coalgebra_failures
 
     # Δ and ε are algebra maps. With Δ over D_Δ and ε over D_ε as integers,
     # D_Δ·D_m·Δ(e_i e_j) = Δ(e_i)·Δ(e_j) over D_Δ²·D_m², and
     # D_ε·ε(e_i e_j) = ε(e_i)·ε(e_j) over D_ε²·D_m
     cop_unit = sparse_sum((u, {(p, q): c for p, q, c in h.cop_sparse(i)}) for i, u in enumerate(alg.unit) if u)
-    rep.require(cop_unit == t2_unit(h), "Δ(1) ≠ 1⊗1")
-    rep.require(sum(c * e for c, e in zip(alg.unit, h.counit)) == 1, "ε(1) ≠ 1")
+    ok = rep.require(cop_unit == t2_unit(h), "Δ(1) ≠ 1⊗1")
+    ok = rep.require(sum(c * e for c, e in zip(alg.unit, h.counit)) == 1, "ε(1) ≠ 1") and ok
     den_m, sp = alg.int_sp
     den_d, cop = h.int_cop
     cops = [{(p, q): c for p, q, c in row} for row in cop]
     counit, den_e = scaled(sparse_vec(h.counit))
     lift = den_d * den_m
-    for i in range(n):
-        for j in range(n):
-            prod = sp[i][j]
-            d_prod: dict[tuple[int, int], int] = {}
-            for k, c in prod:
-                c *= lift
-                for key, d in cops[k].items():
-                    d_prod[key] = d_prod.get(key, 0) + c * d
-            rep.require(
-                {key: v for key, v in d_prod.items() if v} == _t2_int(sp, cops[i], cops[j]),
-                f"Δ not multiplicative at ({alg.basis[i]},{alg.basis[j]})",
-            )
-            rep.require(
-                den_e * sum(c * counit.get(k, 0) for k, c in prod) == den_m * counit.get(i, 0) * counit.get(j, 0),
-                f"ε not multiplicative at ({alg.basis[i]},{alg.basis[j]})",
-            )
+
+    def multiplicative(idx):
+        for i in idx:
+            for j in range(n):
+                prod = sp[i][j]
+                d_prod: dict[tuple[int, int], int] = {}
+                for k, c in prod:
+                    c *= lift
+                    for key, d in cops[k].items():
+                        d_prod[key] = d_prod.get(key, 0) + c * d
+                if {key: v for key, v in d_prod.items() if v} != _t2_int(sp, cops[i], cops[j]):
+                    yield f"Δ not multiplicative at ({alg.basis[i]},{alg.basis[j]})"
+                if den_e * sum(c * counit.get(k, 0) for k, c in prod) != den_m * counit.get(i, 0) * counit.get(j, 0):
+                    yield f"ε not multiplicative at ({alg.basis[i]},{alg.basis[j]})"
+
+    rep.failures += on_generators(multiplicative, alg, ok)
 
     # antipode law
     for i, (left, right) in enumerate(_antipode_laws(h, [sparse_vec(h.antipode.col(p)) for p in range(n)])):
@@ -406,10 +405,9 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
     and inverse are unique, so no sign convention is guessed; a failed
     check raises ValueError. Every product is a sparse contraction.
 
-    The double's structure constants are accumulated as integers over
-    D_w·D_s·D_h³·D_d and handed to ``StructureAlgebra.from_int`` with that
-    scale, so the build and the checks that follow read ``int_sp`` and no
-    Fraction constant of the double is made unless a caller reads ``_sp``.
+    The double's constants are accumulated as integers over D_w·D_s·D_h³·D_d
+    for ``StructureAlgebra.from_int``, so no Fraction constant of the double
+    is made unless a caller reads ``_sp``.
     """
     hd = dual_hopf(h)
     ha, da = h.alg, hd.alg

@@ -2,29 +2,23 @@
 
 Every object over a fixed Hopf algebra H is a ``YDObject``: a carrier with
 some of a product, a left H-action (one matrix per H-basis element) and a
-right H-coaction. Coactions are stored as one dense vector per carrier
-basis element, ``coaction[j][a·dim(H) + k]`` the coefficient of e_a ⊗ e_k
-in ρ(e_j), and read through the sparse view ``YDObject.rho``.
-
-The compatibility demanded throughout is the one for right H^op-comodule
-algebras, ρ(ab) = a₍₀₎b₍₀₎ ⊗ b₍₁₎a₍₁₎, together with the Yetter-Drinfeld
+right H-coaction, one dense vector per carrier basis element:
+``coaction[j][a·dim(H) + k]`` is the coefficient of e_a ⊗ e_k in ρ(e_j),
+read through the sparse view ``YDObject.rho``. Algebras are right
+H^op-comodule algebras, ρ(ab) = a₍₀₎b₍₀₎ ⊗ b₍₁₎a₍₁₎, under the Yetter-Drinfeld
 condition ρ(l·b) = l₍₂₎·b₍₀₎ ⊗ l₍₃₎ b₍₁₎ S⁻¹(l₍₁₎).
 
 The axiom checks, the # product, the H-opposite and F/G contract on
-integers: each tensor is read times the least common denominator of its
-entries (the action over D_a, ``YDObject.int_images``; the coaction over D_c,
-``int_rho``; a product over D_m, ``StructureAlgebra.int_sp``; Δ, (Δ⊗id)Δ,
-S⁻¹, ε and a unit over their own). Both sides of an identity are brought to
-one scale and compared exactly, some as one integer dict lhs − rhs. The #
-product and the H-opposite hand their integer products to
-``StructureAlgebra.from_int`` with their scale.
+integers: each tensor times the least common denominator of its entries
+(the action over D_a, ``int_images``; the coaction over D_c, ``int_rho``; a
+product over D_m, ``int_sp``; Δ, (Δ⊗id)Δ, S⁻¹, ε and a unit over their
+own). The sides of an identity are compared on one scale; # products and
+H-opposites go to ``StructureAlgebra.from_int`` with theirs.
 
-This module also hosts the braided machinery: the # product, H-opposites,
-End(M) structures, the F/G maps whose bijectivity defines H-Azumaya
-algebras, gradings, braidings, centralizers, and the inner / strongly
-inner action solvers. The centralizer and witness solvers state each linear
-condition as a block of sparse columns, read from ``mul_basis``, ``images``
-and ``mul_sparse``, and solve the blocks at once with ``solve_columns``.
+Also here: End(M) structures, the F/G maps of the H-Azumaya test,
+gradings, braidings, centralizers and the inner / strongly inner action
+solvers, which state each linear condition as a block of sparse columns
+for ``solve_columns``.
 """
 
 from __future__ import annotations
@@ -35,7 +29,7 @@ from functools import cache, cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import CheckReport, StructureAlgebra, endomorphism_algebra, opposite_algebra
+from .algebra import CheckReport, StructureAlgebra, endomorphism_algebra, on_generators, opposite_algebra
 from .hopf import CoQTStructure, HopfAlgebra, QTStructure, bowtie_vec
 from .linalg import (
     IntVec,
@@ -83,9 +77,7 @@ class YDObject:
     ``dim`` is the carrier dimension (``alg.dim`` when there is a product);
     ``action[i]`` is the matrix of e_iᴴ; ``coaction[j]`` is ρ(e_j) in the
     flat format of the module docstring. Objects are never mutated, so the
-    sparse views ``rho`` (of the coaction) and ``images`` (of the action)
-    are computed once, on first use, and shared by every construction and
-    check applied to the object.
+    views ``rho``, ``images`` and their integer forms are built once.
     """
 
     hopf: HopfAlgebra
@@ -161,41 +153,45 @@ def grouplike_index(h: HopfAlgebra) -> int | None:
 
 def check_module(m: YDObject) -> CheckReport:
     """1·v = v and e_i·(e_j·v) = (e_i e_j)·v, as Σ U_k·(e_k·v) = D_u·D_a·v and
-    D_m·Σ (e_j·v)_k·(e_i·e_k) = D_a·Σ (e_i e_j)_k·(e_k·v), D_m that of H."""
+    D_m·Σ (e_j·v)_k·(e_i·e_k) = D_a·Σ (e_i e_j)_k·(e_k·v), D_m that of H; the
+    second by ``on_generators`` on H, given the first."""
     rep = CheckReport(f"H-module over {m.hopf.name}")
     h = m.hopf
     den_a, images = m.int_images
     den_m, sp = h.alg.int_sp
     unit, den_u = scaled(sparse_vec(h.alg.unit))
-    rep.require(
+    unit_ok = rep.require(
         all(sparse_sum((c, images[y][k]) for k, c in unit.items()) == {y: den_u * den_a} for y in range(m.dim)),
         "unit of H does not act as id",
     )
-    for i in range(h.dim):
-        for j in range(h.dim):
-            ok = True
-            for y in range(m.dim):
-                # lhs − rhs
-                diff: IntVec = {}
-                for k, c in images[y][j].items():
-                    c *= den_m
-                    for q, v in images[k][i].items():
-                        diff[q] = diff.get(q, 0) + c * v
-                for k, c in sp[i][j]:
-                    c *= den_a
-                    for q, v in images[y][k].items():
-                        diff[q] = diff.get(q, 0) - c * v
-                if any(diff.values()):
-                    ok = False
-                    break
-            rep.require(ok, f"action not multiplicative at ({h.alg.basis[i]},{h.alg.basis[j]})")
+
+    def module_law(idx):
+        for i in idx:
+            for j in range(h.dim):
+                for y in range(m.dim):
+                    # lhs − rhs
+                    diff: IntVec = {}
+                    for k, c in images[y][j].items():
+                        c *= den_m
+                        for q, v in images[k][i].items():
+                            diff[q] = diff.get(q, 0) + c * v
+                    for k, c in sp[i][j]:
+                        c *= den_a
+                        for q, v in images[y][k].items():
+                            diff[q] = diff.get(q, 0) - c * v
+                    if any(diff.values()):
+                        yield f"action not multiplicative at ({h.alg.basis[i]},{h.alg.basis[j]})"
+                        break
+
+    rep.failures += on_generators(module_law, h.alg, unit_ok)
     return rep
 
 
 def check_module_algebra(a: YDObject) -> CheckReport:
     """Left H-module algebra: h·(xy) = (h₍₁₎·x)(h₍₂₎·y), h·1 = ε(h)1, as
     D_Δ·D_a·Σ (xy)_k·(e_i·e_k) = Σ Δ_pq·``mul_int``(e_p·x, e_q·y) and
-    D_ε·Σ U_j·(e_i·e_j) = D_a·E_i·U."""
+    D_ε·Σ U_j·(e_i·e_j) = D_a·E_i·U, by ``on_generators`` on A given H's
+    ``coalgebra_failures`` == [] (every h·1 is checked in either run)."""
     rep = CheckReport(f"module algebra over {a.hopf.name}")
     rep.merge(check_module(a))
     h = a.hopf
@@ -205,32 +201,32 @@ def check_module_algebra(a: YDObject) -> CheckReport:
     den_d, cop = h.int_cop
     counit, den_e = scaled(sparse_vec(h.counit))
     unit, _ = scaled(sparse_vec(alg.unit))
-    for i in range(h.dim):
-        rep.require(
-            sparse_sum((den_e * c, images[j][i]) for j, c in unit.items())
-            == sparse_sum([(den_a * counit.get(i, 0), unit)]),
-            f"h·1 ≠ ε(h)1 at {h.alg.basis[i]}",
-        )
-        for x in range(alg.dim):
-            for y in range(alg.dim):
-                # lhs − rhs, the products contracted in place
-                diff: IntVec = {}
-                for k, c in sp[x][y]:
-                    c *= den_d * den_a
-                    for t, v in images[k][i].items():
-                        diff[t] = diff.get(t, 0) + c * v
-                for p, q, c in cop[i]:
-                    yq = images[y][q].items()
-                    for r, u in images[x][p].items():
-                        spr = sp[r]
-                        for s, w in yq:
-                            cuw = c * u * w
-                            for t, v in spr[s]:
-                                diff[t] = diff.get(t, 0) - cuw * v
-                rep.require(
-                    not any(diff.values()),
-                    f"module-algebra law fails at ({h.alg.basis[i]}; {alg.basis[x]},{alg.basis[y]})",
-                )
+
+    def module_algebra_law(xs):
+        for i in range(h.dim):
+            one = sparse_sum((den_e * c, images[j][i]) for j, c in unit.items())
+            if one != sparse_sum([(den_a * counit.get(i, 0), unit)]):
+                yield f"h·1 ≠ ε(h)1 at {h.alg.basis[i]}"
+            for x in xs:
+                for y in range(alg.dim):
+                    # lhs − rhs, the products contracted in place
+                    diff: IntVec = {}
+                    for k, c in sp[x][y]:
+                        c *= den_d * den_a
+                        for t, v in images[k][i].items():
+                            diff[t] = diff.get(t, 0) + c * v
+                    for p, q, c in cop[i]:
+                        yq = images[y][q].items()
+                        for r, u in images[x][p].items():
+                            spr = sp[r]
+                            for s, w in yq:
+                                cuw = c * u * w
+                                for t, v in spr[s]:
+                                    diff[t] = diff.get(t, 0) - cuw * v
+                    if any(diff.values()):
+                        yield f"module-algebra law fails at ({h.alg.basis[i]}; {alg.basis[x]},{alg.basis[y]})"
+
+    rep.failures += on_generators(module_algebra_law, alg, not h.coalgebra_failures)
     return rep
 
 
@@ -260,10 +256,12 @@ def check_comodule(m: YDObject) -> CheckReport:
 
 def check_comodule_algebra_op(a: YDObject) -> CheckReport:
     """Right H^op-comodule algebra: ρ(xy) = x₍₀₎y₍₀₎ ⊗ y₍₁₎x₍₁₎, ρ(1) = 1⊗1, as
-    D_c·D_n·ρ(xy) = Σ c_x·c_y·(x₀y₀) ⊗ (y₁x₁) on ``int_sp`` (D_n that of H)
-    and D_u(H)·ρ(U) = D_c·U ⊗ U_H."""
+    D_c·D_n·ρ(xy) − Σ c_x·c_y·(x₀y₀) ⊗ (y₁x₁) = 0, one integer dict on
+    ``int_sp`` (D_n that of H), and D_u(H)·ρ(U) = D_c·U ⊗ U_H; the first by
+    ``on_generators`` on A, given the second, a comodule and H associative."""
     rep = CheckReport(f"H^op-comodule algebra over {a.hopf.name}")
-    rep.merge(check_comodule(a))
+    comodule = check_comodule(a)
+    rep.merge(comodule)
     h = a.hopf
     alg = a.alg
     n = h.dim
@@ -274,23 +272,40 @@ def check_comodule_algebra_op(a: YDObject) -> CheckReport:
     unit, _ = scaled(sparse_vec(alg.unit))
     hunit, den_hu = scaled(sparse_vec(h.alg.unit))
     rho_one = sparse_sum((den_hu * c, rho_flat[j]) for j, c in unit.items())
-    rep.require(rho_one == _tensor(unit.items(), [(k, den_c * c) for k, c in hunit.items()], n), "ρ(1) ≠ 1⊗1")
-    for x in range(alg.dim):
-        for y in range(alg.dim):
-            lhs = sparse_sum((den_c * den_n * c, rho_flat[j]) for j, c in sp[x][y])
-            rhs = sparse_sum(
-                (cx * cy, _tensor(sp[ax][ay], hsp[ky][kx], n))
-                for ax, kx, cx in rho[x]
-                for ay, ky, cy in rho[y]
-            )
-            rep.require(lhs == rhs, f"ρ not H^op-multiplicative at ({alg.basis[x]},{alg.basis[y]})")
+    unit_ok = rep.require(
+        rho_one == _tensor(unit.items(), [(k, den_c * c) for k, c in hunit.items()], n), "ρ(1) ≠ 1⊗1"
+    )
+    lift = den_c * den_n
+
+    def comodule_algebra_law(xs):
+        for x in xs:
+            for y in range(alg.dim):
+                diff: IntVec = {}
+                for j, c in sp[x][y]:
+                    c *= lift
+                    for t, v in rho_flat[j].items():
+                        diff[t] = diff.get(t, 0) + c * v
+                for ax, kx, cx in rho[x]:
+                    spx = sp[ax]
+                    for ay, ky, cy in rho[y]:
+                        hk = hsp[ky][kx]
+                        for p, cp in spx[ay]:
+                            cp *= cx * cy
+                            for q, cq in hk:
+                                t = p * n + q
+                                diff[t] = diff.get(t, 0) - cp * cq
+                if any(diff.values()):
+                    yield f"ρ not H^op-multiplicative at ({alg.basis[x]},{alg.basis[y]})"
+
+    rep.failures += on_generators(comodule_algebra_law, alg, unit_ok and comodule.ok and h.alg.associative)
     return rep
 
 
 def check_yd_condition(m: YDObject) -> CheckReport:
     """ρ(l·b) = l₍₂₎·b₍₀₎ ⊗ l₍₃₎ b₍₁₎ S⁻¹(l₍₁₎) on all basis pairs, as
     D_Δ₂·D_n²·D_S·ρ(l·b) = Σ c·d·(l₂·b₀) ⊗ ``mul_int``(l₃ b₁, S⁻¹(l₁)), with
-    (Δ⊗id)Δ over D_Δ₂, S⁻¹ over D_S and H's product over D_n."""
+    (Δ⊗id)Δ over D_Δ₂, S⁻¹ over D_S and H's product over D_n; by
+    ``on_generators`` on H, given an H-module and H ``certified``."""
     rep = CheckReport(f"Yetter-Drinfeld condition over {m.hopf.name}")
     h = m.hopf
     n = h.dim
@@ -307,18 +322,19 @@ def check_yd_condition(m: YDObject) -> CheckReport:
         """(e_l3 e_k) S⁻¹(e_l1), bracketed as in the condition."""
         return tuple(h.alg.mul_int(dict(hsp[l3][k]), sinv[l1]).items())
 
-    for li in range(n):
-        for b in range(m.dim):
-            lhs = sparse_sum((scale * c, rho_flat[j]) for j, c in images[b][li].items())
-            rhs = sparse_sum(
-                (c * d, _tensor(images[a][l2].items(), h_factor(l3, k, l1), n))
-                for l1, l2, l3, c in sw2[li]
-                for a, k, d in rho[b]
-            )
-            rep.require(
-                lhs == rhs,
-                f"YD condition fails at (l={h.alg.basis[li]}, b=index {b})",
-            )
+    def yd_law(ls):
+        for li in ls:
+            for b in range(m.dim):
+                lhs = sparse_sum((scale * c, rho_flat[j]) for j, c in images[b][li].items())
+                rhs = sparse_sum(
+                    (c * d, _tensor(images[a][l2].items(), h_factor(l3, k, l1), n))
+                    for l1, l2, l3, c in sw2[li]
+                    for a, k, d in rho[b]
+                )
+                if lhs != rhs:
+                    yield f"YD condition fails at (l={h.alg.basis[li]}, b=index {b})"
+
+    rep.failures += on_generators(yd_law, h.alg, h.certified and check_module(m).ok)
     return rep
 
 
@@ -492,17 +508,15 @@ def end_yd(m: YDObject, variant: str = "plain") -> YDObject:
 class FGContraction:
     """F and G of one YD algebra, contracted on integers.
 
-    F(x#y)(z) = Σ_h u_h·(e_h·y) for u_h = Σ c·x z₍₀₎ over the terms of ρ(z)
-    with z₍₁₎ = e_h (``f_left``), and G(x#y)(z) = (Σ c·x₍₀₎(x₍₁₎·z))·y
-    (``g_left``). F reads its right factor from the table
-    right[y][h][k] = e_k·(e_h·e_y), built once with d·n·d products. Only
-    bilinearity is used and nothing is reassociated, so the values are the
-    definitions' even for a non-associative product.
+    F(x#y)(z) = Σ_h u_h·(e_h·y), u_h = Σ c·x z₍₀₎ over the terms of ρ(z) with
+    z₍₁₎ = e_h (``f_left``); G(x#y)(z) = (Σ c·x₍₀₎(x₍₁₎·z))·y (``g_left``). F's
+    right factor is right[y][h][k] = e_k·(e_h·e_y), formed only where some
+    e_k·e_j in it is nonzero, else one shared {}. Nothing is
+    reassociated, so the values are the definitions' for any product.
 
-    The product is read over D_m (``int_sp``), ``rho`` over D_c and
-    ``images`` over D_a. Each term has degree one in ρ, one in the action
-    and two in the product, so an integer value v stands for v / ``den``,
-    den = D_c·D_a·D_m². ``f_value`` and ``g_value`` take rational x, y, z.
+    The product is over D_m (``int_sp``), ``rho`` over D_c and ``images``
+    over D_a, so an integer value v stands for v / ``den``, den =
+    D_c·D_a·D_m². ``f_value`` and ``g_value`` take rational x, y, z.
     """
 
     def __init__(self, a: YDObject):
@@ -513,8 +527,11 @@ class FGContraction:
         den_m = a.alg.int_sp[0]
         self.den = den_c * den_a * den_m * den_m
         mul = self.alg.mul_int
+        # hits[k] = {j : e_k·e_j ≠ 0}
+        hits = [{j for j, term in enumerate(row) if term} for row in self.alg.int_sp[1]]
+        empty: IntVec = {}
         self.right = [
-            [[mul({k: 1}, hy) for k in range(a.dim)] for hy in self.images[y]]
+            [[empty if hits[k].isdisjoint(hy) else mul({k: 1}, hy) for k in range(a.dim)] for hy in self.images[y]]
             for y in range(a.dim)
         ]
 
@@ -558,16 +575,16 @@ def fg_maps(a: YDObject) -> tuple[Matrix, Matrix]:
     Columns run over the #-basis x⊗y (left-major); rows over the matrix
     units of End(A) in dual-major order, matching endomorphism_algebra.
 
-    Built on ``FGContraction`` over its ``den``, with no product call per
-    column: for each (x, z), F is accumulated for all y at once from
-    ``f_left`` and the ``right`` table read in place, and G from ``g_left``
-    and one flat list per i of the (p·d + y, c) terms of e_i·e_y. Each
-    nonzero is written once, into sparse rows (den, {column: integer}) for
-    ``Matrix.from_int_rows``; equal values share one int object.
+    Built on ``FGContraction`` with no product per column: for each (x, z),
+    F for all y at once from ``f_left`` and the nonempty cells of ``right``,
+    G from ``g_left`` and the (p·d + y, c) terms of e_i·e_y. Each nonzero is
+    written once into integer rows over ``den`` for ``Matrix.from_int_rows``;
+    equal values share one int object.
     """
     d = a.dim
     fg = FGContraction(a)
-    right = fg.right
+    # cells[h][k] = the (y, e_k·(e_h·e_y)) that are not empty
+    cells = [[[(y, ry[h][k]) for y, ry in enumerate(fg.right) if ry[h][k]] for k in range(d)] for h in range(fg.hdim)]
     # the (p·d + y, c) terms of e_i·e_y for every y, one list per i
     products = [[(p * d + y, c) for y, term in enumerate(row) for p, c in term] for row in a.alg.int_sp[1]]
     # F and G of the d = 16 ladder tower hold 4,932 distinct values among
@@ -582,11 +599,12 @@ def fg_maps(a: YDObject) -> tuple[Matrix, Matrix]:
             f_left = fg.f_left(xv, {z: 1})
             if f_left:
                 # accs[y] = F(e_x#e_y)(e_z), for all y at once
-                accs: list[IntVec] = [{} for _ in right]
+                accs: list[IntVec] = [{} for _ in range(d)]
                 for h, u in f_left:
                     for k, uk in u.items():
-                        for acc, ry in zip(accs, right):
-                            for p, v in ry[h][k].items():
+                        for y, cell in cells[h][k]:
+                            acc = accs[y]
+                            for p, v in cell.items():
                                 acc[p] = acc.get(p, 0) + uk * v
                 frows = f[z * d:(z + 1) * d]
                 for col, acc in enumerate(accs, x * d):

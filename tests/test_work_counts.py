@@ -17,7 +17,10 @@ product, # products and H-opposites are built from integer tables
 (``StructureAlgebra.from_int``): the double's 64-wide table never passes
 through ``canonical_terms`` and its Fraction view is never built.
 ``sandwich_matrix`` forms each e_i·e_k once (d³ + d² dense products), and
-``fg_maps`` makes no sparse sum and no product per column."""
+``fg_maps`` makes no sparse sum and no product per column and no product for
+a zero e_h·e_y. On the d = 16 tower, the associativity check contracts only
+on its generators, and a passing Yetter-Drinfeld check loops over the
+generators of A and of H only."""
 
 import random
 import sys
@@ -128,6 +131,49 @@ def _ladder_rung_d8():
         rung = sharp_product(rung, sweedler.build_C(sweedler.CFamilyDescriptor(*factor)))
     assert rung.dim == 8
     return rung
+
+
+def _ladder_rung_d16():
+    """The d = 8 rung # C(3; 2, 5), a C tower of dimension 16."""
+    return sharp_product(_ladder_rung_d8(), sweedler.build_C(sweedler.CFamilyDescriptor(Q(3), Q(2), Q(5))))
+
+
+def test_associativity_check_contracts_on_the_generators(monkeypatch):
+    rung = _ladder_rung_d16()
+    calls = []
+    contract = algebra._contract
+
+    def counted(*args):
+        calls.append(1)
+        return contract(*args)
+
+    monkeypatch.setattr(algebra, "_contract", counted)
+    assert check_algebra_axioms(rung.alg).ok
+    d, gens = rung.dim, 4
+    # the unit law (2d), the span closure (d·|G|) and (g·e_j)·e_l = g·(e_j·e_l)
+    # for g in G (2·|G|·d²), against 2d³ + 2d = 8,224 over every triple
+    assert len(calls) <= 2 * gens * d * d + 2 * d + d * gens == 2144
+    assert len(rung.alg.generators) == gens
+
+
+def test_passing_yd_check_loops_over_the_generators(monkeypatch):
+    rung = _ladder_rung_d16()
+    visits = {}
+    on_generators = yd.on_generators
+
+    def recording(law, alg, ready):
+        def recorded(idx):
+            idx = list(idx)
+            visits.setdefault(law.__name__, []).append(idx)
+            return law(idx)
+
+        return on_generators(recorded, alg, ready)
+
+    monkeypatch.setattr(yd, "on_generators", recording)
+    assert check_yd_algebra(rung).ok
+    assert visits["module_algebra_law"] == visits["comodule_algebra_law"] == [list(rung.alg.generators)]
+    assert visits["yd_law"] == [list(rung.hopf.alg.generators)] == [[1, 2]]
+    assert list(rung.alg.generators) == [1, 2, 4, 8]
 
 
 def _count_fraction_products(monkeypatch) -> list[str]:
@@ -319,6 +365,22 @@ def test_only_sandwich_matrix_makes_a_dense_product(monkeypatch):
     assert callers["sandwich_matrix"] > 0
 
 
+def test_fg_table_makes_no_product_for_an_empty_cell(monkeypatch):
+    a = sweedler.aut_algebra(Q(5, 2))
+    products = []
+    mul_int = StructureAlgebra.mul_int
+
+    def counted(alg, *args):
+        products.append(1)
+        return mul_int(alg, *args)
+
+    monkeypatch.setattr(StructureAlgebra, "mul_int", counted)
+    fg = yd.FGContraction(a)
+    # 768 of A_α's 1,024 cells e_k·(e_h·e_y) are 0, and none of them is formed
+    assert sum(1 for ry in fg.right for rh in ry for cell in rh if not cell) == 768
+    assert len(products) == 1024 - 768
+
+
 def test_sandwich_matrix_forms_each_left_product_once(monkeypatch):
     algebras = [algebra.endomorphism_algebra(2), _ladder_rung_d8().alg]
     calls = _count_dense_products(monkeypatch)
@@ -348,9 +410,12 @@ def test_fg_maps_makes_no_product_per_column(monkeypatch):
         products[alg.name] += 1
         return mul_int(alg, *args)
 
+    # FGContraction's table (one product per cell e_k·(e_h·e_y) ≠ 0, none for
+    # the empty ones), f_left and g_left (one product per term of ρ(z) and of
+    # ρ(x), over every (x, z)); nothing per column
+    cells = sum(1 for row in rung.images for hy in row for k in range(d) if rung.alg.mul_sparse({k: 1}, hy))
+    assert cells < d * n * d
     monkeypatch.setattr(StructureAlgebra, "mul_int", counted)
     assert is_h_azumaya(rung)
     assert sums == []
-    # FGContraction's table (d·n·d), f_left and g_left (one product per term
-    # of ρ(z) and of ρ(x), over every (x, z)); nothing per column
-    assert sum(products.values()) == d * n * d + 2 * d * rho_terms
+    assert sum(products.values()) == cells + 2 * d * rho_terms
