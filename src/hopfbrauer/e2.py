@@ -29,8 +29,8 @@ from .algebra import (
     is_central_simple,
     super_center,
 )
-from .hopf import HopfAlgebra, HopfMorphism, QTStructure, qt_structure
-from .linalg import Matrix, dense_vec, in_span, sparse_sum, sparse_vec, zero_vec
+from .hopf import HopfAlgebra, HopfMorphism, QTStructure, qt_structure, t2_mul
+from .linalg import Matrix, SparseVec, dense_vec, in_span, sparse_sum, sparse_vec, zero_vec
 from .sweedler import build_dh4, build_h4, dh4_named
 from .yd import (
     FGContraction,
@@ -77,69 +77,45 @@ def build_e2() -> HopfAlgebra:
     exps = [(a, b, d) for d in (0, 1) for b in (0, 1) for a in (0, 1)]
     order = sorted(exps, key=lambda e: _e2_index(*e))
     basis = [_e2_label(*e) for e in order]
-    dim = 8
-    mult = [[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
-    for a, b, d in order:
-        i = _e2_index(a, b, d)
-        for a2, b2, d2 in order:
-            j = _e2_index(a2, b2, d2)
-            if b + b2 > 1 or d + d2 > 1:
-                continue
-            sign = (-1) ** (a2 * (b + d)) * (-1) ** (d * b2)
-            mult[i][j][_e2_index((a + a2) % 2, b + b2, d + d2)] = Q(sign)
-    alg = StructureAlgebra(basis, [1] + [0] * 7, mult, name="E2")
+    table = [
+        [
+            [(_e2_index((a + a2) % 2, b + b2, d + d2), (-1) ** (a2 * (b + d) + d * b2))]
+            if b + b2 < 2 and d + d2 < 2 else []
+            for a2, b2, d2 in order
+        ]
+        for a, b, d in order
+    ]
+    alg = StructureAlgebra.from_sparse(basis, [1] + [0] * 7, table, name="E2")
 
     # coproduct: multiplicative extension of the generator rules
-    def t2(*pairs):
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in pairs:
-            out[(i, j)] = out.get((i, j), Q(0)) + Q(c)
-        return out
-
-    def t2mul(x, y):
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), cx in x.items():
-            for (k, l), cy in y.items():
-                coef = cx * cy
-                for p, cp in alg.mul_basis(i, k):
-                    for q, cq in alg.mul_basis(j, l):
-                        key = (p, q)
-                        nv = out.get(key, Q(0)) + coef * cp * cq
-                        if nv:
-                            out[key] = nv
-                        elif key in out:
-                            del out[key]
-        return out
-
     c_idx, x1_idx, x2_idx = 1, 2, 4
+    one = Q(1)
     delta_gen = {
-        c_idx: t2(((c_idx, c_idx), 1)),
-        x1_idx: t2(((0, x1_idx), 1), ((x1_idx, c_idx), 1)),
-        x2_idx: t2(((0, x2_idx), 1), ((x2_idx, c_idx), 1)),
+        c_idx: {(c_idx, c_idx): one},
+        x1_idx: {(0, x1_idx): one, (x1_idx, c_idx): one},
+        x2_idx: {(0, x2_idx): one, (x2_idx, c_idx): one},
     }
-    cop = [zero_vec(dim * dim) for _ in range(dim)]
+    cop = []
     for a, b, d in order:
-        i = _e2_index(a, b, d)
-        acc = t2(((0, 0), 1))
+        acc = {(0, 0): one}
         for gen, e in ((c_idx, a), (x1_idx, b), (x2_idx, d)):
             for _ in range(e):
-                acc = t2mul(acc, delta_gen[gen])
-        for (p, q), coef in acc.items():
-            cop[i][p * dim + q] = coef
+                acc = t2_mul(alg, acc, delta_gen[gen])
+        cop.append([(p, q, c) for (p, q), c in acc.items()])
     counit = [1 if (b == 0 and d == 0) else 0 for a, b, d in order]
 
     # antipode: anti-multiplicative extension of S(c) = c, S(x_i) = cx_i
-    s_gen = {c_idx: {c_idx: Q(1)}, x1_idx: {3: Q(1)}, x2_idx: {5: Q(1)}}
+    s_gen = {c_idx: {c_idx: one}, x1_idx: {3: one}, x2_idx: {5: one}}
     cols = []
     for a, b, d in order:
         word = [c_idx] * a + [x1_idx] * b + [x2_idx] * d
         acc = sparse_vec(alg.unit)
         for gen in reversed(word):
             acc = alg.mul_sparse(acc, s_gen[gen])
-        cols.append(dense_vec(acc, dim))
+        cols.append(dense_vec(acc, 8))
     antipode = Matrix.from_cols(cols)
     meta = {"c": 1, "x1": 2, "x2": 4, "pi_keep": (0, 1)}
-    return HopfAlgebra(alg, cop, counit, antipode, name="E2", meta=meta)
+    return HopfAlgebra.from_sparse(alg, cop, counit, antipode, name="E2", meta=meta)
 
 
 @functools.lru_cache(maxsize=None)
@@ -213,14 +189,21 @@ def theta(lam, mu) -> HopfMorphism:
 # ---------------------------------------------------------------------------
 
 
-def e2_action_from_generators(c_mat: Matrix, x1_mat: Matrix, x2_mat: Matrix) -> list[Matrix]:
-    """Extend generator operators to all eight monomial basis actions,
-    c^a x₁^b x₂^d at index a + 2b + 4d: one identity and four products."""
-    c_x1 = c_mat @ x1_mat
-    return [
-        Matrix.identity(c_mat.rows), c_mat, x1_mat, c_x1,
-        x2_mat, c_mat @ x2_mat, x1_mat @ x2_mat, c_x1 @ x2_mat,
-    ]
+def e2_action_from_generators(c: list[SparseVec], x1: list[SparseVec], x2: list[SparseVec]) -> list[list[SparseVec]]:
+    """images[j][k] = c^a x₁^b x₂^d·e_j at k = a + 2b + 4d, from the columns
+    c[j] = c·e_j, x1[j] and x2[j]: each monomial is formed once."""
+    images = []
+    for j in range(len(c)):
+        row = {0: {j: Q(1)}}
+        for cols, bit in ((x2, 4), (x1, 2), (c, 1)):
+            row.update([(k + bit, sparse_sum((w, cols[q]) for q, w in v.items())) for k, v in row.items()])
+        images.append([row[k] for k in range(8)])
+    return images
+
+
+def _e12(t) -> list[SparseVec]:
+    """The columns of t·E₁₂ on k²."""
+    return [{}, {0: t} if t else {}]
 
 
 def build_c_e2(a, t1, t2) -> YDObject:
@@ -234,11 +217,8 @@ def build_c_e2(a, t1, t2) -> YDObject:
         [[[1, 0], [0, 1]], [[0, 1], [a, 0]]],
         name=f"C({a};{t1},{t2})@E2",
     )
-    cm = Matrix.diag([1, -1])
-    x1m = Matrix([[0, t1], [0, 0]])
-    x2m = Matrix([[0, t2], [0, 0]])
-    action = e2_action_from_generators(cm, x1m, x2m)
-    return induced_coaction(YDObject(e2, 2, alg, action), build_RN())
+    images = e2_action_from_generators([{0: Q(1)}, {1: Q(-1)}], _e12(t1), _e12(t2))
+    return induced_coaction(YDObject.from_sparse(e2, 2, alg, images), build_RN())
 
 
 def restrict_along(f: HopfMorphism, a: YDObject, r_source: QTStructure | None = None) -> YDObject:
@@ -250,8 +230,8 @@ def restrict_along(f: HopfMorphism, a: YDObject, r_source: QTStructure | None = 
     validity is re-checked.
     """
     src = f.source
-    action = [a.act_matrix(f.apply(src.alg.basis_vec(i))) for i in range(src.dim)]
-    out = YDObject(src, a.dim, a.alg, action)
+    cols = [sparse_vec(f.matrix.col(i)) for i in range(src.dim)]
+    out = YDObject.from_sparse(src, a.dim, a.alg, [[a.act(col, {j: 1}) for col in cols] for j in range(a.dim)])
     check_module_algebra(out).raise_if_failed()
     if r_source is None:
         return out
@@ -288,10 +268,9 @@ def parity_view(a: YDObject) -> YDObject:
     vector is not homogeneous.
     """
     parity = action_grading(a, grouplike_index(a.hopf))
-    d = a.dim
-    coaction = [dense_vec({2 * j + p: Q(1)}, 2 * d) for j, p in enumerate(parity)]
-    action = [Matrix.identity(d), Matrix.diag([(-1) ** p for p in parity])]
-    return YDObject(_k_z2(), d, a.alg, action, coaction)
+    images = [[{j: 1}, {j: (-1) ** p}] for j, p in enumerate(parity)]
+    rho = [[(j, p, 1)] for j, p in enumerate(parity)]
+    return YDObject.from_sparse(_k_z2(), a.dim, a.alg, images, rho)
 
 
 def f0_g0_matrices(a: YDObject) -> tuple[Matrix, Matrix]:
@@ -347,7 +326,7 @@ def witness_p_module() -> YDObject:
         (big_w - big_u @ big_w) * Q(1, 2),        # gh* = φ((h−gh)/2)
     ]
     action = [act_dual[i] @ act_alg[j] for i in range(4) for j in range(4)]
-    return YDObject(double, 2, action=action)
+    return YDObject.from_sparse(double, 2, images=[[sparse_vec(m.col(j)) for m in action] for j in range(2)])
 
 
 def witness_end_p() -> YDObject:
@@ -362,20 +341,20 @@ def witness_end_p() -> YDObject:
 
     alg = endomorphism_algebra(d)
 
-    def op_map(fun) -> Matrix:
-        cols = []
-        for q in range(d):
-            for p in range(d):
-                e = Matrix([[1 if (r, s) == (p, q) else 0 for s in range(d)] for r in range(d)])
-                cols.append(operator_to_vec(fun(e)))
-        return Matrix.from_cols(cols)
+    def op_map(fun) -> list[SparseVec]:
+        """The columns of f ↦ fun(f) on the matrix units, E_pq at q·d + p."""
+        return [
+            sparse_vec(operator_to_vec(fun(Matrix([[int((r, s) == (p, q)) for s in range(d)] for r in range(d)]))))
+            for q in range(d)
+            for p in range(d)
+        ]
 
-    c_mat = op_map(lambda f: u @ f @ u_inv)
-    x1_mat = op_map(lambda f: w @ f @ u_inv + f @ u @ w)
-    cx2_mat = op_map(lambda f: big_w @ f - big_u @ f @ big_u_inv @ big_w)
-    x2_mat = c_mat @ cx2_mat  # x₂ = c·(cx₂)
-    action = e2_action_from_generators(c_mat, x1_mat, x2_mat)
-    return induced_coaction(YDObject(e2, alg.dim, alg, action), build_RN())
+    c = op_map(lambda f: u @ f @ u_inv)
+    x1 = op_map(lambda f: w @ f @ u_inv + f @ u @ w)
+    cx2 = op_map(lambda f: big_w @ f - big_u @ f @ big_u_inv @ big_w)
+    x2 = [sparse_sum((v, c[k]) for k, v in col.items()) for col in cx2]  # x₂ = c·(cx₂)
+    images = e2_action_from_generators(c, x1, x2)
+    return induced_coaction(YDObject.from_sparse(e2, alg.dim, alg, images), build_RN())
 
 
 def kernel_witness() -> KernelWitness:
@@ -410,15 +389,11 @@ def kernel_witness() -> KernelWitness:
 
     # the explicit action formulas agree with the canonical End(P) structure
     canonical = end_yd(p)
-    for label, e2_gen in (("g", 1), ("h", 2)):
+    for name, label, e2_gen in (("g", "g", 1), ("h", "h", 2), ("φ(h)", "phi_h", _e2_index(1, 0, 1))):
         rep.require(
-            end_p.action[e2_gen] == canonical.act_matrix(dh4_named(label)),
-            f"End(P) action of {label} disagrees with the canonical one",
+            end_p.act_matrix(end_p.hopf.alg.basis_vec(e2_gen)) == canonical.act_matrix(dh4_named(label)),
+            f"End(P) action of {name} disagrees with the canonical one",
         )
-    rep.require(
-        end_p.action[_e2_index(1, 0, 1)] == canonical.act_matrix(dh4_named("phi_h")),
-        "End(P) action of φ(h) disagrees with the canonical one",
-    )
 
     steps["iv: End(P) is (E(2),R_N)-Azumaya"] = is_h_azumaya(end_p)
     rep.require(steps["iv: End(P) is (E(2),R_N)-Azumaya"], "(iv) End(P) must be (E(2),R_N)-Azumaya")
@@ -555,11 +530,8 @@ def build_e2_module(dim2_params: tuple = (1, 0)) -> YDObject:
     the R_N-induced coaction."""
     l1, l2 = (Q(x) for x in dim2_params)
     e2 = build_e2()
-    cm = Matrix.diag([1, -1])
-    x1m = Matrix([[0, l1], [0, 0]])
-    x2m = Matrix([[0, l2], [0, 0]])
-    action = e2_action_from_generators(cm, x1m, x2m)
-    mod = YDObject(e2, 2, action=action)
+    images = e2_action_from_generators([{0: Q(1)}, {1: Q(-1)}], _e12(l1), _e12(l2))
+    mod = YDObject.from_sparse(e2, 2, images=images)
     check_module(mod).raise_if_failed()
     return induced_coaction(mod, build_RN())
 
@@ -597,8 +569,8 @@ def braiding_decomposition_residual(v: YDObject, w: YDObject, vvec, wvec) -> lis
     x = _tensor_vec(vvec, wvec)
     lhs = psi.apply(x)
     t1 = psi0.apply(x)
-    xv = v.action[x1_idx].apply(vvec)
-    xw = w.action[x2_idx].apply(wvec)
+    xv = dense_vec(v.act({x1_idx: 1}, sparse_vec(vvec)), v.dim)
+    xw = dense_vec(w.act({x2_idx: 1}, sparse_vec(wvec)), w.dim)
     t2 = psi0.apply(_tensor_vec(xv, xw))
     sign = Q(-1) if wpar == 0 else Q(1)
     return [l - (p + sign * s) for l, p, s in zip(lhs, t1, t2)]
@@ -636,19 +608,16 @@ def fg_decomposition_residuals(a: YDObject, xv, yv, zv) -> tuple[list[Fraction],
     px, _, pz = (_parity_of(v, parity) for v in (xv, yv, zv))
     x, y, z = (sparse_vec(v) for v in (xv, yv, zv))
 
-    def act(k, v):
-        return sparse_sum((c, a.images[j][k]) for j, c in v.items())
-
     fg, fg0 = FGContraction(a), FGContraction(parity_view(a))
     # the last term of each residual is −(−1)^{|z|+1} = (−1)^{|z|} (for G, |x|) times F₀ (G₀)
     res_f = sparse_sum((
         (1, fg.f_value(x, y, z)),
         (-1, fg0.f_value(x, y, z)),
-        ((-1) ** pz, fg0.f_value(x, act(x1_idx, y), act(x2_idx, z))),
+        ((-1) ** pz, fg0.f_value(x, a.act({x1_idx: 1}, y), a.act({x2_idx: 1}, z))),
     ))
     res_g = sparse_sum((
         (1, fg.g_value(x, y, z)),
         (-1, fg0.g_value(x, y, z)),
-        ((-1) ** px, fg0.g_value(act(x2_idx, x), y, act(x1_idx, z))),
+        ((-1) ** px, fg0.g_value(a.act({x2_idx: 1}, x), y, a.act({x1_idx: 1}, z))),
     ))
     return dense_vec(res_f, a.dim), dense_vec(res_g, a.dim)

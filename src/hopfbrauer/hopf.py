@@ -137,7 +137,7 @@ class HopfAlgebra:
 
     @cached_property
     def certified(self) -> bool:
-        """Whether ``check_hopf_axioms`` passes, decided once."""
+        """Whether ``check_hopf_axioms`` passes; each completed check records it."""
         return check_hopf_axioms(self).ok
 
     def same_coproduct(self, other: "HopfAlgebra") -> bool:
@@ -313,6 +313,7 @@ def check_hopf_axioms(h: HopfAlgebra) -> CheckReport:
     ident = Matrix.identity(n)
     rep.require(h.antipode @ h.antipode_inv == ident, "S∘S⁻¹ ≠ id")
     rep.require(h.antipode_inv @ h.antipode == ident, "S⁻¹∘S ≠ id")
+    h.certified = rep.ok
     return rep
 
 

@@ -291,18 +291,16 @@ class Matrix:
         return mat_det(self)
 
     def inverse(self) -> "Matrix":
+        """A⁻¹, read off one reduced echelon form [I | A⁻¹] of [A | I];
+        ``ZeroDivisionError`` when A is singular."""
         if not self.is_square():
             raise DimensionError("inverse of non-square matrix")
         n = self.rows
-        cols = []
-        for j in range(n):
-            e = zero_vec(n)
-            e[j] = Fraction(1)
-            sol = solve_linear(self, e)
-            if sol.particular is None:
-                raise ZeroDivisionError("matrix is singular")
-            cols.append(sol.particular)
-        return Matrix.from_cols(cols)
+        pivots = _sparse_rref([{**sparse_vec(r), n + i: Fraction(1)} for i, r in enumerate(self.data)], 2 * n)
+        if any(p not in pivots for p in range(n)):
+            raise ZeroDivisionError("matrix is singular")
+        zero = Fraction(0)
+        return Matrix([[pivots[p].get(n + c, zero) for c in range(n)] for p in range(n)])
 
     def rank(self) -> int:
         rows = [sparse_vec(r) for r in self.data]
@@ -311,22 +309,7 @@ class Matrix:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product with the left factor major in both indices."""
-    return kron_sum([(Fraction(1), a, b)], a.rows * b.rows, a.cols * b.cols)
-
-
-def kron_sum(terms: Iterable[tuple[Fraction, Matrix, Matrix]], rows: int, cols: int) -> Matrix:
-    """Σ c·(a ⊗ b) over (c, a, b) triples, left factor major in both indices,
-    accumulated entry by entry over the nonzeros of each factor."""
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    for c, a, b in terms:
-        b_entries = [(i2, j2, w) for i2, row in enumerate(b.data) for j2, w in enumerate(row) if w]
-        for i1, row in enumerate(a.data):
-            for j1, v in enumerate(row):
-                if v:
-                    cv = c * v
-                    for i2, j2, w in b_entries:
-                        out[i1 * b.rows + i2][j1 * b.cols + j2] += cv * w
-    return Matrix(out)
+    return Matrix([[x * y for x in ra for y in rb] for ra in a.data for rb in b.data])
 
 
 # ---------------------------------------------------------------------------

@@ -60,17 +60,12 @@ def build_h4() -> HopfAlgebra:
         [[0, 0, 0, 1], [0, 0, -1, 0], z, z],
     ]
     alg = StructureAlgebra(basis, [1, 0, 0, 0], mult, name="H4")
-    cop = [zero_vec(16) for _ in range(4)]
-    cop[0][0 * 4 + 0] = Q(1)                 # Δ1 = 1⊗1
-    cop[1][1 * 4 + 1] = Q(1)                 # Δg = g⊗g
-    cop[2][0 * 4 + 2] = Q(1)                 # Δh = 1⊗h + h⊗g
-    cop[2][2 * 4 + 1] = Q(1)
-    cop[3][1 * 4 + 3] = Q(1)                 # Δ(gh) = g⊗gh + gh⊗1
-    cop[3][3 * 4 + 0] = Q(1)
+    # Δ1 = 1⊗1, Δg = g⊗g, Δh = 1⊗h + h⊗g, Δ(gh) = g⊗gh + gh⊗1
+    cop = [[(0, 0, 1)], [(1, 1, 1)], [(0, 2, 1), (2, 1, 1)], [(1, 3, 1), (3, 0, 1)]]
     counit = [1, 1, 0, 0]
     antipode = Matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
     meta = {"g": 1, "h": 2, "pi_keep": (0, 1)}
-    return HopfAlgebra(alg, cop, counit, antipode, name="H4", meta=meta)
+    return HopfAlgebra.from_sparse(alg, cop, counit, antipode, name="H4", meta=meta)
 
 
 def build_rt(t) -> QTStructure:
@@ -259,16 +254,11 @@ def build_C(d: CFamilyDescriptor):
         [[[1, 0], [0, 1]], [[0, 1], [d.a, 0]]],
         name=repr(d),
     )
-    hid = Matrix.identity(2)
-    gm = Matrix.diag([1, -1])
-    hm = Matrix([[0, d.t], [0, 0]])
-    action = [hid, gm, hm, hm]  # gh acts like h on this carrier
-    rho1 = zero_vec(8)
-    rho1[0 * 4 + 0] = Q(1)
-    rhox = zero_vec(8)
-    rhox[1 * 4 + 1] = Q(1)          # x ⊗ g
-    rhox[0 * 4 + 2] = d.s           # s·1 ⊗ h
-    return YDObject(h4, 2, alg, action, [rho1, rhox])
+    hx = {0: d.t} if d.t else {}
+    # 1, g, h, gh on 1 and on x; gh acts like h on this carrier
+    images = [[{0: 1}, {0: 1}, {}, {}], [{1: 1}, {1: -1}, hx, hx]]
+    rho = [[(0, 0, 1)], [(1, 1, 1)] + ([(0, 2, d.s)] if d.s else [])]  # x ⊗ g + s·1 ⊗ h
+    return YDObject.from_sparse(h4, 2, alg, images, rho)
 
 
 def c_equivalent(d1: CFamilyDescriptor, d2: CFamilyDescriptor) -> Fraction | None:
@@ -378,40 +368,23 @@ def quaternion_yd_algebra(p: CProductPresentation):
         [[0, 0, 0, 1], [0, m, -a, 0], [0, b, 0, 0], [-a * b, 0, 0, m]],
     ]
     alg = StructureAlgebra(["1", "X", "Y", "XY"], [1, 0, 0, 0], mult, name="quaternion")
-    gm = Matrix.diag([1, -1, -1, 1])
-    # h·X = t₁, h·Y = t₂; extend by the module-algebra law:
-    # h·(XY) = (1·X)(h·Y) + (h·X)(g·Y) = t₂X − t₁Y
-    hm = Matrix(
-        [
-            [0, p.h_dot_x, p.h_dot_y, 0],
-            [0, 0, 0, p.h_dot_y],
-            [0, 0, 0, -p.h_dot_x],
-            [0, 0, 0, 0],
-        ]
-    )
-    ghm = gm @ hm
-    action = [Matrix.identity(4), gm, hm, ghm]
-    # ρ(X) = X⊗g + s₁⊗h, ρ(Y) = Y⊗g + s₂⊗h; ρ(XY) follows from the
-    # H^op-comodule-algebra rule and is assembled below
+    # g·e_j = ±e_j; h·X = t₁, h·Y = t₂, extended by the module-algebra law:
+    # h·(XY) = (1·X)(h·Y) + (h·X)(g·Y) = t₂X − t₁Y; gh·v = g·(h·v)
+    t1, t2 = p.h_dot_x, p.h_dot_y
+    sign = [1, -1, -1, 1]
+    h_cols = [{k: c for k, c in col.items() if c} for col in ({}, {0: t1}, {0: t2}, {1: t2, 2: -t1})]
+    images = [[{j: 1}, {j: sign[j]}, col, {k: sign[k] * c for k, c in col.items()}] for j, col in enumerate(h_cols)]
+    # ρ(X) = X⊗g + s₁⊗h, ρ(Y) = Y⊗g + s₂⊗h; ρ(XY) = X₍₀₎Y₍₀₎ ⊗ Y₍₁₎X₍₁₎
     s1, s2 = p.rho_x_s, p.rho_y_s
-    rho = [zero_vec(16) for _ in range(4)]
-    rho[0][0 * 4 + 0] = Q(1)
-    rho[1][1 * 4 + 1] = Q(1)
-    rho[1][0 * 4 + 2] = s1
-    rho[2][2 * 4 + 1] = Q(1)
-    rho[2][0 * 4 + 2] = s2
-    # ρ(XY) = ρ(X)ρ(Y) with the H^op rule: X₍₀₎Y₍₀₎ ⊗ Y₍₁₎X₍₁₎
-    acc = zero_vec(16)
-    pairs = [((1, 1), Q(1)), ((0, 2), s1)]
-    pairs2 = [((2, 1), Q(1)), ((0, 2), s2)]
-    h4a = h4.alg
-    for (ax, kx), cx in pairs:
-        for (ay, ky), cy in pairs2:
-            for pp, cp in alg.mul_basis(ax, ay):
-                for qq, cq in h4a.mul_basis(ky, kx):
-                    acc[pp * 4 + qq] += cx * cy * cp * cq
-    rho[3] = acc
-    return YDObject(h4, 4, alg, action, rho)
+    rho_x = [(1, 1, Q(1))] + ([(0, 2, s1)] if s1 else [])
+    rho_y = [(2, 1, Q(1))] + ([(0, 2, s2)] if s2 else [])
+    rho_xy = sparse_sum(
+        (cx * cy, {(pp, qq): cp * cq for pp, cp in alg.mul_basis(ax, ay) for qq, cq in h4.alg.mul_basis(ky, kx)})
+        for ax, kx, cx in rho_x
+        for ay, ky, cy in rho_y
+    )
+    rho = [[(0, 0, 1)], rho_x, rho_y, [(*key, c) for key, c in rho_xy.items()]]
+    return YDObject.from_sparse(h4, 4, alg, images, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +508,7 @@ def cocycle_twist(a, sigma: LazyCocycle):
     twisted = StructureAlgebra.from_int(
         alg.basis, alg.unit, table, den_c * den_c * den_s * alg.int_sp[0], name=f"{alg.name}_twist"
     )
-    return YDObject(build_h4(), alg.dim, twisted, coaction=[list(row) for row in a.coaction])
+    return YDObject.from_sparse(build_h4(), alg.dim, twisted, rho=a.rho)
 
 
 class TransportShapeError(ValueError):
@@ -591,17 +564,16 @@ def _validate_phi(d: CFamilyDescriptor, t: Fraction, result: CFamilyDescriptor) 
     h4 = build_h4()
     built = build_C(d)
     phinv = phi_iso().matrix.inverse()
+    cols = [sparse_vec(phinv.col(i)) for i in range(4)]
     opp = opposite_algebra(built.alg)
-    coaction = []
-    for j in range(built.dim):
-        out = zero_vec(built.dim * 4)
-        for i in range(4):
-            for p, v in built.images[j][i].items():
-                for k, w in enumerate(phinv.col(i)):
-                    if w:
-                        out[p * 4 + k] += v * w
-        coaction.append(out)
-    candidate = induced_action(YDObject(h4, built.dim, opp, coaction=coaction), build_rt_form(t))
+    # ρ(e_j) = Σ_i (e_i·e_j) ⊗ φ⁻¹(e_i*)
+    rho = [
+        [(*key, c) for key, c in sparse_sum(
+            (v, {(p, k): w for k, w in cols[i].items()}) for i in range(4) for p, v in images[i].items()
+        ).items()]
+        for images in built.images
+    ]
+    candidate = induced_action(YDObject.from_sparse(h4, built.dim, opp, rho=rho), build_rt_form(t))
     if not candidate.same_structure(build_C(result)):
         raise AssertionError(f"Φ transport of {d!r} does not rebuild {result!r}")
 
@@ -618,15 +590,9 @@ def aut_twist(a, alpha):
     if alpha == 0:
         raise ValueError("automorphism parameter must be nonzero")
     scales = [Q(1), Q(1), alpha, alpha]
-    action = [a.action[i] * scales[i] for i in range(4)]
-    inv = [Q(1), Q(1), 1 / alpha, 1 / alpha]
-    coaction = []
-    for j in range(a.dim):
-        row = zero_vec(a.dim * 4)
-        for p, k, c in a.rho[j]:
-            row[p * 4 + k] = c * inv[k]
-        coaction.append(row)
-    return YDObject(a.hopf, a.dim, a.alg, action, coaction)
+    images = [[{p: c * scales[k] for p, c in v.items()} for k, v in enumerate(row)] for row in a.images]
+    rho = [[(p, k, c / scales[k]) for p, k, c in row] for row in a.rho]
+    return YDObject.from_sparse(a.hopf, a.dim, a.alg, images, rho)
 
 
 def aut_conjugate(d: CFamilyDescriptor, alpha) -> CFamilyDescriptor:
@@ -649,16 +615,16 @@ def build_h_alpha(alpha):
     alg = h4.alg
     scales = [Q(1), Q(1), alpha, alpha]
     sinv = [sparse_vec(h4.antipode_inv.col(p)) for p in range(4)]
-    action = []
-    for i in range(4):
-        rows = [[Q(0)] * 4 for _ in range(4)]
-        for p, q, c in h4.cop_sparse(i):
-            for j in range(4):
-                for k, v in alg.mul_sparse(dict(alg.mul_basis(q, j)), sinv[p]).items():
-                    rows[k][j] += c * scales[q] * v
-        action.append(Matrix(rows))
-    coaction = [dense_vec({p * 4 + q: c for p, q, c in h4.cop_sparse(j)}, 16) for j in range(4)]
-    return YDObject(h4, 4, action=action, coaction=coaction)
+    images = [
+        [
+            sparse_sum(
+                (c * scales[q], alg.mul_sparse(dict(alg.mul_basis(q, j)), sinv[p])) for p, q, c in h4.cop_sparse(i)
+            )
+            for i in range(4)
+        ]
+        for j in range(4)
+    ]
+    return YDObject.from_sparse(h4, 4, images=images, rho=[h4.cop_sparse(j) for j in range(4)])
 
 
 def aut_algebra(alpha):
@@ -754,11 +720,10 @@ def sharp_product_matches_presentation(d1: CFamilyDescriptor, d2: CFamilyDescrip
             named_ij = {perm[k]: c for k, c in named.alg.mul_basis(i, j)}
             if named_ij != dict(built.alg.mul_basis(perm[i], perm[j])):
                 return False
-    for h in range(4):
-        for p in range(4):
-            for q in range(4):
-                if named.action[h].data[p][q] != built.action[h].data[perm[p]][perm[q]]:
-                    return False
+    for q in range(4):
+        for h in range(4):
+            if {perm[p]: c for p, c in named.images[q][h].items()} != built.images[perm[q]][h]:
+                return False
     for j in range(4):
         if sorted((perm[p], k, c) for p, k, c in named.rho[j]) != sorted(built.rho[perm[j]]):
             return False
@@ -783,19 +748,14 @@ def validate_c_iso(d1: CFamilyDescriptor, d2: CFamilyDescriptor, alpha,
                 return False
     if action:
         for h in range(4):
-            if m @ a1.action[h] != a2.action[h] @ m:
-                return False
+            for j in range(2):
+                # m(e_h·e_j) = e_h·m(e_j)
+                if sparse_sum((c, cols[k]) for k, c in a1.images[j][h].items()) != a2.act({h: 1}, cols[j]):
+                    return False
     if coaction:
         for j in range(2):
-            lhs = zero_vec(8)
-            for p, k, c in a1.rho[j]:
-                for pp, v in enumerate(m.col(p)):
-                    lhs[pp * 4 + k] += c * v
-            rhs = zero_vec(8)
-            for jj, c in enumerate(m.col(j)):
-                if c:
-                    for p, k, v in a2.rho[jj]:
-                        rhs[p * 4 + k] += c * v
-            if lhs != rhs:
+            # (m⊗id)ρ(e_j) = ρ(m(e_j))
+            lhs = sparse_sum((c * v, {(pp, k): 1}) for p, k, c in a1.rho[j] for pp, v in cols[p].items())
+            if lhs != sparse_sum((c * v, {(p, k): 1}) for jj, c in cols[j].items() for p, k, v in a2.rho[jj]):
                 return False
     return True

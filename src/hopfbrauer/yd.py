@@ -1,11 +1,9 @@
 """Yetter-Drinfeld modules and module algebras.
 
 Every object over a fixed Hopf algebra H is a ``YDObject``: a carrier with
-some of a product, a left H-action (one matrix per H-basis element) and a
-right H-coaction, one dense vector per carrier basis element:
-``coaction[j][a·dim(H) + k]`` is the coefficient of e_a ⊗ e_k in ρ(e_j),
-read through the sparse view ``YDObject.rho``. Algebras are right
-H^op-comodule algebras, ρ(ab) = a₍₀₎b₍₀₎ ⊗ b₍₁₎a₍₁₎, under the Yetter-Drinfeld
+some of a product, a left H-action and a right H-coaction, both stored
+sparse only (``images`` and ``rho``). Algebras are right H^op-comodule
+algebras, ρ(ab) = a₍₀₎b₍₀₎ ⊗ b₍₁₎a₍₁₎, under the Yetter-Drinfeld
 condition ρ(l·b) = l₍₂₎·b₍₀₎ ⊗ l₍₃₎ b₍₁₎ S⁻¹(l₍₁₎).
 
 The axiom checks, the # product, the H-opposite and F/G contract on
@@ -29,7 +27,14 @@ from functools import cache, cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import CheckReport, StructureAlgebra, endomorphism_algebra, on_generators, opposite_algebra
+from .algebra import (
+    CheckReport,
+    StructureAlgebra,
+    canonical_terms,
+    endomorphism_algebra,
+    on_generators,
+    opposite_algebra,
+)
 from .hopf import CoQTStructure, HopfAlgebra, QTStructure, bowtie_vec
 from .linalg import (
     IntVec,
@@ -38,7 +43,6 @@ from .linalg import (
     common_denominator,
     dense_vec,
     in_span,
-    kron_sum,
     mat_det,
     over,
     rational_is_square,
@@ -49,7 +53,6 @@ from .linalg import (
     solve_columns,
     sparse_sum,
     sparse_vec,
-    zero_vec,
 )
 
 Q = Fraction
@@ -68,38 +71,76 @@ class NoRationalNormalization(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+class _Canonical(list):
+    """A canonical ``images`` or ``rho``, shared by objects built from it."""
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class YDObject:
     """A space over H carrying some of a product, a left H-action and a
     right H-coaction; a module, a module algebra, a comodule algebra, a YD
     module or a YD module algebra is this one type with the other fields None.
 
-    ``dim`` is the carrier dimension (``alg.dim`` when there is a product);
-    ``action[i]`` is the matrix of e_iᴴ; ``coaction[j]`` is ρ(e_j) in the
-    flat format of the module docstring. Objects are never mutated, so the
-    views ``rho``, ``images`` and their integer forms are built once.
+    ``dim`` is the carrier dimension (``alg.dim`` when there is a product).
+    The state is sparse: ``images[j][k]`` = e_k·e_j, {index: nonzero
+    Fraction} sorted by index, and ``rho[j]`` = ρ(e_j), (a, k, c) triples
+    for c·e_a ⊗ e_k sorted by (a, k). ``__init__`` converts the dense
+    ``action`` and ``coaction`` once; those are views again, built on first
+    read, like the integer forms. Objects are never mutated.
     """
 
     hopf: HopfAlgebra
     dim: int
-    alg: StructureAlgebra | None = None
-    action: list[Matrix] | None = None
-    coaction: list[list[Fraction]] | None = None
+    alg: StructureAlgebra | None
+    images: list[list[SparseVec]] | None
+    rho: list[tuple[tuple[int, int, Fraction], ...]] | None
 
-    def __post_init__(self):
-        if self.alg is not None and self.alg.dim != self.dim:
-            raise ValueError(f"carrier dimension {self.dim} differs from the algebra's {self.alg.dim}")
+    def __init__(self, hopf: HopfAlgebra, dim: int, alg=None, action=None, coaction=None):
+        n = hopf.dim
+        images = None if action is None else [[sparse_vec(m.col(j)) for m in action] for j in range(dim)]
+        rho = None if coaction is None else [[(k // n, k % n, c) for k, c in enumerate(row) if c] for row in coaction]
+        self._set(hopf, dim, alg, images, rho)
+
+    @classmethod
+    def from_sparse(cls, hopf: HopfAlgebra, dim: int, alg=None, images=None, rho=None) -> "YDObject":
+        """The object with these ``images`` and ``rho``, canonicalized by
+        ``canonical_terms`` (``ValueError`` on a wrong shape, a bad or
+        repeated index or a zero or non-rational c)."""
+        obj = cls.__new__(cls)
+        obj._set(hopf, dim, alg, images, rho)
+        return obj
+
+    def _set(self, hopf, dim, alg, images, rho) -> None:
+        n = hopf.dim
+        if alg is not None and alg.dim != dim:
+            raise ValueError(f"carrier dimension {dim} differs from the algebra's {alg.dim}")
+        if images is not None and (len(images) != dim or any(len(row) != n for row in images)):
+            raise ValueError(f"images must be {dim} rows of {n} sparse vectors")
+        if rho is not None and len(rho) != dim:
+            raise ValueError(f"rho must have {dim} rows")
+        if images is not None and type(images) is not _Canonical:
+            images = _Canonical([dict(canonical_terms(v.items(), dim)) for v in row] for row in images)
+        if rho is not None and type(rho) is not _Canonical:
+            rho = _Canonical(canonical_terms(terms, max(dim, n)) for terms in rho)
+            if any(a >= dim or k >= n for row in rho for a, k, _ in row):
+                raise ValueError(f"a coaction index is not in range({dim}) × range({n})")
+        self.__dict__.update(hopf=hopf, dim=dim, alg=alg, images=images, rho=rho)
 
     @cached_property
-    def rho(self) -> list[tuple[tuple[int, int, Fraction], ...]]:
-        """rho[j] = ρ(e_j) as sparse (carrier index, H index, coeff) triples."""
-        return [coaction_sparse(self.coaction, self.hopf.dim, j) for j in range(self.dim)]
+    def action(self) -> list[Matrix] | None:
+        """action[i], the matrix of e_i, built from ``images`` on first read."""
+        if self.images is None:
+            return None
+        return [Matrix.from_cols([dense_vec(row[i], self.dim) for row in self.images]) for i in range(self.hopf.dim)]
 
     @cached_property
-    def images(self) -> list[list[SparseVec]]:
-        """images[j][k] = e_kᴴ · e_j as a sparse vector."""
-        cols = [[sparse_vec(m.col(j)) for j in range(self.dim)] for m in self.action]
-        return [[col[j] for col in cols] for j in range(self.dim)]
+    def coaction(self) -> list[list[Fraction]] | None:
+        """coaction[j][a·dim(H) + k], the coefficient of e_a ⊗ e_k in ρ(e_j),
+        built from ``rho`` on first read."""
+        if self.rho is None:
+            return None
+        n = self.hopf.dim
+        return [dense_vec({a * n + k: c for a, k, c in row}, self.dim * n) for row in self.rho]
 
     @cached_property
     def int_rho(self) -> tuple[int, list[tuple[tuple[int, int, int], ...]]]:
@@ -112,16 +153,45 @@ class YDObject:
         den = common_denominator(c for row in self.images for v in row for c in v.values())
         return den, [[scale_sparse(v, den) for v in row] for row in self.images]
 
+    @cached_property
+    def module_failures(self) -> list[str]:
+        """The messages of ``check_module``, decided once."""
+        h = self.hopf
+        den_a, images = self.int_images
+        den_m, sp = h.alg.int_sp
+        unit, den_u = scaled(sparse_vec(h.alg.unit))
+        unit_ok = all(
+            sparse_sum((c, images[y][k]) for k, c in unit.items()) == {y: den_u * den_a} for y in range(self.dim)
+        )
+
+        def module_law(idx):
+            for i in idx:
+                for j in range(h.dim):
+                    for y in range(self.dim):
+                        # lhs − rhs
+                        diff: IntVec = {}
+                        for k, c in images[y][j].items():
+                            c *= den_m
+                            for q, v in images[k][i].items():
+                                diff[q] = diff.get(q, 0) + c * v
+                        for k, c in sp[i][j]:
+                            c *= den_a
+                            for q, v in images[y][k].items():
+                                diff[q] = diff.get(q, 0) - c * v
+                        if any(diff.values()):
+                            yield f"action not multiplicative at ({h.alg.basis[i]},{h.alg.basis[j]})"
+                            break
+
+        return ([] if unit_ok else ["unit of H does not act as id"]) + on_generators(module_law, h.alg, unit_ok)
+
+    def act(self, hvec: SparseVec, v: SparseVec) -> SparseVec:
+        """h·v for h = Σ hvec[i]·e_i in H and v = Σ v[j]·e_j in the carrier."""
+        return sparse_sum((c * w, self.images[j][i]) for i, c in hvec.items() for j, w in v.items())
+
     def act_matrix(self, hvec: Sequence[Fraction]) -> Matrix:
         """The matrix by which the element Σ hvec[i]·e_i of H acts."""
-        out = [[Q(0)] * self.dim for _ in range(self.dim)]
-        for i, c in enumerate(hvec):
-            if c:
-                for r, row in enumerate(self.action[i].data):
-                    for s, v in enumerate(row):
-                        if v:
-                            out[r][s] += c * v
-        return Matrix(out)
+        h = sparse_vec(hvec)
+        return Matrix.from_cols([dense_vec(self.act(h, {s: 1}), self.dim) for s in range(self.dim)])
 
     def same_structure(self, other: "YDObject") -> bool:
         """Equal product, action and coaction (compared exactly; None only
@@ -129,16 +199,9 @@ class YDObject:
         return (
             (self.alg is None) == (other.alg is None)
             and (self.alg is None or self.alg.same_product(other.alg))
-            and self.action == other.action
-            and self.coaction == other.coaction
+            and self.images == other.images
+            and self.rho == other.rho
         )
-
-
-def coaction_sparse(coaction: list[list[Fraction]], hdim: int, j: int):
-    """ρ(e_j) as sparse (carrier index, H index, coeff) triples."""
-    return tuple(
-        (k // hdim, k % hdim, c) for k, c in enumerate(coaction[j]) if c
-    )
 
 
 def grouplike_index(h: HopfAlgebra) -> int | None:
@@ -154,36 +217,10 @@ def grouplike_index(h: HopfAlgebra) -> int | None:
 def check_module(m: YDObject) -> CheckReport:
     """1·v = v and e_i·(e_j·v) = (e_i e_j)·v, as Σ U_k·(e_k·v) = D_u·D_a·v and
     D_m·Σ (e_j·v)_k·(e_i·e_k) = D_a·Σ (e_i e_j)_k·(e_k·v), D_m that of H; the
-    second by ``on_generators`` on H, given the first."""
+    second by ``on_generators`` on H, given the first; decided once per
+    object (``module_failures``)."""
     rep = CheckReport(f"H-module over {m.hopf.name}")
-    h = m.hopf
-    den_a, images = m.int_images
-    den_m, sp = h.alg.int_sp
-    unit, den_u = scaled(sparse_vec(h.alg.unit))
-    unit_ok = rep.require(
-        all(sparse_sum((c, images[y][k]) for k, c in unit.items()) == {y: den_u * den_a} for y in range(m.dim)),
-        "unit of H does not act as id",
-    )
-
-    def module_law(idx):
-        for i in idx:
-            for j in range(h.dim):
-                for y in range(m.dim):
-                    # lhs − rhs
-                    diff: IntVec = {}
-                    for k, c in images[y][j].items():
-                        c *= den_m
-                        for q, v in images[k][i].items():
-                            diff[q] = diff.get(q, 0) + c * v
-                    for k, c in sp[i][j]:
-                        c *= den_a
-                        for q, v in images[y][k].items():
-                            diff[q] = diff.get(q, 0) - c * v
-                    if any(diff.values()):
-                        yield f"action not multiplicative at ({h.alg.basis[i]},{h.alg.basis[j]})"
-                        break
-
-    rep.failures += on_generators(module_law, h.alg, unit_ok)
+    rep.failures += m.module_failures
     return rep
 
 
@@ -334,7 +371,7 @@ def check_yd_condition(m: YDObject) -> CheckReport:
                 if lhs != rhs:
                     yield f"YD condition fails at (l={h.alg.basis[li]}, b=index {b})"
 
-    rep.failures += on_generators(yd_law, h.alg, h.certified and check_module(m).ok)
+    rep.failures += on_generators(yd_law, h.alg, h.certified and not m.module_failures)
     return rep
 
 
@@ -387,7 +424,7 @@ def h_opposite(a: YDObject) -> YDObject:
     table = [[product(i, j).items() for j in range(alg.dim)] for i in range(alg.dim)]
     name = f"{alg.name}~" if alg.name else "opposite"
     new_alg = StructureAlgebra.from_int(alg.basis, alg.unit, table, den_c * den_a * alg.int_sp[0], name=name)
-    return YDObject(a.hopf, alg.dim, new_alg, a.action, a.coaction)
+    return YDObject.from_sparse(a.hopf, alg.dim, new_alg, a.images, a.rho)
 
 
 def sharp_product(a: YDObject, b: YDObject) -> YDObject:
@@ -403,7 +440,6 @@ def sharp_product(a: YDObject, b: YDObject) -> YDObject:
     if a.hopf is not b.hopf:
         raise ValueError("sharp product requires the same Hopf algebra")
     h = a.hopf
-    n = h.dim
     da, db = a.dim, b.dim
     dim = da * db
     basis = [f"{a.alg.basis[i]}#{b.alg.basis[j]}" for i in range(da) for j in range(db)]
@@ -431,16 +467,16 @@ def sharp_product(a: YDObject, b: YDObject) -> YDObject:
 
     den_cb, rho_b = b.int_rho
     den_h, sp_h = h.alg.int_sp
-    coaction = [
-        dense_vec(over(sparse_sum(
-            (cx * cy, _tensor([(ax * db + by, 1)], sp_h[ky][kx], n))
+    rho = [
+        [(*key, c) for key, c in over(sparse_sum(
+            (cx * cy, {(ax * db + by, q): cq for q, cq in sp_h[ky][kx]})
             for ax, kx, cx in rho_a[x]
             for by, ky, cy in rho_b[y]
-        ), den_c * den_cb * den_h), dim * n)
+        ), den_c * den_cb * den_h).items()]
         for x in range(da)
         for y in range(db)
     ]
-    return YDObject(h, dim, alg, module_tensor(a, b).action, coaction)
+    return YDObject.from_sparse(h, dim, alg, module_tensor(a, b).images, rho)
 
 
 def end_yd(m: YDObject, variant: str = "plain") -> YDObject:
@@ -454,28 +490,30 @@ def end_yd(m: YDObject, variant: str = "plain") -> YDObject:
     """
     if variant not in ("plain", "op"):
         raise ValueError("variant must be 'plain' or 'op'")
-    h = m.hopf
-    n = h.dim
-    d = m.dim
+    h, n, d = m.hopf, m.hopf.dim, m.dim
     alg = endomorphism_algebra(d)
     if variant == "op":
         alg = opposite_algebra(alg)
 
-    action = []
+    # e_i·E_zy (e_y ↦ e_z, at y·d + z) = Σ c·e_l ∘ E_zy ∘ u over Δ(e_i) =
+    # Σ c·(u·e_x)_y·(e_l·e_z)_r E_rx; l = p, u = S(e_q) (plain) or l = q,
+    # u = S⁻¹(e_p) (op); right[y] = the (x, (u·e_x)_y)
+    terms = [[] for _ in range(n)]
     for i in range(n):
-        terms = []
         for p, q, c in h.cop_sparse(i):
-            if variant == "plain":
-                left = m.action[p]
-                right = m.act_matrix(h.antipode.col(q))
-            else:
-                left = m.action[q]
-                right = m.act_matrix(h.antipode_inv.col(p))
-            # f ↦ left ∘ f ∘ right is rightᵀ ⊗ left on the flat index q·d + p of E_pq
-            terms.append((c, right.transpose(), left))
-        action.append(kron_sum(terms, d * d, d * d))
-    if m.coaction is None:
-        return YDObject(h, d * d, alg, action)
+            l, u = (p, h.antipode.col(q)) if variant == "plain" else (q, h.antipode_inv.col(p))
+            right = [[] for _ in range(d)]
+            for x in range(d):
+                for y, v in m.act(sparse_vec(u), {x: 1}).items():
+                    right[y].append((x, v))
+            terms[i].append((c, l, right))
+    images = [
+        [sparse_sum((c, _tensor(right[y], m.images[z][l].items(), d)) for c, l, right in terms[i]) for i in range(n)]
+        for y in range(d)
+        for z in range(d)
+    ]
+    if m.rho is None:
+        return YDObject.from_sparse(h, d * d, alg, images)
 
     antipode = h.antipode_inv if variant == "plain" else h.antipode
     s_cols = [sparse_vec(antipode.col(k)) for k in range(n)]
@@ -486,18 +524,20 @@ def end_yd(m: YDObject, variant: str = "plain") -> YDObject:
             return h.alg.mul_sparse(s_cols[k0], {l1: Q(1)})
         return h.alg.mul_sparse({l1: Q(1)}, s_cols[k0])
 
-    # row t·d + s is ρ(E_st) for the matrix unit E_st: e_t ↦ e_s; evaluated
+    # rho[t·d + s] is ρ(E_st) for the matrix unit E_st: e_t ↦ e_s; evaluated
     # at e_r, only the terms e_t ⊗ e_k0 of ρ(e_r) survive, giving
     # Σ e_b1 ⊗ h_part(k0, l1) over ρ(e_s), read off at (e_r* ⊗ e_b1) ⊗ e_q
-    coaction = [zero_vec(d * d * n) for _ in range(d * d)]
+    rho = [{} for _ in range(d * d)]
     for r in range(d):
         for t, k0, c0 in m.rho[r]:
             for s in range(d):
-                out = coaction[t * d + s]
+                out = rho[t * d + s]
                 for b1, l1, c1 in m.rho[s]:
                     for q, cq in h_part(k0, l1).items():
-                        out[(r * d + b1) * n + q] += c0 * c1 * cq
-    return YDObject(h, d * d, alg, action, coaction)
+                        key = (r * d + b1, q)
+                        out[key] = out.get(key, 0) + c0 * c1 * cq
+    rho = [[(*key, c) for key, c in out.items() if c] for out in rho]
+    return YDObject.from_sparse(h, d * d, alg, images, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -637,31 +677,22 @@ def is_h_azumaya(a: YDObject) -> bool:
 def induced_coaction(a: YDObject, r: QTStructure) -> YDObject:
     """Equip an H-module (algebra) with ρ(x) = (R⁽²⁾·x) ⊗ R⁽¹⁾, replacing
     any coaction it has."""
-    n = a.hopf.dim
     pairs = r.pairs().items()
-    coaction = []
-    for j in range(a.dim):
-        out = zero_vec(a.dim * n)
-        for (i, k), c in pairs:
-            for p, v in a.images[j][k].items():
-                out[p * n + i] += c * v
-        coaction.append(out)
-    return YDObject(a.hopf, a.dim, a.alg, a.action, coaction)
+    rho = [
+        [(*key, v) for key, v in sparse_sum(
+            (c, {(p, i): x for p, x in images[k].items()}) for (i, k), c in pairs
+        ).items()]
+        for images in a.images
+    ]
+    return YDObject.from_sparse(a.hopf, a.dim, a.alg, a.images, rho)
 
 
 def induced_action(a: YDObject, r: CoQTStructure) -> YDObject:
     """Equip an H-comodule (algebra) with h·x = x₍₀₎ r(h ⊗ x₍₁₎), replacing
     any action it has."""
-    h = a.hopf
-    n = h.dim
-    action = []
-    for i in range(n):
-        rows = [[Q(0)] * a.dim for _ in range(a.dim)]
-        for j in range(a.dim):
-            for b, k, c in a.rho[j]:
-                rows[b][j] += c * r.form.data[i][k]
-        action.append(Matrix(rows))
-    return YDObject(h, a.dim, a.alg, action, a.coaction)
+    form = r.form.data
+    images = [[sparse_sum((c * form[i][k], {b: 1}) for b, k, c in row) for i in range(a.hopf.dim)] for row in a.rho]
+    return YDObject.from_sparse(a.hopf, a.dim, a.alg, images, a.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -672,10 +703,13 @@ def induced_action(a: YDObject, r: CoQTStructure) -> YDObject:
 def braiding_psi(v: YDObject, w: YDObject, r: QTStructure) -> Matrix:
     """ψ: V⊗W → W⊗V, v⊗w ↦ R⁽²⁾·w ⊗ R⁽¹⁾·v (left-major flat indices):
     Σ R⁽²⁾ ⊗ R⁽¹⁾ acting on W⊗V, after the plain flip V⊗W → W⊗V."""
-    dv, dw = v.dim, w.dim
-    acc = kron_sum(((c, w.action[j], v.action[i]) for (i, j), c in r.pairs().items()), dv * dw, dv * dw)
-    # column x·dw + y of ψ is column y·dv + x of acc: the flip as a permutation
-    return Matrix([[row[y * dv + x] for x in range(dv) for y in range(dw)] for row in acc.data])
+    pairs = r.pairs().items()
+    columns = [
+        sparse_sum((c, _tensor(w.images[y][j].items(), v.images[x][i].items(), v.dim)) for (i, j), c in pairs)
+        for x in range(v.dim)
+        for y in range(w.dim)
+    ]
+    return Matrix.from_cols([dense_vec(col, v.dim * w.dim) for col in columns])
 
 
 def graded_flip(v_par: Sequence[int], w_par: Sequence[int]) -> Matrix:
@@ -724,19 +758,12 @@ def coaction_grading(obj: YDObject, pi_keep: Sequence[int]) -> tuple[int, ...]:
     pi_keep = (index of 1, index of the grouplike); deg(a) = 0 or 1
     according to (id⊗π)ρ(a) = a⊗1 or a⊗g, anything else is an error.
     """
-    one_idx, g_idx = pi_keep
-    dim = obj.dim
     parity = []
-    for j in range(dim):
-        kept: dict[int, dict[int, Fraction]] = {one_idx: {}, g_idx: {}}
-        for a, k, c in obj.rho[j]:
-            if k in kept:
-                kept[k][a] = kept[k].get(a, Q(0)) + c
-        proj_one = {a: c for a, c in kept[one_idx].items() if c}
-        proj_g = {a: c for a, c in kept[g_idx].items() if c}
-        if proj_one == {j: Q(1)} and not proj_g:
+    for j, row in enumerate(obj.rho):
+        kept = {(a, k): c for a, k, c in row if k in pi_keep}
+        if kept == {(j, pi_keep[0]): 1}:
             parity.append(0)
-        elif proj_g == {j: Q(1)} and not proj_one:
+        elif kept == {(j, pi_keep[1]): 1}:
             parity.append(1)
         else:
             raise GradingError(f"(id⊗π)ρ is not e_{j}⊗1 or e_{j}⊗g at index {j}")
@@ -766,7 +793,7 @@ def yd_centralizers(a: YDObject, sub_basis: list[list[Fraction]]) -> tuple[list,
     rho, images = a.rho, a.images
     subs = [sparse_vec(b) for b in sub_basis]
     # acted[k] = e_k·b, one list per b
-    acted_all = [[sparse_sum((c, images[j][k]) for j, c in b.items()) for k in range(n)] for b in subs]
+    acted_all = [[a.act({k: 1}, b) for k in range(n)] for b in subs]
     for b, acted in zip(subs, acted_all):
         if not all(in_span(sub_basis, dense_vec(v, d)) for v in acted):
             raise ValueError("subspace not closed under the H-action")
@@ -995,19 +1022,16 @@ def yd_to_double(a: YDObject, double: HopfAlgebra) -> YDObject:
     composites (f⋈1)(1⋈l).
     """
     n = a.hopf.dim
-    pairing = []
-    for i in range(n):
-        rows = [[Q(0)] * a.dim for _ in range(a.dim)]
-        for b in range(a.dim):
-            for p, k, c in a.rho[b]:
-                if k == i:
-                    rows[p][b] += c
-        pairing.append(Matrix(rows))
-    action = []
-    for i in range(n):
-        for j in range(n):
-            action.append(pairing[i] @ a.action[j])
-    return YDObject(double, a.dim, a.alg, action)
+    # (f_i⋈e_j)·e_b = Σ_q (e_j·e_b)_q·Σ c·e_p over the (p, i, c) of ρ(e_q)
+    images = [
+        [
+            sparse_sum((v * c, {p: 1}) for q, v in row[j].items() for p, k, c in a.rho[q] if k == i)
+            for i in range(n)
+            for j in range(n)
+        ]
+        for row in a.images
+    ]
+    return YDObject.from_sparse(double, a.dim, a.alg, images)
 
 
 def double_to_yd(a: YDObject, h: HopfAlgebra) -> YDObject:
@@ -1017,25 +1041,24 @@ def double_to_yd(a: YDObject, h: HopfAlgebra) -> YDObject:
     1⋈e_j = Σ_i ε(e_i)(e_i*⋈e_j), since the counit of H is the unit of H*.
     """
     n = h.dim
-    action = [a.act_matrix(bowtie_vec(n, h.counit, h.alg.basis_vec(j))) for j in range(n)]
-    dual = [a.act_matrix(bowtie_vec(n, h.alg.basis_vec(i), h.alg.unit)) for i in range(n)]
-    coaction = []
-    for b in range(a.dim):
-        out = zero_vec(a.dim * n)
-        for i in range(n):
-            for p, v in enumerate(dual[i].col(b)):
-                if v:
-                    out[p * n + i] += v
-        coaction.append(out)
-    return YDObject(h, a.dim, a.alg, action, coaction)
+    act = [sparse_vec(bowtie_vec(n, h.counit, h.alg.basis_vec(j))) for j in range(n)]
+    dual = [sparse_vec(bowtie_vec(n, h.alg.basis_vec(i), h.alg.unit)) for i in range(n)]
+    images = [[a.act(x, {b: 1}) for x in act] for b in range(a.dim)]
+    rho = [[(p, i, v) for i, x in enumerate(dual) for p, v in a.act(x, {b: 1}).items()] for b in range(a.dim)]
+    return YDObject.from_sparse(h, a.dim, a.alg, images, rho)
 
 
 def module_tensor(m: YDObject, w: YDObject) -> YDObject:
     """Tensor product of two H-modules via Δ (left factor major)."""
     h = m.hopf
-    dim = m.dim * w.dim
-    action = [
-        kron_sum(((c, m.action[p], w.action[q]) for p, q, c in h.cop_sparse(i)), dim, dim)
-        for i in range(h.dim)
+    images = [
+        [
+            sparse_sum(
+                (c, _tensor(m.images[x][p].items(), w.images[y][q].items(), w.dim)) for p, q, c in h.cop_sparse(i)
+            )
+            for i in range(h.dim)
+        ]
+        for x in range(m.dim)
+        for y in range(w.dim)
     ]
-    return YDObject(h, dim, action=action)
+    return YDObject.from_sparse(h, m.dim * w.dim, images=images)

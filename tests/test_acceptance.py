@@ -16,6 +16,9 @@ SEED = 2026
 # sha256 of the canonical JSON of the `checks` of run_verification(("all",), SEED, 10),
 # measured before the sparse contraction kernel replaced the dense loops
 CHECKS_SHA256_SEED_2026_SAMPLES_10 = "89b7c6b8934c470f98dbf6ff20932ad899c6b261dd6c08724ed9f6318aa55b8c"
+# the same digest of run_verification(("all",), 7, 20), the report of
+# `hopfbrauer verify --suite all --seed 7 --samples 20`
+CHECKS_SHA256_SEED_7_SAMPLES_20 = "ce53e4e5593c185f2b16d5ffa72cdfec6ff9842b09b7baa0dbbe42f420403391"
 
 
 def _criterion(number: int, description: str, suites, samples: int, options=None) -> dict:
@@ -168,3 +171,13 @@ def test_criterion_11_determinism():
     assert first["all_pass"]
     canonical = json.dumps(first["checks"], sort_keys=True, separators=(",", ":"), ensure_ascii=False)
     assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == CHECKS_SHA256_SEED_2026_SAMPLES_10
+
+
+def test_criterion_12_seed7_report_is_pinned():
+    report = run_verification(("all",), seed=7, samples=20)
+    canonical = json.dumps(report["checks"], sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    pinned = hashlib.sha256(canonical.encode("utf-8")).hexdigest() == CHECKS_SHA256_SEED_7_SAMPLES_20
+    status = "PASS" if report["all_pass"] and pinned else "FAIL"
+    print(f"criterion 12: {status} — the seed-7 report keeps its pinned digest ({len(report['checks'])} records)")
+    assert report["all_pass"] and len(report["checks"]) == 478
+    assert pinned

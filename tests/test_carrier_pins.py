@@ -4,7 +4,9 @@ Each builder's output is dumped canonically (``defio.yd_to_json`` for an
 object with product, action and coaction; the algebra, the action matrices
 and the flat coaction rows otherwise) and hashed. A change to any builder
 that moves a single structure constant, action entry or coaction entry, or
-renames a basis element, changes its digest.
+renames a basis element, changes its digest. Each builder's output also
+round-trips between its sparse store and its dense views, and the store is
+in canonical form.
 
 A second table pins the outputs of every builder that multiplies elements
 rather than basis vectors: E(2)'s coproduct and antipode columns, the maps T
@@ -35,7 +37,7 @@ from hopfbrauer.sweedler import (
     dh4_relations,
     quaternion_yd_algebra,
 )
-from hopfbrauer.yd import double_to_yd, end_yd, h_opposite, module_tensor, sharp_product, yd_to_double
+from hopfbrauer.yd import YDObject, double_to_yd, end_yd, h_opposite, module_tensor, sharp_product, yd_to_double
 
 
 def _digest(obj) -> str:
@@ -108,6 +110,25 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_builder_output_is_pinned(name):
     assert _digest(BUILDERS[name]()) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_dense_and_sparse_forms_round_trip(name):
+    obj = BUILDERS[name]()
+    dense = YDObject(obj.hopf, obj.dim, obj.alg, obj.action, obj.coaction)
+    assert (dense.images, dense.rho) == (obj.images, obj.rho)
+    assert (dense.action, dense.coaction) == (obj.action, obj.coaction)
+    images = None if obj.images is None else [[dict(reversed(v.items())) for v in row] for row in obj.images]
+    rho = None if obj.rho is None else [list(reversed(row)) for row in obj.rho]
+    fresh = YDObject.from_sparse(obj.hopf, obj.dim, obj.alg, images, rho)
+    for a in (obj, dense, fresh):
+        # the canonical form: keys and triples sorted, every coefficient a nonzero Fraction
+        for row in a.images or []:
+            assert all(list(v) == sorted(v) and all(type(c) is Q and c for c in v.values()) for v in row)
+        for row in a.rho or []:
+            assert list(row) == sorted(row) and all(type(c) is Q and c for *_, c in row)
+    assert fresh.same_structure(obj) and (fresh.images, fresh.rho) == (obj.images, obj.rho)
+    assert _digest(fresh) == PINNED[name]
 
 
 def _sha256_of(payload) -> str:

@@ -181,8 +181,13 @@ def _inner_end(u, w, big_w):
     c_mat = op_map(lambda f: u @ f @ u)
     x1_mat = op_map(lambda f: w @ f @ u + f @ u @ w)
     cx2_mat = op_map(lambda f: big_w @ f - u @ f @ u @ big_w)
-    action = e2_action_from_generators(c_mat, x1_mat, c_mat @ cx2_mat)
-    return induced_coaction(YDObject(build_e2(), alg.dim, alg, action), build_RN())
+    images = e2_action_from_generators(*map(_columns, (c_mat, x1_mat, c_mat @ cx2_mat)))
+    return induced_coaction(YDObject.from_sparse(build_e2(), alg.dim, alg, images), build_RN())
+
+
+def _columns(m: Matrix) -> list[dict]:
+    """The columns of m as sparse vectors."""
+    return [{k: v for k, v in enumerate(m.col(j)) if v} for j in range(m.cols)]
 
 
 def test_strongly_inner_witness_of_an_inner_end():
@@ -416,4 +421,6 @@ def test_e2_action_from_generators_matches_the_monomial_loop():
     cases.append((end_p[1], end_p[2], end_p[4]))  # c, x₁, x₂ on End(P)
     assert end_p[1].rows == 4
     for c_mat, x1_mat, x2_mat in cases:
-        assert e2_action_from_generators(c_mat, x1_mat, x2_mat) == _reference_e2_action(c_mat, x1_mat, x2_mat)
+        reference = [_columns(m) for m in _reference_e2_action(c_mat, x1_mat, x2_mat)]
+        images = e2_action_from_generators(*map(_columns, (c_mat, x1_mat, x2_mat)))
+        assert images == [[cols[j] for cols in reference] for j in range(c_mat.rows)]

@@ -19,15 +19,20 @@ through ``canonical_terms`` and its Fraction view is never built.
 ``sandwich_matrix`` forms each e_i·e_k once (d³ + d² dense products), and
 ``fg_maps`` makes no sparse sum and no product per column and no product for
 a zero e_h·e_y. On the d = 16 tower, the associativity check contracts only
-on its generators, and a passing Yetter-Drinfeld check loops over the
-generators of A and of H only."""
+on its generators, a passing Yetter-Drinfeld check loops over the
+generators of A and of H only, and the module law is checked once per
+object. A Hopf algebra that passed ``check_hopf_axioms`` is not checked
+again for the Yetter-Drinfeld condition, an inverse is one elimination,
+neither the seed-7 report nor the d = 16 rung builds the dense action or
+coaction view of any object, and an object built from another's action or
+coaction shares it without canonicalizing it again."""
 
 import random
 import sys
 from collections import Counter
 from fractions import Fraction as Q
 
-from hopfbrauer import algebra, hopf, sweedler, yd
+from hopfbrauer import algebra, hopf, linalg, sweedler, yd
 from hopfbrauer.algebra import StructureAlgebra, check_algebra_axioms
 from hopfbrauer.e2 import (
     build_c_e2,
@@ -40,6 +45,7 @@ from hopfbrauer.e2 import (
     witness_end_p,
 )
 from hopfbrauer.linalg import Matrix
+from hopfbrauer.verify import run_verification
 from hopfbrauer.yd import check_yd_algebra, fg_maps, h_opposite, is_h_azumaya, sharp_product
 
 
@@ -419,3 +425,89 @@ def test_fg_maps_makes_no_product_per_column(monkeypatch):
     assert is_h_azumaya(rung)
     assert sums == []
     assert sum(products.values()) == cells + 2 * d * rho_terms
+
+
+def test_a_checked_hopf_algebra_is_not_checked_again(monkeypatch):
+    e2 = build_e2.__wrapped__()  # a fresh E(2): no verdict is cached on it yet
+    c = build_c_e2(2, 3, -1)
+    a = yd.YDObject.from_sparse(e2, c.dim, c.alg, c.images, c.rho)
+    calls = []
+    check = hopf.check_hopf_axioms
+
+    def counted(h):
+        calls.append(h.name)
+        return check(h)
+
+    monkeypatch.setattr(hopf, "check_hopf_axioms", counted)
+    assert hopf.check_hopf_axioms(e2).ok
+    assert yd.check_yd_condition(a).ok and check_yd_algebra(a).ok
+    assert calls == ["E2"]
+
+
+def test_module_law_is_checked_once_per_object(monkeypatch):
+    rung = _ladder_rung_d16()
+    laws = []
+    on_generators = yd.on_generators
+
+    def recording(law, alg, ready):
+        laws.append(law.__name__)
+        return on_generators(law, alg, ready)
+
+    monkeypatch.setattr(yd, "on_generators", recording)
+    assert check_yd_algebra(rung).ok
+    assert laws.count("module_law") == 1
+    assert yd.check_module(rung).ok and check_yd_algebra(rung).ok
+    assert laws.count("module_law") == 1
+
+
+def test_an_inverse_is_one_elimination(monkeypatch):
+    calls = []
+    rref = linalg._sparse_rref
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return rref(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_sparse_rref", counted)
+    m = Matrix([[2, 1, 0, Q(1, 3)], [1, 3, 1, 0], [0, 1, 4, -1], [5, 0, 0, 1]])
+    assert m @ m.inverse() == Matrix.identity(4)
+    assert calls == [8]
+
+
+def test_no_dense_action_or_coaction_view_is_built(monkeypatch):
+    built = []
+    for name in ("action", "coaction"):
+        view = yd.YDObject.__dict__[name].func
+
+        def recorded(obj, view=view, name=name):
+            built.append(name)
+            return view(obj)
+
+        monkeypatch.setattr(yd.YDObject, name, property(recorded))
+    run_verification(("all",), 7, 20)
+    rung = _ladder_rung_d16()
+    opposite = h_opposite(rung)
+    for a in (rung, opposite):
+        assert check_yd_algebra(a).ok
+        fg_maps(a)
+    assert built == []
+    assert rung.action[1] == Matrix.diag([(-1) ** bin(j).count("1") for j in range(16)])
+    assert built == ["action"]
+
+
+def test_derived_objects_share_the_store_they_keep(monkeypatch):
+    c = _ladder_rung_d8()
+    calls = []
+    canonical_terms = yd.canonical_terms
+
+    def counted(terms, dim):
+        calls.append(dim)
+        return canonical_terms(terms, dim)
+
+    monkeypatch.setattr(yd, "canonical_terms", counted)
+    opposite = h_opposite(c)
+    assert opposite.images is c.images and opposite.rho is c.rho
+    assert calls == []
+    induced = yd.induced_coaction(c, sweedler.build_rt(Q(3)))
+    assert induced.images is c.images and len(calls) == c.dim  # one canonical_terms per new ρ(e_j)
+    assert yd.induced_action(c, sweedler.build_rt_form(Q(3))).rho is c.rho

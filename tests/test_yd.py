@@ -22,7 +22,6 @@ from hopfbrauer.yd import (
     check_module_algebra,
     check_yd_algebra,
     check_yd_condition,
-    coaction_sparse,
     conjugation_implementer,
     double_to_yd,
     end_yd,
@@ -43,6 +42,11 @@ from hopfbrauer.yd import (
 rng = random.Random(42)
 
 
+def coaction_sparse(coaction, hdim: int, j: int):
+    """ρ(e_j) read off the dense coaction row: (carrier index, H index, coeff) triples."""
+    return tuple((k // hdim, k % hdim, c) for k, c in enumerate(coaction[j]) if c)
+
+
 def rnd(nonzero=False):
     n = rng.randint(-9, 9)
     while nonzero and n == 0:
@@ -60,6 +64,60 @@ def trivial_yd_on(alg: StructureAlgebra) -> YDObject:
         row[j * 4 + 0] = Q(1)
         coaction.append(row)
     return YDObject(h4, alg.dim, alg, action, coaction)
+
+
+def _sparse_copy(a: YDObject):
+    """Fresh lists of ``a.images`` and ``a.rho``, each entry reversed in order."""
+    images = [[dict(reversed(v.items())) for v in row] for row in a.images]
+    return images, [list(reversed(row)) for row in a.rho]
+
+
+def test_from_sparse_stores_the_canonical_form():
+    c = build_C(CFamilyDescriptor(Q(3), Q(2), Q(5)))
+    shuffled = YDObject.from_sparse(c.hopf, 2, c.alg, *_sparse_copy(c))
+    assert shuffled.same_structure(c) and shuffled.rho == c.rho
+    assert [[list(v) for v in row] for row in shuffled.images] == [[sorted(v) for v in row] for row in c.images]
+    images = [[{0: 1}, {0: 1}, {}, {}], [{1: 1}, {1: -1}, {0: 2}, {0: 2}]]
+    ints = YDObject.from_sparse(c.hopf, 2, c.alg, images, [[(0, 0, 1)], [(1, 1, 1), (0, 2, 5)]])
+    assert ints.same_structure(c)
+    assert all(type(x) is Q for row in ints.images for v in row for x in v.values())
+    assert all(type(t[-1]) is Q for row in ints.rho for t in row)
+
+
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        ("images", {2: Q(1)}, "not in range"),
+        ("images", {-1: Q(1)}, "not in range"),
+        ("images", {0: Q(0)}, "zero coefficient"),
+        ("images", {0: 0.5}, "not rational"),
+        ("images", {0: "1"}, "not rational"),
+        ("rho", (1, 1, Q(2)), "occurs twice"),
+        ("rho", (0, 4, Q(1)), "not in range"),
+        ("rho", (2, 0, Q(1)), "not in range"),
+        ("rho", (0, 0, 0), "zero coefficient"),
+        ("rho", (0, 0, 1.5), "not rational"),
+    ],
+)
+def test_from_sparse_rejects_a_bad_term(where, value, message):
+    c = build_C(CFamilyDescriptor(Q(3), Q(2), Q(5)))
+    images, rho = _sparse_copy(c)
+    if where == "images":
+        images[1][2] = value
+    else:
+        rho[1].append(value)
+    with pytest.raises(ValueError, match=message):
+        YDObject.from_sparse(c.hopf, 2, c.alg, images, rho)
+
+
+def test_from_sparse_rejects_a_wrong_shape():
+    c = build_C(CFamilyDescriptor(Q(3), Q(2), Q(5)))
+    images, rho = _sparse_copy(c)
+    for bad_images, bad_rho in ((images[:1], rho), ([images[0], images[1][:3]], rho), (images, rho[:1])):
+        with pytest.raises(ValueError):
+            YDObject.from_sparse(c.hopf, 2, c.alg, bad_images, bad_rho)
+    with pytest.raises(ValueError):
+        YDObject.from_sparse(c.hopf, 3, c.alg)
 
 
 def test_carrier_is_frozen_and_computes_its_views_once():
@@ -536,6 +594,30 @@ def test_grading_error_on_non_homogeneous_basis():
     assert check_module(mod).ok
     with pytest.raises(GradingError):
         action_grading(mod, h4.meta["g"])
+
+
+@pytest.mark.parametrize(
+    "rho_x, parity",
+    [
+        ([(1, 0, 1)], 0),
+        ([(1, 1, 1)], 1),
+        ([(0, 2, 5), (1, 1, 1)], 1),  # the h part is projected away
+        ([(0, 1, 1), (1, 0, 1)], None),
+        ([(1, 0, 1), (1, 1, 1)], None),
+        ([(1, 0, 2)], None),
+        ([(0, 0, 1)], None),
+    ],
+)
+def test_coaction_grading_reads_the_grouplike_part(rho_x, parity):
+    from hopfbrauer.yd import GradingError, coaction_grading
+
+    h4 = build_h4()
+    obj = YDObject.from_sparse(h4, 2, rho=[[(0, 0, 1)], rho_x])
+    if parity is None:
+        with pytest.raises(GradingError):
+            coaction_grading(obj, h4.meta["pi_keep"])
+    else:
+        assert coaction_grading(obj, h4.meta["pi_keep"]) == (0, parity)
 
 
 def test_solve_linear_dimension_mismatch():
