@@ -21,6 +21,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .linalg import (
+    Echelon,
     IntVec,
     Matrix,
     SparseVec,
@@ -236,37 +237,25 @@ class StructureAlgebra:
     @cached_property
     def generators(self) -> tuple[int, ...] | None:
         """Basis indices G, taken greedily in index order, whose closure from 1
-        under left multiplication by G spans the algebra, decided by an integer
-        echelon on ``int_sp``; None when the unit law fails or the span falls
-        short."""
+        under left multiplication by G spans the algebra, decided by an
+        ``Echelon`` on ``int_sp``; None when the unit law fails or the span
+        falls short."""
         if _unit_law_failures(self):
             return None
-        echelon: dict[int, IntVec] = {}  # leading index -> row
-        gens, found = [], []
-
-        def residue(v: IntVec) -> IntVec:
-            """A multiple of v minus its part in the echelon's span."""
-            while v and min(v) in echelon:
-                row = echelon[k := min(v)]
-                g = math.gcd(row[k], v[k])
-                v = sparse_sum(((row[k] // g, v), (-v[k] // g, row)))
-            return v
+        span, gens = Echelon(), []
 
         def close(pairs):
             for g, v in pairs:  # grows as vectors are found
-                w = residue(v if g is None else self.mul_int({g: 1}, v))
+                w = span.insert(v if g is None else self.mul_int({g: 1}, v))
                 if w:
-                    g = math.gcd(*w.values())
-                    found.append(w := {k: c // g for k, c in w.items()})
-                    echelon[min(w)] = w
                     pairs += [(h, w) for h in gens]
 
         close([(None, scaled(sparse_vec(self.unit))[0])])
         for i in range(self.dim):
-            if len(echelon) < self.dim and residue({i: 1}):
+            if len(span.rows) < self.dim and span.reduce({i: 1}):
                 gens.append(i)
-                close([(i, v) for v in found])
-        return tuple(gens) if len(echelon) == self.dim else None
+                close([(i, v) for v in span.rows.values()])
+        return tuple(gens) if len(span.rows) == self.dim else None
 
     @cached_property
     def associative(self) -> bool:

@@ -3,8 +3,8 @@
 Everything in this package runs over ℚ, represented by ``fractions.Fraction``.
 This module supplies the matrix type (built dense or from integer rows, each
 form a lazy view of the other), determinants (sparse pivoting elimination on
-integer rows, each over one row denominator, for every size), exact linear
-solving with kernel bases, Kronecker products and rational square testing.
+integer rows, each over one row denominator, for every size), one integer
+echelon for every solve, Kronecker products and rational square testing.
 
 Tensor index convention, fixed globally: the left factor is major, so the
 basis vector e_i ⊗ e_j of V ⊗ W sits at flat index ``i * dim(W) + j``.
@@ -192,12 +192,7 @@ class Matrix:
         """(den, {column: integer}) for each row: den is the least common
         denominator of the row's nonzero entries and the integers are those
         entries times den, so they share no factor with den."""
-        out = []
-        for r in self.data:
-            entries = [(c, v) for c, v in enumerate(r) if v]
-            den = math.lcm(*(v.denominator for _, v in entries))
-            out.append((den, {c: v.numerator * (den // v.denominator) for c, v in entries}))
-        return out
+        return [(den, v) for v, den in map(scaled, map(sparse_vec, self.data))]
 
     # -- basics --------------------------------------------------------
 
@@ -291,20 +286,17 @@ class Matrix:
         return mat_det(self)
 
     def inverse(self) -> "Matrix":
-        """A⁻¹, read off one reduced echelon form [I | A⁻¹] of [A | I];
-        ``ZeroDivisionError`` when A is singular."""
+        """A⁻¹, read off the ``Echelon`` [I | A⁻¹] of [A | I]; ``ZeroDivisionError`` if singular."""
         if not self.is_square():
             raise DimensionError("inverse of non-square matrix")
         n = self.rows
-        pivots = _sparse_rref([{**sparse_vec(r), n + i: Fraction(1)} for i, r in enumerate(self.data)], 2 * n)
+        pivots = Echelon({**v, n + i: den} for i, (den, v) in enumerate(self.int_rows)).rows
         if any(p not in pivots for p in range(n)):
             raise ZeroDivisionError("matrix is singular")
-        zero = Fraction(0)
-        return Matrix([[pivots[p].get(n + c, zero) for c in range(n)] for p in range(n)])
+        return Matrix([[Fraction(pivots[p].get(n + c, 0), pivots[p][p]) for c in range(n)] for p in range(n)])
 
     def rank(self) -> int:
-        rows = [sparse_vec(r) for r in self.data]
-        return len(_sparse_rref(rows, self.cols))
+        return len(Echelon(v for _, v in self.int_rows).rows)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -452,69 +444,82 @@ class LinearSolution:
         return self.particular is not None
 
 
-def _sparse_rref(rows: list[dict[int, Fraction]], ncols: int) -> dict[int, dict[int, Fraction]]:
-    """Reduced row echelon form of sparse rows; returns {pivot col: row}.
+class Echelon:
+    """The reduced row echelon form of a growing span: ``rows[p]`` is an integer
+    row of content 1, positive at its least column p and zero at every other
+    pivot. The RREF is unique, so rows[p] / rows[p][p] is its row at p."""
 
-    Pivot rows are normalized to leading coefficient 1 and fully reduced
-    against each other. Deterministic: pivots are chosen at the smallest
-    column of each incoming row.
-    """
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for raw in rows:
-        r = dict(raw)
-        for c in sorted(set(r) & set(pivots)):
-            f = r.get(c)
-            if not f:
-                continue
-            for cc, vv in pivots[c].items():
-                nv = r.get(cc, Fraction(0)) - f * vv
-                if nv:
-                    r[cc] = nv
-                elif cc in r:
-                    del r[cc]
-        if not r:
-            continue
-        p = min(r)
-        inv = 1 / r[p]
-        r = {c: v * inv for c, v in r.items()}
-        for q, prow in pivots.items():
-            f = prow.get(p)
-            if f:
-                for cc, vv in r.items():
-                    nv = prow.get(cc, Fraction(0)) - f * vv
-                    if nv:
-                        prow[cc] = nv
-                    elif cc in prow:
-                        del prow[cc]
-        pivots[p] = r
-    return pivots
+    def __init__(self, rows: Iterable[IntVec] = ()):
+        self.rows: dict[int, IntVec] = {}
+        for v in rows:
+            self.insert(v)
+
+    def reduce(self, v: IntVec, rows=None) -> IntVec:
+        """L·v minus the multiple of each row (of ``rows`` if given) that clears
+        v at its pivot, L > 0 the lcm of those pivots: {} iff v is in the span."""
+        rows = self.rows if rows is None else rows
+        hits = [c for c in v if c in rows]
+        if not hits:
+            return {c: x for c, x in v.items() if x}
+        lift = math.lcm(*[rows[c][c] for c in hits])
+        out = dict(v) if lift == 1 else {c: lift * x for c, x in v.items()}
+        for p in hits:
+            f = lift * v[p] // rows[p][p]
+            for c, y in rows[p].items():
+                out[c] = out.get(c, 0) - f * y
+        return {c: x for c, x in out.items() if x}
+
+    def insert(self, v: IntVec) -> IntVec | None:
+        """Add v to the span and return its row (None if v was in the span),
+        reducing every other row by it."""
+        if not (w := v and self.reduce(v)):  # a zero product is common
+            return None
+        w = _primitive(w)
+        p = min(w)
+        for q, row in self.rows.items():
+            if p in row:
+                self.rows[q] = _primitive(self.reduce(row, {p: w}))
+        self.rows[p] = w
+        return w
+
+
+def _primitive(v: IntVec) -> IntVec:
+    """v over its content, signed to be positive at its least column."""
+    g = math.gcd(*v.values()) * (1 if v[min(v)] > 0 else -1)
+    return {c: x // g for c, x in v.items()}
+
+
+def _solution(rows: Iterable[IntVec], n: int) -> LinearSolution:
+    """The solution and kernel basis read off the ``Echelon`` of augmented
+    integer rows, b in column n."""
+    pivots = Echelon(rows).rows
+    kernel = []
+    for f in range(n):
+        if f not in pivots:
+            v = zero_vec(n)
+            v[f] = Fraction(1)
+            for p, row in pivots.items():
+                if f in row:
+                    v[p] = Fraction(-row[f], row[p])
+            kernel.append(v)
+    if n in pivots:
+        return LinearSolution(None, kernel)
+    zero = Fraction(0)
+    particular = [Fraction(pivots[p].get(n, 0), pivots[p][p]) if p in pivots else zero for p in range(n)]
+    return LinearSolution(particular, kernel)
 
 
 def solve_sparse(rows: list[dict[int, Fraction]], rhs: list[Fraction], nunknowns: int) -> LinearSolution:
     """Solve a sparse linear system given as dict rows plus right-hand sides."""
     if len(rows) != len(rhs):
         raise DimensionError("row/rhs length mismatch")
-    aug = []
-    for r, b in zip(rows, rhs):
-        d = dict(r)
-        if b:
-            d[nunknowns] = Fraction(b)
-        aug.append(d)
-    pivots = _sparse_rref(aug, nunknowns + 1)
-    if nunknowns in pivots:
-        return LinearSolution(None, _kernel_from_rref({c: r for c, r in pivots.items() if c < nunknowns}, nunknowns))
-    particular = zero_vec(nunknowns)
-    for p, prow in pivots.items():
-        particular[p] = prow.get(nunknowns, Fraction(0))
-    kernel = _kernel_from_rref(pivots, nunknowns)
-    return LinearSolution(particular, kernel)
+    return _solution((scaled({**r, nunknowns: b} if b else r)[0] for r, b in zip(rows, rhs)), nunknowns)
 
 
 def solve_columns(blocks, unknowns: int, dim: int) -> LinearSolution:
     """Solve Σ_j x_j·cols[j] = target for every (cols, target) in ``blocks``,
-    the columns and targets sparse vectors in kᵈⁱᵐ. Row k of a block holds
-    coefficient k of each column; rows go to ``solve_sparse`` block by block,
-    k ascending, zero rows included, which fixes the solution it returns."""
+    the columns and targets sparse vectors in kᵈⁱᵐ; row k of a block holds
+    coefficient k of each column."""
     rows, rhs = [], []
     for cols, target in blocks:
         block = [{} for _ in range(dim)]
@@ -526,38 +531,27 @@ def solve_columns(blocks, unknowns: int, dim: int) -> LinearSolution:
     return solve_sparse(rows, rhs, unknowns)
 
 
-def _kernel_from_rref(pivots: dict[int, dict[int, Fraction]], nunknowns: int) -> list[list[Fraction]]:
-    free = [c for c in range(nunknowns) if c not in pivots]
-    basis = []
-    for f in free:
-        v = zero_vec(nunknowns)
-        v[f] = Fraction(1)
-        for p, prow in pivots.items():
-            coef = prow.get(f)
-            if coef:
-                v[p] = -coef
-        basis.append(v)
-    return basis
-
-
 def solve_linear(a: Matrix, b: Sequence[Fraction]) -> LinearSolution:
     """Solve A·x = b exactly; also returns a basis of ker(A)."""
     if a.rows != len(b):
         raise DimensionError("rhs length does not match row count")
-    rows = [sparse_vec(r) for r in a.data]
-    return solve_sparse(rows, vec(b), a.cols)
+    n = a.cols
+    rows = ({**{c: y * x.denominator for c, y in v.items()}, n: x.numerator * den} if x else v
+            for (den, v), x in zip(a.int_rows, vec(b)))
+    return _solution(rows, n)
 
 
 def kernel_basis(a: Matrix) -> list[list[Fraction]]:
-    rows = [sparse_vec(r) for r in a.data]
-    return _kernel_from_rref(_sparse_rref(rows, a.cols), a.cols)
+    return _solution((v for _, v in a.int_rows), a.cols).kernel
+
+
+def span_of(basis: Sequence[Sequence[Fraction]], n: int) -> Echelon:
+    """The ``Echelon`` of dense vectors of length n; ``DimensionError`` otherwise."""
+    if any(len(b) != n for b in basis):
+        raise DimensionError("vectors of different lengths")
+    return Echelon(scaled(sparse_vec(b))[0] for b in basis)
 
 
 def in_span(basis: list[list[Fraction]], v: Sequence[Fraction]) -> bool:
     """Exact membership of v in the span of the given vectors."""
-    if is_zero_vec(v):
-        return True
-    if not basis:
-        return False
-    a = Matrix.from_cols(basis)
-    return solve_linear(a, vec(v)).consistent
+    return not span_of(basis, len(v)).reduce(scaled(sparse_vec(v))[0])

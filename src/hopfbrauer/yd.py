@@ -42,7 +42,6 @@ from .linalg import (
     SparseVec,
     common_denominator,
     dense_vec,
-    in_span,
     mat_det,
     over,
     rational_is_square,
@@ -51,6 +50,7 @@ from .linalg import (
     scaled_rows,
     scaled_vecs,
     solve_columns,
+    span_of,
     sparse_sum,
     sparse_vec,
 )
@@ -72,7 +72,9 @@ class NoRationalNormalization(ValueError):
 
 
 class _Canonical(list):
-    """A canonical ``images`` or ``rho``, shared by objects built from it."""
+    """A canonical ``images`` or ``rho``, shared by objects built from it, and its integer form."""
+
+    int_form = None
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -142,16 +144,20 @@ class YDObject:
         n = self.hopf.dim
         return [dense_vec({a * n + k: c for a, k, c in row}, self.dim * n) for row in self.rho]
 
-    @cached_property
+    @property
     def int_rho(self) -> tuple[int, list[tuple[tuple[int, int, int], ...]]]:
         """(D_c, ``rho`` times D_c), D_c the least common denominator of the coaction."""
-        return scaled_rows(self.rho)
+        if self.rho.int_form is None:
+            self.rho.int_form = scaled_rows(self.rho)
+        return self.rho.int_form
 
-    @cached_property
+    @property
     def int_images(self) -> tuple[int, list[list[IntVec]]]:
         """(D_a, ``images`` times D_a), D_a the least common denominator of the action."""
-        den = common_denominator(c for row in self.images for v in row for c in v.values())
-        return den, [[scale_sparse(v, den) for v in row] for row in self.images]
+        if self.images.int_form is None:
+            den = common_denominator(c for row in self.images for v in row for c in v.values())
+            self.images.int_form = den, [[scale_sparse(v, den) for v in row] for row in self.images]
+        return self.images.int_form
 
     @cached_property
     def module_failures(self) -> list[str]:
@@ -792,16 +798,17 @@ def yd_centralizers(a: YDObject, sub_basis: list[list[Fraction]]) -> tuple[list,
     d, n = alg.dim, a.hopf.dim
     rho, images = a.rho, a.images
     subs = [sparse_vec(b) for b in sub_basis]
+    span = span_of(sub_basis, d)
     # acted[k] = e_k·b, one list per b
     acted_all = [[a.act({k: 1}, b) for k in range(n)] for b in subs]
     for b, acted in zip(subs, acted_all):
-        if not all(in_span(sub_basis, dense_vec(v, d)) for v in acted):
+        if any(span.reduce(scaled(v)[0]) for v in acted):
             raise ValueError("subspace not closed under the H-action")
         # ρ(b) = Σ_k components[k] ⊗ e_k
         components = [
             sparse_sum((c * v, {p: 1}) for j, c in b.items() for p, i, v in rho[j] if i == k) for k in range(n)
         ]
-        if not all(in_span(sub_basis, dense_vec(comp, d)) for comp in components):
+        if any(span.reduce(scaled(comp)[0]) for comp in components):
             raise ValueError("subspace not closed under the H-coaction")
 
     left_eqs = []

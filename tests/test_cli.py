@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from fractions import Fraction as Q
@@ -25,6 +26,18 @@ def test_verify_single_suite(capsys, tmp_path):
     assert report["all_pass"]
     assert all(rec["anchor"] for rec in report["checks"])
     assert "checks passed" in out
+
+
+# sha256 of the file `hopfbrauer verify --suite all --seed 7 --samples 20 --json` writes
+REPORT_SHA256_SEED_7_SAMPLES_20 = "31fc7097b9a82fb9cb90e1547ab42fb9aae661366d38789a7c8c3a4af6d98e7c"
+
+
+def test_seed7_report_file_is_pinned(capsys, tmp_path):
+    report_path = tmp_path / "r.json"
+    argv = ["verify", "--suite", "all", "--seed", "7", "--samples", "20", "--json", str(report_path)]
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(report_path.read_bytes()).hexdigest() == REPORT_SHA256_SEED_7_SAMPLES_20
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

@@ -403,6 +403,14 @@ def test_generating_sets_of_the_ladder_objects():
     assert len(aut_algebra(Q(5, 2)).alg.generators) == 7
 
 
+def test_generating_sets_are_pinned():
+    # the tuples the greedy closure gave before it ran on linalg.Echelon
+    assert build_e2().alg.generators == (1, 2, 4)
+    assert aut_algebra(Q(5, 2)).alg.generators == (0, 1, 2, 3, 4, 8, 12)
+    assert drinfeld_double(build_h4())[0].alg.generators == (0, 1, 2, 5, 6, 8, 12)
+    assert drinfeld_double(build_e2())[0].alg.generators == (0, 1, 2, 4, 6, 9, 10, 12, 16, 24, 32, 40)
+
+
 # -- one case per prerequisite -----------------------------------------------------
 
 

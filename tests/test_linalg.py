@@ -14,6 +14,7 @@ from hopfbrauer.linalg import (
     DimensionError,
     Matrix,
     format_rational,
+    in_span,
     kernel_basis,
     kron,
     mat_det,
@@ -453,6 +454,39 @@ def test_solve_forced():
 def test_solve_inconsistent():
     sol = solve_linear(Matrix([[1, 1], [1, 1]]), [Q(0), Q(1)])
     assert sol.particular is None
+
+
+def test_solvers_reject_mismatched_shapes():
+    with pytest.raises(DimensionError):
+        solve_sparse([{0: Q(1)}], [Q(1), Q(2)], 1)
+    with pytest.raises(DimensionError):
+        solve_sparse([{0: Q(1)}, {1: Q(1)}], [Q(1)], 2)
+    with pytest.raises(DimensionError):
+        solve_linear(Matrix([[1, 2]]), [Q(1), Q(2)])
+    with pytest.raises(DimensionError):
+        solve_linear(Matrix([[1, 2], [3, 4]]), [Q(1)])
+
+
+@pytest.mark.parametrize("v", [[1], [1, 1, 1], [0, 1, 0]])
+def test_in_span_rejects_a_vector_of_another_length(v):
+    with pytest.raises(DimensionError):
+        in_span([[Q(1), Q(0)], [Q(0), Q(1)]], v)
+
+
+def test_in_span_rejects_ragged_basis_vectors():
+    # a shorter vector after the first raised IndexError before the echelon
+    with pytest.raises((DimensionError, IndexError)):
+        in_span([[1, 0], [1]], [1, 1])
+    with pytest.raises((DimensionError, IndexError)):
+        in_span([[1, 0, 0], [0, 1]], [1, 0, 0])
+
+
+def test_in_span_rejects_a_basis_vector_longer_than_v():
+    # read as its first len(v) entries, this used to answer True
+    with pytest.raises(DimensionError):
+        in_span([[1], [1, 0]], [1])
+    with pytest.raises(DimensionError):
+        in_span([[1, 0], [1]], [1, 1])
 
 
 def test_solve_random_consistent_substitute_back():

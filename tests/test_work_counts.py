@@ -25,7 +25,10 @@ object. A Hopf algebra that passed ``check_hopf_axioms`` is not checked
 again for the Yetter-Drinfeld condition, an inverse is one elimination,
 neither the seed-7 report nor the d = 16 rung builds the dense action or
 coaction view of any object, and an object built from another's action or
-coaction shares it without canonicalizing it again."""
+coaction shares it, and its integer form, without canonicalizing or
+scaling it again. The inverse, rank, kernel and solve of a matrix built
+from integer rows build no dense view of it, and the YD centralizers build
+one echelon of the sub-basis per call."""
 
 import random
 import sys
@@ -460,18 +463,25 @@ def test_module_law_is_checked_once_per_object(monkeypatch):
     assert laws.count("module_law") == 1
 
 
-def test_an_inverse_is_one_elimination(monkeypatch):
+def _counted_echelons(monkeypatch) -> list:
+    """Record the rows of every ``linalg.Echelon`` built from then on."""
     calls = []
-    rref = linalg._sparse_rref
 
-    def counted(rows, ncols):
-        calls.append(ncols)
-        return rref(rows, ncols)
+    class Counted(linalg.Echelon):
+        def __init__(self, rows=()):
+            rows = list(rows)
+            calls.append(rows)
+            super().__init__(rows)
 
-    monkeypatch.setattr(linalg, "_sparse_rref", counted)
+    monkeypatch.setattr(linalg, "Echelon", Counted)
+    return calls
+
+
+def test_an_inverse_is_one_elimination(monkeypatch):
+    calls = _counted_echelons(monkeypatch)
     m = Matrix([[2, 1, 0, Q(1, 3)], [1, 3, 1, 0], [0, 1, 4, -1], [5, 0, 0, 1]])
     assert m @ m.inverse() == Matrix.identity(4)
-    assert calls == [8]
+    assert [max(c for row in rows for c in row) + 1 for rows in calls] == [8]
 
 
 def test_no_dense_action_or_coaction_view_is_built(monkeypatch):
@@ -511,3 +521,41 @@ def test_derived_objects_share_the_store_they_keep(monkeypatch):
     induced = yd.induced_coaction(c, sweedler.build_rt(Q(3)))
     assert induced.images is c.images and len(calls) == c.dim  # one canonical_terms per new ρ(e_j)
     assert yd.induced_action(c, sweedler.build_rt_form(Q(3))).rho is c.rho
+
+
+def test_derived_objects_share_the_integer_views():
+    c = _ladder_rung_d8()
+    opposite = h_opposite(c)
+    assert opposite.int_images is c.int_images and opposite.int_rho is c.int_rho
+    assert yd.induced_coaction(c, sweedler.build_rt(Q(3))).int_images is c.int_images
+    assert yd.induced_action(c, sweedler.build_rt_form(Q(3))).int_rho is c.int_rho
+    assert h_opposite(opposite).int_images is c.int_images
+
+
+def test_solvers_read_integer_rows_without_a_dense_view():
+    square = [(3, {0: 6, 1: 1}), (1, {1: 3, 2: 1}), (2, {2: 8, 3: -2}), (1, {0: 5, 3: 1})]
+    # row 2 is row 0 + 2·row 1, so the kernel is two-dimensional
+    wide = [(2, {0: 1, 3: -4}), (3, {1: 2, 2: 7}), (6, {0: 3, 1: 8, 2: 28, 3: -12})]
+    cases = [
+        (square, Matrix.inverse),
+        (square, Matrix.rank),
+        (wide, Matrix.rank),
+        (wide, linalg.kernel_basis),
+        (wide, lambda m: linalg.solve_linear(m, [Q(1), Q(-1, 3), Q(1, 3)])),
+        (wide, lambda m: linalg.solve_linear(m, [Q(1), Q(0), Q(0)])),  # inconsistent
+    ]
+    for rows, op in cases:
+        m = Matrix.from_int_rows(rows, 4)
+        dense = Matrix([[Q(v.get(c, 0), den) for c in range(4)] for den, v in rows])
+        assert op(m) == op(dense)
+        assert "data" not in m.__dict__
+
+
+def test_centralizers_build_one_echelon_of_the_sub_basis(monkeypatch):
+    c = _ladder_rung_d8()
+    calls = _counted_echelons(monkeypatch)
+    # the first factor, a ⊗ 1 for a in C(2/3; 1, −1) # C(−7/9; 1/2, −4)
+    left, right = yd.yd_centralizers(c, [c.alg.basis_vec(i) for i in (0, 2, 4, 6)])
+    assert len(left) == len(right) == 2
+    # the sub-basis once, then the left and the right solve
+    assert len(calls) == 3 and calls[0] == [{0: 1}, {2: 1}, {4: 1}, {6: 1}]
