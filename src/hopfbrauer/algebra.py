@@ -406,27 +406,21 @@ def endomorphism_algebra(n: int) -> StructureAlgebra:
     """End(kⁿ) on the matrix-unit basis E_pq (e_q ↦ e_p).
 
     Flat index of E_pq is q·n + p: the dual index is major, matching the
-    identification End(V) ≅ V* ⊗ V used throughout.
+    identification End(V) ≅ V* ⊗ V used throughout. The n³ products
+    E_pq·E_qs = E_ps go to ``StructureAlgebra.from_int``; all others are zero.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     dim = n * n
-
-    def idx(p: int, q: int) -> int:
-        return q * n + p
-
     basis = [f"E{p + 1}{q + 1}" for q in range(n) for p in range(n)]
-    unit = zero_vec(dim)
+    unit = [0] * dim
+    table = [[[] for _ in range(dim)] for _ in range(dim)]
     for p in range(n):
-        unit[idx(p, p)] = Fraction(1)
-    mult = [[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
-    for p in range(n):
+        unit[p * n + p] = 1
         for q in range(n):
-            for r in range(n):
-                for s in range(n):
-                    if q == r:
-                        mult[idx(p, q)][idx(r, s)][idx(p, s)] = Fraction(1)
-    return StructureAlgebra(basis, unit, mult, name=f"End(k^{n})")
+            for s in range(n):
+                table[q * n + p][s * n + q].append((s * n + p, 1))
+    return StructureAlgebra.from_int(basis, unit, table, 1, name=f"End(k^{n})")
 
 
 def operator_to_vec(m: Matrix) -> list[Fraction]:
@@ -450,7 +444,7 @@ def _commutator_blocks(a: StructureAlgebra, cols: Sequence[int], signs: Sequence
 
 def center(a: StructureAlgebra) -> list[list[Fraction]]:
     """Basis of {z : z·e_i = e_i·z for all i}, by one linear solve."""
-    return solve_columns(_commutator_blocks(a, range(a.dim), [1] * a.dim), a.dim, a.dim).kernel
+    return solve_columns(_commutator_blocks(a, range(a.dim), [1] * a.dim), a.dim).kernel
 
 
 def super_center(a: StructureAlgebra, grading: Grading) -> list[list[Fraction]]:
@@ -466,7 +460,7 @@ def super_center(a: StructureAlgebra, grading: Grading) -> list[list[Fraction]]:
         if not cols:
             continue
         signs = [-1 if pz and p else 1 for p in grading.parity]
-        kernel = solve_columns(_commutator_blocks(a, cols, signs), len(cols), a.dim).kernel
+        kernel = solve_columns(_commutator_blocks(a, cols, signs), len(cols)).kernel
         out += [dense_vec(dict(zip(cols, kvec)), a.dim) for kvec in kernel]
     return out
 

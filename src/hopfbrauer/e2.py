@@ -112,10 +112,9 @@ def build_e2() -> HopfAlgebra:
         acc = sparse_vec(alg.unit)
         for gen in reversed(word):
             acc = alg.mul_sparse(acc, s_gen[gen])
-        cols.append(dense_vec(acc, 8))
-    antipode = Matrix.from_cols(cols)
+        cols.append(acc)
     meta = {"c": 1, "x1": 2, "x2": 4, "pi_keep": (0, 1)}
-    return HopfAlgebra.from_sparse(alg, cop, counit, antipode, name="E2", meta=meta)
+    return HopfAlgebra.from_sparse(alg, cop, counit, cols, name="E2", meta=meta)
 
 
 @functools.lru_cache(maxsize=None)
@@ -253,7 +252,7 @@ def bq_grad_member(a: YDObject) -> bool:
 def _k_z2() -> HopfAlgebra:
     """The group algebra kℤ₂ on the basis 1, g, with g grouplike and g² = 1."""
     alg = StructureAlgebra.from_sparse(["1", "g"], [1, 0], [[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, 1)]]], name="kZ2")
-    antipode = Matrix.identity(2)
+    antipode = [{0: 1}, {1: 1}]
     return HopfAlgebra.from_sparse(
         alg, [[(0, 0, 1)], [(1, 1, 1)]], [1, 1], antipode, antipode, name="kZ2", meta={"g": 1, "pi_keep": (0, 1)}
     )

@@ -1,11 +1,12 @@
 """Hopf algebras as structure-constant data.
 
 A Hopf algebra is a :class:`~hopfbrauer.algebra.StructureAlgebra` with a
-coproduct, a counit vector and antipode matrices S, S⁻¹. Δ is stored sparse
-only, ``_spcop[i]`` = Δ(e_i) as (p, q, c) triples sorted by (p, q), every c
-a nonzero Fraction; the dense Δ[i] (entry p·dim + q) is only an input
-format. The module checks axioms and builds duals, Drinfeld doubles with
-their canonical R, (co)quasitriangular structures and Hopf morphisms.
+coproduct, a counit vector and an antipode S with its inverse, all stored
+sparse: ``_spcop[i]`` = Δ(e_i) as (p, q, c) triples sorted by (p, q), and
+``s_cols[j]``, ``s_inv_cols[j]`` = S(e_j), S⁻¹(e_j) as {k: c} sorted by k,
+every c a nonzero Fraction. The module checks axioms and builds duals,
+Drinfeld doubles with their canonical R, (co)quasitriangular structures and
+Hopf morphisms.
 
 Elements of H ⊗ H and H ⊗ H ⊗ H are sparse dicts keyed by index tuples,
 left factor major. Their products (``t2_mul``, ``t3_mul``), the Hopf,
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import CheckReport, StructureAlgebra, canonical_terms, check_algebra_axioms, on_generators
 from .linalg import (
@@ -42,9 +43,10 @@ from .linalg import (
 
 
 class HopfAlgebra:
-    """A Hopf algebra on the basis of ``alg``. Only the sparse coproduct
-    ``_spcop`` is stored; ``__init__`` takes the dense Δ and ``from_sparse``
-    the triples themselves."""
+    """A Hopf algebra on the basis of ``alg``. ``__init__`` converts the dense
+    Δ (Δ[i] at p·dim + q), S and S⁻¹ once, ``from_sparse`` takes the sparse
+    store; ``antipode`` and ``antipode_inv`` are dense views of it, built on
+    first read."""
 
     def __init__(
         self,
@@ -61,7 +63,12 @@ class HopfAlgebra:
         if len(cop) != n or any(len(c) != n * n for c in cop):
             raise ValueError("coproduct tensor has wrong shape")
         spcop = [tuple((k // n, k % n, c) for k, c in enumerate(row) if c) for row in cop]
-        self._set(alg, spcop, counit, antipode, antipode_inv, name, meta)
+        cols = []
+        for label, m in (("antipode", antipode), ("antipode_inv", antipode_inv)):
+            if m is not None and (m.rows, m.cols) != (n, n):
+                raise ValueError(f"{label} is {m.rows}×{m.cols}, expected {n}×{n}")
+            cols.append(None if m is None else [sparse_vec(col) for col in zip(*m.data)])
+        self._set(alg, spcop, counit, *cols, name, meta)
 
     @classmethod
     def from_sparse(
@@ -69,15 +76,16 @@ class HopfAlgebra:
         alg: StructureAlgebra,
         coproduct: Sequence[Iterable[Sequence]],
         counit: Sequence,
-        antipode: Matrix,
-        antipode_inv: Matrix | None = None,
+        antipode: Sequence[SparseVec],
+        antipode_inv: Sequence[SparseVec] | None = None,
         name: str = "",
         meta: dict | None = None,
     ) -> "HopfAlgebra":
-        """The Hopf algebra with Δ(e_i) = Σ c·e_p ⊗ e_q over the (p, q, c)
-        triples of coproduct[i], canonicalized by ``canonical_terms`` (so
-        ``ValueError`` on a bad index, a repeated (p, q) or a zero or
-        non-rational c)."""
+        """The Hopf algebra with Δ(e_i) = Σ c·e_p ⊗ e_q over the (p, q, c) of
+        coproduct[i] and S(e_j) = Σ c·e_k over the {k: c} of antipode[j], S⁻¹
+        likewise (inverted from S if not given), canonicalized by
+        ``canonical_terms`` (``ValueError`` on a wrong length, a bad or
+        repeated index or a zero or non-rational c)."""
         n = alg.dim
         if len(coproduct) != n:
             raise ValueError("coproduct table has wrong length")
@@ -90,22 +98,33 @@ class HopfAlgebra:
         alg: StructureAlgebra,
         spcop: list,
         counit: Sequence,
-        antipode: Matrix,
-        antipode_inv: Matrix | None,
+        antipode: Sequence[SparseVec],
+        antipode_inv: Sequence[SparseVec] | None,
         name: str,
         meta: dict | None,
     ) -> None:
         self.alg = alg
         self.dim = alg.dim
         self.counit = vec(counit)
-        self.antipode = antipode
-        self.antipode_inv = antipode_inv if antipode_inv is not None else antipode.inverse()
         self.name = name or alg.name
         self.meta = dict(meta or {})
         if len(self.counit) != self.dim:
             raise ValueError("counit vector has wrong length")
         self._spcop = spcop
-        self._sw2: list[tuple[tuple[int, int, int, Fraction], ...]] | None = None
+        self.s_cols = _columns(antipode, self.dim, "antipode")
+        if antipode_inv is None:
+            antipode_inv = [sparse_vec(col) for col in zip(*self.antipode.inverse().data)]
+        self.s_inv_cols = _columns(antipode_inv, self.dim, "antipode_inv")
+
+    @cached_property
+    def antipode(self) -> Matrix:
+        """S as a dense matrix, built from ``s_cols`` on first read."""
+        return Matrix.from_cols([dense_vec(col, self.dim) for col in self.s_cols])
+
+    @cached_property
+    def antipode_inv(self) -> Matrix:
+        """S⁻¹ as a dense matrix, built from ``s_inv_cols`` on first read."""
+        return Matrix.from_cols([dense_vec(col, self.dim) for col in self.s_inv_cols])
 
     @cached_property
     def int_cop(self) -> tuple[int, list[tuple[tuple[int, int, int], ...]]]:
@@ -114,24 +133,28 @@ class HopfAlgebra:
         return scaled_rows(self._spcop)
 
     @cached_property
+    def int_cop2(self) -> tuple[int, list[tuple[tuple[int, int, int, int], ...]]]:
+        """(D_Δ², rows): rows[i] is (Δ⊗id)Δ(e_i) as (l1, l2, l3, c) terms, c
+        an integer over D_Δ², contracted on ``int_cop`` on first use."""
+        den, cop = self.int_cop
+        rows = [sparse_sum((c, {(u, v, q): d for u, v, d in cop[p]}) for p, q, c in row) for row in cop]
+        return den * den, [tuple((*key, c) for key, c in row.items()) for row in rows]
+
+    @cached_property
     def coalgebra_failures(self) -> list[str]:
-        """The coassociativity and counit messages of ``check_hopf_axioms``."""
-        cop, out = self._spcop, []
-        for i, b in enumerate(self.alg.basis):
-            lhs, rhs = {}, {}
-            for p, q, c in cop[i]:
-                for u, v, d in cop[p]:
-                    _acc(lhs, (u, v, q), c * d)
-                for u, v, d in cop[q]:
-                    _acc(rhs, (p, u, v), c * d)
-            if lhs != rhs:
-                out.append(f"coassociativity fails at {b}")
-        for i, b in enumerate(self.alg.basis):
+        """The coassociativity and counit messages of ``check_hopf_axioms``,
+        on ``int_cop2``, ``int_cop`` and ε over its least common denominator."""
+        den_d, cop = self.int_cop
+        counit, den_e = scaled(sparse_vec(self.counit))
+        basis, out = self.alg.basis, []
+        for i, left in enumerate(self.int_cop2[1]):
+            right = sparse_sum((c, {(p, u, v): d for u, v, d in cop[q]}) for p, q, c in cop[i])
+            if {t[:3]: t[3] for t in left} != right:
+                out.append(f"coassociativity fails at {basis[i]}")
+        for i, b in enumerate(basis):
             for side, k in (("ε⊗id", 0), ("id⊗ε", 1)):
-                v = zero_vec(self.dim)
-                for t in cop[i]:
-                    v[t[1 - k]] += t[2] * self.counit[t[k]]
-                if v != self.alg.basis_vec(i):
+                image = sparse_sum((t[2] * counit[t[k]], {t[1 - k]: 1}) for t in cop[i] if t[k] in counit)
+                if image != {i: den_d * den_e}:
                     out.append(f"({side})Δ fails at {b}")
         return out
 
@@ -144,27 +167,19 @@ class HopfAlgebra:
         """Equal coproducts, compared on the canonical sparse tables."""
         return self._spcop == other._spcop
 
-    # -- Sweedler expansions -------------------------------------------
-
     def cop_sparse(self, i: int) -> tuple[tuple[int, int, Fraction], ...]:
         """Δ(e_i) as sparse (left, right, coeff) triples."""
         return self._spcop[i]
 
-    def sweedler2(self, i: int) -> tuple[tuple[int, int, int, Fraction], ...]:
-        """(Δ ⊗ id)Δ(e_i) as sparse (l1, l2, l3, coeff) tuples."""
-        if self._sw2 is None:
-            table = []
-            for z in range(self.dim):
-                acc: dict[tuple[int, int, int], Fraction] = {}
-                for p, q, c in self._spcop[z]:
-                    for u, v, d in self._spcop[p]:
-                        _acc(acc, (u, v, q), c * d)
-                table.append(tuple((a, b, c_, v) for (a, b, c_), v in acc.items() if v))
-            self._sw2 = table
-        return self._sw2[i]
-
     def __repr__(self) -> str:
         return f"HopfAlgebra({self.name or 'unnamed'}, dim={self.dim})"
+
+
+def _columns(cols: Sequence[SparseVec], n: int, label: str) -> list[SparseVec]:
+    """The n columns of an n×n matrix, canonicalized by ``canonical_terms``."""
+    if len(cols) != n:
+        raise ValueError(f"{label} has {len(cols)} columns, expected {n}×{n}")
+    return [dict(canonical_terms(col.items(), n)) for col in cols]
 
 
 def _acc(d: dict, key, val) -> None:
@@ -266,10 +281,11 @@ def t2_unit(h: HopfAlgebra) -> dict[tuple[int, int], Fraction]:
 def check_hopf_axioms(h: HopfAlgebra) -> CheckReport:
     """Itemized verification of all Hopf axiom families, exactly.
 
-    Δ- and ε-multiplicativity and the antipode laws compare integer sides
-    over known scales, contracted on ``int_sp``; messages name the basis
-    elements where an identity fails. Δ- and ε-multiplicativity share one
-    ``on_generators`` loop, given Δ(1) = 1⊗1 and ε(1) = 1."""
+    Δ- and ε-multiplicativity and the antipode laws (``antipode_failures``)
+    compare integer sides over known scales, contracted on ``int_sp``;
+    messages name the basis elements where an identity fails. Δ- and
+    ε-multiplicativity share one ``on_generators`` loop, given Δ(1) = 1⊗1
+    and ε(1) = 1."""
     rep = CheckReport(f"Hopf axioms ({h.name or 'unnamed'})")
     alg = h.alg
     n = h.dim
@@ -305,14 +321,7 @@ def check_hopf_axioms(h: HopfAlgebra) -> CheckReport:
 
     rep.failures += on_generators(multiplicative, alg, ok)
 
-    # antipode law
-    for i, (left, right) in enumerate(_antipode_laws(h, [sparse_vec(h.antipode.col(p)) for p in range(n)])):
-        rep.require(left, f"m(S⊗id)Δ fails at {alg.basis[i]}")
-        rep.require(right, f"m(id⊗S)Δ fails at {alg.basis[i]}")
-
-    ident = Matrix.identity(n)
-    rep.require(h.antipode @ h.antipode_inv == ident, "S∘S⁻¹ ≠ id")
-    rep.require(h.antipode_inv @ h.antipode == ident, "S⁻¹∘S ≠ id")
+    rep.failures += antipode_failures(h)
     h.certified = rep.ok
     return rep
 
@@ -336,10 +345,10 @@ def dual_hopf(h: HopfAlgebra) -> HopfAlgebra:
         for v, terms in enumerate(row):
             for i, c in terms:
                 cop[i].append((u, v, c))
-    counit = list(h.alg.unit)
-    antipode = h.antipode.transpose()
-    antipode_inv = h.antipode_inv.transpose()
-    return HopfAlgebra.from_sparse(alg, cop, counit, antipode, antipode_inv, name=alg.name)
+    s, s_inv = (
+        [{j: col[i] for j, col in enumerate(cols) if i in col} for i in range(n)] for cols in (h.s_cols, h.s_inv_cols)
+    )
+    return HopfAlgebra.from_sparse(alg, cop, h.alg.unit, s, s_inv, name=alg.name)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +433,7 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
     # lam[(p, r, i2)] = {m: [e_i2] S⁻¹(e_r)·e_m·e_p}, the functional
     # e_p ⇀ f_i2 ↼ S⁻¹(e_r) on the basis of H, as integers over D_s·D_h²
     # (S⁻¹ over D_s, the product of H over D_h)
-    den_s, sinv = scaled_vecs([sparse_vec(h.antipode_inv.col(r)) for r in range(n)])
+    den_s, sinv = scaled_vecs(h.s_inv_cols)
     lam: dict[tuple[int, int, int], IntVec] = {}
     for r in range(n):
         for m in range(n):
@@ -435,7 +444,7 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
 
     # (Δ⊗id)Δ over D_w; each constant of the double is then an integer over
     # D_w·D_s·D_h³·D_d (the product of H* over D_d), divided once below
-    den_w, sw2 = scaled_rows(h.sweedler2(j) for j in range(n))
+    den_w, sw2 = h.int_cop2
     table: list[list[IntVec]] = [[{} for _ in range(big)] for _ in range(big)]
     for j in range(n):
         for i2 in range(n):
@@ -482,26 +491,27 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
     ]
     counit = [hd.counit[i] * h.counit[j] for i in range(n) for j in range(n)]
 
-    def closed_antipode(s_h: Matrix, s_dual: Matrix) -> list[SparseVec]:
+    def closed_antipode(s_h: list[SparseVec], s_dual: list[SparseVec]) -> list[SparseVec]:
         # column i·n + j is (ε ⋈ s_h e_j)(s_dual f_i ⋈ 1), contracted on
         # integers over D_l·D_r·D_m of the double and divided once
-        den_l, lefts = scaled_vecs([_bowtie(n, eps, sparse_vec(s_h.col(j))) for j in range(n)])
-        den_r, rights = scaled_vecs([_bowtie(n, sparse_vec(s_dual.col(i)), unit_h) for i in range(n)])
+        den_l, lefts = scaled_vecs([_bowtie(n, eps, col) for col in s_h])
+        den_r, rights = scaled_vecs([_bowtie(n, col, unit_h) for col in s_dual])
         scale = den_l * den_r * alg.int_sp[0]
         return [over(alg.mul_int(lefts[j], rights[i]), scale) for i in range(n) for j in range(n)]
 
-    s = closed_antipode(h.antipode, hd.antipode_inv)
-    s_inv = closed_antipode(h.antipode_inv, hd.antipode)
+    s = closed_antipode(h.s_cols, hd.s_inv_cols)
     double = HopfAlgebra.from_sparse(
         alg,
         cop,
         counit,
-        Matrix.from_cols([dense_vec(col, big) for col in s]),
-        Matrix.from_cols([dense_vec(col, big) for col in s_inv]),
+        s,
+        closed_antipode(h.s_inv_cols, hd.s_cols),
         name=alg.name,
         meta={"double_of": h.name or "H", "factor_dim": n},
     )
-    _require_antipode(double, s, s_inv)
+    failure = next(antipode_failures(double), None)
+    if failure:
+        raise ValueError(f"{alg.name}: closed-form antipode fails: {failure}")
 
     r = {
         (m * n + i, i * n + j): a * b
@@ -524,49 +534,34 @@ def _bowtie(n: int, f: SparseVec, a: SparseVec) -> SparseVec:
     return {i * n + j: x * y for i, x in f.items() for j, y in a.items()}
 
 
-def _antipode_laws(h: HopfAlgebra, s_cols: list[SparseVec]) -> list[tuple[bool, bool]]:
-    """For each basis index z, whether m(S⊗id)Δ(e_z) and m(id⊗S)Δ(e_z) equal
-    ε(e_z)·1, for S given by its sparse columns.
-
-    Compared on integers: with S, Δ, ε and 1 scaled over D_S, D_Δ, D_ε and
-    D_u, each side Σ C·(S_u·e_v) is contracted by ``mul_int`` over
-    D_S·D_Δ·D_m, and D_ε·D_u times it must equal D_S·D_Δ·D_m·E_z·U.
-    """
+def antipode_failures(h: HopfAlgebra) -> Iterator[str]:
+    """Yield "m(S⊗id)Δ fails at b", then "m(id⊗S)Δ fails at b", for each
+    basis element b where that law misses ε(b)·1, then "S∘S⁻¹ ≠ id" and
+    "S⁻¹∘S ≠ id" if they fail. On integers: with S, S⁻¹, Δ, ε and 1 over
+    D_S, D_T, D_Δ, D_ε and D_u, D_ε·D_u·Σ C·(S_u·e_v) over D_S·D_Δ·D_m must
+    be D_S·D_Δ·D_m·E_z·U, and Σ T_kz·S_k (S∘S⁻¹ at e_z) must be D_S·D_T·e_z."""
     alg = h.alg
-    den_s, s = scaled_vecs(s_cols)
+    (den_s, s), (den_t, t) = scaled_vecs(h.s_cols), scaled_vecs(h.s_inv_cols)
     den_d, cop = h.int_cop
     counit, den_e = scaled(sparse_vec(h.counit))
     unit, den_u = scaled(sparse_vec(alg.unit))
-    mul = alg.mul_int
     lift = den_e * den_u
     target_scale = den_s * den_d * alg.int_sp[0]
-    laws = []
-    for z in range(h.dim):
+    for z, b in enumerate(alg.basis):
         left: IntVec = {}
         right: IntVec = {}
         for u, v, c in cop[z]:
-            mul(s[u], {v: c}, left)
-            mul({u: c}, s[v], right)
+            alg.mul_int(s[u], {v: c}, left)
+            alg.mul_int({u: c}, s[v], right)
         e = counit.get(z, 0) * target_scale
         target = {k: e * x for k, x in unit.items()} if e else {}
-        laws.append(tuple({k: lift * x for k, x in side.items()} == target for side in (left, right)))
-    return laws
-
-
-def _require_antipode(h: HopfAlgebra, s: list[SparseVec], s_inv: list[SparseVec]) -> None:
-    """Raise ValueError unless the columns s satisfy m(S⊗id)Δ = uε = m(id⊗S)Δ
-    and s_inv is their two-sided inverse, all exactly and on integers."""
-    alg = h.alg
-    laws = _antipode_laws(h, s)
-    (den_s, si), (den_t, ti) = scaled_vecs(s), scaled_vecs(s_inv)
+        for side, acc in (("m(S⊗id)Δ", left), ("m(id⊗S)Δ", right)):
+            if {k: lift * x for k, x in acc.items()} != target:
+                yield f"{side} fails at {b}"
     one = den_s * den_t
-    for z in range(h.dim):
-        for side, ok in zip(("m(S⊗id)Δ", "m(id⊗S)Δ"), laws[z]):
-            if not ok:
-                raise ValueError(f"{alg.name}: closed-form antipode fails {side} = uε at {alg.basis[z]}")
-        for a, b, label in ((si, ti, "S∘S⁻¹"), (ti, si, "S⁻¹∘S")):
-            if sparse_sum((c, a[k]) for k, c in b[z].items()) != {z: one}:
-                raise ValueError(f"{alg.name}: closed-form {label} ≠ id at {alg.basis[z]}")
+    for x, y, label in ((s, t, "S∘S⁻¹"), (t, s, "S⁻¹∘S")):
+        if any(sparse_sum((c, x[k]) for k, c in y[z].items()) != {z: one} for z in range(h.dim)):
+            yield f"{label} ≠ id"
 
 
 def bowtie_vec(double_dim_factor: int, fvec: Sequence[Fraction], avec: Sequence[Fraction]) -> list[Fraction]:
@@ -853,7 +848,6 @@ def check_hopf_morphism(f: HopfMorphism) -> CheckReport:
     src, tgt = f.source, f.target
     basis = src.alg.basis
     cols = [sparse_vec(f.matrix.col(i)) for i in range(src.dim)]
-    t_cols = [sparse_vec(tgt.antipode.col(k)) for k in range(tgt.dim)]
 
     def image(v, images=cols) -> SparseVec:
         return sparse_sum((c, images[k]) for k, c in v.items())
@@ -872,7 +866,7 @@ def check_hopf_morphism(f: HopfMorphism) -> CheckReport:
         )
         if lhs != sparse_sum((c, {(a, b): d for a, b, d in tgt.cop_sparse(k)}) for k, c in fi.items()):
             rep.failures.append(f"not a coalgebra map at {basis[i]}")
-        if image(sparse_vec(src.antipode.col(i))) != image(fi, t_cols):
+        if image(src.s_cols[i]) != image(fi, tgt.s_cols):
             rep.failures.append(f"antipode not intertwined at {basis[i]}")
     return rep
 

@@ -516,18 +516,20 @@ def solve_sparse(rows: list[dict[int, Fraction]], rhs: list[Fraction], nunknowns
     return _solution((scaled({**r, nunknowns: b} if b else r)[0] for r, b in zip(rows, rhs)), nunknowns)
 
 
-def solve_columns(blocks, unknowns: int, dim: int) -> LinearSolution:
+def solve_columns(blocks, unknowns: int) -> LinearSolution:
     """Solve Σ_j x_j·cols[j] = target for every (cols, target) in ``blocks``,
-    the columns and targets sparse vectors in kᵈⁱᵐ; row k of a block holds
-    coefficient k of each column."""
+    the columns and targets sparse vectors; row k of a block holds
+    coefficient k of each column. Only the rows where a column or the target
+    has an entry are formed: any other row reads 0 = 0."""
     rows, rhs = [], []
     for cols, target in blocks:
-        block = [{} for _ in range(dim)]
+        block = {k: {} for k in target}
         for j, col in enumerate(cols):
             for k, v in col.items():
-                block[k][j] = v
-        rows += block
-        rhs += dense_vec(target, dim)
+                block.setdefault(k, {})[j] = v
+        for k in sorted(block):
+            rows.append(block[k])
+            rhs.append(target.get(k, 0))
     return solve_sparse(rows, rhs, unknowns)
 
 

@@ -63,7 +63,8 @@ def build_h4() -> HopfAlgebra:
     # Δ1 = 1⊗1, Δg = g⊗g, Δh = 1⊗h + h⊗g, Δ(gh) = g⊗gh + gh⊗1
     cop = [[(0, 0, 1)], [(1, 1, 1)], [(0, 2, 1), (2, 1, 1)], [(1, 3, 1), (3, 0, 1)]]
     counit = [1, 1, 0, 0]
-    antipode = Matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    # S(1) = 1, S(g) = g, S(h) = gh, S(gh) = −h
+    antipode = [{0: 1}, {1: 1}, {3: 1}, {2: -1}]
     meta = {"g": 1, "h": 2, "pi_keep": (0, 1)}
     return HopfAlgebra.from_sparse(alg, cop, counit, antipode, name="H4", meta=meta)
 
@@ -614,7 +615,7 @@ def build_h_alpha(alpha):
     h4 = build_h4()
     alg = h4.alg
     scales = [Q(1), Q(1), alpha, alpha]
-    sinv = [sparse_vec(h4.antipode_inv.col(p)) for p in range(4)]
+    sinv = h4.s_inv_cols
     images = [
         [
             sparse_sum(

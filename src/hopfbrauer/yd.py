@@ -355,9 +355,9 @@ def check_yd_condition(m: YDObject) -> CheckReport:
     images = m.int_images[1]
     rho = m.int_rho[1]
     den_n, hsp = h.alg.int_sp
-    den_w, sw2 = scaled_rows(h.sweedler2(li) for li in range(n))
+    den_w, sw2 = h.int_cop2
     rho_flat = [{b0 * n + b1: c for b0, b1, c in row} for row in rho]
-    den_s, sinv = scaled_vecs(sparse_vec(h.antipode_inv.col(k)) for k in range(n))
+    den_s, sinv = scaled_vecs(h.s_inv_cols)
     scale = den_w * den_n * den_n * den_s
 
     @cache
@@ -507,10 +507,10 @@ def end_yd(m: YDObject, variant: str = "plain") -> YDObject:
     terms = [[] for _ in range(n)]
     for i in range(n):
         for p, q, c in h.cop_sparse(i):
-            l, u = (p, h.antipode.col(q)) if variant == "plain" else (q, h.antipode_inv.col(p))
+            l, u = (p, h.s_cols[q]) if variant == "plain" else (q, h.s_inv_cols[p])
             right = [[] for _ in range(d)]
             for x in range(d):
-                for y, v in m.act(sparse_vec(u), {x: 1}).items():
+                for y, v in m.act(u, {x: 1}).items():
                     right[y].append((x, v))
             terms[i].append((c, l, right))
     images = [
@@ -521,14 +521,11 @@ def end_yd(m: YDObject, variant: str = "plain") -> YDObject:
     if m.rho is None:
         return YDObject.from_sparse(h, d * d, alg, images)
 
-    antipode = h.antipode_inv if variant == "plain" else h.antipode
-    s_cols = [sparse_vec(antipode.col(k)) for k in range(n)]
-
     def h_part(k0: int, l1: int) -> SparseVec:
         """S⁻¹(e_k0)·e_l1 (plain) or e_l1·S(e_k0) (op)."""
         if variant == "plain":
-            return h.alg.mul_sparse(s_cols[k0], {l1: Q(1)})
-        return h.alg.mul_sparse({l1: Q(1)}, s_cols[k0])
+            return h.alg.mul_sparse(h.s_inv_cols[k0], {l1: Q(1)})
+        return h.alg.mul_sparse({l1: Q(1)}, h.s_cols[k0])
 
     # rho[t·d + s] is ρ(E_st) for the matrix unit E_st: e_t ↦ e_s; evaluated
     # at e_r, only the terms e_t ⊗ e_k0 of ρ(e_r) survive, giving
@@ -829,7 +826,7 @@ def yd_centralizers(a: YDObject, sub_basis: list[list[Fraction]]) -> tuple[list,
             rcols.append(alg.mul_sparse({j: 1}, b, out))
         left_eqs.append((lcols, {}))
         right_eqs.append((rcols, {}))
-    return solve_columns(left_eqs, d, d).kernel, solve_columns(right_eqs, d, d).kernel
+    return solve_columns(left_eqs, d).kernel, solve_columns(right_eqs, d).kernel
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +854,7 @@ def inner_witness(a: YDObject, x_index: int, c_index: int) -> list[Fraction] | N
         (_columns(alg, acts[c_index], -1, {z: 1}, odd), acts[x_index])
         for z, acts in enumerate(a.images)
     ]
-    sol = solve_columns(equations, len(odd), alg.dim)
+    sol = solve_columns(equations, len(odd))
     return None if sol.particular is None else dense_vec(dict(zip(odd, sol.particular)), alg.dim)
 
 
@@ -886,7 +883,7 @@ def conjugation_implementer(a: YDObject, g_index: int) -> list[Fraction] | None:
         (_columns(alg, {z: 1}, -1, acts[g_index], range(alg.dim)), {})
         for z, acts in enumerate(a.images)
     ]
-    space = solve_columns(equations, alg.dim, alg.dim).kernel
+    space = solve_columns(equations, alg.dim).kernel
     if not space:
         return None
     return next((u for u in _candidates(space) if any(u) and alg.is_invertible(u)), None)
@@ -926,7 +923,7 @@ def strongly_inner_witness_h4(a: YDObject):
     ]
     su = sparse_vec(u)
     equations.append((_columns(alg, su, 1, su, range(alg.dim)), {}))
-    sol = solve_columns(equations, alg.dim, alg.dim)
+    sol = solve_columns(equations, alg.dim)
     if sol.particular is None:
         return None
     w = sol.particular
@@ -983,7 +980,7 @@ def strongly_inner_witness_e2(a: YDObject) -> StrongInnerE2Result:
             ezu = alg.mul_sparse({z: 1}, su)
             eqs.append((_columns(alg, ezu, 1, ezu, range(d)), acts[x1_index]))
         eqs.append(anti)
-        sol_w = solve_columns(eqs, d, d)
+        sol_w = solve_columns(eqs, d)
         if sol_w.particular is None:
             failures.append(f"{label}: no solution for p(x₁)")
             continue
@@ -995,7 +992,7 @@ def strongly_inner_witness_e2(a: YDObject) -> StrongInnerE2Result:
             uzu = alg.mul_sparse(alg.mul_sparse(su, {z: 1}), su)
             eqs.append((_columns(alg, {z: 1}, -1, uzu, range(d)), cx2[z]))
         eqs.append(anti)
-        sol_big = solve_columns(eqs, d, d)
+        sol_big = solve_columns(eqs, d)
         if sol_big.particular is None:
             failures.append(f"{label}: no solution for p(cx₂)")
             continue

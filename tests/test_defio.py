@@ -25,12 +25,14 @@ def test_algebra_round_trip():
     assert loaded.same_product(alg) and loaded.unit == alg.unit
 
 
-def test_hopf_round_trip():
-    h4 = build_h4()
-    obj = json.loads(json.dumps(hopf_to_json(h4)))
+@pytest.mark.parametrize("name", ["H4", "H4dual", "E2", "DH4"])
+def test_hopf_round_trip(name):
+    h = builtin_hopf(name)
+    obj = json.loads(json.dumps(hopf_to_json(h)))
     loaded = load_hopf(obj)
-    assert loaded.same_coproduct(h4)
-    assert loaded.antipode == h4.antipode
+    assert loaded.same_coproduct(h)
+    assert loaded.antipode == h.antipode and loaded.antipode_inv == h.antipode_inv
+    assert loaded.s_cols == h.s_cols and loaded.s_inv_cols == h.s_inv_cols
     kind, _, report = validate_definition(obj)
     assert kind == "hopf" and report.ok
 

@@ -64,6 +64,87 @@ def test_corrupted_antipode_fails():
     assert any("S" in f and "Δ" in f for f in rep.failures)
 
 
+WRONG_SHAPES = {
+    "3x3 S": lambda h4: (Matrix.identity(3), None),
+    "4x5 S": lambda h4: (Matrix.zero(4, 5), None),
+    "5x4 S": lambda h4: (Matrix.zero(5, 4), None),
+    "3x3 S_inv": lambda h4: (h4.antipode, Matrix.identity(3)),
+    "4x5 S_inv": lambda h4: (h4.antipode, Matrix.zero(4, 5)),
+}
+
+
+@pytest.mark.parametrize("shape", WRONG_SHAPES)
+def test_a_wrongly_shaped_antipode_is_rejected(shape):
+    # such an S used to construct, and check_hopf_axioms and drinfeld_double
+    # then died with IndexError
+    h4 = build_h4()
+    antipode, antipode_inv = WRONG_SHAPES[shape](h4)
+    with pytest.raises(ValueError, match="expected 4×4"):
+        HopfAlgebra(h4.alg, dense_cop(h4), h4.counit, antipode, antipode_inv)
+
+
+@pytest.mark.parametrize(
+    "s, s_inv",
+    [
+        ([{0: 1}, {1: 1}, {3: 1}], None),
+        ([{0: 1}, {1: 1}, {3: 1}, {2: -1}, {0: 1}], None),
+        ([{0: 1}, {1: 1}, {3: 1}, {2: -1}], [{0: 1}, {1: 1}]),
+    ],
+    ids=["3 columns", "5 columns", "2 columns of S_inv"],
+)
+def test_a_wrong_number_of_sparse_antipode_columns_is_rejected(s, s_inv):
+    h4 = build_h4()
+    cop = [h4.cop_sparse(i) for i in range(4)]
+    with pytest.raises(ValueError, match="expected 4×4"):
+        HopfAlgebra.from_sparse(h4.alg, cop, h4.counit, s, s_inv)
+
+
+@pytest.mark.parametrize(
+    "column", [{4: 1}, {-1: 1}, {0: 0}, {0: 0.5}, {"0": 1}], ids=["index=dim", "index<0", "zero", "float", "string"]
+)
+def test_a_bad_sparse_antipode_entry_is_rejected(column):
+    h4 = build_h4()
+    cop = [h4.cop_sparse(i) for i in range(4)]
+    for s, s_inv in (([column] + h4.s_cols[1:], None), (h4.s_cols, h4.s_inv_cols[:3] + [column])):
+        with pytest.raises(ValueError):
+            HopfAlgebra.from_sparse(h4.alg, cop, h4.counit, s, s_inv)
+
+
+def test_the_antipode_is_stored_as_sparse_columns():
+    h4 = build_h4()
+    assert h4.s_cols == [{0: 1}, {1: 1}, {3: 1}, {2: -1}]
+    assert h4.s_inv_cols == [{0: 1}, {1: 1}, {3: -1}, {2: 1}]
+    dense = HopfAlgebra(h4.alg, dense_cop(h4), h4.counit, h4.antipode)
+    assert dense.s_cols == h4.s_cols and dense.s_inv_cols == h4.s_inv_cols
+    assert dense.antipode_inv == h4.antipode.inverse()
+    assert dual_hopf(h4).antipode == h4.antipode.transpose()
+
+
+# the failure lists of the dense matrix-product check, message for message
+ANTIPODE_FAILURES = {
+    "identity S": (
+        Matrix.identity(4), None,
+        ["m(S⊗id)Δ fails at h", "m(id⊗S)Δ fails at h", "m(S⊗id)Δ fails at gh", "m(id⊗S)Δ fails at gh"],
+    ),
+    "S=diag(-1,1,1,1)": (
+        Matrix.diag([-1, 1, 1, 1]), None,
+        ["m(S⊗id)Δ fails at 1", "m(id⊗S)Δ fails at 1", "m(S⊗id)Δ fails at h", "m(id⊗S)Δ fails at h",
+         "m(S⊗id)Δ fails at gh", "m(id⊗S)Δ fails at gh"],
+    ),
+    "wrong S_inv": (None, Matrix.diag([1, 1, 1, 2]), ["S∘S⁻¹ ≠ id", "S⁻¹∘S ≠ id"]),
+}
+
+
+@pytest.mark.parametrize("case", ANTIPODE_FAILURES)
+def test_antipode_failure_lists_are_pinned(case):
+    h4 = build_h4()
+    antipode, antipode_inv, want = ANTIPODE_FAILURES[case]
+    bad = HopfAlgebra(h4.alg, dense_cop(h4), h4.counit, antipode or h4.antipode, antipode_inv, name="bad")
+    assert check_hopf_axioms(bad).failures == want
+    with pytest.raises(ValueError, match="closed-form antipode fails: "):
+        drinfeld_double(bad)
+
+
 def _with(h, cop=None, counit=None, antipode=None):
     return HopfAlgebra(
         h.alg,
@@ -333,6 +414,6 @@ def test_double_rejects_corrupted_antipode():
 def test_double_checks_r_inverse(monkeypatch):
     h4 = build_h4()
     bad = HopfAlgebra(h4.alg, dense_cop(h4), h4.counit, Matrix.identity(4), h4.antipode_inv, name="bad")
-    monkeypatch.setattr(hopf, "_require_antipode", lambda *args: None)
+    monkeypatch.setattr(hopf, "antipode_failures", lambda *args: iter(()))
     with pytest.raises(ValueError, match="not the inverse of R"):
         drinfeld_double(bad)

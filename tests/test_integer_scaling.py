@@ -11,7 +11,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import dense_cop, dense_mult
+from conftest import dense_cop, dense_mult, sweedler2
 from hopfbrauer.algebra import CheckReport, StructureAlgebra, check_algebra_axioms
 from hopfbrauer.e2 import build_c_e2
 from hopfbrauer.hopf import HopfAlgebra
@@ -314,7 +314,7 @@ def _reference_yd_condition(m):
         return h.alg.mul_sparse(dict(h.alg.mul_basis(l3, k)), sinv[l1]).items()
 
     for li in range(n):
-        sw2 = h.sweedler2(li)
+        sw2 = sweedler2(h, li)
         for b in range(m.dim):
             lhs = sparse_sum((c, rho_flat[j]) for j, c in images[b][li].items())
             rhs = sparse_sum(
@@ -404,7 +404,7 @@ def test_rescaled_h4_has_a_scale_on_every_tensor():
         "product of H": h.alg.int_sp[0],
         "product of A": a.alg.int_sp[0],
         "coproduct": common_denominator(c for i in range(h.dim) for _, _, c in h.cop_sparse(i)),
-        "(Δ⊗id)Δ": common_denominator(c for i in range(h.dim) for *_, c in h.sweedler2(i)),
+        "(Δ⊗id)Δ": common_denominator(c for i in range(h.dim) for *_, c in sweedler2(h, i)),
         "S⁻¹": common_denominator(c for row in h.antipode_inv.data for c in row),
         "action": a.int_images[0],
         "coaction": a.int_rho[0],

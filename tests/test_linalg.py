@@ -20,6 +20,7 @@ from hopfbrauer.linalg import (
     mat_det,
     parse_rational,
     rational_is_square,
+    solve_columns,
     solve_linear,
     solve_sparse,
     sparse_vec,
@@ -454,6 +455,16 @@ def test_solve_forced():
 def test_solve_inconsistent():
     sol = solve_linear(Matrix([[1, 1], [1, 1]]), [Q(0), Q(1)])
     assert sol.particular is None
+
+
+def test_solve_columns_keeps_a_row_that_only_the_target_reaches():
+    # x·e_0 = e_0 + e_2: no column has an entry at 2, so row 2 reads 0 = 1
+    assert solve_columns([([{0: Q(1)}], {0: Q(1), 2: Q(1)})], 1).particular is None
+    # 2x = 3 and x + y = 3 at row 7; rows no column and no target reaches are 0 = 0
+    sol = solve_columns([([{0: Q(2)}, {}], {0: Q(3)}), ([{7: Q(1)}, {7: Q(1)}], {7: Q(3)})], 2)
+    assert sol.particular == [Q(3, 2), Q(3, 2)] and sol.kernel == []
+    sol = solve_columns([([{0: Q(2)}, {}], {0: Q(3)}), ([{}, {}], {})], 2)
+    assert sol.particular == [Q(3, 2), Q(0)] and sol.kernel == [[Q(0), Q(1)]]
 
 
 def test_solvers_reject_mismatched_shapes():

@@ -15,7 +15,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import dense_cop, dense_mult
+from conftest import dense_cop, dense_mult, sweedler2
 from test_integer_scaling import H4_SCALES, _rescaled_hopf
 
 from hopfbrauer.algebra import StructureAlgebra, opposite_algebra
@@ -72,7 +72,7 @@ def _reference_double(h: HopfAlgebra) -> HopfAlgebra:
 
     mult = [[zero_vec(big) for _ in range(big)] for _ in range(big)]
     for j in range(n):
-        sw2 = h.sweedler2(j)
+        sw2 = sweedler2(h, j)
         for i2 in range(n):
             terms = [(q, c, lam[(p, r, i2)]) for p, q, r, c in sw2 if (p, r, i2) in lam]
             for i in range(n):
@@ -280,7 +280,7 @@ KZ2_COP = [[(0, 0, 1)], [(1, 1, 1)]]
 
 
 def _kz2_hopf(cop, counit=(1, 1)):
-    return HopfAlgebra.from_sparse(_kz2(KZ2_TABLE), cop, counit, Matrix.identity(2))
+    return HopfAlgebra.from_sparse(_kz2(KZ2_TABLE), cop, counit, [{0: 1}, {1: 1}])
 
 
 def test_sparse_hopf_equals_the_dense_one():

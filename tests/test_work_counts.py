@@ -28,7 +28,9 @@ coaction view of any object, and an object built from another's action or
 coaction shares it, and its integer form, without canonicalizing or
 scaling it again. The inverse, rank, kernel and solve of a matrix built
 from integer rows build no dense view of it, and the YD centralizers build
-one echelon of the sub-basis per call."""
+one echelon of the sub-basis per call. The double of E(2) builds no dense
+antipode view, the Hopf check makes no dense matrix product, and
+``solve_columns`` hands no empty row to the echelon."""
 
 import random
 import sys
@@ -559,3 +561,45 @@ def test_centralizers_build_one_echelon_of_the_sub_basis(monkeypatch):
     assert len(left) == len(right) == 2
     # the sub-basis once, then the left and the right solve
     assert len(calls) == 3 and calls[0] == [{0: 1}, {2: 1}, {4: 1}, {6: 1}]
+
+
+def test_double_of_e2_builds_no_dense_antipode():
+    double, _ = hopf.drinfeld_double(build_e2())
+    assert "antipode" not in double.__dict__ and "antipode_inv" not in double.__dict__
+
+
+def test_hopf_check_makes_no_dense_matrix_product(monkeypatch):
+    calls = []
+    matmul = Matrix.__matmul__
+
+    def counted(a, b):
+        calls.append((a.rows, a.cols, b.cols))
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    for h in (sweedler.build_h4(), build_e2(), sweedler.build_dh4()[0]):
+        assert hopf.check_hopf_axioms(h).ok
+    assert calls == []
+
+
+def test_solve_columns_hands_no_empty_row_to_the_echelon(monkeypatch):
+    inserted = Counter()
+    inside = []
+    insert, solve_sparse = linalg.Echelon.insert, linalg.solve_sparse
+
+    def counted(echelon, v):
+        if inside:
+            inserted["empty" if not v else "row"] += 1
+        return insert(echelon, v)
+
+    def flagged(*args):
+        inside.append(args)
+        try:
+            return solve_sparse(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(linalg.Echelon, "insert", counted)
+    monkeypatch.setattr(linalg, "solve_sparse", flagged)
+    run_verification(("all",), 7, 20)
+    assert inserted["row"] > 0 and inserted["empty"] == 0
