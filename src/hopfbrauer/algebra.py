@@ -28,9 +28,9 @@ from .linalg import (
     common_denominator,
     dense_vec,
     mat_det,
+    scale_sparse,
     scaled,
     solve_columns,
-    sparse_sum,
     sparse_vec,
     vec,
     zero_vec,
@@ -398,8 +398,9 @@ def check_algebra_axioms(a: StructureAlgebra) -> CheckReport:
 
 
 def opposite_algebra(a: StructureAlgebra) -> StructureAlgebra:
-    table = [[a.mul_basis(j, i) for j in range(a.dim)] for i in range(a.dim)]
-    return StructureAlgebra.from_sparse(a.basis, a.unit, table, name=f"{a.name}^op" if a.name else "op")
+    den, sp = a.int_sp
+    table = [[sp[j][i] for j in range(a.dim)] for i in range(a.dim)]
+    return StructureAlgebra.from_int(a.basis, a.unit, table, den, name=f"{a.name}^op" if a.name else "op")
 
 
 def endomorphism_algebra(n: int) -> StructureAlgebra:
@@ -433,13 +434,16 @@ def operator_to_vec(m: Matrix) -> list[Fraction]:
     return out
 
 
+def commutator_columns(a: StructureAlgebra, x: IntVec, sign: int, y: IntVec, js) -> list[IntVec]:
+    """D_m·(e_j·x + sign·(y·e_j)) for each j in js, x and y integers on one
+    scale: the ``solve_columns`` columns of v ↦ v·x + sign·(y·v) on the js."""
+    y = {k: sign * c for k, c in y.items()}
+    return [a.mul_int({j: 1}, x, a.mul_int(y, {j: 1})) for j in js]
+
+
 def _commutator_blocks(a: StructureAlgebra, cols: Sequence[int], signs: Sequence[int]) -> list:
-    """z·e_i = signs[i]·e_i·z for z = Σ_c z_c·e_{cols[c]}, one ``solve_columns``
-    block per i with column c = e_j·e_i − signs[i]·e_i·e_j, j = cols[c]."""
-    return [
-        ([sparse_sum(((1, dict(a.mul_basis(j, i))), (-sign, dict(a.mul_basis(i, j))))) for j in cols], {})
-        for i, sign in enumerate(signs)
-    ]
+    """z·e_i = signs[i]·e_i·z for z = Σ_c z_c·e_{cols[c]}, a block per i."""
+    return [(commutator_columns(a, {i: 1}, -sign, {i: 1}, cols), {}) for i, sign in enumerate(signs)]
 
 
 def center(a: StructureAlgebra) -> list[list[Fraction]]:
@@ -466,18 +470,19 @@ def super_center(a: StructureAlgebra, grading: Grading) -> list[list[Fraction]]:
 
 
 def sandwich_matrix(a: StructureAlgebra) -> Matrix:
-    """Matrix of A ⊗ A^op → End(A), x ⊗ y ↦ (c ↦ x·c·y)."""
+    """Matrix of A ⊗ A^op → End(A), x ⊗ y ↦ (c ↦ x·c·y), as integer rows over
+    D_m²: each e_i·e_k once by ``mul_vec``, each (e_i·e_k)·e_j by ``mul_int``."""
     d = a.dim
-    m = [[Fraction(0)] * (d * d) for _ in range(d * d)]
+    den = a.int_sp[0]
+    rows = [{} for _ in range(d * d)]
     basis = [a.basis_vec(i) for i in range(d)]
     for i, ei in enumerate(basis):
         for k, ek in enumerate(basis):
-            eik = a.mul_vec(ei, ek)  # once, then times every e_j
-            for col, ej in enumerate(basis, i * d):
-                for p, c in enumerate(a.mul_vec(eik, ej)):
-                    if c:
-                        m[k * d + p][col] = c
-    return Matrix(m)
+            eik = scale_sparse(sparse_vec(a.mul_vec(ei, ek)), den)
+            for j in range(d) if eik else ():
+                for p, c in a.mul_int(eik, {j: 1}).items():
+                    rows[k * d + p][i * d + j] = c
+    return Matrix.from_int_rows([(den * den, row) for row in rows], d * d)
 
 
 def is_central_simple(a: StructureAlgebra) -> bool:

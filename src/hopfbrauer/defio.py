@@ -96,16 +96,13 @@ def load_hopf(obj: dict, path: str = "hopf") -> HopfAlgebra:
         cop.append(flat)
     counit = _vector(_need(obj, "counit", path), dim, f"{path}.counit")
     antipode = _square(_need(obj, "antipode", path), dim, f"{path}.antipode")
-    if "antipode_inv" in obj:
-        antipode_inv = _square(obj["antipode_inv"], dim, f"{path}.antipode_inv")
-    else:
-        try:
-            antipode_inv = antipode.inverse()
-        except ZeroDivisionError:
-            # the antipode of a finite-dimensional Hopf algebra is bijective
-            raise SchemaError(f"{path}.antipode", "singular matrix, so not an antipode") from None
+    antipode_inv = _square(obj["antipode_inv"], dim, f"{path}.antipode_inv") if "antipode_inv" in obj else None
     meta = _meta(obj.get("meta", {}), dim, f"{path}.meta")
-    return HopfAlgebra(alg, cop, counit, antipode, antipode_inv, name=str(obj.get("name", "")), meta=meta)
+    try:
+        return HopfAlgebra(alg, cop, counit, antipode, antipode_inv, name=str(obj.get("name", "")), meta=meta)
+    except ZeroDivisionError:
+        # HopfAlgebra inverts S when S⁻¹ is absent; a finite-dimensional antipode is bijective
+        raise SchemaError(f"{path}.antipode", "singular matrix, so not an antipode") from None
 
 
 # meta keys naming one basis element each; "pi_keep" names two

@@ -26,12 +26,25 @@ from .algebra import (
     CheckReport,
     Grading,
     StructureAlgebra,
+    commutator_columns,
     is_central_simple,
     super_center,
 )
 from .hopf import HopfAlgebra, HopfMorphism, QTStructure, qt_structure, t2_mul
-from .linalg import Matrix, SparseVec, dense_vec, in_span, sparse_sum, sparse_vec, zero_vec
-from .sweedler import build_dh4, build_h4, dh4_named
+from .linalg import (
+    IntVec,
+    Matrix,
+    SparseVec,
+    dense_vec,
+    in_span,
+    scaled,
+    scaled_vecs,
+    solve_columns,
+    sparse_sum,
+    sparse_vec,
+    zero_vec,
+)
+from .sweedler import build_dh4, build_h4, c_algebra, dh4_named
 from .yd import (
     FGContraction,
     YDObject,
@@ -51,7 +64,7 @@ from .yd import (
     is_h_azumaya,
     module_tensor,
     sharp_product,
-    strongly_inner_witness_e2,
+    normalized_implementer,
 )
 
 Q = Fraction
@@ -188,36 +201,38 @@ def theta(lam, mu) -> HopfMorphism:
 # ---------------------------------------------------------------------------
 
 
-def e2_action_from_generators(c: list[SparseVec], x1: list[SparseVec], x2: list[SparseVec]) -> list[list[SparseVec]]:
-    """images[j][k] = c^a x₁^b x₂^d·e_j at k = a + 2b + 4d, from the columns
-    c[j] = c·e_j, x1[j] and x2[j]: each monomial is formed once."""
+def e2_action_from_generators(c, x1, x2) -> tuple[int, list[list[IntVec]]]:
+    """(D, images), images[j][k] = D·c^a x₁^b x₂^d·e_j at k = a + 2b + 4d, from
+    the (den, integer columns) of c, x₁ and x₂, each monomial formed once. D
+    is the product of the dens, so D·m·e_j divides exactly by the den of each
+    generator that the monomial m lacks."""
+    den = c[0] * x1[0] * x2[0]
     images = []
-    for j in range(len(c)):
-        row = {0: {j: Q(1)}}
-        for cols, bit in ((x2, 4), (x1, 2), (c, 1)):
-            row.update([(k + bit, sparse_sum((w, cols[q]) for q, w in v.items())) for k, v in row.items()])
+    for j in range(len(c[1])):
+        row = {0: {j: den}}
+        for (d, cols), bit in ((x2, 4), (x1, 2), (c, 1)):
+            row.update([(k + bit, sparse_sum((w // d, cols[q]) for q, w in v.items())) for k, v in row.items()])
         images.append([row[k] for k in range(8)])
-    return images
+    return den, images
 
 
-def _e12(t) -> list[SparseVec]:
-    """The columns of t·E₁₂ on k²."""
-    return [{}, {0: t} if t else {}]
+def _e12(t) -> tuple[int, list[IntVec]]:
+    """(den, integer columns) of t·E₁₂ on k²."""
+    t = Q(t)
+    return t.denominator, [{}, {0: t.numerator} if t else {}]
+
+
+# c = diag(1, −1) on k²
+_DIAG = 1, [{0: 1}, {1: -1}]
 
 
 def build_c_e2(a, t1, t2) -> YDObject:
     """The two-dimensional (E(2), R_N)-algebra: x² = a, c·x = −x,
     x₁·x = t₁, x₂·x = t₂, coaction induced by R_N."""
     a, t1, t2 = Q(a), Q(t1), Q(t2)
-    e2 = build_e2()
-    alg = StructureAlgebra(
-        ["1", "x"],
-        [1, 0],
-        [[[1, 0], [0, 1]], [[0, 1], [a, 0]]],
-        name=f"C({a};{t1},{t2})@E2",
-    )
-    images = e2_action_from_generators([{0: Q(1)}, {1: Q(-1)}], _e12(t1), _e12(t2))
-    return induced_coaction(YDObject.from_sparse(e2, 2, alg, images), build_RN())
+    alg = c_algebra(a, f"C({a};{t1},{t2})@E2")
+    images = e2_action_from_generators(_DIAG, _e12(t1), _e12(t2))
+    return induced_coaction(YDObject.from_int(build_e2(), 2, alg, images), build_RN())
 
 
 def restrict_along(f: HopfMorphism, a: YDObject, r_source: QTStructure | None = None) -> YDObject:
@@ -269,7 +284,7 @@ def parity_view(a: YDObject) -> YDObject:
     parity = action_grading(a, grouplike_index(a.hopf))
     images = [[{j: 1}, {j: (-1) ** p}] for j, p in enumerate(parity)]
     rho = [[(j, p, 1)] for j, p in enumerate(parity)]
-    return YDObject.from_sparse(_k_z2(), a.dim, a.alg, images, rho)
+    return YDObject.from_int(_k_z2(), a.dim, a.alg, (1, images), (1, rho))
 
 
 def f0_g0_matrices(a: YDObject) -> tuple[Matrix, Matrix]:
@@ -291,6 +306,86 @@ def is_graded_central_simple(a: YDObject) -> bool:
 # ---------------------------------------------------------------------------
 # The kernel witness of the exact sequence
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class StrongInnerE2Result:
+    witness: tuple | None
+    branch_failures: list[str] = field(default_factory=list)
+
+    @property
+    def strongly_inner(self) -> bool:
+        return self.witness is not None
+
+
+def strongly_inner_witness_e2(a: YDObject) -> StrongInnerE2Result:
+    """Exhaustive branch analysis for a strongly inner E(2)-action.
+
+    A convolution-invertible algebra map p: E(2) → A giving the action
+    would satisfy, with u' = p(c), w' = p(x₁), W' = p(cx₂):
+        c·f  = u' f u'⁻¹,
+        x₁·f = w' f u' + f u' w',
+        (cx₂)·f = W' f − u' f u' W'.
+    Centrality forces u' = ±u; both sign branches are solved linearly and
+    then all E(2) relations are checked on the candidate generators.
+    """
+    meta = a.hopf.meta
+    c_index, x1_index, x2_index = meta["c"], meta["x1"], meta["x2"]
+    alg = a.alg
+    d = alg.dim
+    u0 = normalized_implementer(a, c_index)
+    if u0 is None:
+        return StrongInnerE2Result(None, ["c-action is not implemented by conjugation"])
+    den_a, images = a.int_images
+    den_m = alg.int_sp[0]
+    # cx₂ acts as c·(x₂·-): (cx₂)·e_z = Σ_k (x₂·e_z)_k·(c·e_k), over D_a²
+    cx2 = [sparse_sum((v, images[k][c_index]) for k, v in acts[x2_index].items()) for acts in images]
+    failures = []
+    for lam in (Q(1), Q(-1)):
+        u = [lam * x for x in u0]
+        su, den_u = scaled(sparse_vec(u))
+        anti = (commutator_columns(alg, su, 1, su, range(d)), {})  # u'v + vu' = 0 for v = w' and v = W'
+        label = f"branch u' = {'+' if lam > 0 else '-'}u"
+
+        # x₁·z = w'zu + zuw', plus u'w' + w'u' = 0; over D_m²·D_u·D_a
+        lift = den_m * den_m * den_u
+        eqs = [anti]
+        for z, acts in enumerate(images):
+            ezu = alg.mul_int({z: den_a}, su)
+            eqs.append((commutator_columns(alg, ezu, 1, ezu, range(d)), sparse_sum([(lift, acts[x1_index])])))
+        sol_w = solve_columns(eqs, d)
+        if sol_w.particular is None:
+            failures.append(f"{label}: no solution for p(x₁)")
+            continue
+        w = sol_w.particular
+
+        # (cx₂)·z = W'z − uzuW', plus u'W' + W'u' = 0; over (D_m·D_u·D_a)²·D_m
+        lift *= den_m * den_u
+        eqs = [anti]
+        for z in range(d):
+            uzu = alg.mul_int(alg.mul_int(su, {z: den_a * den_a}), su)
+            columns = commutator_columns(alg, {z: lift * den_a**2 // den_m}, -1, uzu, range(d))
+            eqs.append((columns, sparse_sum([(lift, cx2[z])])))
+        sol_big = solve_columns(eqs, d)
+        if sol_big.particular is None:
+            failures.append(f"{label}: no solution for p(cx₂)")
+            continue
+        bigw = sol_big.particular
+
+        sw, sbig = sparse_vec(w), sparse_vec(bigw)
+        px2 = alg.mul_sparse(sparse_vec(u), sbig)  # p(x₂) = p(c)p(cx₂)
+        relation_checks = [
+            ("p(x₁)² = 0", alg.mul_sparse(sw, sw)),
+            ("p(x₂)² = 0", alg.mul_sparse(px2, px2)),
+            ("p(x₁)p(x₂) + p(x₂)p(x₁) = 0", alg.mul_sparse(sw, px2, alg.mul_sparse(px2, sw))),
+            ("(cx₂)x₁ − x₁(cx₂) = 0", sparse_sum(((1, alg.mul_sparse(sbig, sw)), (-1, alg.mul_sparse(sw, sbig))))),
+        ]
+        bad = [name for name, value in relation_checks if value]
+        if bad:
+            failures.append(f"{label}: relation(s) not respected: {', '.join(bad)}")
+            continue
+        return StrongInnerE2Result((u, w, bigw), failures)
+    return StrongInnerE2Result(None, failures)
 
 
 @dataclass
@@ -324,8 +419,7 @@ def witness_p_module() -> YDObject:
         (big_w + big_u @ big_w) * Q(1, 2),        # h*  = φ((h+gh)/2)
         (big_w - big_u @ big_w) * Q(1, 2),        # gh* = φ((h−gh)/2)
     ]
-    action = [act_dual[i] @ act_alg[j] for i in range(4) for j in range(4)]
-    return YDObject.from_sparse(double, 2, images=[[sparse_vec(m.col(j)) for m in action] for j in range(2)])
+    return YDObject(double, 2, action=[act_dual[i] @ act_alg[j] for i in range(4) for j in range(4)])
 
 
 def witness_end_p() -> YDObject:
@@ -352,8 +446,8 @@ def witness_end_p() -> YDObject:
     x1 = op_map(lambda f: w @ f @ u_inv + f @ u @ w)
     cx2 = op_map(lambda f: big_w @ f - big_u @ f @ big_u_inv @ big_w)
     x2 = [sparse_sum((v, c[k]) for k, v in col.items()) for col in cx2]  # x₂ = c·(cx₂)
-    images = e2_action_from_generators(c, x1, x2)
-    return induced_coaction(YDObject.from_sparse(e2, alg.dim, alg, images), build_RN())
+    images = e2_action_from_generators(*map(scaled_vecs, (c, x1, x2)))
+    return induced_coaction(YDObject.from_int(e2, alg.dim, alg, images), build_RN())
 
 
 def kernel_witness() -> KernelWitness:
@@ -527,10 +621,9 @@ def not_subgroup_demo(t, q) -> NotSubgroupReport:
 def build_e2_module(dim2_params: tuple = (1, 0)) -> YDObject:
     """A two-dimensional E(2)-module (c = diag(1,−1), x_i = λ_i·E₁₂) with
     the R_N-induced coaction."""
-    l1, l2 = (Q(x) for x in dim2_params)
-    e2 = build_e2()
-    images = e2_action_from_generators([{0: Q(1)}, {1: Q(-1)}], _e12(l1), _e12(l2))
-    mod = YDObject.from_sparse(e2, 2, images=images)
+    l1, l2 = dim2_params
+    images = e2_action_from_generators(_DIAG, _e12(l1), _e12(l2))
+    mod = YDObject.from_int(build_e2(), 2, images=images)
     check_module(mod).raise_if_failed()
     return induced_coaction(mod, build_RN())
 

@@ -582,7 +582,16 @@ class QTStructure:
     r_inv: list[Fraction]
 
     def pairs(self) -> dict[tuple[int, int], Fraction]:
-        return t2_from_vec(self.r, self.hopf.dim)
+        """R as {(i, j): c}, built once; callers do not change it."""
+        return self._pairs
+
+    _pairs = cached_property(lambda self: t2_from_vec(self.r, self.hopf.dim))
+
+    @cached_property
+    def int_pairs(self) -> tuple[int, dict[tuple[int, int], int]]:
+        """(D_R, ``pairs`` times D_R as integers), built once."""
+        pairs, den = scaled(self._pairs)
+        return den, pairs
 
 
 def _tensor_square(v: Sequence, n: int, label: str) -> list[Fraction]:

@@ -111,6 +111,22 @@ def scaled_rows(rows) -> tuple[int, list[tuple]]:
     return den, [tuple((*t[:-1], t[-1].numerator * (den // t[-1].denominator)) for t in row) for row in rows]
 
 
+def int_content(den: int, terms, dims) -> int:
+    """gcd(den, every c) of the (i₁, …, i_r, c) terms; ``ValueError`` unless
+    den > 0 and c ≠ 0 are ints and i_r an int in range(dims[r])."""
+    if type(den) is not int or den <= 0:
+        raise ValueError(f"scale {den!r} is not a positive int")
+    terms = list(terms)
+    for r, bound in enumerate(dims):
+        idx = [t[r] for t in terms]
+        if not set(map(type, idx)) <= {int} or idx and not 0 <= min(idx) <= max(idx) < bound:
+            raise ValueError(f"index {r} of a term is not an int, or not in range({bound})")
+    cs = [t[-1] for t in terms]
+    if not set(map(type, cs)) <= {int} or not all(cs):
+        raise ValueError("a coefficient is not a nonzero int")
+    return math.gcd(den, *cs)
+
+
 def over(v: dict, den: int) -> dict:
     """v/den, each integer value written once as a Fraction."""
     return {k: Fraction(c, den) for k, c in v.items()}
@@ -518,19 +534,17 @@ def solve_sparse(rows: list[dict[int, Fraction]], rhs: list[Fraction], nunknowns
 
 def solve_columns(blocks, unknowns: int) -> LinearSolution:
     """Solve Σ_j x_j·cols[j] = target for every (cols, target) in ``blocks``,
-    the columns and targets sparse vectors; row k of a block holds
-    coefficient k of each column. Only the rows where a column or the target
-    has an entry are formed: any other row reads 0 = 0."""
-    rows, rhs = [], []
+    a block's columns and target integer sparse vectors on one scale. Row k
+    of a block, formed only where a column or the target has an entry, goes
+    to the ``Echelon`` as it is."""
+    rows = []
     for cols, target in blocks:
-        block = {k: {} for k in target}
+        block = {k: {unknowns: v} for k, v in target.items()}
         for j, col in enumerate(cols):
             for k, v in col.items():
                 block.setdefault(k, {})[j] = v
-        for k in sorted(block):
-            rows.append(block[k])
-            rhs.append(target.get(k, 0))
-    return solve_sparse(rows, rhs, unknowns)
+        rows += block.values()
+    return _solution(rows, unknowns)
 
 
 def solve_linear(a: Matrix, b: Sequence[Fraction]) -> LinearSolution:

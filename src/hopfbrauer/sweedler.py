@@ -246,20 +246,21 @@ def squarefree_part(x) -> int:
     return out if x > 0 else -out
 
 
+def c_algebra(a: Fraction, name: str) -> StructureAlgebra:
+    """k[x]/(x² − a) on the basis 1, x, by ``StructureAlgebra.from_int``."""
+    q = a.denominator
+    table = [[[(0, q)], [(1, q)]], [[(1, q)], [(0, a.numerator)] if a else []]]
+    return StructureAlgebra.from_int(["1", "x"], [1, 0], table, q, name=name)
+
+
 def build_C(d: CFamilyDescriptor):
-    """C(a;t,s) as a Yetter-Drinfeld module algebra over H₄."""
-    h4 = build_h4()
-    alg = StructureAlgebra(
-        ["1", "x"],
-        [1, 0],
-        [[[1, 0], [0, 1]], [[0, 1], [d.a, 0]]],
-        name=repr(d),
-    )
-    hx = {0: d.t} if d.t else {}
+    """C(a;t,s) as a Yetter-Drinfeld module algebra over H₄, on integers."""
+    q, r = d.t.denominator, d.s.denominator
+    hx = {0: d.t.numerator} if d.t else {}
     # 1, g, h, gh on 1 and on x; gh acts like h on this carrier
-    images = [[{0: 1}, {0: 1}, {}, {}], [{1: 1}, {1: -1}, hx, hx]]
-    rho = [[(0, 0, 1)], [(1, 1, 1)] + ([(0, 2, d.s)] if d.s else [])]  # x ⊗ g + s·1 ⊗ h
-    return YDObject.from_sparse(h4, 2, alg, images, rho)
+    images = [[{0: q}, {0: q}, {}, {}], [{1: q}, {1: -q}, hx, hx]]
+    rho = [[(0, 0, r)], [(1, 1, r)] + ([(0, 2, d.s.numerator)] if d.s else [])]  # x ⊗ g + s·1 ⊗ h
+    return YDObject.from_int(build_h4(), 2, c_algebra(d.a, repr(d)), (q, images), (r, rho))
 
 
 def c_equivalent(d1: CFamilyDescriptor, d2: CFamilyDescriptor) -> Fraction | None:
@@ -509,7 +510,7 @@ def cocycle_twist(a, sigma: LazyCocycle):
     twisted = StructureAlgebra.from_int(
         alg.basis, alg.unit, table, den_c * den_c * den_s * alg.int_sp[0], name=f"{alg.name}_twist"
     )
-    return YDObject.from_sparse(build_h4(), alg.dim, twisted, rho=a.rho)
+    return YDObject.from_int(build_h4(), alg.dim, twisted, rho=a.int_rho)
 
 
 class TransportShapeError(ValueError):

@@ -276,23 +276,23 @@ def suite_lemma21(s: Suite) -> None:
         s.check(
             f"item5-{k}",
             "Lemma 2.1(5)",
-            (induced.images == c.images) == (t == sp * l),
+            (induced.int_images == c.int_images) == (t == sp * l),
             {"d": d, "l": l},
         )
         if sp:
             forced = induced_action(c, build_rt_form(t / sp))
-            s.check(f"item5-forced-{k}", "Lemma 2.1(5)", forced.images == c.images, {"d": d, "l": t / sp})
+            s.check(f"item5-forced-{k}", "Lemma 2.1(5)", forced.int_images == c.int_images, {"d": d, "l": t / sp})
         # (6): coaction induced by R_l iff s = l·t
         induced_co = induced_coaction(c, build_rt(l))
         s.check(
             f"item6-{k}",
             "Lemma 2.1(6)",
-            (induced_co.rho == c.rho) == (sp == l * t),
+            (induced_co.int_rho == c.int_rho) == (sp == l * t),
             {"d": d, "l": l},
         )
         if t:
             forced = induced_coaction(c, build_rt(sp / t))
-            s.check(f"item6-forced-{k}", "Lemma 2.1(6)", forced.rho == c.rho, {"d": d, "l": sp / t})
+            s.check(f"item6-forced-{k}", "Lemma 2.1(6)", forced.int_rho == c.int_rho, {"d": d, "l": sp / t})
     degenerate = CFamilyDescriptor(Q(3), Q(2), Q(3))  # 2a = st
     s.check(
         "azumaya-degenerate",

@@ -1,28 +1,21 @@
 """Yetter-Drinfeld modules and module algebras.
 
 Every object over a fixed Hopf algebra H is a ``YDObject``: a carrier with
-some of a product, a left H-action and a right H-coaction, both stored
-sparse only (``images`` and ``rho``). Algebras are right H^op-comodule
-algebras, ρ(ab) = a₍₀₎b₍₀₎ ⊗ b₍₁₎a₍₁₎, under the Yetter-Drinfeld
-condition ρ(l·b) = l₍₂₎·b₍₀₎ ⊗ l₍₃₎ b₍₁₎ S⁻¹(l₍₁₎).
+some of a product, a left H-action and a right H-coaction, stored as
+integers. Algebras are right H^op-comodule algebras, ρ(ab) = a₍₀₎b₍₀₎ ⊗
+b₍₁₎a₍₁₎, under the Yetter-Drinfeld condition ρ(l·b) = l₍₂₎·b₍₀₎ ⊗ l₍₃₎ b₍₁₎ S⁻¹(l₍₁₎).
 
-The axiom checks, the # product, the H-opposite and F/G contract on
-integers: each tensor times the least common denominator of its entries
-(the action over D_a, ``int_images``; the coaction over D_c, ``int_rho``; a
-product over D_m, ``int_sp``; Δ, (Δ⊗id)Δ, S⁻¹, ε and a unit over their
-own). The sides of an identity are compared on one scale; # products and
-H-opposites go to ``StructureAlgebra.from_int`` with theirs.
-
-Also here: End(M) structures, the F/G maps of the H-Azumaya test,
-gradings, braidings, centralizers and the inner / strongly inner action
-solvers, which state each linear condition as a block of sparse columns
-for ``solve_columns``.
+Checks, builders and solvers contract on integers, each tensor times the
+least common denominator of its entries (the action over D_a, the coaction
+over D_c, a product over D_m; Δ, S, R, … over their own), and hand results
+to ``from_int`` with their scale. Also here: End(M), F/G, gradings,
+braidings, centralizers and the inner action solvers.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
 from typing import Sequence
@@ -31,17 +24,19 @@ from .algebra import (
     CheckReport,
     StructureAlgebra,
     canonical_terms,
+    commutator_columns,
     endomorphism_algebra,
     on_generators,
     opposite_algebra,
 )
-from .hopf import CoQTStructure, HopfAlgebra, QTStructure, bowtie_vec
+from .hopf import CoQTStructure, HopfAlgebra, QTStructure, bowtie_vec, int_form
 from .linalg import (
     IntVec,
     Matrix,
     SparseVec,
     common_denominator,
     dense_vec,
+    int_content,
     mat_det,
     over,
     rational_is_square,
@@ -71,10 +66,17 @@ class NoRationalNormalization(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class _Canonical(list):
-    """A canonical ``images`` or ``rho``, shared by objects built from it, and its integer form."""
+class _Store(tuple):
+    """An integer (den, rows), shared by the objects built on it."""
 
-    int_form = None
+    view = None
+
+
+def _view(store: _Store | None, build):
+    """store.view, built by build(den, rows) on first read."""
+    if store is not None and store.view is None:
+        store.view = build(*store)
+    return store and store.view
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -84,49 +86,72 @@ class YDObject:
     module or a YD module algebra is this one type with the other fields None.
 
     ``dim`` is the carrier dimension (``alg.dim`` when there is a product).
-    The state is sparse: ``images[j][k]`` = e_k·e_j, {index: nonzero
-    Fraction} sorted by index, and ``rho[j]`` = ρ(e_j), (a, k, c) triples
-    for c·e_a ⊗ e_k sorted by (a, k). ``__init__`` converts the dense
-    ``action`` and ``coaction`` once; those are views again, built on first
-    read, like the integer forms. Objects are never mutated.
+    The state: ``int_images`` = (D_a, rows[j][k] = D_a·e_k·e_j as {index: int})
+    and ``int_rho`` = (D_c, rows[j] = D_c·ρ(e_j) as (a, k, c) for c·e_a ⊗ e_k),
+    sorted, D the least common denominator; ``images``, ``rho``, ``action``
+    and ``coaction`` are rational views. Objects are never mutated.
     """
 
     hopf: HopfAlgebra
     dim: int
     alg: StructureAlgebra | None
-    images: list[list[SparseVec]] | None
-    rho: list[tuple[tuple[int, int, Fraction], ...]] | None
+    int_images: tuple[int, list[list[IntVec]]] | None
+    int_rho: tuple[int, list[tuple[tuple[int, int, int], ...]]] | None
 
     def __init__(self, hopf: HopfAlgebra, dim: int, alg=None, action=None, coaction=None):
         n = hopf.dim
         images = None if action is None else [[sparse_vec(m.col(j)) for m in action] for j in range(dim)]
         rho = None if coaction is None else [[(k // n, k % n, c) for k, c in enumerate(row) if c] for row in coaction]
-        self._set(hopf, dim, alg, images, rho)
+        self.__dict__.update(YDObject.from_sparse(hopf, dim, alg, images, rho).__dict__)
 
     @classmethod
     def from_sparse(cls, hopf: HopfAlgebra, dim: int, alg=None, images=None, rho=None) -> "YDObject":
-        """The object with these ``images`` and ``rho``, canonicalized by
-        ``canonical_terms`` (``ValueError`` on a wrong shape, a bad or
-        repeated index or a zero or non-rational c)."""
-        obj = cls.__new__(cls)
-        obj._set(hopf, dim, alg, images, rho)
-        return obj
+        """``from_int`` of rational ``images`` and ``rho``, checked by ``canonical_terms``."""
+        if images is not None:
+            images = [[dict(canonical_terms(v.items(), dim)) for v in row] for row in images]
+            den = common_denominator(c for row in images for v in row for c in v.values())
+            images = den, [[scale_sparse(v, den) for v in row] for row in images]
+        if rho is not None:
+            rho = scaled_rows([canonical_terms(terms, max(dim, hopf.dim)) for terms in rho])
+        return cls.from_int(hopf, dim, alg, images, rho)
 
-    def _set(self, hopf, dim, alg, images, rho) -> None:
+    @classmethod
+    def from_int(cls, hopf: HopfAlgebra, dim: int, alg=None, images=None, rho=None) -> "YDObject":
+        """The object with e_k·e_j = Σ (c/D_a)·e_p over the {p: c} of rows[j][k]
+        for images = (D_a, rows), ρ(e_j) = Σ (c/D_c)·e_a ⊗ e_k over the (a, k, c)
+        of rows[j] for rho = (D_c, rows); checked, sorted and divided by the gcd
+        of D and every c. Another object's store is shared."""
         n = hopf.dim
         if alg is not None and alg.dim != dim:
             raise ValueError(f"carrier dimension {dim} differs from the algebra's {alg.dim}")
-        if images is not None and (len(images) != dim or any(len(row) != n for row in images)):
+        if images is not None and (len(images[1]) != dim or any(len(row) != n for row in images[1])):
             raise ValueError(f"images must be {dim} rows of {n} sparse vectors")
-        if rho is not None and len(rho) != dim:
+        if rho is not None and len(rho[1]) != dim:
             raise ValueError(f"rho must have {dim} rows")
-        if images is not None and type(images) is not _Canonical:
-            images = _Canonical([dict(canonical_terms(v.items(), dim)) for v in row] for row in images)
-        if rho is not None and type(rho) is not _Canonical:
-            rho = _Canonical(canonical_terms(terms, max(dim, n)) for terms in rho)
-            if any(a >= dim or k >= n for row in rho for a, k, _ in row):
-                raise ValueError(f"a coaction index is not in range({dim}) × range({n})")
-        self.__dict__.update(hopf=hopf, dim=dim, alg=alg, images=images, rho=rho)
+        if images is not None and type(images) is not _Store:
+            den, rows = images
+            g = int_content(den, (t for row in rows for v in row for t in v.items()), (dim,))
+            rows = [[dict(sorted((p, c // g) for p, c in v.items())) for v in row] for row in rows]
+            images = _Store((den // g, rows))
+        if rho is not None and type(rho) is not _Store:
+            den, rows = rho
+            if any(len({t[:2] for t in terms}) != len(terms) for terms in rows):
+                raise ValueError("a coaction index (a, k) occurs twice")
+            g = int_content(den, (t for terms in rows for t in terms), (dim, n))
+            rho = _Store((den // g, [tuple(sorted((a, k, c // g) for a, k, c in terms)) for terms in rows]))
+        obj = cls.__new__(cls)
+        obj.__dict__.update(hopf=hopf, dim=dim, alg=alg, int_images=images, int_rho=rho)
+        return obj
+
+    @property
+    def images(self) -> list[list[SparseVec]] | None:
+        """images[j][k] = e_k·e_j, {index: nonzero Fraction}."""
+        return _view(self.int_images, lambda den, rows: [[over(v, den) for v in row] for row in rows])
+
+    @property
+    def rho(self) -> list[tuple[tuple[int, int, Fraction], ...]] | None:
+        """rho[j] = ρ(e_j), (a, k, c) triples for c·e_a ⊗ e_k."""
+        return _view(self.int_rho, lambda den, rows: [tuple((a, k, Q(c, den)) for a, k, c in r) for r in rows])
 
     @cached_property
     def action(self) -> list[Matrix] | None:
@@ -143,21 +168,6 @@ class YDObject:
             return None
         n = self.hopf.dim
         return [dense_vec({a * n + k: c for a, k, c in row}, self.dim * n) for row in self.rho]
-
-    @property
-    def int_rho(self) -> tuple[int, list[tuple[tuple[int, int, int], ...]]]:
-        """(D_c, ``rho`` times D_c), D_c the least common denominator of the coaction."""
-        if self.rho.int_form is None:
-            self.rho.int_form = scaled_rows(self.rho)
-        return self.rho.int_form
-
-    @property
-    def int_images(self) -> tuple[int, list[list[IntVec]]]:
-        """(D_a, ``images`` times D_a), D_a the least common denominator of the action."""
-        if self.images.int_form is None:
-            den = common_denominator(c for row in self.images for v in row for c in v.values())
-            self.images.int_form = den, [[scale_sparse(v, den) for v in row] for row in self.images]
-        return self.images.int_form
 
     @cached_property
     def module_failures(self) -> list[str]:
@@ -191,8 +201,10 @@ class YDObject:
         return ([] if unit_ok else ["unit of H does not act as id"]) + on_generators(module_law, h.alg, unit_ok)
 
     def act(self, hvec: SparseVec, v: SparseVec) -> SparseVec:
-        """h·v for h = Σ hvec[i]·e_i in H and v = Σ v[j]·e_j in the carrier."""
-        return sparse_sum((c * w, self.images[j][i]) for i, c in hvec.items() for j, w in v.items())
+        """h·v for h = Σ hvec[i]·e_i in H and v = Σ v[j]·e_j, on ``int_images``."""
+        den, rows = self.int_images
+        (hi, dh), (vi, dv) = scaled(hvec), scaled(v)
+        return over(sparse_sum((c * w, rows[j][i]) for i, c in hi.items() for j, w in vi.items()), den * dh * dv)
 
     def act_matrix(self, hvec: Sequence[Fraction]) -> Matrix:
         """The matrix by which the element Σ hvec[i]·e_i of H acts."""
@@ -200,13 +212,12 @@ class YDObject:
         return Matrix.from_cols([dense_vec(self.act(h, {s: 1}), self.dim) for s in range(self.dim)])
 
     def same_structure(self, other: "YDObject") -> bool:
-        """Equal product, action and coaction (compared exactly; None only
-        equals None)."""
+        """Equal product and integer stores (None only equals None)."""
         return (
             (self.alg is None) == (other.alg is None)
             and (self.alg is None or self.alg.same_product(other.alg))
-            and self.images == other.images
-            and self.rho == other.rho
+            and self.int_images == other.int_images
+            and self.int_rho == other.int_rho
         )
 
 
@@ -398,8 +409,7 @@ def check_yd_algebra(a: YDObject) -> CheckReport:
     """Module algebra + H^op-comodule algebra + YD compatibility, itemised.
 
     Every identity is compared on integers, from the object's ``int_images``
-    and ``int_rho`` and the ``int_sp`` of A and H (module docstring); ``fg_maps``
-    reads the same views, so the object is scaled once for both."""
+    and ``int_rho`` and the ``int_sp`` of A and H (module docstring)."""
     rep = CheckReport("Yetter-Drinfeld module algebra")
     rep.merge(check_module_algebra(a))
     rep.merge(check_comodule_algebra_op(a))
@@ -413,10 +423,8 @@ def check_yd_algebra(a: YDObject) -> CheckReport:
 
 
 def h_opposite(a: YDObject) -> YDObject:
-    """The H-opposite algebra: same action and coaction, x∘y = y₍₀₎(y₍₁₎·x).
-    Each product is contracted on integers over D_c·D_a·D_m and handed to
-    ``StructureAlgebra.from_int`` with that scale, so no Fraction constant
-    is built."""
+    """The H-opposite algebra: same action and coaction, x∘y = y₍₀₎(y₍₁₎·x),
+    contracted over D_c·D_a·D_m for ``StructureAlgebra.from_int``."""
     alg = a.alg
     den_c, rho = a.int_rho
     den_a, images = a.int_images
@@ -430,7 +438,7 @@ def h_opposite(a: YDObject) -> YDObject:
     table = [[product(i, j).items() for j in range(alg.dim)] for i in range(alg.dim)]
     name = f"{alg.name}~" if alg.name else "opposite"
     new_alg = StructureAlgebra.from_int(alg.basis, alg.unit, table, den_c * den_a * alg.int_sp[0], name=name)
-    return YDObject.from_sparse(a.hopf, alg.dim, new_alg, a.images, a.rho)
+    return YDObject.from_int(a.hopf, alg.dim, new_alg, a.int_images, a.int_rho)
 
 
 def sharp_product(a: YDObject, b: YDObject) -> YDObject:
@@ -438,11 +446,9 @@ def sharp_product(a: YDObject, b: YDObject) -> YDObject:
     tensor-product action (``module_tensor``) and the H^op coaction
     ρ(x#y) = x₍₀₎#y₍₀₎ ⊗ y₍₁₎x₍₁₎. Flat index of x#y: x·dim(B) + y.
 
-    Both are contracted on integers: the product from the coaction of A
-    (``int_rho``, over D_c), the action on B (``int_images``, over D_a) and
-    the products of A and B (``int_sp``), and handed to
-    ``StructureAlgebra.from_int`` over D_c·D_a·D_A·D_B; the coaction from the
-    coactions of A and B and the product of H, divided once per entry."""
+    The product is contracted from the coaction of A, the action on B and
+    the products of A and B over D_c·D_a·D_A·D_B, the coaction from those of
+    A and B and the product of H."""
     if a.hopf is not b.hopf:
         raise ValueError("sharp product requires the same Hopf algebra")
     h = a.hopf
@@ -474,15 +480,15 @@ def sharp_product(a: YDObject, b: YDObject) -> YDObject:
     den_cb, rho_b = b.int_rho
     den_h, sp_h = h.alg.int_sp
     rho = [
-        [(*key, c) for key, c in over(sparse_sum(
+        [(*key, c) for key, c in sparse_sum(
             (cx * cy, {(ax * db + by, q): cq for q, cq in sp_h[ky][kx]})
             for ax, kx, cx in rho_a[x]
             for by, ky, cy in rho_b[y]
-        ), den_c * den_cb * den_h).items()]
+        ).items()]
         for x in range(da)
         for y in range(db)
     ]
-    return YDObject.from_sparse(h, dim, alg, module_tensor(a, b).images, rho)
+    return YDObject.from_int(h, dim, alg, module_tensor(a, b).int_images, (den_c * den_cb * den_h, rho))
 
 
 def end_yd(m: YDObject, variant: str = "plain") -> YDObject:
@@ -497,50 +503,54 @@ def end_yd(m: YDObject, variant: str = "plain") -> YDObject:
     if variant not in ("plain", "op"):
         raise ValueError("variant must be 'plain' or 'op'")
     h, n, d = m.hopf, m.hopf.dim, m.dim
-    alg = endomorphism_algebra(d)
-    if variant == "op":
-        alg = opposite_algebra(alg)
+    plain = variant == "plain"
+    alg = endomorphism_algebra(d) if plain else opposite_algebra(endomorphism_algebra(d))
 
     # e_i·E_zy (e_y ↦ e_z, at y·d + z) = Σ c·e_l ∘ E_zy ∘ u over Δ(e_i) =
     # Σ c·(u·e_x)_y·(e_l·e_z)_r E_rx; l = p, u = S(e_q) (plain) or l = q,
-    # u = S⁻¹(e_p) (op); right[y] = the (x, (u·e_x)_y)
+    # u = S⁻¹(e_p) (op); right[y] = the (x, (u·e_x)_y); over D_Δ·D_u·D_a²
+    den_a, m_images = m.int_images
+    den_d, cop = h.int_cop
+    # u from S (plain) or S⁻¹ (op), h_part below from the other
+    (den_u, u_cols), (den_w, w_cols) = map(scaled_vecs, (h.s_cols, h.s_inv_cols)[::1 if plain else -1])
     terms = [[] for _ in range(n)]
     for i in range(n):
-        for p, q, c in h.cop_sparse(i):
-            l, u = (p, h.s_cols[q]) if variant == "plain" else (q, h.s_inv_cols[p])
+        for p, q, c in cop[i]:
+            l, u = (p, u_cols[q]) if plain else (q, u_cols[p])
             right = [[] for _ in range(d)]
             for x in range(d):
-                for y, v in m.act(u, {x: 1}).items():
+                for y, v in sparse_sum((cu, m_images[x][k]) for k, cu in u.items()).items():
                     right[y].append((x, v))
             terms[i].append((c, l, right))
     images = [
-        [sparse_sum((c, _tensor(right[y], m.images[z][l].items(), d)) for c, l, right in terms[i]) for i in range(n)]
+        [sparse_sum((c, _tensor(right[y], m_images[z][l].items(), d)) for c, l, right in terms[i]) for i in range(n)]
         for y in range(d)
         for z in range(d)
     ]
-    if m.rho is None:
-        return YDObject.from_sparse(h, d * d, alg, images)
+    images = (den_d * den_u * den_a * den_a, images)
+    if m.int_rho is None:
+        return YDObject.from_int(h, d * d, alg, images)
+    den_c, m_rho = m.int_rho
+    mul = h.alg.mul_int
 
-    def h_part(k0: int, l1: int) -> SparseVec:
+    def h_part(k0: int, l1: int) -> IntVec:
         """S⁻¹(e_k0)·e_l1 (plain) or e_l1·S(e_k0) (op)."""
-        if variant == "plain":
-            return h.alg.mul_sparse(h.s_inv_cols[k0], {l1: Q(1)})
-        return h.alg.mul_sparse({l1: Q(1)}, h.s_cols[k0])
+        return mul(w_cols[k0], {l1: 1}) if plain else mul({l1: 1}, w_cols[k0])
 
-    # rho[t·d + s] is ρ(E_st) for the matrix unit E_st: e_t ↦ e_s; evaluated
+    # rho[t·d + j] is ρ(E_jt) for the matrix unit E_jt: e_t ↦ e_j; evaluated
     # at e_r, only the terms e_t ⊗ e_k0 of ρ(e_r) survive, giving
-    # Σ e_b1 ⊗ h_part(k0, l1) over ρ(e_s), read off at (e_r* ⊗ e_b1) ⊗ e_q
+    # Σ e_b1 ⊗ h_part(k0, l1) over ρ(e_j), read off at (e_r* ⊗ e_b1) ⊗ e_q
     rho = [{} for _ in range(d * d)]
     for r in range(d):
-        for t, k0, c0 in m.rho[r]:
-            for s in range(d):
-                out = rho[t * d + s]
-                for b1, l1, c1 in m.rho[s]:
+        for t, k0, c0 in m_rho[r]:
+            for j in range(d):
+                out = rho[t * d + j]
+                for b1, l1, c1 in m_rho[j]:
                     for q, cq in h_part(k0, l1).items():
                         key = (r * d + b1, q)
                         out[key] = out.get(key, 0) + c0 * c1 * cq
     rho = [[(*key, c) for key, c in out.items() if c] for out in rho]
-    return YDObject.from_sparse(h, d * d, alg, images, rho)
+    return YDObject.from_int(h, d * d, alg, images, (den_c * den_c * den_w * h.alg.int_sp[0], rho))
 
 
 # ---------------------------------------------------------------------------
@@ -679,23 +689,25 @@ def is_h_azumaya(a: YDObject) -> bool:
 
 def induced_coaction(a: YDObject, r: QTStructure) -> YDObject:
     """Equip an H-module (algebra) with ρ(x) = (R⁽²⁾·x) ⊗ R⁽¹⁾, replacing
-    any coaction it has."""
-    pairs = r.pairs().items()
+    any coaction it has; over D_R·D_a."""
+    den_r, pairs = r.int_pairs
+    den_a, images = a.int_images
     rho = [
         [(*key, v) for key, v in sparse_sum(
-            (c, {(p, i): x for p, x in images[k].items()}) for (i, k), c in pairs
+            (c, {(p, i): x for p, x in row[k].items()}) for (i, k), c in pairs.items()
         ).items()]
-        for images in a.images
+        for row in images
     ]
-    return YDObject.from_sparse(a.hopf, a.dim, a.alg, a.images, rho)
+    return YDObject.from_int(a.hopf, a.dim, a.alg, a.int_images, (den_r * den_a, rho))
 
 
 def induced_action(a: YDObject, r: CoQTStructure) -> YDObject:
     """Equip an H-comodule (algebra) with h·x = x₍₀₎ r(h ⊗ x₍₁₎), replacing
-    any action it has."""
-    form = r.form.data
-    images = [[sparse_sum((c * form[i][k], {b: 1}) for b, k, c in row) for i in range(a.hopf.dim)] for row in a.rho]
-    return YDObject.from_sparse(a.hopf, a.dim, a.alg, images, a.rho)
+    any action it has; over D_c·D_r."""
+    den_r, form = int_form(r.form)
+    den_c, rho = a.int_rho
+    images = [[sparse_sum((c * form[i][k], {b: 1}) for b, k, c in row) for i in range(a.hopf.dim)] for row in rho]
+    return YDObject.from_int(a.hopf, a.dim, a.alg, (den_c * den_r, images), a.int_rho)
 
 
 # ---------------------------------------------------------------------------
@@ -705,25 +717,23 @@ def induced_action(a: YDObject, r: CoQTStructure) -> YDObject:
 
 def braiding_psi(v: YDObject, w: YDObject, r: QTStructure) -> Matrix:
     """ψ: V⊗W → W⊗V, v⊗w ↦ R⁽²⁾·w ⊗ R⁽¹⁾·v (left-major flat indices):
-    Σ R⁽²⁾ ⊗ R⁽¹⁾ acting on W⊗V, after the plain flip V⊗W → W⊗V."""
-    pairs = r.pairs().items()
-    columns = [
-        sparse_sum((c, _tensor(w.images[y][j].items(), v.images[x][i].items(), v.dim)) for (i, j), c in pairs)
-        for x in range(v.dim)
-        for y in range(w.dim)
-    ]
-    return Matrix.from_cols([dense_vec(col, v.dim * w.dim) for col in columns])
+    Σ R⁽²⁾ ⊗ R⁽¹⁾ acting on W⊗V, after the plain flip V⊗W → W⊗V, as integer rows."""
+    den_r, pairs = r.int_pairs
+    (den_v, vi), (den_w, wi) = v.int_images, w.int_images
+    rows = [{} for _ in range(v.dim * w.dim)]
+    for x in range(v.dim):
+        for y in range(w.dim):
+            terms = ((c, _tensor(wi[y][j].items(), vi[x][i].items(), v.dim)) for (i, j), c in pairs.items())
+            for k, c in sparse_sum(terms).items():
+                rows[k][x * w.dim + y] = c
+    return Matrix.from_int_rows([(den_r * den_v * den_w, row) for row in rows], v.dim * w.dim)
 
 
 def graded_flip(v_par: Sequence[int], w_par: Sequence[int]) -> Matrix:
     """ψ₀: V⊗W → W⊗V, v⊗w ↦ (−1)^{|v||w|} w⊗v for homogeneous bases."""
     dv, dw = len(v_par), len(w_par)
-    out = [[Q(0)] * (dv * dw) for _ in range(dw * dv)]
-    for x in range(dv):
-        for y in range(dw):
-            sign = -1 if v_par[x] and w_par[y] else 1
-            out[y * dv + x][x * dw + y] = Q(sign)
-    return Matrix(out)
+    rows = [(1, {x * dw + y: -1 if v_par[x] and w_par[y] else 1}) for y in range(dw) for x in range(dv)]
+    return Matrix.from_int_rows(rows, dv * dw)
 
 
 # ---------------------------------------------------------------------------
@@ -744,11 +754,12 @@ class GradingPair:
 def action_grading(obj: YDObject, g_index: int) -> tuple[int, ...]:
     """Parity per basis vector from the grouplike action: |a| = 1 iff g·a = −a."""
     parity = []
+    den, images = obj.int_images
     for j in range(obj.dim):
-        col = obj.images[j][g_index]
-        if col == {j: 1}:
+        col = images[j][g_index]
+        if col == {j: den}:
             parity.append(0)
-        elif col == {j: -1}:
+        elif col == {j: -den}:
             parity.append(1)
         else:
             raise GradingError(f"basis vector {j} is not a ±1 eigenvector of the grouplike action")
@@ -762,11 +773,12 @@ def coaction_grading(obj: YDObject, pi_keep: Sequence[int]) -> tuple[int, ...]:
     according to (id⊗π)ρ(a) = a⊗1 or a⊗g, anything else is an error.
     """
     parity = []
-    for j, row in enumerate(obj.rho):
+    den, rho = obj.int_rho
+    for j, row in enumerate(rho):
         kept = {(a, k): c for a, k, c in row if k in pi_keep}
-        if kept == {(j, pi_keep[0]): 1}:
+        if kept == {(j, pi_keep[0]): den}:
             parity.append(0)
-        elif kept == {(j, pi_keep[1]): 1}:
+        elif kept == {(j, pi_keep[1]): den}:
             parity.append(1)
         else:
             raise GradingError(f"(id⊗π)ρ is not e_{j}⊗1 or e_{j}⊗g at index {j}")
@@ -792,20 +804,21 @@ def yd_centralizers(a: YDObject, sub_basis: list[list[Fraction]]) -> tuple[list,
     C^l = {x : b·x = x₍₀₎(x₍₁₎·b) ∀b∈B}, C^r = {x : x·b = b₍₀₎(b₍₁₎·x) ∀b∈B}.
     """
     alg = a.alg
+    mul = alg.mul_int
     d, n = alg.dim, a.hopf.dim
-    rho, images = a.rho, a.images
-    subs = [sparse_vec(b) for b in sub_basis]
+    (den_c, rho), (den_a, images) = a.int_rho, a.int_images
+    subs = [scaled(sparse_vec(b))[0] for b in sub_basis]
     span = span_of(sub_basis, d)
     # acted[k] = e_k·b, one list per b
-    acted_all = [[a.act({k: 1}, b) for k in range(n)] for b in subs]
+    acted_all = [[sparse_sum((c, images[j][k]) for j, c in b.items()) for k in range(n)] for b in subs]
     for b, acted in zip(subs, acted_all):
-        if any(span.reduce(scaled(v)[0]) for v in acted):
+        if any(span.reduce(v) for v in acted):
             raise ValueError("subspace not closed under the H-action")
         # ρ(b) = Σ_k components[k] ⊗ e_k
         components = [
             sparse_sum((c * v, {p: 1}) for j, c in b.items() for p, i, v in rho[j] if i == k) for k in range(n)
         ]
-        if any(span.reduce(scaled(comp)[0]) for comp in components):
+        if any(span.reduce(comp) for comp in components):
             raise ValueError("subspace not closed under the H-coaction")
 
     left_eqs = []
@@ -815,15 +828,15 @@ def yd_centralizers(a: YDObject, sub_basis: list[list[Fraction]]) -> tuple[list,
         rcols = []
         for j in range(d):
             # b·e_j − e_j₍₀₎(e_j₍₁₎·b) and e_j·b − b₍₀₎(b₍₁₎·e_j)
-            out: SparseVec = {}
+            out: IntVec = {}
             for a0, a1, c in rho[j]:
-                alg.mul_sparse({a0: -c}, acted[a1], out)
-            lcols.append(alg.mul_sparse(b, {j: 1}, out))
+                mul({a0: -c}, acted[a1], out)
+            lcols.append(mul(b, {j: den_c * den_a}, out))
             out = {}
             for j2, cb in b.items():
                 for b0, b1, c in rho[j2]:
-                    alg.mul_sparse({b0: -cb * c}, images[j][b1], out)
-            rcols.append(alg.mul_sparse({j: 1}, b, out))
+                    mul({b0: -cb * c}, images[j][b1], out)
+            rcols.append(mul({j: den_c * den_a}, b, out))
         left_eqs.append((lcols, {}))
         right_eqs.append((rcols, {}))
     return solve_columns(left_eqs, d).kernel, solve_columns(right_eqs, d).kernel
@@ -834,11 +847,12 @@ def yd_centralizers(a: YDObject, sub_basis: list[list[Fraction]]) -> tuple[list,
 # ---------------------------------------------------------------------------
 
 
-def _columns(alg: StructureAlgebra, x: SparseVec, sign: int, y: SparseVec, js) -> list[SparseVec]:
-    """e_j·x + sign·(y·e_j) for each j in js, sparse: the columns of the map
-    v ↦ v·x + sign·(y·v) on the coordinates js."""
-    y = {k: sign * c for k, c in y.items()}
-    return [alg.mul_sparse({j: 1}, x, alg.mul_sparse(y, {j: 1})) for j in js]
+def _inner_blocks(a: YDObject, x_index: int, c_index: int, js) -> list:
+    """x·z = v(c·z) − zv for v on the coordinates js, a block per z."""
+    den_a, images = a.int_images
+    den_m = a.alg.int_sp[0]
+    return [(commutator_columns(a.alg, acts[c_index], -1, {z: den_a}, js), sparse_sum([(den_m, acts[x_index])]))
+            for z, acts in enumerate(images)]
 
 
 def inner_witness(a: YDObject, x_index: int, c_index: int) -> list[Fraction] | None:
@@ -850,11 +864,7 @@ def inner_witness(a: YDObject, x_index: int, c_index: int) -> list[Fraction] | N
     alg = a.alg
     parity = action_grading(a, c_index)
     odd = [j for j in range(alg.dim) if parity[j] == 1]
-    equations = [
-        (_columns(alg, acts[c_index], -1, {z: 1}, odd), acts[x_index])
-        for z, acts in enumerate(a.images)
-    ]
-    sol = solve_columns(equations, len(odd))
+    sol = solve_columns(_inner_blocks(a, x_index, c_index, odd), len(odd))
     return None if sol.particular is None else dense_vec(dict(zip(odd, sol.particular)), alg.dim)
 
 
@@ -879,10 +889,9 @@ def conjugation_implementer(a: YDObject, g_index: int) -> list[Fraction] | None:
     pseudo-random combinations (``_candidates``).
     """
     alg = a.alg
-    equations = [
-        (_columns(alg, {z: 1}, -1, acts[g_index], range(alg.dim)), {})
-        for z, acts in enumerate(a.images)
-    ]
+    den_a, images = a.int_images
+    equations = [(commutator_columns(alg, {z: den_a}, -1, acts[g_index], range(alg.dim)), {})
+                 for z, acts in enumerate(images)]
     space = solve_columns(equations, alg.dim).kernel
     if not space:
         return None
@@ -917,12 +926,9 @@ def strongly_inner_witness_h4(a: YDObject):
     if u is None:
         return None
     alg = a.alg
-    equations = [
-        (_columns(alg, acts[g_index], -1, {z: 1}, range(alg.dim)), acts[h_index])
-        for z, acts in enumerate(a.images)
-    ]
-    su = sparse_vec(u)
-    equations.append((_columns(alg, su, 1, su, range(alg.dim)), {}))
+    equations = _inner_blocks(a, h_index, g_index, range(alg.dim))
+    su = scaled(sparse_vec(u))[0]
+    equations.append((commutator_columns(alg, su, 1, su, range(alg.dim)), {}))
     sol = solve_columns(equations, alg.dim)
     if sol.particular is None:
         return None
@@ -932,86 +938,6 @@ def strongly_inner_witness_h4(a: YDObject):
     if beta is None:
         raise ValueError("w² is not scalar; the (k,+)-invariant is undefined here")
     return u, w, beta
-
-
-@dataclass
-class StrongInnerE2Result:
-    witness: tuple | None
-    branch_failures: list[str] = field(default_factory=list)
-
-    @property
-    def strongly_inner(self) -> bool:
-        return self.witness is not None
-
-
-def strongly_inner_witness_e2(a: YDObject) -> StrongInnerE2Result:
-    """Exhaustive branch analysis for a strongly inner E(2)-action.
-
-    A convolution-invertible algebra map p: E(2) → A giving the action
-    would satisfy, with u' = p(c), w' = p(x₁), W' = p(cx₂):
-        c·f  = u' f u'⁻¹,
-        x₁·f = w' f u' + f u' w',
-        (cx₂)·f = W' f − u' f u' W'.
-    Centrality forces u' = ±u; both sign branches are solved linearly and
-    then all E(2) relations are checked on the candidate generators.
-    """
-    e2 = a.hopf
-    c_index = e2.meta["c"]
-    x1_index = e2.meta["x1"]
-    x2_index = e2.meta["x2"]
-    alg = a.alg
-    d = alg.dim
-    u0 = normalized_implementer(a, c_index)
-    if u0 is None:
-        return StrongInnerE2Result(None, ["c-action is not implemented by conjugation"])
-    images = a.images
-    # cx₂ acts as c·(x₂·-): (cx₂)·e_z = Σ_k (x₂·e_z)_k·(c·e_k)
-    cx2 = [sparse_sum((v, images[k][c_index]) for k, v in acts[x2_index].items()) for acts in images]
-    failures = []
-    for lam in (Q(1), Q(-1)):
-        u = [lam * x for x in u0]
-        su = sparse_vec(u)
-        anti = (_columns(alg, su, 1, su, range(d)), {})  # u'v + vu' = 0 for v = w' and v = W'
-        label = f"branch u' = {'+' if lam > 0 else '-'}u"
-
-        # x₁·z = w'zu + zuw', plus u'w' + w'u' = 0
-        eqs = []
-        for z, acts in enumerate(images):
-            ezu = alg.mul_sparse({z: 1}, su)
-            eqs.append((_columns(alg, ezu, 1, ezu, range(d)), acts[x1_index]))
-        eqs.append(anti)
-        sol_w = solve_columns(eqs, d)
-        if sol_w.particular is None:
-            failures.append(f"{label}: no solution for p(x₁)")
-            continue
-        w = sol_w.particular
-
-        # (cx₂)·z = W'z − uzuW', plus u'W' + W'u' = 0
-        eqs = []
-        for z in range(d):
-            uzu = alg.mul_sparse(alg.mul_sparse(su, {z: 1}), su)
-            eqs.append((_columns(alg, {z: 1}, -1, uzu, range(d)), cx2[z]))
-        eqs.append(anti)
-        sol_big = solve_columns(eqs, d)
-        if sol_big.particular is None:
-            failures.append(f"{label}: no solution for p(cx₂)")
-            continue
-        bigw = sol_big.particular
-
-        sw, sbig = sparse_vec(w), sparse_vec(bigw)
-        px2 = alg.mul_sparse(su, sbig)  # p(x₂) = p(c)p(cx₂)
-        relation_checks = [
-            ("p(x₁)² = 0", alg.mul_sparse(sw, sw)),
-            ("p(x₂)² = 0", alg.mul_sparse(px2, px2)),
-            ("p(x₁)p(x₂) + p(x₂)p(x₁) = 0", alg.mul_sparse(sw, px2, alg.mul_sparse(px2, sw))),
-            ("(cx₂)x₁ − x₁(cx₂) = 0", sparse_sum(((1, alg.mul_sparse(sbig, sw)), (-1, alg.mul_sparse(sw, sbig))))),
-        ]
-        bad = [name for name, value in relation_checks if value]
-        if bad:
-            failures.append(f"{label}: relation(s) not respected: {', '.join(bad)}")
-            continue
-        return StrongInnerE2Result((u, w, bigw), failures)
-    return StrongInnerE2Result(None, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -1055,14 +981,14 @@ def double_to_yd(a: YDObject, h: HopfAlgebra) -> YDObject:
 def module_tensor(m: YDObject, w: YDObject) -> YDObject:
     """Tensor product of two H-modules via Δ (left factor major)."""
     h = m.hopf
+    den_d, cop = h.int_cop
+    (den_m, m_images), (den_w, w_images) = m.int_images, w.int_images
     images = [
         [
-            sparse_sum(
-                (c, _tensor(m.images[x][p].items(), w.images[y][q].items(), w.dim)) for p, q, c in h.cop_sparse(i)
-            )
+            sparse_sum((c, _tensor(m_images[x][p].items(), w_images[y][q].items(), w.dim)) for p, q, c in cop[i])
             for i in range(h.dim)
         ]
         for x in range(m.dim)
         for y in range(w.dim)
     ]
-    return YDObject.from_sparse(h, m.dim * w.dim, images=images)
+    return YDObject.from_int(h, m.dim * w.dim, images=(den_d * den_m * den_w, images))

@@ -20,6 +20,7 @@ from hopfbrauer.e2 import (
     parity_view,
     prop62_instance_check,
     restrict_along,
+    strongly_inner_witness_e2,
     t_morphism,
     theorem61_check,
     theta,
@@ -27,7 +28,7 @@ from hopfbrauer.e2 import (
     witness_p_module,
 )
 from hopfbrauer.hopf import HopfMorphism, check_hopf_morphism, check_quasitriangular, push_qt
-from hopfbrauer.linalg import Matrix, is_zero_vec
+from hopfbrauer.linalg import Matrix, is_zero_vec, over, scaled_vecs
 from hopfbrauer.sweedler import CFamilyDescriptor, build_C, build_dh4, build_h4, build_rt, dh4_named
 from hopfbrauer.yd import (
     GradingError,
@@ -44,7 +45,6 @@ from hopfbrauer.yd import (
     induced_coaction,
     is_h_azumaya,
     sharp_product,
-    strongly_inner_witness_e2,
 )
 
 rng = random.Random(23)
@@ -181,13 +181,18 @@ def _inner_end(u, w, big_w):
     c_mat = op_map(lambda f: u @ f @ u)
     x1_mat = op_map(lambda f: w @ f @ u + f @ u @ w)
     cx2_mat = op_map(lambda f: big_w @ f - u @ f @ u @ big_w)
-    images = e2_action_from_generators(*map(_columns, (c_mat, x1_mat, c_mat @ cx2_mat)))
-    return induced_coaction(YDObject.from_sparse(build_e2(), alg.dim, alg, images), build_RN())
+    images = e2_action_from_generators(*map(_scaled_columns, (c_mat, x1_mat, c_mat @ cx2_mat)))
+    return induced_coaction(YDObject.from_int(build_e2(), alg.dim, alg, images), build_RN())
 
 
 def _columns(m: Matrix) -> list[dict]:
     """The columns of m as sparse vectors."""
     return [{k: v for k, v in enumerate(m.col(j)) if v} for j in range(m.cols)]
+
+
+def _scaled_columns(m: Matrix) -> tuple[int, list[dict]]:
+    """(den, the columns of m times den as integer sparse vectors)."""
+    return scaled_vecs(_columns(m))
 
 
 def test_strongly_inner_witness_of_an_inner_end():
@@ -422,5 +427,7 @@ def test_e2_action_from_generators_matches_the_monomial_loop():
     assert end_p[1].rows == 4
     for c_mat, x1_mat, x2_mat in cases:
         reference = [_columns(m) for m in _reference_e2_action(c_mat, x1_mat, x2_mat)]
-        images = e2_action_from_generators(*map(_columns, (c_mat, x1_mat, x2_mat)))
-        assert images == [[cols[j] for cols in reference] for j in range(c_mat.rows)]
+        den, images = e2_action_from_generators(*map(_scaled_columns, (c_mat, x1_mat, x2_mat)))
+        assert [[over(v, den) for v in row] for row in images] == [
+            [cols[j] for cols in reference] for j in range(c_mat.rows)
+        ]

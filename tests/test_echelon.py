@@ -7,8 +7,8 @@ exact ``==``, the row the Fraction RREF below gives, whatever the order of
 the input rows. That reference was the package's elimination before the
 integer echelon; it is kept here, as ``_det_bareiss`` is kept beside
 ``mat_det``. It is compared on the seeded solver cases of ``test_linalg``,
-on every system the seed-7 report hands to ``solve_sparse``, and on edge
-cases; the solutions read off both forms must agree too.
+on every system the seed-7 report hands to ``solve_sparse`` or, as
+integer column blocks, to ``solve_columns``, and on edge cases; the solutions read off both forms must agree too.
 """
 
 import math
@@ -17,8 +17,8 @@ from fractions import Fraction as Q
 import pytest
 
 from test_linalg import SOLVER_SEEDS, _solver_case
-from hopfbrauer import hopf, linalg
-from hopfbrauer.linalg import Echelon, LinearSolution, scaled, solve_sparse, sparse_vec, zero_vec
+from hopfbrauer import algebra, hopf, linalg, yd
+from hopfbrauer.linalg import Echelon, LinearSolution, scaled, solve_columns, solve_sparse, sparse_vec, zero_vec
 from hopfbrauer.verify import run_verification
 
 
@@ -131,6 +131,21 @@ def test_echelon_matches_the_fraction_rref_on_edge_cases(case):
     _assert_agrees(*EDGE_CASES[case])
 
 
+def _column_system(blocks, unknowns: int):
+    """The rows and right-hand sides of the integer ``solve_columns`` blocks
+    as Fractions, one row per index a column or the target reaches."""
+    rows, rhs = [], []
+    for cols, target in blocks:
+        block = {k: {} for k in target}
+        for j, col in enumerate(cols):
+            for k, v in col.items():
+                block.setdefault(k, {})[j] = Q(v)
+        for k in sorted(block):
+            rows.append(block[k])
+            rhs.append(Q(target.get(k, 0)))
+    return rows, rhs, unknowns
+
+
 def test_echelon_matches_the_fraction_rref_on_every_seed7_solve(monkeypatch):
     systems = []
 
@@ -138,8 +153,18 @@ def test_echelon_matches_the_fraction_rref_on_every_seed7_solve(monkeypatch):
         systems.append((rows, rhs, nunknowns))
         return solve_sparse(rows, rhs, nunknowns)
 
+    def recorded_columns(blocks, unknowns):
+        blocks = list(blocks)
+        got, system = solve_columns(blocks, unknowns), _column_system(blocks, unknowns)
+        want = _reference_solve(*system)
+        assert (got.particular, got.kernel) == (want.particular, want.kernel)
+        systems.append(system)
+        return got
+
     monkeypatch.setattr(linalg, "solve_sparse", recorded)
     monkeypatch.setattr(hopf, "solve_sparse", recorded)
+    for module in (linalg, algebra, yd):
+        monkeypatch.setattr(module, "solve_columns", recorded_columns)
     run_verification(("all",), 7, 20)
     assert len(systems) > 100
     for system in systems:

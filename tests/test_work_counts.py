@@ -16,7 +16,7 @@ calls the dense ``mul_vec``: only ``sandwich_matrix`` does. The double's
 product, # products and H-opposites are built from integer tables
 (``StructureAlgebra.from_int``): the double's 64-wide table never passes
 through ``canonical_terms`` and its Fraction view is never built.
-``sandwich_matrix`` forms each e_i·e_k once (d³ + d² dense products), and
+``sandwich_matrix`` forms each e_i·e_k once, and
 ``fg_maps`` makes no sparse sum and no product per column and no product for
 a zero e_h·e_y. On the d = 16 tower, the associativity check contracts only
 on its generators, a passing Yetter-Drinfeld check loops over the
@@ -24,13 +24,18 @@ generators of A and of H only, and the module law is checked once per
 object. A Hopf algebra that passed ``check_hopf_axioms`` is not checked
 again for the Yetter-Drinfeld condition, an inverse is one elimination,
 neither the seed-7 report nor the d = 16 rung builds the dense action or
-coaction view of any object, and an object built from another's action or
-coaction shares it, and its integer form, without canonicalizing or
+coaction view of any object, and an object built from another's integer
+action or coaction shares it, and its rational view, without validating or
 scaling it again. The inverse, rank, kernel and solve of a matrix built
 from integer rows build no dense view of it, and the YD centralizers build
 one echelon of the sub-basis per call. The double of E(2) builds no dense
 antipode view, the Hopf check makes no dense matrix product, and
-``solve_columns`` hands no empty row to the echelon."""
+``solve_columns`` hands no empty row to the echelon. The YD builders and
+readers that work on the integer store (``INTEGER_PATHS``) make no Fraction
+product and send nothing through ``canonical_terms`` in the seed-7 report
+or on the d = 16 rung, ``sandwich_matrix`` and ``braiding_psi`` build no
+dense ``Matrix``, and ``sandwich_matrix`` makes only its d² dense products
+e_i·e_k."""
 
 import random
 import sys
@@ -42,9 +47,11 @@ from hopfbrauer.algebra import StructureAlgebra, check_algebra_axioms
 from hopfbrauer.e2 import (
     build_c_e2,
     build_e2,
+    build_RN,
     f0_g0_matrices,
     fg_decomposition_residuals,
     is_graded_central_simple,
+    strongly_inner_witness_e2,
     t_morphism,
     theta,
     witness_end_p,
@@ -320,7 +327,7 @@ def test_witness_solvers_and_morphism_checks_make_no_dense_product(monkeypatch):
     meta = e2_object.hopf.meta
     assert yd.inner_witness(e2_object, meta["x1"], meta["c"]) is not None
     assert yd.conjugation_implementer(e2_object, meta["c"]) is None
-    assert not yd.strongly_inner_witness_e2(end_p).strongly_inner
+    assert not strongly_inner_witness_e2(end_p).strongly_inner
     left, right = yd.yd_centralizers(h4_carrier, [h4_carrier.alg.one()])
     assert len(left) == len(right) == 4
     assert h4_carrier.alg.is_invertible(h4_carrier.alg.one())
@@ -398,8 +405,8 @@ def test_sandwich_matrix_forms_each_left_product_once(monkeypatch):
     for alg in algebras:
         calls.clear()
         algebra.sandwich_matrix(alg)
-        # d² products e_i·e_k, then d³ products (e_i·e_k)·e_j
-        assert sum(calls.values()) == alg.dim**3 + alg.dim**2
+        # d² dense products e_i·e_k; the d³ products (e_i·e_k)·e_j are on integers
+        assert sum(calls.values()) == alg.dim**2
 
 
 def test_fg_maps_makes_no_product_per_column(monkeypatch):
@@ -521,7 +528,7 @@ def test_derived_objects_share_the_store_they_keep(monkeypatch):
     assert opposite.images is c.images and opposite.rho is c.rho
     assert calls == []
     induced = yd.induced_coaction(c, sweedler.build_rt(Q(3)))
-    assert induced.images is c.images and len(calls) == c.dim  # one canonical_terms per new ρ(e_j)
+    assert induced.images is c.images and calls == []  # the new ρ goes to from_int as integers
     assert yd.induced_action(c, sweedler.build_rt_form(Q(3))).rho is c.rho
 
 
@@ -585,21 +592,70 @@ def test_hopf_check_makes_no_dense_matrix_product(monkeypatch):
 def test_solve_columns_hands_no_empty_row_to_the_echelon(monkeypatch):
     inserted = Counter()
     inside = []
-    insert, solve_sparse = linalg.Echelon.insert, linalg.solve_sparse
+    insert, solution = linalg.Echelon.insert, linalg._solution
 
     def counted(echelon, v):
-        if inside:
+        if inside and inside[-1]:
             inserted["empty" if not v else "row"] += 1
         return insert(echelon, v)
 
     def flagged(*args):
-        inside.append(args)
+        # the echelons of solve_columns only, not those of solve_sparse
+        inside.append(sys._getframe(1).f_code.co_name == "solve_columns")
         try:
-            return solve_sparse(*args)
+            return solution(*args)
         finally:
             inside.pop()
 
     monkeypatch.setattr(linalg.Echelon, "insert", counted)
-    monkeypatch.setattr(linalg, "solve_sparse", flagged)
+    monkeypatch.setattr(linalg, "_solution", flagged)
     run_verification(("all",), 7, 20)
     assert inserted["row"] > 0 and inserted["empty"] == 0
+
+
+# the builders and readers that write and read the integer YD store
+INTEGER_PATHS = {
+    "induced_coaction", "induced_action", "module_tensor", "sharp_product", "end_yd", "h_opposite",
+    "e2_action_from_generators", "build_c_e2", "build_e2_module", "parity_view", "build_C", "braiding_psi",
+    "inner_witness", "conjugation_implementer", "yd_centralizers", "sandwich_matrix", "cocycle_twist",
+}
+
+
+def _callers(monkeypatch, owner, name: str) -> list[str]:
+    """Record, for every call to owner.name, the integer-path functions on the stack."""
+    calls = []
+    original = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code.co_name in INTEGER_PATHS:
+                calls.append(frame.f_code.co_name)
+            frame = frame.f_back
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+def test_integer_paths_make_no_fraction_product_and_canonicalize_nothing(monkeypatch):
+    products = _callers(monkeypatch, StructureAlgebra, "mul_sparse")
+    canonical = _callers(monkeypatch, algebra, "canonical_terms")
+    monkeypatch.setattr(yd, "canonical_terms", algebra.canonical_terms)
+    monkeypatch.setattr(hopf, "canonical_terms", algebra.canonical_terms)
+    run_verification(("all",), 7, 20)
+    rung = _ladder_rung_d16()
+    for a in (rung, h_opposite(rung)):
+        assert check_yd_algebra(a).ok and is_h_azumaya(a)
+    yd.end_yd(rung, "op")
+    assert products == [] and canonical == []
+
+
+def test_sandwich_matrix_and_braiding_build_no_dense_matrix(monkeypatch):
+    built = _callers(monkeypatch, Matrix, "__init__")
+    assert algebra.is_central_simple(algebra.endomorphism_algebra(2))
+    assert not algebra.is_central_simple(_ladder_rung_d8().alg)  # a graded tower
+    v, w = build_c_e2(Q(2), Q(3), Q(-1)), build_c_e2(Q(5), Q(1, 3), Q(2))
+    psi = yd.braiding_psi(v, sharp_product(v, w), build_RN())
+    assert psi.rows == 8 and "data" not in psi.__dict__
+    assert built == []
