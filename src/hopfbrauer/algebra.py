@@ -115,6 +115,32 @@ def canonical_terms(terms: Iterable[Sequence], dim: int) -> tuple[tuple, ...]:
     return tuple([(*key, c) for key, c in sorted(out.items())])
 
 
+def int_content(den: int, table: Iterable[Iterable], dim: int) -> int:
+    """gcd(den, every c) of the (k, c) pairs in the cells of the rows of
+    ``table``, the integer ``canonical_terms``: ``ValueError`` unless den > 0
+    and every c ≠ 0 are ints, every k is an int in range(dim), no k occurs
+    twice in a cell and each cell is a collection (it is read again)."""
+    if type(den) is not int or den <= 0:
+        raise ValueError(f"scale {den!r} is not a positive int")
+    g = den
+    for row in table:
+        for pairs in row:
+            if iter(pairs) is pairs:
+                raise ValueError("integer terms must be a collection, not an iterator")
+            seen = set()
+            for k, c in pairs:
+                if type(k) is not int or not 0 <= k < dim:
+                    raise ValueError(f"sparse term index {(k,)} is not in range({dim})")
+                if k in seen:
+                    raise ValueError(f"sparse term index {(k,)} occurs twice")
+                if type(c) is not int or not c:
+                    raise ValueError(f"coefficient {c!r} at {(k,)} is not a nonzero int")
+                seen.add(k)
+                if g != 1:
+                    g = math.gcd(g, c)
+    return g
+
+
 def _table_dim(basis: Sequence[str], table: Sequence[Sequence]) -> int:
     """dim = len(basis), after checking that the table is dim × dim."""
     dim = len(basis)
@@ -171,32 +197,12 @@ class StructureAlgebra:
         of table[i][j], every c a nonzero int and den a positive int.
 
         Each table[i][j] is a collection (a list, or a dict's items), read
-        twice. The first pass validates as ``canonical_terms`` does
-        (``ValueError`` on a bad index or c, a repeat, a bad den or a one-shot
-        iterator); the second sorts each term and divides den and every c by
-        their gcd, so ``int_sp`` is what the Fraction path would compute.
+        twice: ``int_content`` validates it, then each term is sorted and den
+        and every c are divided by their gcd, so ``int_sp`` is what the
+        Fraction path would compute.
         """
         dim = _table_dim(basis, table)
-        if type(den) is not int or den <= 0:
-            raise ValueError(f"scale {den!r} is not a positive int")
-        g = den
-        for row in table:
-            for pairs in row:
-                if iter(pairs) is pairs:
-                    raise ValueError("integer terms must be a collection, not an iterator")
-                seen = set()
-                for k, c in pairs:
-                    if type(k) is not int or not 0 <= k < dim:
-                        raise ValueError(f"sparse term index {(k,)} is not in range({dim})")
-                    if k in seen:
-                        raise ValueError(f"sparse term index {(k,)} occurs twice")
-                    if type(c) is not int:
-                        raise ValueError(f"coefficient {c!r} at {(k,)} is not an int")
-                    if not c:
-                        raise ValueError(f"zero coefficient at {(k,)}")
-                    seen.add(k)
-                    if g != 1:
-                        g = math.gcd(g, c)
+        g = int_content(den, table, dim)
         if g == 1:
             sp = [[tuple(sorted(pairs)) for pairs in row] for row in table]
         else:

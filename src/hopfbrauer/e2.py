@@ -26,7 +26,6 @@ from .algebra import (
     CheckReport,
     Grading,
     StructureAlgebra,
-    commutator_columns,
     is_central_simple,
     super_center,
 )
@@ -39,7 +38,6 @@ from .linalg import (
     in_span,
     scaled,
     scaled_vecs,
-    solve_columns,
     sparse_sum,
     sparse_vec,
     zero_vec,
@@ -64,7 +62,7 @@ from .yd import (
     is_h_azumaya,
     module_tensor,
     sharp_product,
-    normalized_implementer,
+    strongly_inner_witness_e2,
 )
 
 Q = Fraction
@@ -306,86 +304,6 @@ def is_graded_central_simple(a: YDObject) -> bool:
 # ---------------------------------------------------------------------------
 # The kernel witness of the exact sequence
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class StrongInnerE2Result:
-    witness: tuple | None
-    branch_failures: list[str] = field(default_factory=list)
-
-    @property
-    def strongly_inner(self) -> bool:
-        return self.witness is not None
-
-
-def strongly_inner_witness_e2(a: YDObject) -> StrongInnerE2Result:
-    """Exhaustive branch analysis for a strongly inner E(2)-action.
-
-    A convolution-invertible algebra map p: E(2) → A giving the action
-    would satisfy, with u' = p(c), w' = p(x₁), W' = p(cx₂):
-        c·f  = u' f u'⁻¹,
-        x₁·f = w' f u' + f u' w',
-        (cx₂)·f = W' f − u' f u' W'.
-    Centrality forces u' = ±u; both sign branches are solved linearly and
-    then all E(2) relations are checked on the candidate generators.
-    """
-    meta = a.hopf.meta
-    c_index, x1_index, x2_index = meta["c"], meta["x1"], meta["x2"]
-    alg = a.alg
-    d = alg.dim
-    u0 = normalized_implementer(a, c_index)
-    if u0 is None:
-        return StrongInnerE2Result(None, ["c-action is not implemented by conjugation"])
-    den_a, images = a.int_images
-    den_m = alg.int_sp[0]
-    # cx₂ acts as c·(x₂·-): (cx₂)·e_z = Σ_k (x₂·e_z)_k·(c·e_k), over D_a²
-    cx2 = [sparse_sum((v, images[k][c_index]) for k, v in acts[x2_index].items()) for acts in images]
-    failures = []
-    for lam in (Q(1), Q(-1)):
-        u = [lam * x for x in u0]
-        su, den_u = scaled(sparse_vec(u))
-        anti = (commutator_columns(alg, su, 1, su, range(d)), {})  # u'v + vu' = 0 for v = w' and v = W'
-        label = f"branch u' = {'+' if lam > 0 else '-'}u"
-
-        # x₁·z = w'zu + zuw', plus u'w' + w'u' = 0; over D_m²·D_u·D_a
-        lift = den_m * den_m * den_u
-        eqs = [anti]
-        for z, acts in enumerate(images):
-            ezu = alg.mul_int({z: den_a}, su)
-            eqs.append((commutator_columns(alg, ezu, 1, ezu, range(d)), sparse_sum([(lift, acts[x1_index])])))
-        sol_w = solve_columns(eqs, d)
-        if sol_w.particular is None:
-            failures.append(f"{label}: no solution for p(x₁)")
-            continue
-        w = sol_w.particular
-
-        # (cx₂)·z = W'z − uzuW', plus u'W' + W'u' = 0; over (D_m·D_u·D_a)²·D_m
-        lift *= den_m * den_u
-        eqs = [anti]
-        for z in range(d):
-            uzu = alg.mul_int(alg.mul_int(su, {z: den_a * den_a}), su)
-            columns = commutator_columns(alg, {z: lift * den_a**2 // den_m}, -1, uzu, range(d))
-            eqs.append((columns, sparse_sum([(lift, cx2[z])])))
-        sol_big = solve_columns(eqs, d)
-        if sol_big.particular is None:
-            failures.append(f"{label}: no solution for p(cx₂)")
-            continue
-        bigw = sol_big.particular
-
-        sw, sbig = sparse_vec(w), sparse_vec(bigw)
-        px2 = alg.mul_sparse(sparse_vec(u), sbig)  # p(x₂) = p(c)p(cx₂)
-        relation_checks = [
-            ("p(x₁)² = 0", alg.mul_sparse(sw, sw)),
-            ("p(x₂)² = 0", alg.mul_sparse(px2, px2)),
-            ("p(x₁)p(x₂) + p(x₂)p(x₁) = 0", alg.mul_sparse(sw, px2, alg.mul_sparse(px2, sw))),
-            ("(cx₂)x₁ − x₁(cx₂) = 0", sparse_sum(((1, alg.mul_sparse(sbig, sw)), (-1, alg.mul_sparse(sw, sbig))))),
-        ]
-        bad = [name for name, value in relation_checks if value]
-        if bad:
-            failures.append(f"{label}: relation(s) not respected: {', '.join(bad)}")
-            continue
-        return StrongInnerE2Result((u, w, bigw), failures)
-    return StrongInnerE2Result(None, failures)
 
 
 @dataclass

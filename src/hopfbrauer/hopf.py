@@ -582,15 +582,14 @@ class QTStructure:
     r_inv: list[Fraction]
 
     def pairs(self) -> dict[tuple[int, int], Fraction]:
-        """R as {(i, j): c}, built once; callers do not change it."""
-        return self._pairs
-
-    _pairs = cached_property(lambda self: t2_from_vec(self.r, self.hopf.dim))
+        """R as {(i, j): c}, read from ``int_pairs``."""
+        den, pairs = self.int_pairs
+        return over(pairs, den)
 
     @cached_property
     def int_pairs(self) -> tuple[int, dict[tuple[int, int], int]]:
-        """(D_R, ``pairs`` times D_R as integers), built once."""
-        pairs, den = scaled(self._pairs)
+        """(D_R, R times D_R as {(i, j): int}), built once."""
+        pairs, den = scaled(t2_from_vec(self.r, self.hopf.dim))
         return den, pairs
 
 

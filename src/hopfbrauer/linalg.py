@@ -111,22 +111,6 @@ def scaled_rows(rows) -> tuple[int, list[tuple]]:
     return den, [tuple((*t[:-1], t[-1].numerator * (den // t[-1].denominator)) for t in row) for row in rows]
 
 
-def int_content(den: int, terms, dims) -> int:
-    """gcd(den, every c) of the (i₁, …, i_r, c) terms; ``ValueError`` unless
-    den > 0 and c ≠ 0 are ints and i_r an int in range(dims[r])."""
-    if type(den) is not int or den <= 0:
-        raise ValueError(f"scale {den!r} is not a positive int")
-    terms = list(terms)
-    for r, bound in enumerate(dims):
-        idx = [t[r] for t in terms]
-        if not set(map(type, idx)) <= {int} or idx and not 0 <= min(idx) <= max(idx) < bound:
-            raise ValueError(f"index {r} of a term is not an int, or not in range({bound})")
-    cs = [t[-1] for t in terms]
-    if not set(map(type, cs)) <= {int} or not all(cs):
-        raise ValueError("a coefficient is not a nonzero int")
-    return math.gcd(den, *cs)
-
-
 def over(v: dict, den: int) -> dict:
     """v/den, each integer value written once as a Fraction."""
     return {k: Fraction(c, den) for k, c in v.items()}

@@ -15,7 +15,7 @@ braidings, centralizers and the inner action solvers.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from fractions import Fraction
 from typing import Sequence
@@ -26,6 +26,7 @@ from .algebra import (
     canonical_terms,
     commutator_columns,
     endomorphism_algebra,
+    int_content,
     on_generators,
     opposite_algebra,
 )
@@ -36,7 +37,6 @@ from .linalg import (
     SparseVec,
     common_denominator,
     dense_vec,
-    int_content,
     mat_det,
     over,
     rational_is_square,
@@ -130,15 +130,16 @@ class YDObject:
             raise ValueError(f"rho must have {dim} rows")
         if images is not None and type(images) is not _Store:
             den, rows = images
-            g = int_content(den, (t for row in rows for v in row for t in v.items()), (dim,))
+            g = int_content(den, [[v.items() for v in row] for row in rows], dim)
             rows = [[dict(sorted((p, c // g) for p, c in v.items())) for v in row] for row in rows]
             images = _Store((den // g, rows))
         if rho is not None and type(rho) is not _Store:
             den, rows = rho
-            if any(len({t[:2] for t in terms}) != len(terms) for terms in rows):
-                raise ValueError("a coaction index (a, k) occurs twice")
-            g = int_content(den, (t for terms in rows for t in terms), (dim, n))
-            rho = _Store((den // g, [tuple(sorted((a, k, c // g) for a, k, c in terms)) for terms in rows]))
+            # c·e_a ⊗ e_k at a·n + k, as in ``coaction``; a k out of range is no index
+            rows = [[(a * n + k if type(a) is type(k) is int and 0 <= k < n else None, c) for a, k, c in terms]
+                    for terms in rows]
+            g = int_content(den, [rows], dim * n)
+            rho = _Store((den // g, [tuple(sorted((*divmod(p, n), c // g) for p, c in terms)) for terms in rows]))
         obj = cls.__new__(cls)
         obj.__dict__.update(hopf=hopf, dim=dim, alg=alg, int_images=images, int_rho=rho)
         return obj
@@ -938,6 +939,86 @@ def strongly_inner_witness_h4(a: YDObject):
     if beta is None:
         raise ValueError("w² is not scalar; the (k,+)-invariant is undefined here")
     return u, w, beta
+
+
+@dataclass
+class StrongInnerE2Result:
+    witness: tuple | None
+    branch_failures: list[str] = field(default_factory=list)
+
+    @property
+    def strongly_inner(self) -> bool:
+        return self.witness is not None
+
+
+def strongly_inner_witness_e2(a: YDObject) -> StrongInnerE2Result:
+    """Exhaustive branch analysis for a strongly inner E(2)-action.
+
+    A convolution-invertible algebra map p: E(2) → A giving the action
+    would satisfy, with u' = p(c), w' = p(x₁), W' = p(cx₂):
+        c·f  = u' f u'⁻¹,
+        x₁·f = w' f u' + f u' w',
+        (cx₂)·f = W' f − u' f u' W'.
+    Centrality forces u' = ±u; both sign branches are solved linearly and
+    then all E(2) relations are checked on the candidate generators.
+    """
+    meta = a.hopf.meta
+    c_index, x1_index, x2_index = meta["c"], meta["x1"], meta["x2"]
+    alg = a.alg
+    d = alg.dim
+    u0 = normalized_implementer(a, c_index)
+    if u0 is None:
+        return StrongInnerE2Result(None, ["c-action is not implemented by conjugation"])
+    den_a, images = a.int_images
+    den_m = alg.int_sp[0]
+    # cx₂ acts as c·(x₂·-): (cx₂)·e_z = Σ_k (x₂·e_z)_k·(c·e_k), over D_a²
+    cx2 = [sparse_sum((v, images[k][c_index]) for k, v in acts[x2_index].items()) for acts in images]
+    failures = []
+    for lam in (Q(1), Q(-1)):
+        u = [lam * x for x in u0]
+        su, den_u = scaled(sparse_vec(u))
+        anti = (commutator_columns(alg, su, 1, su, range(d)), {})  # u'v + vu' = 0 for v = w' and v = W'
+        label = f"branch u' = {'+' if lam > 0 else '-'}u"
+
+        # x₁·z = w'zu + zuw', plus u'w' + w'u' = 0; over D_m²·D_u·D_a
+        lift = den_m * den_m * den_u
+        eqs = [anti]
+        for z, acts in enumerate(images):
+            ezu = alg.mul_int({z: den_a}, su)
+            eqs.append((commutator_columns(alg, ezu, 1, ezu, range(d)), sparse_sum([(lift, acts[x1_index])])))
+        sol_w = solve_columns(eqs, d)
+        if sol_w.particular is None:
+            failures.append(f"{label}: no solution for p(x₁)")
+            continue
+        w = sol_w.particular
+
+        # (cx₂)·z = W'z − uzuW', plus u'W' + W'u' = 0; over (D_m·D_u·D_a)²·D_m
+        lift *= den_m * den_u
+        eqs = [anti]
+        for z in range(d):
+            uzu = alg.mul_int(alg.mul_int(su, {z: den_a * den_a}), su)
+            columns = commutator_columns(alg, {z: lift * den_a**2 // den_m}, -1, uzu, range(d))
+            eqs.append((columns, sparse_sum([(lift, cx2[z])])))
+        sol_big = solve_columns(eqs, d)
+        if sol_big.particular is None:
+            failures.append(f"{label}: no solution for p(cx₂)")
+            continue
+        bigw = sol_big.particular
+
+        sw, sbig = sparse_vec(w), sparse_vec(bigw)
+        px2 = alg.mul_sparse(sparse_vec(u), sbig)  # p(x₂) = p(c)p(cx₂)
+        relation_checks = [
+            ("p(x₁)² = 0", alg.mul_sparse(sw, sw)),
+            ("p(x₂)² = 0", alg.mul_sparse(px2, px2)),
+            ("p(x₁)p(x₂) + p(x₂)p(x₁) = 0", alg.mul_sparse(sw, px2, alg.mul_sparse(px2, sw))),
+            ("(cx₂)x₁ − x₁(cx₂) = 0", sparse_sum(((1, alg.mul_sparse(sbig, sw)), (-1, alg.mul_sparse(sw, sbig))))),
+        ]
+        bad = [name for name, value in relation_checks if value]
+        if bad:
+            failures.append(f"{label}: relation(s) not respected: {', '.join(bad)}")
+            continue
+        return StrongInnerE2Result((u, w, bigw), failures)
+    return StrongInnerE2Result(None, failures)
 
 
 # ---------------------------------------------------------------------------

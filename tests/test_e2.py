@@ -20,7 +20,6 @@ from hopfbrauer.e2 import (
     parity_view,
     prop62_instance_check,
     restrict_along,
-    strongly_inner_witness_e2,
     t_morphism,
     theorem61_check,
     theta,
@@ -45,6 +44,7 @@ from hopfbrauer.yd import (
     induced_coaction,
     is_h_azumaya,
     sharp_product,
+    strongly_inner_witness_e2,
 )
 
 rng = random.Random(23)

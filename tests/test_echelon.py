@@ -12,12 +12,13 @@ integer column blocks, to ``solve_columns``, and on edge cases; the solutions re
 """
 
 import math
+import sys
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 
 from test_linalg import SOLVER_SEEDS, _solver_case
-from hopfbrauer import algebra, hopf, linalg, yd
 from hopfbrauer.linalg import Echelon, LinearSolution, scaled, solve_columns, solve_sparse, sparse_vec, zero_vec
 from hopfbrauer.verify import run_verification
 
@@ -147,13 +148,14 @@ def _column_system(blocks, unknowns: int):
 
 
 def test_echelon_matches_the_fraction_rref_on_every_seed7_solve(monkeypatch):
-    systems = []
+    systems, callers = [], Counter()
 
     def recorded(rows, rhs, nunknowns):
         systems.append((rows, rhs, nunknowns))
         return solve_sparse(rows, rhs, nunknowns)
 
     def recorded_columns(blocks, unknowns):
+        callers[sys._getframe(1).f_code.co_name] += 1
         blocks = list(blocks)
         got, system = solve_columns(blocks, unknowns), _column_system(blocks, unknowns)
         want = _reference_solve(*system)
@@ -161,12 +163,17 @@ def test_echelon_matches_the_fraction_rref_on_every_seed7_solve(monkeypatch):
         systems.append(system)
         return got
 
-    monkeypatch.setattr(linalg, "solve_sparse", recorded)
-    monkeypatch.setattr(hopf, "solve_sparse", recorded)
-    for module in (linalg, algebra, yd):
-        monkeypatch.setattr(module, "solve_columns", recorded_columns)
+    # every module that imported a solver, wherever a caller lives
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hopfbrauer"):
+            for solver, stand_in in ((solve_sparse, recorded), (solve_columns, recorded_columns)):
+                if getattr(module, solver.__name__, None) is solver:
+                    monkeypatch.setattr(module, solver.__name__, stand_in)
     run_verification(("all",), 7, 20)
     assert len(systems) > 100
+    # the p(x₁) and p(cx₂) systems of End(P), on their own integer scales
+    assert callers["strongly_inner_witness_e2"] >= 2
+    assert {"inner_witness", "conjugation_implementer", "super_center"} <= set(callers), callers
     for system in systems:
         _assert_agrees(*system)
 

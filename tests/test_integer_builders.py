@@ -351,6 +351,8 @@ def test_from_int_sorts_divides_by_the_gcd_and_equals_from_sparse():
         (None, (1, [[(0, 0, 1), (0, 0, 2)], []]), "twice"),
         (None, (1, [[(0, 0, 0)], []]), "nonzero int"),
         (None, (1, [[(0, 0, 1)]]), "rows"),
+        (None, (1, [[(0, 1)], []]), "unpack"),
+        (None, (1, [[(True, 0, 1)], []]), "not in range"),
         (None, (-3, [[], []]), "scale"),
     ],
 )

@@ -35,7 +35,8 @@ readers that work on the integer store (``INTEGER_PATHS``) make no Fraction
 product and send nothing through ``canonical_terms`` in the seed-7 report
 or on the d = 16 rung, ``sandwich_matrix`` and ``braiding_psi`` build no
 dense ``Matrix``, and ``sandwich_matrix`` makes only its d² dense products
-e_i·e_k."""
+e_i·e_k. R is expanded and scaled once per quasitriangular structure
+(``QTStructure.int_pairs``), however often the builders read it."""
 
 import random
 import sys
@@ -51,7 +52,6 @@ from hopfbrauer.e2 import (
     f0_g0_matrices,
     fg_decomposition_residuals,
     is_graded_central_simple,
-    strongly_inner_witness_e2,
     t_morphism,
     theta,
     witness_end_p,
@@ -327,7 +327,7 @@ def test_witness_solvers_and_morphism_checks_make_no_dense_product(monkeypatch):
     meta = e2_object.hopf.meta
     assert yd.inner_witness(e2_object, meta["x1"], meta["c"]) is not None
     assert yd.conjugation_implementer(e2_object, meta["c"]) is None
-    assert not strongly_inner_witness_e2(end_p).strongly_inner
+    assert not yd.strongly_inner_witness_e2(end_p).strongly_inner
     left, right = yd.yd_centralizers(h4_carrier, [h4_carrier.alg.one()])
     assert len(left) == len(right) == 4
     assert h4_carrier.alg.is_invertible(h4_carrier.alg.one())
@@ -659,3 +659,17 @@ def test_sandwich_matrix_and_braiding_build_no_dense_matrix(monkeypatch):
     psi = yd.braiding_psi(v, sharp_product(v, w), build_RN())
     assert psi.rows == 8 and "data" not in psi.__dict__
     assert built == []
+
+
+def test_r_is_expanded_and_scaled_once_per_structure(monkeypatch):
+    rn, v = build_RN(), build_c_e2(Q(2), Q(3), Q(-1))
+    fresh = hopf.QTStructure(rn.hopf, rn.r, rn.r_inv)
+    want = hopf.t2_from_vec(rn.r, rn.hopf.dim)
+    expanded = Counter()
+    original = hopf.t2_from_vec
+    monkeypatch.setattr(hopf, "t2_from_vec", lambda r, n: expanded.update([r is rn.r]) or original(r, n))
+    for _ in range(3):
+        yd.induced_coaction(v, fresh)
+        yd.braiding_psi(v, v, fresh)
+    assert fresh.pairs() == want and list(fresh.pairs()) == list(want)
+    assert expanded[True] == 1
