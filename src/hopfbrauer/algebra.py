@@ -15,7 +15,6 @@ layered over this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
@@ -331,18 +330,16 @@ class StructureAlgebra:
         return f"StructureAlgebra({label}, dim={self.dim})"
 
 
-@dataclass
 class Grading:
     """ℤ₂-grading by a homogeneous basis: parity[i] ∈ {0, 1} per basis index."""
 
-    parent: StructureAlgebra
-    parity: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.parity) != self.parent.dim:
+    def __init__(self, parent: StructureAlgebra, parity: tuple[int, ...]):
+        if len(parity) != parent.dim:
             raise ValueError("parity vector has wrong length")
-        if any(p not in (0, 1) for p in self.parity):
+        if any(p not in (0, 1) for p in parity):
             raise ValueError("parity entries must be 0 or 1")
+        self.parent = parent
+        self.parity = parity
 
     def compatible(self) -> CheckReport:
         """Multiplication must respect parity additively mod 2."""

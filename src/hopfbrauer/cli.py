@@ -44,6 +44,8 @@ from .yd import is_h_azumaya
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+# a bound on ``verify --samples``: the run time grows linearly in it
+MAX_SAMPLES = 10_000
 
 
 def _rat(text: str) -> Fraction:
@@ -123,6 +125,9 @@ def _emit(payload: dict, json_path: str | None) -> None:
 def cmd_verify(args) -> int:
     if args.samples < 1:
         print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return USAGE_ERROR
+    if args.samples > MAX_SAMPLES:
+        print(f"error: --samples must be at most {MAX_SAMPLES}, got {args.samples}", file=sys.stderr)
         return USAGE_ERROR
     options = {}
     if args.t is not None:

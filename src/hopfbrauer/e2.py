@@ -19,7 +19,6 @@ graded central simple representative.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
@@ -306,16 +305,21 @@ def is_graded_central_simple(a: YDObject) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class KernelWitness:
-    u: Matrix
-    w: Matrix
-    big_u: Matrix
-    big_w: Matrix
-    p_module: YDObject        # over D(H₄)
-    end_p: YDObject           # over E(2), coaction induced by R_N
-    report: CheckReport
-    steps: dict = field(default_factory=dict)  # step label -> bool
+    def __init__(
+        self,
+        u: Matrix,
+        w: Matrix,
+        big_u: Matrix,
+        big_w: Matrix,
+        p_module: YDObject,  # over D(H₄)
+        end_p: YDObject,  # over E(2), coaction induced by R_N
+        report: CheckReport,
+        steps: dict | None = None,  # step label -> bool
+    ):
+        self.u, self.w, self.big_u, self.big_w = u, w, big_u, big_w
+        self.p_module, self.end_p, self.report = p_module, end_p, report
+        self.steps = {} if steps is None else steps
 
 
 def _witness_matrices() -> tuple[Matrix, Matrix, Matrix, Matrix]:
@@ -431,15 +435,21 @@ def kernel_witness() -> KernelWitness:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Thm61Report:
-    x1_inner: bool
-    x2_inner: bool
-    graded_central_simple: bool
-    e2_inner: bool
-    central_simple: bool
-    x1_witness: list | None
-    x2_witness: list | None
+    def __init__(
+        self,
+        x1_inner: bool,
+        x2_inner: bool,
+        graded_central_simple: bool,
+        e2_inner: bool,
+        central_simple: bool,
+        x1_witness: list | None,
+        x2_witness: list | None,
+    ):
+        self.x1_inner, self.x2_inner = x1_inner, x2_inner
+        self.graded_central_simple = graded_central_simple
+        self.e2_inner, self.central_simple = e2_inner, central_simple
+        self.x1_witness, self.x2_witness = x1_witness, x2_witness
 
     @property
     def equivalent(self) -> bool:
@@ -465,17 +475,24 @@ def theorem61_check(a: YDObject) -> Thm61Report:
     return Thm61Report(v1 is not None, v2 is not None, gcs, e2_inner, cs, v1, v2)
 
 
-@dataclass
 class NotSubgroupReport:
-    t: Fraction
-    q: Fraction
-    factors_azumaya: tuple[bool, bool]
-    factors_gcs: tuple[bool, bool]
-    product_azumaya: bool
-    product_gcs: bool
-    super_central_witness: list[Fraction] | None
-    x1_witness_missing: bool
-    x2_witness_missing: bool
+    def __init__(
+        self,
+        t: Fraction,
+        q: Fraction,
+        factors_azumaya: tuple[bool, bool],
+        factors_gcs: tuple[bool, bool],
+        product_azumaya: bool,
+        product_gcs: bool,
+        super_central_witness: list[Fraction] | None,
+        x1_witness_missing: bool,
+        x2_witness_missing: bool,
+    ):
+        self.t, self.q = t, q
+        self.factors_azumaya, self.factors_gcs = factors_azumaya, factors_gcs
+        self.product_azumaya, self.product_gcs = product_azumaya, product_gcs
+        self.super_central_witness = super_central_witness
+        self.x1_witness_missing, self.x2_witness_missing = x1_witness_missing, x2_witness_missing
 
     @property
     def closure_fails(self) -> bool:

@@ -18,7 +18,6 @@ D_Δ), compared over a known scale or divided once per entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -31,6 +30,7 @@ from .linalg import (
     common_denominator,
     dense_vec,
     over,
+    scale_sparse,
     scaled,
     scaled_rows,
     scaled_vecs,
@@ -575,11 +575,9 @@ def bowtie_vec(double_dim_factor: int, fvec: Sequence[Fraction], avec: Sequence[
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class QTStructure:
-    hopf: HopfAlgebra
-    r: list[Fraction]
-    r_inv: list[Fraction]
+    def __init__(self, hopf: HopfAlgebra, r: list[Fraction], r_inv: list[Fraction]):
+        self.hopf, self.r, self.r_inv = hopf, r, r_inv
 
     def pairs(self) -> dict[tuple[int, int], Fraction]:
         """R as {(i, j): c}, read from ``int_pairs``."""
@@ -694,11 +692,9 @@ def check_quasitriangular(h: HopfAlgebra, rt: QTStructure) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CoQTStructure:
-    hopf: HopfAlgebra
-    form: Matrix
-    form_inv: Matrix
+    def __init__(self, hopf: HopfAlgebra, form: Matrix, form_inv: Matrix):
+        self.hopf, self.form, self.form_inv = hopf, form, form_inv
 
 
 def int_form(m: Matrix) -> tuple[int, list[list[int]]]:
@@ -834,58 +830,78 @@ def check_coquasitriangular(h: HopfAlgebra, ct: CoQTStructure) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class HopfMorphism:
-    source: HopfAlgebra
-    target: HopfAlgebra
-    matrix: Matrix
-    name: str = ""
-
-    def __post_init__(self):
-        if self.matrix.rows != self.target.dim or self.matrix.cols != self.source.dim:
+    def __init__(self, source: HopfAlgebra, target: HopfAlgebra, matrix: Matrix, name: str = ""):
+        if matrix.rows != target.dim or matrix.cols != source.dim:
             raise ValueError("morphism matrix has wrong shape")
+        self.source, self.target, self.matrix, self.name = source, target, matrix, name
 
     def apply(self, x: Sequence[Fraction]) -> list[Fraction]:
         return self.matrix.apply(x)
 
+    @cached_property
+    def int_cols(self) -> tuple[int, list[IntVec]]:
+        """(D_f, [D_f·f(e_i) as {index: int}]), D_f the least common
+        denominator of the matrix, built on first use."""
+        return scaled_vecs(sparse_vec(self.matrix.col(i)) for i in range(self.source.dim))
+
 
 def check_hopf_morphism(f: HopfMorphism) -> CheckReport:
     """Unit, product, counit, coproduct and antipode preserved, compared on
-    the sparse columns f(e_i); a message is formatted only on failure."""
+    integers: the columns F_i of ``int_cols`` against each side's integer
+    tables, the two sides of an identity lifted to one scale; a message is
+    formatted only on failure."""
     rep = CheckReport(f"Hopf morphism ({f.name or f.source.name + '→' + f.target.name})")
     src, tgt = f.source, f.target
     basis = src.alg.basis
-    cols = [sparse_vec(f.matrix.col(i)) for i in range(src.dim)]
+    den_f, cols = f.int_cols
 
-    def image(v, images=cols) -> SparseVec:
-        return sparse_sum((c, images[k]) for k, c in v.items())
+    def image(v: IntVec, scale: int, images=cols) -> IntVec:
+        """scale·Σ v_k·images[k]."""
+        return sparse_sum((scale * c, images[k]) for k, c in v.items())
 
-    rep.require(image(sparse_vec(src.alg.unit)) == sparse_vec(tgt.alg.unit), "f(1) ≠ 1")
+    # f(1) over D_u·D_f against 1' over D_u'
+    (unit, den_u), (unit_t, den_ut) = scaled(sparse_vec(src.alg.unit)), scaled(sparse_vec(tgt.alg.unit))
+    rep.require(image(unit, den_ut) == scale_sparse(unit_t, den_u * den_f), "f(1) ≠ 1")
+    # f(e_i e_j) over D_m·D_f against F_i·F_j over D_f²·D_m'
+    den_m, sp = src.alg.int_sp
+    lift = den_f * tgt.alg.int_sp[0]
     for i in range(src.dim):
         for j in range(src.dim):
-            if image(dict(src.alg.mul_basis(i, j))) != tgt.alg.mul_sparse(cols[i], cols[j]):
+            if image(dict(sp[i][j]), lift) != scale_sparse(tgt.alg.mul_int(cols[i], cols[j]), den_m):
                 rep.failures.append(f"not an algebra map at ({basis[i]},{basis[j]})")
+    (counit, den_e), (counit_t, den_et) = scaled(sparse_vec(src.counit)), scaled(sparse_vec(tgt.counit))
+    den_d, cop = src.int_cop
+    den_dt, cop_t = tgt.int_cop
+    cops_t = [{(a, b): d for a, b, d in row} for row in cop_t]
+    (den_s, s_cols), (den_st, s_cols_t) = scaled_vecs(src.s_cols), scaled_vecs(tgt.s_cols)
     for i, fi in enumerate(cols):
-        if sum(c * tgt.counit[k] for k, c in fi.items()) != src.counit[i]:
+        # ε'(f(e_i)) over D_f·D_ε' against ε(e_i) over D_ε
+        if den_e * sum(c * counit_t.get(k, 0) for k, c in fi.items()) != den_f * den_et * counit.get(i, 0):
             rep.failures.append(f"counit not preserved at {basis[i]}")
+        # (f⊗f)Δ(e_i) over D_Δ·D_f² against Δ'(f(e_i)) over D_f·D_Δ'
         lhs = sparse_sum(
-            (c, {(a, b): va * vb for a, va in cols[p].items() for b, vb in cols[q].items()})
-            for p, q, c in src.cop_sparse(i)
+            (den_dt * c, {(a, b): va * vb for a, va in cols[p].items() for b, vb in cols[q].items()})
+            for p, q, c in cop[i]
         )
-        if lhs != sparse_sum((c, {(a, b): d for a, b, d in tgt.cop_sparse(k)}) for k, c in fi.items()):
+        if lhs != image(fi, den_d * den_f, cops_t):
             rep.failures.append(f"not a coalgebra map at {basis[i]}")
-        if image(src.s_cols[i]) != image(fi, tgt.s_cols):
+        # f(S(e_i)) over D_S·D_f against S'(f(e_i)) over D_f·D_S'
+        if image(s_cols[i], den_st) != image(fi, den_s, s_cols_t):
             rep.failures.append(f"antipode not intertwined at {basis[i]}")
     return rep
 
 
 def push_qt(f: HopfMorphism, rvec: Sequence[Fraction]) -> list[Fraction]:
-    """(f ⊗ f)(R) in target ⊗ target, from the sparse columns of f."""
+    """(f ⊗ f)(R) in target ⊗ target, contracted on integers: R over its least
+    common denominator D_R and ``int_cols`` over D_f, so the image is over
+    D_R·D_f²."""
     m = f.target.dim
-    cols = [sparse_vec(f.matrix.col(i)) for i in range(f.source.dim)]
+    den_f, cols = f.int_cols
+    r, den_r = scaled(t2_from_vec(vec(rvec), f.source.dim))
     out = sparse_sum(
         (c * va, {a * m + b: vb for b, vb in cols[j].items()})
-        for (i, j), c in t2_from_vec(vec(rvec), f.source.dim).items()
+        for (i, j), c in r.items()
         for a, va in cols[i].items()
     )
-    return dense_vec(out, m * m)
+    return dense_vec(over(out, den_r * den_f * den_f), m * m)

@@ -13,7 +13,6 @@ basis vector e_i ⊗ e_j of V ⊗ W sits at flat index ``i * dim(W) + j``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -432,12 +431,16 @@ def _perm_sign(order: list[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class LinearSolution:
     """Solution of A·x = b: one particular solution (or None) plus ker(A)."""
 
-    particular: list[Fraction] | None
-    kernel: list[list[Fraction]]
+    def __init__(self, particular: list[Fraction] | None, kernel: list[list[Fraction]]):
+        self.particular, self.kernel = particular, kernel
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.particular, self.kernel) == (other.particular, other.kernel)
 
     @property
     def consistent(self) -> bool:

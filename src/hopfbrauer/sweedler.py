@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import CheckReport, StructureAlgebra, opposite_algebra
@@ -36,6 +35,7 @@ from .yd import (
     check_yd_algebra,
     end_yd,
     induced_action,
+    refuse_assignment,
     sharp_product,
     strongly_inner_witness_h4,
 )
@@ -173,19 +173,22 @@ def dh4_relations() -> list[tuple[str, list[Fraction]]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CFamilyDescriptor:
     """The triple (a, t, s) naming the algebra C(a;t,s): x² = a, g·x = −x,
-    h·x = t, ρ(x) = x⊗g + s⊗h."""
+    h·x = t, ρ(x) = x⊗g + s⊗h. Frozen, equal and hashed on (a, t, s)."""
 
-    a: Fraction
-    t: Fraction
-    s: Fraction
+    def __init__(self, a: Fraction, t: Fraction, s: Fraction):
+        self.__dict__.update(a=Q(a), t=Q(t), s=Q(s))
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Q(self.a))
-        object.__setattr__(self, "t", Q(self.t))
-        object.__setattr__(self, "s", Q(self.s))
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.t, self.s) == (other.a, other.t, other.s)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.t, self.s))
 
     @property
     def is_azumaya(self) -> bool:
@@ -306,7 +309,6 @@ def c_opposite(d: CFamilyDescriptor) -> CFamilyDescriptor:
     return CFamilyDescriptor(d.s * d.t - d.a, d.t, d.s)
 
 
-@dataclass
 class CMembership:
     """Membership of [C(a;t,s)] in the images of i_l and ι_l.
 
@@ -314,8 +316,8 @@ class CMembership:
     or None.
     """
 
-    in_i: object
-    in_iota: object
+    def __init__(self, in_i: object, in_iota: object):
+        self.in_i, self.in_iota = in_i, in_iota
 
 
 def c_membership(d: CFamilyDescriptor) -> CMembership:
@@ -333,17 +335,22 @@ def c_membership(d: CFamilyDescriptor) -> CMembership:
     return CMembership(in_i, in_iota)
 
 
-@dataclass
 class CProductPresentation:
     """Generalized quaternion presentation of C(a;t,s) # C(a';t',s')."""
 
-    x_sq: Fraction
-    y_sq: Fraction
-    anticommutator: Fraction   # XY + YX
-    h_dot_x: Fraction
-    h_dot_y: Fraction
-    rho_x_s: Fraction          # ρ(X) = X⊗g + rho_x_s⊗h
-    rho_y_s: Fraction
+    def __init__(
+        self,
+        x_sq: Fraction,
+        y_sq: Fraction,
+        anticommutator: Fraction,  # XY + YX
+        h_dot_x: Fraction,
+        h_dot_y: Fraction,
+        rho_x_s: Fraction,  # ρ(X) = X⊗g + rho_x_s⊗h
+        rho_y_s: Fraction,
+    ):
+        self.x_sq, self.y_sq, self.anticommutator = x_sq, y_sq, anticommutator
+        self.h_dot_x, self.h_dot_y = h_dot_x, h_dot_y
+        self.rho_x_s, self.rho_y_s = rho_x_s, rho_y_s
 
 
 def c_product(d1: CFamilyDescriptor, d2: CFamilyDescriptor) -> CProductPresentation:
@@ -394,12 +401,11 @@ def quaternion_yd_algebra(p: CProductPresentation):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class BM0Invariant:
     """((k,+)-component, Brauer-Wall square class) of [C(a;t,0)]."""
 
-    beta: Fraction
-    square_class: int
+    def __init__(self, beta: Fraction, square_class: int):
+        self.beta, self.square_class = beta, square_class
 
 
 def classify_bm0(d: CFamilyDescriptor) -> BM0Invariant:
@@ -428,10 +434,10 @@ def classify_bm0(d: CFamilyDescriptor) -> BM0Invariant:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class LazyCocycle:
-    t: Fraction
-    table: Matrix  # σ(e_i ⊗ e_j) over the basis (1, g, h, gh)
+    def __init__(self, t: Fraction, table: Matrix):
+        self.t = t
+        self.table = table  # σ(e_i ⊗ e_j) over the basis (1, g, h, gh)
 
 
 def build_sigma(t) -> LazyCocycle:
@@ -639,12 +645,10 @@ def aut_algebra(alpha):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class IntersectionVerdict:
-    kind: str                       # "i-vs-iota" | "i-vs-i" | "iota-vs-iota"
-    nontrivial: bool
-    witness: CFamilyDescriptor | None
-    note: str
+    def __init__(self, kind: str, nontrivial: bool, witness: CFamilyDescriptor | None, note: str):
+        self.kind = kind  # "i-vs-iota" | "i-vs-i" | "iota-vs-iota"
+        self.nontrivial, self.witness, self.note = nontrivial, witness, note
 
 
 def intersection_report(t, s) -> list[IntersectionVerdict]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .algebra import CheckReport
@@ -91,13 +90,9 @@ Q = Fraction
 REPORT_VERSION = "1"
 
 
-@dataclass
 class CheckRecord:
-    check_id: str
-    anchor: str
-    params: dict
-    status: str
-    witness: object = None
+    def __init__(self, check_id: str, anchor: str, params: dict, status: str, witness: object = None):
+        self.check_id, self.anchor, self.params, self.status, self.witness = check_id, anchor, params, status, witness
 
     @property
     def passed(self) -> bool:
@@ -721,7 +716,10 @@ def run_verification(suites=("all",), seed: int = 0, samples: int = 20, options:
         "seed": seed,
         "samples": samples,
         "suites": per_suite,
-        "checks": [asdict(r) for r in records],
+        "checks": [
+            {"check_id": r.check_id, "anchor": r.anchor, "params": r.params, "status": r.status, "witness": r.witness}
+            for r in records
+        ],
         "summary": {"pass": n_pass, "fail": len(records) - n_pass, "total": len(records)},
         "all_pass": bool(records) and n_pass == len(records),
     }

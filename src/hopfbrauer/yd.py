@@ -15,7 +15,6 @@ braidings, centralizers and the inner action solvers.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from fractions import Fraction
 from typing import Sequence
@@ -79,7 +78,15 @@ def _view(store: _Store | None, build):
     return store and store.view
 
 
-@dataclass(frozen=True, eq=False, init=False)
+def refuse_assignment(obj, name: str, value=None):
+    """``__setattr__`` and ``__delattr__`` of an object that is never mutated:
+    raise ``FrozenInstanceError`` as a frozen dataclass does, importing
+    ``dataclasses`` on this error path only."""
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"{type(obj).__name__} is frozen: cannot set or delete {name!r}")
+
+
 class YDObject:
     """A space over H carrying some of a product, a left H-action and a
     right H-coaction; a module, a module algebra, a comodule algebra, a YD
@@ -103,6 +110,8 @@ class YDObject:
         images = None if action is None else [[sparse_vec(m.col(j)) for m in action] for j in range(dim)]
         rho = None if coaction is None else [[(k // n, k % n, c) for k, c in enumerate(row) if c] for row in coaction]
         self.__dict__.update(YDObject.from_sparse(hopf, dim, alg, images, rho).__dict__)
+
+    __setattr__ = __delattr__ = refuse_assignment
 
     @classmethod
     def from_sparse(cls, hopf: HopfAlgebra, dim: int, alg=None, images=None, rho=None) -> "YDObject":
@@ -742,10 +751,9 @@ def graded_flip(v_par: Sequence[int], w_par: Sequence[int]) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class GradingPair:
-    action_parity: tuple[int, ...]
-    coaction_parity: tuple[int, ...]
+    def __init__(self, action_parity: tuple[int, ...], coaction_parity: tuple[int, ...]):
+        self.action_parity, self.coaction_parity = action_parity, coaction_parity
 
     @property
     def equal(self) -> bool:
@@ -941,10 +949,10 @@ def strongly_inner_witness_h4(a: YDObject):
     return u, w, beta
 
 
-@dataclass
 class StrongInnerE2Result:
-    witness: tuple | None
-    branch_failures: list[str] = field(default_factory=list)
+    def __init__(self, witness: tuple | None, branch_failures: list[str] | None = None):
+        self.witness = witness
+        self.branch_failures = [] if branch_failures is None else branch_failures
 
     @property
     def strongly_inner(self) -> bool:

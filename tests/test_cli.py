@@ -1,7 +1,11 @@
+import dataclasses
 import hashlib
 import json
+import subprocess
+import sys
 import time
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -265,6 +269,45 @@ def test_verify_rejects_samples_below_one(capsys, samples):
     assert code == 2
     assert out == ""
     assert err.strip().splitlines() == [f"error: --samples must be at least 1, got {samples}"]
+
+
+@pytest.mark.parametrize("samples", ["10001", "100000000000"])
+def test_verify_rejects_samples_above_the_bound(capsys, samples):
+    code, out, err = run_cli(capsys, "verify", "--suite", "qt", "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == [f"error: --samples must be at most 10000, got {samples}"]
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import hopfbrauer, hopfbrauer.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    run = subprocess.run([sys.executable, "-I", "-c", code, str(src)], capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout.strip(), run.stderr) == (0, "[]", "")
+
+
+def test_plain_records_keep_their_dataclass_behaviour():
+    from hopfbrauer.verify import run_verification
+
+    d = CFamilyDescriptor(1, 2, 3)
+    assert [type(v) for v in (d.a, d.t, d.s)] == [Q] * 3
+    same = CFamilyDescriptor(Q(1), Q(2), Q(3))
+    assert d == same and hash(d) == hash(same) == hash((Q(1), Q(2), Q(3)))
+    assert d != CFamilyDescriptor(1, 2, 4) and d != (Q(1), Q(2), Q(3))
+    assert len({d, same, CFamilyDescriptor(1, 2, 4)}) == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.a = Q(5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del d.t
+    assert (d.a, d.t, d.s) == (1, 2, 3)
+    assert repr(d) == "C(1;2,3)"
+    report = run_verification(("thm3.3", "eq5.1"), seed=1, samples=1)
+    assert report["checks"]
+    for row in report["checks"]:
+        assert list(row) == ["check_id", "anchor", "params", "status", "witness"]
 
 
 def test_empty_report_does_not_pass():

@@ -11,7 +11,8 @@ h/3, gh/5, where the product, the coproduct and H₄*'s coproduct have
 denominators; rescaling a basis changes no identity's truth, so the lists
 agree, while a scale factor dropped on either side of an identity changes
 them. The cocycle twist is compared with the Fraction loop it replaced, on
-carriers whose coaction and product have denominators.
+carriers whose coaction and product have denominators, and (φ⊗φ)(r_t) on
+each corrupted φ with the dense Fraction loop.
 """
 
 import hashlib
@@ -23,13 +24,21 @@ import pytest
 from test_integer_scaling import H4_SCALES, _rescaled_hopf, _transported
 
 from hopfbrauer.algebra import StructureAlgebra
-from hopfbrauer.hopf import CoQTStructure, HopfMorphism, check_coquasitriangular, check_hopf_morphism, dual_hopf
+from hopfbrauer.hopf import (
+    CoQTStructure,
+    HopfMorphism,
+    check_coquasitriangular,
+    check_hopf_morphism,
+    dual_hopf,
+    push_qt,
+)
 from hopfbrauer.linalg import Matrix
 from hopfbrauer.sweedler import (
     CFamilyDescriptor,
     LazyCocycle,
     build_C,
     build_h4,
+    build_rt,
     build_rt_form,
     build_sigma,
     check_lazy_cocycle,
@@ -47,6 +56,18 @@ def _bumped(m, i, j):
 
 def _pin(failures):
     return len(failures), hashlib.sha256(json.dumps(failures).encode()).hexdigest()[:16]
+
+
+def _reference_push(m, r):
+    """(f⊗f)(R) for the matrix m of f, by the dense Fraction loop."""
+    n, rows = m.cols, m.rows
+    out = [Q(0)] * (rows * rows)
+    for i in range(n):
+        for j in range(n):
+            for a in range(rows):
+                for b in range(rows):
+                    out[a * rows + b] += r[i * n + j] * m.data[a][i] * m.data[b][j]
+    return out
 
 
 def _congruent(m, s):
@@ -129,8 +150,11 @@ PHI_PINS = {
 def test_hopf_morphism_failures_are_pinned(bump):
     phi = phi_iso()
     m = phi.matrix if bump is None else _bumped(phi.matrix, *bump)
-    failures = check_hopf_morphism(HopfMorphism(phi.source, phi.target, m, name="phi")).failures
+    morphism = HopfMorphism(phi.source, phi.target, m, name="phi")
+    failures = check_hopf_morphism(morphism).failures
     assert _pin(failures) == PHI_PINS[bump]
+    r = build_rt(Q(-5, 3)).r
+    assert push_qt(morphism, r) == _reference_push(m, r)
     # φ from H₄ on the basis s_i·e_i to its dual on the basis e_i*/s_i
     s = H4_SCALES
     source = _rescaled_hopf(build_h4(), s)
