@@ -28,14 +28,13 @@ from .algebra import (
     is_central_simple,
     super_center,
 )
-from .hopf import HopfAlgebra, HopfMorphism, QTStructure, qt_structure, t2_mul
+from .hopf import HopfAlgebra, HopfMorphism, QTStructure, _t2_int, qt_structure
 from .linalg import (
     IntVec,
     Matrix,
     SparseVec,
     dense_vec,
     in_span,
-    scaled,
     scaled_vecs,
     sparse_sum,
     sparse_vec,
@@ -95,36 +94,36 @@ def build_e2() -> HopfAlgebra:
         ]
         for a, b, d in order
     ]
-    alg = StructureAlgebra.from_sparse(basis, [1] + [0] * 7, table, name="E2")
+    alg = StructureAlgebra.from_int(basis, [1] + [0] * 7, table, 1, name="E2")
+    # over D_m = 1, the integer products below are exact
 
     # coproduct: multiplicative extension of the generator rules
     c_idx, x1_idx, x2_idx = 1, 2, 4
-    one = Q(1)
     delta_gen = {
-        c_idx: {(c_idx, c_idx): one},
-        x1_idx: {(0, x1_idx): one, (x1_idx, c_idx): one},
-        x2_idx: {(0, x2_idx): one, (x2_idx, c_idx): one},
+        c_idx: {(c_idx, c_idx): 1},
+        x1_idx: {(0, x1_idx): 1, (x1_idx, c_idx): 1},
+        x2_idx: {(0, x2_idx): 1, (x2_idx, c_idx): 1},
     }
     cop = []
     for a, b, d in order:
-        acc = {(0, 0): one}
+        acc = {(0, 0): 1}
         for gen, e in ((c_idx, a), (x1_idx, b), (x2_idx, d)):
             for _ in range(e):
-                acc = t2_mul(alg, acc, delta_gen[gen])
+                acc = _t2_int(alg.int_sp[1], acc, delta_gen[gen])
         cop.append([(p, q, c) for (p, q), c in acc.items()])
     counit = [1 if (b == 0 and d == 0) else 0 for a, b, d in order]
 
     # antipode: anti-multiplicative extension of S(c) = c, S(x_i) = cx_i
-    s_gen = {c_idx: {c_idx: one}, x1_idx: {3: one}, x2_idx: {5: one}}
+    s_gen = {c_idx: {c_idx: 1}, x1_idx: {3: 1}, x2_idx: {5: 1}}
     cols = []
     for a, b, d in order:
         word = [c_idx] * a + [x1_idx] * b + [x2_idx] * d
-        acc = sparse_vec(alg.unit)
+        acc = {0: 1}
         for gen in reversed(word):
-            acc = alg.mul_sparse(acc, s_gen[gen])
+            acc = alg.mul_int(acc, s_gen[gen])
         cols.append(acc)
     meta = {"c": 1, "x1": 2, "x2": 4, "pi_keep": (0, 1)}
-    return HopfAlgebra.from_sparse(alg, cop, counit, cols, name="E2", meta=meta)
+    return HopfAlgebra.from_int(alg, (1, cop), counit, (1, cols), name="E2", meta=meta)
 
 
 @functools.lru_cache(maxsize=None)
@@ -142,10 +141,14 @@ def build_RN() -> QTStructure:
         (3, 5): half,
         (3, 4): -half,
     }
-    r = zero_vec(64)
+    # R_N⁻¹ = (S⊗id)R_N, checked by qt_structure
+    den_s, s = e2.int_s
+    r, r_inv = zero_vec(64), zero_vec(64)
     for (i, j), c in terms.items():
         r[i * 8 + j] = c
-    return qt_structure(e2, r)
+        for k, v in s[i].items():
+            r_inv[k * 8 + j] += c * v / den_s
+    return qt_structure(e2, r, r_inv)
 
 
 @functools.lru_cache(maxsize=None)
@@ -263,10 +266,10 @@ def bq_grad_member(a: YDObject) -> bool:
 @functools.cache
 def _k_z2() -> HopfAlgebra:
     """The group algebra kℤ₂ on the basis 1, g, with g grouplike and g² = 1."""
-    alg = StructureAlgebra.from_sparse(["1", "g"], [1, 0], [[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, 1)]]], name="kZ2")
-    antipode = [{0: 1}, {1: 1}]
-    return HopfAlgebra.from_sparse(
-        alg, [[(0, 0, 1)], [(1, 1, 1)]], [1, 1], antipode, antipode, name="kZ2", meta={"g": 1, "pi_keep": (0, 1)}
+    alg = StructureAlgebra.from_int(["1", "g"], [1, 0], [[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, 1)]]], 1, name="kZ2")
+    antipode = (1, [{0: 1}, {1: 1}])
+    return HopfAlgebra.from_int(
+        alg, (1, [[(0, 0, 1)], [(1, 1, 1)]]), [1, 1], antipode, antipode, name="kZ2", meta={"g": 1, "pi_keep": (0, 1)}
     )
 
 

@@ -1,16 +1,14 @@
 """Hopf algebras as structure-constant data.
 
 A Hopf algebra is a :class:`~hopfbrauer.algebra.StructureAlgebra` with a
-coproduct, a counit vector and an antipode S with its inverse, all stored
-sparse: ``_spcop[i]`` = Δ(e_i) as (p, q, c) triples sorted by (p, q), and
-``s_cols[j]``, ``s_inv_cols[j]`` = S(e_j), S⁻¹(e_j) as {k: c} sorted by k,
-every c a nonzero Fraction. The module checks axioms and builds duals,
-Drinfeld doubles with their canonical R, (co)quasitriangular structures and
-Hopf morphisms.
+coproduct, a counit vector and an antipode S with its inverse, Δ, S and S⁻¹
+stored as integers (``HopfAlgebra.from_int``). The module checks axioms and
+builds duals, Drinfeld doubles with their canonical R, (co)quasitriangular
+structures and Hopf morphisms.
 
 Elements of H ⊗ H and H ⊗ H ⊗ H are sparse dicts keyed by index tuples,
-left factor major. Their products (``t2_mul``, ``t3_mul``), the Hopf,
-(co)quasitriangular checks and the double run on integers: each operand
+left factor major. Their products (``_t2_int``, ``_t3_int``), the Hopf and
+(co)quasitriangular checks and the builders run on integers: each operand
 times its least common denominator (a bilinear form by ``int_form``),
 contracted on ``int_sp`` (the product over D_m) and ``int_cop`` (Δ over
 D_Δ), compared over a known scale or divided once per entry.
@@ -22,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import CheckReport, StructureAlgebra, canonical_terms, check_algebra_axioms, on_generators
+from .algebra import CheckReport, StructureAlgebra, check_algebra_axioms, int_content, on_generators
 from .linalg import (
     IntVec,
     Matrix,
@@ -43,78 +41,79 @@ from .linalg import (
 
 
 class HopfAlgebra:
-    """A Hopf algebra on the basis of ``alg``. ``__init__`` converts the dense
-    Δ (Δ[i] at p·dim + q), S and S⁻¹ once, ``from_sparse`` takes the sparse
-    store; ``antipode`` and ``antipode_inv`` are dense views of it, built on
-    first read."""
+    """A Hopf algebra on the basis of ``alg``. The state is ``int_cop`` = (D_Δ,
+    rows[i] = D_Δ·Δ(e_i) as (p, q, c) for c·e_p ⊗ e_q), ``int_s`` and
+    ``int_s_inv`` = (D, cols[j] = D·S(e_j), D·S⁻¹(e_j) as {k: c}), each D the
+    least common denominator, written by ``from_int``; the dense ``__init__``
+    (Δ[i] at p·dim + q) and ``from_sparse`` scale once and call it.
+    ``cop_sparse``, ``s_cols``, ``s_inv_cols``, ``antipode`` and
+    ``antipode_inv`` are rational views, built on first read."""
 
-    def __init__(
-        self,
-        alg: StructureAlgebra,
-        coproduct: Sequence[Sequence],
-        counit: Sequence,
-        antipode: Matrix,
-        antipode_inv: Matrix | None = None,
-        name: str = "",
-        meta: dict | None = None,
-    ):
+    def __init__(self, alg: StructureAlgebra, coproduct: Sequence[Sequence], counit: Sequence, antipode: Matrix,
+                 antipode_inv: Matrix | None = None, name: str = "", meta: dict | None = None):
         n = alg.dim
         cop = [vec(c) for c in coproduct]
         if len(cop) != n or any(len(c) != n * n for c in cop):
             raise ValueError("coproduct tensor has wrong shape")
-        spcop = [tuple((k // n, k % n, c) for k, c in enumerate(row) if c) for row in cop]
         cols = []
         for label, m in (("antipode", antipode), ("antipode_inv", antipode_inv)):
             if m is not None and (m.rows, m.cols) != (n, n):
                 raise ValueError(f"{label} is {m.rows}×{m.cols}, expected {n}×{n}")
             cols.append(None if m is None else [sparse_vec(col) for col in zip(*m.data)])
-        self._set(alg, spcop, counit, *cols, name, meta)
+        spcop = [[(k // n, k % n, c) for k, c in enumerate(row) if c] for row in cop]
+        self.__dict__.update(HopfAlgebra.from_sparse(alg, spcop, counit, *cols, name, meta).__dict__)
 
     @classmethod
-    def from_sparse(
-        cls,
-        alg: StructureAlgebra,
-        coproduct: Sequence[Iterable[Sequence]],
-        counit: Sequence,
-        antipode: Sequence[SparseVec],
-        antipode_inv: Sequence[SparseVec] | None = None,
-        name: str = "",
-        meta: dict | None = None,
-    ) -> "HopfAlgebra":
-        """The Hopf algebra with Δ(e_i) = Σ c·e_p ⊗ e_q over the (p, q, c) of
-        coproduct[i] and S(e_j) = Σ c·e_k over the {k: c} of antipode[j], S⁻¹
-        likewise (inverted from S if not given), canonicalized by
-        ``canonical_terms`` (``ValueError`` on a wrong length, a bad or
-        repeated index or a zero or non-rational c)."""
+    def from_sparse(cls, alg: StructureAlgebra, coproduct: Sequence[Iterable[Sequence]], counit: Sequence,
+                    antipode: Sequence[SparseVec], antipode_inv: Sequence[SparseVec] | None = None, name: str = "",
+                    meta: dict | None = None) -> "HopfAlgebra":
+        """``from_int`` of the rational terms (p, q, c) of Δ(e_i) = coproduct[i]
+        and {k: c} of S(e_j) = antipode[j] (S⁻¹ likewise), each table over its
+        least common denominator."""
+        cols = [None if v is None else scaled_rows(col.items() for col in v) for v in (antipode, antipode_inv)]
+        cols = [v and (v[0], [dict(col) for col in v[1]]) for v in cols]
+        return cls.from_int(alg, scaled_rows(coproduct), counit, *cols, name, meta)
+
+    @classmethod
+    def from_int(cls, alg: StructureAlgebra, cop: tuple[int, Sequence], counit: Sequence,
+                 antipode: tuple[int, Sequence[IntVec]], antipode_inv: tuple[int, Sequence[IntVec]] | None = None,
+                 name: str = "", meta: dict | None = None) -> "HopfAlgebra":
+        """The Hopf algebra with Δ(e_i) = Σ (c/D)·e_p ⊗ e_q over the (p, q, c) of
+        rows[i] for cop = (D, rows) and S(e_j) = Σ (c/D)·e_k over the {k: c} of
+        cols[j] for antipode = (D, cols), S⁻¹ likewise (S inverted if None).
+        ``int_content`` checks each table (Δ at p·dim + q), then it is sorted
+        and divided by the gcd of D and every c: the store ``from_sparse``
+        makes of the same rationals."""
         n = alg.dim
-        if len(coproduct) != n:
+        den, rows = cop
+        if len(rows) != n:
             raise ValueError("coproduct table has wrong length")
+        # a q out of range is no index
+        rows = [[(p * n + q if type(p) is type(q) is int and 0 <= q < n else None, c) for p, q, c in t] for t in rows]
+        g = int_content(den, [rows], n * n)
         h = cls.__new__(cls)
-        h._set(alg, [canonical_terms(terms, n) for terms in coproduct], counit, antipode, antipode_inv, name, meta)
+        h.alg, h.dim, h.counit, h.name, h.meta = alg, n, vec(counit), name or alg.name, dict(meta or {})
+        if len(h.counit) != n:
+            raise ValueError("counit vector has wrong length")
+        h.int_cop = den // g, [tuple(sorted((*divmod(k, n), c // g) for k, c in t)) for t in rows]
+        h.int_s = _int_columns(antipode, n, "antipode")
+        if antipode_inv is None:
+            antipode_inv = scaled_vecs(sparse_vec(col) for col in zip(*h.antipode.inverse().data))
+        h.int_s_inv = _int_columns(antipode_inv, n, "antipode_inv")
         return h
 
-    def _set(
-        self,
-        alg: StructureAlgebra,
-        spcop: list,
-        counit: Sequence,
-        antipode: Sequence[SparseVec],
-        antipode_inv: Sequence[SparseVec] | None,
-        name: str,
-        meta: dict | None,
-    ) -> None:
-        self.alg = alg
-        self.dim = alg.dim
-        self.counit = vec(counit)
-        self.name = name or alg.name
-        self.meta = dict(meta or {})
-        if len(self.counit) != self.dim:
-            raise ValueError("counit vector has wrong length")
-        self._spcop = spcop
-        self.s_cols = _columns(antipode, self.dim, "antipode")
-        if antipode_inv is None:
-            antipode_inv = [sparse_vec(col) for col in zip(*self.antipode.inverse().data)]
-        self.s_inv_cols = _columns(antipode_inv, self.dim, "antipode_inv")
+    @cached_property
+    def _spcop(self) -> list[tuple[tuple[int, int, Fraction], ...]]:
+        den, rows = self.int_cop
+        return [tuple((p, q, Fraction(c, den)) for p, q, c in row) for row in rows]
+
+    @cached_property
+    def s_cols(self) -> list[SparseVec]:
+        return [over(col, self.int_s[0]) for col in self.int_s[1]]
+
+    @cached_property
+    def s_inv_cols(self) -> list[SparseVec]:
+        return [over(col, self.int_s_inv[0]) for col in self.int_s_inv[1]]
 
     @cached_property
     def antipode(self) -> Matrix:
@@ -125,12 +124,6 @@ class HopfAlgebra:
     def antipode_inv(self) -> Matrix:
         """S⁻¹ as a dense matrix, built from ``s_inv_cols`` on first read."""
         return Matrix.from_cols([dense_vec(col, self.dim) for col in self.s_inv_cols])
-
-    @cached_property
-    def int_cop(self) -> tuple[int, list[tuple[tuple[int, int, int], ...]]]:
-        """(D_Δ, ``_spcop`` with every coefficient times D_Δ), D_Δ the least
-        common denominator of Δ. Built on first use, like ``int_sp``."""
-        return scaled_rows(self._spcop)
 
     @cached_property
     def int_cop2(self) -> tuple[int, list[tuple[tuple[int, int, int, int], ...]]]:
@@ -164,8 +157,8 @@ class HopfAlgebra:
         return check_hopf_axioms(self).ok
 
     def same_coproduct(self, other: "HopfAlgebra") -> bool:
-        """Equal coproducts, compared on the canonical sparse tables."""
-        return self._spcop == other._spcop
+        """Equal coproducts, compared on the integer stores."""
+        return self.int_cop == other.int_cop
 
     def cop_sparse(self, i: int) -> tuple[tuple[int, int, Fraction], ...]:
         """Δ(e_i) as sparse (left, right, coeff) triples."""
@@ -175,11 +168,13 @@ class HopfAlgebra:
         return f"HopfAlgebra({self.name or 'unnamed'}, dim={self.dim})"
 
 
-def _columns(cols: Sequence[SparseVec], n: int, label: str) -> list[SparseVec]:
-    """The n columns of an n×n matrix, canonicalized by ``canonical_terms``."""
+def _int_columns(cols: tuple, n: int, label: str) -> tuple[int, list[IntVec]]:
+    """(D, the n columns of an n×n matrix over D), checked and reduced as Δ."""
+    den, cols = cols
     if len(cols) != n:
         raise ValueError(f"{label} has {len(cols)} columns, expected {n}×{n}")
-    return [dict(canonical_terms(col.items(), n)) for col in cols]
+    g = int_content(den, [[col.items() for col in cols]], n)
+    return den // g, [dict(sorted((k, c // g) for k, c in col.items())) for col in cols]
 
 
 def _acc(d: dict, key, val) -> None:
@@ -227,26 +222,11 @@ def _t2_int(sp, x: dict, y: dict) -> dict:
     return {key: v for key, v in out.items() if v}
 
 
-def t2_mul(alg: StructureAlgebra, x: dict, y: dict) -> dict:
-    """x·y in H⊗H for sparse x, y keyed by (i, j).
-
-    x and y are scaled to integers over their least common denominators D_x
-    and D_y and contracted on ``int_sp``; each entry of the product is
-    written once, as an integer over D_x·D_y·D_m².
-    """
-    den_m, sp = alg.int_sp
-    (xi, dx), (yi, dy) = scaled(x), scaled(y)
-    return over(_t2_int(sp, xi, yi), dx * dy * den_m * den_m)
-
-
-def t3_mul(alg: StructureAlgebra, x: dict, y: dict) -> dict:
-    """x·y in H⊗H⊗H for sparse x, y keyed by (i, j, m), as ``t2_mul`` does
-    it: each entry is written once, as an integer over D_x·D_y·D_m³."""
-    den_m, sp = alg.int_sp
-    (xi, dx), (yi, dy) = scaled(x), scaled(y)
+def _t3_int(sp, x: dict, y: dict) -> dict:
+    """D_m³·(x·y) for integer x, y keyed by (i, j, m), as ``_t2_int``."""
     out: dict[tuple[int, int, int], int] = {}
-    ys = list(yi.items())
-    for (i, j, m), c in xi.items():
+    ys = list(y.items())
+    for (i, j, m), c in x.items():
         spi, spj, spm = sp[i], sp[j], sp[m]
         for (k, l, n), d in ys:
             mid, last = spj[l], spm[n]
@@ -260,17 +240,18 @@ def t3_mul(alg: StructureAlgebra, x: dict, y: dict) -> dict:
                     for r, cr in last:
                         key = (p, q, r)
                         out[key] = out.get(key, 0) + b * cr
-    return over({key: v for key, v in out.items() if v}, dx * dy * den_m**3)
+    return {key: v for key, v in out.items() if v}
 
 
-def t2_unit(h: HopfAlgebra) -> dict[tuple[int, int], Fraction]:
-    out: dict[tuple[int, int], Fraction] = {}
-    for i, a in enumerate(h.alg.unit):
-        if a:
-            for j, b in enumerate(h.alg.unit):
-                if b:
-                    out[(i, j)] = a * b
-    return out
+def _t2_unit(unit: dict, scale: int) -> dict[tuple[int, int], int]:
+    return {(i, j): scale * a * b for i, a in unit.items() for j, b in unit.items()}
+
+
+def _is_one(alg: StructureAlgebra, x: dict, y: dict, den: int) -> bool:
+    """Whether x·y = 1⊗1 for integer x, y in H⊗H with x·y over den."""
+    den_m, sp = alg.int_sp
+    unit, den_u = scaled(sparse_vec(alg.unit))
+    return scale_sparse(_t2_int(sp, x, y), den_u * den_u) == _t2_unit(unit, den * den_m * den_m)
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +276,13 @@ def check_hopf_axioms(h: HopfAlgebra) -> CheckReport:
 
     # Δ and ε are algebra maps. With Δ over D_Δ and ε over D_ε as integers,
     # D_Δ·D_m·Δ(e_i e_j) = Δ(e_i)·Δ(e_j) over D_Δ²·D_m², and
-    # D_ε·ε(e_i e_j) = ε(e_i)·ε(e_j) over D_ε²·D_m
-    cop_unit = sparse_sum((u, {(p, q): c for p, q, c in h.cop_sparse(i)}) for i, u in enumerate(alg.unit) if u)
-    ok = rep.require(cop_unit == t2_unit(h), "Δ(1) ≠ 1⊗1")
-    ok = rep.require(sum(c * e for c, e in zip(alg.unit, h.counit)) == 1, "ε(1) ≠ 1") and ok
+    # D_ε·ε(e_i e_j) = ε(e_i)·ε(e_j) over D_ε²·D_m; Δ(1) over D_u·D_Δ
     den_m, sp = alg.int_sp
     den_d, cop = h.int_cop
+    unit, den_u = scaled(sparse_vec(alg.unit))
+    cop_unit = sparse_sum((den_u * u, {(p, q): c for p, q, c in cop[i]}) for i, u in unit.items())
+    ok = rep.require(cop_unit == _t2_unit(unit, den_d), "Δ(1) ≠ 1⊗1")
+    ok = rep.require(sum(c * e for c, e in zip(alg.unit, h.counit)) == 1, "ε(1) ≠ 1") and ok
     cops = [{(p, q): c for p, q, c in row} for row in cop]
     counit, den_e = scaled(sparse_vec(h.counit))
     lift = den_d * den_m
@@ -332,23 +314,26 @@ def check_hopf_axioms(h: HopfAlgebra) -> CheckReport:
 
 
 def dual_hopf(h: HopfAlgebra) -> HopfAlgebra:
-    """H* on the dual basis: mult = Δᵀ, coproduct = multᵀ, antipode = Sᵀ."""
+    """H* on the dual basis: mult = Δᵀ, coproduct = multᵀ, antipode = Sᵀ, on
+    the integer stores."""
     n = h.dim
-    basis = [b + "*" for b in h.alg.basis]
-    table: list[list[list[tuple[int, Fraction]]]] = [[[] for _ in range(n)] for _ in range(n)]
-    for m in range(n):
-        for p, q, c in h.cop_sparse(m):
+    den_d, rows = h.int_cop
+    table = [[[] for _ in range(n)] for _ in range(n)]
+    for m, row in enumerate(rows):
+        for p, q, c in row:
             table[p][q].append((m, c))
-    alg = StructureAlgebra.from_sparse(basis, h.counit, table, name=(h.name or "H") + "*")
-    cop: list[list[tuple[int, int, Fraction]]] = [[] for _ in range(n)]
-    for u, row in enumerate(h.alg._sp):
+    alg = StructureAlgebra.from_int([b + "*" for b in h.alg.basis], h.counit, table, den_d, name=(h.name or "H") + "*")
+    den_m, sp = h.alg.int_sp
+    cop = [[] for _ in range(n)]
+    for u, row in enumerate(sp):
         for v, terms in enumerate(row):
             for i, c in terms:
                 cop[i].append((u, v, c))
     s, s_inv = (
-        [{j: col[i] for j, col in enumerate(cols) if i in col} for i in range(n)] for cols in (h.s_cols, h.s_inv_cols)
+        (den, [{j: col[i] for j, col in enumerate(cols) if i in col} for i in range(n)])
+        for den, cols in (h.int_s, h.int_s_inv)
     )
-    return HopfAlgebra.from_sparse(alg, cop, h.alg.unit, s, s_inv, name=alg.name)
+    return HopfAlgebra.from_int(alg, (den_m, cop), h.alg.unit, s, s_inv, name=alg.name)
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +400,9 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
     and inverse are unique, so no sign convention is guessed; a failed
     check raises ValueError. Every product is a sparse contraction.
 
-    The double's constants are accumulated as integers over D_w·D_s·D_h³·D_d
-    for ``StructureAlgebra.from_int``, so no Fraction constant of the double
-    is made unless a caller reads ``_sp``.
+    Its constants, coproduct and antipode are written as integers for the
+    ``from_int`` constructors, so no Fraction table of the double is made
+    unless a caller reads one.
     """
     hd = dual_hopf(h)
     ha, da = h.alg, hd.alg
@@ -433,7 +418,7 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
     # lam[(p, r, i2)] = {m: [e_i2] S⁻¹(e_r)·e_m·e_p}, the functional
     # e_p ⇀ f_i2 ↼ S⁻¹(e_r) on the basis of H, as integers over D_s·D_h²
     # (S⁻¹ over D_s, the product of H over D_h)
-    den_s, sinv = scaled_vecs(h.s_inv_cols)
+    den_s, sinv = h.int_s_inv
     lam: dict[tuple[int, int, int], IntVec] = {}
     for r in range(n):
         for m in range(n):
@@ -478,55 +463,39 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
         name=f"D({h.name or 'H'})",
     )
 
-    # Δ(f ⋈ a) = (f₍₂₎ ⋈ a₍₁₎) ⊗ (f₍₁₎ ⋈ a₍₂₎), Δ of H* on f; each (u, v, p, q)
-    # fills its own slot, so no two triples share an index
+    # Δ(f ⋈ a) = (f₍₂₎ ⋈ a₍₁₎) ⊗ (f₍₁₎ ⋈ a₍₂₎), Δ of H* on f, over D_Δ*·D_Δ;
+    # each (u, v, p, q) fills its own slot, so no two triples share an index
+    (den_f, fcop), (den_a, acop) = hd.int_cop, h.int_cop
     cop = [
-        [
-            (v * n + p, u * n + q, cuv * cpq)
-            for u, v, cuv in hd.cop_sparse(i)
-            for p, q, cpq in h.cop_sparse(j)
-        ]
+        [(v * n + p, u * n + q, cuv * cpq) for u, v, cuv in fcop[i] for p, q, cpq in acop[j]]
         for i in range(n)
         for j in range(n)
     ]
     counit = [hd.counit[i] * h.counit[j] for i in range(n) for j in range(n)]
+    (eps_i, den_e), (unit_i, den_u) = scaled(eps), scaled(unit_h)
 
-    def closed_antipode(s_h: list[SparseVec], s_dual: list[SparseVec]) -> list[SparseVec]:
-        # column i·n + j is (ε ⋈ s_h e_j)(s_dual f_i ⋈ 1), contracted on
-        # integers over D_l·D_r·D_m of the double and divided once
-        den_l, lefts = scaled_vecs([_bowtie(n, eps, col) for col in s_h])
-        den_r, rights = scaled_vecs([_bowtie(n, col, unit_h) for col in s_dual])
-        scale = den_l * den_r * alg.int_sp[0]
-        return [over(alg.mul_int(lefts[j], rights[i]), scale) for i in range(n) for j in range(n)]
+    def closed_antipode(s_h: tuple, s_dual: tuple) -> tuple[int, list[IntVec]]:
+        # column i·n + j is (ε ⋈ s_h e_j)(s_dual f_i ⋈ 1), over D_ε·D_l·D_r·D_u·D_m
+        lefts = [_bowtie(n, eps_i, col) for col in s_h[1]]
+        rights = [_bowtie(n, col, unit_i) for col in s_dual[1]]
+        scale = den_e * s_h[0] * s_dual[0] * den_u * alg.int_sp[0]
+        return scale, [alg.mul_int(lefts[j], rights[i]) for i in range(n) for j in range(n)]
 
-    s = closed_antipode(h.s_cols, hd.s_inv_cols)
-    double = HopfAlgebra.from_sparse(
-        alg,
-        cop,
-        counit,
-        s,
-        closed_antipode(h.s_inv_cols, hd.s_cols),
-        name=alg.name,
-        meta={"double_of": h.name or "H", "factor_dim": n},
-    )
+    s, s_inv = closed_antipode(h.int_s, hd.int_s_inv), closed_antipode(h.int_s_inv, hd.int_s)
+    meta = {"double_of": h.name or "H", "factor_dim": n}
+    double = HopfAlgebra.from_int(alg, (den_f * den_a, cop), counit, s, s_inv, name=alg.name, meta=meta)
     failure = next(antipode_failures(double), None)
     if failure:
         raise ValueError(f"{alg.name}: closed-form antipode fails: {failure}")
 
-    r = {
-        (m * n + i, i * n + j): a * b
-        for i in range(n)
-        for m, a in eps.items()
-        for j, b in unit_h.items()
-    }
-    r_inv: dict[tuple[int, int], Fraction] = {}
-    for (x, y), c in r.items():
-        for k, sv in s[x].items():
-            _acc(r_inv, (k, y), c * sv)
-    one_one = t2_unit(double)
-    if t2_mul(alg, r, r_inv) != one_one or t2_mul(alg, r_inv, r) != one_one:
+    # R over D_ε·D_u, R⁻¹ = (S⊗id)R over D_ε·D_u·D_S
+    r = {(m * n + i, i * n + j): a * b for i in range(n) for m, a in eps_i.items() for j, b in unit_i.items()}
+    den_s, s = double.int_s
+    r_inv = sparse_sum((c, {(k, y): v for k, v in s[x].items()}) for (x, y), c in r.items())
+    den_r = den_e * den_u
+    if not (_is_one(alg, r, r_inv, den_r * den_r * den_s) and _is_one(alg, r_inv, r, den_r * den_r * den_s)):
         raise ValueError(f"{alg.name}: (S⊗id)R is not the inverse of R")
-    return double, QTStructure(double, t2_to_vec(r, big), t2_to_vec(r_inv, big))
+    return double, QTStructure(double, t2_to_vec(over(r, den_r), big), t2_to_vec(over(r_inv, den_r * den_s), big))
 
 
 def _bowtie(n: int, f: SparseVec, a: SparseVec) -> SparseVec:
@@ -541,7 +510,7 @@ def antipode_failures(h: HopfAlgebra) -> Iterator[str]:
     D_S, D_T, D_Δ, D_ε and D_u, D_ε·D_u·Σ C·(S_u·e_v) over D_S·D_Δ·D_m must
     be D_S·D_Δ·D_m·E_z·U, and Σ T_kz·S_k (S∘S⁻¹ at e_z) must be D_S·D_T·e_z."""
     alg = h.alg
-    (den_s, s), (den_t, t) = scaled_vecs(h.s_cols), scaled_vecs(h.s_inv_cols)
+    (den_s, s), (den_t, t) = h.int_s, h.int_s_inv
     den_d, cop = h.int_cop
     counit, den_e = scaled(sparse_vec(h.counit))
     unit, den_u = scaled(sparse_vec(alg.unit))
@@ -612,8 +581,8 @@ def qt_structure(h: HopfAlgebra, rvec: Sequence[Fraction], rinv: Sequence[Fracti
     r = t2_from_vec(rvec, n)
     if rinv is not None:
         rinv = _tensor_square(rinv, n, "R⁻¹")
-        ri = t2_from_vec(rinv, n)
-        if t2_mul(h.alg, r, ri) != t2_unit(h) or t2_mul(h.alg, ri, r) != t2_unit(h):
+        (x, dx), (y, dy) = scaled(r), scaled(t2_from_vec(rinv, n))
+        if not (_is_one(h.alg, x, y, dx * dy) and _is_one(h.alg, y, x, dx * dy)):
             raise ValueError("given R⁻¹ is not a two-sided inverse of R")
         return QTStructure(h, rvec, rinv)
     rows: list[dict[int, Fraction]] = [dict() for _ in range(n * n)]
@@ -623,67 +592,58 @@ def qt_structure(h: HopfAlgebra, rvec: Sequence[Fraction], rinv: Sequence[Fracti
                 for l in range(n):
                     for q, cq in h.alg.mul_basis(j, l):
                         _acc(rows[p * n + q], k * n + l, c * cp * cq)
-    target = t2_to_vec(t2_unit(h), n)
+    target = t2_to_vec(_t2_unit(sparse_vec(h.alg.unit), 1), n)
     sol = solve_sparse(rows, target, n * n)
     if sol.particular is None:
         raise ValueError("element of H⊗H is not invertible")
     rinv = sol.particular
-    if t2_mul(h.alg, t2_from_vec(rinv, n), r) != t2_unit(h):
+    (x, dx), (y, dy) = scaled(t2_from_vec(rinv, n)), scaled(r)
+    if not _is_one(h.alg, x, y, dx * dy):
         raise ValueError("right inverse is not two-sided")
     return QTStructure(h, rvec, rinv)
 
 
 def check_quasitriangular(h: HopfAlgebra, rt: QTStructure) -> CheckReport:
-    """All quasitriangular axioms, exactly; data["triangular"] = (R₂₁ = R⁻¹)."""
+    """All quasitriangular axioms, exactly; data["triangular"] = (R₂₁ = R⁻¹).
+
+    On integers: R over D_R (``int_pairs``), R⁻¹ over D_I, Δ over D_Δ, 1 and ε
+    over D_u and D_ε, products over D_m, both sides lifted to one scale."""
     rep = CheckReport(f"quasitriangular ({h.name})")
-    n = h.dim
     alg = h.alg
-    r = rt.pairs()
+    den_r, r = rt.int_pairs
+    den_m, sp = alg.int_sp
+    den_d, cop = h.int_cop
+    unit, den_u = scaled(sparse_vec(alg.unit))
+    counit, den_e = scaled(sparse_vec(h.counit))
 
-    eps_left = zero_vec(n)
-    eps_right = zero_vec(n)
-    for (i, j), c in r.items():
-        eps_left[j] += c * h.counit[i]
-        eps_right[i] += c * h.counit[j]
-    rep.require(eps_left == alg.one(), "(ε⊗id)R ≠ 1")
-    rep.require(eps_right == alg.one(), "(id⊗ε)R ≠ 1")
+    # (ε⊗id)R and (id⊗ε)R over D_R·D_ε against 1 over D_u
+    one = scale_sparse(unit, den_r * den_e)
+    for label, k in (("(ε⊗id)R ≠ 1", 0), ("(id⊗ε)R ≠ 1", 1)):
+        image = sparse_sum((den_u * c * counit[key[k]], {key[1 - k]: 1}) for key, c in r.items() if key[k] in counit)
+        rep.require(image == one, label)
 
-    r13 = {}
-    r23 = {}
-    r12 = {}
-    for (i, j), c in r.items():
-        for k, u in enumerate(alg.unit):
-            if u:
-                _acc(r13, (i, k, j), c * u)
-                _acc(r23, (k, i, j), c * u)
-                _acc(r12, (i, j, k), c * u)
-
-    lhs1: dict[tuple[int, int, int], Fraction] = {}
-    for (i, j), c in r.items():
-        for p, q, d in h.cop_sparse(i):
-            _acc(lhs1, (p, q, j), c * d)
-    rep.require(lhs1 == t3_mul(alg, r13, r23), "(Δ⊗id)R ≠ R₁₃R₂₃")
-
-    lhs2: dict[tuple[int, int, int], Fraction] = {}
-    for (i, j), c in r.items():
-        for p, q, d in h.cop_sparse(j):
-            _acc(lhs2, (i, p, q), c * d)
-    rep.require(lhs2 == t3_mul(alg, r13, r12), "(id⊗Δ)R ≠ R₁₃R₁₂")
+    # (Δ⊗id)R and (id⊗Δ)R over D_R·D_Δ against R₁₃R₂₃ and R₁₃R₁₂ over
+    # (D_R·D_u)²·D_m³, R₁₃, R₂₃ and R₁₂ over D_R·D_u
+    r13 = {(i, k, j): c * u for (i, j), c in r.items() for k, u in unit.items()}
+    r23 = {(k, i, j): c * u for (i, j), c in r.items() for k, u in unit.items()}
+    r12 = {(i, j, k): c * u for (i, j), c in r.items() for k, u in unit.items()}
+    lift = den_r * den_u * den_u * den_m**3
+    lhs = sparse_sum((c * lift, {(p, q, j): d for p, q, d in cop[i]}) for (i, j), c in r.items())
+    rep.require(lhs == scale_sparse(_t3_int(sp, r13, r23), den_d), "(Δ⊗id)R ≠ R₁₃R₂₃")
+    lhs = sparse_sum((c * lift, {(i, p, q): d for p, q, d in cop[j]}) for (i, j), c in r.items())
+    rep.require(lhs == scale_sparse(_t3_int(sp, r13, r12), den_d), "(id⊗Δ)R ≠ R₁₃R₁₂")
 
     # both sides of R·Δ(e_z) = Δ^cop(e_z)·R are integers over D_R·D_Δ·D_m²
-    sp = alg.int_sp[1]
-    r_int = scaled(r)[0]
-    for z, terms in enumerate(h.int_cop[1]):
+    for z, terms in enumerate(cop):
         rep.require(
-            _t2_int(sp, r_int, {(p, q): c for p, q, c in terms})
-            == _t2_int(sp, {(q, p): c for p, q, c in terms}, r_int),
+            _t2_int(sp, r, {(p, q): c for p, q, c in terms}) == _t2_int(sp, {(q, p): c for p, q, c in terms}, r),
             f"R·Δ ≠ Δ^cop·R at {alg.basis[z]}",
         )
 
-    rinv = t2_from_vec(rt.r_inv, n)
-    rep.require(t2_mul(alg, r, rinv) == t2_unit(h), "R·R⁻¹ ≠ 1⊗1")
-    r21 = {(j, i): c for (i, j), c in r.items()}
-    rep.data["triangular"] = r21 == rinv
+    rinv, den_i = scaled(t2_from_vec(rt.r_inv, h.dim))
+    rep.require(_is_one(alg, r, rinv, den_r * den_i), "R·R⁻¹ ≠ 1⊗1")
+    # two reduced integer forms are equal exactly when their values are
+    rep.data["triangular"] = den_r == den_i and {(j, i): c for (i, j), c in r.items()} == rinv
     return rep
 
 
@@ -836,9 +796,6 @@ class HopfMorphism:
             raise ValueError("morphism matrix has wrong shape")
         self.source, self.target, self.matrix, self.name = source, target, matrix, name
 
-    def apply(self, x: Sequence[Fraction]) -> list[Fraction]:
-        return self.matrix.apply(x)
-
     @cached_property
     def int_cols(self) -> tuple[int, list[IntVec]]:
         """(D_f, [D_f·f(e_i) as {index: int}]), D_f the least common
@@ -874,7 +831,7 @@ def check_hopf_morphism(f: HopfMorphism) -> CheckReport:
     den_d, cop = src.int_cop
     den_dt, cop_t = tgt.int_cop
     cops_t = [{(a, b): d for a, b, d in row} for row in cop_t]
-    (den_s, s_cols), (den_st, s_cols_t) = scaled_vecs(src.s_cols), scaled_vecs(tgt.s_cols)
+    (den_s, s_cols), (den_st, s_cols_t) = src.int_s, tgt.int_s
     for i, fi in enumerate(cols):
         # ε'(f(e_i)) over D_f·D_ε' against ε(e_i) over D_ε
         if den_e * sum(c * counit_t.get(k, 0) for k, c in fi.items()) != den_f * den_et * counit.get(i, 0):

@@ -104,8 +104,11 @@ def scaled_vecs(vs: Iterable[SparseVec]) -> tuple[int, list[IntVec]]:
 
 def scaled_rows(rows) -> tuple[int, list[tuple]]:
     """(D, rows) for rows of sparse terms whose last entry is the coefficient:
-    every coefficient times D, the least common denominator of them all."""
-    rows = list(rows)
+    every coefficient times D, the least common denominator of them all
+    (``ValueError`` unless each is an int or a Fraction)."""
+    rows = [tuple(row) for row in rows]
+    if not all(isinstance(t[-1], (int, Fraction)) for row in rows for t in row):
+        raise ValueError("a coefficient is not rational")
     den = common_denominator(t[-1] for row in rows for t in row)
     return den, [tuple((*t[:-1], t[-1].numerator * (den // t[-1].denominator)) for t in row) for row in rows]
 

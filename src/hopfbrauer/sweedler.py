@@ -52,21 +52,20 @@ Q = Fraction
 def build_h4() -> HopfAlgebra:
     """Sweedler's four-dimensional Hopf algebra on the basis (1, g, h, gh)."""
     basis = ["1", "g", "h", "gh"]
-    z = [0, 0, 0, 0]
     mult = [
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
-        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-        [[0, 0, 1, 0], [0, 0, 0, -1], z, z],
-        [[0, 0, 0, 1], [0, 0, -1, 0], z, z],
+        [[(0, 1)], [(1, 1)], [(2, 1)], [(3, 1)]],
+        [[(1, 1)], [(0, 1)], [(3, 1)], [(2, 1)]],
+        [[(2, 1)], [(3, -1)], [], []],
+        [[(3, 1)], [(2, -1)], [], []],
     ]
-    alg = StructureAlgebra(basis, [1, 0, 0, 0], mult, name="H4")
+    alg = StructureAlgebra.from_int(basis, [1, 0, 0, 0], mult, 1, name="H4")
     # Δ1 = 1⊗1, Δg = g⊗g, Δh = 1⊗h + h⊗g, Δ(gh) = g⊗gh + gh⊗1
     cop = [[(0, 0, 1)], [(1, 1, 1)], [(0, 2, 1), (2, 1, 1)], [(1, 3, 1), (3, 0, 1)]]
     counit = [1, 1, 0, 0]
-    # S(1) = 1, S(g) = g, S(h) = gh, S(gh) = −h
-    antipode = [{0: 1}, {1: 1}, {3: 1}, {2: -1}]
+    # S(1) = 1, S(g) = g, S(h) = gh, S(gh) = −h; S⁻¹(h) = −gh, S⁻¹(gh) = h
+    antipode, antipode_inv = [{0: 1}, {1: 1}, {3: 1}, {2: -1}], [{0: 1}, {1: 1}, {3: -1}, {2: 1}]
     meta = {"g": 1, "h": 2, "pi_keep": (0, 1)}
-    return HopfAlgebra.from_sparse(alg, cop, counit, antipode, name="H4", meta=meta)
+    return HopfAlgebra.from_int(alg, (1, cop), counit, (1, antipode), (1, antipode_inv), name="H4", meta=meta)
 
 
 def build_rt(t) -> QTStructure:

@@ -42,7 +42,6 @@ from .linalg import (
     scale_sparse,
     scaled,
     scaled_rows,
-    scaled_vecs,
     solve_columns,
     span_of,
     sparse_sum,
@@ -378,7 +377,7 @@ def check_yd_condition(m: YDObject) -> CheckReport:
     den_n, hsp = h.alg.int_sp
     den_w, sw2 = h.int_cop2
     rho_flat = [{b0 * n + b1: c for b0, b1, c in row} for row in rho]
-    den_s, sinv = scaled_vecs(h.s_inv_cols)
+    den_s, sinv = h.int_s_inv
     scale = den_w * den_n * den_n * den_s
 
     @cache
@@ -522,7 +521,7 @@ def end_yd(m: YDObject, variant: str = "plain") -> YDObject:
     den_a, m_images = m.int_images
     den_d, cop = h.int_cop
     # u from S (plain) or S⁻¹ (op), h_part below from the other
-    (den_u, u_cols), (den_w, w_cols) = map(scaled_vecs, (h.s_cols, h.s_inv_cols)[::1 if plain else -1])
+    (den_u, u_cols), (den_w, w_cols) = (h.int_s, h.int_s_inv)[::1 if plain else -1]
     terms = [[] for _ in range(n)]
     for i in range(n):
         for p, q, c in cop[i]:
@@ -573,9 +572,10 @@ class FGContraction:
 
     F(x#y)(z) = Σ_h u_h·(e_h·y), u_h = Σ c·x z₍₀₎ over the terms of ρ(z) with
     z₍₁₎ = e_h (``f_left``); G(x#y)(z) = (Σ c·x₍₀₎(x₍₁₎·z))·y (``g_left``). F's
-    right factor is right[y][h][k] = e_k·(e_h·e_y), formed only where some
-    e_k·e_j in it is nonzero, else one shared {}. Nothing is
-    reassociated, so the values are the definitions' for any product.
+    right factor is right[y][h][k] = e_k·(e_h·e_y), built on first read (by
+    ``fg_maps``) and only where some e_k·e_j in it is nonzero, else one
+    shared {}. Nothing is reassociated, so the values are the definitions'
+    for any product.
 
     The product is over D_m (``int_sp``), ``rho`` over D_c and ``images``
     over D_a, so an integer value v stands for v / ``den``, den =
@@ -589,13 +589,16 @@ class FGContraction:
         den_a, self.images = a.int_images
         den_m = a.alg.int_sp[0]
         self.den = den_c * den_a * den_m * den_m
-        mul = self.alg.mul_int
+
+    @cached_property
+    def right(self) -> list[list[list[IntVec]]]:
+        mul, d = self.alg.mul_int, self.alg.dim
         # hits[k] = {j : e_k·e_j ≠ 0}
         hits = [{j for j, term in enumerate(row) if term} for row in self.alg.int_sp[1]]
         empty: IntVec = {}
-        self.right = [
-            [[empty if hits[k].isdisjoint(hy) else mul({k: 1}, hy) for k in range(a.dim)] for hy in self.images[y]]
-            for y in range(a.dim)
+        return [
+            [[empty if hits[k].isdisjoint(hy) else mul({k: 1}, hy) for k in range(d)] for hy in self.images[y]]
+            for y in range(d)
         ]
 
     def images_of(self, v: IntVec) -> list[IntVec]:

@@ -12,7 +12,13 @@ denominators; rescaling a basis changes no identity's truth, so the lists
 agree, while a scale factor dropped on either side of an identity changes
 them. The cocycle twist is compared with the Fraction loop it replaced, on
 carriers whose coaction and product have denominators, and (φ⊗φ)(r_t) on
-each corrupted φ with the dense Fraction loop.
+each corrupted φ with the dense Fraction loop. The quasitriangular check is
+pinned the same way on R_t of H₄, R_N of E(2) and the canonical R of D(H₄),
+with the checks' Fraction loops as they were before they read the integer
+coproduct: one coefficient of R bumped at 1⊗1 (the counit laws) or at a
+pair of counit-zero basis vectors (the coproduct laws), R = 1⊗1 (only
+R·Δ = Δ^cop·R can fail) and one coefficient of R⁻¹ bumped; R_t and R_N are
+repeated on H₄ and E(2) over a rescaled basis.
 """
 
 import hashlib
@@ -24,11 +30,14 @@ import pytest
 from test_integer_scaling import H4_SCALES, _rescaled_hopf, _transported
 
 from hopfbrauer.algebra import StructureAlgebra
+from hopfbrauer.e2 import build_e2, build_RN
 from hopfbrauer.hopf import (
     CoQTStructure,
     HopfMorphism,
+    QTStructure,
     check_coquasitriangular,
     check_hopf_morphism,
+    check_quasitriangular,
     dual_hopf,
     push_qt,
 )
@@ -37,6 +46,7 @@ from hopfbrauer.sweedler import (
     CFamilyDescriptor,
     LazyCocycle,
     build_C,
+    build_dh4,
     build_h4,
     build_rt,
     build_rt_form,
@@ -194,3 +204,70 @@ def test_cocycle_twist_equals_the_fraction_loop(name, t):
     twisted = cocycle_twist(a, build_sigma(t))
     assert twisted.alg.same_product(_reference_twist(a, build_sigma(t)))
     assert twisted.coaction == a.coaction
+
+
+E2_SCALES = [Q(3), Q(1, 2), Q(2, 5), Q(1, 3), Q(7), Q(1, 4), Q(5, 2), Q(1, 6)]
+
+QT_CASES = {
+    "R_t": (build_h4, lambda: build_rt(Q(-3, 2)), H4_SCALES),
+    "R_N": (build_e2, build_RN, E2_SCALES),
+    "D(H4)": (lambda: build_dh4()[0], lambda: build_dh4()[1], None),
+}
+
+
+def _corrupted_qt(h, qt, kind):
+    """(R, R⁻¹) of ``qt`` with the corruption ``kind``, as dense lists."""
+    n = h.dim
+    r, r_inv = list(qt.r), list(qt.r_inv)
+    zero = [i for i in range(n) if not h.counit[i]]
+    if kind == "counit":
+        r[0] += Q(1, 3)
+    elif kind == "coproduct":
+        r[zero[0] * n + zero[-1]] += Q(1, 3)
+    elif kind == "1⊗1":
+        r = r_inv = [a * b for a in h.alg.unit for b in h.alg.unit]
+    elif kind == "inverse":
+        r_inv[0] += Q(1, 3)
+    return r, r_inv
+
+
+def _moved(r, s):
+    """R on the basis s_i·e_i ⊗ s_j·e_j."""
+    n = len(s)
+    return [c / (s[k // n] * s[k % n]) for k, c in enumerate(r)]
+
+
+# (structure, corruption) -> (failures, digest, data["triangular"])
+QT_PINS = {
+    ("R_t", None): (0, "4f53cda18c2baa0c", True),
+    ("R_t", "counit"): (7, "766c54b2628dfa15", False),
+    ("R_t", "coproduct"): (3, "1ba6967ca55fe9cd", False),
+    ("R_t", "1⊗1"): (2, "57ba085ffd28e4b2", True),
+    ("R_t", "inverse"): (1, "fea1abd0c9be3026", False),
+    ("R_N", None): (0, "4f53cda18c2baa0c", False),
+    ("R_N", "counit"): (11, "5fbbda5c281019c4", False),
+    ("R_N", "coproduct"): (6, "7b41a6fb9a8a2ebf", False),
+    ("R_N", "1⊗1"): (6, "3acdede9769beeb8", True),
+    ("R_N", "inverse"): (1, "fea1abd0c9be3026", False),
+    ("D(H4)", None): (0, "4f53cda18c2baa0c", False),
+    ("D(H4)", "counit"): (15, "a725ade3dc0a59b9", False),
+    ("D(H4)", "coproduct"): (15, "d870c51eb986cc4a", False),
+    ("D(H4)", "1⊗1"): (12, "f666d9a85e0ed403", True),
+    ("D(H4)", "inverse"): (1, "fea1abd0c9be3026", False),
+}
+
+
+@pytest.mark.parametrize("case", QT_PINS)
+def test_quasitriangular_failures_are_pinned(case):
+    name, kind = case
+    build, build_qt, scales = QT_CASES[name]
+    h = build()
+    r, r_inv = _corrupted_qt(h, build_qt(), kind)
+    rep = check_quasitriangular(h, QTStructure(h, r, r_inv))
+    assert _pin(rep.failures) + (rep.data["triangular"],) == QT_PINS[case]
+    if scales is not None:
+        scaled = _rescaled_hopf(h, scales)
+        assert scaled.alg.int_sp[0] > 1 and scaled.int_cop[0] > 1
+        rescaled = check_quasitriangular(scaled, QTStructure(scaled, _moved(r, scales), _moved(r_inv, scales)))
+        assert rescaled.failures == rep.failures
+        assert rescaled.data == rep.data

@@ -26,7 +26,7 @@ from hopfbrauer.e2 import (
     witness_end_p,
     witness_p_module,
 )
-from hopfbrauer.hopf import HopfMorphism, check_hopf_morphism, check_quasitriangular, push_qt
+from hopfbrauer.hopf import HopfMorphism, check_hopf_morphism, check_quasitriangular, push_qt, qt_structure
 from hopfbrauer.linalg import Matrix, is_zero_vec, over, scaled_vecs
 from hopfbrauer.sweedler import CFamilyDescriptor, build_C, build_dh4, build_h4, build_rt, dh4_named
 from hopfbrauer.yd import (
@@ -70,6 +70,13 @@ def test_rn_coefficients():
     assert sum(1 for c in rn.r if c) == 8
 
 
+def test_rn_inverse_is_the_solved_one():
+    # build_RN writes R_N⁻¹ = (S⊗id)R_N; qt_structure solves for it when not given
+    rn = build_RN()
+    assert rn.r_inv == qt_structure(build_e2(), rn.r).r_inv
+    assert sum(1 for c in rn.r_inv if c) == 8
+
+
 def test_t_is_quasitriangular_surjection():
     double, canonical = build_dh4()
     t = t_morphism()
@@ -81,10 +88,10 @@ def test_t_is_quasitriangular_surjection():
 def test_t_generator_images():
     t = t_morphism()
     e2 = build_e2()
-    assert t.apply(dh4_named("g")) == e2.alg.basis_vec(1)        # c
-    assert t.apply(dh4_named("phi_g")) == e2.alg.basis_vec(1)    # c
-    assert t.apply(dh4_named("h")) == e2.alg.basis_vec(2)        # x1
-    assert t.apply(dh4_named("phi_h")) == e2.alg.basis_vec(5)    # cx2
+    assert t.matrix.apply(dh4_named("g")) == e2.alg.basis_vec(1)        # c
+    assert t.matrix.apply(dh4_named("phi_g")) == e2.alg.basis_vec(1)    # c
+    assert t.matrix.apply(dh4_named("h")) == e2.alg.basis_vec(2)        # x1
+    assert t.matrix.apply(dh4_named("phi_h")) == e2.alg.basis_vec(5)    # cx2
 
 
 def test_theta_morphisms_and_pushforwards():

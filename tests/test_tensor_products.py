@@ -1,8 +1,10 @@
 """Products in H⊗H and H⊗H⊗H, the Hopf and quasitriangular checks built on
 them, and the Drinfeld double contract on integers over known scales.
 
-``t2_mul`` and ``t3_mul`` are compared with the Fraction loops that computed
-them before the integer scaling, kept below as the reference, on seeded
+The integer kernels ``_t2_int`` and ``_t3_int``, each operand over its least
+common denominator (``t2_mul`` and ``t3_mul`` below), are compared with the
+Fraction loops that computed these products before the integer scaling, kept
+below as the reference, on seeded
 sparse elements of H₄, E(2), D(H₄) and an H₄ on a rescaled basis (product
 constants over D_m > 1), including products that cancel to zero. The checks
 are compared on the rescaled H₄ with the same checks on H₄: rescaling a
@@ -23,12 +25,26 @@ from hopfbrauer.hopf import (
     QTStructure,
     check_hopf_axioms,
     check_quasitriangular,
+    _t2_int,
+    _t3_int,
     drinfeld_double,
-    t2_mul,
-    t3_mul,
 )
-from hopfbrauer.linalg import Matrix
+from hopfbrauer.linalg import Matrix, over, scaled
 from hopfbrauer.sweedler import build_h4, build_rt
+
+
+def t2_mul(alg, x, y):
+    """x·y in H⊗H: ``_t2_int`` of x and y over D_x and D_y, over D_x·D_y·D_m²."""
+    den_m, sp = alg.int_sp
+    (xi, dx), (yi, dy) = scaled(x), scaled(y)
+    return over(_t2_int(sp, xi, yi), dx * dy * den_m**2)
+
+
+def t3_mul(alg, x, y):
+    """x·y in H⊗H⊗H: ``_t3_int`` of x and y over D_x and D_y, over D_x·D_y·D_m³."""
+    den_m, sp = alg.int_sp
+    (xi, dx), (yi, dy) = scaled(x), scaled(y)
+    return over(_t3_int(sp, xi, yi), dx * dy * den_m**3)
 
 
 # -- the Fraction loops, kept as the reference ---------------------------------

@@ -36,7 +36,14 @@ product and send nothing through ``canonical_terms`` in the seed-7 report
 or on the d = 16 rung, ``sandwich_matrix`` and ``braiding_psi`` build no
 dense ``Matrix``, and ``sandwich_matrix`` makes only its d² dense products
 e_i·e_k. R is expanded and scaled once per quasitriangular structure
-(``QTStructure.int_pairs``), however often the builders read it."""
+(``QTStructure.int_pairs``), however often the builders read it. The
+double of E(2) and its quasitriangular check, and the double of H₄ with its
+Hopf and quasitriangular checks, send nothing through ``canonical_terms``
+and build no Fraction view of either double's coproduct or antipode; the
+seven builtins built at set-up make no linear solve (R_N⁻¹ is (S⊗id)R_N in
+closed form); and ``FGContraction`` forms its ``right`` table only for a
+reader of it, which ``f_value``, ``g_value`` and the F/G decomposition
+residuals are not."""
 
 import random
 import sys
@@ -642,7 +649,6 @@ def test_integer_paths_make_no_fraction_product_and_canonicalize_nothing(monkeyp
     products = _callers(monkeypatch, StructureAlgebra, "mul_sparse")
     canonical = _callers(monkeypatch, algebra, "canonical_terms")
     monkeypatch.setattr(yd, "canonical_terms", algebra.canonical_terms)
-    monkeypatch.setattr(hopf, "canonical_terms", algebra.canonical_terms)
     run_verification(("all",), 7, 20)
     rung = _ladder_rung_d16()
     for a in (rung, h_opposite(rung)):
@@ -673,3 +679,47 @@ def test_r_is_expanded_and_scaled_once_per_structure(monkeypatch):
         yd.braiding_psi(v, v, fresh)
     assert fresh.pairs() == want and list(fresh.pairs()) == list(want)
     assert expanded[True] == 1
+
+
+HOPF_VIEWS = ("_spcop", "s_cols", "s_inv_cols", "antipode", "antipode_inv")
+
+
+def test_doubles_and_their_checks_build_no_fraction_hopf_view(monkeypatch):
+    calls = []
+    canonical_terms = algebra.canonical_terms
+    for owner in (algebra, hopf, yd):
+        if hasattr(owner, "canonical_terms"):
+            monkeypatch.setattr(owner, "canonical_terms", lambda *args: calls.append(args) or canonical_terms(*args))
+    d8, r8 = hopf.drinfeld_double(build_e2())
+    assert hopf.check_quasitriangular(d8, r8).ok
+    d4, r4 = hopf.drinfeld_double(sweedler.build_h4())
+    assert hopf.check_hopf_axioms(d4).ok and hopf.check_quasitriangular(d4, r4).ok
+    assert calls == []
+    for double in (d8, d4):
+        assert [name for name in HOPF_VIEWS if name in double.__dict__] == []
+
+
+def test_setup_builtins_make_no_solve(monkeypatch):
+    calls = []
+    solve_sparse = linalg.solve_sparse
+    for owner in (hopf, linalg):
+        monkeypatch.setattr(owner, "solve_sparse", lambda *args: calls.append(args) or solve_sparse(*args))
+    for build in (sweedler.build_h4, sweedler.build_h4_dual, sweedler.phi_iso, sweedler.build_dh4,
+                  build_e2, build_RN, t_morphism):
+        build.__wrapped__()
+    assert calls == []
+
+
+def test_fg_values_form_no_right_table(monkeypatch):
+    a = build_c_e2(Q(2), Q(3), Q(-1))
+    fg = yd.FGContraction(a)
+    x, y, z = {0: Q(1, 2)}, {1: Q(3)}, {0: Q(1), 1: Q(-2, 5)}
+    fg.f_value(x, y, z), fg.g_value(x, y, z)
+    assert "right" not in fg.__dict__
+
+    def refused(self):
+        raise AssertionError("right table read")
+
+    monkeypatch.setattr(yd.FGContraction, "right", property(refused))
+    rf, rg = fg_decomposition_residuals(a, [Q(1), 0], [0, Q(1)], [Q(1), 0])
+    assert not any(rf) and not any(rg)
