@@ -1,9 +1,9 @@
 """Finite-dimensional unital associative algebras via structure constants.
 
-An algebra is a basis, a unit vector and its structure constants, held in
-two sparse views, each built from the other on first read: ``_sp[i][j]`` =
-e_i · e_j as (k, c) pairs sorted by k, every c a nonzero Fraction, and
-``int_sp``, the same as integers over one scale D_m. Elements are dense or
+An algebra is a basis, a unit vector and its structure constants, stored as
+integers over one scale D_m: ``int_sp`` = (D_m, table), table[i][j] = D_m·e_i·e_j
+as (k, c) pairs sorted by k, every c a nonzero int. ``_sp``, the same with
+every c a Fraction, is a view built on first read. Elements are dense or
 sparse (``{basis index: nonzero coefficient}``) vectors over ℚ. Every
 product is one loop, ``_contract``: ``mul_sparse`` on Fractions, ``mul_int``
 on integers, ``mul_vec`` on dense vectors for ``sandwich_matrix`` only.
@@ -24,11 +24,11 @@ from .linalg import (
     IntVec,
     Matrix,
     SparseVec,
-    common_denominator,
     dense_vec,
     mat_det,
     scale_sparse,
     scaled,
+    scaled_rows,
     solve_columns,
     sparse_vec,
     vec,
@@ -88,39 +88,21 @@ def _contract(sp, x: dict, y: dict, out: dict) -> dict:
     return out
 
 
-def canonical_terms(terms: Iterable[Sequence], dim: int) -> tuple[tuple, ...]:
-    """The sparse terms (i₁, …, i_r, c) as a tuple sorted by index, every c
-    stored as a Fraction.
-
-    ``ValueError`` unless every index is an int in range(dim), no index tuple
-    occurs twice and every c is a nonzero int or Fraction. The result is the
-    table a scan of the dense tensor would give, in one pass over the terms.
-    """
-    out: dict[tuple[int, ...], Fraction] = {}
-    for *idx, c in terms:
-        key = tuple(idx)
-        for i in key:
-            if type(i) is not int or not 0 <= i < dim:
-                raise ValueError(f"sparse term index {key} is not in range({dim})")
-        if key in out:
-            raise ValueError(f"sparse term index {key} occurs twice")
-        if type(c) is not Fraction:
-            if not isinstance(c, int):
-                raise ValueError(f"coefficient {c!r} at {key} is not rational")
-            c = Fraction(c)
-        if not c:
-            raise ValueError(f"zero coefficient at {key}")
-        out[key] = c
-    return tuple([(*key, c) for key, c in sorted(out.items())])
-
-
-def int_content(den: int, table: Iterable[Iterable], dim: int) -> int:
+def int_content(den: int, table: Iterable[Iterable], dim: int, width: int = 0) -> int:
     """gcd(den, every c) of the (k, c) pairs in the cells of the rows of
-    ``table``, the integer ``canonical_terms``: ``ValueError`` unless den > 0
-    and every c ≠ 0 are ints, every k is an int in range(dim), no k occurs
-    twice in a cell and each cell is a collection (it is read again)."""
+    ``table``: ``ValueError`` unless den > 0 and every c ≠ 0 are ints, every
+    k is an int in range(dim), no k occurs twice in a cell and each cell is a
+    collection (it is read again). With ``width``, k is the flat index
+    a·width + b of a pair, named (a, b) in a message; a k that is no int is
+    named as it stands, so a caller maps a bad pair to itself."""
     if type(den) is not int or den <= 0:
         raise ValueError(f"scale {den!r} is not a positive int")
+
+    def bad(k, what: str = "") -> ValueError:
+        key = (divmod(k, width) if type(k) is int else k) if width else (k,)
+        shape = f"range({dim // width})×range({width})" if width else f"range({dim})"
+        return ValueError(f"sparse term index {key} {what or 'is not in ' + shape}")
+
     g = den
     for row in table:
         for pairs in row:
@@ -129,11 +111,12 @@ def int_content(den: int, table: Iterable[Iterable], dim: int) -> int:
             seen = set()
             for k, c in pairs:
                 if type(k) is not int or not 0 <= k < dim:
-                    raise ValueError(f"sparse term index {(k,)} is not in range({dim})")
+                    raise bad(k)
                 if k in seen:
-                    raise ValueError(f"sparse term index {(k,)} occurs twice")
+                    raise bad(k, "occurs twice")
                 if type(c) is not int or not c:
-                    raise ValueError(f"coefficient {c!r} at {(k,)} is not a nonzero int")
+                    what = "a zero coefficient" if type(c) is int else f"coefficient {c!r}"
+                    raise bad(k, f"has {what}, not a nonzero int")
                 seen.add(k)
                 if g != 1:
                     g = math.gcd(g, c)
@@ -151,41 +134,20 @@ def _table_dim(basis: Sequence[str], table: Sequence[Sequence]) -> int:
 class StructureAlgebra:
     """Unital associative algebra given by structure constants over ℚ.
 
-    ``__init__`` (the dense tensor) and ``from_sparse`` (Fraction terms) seed
-    the view ``_sp``, ``from_int`` (integer terms over a scale) ``int_sp``;
-    the other is built when first read, so an algebra only contracted on
-    integers builds no Fraction constant. ``generators`` and ``associative``
-    are cached certificates.
+    The state is ``int_sp``, written by ``from_int``; the dense ``__init__``
+    scales its tensor once and calls it. ``_sp`` is the Fraction view, built
+    on first read, so an algebra only contracted on integers builds no
+    Fraction constant. ``generators`` and ``associative`` are cached
+    certificates.
     """
 
     def __init__(self, basis: Sequence[str], unit: Sequence, mult: Sequence[Sequence[Sequence]], name: str = ""):
-        dim = len(basis)
-        if len(mult) != dim or any(len(row) != dim for row in mult):
-            raise ValueError("multiplication tensor has wrong shape")
-        sp = []
-        for row in mult:
-            sp_row = []
-            for v in row:
-                v = vec(v)
-                if len(v) != dim:
-                    raise ValueError("multiplication tensor entry has wrong length")
-                sp_row.append(tuple((k, c) for k, c in enumerate(v) if c))
-            sp.append(sp_row)
-        self._set(basis, unit, name)
-        self._sp = sp
-
-    @classmethod
-    def from_sparse(
-        cls, basis: Sequence[str], unit: Sequence, table: Sequence[Sequence[Iterable[Sequence]]], name: str = ""
-    ) -> "StructureAlgebra":
-        """The algebra whose e_i · e_j is Σ c·e_k over the (k, c) pairs of
-        table[i][j], canonicalized by ``canonical_terms`` (so ``ValueError``
-        on a bad index, a repeated index or a zero or non-rational c)."""
-        dim = _table_dim(basis, table)
-        alg = cls.__new__(cls)
-        alg._set(basis, unit, name)
-        alg._sp = [[canonical_terms(term, dim) for term in row] for row in table]
-        return alg
+        dim = _table_dim(basis, mult)
+        if any(len(v) != dim for row in mult for v in row):
+            raise ValueError("multiplication tensor entry has wrong length")
+        den, cells = scaled_rows(sparse_vec(vec(v)).items() for row in mult for v in row)
+        table = [cells[i * dim:(i + 1) * dim] for i in range(dim)]
+        self.__dict__.update(StructureAlgebra.from_int(basis, unit, table, den, name).__dict__)
 
     @classmethod
     def from_int(
@@ -197,8 +159,9 @@ class StructureAlgebra:
 
         Each table[i][j] is a collection (a list, or a dict's items), read
         twice: ``int_content`` validates it, then each term is sorted and den
-        and every c are divided by their gcd, so ``int_sp`` is what the
-        Fraction path would compute.
+        and every c are divided by their gcd, so ``int_sp`` = (D_m, table) is
+        one canonical form of the constants, D_m their least common
+        denominator.
         """
         dim = _table_dim(basis, table)
         g = int_content(den, table, dim)
@@ -208,36 +171,21 @@ class StructureAlgebra:
             den //= g
             sp = [[tuple(sorted((k, c // g) for k, c in pairs)) for pairs in row] for row in table]
         alg = cls.__new__(cls)
-        alg._set(basis, unit, name)
+        alg.dim = dim
+        alg.basis = [str(b) for b in basis]
+        alg.unit = vec(unit)
+        alg.name = name
+        if len(alg.unit) != dim:
+            raise ValueError("unit vector has wrong length")
         alg.int_sp = den, sp
         return alg
 
-    def _set(self, basis: Sequence[str], unit: Sequence, name: str) -> None:
-        self.dim = len(basis)
-        self.basis = [str(b) for b in basis]
-        self.unit = vec(unit)
-        self.name = name
-        if len(self.unit) != self.dim:
-            raise ValueError("unit vector has wrong length")
-
     @cached_property
     def _sp(self) -> list[list[tuple[tuple[int, Fraction], ...]]]:
-        """The canonical Fraction table, read by the Fraction products: the
-        integers of ``int_sp`` divided by its scale."""
+        """The Fraction table, read by the Fraction products: the integers of
+        ``int_sp`` divided by its scale."""
         den, table = self.int_sp
         return [[tuple((k, Fraction(c, den)) for k, c in term) for term in row] for row in table]
-
-    @cached_property
-    def int_sp(self) -> tuple[int, list[list[tuple[tuple[int, int], ...]]]]:
-        """(D_m, table): D_m is the least common denominator of all structure
-        constants and table[i][j] is ``_sp[i][j]`` times D_m, as integers.
-        Seeded by ``from_int``, otherwise built from ``_sp`` on first use, so
-        an algebra that is never contracted on integers does not pay for it."""
-        den = common_denominator(c for row in self._sp for term in row for _, c in term)
-        return den, [
-            [tuple((k, c.numerator * (den // c.denominator)) for k, c in term) for term in row]
-            for row in self._sp
-        ]
 
     @cached_property
     def generators(self) -> tuple[int, ...] | None:
@@ -269,8 +217,8 @@ class StructureAlgebra:
         return self.generators is not None and next(_associativity_failures(self, self.generators), None) is None
 
     def same_product(self, other: "StructureAlgebra") -> bool:
-        """Equal structure constants, compared on the canonical sparse tables."""
-        return self._sp == other._sp
+        """Equal structure constants, compared on the integer stores."""
+        return self.int_sp == other.int_sp
 
     # -- element arithmetic on raw coefficient vectors -------------------
 

@@ -244,8 +244,9 @@ def restrict_along(f: HopfMorphism, a: YDObject, r_source: QTStructure | None = 
     validity is re-checked.
     """
     src = f.source
-    cols = [sparse_vec(f.matrix.col(i)) for i in range(src.dim)]
-    out = YDObject.from_sparse(src, a.dim, a.alg, [[a.act(col, {j: 1}) for col in cols] for j in range(a.dim)])
+    (den_f, cols), (den_a, rows) = f.int_cols, a.int_images
+    images = [[sparse_sum((c, row[k]) for k, c in col.items()) for col in cols] for row in rows]
+    out = YDObject.from_int(src, a.dim, a.alg, (den_f * den_a, images))
     check_module_algebra(out).raise_if_failed()
     if r_source is None:
         return out
@@ -344,7 +345,9 @@ def witness_p_module() -> YDObject:
         (big_w + big_u @ big_w) * Q(1, 2),        # h*  = φ((h+gh)/2)
         (big_w - big_u @ big_w) * Q(1, 2),        # gh* = φ((h−gh)/2)
     ]
-    return YDObject(double, 2, action=[act_dual[i] @ act_alg[j] for i in range(4) for j in range(4)])
+    action = [act_dual[i] @ act_alg[j] for i in range(4) for j in range(4)]
+    den, cols = scaled_vecs(sparse_vec(m.col(j)) for j in range(2) for m in action)
+    return YDObject.from_int(double, 2, images=(den, [cols[:16], cols[16:]]))
 
 
 def witness_end_p() -> YDObject:

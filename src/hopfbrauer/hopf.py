@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .algebra import CheckReport, StructureAlgebra, check_algebra_axioms, int_content, on_generators
 from .linalg import (
@@ -45,9 +45,9 @@ class HopfAlgebra:
     rows[i] = D_Δ·Δ(e_i) as (p, q, c) for c·e_p ⊗ e_q), ``int_s`` and
     ``int_s_inv`` = (D, cols[j] = D·S(e_j), D·S⁻¹(e_j) as {k: c}), each D the
     least common denominator, written by ``from_int``; the dense ``__init__``
-    (Δ[i] at p·dim + q) and ``from_sparse`` scale once and call it.
-    ``cop_sparse``, ``s_cols``, ``s_inv_cols``, ``antipode`` and
-    ``antipode_inv`` are rational views, built on first read."""
+    (Δ[i] at p·dim + q) scales once and calls it. ``cop_sparse``, ``s_cols``,
+    ``s_inv_cols``, ``antipode`` and ``antipode_inv`` are rational views,
+    built on first read."""
 
     def __init__(self, alg: StructureAlgebra, coproduct: Sequence[Sequence], counit: Sequence, antipode: Matrix,
                  antipode_inv: Matrix | None = None, name: str = "", meta: dict | None = None):
@@ -59,20 +59,9 @@ class HopfAlgebra:
         for label, m in (("antipode", antipode), ("antipode_inv", antipode_inv)):
             if m is not None and (m.rows, m.cols) != (n, n):
                 raise ValueError(f"{label} is {m.rows}×{m.cols}, expected {n}×{n}")
-            cols.append(None if m is None else [sparse_vec(col) for col in zip(*m.data)])
-        spcop = [[(k // n, k % n, c) for k, c in enumerate(row) if c] for row in cop]
-        self.__dict__.update(HopfAlgebra.from_sparse(alg, spcop, counit, *cols, name, meta).__dict__)
-
-    @classmethod
-    def from_sparse(cls, alg: StructureAlgebra, coproduct: Sequence[Iterable[Sequence]], counit: Sequence,
-                    antipode: Sequence[SparseVec], antipode_inv: Sequence[SparseVec] | None = None, name: str = "",
-                    meta: dict | None = None) -> "HopfAlgebra":
-        """``from_int`` of the rational terms (p, q, c) of Δ(e_i) = coproduct[i]
-        and {k: c} of S(e_j) = antipode[j] (S⁻¹ likewise), each table over its
-        least common denominator."""
-        cols = [None if v is None else scaled_rows(col.items() for col in v) for v in (antipode, antipode_inv)]
-        cols = [v and (v[0], [dict(col) for col in v[1]]) for v in cols]
-        return cls.from_int(alg, scaled_rows(coproduct), counit, *cols, name, meta)
+            cols.append(None if m is None else scaled_vecs(sparse_vec(col) for col in zip(*m.data)))
+        cop = scaled_rows([(k // n, k % n, c) for k, c in enumerate(row) if c] for row in cop)
+        self.__dict__.update(HopfAlgebra.from_int(alg, cop, counit, *cols, name, meta).__dict__)
 
     @classmethod
     def from_int(cls, alg: StructureAlgebra, cop: tuple[int, Sequence], counit: Sequence,
@@ -82,15 +71,14 @@ class HopfAlgebra:
         rows[i] for cop = (D, rows) and S(e_j) = Σ (c/D)·e_k over the {k: c} of
         cols[j] for antipode = (D, cols), S⁻¹ likewise (S inverted if None).
         ``int_content`` checks each table (Δ at p·dim + q), then it is sorted
-        and divided by the gcd of D and every c: the store ``from_sparse``
-        makes of the same rationals."""
+        and divided by the gcd of D and every c."""
         n = alg.dim
         den, rows = cop
         if len(rows) != n:
             raise ValueError("coproduct table has wrong length")
-        # a q out of range is no index
-        rows = [[(p * n + q if type(p) is type(q) is int and 0 <= q < n else None, c) for p, q, c in t] for t in rows]
-        g = int_content(den, [rows], n * n)
+        # a bad (p, q) stands for itself, so the error names it
+        rows = [[(p * n + q if type(p) is type(q) is int and 0 <= q < n else (p, q), c) for p, q, c in t] for t in rows]
+        g = int_content(den, [rows], n * n, n)
         h = cls.__new__(cls)
         h.alg, h.dim, h.counit, h.name, h.meta = alg, n, vec(counit), name or alg.name, dict(meta or {})
         if len(h.counit) != n:
@@ -495,7 +483,7 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
     den_r = den_e * den_u
     if not (_is_one(alg, r, r_inv, den_r * den_r * den_s) and _is_one(alg, r_inv, r, den_r * den_r * den_s)):
         raise ValueError(f"{alg.name}: (S⊗id)R is not the inverse of R")
-    return double, QTStructure(double, t2_to_vec(over(r, den_r), big), t2_to_vec(over(r_inv, den_r * den_s), big))
+    return double, QTStructure(double, (den_r, r), (den_r * den_s, r_inv))
 
 
 def _bowtie(n: int, f: SparseVec, a: SparseVec) -> SparseVec:
@@ -545,27 +533,34 @@ def bowtie_vec(double_dim_factor: int, fvec: Sequence[Fraction], avec: Sequence[
 
 
 class QTStructure:
-    def __init__(self, hopf: HopfAlgebra, r: list[Fraction], r_inv: list[Fraction]):
-        self.hopf, self.r, self.r_inv = hopf, r, r_inv
+    """R and R⁻¹ in H⊗H, stored as ``int_pairs`` and ``int_inv`` = (D, {(i, j):
+    D·c}), D the least common denominator and the keys in index order; the
+    dense ``r`` and ``r_inv`` are views, built on first read."""
+
+    def __init__(self, hopf: HopfAlgebra, r: tuple[int, dict], r_inv: tuple[int, dict]):
+        self.hopf = hopf
+        self.int_pairs, self.int_inv = (scaled(over(dict(sorted(v.items())), den))[::-1] for den, v in (r, r_inv))
 
     def pairs(self) -> dict[tuple[int, int], Fraction]:
         """R as {(i, j): c}, read from ``int_pairs``."""
-        den, pairs = self.int_pairs
-        return over(pairs, den)
+        return over(*self.int_pairs[::-1])
 
     @cached_property
-    def int_pairs(self) -> tuple[int, dict[tuple[int, int], int]]:
-        """(D_R, R times D_R as {(i, j): int}), built once."""
-        pairs, den = scaled(t2_from_vec(self.r, self.hopf.dim))
-        return den, pairs
+    def r(self) -> list[Fraction]:
+        return t2_to_vec(self.pairs(), self.hopf.dim)
+
+    @cached_property
+    def r_inv(self) -> list[Fraction]:
+        return t2_to_vec(over(*self.int_inv[::-1]), self.hopf.dim)
 
 
-def _tensor_square(v: Sequence, n: int, label: str) -> list[Fraction]:
-    """v as an element of H⊗H; ``ValueError`` unless it has n² entries."""
+def _tensor_square(v: Sequence, n: int, label: str) -> tuple[dict, int]:
+    """v as integers over its least common denominator in H⊗H, keyed (i, j);
+    ``ValueError`` unless it has n² entries."""
     v = vec(v)
     if len(v) != n * n:
         raise ValueError(f"{label} has {len(v)} entries, expected dim² = {n * n}")
-    return v
+    return scaled(t2_from_vec(v, n))
 
 
 def qt_structure(h: HopfAlgebra, rvec: Sequence[Fraction], rinv: Sequence[Fraction] | None = None) -> QTStructure:
@@ -577,16 +572,14 @@ def qt_structure(h: HopfAlgebra, rvec: Sequence[Fraction], rinv: Sequence[Fracti
     (``ValueError`` otherwise).
     """
     n = h.dim
-    rvec = _tensor_square(rvec, n, "R")
-    r = t2_from_vec(rvec, n)
+    x, dx = _tensor_square(rvec, n, "R")
     if rinv is not None:
-        rinv = _tensor_square(rinv, n, "R⁻¹")
-        (x, dx), (y, dy) = scaled(r), scaled(t2_from_vec(rinv, n))
+        y, dy = _tensor_square(rinv, n, "R⁻¹")
         if not (_is_one(h.alg, x, y, dx * dy) and _is_one(h.alg, y, x, dx * dy)):
             raise ValueError("given R⁻¹ is not a two-sided inverse of R")
-        return QTStructure(h, rvec, rinv)
+        return QTStructure(h, (dx, x), (dy, y))
     rows: list[dict[int, Fraction]] = [dict() for _ in range(n * n)]
-    for (i, j), c in r.items():
+    for (i, j), c in over(x, dx).items():
         for k in range(n):
             for p, cp in h.alg.mul_basis(i, k):
                 for l in range(n):
@@ -596,18 +589,18 @@ def qt_structure(h: HopfAlgebra, rvec: Sequence[Fraction], rinv: Sequence[Fracti
     sol = solve_sparse(rows, target, n * n)
     if sol.particular is None:
         raise ValueError("element of H⊗H is not invertible")
-    rinv = sol.particular
-    (x, dx), (y, dy) = scaled(t2_from_vec(rinv, n)), scaled(r)
-    if not _is_one(h.alg, x, y, dx * dy):
+    y, dy = scaled(t2_from_vec(sol.particular, n))
+    if not _is_one(h.alg, y, x, dx * dy):
         raise ValueError("right inverse is not two-sided")
-    return QTStructure(h, rvec, rinv)
+    return QTStructure(h, (dx, x), (dy, y))
 
 
 def check_quasitriangular(h: HopfAlgebra, rt: QTStructure) -> CheckReport:
     """All quasitriangular axioms, exactly; data["triangular"] = (R₂₁ = R⁻¹).
 
-    On integers: R over D_R (``int_pairs``), R⁻¹ over D_I, Δ over D_Δ, 1 and ε
-    over D_u and D_ε, products over D_m, both sides lifted to one scale."""
+    On integers: R over D_R (``int_pairs``), R⁻¹ over D_I (``int_inv``), Δ
+    over D_Δ, 1 and ε over D_u and D_ε, products over D_m, both sides lifted
+    to one scale."""
     rep = CheckReport(f"quasitriangular ({h.name})")
     alg = h.alg
     den_r, r = rt.int_pairs
@@ -640,7 +633,7 @@ def check_quasitriangular(h: HopfAlgebra, rt: QTStructure) -> CheckReport:
             f"R·Δ ≠ Δ^cop·R at {alg.basis[z]}",
         )
 
-    rinv, den_i = scaled(t2_from_vec(rt.r_inv, h.dim))
+    den_i, rinv = rt.int_inv
     rep.require(_is_one(alg, r, rinv, den_r * den_i), "R·R⁻¹ ≠ 1⊗1")
     # two reduced integer forms are equal exactly when their values are
     rep.data["triangular"] = den_r == den_i and {(j, i): c for (i, j), c in r.items()} == rinv

@@ -29,7 +29,7 @@ from .hopf import (
     int_form,
     qt_structure,
 )
-from .linalg import Matrix, dense_vec, rational_is_square, sparse_sum, sparse_vec, zero_vec
+from .linalg import Matrix, dense_vec, rational_is_square, scaled, scaled_vecs, sparse_sum, sparse_vec, zero_vec
 from .yd import (
     YDObject,
     check_yd_algebra,
@@ -364,35 +364,37 @@ def c_product(d1: CFamilyDescriptor, d2: CFamilyDescriptor) -> CProductPresentat
     )
 
 
+def _on_one_scale(*xs) -> tuple[list[int], int]:
+    """(the rationals xs times D, as ints; D their least common denominator)."""
+    ints, den = scaled(dict(enumerate(xs)))
+    return list(ints.values()), den
+
+
 def quaternion_yd_algebra(p: CProductPresentation):
-    """Build the YD algebra named by a quaternion presentation directly."""
+    """Build the YD algebra named by a quaternion presentation directly, as
+    integer terms: the product, the action and ρ each over one scale."""
     h4 = build_h4()
-    a, b, m = p.x_sq, p.y_sq, p.anticommutator
     # basis 1, X, Y, XY with X² = a, Y² = b, YX = m − XY
+    (d, a, b, m, ab), den = _on_one_scale(1, p.x_sq, p.y_sq, p.anticommutator, p.x_sq * p.y_sq)
     mult = [
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
-        [[0, 1, 0, 0], [a, 0, 0, 0], [0, 0, 0, 1], [0, 0, a, 0]],
-        [[0, 0, 1, 0], [m, 0, 0, -1], [b, 0, 0, 0], [0, -b, m, 0]],
-        [[0, 0, 0, 1], [0, m, -a, 0], [0, b, 0, 0], [-a * b, 0, 0, m]],
+        [[(0, d)], [(1, d)], [(2, d)], [(3, d)]],
+        [[(1, d)], [(0, a)], [(3, d)], [(2, a)]],
+        [[(2, d)], [(0, m), (3, -d)], [(0, b)], [(1, -b), (2, m)]],
+        [[(3, d)], [(1, m), (2, -a)], [(1, b)], [(0, -ab), (3, m)]],
     ]
-    alg = StructureAlgebra(["1", "X", "Y", "XY"], [1, 0, 0, 0], mult, name="quaternion")
+    mult = [[[t for t in cell if t[1]] for cell in row] for row in mult]
+    alg = StructureAlgebra.from_int(["1", "X", "Y", "XY"], [1, 0, 0, 0], mult, den, name="quaternion")
     # g·e_j = ±e_j; h·X = t₁, h·Y = t₂, extended by the module-algebra law:
     # h·(XY) = (1·X)(h·Y) + (h·X)(g·Y) = t₂X − t₁Y; gh·v = g·(h·v)
-    t1, t2 = p.h_dot_x, p.h_dot_y
+    (d, t1, t2), den_t = _on_one_scale(1, p.h_dot_x, p.h_dot_y)
     sign = [1, -1, -1, 1]
     h_cols = [{k: c for k, c in col.items() if c} for col in ({}, {0: t1}, {0: t2}, {1: t2, 2: -t1})]
-    images = [[{j: 1}, {j: sign[j]}, col, {k: sign[k] * c for k, c in col.items()}] for j, col in enumerate(h_cols)]
-    # ρ(X) = X⊗g + s₁⊗h, ρ(Y) = Y⊗g + s₂⊗h; ρ(XY) = X₍₀₎Y₍₀₎ ⊗ Y₍₁₎X₍₁₎
-    s1, s2 = p.rho_x_s, p.rho_y_s
-    rho_x = [(1, 1, Q(1))] + ([(0, 2, s1)] if s1 else [])
-    rho_y = [(2, 1, Q(1))] + ([(0, 2, s2)] if s2 else [])
-    rho_xy = sparse_sum(
-        (cx * cy, {(pp, qq): cp * cq for pp, cp in alg.mul_basis(ax, ay) for qq, cq in h4.alg.mul_basis(ky, kx)})
-        for ax, kx, cx in rho_x
-        for ay, ky, cy in rho_y
-    )
-    rho = [[(0, 0, 1)], rho_x, rho_y, [(*key, c) for key, c in rho_xy.items()]]
-    return YDObject.from_sparse(h4, 4, alg, images, rho)
+    images = [[{j: d}, {j: sign[j] * d}, col, {k: sign[k] * c for k, c in col.items()}] for j, col in enumerate(h_cols)]
+    # ρ(X) = X⊗g + s₁⊗h, ρ(Y) = Y⊗g + s₂⊗h, and with g² = 1, h² = 0, hg = −gh:
+    # ρ(XY) = X₍₀₎Y₍₀₎ ⊗ Y₍₁₎X₍₁₎ = XY⊗1 − s₂X⊗gh + s₁Y⊗gh
+    (d, s1, s2), den_s = _on_one_scale(1, p.rho_x_s, p.rho_y_s)
+    rho = [[(0, 0, d)], [(1, 1, d), (0, 2, s1)], [(2, 1, d), (0, 2, s2)], [(3, 0, d), (1, 3, -s2), (2, 3, s1)]]
+    return YDObject.from_int(h4, 4, alg, (den_t, images), (den_s, [[t for t in row if t[2]] for row in rho]))
 
 
 # ---------------------------------------------------------------------------
@@ -571,16 +573,17 @@ def _validate_phi(d: CFamilyDescriptor, t: Fraction, result: CFamilyDescriptor) 
     h4 = build_h4()
     built = build_C(d)
     phinv = phi_iso().matrix.inverse()
-    cols = [sparse_vec(phinv.col(i)) for i in range(4)]
+    den_f, cols = scaled_vecs(sparse_vec(phinv.col(i)) for i in range(4))
+    den_a, rows = built.int_images
     opp = opposite_algebra(built.alg)
-    # ρ(e_j) = Σ_i (e_i·e_j) ⊗ φ⁻¹(e_i*)
+    # ρ(e_j) = Σ_i (e_i·e_j) ⊗ φ⁻¹(e_i*), over D_a·D_φ
     rho = [
         [(*key, c) for key, c in sparse_sum(
             (v, {(p, k): w for k, w in cols[i].items()}) for i in range(4) for p, v in images[i].items()
         ).items()]
-        for images in built.images
+        for images in rows
     ]
-    candidate = induced_action(YDObject.from_sparse(h4, built.dim, opp, rho=rho), build_rt_form(t))
+    candidate = induced_action(YDObject.from_int(h4, built.dim, opp, rho=(den_a * den_f, rho)), build_rt_form(t))
     if not candidate.same_structure(build_C(result)):
         raise AssertionError(f"Φ transport of {d!r} does not rebuild {result!r}")
 
@@ -592,14 +595,19 @@ def _validate_phi(d: CFamilyDescriptor, t: Fraction, result: CFamilyDescriptor) 
 
 def aut_twist(a, alpha):
     """Twist a YD algebra by the automorphism h ↦ αh: the action becomes
-    h·_α b = α(h)·b and the coaction ρ_α(b) = b₍₀₎ ⊗ α⁻¹(b₍₁₎)."""
+    h·_α b = α(h)·b and the coaction ρ_α(b) = b₍₀₎ ⊗ α⁻¹(b₍₁₎). On integers,
+    α = p/q: the h and gh columns times p, the others times q, over D_a·q;
+    the h and gh terms of ρ times q, the others times p, over D_c·p (each
+    sign flipped when p < 0)."""
     alpha = Q(alpha)
     if alpha == 0:
         raise ValueError("automorphism parameter must be nonzero")
-    scales = [Q(1), Q(1), alpha, alpha]
-    images = [[{p: c * scales[k] for p, c in v.items()} for k, v in enumerate(row)] for row in a.images]
-    rho = [[(p, k, c / scales[k]) for p, k, c in row] for row in a.rho]
-    return YDObject.from_sparse(a.hopf, a.dim, a.alg, images, rho)
+    p, q = alpha.numerator, alpha.denominator
+    sign = 1 if p > 0 else -1
+    (den_a, rows), (den_c, rho) = a.int_images, a.int_rho
+    images = [[{x: c * (q if k < 2 else p) for x, c in v.items()} for k, v in enumerate(row)] for row in rows]
+    rho = [[(x, k, c * sign * (p if k < 2 else q)) for x, k, c in row] for row in rho]
+    return YDObject.from_int(a.hopf, a.dim, a.alg, (den_a * q, images), (den_c * p * sign, rho))
 
 
 def aut_conjugate(d: CFamilyDescriptor, alpha) -> CFamilyDescriptor:
@@ -616,22 +624,21 @@ def aut_conjugate(d: CFamilyDescriptor, alpha) -> CFamilyDescriptor:
 
 def build_h_alpha(alpha):
     """The module H_α: carrier H₄ with l·m = α(l₍₂₎) m S⁻¹(l₍₁₎) and
-    the regular coaction Δ."""
+    the regular coaction Δ; the action over D_Δ·D_m²·D_S·den(α)."""
     alpha = Q(alpha)
     h4 = build_h4()
     alg = h4.alg
-    scales = [Q(1), Q(1), alpha, alpha]
-    sinv = h4.s_inv_cols
+    (den_d, cop), (den_s, sinv) = h4.int_cop, h4.int_s_inv
+    scales = [alpha.denominator] * 2 + [alpha.numerator] * 2
     images = [
         [
-            sparse_sum(
-                (c * scales[q], alg.mul_sparse(dict(alg.mul_basis(q, j)), sinv[p])) for p, q, c in h4.cop_sparse(i)
-            )
+            sparse_sum((c * scales[q], alg.mul_int(alg.mul_int({q: 1}, {j: 1}), sinv[p])) for p, q, c in cop[i])
             for i in range(4)
         ]
         for j in range(4)
     ]
-    return YDObject.from_sparse(h4, 4, images=images, rho=[h4.cop_sparse(j) for j in range(4)])
+    den = den_d * alg.int_sp[0] ** 2 * den_s * alpha.denominator
+    return YDObject.from_int(h4, 4, images=(den, images), rho=h4.int_cop)
 
 
 def aut_algebra(alpha):

@@ -22,26 +22,24 @@ from typing import Sequence
 from .algebra import (
     CheckReport,
     StructureAlgebra,
-    canonical_terms,
     commutator_columns,
     endomorphism_algebra,
     int_content,
     on_generators,
     opposite_algebra,
 )
-from .hopf import CoQTStructure, HopfAlgebra, QTStructure, bowtie_vec, int_form
+from .hopf import CoQTStructure, HopfAlgebra, QTStructure, int_form
 from .linalg import (
     IntVec,
     Matrix,
     SparseVec,
-    common_denominator,
     dense_vec,
     mat_det,
     over,
     rational_is_square,
-    scale_sparse,
     scaled,
     scaled_rows,
+    scaled_vecs,
     solve_columns,
     span_of,
     sparse_sum,
@@ -94,8 +92,9 @@ class YDObject:
     ``dim`` is the carrier dimension (``alg.dim`` when there is a product).
     The state: ``int_images`` = (D_a, rows[j][k] = D_a·e_k·e_j as {index: int})
     and ``int_rho`` = (D_c, rows[j] = D_c·ρ(e_j) as (a, k, c) for c·e_a ⊗ e_k),
-    sorted, D the least common denominator; ``images``, ``rho``, ``action``
-    and ``coaction`` are rational views. Objects are never mutated.
+    sorted, D the least common denominator, written by ``from_int``; the
+    dense ``__init__`` scales once and calls it. ``images``, ``rho``,
+    ``action`` and ``coaction`` are rational views. Objects are never mutated.
     """
 
     hopf: HopfAlgebra
@@ -105,23 +104,25 @@ class YDObject:
     int_rho: tuple[int, list[tuple[tuple[int, int, int], ...]]] | None
 
     def __init__(self, hopf: HopfAlgebra, dim: int, alg=None, action=None, coaction=None):
+        """The object of ``action`` (dim(H) matrices, dim × dim) and
+        ``coaction`` (dim rows of dim·dim(H) entries) over ℚ, each scaled once
+        and handed to ``from_int``; ``ValueError`` names a wrong shape."""
         n = hopf.dim
-        images = None if action is None else [[sparse_vec(m.col(j)) for m in action] for j in range(dim)]
-        rho = None if coaction is None else [[(k // n, k % n, c) for k, c in enumerate(row) if c] for row in coaction]
-        self.__dict__.update(YDObject.from_sparse(hopf, dim, alg, images, rho).__dict__)
+        images = rho = None
+        if action is not None:
+            shapes = [(m.rows, m.cols) for m in action]
+            if shapes != [(dim, dim)] * n:
+                raise ValueError(f"action must be {n} matrices of shape {(dim, dim)}, got {shapes}")
+            den, cols = scaled_vecs(sparse_vec(m.col(j)) for j in range(dim) for m in action)
+            images = den, [cols[j * n:(j + 1) * n] for j in range(dim)]
+        if coaction is not None:
+            lengths = [len(row) for row in coaction]
+            if lengths != [dim * n] * dim:
+                raise ValueError(f"coaction must be {dim} rows of dim·dim(H) = {dim * n} entries, got {lengths}")
+            rho = scaled_rows([(k // n, k % n, c) for k, c in enumerate(row) if c] for row in coaction)
+        self.__dict__.update(YDObject.from_int(hopf, dim, alg, images, rho).__dict__)
 
     __setattr__ = __delattr__ = refuse_assignment
-
-    @classmethod
-    def from_sparse(cls, hopf: HopfAlgebra, dim: int, alg=None, images=None, rho=None) -> "YDObject":
-        """``from_int`` of rational ``images`` and ``rho``, checked by ``canonical_terms``."""
-        if images is not None:
-            images = [[dict(canonical_terms(v.items(), dim)) for v in row] for row in images]
-            den = common_denominator(c for row in images for v in row for c in v.values())
-            images = den, [[scale_sparse(v, den) for v in row] for row in images]
-        if rho is not None:
-            rho = scaled_rows([canonical_terms(terms, max(dim, hopf.dim)) for terms in rho])
-        return cls.from_int(hopf, dim, alg, images, rho)
 
     @classmethod
     def from_int(cls, hopf: HopfAlgebra, dim: int, alg=None, images=None, rho=None) -> "YDObject":
@@ -143,10 +144,11 @@ class YDObject:
             images = _Store((den // g, rows))
         if rho is not None and type(rho) is not _Store:
             den, rows = rho
-            # c·e_a ⊗ e_k at a·n + k, as in ``coaction``; a k out of range is no index
-            rows = [[(a * n + k if type(a) is type(k) is int and 0 <= k < n else None, c) for a, k, c in terms]
+            # c·e_a ⊗ e_k at a·n + k, as in ``coaction``; a bad (a, k) stands
+            # for itself, so the error names it
+            rows = [[(a * n + k if type(a) is type(k) is int and 0 <= k < n else (a, k), c) for a, k, c in terms]
                     for terms in rows]
-            g = int_content(den, [rows], dim * n)
+            g = int_content(den, [rows], dim * n, n)
             rho = _Store((den // g, [tuple(sorted((*divmod(p, n), c // g) for p, c in terms)) for terms in rows]))
         obj = cls.__new__(cls)
         obj.__dict__.update(hopf=hopf, dim=dim, alg=alg, int_images=images, int_rho=rho)
@@ -1041,33 +1043,38 @@ def yd_to_double(a: YDObject, double: HopfAlgebra) -> YDObject:
     """Make a YD H₄-algebra into a D(H₄)-module algebra.
 
     1⋈l acts as l; (f⋈1)·m = m₍₀₎ f(m₍₁₎); general basis elements are the
-    composites (f⋈1)(1⋈l).
+    composites (f⋈1)(1⋈l), over D_a·D_c.
     """
     n = a.hopf.dim
+    (den_a, rows), (den_c, rho) = a.int_images, a.int_rho
     # (f_i⋈e_j)·e_b = Σ_q (e_j·e_b)_q·Σ c·e_p over the (p, i, c) of ρ(e_q)
     images = [
         [
-            sparse_sum((v * c, {p: 1}) for q, v in row[j].items() for p, k, c in a.rho[q] if k == i)
+            sparse_sum((v * c, {p: 1}) for q, v in row[j].items() for p, k, c in rho[q] if k == i)
             for i in range(n)
             for j in range(n)
         ]
-        for row in a.images
+        for row in rows
     ]
-    return YDObject.from_sparse(double, a.dim, a.alg, images)
+    return YDObject.from_int(double, a.dim, a.alg, (den_a * den_c, images))
 
 
 def double_to_yd(a: YDObject, h: HopfAlgebra) -> YDObject:
     """Inverse conversion: restrict to 1⋈H₄ and rebuild the coaction by
     pairing with the dual basis, ρ(m) = Σᵢ ((e_i*⋈1)·m) ⊗ e_i.
 
-    1⋈e_j = Σ_i ε(e_i)(e_i*⋈e_j), since the counit of H is the unit of H*.
+    1⋈e_j = Σ_i ε(e_i)(e_i*⋈e_j), since the counit of H is the unit of H*,
+    and e_i*⋈1 = Σ_j 1_j·(e_i*⋈e_j): the action over D_a·D_ε, ρ over D_a·D_u.
     """
     n = h.dim
-    act = [sparse_vec(bowtie_vec(n, h.counit, h.alg.basis_vec(j))) for j in range(n)]
-    dual = [sparse_vec(bowtie_vec(n, h.alg.basis_vec(i), h.alg.unit)) for i in range(n)]
-    images = [[a.act(x, {b: 1}) for x in act] for b in range(a.dim)]
-    rho = [[(p, i, v) for i, x in enumerate(dual) for p, v in a.act(x, {b: 1}).items()] for b in range(a.dim)]
-    return YDObject.from_sparse(h, a.dim, a.alg, images, rho)
+    den_a, rows = a.int_images
+    (counit, den_e), (unit, den_u) = scaled(sparse_vec(h.counit)), scaled(sparse_vec(h.alg.unit))
+    images = [[sparse_sum((e, row[i * n + j]) for i, e in counit.items()) for j in range(n)] for row in rows]
+    rho = [
+        [(p, i, v) for i in range(n) for p, v in sparse_sum((u, row[i * n + j]) for j, u in unit.items()).items()]
+        for row in rows
+    ]
+    return YDObject.from_int(h, a.dim, a.alg, (den_a * den_e, images), (den_a * den_u, rho))
 
 
 def module_tensor(m: YDObject, w: YDObject) -> YDObject:

@@ -4,11 +4,16 @@ depends on the ``.hypothesis/`` example database. Each test keeps its own
 ``max_examples``. ``dense_mult`` and ``dense_cop`` write an algebra's product
 and a Hopf algebra's coproduct out as the dense tensors the constructors
 take, for tests that corrupt one entry or compare with a dense reference;
-``sweedler2`` is (Δ⊗id)Δ on Fractions, the reference for ``int_cop2``."""
+``sweedler2`` is (Δ⊗id)Δ on Fractions, the reference for ``int_cop2``.
+``scaled_cells`` and ``sparse_yd`` hand sparse rational tables to the
+``from_int`` constructors, and ``dense_qt`` hands dense R and R⁻¹ vectors to
+``QTStructure``, each scaled once by the package's own scaling."""
 
 from hypothesis import settings
 
-from hopfbrauer.linalg import dense_vec
+from hopfbrauer import hopf
+from hopfbrauer.linalg import dense_vec, scaled, scaled_rows
+from hopfbrauer.yd import YDObject
 
 settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
 settings.load_profile("deterministic")
@@ -35,3 +40,27 @@ def sweedler2(h, i):
         for u, v, d in h.cop_sparse(p):
             acc[u, v, q] = acc.get((u, v, q), 0) + c * d
     return tuple((*key, c) for key, c in acc.items() if c)
+
+
+def scaled_cells(rows):
+    """(D, rows) for rows of cells, each cell a dict {k: c} or a sequence of
+    (…, c) terms over ℚ: every c times D, the least common denominator of
+    them all, by ``scaled_rows`` (so ``ValueError`` on a c that is not
+    rational). Dict cells come back as dicts, the others as tuples."""
+    rows = [list(row) for row in rows]
+    den, cells = scaled_rows(cell.items() if isinstance(cell, dict) else cell for row in rows for cell in row)
+    cells = iter(cells)
+    return den, [[dict(next(cells)) if isinstance(cell, dict) else next(cells) for cell in row] for row in rows]
+
+
+def sparse_yd(h, dim, alg=None, images=None, rho=None):
+    """``YDObject.from_int`` of rational ``images`` (rows of {k: c}) and
+    ``rho`` (rows of (a, k, c) terms), each scaled once."""
+    images = None if images is None else scaled_cells(images)
+    return YDObject.from_int(h, dim, alg, images, None if rho is None else scaled_rows(rho))
+
+
+def dense_qt(h, r, r_inv):
+    """The ``QTStructure`` of dense R and R⁻¹ over ℚ (dim² entries each),
+    each expanded by ``hopf.t2_from_vec`` and scaled once."""
+    return hopf.QTStructure(h, *(scaled(hopf.t2_from_vec(v, h.dim))[::-1] for v in (r, r_inv)))

@@ -19,6 +19,7 @@ import json
 from fractions import Fraction as Q
 
 import pytest
+from conftest import sparse_yd
 
 from hopfbrauer.algebra import sandwich_matrix
 from hopfbrauer.defio import algebra_to_json, yd_to_json
@@ -120,7 +121,7 @@ def test_dense_and_sparse_forms_round_trip(name):
     assert (dense.action, dense.coaction) == (obj.action, obj.coaction)
     images = None if obj.images is None else [[dict(reversed(v.items())) for v in row] for row in obj.images]
     rho = None if obj.rho is None else [list(reversed(row)) for row in obj.rho]
-    fresh = YDObject.from_sparse(obj.hopf, obj.dim, obj.alg, images, rho)
+    fresh = sparse_yd(obj.hopf, obj.dim, obj.alg, images, rho)
     for a in (obj, dense, fresh):
         # the canonical form: keys and triples sorted, every coefficient a nonzero Fraction
         for row in a.images or []:

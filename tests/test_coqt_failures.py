@@ -26,7 +26,7 @@ import json
 from fractions import Fraction as Q
 
 import pytest
-
+from conftest import dense_qt
 from test_integer_scaling import H4_SCALES, _rescaled_hopf, _transported
 
 from hopfbrauer.algebra import StructureAlgebra
@@ -34,7 +34,6 @@ from hopfbrauer.e2 import build_e2, build_RN
 from hopfbrauer.hopf import (
     CoQTStructure,
     HopfMorphism,
-    QTStructure,
     check_coquasitriangular,
     check_hopf_morphism,
     check_quasitriangular,
@@ -263,11 +262,11 @@ def test_quasitriangular_failures_are_pinned(case):
     build, build_qt, scales = QT_CASES[name]
     h = build()
     r, r_inv = _corrupted_qt(h, build_qt(), kind)
-    rep = check_quasitriangular(h, QTStructure(h, r, r_inv))
+    rep = check_quasitriangular(h, dense_qt(h, r, r_inv))
     assert _pin(rep.failures) + (rep.data["triangular"],) == QT_PINS[case]
     if scales is not None:
         scaled = _rescaled_hopf(h, scales)
         assert scaled.alg.int_sp[0] > 1 and scaled.int_cop[0] > 1
-        rescaled = check_quasitriangular(scaled, QTStructure(scaled, _moved(r, scales), _moved(r_inv, scales)))
+        rescaled = check_quasitriangular(scaled, dense_qt(scaled, _moved(r, scales), _moved(r_inv, scales)))
         assert rescaled.failures == rep.failures
         assert rescaled.data == rep.data

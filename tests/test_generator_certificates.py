@@ -625,7 +625,7 @@ def test_comodule_algebra_law_needs_rho_of_1():
     a = _dual_numbers("k[y]")
     h = _trivial_hopf(1)
     # ρ(1) = 2·1⊗1 and ρ(y) = 0: ρ(yz) = ρ(y)ρ(z) holds, ρ(1·1) = 2 ≠ 4
-    bad = YDObject(h, 2, a, [Matrix.identity(2)], [[Q(2)], [Q(0)]])
+    bad = YDObject(h, 2, a, [Matrix.identity(2)], [[Q(2), Q(0)], [Q(0), Q(0)]])
     failures = check_yd_algebra(bad).failures
     assert failures == _ref_yd_algebra(bad).failures
     assert "H^op-comodule algebra over k: ρ not H^op-multiplicative at (1,1)" in failures

@@ -94,9 +94,8 @@ def test_a_wrongly_shaped_antipode_is_rejected(shape):
 )
 def test_a_wrong_number_of_sparse_antipode_columns_is_rejected(s, s_inv):
     h4 = build_h4()
-    cop = [h4.cop_sparse(i) for i in range(4)]
     with pytest.raises(ValueError, match="expected 4×4"):
-        HopfAlgebra.from_sparse(h4.alg, cop, h4.counit, s, s_inv)
+        HopfAlgebra.from_int(h4.alg, h4.int_cop, h4.counit, (1, s), s_inv and (1, s_inv))
 
 
 @pytest.mark.parametrize(
@@ -104,10 +103,10 @@ def test_a_wrong_number_of_sparse_antipode_columns_is_rejected(s, s_inv):
 )
 def test_a_bad_sparse_antipode_entry_is_rejected(column):
     h4 = build_h4()
-    cop = [h4.cop_sparse(i) for i in range(4)]
-    for s, s_inv in (([column] + h4.s_cols[1:], None), (h4.s_cols, h4.s_inv_cols[:3] + [column])):
+    (_, s_cols), (_, s_inv_cols) = h4.int_s, h4.int_s_inv  # both over 1
+    for s, s_inv in (([column] + s_cols[1:], None), (s_cols, s_inv_cols[:3] + [column])):
         with pytest.raises(ValueError):
-            HopfAlgebra.from_sparse(h4.alg, cop, h4.counit, s, s_inv)
+            HopfAlgebra.from_int(h4.alg, h4.int_cop, h4.counit, (1, s), s_inv and (1, s_inv))
 
 
 def test_the_antipode_is_stored_as_sparse_columns():

@@ -3,8 +3,7 @@
 A Hopf algebra keeps Δ as ``int_cop`` = (D_Δ, integer (p, q, c) rows) and S,
 S⁻¹ as ``int_s``, ``int_s_inv`` = (D, integer {k: c} columns), each over its
 least common denominator; ``HopfAlgebra.from_int`` validates, sorts and
-divides by the gcd, and ``from_sparse`` and the dense constructor scale once
-and call it. ``build_h4``, ``build_e2``, ``dual_hopf`` and ``drinfeld_double``
+divides by the gcd, and the dense constructor scales once and calls it. ``build_h4``, ``build_e2``, ``dual_hopf`` and ``drinfeld_double``
 write integer terms. Each builder's store and its Fraction views are pinned
 by the sha256 of a canonical dump made with the earlier Fraction-first store
 (the integer tables were then rescaled from ``cop_sparse``, ``s_cols`` and
@@ -94,9 +93,9 @@ def test_from_int_sorts_and_divides_by_the_gcd():
     assert h.s_cols == [{0: 1}, {1: -1}] and h.antipode_inv == Matrix.diag([1, -1])
     unsorted = _kz2(s=(3, [{0: 3}, {1: 6, 0: 3}]))
     assert unsorted.int_s == (1, [{0: 1}, {0: 1, 1: 2}]) and list(unsorted.int_s[1][1]) == [0, 1]
-    # the same rationals through from_sparse and the dense constructor
-    sparse = HopfAlgebra.from_sparse(KZ2, [[(0, 0, 1)], [(1, 0, Q(1, 2)), (0, 1, Q(1, 2))]], [1, 1],
-                                     [{0: 1}, {1: -1}])
+    # the same rationals scaled once into from_int, and through the dense constructor
+    sparse = HopfAlgebra.from_int(KZ2, scaled_rows([[(0, 0, 1)], [(1, 0, Q(1, 2)), (0, 1, Q(1, 2))]]), [1, 1],
+                                  scaled_vecs([{0: 1}, {1: -1}]))
     dense = HopfAlgebra(KZ2, [[1, 0, 0, 0], [0, Q(1, 2), Q(1, 2), 0]], [1, 1], Matrix.diag([1, -1]))
     for other in (sparse, dense):
         assert (other.int_cop, other.int_s, other.int_s_inv) == (h.int_cop, h.int_s, h.int_s_inv)

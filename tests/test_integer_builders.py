@@ -3,7 +3,8 @@
 ``YDObject`` stores its action and coaction as integers over their least
 common denominators, and every builder on the (E(2), R_N) and H₄ paths writes
 integer terms into that store. The builders as they were, on Fractions and
-through ``YDObject.from_sparse``, are kept here as the reference, as
+scaled once into ``YDObject.from_int`` (``conftest.sparse_yd``), are kept
+here as the reference, as
 ``_sparse_rref`` and ``_det_bareiss`` are kept beside their replacements.
 Each integer builder must give ``==`` Fraction ``images`` and ``rho`` and an
 equal canonical integer store, on seeded parameters over E(2) and H₄ that
@@ -16,6 +17,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from conftest import sparse_yd
 
 from hopfbrauer.algebra import StructureAlgebra, endomorphism_algebra, opposite_algebra, sandwich_matrix
 from hopfbrauer.e2 import (
@@ -58,13 +60,13 @@ def ref_induced_coaction(a, r):
         ).items()]
         for images in a.images
     ]
-    return YDObject.from_sparse(a.hopf, a.dim, a.alg, a.images, rho)
+    return sparse_yd(a.hopf, a.dim, a.alg, a.images, rho)
 
 
 def ref_induced_action(a, r):
     form = r.form.data
     images = [[sparse_sum((c * form[i][k], {b: 1}) for b, k, c in row) for i in range(a.hopf.dim)] for row in a.rho]
-    return YDObject.from_sparse(a.hopf, a.dim, a.alg, images, a.rho)
+    return sparse_yd(a.hopf, a.dim, a.alg, images, a.rho)
 
 
 def ref_module_tensor(m, w):
@@ -77,7 +79,7 @@ def ref_module_tensor(m, w):
         for x in range(m.dim)
         for y in range(w.dim)
     ]
-    return YDObject.from_sparse(h, m.dim * w.dim, images=images)
+    return sparse_yd(h, m.dim * w.dim, images=images)
 
 
 def ref_sharp_coaction(a, b):
@@ -114,7 +116,7 @@ def ref_end_yd(m, variant):
         for z in range(d)
     ]
     if m.rho is None:
-        return YDObject.from_sparse(h, d * d, alg, images)
+        return sparse_yd(h, d * d, alg, images)
 
     def h_part(k0, l1):
         if variant == "plain":
@@ -130,7 +132,7 @@ def ref_end_yd(m, variant):
                     for q, cq in h_part(k0, l1).items():
                         key = (r * d + b1, q)
                         out[key] = out.get(key, 0) + c0 * c1 * cq
-    return YDObject.from_sparse(h, d * d, alg, images, [[(*k, c) for k, c in out.items() if c] for out in rho])
+    return sparse_yd(h, d * d, alg, images, [[(*k, c) for k, c in out.items() if c] for out in rho])
 
 
 def ref_e2_action(c, x1, x2):
@@ -155,25 +157,25 @@ def ref_build_c_e2(a, t1, t2):
     a, t1, t2 = Q(a), Q(t1), Q(t2)
     images = ref_e2_action([{0: Q(1)}, {1: Q(-1)}], _ref_e12(t1), _ref_e12(t2))
     alg = _ref_c_alg(a, f"C({a};{t1},{t2})@E2")
-    return ref_induced_coaction(YDObject.from_sparse(build_e2(), 2, alg, images), build_RN())
+    return ref_induced_coaction(sparse_yd(build_e2(), 2, alg, images), build_RN())
 
 
 def ref_build_e2_module(l1, l2):
     images = ref_e2_action([{0: Q(1)}, {1: Q(-1)}], _ref_e12(Q(l1)), _ref_e12(Q(l2)))
-    return ref_induced_coaction(YDObject.from_sparse(build_e2(), 2, images=images), build_RN())
+    return ref_induced_coaction(sparse_yd(build_e2(), 2, images=images), build_RN())
 
 
 def ref_build_C(d):
     hx = {0: d.t} if d.t else {}
     images = [[{0: 1}, {0: 1}, {}, {}], [{1: 1}, {1: -1}, hx, hx]]
     rho = [[(0, 0, 1)], [(1, 1, 1)] + ([(0, 2, d.s)] if d.s else [])]
-    return YDObject.from_sparse(build_h4(), 2, _ref_c_alg(d.a, repr(d)), images, rho)
+    return sparse_yd(build_h4(), 2, _ref_c_alg(d.a, repr(d)), images, rho)
 
 
 def ref_parity_view(a):
     parity = action_grading(a, grouplike_index(a.hopf))
     images = [[{j: 1}, {j: (-1) ** p}] for j, p in enumerate(parity)]
-    return YDObject.from_sparse(_k_z2(), a.dim, a.alg, images, [[(j, p, 1)] for j, p in enumerate(parity)])
+    return sparse_yd(_k_z2(), a.dim, a.alg, images, [[(j, p, 1)] for j, p in enumerate(parity)])
 
 
 def ref_braiding_psi(v, w, r):
@@ -255,8 +257,8 @@ def test_e2_products_tensors_and_ends_match():
     rn = build_RN()
     for a, b, v, w in zip(objects, objects[1:], modules, modules[3:]):
         prod = sharp_product(a, b)
-        _same(prod, YDObject.from_sparse(prod.hopf, prod.dim, prod.alg, ref_module_tensor(a, b).images,
-                                         ref_sharp_coaction(a, b)))
+        _same(prod, sparse_yd(prod.hopf, prod.dim, prod.alg, ref_module_tensor(a, b).images,
+                              ref_sharp_coaction(a, b)))
         _same(module_tensor(v, w), ref_module_tensor(v, w))
         assert braiding_psi(v, w, rn) == ref_braiding_psi(v, w, rn)
         assert braiding_psi(a, prod, rn) == ref_braiding_psi(a, prod, rn)
@@ -279,7 +281,7 @@ def test_e2_action_from_generators_matches_on_random_generators():
             den, images = e2_action_from_generators(*map(scaled_vecs, gens))
             assert [[over(v, den) for v in row] for row in images] == ref_e2_action(*gens)
     end_p = witness_end_p()
-    _same(end_p, ref_induced_coaction(YDObject.from_sparse(end_p.hopf, end_p.dim, end_p.alg, end_p.images), build_RN()))
+    _same(end_p, ref_induced_coaction(sparse_yd(end_p.hopf, end_p.dim, end_p.alg, end_p.images), build_RN()))
 
 
 @pytest.mark.parametrize("d", H4_PARAMS, ids=repr)
@@ -297,8 +299,8 @@ def test_h4_products_tensors_and_braidings_match():
     cs = [build_C(d) for d in H4_PARAMS]
     for a, b in zip(cs, cs[2:]):
         prod = sharp_product(a, b)
-        _same(prod, YDObject.from_sparse(prod.hopf, prod.dim, prod.alg, ref_module_tensor(a, b).images,
-                                         ref_sharp_coaction(a, b)))
+        _same(prod, sparse_yd(prod.hopf, prod.dim, prod.alg, ref_module_tensor(a, b).images,
+                              ref_sharp_coaction(a, b)))
         _same(module_tensor(a, prod), ref_module_tensor(a, prod))
         for t in (Q(0), Q(5, 3)):
             assert braiding_psi(a, b, build_rt(t)) == ref_braiding_psi(a, b, build_rt(t))
@@ -317,6 +319,7 @@ def test_sandwich_matrix_matches_the_dense_product():
 
 
 def test_from_int_sorts_divides_by_the_gcd_and_equals_from_sparse():
+    # the reference is the same rationals scaled once by ``sparse_yd``
     h4 = build_h4()
     alg = build_C(H4_PARAMS[0]).alg
     images = [[{0: 6}, {0: 6}, {}, {}], [{1: 6}, {1: -6}, {0: 4}, {0: 4}]]
@@ -325,7 +328,7 @@ def test_from_int_sorts_divides_by_the_gcd_and_equals_from_sparse():
     assert obj.int_images == (3, [[{0: 3}, {0: 3}, {}, {}], [{1: 3}, {1: -3}, {0: 2}, {0: 2}]])
     assert obj.int_rho == (2, [((0, 0, 2),), ((0, 2, -1), (1, 1, 2))])
     fractions = [[{p: Q(c, 6) for p, c in v.items()} for v in row] for row in images]
-    ref = YDObject.from_sparse(h4, 2, alg, fractions, [[(a, k, Q(c, 6)) for a, k, c in row] for row in rho])
+    ref = sparse_yd(h4, 2, alg, fractions, [[(a, k, Q(c, 6)) for a, k, c in row] for row in rho])
     _same(obj, ref)
     # a store is shared, not copied or scaled again
     shared = YDObject.from_int(h4, 2, None, obj.int_images, obj.int_rho)
@@ -354,8 +357,22 @@ def test_from_int_sorts_divides_by_the_gcd_and_equals_from_sparse():
         (None, (1, [[(0, 1)], []]), "unpack"),
         (None, (1, [[(True, 0, 1)], []]), "not in range"),
         (None, (-3, [[], []]), "scale"),
+        (None, (1, [[(0, 1.5, 1)], []]), "not in range"),
     ],
 )
 def test_from_int_rejects_a_bad_term(images, rho, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as err:
         YDObject.from_int(build_h4(), 2, None, images, rho)
+    if rho and rho[1][0] and rho[1][0][-1] in COACTION_MESSAGES:
+        assert str(err.value) == COACTION_MESSAGES[rho[1][0][-1]]
+
+
+# the whole message for a bad term of ρ, keyed by the term: it names the (a, k) pair
+COACTION_MESSAGES = {
+    (0, 4, 1): "sparse term index (0, 4) is not in range(2)×range(4)",
+    (2, 0, 1): "sparse term index (2, 0) is not in range(2)×range(4)",
+    (0, 0, 2): "sparse term index (0, 0) occurs twice",
+    (0, 0, 0): "sparse term index (0, 0) has a zero coefficient, not a nonzero int",
+    (True, 0, 1): "sparse term index (True, 0) is not in range(2)×range(4)",
+    (0, 1.5, 1): "sparse term index (0, 1.5) is not in range(2)×range(4)",
+}

@@ -1,13 +1,12 @@
-"""The sparse constructors of ``StructureAlgebra`` and ``HopfAlgebra``.
+"""The integer constructors of ``StructureAlgebra`` and ``HopfAlgebra``.
 
-``dual_hopf`` hands its product to ``from_sparse`` as sparse terms and
-``drinfeld_double`` its product to ``from_int`` as integer terms over one
-scale; both hand their coproducts to ``HopfAlgebra.from_sparse``. These
-tests compare every stored table, unit, counit and antipode with
-the earlier dense build, whose loops are kept below as the reference, check
-that ``from_int`` gives the algebra ``from_sparse`` gives on the same
-constants, and check that the sparse constructors reject malformed tables as
-the dense ones do.
+``dual_hopf`` and ``drinfeld_double`` hand their products and coproducts to
+the ``from_int`` constructors as integer terms over one scale. These tests
+compare every stored table, unit, counit and antipode with the earlier dense
+build, whose loops are kept below as the reference, check that ``from_int``
+gives the algebra that the same constants give as rationals scaled once
+(``_sparse_algebra``), and check that sparse tables scaled into ``from_int``
+are rejected when malformed as the dense ones are.
 """
 
 import random
@@ -15,13 +14,13 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import dense_cop, dense_mult, sweedler2
+from conftest import dense_cop, dense_mult, scaled_cells, sweedler2
 from test_integer_scaling import H4_SCALES, _rescaled_hopf
 
 from hopfbrauer.algebra import StructureAlgebra, opposite_algebra
 from hopfbrauer.e2 import build_e2
 from hopfbrauer.hopf import HopfAlgebra, check_hopf_axioms, drinfeld_double, dual_hopf
-from hopfbrauer.linalg import Matrix, dense_vec, sparse_vec, zero_vec
+from hopfbrauer.linalg import Matrix, dense_vec, scaled_rows, sparse_vec, zero_vec
 from hopfbrauer.sweedler import build_h4
 
 
@@ -213,8 +212,14 @@ def test_same_product_and_coproduct_see_one_coefficient():
 KZ2_TABLE = [[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, 1)]]]
 
 
+def _sparse_algebra(basis, unit, table, name=""):
+    """``StructureAlgebra.from_int`` of rational (k, c) terms, scaled once."""
+    den, table = scaled_cells(table)
+    return StructureAlgebra.from_int(basis, unit, table, den, name=name)
+
+
 def _kz2(table):
-    return StructureAlgebra.from_sparse(["1", "g"], [1, 0], table)
+    return _sparse_algebra(["1", "g"], [1, 0], table)
 
 
 def _with_term(term):
@@ -257,7 +262,7 @@ def test_sparse_algebra_rejects_bad_tables(table):
 
 def test_sparse_algebra_rejects_a_short_unit():
     with pytest.raises(ValueError):
-        StructureAlgebra.from_sparse(["1", "g"], [1], KZ2_TABLE)
+        StructureAlgebra.from_int(["1", "g"], [1], KZ2_TABLE, 1)
 
 
 def test_dense_constructors_reject_bad_shapes():
@@ -280,7 +285,7 @@ KZ2_COP = [[(0, 0, 1)], [(1, 1, 1)]]
 
 
 def _kz2_hopf(cop, counit=(1, 1)):
-    return HopfAlgebra.from_sparse(_kz2(KZ2_TABLE), cop, counit, [{0: 1}, {1: 1}])
+    return HopfAlgebra.from_int(_kz2(KZ2_TABLE), scaled_rows(cop), counit, (1, [{0: 1}, {1: 1}]))
 
 
 def test_sparse_hopf_equals_the_dense_one():
@@ -348,9 +353,7 @@ def test_int_algebra_equals_the_fraction_one(seed):
     # a factor of den shared by every entry, which from_int divides out
     shared = rng.choice([2, 6, 35, 10**3])
     for terms, scale in ((table, den), ([[[(k, shared * c) for k, c in t] for t in r] for r in table], shared * den)):
-        want = StructureAlgebra.from_sparse(
-            basis, unit, [[[(k, Q(c, scale)) for k, c in t] for t in r] for r in terms], name="A"
-        )
+        want = _sparse_algebra(basis, unit, [[[(k, Q(c, scale)) for k, c in t] for t in r] for r in terms], name="A")
         _same_algebra(StructureAlgebra.from_int(basis, unit, terms, scale, name="A"), want)
 
 
@@ -362,7 +365,7 @@ def test_int_algebra_reduces_its_scale():
     assert alg.mul_basis(1, 1) == ((0, Q(3, 2)),)
     # an empty table has scale 1, as the Fraction path gives
     empty = StructureAlgebra.from_int(["1", "g"], [1, 0], [[[], []], [[], []]], 9)
-    assert empty.int_sp == StructureAlgebra.from_sparse(["1", "g"], [1, 0], [[[], []], [[], []]]).int_sp
+    assert empty.int_sp == _kz2([[[], []], [[], []]]).int_sp
     assert empty.int_sp[0] == 1
 
 
@@ -370,7 +373,7 @@ def test_int_algebra_matches_the_double():
     double = drinfeld_double(build_e2())[0].alg
     den, table = double.int_sp
     again = StructureAlgebra.from_int(double.basis, double.unit, table, den, name=double.name)
-    _same_algebra(again, StructureAlgebra.from_sparse(double.basis, double.unit, double._sp, name=double.name))
+    _same_algebra(again, _sparse_algebra(double.basis, double.unit, double._sp, name=double.name))
 
 
 KZ2_INT = [[[(0, 2)], [(1, 2)]], [[(1, 2)], [(0, 2)]]]

@@ -16,13 +16,12 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import dense_cop
+from conftest import dense_cop, dense_qt
 from test_integer_scaling import H4_SCALES, _rescaled_hopf
 
 from hopfbrauer.e2 import build_e2
 from hopfbrauer.hopf import (
     HopfAlgebra,
-    QTStructure,
     check_hopf_axioms,
     check_quasitriangular,
     _t2_int,
@@ -245,10 +244,10 @@ def test_qt_failures_do_not_depend_on_the_basis_scale(t, bump):
     r = list(rt.r)
     if bump is not None:
         r[bump] += Q(1, 3)
-    rep = check_quasitriangular(h4, QTStructure(h4, r, rt.r_inv))
+    rep = check_quasitriangular(h4, dense_qt(h4, r, rt.r_inv))
     assert rep.ok == (bump is None)
     scaled = _rescaled_hopf(h4, H4_SCALES)
-    qt = QTStructure(scaled, _rescaled_r(r, H4_SCALES), _rescaled_r(rt.r_inv, H4_SCALES))
+    qt = dense_qt(scaled, _rescaled_r(r, H4_SCALES), _rescaled_r(rt.r_inv, H4_SCALES))
     rescaled = check_quasitriangular(scaled, qt)
     assert rescaled.failures == rep.failures
     assert rescaled.data == rep.data

@@ -15,7 +15,7 @@ Hopf-morphism check make no dense product, and no builder or cross-check
 calls the dense ``mul_vec``: only ``sandwich_matrix`` does. The double's
 product, # products and H-opposites are built from integer tables
 (``StructureAlgebra.from_int``): the double's 64-wide table never passes
-through ``canonical_terms`` and its Fraction view is never built.
+through a dense constructor and its Fraction view is never built.
 ``sandwich_matrix`` forms each e_i·e_k once, and
 ``fg_maps`` makes no sparse sum and no product per column and no product for
 a zero e_h·e_y. On the d = 16 tower, the associativity check contracts only
@@ -32,14 +32,15 @@ one echelon of the sub-basis per call. The double of E(2) builds no dense
 antipode view, the Hopf check makes no dense matrix product, and
 ``solve_columns`` hands no empty row to the echelon. The YD builders and
 readers that work on the integer store (``INTEGER_PATHS``) make no Fraction
-product and send nothing through ``canonical_terms`` in the seed-7 report
-or on the d = 16 rung, ``sandwich_matrix`` and ``braiding_psi`` build no
-dense ``Matrix``, and ``sandwich_matrix`` makes only its d² dense products
-e_i·e_k. R is expanded and scaled once per quasitriangular structure
-(``QTStructure.int_pairs``), however often the builders read it. The
+product in the seed-7 report or on the d = 16 rung, and neither calls the
+dense ``__init__`` of any carrier; ``sandwich_matrix`` and ``braiding_psi``
+build no dense ``Matrix``, and ``sandwich_matrix`` makes only its d² dense
+products e_i·e_k. R is expanded and scaled once per quasitriangular structure, into
+its integer store ``QTStructure.int_pairs``, however often the builders read
+it, and the quasitriangular check of D(E(2)) builds no dense R or R⁻¹. The
 double of E(2) and its quasitriangular check, and the double of H₄ with its
-Hopf and quasitriangular checks, send nothing through ``canonical_terms``
-and build no Fraction view of either double's coproduct or antipode; the
+Hopf and quasitriangular checks, call no dense constructor and build no
+Fraction view of either double's coproduct or antipode; the
 seven builtins built at set-up make no linear solve (R_N⁻¹ is (S⊗id)R_N in
 closed form); and ``FGContraction`` forms its ``right`` table only for a
 reader of it, which ``f_value``, ``g_value`` and the F/G decomposition
@@ -49,6 +50,8 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction as Q
+
+from conftest import dense_qt
 
 from hopfbrauer import algebra, hopf, linalg, sweedler, yd
 from hopfbrauer.algebra import StructureAlgebra, check_algebra_axioms
@@ -110,20 +113,32 @@ def test_double_and_its_checks_read_no_fraction_structure_constant(monkeypatch):
     assert calls == []
 
 
+def _dense_constructions(monkeypatch) -> list[str]:
+    """Record the class of every call to a carrier's dense ``__init__``, the
+    rational edge that scales its input and calls ``from_int``."""
+    calls = []
+    for cls in (StructureAlgebra, hopf.HopfAlgebra, yd.YDObject):
+        def recorded(obj, *args, init=cls.__init__, **kwargs):
+            calls.append(type(obj).__name__)
+            return init(obj, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", recorded)
+    return calls
+
+
 def test_double_keeps_its_product_on_integers(monkeypatch):
-    widths = []
-    canonical_terms = algebra.canonical_terms
-
-    def recorded(terms, dim):
-        widths.append(dim)
-        return canonical_terms(terms, dim)
-
-    monkeypatch.setattr(algebra, "canonical_terms", recorded)
+    dense = _dense_constructions(monkeypatch)
     double, canonical = hopf.drinfeld_double(build_e2())
     assert hopf.check_quasitriangular(double, canonical).ok
     # the product went to from_int as integers and its Fraction view was never read
     assert "_sp" not in double.alg.__dict__
-    assert double.dim == 64 and 64 not in widths
+    assert double.dim == 64 and dense == []
+
+
+def test_the_double_qt_check_builds_no_dense_r():
+    double, canonical = hopf.drinfeld_double(build_e2())
+    assert hopf.check_quasitriangular(double, canonical).ok
+    assert "r" not in canonical.__dict__ and "r_inv" not in canonical.__dict__
 
 
 def test_rt_and_rt_form_are_built_without_a_solve(monkeypatch):
@@ -449,7 +464,7 @@ def test_fg_maps_makes_no_product_per_column(monkeypatch):
 def test_a_checked_hopf_algebra_is_not_checked_again(monkeypatch):
     e2 = build_e2.__wrapped__()  # a fresh E(2): no verdict is cached on it yet
     c = build_c_e2(2, 3, -1)
-    a = yd.YDObject.from_sparse(e2, c.dim, c.alg, c.images, c.rho)
+    a = yd.YDObject.from_int(e2, c.dim, c.alg, c.int_images, c.int_rho)
     calls = []
     check = hopf.check_hopf_axioms
 
@@ -524,18 +539,18 @@ def test_no_dense_action_or_coaction_view_is_built(monkeypatch):
 def test_derived_objects_share_the_store_they_keep(monkeypatch):
     c = _ladder_rung_d8()
     calls = []
-    canonical_terms = yd.canonical_terms
+    int_content = yd.int_content
 
-    def counted(terms, dim):
-        calls.append(dim)
-        return canonical_terms(terms, dim)
+    def counted(den, table, dim, width=0):
+        calls.append(width)
+        return int_content(den, table, dim, width)
 
-    monkeypatch.setattr(yd, "canonical_terms", counted)
+    monkeypatch.setattr(yd, "int_content", counted)
     opposite = h_opposite(c)
     assert opposite.images is c.images and opposite.rho is c.rho
     assert calls == []
     induced = yd.induced_coaction(c, sweedler.build_rt(Q(3)))
-    assert induced.images is c.images and calls == []  # the new ρ goes to from_int as integers
+    assert induced.images is c.images and calls == [4]  # only the new ρ is validated
     assert yd.induced_action(c, sweedler.build_rt_form(Q(3))).rho is c.rho
 
 
@@ -647,14 +662,13 @@ def _callers(monkeypatch, owner, name: str) -> list[str]:
 
 def test_integer_paths_make_no_fraction_product_and_canonicalize_nothing(monkeypatch):
     products = _callers(monkeypatch, StructureAlgebra, "mul_sparse")
-    canonical = _callers(monkeypatch, algebra, "canonical_terms")
-    monkeypatch.setattr(yd, "canonical_terms", algebra.canonical_terms)
+    dense = _dense_constructions(monkeypatch)
     run_verification(("all",), 7, 20)
     rung = _ladder_rung_d16()
     for a in (rung, h_opposite(rung)):
         assert check_yd_algebra(a).ok and is_h_azumaya(a)
     yd.end_yd(rung, "op")
-    assert products == [] and canonical == []
+    assert products == [] and dense == []
 
 
 def test_sandwich_matrix_and_braiding_build_no_dense_matrix(monkeypatch):
@@ -669,11 +683,11 @@ def test_sandwich_matrix_and_braiding_build_no_dense_matrix(monkeypatch):
 
 def test_r_is_expanded_and_scaled_once_per_structure(monkeypatch):
     rn, v = build_RN(), build_c_e2(Q(2), Q(3), Q(-1))
-    fresh = hopf.QTStructure(rn.hopf, rn.r, rn.r_inv)
     want = hopf.t2_from_vec(rn.r, rn.hopf.dim)
     expanded = Counter()
     original = hopf.t2_from_vec
     monkeypatch.setattr(hopf, "t2_from_vec", lambda r, n: expanded.update([r is rn.r]) or original(r, n))
+    fresh = dense_qt(rn.hopf, rn.r, rn.r_inv)  # the one expansion; the store is integer
     for _ in range(3):
         yd.induced_coaction(v, fresh)
         yd.braiding_psi(v, v, fresh)
@@ -685,11 +699,7 @@ HOPF_VIEWS = ("_spcop", "s_cols", "s_inv_cols", "antipode", "antipode_inv")
 
 
 def test_doubles_and_their_checks_build_no_fraction_hopf_view(monkeypatch):
-    calls = []
-    canonical_terms = algebra.canonical_terms
-    for owner in (algebra, hopf, yd):
-        if hasattr(owner, "canonical_terms"):
-            monkeypatch.setattr(owner, "canonical_terms", lambda *args: calls.append(args) or canonical_terms(*args))
+    calls = _dense_constructions(monkeypatch)
     d8, r8 = hopf.drinfeld_double(build_e2())
     assert hopf.check_quasitriangular(d8, r8).ok
     d4, r4 = hopf.drinfeld_double(sweedler.build_h4())

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import dense_mult
+from conftest import dense_mult, sparse_yd
 from hopfbrauer.algebra import StructureAlgebra
 from hopfbrauer.linalg import Matrix, in_span, is_zero_vec, mat_det, zero_vec
 from hopfbrauer.sweedler import (
@@ -73,12 +73,13 @@ def _sparse_copy(a: YDObject):
 
 
 def test_from_sparse_stores_the_canonical_form():
+    # sparse rationals scaled once into from_int (``sparse_yd``) come out canonical
     c = build_C(CFamilyDescriptor(Q(3), Q(2), Q(5)))
-    shuffled = YDObject.from_sparse(c.hopf, 2, c.alg, *_sparse_copy(c))
+    shuffled = sparse_yd(c.hopf, 2, c.alg, *_sparse_copy(c))
     assert shuffled.same_structure(c) and shuffled.rho == c.rho
     assert [[list(v) for v in row] for row in shuffled.images] == [[sorted(v) for v in row] for row in c.images]
     images = [[{0: 1}, {0: 1}, {}, {}], [{1: 1}, {1: -1}, {0: 2}, {0: 2}]]
-    ints = YDObject.from_sparse(c.hopf, 2, c.alg, images, [[(0, 0, 1)], [(1, 1, 1), (0, 2, 5)]])
+    ints = sparse_yd(c.hopf, 2, c.alg, images, [[(0, 0, 1)], [(1, 1, 1), (0, 2, 5)]])
     assert ints.same_structure(c)
     assert all(type(x) is Q for row in ints.images for v in row for x in v.values())
     assert all(type(t[-1]) is Q for row in ints.rho for t in row)
@@ -100,6 +101,8 @@ def test_from_sparse_stores_the_canonical_form():
     ],
 )
 def test_from_sparse_rejects_a_bad_term(where, value, message):
+    # a coefficient that is not rational is refused by the scaling, every
+    # other bad term by from_int
     c = build_C(CFamilyDescriptor(Q(3), Q(2), Q(5)))
     images, rho = _sparse_copy(c)
     if where == "images":
@@ -107,7 +110,7 @@ def test_from_sparse_rejects_a_bad_term(where, value, message):
     else:
         rho[1].append(value)
     with pytest.raises(ValueError, match=message):
-        YDObject.from_sparse(c.hopf, 2, c.alg, images, rho)
+        sparse_yd(c.hopf, 2, c.alg, images, rho)
 
 
 def test_from_sparse_rejects_a_wrong_shape():
@@ -115,9 +118,31 @@ def test_from_sparse_rejects_a_wrong_shape():
     images, rho = _sparse_copy(c)
     for bad_images, bad_rho in ((images[:1], rho), ([images[0], images[1][:3]], rho), (images, rho[:1])):
         with pytest.raises(ValueError):
-            YDObject.from_sparse(c.hopf, 2, c.alg, bad_images, bad_rho)
+            sparse_yd(c.hopf, 2, c.alg, bad_images, bad_rho)
     with pytest.raises(ValueError):
-        YDObject.from_sparse(c.hopf, 3, c.alg)
+        YDObject.from_int(c.hopf, 3, c.alg)
+
+
+@pytest.mark.parametrize(
+    "action, coaction, message",
+    [
+        ([Matrix.identity(3)] * 4, None, r"action must be 4 matrices of shape \(2, 2\), got \[\(3, 3\)(, \(3, 3\)){3}\]"),
+        ([Matrix.identity(1)] * 4, None, r"action must be 4 matrices of shape \(2, 2\), got \[\(1, 1\)(, \(1, 1\)){3}\]"),
+        ([Matrix.identity(2)] * 3, None, r"action must be 4 matrices of shape \(2, 2\), got \[\(2, 2\)(, \(2, 2\)){2}\]$"),
+        (
+            None, [[1] + [0] * 8, [0] * 4 + [1] + [0] * 3],
+            r"coaction must be 2 rows of dim·dim\(H\) = 8 entries, got \[9, 8\]",
+        ),
+        (None, [[1] + [0] * 7], r"coaction must be 2 rows of dim·dim\(H\) = 8 entries, got \[8\]"),
+        (None, [[1], [0]], r"coaction must be 2 rows of dim·dim\(H\) = 8 entries, got \[1, 1\]"),
+    ],
+    ids=["3x3 action", "1x1 action", "3 matrices", "coaction row of 9", "one coaction row", "short rows"],
+)
+def test_dense_constructor_names_a_wrong_shape(action, coaction, message):
+    # a wider matrix used to lose its extra columns, a narrower one raised
+    # IndexError and a long coaction row was accepted
+    with pytest.raises(ValueError, match=message):
+        YDObject(build_h4(), 2, action=action, coaction=coaction)
 
 
 def test_carrier_is_frozen_and_computes_its_views_once():
@@ -471,7 +496,7 @@ def _product_of_fields(n):
     """kⁿ with g acting trivially: every element commutes with g·z = z, and
     only the vectors with no zero coordinate are invertible."""
     table = [[[(i, 1)] if i == j else [] for j in range(n)] for i in range(n)]
-    alg = StructureAlgebra.from_sparse([f"e{i}" for i in range(n)], [1] * n, table, name=f"k^{n}")
+    alg = StructureAlgebra.from_int([f"e{i}" for i in range(n)], [1] * n, table, 1, name=f"k^{n}")
     return YDObject(build_h4(), n, alg, [Matrix.identity(n)] * 4)
 
 
@@ -612,7 +637,7 @@ def test_coaction_grading_reads_the_grouplike_part(rho_x, parity):
     from hopfbrauer.yd import GradingError, coaction_grading
 
     h4 = build_h4()
-    obj = YDObject.from_sparse(h4, 2, rho=[[(0, 0, 1)], rho_x])
+    obj = sparse_yd(h4, 2, rho=[[(0, 0, 1)], rho_x])
     if parity is None:
         with pytest.raises(GradingError):
             coaction_grading(obj, h4.meta["pi_keep"])
