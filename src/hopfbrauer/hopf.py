@@ -16,6 +16,7 @@ D_Δ), compared over a known scale or divided once per entry.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -535,15 +536,17 @@ def bowtie_vec(double_dim_factor: int, fvec: Sequence[Fraction], avec: Sequence[
 class QTStructure:
     """R and R⁻¹ in H⊗H, stored as ``int_pairs`` and ``int_inv`` = (D, {(i, j):
     D·c}), D the least common denominator and the keys in index order; the
-    dense ``r`` and ``r_inv`` are views, built on first read."""
+    constructor takes (D, {(i, j): int}) pairs over any D > 0 and reduces
+    them. The dense ``r`` and ``r_inv`` are views, built on first read."""
 
     def __init__(self, hopf: HopfAlgebra, r: tuple[int, dict], r_inv: tuple[int, dict]):
         self.hopf = hopf
-        self.int_pairs, self.int_inv = (scaled(over(dict(sorted(v.items())), den))[::-1] for den, v in (r, r_inv))
+        self.int_pairs, self.int_inv = _lowest_terms(*r), _lowest_terms(*r_inv)
 
     def pairs(self) -> dict[tuple[int, int], Fraction]:
         """R as {(i, j): c}, read from ``int_pairs``."""
-        return over(*self.int_pairs[::-1])
+        den, r = self.int_pairs
+        return over(r, den)
 
     @cached_property
     def r(self) -> list[Fraction]:
@@ -551,16 +554,24 @@ class QTStructure:
 
     @cached_property
     def r_inv(self) -> list[Fraction]:
-        return t2_to_vec(over(*self.int_inv[::-1]), self.hopf.dim)
+        den, r_inv = self.int_inv
+        return t2_to_vec(over(r_inv, den), self.hopf.dim)
 
 
-def _tensor_square(v: Sequence, n: int, label: str) -> tuple[dict, int]:
-    """v as integers over its least common denominator in H⊗H, keyed (i, j);
-    ``ValueError`` unless it has n² entries."""
+def _lowest_terms(den: int, v: dict) -> tuple[int, dict]:
+    """(den, v) divided by the gcd of den and every value, keys in order."""
+    g = math.gcd(den, *v.values())
+    return den // g, {k: c // g for k, c in sorted(v.items())}
+
+
+def _tensor_square(v: Sequence, n: int, label: str) -> tuple[int, dict]:
+    """(D, v as integers over D) in H⊗H keyed (i, j), D the least common
+    denominator of v; ``ValueError`` unless v has n² entries."""
     v = vec(v)
     if len(v) != n * n:
         raise ValueError(f"{label} has {len(v)} entries, expected dim² = {n * n}")
-    return scaled(t2_from_vec(v, n))
+    t, den = scaled(t2_from_vec(v, n))
+    return den, t
 
 
 def qt_structure(h: HopfAlgebra, rvec: Sequence[Fraction], rinv: Sequence[Fraction] | None = None) -> QTStructure:
@@ -572,9 +583,9 @@ def qt_structure(h: HopfAlgebra, rvec: Sequence[Fraction], rinv: Sequence[Fracti
     (``ValueError`` otherwise).
     """
     n = h.dim
-    x, dx = _tensor_square(rvec, n, "R")
+    dx, x = _tensor_square(rvec, n, "R")
     if rinv is not None:
-        y, dy = _tensor_square(rinv, n, "R⁻¹")
+        dy, y = _tensor_square(rinv, n, "R⁻¹")
         if not (_is_one(h.alg, x, y, dx * dy) and _is_one(h.alg, y, x, dx * dy)):
             raise ValueError("given R⁻¹ is not a two-sided inverse of R")
         return QTStructure(h, (dx, x), (dy, y))
@@ -589,7 +600,7 @@ def qt_structure(h: HopfAlgebra, rvec: Sequence[Fraction], rinv: Sequence[Fracti
     sol = solve_sparse(rows, target, n * n)
     if sol.particular is None:
         raise ValueError("element of H⊗H is not invertible")
-    y, dy = scaled(t2_from_vec(sol.particular, n))
+    dy, y = _tensor_square(sol.particular, n, "R⁻¹")
     if not _is_one(h.alg, y, x, dx * dy):
         raise ValueError("right inverse is not two-sided")
     return QTStructure(h, (dx, x), (dy, y))

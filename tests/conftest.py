@@ -63,4 +63,5 @@ def sparse_yd(h, dim, alg=None, images=None, rho=None):
 def dense_qt(h, r, r_inv):
     """The ``QTStructure`` of dense R and R⁻¹ over ℚ (dim² entries each),
     each expanded by ``hopf.t2_from_vec`` and scaled once."""
-    return hopf.QTStructure(h, *(scaled(hopf.t2_from_vec(v, h.dim))[::-1] for v in (r, r_inv)))
+    (x, dx), (y, dy) = (scaled(hopf.t2_from_vec(v, h.dim)) for v in (r, r_inv))
+    return hopf.QTStructure(h, (dx, x), (dy, y))

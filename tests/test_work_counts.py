@@ -687,12 +687,14 @@ def test_r_is_expanded_and_scaled_once_per_structure(monkeypatch):
     expanded = Counter()
     original = hopf.t2_from_vec
     monkeypatch.setattr(hopf, "t2_from_vec", lambda r, n: expanded.update([r is rn.r]) or original(r, n))
-    fresh = dense_qt(rn.hopf, rn.r, rn.r_inv)  # the one expansion; the store is integer
+    fresh = dense_qt(rn.hopf, rn.r, rn.r_inv)  # the one expansion of each; the store is integer
+    assert expanded == Counter({True: 1, False: 1})
+    expanded.clear()
     for _ in range(3):
         yd.induced_coaction(v, fresh)
         yd.braiding_psi(v, v, fresh)
+    assert not expanded and "r" not in fresh.__dict__ and "r_inv" not in fresh.__dict__
     assert fresh.pairs() == want and list(fresh.pairs()) == list(want)
-    assert expanded[True] == 1
 
 
 HOPF_VIEWS = ("_spcop", "s_cols", "s_inv_cols", "antipode", "antipode_inv")
