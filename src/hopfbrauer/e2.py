@@ -113,17 +113,21 @@ def build_e2() -> HopfAlgebra:
         cop.append([(p, q, c) for (p, q), c in acc.items()])
     counit = [1 if (b == 0 and d == 0) else 0 for a, b, d in order]
 
-    # antipode: anti-multiplicative extension of S(c) = c, S(x_i) = cx_i
-    s_gen = {c_idx: {c_idx: 1}, x1_idx: {3: 1}, x2_idx: {5: 1}}
-    cols = []
-    for a, b, d in order:
-        word = [c_idx] * a + [x1_idx] * b + [x2_idx] * d
-        acc = {0: 1}
-        for gen in reversed(word):
-            acc = alg.mul_int(acc, s_gen[gen])
-        cols.append(acc)
+    # S and S⁻¹: anti-multiplicative extensions of S(c) = c, S(x_i) = cx_i
+    # and S⁻¹(c) = c, S⁻¹(x_i) = −cx_i
+    antipodes = []
+    for sign in (1, -1):
+        s_gen = {c_idx: {c_idx: 1}, x1_idx: {3: sign}, x2_idx: {5: sign}}
+        cols = []
+        for a, b, d in order:
+            word = [c_idx] * a + [x1_idx] * b + [x2_idx] * d
+            acc = {0: 1}
+            for gen in reversed(word):
+                acc = alg.mul_int(acc, s_gen[gen])
+            cols.append(acc)
+        antipodes.append((1, cols))
     meta = {"c": 1, "x1": 2, "x2": 4, "pi_keep": (0, 1)}
-    return HopfAlgebra.from_int(alg, (1, cop), counit, (1, cols), name="E2", meta=meta)
+    return HopfAlgebra.from_int(alg, (1, cop), counit, *antipodes, name="E2", meta=meta)
 
 
 @functools.lru_cache(maxsize=None)
@@ -141,14 +145,7 @@ def build_RN() -> QTStructure:
         (3, 5): half,
         (3, 4): -half,
     }
-    # R_N⁻¹ = (S⊗id)R_N, checked by qt_structure
-    den_s, s = e2.int_s
-    r, r_inv = zero_vec(64), zero_vec(64)
-    for (i, j), c in terms.items():
-        r[i * 8 + j] = c
-        for k, v in s[i].items():
-            r_inv[k * 8 + j] += c * v / den_s
-    return qt_structure(e2, r, r_inv)
+    return qt_structure(e2, dense_vec({i * 8 + j: c for (i, j), c in terms.items()}, 64))
 
 
 @functools.lru_cache(maxsize=None)

@@ -477,14 +477,9 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
     if failure:
         raise ValueError(f"{alg.name}: closed-form antipode fails: {failure}")
 
-    # R over D_ε·D_u, R⁻¹ = (S⊗id)R over D_ε·D_u·D_S
+    # R over D_ε·D_u
     r = {(m * n + i, i * n + j): a * b for i in range(n) for m, a in eps_i.items() for j, b in unit_i.items()}
-    den_s, s = double.int_s
-    r_inv = sparse_sum((c, {(k, y): v for k, v in s[x].items()}) for (x, y), c in r.items())
-    den_r = den_e * den_u
-    if not (_is_one(alg, r, r_inv, den_r * den_r * den_s) and _is_one(alg, r_inv, r, den_r * den_r * den_s)):
-        raise ValueError(f"{alg.name}: (S⊗id)R is not the inverse of R")
-    return double, QTStructure(double, (den_r, r), (den_r * den_s, r_inv))
+    return double, _qt_from_int(double, den_e * den_u, r)
 
 
 def _bowtie(n: int, f: SparseVec, a: SparseVec) -> SparseVec:
@@ -564,46 +559,28 @@ def _lowest_terms(den: int, v: dict) -> tuple[int, dict]:
     return den // g, {k: c // g for k, c in sorted(v.items())}
 
 
-def _tensor_square(v: Sequence, n: int, label: str) -> tuple[int, dict]:
-    """(D, v as integers over D) in H⊗H keyed (i, j), D the least common
-    denominator of v; ``ValueError`` unless v has n² entries."""
-    v = vec(v)
-    if len(v) != n * n:
-        raise ValueError(f"{label} has {len(v)} entries, expected dim² = {n * n}")
-    t, den = scaled(t2_from_vec(v, n))
-    return den, t
+def _qt_from_int(h: HopfAlgebra, den: int, r: dict) -> QTStructure:
+    """R = r/den in H⊗H, r integer keyed (i, j), with R⁻¹ = (S⊗id)R, the
+    inverse of every quasitriangular R (Kassel, *Quantum Groups*, VIII.2),
+    over den·D_S; ``ValueError`` unless R·R⁻¹ = 1⊗1 = R⁻¹·R exactly."""
+    den_s, s = h.int_s
+    r_inv = sparse_sum((c, {(k, j): v for k, v in s[i].items()}) for (i, j), c in r.items())
+    one = den * den * den_s
+    if not (_is_one(h.alg, r, r_inv, one) and _is_one(h.alg, r_inv, r, one)):
+        raise ValueError(f"{h.name}: (S⊗id)R is not the inverse of R")
+    return QTStructure(h, (den, r), (den * den_s, r_inv))
 
 
-def qt_structure(h: HopfAlgebra, rvec: Sequence[Fraction], rinv: Sequence[Fraction] | None = None) -> QTStructure:
-    """Wrap an element R of H⊗H with its multiplicative inverse.
-
-    A known inverse ``rinv`` (say R₂₁ for a triangular R) is checked exactly,
-    R·R⁻¹ = 1⊗1 = R⁻¹·R, and ``ValueError`` is raised if it fails; only
-    without one is R⁻¹ solved for. R and R⁻¹ must have dim² entries
-    (``ValueError`` otherwise).
-    """
+def qt_structure(h: HopfAlgebra, rvec: Sequence[Fraction]) -> QTStructure:
+    """Wrap an element R of H⊗H, given by its dim² coefficients (``ValueError``
+    otherwise), with R⁻¹ = (S⊗id)R, checked by ``_qt_from_int``: an R that is
+    not quasitriangular may have another inverse, and is refused."""
     n = h.dim
-    dx, x = _tensor_square(rvec, n, "R")
-    if rinv is not None:
-        dy, y = _tensor_square(rinv, n, "R⁻¹")
-        if not (_is_one(h.alg, x, y, dx * dy) and _is_one(h.alg, y, x, dx * dy)):
-            raise ValueError("given R⁻¹ is not a two-sided inverse of R")
-        return QTStructure(h, (dx, x), (dy, y))
-    rows: list[dict[int, Fraction]] = [dict() for _ in range(n * n)]
-    for (i, j), c in over(x, dx).items():
-        for k in range(n):
-            for p, cp in h.alg.mul_basis(i, k):
-                for l in range(n):
-                    for q, cq in h.alg.mul_basis(j, l):
-                        _acc(rows[p * n + q], k * n + l, c * cp * cq)
-    target = t2_to_vec(_t2_unit(sparse_vec(h.alg.unit), 1), n)
-    sol = solve_sparse(rows, target, n * n)
-    if sol.particular is None:
-        raise ValueError("element of H⊗H is not invertible")
-    dy, y = _tensor_square(sol.particular, n, "R⁻¹")
-    if not _is_one(h.alg, y, x, dx * dy):
-        raise ValueError("right inverse is not two-sided")
-    return QTStructure(h, (dx, x), (dy, y))
+    v = vec(rvec)
+    if len(v) != n * n:
+        raise ValueError(f"R has {len(v)} entries, expected dim² = {n * n}")
+    r, den = scaled(t2_from_vec(v, n))
+    return _qt_from_int(h, den, r)
 
 
 def check_quasitriangular(h: HopfAlgebra, rt: QTStructure) -> CheckReport:
@@ -683,12 +660,12 @@ def form_products(h: HopfAlgebra, form: list[list[int]], x: int, y: int, flip: b
     return lhs, rhs
 
 
-def _inverse_failures(h: HopfAlgebra, form: Matrix, form_inv: Matrix):
-    """Yield each (x, y) where r⁻¹ * r or r * r⁻¹ is not ε⊗ε at e_x ⊗ e_y,
-    (a * b)(x⊗y) = Σ a(x₍₁₎⊗y₍₁₎)·b(x₍₂₎⊗y₍₂₎) compared as integers: over
-    D_Δ²·D_r·D_i, against ε(x)ε(y) over D_ε²."""
+def _inverse_failures(h: HopfAlgebra, form: tuple[int, list[list[int]]], form_inv: tuple[int, list[list[int]]]):
+    """Yield each (x, y) where r⁻¹ * r or r * r⁻¹ is not ε⊗ε at e_x ⊗ e_y, for
+    r and r⁻¹ as ``int_form`` gives them, (a * b)(x⊗y) = Σ a(x₍₁₎⊗y₍₁₎)·b(x₍₂₎⊗y₍₂₎)
+    compared as integers: over D_Δ²·D_r·D_i, against ε(x)ε(y) over D_ε²."""
     den_d, cop = h.int_cop
-    (den_r, r), (den_i, ri) = int_form(form), int_form(form_inv)
+    (den_r, r), (den_i, ri) = form, form_inv
     counit, den_e = scaled(sparse_vec(h.counit))
     scale = den_d * den_d * den_r * den_i
     for x in range(h.dim):
@@ -703,37 +680,21 @@ def _inverse_failures(h: HopfAlgebra, form: Matrix, form_inv: Matrix):
                 yield x, y
 
 
-def coqt_structure(h: HopfAlgebra, form: Matrix, form_inv: Matrix | None = None) -> CoQTStructure:
-    """Wrap a bilinear form r on H with its convolution inverse.
-
-    A known inverse ``form_inv`` (say the transposed form of a cotriangular
-    r) is checked exactly, r⁻¹ * r = ε⊗ε = r * r⁻¹, and ``ValueError`` is
-    raised if it fails; only without one is r⁻¹ solved for. The form and
-    its inverse must be dim × dim (``ValueError`` otherwise).
-    """
+def coqt_structure(h: HopfAlgebra, form: Matrix) -> CoQTStructure:
+    """Wrap a bilinear form r on H, a dim × dim table (``ValueError``
+    otherwise), with r⁻¹(x⊗y) = r(S x ⊗ y), the convolution inverse of every
+    coquasitriangular r, over D_r·D_S; ``ValueError`` unless
+    r⁻¹ * r = ε⊗ε = r * r⁻¹ exactly."""
     n = h.dim
-    for label, m in (("form", form), ("inverse form", form_inv)):
-        if m is not None and (m.rows, m.cols) != (n, n):
-            raise ValueError(f"{label} is {m.rows}×{m.cols}, expected {n}×{n}")
-    if form_inv is not None:
-        if any(_inverse_failures(h, form, form_inv)):
-            raise ValueError("given form is not a convolution inverse")
-        return CoQTStructure(h, form, form_inv)
-    rows: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
-    for x in range(n):
-        for y in range(n):
-            row: dict[int, Fraction] = {}
-            for p, q, c in h.cop_sparse(x):
-                for u, v, d in h.cop_sparse(y):
-                    _acc(row, p * n + u, c * d * form.data[q][v])
-            rows.append(row)
-            rhs.append(h.counit[x] * h.counit[y])
-    sol = solve_sparse(rows, rhs, n * n)
-    if sol.particular is None:
-        raise ValueError("form is not convolution invertible")
-    inv = Matrix([[sol.particular[p * n + u] for u in range(n)] for p in range(n)])
-    return CoQTStructure(h, form, inv)
+    if (form.rows, form.cols) != (n, n):
+        raise ValueError(f"form is {form.rows}×{form.cols}, expected {n}×{n}")
+    den_r, r = int_form(form)
+    den_s, s = h.int_s
+    inv = [[sum(c * r[k][y] for k, c in s[x].items()) for y in range(n)] for x in range(n)]
+    den = den_r * den_s
+    if any(_inverse_failures(h, (den_r, r), (den, inv))):
+        raise ValueError("r∘(S⊗id) is not the convolution inverse of r")
+    return CoQTStructure(h, form, Matrix([[Fraction(v, den) for v in row] for row in inv]))
 
 
 def check_coquasitriangular(h: HopfAlgebra, ct: CoQTStructure) -> CheckReport:
@@ -782,7 +743,7 @@ def check_coquasitriangular(h: HopfAlgebra, ct: CoQTStructure) -> CheckReport:
             if lhs != rhs:
                 rep.failures.append(f"r-commutation axiom fails at ({basis[x]},{basis[y]})")
 
-    for x, y in _inverse_failures(h, ct.form, ct.form_inv):
+    for x, y in _inverse_failures(h, (den_r, r), int_form(ct.form_inv)):
         rep.failures.append(f"convolution inverse fails at ({x},{y})")
 
     rep.data["cotriangular"] = ct.form_inv == ct.form.transpose()
@@ -853,13 +814,13 @@ def check_hopf_morphism(f: HopfMorphism) -> CheckReport:
     return rep
 
 
-def push_qt(f: HopfMorphism, rvec: Sequence[Fraction]) -> list[Fraction]:
-    """(f ⊗ f)(R) in target ⊗ target, contracted on integers: R over its least
-    common denominator D_R and ``int_cols`` over D_f, so the image is over
+def push_qt(f: HopfMorphism, rt: QTStructure) -> list[Fraction]:
+    """(f ⊗ f)(R) in target ⊗ target for R of ``rt``, contracted on integers:
+    ``rt.int_pairs`` over D_R and ``int_cols`` over D_f, so the image is over
     D_R·D_f²."""
     m = f.target.dim
     den_f, cols = f.int_cols
-    r, den_r = scaled(t2_from_vec(vec(rvec), f.source.dim))
+    den_r, r = rt.int_pairs
     out = sparse_sum(
         (c * va, {a * m + b: vb for b, vb in cols[j].items()})
         for (i, j), c in r.items()

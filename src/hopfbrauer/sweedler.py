@@ -79,9 +79,7 @@ def build_rt(t) -> QTStructure:
     th = t / 2
     for (i, j), c in {(2, 2): th, (2, 3): th, (3, 3): th, (3, 2): -th}.items():
         r[i * 4 + j] += c
-    # R_t is triangular, so R_t⁻¹ = (R_t)₂₁; qt_structure checks it exactly
-    r21 = [r[(k % 4) * 4 + k // 4] for k in range(16)]
-    return qt_structure(h4, r, r21)
+    return qt_structure(h4, r)
 
 
 def build_rt_form(t) -> CoQTStructure:
@@ -96,9 +94,7 @@ def build_rt_form(t) -> CoQTStructure:
             [0, 0, t, t],
         ]
     )
-    # r_t is cotriangular, so its convolution inverse is the transposed form;
-    # coqt_structure checks it exactly
-    return coqt_structure(h4, form, form.transpose())
+    return coqt_structure(h4, form)
 
 
 @functools.lru_cache(maxsize=None)
@@ -720,54 +716,56 @@ def _azumaya_iota_witness(t: Fraction) -> CFamilyDescriptor:
 
 def sharp_product_matches_presentation(d1: CFamilyDescriptor, d2: CFamilyDescriptor, pres=None) -> bool:
     """Lemma 2.2 cross-check: # product of two C's equals the quaternion
-    presentation (as YD data, under 1#1, x#1, 1#y, x#y ↔ 1, X, Y, XY)."""
+    presentation (as YD data, under 1#1, x#1, 1#y, x#y ↔ 1, X, Y, XY), on
+    the integer stores: both are canonical, so equal values have equal
+    scales and integers."""
     pres = pres or c_product(d1, d2)
     built = sharp_product(build_C(d1), build_C(d2))
     named = quaternion_yd_algebra(pres)
     if not check_yd_algebra(named).ok:
         return False
     perm = [0, 2, 1, 3]  # quaternion index -> #-basis index
-    for i in range(4):
-        for j in range(4):
-            named_ij = {perm[k]: c for k, c in named.alg.mul_basis(i, j)}
-            if named_ij != dict(built.alg.mul_basis(perm[i], perm[j])):
-                return False
-    for q in range(4):
-        for h in range(4):
-            if {perm[p]: c for p, c in named.images[q][h].items()} != built.images[perm[q]][h]:
-                return False
-    for j in range(4):
-        if sorted((perm[p], k, c) for p, k, c in named.rho[j]) != sorted(built.rho[perm[j]]):
-            return False
-    return True
+    (den_m, sp), (den_a, images), (den_c, rho) = named.alg.int_sp, named.int_images, named.int_rho
+    sp_b, images_b, rho_b = built.alg.int_sp[1], built.int_images[1], built.int_rho[1]
+    return (
+        (den_m, den_a, den_c) == (built.alg.int_sp[0], built.int_images[0], built.int_rho[0])
+        and all({perm[k]: c for k, c in sp[i][j]} == dict(sp_b[perm[i]][perm[j]]) for i in range(4) for j in range(4))
+        and all(
+            {perm[p]: c for p, c in images[q][h].items()} == images_b[perm[q]][h] for q in range(4) for h in range(4)
+        )
+        and all(sorted((perm[p], k, c) for p, k, c in rho[j]) == list(rho_b[perm[j]]) for j in range(4))
+    )
 
 
 def validate_c_iso(d1: CFamilyDescriptor, d2: CFamilyDescriptor, alpha,
                    action: bool = True, coaction: bool = True) -> bool:
     """Check that x ↦ α·y really is an isomorphism C(d1) → C(d2) of the
     requested kind (algebra map always; action/coaction intertwining on
-    demand)."""
+    demand), on the integer stores: the map is diag(m)/q for α = p/q and
+    m = (q, p), and each identity is lifted to one scale."""
     alpha = Q(alpha)
     if alpha == 0:
         return False
     a1, a2 = build_C(d1), build_C(d2)
-    m = Matrix.diag([1, alpha])
-    cols = [sparse_vec(m.col(i)) for i in range(2)]
+    q = alpha.denominator
+    m = (q, alpha.numerator)
+    (den_1, sp_1), (den_2, sp_2) = a1.alg.int_sp, a2.alg.int_sp
+    # m(e_i·e_j) = m(e_i)·m(e_j), times q²·D_m·D_m'
     for i in range(2):
         for j in range(2):
-            image = sparse_sum((c, cols[k]) for k, c in a1.alg.mul_basis(i, j))  # m(e_i·e_j)
-            if image != a2.alg.mul_sparse(cols[i], cols[j]):
+            if {k: c * q * den_2 * m[k] for k, c in sp_1[i][j]} != {k: c * den_1 * m[i] * m[j] for k, c in sp_2[i][j]}:
                 return False
     if action:
-        for h in range(4):
-            for j in range(2):
-                # m(e_h·e_j) = e_h·m(e_j)
-                if sparse_sum((c, cols[k]) for k, c in a1.images[j][h].items()) != a2.act({h: 1}, cols[j]):
+        # m(e_h·e_j) = e_h·m(e_j), times q·D_a·D_a'
+        (den_1, im_1), (den_2, im_2) = a1.int_images, a2.int_images
+        for j in range(2):
+            for v1, v2 in zip(im_1[j], im_2[j]):
+                if {k: c * den_2 * m[k] for k, c in v1.items()} != {k: c * den_1 * m[j] for k, c in v2.items()}:
                     return False
     if coaction:
+        # (m⊗id)ρ(e_j) = ρ(m(e_j)), times q·D_c·D_c'
+        (den_1, rho_1), (den_2, rho_2) = a1.int_rho, a2.int_rho
         for j in range(2):
-            # (m⊗id)ρ(e_j) = ρ(m(e_j))
-            lhs = sparse_sum((c * v, {(pp, k): 1}) for p, k, c in a1.rho[j] for pp, v in cols[p].items())
-            if lhs != sparse_sum((c * v, {(p, k): 1}) for jj, c in cols[j].items() for p, k, v in a2.rho[jj]):
+            if {(a, k): c * den_2 * m[a] for a, k, c in rho_1[j]} != {(a, k): c * den_1 * m[j] for a, k, c in rho_2[j]}:
                 return False
     return True

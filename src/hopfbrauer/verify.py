@@ -192,7 +192,7 @@ def suite_qt(s: Suite) -> None:
         form = build_rt_form(t)
         rep = check_coquasitriangular(build_h4(), form)
         s.check(f"rt-coqt-{k}", "§1 cotriangular structures r_t", rep.ok and rep.data["cotriangular"], {"t": t})
-        pushed = push_qt(phi, rt.r)
+        pushed = push_qt(phi, rt)
         table = [[pushed[u * 4 + v] for v in range(4)] for u in range(4)]
         s.check(
             f"phi-push-{k}",
@@ -479,7 +479,7 @@ def suite_eq51(s: Suite) -> None:
     t = t_morphism()
     s.check("t-hopf", "§5 T: D(H₄) → E(2)", check_hopf_morphism(t))
     rn = build_RN()
-    s.check("push", "Eq (5.1) (T⊗T)(ℛ) = R_N", push_qt(t, canonical.r) == rn.r)
+    s.check("push", "Eq (5.1) (T⊗T)(ℛ) = R_N", push_qt(t, canonical) == rn.r)
     e2 = build_e2()
     rep = check_quasitriangular(e2, rn)
     s.check("rn-qt", "Eq (5.1) R_N is quasitriangular", rep.ok)
@@ -492,7 +492,7 @@ def suite_eq51(s: Suite) -> None:
         s.check(
             f"theta-push-{k}",
             "Prop 5.3 (θ⊗θ)(R_N) = R_{λμ}",
-            push_qt(th, rn.r) == build_rt(lam * mu).r,
+            push_qt(th, rn) == build_rt(lam * mu).r,
             {"lam": lam, "mu": mu},
         )
     for k in range(5):

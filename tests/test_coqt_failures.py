@@ -162,8 +162,8 @@ def test_hopf_morphism_failures_are_pinned(bump):
     morphism = HopfMorphism(phi.source, phi.target, m, name="phi")
     failures = check_hopf_morphism(morphism).failures
     assert _pin(failures) == PHI_PINS[bump]
-    r = build_rt(Q(-5, 3)).r
-    assert push_qt(morphism, r) == _reference_push(m, r)
+    rt = build_rt(Q(-5, 3))
+    assert push_qt(morphism, rt) == _reference_push(m, rt.r)
     # φ from H₄ on the basis s_i·e_i to its dual on the basis e_i*/s_i
     s = H4_SCALES
     source = _rescaled_hopf(build_h4(), s)

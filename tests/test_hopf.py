@@ -262,50 +262,41 @@ def test_rt_form_is_cotriangular(t):
 
 @pytest.mark.parametrize("t", [Q(0), Q(3, 2), Q(-7)])
 def test_closed_form_inverses_equal_the_solved_ones(t):
-    h4 = build_h4()
+    # R_t is triangular and r_t cotriangular, so their inverses are (R_t)₂₁
+    # and r_tᵀ: closed forms independent of the (S⊗id)R and r∘(S⊗id) derived
     rt, form = build_rt(t), build_rt_form(t)
-    assert rt.r_inv == qt_structure(h4, rt.r).r_inv
-    assert form.form_inv == coqt_structure(h4, form.form).form_inv
+    assert rt.r_inv == [rt.r[(k % 4) * 4 + k // 4] for k in range(16)]
+    assert form.form_inv == form.form.transpose()
 
 
 def test_wrong_known_inverses_are_rejected():
+    # 2·(1⊗1) and 2·(ε⊗ε) have the inverses ½·(1⊗1) and ½·(ε⊗ε), but they
+    # are not (co)quasitriangular, so (S⊗id)R and r∘(S⊗id) are not those
     h4 = build_h4()
-    rt, form = build_rt(Q(3, 2)), build_rt_form(Q(3, 2))
-    # R_t ≠ (R_t)₂₁ and r_t ≠ r_tᵀ at t ≠ 0, so neither is its own inverse
-    with pytest.raises(ValueError):
-        qt_structure(h4, rt.r, rt.r)
-    with pytest.raises(ValueError):
-        coqt_structure(h4, form.form, form.form)
-    # one perturbed coefficient of R⁻¹
-    wrong = list(rt.r_inv)
+    two = zero_vec(16)
+    two[0] = Q(2)
+    with pytest.raises(ValueError, match="not the inverse of R"):
+        qt_structure(h4, two)
+    with pytest.raises(ValueError, match="not the convolution inverse of r"):
+        coqt_structure(h4, Matrix([[2 * a * b for b in h4.counit] for a in h4.counit]))
+    # one perturbed coefficient of R_t
+    wrong = list(build_rt(Q(3, 2)).r)
     wrong[5] += 1
-    with pytest.raises(ValueError):
-        qt_structure(h4, rt.r, wrong)
+    with pytest.raises(ValueError, match="not the inverse of R"):
+        qt_structure(h4, wrong)
 
 
 @pytest.mark.parametrize("length", [3, 15, 17])
 def test_qt_structure_rejects_a_misshapen_r(length):
-    h4 = build_h4()
-    rt = build_rt(Q(3, 2))
     with pytest.raises(ValueError, match="expected dim²"):
-        qt_structure(h4, [1] * length)
-    with pytest.raises(ValueError, match="expected dim²"):
-        qt_structure(h4, [1] * length, rt.r_inv)
-    with pytest.raises(ValueError, match="expected dim²"):
-        qt_structure(h4, rt.r, [1] * length)
+        qt_structure(build_h4(), [1] * length)
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (4, 3), (3, 4), (5, 5)])
 def test_coqt_structure_rejects_a_misshapen_form(shape):
-    h4 = build_h4()
-    form = build_rt_form(Q(3, 2))
     bad = Matrix([[Q(int(i == j)) for j in range(shape[1])] for i in range(shape[0])])
     with pytest.raises(ValueError, match="expected 4×4"):
-        coqt_structure(h4, bad)
-    with pytest.raises(ValueError, match="expected 4×4"):
-        coqt_structure(h4, bad, form.form_inv)
-    with pytest.raises(ValueError, match="expected 4×4"):
-        coqt_structure(h4, form.form, bad)
+        coqt_structure(build_h4(), bad)
 
 
 def test_unit_tensor_fails_qt_on_h4():
@@ -320,7 +311,7 @@ def test_unit_tensor_fails_qt_on_h4():
 def test_phi_push_matches_rt_table():
     for t in (Q(0), Q(2), Q(-5, 3)):
         rt = build_rt(t)
-        pushed = push_qt(phi_iso(), rt.r)
+        pushed = push_qt(phi_iso(), rt)
         table = [[pushed[u * 4 + v] for v in range(4)] for u in range(4)]
         assert table == build_rt_form(t).form.data
 

@@ -1,14 +1,14 @@
 """Deterministic work counts: the Drinfeld double is built without the dense
 product, without linear solves and without a dense view of its tables, the
 double's build, its quasitriangular check and the Hopf check of D(H₄) read
-no Fraction structure constant, R_t and r_t take their inverses in closed
-form, a Ψ transport checks its lazy cocycle once, and F, G, the
+no Fraction structure constant, R_t and r_t take their inverses as (S⊗id)R
+and r∘(S⊗id) without a solve, a Ψ transport checks its lazy cocycle once, and F, G, the
 associativity check, the Yetter-Drinfeld axiom checks and the H-opposite
 contract on integers without the Fraction product, as do F₀, G₀ and the F/G
 decomposition residuals over E(2), and the H-Azumaya verdict hands F and G to
 the determinant as integer rows without a dense d²×d² matrix, so a
 regression to any of these shows here without timing noise. The
-coquasitriangular check, the known-inverse test of ``coqt_structure``, the
+coquasitriangular check, the derivation of r⁻¹ in ``coqt_structure``, the
 lazy-cocycle check and the cocycle twist read no Fraction structure
 constant, and the witness and centralizer solvers, ``is_invertible`` and the
 Hopf-morphism check make no dense product, and no builder or cross-check
@@ -31,18 +31,22 @@ from integer rows build no dense view of it, and the YD centralizers build
 one echelon of the sub-basis per call. The double of E(2) builds no dense
 antipode view, the Hopf check makes no dense matrix product, and
 ``solve_columns`` hands no empty row to the echelon. The YD builders and
-readers that work on the integer store (``INTEGER_PATHS``) make no Fraction
-product in the seed-7 report or on the d = 16 rung, and neither calls the
-dense ``__init__`` of any carrier; ``sandwich_matrix`` and ``braiding_psi``
+readers that work on the integer store (``INTEGER_PATHS``, among them the
+cross-checks ``sharp_product_matches_presentation`` and ``validate_c_iso``)
+make no Fraction product and read no Fraction structure constant in the
+seed-7 report or on the d = 16 rung, and neither calls the dense
+``__init__`` of any carrier; ``sandwich_matrix`` and ``braiding_psi``
 build no dense ``Matrix``, and ``sandwich_matrix`` makes only its d² dense
 products e_i·e_k. R is expanded and scaled once per quasitriangular structure, into
 its integer store ``QTStructure.int_pairs``, however often the builders read
-it, and the quasitriangular check of D(E(2)) builds no dense R or R⁻¹. The
+it, the quasitriangular check of D(E(2)) builds no dense R or R⁻¹, and
+``push_qt`` builds no dense R of the structure it pushes. E(2) is built with
+its S⁻¹, so no dense antipode is inverted. The
 double of E(2) and its quasitriangular check, and the double of H₄ with its
 Hopf and quasitriangular checks, call no dense constructor and build no
 Fraction view of either double's coproduct or antipode; the
-seven builtins built at set-up make no linear solve (R_N⁻¹ is (S⊗id)R_N in
-closed form); and ``FGContraction`` forms its ``right`` table only for a
+seven builtins built at set-up make no linear solve (R_N⁻¹ is (S⊗id)R_N);
+and ``FGContraction`` forms its ``right`` table only for a
 reader of it, which ``f_value``, ``g_value`` and the F/G decomposition
 residuals are not."""
 
@@ -328,7 +332,7 @@ def test_coquasitriangular_family_reads_no_fraction_structure_constant(monkeypat
 
         monkeypatch.setattr(owner, name, counted)
     for t in (Q(0), Q(-3, 2), Q(7)):
-        form = sweedler.build_rt_form(t)  # the known inverse is checked here
+        form = sweedler.build_rt_form(t)  # r∘(S⊗id) is derived and checked here
         assert hopf.check_coquasitriangular(h4, form).ok
         assert sweedler.check_lazy_cocycle(sweedler.build_sigma(t)).ok
         twisted = sweedler.cocycle_twist(c01, sweedler.build_sigma(t))
@@ -640,6 +644,7 @@ INTEGER_PATHS = {
     "induced_coaction", "induced_action", "module_tensor", "sharp_product", "end_yd", "h_opposite",
     "e2_action_from_generators", "build_c_e2", "build_e2_module", "parity_view", "build_C", "braiding_psi",
     "inner_witness", "conjugation_implementer", "yd_centralizers", "sandwich_matrix", "cocycle_twist",
+    "sharp_product_matches_presentation", "validate_c_iso",
 }
 
 
@@ -662,6 +667,7 @@ def _callers(monkeypatch, owner, name: str) -> list[str]:
 
 def test_integer_paths_make_no_fraction_product_and_canonicalize_nothing(monkeypatch):
     products = _callers(monkeypatch, StructureAlgebra, "mul_sparse")
+    products += _callers(monkeypatch, StructureAlgebra, "mul_basis")
     dense = _dense_constructions(monkeypatch)
     run_verification(("all",), 7, 20)
     rung = _ladder_rung_d16()
@@ -698,6 +704,20 @@ def test_r_is_expanded_and_scaled_once_per_structure(monkeypatch):
 
 
 HOPF_VIEWS = ("_spcop", "s_cols", "s_inv_cols", "antipode", "antipode_inv")
+
+
+def test_push_qt_builds_no_dense_r():
+    for t in (Q(0), Q(3, 2), Q(-5, 3)):
+        rt = sweedler.build_rt(t)
+        hopf.push_qt(sweedler.phi_iso(), rt)
+        assert "r" not in rt.__dict__
+
+
+def test_e2_is_built_with_its_inverse_antipode():
+    e2 = build_e2.__wrapped__()
+    assert "antipode" not in e2.__dict__
+    # S∘S⁻¹ = id = S⁻¹∘S is among the antipode laws
+    assert hopf.check_hopf_axioms(e2).ok
 
 
 def test_doubles_and_their_checks_build_no_fraction_hopf_view(monkeypatch):
