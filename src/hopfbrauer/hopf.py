@@ -9,9 +9,9 @@ structures and Hopf morphisms.
 Elements of H ⊗ H and H ⊗ H ⊗ H are sparse dicts keyed by index tuples,
 left factor major. Their products (``_t2_int``, ``_t3_int``), the Hopf and
 (co)quasitriangular checks and the builders run on integers: each operand
-times its least common denominator (a bilinear form by ``int_form``),
-contracted on ``int_sp`` (the product over D_m) and ``int_cop`` (Δ over
-D_Δ), compared over a known scale or divided once per entry.
+times its least common denominator, contracted on ``int_sp`` (the product
+over D_m) and ``int_cop`` (Δ over D_Δ), compared over a known scale or
+divided once per entry.
 """
 
 from __future__ import annotations
@@ -377,21 +377,15 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
 
     Basis f_i ⋈ e_j at flat index i·n + j. Multiplication:
         (f ⋈ a)(f' ⋈ a') = f · (a₍₁₎ ⇀ f' ↼ S⁻¹(a₍₃₎)) ⋈ a₍₂₎ a'
-    with (a ⇀ f)(x) = f(xa) and (f ↼ a)(x) = f(ax). The test suite pins
-    this choice against the explicit generator relations of D(H₄).
+    with (a ⇀ f)(x) = f(xa) and (f ↼ a)(x) = f(ax).
 
     The antipode and the inverse of R = Σ (ε ⋈ e_i) ⊗ (f_i ⋈ 1) are written
     in closed form (Kassel, *Quantum Groups*, Ch. IX):
         S(f ⋈ a) = (ε ⋈ S a)(S_{H*cop} f ⋈ 1),   R⁻¹ = (S ⊗ id)R,
     where S_{H*cop} is the inverse of the antipode of H*, and S⁻¹ likewise
-    from S_H⁻¹ and S_{H*}. Both are then verified exactly: the two
-    convolution laws, S∘S⁻¹ = id = S⁻¹∘S and R·R⁻¹ = 1⊗1 = R⁻¹·R. Antipode
-    and inverse are unique, so no sign convention is guessed; a failed
-    check raises ValueError. Every product is a sparse contraction.
-
-    Its constants, coproduct and antipode are written as integers for the
-    ``from_int`` constructors, so no Fraction table of the double is made
-    unless a caller reads one.
+    from S_H⁻¹ and S_{H*}. Both are unique and verified exactly (the
+    convolution laws, S∘S⁻¹ = id = S⁻¹∘S, R·R⁻¹ = 1⊗1 = R⁻¹·R); a failure
+    raises ValueError. The tables are written as integers for ``from_int``.
     """
     hd = dual_hopf(h)
     ha, da = h.alg, hd.alg
@@ -633,12 +627,32 @@ def check_quasitriangular(h: HopfAlgebra, rt: QTStructure) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
+IntTable = tuple[int, list[list[int]]]  # (D, D·r as integer rows)
+
+
 class CoQTStructure:
-    def __init__(self, hopf: HopfAlgebra, form: Matrix, form_inv: Matrix):
-        self.hopf, self.form, self.form_inv = hopf, form, form_inv
+    """r and r⁻¹ on H, stored as ``int_table`` and ``int_inv`` in lowest
+    terms; ``form`` and ``form_inv`` are dense views."""
+
+    def __init__(self, hopf: HopfAlgebra, form: IntTable, form_inv: IntTable):
+        self.hopf = hopf
+        self.int_table, self.int_inv = (_lowest_rows(*f) for f in (form, form_inv))
+
+    form = cached_property(lambda self: _form_view(*self.int_table))
+    form_inv = cached_property(lambda self: _form_view(*self.int_inv))
 
 
-def int_form(m: Matrix) -> tuple[int, list[list[int]]]:
+def _lowest_rows(den: int, rows: list[list[int]]) -> IntTable:
+    """(den, rows) divided by the gcd of den and every entry."""
+    g = math.gcd(den, *(v for row in rows for v in row))
+    return den // g, [[v // g for v in row] for row in rows]
+
+
+def _form_view(den: int, rows: list[list[int]]) -> Matrix:
+    return Matrix([[Fraction(v, den) for v in row] for row in rows])
+
+
+def int_form(m: Matrix) -> IntTable:
     """(D_r, D_r·m as integer rows), D_r the least common denominator of m."""
     den = common_denominator(v for row in m.data for v in row)
     return den, [[v.numerator * (den // v.denominator) for v in row] for row in m.data]
@@ -646,7 +660,7 @@ def int_form(m: Matrix) -> tuple[int, list[list[int]]]:
 
 def form_products(h: HopfAlgebra, form: list[list[int]], x: int, y: int, flip: bool) -> tuple[IntVec, IntVec]:
     """r(x₍₁₎⊗y₍₁₎)·x₍₂₎y₍₂₎ and x₍₁₎y₍₁₎·r(x₍₂₎⊗y₍₂₎) (y₍₁₎x₍₁₎ if ``flip``) for
-    basis elements x, y and an ``int_form`` r: integers over D_Δ²·D_r·D_m."""
+    basis elements x, y and integer rows r over D_r: integers over D_Δ²·D_r·D_m."""
     cop, mul = h.int_cop[1], h.alg.mul_int
     lhs: IntVec = {}
     rhs: IntVec = {}
@@ -660,9 +674,9 @@ def form_products(h: HopfAlgebra, form: list[list[int]], x: int, y: int, flip: b
     return lhs, rhs
 
 
-def _inverse_failures(h: HopfAlgebra, form: tuple[int, list[list[int]]], form_inv: tuple[int, list[list[int]]]):
+def _inverse_failures(h: HopfAlgebra, form: IntTable, form_inv: IntTable):
     """Yield each (x, y) where r⁻¹ * r or r * r⁻¹ is not ε⊗ε at e_x ⊗ e_y, for
-    r and r⁻¹ as ``int_form`` gives them, (a * b)(x⊗y) = Σ a(x₍₁₎⊗y₍₁₎)·b(x₍₂₎⊗y₍₂₎)
+    r and r⁻¹ as integer rows (D, rows), (a * b)(x⊗y) = Σ a(x₍₁₎⊗y₍₁₎)·b(x₍₂₎⊗y₍₂₎)
     compared as integers: over D_Δ²·D_r·D_i, against ε(x)ε(y) over D_ε²."""
     den_d, cop = h.int_cop
     (den_r, r), (den_i, ri) = form, form_inv
@@ -680,27 +694,28 @@ def _inverse_failures(h: HopfAlgebra, form: tuple[int, list[list[int]]], form_in
                 yield x, y
 
 
-def coqt_structure(h: HopfAlgebra, form: Matrix) -> CoQTStructure:
-    """Wrap a bilinear form r on H, a dim × dim table (``ValueError``
-    otherwise), with r⁻¹(x⊗y) = r(S x ⊗ y), the convolution inverse of every
-    coquasitriangular r, over D_r·D_S; ``ValueError`` unless
-    r⁻¹ * r = ε⊗ε = r * r⁻¹ exactly."""
+def coqt_structure(h: HopfAlgebra, form: IntTable) -> CoQTStructure:
+    """Wrap a bilinear form r on H, given as (D_r, D_r·r as dim × dim integer
+    rows; ``ValueError`` otherwise), with r⁻¹(x⊗y) = r(S x ⊗ y), the
+    convolution inverse of every coquasitriangular r, over D_r·D_S;
+    ``ValueError`` unless r⁻¹ * r = ε⊗ε = r * r⁻¹ exactly."""
     n = h.dim
-    if (form.rows, form.cols) != (n, n):
-        raise ValueError(f"form is {form.rows}×{form.cols}, expected {n}×{n}")
-    den_r, r = int_form(form)
+    den_r, r = form
+    shape = [len(row) for row in r]
+    if shape != [n] * n:
+        raise ValueError(f"form has row lengths {shape}, expected {n}×{n}")
     den_s, s = h.int_s
     inv = [[sum(c * r[k][y] for k, c in s[x].items()) for y in range(n)] for x in range(n)]
-    den = den_r * den_s
-    if any(_inverse_failures(h, (den_r, r), (den, inv))):
+    inv = (den_r * den_s, inv)
+    if any(_inverse_failures(h, (den_r, r), inv)):
         raise ValueError("r∘(S⊗id) is not the convolution inverse of r")
-    return CoQTStructure(h, form, Matrix([[Fraction(v, den) for v in row] for row in inv]))
+    return CoQTStructure(h, (den_r, r), inv)
 
 
 def check_coquasitriangular(h: HopfAlgebra, ct: CoQTStructure) -> CheckReport:
     """Coquasitriangular axioms on basis triples; data["cotriangular"].
 
-    Compared on integers, r over D_r (``int_form``): r(ab⊗c) and r(a⊗bc)
+    Compared on integers, r over D_r (``int_table``): r(ab⊗c) and r(a⊗bc)
     over D_m·D_r against r(a⊗c₍₁₎)r(b⊗c₍₂₎) and r(a₍₁₎⊗c)r(a₍₂₎⊗b) over
     D_Δ·D_r², each lifted by the other's scale; the r-commutation by
     ``form_products``. Messages are formatted only for failures.
@@ -711,7 +726,7 @@ def check_coquasitriangular(h: HopfAlgebra, ct: CoQTStructure) -> CheckReport:
     basis = alg.basis
     den_m, sp = alg.int_sp
     den_d, cop = h.int_cop
-    den_r, r = int_form(ct.form)
+    den_r, r = ct.int_table
     unit, den_u = scaled(sparse_vec(alg.unit))
     counit, den_e = scaled(sparse_vec(h.counit))
 
@@ -743,10 +758,10 @@ def check_coquasitriangular(h: HopfAlgebra, ct: CoQTStructure) -> CheckReport:
             if lhs != rhs:
                 rep.failures.append(f"r-commutation axiom fails at ({basis[x]},{basis[y]})")
 
-    for x, y in _inverse_failures(h, (den_r, r), int_form(ct.form_inv)):
+    for x, y in _inverse_failures(h, ct.int_table, ct.int_inv):
         rep.failures.append(f"convolution inverse fails at ({x},{y})")
 
-    rep.data["cotriangular"] = ct.form_inv == ct.form.transpose()
+    rep.data["cotriangular"] = ct.int_inv == (den_r, [list(col) for col in zip(*r)])
     return rep
 
 
@@ -814,16 +829,15 @@ def check_hopf_morphism(f: HopfMorphism) -> CheckReport:
     return rep
 
 
-def push_qt(f: HopfMorphism, rt: QTStructure) -> list[Fraction]:
+def push_qt(f: HopfMorphism, rt: QTStructure) -> tuple[int, dict]:
     """(f ⊗ f)(R) in target ⊗ target for R of ``rt``, contracted on integers:
     ``rt.int_pairs`` over D_R and ``int_cols`` over D_f, so the image is over
-    D_R·D_f²."""
-    m = f.target.dim
+    D_R·D_f², returned reduced as ``int_pairs`` stores R."""
     den_f, cols = f.int_cols
     den_r, r = rt.int_pairs
     out = sparse_sum(
-        (c * va, {a * m + b: vb for b, vb in cols[j].items()})
+        (c * va, {(a, b): vb for b, vb in cols[j].items()})
         for (i, j), c in r.items()
         for a, va in cols[i].items()
     )
-    return dense_vec(over(out, den_r * den_f * den_f), m * m)
+    return _lowest_terms(den_r * den_f * den_f, out)

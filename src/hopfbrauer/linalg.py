@@ -320,24 +320,19 @@ CONTENT_BITS = 128
 
 def mat_det(m: Matrix) -> Fraction:
     """Exact determinant of a square matrix, by sparse elimination on the
-    integer rows of ``m.int_rows``.
+    integer rows of ``m.int_rows``, each divided by its content, so the loop
+    does no Fraction arithmetic and reads no dense row.
 
-    Each row is copied once into the working set as integer numerators over
-    one positive row denominator, divided there by its content, so the loop
-    does no Fraction arithmetic and reads no dense row. Pivot rule: the
-    remaining row with the fewest nonzeros (lowest index on ties), and in it
-    the column with the fewest nonzeros among the remaining rows (lowest
-    index on ties). An integer row is a positive multiple of its rational
-    row, so it has the same nonzero pattern and the same fill-in. With pivot
-    value pv and entry f in the pivot column, a row becomes (pv/g)·R − (f/g)·P
-    for g = ±gcd(pv, f) signed like pv, and its denominator is multiplied by
-    pv/g. Once that denominator has more than ``CONTENT_BITS`` bits, row and
-    denominator are divided by their common gcd. Each step is an exact row
-    operation of the rational matrix, so
+    Pivot: the remaining row with the fewest nonzeros, and in it the column
+    with the fewest nonzeros among the remaining rows, the lowest index
+    winning each tie (an integer row has its rational row's nonzeros). The
+    pivot row is divided by the gcd g of its integers. With pivot value pv
+    and entry f in the pivot column, a row becomes (pv/h)·R − (f/h)·P for
+    h = ±gcd(pv, f) signed like pv, and its denominator is multiplied by
+    pv/h; once that denominator has more than ``CONTENT_BITS`` bits, the row
+    is divided by its content again. Each step is an exact row operation, so
 
-        det = sign(row order)·sign(column order)·∏ pv / ∏ den(pivot row),
-
-    whichever nonzero pivots the rule takes and whenever contents are cleared.
+        det = sign(row order)·sign(column order)·∏ pv·∏ g / ∏ den(pivot row).
     """
     if not m.is_square():
         raise DimensionError("determinant of non-square matrix")
@@ -364,8 +359,12 @@ def mat_det(m: Matrix) -> Fraction:
         del lens[pr]
         pc = min(rows[pr], key=lambda c: (col_count[c], c))
         prow = rows.pop(pr)
+        g = math.gcd(*prow.values())
+        if g != 1:
+            for c in prow:
+                prow[c] //= g
         pv = prow.pop(pc)
-        num *= pv
+        num *= g * pv
         den *= dens.pop(pr)
         row_order.append(pr)
         col_order.append(pc)
@@ -378,10 +377,10 @@ def mat_det(m: Matrix) -> Fraction:
                 continue
             f = d.pop(pc)
             col_count[pc] -= 1
-            g = math.gcd(pv, f)
+            h = math.gcd(pv, f)
             if pv < 0:
-                g = -g
-            a, b = pv // g, f // g
+                h = -h
+            a, b = pv // h, f // h
             if a != 1:
                 for c in d:
                     d[c] *= a

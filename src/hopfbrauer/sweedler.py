@@ -29,7 +29,7 @@ from .hopf import (
     int_form,
     qt_structure,
 )
-from .linalg import Matrix, dense_vec, rational_is_square, scaled, scaled_vecs, sparse_sum, sparse_vec, zero_vec
+from .linalg import Matrix, dense_vec, rational_is_square, scaled, scaled_vecs, sparse_sum, sparse_vec
 from .yd import (
     YDObject,
     check_yd_algebra,
@@ -69,32 +69,16 @@ def build_h4() -> HopfAlgebra:
 
 
 def build_rt(t) -> QTStructure:
-    """The triangular structure R_t of H₄."""
-    t = Q(t)
-    h4 = build_h4()
-    r = zero_vec(16)
-    half = Q(1, 2)
-    for (i, j), c in {(0, 0): half, (0, 1): half, (1, 0): half, (1, 1): -half}.items():
-        r[i * 4 + j] += c
-    th = t / 2
-    for (i, j), c in {(2, 2): th, (2, 3): th, (3, 3): th, (3, 2): -th}.items():
-        r[i * 4 + j] += c
-    return qt_structure(h4, r)
+    """The triangular structure R_t = ½(1⊗1 + 1⊗g + g⊗1 − g⊗g)
+    + (t/2)(h⊗h + h⊗gh + gh⊗gh − gh⊗h) of H₄, e_i⊗e_j at 4i + j."""
+    half, th = Q(1, 2), Q(t) / 2
+    return qt_structure(build_h4(), [half, half, 0, 0, half, -half, 0, 0, 0, 0, th, th, 0, 0, -th, th])
 
 
 def build_rt_form(t) -> CoQTStructure:
-    """The cotriangular structure r_t of H₄ as a bilinear form table."""
-    t = Q(t)
-    h4 = build_h4()
-    form = Matrix(
-        [
-            [1, 1, 0, 0],
-            [1, -1, 0, 0],
-            [0, 0, t, -t],
-            [0, 0, t, t],
-        ]
-    )
-    return coqt_structure(h4, form)
+    """The cotriangular structure r_t of H₄, over q for t = p/q."""
+    p, q = Q(t).as_integer_ratio()
+    return coqt_structure(build_h4(), (q, [[q, q, 0, 0], [q, -q, 0, 0], [0, 0, p, -p], [0, 0, p, p]]))
 
 
 @functools.lru_cache(maxsize=None)

@@ -28,7 +28,7 @@ from .algebra import (
     on_generators,
     opposite_algebra,
 )
-from .hopf import CoQTStructure, HopfAlgebra, QTStructure, int_form
+from .hopf import CoQTStructure, HopfAlgebra, QTStructure
 from .linalg import (
     IntVec,
     Matrix,
@@ -719,7 +719,7 @@ def induced_coaction(a: YDObject, r: QTStructure) -> YDObject:
 def induced_action(a: YDObject, r: CoQTStructure) -> YDObject:
     """Equip an H-comodule (algebra) with h·x = x₍₀₎ r(h ⊗ x₍₁₎), replacing
     any action it has; over D_c·D_r."""
-    den_r, form = int_form(r.form)
+    den_r, form = r.int_table
     den_c, rho = a.int_rho
     images = [[sparse_sum((c * form[i][k], {b: 1}) for b, k, c in row) for i in range(a.hopf.dim)] for row in rho]
     return YDObject.from_int(a.hopf, a.dim, a.alg, (den_c * den_r, images), a.int_rho)

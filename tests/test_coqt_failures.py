@@ -38,6 +38,7 @@ from hopfbrauer.hopf import (
     check_hopf_morphism,
     check_quasitriangular,
     dual_hopf,
+    int_form,
     push_qt,
 )
 from hopfbrauer.linalg import Matrix
@@ -112,11 +113,11 @@ def test_coquasitriangular_failures_are_pinned(case):
         else:
             inv = _bumped(inv, *bump)
     h4 = build_h4()
-    rep = check_coquasitriangular(h4, CoQTStructure(h4, form, inv))
+    rep = check_coquasitriangular(h4, CoQTStructure(h4, int_form(form), int_form(inv)))
     assert _pin(rep.failures) + (rep.data["cotriangular"],) == COQT_PINS[case]
     scaled = _rescaled_hopf(h4, H4_SCALES)
     assert scaled.alg.int_sp[0] > 1 and scaled.int_cop[0] > 1
-    moved = CoQTStructure(scaled, _congruent(form, H4_SCALES), _congruent(inv, H4_SCALES))
+    moved = CoQTStructure(scaled, int_form(_congruent(form, H4_SCALES)), int_form(_congruent(inv, H4_SCALES)))
     rescaled = check_coquasitriangular(scaled, moved)
     assert rescaled.failures == rep.failures
     assert rescaled.data == rep.data
@@ -163,7 +164,8 @@ def test_hopf_morphism_failures_are_pinned(bump):
     failures = check_hopf_morphism(morphism).failures
     assert _pin(failures) == PHI_PINS[bump]
     rt = build_rt(Q(-5, 3))
-    assert push_qt(morphism, rt) == _reference_push(m, rt.r)
+    den, pushed = push_qt(morphism, rt)
+    assert [Q(pushed.get(divmod(k, 4), 0), den) for k in range(16)] == _reference_push(m, rt.r)
     # φ from H₄ on the basis s_i·e_i to its dual on the basis e_i*/s_i
     s = H4_SCALES
     source = _rescaled_hopf(build_h4(), s)

@@ -83,7 +83,7 @@ def test_t_is_quasitriangular_surjection():
     double, canonical = build_dh4()
     t = t_morphism()
     assert check_hopf_morphism(t).ok
-    assert push_qt(t, canonical) == build_RN().r
+    assert push_qt(t, canonical) == build_RN().int_pairs
     assert Matrix(t.matrix.data).rank() == 8
 
 
@@ -101,7 +101,7 @@ def test_theta_morphisms_and_pushforwards():
     for lam, mu in ((Q(1), Q(1)), (Q(0), Q(0)), (Q(3), Q(-2, 5))):
         th = theta(lam, mu)
         assert check_hopf_morphism(th).ok
-        assert push_qt(th, rn) == build_rt(lam * mu).r
+        assert push_qt(th, rn) == build_rt(lam * mu).int_pairs
 
 
 def test_restrict_along_identity():

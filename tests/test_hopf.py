@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -10,6 +11,7 @@ from hopfbrauer.algebra import StructureAlgebra
 from hopfbrauer.e2 import build_e2
 from hopfbrauer import hopf
 from hopfbrauer.hopf import (
+    CoQTStructure,
     HopfAlgebra,
     HopfMorphism,
     antipode_from_bialgebra,
@@ -20,6 +22,7 @@ from hopfbrauer.hopf import (
     coqt_structure,
     drinfeld_double,
     dual_hopf,
+    int_form,
     push_qt,
     qt_structure,
 )
@@ -260,6 +263,22 @@ def test_rt_form_is_cotriangular(t):
     assert rep.ok and rep.data["cotriangular"]
 
 
+@pytest.mark.parametrize("t", [Q(0), Q(-3, 2), Q(7, 5)])
+def test_coqt_store_is_in_lowest_terms(t):
+    # r and r⁻¹ handed over at any common scale are stored reduced, so equal
+    # forms have equal stores and the cotriangular flag compares integers
+    h4, ct = build_h4(), build_rt_form(t)
+    (den, r), (den_i, ri) = ct.int_table, ct.int_inv
+    assert math.gcd(den, *(v for row in r for v in row)) == 1
+    assert math.gcd(den_i, *(v for row in ri for v in row)) == 1
+    moved = CoQTStructure(
+        h4, (6 * den, [[6 * v for v in row] for row in r]), (35 * den_i, [[35 * v for v in row] for row in ri])
+    )
+    assert (moved.int_table, moved.int_inv) == (ct.int_table, ct.int_inv)
+    assert check_coquasitriangular(h4, moved).data["cotriangular"]
+    assert moved.form == ct.form and moved.form_inv == ct.form_inv
+
+
 @pytest.mark.parametrize("t", [Q(0), Q(3, 2), Q(-7)])
 def test_closed_form_inverses_equal_the_solved_ones(t):
     # R_t is triangular and r_t cotriangular, so their inverses are (R_t)₂₁
@@ -278,7 +297,7 @@ def test_wrong_known_inverses_are_rejected():
     with pytest.raises(ValueError, match="not the inverse of R"):
         qt_structure(h4, two)
     with pytest.raises(ValueError, match="not the convolution inverse of r"):
-        coqt_structure(h4, Matrix([[2 * a * b for b in h4.counit] for a in h4.counit]))
+        coqt_structure(h4, int_form(Matrix([[2 * a * b for b in h4.counit] for a in h4.counit])))
     # one perturbed coefficient of R_t
     wrong = list(build_rt(Q(3, 2)).r)
     wrong[5] += 1
@@ -296,7 +315,7 @@ def test_qt_structure_rejects_a_misshapen_r(length):
 def test_coqt_structure_rejects_a_misshapen_form(shape):
     bad = Matrix([[Q(int(i == j)) for j in range(shape[1])] for i in range(shape[0])])
     with pytest.raises(ValueError, match="expected 4×4"):
-        coqt_structure(build_h4(), bad)
+        coqt_structure(build_h4(), int_form(bad))
 
 
 def test_unit_tensor_fails_qt_on_h4():
@@ -311,8 +330,10 @@ def test_unit_tensor_fails_qt_on_h4():
 def test_phi_push_matches_rt_table():
     for t in (Q(0), Q(2), Q(-5, 3)):
         rt = build_rt(t)
-        pushed = push_qt(phi_iso(), rt)
-        table = [[pushed[u * 4 + v] for v in range(4)] for u in range(4)]
+        den, pushed = push_qt(phi_iso(), rt)
+        # in lowest terms, keys in order, as QTStructure stores R
+        assert math.gcd(den, *pushed.values()) == 1 and list(pushed) == sorted(pushed)
+        table = [[Q(pushed.get((u, v), 0), den) for v in range(4)] for u in range(4)]
         assert table == build_rt_form(t).form.data
 
 

@@ -212,12 +212,11 @@ def _int_row_cases(seed: int) -> list[tuple[str, list[tuple[int, dict[int, int]]
     return cases
 
 
-def _mat_det_content_lines(m: Matrix) -> tuple[Q, int, int]:
-    """(mat_det(m), the updates that reached the content bound's test, the
-    updates that went on to clear content), read from line events of
-    mat_det's own frame."""
+def _mat_det_line_hits(m: Matrix, *markers: str) -> tuple[Q, list[int]]:
+    """(mat_det(m), for each marker the line events of the first line of
+    mat_det that contains it), read from mat_det's own frame."""
     lines, first = inspect.getsourcelines(mat_det)
-    test_line = first + next(i for i, line in enumerate(lines) if "> CONTENT_BITS" in line)
+    numbers = [first + next(i for i, line in enumerate(lines) if marker in line) for marker in markers]
     hits = Counter()
 
     def local(frame, event, arg):
@@ -231,7 +230,14 @@ def _mat_det_content_lines(m: Matrix) -> tuple[Q, int, int]:
         det = mat_det(m)
     finally:
         sys.settrace(previous)
-    return det, hits[test_line], hits[test_line + 1]
+    return det, [hits[k] for k in numbers]
+
+
+def _mat_det_content_lines(m: Matrix) -> tuple[Q, int, int]:
+    """(mat_det(m), the updates that reached the content bound's test, the
+    updates that went on to clear content)."""
+    det, (tested, cleared) = _mat_det_line_hits(m, "> CONTENT_BITS", "content = math.gcd(dens[ri]")
+    return det, tested, cleared
 
 
 def test_int_row_matrix_equals_the_dense_matrix():
@@ -265,6 +271,52 @@ def test_int_row_det_matches_bareiss_across_the_content_bound():
     # both sides of the bound ran: updates that left content in place and
     # updates that cleared it
     assert below > 0 and cleared > 0
+
+
+def _common_factor_cases(seed: int) -> list[tuple[str, list[tuple[int, dict[int, int]]], int]]:
+    """Seeded (kind, integer rows, size) with n = 8–12, each row k·v over a
+    denominator up to 2²⁰ coprime to k: v has three to five entries up to
+    2¹⁰ and k = ±(2 to 2²⁰), so the content k survives the first reduction
+    and the pivot row carries it into the elimination. A dependent row is
+    k·(p·row i + q·row j); a zero row has no entries."""
+    rng = random.Random(seed)
+    cases = []
+    for kind in INT_ROW_KINDS:
+        n = rng.randint(8, 12)
+        rows = []
+        for _ in range(n):
+            den = rng.randint(1, 2**20)
+            k = rng.randint(2, 2**20)
+            k = rng.choice((-1, 1)) * k // math.gcd(k, den)
+            v = {c: k * rng.choice((-1, 1)) * rng.randint(1, 2**10) for c in rng.sample(range(n), rng.randint(3, 5))}
+            rows.append((den, v))
+        if kind == "zero row":
+            rows[rng.randrange(n)] = (rng.randint(1, 2**20), {})
+        elif kind.startswith("dependent"):
+            for _ in range(1 if kind == "dependent row" else 3):
+                i, j, r = rng.sample(range(n), 3)
+                (di, vi), (dj, vj) = rows[i], rows[j]
+                p, q, k = rng.randint(1, 2**10), -rng.randint(1, 2**10), rng.choice((-1, 1)) * rng.randint(2, 2**20)
+                v = {c: k * (p * vi.get(c, 0) * dj + q * vj.get(c, 0) * di) for c in vi.keys() | vj.keys()}
+                rows[r] = (di * dj, {c: x for c, x in v.items() if x})
+        cases.append((kind, rows, n))
+    return cases
+
+
+def test_pivot_row_content_is_compensated_exactly():
+    """mat_det divides each pivot row by the gcd g of its integers and
+    multiplies the determinant by g; on rows with large common factors of
+    both signs, and on dependent and zero rows, the result is Bareiss's."""
+    divided = 0
+    for seed in (1, 2, 3):
+        for kind, rows, n in _common_factor_cases(seed):
+            m = Matrix.from_int_rows(rows, n)
+            det, (division,) = _mat_det_line_hits(m, "prow[c] //= g")
+            assert det == _det_bareiss(m), kind
+            assert (det == 0) == (kind != "full"), kind
+            divided += division
+    # the compensation ran: some pivot rows had content to divide out
+    assert divided > 0
 
 
 def test_sparse_det_matches_sympy():

@@ -8,13 +8,16 @@ in test_linalg: the determinants, the pivot sequences, the integer rows of F
 and G (denominator and dict) and the sandwich matrices must be equal, on C(a;t,s)
 towers from d = 2 to 16, a singular tower, A_α, E(2) objects with a # product
 and their parity views, and seeded integer-row matrices with the edge cases
-of the elimination."""
+of the elimination. ``mat_det`` also divides each pivot row by its content,
+which the reference does not; on the seed-7 d = 8 rung that cuts the
+entries multiplied to rescale target rows, a count pinned here."""
 
 import math
 import random
 from fractions import Fraction as Q
 
 import pytest
+from test_linalg import _mat_det_line_hits
 
 from hopfbrauer import linalg
 from hopfbrauer.algebra import sandwich_matrix
@@ -26,9 +29,11 @@ from hopfbrauer.yd import FGContraction, fg_maps, sharp_product
 
 def _mat_det_reference(m: Matrix, trace: list | None = None) -> Q:
     """The elimination with the pivot row found by a key function per
-    remaining row, (len, index). Appends (row order, column order, number of
-    rows whose denominator passed ``CONTENT_BITS``) to ``trace`` when it ends
-    with a nonzero determinant."""
+    remaining row, (len, index). The pivot row keeps its content, so this
+    determinant has no ∏ g term and checks mat_det's division of each pivot
+    row by its gcd g, and the g it multiplies back, independently. Appends
+    (row order, column order, number of rows whose denominator passed
+    ``CONTENT_BITS``) to ``trace`` when it ends with a nonzero determinant."""
     if not m.is_square():
         raise DimensionError("determinant of non-square matrix")
     rows: dict[int, dict[int, int]] = {}
@@ -211,6 +216,23 @@ def test_c_tower_from_2_to_16(monkeypatch):
     assert [r.dim for r in rungs] == [2, 4, 8, 16]
     for rung in rungs:
         _check_verdict_kernels(monkeypatch, rung, True)
+
+
+def test_primitive_pivot_rows_halve_the_row_scalings(monkeypatch):
+    """Each pivot row is divided by the gcd of its integers before it updates
+    the rows below it, so a target row is rescaled by a = pv/gcd(pv, f) of a
+    small pivot. On the seed-7 d = 8 rung, mat_det multiplied 2,401 entries
+    of F and 1,131 of G while pivot rows kept their content; the pins are
+    the counts with primitive pivot rows, and the pivot sequence is the
+    reference's."""
+    rung = _tower(7, 8)[-1]
+    assert rung.dim == 8
+    counts = []
+    for m in fg_maps(rung):
+        det, (scaled,) = _mat_det_line_hits(m, "d[c] *= a")
+        assert det == _assert_same_det(monkeypatch, m) != 0
+        counts.append(scaled)
+    assert counts == [964, 213]
 
 
 def test_singular_tower(monkeypatch):

@@ -39,8 +39,11 @@ seed-7 report or on the d = 16 rung, and neither calls the dense
 build no dense ``Matrix``, and ``sandwich_matrix`` makes only its d² dense
 products e_i·e_k. R is expanded and scaled once per quasitriangular structure, into
 its integer store ``QTStructure.int_pairs``, however often the builders read
-it, the quasitriangular check of D(E(2)) builds no dense R or R⁻¹, and
-``push_qt`` builds no dense R of the structure it pushes. E(2) is built with
+it, the quasitriangular check of D(E(2)) builds no dense R or R⁻¹,
+``push_qt`` builds no dense R of the structure it pushes, and the report's
+phi-push, push and theta-push checks compare integer stores, building no
+dense R at all. r_t is built, checked and read by ``induced_action`` from
+its integer table, with no ``int_form`` rescaling and no dense view. E(2) is built with
 its S⁻¹, so no dense antipode is inverted. The
 double of E(2) and its quasitriangular check, and the double of H₄ with its
 Hopf and quasitriangular checks, call no dense constructor and build no
@@ -706,11 +709,32 @@ def test_r_is_expanded_and_scaled_once_per_structure(monkeypatch):
 HOPF_VIEWS = ("_spcop", "s_cols", "s_inv_cols", "antipode", "antipode_inv")
 
 
-def test_push_qt_builds_no_dense_r():
+def test_push_qt_builds_no_dense_r(monkeypatch):
     for t in (Q(0), Q(3, 2), Q(-5, 3)):
         rt = sweedler.build_rt(t)
         hopf.push_qt(sweedler.phi_iso(), rt)
         assert "r" not in rt.__dict__
+    # the phi-push, push and theta-push checks compare integer stores: a
+    # property shadows any view an earlier test cached on a shared structure
+    built = []
+    view = hopf.QTStructure.__dict__["r"].func
+    monkeypatch.setattr(hopf.QTStructure, "r", property(lambda rt: built.append(rt) or view(rt)))
+    report = run_verification(("qt", "eq5.1"), 7, 20)
+    assert report["summary"]["fail"] == 0
+    assert built == []
+
+
+def test_coqt_readers_read_the_integer_store(monkeypatch):
+    calls = []
+    for owner in (hopf, sweedler):
+        monkeypatch.setattr(owner, "int_form", lambda m: calls.append(m))
+    c = sweedler.build_C(sweedler.CFamilyDescriptor(Q(2), Q(3), Q(-1)))
+    for t in (Q(0), Q(3, 2), Q(-5, 3)):
+        ct = sweedler.build_rt_form(t)
+        assert hopf.check_coquasitriangular(sweedler.build_h4(), ct).ok
+        yd.induced_action(c, ct)
+        assert "form" not in ct.__dict__ and "form_inv" not in ct.__dict__
+    assert calls == []
 
 
 def test_e2_is_built_with_its_inverse_antipode():
