@@ -1,10 +1,9 @@
 """Finite-dimensional unital associative algebras via structure constants.
 
-An algebra is a basis, a unit vector and its structure constants, stored as
-integers over one scale D_m: ``int_sp`` = (D_m, table), table[i][j] = D_m·e_i·e_j
-as (k, c) pairs sorted by k, every c a nonzero int. ``_sp``, the same with
-every c a Fraction, is a view built on first read. Elements are dense or
-sparse (``{basis index: nonzero coefficient}``) vectors over ℚ. Every
+An algebra is a basis, ``int_unit`` = (D_u, D_u·1 as {k: c}) and ``int_sp``
+= (D_m, table), table[i][j] = D_m·e_i·e_j as (k, c) pairs sorted by k, every
+c a nonzero int; ``unit`` and ``_sp`` are their views over ℚ. Elements are
+dense or sparse (``{basis index: nonzero coefficient}``) vectors. Every
 product is one loop, ``_contract``: ``mul_sparse`` on Fractions, ``mul_int``
 on integers, ``mul_vec`` on dense vectors for ``sandwich_matrix`` only.
 A law whose solutions form a subalgebra is checked on ``generators`` first
@@ -26,6 +25,7 @@ from .linalg import (
     SparseVec,
     dense_vec,
     mat_det,
+    over,
     scale_sparse,
     scaled,
     scaled_rows,
@@ -123,6 +123,23 @@ def int_content(den: int, table: Iterable[Iterable], dim: int, width: int = 0) -
     return g
 
 
+def int_vector(vector: tuple[int, IntVec], dim: int, label: str) -> tuple[int, IntVec]:
+    """A unit or counit (D, {k: c}), checked and reduced as ``int_sp`` is."""
+    if len(vector) != 2 or not isinstance(vector[1], dict):
+        raise ValueError(f"{label} must be (scale, {{index: int}}), not {vector!r}")
+    den, v = vector
+    g = int_content(den, [[v.items()]], dim)
+    return den // g, {k: c // g for k, c in sorted(v.items())}
+
+
+def scaled_vector(values: Sequence, dim: int, label: str) -> tuple[int, IntVec]:
+    """(D, {k: D·v_k}) for dim rationals v_k over their least common denominator D."""
+    if len(values) != dim:
+        raise ValueError(f"{label} vector has wrong length")
+    den, (terms,) = scaled_rows([enumerate(values)])
+    return den, {k: c for k, c in terms if c}
+
+
 def _table_dim(basis: Sequence[str], table: Sequence[Sequence]) -> int:
     """dim = len(basis), after checking that the table is dim × dim."""
     dim = len(basis)
@@ -134,11 +151,9 @@ def _table_dim(basis: Sequence[str], table: Sequence[Sequence]) -> int:
 class StructureAlgebra:
     """Unital associative algebra given by structure constants over ℚ.
 
-    The state is ``int_sp``, written by ``from_int``; the dense ``__init__``
-    scales its tensor once and calls it. ``_sp`` is the Fraction view, built
-    on first read, so an algebra only contracted on integers builds no
-    Fraction constant. ``generators`` and ``associative`` are cached
-    certificates.
+    The state is ``int_unit`` and ``int_sp``, written by ``from_int``; the
+    dense ``__init__`` scales once and calls it. ``generators`` and
+    ``associative`` are cached certificates.
     """
 
     def __init__(self, basis: Sequence[str], unit: Sequence, mult: Sequence[Sequence[Sequence]], name: str = ""):
@@ -147,21 +162,23 @@ class StructureAlgebra:
             raise ValueError("multiplication tensor entry has wrong length")
         den, cells = scaled_rows(sparse_vec(vec(v)).items() for row in mult for v in row)
         table = [cells[i * dim:(i + 1) * dim] for i in range(dim)]
+        unit = scaled_vector(unit, dim, "unit")
         self.__dict__.update(StructureAlgebra.from_int(basis, unit, table, den, name).__dict__)
 
     @classmethod
     def from_int(
-        cls, basis: Sequence[str], unit: Sequence, table: Sequence[Sequence[Iterable[tuple[int, int]]]], den: int,
-        name: str = "",
+        cls, basis: Sequence[str], unit: tuple[int, IntVec], table: Sequence[Sequence[Iterable[tuple[int, int]]]],
+        den: int, name: str = "",
     ) -> "StructureAlgebra":
         """The algebra whose e_i · e_j is Σ (c/den)·e_k over the (k, c) pairs
-        of table[i][j], every c a nonzero int and den a positive int.
+        of table[i][j], every c a nonzero int and den a positive int, and
+        whose 1 is unit = (D_u, {k: c}) read likewise.
 
         Each table[i][j] is a collection (a list, or a dict's items), read
         twice: ``int_content`` validates it, then each term is sorted and den
         and every c are divided by their gcd, so ``int_sp`` = (D_m, table) is
         one canonical form of the constants, D_m their least common
-        denominator.
+        denominator; ``int_unit`` likewise.
         """
         dim = _table_dim(basis, table)
         g = int_content(den, table, dim)
@@ -173,12 +190,16 @@ class StructureAlgebra:
         alg = cls.__new__(cls)
         alg.dim = dim
         alg.basis = [str(b) for b in basis]
-        alg.unit = vec(unit)
+        alg.int_unit = int_vector(unit, dim, "unit")
         alg.name = name
-        if len(alg.unit) != dim:
-            raise ValueError("unit vector has wrong length")
         alg.int_sp = den, sp
         return alg
+
+    @cached_property
+    def unit(self) -> list[Fraction]:
+        """1 as a dense Fraction vector."""
+        den, unit = self.int_unit
+        return dense_vec(over(unit, den), self.dim)
 
     @cached_property
     def _sp(self) -> list[list[tuple[tuple[int, Fraction], ...]]]:
@@ -203,7 +224,7 @@ class StructureAlgebra:
                 if w:
                     pairs += [(h, w) for h in gens]
 
-        close([(None, scaled(sparse_vec(self.unit))[0])])
+        close([(None, self.int_unit[1])])
         for i in range(self.dim):
             if len(span.rows) < self.dim and span.reduce({i: 1}):
                 gens.append(i)
@@ -246,9 +267,6 @@ class StructureAlgebra:
         of ``int_sp`` by the loop of ``mul_sparse``; ``out`` as there."""
         return _contract(self.int_sp[1], x, y, {} if out is None else out)
 
-    def one(self) -> list[Fraction]:
-        return list(self.unit)
-
     def basis_vec(self, i: int) -> list[Fraction]:
         v = zero_vec(self.dim)
         v[i] = Fraction(1)
@@ -267,7 +285,7 @@ class StructureAlgebra:
 
     def scalar_part(self, x: SparseVec) -> Fraction | None:
         """If the sparse vector x is c·1, return c, else None."""
-        unit = sparse_vec(self.unit)
+        unit = over(self.int_unit[1], self.int_unit[0])
         if not unit:
             return None
         c = x.get(min(unit), 0) / unit[min(unit)]
@@ -307,7 +325,7 @@ class Grading:
 def _unit_law_failures(a: StructureAlgebra) -> list[int]:
     """The i with U·e_i or e_i·U ≠ D_u·D_m·e_i, U = D_u·1 on ``int_sp``."""
     den_m, sp = a.int_sp
-    unit, den_u = scaled(sparse_vec(a.unit))
+    den_u, unit = a.int_unit
     return [
         i for i in range(a.dim)
         if not _contract(sp, unit, {i: 1}, {}) == {i: den_u * den_m} == _contract(sp, {i: 1}, unit, {})
@@ -351,7 +369,7 @@ def check_algebra_axioms(a: StructureAlgebra) -> CheckReport:
 def opposite_algebra(a: StructureAlgebra) -> StructureAlgebra:
     den, sp = a.int_sp
     table = [[sp[j][i] for j in range(a.dim)] for i in range(a.dim)]
-    return StructureAlgebra.from_int(a.basis, a.unit, table, den, name=f"{a.name}^op" if a.name else "op")
+    return StructureAlgebra.from_int(a.basis, a.int_unit, table, den, name=f"{a.name}^op" if a.name else "op")
 
 
 def endomorphism_algebra(n: int) -> StructureAlgebra:
@@ -365,14 +383,14 @@ def endomorphism_algebra(n: int) -> StructureAlgebra:
         raise ValueError("dimension must be >= 1")
     dim = n * n
     basis = [f"E{p + 1}{q + 1}" for q in range(n) for p in range(n)]
-    unit = [0] * dim
+    unit = {}
     table = [[[] for _ in range(dim)] for _ in range(dim)]
     for p in range(n):
         unit[p * n + p] = 1
         for q in range(n):
             for s in range(n):
                 table[q * n + p][s * n + q].append((s * n + p, 1))
-    return StructureAlgebra.from_int(basis, unit, table, 1, name=f"End(k^{n})")
+    return StructureAlgebra.from_int(basis, (1, unit), table, 1, name=f"End(k^{n})")
 
 
 def operator_to_vec(m: Matrix) -> list[Fraction]:

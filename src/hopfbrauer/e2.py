@@ -94,7 +94,7 @@ def build_e2() -> HopfAlgebra:
         ]
         for a, b, d in order
     ]
-    alg = StructureAlgebra.from_int(basis, [1] + [0] * 7, table, 1, name="E2")
+    alg = StructureAlgebra.from_int(basis, (1, {0: 1}), table, 1, name="E2")
     # over D_m = 1, the integer products below are exact
 
     # coproduct: multiplicative extension of the generator rules
@@ -111,7 +111,7 @@ def build_e2() -> HopfAlgebra:
             for _ in range(e):
                 acc = _t2_int(alg.int_sp[1], acc, delta_gen[gen])
         cop.append([(p, q, c) for (p, q), c in acc.items()])
-    counit = [1 if (b == 0 and d == 0) else 0 for a, b, d in order]
+    counit = 1, {k: 1 for k, (a, b, d) in enumerate(order) if b == d == 0}
 
     # S and S⁻¹: anti-multiplicative extensions of S(c) = c, S(x_i) = cx_i
     # and S⁻¹(c) = c, S⁻¹(x_i) = −cx_i
@@ -264,11 +264,10 @@ def bq_grad_member(a: YDObject) -> bool:
 @functools.cache
 def _k_z2() -> HopfAlgebra:
     """The group algebra kℤ₂ on the basis 1, g, with g grouplike and g² = 1."""
-    alg = StructureAlgebra.from_int(["1", "g"], [1, 0], [[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, 1)]]], 1, name="kZ2")
-    antipode = (1, [{0: 1}, {1: 1}])
-    return HopfAlgebra.from_int(
-        alg, (1, [[(0, 0, 1)], [(1, 1, 1)]]), [1, 1], antipode, antipode, name="kZ2", meta={"g": 1, "pi_keep": (0, 1)}
-    )
+    one = 1, {0: 1}
+    alg = StructureAlgebra.from_int(["1", "g"], one, [[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, 1)]]], 1, name="kZ2")
+    s, meta = (1, [{0: 1}, {1: 1}]), {"g": 1, "pi_keep": (0, 1)}
+    return HopfAlgebra.from_int(alg, (1, [[(0, 0, 1)], [(1, 1, 1)]]), (1, {0: 1, 1: 1}), s, s, name="kZ2", meta=meta)
 
 
 def parity_view(a: YDObject) -> YDObject:

@@ -21,12 +21,19 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .algebra import CheckReport, StructureAlgebra, check_algebra_axioms, int_content, on_generators
+from .algebra import (
+    CheckReport,
+    StructureAlgebra,
+    check_algebra_axioms,
+    int_content,
+    int_vector,
+    on_generators,
+    scaled_vector,
+)
 from .linalg import (
     IntVec,
     Matrix,
     SparseVec,
-    common_denominator,
     dense_vec,
     over,
     scale_sparse,
@@ -43,12 +50,11 @@ from .linalg import (
 
 class HopfAlgebra:
     """A Hopf algebra on the basis of ``alg``. The state is ``int_cop`` = (D_Δ,
-    rows[i] = D_Δ·Δ(e_i) as (p, q, c) for c·e_p ⊗ e_q), ``int_s`` and
-    ``int_s_inv`` = (D, cols[j] = D·S(e_j), D·S⁻¹(e_j) as {k: c}), each D the
-    least common denominator, written by ``from_int``; the dense ``__init__``
-    (Δ[i] at p·dim + q) scales once and calls it. ``cop_sparse``, ``s_cols``,
-    ``s_inv_cols``, ``antipode`` and ``antipode_inv`` are rational views,
-    built on first read."""
+    rows[i] = D_Δ·Δ(e_i) as (p, q, c) for c·e_p ⊗ e_q), ``int_counit`` = (D, D·ε)
+    and ``int_s``, ``int_s_inv`` = (D, cols[j] = D·S(e_j), D·S⁻¹(e_j)), each D
+    minimal, written by ``from_int``; the dense ``__init__`` (Δ[i] at p·dim + q)
+    scales once and calls it. ``counit``, ``cop_sparse``, ``s_cols``,
+    ``s_inv_cols``, ``antipode`` and ``antipode_inv`` are views."""
 
     def __init__(self, alg: StructureAlgebra, coproduct: Sequence[Sequence], counit: Sequence, antipode: Matrix,
                  antipode_inv: Matrix | None = None, name: str = "", meta: dict | None = None):
@@ -62,15 +68,17 @@ class HopfAlgebra:
                 raise ValueError(f"{label} is {m.rows}×{m.cols}, expected {n}×{n}")
             cols.append(None if m is None else scaled_vecs(sparse_vec(col) for col in zip(*m.data)))
         cop = scaled_rows([(k // n, k % n, c) for k, c in enumerate(row) if c] for row in cop)
+        counit = scaled_vector(counit, n, "counit")
         self.__dict__.update(HopfAlgebra.from_int(alg, cop, counit, *cols, name, meta).__dict__)
 
     @classmethod
-    def from_int(cls, alg: StructureAlgebra, cop: tuple[int, Sequence], counit: Sequence,
+    def from_int(cls, alg: StructureAlgebra, cop: tuple[int, Sequence], counit: tuple[int, IntVec],
                  antipode: tuple[int, Sequence[IntVec]], antipode_inv: tuple[int, Sequence[IntVec]] | None = None,
                  name: str = "", meta: dict | None = None) -> "HopfAlgebra":
         """The Hopf algebra with Δ(e_i) = Σ (c/D)·e_p ⊗ e_q over the (p, q, c) of
-        rows[i] for cop = (D, rows) and S(e_j) = Σ (c/D)·e_k over the {k: c} of
-        cols[j] for antipode = (D, cols), S⁻¹ likewise (S inverted if None).
+        rows[i] for cop = (D, rows), S(e_j) = Σ (c/D)·e_k over the {k: c} of
+        cols[j] for antipode = (D, cols), ε for counit = (D, {k: c}) and S⁻¹
+        likewise (S inverted if None).
         ``int_content`` checks each table (Δ at p·dim + q), then it is sorted
         and divided by the gcd of D and every c."""
         n = alg.dim
@@ -81,15 +89,20 @@ class HopfAlgebra:
         rows = [[(p * n + q if type(p) is type(q) is int and 0 <= q < n else (p, q), c) for p, q, c in t] for t in rows]
         g = int_content(den, [rows], n * n, n)
         h = cls.__new__(cls)
-        h.alg, h.dim, h.counit, h.name, h.meta = alg, n, vec(counit), name or alg.name, dict(meta or {})
-        if len(h.counit) != n:
-            raise ValueError("counit vector has wrong length")
+        h.alg, h.dim, h.name, h.meta = alg, n, name or alg.name, dict(meta or {})
+        h.int_counit = int_vector(counit, n, "counit")
         h.int_cop = den // g, [tuple(sorted((*divmod(k, n), c // g) for k, c in t)) for t in rows]
         h.int_s = _int_columns(antipode, n, "antipode")
         if antipode_inv is None:
             antipode_inv = scaled_vecs(sparse_vec(col) for col in zip(*h.antipode.inverse().data))
         h.int_s_inv = _int_columns(antipode_inv, n, "antipode_inv")
         return h
+
+    @cached_property
+    def counit(self) -> list[Fraction]:
+        """ε as a dense Fraction vector."""
+        den, counit = self.int_counit
+        return dense_vec(over(counit, den), self.dim)
 
     @cached_property
     def _spcop(self) -> list[tuple[tuple[int, int, Fraction], ...]]:
@@ -125,9 +138,9 @@ class HopfAlgebra:
     @cached_property
     def coalgebra_failures(self) -> list[str]:
         """The coassociativity and counit messages of ``check_hopf_axioms``,
-        on ``int_cop2``, ``int_cop`` and ε over its least common denominator."""
+        on ``int_cop2``, ``int_cop`` and ``int_counit``."""
         den_d, cop = self.int_cop
-        counit, den_e = scaled(sparse_vec(self.counit))
+        den_e, counit = self.int_counit
         basis, out = self.alg.basis, []
         for i, left in enumerate(self.int_cop2[1]):
             right = sparse_sum((c, {(p, u, v): d for u, v, d in cop[q]}) for p, q, c in cop[i])
@@ -239,7 +252,7 @@ def _t2_unit(unit: dict, scale: int) -> dict[tuple[int, int], int]:
 def _is_one(alg: StructureAlgebra, x: dict, y: dict, den: int) -> bool:
     """Whether x·y = 1⊗1 for integer x, y in H⊗H with x·y over den."""
     den_m, sp = alg.int_sp
-    unit, den_u = scaled(sparse_vec(alg.unit))
+    den_u, unit = alg.int_unit
     return scale_sparse(_t2_int(sp, x, y), den_u * den_u) == _t2_unit(unit, den * den_m * den_m)
 
 
@@ -268,12 +281,11 @@ def check_hopf_axioms(h: HopfAlgebra) -> CheckReport:
     # D_ε·ε(e_i e_j) = ε(e_i)·ε(e_j) over D_ε²·D_m; Δ(1) over D_u·D_Δ
     den_m, sp = alg.int_sp
     den_d, cop = h.int_cop
-    unit, den_u = scaled(sparse_vec(alg.unit))
+    (den_u, unit), (den_e, counit) = alg.int_unit, h.int_counit
     cop_unit = sparse_sum((den_u * u, {(p, q): c for p, q, c in cop[i]}) for i, u in unit.items())
     ok = rep.require(cop_unit == _t2_unit(unit, den_d), "Δ(1) ≠ 1⊗1")
-    ok = rep.require(sum(c * e for c, e in zip(alg.unit, h.counit)) == 1, "ε(1) ≠ 1") and ok
+    ok = rep.require(sum(c * counit.get(k, 0) for k, c in unit.items()) == den_u * den_e, "ε(1) ≠ 1") and ok
     cops = [{(p, q): c for p, q, c in row} for row in cop]
-    counit, den_e = scaled(sparse_vec(h.counit))
     lift = den_d * den_m
 
     def multiplicative(idx):
@@ -311,7 +323,8 @@ def dual_hopf(h: HopfAlgebra) -> HopfAlgebra:
     for m, row in enumerate(rows):
         for p, q, c in row:
             table[p][q].append((m, c))
-    alg = StructureAlgebra.from_int([b + "*" for b in h.alg.basis], h.counit, table, den_d, name=(h.name or "H") + "*")
+    basis = [b + "*" for b in h.alg.basis]
+    alg = StructureAlgebra.from_int(basis, h.int_counit, table, den_d, name=(h.name or "H") + "*")
     den_m, sp = h.alg.int_sp
     cop = [[] for _ in range(n)]
     for u, row in enumerate(sp):
@@ -322,7 +335,7 @@ def dual_hopf(h: HopfAlgebra) -> HopfAlgebra:
         (den, [{j: col[i] for j, col in enumerate(cols) if i in col} for i in range(n)])
         for den, cols in (h.int_s, h.int_s_inv)
     )
-    return HopfAlgebra.from_int(alg, (den_m, cop), h.alg.unit, s, s_inv, name=alg.name)
+    return HopfAlgebra.from_int(alg, (den_m, cop), h.alg.int_unit, s, s_inv, name=alg.name)
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +407,7 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
     den_h, sp_h = ha.int_sp
 
     basis = [f"{da.basis[i]}⋈{ha.basis[j]}" for i in range(n) for j in range(n)]
-    eps = sparse_vec(da.unit)
-    unit_h = sparse_vec(ha.unit)
-    unit = dense_vec(_bowtie(n, eps, unit_h), big)
+    (den_e, eps_i), (den_u, unit_i) = da.int_unit, ha.int_unit
 
     # lam[(p, r, i2)] = {m: [e_i2] S⁻¹(e_r)·e_m·e_p}, the functional
     # e_p ⇀ f_i2 ↼ S⁻¹(e_r) on the basis of H, as integers over D_s·D_h²
@@ -432,16 +443,11 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
                             for hj, hv in hq:
                                 k = base + hj
                                 out[k] = out[k] + fv * hv if k in out else fv * hv
-    # sums that cancelled to zero are dropped: from_int rejects zero terms
-    for row in table:
-        for out in row:
-            if 0 in out.values():
-                for k in [k for k, c in out.items() if not c]:
-                    del out[k]
     alg = StructureAlgebra.from_int(
         basis,
-        unit,
-        [[out.items() for out in row] for row in table],
+        (den_e * den_u, _bowtie(n, eps_i, unit_i)),
+        # sums that cancelled to zero are dropped: from_int rejects zero terms
+        [[[t for t in out.items() if t[1]] for out in row] for row in table],
         den_w * den_s * den_h**3 * da.int_sp[0],
         name=f"D({h.name or 'H'})",
     )
@@ -454,8 +460,8 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
         for i in range(n)
         for j in range(n)
     ]
-    counit = [hd.counit[i] * h.counit[j] for i in range(n) for j in range(n)]
-    (eps_i, den_e), (unit_i, den_u) = scaled(eps), scaled(unit_h)
+    (den_fe, fcounit), (den_ae, acounit) = hd.int_counit, h.int_counit
+    counit = den_fe * den_ae, _bowtie(n, fcounit, acounit)
 
     def closed_antipode(s_h: tuple, s_dual: tuple) -> tuple[int, list[IntVec]]:
         # column i·n + j is (ε ⋈ s_h e_j)(s_dual f_i ⋈ 1), over D_ε·D_l·D_r·D_u·D_m
@@ -490,8 +496,7 @@ def antipode_failures(h: HopfAlgebra) -> Iterator[str]:
     alg = h.alg
     (den_s, s), (den_t, t) = h.int_s, h.int_s_inv
     den_d, cop = h.int_cop
-    counit, den_e = scaled(sparse_vec(h.counit))
-    unit, den_u = scaled(sparse_vec(alg.unit))
+    (den_e, counit), (den_u, unit) = h.int_counit, alg.int_unit
     lift = den_e * den_u
     target_scale = den_s * den_d * alg.int_sp[0]
     for z, b in enumerate(alg.basis):
@@ -588,8 +593,7 @@ def check_quasitriangular(h: HopfAlgebra, rt: QTStructure) -> CheckReport:
     den_r, r = rt.int_pairs
     den_m, sp = alg.int_sp
     den_d, cop = h.int_cop
-    unit, den_u = scaled(sparse_vec(alg.unit))
-    counit, den_e = scaled(sparse_vec(h.counit))
+    (den_u, unit), (den_e, counit) = alg.int_unit, h.int_counit
 
     # (ε⊗id)R and (id⊗ε)R over D_R·D_ε against 1 over D_u
     one = scale_sparse(unit, den_r * den_e)
@@ -638,8 +642,8 @@ class CoQTStructure:
         self.hopf = hopf
         self.int_table, self.int_inv = (_lowest_rows(*f) for f in (form, form_inv))
 
-    form = cached_property(lambda self: _form_view(*self.int_table))
-    form_inv = cached_property(lambda self: _form_view(*self.int_inv))
+    form = cached_property(lambda self: form_view(*self.int_table))
+    form_inv = cached_property(lambda self: form_view(*self.int_inv))
 
 
 def _lowest_rows(den: int, rows: list[list[int]]) -> IntTable:
@@ -648,14 +652,9 @@ def _lowest_rows(den: int, rows: list[list[int]]) -> IntTable:
     return den // g, [[v // g for v in row] for row in rows]
 
 
-def _form_view(den: int, rows: list[list[int]]) -> Matrix:
+def form_view(den: int, rows: list[list[int]]) -> Matrix:
+    """The dense Fraction matrix of integer rows over den."""
     return Matrix([[Fraction(v, den) for v in row] for row in rows])
-
-
-def int_form(m: Matrix) -> IntTable:
-    """(D_r, D_r·m as integer rows), D_r the least common denominator of m."""
-    den = common_denominator(v for row in m.data for v in row)
-    return den, [[v.numerator * (den // v.denominator) for v in row] for row in m.data]
 
 
 def form_products(h: HopfAlgebra, form: list[list[int]], x: int, y: int, flip: bool) -> tuple[IntVec, IntVec]:
@@ -680,7 +679,7 @@ def _inverse_failures(h: HopfAlgebra, form: IntTable, form_inv: IntTable):
     compared as integers: over D_Δ²·D_r·D_i, against ε(x)ε(y) over D_ε²."""
     den_d, cop = h.int_cop
     (den_r, r), (den_i, ri) = form, form_inv
-    counit, den_e = scaled(sparse_vec(h.counit))
+    den_e, counit = h.int_counit
     scale = den_d * den_d * den_r * den_i
     for x in range(h.dim):
         for y in range(h.dim):
@@ -727,8 +726,7 @@ def check_coquasitriangular(h: HopfAlgebra, ct: CoQTStructure) -> CheckReport:
     den_m, sp = alg.int_sp
     den_d, cop = h.int_cop
     den_r, r = ct.int_table
-    unit, den_u = scaled(sparse_vec(alg.unit))
-    counit, den_e = scaled(sparse_vec(h.counit))
+    (den_u, unit), (den_e, counit) = alg.int_unit, h.int_counit
 
     for x in range(n):
         want = den_u * den_r * counit.get(x, 0)
@@ -798,7 +796,7 @@ def check_hopf_morphism(f: HopfMorphism) -> CheckReport:
         return sparse_sum((scale * c, images[k]) for k, c in v.items())
 
     # f(1) over D_u·D_f against 1' over D_u'
-    (unit, den_u), (unit_t, den_ut) = scaled(sparse_vec(src.alg.unit)), scaled(sparse_vec(tgt.alg.unit))
+    (den_u, unit), (den_ut, unit_t) = src.alg.int_unit, tgt.alg.int_unit
     rep.require(image(unit, den_ut) == scale_sparse(unit_t, den_u * den_f), "f(1) ≠ 1")
     # f(e_i e_j) over D_m·D_f against F_i·F_j over D_f²·D_m'
     den_m, sp = src.alg.int_sp
@@ -807,7 +805,7 @@ def check_hopf_morphism(f: HopfMorphism) -> CheckReport:
         for j in range(src.dim):
             if image(dict(sp[i][j]), lift) != scale_sparse(tgt.alg.mul_int(cols[i], cols[j]), den_m):
                 rep.failures.append(f"not an algebra map at ({basis[i]},{basis[j]})")
-    (counit, den_e), (counit_t, den_et) = scaled(sparse_vec(src.counit)), scaled(sparse_vec(tgt.counit))
+    (den_e, counit), (den_et, counit_t) = src.int_counit, tgt.int_counit
     den_d, cop = src.int_cop
     den_dt, cop_t = tgt.int_cop
     cops_t = [{(a, b): d for a, b, d in row} for row in cop_t]

@@ -17,7 +17,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-Q = Fraction
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" into a Fraction."""
@@ -160,10 +159,6 @@ class Matrix:
         return m
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -228,9 +223,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.data for v in row)
 
-    def transpose(self) -> "Matrix":
-        return Matrix([[self.data[r][c] for r in range(self.rows)] for c in range(self.cols)])
-
     def col(self, j: int) -> list[Fraction]:
         return [self.data[i][j] for i in range(self.rows)]
 
@@ -284,9 +276,6 @@ class Matrix:
 
     # -- elimination-based operations -----------------------------------
 
-    def det(self) -> Fraction:
-        return mat_det(self)
-
     def inverse(self) -> "Matrix":
         """A⁻¹, read off the ``Echelon`` [I | A⁻¹] of [A | I]; ``ZeroDivisionError`` if singular."""
         if not self.is_square():
@@ -296,9 +285,6 @@ class Matrix:
         if any(p not in pivots for p in range(n)):
             raise ZeroDivisionError("matrix is singular")
         return Matrix([[Fraction(pivots[p].get(n + c, 0), pivots[p][p]) for c in range(n)] for p in range(n)])
-
-    def rank(self) -> int:
-        return len(Echelon(v for _, v in self.int_rows).rows)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -443,10 +429,6 @@ class LinearSolution:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.particular, self.kernel) == (other.particular, other.kernel)
-
-    @property
-    def consistent(self) -> bool:
-        return self.particular is not None
 
 
 class Echelon:

@@ -20,13 +20,14 @@ from .hopf import (
     CoQTStructure,
     HopfAlgebra,
     HopfMorphism,
+    IntTable,
     QTStructure,
     bowtie_vec,
     coqt_structure,
     drinfeld_double,
     dual_hopf,
     form_products,
-    int_form,
+    form_view,
     qt_structure,
 )
 from .linalg import Matrix, dense_vec, rational_is_square, scaled, scaled_vecs, sparse_sum, sparse_vec
@@ -58,10 +59,10 @@ def build_h4() -> HopfAlgebra:
         [[(2, 1)], [(3, -1)], [], []],
         [[(3, 1)], [(2, -1)], [], []],
     ]
-    alg = StructureAlgebra.from_int(basis, [1, 0, 0, 0], mult, 1, name="H4")
+    alg = StructureAlgebra.from_int(basis, (1, {0: 1}), mult, 1, name="H4")
     # Δ1 = 1⊗1, Δg = g⊗g, Δh = 1⊗h + h⊗g, Δ(gh) = g⊗gh + gh⊗1
     cop = [[(0, 0, 1)], [(1, 1, 1)], [(0, 2, 1), (2, 1, 1)], [(1, 3, 1), (3, 0, 1)]]
-    counit = [1, 1, 0, 0]
+    counit = (1, {0: 1, 1: 1})
     # S(1) = 1, S(g) = g, S(h) = gh, S(gh) = −h; S⁻¹(h) = −gh, S⁻¹(gh) = h
     antipode, antipode_inv = [{0: 1}, {1: 1}, {3: 1}, {2: -1}], [{0: 1}, {1: 1}, {3: -1}, {2: 1}]
     meta = {"g": 1, "h": 2, "pi_keep": (0, 1)}
@@ -232,7 +233,7 @@ def c_algebra(a: Fraction, name: str) -> StructureAlgebra:
     """k[x]/(x² − a) on the basis 1, x, by ``StructureAlgebra.from_int``."""
     q = a.denominator
     table = [[[(0, q)], [(1, q)]], [[(1, q)], [(0, a.numerator)] if a else []]]
-    return StructureAlgebra.from_int(["1", "x"], [1, 0], table, q, name=name)
+    return StructureAlgebra.from_int(["1", "x"], (1, {0: 1}), table, q, name=name)
 
 
 def build_C(d: CFamilyDescriptor):
@@ -363,7 +364,7 @@ def quaternion_yd_algebra(p: CProductPresentation):
         [[(3, d)], [(1, m), (2, -a)], [(1, b)], [(0, -ab), (3, m)]],
     ]
     mult = [[[t for t in cell if t[1]] for cell in row] for row in mult]
-    alg = StructureAlgebra.from_int(["1", "X", "Y", "XY"], [1, 0, 0, 0], mult, den, name="quaternion")
+    alg = StructureAlgebra.from_int(["1", "X", "Y", "XY"], (1, {0: 1}), mult, den, name="quaternion")
     # g·e_j = ±e_j; h·X = t₁, h·Y = t₂, extended by the module-algebra law:
     # h·(XY) = (1·X)(h·Y) + (h·X)(g·Y) = t₂X − t₁Y; gh·v = g·(h·v)
     (d, t1, t2), den_t = _on_one_scale(1, p.h_dot_x, p.h_dot_y)
@@ -416,9 +417,13 @@ def classify_bm0(d: CFamilyDescriptor) -> BM0Invariant:
 
 
 class LazyCocycle:
-    def __init__(self, t: Fraction, table: Matrix):
-        self.t = t
-        self.table = table  # σ(e_i ⊗ e_j) over the basis (1, g, h, gh)
+    """σ on the basis (1, g, h, gh), stored as ``int_table`` = (D_s, D_s·σ as
+    integer rows); ``table`` is its dense view."""
+
+    def __init__(self, t: Fraction, sigma: IntTable):
+        self.t, self.int_table = t, sigma
+
+    table = functools.cached_property(lambda self: form_view(*self.int_table))
 
 
 def build_sigma(t) -> LazyCocycle:
@@ -429,29 +434,23 @@ def build_sigma(t) -> LazyCocycle:
     one-parameter family.
     """
     t = Q(t)
-    table = Matrix(
-        [
-            [1, 1, 0, 0],
-            [1, 1, 0, 0],
-            [0, 0, t / 2, -t / 2],
-            [0, 0, t / 2, -t / 2],
-        ]
-    )
-    # checked where it is consumed, by cocycle_twist
-    return LazyCocycle(t, table)
+    p, q = (t / 2).as_integer_ratio()
+    # over q, checked where it is consumed, by cocycle_twist
+    return LazyCocycle(t, (q, [[q, q, 0, 0], [q, q, 0, 0], [0, 0, p, -p], [0, 0, p, -p]]))
 
 
 def check_lazy_cocycle(sigma: LazyCocycle) -> CheckReport:
     """Left 2-cocycle condition plus the laziness condition, on basis triples,
-    compared on integers (σ over D_s by ``int_form``): the cocycle sides over
+    compared on integers (σ over D_s, ``int_table``): the cocycle sides over
     D_Δ²·D_s²·D_m, the laziness sides by ``form_products``."""
     rep = CheckReport("lazy cocycle")
     h = build_h4()
-    s = sigma.table.data
-    rep.require(all(s[0][k] == h.counit[k] for k in range(4)), "σ(1⊗·) ≠ ε")
-    rep.require(all(s[k][0] == h.counit[k] for k in range(4)), "σ(·⊗1) ≠ ε")
+    den_s, s = sigma.int_table
+    den_e, counit = h.int_counit
+    eps = [den_s * counit.get(k, 0) for k in range(4)]
+    rep.require([den_e * v for v in s[0]] == eps, "σ(1⊗·) ≠ ε")
+    rep.require([den_e * row[0] for row in s] == eps, "σ(·⊗1) ≠ ε")
     sp, cop = h.alg.int_sp[1], h.int_cop[1]
-    s = int_form(sigma.table)[1]
     # σ(e_q e_v ⊗ e_m) at [q][v][m] and σ(e_i ⊗ e_v e_q) at [v][q][i]
     left = [[[sum(e * s[k][m] for k, e in sp[q][v]) for m in range(4)] for v in range(4)] for q in range(4)]
     right = [[[sum(e * s[i][k] for k, e in sp[v][q]) for i in range(4)] for q in range(4)] for v in range(4)]
@@ -481,7 +480,7 @@ def cocycle_twist(a, sigma: LazyCocycle):
     check_lazy_cocycle(sigma).raise_if_failed()
     alg = a.alg
     mul = alg.mul_int
-    den_s, s = int_form(sigma.table)
+    den_s, s = sigma.int_table
     den_c, rho = a.int_rho
     table = []
     for rho_i in rho:
@@ -495,7 +494,7 @@ def cocycle_twist(a, sigma: LazyCocycle):
             row.append(out.items())
         table.append(row)
     twisted = StructureAlgebra.from_int(
-        alg.basis, alg.unit, table, den_c * den_c * den_s * alg.int_sp[0], name=f"{alg.name}_twist"
+        alg.basis, alg.int_unit, table, den_c * den_c * den_s * alg.int_sp[0], name=f"{alg.name}_twist"
     )
     return YDObject.from_int(build_h4(), alg.dim, twisted, rho=a.int_rho)
 

@@ -173,7 +173,7 @@ def suite_hopf(s: Suite) -> None:
     s.check(
         "double-dual",
         "§1 self-duality of H₄",
-        dd.alg.same_product(h4.alg) and dd.same_coproduct(h4) and dd.antipode == h4.antipode,
+        dd.alg.same_product(h4.alg) and dd.same_coproduct(h4) and dd.int_s == h4.int_s,
     )
     s.check(
         "canonical-R",
@@ -342,7 +342,7 @@ def suite_transports(s: Suite) -> None:
     s.check(
         "sigma-zero",
         "§2 lazy cocycles σ_t",
-        build_sigma(0).table.data[2] == [Q(0), Q(0), Q(0), Q(0)],
+        not any(build_sigma(0).int_table[1][2]),
     )
     for k in range(max(10, s.samples // 2)):
         a = s.rat()

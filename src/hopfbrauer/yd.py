@@ -186,7 +186,7 @@ class YDObject:
         h = self.hopf
         den_a, images = self.int_images
         den_m, sp = h.alg.int_sp
-        unit, den_u = scaled(sparse_vec(h.alg.unit))
+        den_u, unit = h.alg.int_unit
         unit_ok = all(
             sparse_sum((c, images[y][k]) for k, c in unit.items()) == {y: den_u * den_a} for y in range(self.dim)
         )
@@ -264,8 +264,8 @@ def check_module_algebra(a: YDObject) -> CheckReport:
     den_a, images = a.int_images
     sp = alg.int_sp[1]
     den_d, cop = h.int_cop
-    counit, den_e = scaled(sparse_vec(h.counit))
-    unit, _ = scaled(sparse_vec(alg.unit))
+    den_e, counit = h.int_counit
+    unit = alg.int_unit[1]
 
     def module_algebra_law(xs):
         for i in range(h.dim):
@@ -302,7 +302,7 @@ def check_comodule(m: YDObject) -> CheckReport:
     h = m.hopf
     den_c, rho = m.int_rho
     den_d, cop = h.int_cop
-    counit, den_e = scaled(sparse_vec(h.counit))
+    den_e, counit = h.int_counit
     for j in range(m.dim):
         sp = rho[j]
         ej = sparse_sum((c * counit.get(k, 0), {a: 1}) for a, k, c in sp)
@@ -334,8 +334,8 @@ def check_comodule_algebra_op(a: YDObject) -> CheckReport:
     sp = alg.int_sp[1]
     den_n, hsp = h.alg.int_sp
     rho_flat = [{x0 * n + x1: c for x0, x1, c in row} for row in rho]
-    unit, _ = scaled(sparse_vec(alg.unit))
-    hunit, den_hu = scaled(sparse_vec(h.alg.unit))
+    unit = alg.int_unit[1]
+    den_hu, hunit = h.alg.int_unit
     rho_one = sparse_sum((den_hu * c, rho_flat[j]) for j, c in unit.items())
     unit_ok = rep.require(
         rho_one == _tensor(unit.items(), [(k, den_c * c) for k, c in hunit.items()], n), "ρ(1) ≠ 1⊗1"
@@ -448,7 +448,7 @@ def h_opposite(a: YDObject) -> YDObject:
 
     table = [[product(i, j).items() for j in range(alg.dim)] for i in range(alg.dim)]
     name = f"{alg.name}~" if alg.name else "opposite"
-    new_alg = StructureAlgebra.from_int(alg.basis, alg.unit, table, den_c * den_a * alg.int_sp[0], name=name)
+    new_alg = StructureAlgebra.from_int(alg.basis, alg.int_unit, table, den_c * den_a * alg.int_sp[0], name=name)
     return YDObject.from_int(a.hopf, alg.dim, new_alg, a.int_images, a.int_rho)
 
 
@@ -466,7 +466,8 @@ def sharp_product(a: YDObject, b: YDObject) -> YDObject:
     da, db = a.dim, b.dim
     dim = da * db
     basis = [f"{a.alg.basis[i]}#{b.alg.basis[j]}" for i in range(da) for j in range(db)]
-    unit = dense_vec(_tensor(sparse_vec(a.alg.unit).items(), sparse_vec(b.alg.unit).items(), db), dim)
+    (den_ua, unit_a), (den_ub, unit_b) = a.alg.int_unit, b.alg.int_unit
+    unit = den_ua * den_ub, _tensor(unit_a.items(), unit_b.items(), db)
 
     den_c, rho_a = a.int_rho
     den_a, images_b = b.int_images
@@ -1068,7 +1069,7 @@ def double_to_yd(a: YDObject, h: HopfAlgebra) -> YDObject:
     """
     n = h.dim
     den_a, rows = a.int_images
-    (counit, den_e), (unit, den_u) = scaled(sparse_vec(h.counit)), scaled(sparse_vec(h.alg.unit))
+    (den_e, counit), (den_u, unit) = h.int_counit, h.alg.int_unit
     images = [[sparse_sum((e, row[i * n + j]) for i, e in counit.items()) for j in range(n)] for row in rows]
     rho = [
         [(p, i, v) for i in range(n) for p, v in sparse_sum((u, row[i * n + j]) for j, u in unit.items()).items()]

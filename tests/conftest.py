@@ -7,12 +7,14 @@ take, for tests that corrupt one entry or compare with a dense reference;
 ``sweedler2`` is (Δ⊗id)Δ on Fractions, the reference for ``int_cop2``.
 ``scaled_cells`` and ``sparse_yd`` hand sparse rational tables to the
 ``from_int`` constructors, and ``dense_qt`` hands dense R and R⁻¹ vectors to
-``QTStructure``, each scaled once by the package's own scaling."""
+``QTStructure``, each scaled once by the package's own scaling. ``zero_matrix``,
+``transpose``, ``rank``, ``consistent`` and ``int_form`` are the dense-matrix
+helpers the tests use and the package does not."""
 
 from hypothesis import settings
 
 from hopfbrauer import hopf
-from hopfbrauer.linalg import dense_vec, scaled, scaled_rows
+from hopfbrauer.linalg import Echelon, Matrix, common_denominator, dense_vec, scaled, scaled_rows
 from hopfbrauer.yd import YDObject
 
 settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
@@ -65,3 +67,30 @@ def dense_qt(h, r, r_inv):
     each expanded by ``hopf.t2_from_vec`` and scaled once."""
     (x, dx), (y, dy) = (scaled(hopf.t2_from_vec(v, h.dim)) for v in (r, r_inv))
     return hopf.QTStructure(h, (dx, x), (dy, y))
+
+
+def zero_matrix(rows, cols):
+    """The rows × cols zero matrix."""
+    return Matrix([[0] * cols for _ in range(rows)])
+
+
+def transpose(m):
+    """The transpose of the matrix m, dense."""
+    return Matrix([[m.data[r][c] for r in range(m.rows)] for c in range(m.cols)])
+
+
+def rank(m):
+    """The rank of the matrix m: the row count of the ``Echelon`` of its integer rows."""
+    return len(Echelon(v for _, v in m.int_rows).rows)
+
+
+def consistent(sol):
+    """Whether the ``LinearSolution`` sol has a particular solution."""
+    return sol.particular is not None
+
+
+def int_form(m):
+    """(D_r, D_r·m as integer rows), D_r the least common denominator of the
+    matrix m: the ``CoQTStructure`` and ``LazyCocycle`` store of a dense form."""
+    den = common_denominator(v for row in m.data for v in row)
+    return den, [[v.numerator * (den // v.denominator) for v in row] for row in m.data]

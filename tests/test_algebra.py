@@ -95,7 +95,7 @@ def test_axiom_failures_on_a_corrupted_sharp_rung_are_pinned():
 def test_multiply_unit_and_relation():
     alg = c_algebra(Q(5))
     x = {1: Q(1)}
-    one = sparse_vec(alg.one())
+    one = sparse_vec(alg.unit)
     assert alg.mul_sparse(one, x) == x == alg.mul_sparse(x, one)
     assert alg.mul_sparse(x, x) == {k: 5 * u for k, u in one.items()}
 

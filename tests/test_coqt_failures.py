@@ -26,7 +26,7 @@ import json
 from fractions import Fraction as Q
 
 import pytest
-from conftest import dense_qt
+from conftest import dense_qt, int_form
 from test_integer_scaling import H4_SCALES, _rescaled_hopf, _transported
 
 from hopfbrauer.algebra import StructureAlgebra
@@ -38,7 +38,6 @@ from hopfbrauer.hopf import (
     check_hopf_morphism,
     check_quasitriangular,
     dual_hopf,
-    int_form,
     push_qt,
 )
 from hopfbrauer.linalg import Matrix
@@ -142,7 +141,7 @@ def test_lazy_cocycle_failures_are_pinned(case):
     table = build_sigma(t).table
     if bump is not None:
         table = _bumped(table, *bump)
-    assert _pin(check_lazy_cocycle(LazyCocycle(t, table)).failures) == SIGMA_PINS[case]
+    assert _pin(check_lazy_cocycle(LazyCocycle(t, int_form(table))).failures) == SIGMA_PINS[case]
 
 
 # bumped entry (row, column) of φ -> (failures, digest)

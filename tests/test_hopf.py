@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import dense_cop, dense_mult
+from conftest import dense_cop, dense_mult, int_form, transpose, zero_matrix
 
 from hopfbrauer.algebra import StructureAlgebra
 from hopfbrauer.e2 import build_e2
@@ -22,11 +22,10 @@ from hopfbrauer.hopf import (
     coqt_structure,
     drinfeld_double,
     dual_hopf,
-    int_form,
     push_qt,
     qt_structure,
 )
-from hopfbrauer.linalg import Matrix, format_rational, zero_vec
+from hopfbrauer.linalg import Matrix, format_rational, mat_det, zero_vec
 from hopfbrauer.sweedler import (
     build_dh4,
     build_h4,
@@ -69,10 +68,10 @@ def test_corrupted_antipode_fails():
 
 WRONG_SHAPES = {
     "3x3 S": lambda h4: (Matrix.identity(3), None),
-    "4x5 S": lambda h4: (Matrix.zero(4, 5), None),
-    "5x4 S": lambda h4: (Matrix.zero(5, 4), None),
+    "4x5 S": lambda h4: (zero_matrix(4, 5), None),
+    "5x4 S": lambda h4: (zero_matrix(5, 4), None),
     "3x3 S_inv": lambda h4: (h4.antipode, Matrix.identity(3)),
-    "4x5 S_inv": lambda h4: (h4.antipode, Matrix.zero(4, 5)),
+    "4x5 S_inv": lambda h4: (h4.antipode, zero_matrix(4, 5)),
 }
 
 
@@ -98,7 +97,7 @@ def test_a_wrongly_shaped_antipode_is_rejected(shape):
 def test_a_wrong_number_of_sparse_antipode_columns_is_rejected(s, s_inv):
     h4 = build_h4()
     with pytest.raises(ValueError, match="expected 4×4"):
-        HopfAlgebra.from_int(h4.alg, h4.int_cop, h4.counit, (1, s), s_inv and (1, s_inv))
+        HopfAlgebra.from_int(h4.alg, h4.int_cop, h4.int_counit, (1, s), s_inv and (1, s_inv))
 
 
 @pytest.mark.parametrize(
@@ -109,7 +108,7 @@ def test_a_bad_sparse_antipode_entry_is_rejected(column):
     (_, s_cols), (_, s_inv_cols) = h4.int_s, h4.int_s_inv  # both over 1
     for s, s_inv in (([column] + s_cols[1:], None), (s_cols, s_inv_cols[:3] + [column])):
         with pytest.raises(ValueError):
-            HopfAlgebra.from_int(h4.alg, h4.int_cop, h4.counit, (1, s), s_inv and (1, s_inv))
+            HopfAlgebra.from_int(h4.alg, h4.int_cop, h4.int_counit, (1, s), s_inv and (1, s_inv))
 
 
 def test_the_antipode_is_stored_as_sparse_columns():
@@ -119,7 +118,7 @@ def test_the_antipode_is_stored_as_sparse_columns():
     dense = HopfAlgebra(h4.alg, dense_cop(h4), h4.counit, h4.antipode)
     assert dense.s_cols == h4.s_cols and dense.s_inv_cols == h4.s_inv_cols
     assert dense.antipode_inv == h4.antipode.inverse()
-    assert dual_hopf(h4).antipode == h4.antipode.transpose()
+    assert dual_hopf(h4).antipode == transpose(h4.antipode)
 
 
 # the failure lists of the dense matrix-product check, message for message
@@ -209,7 +208,7 @@ def test_kz2_self_dual():
 def test_phi_is_hopf_isomorphism():
     rep = check_hopf_morphism(phi_iso())
     assert rep.ok
-    assert phi_iso().matrix.det() != 0
+    assert mat_det(phi_iso().matrix) != 0
 
 
 def test_double_dual_canonical():
@@ -247,8 +246,8 @@ def test_dh4_key_relation_explicitly():
     lhs = [x - y for x, y in zip(a.mul_vec(fh, h), a.mul_vec(h, fh))]
     rhs = [x - y for x, y in zip(fg, g)]
     assert lhs == rhs
-    assert a.mul_vec(g, g) == a.one()
-    assert a.mul_vec(fg, fg) == a.one()
+    assert a.mul_vec(g, g) == a.unit
+    assert a.mul_vec(fg, fg) == a.unit
 
 
 @pytest.mark.parametrize("t", [Q(0), Q(1), Q(-3, 2), Q(7, 5)])
@@ -279,13 +278,38 @@ def test_coqt_store_is_in_lowest_terms(t):
     assert moved.form == ct.form and moved.form_inv == ct.form_inv
 
 
+def _unit_stores():
+    from test_integer_scaling import H4_SCALES, _rescaled_hopf
+
+    h4, e2 = build_h4(), build_e2()
+    for h in (h4, build_h4_dual(), build_dh4()[0], e2, drinfeld_double(e2)[0], _rescaled_hopf(h4, H4_SCALES)):
+        yield h.name, h.alg.int_unit, h.alg.unit
+        yield h.name, h.int_counit, h.counit
+
+
+def test_unit_and_counit_stores_are_in_lowest_terms():
+    # each store is (D, D·v) for D the least common denominator of the view
+    # v, its keys in order, and a store handed over at any scale is reduced
+    stores = list(_unit_stores())
+    assert any(den > 1 for _, (den, _), _ in stores)  # the rescaled H₄
+    for name, (den, v), view in stores:
+        assert den == math.lcm(*(c.denominator for c in view)), name
+        assert math.gcd(den, *v.values()) == 1 and list(v) == sorted(v), name
+        assert {k: Q(c, den) for k, c in v.items()} == {k: c for k, c in enumerate(view) if c}, name
+    h4 = build_h4()
+    alg = StructureAlgebra.from_int(h4.alg.basis, (6, {0: 6}), h4.alg.int_sp[1], h4.alg.int_sp[0])
+    moved = HopfAlgebra.from_int(alg, h4.int_cop, (35, {1: 35, 0: 35}), h4.int_s, h4.int_s_inv)
+    assert (alg.int_unit, moved.int_counit) == (h4.alg.int_unit, h4.int_counit)
+    assert list(moved.int_counit[1]) == [0, 1]
+
+
 @pytest.mark.parametrize("t", [Q(0), Q(3, 2), Q(-7)])
 def test_closed_form_inverses_equal_the_solved_ones(t):
     # R_t is triangular and r_t cotriangular, so their inverses are (R_t)₂₁
     # and r_tᵀ: closed forms independent of the (S⊗id)R and r∘(S⊗id) derived
     rt, form = build_rt(t), build_rt_form(t)
     assert rt.r_inv == [rt.r[(k % 4) * 4 + k // 4] for k in range(16)]
-    assert form.form_inv == form.form.transpose()
+    assert form.form_inv == transpose(form.form)
 
 
 def test_wrong_known_inverses_are_rejected():

@@ -76,11 +76,11 @@ def test_rescaled_stores_are_reduced():
     assert (double.int_cop[0], double.int_s[0], double.int_s_inv[0]) == (240, 60, 60)
 
 
-KZ2 = StructureAlgebra.from_int(["1", "g"], [1, 0], [[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, 1)]]], 1, name="kZ2")
+KZ2 = StructureAlgebra.from_int(["1", "g"], (1, {0: 1}), [[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, 1)]]], 1, name="kZ2")
 KZ2_S = (1, [{0: 1}, {1: 1}])
 
 
-def _kz2(cop=(1, [[(0, 0, 1)], [(1, 1, 1)]]), s=KZ2_S, s_inv=KZ2_S, counit=(1, 1)):
+def _kz2(cop=(1, [[(0, 0, 1)], [(1, 1, 1)]]), s=KZ2_S, s_inv=KZ2_S, counit=(1, {0: 1, 1: 1})):
     return HopfAlgebra.from_int(KZ2, cop, counit, s, s_inv)
 
 
@@ -94,8 +94,8 @@ def test_from_int_sorts_and_divides_by_the_gcd():
     unsorted = _kz2(s=(3, [{0: 3}, {1: 6, 0: 3}]))
     assert unsorted.int_s == (1, [{0: 1}, {0: 1, 1: 2}]) and list(unsorted.int_s[1][1]) == [0, 1]
     # the same rationals scaled once into from_int, and through the dense constructor
-    sparse = HopfAlgebra.from_int(KZ2, scaled_rows([[(0, 0, 1)], [(1, 0, Q(1, 2)), (0, 1, Q(1, 2))]]), [1, 1],
-                                  scaled_vecs([{0: 1}, {1: -1}]))
+    cop = scaled_rows([[(0, 0, 1)], [(1, 0, Q(1, 2)), (0, 1, Q(1, 2))]])
+    sparse = HopfAlgebra.from_int(KZ2, cop, (1, {0: 1, 1: 1}), scaled_vecs([{0: 1}, {1: -1}]))
     dense = HopfAlgebra(KZ2, [[1, 0, 0, 0], [0, Q(1, 2), Q(1, 2), 0]], [1, 1], Matrix.diag([1, -1]))
     for other in (sparse, dense):
         assert (other.int_cop, other.int_s, other.int_s_inv) == (h.int_cop, h.int_s, h.int_s_inv)
@@ -133,7 +133,7 @@ def test_from_int_rejects_a_bad_table(kwargs, message):
 
 def test_from_int_inverts_the_antipode_when_no_inverse_is_given():
     h4 = build_h4()
-    h = HopfAlgebra.from_int(h4.alg, h4.int_cop, h4.counit, h4.int_s)
+    h = HopfAlgebra.from_int(h4.alg, h4.int_cop, h4.int_counit, h4.int_s)
     assert h.int_s_inv == h4.int_s_inv and check_hopf_axioms(h).ok
     with pytest.raises(ZeroDivisionError):
-        HopfAlgebra.from_int(h4.alg, h4.int_cop, h4.counit, (1, [{0: 1}, {1: 1}, {}, {}]))
+        HopfAlgebra.from_int(h4.alg, h4.int_cop, h4.int_counit, (1, [{0: 1}, {1: 1}, {}, {}]))

@@ -14,10 +14,10 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import dense_cop, dense_mult, scaled_cells, sweedler2
+from conftest import dense_cop, dense_mult, scaled_cells, sweedler2, transpose
 from test_integer_scaling import H4_SCALES, _rescaled_hopf
 
-from hopfbrauer.algebra import StructureAlgebra, opposite_algebra
+from hopfbrauer.algebra import StructureAlgebra, opposite_algebra, scaled_vector
 from hopfbrauer.e2 import build_e2
 from hopfbrauer.hopf import HopfAlgebra, check_hopf_axioms, drinfeld_double, dual_hopf
 from hopfbrauer.linalg import Matrix, dense_vec, scaled_rows, sparse_vec, zero_vec
@@ -41,7 +41,7 @@ def _reference_dual(h: HopfAlgebra) -> HopfAlgebra:
             for i, c in h.alg.mul_basis(u, v):
                 cop[i][u * n + v] += c
     return HopfAlgebra(
-        alg, cop, list(h.alg.unit), h.antipode.transpose(), h.antipode_inv.transpose(), name=alg.name
+        alg, cop, list(h.alg.unit), transpose(h.antipode), transpose(h.antipode_inv), name=alg.name
     )
 
 
@@ -213,9 +213,10 @@ KZ2_TABLE = [[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, 1)]]]
 
 
 def _sparse_algebra(basis, unit, table, name=""):
-    """``StructureAlgebra.from_int`` of rational (k, c) terms, scaled once."""
+    """``StructureAlgebra.from_int`` of rational (k, c) terms and a dense
+    rational unit, each scaled once."""
     den, table = scaled_cells(table)
-    return StructureAlgebra.from_int(basis, unit, table, den, name=name)
+    return StructureAlgebra.from_int(basis, scaled_vector(unit, len(basis), "unit"), table, den, name=name)
 
 
 def _kz2(table):
@@ -261,8 +262,36 @@ def test_sparse_algebra_rejects_bad_tables(table):
 
 
 def test_sparse_algebra_rejects_a_short_unit():
+    with pytest.raises(ValueError, match="unit vector has wrong length"):
+        StructureAlgebra(["1", "g"], [1], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
+
+
+BAD_VECTORS = {
+    "dense list": [1.0, 0.1],
+    "float": (1, {0: 1.0}),
+    "bool": (1, {0: True}),
+    "string": (1, {0: "1"}),
+    "index=dim": (1, {0: 1, 2: 1}),
+    "zero": (1, {0: 1, 1: 0}),
+}
+
+
+@pytest.mark.parametrize("vector", BAD_VECTORS.values(), ids=BAD_VECTORS)
+def test_int_constructors_reject_a_bad_unit_or_counit(vector):
+    # refused by int_content, as a bad table term is; "index=dim" is the
+    # integer counterpart of the short dense unit above
     with pytest.raises(ValueError):
-        StructureAlgebra.from_int(["1", "g"], [1], KZ2_TABLE, 1)
+        StructureAlgebra.from_int(["1", "g"], vector, KZ2_TABLE, 1)
+    with pytest.raises(ValueError):
+        HopfAlgebra.from_int(_kz2(KZ2_TABLE), scaled_rows(KZ2_COP), vector, (1, [{0: 1}, {1: 1}]))
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/2"], ids=["float", "string"])
+def test_dense_constructors_refuse_a_unit_or_counit_that_is_not_rational(bad):
+    with pytest.raises(ValueError, match="not rational"):
+        StructureAlgebra(["1", "g"], [1, bad], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
+    with pytest.raises(ValueError, match="not rational"):
+        HopfAlgebra(_kz2(KZ2_TABLE), [[1, 0, 0, 0], [0, 0, 0, 1]], [1, bad], Matrix.identity(2))
 
 
 def test_dense_constructors_reject_bad_shapes():
@@ -285,6 +314,7 @@ KZ2_COP = [[(0, 0, 1)], [(1, 1, 1)]]
 
 
 def _kz2_hopf(cop, counit=(1, 1)):
+    counit = scaled_vector(counit, 2, "counit")
     return HopfAlgebra.from_int(_kz2(KZ2_TABLE), scaled_rows(cop), counit, (1, [{0: 1}, {1: 1}]))
 
 
@@ -354,17 +384,17 @@ def test_int_algebra_equals_the_fraction_one(seed):
     shared = rng.choice([2, 6, 35, 10**3])
     for terms, scale in ((table, den), ([[[(k, shared * c) for k, c in t] for t in r] for r in table], shared * den)):
         want = _sparse_algebra(basis, unit, [[[(k, Q(c, scale)) for k, c in t] for t in r] for r in terms], name="A")
-        _same_algebra(StructureAlgebra.from_int(basis, unit, terms, scale, name="A"), want)
+        _same_algebra(StructureAlgebra.from_int(basis, scaled_vector(unit, dim, "unit"), terms, scale, name="A"), want)
 
 
 def test_int_algebra_reduces_its_scale():
     # e_1·e_1 = (6/4)·e_0 and e_0·e_1 = (2/4)·e_1: the scale is 2, not 4
     table = [[[(0, 4)], [(1, 2)]], [[(1, 4)], [(0, 6)]]]
-    alg = StructureAlgebra.from_int(["1", "g"], [1, 0], table, 4)
+    alg = StructureAlgebra.from_int(["1", "g"], (1, {0: 1}), table, 4)
     assert alg.int_sp == (2, [[((0, 2),), ((1, 1),)], [((1, 2),), ((0, 3),)]])
     assert alg.mul_basis(1, 1) == ((0, Q(3, 2)),)
     # an empty table has scale 1, as the Fraction path gives
-    empty = StructureAlgebra.from_int(["1", "g"], [1, 0], [[[], []], [[], []]], 9)
+    empty = StructureAlgebra.from_int(["1", "g"], (1, {0: 1}), [[[], []], [[], []]], 9)
     assert empty.int_sp == _kz2([[[], []], [[], []]]).int_sp
     assert empty.int_sp[0] == 1
 
@@ -372,7 +402,7 @@ def test_int_algebra_reduces_its_scale():
 def test_int_algebra_matches_the_double():
     double = drinfeld_double(build_e2())[0].alg
     den, table = double.int_sp
-    again = StructureAlgebra.from_int(double.basis, double.unit, table, den, name=double.name)
+    again = StructureAlgebra.from_int(double.basis, double.int_unit, table, den, name=double.name)
     _same_algebra(again, _sparse_algebra(double.basis, double.unit, double._sp, name=double.name))
 
 
@@ -411,4 +441,4 @@ def _with_int_term(term):
 )
 def test_int_algebra_rejects_bad_tables(table, den):
     with pytest.raises(ValueError):
-        StructureAlgebra.from_int(["1", "g"], [1, 0], table, den)
+        StructureAlgebra.from_int(["1", "g"], (1, {0: 1}), table, den)

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import dense_mult, sparse_yd
+from conftest import dense_mult, sparse_yd, zero_matrix
 from hopfbrauer.algebra import StructureAlgebra
 from hopfbrauer.linalg import Matrix, in_span, is_zero_vec, mat_det, zero_vec
 from hopfbrauer.sweedler import (
@@ -214,7 +214,7 @@ def test_phi_g_acts_by_coaction_pairing():
     from hopfbrauer.sweedler import dh4_named
 
     phig = dh4_named("phi_g")
-    mat = Matrix.zero(2, 2)
+    mat = zero_matrix(2, 2)
     for i, c in enumerate(phig):
         if c:
             mat = mat + over_double.action[i] * c
@@ -231,7 +231,7 @@ def test_trivial_coaction_gives_identity_phi_g_action():
     from hopfbrauer.sweedler import dh4_named
 
     phig = dh4_named("phi_g")
-    mat = Matrix.zero(2, 2)
+    mat = zero_matrix(2, 2)
     for i, c in enumerate(phig):
         if c:
             mat = mat + over_double.action[i] * c
@@ -469,7 +469,7 @@ def test_lemma32_sign_rule():
 
 def test_centralizer_of_unit_is_everything():
     c = build_C(CFamilyDescriptor(Q(1), Q(1), Q(0)))
-    left, right = yd_centralizers(c, [c.alg.one()])
+    left, right = yd_centralizers(c, [c.alg.unit])
     assert len(left) == 2 and len(right) == 2
 
 
@@ -477,8 +477,8 @@ def test_centers_trivial_for_azumaya():
     c = build_C(CFamilyDescriptor(Q(1), Q(1), Q(0)))
     full = [c.alg.basis_vec(0), c.alg.basis_vec(1)]
     left, right = yd_centralizers(c, full)
-    assert len(left) == 1 and in_span(left, c.alg.one())
-    assert len(right) == 1 and in_span(right, c.alg.one())
+    assert len(left) == 1 and in_span(left, c.alg.unit)
+    assert len(right) == 1 and in_span(right, c.alg.unit)
 
 
 def test_centralizers_of_a_factor_are_pinned():
@@ -496,7 +496,8 @@ def _product_of_fields(n):
     """kⁿ with g acting trivially: every element commutes with g·z = z, and
     only the vectors with no zero coordinate are invertible."""
     table = [[[(i, 1)] if i == j else [] for j in range(n)] for i in range(n)]
-    alg = StructureAlgebra.from_int([f"e{i}" for i in range(n)], [1] * n, table, 1, name=f"k^{n}")
+    unit = 1, dict.fromkeys(range(n), 1)
+    alg = StructureAlgebra.from_int([f"e{i}" for i in range(n)], unit, table, 1, name=f"k^{n}")
     return YDObject(build_h4(), n, alg, [Matrix.identity(n)] * 4)
 
 
@@ -531,7 +532,7 @@ def test_inner_witness_on_neutralized_product():
 def test_inner_witness_trivial_action_is_zero():
     alg = StructureAlgebra(["1", "x"], [1, 0], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
     h4 = build_h4()
-    action = [Matrix.identity(2), Matrix.diag([1, -1]), Matrix.zero(2, 2), Matrix.zero(2, 2)]
+    action = [Matrix.identity(2), Matrix.diag([1, -1]), zero_matrix(2, 2), zero_matrix(2, 2)]
     a = YDObject(h4, alg.dim, alg, action)
     v = inner_witness(a, h4.meta["h"], h4.meta["g"])
     assert v == [Q(0), Q(0)]
@@ -546,7 +547,7 @@ def test_strongly_inner_beta():
         assert found is not None
         u, w, beta = found
         assert beta == t * t / (4 * a)
-        assert s.alg.mul_vec(u, u) == s.alg.one()
+        assert s.alg.mul_vec(u, u) == s.alg.unit
         anti = [x + y for x, y in zip(s.alg.mul_vec(w, u), s.alg.mul_vec(u, w))]
         assert is_zero_vec(anti)
 
@@ -559,7 +560,7 @@ def test_strongly_inner_trivial_action():
     action = [Matrix.identity(4) * h4.counit[i] for i in range(4)]
     a = YDObject(h4, end.dim, end, action)
     u, w, beta = strongly_inner_witness_h4(a)
-    assert u == end.one()
+    assert u == end.unit
     assert is_zero_vec(w)
     assert beta == 0
 
@@ -584,7 +585,7 @@ def test_fg_maps_are_yd_morphisms():
     e_op = end_yd(a, "op")
     for source, matrix, target in ((sharp_product(a, abar), f, e_plain),
                                    (sharp_product(abar, a), g, e_op)):
-        assert matrix.apply(source.alg.unit) == target.alg.one()
+        assert matrix.apply(source.alg.unit) == target.alg.unit
         for i in range(4):
             for j in range(4):
                 lhs = matrix.apply(source.alg.mul_vec(source.alg.basis_vec(i), source.alg.basis_vec(j)))
@@ -613,7 +614,7 @@ def test_grading_error_on_non_homogeneous_basis():
 
     h4 = build_h4()
     swap = Matrix([[0, 1], [1, 0]])
-    mod = YDObject(h4, 2, action=[Matrix.identity(2), swap, Matrix.zero(2, 2), Matrix.zero(2, 2)])
+    mod = YDObject(h4, 2, action=[Matrix.identity(2), swap, zero_matrix(2, 2), zero_matrix(2, 2)])
     from hopfbrauer.yd import check_module
 
     assert check_module(mod).ok
@@ -655,7 +656,7 @@ def test_solve_linear_dimension_mismatch():
 def test_cocycle_twist_rejects_invalid_cocycle():
     from hopfbrauer.sweedler import LazyCocycle, cocycle_twist
 
-    bad = LazyCocycle(Q(1), Matrix([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]]))
+    bad = LazyCocycle(Q(1), (1, [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]]))
     with pytest.raises(AssertionError):
         cocycle_twist(build_C(CFamilyDescriptor(Q(1), Q(0), Q(1))), bad)
 
