@@ -2,10 +2,10 @@
 
 An algebra is a basis, ``int_unit`` = (D_u, D_u·1 as {k: c}) and ``int_sp``
 = (D_m, table), table[i][j] = D_m·e_i·e_j as (k, c) pairs sorted by k, every
-c a nonzero int; ``unit`` and ``_sp`` are their views over ℚ. Elements are
-dense or sparse (``{basis index: nonzero coefficient}``) vectors. Every
-product is one loop, ``_contract``: ``mul_sparse`` on Fractions, ``mul_int``
-on integers, ``mul_vec`` on dense vectors for ``sandwich_matrix`` only.
+c a nonzero int; ``unit`` is the view of 1 over ℚ. Elements are dense or
+sparse (``{basis index: nonzero coefficient}``) vectors. Every product is
+``mul_int``, one loop (``_contract``) on integers; ``mul_vec`` wraps it for
+dense vectors, for ``sandwich_matrix`` only.
 A law whose solutions form a subalgebra is checked on ``generators`` first
 (``on_generators``). Hopf algebras and Yetter-Drinfeld module algebras are
 layered over this module.
@@ -202,13 +202,6 @@ class StructureAlgebra:
         return dense_vec(over(unit, den), self.dim)
 
     @cached_property
-    def _sp(self) -> list[list[tuple[tuple[int, Fraction], ...]]]:
-        """The Fraction table, read by the Fraction products: the integers of
-        ``int_sp`` divided by its scale."""
-        den, table = self.int_sp
-        return [[tuple((k, Fraction(c, den)) for k, c in term) for term in row] for row in table]
-
-    @cached_property
     def generators(self) -> tuple[int, ...] | None:
         """Basis indices G, taken greedily in index order, whose closure from 1
         under left multiplication by G spans the algebra, decided by an
@@ -244,27 +237,16 @@ class StructureAlgebra:
     # -- element arithmetic on raw coefficient vectors -------------------
 
     def mul_vec(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
-        """x·y for dense coefficient vectors, contracted as ``mul_sparse``
-        contracts their nonzero entries."""
-        return dense_vec(_contract(self._sp, sparse_vec(x), sparse_vec(y), {}), self.dim)
-
-    def mul_basis(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
-        return self._sp[i][j]
-
-    def mul_sparse(self, x: SparseVec, y: SparseVec, out: SparseVec | None = None) -> SparseVec:
-        """x·y for sparse vectors ``{basis index: nonzero coefficient}``.
-
-        Contracts x ⊗ y against the sparse structure constants ``_sp`` with
-        ``_contract``, so the cost is nnz(x)·nnz(y)·nnz(e_i e_j); only
-        bilinearity of the product is used. When ``out`` is given, x·y is
-        added into it in place and it is returned. Coefficients that cancel
-        are removed. ``mul_int`` is the same contraction on integers.
-        """
-        return _contract(self._sp, x, y, {} if out is None else out)
+        """x·y for dense coefficient vectors, by ``mul_int`` on their scaled
+        nonzero entries."""
+        (xi, dx), (yi, dy) = scaled(sparse_vec(x)), scaled(sparse_vec(y))
+        return dense_vec(over(self.mul_int(xi, yi), dx * dy * self.int_sp[0]), self.dim)
 
     def mul_int(self, x: IntVec, y: IntVec, out: IntVec | None = None) -> IntVec:
         """D_m·(x·y) for integer sparse x and y, contracted against the table
-        of ``int_sp`` by the loop of ``mul_sparse``; ``out`` as there."""
+        of ``int_sp`` with ``_contract``, so the cost is nnz(x)·nnz(y)·nnz(e_i
+        e_j). When ``out`` is given, x·y is added into it in place and it is
+        returned; coefficients that cancel are removed."""
         return _contract(self.int_sp[1], x, y, {} if out is None else out)
 
     def basis_vec(self, i: int) -> list[Fraction]:
@@ -314,7 +296,7 @@ class Grading:
         for i in range(a.dim):
             for j in range(a.dim):
                 want = (self.parity[i] + self.parity[j]) % 2
-                for k, c in a.mul_basis(i, j):
+                for k, _ in a.int_sp[1][i][j]:
                     rep.require(
                         self.parity[k] == want,
                         f"product {a.basis[i]}·{a.basis[j]} hits parity-{self.parity[k]} term {a.basis[k]}",

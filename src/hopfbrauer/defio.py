@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .algebra import StructureAlgebra, check_algebra_axioms
 from .hopf import HopfAlgebra, check_hopf_axioms
-from .linalg import Matrix, dense_vec, format_rational, parse_rational
+from .linalg import Matrix, dense_vec, format_rational, over, parse_rational
 from .yd import YDObject, check_yd_algebra
 
 
@@ -212,15 +212,13 @@ def validate_definition(obj: dict):
 
 def algebra_to_json(alg: StructureAlgebra) -> dict:
     n = alg.dim
+    den, table = alg.int_sp
     return {
         "name": alg.name,
         "dim": alg.dim,
         "basis": list(alg.basis),
         "unit": [format_rational(x) for x in alg.unit],
-        "mult": [
-            [[format_rational(x) for x in dense_vec(dict(alg.mul_basis(i, j)), n)] for j in range(n)]
-            for i in range(n)
-        ],
+        "mult": [[[format_rational(x) for x in dense_vec(over(dict(t), den), n)] for t in row] for row in table],
     }
 
 
@@ -229,8 +227,9 @@ def hopf_to_json(h: HopfAlgebra) -> dict:
     out["name"] = h.name
     n = h.dim
     out["coproduct"] = []
-    for i in range(n):
-        delta = dense_vec({p * n + q: c for p, q, c in h.cop_sparse(i)}, n * n)
+    den, rows = h.int_cop
+    for row in rows:
+        delta = dense_vec({p * n + q: Fraction(c, den) for p, q, c in row}, n * n)
         out["coproduct"].append([[format_rational(x) for x in delta[p * n:(p + 1) * n]] for p in range(n)])
     out["counit"] = [format_rational(x) for x in h.counit]
     out["antipode"] = [[format_rational(x) for x in row] for row in h.antipode.data]

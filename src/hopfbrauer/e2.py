@@ -8,7 +8,7 @@ along the surjection T; restriction along T and along the sections
 θ_{λ,μ}: E(2) → H₄ moves module algebras between the two worlds.
 
 The module also hosts the graded-central-simplicity machinery (the maps
-F₀/G₀, which are F and G of the parity view: the same product over kℤ₂,
+F₀/G₀, which are F and G of the parity object: the same product over kℤ₂,
 with g·x = (−1)^{|x|}x and ρ(x) = x⊗g^{|x|}, so the one F/G contraction of
 ``yd`` builds them), the exactness witness End(P) with its
 failed strongly-inner analysis, and the closure counterexample where two
@@ -35,6 +35,7 @@ from .linalg import (
     SparseVec,
     dense_vec,
     in_span,
+    over,
     scaled_vecs,
     sparse_sum,
     sparse_vec,
@@ -158,17 +159,17 @@ def t_morphism() -> HopfMorphism:
     double, _ = build_dh4()
     e2 = build_e2()
     alg = e2.alg
-    half = Q(1, 2)
-    one, c, x1, x2, cx2 = ({i: Q(1)} for i in (0, 1, 2, 4, 5))
-
+    den_m = alg.int_sp[0]
+    # 2·T of the dual basis of H₄* (c at 1, x₂ at 4, cx₂ at 5)
     t_dual = [
-        sparse_sum(((half, one), (half, c))),      # 1*  = (φ(1)+φ(g))/2 ↦ (1+c)/2
-        sparse_sum(((half, one), (-half, c))),     # g*  = (φ(1)−φ(g))/2 ↦ (1−c)/2
-        sparse_sum(((half, cx2), (half, x2))),     # h*  = (φ(h)+φ(gh))/2 ↦ (cx₂+x₂)/2
-        sparse_sum(((half, cx2), (-half, x2))),    # gh* = (φ(h)−φ(gh))/2 ↦ (cx₂−x₂)/2
+        {0: 1, 1: 1},      # 1*  = (φ(1)+φ(g))/2 ↦ (1+c)/2
+        {0: 1, 1: -1},     # g*  = (φ(1)−φ(g))/2 ↦ (1−c)/2
+        {5: 1, 4: 1},      # h*  = (φ(h)+φ(gh))/2 ↦ (cx₂+x₂)/2
+        {5: 1, 4: -1},     # gh* = (φ(h)−φ(gh))/2 ↦ (cx₂−x₂)/2
     ]
-    t_alg = [one, c, x1, alg.mul_sparse(c, x1)]
-    cols = [dense_vec(alg.mul_sparse(f, a), alg.dim) for f in t_dual for a in t_alg]
+    # D_m·T of 1, g, h and gh: 1, c, x₁ and c·x₁
+    t_alg = [{0: den_m}, {1: den_m}, {2: den_m}, alg.mul_int({1: 1}, {2: 1})]
+    cols = [dense_vec(over(alg.mul_int(f, a), 2 * den_m * den_m), alg.dim) for f in t_dual for a in t_alg]
     return HopfMorphism(double, e2, Matrix.from_cols(cols), name="T")
 
 
@@ -178,17 +179,20 @@ def theta(lam, mu) -> HopfMorphism:
     e2 = build_e2()
     h4 = build_h4()
     alg = h4.alg
-    # c ↦ g, x₁ ↦ λh, x₂ ↦ μh as sparse vectors of H₄ (g at 1, h at 2)
-    images = {1: {1: Q(1)}, 2: {2: lam} if lam else {}, 4: {2: mu} if mu else {}}
+    # c ↦ g, x₁ ↦ λh, x₂ ↦ μh as (den, integer sparse vector) of H₄ (g at 1, h at 2)
+    images = {1: (1, {1: 1})}
+    for gen, x in ((2, lam), (4, mu)):
+        images[gen] = x.denominator, {2: x.numerator} if x else {}
     cols = []
     for d in (0, 1):
         for b in (0, 1):
             for a in (0, 1):
-                acc = sparse_vec(alg.unit)
+                den, acc = alg.int_unit
                 for gen, e in ((1, a), (2, b), (4, d)):
-                    for _ in range(e):
-                        acc = alg.mul_sparse(acc, images[gen])
-                cols.append((_e2_index(a, b, d), dense_vec(acc, alg.dim)))
+                    if e:
+                        den_g, image = images[gen]
+                        acc, den = alg.mul_int(acc, image), den * alg.int_sp[0] * den_g
+                cols.append((_e2_index(a, b, d), dense_vec(over(acc, den), alg.dim)))
     cols.sort(key=lambda t: t[0])
     return HopfMorphism(e2, h4, Matrix.from_cols([c for _, c in cols]), name=f"theta({lam},{mu})")
 
@@ -270,7 +274,7 @@ def _k_z2() -> HopfAlgebra:
     return HopfAlgebra.from_int(alg, (1, [[(0, 0, 1)], [(1, 1, 1)]]), (1, {0: 1, 1: 1}), s, s, name="kZ2", meta=meta)
 
 
-def parity_view(a: YDObject) -> YDObject:
+def parity_object(a: YDObject) -> YDObject:
     """``a``'s product as a YD algebra over kℤ₂, graded by the action of the
     grouplike of a's Hopf algebra: g·e_j = (−1)^{|j|}e_j, ρ(e_j) = e_j ⊗ g^{|j|}.
 
@@ -289,15 +293,15 @@ def f0_g0_matrices(a: YDObject) -> tuple[Matrix, Matrix]:
 
     F₀(x#y)(z) = (−1)^{|z||y|} x z y and G₀(x#y)(z) = (−1)^{|x||z|} x z y,
     the maps whose bijectivity says the underlying superalgebra is graded
-    central simple: F and G of the parity view. Only the grouplike action
+    central simple: F and G of the parity object. Only the grouplike action
     (the grading) enters.
     """
-    return fg_maps(parity_view(a))
+    return fg_maps(parity_object(a))
 
 
 def is_graded_central_simple(a: YDObject) -> bool:
     """F₀ and G₀ are both bijective."""
-    return is_h_azumaya(parity_view(a))
+    return is_h_azumaya(parity_object(a))
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +641,7 @@ def fg_decomposition_residuals(a: YDObject, xv, yv, zv) -> tuple[list[Fraction],
     px, _, pz = (_parity_of(v, parity) for v in (xv, yv, zv))
     x, y, z = (sparse_vec(v) for v in (xv, yv, zv))
 
-    fg, fg0 = FGContraction(a), FGContraction(parity_view(a))
+    fg, fg0 = FGContraction(a), FGContraction(parity_object(a))
     # the last term of each residual is −(−1)^{|z|+1} = (−1)^{|z|} (for G, |x|) times F₀ (G₀)
     res_f = sparse_sum((
         (1, fg.f_value(x, y, z)),

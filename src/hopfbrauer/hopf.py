@@ -1,8 +1,9 @@
 """Hopf algebras as structure-constant data.
 
 A Hopf algebra is a :class:`~hopfbrauer.algebra.StructureAlgebra` with a
-coproduct, a counit vector and an antipode S with its inverse, Δ, S and S⁻¹
-stored as integers (``HopfAlgebra.from_int``). The module checks axioms and
+coproduct, a counit vector and an antipode S with its inverse, ε, Δ, S and
+S⁻¹ stored as integers (``HopfAlgebra.from_int``), with dense views for I/O
+(``counit``, ``antipode``, ``antipode_inv``). The module checks axioms and
 builds duals, Drinfeld doubles with their canonical R, (co)quasitriangular
 structures and Hopf morphisms.
 
@@ -53,8 +54,8 @@ class HopfAlgebra:
     rows[i] = D_Δ·Δ(e_i) as (p, q, c) for c·e_p ⊗ e_q), ``int_counit`` = (D, D·ε)
     and ``int_s``, ``int_s_inv`` = (D, cols[j] = D·S(e_j), D·S⁻¹(e_j)), each D
     minimal, written by ``from_int``; the dense ``__init__`` (Δ[i] at p·dim + q)
-    scales once and calls it. ``counit``, ``cop_sparse``, ``s_cols``,
-    ``s_inv_cols``, ``antipode`` and ``antipode_inv`` are views."""
+    scales once and calls it. ``counit``, ``antipode`` and ``antipode_inv``
+    are dense views."""
 
     def __init__(self, alg: StructureAlgebra, coproduct: Sequence[Sequence], counit: Sequence, antipode: Matrix,
                  antipode_inv: Matrix | None = None, name: str = "", meta: dict | None = None):
@@ -104,28 +105,9 @@ class HopfAlgebra:
         den, counit = self.int_counit
         return dense_vec(over(counit, den), self.dim)
 
-    @cached_property
-    def _spcop(self) -> list[tuple[tuple[int, int, Fraction], ...]]:
-        den, rows = self.int_cop
-        return [tuple((p, q, Fraction(c, den)) for p, q, c in row) for row in rows]
-
-    @cached_property
-    def s_cols(self) -> list[SparseVec]:
-        return [over(col, self.int_s[0]) for col in self.int_s[1]]
-
-    @cached_property
-    def s_inv_cols(self) -> list[SparseVec]:
-        return [over(col, self.int_s_inv[0]) for col in self.int_s_inv[1]]
-
-    @cached_property
-    def antipode(self) -> Matrix:
-        """S as a dense matrix, built from ``s_cols`` on first read."""
-        return Matrix.from_cols([dense_vec(col, self.dim) for col in self.s_cols])
-
-    @cached_property
-    def antipode_inv(self) -> Matrix:
-        """S⁻¹ as a dense matrix, built from ``s_inv_cols`` on first read."""
-        return Matrix.from_cols([dense_vec(col, self.dim) for col in self.s_inv_cols])
+    # S and S⁻¹ as dense matrices, built from the store on first read
+    antipode = cached_property(lambda self: _dense_columns(*self.int_s, self.dim))
+    antipode_inv = cached_property(lambda self: _dense_columns(*self.int_s_inv, self.dim))
 
     @cached_property
     def int_cop2(self) -> tuple[int, list[tuple[tuple[int, int, int, int], ...]]]:
@@ -162,10 +144,6 @@ class HopfAlgebra:
         """Equal coproducts, compared on the integer stores."""
         return self.int_cop == other.int_cop
 
-    def cop_sparse(self, i: int) -> tuple[tuple[int, int, Fraction], ...]:
-        """Δ(e_i) as sparse (left, right, coeff) triples."""
-        return self._spcop[i]
-
     def __repr__(self) -> str:
         return f"HopfAlgebra({self.name or 'unnamed'}, dim={self.dim})"
 
@@ -179,12 +157,9 @@ def _int_columns(cols: tuple, n: int, label: str) -> tuple[int, list[IntVec]]:
     return den // g, [dict(sorted((k, c // g) for k, c in col.items())) for col in cols]
 
 
-def _acc(d: dict, key, val) -> None:
-    nv = d.get(key, Fraction(0)) + val
-    if nv:
-        d[key] = nv
-    elif key in d:
-        del d[key]
+def _dense_columns(den: int, cols: list[IntVec], n: int) -> Matrix:
+    """The n × n matrix whose column j is cols[j]/den."""
+    return Matrix.from_cols([dense_vec(over(col, den), n) for col in cols])
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +318,9 @@ def dual_hopf(h: HopfAlgebra) -> HopfAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def antipode_from_bialgebra(alg: StructureAlgebra, cop_sparse, counit: Sequence[Fraction]) -> Matrix:
-    """Solve m(S⊗id)Δ = uε for S as a linear system.
+def antipode_from_bialgebra(alg: StructureAlgebra, cop: tuple[int, Sequence], counit: tuple[int, IntVec]) -> Matrix:
+    """Solve m(S⊗id)Δ = uε for S as a linear system, Δ and ε given as the
+    integer stores (``int_cop``, ``int_counit``) of a bialgebra on ``alg``.
 
     The antipode, when it exists, is the unique convolution inverse of the
     identity, so this pins S without committing to any book's sign
@@ -352,30 +328,36 @@ def antipode_from_bialgebra(alg: StructureAlgebra, cop_sparse, counit: Sequence[
     writes its antipode in closed form instead; the tests compare the two.
     """
     n = alg.dim
-    rows: list[dict[int, Fraction]] = []
+    (den_d, cop), (den_e, counit) = cop, counit
+    den_m, sp = alg.int_sp
+    den_u, unit = alg.int_unit
+    # row (z, w) over D_Δ·D_m: Σ c·c_w·S_pu over the (u, v, c) of Δ(e_z) and
+    # the (w, c_w) of e_p·e_v, against ε(e_z)·1_w
+    rows: list[IntVec] = []
     rhs: list[Fraction] = []
     for z in range(n):
-        eqs: list[dict[int, Fraction]] = [dict() for _ in range(n)]
-        for u, v, c in cop_sparse(z):
+        eqs: list[IntVec] = [{} for _ in range(n)]
+        for u, v, c in cop[z]:
             for p in range(n):
                 unknown = u * n + p
-                for w, cw in alg.mul_basis(p, v):
-                    _acc(eqs[w], unknown, c * cw)
+                for w, cw in sp[p][v]:
+                    eqs[w][unknown] = eqs[w].get(unknown, 0) + c * cw
         for w in range(n):
-            rows.append(eqs[w])
-            rhs.append(counit[z] * alg.unit[w])
+            rows.append({k: x for k, x in eqs[w].items() if x})
+            rhs.append(Fraction(counit.get(z, 0) * unit.get(w, 0) * den_d * den_m, den_e * den_u))
     sol = solve_sparse(rows, rhs, n * n)
     if sol.particular is None:
         raise ValueError("no antipode: bialgebra is not Hopf")
     s = Matrix([[sol.particular[u * n + p] for u in range(n)] for p in range(n)])
-    # verify the right antipode law, which is not part of the solve
-    cols = [sparse_vec(s.col(v)) for v in range(n)]
-    unit = sparse_vec(alg.unit)
+    # verify the right antipode law, which is not part of the solve: both
+    # sides over D_Δ·D_m·D_S·D_ε·D_u
+    den_s, cols = scaled_vecs(sparse_vec(s.col(v)) for v in range(n))
     for z in range(n):
-        acc: SparseVec = {}
-        for u, v, c in cop_sparse(z):
-            alg.mul_sparse({u: c}, cols[v], acc)
-        if acc != ({k: counit[z] * x for k, x in unit.items()} if counit[z] else {}):
+        acc: IntVec = {}
+        for u, v, c in cop[z]:
+            alg.mul_int({u: c * den_e * den_u}, cols[v], acc)
+        e = counit.get(z, 0) * den_d * den_m * den_s
+        if acc != {k: e * x for k, x in unit.items() if e}:
             raise ValueError("left convolution inverse of id is not two-sided")
     return s
 
@@ -640,19 +622,28 @@ class CoQTStructure:
 
     def __init__(self, hopf: HopfAlgebra, form: IntTable, form_inv: IntTable):
         self.hopf = hopf
-        self.int_table, self.int_inv = (_lowest_rows(*f) for f in (form, form_inv))
+        self.int_table, self.int_inv = _lowest_rows(form, hopf.dim, "r"), _lowest_rows(form_inv, hopf.dim, "r⁻¹")
 
-    form = cached_property(lambda self: form_view(*self.int_table))
-    form_inv = cached_property(lambda self: form_view(*self.int_inv))
+    form = cached_property(lambda self: form_matrix(*self.int_table))
+    form_inv = cached_property(lambda self: form_matrix(*self.int_inv))
 
 
-def _lowest_rows(den: int, rows: list[list[int]]) -> IntTable:
-    """(den, rows) divided by the gcd of den and every entry."""
+def _lowest_rows(form: IntTable, n: int, label: str) -> IntTable:
+    """(den, rows) divided by the gcd of den and every entry; ``ValueError``
+    unless den is a positive int and rows n × n ints."""
+    den, rows = form
+    if type(den) is not int or den <= 0:
+        raise ValueError(f"{label}: scale {den!r} is not a positive int")
+    shape = [len(row) for row in rows]
+    if shape != [n] * n:
+        raise ValueError(f"{label} has row lengths {shape}, expected {n}×{n}")
+    if any(type(v) is not int for row in rows for v in row):
+        raise ValueError(f"{label} has an entry that is not an int")
     g = math.gcd(den, *(v for row in rows for v in row))
     return den // g, [[v // g for v in row] for row in rows]
 
 
-def form_view(den: int, rows: list[list[int]]) -> Matrix:
+def form_matrix(den: int, rows: list[list[int]]) -> Matrix:
     """The dense Fraction matrix of integer rows over den."""
     return Matrix([[Fraction(v, den) for v in row] for row in rows])
 
@@ -699,16 +690,13 @@ def coqt_structure(h: HopfAlgebra, form: IntTable) -> CoQTStructure:
     convolution inverse of every coquasitriangular r, over D_r·D_S;
     ``ValueError`` unless r⁻¹ * r = ε⊗ε = r * r⁻¹ exactly."""
     n = h.dim
-    den_r, r = form
-    shape = [len(row) for row in r]
-    if shape != [n] * n:
-        raise ValueError(f"form has row lengths {shape}, expected {n}×{n}")
+    den_r, r = form = _lowest_rows(form, n, "r")
     den_s, s = h.int_s
     inv = [[sum(c * r[k][y] for k, c in s[x].items()) for y in range(n)] for x in range(n)]
     inv = (den_r * den_s, inv)
-    if any(_inverse_failures(h, (den_r, r), inv)):
+    if any(_inverse_failures(h, form, inv)):
         raise ValueError("r∘(S⊗id) is not the convolution inverse of r")
-    return CoQTStructure(h, (den_r, r), inv)
+    return CoQTStructure(h, form, inv)
 
 
 def check_coquasitriangular(h: HopfAlgebra, ct: CoQTStructure) -> CheckReport:
@@ -809,7 +797,7 @@ def check_hopf_morphism(f: HopfMorphism) -> CheckReport:
     den_d, cop = src.int_cop
     den_dt, cop_t = tgt.int_cop
     cops_t = [{(a, b): d for a, b, d in row} for row in cop_t]
-    (den_s, s_cols), (den_st, s_cols_t) = src.int_s, tgt.int_s
+    (den_s, s_src), (den_st, s_tgt) = src.int_s, tgt.int_s
     for i, fi in enumerate(cols):
         # ε'(f(e_i)) over D_f·D_ε' against ε(e_i) over D_ε
         if den_e * sum(c * counit_t.get(k, 0) for k, c in fi.items()) != den_f * den_et * counit.get(i, 0):
@@ -822,7 +810,7 @@ def check_hopf_morphism(f: HopfMorphism) -> CheckReport:
         if lhs != image(fi, den_d * den_f, cops_t):
             rep.failures.append(f"not a coalgebra map at {basis[i]}")
         # f(S(e_i)) over D_S·D_f against S'(f(e_i)) over D_f·D_S'
-        if image(s_cols[i], den_st) != image(fi, den_s, s_cols_t):
+        if image(s_src[i], den_st) != image(fi, den_s, s_tgt):
             rep.failures.append(f"antipode not intertwined at {basis[i]}")
     return rep
 

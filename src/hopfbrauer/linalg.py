@@ -45,9 +45,17 @@ def rational_is_square(x) -> Fraction | None:
     return Fraction(rn, rd)
 
 
+def _rational(v) -> Fraction:
+    """v as a Fraction; ``ValueError`` unless it is an int or a Fraction (a
+    float is a binary fraction, not the rational it was written as)."""
+    if not isinstance(v, (int, Fraction)):
+        raise ValueError(f"entry {v!r} is not rational")
+    return Fraction(v)
+
+
 def vec(values: Iterable) -> list[Fraction]:
     # entries that already are Fractions are kept, not rebuilt
-    return [v if type(v) is Fraction else Fraction(v) for v in values]
+    return [v if type(v) is Fraction else _rational(v) for v in values]
 
 
 def zero_vec(n: int) -> list[Fraction]:
@@ -141,7 +149,7 @@ class Matrix:
     """
 
     def __init__(self, data: Sequence[Sequence]):
-        self.data = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in data]
+        self.data = [vec(row) for row in data]
         self.rows = len(self.data)
         self.cols = len(self.data[0]) if self.data else 0
         if any(len(row) != self.cols for row in self.data):

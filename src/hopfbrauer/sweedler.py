@@ -22,15 +22,16 @@ from .hopf import (
     HopfMorphism,
     IntTable,
     QTStructure,
+    _lowest_rows,
     bowtie_vec,
     coqt_structure,
     drinfeld_double,
     dual_hopf,
+    form_matrix,
     form_products,
-    form_view,
     qt_structure,
 )
-from .linalg import Matrix, dense_vec, rational_is_square, scaled, scaled_vecs, sparse_sum, sparse_vec
+from .linalg import Matrix, dense_vec, over, rational_is_square, scaled, scaled_vecs, sparse_sum, sparse_vec
 from .yd import (
     YDObject,
     check_yd_algebra,
@@ -127,24 +128,25 @@ def dh4_relations() -> list[tuple[str, list[Fraction]]]:
     """The ten defining relations of D(H₄), each as an element that must vanish."""
     double, _ = build_dh4()
     a = double.alg
-    g, h, fg, fh = (sparse_vec(dh4_named(label)) for label in ("g", "h", "phi_g", "phi_h"))
-    one = sparse_vec(a.unit)
-    m = a.mul_sparse
+    den_u, unit = a.int_unit
+    named = [sparse_vec(dh4_named(label)) for label in ("g", "h", "phi_g", "phi_h")]
+    den, (g, h, fg, fh, one) = scaled_vecs([*named, over(unit, den_u)])
+    m, x = a.mul_int, den * a.int_sp[0]  # a product is over den·x, so 1 and a generator are lifted by x
 
     def rel(*terms):
-        return dense_vec(sparse_sum(terms), a.dim)
+        return dense_vec(over(sparse_sum(terms), den * x), a.dim)
 
     return [
         ("(φ(h)⋈1)² = 0", rel((1, m(fh, fh)))),
-        ("(φ(g)⋈1)² = ε⋈1", rel((1, m(fg, fg)), (-1, one))),
+        ("(φ(g)⋈1)² = ε⋈1", rel((1, m(fg, fg)), (-x, one))),
         ("φ(h)φ(g) + φ(g)φ(h) = 0", rel((1, m(fh, fg)), (1, m(fg, fh)))),
         ("(ε⋈h)² = 0", rel((1, m(h, h)))),
         ("hg + gh = 0", rel((1, m(h, g)), (1, m(g, h)))),
-        ("(ε⋈g)² = ε⋈1", rel((1, m(g, g)), (-1, one))),
+        ("(ε⋈g)² = ε⋈1", rel((1, m(g, g)), (-x, one))),
         ("φ(h)g + gφ(h) = 0", rel((1, m(fh, g)), (1, m(g, fh)))),
         ("φ(g)h + hφ(g) = 0", rel((1, m(fg, h)), (1, m(h, fg)))),
         ("gφ(g) − φ(g)g = 0", rel((1, m(g, fg)), (-1, m(fg, g)))),
-        ("φ(h)h − hφ(h) = φ(g) − g", rel((1, m(fh, h)), (-1, m(h, fh)), (-1, fg), (1, g))),
+        ("φ(h)h − hφ(h) = φ(g) − g", rel((1, m(fh, h)), (-1, m(h, fh)), (-x, fg), (x, g))),
     ]
 
 
@@ -421,9 +423,9 @@ class LazyCocycle:
     integer rows); ``table`` is its dense view."""
 
     def __init__(self, t: Fraction, sigma: IntTable):
-        self.t, self.int_table = t, sigma
+        self.t, self.int_table = t, _lowest_rows(sigma, 4, "σ")
 
-    table = functools.cached_property(lambda self: form_view(*self.int_table))
+    table = functools.cached_property(lambda self: form_matrix(*self.int_table))
 
 
 def build_sigma(t) -> LazyCocycle:

@@ -2,8 +2,9 @@
 
 Every object over a fixed Hopf algebra H is a ``YDObject``: a carrier with
 some of a product, a left H-action and a right H-coaction, stored as
-integers. Algebras are right H^op-comodule algebras, ρ(ab) = a₍₀₎b₍₀₎ ⊗
-b₍₁₎a₍₁₎, under the Yetter-Drinfeld condition ρ(l·b) = l₍₂₎·b₍₀₎ ⊗ l₍₃₎ b₍₁₎ S⁻¹(l₍₁₎).
+integers, with ``action`` and ``coaction`` as dense views for I/O. Algebras
+are right H^op-comodule algebras, ρ(ab) = a₍₀₎b₍₀₎ ⊗ b₍₁₎a₍₁₎, under the
+Yetter-Drinfeld condition ρ(l·b) = l₍₂₎·b₍₀₎ ⊗ l₍₃₎ b₍₁₎ S⁻¹(l₍₁₎).
 
 Checks, builders and solvers contract on integers, each tensor times the
 least common denominator of its entries (the action over D_a, the coaction
@@ -63,16 +64,8 @@ class NoRationalNormalization(ValueError):
 
 
 class _Store(tuple):
-    """An integer (den, rows), shared by the objects built on it."""
-
-    view = None
-
-
-def _view(store: _Store | None, build):
-    """store.view, built by build(den, rows) on first read."""
-    if store is not None and store.view is None:
-        store.view = build(*store)
-    return store and store.view
+    """An integer (den, rows) already checked and reduced by ``from_int``,
+    shared as it is by the objects built on it."""
 
 
 def refuse_assignment(obj, name: str, value=None):
@@ -93,8 +86,8 @@ class YDObject:
     The state: ``int_images`` = (D_a, rows[j][k] = D_a·e_k·e_j as {index: int})
     and ``int_rho`` = (D_c, rows[j] = D_c·ρ(e_j) as (a, k, c) for c·e_a ⊗ e_k),
     sorted, D the least common denominator, written by ``from_int``; the
-    dense ``__init__`` scales once and calls it. ``images``, ``rho``,
-    ``action`` and ``coaction`` are rational views. Objects are never mutated.
+    dense ``__init__`` scales once and calls it. ``action`` and ``coaction``
+    are dense views. Objects are never mutated.
     """
 
     hopf: HopfAlgebra
@@ -154,31 +147,23 @@ class YDObject:
         obj.__dict__.update(hopf=hopf, dim=dim, alg=alg, int_images=images, int_rho=rho)
         return obj
 
-    @property
-    def images(self) -> list[list[SparseVec]] | None:
-        """images[j][k] = e_k·e_j, {index: nonzero Fraction}."""
-        return _view(self.int_images, lambda den, rows: [[over(v, den) for v in row] for row in rows])
-
-    @property
-    def rho(self) -> list[tuple[tuple[int, int, Fraction], ...]] | None:
-        """rho[j] = ρ(e_j), (a, k, c) triples for c·e_a ⊗ e_k."""
-        return _view(self.int_rho, lambda den, rows: [tuple((a, k, Q(c, den)) for a, k, c in r) for r in rows])
-
     @cached_property
     def action(self) -> list[Matrix] | None:
-        """action[i], the matrix of e_i, built from ``images`` on first read."""
-        if self.images is None:
+        """action[i], the matrix of e_i, built from ``int_images`` on first read."""
+        if self.int_images is None:
             return None
-        return [Matrix.from_cols([dense_vec(row[i], self.dim) for row in self.images]) for i in range(self.hopf.dim)]
+        den, rows = self.int_images
+        return [Matrix.from_cols([dense_vec(over(row[i], den), self.dim) for row in rows])
+                for i in range(self.hopf.dim)]
 
     @cached_property
     def coaction(self) -> list[list[Fraction]] | None:
         """coaction[j][a·dim(H) + k], the coefficient of e_a ⊗ e_k in ρ(e_j),
-        built from ``rho`` on first read."""
-        if self.rho is None:
+        built from ``int_rho`` on first read."""
+        if self.int_rho is None:
             return None
-        n = self.hopf.dim
-        return [dense_vec({a * n + k: c for a, k, c in row}, self.dim * n) for row in self.rho]
+        n, (den, rows) = self.hopf.dim, self.int_rho
+        return [dense_vec({a * n + k: Q(c, den) for a, k, c in row}, self.dim * n) for row in rows]
 
     @cached_property
     def module_failures(self) -> list[str]:
@@ -913,13 +898,19 @@ def conjugation_implementer(a: YDObject, g_index: int) -> list[Fraction] | None:
     return next((u for u in _candidates(space) if any(u) and alg.is_invertible(u)), None)
 
 
+def _square_scalar(alg: StructureAlgebra, x: Sequence[Fraction]) -> Fraction | None:
+    """c if x² = c·1, else None: x scaled by D, x² by ``mul_int`` over D²·D_m."""
+    xi, den = scaled(sparse_vec(x))
+    c = alg.scalar_part(alg.mul_int(xi, xi))
+    return None if c is None else c / (den * den * alg.int_sp[0])
+
+
 def normalized_implementer(a: YDObject, g_index: int) -> list[Fraction] | None:
     """Invertible u with u·z·u⁻¹ = g·z and u² = 1, rationally normalized."""
     u = conjugation_implementer(a, g_index)
     if u is None:
         return None
-    su = sparse_vec(u)
-    lam = a.alg.scalar_part(a.alg.mul_sparse(su, su))
+    lam = _square_scalar(a.alg, u)
     if lam is None:
         raise NoRationalNormalization("u² is not scalar")
     root = rational_is_square(lam)
@@ -948,8 +939,7 @@ def strongly_inner_witness_h4(a: YDObject):
     if sol.particular is None:
         return None
     w = sol.particular
-    sw = sparse_vec(w)
-    beta = alg.scalar_part(alg.mul_sparse(sw, sw))
+    beta = _square_scalar(alg, w)
     if beta is None:
         raise ValueError("w² is not scalar; the (k,+)-invariant is undefined here")
     return u, w, beta
@@ -1019,13 +1009,15 @@ def strongly_inner_witness_e2(a: YDObject) -> StrongInnerE2Result:
             continue
         bigw = sol_big.particular
 
-        sw, sbig = sparse_vec(w), sparse_vec(bigw)
-        px2 = alg.mul_sparse(sparse_vec(u), sbig)  # p(x₂) = p(c)p(cx₂)
+        # the relations on integer multiples of w and W, each side of a sum
+        # on one scale; a multiple is zero exactly when the value is
+        sw, sbig = scaled(sparse_vec(w))[0], scaled(sparse_vec(bigw))[0]
+        px2 = alg.mul_int(su, sbig)  # p(x₂) = p(c)p(cx₂)
         relation_checks = [
-            ("p(x₁)² = 0", alg.mul_sparse(sw, sw)),
-            ("p(x₂)² = 0", alg.mul_sparse(px2, px2)),
-            ("p(x₁)p(x₂) + p(x₂)p(x₁) = 0", alg.mul_sparse(sw, px2, alg.mul_sparse(px2, sw))),
-            ("(cx₂)x₁ − x₁(cx₂) = 0", sparse_sum(((1, alg.mul_sparse(sbig, sw)), (-1, alg.mul_sparse(sw, sbig))))),
+            ("p(x₁)² = 0", alg.mul_int(sw, sw)),
+            ("p(x₂)² = 0", alg.mul_int(px2, px2)),
+            ("p(x₁)p(x₂) + p(x₂)p(x₁) = 0", alg.mul_int(sw, px2, alg.mul_int(px2, sw))),
+            ("(cx₂)x₁ − x₁(cx₂) = 0", sparse_sum(((1, alg.mul_int(sbig, sw)), (-1, alg.mul_int(sw, sbig))))),
         ]
         bad = [name for name, value in relation_checks if value]
         if bad:

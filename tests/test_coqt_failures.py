@@ -26,7 +26,7 @@ import json
 from fractions import Fraction as Q
 
 import pytest
-from conftest import dense_qt, int_form
+from conftest import dense_qt, int_form, mul_basis, yd_rho
 from test_integer_scaling import H4_SCALES, _rescaled_hopf, _transported
 
 from hopfbrauer.algebra import StructureAlgebra
@@ -180,9 +180,9 @@ def _reference_twist(a, sigma):
     mult = [[[Q(0)] * alg.dim for _ in range(alg.dim)] for _ in range(alg.dim)]
     for i in range(alg.dim):
         for j in range(alg.dim):
-            for a0, k0, c0 in a.rho[i]:
-                for b0, l0, c1 in a.rho[j]:
-                    for p, v in alg.mul_basis(a0, b0):
+            for a0, k0, c0 in yd_rho(a)[i]:
+                for b0, l0, c1 in yd_rho(a)[j]:
+                    for p, v in mul_basis(alg, a0, b0):
                         mult[i][j][p] += c0 * c1 * s[k0][l0] * v
     return StructureAlgebra(alg.basis, alg.unit, mult)
 

@@ -1,17 +1,19 @@
-"""No helper without a caller: every module-level function and every
-non-dunder method of ``src/hopfbrauer`` is referenced somewhere in ``src/``
-besides its own definition.
+"""No helper without a caller: every module-level function, every non-dunder
+method and every view of ``src/hopfbrauer`` is referenced somewhere in
+``src/`` besides its own definition.
 
 A function counts as referenced by its name (a call, a callback, a default)
 or by an attribute of that name (``linalg.mat_det``), and an import into
 ``__init__`` counts too: that is the exported API. A method counts as
 referenced by an attribute of its name (``x.name``) or by its name in a
-class-level assignment (an alias). A cached property is a view of its
-carrier's state, built on first read (``unit``, ``counit``, ``QTStructure.r``),
-not a helper, so it is not counted; a plain property is. ``ALLOWED`` names
-exactly the helpers that only the benchmark's tracer (``perfbench/tracer.py``)
-holds; ROADMAP item 1 drops them from its ``TIMED`` list, and then they go or
-move into the tests."""
+class-level assignment (an alias). A view, a property or cached property
+defined by a decorator or by a class-level ``cached_property(...)`` or
+``property(...)``, counts as referenced by an attribute of its name only,
+so a Fraction mirror of an integer store that nothing in ``src/`` reads is
+found. ``ALLOWED`` names exactly the helpers that only the benchmark's tracer
+(``perfbench/tracer.py``) holds; ROADMAP item 1 drops them from its ``TIMED``
+list, and then they go or move into the tests. ``EDGE_VIEWS`` names the dense
+views at the I/O edge that only the tests read."""
 
 import ast
 import pathlib
@@ -23,11 +25,21 @@ SRC = ROOT / "src" / "hopfbrauer"
 # held only by perfbench/tracer.py, until ROADMAP item 1 frees them
 ALLOWED = {"antipode_from_bialgebra", "f0_g0_matrices", "kernel_basis"}
 
+# dense views of an integer store (R, R⁻¹, r, r⁻¹ and σ) that the package
+# itself never reads: the tests read them, to compare with a dense reference
+EDGE_VIEWS = {"QTStructure.r", "QTStructure.r_inv", "CoQTStructure.form", "CoQTStructure.form_inv", "LazyCocycle.table"}
+
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+VIEW_MAKERS = {"property", "cached_property"}
+
+
+def _maker(node) -> str | None:
+    """The name of a decorator or a callee: ``property``, ``functools.cached_property``, …"""
+    return getattr(node, "id", getattr(node, "attr", None))
 
 
 def _is_view(fn) -> bool:
-    return any(getattr(d, "id", getattr(d, "attr", None)) == "cached_property" for d in fn.decorator_list)
+    return any(_maker(d) in VIEW_MAKERS for d in fn.decorator_list)
 
 
 def _references(node) -> tuple[Counter, Counter]:
@@ -42,10 +54,10 @@ def _references(node) -> tuple[Counter, Counter]:
 
 
 def unreferenced(src: pathlib.Path = SRC) -> set[str]:
-    """The module-level functions and non-dunder, non-view methods of the
+    """The module-level functions, non-dunder methods and views of the
     package in ``src`` that nothing else in it references."""
     names, attrs, aliases = Counter(), Counter(), Counter()
-    defs = []  # (reported name, bare name, is a method, node)
+    defs = []  # (reported name, bare name, kind: "function", "method" or "view", node)
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
         n, a = _references(tree)
@@ -55,26 +67,32 @@ def unreferenced(src: pathlib.Path = SRC) -> set[str]:
             if isinstance(node, ast.ImportFrom) and path.name == "__init__.py":
                 names.update(alias.name for alias in node.names)
             elif isinstance(node, FUNCTIONS):
-                defs.append((node.name, node.name, False, node))
+                defs.append((node.name, node.name, "function", node))
             elif isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, FUNCTIONS):
-                        if not (item.name.startswith("__") and item.name.endswith("__")) and not _is_view(item):
-                            defs.append((f"{node.name}.{item.name}", item.name, True, item))
+                        if not (item.name.startswith("__") and item.name.endswith("__")):
+                            kind = "view" if _is_view(item) else "method"
+                            defs.append((f"{node.name}.{item.name}", item.name, kind, item))
+                    elif isinstance(item, ast.Assign) and _maker(getattr(item.value, "func", None)) in VIEW_MAKERS:
+                        defs += [(f"{node.name}.{t.id}", t.id, "view", item) for t in item.targets]
                     elif isinstance(item, (ast.Assign, ast.AnnAssign)):
                         aliases += _references(item)[0]
     out = set()
-    for label, name, method, node in defs:
+    for label, name, kind, node in defs:
         own_names, own_attrs = _references(node)  # a recursive call is no caller
         count = attrs[name] - own_attrs[name]
-        count += aliases[name] if method else names[name] - own_names[name]
+        if kind == "method":
+            count += aliases[name]
+        elif kind == "function":
+            count += names[name] - own_names[name]
         if not count:
             out.add(label)
     return out
 
 
 def test_every_helper_has_a_caller():
-    assert unreferenced() == ALLOWED
+    assert unreferenced() == ALLOWED | EDGE_VIEWS
 
 
 def test_the_allowed_helpers_are_held_by_the_tracer():
@@ -88,6 +106,10 @@ def test_an_uncalled_helper_is_found(tmp_path):
     linalg = tmp_path / "linalg.py"
     linalg.write_text(linalg.read_text() + "\n\ndef orphan(v):\n    return orphan(v[1:]) if v else v\n")
     algebra = tmp_path / "algebra.py"
+    # a method, and two Fraction mirrors of the integer table with no reader
     method = "    def mul_twice(self, x):\n        return x\n\n"
-    algebra.write_text(algebra.read_text().replace("    def mul_basis(", method + "    def mul_basis(", 1))
-    assert unreferenced(tmp_path) == ALLOWED | {"orphan", "StructureAlgebra.mul_twice"}
+    mirror = "    @cached_property\n    def _sp(self):\n        return self.int_sp\n\n"
+    alias = "    sp_view = cached_property(lambda self: self.int_sp)\n\n"
+    algebra.write_text(algebra.read_text().replace("    def mul_int(", method + mirror + alias + "    def mul_int(", 1))
+    found = {"orphan", "StructureAlgebra.mul_twice", "StructureAlgebra._sp", "StructureAlgebra.sp_view"}
+    assert unreferenced(tmp_path) == ALLOWED | EDGE_VIEWS | found

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction as Q
 
 import pytest
+from conftest import s_cols
 
 from hopfbrauer.defio import (
     SchemaError,
@@ -32,7 +33,7 @@ def test_hopf_round_trip(name):
     loaded = load_hopf(obj)
     assert loaded.same_coproduct(h)
     assert loaded.antipode == h.antipode and loaded.antipode_inv == h.antipode_inv
-    assert loaded.s_cols == h.s_cols and loaded.s_inv_cols == h.s_inv_cols
+    assert s_cols(loaded) == s_cols(h) and s_cols(loaded, inverse=True) == s_cols(h, inverse=True)
     kind, _, report = validate_definition(obj)
     assert kind == "hopf" and report.ok
 

@@ -18,7 +18,7 @@ from hopfbrauer.e2 import (
     is_graded_central_simple,
     kernel_witness,
     not_subgroup_demo,
-    parity_view,
+    parity_object,
     prop62_instance_check,
     restrict_along,
     t_morphism,
@@ -44,6 +44,7 @@ from hopfbrauer.yd import (
     gradings,
     induced_coaction,
     is_h_azumaya,
+    normalized_implementer,
     sharp_product,
     strongly_inner_witness_e2,
 )
@@ -217,6 +218,28 @@ def test_strongly_inner_witness_of_an_inner_end():
     assert strong.witness == ([1, 0, 0, 0, -1, 0, 0, 0, 1], [0, 2, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 1, 0])
 
 
+def test_witnesses_of_a_conjugated_inner_end_are_pinned():
+    # the maps of the test above with other scalars, conjugated by p, so that
+    # u, w and W are no matrix units; values pinned as the solvers gave them
+    # when they still multiplied on the Fraction mirrors
+    p = Matrix([[1, 2, 0], [0, 1, 0], [1, 0, 1]])
+    p_inv = p.inverse()
+    u, w, big_w = (p @ m @ p_inv for m in (
+        Matrix.diag([1, -1, 1]), Matrix([[0, 0, 0], [Q(2, 3), 0, 0], [0, 0, 0]]),
+        Matrix([[0, 0, 0], [0, 0, Q(-5, 4)], [0, 0, 0]]),
+    ))
+    a = _inner_end(u, w, big_w)
+    u_pin = [1, 0, 0, -4, -1, 0, 0, 0, 1]
+    assert normalized_implementer(a, 1) == u_pin
+    strong = strongly_inner_witness_e2(a)
+    assert strong.branch_failures == []
+    assert strong.witness == (
+        u_pin,
+        [Q(4, 3), Q(2, 3), 0, Q(-8, 3), Q(-4, 3), 0, 0, 0, 0],
+        [Q(5, 2), Q(5, 4), 0, -5, Q(-5, 2), 0, Q(-5, 2), Q(-5, 4), 0],
+    )
+
+
 def test_end_p_actions_match_printed_formulas():
     # the canonical End(P) structure reproduces c·f = ufu⁻¹,
     # x₁·f = wfu⁻¹ + fuw, (cx₂)·f = Wf − UfU⁻¹W
@@ -360,7 +383,7 @@ def test_fg_decomposition_rejects_inhomogeneous_elements():
 def test_parity_view_is_a_yd_algebra_over_kz2():
     a = build_c_e2(Q(2), Q(3), Q(-1))
     for obj in (a, sharp_product(a, build_c_e2(5, 1, 2)), witness_end_p()):
-        view = parity_view(obj)
+        view = parity_object(obj)
         assert view.hopf.dim == 2 and view.alg is obj.alg
         assert check_yd_algebra(view).ok
         assert gradings(view).equal and gradings(view).action_parity == action_grading(obj, build_e2().meta["c"])

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import dense_cop, dense_mult, int_form, transpose, zero_matrix
+from conftest import dense_cop, dense_mult, int_form, s_cols, transpose, zero_matrix
 
 from hopfbrauer.algebra import StructureAlgebra
 from hopfbrauer.e2 import build_e2
@@ -27,6 +27,7 @@ from hopfbrauer.hopf import (
 )
 from hopfbrauer.linalg import Matrix, format_rational, mat_det, zero_vec
 from hopfbrauer.sweedler import (
+    LazyCocycle,
     build_dh4,
     build_h4,
     build_h4_dual,
@@ -113,10 +114,10 @@ def test_a_bad_sparse_antipode_entry_is_rejected(column):
 
 def test_the_antipode_is_stored_as_sparse_columns():
     h4 = build_h4()
-    assert h4.s_cols == [{0: 1}, {1: 1}, {3: 1}, {2: -1}]
-    assert h4.s_inv_cols == [{0: 1}, {1: 1}, {3: -1}, {2: 1}]
+    assert s_cols(h4) == [{0: 1}, {1: 1}, {3: 1}, {2: -1}]
+    assert s_cols(h4, inverse=True) == [{0: 1}, {1: 1}, {3: -1}, {2: 1}]
     dense = HopfAlgebra(h4.alg, dense_cop(h4), h4.counit, h4.antipode)
-    assert dense.s_cols == h4.s_cols and dense.s_inv_cols == h4.s_inv_cols
+    assert s_cols(dense) == s_cols(h4) and s_cols(dense, inverse=True) == s_cols(h4, inverse=True)
     assert dense.antipode_inv == h4.antipode.inverse()
     assert dual_hopf(h4).antipode == transpose(h4.antipode)
 
@@ -342,6 +343,28 @@ def test_coqt_structure_rejects_a_misshapen_form(shape):
         coqt_structure(build_h4(), int_form(bad))
 
 
+SIGMA_ROWS = [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, -1], [0, 0, 1, -1]]
+BAD_TABLES = {
+    "2x2": ((1, [[1, 0], [0, 1]]), "expected 4×4"),
+    "scale 0": ((0, SIGMA_ROWS), "not a positive int"),
+    "scale -2": ((-2, SIGMA_ROWS), "not a positive int"),
+    "float scale": ((2.0, SIGMA_ROWS), "not a positive int"),
+    "float entry": ((2, [SIGMA_ROWS[0], SIGMA_ROWS[1], [0, 0, 0.5, -1], SIGMA_ROWS[3]]), "not an int"),
+}
+
+
+@pytest.mark.parametrize("table, message", BAD_TABLES.values(), ids=BAD_TABLES)
+def test_integer_forms_are_refused_with_a_clean_error(table, message):
+    # a 2×2 σ used to raise IndexError in check_lazy_cocycle, and D_s = 0
+    # was accepted and then reported as "σ(1⊗·) ≠ ε"
+    h4 = build_h4()
+    good = build_rt_form(Q(3, 2)).int_table
+    for build in (lambda: LazyCocycle(Q(2), table), lambda: CoQTStructure(h4, table, good),
+                  lambda: CoQTStructure(h4, good, table), lambda: coqt_structure(h4, table)):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
 def test_unit_tensor_fails_qt_on_h4():
     h4 = build_h4()
     r = zero_vec(16)
@@ -417,7 +440,7 @@ def test_double_tensors_are_pinned(build, digest):
 @pytest.mark.parametrize("build", [group_hopf_z2, build_h4])
 def test_closed_form_antipode_matches_the_solved_one(build):
     double, _ = drinfeld_double(build())
-    solved = antipode_from_bialgebra(double.alg, double.cop_sparse, double.counit)
+    solved = antipode_from_bialgebra(double.alg, double.int_cop, double.int_counit)
     assert double.antipode == solved
     assert double.antipode_inv == solved.inverse()
 

@@ -4,10 +4,11 @@ A Hopf algebra keeps Δ as ``int_cop`` = (D_Δ, integer (p, q, c) rows) and S,
 S⁻¹ as ``int_s``, ``int_s_inv`` = (D, integer {k: c} columns), each over its
 least common denominator; ``HopfAlgebra.from_int`` validates, sorts and
 divides by the gcd, and the dense constructor scales once and calls it. ``build_h4``, ``build_e2``, ``dual_hopf`` and ``drinfeld_double``
-write integer terms. Each builder's store and its Fraction views are pinned
-by the sha256 of a canonical dump made with the earlier Fraction-first store
-(the integer tables were then rescaled from ``cop_sparse``, ``s_cols`` and
-``s_inv_cols``), including a dual and a double of H₄ on a rescaled basis,
+write integer terms. Each builder's store and its Fraction readings
+(conftest's ``cop_sparse`` and ``s_cols``) are pinned by the sha256 of a
+canonical dump made with the earlier Fraction-first store (the integer tables
+were then rescaled from the Fraction mirrors ``HopfAlgebra.cop_sparse``,
+``s_cols`` and ``s_inv_cols``, since deleted), including a dual and a double of H₄ on a rescaled basis,
 whose stores have scales 120, 15 and 240, 60.
 """
 
@@ -17,6 +18,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from conftest import cop_sparse, fraction_cop, s_cols
 from test_integer_scaling import H4_SCALES, _rescaled_hopf
 
 from hopfbrauer.algebra import StructureAlgebra
@@ -33,9 +35,9 @@ def _store_sha256(h) -> str:
         "int_cop": [dd, [list(map(list, row)) for row in cop]],
         "int_s": [ds, [list(col.items()) for col in s]],
         "int_s_inv": [dt, [list(col.items()) for col in t]],
-        "cop": [[[p, q, f(c)] for p, q, c in h.cop_sparse(i)] for i in range(h.dim)],
-        "s_cols": [[[k, f(c)] for k, c in col.items()] for col in h.s_cols],
-        "s_inv_cols": [[[k, f(c)] for k, c in col.items()] for col in h.s_inv_cols],
+        "cop": [[[p, q, f(c)] for p, q, c in cop_sparse(h, i)] for i in range(h.dim)],
+        "s_cols": [[[k, f(c)] for k, c in col.items()] for col in s_cols(h)],
+        "s_inv_cols": [[[k, f(c)] for k, c in col.items()] for col in s_cols(h, inverse=True)],
         "counit": [f(c) for c in h.counit],
     }
     return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
@@ -65,9 +67,9 @@ def test_builder_store_is_pinned(name):
     build, digest = STORE_PINS[name]
     h = build()
     assert _store_sha256(h) == digest
-    # the store is the canonical rescaling of its own Fraction views
-    assert h.int_cop == scaled_rows(h._spcop)
-    assert h.int_s == scaled_vecs(h.s_cols) and h.int_s_inv == scaled_vecs(h.s_inv_cols)
+    # the store is the canonical rescaling of its own Fraction readings
+    assert h.int_cop == scaled_rows(fraction_cop(h))
+    assert h.int_s == scaled_vecs(s_cols(h)) and h.int_s_inv == scaled_vecs(s_cols(h, inverse=True))
 
 
 def test_rescaled_stores_are_reduced():
@@ -89,8 +91,8 @@ def test_from_int_sorts_and_divides_by_the_gcd():
     h = _kz2(cop=(12, [[(0, 0, 12)], [(1, 0, 6), (0, 1, 6)]]), s=(4, [{0: 4}, {1: -4}]), s_inv=None)
     assert h.int_cop == (2, [((0, 0, 2),), ((0, 1, 1), (1, 0, 1))])
     assert h.int_s == (1, [{0: 1}, {1: -1}]) and h.int_s_inv == h.int_s
-    assert h.cop_sparse(1) == ((0, 1, Q(1, 2)), (1, 0, Q(1, 2)))
-    assert h.s_cols == [{0: 1}, {1: -1}] and h.antipode_inv == Matrix.diag([1, -1])
+    assert cop_sparse(h, 1) == ((0, 1, Q(1, 2)), (1, 0, Q(1, 2)))
+    assert s_cols(h) == [{0: 1}, {1: -1}] and h.antipode_inv == Matrix.diag([1, -1])
     unsorted = _kz2(s=(3, [{0: 3}, {1: 6, 0: 3}]))
     assert unsorted.int_s == (1, [{0: 1}, {0: 1, 1: 2}]) and list(unsorted.int_s[1][1]) == [0, 1]
     # the same rationals scaled once into from_int, and through the dense constructor

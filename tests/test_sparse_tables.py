@@ -14,12 +14,23 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import dense_cop, dense_mult, scaled_cells, sweedler2, transpose
+from conftest import (
+    cop_sparse,
+    dense_cop,
+    dense_mult,
+    fraction_cop,
+    fraction_table,
+    mul_basis,
+    mul_sparse,
+    scaled_cells,
+    sweedler2,
+    transpose,
+)
 from test_integer_scaling import H4_SCALES, _rescaled_hopf
 
 from hopfbrauer.algebra import StructureAlgebra, opposite_algebra, scaled_vector
 from hopfbrauer.e2 import build_e2
-from hopfbrauer.hopf import HopfAlgebra, check_hopf_axioms, drinfeld_double, dual_hopf
+from hopfbrauer.hopf import HopfAlgebra, check_hopf_axioms, drinfeld_double, dual_hopf, qt_structure
 from hopfbrauer.linalg import Matrix, dense_vec, scaled_rows, sparse_vec, zero_vec
 from hopfbrauer.sweedler import build_h4
 
@@ -32,13 +43,13 @@ def _reference_dual(h: HopfAlgebra) -> HopfAlgebra:
     basis = [b + "*" for b in h.alg.basis]
     mult = [[zero_vec(n) for _ in range(n)] for _ in range(n)]
     for m in range(n):
-        for p, q, c in h.cop_sparse(m):
+        for p, q, c in cop_sparse(h, m):
             mult[p][q][m] += c
     alg = StructureAlgebra(basis, h.counit, mult, name=(h.name or "H") + "*")
     cop = [zero_vec(n * n) for _ in range(n)]
     for u in range(n):
         for v in range(n):
-            for i, c in h.alg.mul_basis(u, v):
+            for i, c in mul_basis(h.alg, u, v):
                 cop[i][u * n + v] += c
     return HopfAlgebra(
         alg, cop, list(h.alg.unit), transpose(h.antipode), transpose(h.antipode_inv), name=alg.name
@@ -64,9 +75,9 @@ def _reference_double(h: HopfAlgebra) -> HopfAlgebra:
     for r in range(n):
         sinv_r = sparse_vec(h.antipode_inv.col(r))
         for m in range(n):
-            left = ha.mul_sparse(sinv_r, {m: one})
+            left = mul_sparse(ha, sinv_r, {m: one})
             for p in range(n):
-                for i2, c in ha.mul_sparse(left, {p: one}).items():
+                for i2, c in mul_sparse(ha, left, {p: one}).items():
                     lam.setdefault((p, r, i2), {})[m] = c
 
     mult = [[zero_vec(big) for _ in range(big)] for _ in range(big)]
@@ -77,12 +88,12 @@ def _reference_double(h: HopfAlgebra) -> HopfAlgebra:
             for i in range(n):
                 fparts = {}
                 for q, c, lm in terms:
-                    da.mul_sparse({i: c}, lm, fparts.setdefault(q, {}))
+                    mul_sparse(da, {i: c}, lm, fparts.setdefault(q, {}))
                 row = mult[i * n + j]
                 for j2 in range(n):
                     out = row[i2 * n + j2]
                     for q, fpart in fparts.items():
-                        hq = ha.mul_basis(q, j2)
+                        hq = mul_basis(ha, q, j2)
                         for wi, fv in fpart.items():
                             for hj, hv in hq:
                                 out[wi * n + hj] += fv * hv
@@ -92,8 +103,8 @@ def _reference_double(h: HopfAlgebra) -> HopfAlgebra:
     for i in range(n):
         for j in range(n):
             row = cop[i * n + j]
-            for u, v, cuv in hd.cop_sparse(i):
-                for p, q, cpq in h.cop_sparse(j):
+            for u, v, cuv in cop_sparse(hd, i):
+                for p, q, cpq in cop_sparse(h, j):
                     row[(v * n + p) * big + u * n + q] += cuv * cpq
     counit = [hd.counit[i] * h.counit[j] for i in range(n) for j in range(n)]
 
@@ -101,7 +112,7 @@ def _reference_double(h: HopfAlgebra) -> HopfAlgebra:
         hcols = [sparse_vec(s_h.col(j)) for j in range(n)]
         dcols = [sparse_vec(s_dual.col(i)) for i in range(n)]
         return Matrix.from_cols([
-            dense_vec(alg.mul_sparse(_bowtie(n, eps, hcols[j]), _bowtie(n, dcols[i], unit_h)), big)
+            dense_vec(mul_sparse(alg, _bowtie(n, eps, hcols[j]), _bowtie(n, dcols[i], unit_h)), big)
             for i in range(n)
             for j in range(n)
         ])
@@ -164,8 +175,8 @@ def test_rebased_h4_is_a_hopf_algebra():
 
 def _assert_same_hopf(got: HopfAlgebra, want: HopfAlgebra) -> None:
     assert got.alg.basis == want.alg.basis and got.alg.name == want.alg.name
-    assert got.alg._sp == want.alg._sp
-    assert got._spcop == want._spcop
+    assert fraction_table(got.alg) == fraction_table(want.alg)
+    assert fraction_cop(got) == fraction_cop(want)
     assert got.alg.unit == want.alg.unit
     assert got.counit == want.counit
     assert got.antipode == want.antipode
@@ -191,7 +202,7 @@ def test_opposite_transposes_the_sparse_table():
     opp = opposite_algebra(h.alg)
     mult = dense_mult(h.alg)
     dense = [[mult[j][i] for j in range(h.dim)] for i in range(h.dim)]
-    assert opp._sp == StructureAlgebra(h.alg.basis, h.alg.unit, dense)._sp
+    assert fraction_table(opp) == fraction_table(StructureAlgebra(h.alg.basis, h.alg.unit, dense))
     assert dense_mult(opp) == dense
     assert opposite_algebra(opp).same_product(h.alg)
 
@@ -230,10 +241,10 @@ def _with_term(term):
 def test_sparse_algebra_equals_the_dense_one():
     alg = _kz2([[[(0, Q(1))], [(1, 1)]], [[(1, 1)], [(0, 1)]]])
     dense = StructureAlgebra(["1", "g"], [1, 0], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
-    assert alg._sp == dense._sp and alg.same_product(dense)
+    assert fraction_table(alg) == fraction_table(dense) and alg.same_product(dense)
     # the terms of a product may come in any order
     alg = _kz2([[[], []], [[], [(1, Q(2)), (0, 3)]]])
-    assert alg.mul_basis(1, 1) == ((0, Q(3)), (1, Q(2)))
+    assert mul_basis(alg, 1, 1) == ((0, Q(3)), (1, Q(2)))
 
 
 @pytest.mark.parametrize(
@@ -292,6 +303,18 @@ def test_dense_constructors_refuse_a_unit_or_counit_that_is_not_rational(bad):
         StructureAlgebra(["1", "g"], [1, bad], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
     with pytest.raises(ValueError, match="not rational"):
         HopfAlgebra(_kz2(KZ2_TABLE), [[1, 0, 0, 0], [0, 0, 0, 1]], [1, bad], Matrix.identity(2))
+    # the tables, S and R pass through ``vec`` or a ``Matrix``, which refuse
+    # the entry as well: 0.1 was stored as 3602879701896397/36028797018963968
+    with pytest.raises(ValueError, match="not rational"):
+        StructureAlgebra(["1", "g"], [1, 0], [[[1, 0], [0, 1]], [[0, 1], [bad, 0]]])
+    with pytest.raises(ValueError, match="not rational"):
+        HopfAlgebra(_kz2(KZ2_TABLE), [[1, 0, 0, 0], [0, 0, bad, 1]], [1, 1], Matrix.identity(2))
+    for build in (lambda: Matrix([[1, 0], [0, bad]]), lambda: Matrix.diag([1, bad]),
+                  lambda: Matrix.from_cols([[1, 0], [bad, 1]])):
+        with pytest.raises(ValueError, match="not rational"):
+            HopfAlgebra(_kz2(KZ2_TABLE), [[1, 0, 0, 0], [0, 0, 0, 1]], [1, 1], build())
+    with pytest.raises(ValueError, match="not rational"):
+        qt_structure(build_h4(), [1] + [0] * 14 + [bad])
 
 
 def test_dense_constructors_reject_bad_shapes():
@@ -321,7 +344,7 @@ def _kz2_hopf(cop, counit=(1, 1)):
 def test_sparse_hopf_equals_the_dense_one():
     h = _kz2_hopf(KZ2_COP)
     dense = HopfAlgebra(h.alg, [[1, 0, 0, 0], [0, 0, 0, 1]], [1, 1], Matrix.identity(2))
-    assert h._spcop == dense._spcop and h.same_coproduct(dense)
+    assert fraction_cop(h) == fraction_cop(dense) and h.same_coproduct(dense)
     assert h.antipode_inv == Matrix.identity(2)
 
 
@@ -365,9 +388,9 @@ def _seeded_int_table(rng, dim):
 
 
 def _same_algebra(got: StructureAlgebra, want: StructureAlgebra) -> None:
-    assert "_sp" not in got.__dict__  # the Fraction view waits for a reader
+    assert "unit" not in got.__dict__  # the dense view waits for a reader
     assert got.int_sp == want.int_sp
-    assert got._sp == want._sp
+    assert fraction_table(got) == fraction_table(want)
     assert got.same_product(want) and want.same_product(got)
     assert (got.basis, got.unit, got.name) == (want.basis, want.unit, want.name)
 
@@ -392,7 +415,7 @@ def test_int_algebra_reduces_its_scale():
     table = [[[(0, 4)], [(1, 2)]], [[(1, 4)], [(0, 6)]]]
     alg = StructureAlgebra.from_int(["1", "g"], (1, {0: 1}), table, 4)
     assert alg.int_sp == (2, [[((0, 2),), ((1, 1),)], [((1, 2),), ((0, 3),)]])
-    assert alg.mul_basis(1, 1) == ((0, Q(3, 2)),)
+    assert mul_basis(alg, 1, 1) == ((0, Q(3, 2)),)
     # an empty table has scale 1, as the Fraction path gives
     empty = StructureAlgebra.from_int(["1", "g"], (1, {0: 1}), [[[], []], [[], []]], 9)
     assert empty.int_sp == _kz2([[[], []], [[], []]]).int_sp
@@ -403,7 +426,7 @@ def test_int_algebra_matches_the_double():
     double = drinfeld_double(build_e2())[0].alg
     den, table = double.int_sp
     again = StructureAlgebra.from_int(double.basis, double.int_unit, table, den, name=double.name)
-    _same_algebra(again, _sparse_algebra(double.basis, double.unit, double._sp, name=double.name))
+    _same_algebra(again, _sparse_algebra(double.basis, double.unit, fraction_table(double), name=double.name))
 
 
 KZ2_INT = [[[(0, 2)], [(1, 2)]], [[(1, 2)], [(0, 2)]]]

@@ -16,7 +16,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import dense_cop, dense_qt
+from conftest import dense_cop, dense_qt, mul_basis
 from test_integer_scaling import H4_SCALES, _rescaled_hopf
 
 from hopfbrauer.e2 import build_e2
@@ -59,15 +59,14 @@ def _acc(d, key, val):
 
 def _reference_t2_mul(alg, x, y):
     out = {}
-    mul_basis = alg.mul_basis
     ys = list(y.items())
     for (i, j), c in x.items():
         for (k, l), d in ys:
-            right = mul_basis(j, l)
+            right = mul_basis(alg, j, l)
             if not right:
                 continue
             coef = c * d
-            for p, cp in mul_basis(i, k):
+            for p, cp in mul_basis(alg, i, k):
                 a = coef * cp
                 for q, cq in right:
                     v = a * cq
@@ -86,9 +85,9 @@ def _reference_t3_mul(alg, x, y):
     for (i, j, m), c in x.items():
         for (k, l, n), d in y.items():
             coef = c * d
-            for p, cp in alg.mul_basis(i, k):
-                for q, cq in alg.mul_basis(j, l):
-                    for r, cr in alg.mul_basis(m, n):
+            for p, cp in mul_basis(alg, i, k):
+                for q, cq in mul_basis(alg, j, l):
+                    for r, cr in mul_basis(alg, m, n):
                         _acc(out, (p, q, r), coef * cp * cq * cr)
     return out
 
@@ -137,7 +136,7 @@ def _vec_mul(alg, x, y):
     out = {}
     for i, a in x.items():
         for j, b in y.items():
-            for k, c in alg.mul_basis(i, j):
+            for k, c in mul_basis(alg, i, j):
                 _acc(out, k, a * b * c)
     return out
 

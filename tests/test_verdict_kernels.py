@@ -21,7 +21,7 @@ from test_linalg import _mat_det_line_hits
 
 from hopfbrauer import linalg
 from hopfbrauer.algebra import sandwich_matrix
-from hopfbrauer.e2 import build_c_e2, parity_view
+from hopfbrauer.e2 import build_c_e2, parity_object
 from hopfbrauer.linalg import CONTENT_BITS, DimensionError, Matrix, _perm_sign, mat_det, sparse_sum
 from hopfbrauer.sweedler import CFamilyDescriptor, aut_algebra, build_C
 from hopfbrauer.yd import FGContraction, fg_maps, sharp_product
@@ -197,7 +197,7 @@ def _e2_objects():
     a = build_c_e2(Q(2, 7), Q(3, 5), Q(-1, 11))
     b = build_c_e2(Q(5), Q(1, 3), Q(2))
     objects = [a, b, sharp_product(a, b)]
-    return objects + [parity_view(o) for o in objects]
+    return objects + [parity_object(o) for o in objects]
 
 
 def _check_verdict_kernels(monkeypatch, a, expect_nonzero: bool | None = None):

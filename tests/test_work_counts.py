@@ -15,7 +15,7 @@ Hopf-morphism check make no dense product, and no builder or cross-check
 calls the dense ``mul_vec``: only ``sandwich_matrix`` does. The double's
 product, # products and H-opposites are built from integer tables
 (``StructureAlgebra.from_int``): the double's 64-wide table never passes
-through a dense constructor and its Fraction view is never built.
+through a dense constructor and is contracted on integers only.
 ``sandwich_matrix`` forms each e_i·e_k once, and
 ``fg_maps`` makes no sparse sum and no product per column and no product for
 a zero e_h·e_y. On the d = 16 tower, the associativity check contracts only
@@ -25,10 +25,10 @@ object. A Hopf algebra that passed ``check_hopf_axioms`` is not checked
 again for the Yetter-Drinfeld condition, an inverse is one elimination,
 neither the seed-7 report nor the d = 16 rung builds the dense action or
 coaction view of any object, and an object built from another's integer
-action or coaction shares it, and its rational view, without validating or
-scaling it again. The inverse, rank, kernel and solve of a matrix built
-from integer rows build no dense view of it, and the YD centralizers build
-one echelon of the sub-basis per call. The double of E(2) builds no dense
+action or coaction shares it without validating or scaling it again. The
+inverse, rank, kernel and solve of a matrix built from integer rows build
+no dense view of it, and the YD centralizers build one echelon of the
+sub-basis per call. The double of E(2) builds no dense
 antipode view, the Hopf check makes no dense matrix product, and
 ``solve_columns`` hands no empty row to the echelon. The YD builders and
 readers that work on the integer store (``INTEGER_PATHS``, among them the
@@ -47,13 +47,15 @@ its integer table, with no rescaling and no dense view. E(2) is built with
 its S⁻¹, so no dense antipode is inverted. The
 double of E(2) and its quasitriangular check, and the double of H₄ with its
 Hopf and quasitriangular checks, call no dense constructor and build no
-Fraction view of either double's coproduct or antipode; the
+dense counit or antipode view of either double; the
 seven builtins built at set-up make no linear solve (R_N⁻¹ is (S⊗id)R_N);
 and ``FGContraction`` forms its ``right`` table only for a
 reader of it, which ``f_value``, ``g_value`` and the F/G decomposition
 residuals are not. The seed-7 report rescales no unit or counit where it reads
 one (``int_unit`` and ``int_counit`` are the store), and no check in it reads
-the dense ``unit`` or ``counit`` view."""
+the dense ``unit`` or ``counit`` view. A Fraction product is a contraction
+of ``algebra._contract``, the one product loop, on a coefficient that is not
+an int; a Fraction structure constant is read only by the dense ``mul_vec``."""
 
 import linecache
 import random
@@ -112,17 +114,11 @@ def test_double_of_e2_builds_no_dense_view():
 
 def test_double_and_its_checks_read_no_fraction_structure_constant(monkeypatch):
     calls = _count_fraction_products(monkeypatch)
-    mul_basis = StructureAlgebra.mul_basis
-
-    def counted(alg, *args):
-        calls.append(f"{alg.name}.mul_basis")
-        return mul_basis(alg, *args)
-
-    monkeypatch.setattr(StructureAlgebra, "mul_basis", counted)
+    vec_calls = _count_dense_products(monkeypatch)
     double, canonical = hopf.drinfeld_double(build_e2())
     assert hopf.check_quasitriangular(double, canonical).ok
     assert hopf.check_hopf_axioms(hopf.drinfeld_double(sweedler.build_h4())[0]).ok
-    assert calls == []
+    assert calls == [] and vec_calls == Counter()
 
 
 def _dense_constructions(monkeypatch) -> list[str]:
@@ -140,10 +136,11 @@ def _dense_constructions(monkeypatch) -> list[str]:
 
 def test_double_keeps_its_product_on_integers(monkeypatch):
     dense = _dense_constructions(monkeypatch)
+    fractions = _count_fraction_products(monkeypatch)
     double, canonical = hopf.drinfeld_double(build_e2())
     assert hopf.check_quasitriangular(double, canonical).ok
-    # the product went to from_int as integers and its Fraction view was never read
-    assert "_sp" not in double.alg.__dict__
+    # the product went to from_int as integers and was contracted on them only
+    assert fractions == [] and "unit" not in double.alg.__dict__
     assert double.dim == 64 and dense == []
 
 
@@ -228,16 +225,27 @@ def test_passing_yd_check_loops_over_the_generators(monkeypatch):
     assert list(rung.alg.generators) == [1, 2, 4, 8]
 
 
-def _count_fraction_products(monkeypatch) -> list[str]:
-    """Record the algebra of every call to the Fraction ``mul_sparse``."""
+def _count_fraction_products(monkeypatch) -> list[list[str]]:
+    """Record the names of the functions on the stack for every contraction
+    of ``algebra._contract``, the one product loop, that multiplies a
+    coefficient that is not an int, in x, y, ``out`` or the table it reads:
+    a product on Fractions."""
     calls = []
-    mul_sparse = StructureAlgebra.mul_sparse
+    contract = algebra._contract
+    tables = {}  # id(table) -> (table, whether every constant is an int)
 
-    def counted(alg, *args):
-        calls.append(alg.name)
-        return mul_sparse(alg, *args)
+    def counted(sp, x, y, out):
+        if id(sp) not in tables:
+            tables[id(sp)] = sp, all(type(c) is int for row in sp for cell in row for _, c in cell)
+        if not (tables[id(sp)][1] and all(type(v) is int for v in (*x.values(), *y.values(), *out.values()))):
+            frame, names = sys._getframe(1), []
+            while frame is not None:
+                names.append(frame.f_code.co_name)
+                frame = frame.f_back
+            calls.append(names)
+        return contract(sp, x, y, out)
 
-    monkeypatch.setattr(StructureAlgebra, "mul_sparse", counted)
+    monkeypatch.setattr(algebra, "_contract", counted)
     return calls
 
 
@@ -277,16 +285,10 @@ def test_sharp_product_and_h_opposite_read_no_fraction_structure_constant(monkey
     factors = [sweedler.build_C(sweedler.CFamilyDescriptor(Q(2, 3), Q(1), Q(-1))), _ladder_rung_d8()]
     e2_factors = [build_c_e2(Q(2, 7), Q(3, 5), Q(-1, 11)), build_c_e2(Q(5), Q(1, 3), Q(2))]
     calls = _count_fraction_products(monkeypatch)
-    mul_basis = StructureAlgebra.mul_basis
-
-    def counted(alg, *args):
-        calls.append(f"{alg.name}.mul_basis")
-        return mul_basis(alg, *args)
-
-    monkeypatch.setattr(StructureAlgebra, "mul_basis", counted)
+    vec_calls = _count_dense_products(monkeypatch)
     for left, right in (factors, e2_factors):
         h_opposite(sharp_product(left, right))
-    assert calls == []
+    assert calls == [] and vec_calls == Counter()
 
 
 def test_graded_verdict_maps_make_no_fraction_product(monkeypatch):
@@ -330,21 +332,12 @@ def test_coquasitriangular_family_reads_no_fraction_structure_constant(monkeypat
     h4 = sweedler.build_h4()
     vec_calls = _count_dense_products(monkeypatch)
     calls = _count_fraction_products(monkeypatch)
-    for name in ("mul_basis", "cop_sparse"):
-        owner = StructureAlgebra if name == "mul_basis" else hopf.HopfAlgebra
-        original = getattr(owner, name)
-
-        def counted(obj, *args, name=name, original=original):
-            calls.append(f"{obj.name}.{name}")
-            return original(obj, *args)
-
-        monkeypatch.setattr(owner, name, counted)
     for t in (Q(0), Q(-3, 2), Q(7)):
         form = sweedler.build_rt_form(t)  # r∘(S⊗id) is derived and checked here
         assert hopf.check_coquasitriangular(h4, form).ok
         assert sweedler.check_lazy_cocycle(sweedler.build_sigma(t)).ok
         twisted = sweedler.cocycle_twist(c01, sweedler.build_sigma(t))
-        assert "_sp" not in twisted.alg.__dict__
+        assert "unit" not in twisted.alg.__dict__
     assert calls == [] and vec_calls == Counter()
 
 
@@ -411,7 +404,7 @@ def test_only_sandwich_matrix_makes_a_dense_product(monkeypatch):
     assert sweedler.sharp_product_matches_presentation(d1, d2)
     assert sweedler.validate_c_iso(d1, d1, Q(1))
     h4 = sweedler.build_h4()
-    assert hopf.antipode_from_bialgebra(h4.alg, h4.cop_sparse, h4.counit) == h4.antipode
+    assert hopf.antipode_from_bialgebra(h4.alg, h4.int_cop, h4.int_counit) == h4.antipode
     assert callers == Counter()
     assert algebra.is_central_simple(algebra.endomorphism_algebra(2))
     assert callers["sandwich_matrix"] > 0
@@ -465,7 +458,7 @@ def test_fg_maps_makes_no_product_per_column(monkeypatch):
     # FGContraction's table (one product per cell e_k·(e_h·e_y) ≠ 0, none for
     # the empty ones), f_left and g_left (one product per term of ρ(z) and of
     # ρ(x), over every (x, z)); nothing per column
-    cells = sum(1 for row in rung.images for hy in row for k in range(d) if rung.alg.mul_sparse({k: 1}, hy))
+    cells = sum(1 for row in rung.int_images[1] for hy in row for k in range(d) if rung.alg.mul_int({k: 1}, hy))
     assert cells < d * n * d
     monkeypatch.setattr(StructureAlgebra, "mul_int", counted)
     assert is_h_azumaya(rung)
@@ -559,11 +552,11 @@ def test_derived_objects_share_the_store_they_keep(monkeypatch):
 
     monkeypatch.setattr(yd, "int_content", counted)
     opposite = h_opposite(c)
-    assert opposite.images is c.images and opposite.rho is c.rho
+    assert opposite.int_images is c.int_images and opposite.int_rho is c.int_rho
     assert calls == []
     induced = yd.induced_coaction(c, sweedler.build_rt(Q(3)))
-    assert induced.images is c.images and calls == [4]  # only the new ρ is validated
-    assert yd.induced_action(c, sweedler.build_rt_form(Q(3))).rho is c.rho
+    assert induced.int_images is c.int_images and calls == [4]  # only the new ρ is validated
+    assert yd.induced_action(c, sweedler.build_rt_form(Q(3))).int_rho is c.int_rho
 
 
 def test_derived_objects_share_the_integer_views():
@@ -650,7 +643,7 @@ def test_solve_columns_hands_no_empty_row_to_the_echelon(monkeypatch):
 # the builders and readers that write and read the integer YD store
 INTEGER_PATHS = {
     "induced_coaction", "induced_action", "module_tensor", "sharp_product", "end_yd", "h_opposite",
-    "e2_action_from_generators", "build_c_e2", "build_e2_module", "parity_view", "build_C", "braiding_psi",
+    "e2_action_from_generators", "build_c_e2", "build_e2_module", "parity_object", "build_C", "braiding_psi",
     "inner_witness", "conjugation_implementer", "yd_centralizers", "sandwich_matrix", "cocycle_twist",
     "sharp_product_matches_presentation", "validate_c_iso",
 }
@@ -674,15 +667,14 @@ def _callers(monkeypatch, owner, name: str) -> list[str]:
 
 
 def test_integer_paths_make_no_fraction_product_and_canonicalize_nothing(monkeypatch):
-    products = _callers(monkeypatch, StructureAlgebra, "mul_sparse")
-    products += _callers(monkeypatch, StructureAlgebra, "mul_basis")
+    products = _count_fraction_products(monkeypatch)
     dense = _dense_constructions(monkeypatch)
     run_verification(("all",), 7, 20)
     rung = _ladder_rung_d16()
     for a in (rung, h_opposite(rung)):
         assert check_yd_algebra(a).ok and is_h_azumaya(a)
     yd.end_yd(rung, "op")
-    assert products == [] and dense == []
+    assert [name for names in products for name in names if name in INTEGER_PATHS] == [] and dense == []
 
 
 def test_sandwich_matrix_and_braiding_build_no_dense_matrix(monkeypatch):
@@ -711,7 +703,7 @@ def test_r_is_expanded_and_scaled_once_per_structure(monkeypatch):
     assert fresh.pairs() == want and list(fresh.pairs()) == list(want)
 
 
-HOPF_VIEWS = ("_spcop", "s_cols", "s_inv_cols", "antipode", "antipode_inv")
+HOPF_VIEWS = ("counit", "antipode", "antipode_inv")
 
 
 def test_push_qt_builds_no_dense_r(monkeypatch):

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import dense_mult, sparse_yd, zero_matrix
+from conftest import cop_sparse, dense_mult, sparse_yd, yd_images, yd_rho, zero_matrix
 from hopfbrauer.algebra import StructureAlgebra
 from hopfbrauer.linalg import Matrix, in_span, is_zero_vec, mat_det, zero_vec
 from hopfbrauer.sweedler import (
@@ -67,22 +67,23 @@ def trivial_yd_on(alg: StructureAlgebra) -> YDObject:
 
 
 def _sparse_copy(a: YDObject):
-    """Fresh lists of ``a.images`` and ``a.rho``, each entry reversed in order."""
-    images = [[dict(reversed(v.items())) for v in row] for row in a.images]
-    return images, [list(reversed(row)) for row in a.rho]
+    """Fresh lists of ``yd_images(a)`` and ``yd_rho(a)``, each entry reversed in order."""
+    images = [[dict(reversed(v.items())) for v in row] for row in yd_images(a)]
+    return images, [list(reversed(row)) for row in yd_rho(a)]
 
 
 def test_from_sparse_stores_the_canonical_form():
     # sparse rationals scaled once into from_int (``sparse_yd``) come out canonical
     c = build_C(CFamilyDescriptor(Q(3), Q(2), Q(5)))
     shuffled = sparse_yd(c.hopf, 2, c.alg, *_sparse_copy(c))
-    assert shuffled.same_structure(c) and shuffled.rho == c.rho
-    assert [[list(v) for v in row] for row in shuffled.images] == [[sorted(v) for v in row] for row in c.images]
+    assert shuffled.same_structure(c) and yd_rho(shuffled) == yd_rho(c)
+    assert [[list(v) for v in row] for row in yd_images(shuffled)] == [[sorted(v) for v in row] for row in yd_images(c)]
     images = [[{0: 1}, {0: 1}, {}, {}], [{1: 1}, {1: -1}, {0: 2}, {0: 2}]]
     ints = sparse_yd(c.hopf, 2, c.alg, images, [[(0, 0, 1)], [(1, 1, 1), (0, 2, 5)]])
     assert ints.same_structure(c)
-    assert all(type(x) is Q for row in ints.images for v in row for x in v.values())
-    assert all(type(t[-1]) is Q for row in ints.rho for t in row)
+    # the dense views of an integer store hold Fractions, not ints
+    assert all(type(x) is Q for m in ints.action for row in m.data for x in row)
+    assert all(type(x) is Q for row in ints.coaction for x in row)
 
 
 @pytest.mark.parametrize(
@@ -149,9 +150,9 @@ def test_carrier_is_frozen_and_computes_its_views_once():
     import dataclasses
 
     c = build_C(CFamilyDescriptor(Q(3), Q(2), Q(5)))
-    assert c.rho is c.rho and c.images is c.images
-    assert c.rho == [coaction_sparse(c.coaction, 4, j) for j in range(2)]
-    assert c.images == [[{k: v for k, v in enumerate(m.col(j)) if v} for m in c.action] for j in range(2)]
+    assert c.coaction is c.coaction and c.action is c.action
+    assert yd_rho(c) == [coaction_sparse(c.coaction, 4, j) for j in range(2)]
+    assert yd_images(c) == [[{k: v for k, v in enumerate(m.col(j)) if v} for m in c.action] for j in range(2)]
     with pytest.raises(dataclasses.FrozenInstanceError):
         c.coaction = []
     with pytest.raises(ValueError):
@@ -725,7 +726,7 @@ def _module_algebra_failures_reference(a):
                 ey = alg.basis_vec(y)
                 lhs = a.action[i].apply(alg.mul_vec(ex, ey))
                 rhs = zero_vec(alg.dim)
-                for p, q, c in h.cop_sparse(i):
+                for p, q, c in cop_sparse(h, i):
                     for k, v in enumerate(alg.mul_vec(a.action[p].apply(ex), a.action[q].apply(ey))):
                         rhs[k] += c * v
                 if lhs != rhs:
