@@ -2,7 +2,9 @@
 
 An algebra is a basis, ``int_unit`` = (D_u, D_u·1 as {k: c}) and ``int_sp``
 = (D_m, table), table[i][j] = D_m·e_i·e_j as (k, c) pairs sorted by k, every
-c a nonzero int; ``unit`` is the view of 1 over ℚ. Elements are dense or
+c a nonzero int; ``unit`` is the view of 1 over ℚ. ``int_content`` is the
+one rule that checks every sparse integer store of the package and puts it
+in lowest terms, sorted by key. Elements are dense or
 sparse (``{basis index: nonzero coefficient}``) vectors. Every product is
 ``mul_int``, one loop (``_contract``) on integers; ``mul_vec`` wraps it for
 dense vectors, for ``sandwich_matrix`` only.
@@ -88,56 +90,47 @@ def _contract(sp, x: dict, y: dict, out: dict) -> dict:
     return out
 
 
-def int_content(den: int, table: Iterable[Iterable], dim: int, width: int = 0) -> int:
-    """gcd(den, every c) of the (k, c) pairs in the cells of the rows of
-    ``table``: ``ValueError`` unless den > 0 and every c ≠ 0 are ints, every
-    k is an int in range(dim), no k occurs twice in a cell and each cell is a
-    collection (it is read again). With ``width``, k is the flat index
-    a·width + b of a pair, named (a, b) in a message; a k that is no int is
-    named as it stands, so a caller maps a bad pair to itself."""
+def int_content(den: int, cells: list, dim: int, width: int = 0) -> tuple[int, list[tuple]]:
+    """The one store rule, which every sparse integer store passes: (den/g,
+    each cell's terms sorted by key, each c divided by g), g the gcd of den
+    and every c. A term is (k, c), or with ``width`` (a, b, c), keyed (a, b).
+    ``ValueError``, naming the scale or the key, unless den > 0 and every
+    c ≠ 0 are ints, every k is in range(dim) or (a, b) in
+    range(dim)×range(width), no key occurs twice in a cell and each cell is
+    a collection (it is read twice)."""
     if type(den) is not int or den <= 0:
         raise ValueError(f"scale {den!r} is not a positive int")
 
     def bad(k, what: str = "") -> ValueError:
         key = (divmod(k, width) if type(k) is int else k) if width else (k,)
-        shape = f"range({dim // width})×range({width})" if width else f"range({dim})"
+        shape = f"range({dim})×range({width})" if width else f"range({dim})"
         return ValueError(f"sparse term index {key} {what or 'is not in ' + shape}")
 
-    g = den
-    for row in table:
-        for pairs in row:
-            if iter(pairs) is pairs:
-                raise ValueError("integer terms must be a collection, not an iterator")
-            seen = set()
-            for k, c in pairs:
-                if type(k) is not int or not 0 <= k < dim:
-                    raise bad(k)
-                if k in seen:
-                    raise bad(k, "occurs twice")
-                if type(c) is not int or not c:
-                    what = "a zero coefficient" if type(c) is int else f"coefficient {c!r}"
-                    raise bad(k, f"has {what}, not a nonzero int")
-                seen.add(k)
-                if g != 1:
-                    g = math.gcd(g, c)
-    return g
-
-
-def int_vector(vector: tuple[int, IntVec], dim: int, label: str) -> tuple[int, IntVec]:
-    """A unit or counit (D, {k: c}), checked and reduced as ``int_sp`` is."""
-    if len(vector) != 2 or not isinstance(vector[1], dict):
-        raise ValueError(f"{label} must be (scale, {{index: int}}), not {vector!r}")
-    den, v = vector
-    g = int_content(den, [[v.items()]], dim)
-    return den // g, {k: c // g for k, c in sorted(v.items())}
-
-
-def scaled_vector(values: Sequence, dim: int, label: str) -> tuple[int, IntVec]:
-    """(D, {k: D·v_k}) for dim rationals v_k over their least common denominator D."""
-    if len(values) != dim:
-        raise ValueError(f"{label} vector has wrong length")
-    den, (terms,) = scaled_rows([enumerate(values)])
-    return den, {k: c for k, c in terms if c}
+    # a pair (a, b) is checked as its flat index a·width + b; a pair that has
+    # none stands for itself, so the message names it
+    size, g = dim * width if width else dim, den
+    for cell in cells:
+        if iter(cell) is cell:
+            raise ValueError("integer terms must be a collection, not an iterator")
+        if width:
+            cell = ((a * width + b if type(a) is type(b) is int and 0 <= b < width else (a, b), c) for a, b, c in cell)
+        seen = set()
+        for k, c in cell:
+            if type(k) is not int or not 0 <= k < size:
+                raise bad(k)
+            if k in seen:
+                raise bad(k, "occurs twice")
+            if type(c) is not int or not c:
+                what = "a zero coefficient" if type(c) is int else f"coefficient {c!r}"
+                raise bad(k, f"has {what}, not a nonzero int")
+            seen.add(k)
+            if g != 1:
+                g = math.gcd(g, c)
+    if g == 1:
+        return den, [tuple(sorted(cell)) for cell in cells]
+    if width:
+        return den // g, [tuple(sorted((a, b, c // g) for a, b, c in cell)) for cell in cells]
+    return den // g, [tuple(sorted((k, c // g) for k, c in cell)) for cell in cells]
 
 
 def _table_dim(basis: Sequence[str], table: Sequence[Sequence]) -> int:
@@ -162,8 +155,10 @@ class StructureAlgebra:
             raise ValueError("multiplication tensor entry has wrong length")
         den, cells = scaled_rows(sparse_vec(vec(v)).items() for row in mult for v in row)
         table = [cells[i * dim:(i + 1) * dim] for i in range(dim)]
-        unit = scaled_vector(unit, dim, "unit")
-        self.__dict__.update(StructureAlgebra.from_int(basis, unit, table, den, name).__dict__)
+        if len(unit) != dim:
+            raise ValueError("unit vector has wrong length")
+        unit, den_u = scaled(sparse_vec(vec(unit)))
+        self.__dict__.update(StructureAlgebra.from_int(basis, (den_u, unit), table, den, name).__dict__)
 
     @classmethod
     def from_int(
@@ -174,25 +169,23 @@ class StructureAlgebra:
         of table[i][j], every c a nonzero int and den a positive int, and
         whose 1 is unit = (D_u, {k: c}) read likewise.
 
-        Each table[i][j] is a collection (a list, or a dict's items), read
-        twice: ``int_content`` validates it, then each term is sorted and den
-        and every c are divided by their gcd, so ``int_sp`` = (D_m, table) is
-        one canonical form of the constants, D_m their least common
-        denominator; ``int_unit`` likewise.
+        ``int_content`` checks the terms of table and unit, sorts them and
+        divides each store by its gcd, so ``int_sp`` = (D_m, table) is one
+        canonical form of the constants, D_m their least common denominator;
+        ``int_unit`` likewise. Each table[i][j] is a collection (a list, or a
+        dict's items).
         """
         dim = _table_dim(basis, table)
-        g = int_content(den, table, dim)
-        if g == 1:
-            sp = [[tuple(sorted(pairs)) for pairs in row] for row in table]
-        else:
-            den //= g
-            sp = [[tuple(sorted((k, c // g) for k, c in pairs)) for pairs in row] for row in table]
+        den, cells = int_content(den, [pairs for row in table for pairs in row], dim)
+        if len(unit) != 2 or not isinstance(unit[1], dict):
+            raise ValueError(f"unit must be (scale, {{index: int}}), not {unit!r}")
+        den_u, (unit,) = int_content(unit[0], [unit[1].items()], dim)
         alg = cls.__new__(cls)
         alg.dim = dim
         alg.basis = [str(b) for b in basis]
-        alg.int_unit = int_vector(unit, dim, "unit")
+        alg.int_unit = den_u, dict(unit)
         alg.name = name
-        alg.int_sp = den, sp
+        alg.int_sp = den, [cells[i * dim:(i + 1) * dim] for i in range(dim)]
         return alg
 
     @cached_property

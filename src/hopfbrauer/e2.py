@@ -33,6 +33,7 @@ from .linalg import (
     IntVec,
     Matrix,
     SparseVec,
+    _rational,
     dense_vec,
     in_span,
     over,
@@ -175,7 +176,7 @@ def t_morphism() -> HopfMorphism:
 
 def theta(lam, mu) -> HopfMorphism:
     """The Hopf projection θ_{λ,μ}: E(2) → H₄, c ↦ g, x₁ ↦ λh, x₂ ↦ μh."""
-    lam, mu = Q(lam), Q(mu)
+    lam, mu = _rational(lam), _rational(mu)
     e2 = build_e2()
     h4 = build_h4()
     alg = h4.alg
@@ -219,7 +220,7 @@ def e2_action_from_generators(c, x1, x2) -> tuple[int, list[list[IntVec]]]:
 
 def _e12(t) -> tuple[int, list[IntVec]]:
     """(den, integer columns) of t·E₁₂ on k²."""
-    t = Q(t)
+    t = _rational(t)
     return t.denominator, [{}, {0: t.numerator} if t else {}]
 
 
@@ -230,7 +231,7 @@ _DIAG = 1, [{0: 1}, {1: -1}]
 def build_c_e2(a, t1, t2) -> YDObject:
     """The two-dimensional (E(2), R_N)-algebra: x² = a, c·x = −x,
     x₁·x = t₁, x₂·x = t₂, coaction induced by R_N."""
-    a, t1, t2 = Q(a), Q(t1), Q(t2)
+    a, t1, t2 = _rational(a), _rational(t1), _rational(t2)
     alg = c_algebra(a, f"C({a};{t1},{t2})@E2")
     images = e2_action_from_generators(_DIAG, _e12(t1), _e12(t2))
     return induced_coaction(YDObject.from_int(build_e2(), 2, alg, images), build_RN())
@@ -522,7 +523,7 @@ def closure_params(t, q) -> tuple[Fraction, Fraction]:
     """(t, q) as Fractions; ``ValueError`` unless t ∉ {0,1} and q ≠ 2
     (``CLOSURE_EXCLUDED_T``, ``CLOSURE_EXCLUDED_Q``), the parameters for
     which the closure counterexample is stated."""
-    t, q = Q(t), Q(q)
+    t, q = _rational(t), _rational(q)
     if t in CLOSURE_EXCLUDED_T or q in CLOSURE_EXCLUDED_Q:
         raise ValueError("need t ∉ {0,1} and q ≠ 2")
     return t, q

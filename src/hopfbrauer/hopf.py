@@ -3,9 +3,11 @@
 A Hopf algebra is a :class:`~hopfbrauer.algebra.StructureAlgebra` with a
 coproduct, a counit vector and an antipode S with its inverse, ε, Δ, S and
 S⁻¹ stored as integers (``HopfAlgebra.from_int``), with dense views for I/O
-(``counit``, ``antipode``, ``antipode_inv``). The module checks axioms and
-builds duals, Drinfeld doubles with their canonical R, (co)quasitriangular
-structures and Hopf morphisms.
+(``counit``, ``antipode``, ``antipode_inv``). These stores and R, R⁻¹ pass
+``algebra.int_content``; the dense rows of r, r⁻¹ and σ pass
+``_lowest_rows``. The module checks axioms and builds duals, Drinfeld
+doubles with their canonical R, (co)quasitriangular structures and Hopf
+morphisms.
 
 Elements of H ⊗ H and H ⊗ H ⊗ H are sparse dicts keyed by index tuples,
 left factor major. Their products (``_t2_int``, ``_t3_int``), the Hopf and
@@ -27,9 +29,7 @@ from .algebra import (
     StructureAlgebra,
     check_algebra_axioms,
     int_content,
-    int_vector,
     on_generators,
-    scaled_vector,
 )
 from .linalg import (
     IntVec,
@@ -69,8 +69,10 @@ class HopfAlgebra:
                 raise ValueError(f"{label} is {m.rows}×{m.cols}, expected {n}×{n}")
             cols.append(None if m is None else scaled_vecs(sparse_vec(col) for col in zip(*m.data)))
         cop = scaled_rows([(k // n, k % n, c) for k, c in enumerate(row) if c] for row in cop)
-        counit = scaled_vector(counit, n, "counit")
-        self.__dict__.update(HopfAlgebra.from_int(alg, cop, counit, *cols, name, meta).__dict__)
+        if len(counit) != n:
+            raise ValueError("counit vector has wrong length")
+        counit, den_e = scaled(sparse_vec(vec(counit)))
+        self.__dict__.update(HopfAlgebra.from_int(alg, cop, (den_e, counit), *cols, name, meta).__dict__)
 
     @classmethod
     def from_int(cls, alg: StructureAlgebra, cop: tuple[int, Sequence], counit: tuple[int, IntVec],
@@ -80,23 +82,27 @@ class HopfAlgebra:
         rows[i] for cop = (D, rows), S(e_j) = Σ (c/D)·e_k over the {k: c} of
         cols[j] for antipode = (D, cols), ε for counit = (D, {k: c}) and S⁻¹
         likewise (S inverted if None).
-        ``int_content`` checks each table (Δ at p·dim + q), then it is sorted
-        and divided by the gcd of D and every c."""
+        ``int_content`` checks the terms of each store, sorts them and divides
+        the store by the gcd of D and every c."""
         n = alg.dim
         den, rows = cop
         if len(rows) != n:
             raise ValueError("coproduct table has wrong length")
-        # a bad (p, q) stands for itself, so the error names it
-        rows = [[(p * n + q if type(p) is type(q) is int and 0 <= q < n else (p, q), c) for p, q, c in t] for t in rows]
-        g = int_content(den, [rows], n * n, n)
+        cop = int_content(den, rows, n, n)
+        if len(counit) != 2 or not isinstance(counit[1], dict):
+            raise ValueError(f"counit must be (scale, {{index: int}}), not {counit!r}")
+        den_e, (counit,) = int_content(counit[0], [counit[1].items()], n)
         h = cls.__new__(cls)
         h.alg, h.dim, h.name, h.meta = alg, n, name or alg.name, dict(meta or {})
-        h.int_counit = int_vector(counit, n, "counit")
-        h.int_cop = den // g, [tuple(sorted((*divmod(k, n), c // g) for k, c in t)) for t in rows]
-        h.int_s = _int_columns(antipode, n, "antipode")
-        if antipode_inv is None:
-            antipode_inv = scaled_vecs(sparse_vec(col) for col in zip(*h.antipode.inverse().data))
-        h.int_s_inv = _int_columns(antipode_inv, n, "antipode_inv")
+        h.int_counit, h.int_cop = (den_e, dict(counit)), cop
+        for attr, label, cols in (("int_s", "antipode", antipode), ("int_s_inv", "antipode_inv", antipode_inv)):
+            if cols is None:  # S⁻¹ by inverting S, stored the step before
+                cols = scaled_vecs(sparse_vec(col) for col in zip(*h.antipode.inverse().data))
+            den, cols = cols
+            if len(cols) != n:
+                raise ValueError(f"{label} has {len(cols)} columns, expected {n}×{n}")
+            den, cols = int_content(den, [col.items() for col in cols], n)
+            setattr(h, attr, (den, [dict(col) for col in cols]))
         return h
 
     @cached_property
@@ -146,15 +152,6 @@ class HopfAlgebra:
 
     def __repr__(self) -> str:
         return f"HopfAlgebra({self.name or 'unnamed'}, dim={self.dim})"
-
-
-def _int_columns(cols: tuple, n: int, label: str) -> tuple[int, list[IntVec]]:
-    """(D, the n columns of an n×n matrix over D), checked and reduced as Δ."""
-    den, cols = cols
-    if len(cols) != n:
-        raise ValueError(f"{label} has {len(cols)} columns, expected {n}×{n}")
-    g = int_content(den, [[col.items() for col in cols]], n)
-    return den // g, [dict(sorted((k, c // g) for k, c in col.items())) for col in cols]
 
 
 def _dense_columns(den: int, cols: list[IntVec], n: int) -> Matrix:
@@ -512,12 +509,13 @@ def bowtie_vec(double_dim_factor: int, fvec: Sequence[Fraction], avec: Sequence[
 class QTStructure:
     """R and R⁻¹ in H⊗H, stored as ``int_pairs`` and ``int_inv`` = (D, {(i, j):
     D·c}), D the least common denominator and the keys in index order; the
-    constructor takes (D, {(i, j): int}) pairs over any D > 0 and reduces
-    them. The dense ``r`` and ``r_inv`` are views, built on first read."""
+    constructor takes (D, {(i, j): int}) pairs over any D > 0, checked and
+    reduced by ``int_content`` (``ValueError`` names a bad scale or term).
+    The dense ``r`` and ``r_inv`` are views, built on first read."""
 
     def __init__(self, hopf: HopfAlgebra, r: tuple[int, dict], r_inv: tuple[int, dict]):
         self.hopf = hopf
-        self.int_pairs, self.int_inv = _lowest_terms(*r), _lowest_terms(*r_inv)
+        self.int_pairs, self.int_inv = _int_pairs(*r, hopf.dim), _int_pairs(*r_inv, hopf.dim)
 
     def pairs(self) -> dict[tuple[int, int], Fraction]:
         """R as {(i, j): c}, read from ``int_pairs``."""
@@ -534,10 +532,11 @@ class QTStructure:
         return t2_to_vec(over(r_inv, den), self.hopf.dim)
 
 
-def _lowest_terms(den: int, v: dict) -> tuple[int, dict]:
-    """(den, v) divided by the gcd of den and every value, keys in order."""
-    g = math.gcd(den, *v.values())
-    return den // g, {k: c // g for k, c in sorted(v.items())}
+def _int_pairs(den: int, v: dict, n: int) -> tuple[int, dict]:
+    """An element v/den of H⊗H, v = {(i, j): int}, as ``int_content`` stores
+    it, in the {(i, j): c} container of ``int_pairs``."""
+    den, (terms,) = int_content(den, [[(i, j, c) for (i, j), c in v.items()]], n, n)
+    return den, {(i, j): c for i, j, c in terms}
 
 
 def _qt_from_int(h: HopfAlgebra, den: int, r: dict) -> QTStructure:
@@ -826,4 +825,4 @@ def push_qt(f: HopfMorphism, rt: QTStructure) -> tuple[int, dict]:
         for (i, j), c in r.items()
         for a, va in cols[i].items()
     )
-    return _lowest_terms(den_r * den_f * den_f, out)
+    return _int_pairs(den_r * den_f * den_f, out, f.target.dim)

@@ -31,7 +31,7 @@ from .hopf import (
     form_products,
     qt_structure,
 )
-from .linalg import Matrix, dense_vec, over, rational_is_square, scaled, scaled_vecs, sparse_sum, sparse_vec
+from .linalg import Matrix, _rational, dense_vec, over, rational_is_square, scaled, scaled_vecs, sparse_sum, sparse_vec
 from .yd import (
     YDObject,
     check_yd_algebra,
@@ -73,13 +73,13 @@ def build_h4() -> HopfAlgebra:
 def build_rt(t) -> QTStructure:
     """The triangular structure R_t = ½(1⊗1 + 1⊗g + g⊗1 − g⊗g)
     + (t/2)(h⊗h + h⊗gh + gh⊗gh − gh⊗h) of H₄, e_i⊗e_j at 4i + j."""
-    half, th = Q(1, 2), Q(t) / 2
+    half, th = Q(1, 2), _rational(t) / 2
     return qt_structure(build_h4(), [half, half, 0, 0, half, -half, 0, 0, 0, 0, th, th, 0, 0, -th, th])
 
 
 def build_rt_form(t) -> CoQTStructure:
     """The cotriangular structure r_t of H₄, over q for t = p/q."""
-    p, q = Q(t).as_integer_ratio()
+    p, q = _rational(t).as_integer_ratio()
     return coqt_structure(build_h4(), (q, [[q, q, 0, 0], [q, -q, 0, 0], [0, 0, p, -p], [0, 0, p, p]]))
 
 
@@ -160,7 +160,7 @@ class CFamilyDescriptor:
     h·x = t, ρ(x) = x⊗g + s⊗h. Frozen, equal and hashed on (a, t, s)."""
 
     def __init__(self, a: Fraction, t: Fraction, s: Fraction):
-        self.__dict__.update(a=Q(a), t=Q(t), s=Q(s))
+        self.__dict__.update(a=_rational(a), t=_rational(t), s=_rational(s))
 
     __setattr__ = __delattr__ = refuse_assignment
 
@@ -206,7 +206,7 @@ def squarefree_part(x) -> int:
     perfect square; any other one (p·q and p²·q with p, q > B look alike)
     raises ValueError instead of guessing.
     """
-    x = Q(x)
+    x = _rational(x)
     if x == 0:
         return 0
     n = abs(x.numerator * x.denominator)
@@ -347,18 +347,15 @@ def c_product(d1: CFamilyDescriptor, d2: CFamilyDescriptor) -> CProductPresentat
     )
 
 
-def _on_one_scale(*xs) -> tuple[list[int], int]:
-    """(the rationals xs times D, as ints; D their least common denominator)."""
-    ints, den = scaled(dict(enumerate(xs)))
-    return list(ints.values()), den
-
-
 def quaternion_yd_algebra(p: CProductPresentation):
     """Build the YD algebra named by a quaternion presentation directly, as
-    integer terms: the product, the action and ρ each over one scale."""
+    integer terms: the product, the action and ρ over one scale, which
+    ``from_int`` reduces for each."""
     h4 = build_h4()
+    values = 1, p.x_sq, p.y_sq, p.anticommutator, p.x_sq * p.y_sq, p.h_dot_x, p.h_dot_y, p.rho_x_s, p.rho_y_s
+    ints, den = scaled(dict(enumerate(values)))
+    d, a, b, m, ab, t1, t2, s1, s2 = ints.values()
     # basis 1, X, Y, XY with X² = a, Y² = b, YX = m − XY
-    (d, a, b, m, ab), den = _on_one_scale(1, p.x_sq, p.y_sq, p.anticommutator, p.x_sq * p.y_sq)
     mult = [
         [[(0, d)], [(1, d)], [(2, d)], [(3, d)]],
         [[(1, d)], [(0, a)], [(3, d)], [(2, a)]],
@@ -369,15 +366,13 @@ def quaternion_yd_algebra(p: CProductPresentation):
     alg = StructureAlgebra.from_int(["1", "X", "Y", "XY"], (1, {0: 1}), mult, den, name="quaternion")
     # g·e_j = ±e_j; h·X = t₁, h·Y = t₂, extended by the module-algebra law:
     # h·(XY) = (1·X)(h·Y) + (h·X)(g·Y) = t₂X − t₁Y; gh·v = g·(h·v)
-    (d, t1, t2), den_t = _on_one_scale(1, p.h_dot_x, p.h_dot_y)
     sign = [1, -1, -1, 1]
     h_cols = [{k: c for k, c in col.items() if c} for col in ({}, {0: t1}, {0: t2}, {1: t2, 2: -t1})]
     images = [[{j: d}, {j: sign[j] * d}, col, {k: sign[k] * c for k, c in col.items()}] for j, col in enumerate(h_cols)]
     # ρ(X) = X⊗g + s₁⊗h, ρ(Y) = Y⊗g + s₂⊗h, and with g² = 1, h² = 0, hg = −gh:
     # ρ(XY) = X₍₀₎Y₍₀₎ ⊗ Y₍₁₎X₍₁₎ = XY⊗1 − s₂X⊗gh + s₁Y⊗gh
-    (d, s1, s2), den_s = _on_one_scale(1, p.rho_x_s, p.rho_y_s)
     rho = [[(0, 0, d)], [(1, 1, d), (0, 2, s1)], [(2, 1, d), (0, 2, s2)], [(3, 0, d), (1, 3, -s2), (2, 3, s1)]]
-    return YDObject.from_int(h4, 4, alg, (den_t, images), (den_s, [[t for t in row if t[2]] for row in rho]))
+    return YDObject.from_int(h4, 4, alg, (den, images), (den, [[t for t in row if t[2]] for row in rho]))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +430,7 @@ def build_sigma(t) -> LazyCocycle:
     the 2-cocycle identity on a generic table leaves exactly this
     one-parameter family.
     """
-    t = Q(t)
+    t = _rational(t)
     p, q = (t / 2).as_integer_ratio()
     # over q, checked where it is consumed, by cocycle_twist
     return LazyCocycle(t, (q, [[q, q, 0, 0], [q, q, 0, 0], [0, 0, p, -p], [0, 0, p, -p]]))
@@ -512,7 +507,7 @@ def psi_transport(d: CFamilyDescriptor, s, inverse: bool = False) -> CFamilyDesc
     r_s; the descriptor arithmetic is validated structurally against that
     construction on every call.
     """
-    s = Q(s)
+    s = _rational(s)
     if inverse:
         if (d.t, d.s) != (s, Q(1)):
             raise TransportShapeError(f"Ψ_s⁻¹ needs shape (a;{s},1), got {d!r}")
@@ -580,7 +575,7 @@ def aut_twist(a, alpha):
     α = p/q: the h and gh columns times p, the others times q, over D_a·q;
     the h and gh terms of ρ times q, the others times p, over D_c·p (each
     sign flipped when p < 0)."""
-    alpha = Q(alpha)
+    alpha = _rational(alpha)
     if alpha == 0:
         raise ValueError("automorphism parameter must be nonzero")
     p, q = alpha.numerator, alpha.denominator
@@ -594,7 +589,7 @@ def aut_twist(a, alpha):
 def aut_conjugate(d: CFamilyDescriptor, alpha) -> CFamilyDescriptor:
     """Conjugation by the Aut(H₄)-class of α: (a,t,s) ↦ (a, αt, s/α),
     structurally validated through the automorphism twist."""
-    alpha = Q(alpha)
+    alpha = _rational(alpha)
     if alpha == 0:
         raise ValueError("automorphism parameter must be nonzero")
     result = CFamilyDescriptor(d.a, alpha * d.t, d.s / alpha)
@@ -606,7 +601,7 @@ def aut_conjugate(d: CFamilyDescriptor, alpha) -> CFamilyDescriptor:
 def build_h_alpha(alpha):
     """The module H_α: carrier H₄ with l·m = α(l₍₂₎) m S⁻¹(l₍₁₎) and
     the regular coaction Δ; the action over D_Δ·D_m²·D_S·den(α)."""
-    alpha = Q(alpha)
+    alpha = _rational(alpha)
     h4 = build_h4()
     alg = h4.alg
     (den_d, cop), (den_s, sinv) = h4.int_cop, h4.int_s_inv
@@ -646,7 +641,7 @@ def intersection_report(t, s) -> list[IntersectionVerdict]:
     nontrivial intersections come with an explicit Azumaya witness whose
     memberships are re-derived.
     """
-    t, s = Q(t), Q(s)
+    t, s = _rational(t), _rational(s)
     out = []
 
     if t * s == 1:
@@ -728,7 +723,7 @@ def validate_c_iso(d1: CFamilyDescriptor, d2: CFamilyDescriptor, alpha,
     requested kind (algebra map always; action/coaction intertwining on
     demand), on the integer stores: the map is diag(m)/q for α = p/q and
     m = (q, p), and each identity is lifted to one scale."""
-    alpha = Q(alpha)
+    alpha = _rational(alpha)
     if alpha == 0:
         return False
     a1, a2 = build_C(d1), build_C(d2)

@@ -205,7 +205,6 @@ def _random_descriptor(s: Suite, azumaya: bool | None = None) -> CFamilyDescript
 
 
 def suite_lemma21(s: Suite) -> None:
-    h4 = build_h4()
     for k in range(s.samples):
         d = CFamilyDescriptor(s.rat(), s.rat(), s.rat())
         a, t, sp = d.a, d.t, d.s
@@ -293,7 +292,6 @@ def suite_lemma21(s: Suite) -> None:
 
 
 def suite_lemma22(s: Suite) -> None:
-    perm = [0, 2, 1, 3]  # quaternion basis (1, X, Y, XY) inside the #-basis
     for k in range(s.samples):
         d1 = CFamilyDescriptor(s.rat(), s.rat(), s.rat())
         d2 = CFamilyDescriptor(s.rat(), s.rat(), s.rat())
@@ -460,8 +458,7 @@ def suite_thm52(s: Suite) -> None:
         and (big_w @ big_w).is_zero()
         and (u @ big_w + big_w @ u).is_zero(),
     )
-    ww = kw.w
-    value = big_w @ ww - ww @ big_w
+    value = big_w @ w - w @ big_w
     s.check(
         "relation-value",
         "§1 D(H₄) relation list on P: [φ(h), h] acts as φ(g) − g",
@@ -470,7 +467,7 @@ def suite_thm52(s: Suite) -> None:
 
 
 def suite_eq51(s: Suite) -> None:
-    double, canonical = build_dh4()
+    canonical = build_dh4()[1]
     t = t_morphism()
     s.check("t-hopf", "§5 T: D(H₄) → E(2)", check_hopf_morphism(t))
     rn = build_RN()
@@ -592,12 +589,10 @@ def suite_appendix(s: Suite) -> None:
         )
     s.check("thm6.1-corpus-mixed", "Thm 6.1", mixed == {True, False}, {"instances": len(corpus)})
 
-    demos = 0
     for k in range(5):
         t = _redraw_excluded(s, s.rat(), CLOSURE_EXCLUDED_T)
         q = _redraw_excluded(s, s.rat(), CLOSURE_EXCLUDED_Q)
         ns = not_subgroup_demo(t, q)
-        demos += 1
         s.check(
             f"thm6.3-{k}",
             "Thm 6.3 graded central simple classes are not a subgroup",

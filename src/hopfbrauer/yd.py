@@ -2,8 +2,10 @@
 
 Every object over a fixed Hopf algebra H is a ``YDObject``: a carrier with
 some of a product, a left H-action and a right H-coaction, stored as
-integers, with ``action`` and ``coaction`` as dense views for I/O. Algebras
-are right H^op-comodule algebras, ρ(ab) = a₍₀₎b₍₀₎ ⊗ b₍₁₎a₍₁₎, under the
+integers, with ``action`` and ``coaction`` as dense views for I/O; each
+store passes ``algebra.int_content`` once, and an object derived from
+another shares its store unchecked (``_Store``). Algebras are right
+H^op-comodule algebras, ρ(ab) = a₍₀₎b₍₀₎ ⊗ b₍₁₎a₍₁₎, under the
 Yetter-Drinfeld condition ρ(l·b) = l₍₂₎·b₍₀₎ ⊗ l₍₃₎ b₍₁₎ S⁻¹(l₍₁₎).
 
 Checks, builders and solvers contract on integers, each tensor times the
@@ -121,8 +123,8 @@ class YDObject:
     def from_int(cls, hopf: HopfAlgebra, dim: int, alg=None, images=None, rho=None) -> "YDObject":
         """The object with e_k·e_j = Σ (c/D_a)·e_p over the {p: c} of rows[j][k]
         for images = (D_a, rows), ρ(e_j) = Σ (c/D_c)·e_a ⊗ e_k over the (a, k, c)
-        of rows[j] for rho = (D_c, rows); checked, sorted and divided by the gcd
-        of D and every c. Another object's store is shared."""
+        of rows[j] for rho = (D_c, rows); each store is checked, sorted and
+        divided by its gcd by ``int_content``. Another object's store is shared."""
         n = hopf.dim
         if alg is not None and alg.dim != dim:
             raise ValueError(f"carrier dimension {dim} differs from the algebra's {alg.dim}")
@@ -131,18 +133,10 @@ class YDObject:
         if rho is not None and len(rho[1]) != dim:
             raise ValueError(f"rho must have {dim} rows")
         if images is not None and type(images) is not _Store:
-            den, rows = images
-            g = int_content(den, [[v.items() for v in row] for row in rows], dim)
-            rows = [[dict(sorted((p, c // g) for p, c in v.items())) for v in row] for row in rows]
-            images = _Store((den // g, rows))
+            den, cells = int_content(images[0], [v.items() for row in images[1] for v in row], dim)
+            images = _Store((den, [[dict(v) for v in cells[j * n:(j + 1) * n]] for j in range(dim)]))
         if rho is not None and type(rho) is not _Store:
-            den, rows = rho
-            # c·e_a ⊗ e_k at a·n + k, as in ``coaction``; a bad (a, k) stands
-            # for itself, so the error names it
-            rows = [[(a * n + k if type(a) is type(k) is int and 0 <= k < n else (a, k), c) for a, k, c in terms]
-                    for terms in rows]
-            g = int_content(den, [rows], dim * n, n)
-            rho = _Store((den // g, [tuple(sorted((*divmod(p, n), c // g) for p, c in terms)) for terms in rows]))
+            rho = _Store(int_content(rho[0], rho[1], dim, n))
         obj = cls.__new__(cls)
         obj.__dict__.update(hopf=hopf, dim=dim, alg=alg, int_images=images, int_rho=rho)
         return obj

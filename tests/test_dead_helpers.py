@@ -13,7 +13,12 @@ so a Fraction mirror of an integer store that nothing in ``src/`` reads is
 found. ``ALLOWED`` names exactly the helpers that only the benchmark's tracer
 (``perfbench/tracer.py``) holds; ROADMAP item 1 drops them from its ``TIMED``
 list, and then they go or move into the tests. ``EDGE_VIEWS`` names the dense
-views at the I/O edge that only the tests read."""
+views at the I/O edge that only the tests read.
+
+No value without a reader either: a local that a function assigns and that
+neither it nor a function nested in it reads (``dead_locals``; a name that
+starts with ``_`` is exempt), and a name that a module imports and never
+uses (``unused_imports``; the re-exports of ``__init__`` are exempt)."""
 
 import ast
 import pathlib
@@ -91,6 +96,46 @@ def unreferenced(src: pathlib.Path = SRC) -> set[str]:
     return out
 
 
+def dead_locals(src: pathlib.Path = SRC) -> set[str]:
+    """"module.function: name" for each local that a function in ``src``
+    assigns (in its own scope, not in a nested function's) and that no code
+    inside the function reads; ``global`` and ``nonlocal`` names are not its
+    locals, and a name that starts with ``_`` is exempt."""
+    out = set()
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, FUNCTIONS):
+                continue
+            stores, outer, todo = set(), set(), list(fn.body)
+            while todo:
+                node = todo.pop()
+                if isinstance(node, (ast.Global, ast.Nonlocal)):
+                    outer.update(node.names)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    stores.add(node.id)
+                if not isinstance(node, (*FUNCTIONS, ast.Lambda, ast.ClassDef)):
+                    todo.extend(ast.iter_child_nodes(node))
+            reads = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+            out |= {f"{path.stem}.{fn.name}: {name}" for name in stores - reads - outer if not name.startswith("_")}
+    return out
+
+
+def unused_imports(src: pathlib.Path = SRC) -> set[str]:
+    """"module: name" for each name that a module of ``src`` other than
+    ``__init__`` imports, at any depth, and never names again."""
+    out = set()
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = {alias.asname or alias.name.split(".")[0] for alias in node.names}
+                out |= {f"{path.stem}: {name}" for name in bound - names}
+    return out
+
+
 def test_every_helper_has_a_caller():
     assert unreferenced() == ALLOWED | EDGE_VIEWS
 
@@ -113,3 +158,21 @@ def test_an_uncalled_helper_is_found(tmp_path):
     algebra.write_text(algebra.read_text().replace("    def mul_int(", method + mirror + alias + "    def mul_int(", 1))
     found = {"orphan", "StructureAlgebra.mul_twice", "StructureAlgebra._sp", "StructureAlgebra.sp_view"}
     assert unreferenced(tmp_path) == ALLOWED | EDGE_VIEWS | found
+
+
+def test_no_value_goes_unread():
+    assert dead_locals() == set()
+    assert unused_imports() == set()
+
+
+def test_a_dead_local_and_an_unused_import_are_found(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    algebra = tmp_path / "algebra.py"
+    # a local assigned and never read, one read only by a nested function
+    # (not dead), and an import that nothing names
+    dead = "        unused = x\n        kept = x\n\n        def inner():\n            return kept\n\n"
+    text = algebra.read_text().replace("import math\n", "import math\nimport random\n", 1)
+    algebra.write_text(text.replace("        return _contract(", dead + "        return _contract(", 1))
+    assert dead_locals(tmp_path) == {"algebra.mul_int: unused"}
+    assert unused_imports(tmp_path) == {"algebra: random"}

@@ -14,6 +14,7 @@ from hopfbrauer.hopf import (
     CoQTStructure,
     HopfAlgebra,
     HopfMorphism,
+    QTStructure,
     antipode_from_bialgebra,
     check_coquasitriangular,
     check_hopf_axioms,
@@ -350,6 +351,13 @@ BAD_TABLES = {
     "scale -2": ((-2, SIGMA_ROWS), "not a positive int"),
     "float scale": ((2.0, SIGMA_ROWS), "not a positive int"),
     "float entry": ((2, [SIGMA_ROWS[0], SIGMA_ROWS[1], [0, 0, 0.5, -1], SIGMA_ROWS[3]]), "not an int"),
+    # R or R⁻¹ as (D, {(i, j): int}); each was stored unchecked (scale 0
+    # raised ZeroDivisionError, a float coefficient TypeError)
+    "R key (9, 9)": ((1, {(0, 0): 1, (9, 9): 1}), r"^sparse term index \(9, 9\) is not in range\(4\)×range\(4\)$"),
+    "R scale 0": ((0, {(0, 0): 1}), "^scale 0 is not a positive int$"),
+    "R scale -2": ((-2, {(0, 0): 1}), "^scale -2 is not a positive int$"),
+    "R float": ((2, {(0, 0): 1, (1, 1): 0.5}), r"^sparse term index \(1, 1\) has coefficient 0.5, not a nonzero int$"),
+    "R zero": ((2, {(0, 0): 1, (3, 2): 0}), r"^sparse term index \(3, 2\) has a zero coefficient, not a nonzero int$"),
 }
 
 
@@ -358,9 +366,14 @@ def test_integer_forms_are_refused_with_a_clean_error(table, message):
     # a 2×2 σ used to raise IndexError in check_lazy_cocycle, and D_s = 0
     # was accepted and then reported as "σ(1⊗·) ≠ ε"
     h4 = build_h4()
-    good = build_rt_form(Q(3, 2)).int_table
-    for build in (lambda: LazyCocycle(Q(2), table), lambda: CoQTStructure(h4, table, good),
-                  lambda: CoQTStructure(h4, good, table), lambda: coqt_structure(h4, table)):
+    if isinstance(table[1], dict):
+        good = build_rt(Q(3, 2)).int_pairs
+        builds = (lambda: QTStructure(h4, table, good), lambda: QTStructure(h4, good, table))
+    else:
+        good = build_rt_form(Q(3, 2)).int_table
+        builds = (lambda: LazyCocycle(Q(2), table), lambda: CoQTStructure(h4, table, good),
+                  lambda: CoQTStructure(h4, good, table), lambda: coqt_structure(h4, table))
+    for build in builds:
         with pytest.raises(ValueError, match=message):
             build()
 

@@ -28,10 +28,10 @@ from conftest import (
 )
 from test_integer_scaling import H4_SCALES, _rescaled_hopf
 
-from hopfbrauer.algebra import StructureAlgebra, opposite_algebra, scaled_vector
+from hopfbrauer.algebra import StructureAlgebra, opposite_algebra
 from hopfbrauer.e2 import build_e2
 from hopfbrauer.hopf import HopfAlgebra, check_hopf_axioms, drinfeld_double, dual_hopf, qt_structure
-from hopfbrauer.linalg import Matrix, dense_vec, scaled_rows, sparse_vec, zero_vec
+from hopfbrauer.linalg import Matrix, dense_vec, scaled, scaled_rows, sparse_vec, zero_vec
 from hopfbrauer.sweedler import build_h4
 
 
@@ -227,7 +227,13 @@ def _sparse_algebra(basis, unit, table, name=""):
     """``StructureAlgebra.from_int`` of rational (k, c) terms and a dense
     rational unit, each scaled once."""
     den, table = scaled_cells(table)
-    return StructureAlgebra.from_int(basis, scaled_vector(unit, len(basis), "unit"), table, den, name=name)
+    return StructureAlgebra.from_int(basis, _int_unit(unit), table, den, name=name)
+
+
+def _int_unit(values):
+    """(D, D·v) for a dense rational vector v, D its least common denominator."""
+    v, den = scaled(sparse_vec(values))
+    return den, v
 
 
 def _kz2(table):
@@ -336,8 +342,7 @@ def test_dense_constructors_reject_bad_shapes():
 KZ2_COP = [[(0, 0, 1)], [(1, 1, 1)]]
 
 
-def _kz2_hopf(cop, counit=(1, 1)):
-    counit = scaled_vector(counit, 2, "counit")
+def _kz2_hopf(cop, counit=(1, {0: 1, 1: 1})):
     return HopfAlgebra.from_int(_kz2(KZ2_TABLE), scaled_rows(cop), counit, (1, [{0: 1}, {1: 1}]))
 
 
@@ -407,7 +412,7 @@ def test_int_algebra_equals_the_fraction_one(seed):
     shared = rng.choice([2, 6, 35, 10**3])
     for terms, scale in ((table, den), ([[[(k, shared * c) for k, c in t] for t in r] for r in table], shared * den)):
         want = _sparse_algebra(basis, unit, [[[(k, Q(c, scale)) for k, c in t] for t in r] for r in terms], name="A")
-        _same_algebra(StructureAlgebra.from_int(basis, scaled_vector(unit, dim, "unit"), terms, scale, name="A"), want)
+        _same_algebra(StructureAlgebra.from_int(basis, _int_unit(unit), terms, scale, name="A"), want)
 
 
 def test_int_algebra_reduces_its_scale():

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from hopfbrauer import e2
 from hopfbrauer.sweedler import (
     CFamilyDescriptor,
     CProductPresentation,
@@ -12,6 +13,7 @@ from hopfbrauer.sweedler import (
     aut_twist,
     build_C,
     build_h_alpha,
+    build_rt,
     build_rt_form,
     build_sigma,
     c_equivalent,
@@ -431,3 +433,31 @@ def test_property_opposite_and_product_stay_yd(a, t, s, a2, t2, s2):
     assert check_yd_algebra(h_opposite(build_C(d1))).ok
     prod = sharp_product(build_C(d1), build_C(d2))
     assert check_yd_algebra(prod).ok
+
+
+# every entry point that takes a rational parameter, fed it as x
+PARAMETER_ENTRY_POINTS = {
+    "CFamilyDescriptor": lambda x: CFamilyDescriptor(1, 1, x),
+    "build_rt": build_rt,
+    "build_rt_form": build_rt_form,
+    "build_sigma": build_sigma,
+    "squarefree_part": squarefree_part,
+    "psi_transport": lambda x: psi_transport(CFamilyDescriptor(1, 0, 1), x),
+    "aut_twist": lambda x: aut_twist(build_C(CFamilyDescriptor(1, 1, 1)), x),
+    "aut_conjugate": lambda x: aut_conjugate(CFamilyDescriptor(1, 1, 1), x),
+    "build_h_alpha": build_h_alpha,
+    "intersection_report": lambda x: intersection_report(1, x),
+    "validate_c_iso": lambda x: validate_c_iso(CFamilyDescriptor(1, 1, 1), CFamilyDescriptor(1, 1, 1), x),
+    "theta": lambda x: e2.theta(0, x),
+    "_e12": e2._e12,
+    "build_c_e2": lambda x: e2.build_c_e2(1, 1, x),
+    "closure_params": lambda x: e2.closure_params(3, x),
+}
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/2"], ids=["float", "string"])
+@pytest.mark.parametrize("entry", PARAMETER_ENTRY_POINTS)
+def test_a_parameter_that_is_not_rational_is_refused(entry, bad):
+    # 0.1 was kept as the binary fraction 3602879701896397/36028797018963968
+    with pytest.raises(ValueError, match=f"^entry {bad!r} is not rational$"):
+        PARAMETER_ENTRY_POINTS[entry](bad)
