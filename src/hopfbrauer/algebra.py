@@ -92,10 +92,10 @@ def _contract(sp, x: dict, y: dict, out: dict) -> dict:
 
 def int_content(den: int, cells: list, dim: int, width: int = 0) -> tuple[int, list[tuple]]:
     """The one store rule, which every sparse integer store passes: (den/g,
-    each cell's terms sorted by key, each c divided by g), g the gcd of den
-    and every c. A term is (k, c), or with ``width`` (a, b, c), keyed (a, b).
-    ``ValueError``, naming the scale or the key, unless den > 0 and every
-    c ≠ 0 are ints, every k is in range(dim) or (a, b) in
+    each cell's terms as tuples sorted by key, each c divided by g), g the gcd
+    of den and every c. A term is (k, c), or with ``width`` (a, b, c), keyed
+    (a, b). ``ValueError``, naming the scale or the key, unless den > 0 and
+    every c ≠ 0 are ints, every k is in range(dim) or (a, b) in
     range(dim)×range(width), no key occurs twice in a cell and each cell is
     a collection (it is read twice)."""
     if type(den) is not int or den <= 0:
@@ -126,11 +126,8 @@ def int_content(den: int, cells: list, dim: int, width: int = 0) -> tuple[int, l
             seen.add(k)
             if g != 1:
                 g = math.gcd(g, c)
-    if g == 1:
-        return den, [tuple(sorted(cell)) for cell in cells]
-    if width:
-        return den // g, [tuple(sorted((a, b, c // g) for a, b, c in cell)) for cell in cells]
-    return den // g, [tuple(sorted((k, c // g) for k, c in cell)) for cell in cells]
+    term = tuple if g == 1 else lambda t: (*t[:-1], t[-1] // g)
+    return den // g, [tuple(sorted(map(term, cell))) if cell else () for cell in cells]
 
 
 def _table_dim(basis: Sequence[str], table: Sequence[Sequence]) -> int:

@@ -534,8 +534,10 @@ class QTStructure:
 
 def _int_pairs(den: int, v: dict, n: int) -> tuple[int, dict]:
     """An element v/den of H⊗H, v = {(i, j): int}, as ``int_content`` stores
-    it, in the {(i, j): c} container of ``int_pairs``."""
-    den, (terms,) = int_content(den, [[(i, j, c) for (i, j), c in v.items()]], n, n)
+    it, in the {(i, j): c} container of ``int_pairs``; a key k that is no
+    pair goes in as the pair (k, None), so the rule names it."""
+    den, (terms,) = int_content(den, [[(*k, c) if type(k) is tuple and len(k) == 2 else (k, None, c)
+                                       for k, c in v.items()]], n, n)
     return den, {(i, j): c for i, j, c in terms}
 
 

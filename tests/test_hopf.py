@@ -354,6 +354,9 @@ BAD_TABLES = {
     # R or R⁻¹ as (D, {(i, j): int}); each was stored unchecked (scale 0
     # raised ZeroDivisionError, a float coefficient TypeError)
     "R key (9, 9)": ((1, {(0, 0): 1, (9, 9): 1}), r"^sparse term index \(9, 9\) is not in range\(4\)×range\(4\)$"),
+    # a key that is no pair is named with None for its missing second index
+    "R key 5": ((1, {(0, 0): 1, 5: 1}), r"^sparse term index \(5, None\) is not in range\(4\)×range\(4\)$"),
+    "R key (1, 2, 3)": ((1, {(1, 2, 3): 1}), r"^sparse term index \(\(1, 2, 3\), None\) is not in range"),
     "R scale 0": ((0, {(0, 0): 1}), "^scale 0 is not a positive int$"),
     "R scale -2": ((-2, {(0, 0): 1}), "^scale -2 is not a positive int$"),
     "R float": ((2, {(0, 0): 1, (1, 1): 0.5}), r"^sparse term index \(1, 1\) has coefficient 0.5, not a nonzero int$"),

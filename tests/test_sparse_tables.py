@@ -375,6 +375,10 @@ def test_sparse_hopf_rejects_bad_coproducts(cop):
 def test_sparse_hopf_rejects_a_short_counit():
     with pytest.raises(ValueError):
         _kz2_hopf(KZ2_COP, counit=(1,))
+    # the dense counit is checked for its length before it is scaled
+    for counit in ([1], [1, 1, 1]):
+        with pytest.raises(ValueError, match="counit vector has wrong length"):
+            HopfAlgebra(_kz2(KZ2_TABLE), [[1, 0, 0, 0], [0, 0, 0, 1]], counit, Matrix.identity(2))
 
 
 # -- integer tables ------------------------------------------------------------
