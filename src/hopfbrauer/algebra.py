@@ -2,10 +2,11 @@
 
 An algebra is a basis, ``int_unit`` = (D_u, D_u·1 as {k: c}) and ``int_sp``
 = (D_m, table), table[i][j] = D_m·e_i·e_j as (k, c) pairs sorted by k, every
-c a nonzero int; ``unit`` is the view of 1 over ℚ. ``int_content`` is the
-one rule that checks every sparse integer store of the package and puts it
-in lowest terms, sorted by key. Elements are dense or
-sparse (``{basis index: nonzero coefficient}``) vectors. Every product is
+c a nonzero int: one form, built by ``from_int``, which ``defio`` reads and
+writes over ℚ. ``int_content`` is the one rule that checks every sparse
+integer store of the package and puts it in lowest terms, sorted by key.
+Elements are dense or sparse (``{basis index: nonzero coefficient}``)
+vectors. Every product is
 ``mul_int``, one loop (``_contract``) on integers; ``mul_vec`` wraps it for
 dense vectors, for ``sandwich_matrix`` only.
 A law whose solutions form a subalgebra is checked on ``generators`` first
@@ -30,10 +31,8 @@ from .linalg import (
     over,
     scale_sparse,
     scaled,
-    scaled_rows,
     solve_columns,
     sparse_vec,
-    vec,
     zero_vec,
 )
 
@@ -130,32 +129,13 @@ def int_content(den: int, cells: list, dim: int, width: int = 0) -> tuple[int, l
     return den // g, [tuple(sorted(map(term, cell))) if cell else () for cell in cells]
 
 
-def _table_dim(basis: Sequence[str], table: Sequence[Sequence]) -> int:
-    """dim = len(basis), after checking that the table is dim × dim."""
-    dim = len(basis)
-    if len(table) != dim or any(len(row) != dim for row in table):
-        raise ValueError("multiplication table has wrong shape")
-    return dim
-
-
 class StructureAlgebra:
     """Unital associative algebra given by structure constants over ℚ.
 
-    The state is ``int_unit`` and ``int_sp``, written by ``from_int``; the
-    dense ``__init__`` scales once and calls it. ``generators`` and
-    ``associative`` are cached certificates.
+    The state is ``int_unit`` and ``int_sp``, written by ``from_int``, the
+    one constructor. ``generators`` and ``associative`` are cached
+    certificates.
     """
-
-    def __init__(self, basis: Sequence[str], unit: Sequence, mult: Sequence[Sequence[Sequence]], name: str = ""):
-        dim = _table_dim(basis, mult)
-        if any(len(v) != dim for row in mult for v in row):
-            raise ValueError("multiplication tensor entry has wrong length")
-        den, cells = scaled_rows(sparse_vec(vec(v)).items() for row in mult for v in row)
-        table = [cells[i * dim:(i + 1) * dim] for i in range(dim)]
-        if len(unit) != dim:
-            raise ValueError("unit vector has wrong length")
-        unit, den_u = scaled(sparse_vec(vec(unit)))
-        self.__dict__.update(StructureAlgebra.from_int(basis, (den_u, unit), table, den, name).__dict__)
 
     @classmethod
     def from_int(
@@ -172,7 +152,9 @@ class StructureAlgebra:
         ``int_unit`` likewise. Each table[i][j] is a collection (a list, or a
         dict's items).
         """
-        dim = _table_dim(basis, table)
+        dim = len(basis)
+        if len(table) != dim or any(len(row) != dim for row in table):
+            raise ValueError("multiplication table has wrong shape")
         den, cells = int_content(den, [pairs for row in table for pairs in row], dim)
         if len(unit) != 2 or not isinstance(unit[1], dict):
             raise ValueError(f"unit must be (scale, {{index: int}}), not {unit!r}")
@@ -184,12 +166,6 @@ class StructureAlgebra:
         alg.name = name
         alg.int_sp = den, [cells[i * dim:(i + 1) * dim] for i in range(dim)]
         return alg
-
-    @cached_property
-    def unit(self) -> list[Fraction]:
-        """1 as a dense Fraction vector."""
-        den, unit = self.int_unit
-        return dense_vec(over(unit, den), self.dim)
 
     @cached_property
     def generators(self) -> tuple[int, ...] | None:

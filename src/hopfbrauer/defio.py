@@ -1,13 +1,18 @@
 """JSON definition files for algebras, Hopf algebras and YD module algebras.
 
+This module is the package's one rational edge. A loader parses and
+shape-checks every rational of a file once, scales each table by the least
+common denominator of its entries and hands the integers to the carrier's
+``from_int``; a dump formats the integer stores back as rationals.
 Rationals are serialized as "p/q" or "p" strings everywhere. The schemas
 (see README for examples):
 
   algebra:  {"dim", "basis", "unit", "mult"}
             mult[i][j] is the coefficient vector of e_i·e_j.
   hopf:     algebra keys plus {"coproduct", "counit", "antipode"} and an
-            optional "antipode_inv"; coproduct[i] is a dim×dim matrix with
-            entry [p][q] the coefficient of e_p⊗e_q in Δ(e_i).
+            optional "antipode_inv" (S inverted when it is absent);
+            coproduct[i] is a dim×dim matrix with entry [p][q] the
+            coefficient of e_p⊗e_q in Δ(e_i).
   yd:       algebra keys plus {"hopf": <builtin name or inline hopf>,
             "action", "coaction"}; action[i][j] is the image vector of
             e_i^H·e_j^A, coaction[j][a] is the H-coefficient vector of the
@@ -22,7 +27,19 @@ from fractions import Fraction
 
 from .algebra import StructureAlgebra, check_algebra_axioms
 from .hopf import HopfAlgebra, check_hopf_axioms
-from .linalg import Matrix, dense_vec, format_rational, over, parse_rational
+from .linalg import (
+    IntVec,
+    Matrix,
+    SparseVec,
+    dense_vec,
+    format_rational,
+    over,
+    parse_rational,
+    scaled,
+    scaled_rows,
+    scaled_vecs,
+    sparse_vec,
+)
 from .yd import YDObject, check_yd_algebra
 
 
@@ -55,54 +72,62 @@ def _vector(value, n: int, path: str) -> list[Fraction]:
     return [_rational(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
-def _square(value, n: int, path: str) -> Matrix:
+def _sparse(value, n: int, path: str) -> SparseVec:
+    """The n rationals of ``value`` as a sparse vector."""
+    return sparse_vec(_vector(value, n, path))
+
+
+def _list(value, n: int, path: str, what: str) -> list:
+    """``value``, a list of n ``what``."""
     if not isinstance(value, list) or len(value) != n:
-        raise SchemaError(path, f"expected {n} rows")
-    return Matrix([_vector(r, n, f"{path}[{p}]") for p, r in enumerate(value)])
+        raise SchemaError(path, f"expected {n} {what}")
+    return value
+
+
+def _square(value, n: int, path: str) -> Matrix:
+    return Matrix([_vector(r, n, f"{path}[{p}]") for p, r in enumerate(_list(value, n, path, "rows"))])
 
 
 def load_algebra(obj: dict, path: str = "algebra") -> StructureAlgebra:
     dim = _need(obj, "dim", path)
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise SchemaError(f"{path}.dim", "must be a positive integer")
     basis = _need(obj, "basis", path)
     if not isinstance(basis, list) or len(basis) != dim:
         raise SchemaError(f"{path}.basis", f"expected {dim} labels")
-    unit = _vector(_need(obj, "unit", path), dim, f"{path}.unit")
-    mult_raw = _need(obj, "mult", path)
-    if not isinstance(mult_raw, list) or len(mult_raw) != dim:
-        raise SchemaError(f"{path}.mult", f"expected {dim} rows")
-    mult = []
-    for i, row in enumerate(mult_raw):
-        if not isinstance(row, list) or len(row) != dim:
-            raise SchemaError(f"{path}.mult[{i}]", f"expected {dim} entries")
-        mult.append([_vector(v, dim, f"{path}.mult[{i}][{j}]") for j, v in enumerate(row)])
-    return StructureAlgebra(basis, unit, mult, name=str(obj.get("name", "")))
+    unit, den_u = scaled(_sparse(_need(obj, "unit", path), dim, f"{path}.unit"))
+    den, cells = scaled_rows(
+        _sparse(v, dim, f"{path}.mult[{i}][{j}]").items()
+        for i, row in enumerate(_list(_need(obj, "mult", path), dim, f"{path}.mult", "rows"))
+        for j, v in enumerate(_list(row, dim, f"{path}.mult[{i}]", "entries"))
+    )
+    table = [cells[i * dim:(i + 1) * dim] for i in range(dim)]
+    return StructureAlgebra.from_int(basis, (den_u, unit), table, den, name=str(obj.get("name", "")))
 
 
 def load_hopf(obj: dict, path: str = "hopf") -> HopfAlgebra:
     alg = load_algebra(obj, path)
     dim = alg.dim
-    cop_raw = _need(obj, "coproduct", path)
-    if not isinstance(cop_raw, list) or len(cop_raw) != dim:
-        raise SchemaError(f"{path}.coproduct", f"expected {dim} entries")
-    cop = []
-    for i, mat in enumerate(cop_raw):
-        if not isinstance(mat, list) or len(mat) != dim:
-            raise SchemaError(f"{path}.coproduct[{i}]", f"expected {dim} rows")
-        flat = []
-        for p, row in enumerate(mat):
-            flat.extend(_vector(row, dim, f"{path}.coproduct[{i}][{p}]"))
-        cop.append(flat)
-    counit = _vector(_need(obj, "counit", path), dim, f"{path}.counit")
+    cop = scaled_rows(
+        [
+            (p, q, c)
+            for p, row in enumerate(_list(mat, dim, f"{path}.coproduct[{i}]", "rows"))
+            for q, c in _sparse(row, dim, f"{path}.coproduct[{i}][{p}]").items()
+        ]
+        for i, mat in enumerate(_list(_need(obj, "coproduct", path), dim, f"{path}.coproduct", "entries"))
+    )
+    counit, den_e = scaled(_sparse(_need(obj, "counit", path), dim, f"{path}.counit"))
     antipode = _square(_need(obj, "antipode", path), dim, f"{path}.antipode")
     antipode_inv = _square(obj["antipode_inv"], dim, f"{path}.antipode_inv") if "antipode_inv" in obj else None
     meta = _meta(obj.get("meta", {}), dim, f"{path}.meta")
-    try:
-        return HopfAlgebra(alg, cop, counit, antipode, antipode_inv, name=str(obj.get("name", "")), meta=meta)
-    except ZeroDivisionError:
-        # HopfAlgebra inverts S when S⁻¹ is absent; a finite-dimensional antipode is bijective
-        raise SchemaError(f"{path}.antipode", "singular matrix, so not an antipode") from None
+    if antipode_inv is None:
+        try:
+            antipode_inv = antipode.inverse()
+        except ZeroDivisionError:
+            # a finite-dimensional antipode is bijective
+            raise SchemaError(f"{path}.antipode", "singular matrix, so not an antipode") from None
+    s, s_inv = (scaled_vecs(sparse_vec(col) for col in zip(*m.data)) for m in (antipode, antipode_inv))
+    return HopfAlgebra.from_int(alg, cop, (den_e, counit), s, s_inv, name=str(obj.get("name", "")), meta=meta)
 
 
 # meta keys naming one basis element each; "pi_keep" names two
@@ -155,27 +180,22 @@ def load_yd(obj: dict, path: str = "yd") -> YDObject:
         hopf = load_hopf(hopf_field, f"{path}.hopf")
     else:
         raise SchemaError(f"{path}.hopf", "expected a builtin name or an inline hopf object")
-    action_raw = _need(obj, "action", path)
-    if not isinstance(action_raw, list) or len(action_raw) != hopf.dim:
-        raise SchemaError(f"{path}.action", f"expected {hopf.dim} rows (one per Hopf basis element)")
-    action = []
-    for i, row in enumerate(action_raw):
-        if not isinstance(row, list) or len(row) != alg.dim:
-            raise SchemaError(f"{path}.action[{i}]", f"expected {alg.dim} image vectors")
-        cols = [_vector(v, alg.dim, f"{path}.action[{i}][{j}]") for j, v in enumerate(row)]
-        action.append(Matrix.from_cols(cols))
-    co_raw = _need(obj, "coaction", path)
-    if not isinstance(co_raw, list) or len(co_raw) != alg.dim:
-        raise SchemaError(f"{path}.coaction", f"expected {alg.dim} rows")
-    coaction = []
-    for j, row in enumerate(co_raw):
-        if not isinstance(row, list) or len(row) != alg.dim:
-            raise SchemaError(f"{path}.coaction[{j}]", f"expected {alg.dim} carrier components")
-        flat = []
-        for a, hvec in enumerate(row):
-            flat.extend(_vector(hvec, hopf.dim, f"{path}.coaction[{j}][{a}]"))
-        coaction.append(flat)
-    return YDObject(hopf, alg.dim, alg, action, coaction)
+    n, dim = hopf.dim, alg.dim
+    action, rows = [], _need(obj, "action", path)
+    for i, row in enumerate(_list(rows, n, f"{path}.action", "rows (one per Hopf basis element)")):
+        row = _list(row, dim, f"{path}.action[{i}]", "image vectors")
+        action.append([_sparse(v, dim, f"{path}.action[{i}][{j}]") for j, v in enumerate(row)])
+    # images[j][i] = e_i·e_j, so the store is the transpose of the file's table
+    den, cells = scaled_vecs(v for col in zip(*action) for v in col)
+    rho = scaled_rows(
+        [
+            (a, k, c)
+            for a, hvec in enumerate(_list(row, dim, f"{path}.coaction[{j}]", "carrier components"))
+            for k, c in _sparse(hvec, n, f"{path}.coaction[{j}][{a}]").items()
+        ]
+        for j, row in enumerate(_list(_need(obj, "coaction", path), dim, f"{path}.coaction", "rows"))
+    )
+    return YDObject.from_int(hopf, dim, alg, (den, [cells[j * n:(j + 1) * n] for j in range(dim)]), rho)
 
 
 def detect_kind(obj: dict) -> str:
@@ -187,6 +207,8 @@ def detect_kind(obj: dict) -> str:
 
 
 def load_definition(obj: dict):
+    if not isinstance(obj, dict):
+        raise SchemaError("definition", f"expected a JSON object, got {obj!r}")
     kind = detect_kind(obj)
     if kind == "yd":
         return kind, load_yd(obj)
@@ -210,15 +232,20 @@ def validate_definition(obj: dict):
 # -- serialization ----------------------------------------------------------
 
 
+def _formatted(v: IntVec, den: int, n: int) -> list[str]:
+    """The n entries of v/den as rationals."""
+    return [format_rational(x) for x in dense_vec(over(v, den), n)]
+
+
 def algebra_to_json(alg: StructureAlgebra) -> dict:
     n = alg.dim
-    den, table = alg.int_sp
+    (den_u, unit), (den, table) = alg.int_unit, alg.int_sp
     return {
         "name": alg.name,
         "dim": alg.dim,
         "basis": list(alg.basis),
-        "unit": [format_rational(x) for x in alg.unit],
-        "mult": [[[format_rational(x) for x in dense_vec(over(dict(t), den), n)] for t in row] for row in table],
+        "unit": _formatted(unit, den_u, n),
+        "mult": [[_formatted(dict(t), den, n) for t in row] for row in table],
     }
 
 
@@ -226,27 +253,22 @@ def hopf_to_json(h: HopfAlgebra) -> dict:
     out = algebra_to_json(h.alg)
     out["name"] = h.name
     n = h.dim
-    out["coproduct"] = []
     den, rows = h.int_cop
-    for row in rows:
-        delta = dense_vec({p * n + q: Fraction(c, den) for p, q, c in row}, n * n)
-        out["coproduct"].append([[format_rational(x) for x in delta[p * n:(p + 1) * n]] for p in range(n)])
-    out["counit"] = [format_rational(x) for x in h.counit]
-    out["antipode"] = [[format_rational(x) for x in row] for row in h.antipode.data]
-    out["antipode_inv"] = [[format_rational(x) for x in row] for row in h.antipode_inv.data]
+    out["coproduct"] = [[_formatted({q: c for p, q, c in row if p == r}, den, n) for r in range(n)] for row in rows]
+    out["counit"] = _formatted(h.int_counit[1], h.int_counit[0], n)
+    # S[p][q] is entry p of the column S(e_q)
+    for key, (den, cols) in (("antipode", h.int_s), ("antipode_inv", h.int_s_inv)):
+        out[key] = [list(row) for row in zip(*(_formatted(col, den, n) for col in cols))]
     return out
 
 
 def yd_to_json(a: YDObject, hopf_name: str | None = None) -> dict:
     out = algebra_to_json(a.alg)
     out["hopf"] = hopf_name if hopf_name else hopf_to_json(a.hopf)
-    out["action"] = [
-        [[format_rational(x) for x in a.action[i].col(j)] for j in range(a.dim)]
-        for i in range(a.hopf.dim)
-    ]
-    n = a.hopf.dim
+    den, rows = a.int_images
+    out["action"] = [[_formatted(row[i], den, a.dim) for row in rows] for i in range(a.hopf.dim)]
+    den, rows = a.int_rho
     out["coaction"] = [
-        [[format_rational(a.coaction[j][p * n + k]) for k in range(n)] for p in range(a.dim)]
-        for j in range(a.dim)
+        [_formatted({k: c for b, k, c in row if b == p}, den, a.hopf.dim) for p in range(a.dim)] for row in rows
     ]
     return out

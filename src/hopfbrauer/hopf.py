@@ -2,8 +2,8 @@
 
 A Hopf algebra is a :class:`~hopfbrauer.algebra.StructureAlgebra` with a
 coproduct, a counit vector and an antipode S with its inverse, ε, Δ, S and
-S⁻¹ stored as integers (``HopfAlgebra.from_int``), with dense views for I/O
-(``counit``, ``antipode``, ``antipode_inv``). These stores and R, R⁻¹ pass
+S⁻¹ stored as integers, the one form, built by ``HopfAlgebra.from_int``;
+``defio`` reads and writes it over ℚ. These stores and R, R⁻¹ pass
 ``algebra.int_content``; the dense rows of r, r⁻¹ and σ pass
 ``_lowest_rows``. The module checks axioms and builds duals, Drinfeld
 doubles with their canonical R, (co)quasitriangular structures and Hopf
@@ -39,13 +39,11 @@ from .linalg import (
     over,
     scale_sparse,
     scaled,
-    scaled_rows,
     scaled_vecs,
     solve_sparse,
     sparse_sum,
     sparse_vec,
     vec,
-    zero_vec,
 )
 
 
@@ -53,37 +51,18 @@ class HopfAlgebra:
     """A Hopf algebra on the basis of ``alg``. The state is ``int_cop`` = (D_Δ,
     rows[i] = D_Δ·Δ(e_i) as (p, q, c) for c·e_p ⊗ e_q), ``int_counit`` = (D, D·ε)
     and ``int_s``, ``int_s_inv`` = (D, cols[j] = D·S(e_j), D·S⁻¹(e_j)), each D
-    minimal, written by ``from_int``; the dense ``__init__`` (Δ[i] at p·dim + q)
-    scales once and calls it. ``counit``, ``antipode`` and ``antipode_inv``
-    are dense views."""
-
-    def __init__(self, alg: StructureAlgebra, coproduct: Sequence[Sequence], counit: Sequence, antipode: Matrix,
-                 antipode_inv: Matrix | None = None, name: str = "", meta: dict | None = None):
-        n = alg.dim
-        cop = [vec(c) for c in coproduct]
-        if len(cop) != n or any(len(c) != n * n for c in cop):
-            raise ValueError("coproduct tensor has wrong shape")
-        cols = []
-        for label, m in (("antipode", antipode), ("antipode_inv", antipode_inv)):
-            if m is not None and (m.rows, m.cols) != (n, n):
-                raise ValueError(f"{label} is {m.rows}×{m.cols}, expected {n}×{n}")
-            cols.append(None if m is None else scaled_vecs(sparse_vec(col) for col in zip(*m.data)))
-        cop = scaled_rows([(k // n, k % n, c) for k, c in enumerate(row) if c] for row in cop)
-        if len(counit) != n:
-            raise ValueError("counit vector has wrong length")
-        counit, den_e = scaled(sparse_vec(vec(counit)))
-        self.__dict__.update(HopfAlgebra.from_int(alg, cop, (den_e, counit), *cols, name, meta).__dict__)
+    minimal, written by ``from_int``, the one constructor."""
 
     @classmethod
     def from_int(cls, alg: StructureAlgebra, cop: tuple[int, Sequence], counit: tuple[int, IntVec],
-                 antipode: tuple[int, Sequence[IntVec]], antipode_inv: tuple[int, Sequence[IntVec]] | None = None,
+                 antipode: tuple[int, Sequence[IntVec]], antipode_inv: tuple[int, Sequence[IntVec]],
                  name: str = "", meta: dict | None = None) -> "HopfAlgebra":
         """The Hopf algebra with Δ(e_i) = Σ (c/D)·e_p ⊗ e_q over the (p, q, c) of
         rows[i] for cop = (D, rows), S(e_j) = Σ (c/D)·e_k over the {k: c} of
         cols[j] for antipode = (D, cols), ε for counit = (D, {k: c}) and S⁻¹
-        likewise (S inverted if None).
-        ``int_content`` checks the terms of each store, sorts them and divides
-        the store by the gcd of D and every c."""
+        likewise. ``int_content`` checks the terms of each store, sorts them
+        and divides the store by the gcd of D and every c; ``ValueError``
+        names a column that is not a dict."""
         n = alg.dim
         den, rows = cop
         if len(rows) != n:
@@ -95,25 +74,15 @@ class HopfAlgebra:
         h = cls.__new__(cls)
         h.alg, h.dim, h.name, h.meta = alg, n, name or alg.name, dict(meta or {})
         h.int_counit, h.int_cop = (den_e, dict(counit)), cop
-        for attr, label, cols in (("int_s", "antipode", antipode), ("int_s_inv", "antipode_inv", antipode_inv)):
-            if cols is None:  # S⁻¹ by inverting S, stored the step before
-                cols = scaled_vecs(sparse_vec(col) for col in zip(*h.antipode.inverse().data))
-            den, cols = cols
+        for attr, label, (den, cols) in (("int_s", "antipode", antipode), ("int_s_inv", "antipode_inv", antipode_inv)):
             if len(cols) != n:
                 raise ValueError(f"{label} has {len(cols)} columns, expected {n}×{n}")
+            for j, col in enumerate(cols):
+                if not isinstance(col, dict):
+                    raise ValueError(f"{label} column {j} must be {{index: int}}, not {col!r}")
             den, cols = int_content(den, [col.items() for col in cols], n)
             setattr(h, attr, (den, [dict(col) for col in cols]))
         return h
-
-    @cached_property
-    def counit(self) -> list[Fraction]:
-        """ε as a dense Fraction vector."""
-        den, counit = self.int_counit
-        return dense_vec(over(counit, den), self.dim)
-
-    # S and S⁻¹ as dense matrices, built from the store on first read
-    antipode = cached_property(lambda self: _dense_columns(*self.int_s, self.dim))
-    antipode_inv = cached_property(lambda self: _dense_columns(*self.int_s_inv, self.dim))
 
     @cached_property
     def int_cop2(self) -> tuple[int, list[tuple[tuple[int, int, int, int], ...]]]:
@@ -154,11 +123,6 @@ class HopfAlgebra:
         return f"HopfAlgebra({self.name or 'unnamed'}, dim={self.dim})"
 
 
-def _dense_columns(den: int, cols: list[IntVec], n: int) -> Matrix:
-    """The n × n matrix whose column j is cols[j]/den."""
-    return Matrix.from_cols([dense_vec(over(col, den), n) for col in cols])
-
-
 # ---------------------------------------------------------------------------
 # Tensor-square / tensor-cube element helpers (sparse dicts)
 # ---------------------------------------------------------------------------
@@ -166,13 +130,6 @@ def _dense_columns(den: int, cols: list[IntVec], n: int) -> Matrix:
 
 def t2_from_vec(x: Sequence[Fraction], dim: int) -> dict[tuple[int, int], Fraction]:
     return {(k // dim, k % dim): c for k, c in enumerate(x) if c}
-
-
-def t2_to_vec(x: dict[tuple[int, int], Fraction], dim: int) -> list[Fraction]:
-    out = zero_vec(dim * dim)
-    for (i, j), c in x.items():
-        out[i * dim + j] = c
-    return out
 
 
 def _t2_int(sp, x: dict, y: dict) -> dict:
@@ -510,32 +467,25 @@ class QTStructure:
     """R and R⁻¹ in H⊗H, stored as ``int_pairs`` and ``int_inv`` = (D, {(i, j):
     D·c}), D the least common denominator and the keys in index order; the
     constructor takes (D, {(i, j): int}) pairs over any D > 0, checked and
-    reduced by ``int_content`` (``ValueError`` names a bad scale or term).
-    The dense ``r`` and ``r_inv`` are views, built on first read."""
+    reduced by ``int_content`` (``ValueError`` names a bad scale or term, or
+    an element that is not a dict)."""
 
     def __init__(self, hopf: HopfAlgebra, r: tuple[int, dict], r_inv: tuple[int, dict]):
         self.hopf = hopf
-        self.int_pairs, self.int_inv = _int_pairs(*r, hopf.dim), _int_pairs(*r_inv, hopf.dim)
+        self.int_pairs, self.int_inv = _int_pairs(*r, hopf.dim), _int_pairs(*r_inv, hopf.dim, "R⁻¹")
 
     def pairs(self) -> dict[tuple[int, int], Fraction]:
         """R as {(i, j): c}, read from ``int_pairs``."""
         den, r = self.int_pairs
         return over(r, den)
 
-    @cached_property
-    def r(self) -> list[Fraction]:
-        return t2_to_vec(self.pairs(), self.hopf.dim)
 
-    @cached_property
-    def r_inv(self) -> list[Fraction]:
-        den, r_inv = self.int_inv
-        return t2_to_vec(over(r_inv, den), self.hopf.dim)
-
-
-def _int_pairs(den: int, v: dict, n: int) -> tuple[int, dict]:
+def _int_pairs(den: int, v: dict, n: int, label: str = "R") -> tuple[int, dict]:
     """An element v/den of H⊗H, v = {(i, j): int}, as ``int_content`` stores
     it, in the {(i, j): c} container of ``int_pairs``; a key k that is no
     pair goes in as the pair (k, None), so the rule names it."""
+    if not isinstance(v, dict):
+        raise ValueError(f"{label} must be {{(i, j): int}}, not {v!r}")
     den, (terms,) = int_content(den, [[(*k, c) if type(k) is tuple and len(k) == 2 else (k, None, c)
                                        for k, c in v.items()]], n, n)
     return den, {(i, j): c for i, j, c in terms}
@@ -619,14 +569,11 @@ IntTable = tuple[int, list[list[int]]]  # (D, D·r as integer rows)
 
 class CoQTStructure:
     """r and r⁻¹ on H, stored as ``int_table`` and ``int_inv`` in lowest
-    terms; ``form`` and ``form_inv`` are dense views."""
+    terms."""
 
     def __init__(self, hopf: HopfAlgebra, form: IntTable, form_inv: IntTable):
         self.hopf = hopf
         self.int_table, self.int_inv = _lowest_rows(form, hopf.dim, "r"), _lowest_rows(form_inv, hopf.dim, "r⁻¹")
-
-    form = cached_property(lambda self: form_matrix(*self.int_table))
-    form_inv = cached_property(lambda self: form_matrix(*self.int_inv))
 
 
 def _lowest_rows(form: IntTable, n: int, label: str) -> IntTable:
@@ -642,11 +589,6 @@ def _lowest_rows(form: IntTable, n: int, label: str) -> IntTable:
         raise ValueError(f"{label} has an entry that is not an int")
     g = math.gcd(den, *(v for row in rows for v in row))
     return den // g, [[v // g for v in row] for row in rows]
-
-
-def form_matrix(den: int, rows: list[list[int]]) -> Matrix:
-    """The dense Fraction matrix of integer rows over den."""
-    return Matrix([[Fraction(v, den) for v in row] for row in rows])
 
 
 def form_products(h: HopfAlgebra, form: list[list[int]], x: int, y: int, flip: bool) -> tuple[IntVec, IntVec]:

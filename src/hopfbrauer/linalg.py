@@ -35,7 +35,7 @@ def rational_is_square(x) -> Fraction | None:
     A reduced p/q is a square in ℚ exactly when p > 0 and both p and q are
     perfect integer squares.
     """
-    x = Fraction(x)
+    x = _rational(x)
     if x <= 0:
         return None
     rn = math.isqrt(x.numerator)
@@ -250,7 +250,7 @@ class Matrix:
         return Matrix([[-a for a in row] for row in self.data])
 
     def __mul__(self, scalar) -> "Matrix":
-        c = Fraction(scalar)
+        c = _rational(scalar)
         return Matrix([[a * c for a in row] for row in self.data])
 
     __rmul__ = __mul__

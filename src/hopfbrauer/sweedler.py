@@ -27,7 +27,6 @@ from .hopf import (
     coqt_structure,
     drinfeld_double,
     dual_hopf,
-    form_matrix,
     form_products,
     qt_structure,
 )
@@ -109,11 +108,12 @@ def build_dh4() -> tuple[HopfAlgebra, QTStructure]:
     h4 = build_h4()
     double, canonical = drinfeld_double(h4)
     phi = phi_iso().matrix
-    eps = build_h4_dual().alg.unit
+    # ε, the unit of H₄*, and the unit of H₄, read from their stores
+    eps, one = (dense_vec(over(v, den), 4) for den, v in (build_h4_dual().alg.int_unit, h4.alg.int_unit))
     named: dict[str, list[Fraction]] = {}
     for label, idx in (("one", 0), ("g", 1), ("h", 2), ("gh", 3)):
         named[label] = bowtie_vec(4, eps, h4.alg.basis_vec(idx))
-        named["phi_" + label] = bowtie_vec(4, phi.col(idx), h4.alg.unit)
+        named["phi_" + label] = bowtie_vec(4, phi.col(idx), one)
     double.meta["named"] = named
     double.meta["g"] = None  # the grading generators are combinations, see named
     return double, canonical
@@ -415,12 +415,10 @@ def classify_bm0(d: CFamilyDescriptor) -> BM0Invariant:
 
 class LazyCocycle:
     """σ on the basis (1, g, h, gh), stored as ``int_table`` = (D_s, D_s·σ as
-    integer rows); ``table`` is its dense view."""
+    integer rows)."""
 
     def __init__(self, t: Fraction, sigma: IntTable):
         self.t, self.int_table = t, _lowest_rows(sigma, 4, "σ")
-
-    table = functools.cached_property(lambda self: form_matrix(*self.int_table))
 
 
 def build_sigma(t) -> LazyCocycle:

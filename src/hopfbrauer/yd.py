@@ -2,11 +2,11 @@
 
 Every object over a fixed Hopf algebra H is a ``YDObject``: a carrier with
 some of a product, a left H-action and a right H-coaction, stored as
-integers, with ``action`` and ``coaction`` as dense views for I/O; each
-store passes ``algebra.int_content`` once, and an object derived from
-another shares its store unchecked (``_Store``). Algebras are right
-H^op-comodule algebras, ρ(ab) = a₍₀₎b₍₀₎ ⊗ b₍₁₎a₍₁₎, under the
-Yetter-Drinfeld condition ρ(l·b) = l₍₂₎·b₍₀₎ ⊗ l₍₃₎ b₍₁₎ S⁻¹(l₍₁₎).
+integers, the one form, built by ``YDObject.from_int``; ``defio`` reads and
+writes it over ℚ. Each store passes ``algebra.int_content`` once, and an
+object derived from another shares its store unchecked (``_Store``).
+Algebras are right H^op-comodule algebras, ρ(ab) = a₍₀₎b₍₀₎ ⊗ b₍₁₎a₍₁₎,
+under the Yetter-Drinfeld condition ρ(l·b) = l₍₂₎·b₍₀₎ ⊗ l₍₃₎ b₍₁₎ S⁻¹(l₍₁₎).
 
 Checks, builders and solvers contract on integers, each tensor times the
 least common denominator of its entries (the action over D_a, the coaction
@@ -41,8 +41,6 @@ from .linalg import (
     over,
     rational_is_square,
     scaled,
-    scaled_rows,
-    scaled_vecs,
     solve_columns,
     span_of,
     sparse_sum,
@@ -87,9 +85,8 @@ class YDObject:
     ``dim`` is the carrier dimension (``alg.dim`` when there is a product).
     The state: ``int_images`` = (D_a, rows[j][k] = D_a·e_k·e_j as {index: int})
     and ``int_rho`` = (D_c, rows[j] = D_c·ρ(e_j) as (a, k, c) for c·e_a ⊗ e_k),
-    sorted, D the least common denominator, written by ``from_int``; the
-    dense ``__init__`` scales once and calls it. ``action`` and ``coaction``
-    are dense views. Objects are never mutated.
+    sorted, D the least common denominator, written by ``from_int``, the one
+    constructor. Objects are never mutated.
     """
 
     hopf: HopfAlgebra
@@ -98,25 +95,6 @@ class YDObject:
     int_images: tuple[int, list[list[IntVec]]] | None
     int_rho: tuple[int, list[tuple[tuple[int, int, int], ...]]] | None
 
-    def __init__(self, hopf: HopfAlgebra, dim: int, alg=None, action=None, coaction=None):
-        """The object of ``action`` (dim(H) matrices, dim × dim) and
-        ``coaction`` (dim rows of dim·dim(H) entries) over ℚ, each scaled once
-        and handed to ``from_int``; ``ValueError`` names a wrong shape."""
-        n = hopf.dim
-        images = rho = None
-        if action is not None:
-            shapes = [(m.rows, m.cols) for m in action]
-            if shapes != [(dim, dim)] * n:
-                raise ValueError(f"action must be {n} matrices of shape {(dim, dim)}, got {shapes}")
-            den, cols = scaled_vecs(sparse_vec(m.col(j)) for j in range(dim) for m in action)
-            images = den, [cols[j * n:(j + 1) * n] for j in range(dim)]
-        if coaction is not None:
-            lengths = [len(row) for row in coaction]
-            if lengths != [dim * n] * dim:
-                raise ValueError(f"coaction must be {dim} rows of dim·dim(H) = {dim * n} entries, got {lengths}")
-            rho = scaled_rows([(k // n, k % n, c) for k, c in enumerate(row) if c] for row in coaction)
-        self.__dict__.update(YDObject.from_int(hopf, dim, alg, images, rho).__dict__)
-
     __setattr__ = __delattr__ = refuse_assignment
 
     @classmethod
@@ -124,7 +102,8 @@ class YDObject:
         """The object with e_k·e_j = Σ (c/D_a)·e_p over the {p: c} of rows[j][k]
         for images = (D_a, rows), ρ(e_j) = Σ (c/D_c)·e_a ⊗ e_k over the (a, k, c)
         of rows[j] for rho = (D_c, rows); each store is checked, sorted and
-        divided by its gcd by ``int_content``. Another object's store is shared."""
+        divided by its gcd by ``int_content`` (``ValueError`` names a cell that
+        is not a dict). Another object's store is shared."""
         n = hopf.dim
         if alg is not None and alg.dim != dim:
             raise ValueError(f"carrier dimension {dim} differs from the algebra's {alg.dim}")
@@ -133,31 +112,19 @@ class YDObject:
         if rho is not None and len(rho[1]) != dim:
             raise ValueError(f"rho must have {dim} rows")
         if images is not None and type(images) is not _Store:
-            den, cells = int_content(images[0], [v.items() for row in images[1] for v in row], dim)
+            try:
+                cells = [v.items() for row in images[1] for v in row]
+            except AttributeError:  # searched for only now, so a build pays no check per cell
+                j, k, v = next((j, k, v) for j, row in enumerate(images[1]) for k, v in enumerate(row)
+                               if not hasattr(v, "items"))
+                raise ValueError(f"image cell ({j}, {k}) must be {{index: int}}, not {v!r}") from None
+            den, cells = int_content(images[0], cells, dim)
             images = _Store((den, [[dict(v) for v in cells[j * n:(j + 1) * n]] for j in range(dim)]))
         if rho is not None and type(rho) is not _Store:
             rho = _Store(int_content(rho[0], rho[1], dim, n))
         obj = cls.__new__(cls)
         obj.__dict__.update(hopf=hopf, dim=dim, alg=alg, int_images=images, int_rho=rho)
         return obj
-
-    @cached_property
-    def action(self) -> list[Matrix] | None:
-        """action[i], the matrix of e_i, built from ``int_images`` on first read."""
-        if self.int_images is None:
-            return None
-        den, rows = self.int_images
-        return [Matrix.from_cols([dense_vec(over(row[i], den), self.dim) for row in rows])
-                for i in range(self.hopf.dim)]
-
-    @cached_property
-    def coaction(self) -> list[list[Fraction]] | None:
-        """coaction[j][a·dim(H) + k], the coefficient of e_a ⊗ e_k in ρ(e_j),
-        built from ``int_rho`` on first read."""
-        if self.int_rho is None:
-            return None
-        n, (den, rows) = self.hopf.dim, self.int_rho
-        return [dense_vec({a * n + k: Q(c, den) for a, k, c in row}, self.dim * n) for row in rows]
 
     @cached_property
     def module_failures(self) -> list[str]:

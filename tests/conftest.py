@@ -1,20 +1,28 @@
 """Deterministic hypothesis for the test suite: every ``@given`` test draws
 the same examples on every run, with no per-example deadline, and no result
 depends on the ``.hypothesis/`` example database. Each test keeps its own
-``max_examples``. ``dense_mult`` and ``dense_cop`` write an algebra's product
-and a Hopf algebra's coproduct out as the dense tensors the constructors
-take, for tests that corrupt one entry or compare with a dense reference;
-``sweedler2`` is (Δ⊗id)Δ on Fractions, the reference for ``int_cop2``.
-``scaled_cells`` and ``sparse_yd`` hand sparse rational tables to the
-``from_int`` constructors, and ``dense_qt`` hands dense R and R⁻¹ vectors to
-``QTStructure``, each scaled once by the package's own scaling. ``zero_matrix``,
-``transpose``, ``rank``, ``consistent`` and ``int_form`` are the dense-matrix
-helpers the tests use and the package does not. ``fraction_table``,
-``mul_basis``, ``mul_sparse``, ``fraction_cop``, ``cop_sparse``, ``s_cols``,
-``yd_images`` and ``yd_rho`` read the integer stores back as Fractions, the
-independent references of the tests that compare a contraction on integers
-with one on ℚ; the cached ones hand every caller the same lists, which no
-test mutates. ``acc`` adds into such a sparse dict, dropping a zero."""
+``max_examples``.
+
+Each carrier has one form, its integer stores, built by ``from_int``; these
+helpers are the tests' dense edge. ``dense_algebra``, ``dense_hopf`` and
+``dense_yd`` hand a dense product, coproduct, counit, antipode, action or
+coaction over ℚ to ``from_int``, each table scaled once by ``linalg``'s
+scaling, and ``dense_qt`` hands dense R and R⁻¹ vectors to ``QTStructure``.
+``unit_vec``, ``counit_vec``, ``s_matrix``, ``action_matrices``,
+``coaction_rows``, ``r_vec`` and ``form_matrix`` read a store back as a dense
+vector or matrix, and ``dense_mult`` and ``dense_cop`` write a product and a
+coproduct out as dense tensors, for tests that corrupt one entry or compare
+with a dense reference; ``sweedler2`` is (Δ⊗id)Δ on Fractions, the
+reference for ``int_cop2``. ``scaled_cells`` and ``sparse_yd`` hand sparse
+rational tables to the ``from_int`` constructors. ``zero_matrix``,
+``transpose``, ``rank``, ``consistent`` and ``int_form`` are the
+dense-matrix helpers the tests use and the package does not.
+``fraction_table``, ``mul_basis``, ``mul_sparse``, ``fraction_cop``,
+``cop_sparse``, ``s_cols``, ``yd_images`` and ``yd_rho`` read the integer
+stores back as Fractions, the independent references of the tests that
+compare a contraction on integers with one on ℚ; the cached ones hand every
+caller the same lists, which no test mutates. ``acc`` adds into such a
+sparse dict, dropping a zero."""
 
 from fractions import Fraction
 from functools import cache
@@ -22,7 +30,20 @@ from functools import cache
 from hypothesis import settings
 
 from hopfbrauer import hopf
-from hopfbrauer.linalg import Echelon, Matrix, common_denominator, dense_vec, over, scaled, scaled_rows
+from hopfbrauer.algebra import StructureAlgebra
+from hopfbrauer.hopf import HopfAlgebra
+from hopfbrauer.linalg import (
+    Echelon,
+    Matrix,
+    common_denominator,
+    dense_vec,
+    over,
+    scaled,
+    scaled_rows,
+    scaled_vecs,
+    sparse_vec,
+    vec,
+)
 from hopfbrauer.yd import YDObject
 
 settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
@@ -147,6 +168,91 @@ def dense_qt(h, r, r_inv):
     each expanded by ``hopf.t2_from_vec`` and scaled once."""
     (x, dx), (y, dy) = (scaled(hopf.t2_from_vec(v, h.dim)) for v in (r, r_inv))
     return hopf.QTStructure(h, (dx, x), (dy, y))
+
+
+def dense_algebra(basis, unit, mult, name=""):
+    """``StructureAlgebra.from_int`` of the dense unit and product tensor
+    over ℚ, mult[i][j] the coefficient vector of e_i·e_j."""
+    dim = len(basis)
+    den, cells = scaled_rows(sparse_vec(vec(v)).items() for row in mult for v in row)
+    unit, den_u = scaled(sparse_vec(vec(unit)))
+    table = [cells[i * dim:(i + 1) * dim] for i in range(dim)]
+    return StructureAlgebra.from_int(basis, (den_u, unit), table, den, name)
+
+
+def dense_hopf(alg, coproduct, counit, antipode, antipode_inv=None, name="", meta=None):
+    """``HopfAlgebra.from_int`` of the dense coproduct (coproduct[i][p·dim + q]
+    the coefficient of e_p⊗e_q in Δ(e_i)), counit and antipode matrices over
+    ℚ; S⁻¹ is S inverted when ``antipode_inv`` is None."""
+    n = alg.dim
+    cop = scaled_rows([(k // n, k % n, c) for k, c in enumerate(vec(row)) if c] for row in coproduct)
+    counit, den_e = scaled(sparse_vec(vec(counit)))
+    s, s_inv = (scaled_vecs(sparse_vec(col) for col in zip(*m.data))
+                for m in (antipode, antipode.inverse() if antipode_inv is None else antipode_inv))
+    return HopfAlgebra.from_int(alg, cop, (den_e, counit), s, s_inv, name, meta)
+
+
+def dense_yd(h, dim, alg=None, action=None, coaction=None):
+    """``YDObject.from_int`` of ``action`` (dim(H) matrices, dim × dim, the
+    columns of action[i] the images e_i·e_j) and ``coaction`` (dim rows,
+    row[j][a·dim(H) + k] the coefficient of e_a ⊗ e_k in ρ(e_j)) over ℚ."""
+    n = h.dim
+    images = rho = None
+    if action is not None:
+        den, cols = scaled_vecs(sparse_vec(m.col(j)) for j in range(dim) for m in action)
+        images = den, [cols[j * n:(j + 1) * n] for j in range(dim)]
+    if coaction is not None:
+        rho = scaled_rows([(k // n, k % n, c) for k, c in enumerate(vec(row)) if c] for row in coaction)
+    return YDObject.from_int(h, dim, alg, images, rho)
+
+
+def unit_vec(alg):
+    """1 as a dense Fraction vector, from ``int_unit``."""
+    den, unit = alg.int_unit
+    return dense_vec(over(unit, den), alg.dim)
+
+
+def counit_vec(h):
+    """ε as a dense Fraction vector, from ``int_counit``."""
+    den, counit = h.int_counit
+    return dense_vec(over(counit, den), h.dim)
+
+
+def s_matrix(h, inverse=False):
+    """The matrix of S (S⁻¹ if ``inverse``), column j read from the store."""
+    return Matrix.from_cols([dense_vec(col, h.dim) for col in s_cols(h, inverse)])
+
+
+@cache
+def action_matrices(a):
+    """action[i], the matrix whose column j is e_i·e_j, from ``int_images``
+    (None if none), built once per object."""
+    images = yd_images(a)
+    return None if images is None else [Matrix.from_cols([dense_vec(row[i], a.dim) for row in images])
+                                        for i in range(a.hopf.dim)]
+
+
+@cache
+def coaction_rows(a):
+    """coaction[j][a·dim(H) + k], the coefficient of e_a ⊗ e_k in ρ(e_j), from
+    ``int_rho`` (None if none), built once per object."""
+    if a.int_rho is None:
+        return None
+    n = a.hopf.dim
+    return [dense_vec({x * n + k: c for x, k, c in row}, a.dim * n) for row in yd_rho(a)]
+
+
+def r_vec(rt, inverse=False):
+    """R (R⁻¹ if ``inverse``) as its dim² dense coefficients, from ``int_pairs``
+    (``int_inv``), e_i ⊗ e_j at i·dim + j."""
+    n, (den, pairs) = rt.hopf.dim, rt.int_inv if inverse else rt.int_pairs
+    return dense_vec({i * n + j: Fraction(c, den) for (i, j), c in pairs.items()}, n * n)
+
+
+def form_matrix(den, rows):
+    """The dense Fraction matrix of integer rows over den: a form r, r⁻¹ or σ
+    read from its store."""
+    return Matrix([[Fraction(v, den) for v in row] for row in rows])
 
 
 def zero_matrix(rows, cols):

@@ -3,10 +3,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import dense_mult, mul_sparse
+from conftest import dense_algebra, dense_mult, mul_sparse, unit_vec
 from hopfbrauer.algebra import (
     Grading,
-    StructureAlgebra,
     center,
     check_algebra_axioms,
     endomorphism_algebra,
@@ -18,7 +17,7 @@ from hopfbrauer.linalg import in_span, sparse_vec
 
 
 def group_algebra_z2():
-    return StructureAlgebra(
+    return dense_algebra(
         ["1", "g"],
         [1, 0],
         [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
@@ -27,7 +26,7 @@ def group_algebra_z2():
 
 
 def c_algebra(a):
-    return StructureAlgebra(
+    return dense_algebra(
         ["1", "x"],
         [1, 0],
         [[[1, 0], [0, 1]], [[0, 1], [a, 0]]],
@@ -37,7 +36,7 @@ def c_algebra(a):
 
 def quaternion_algebra(a, b, m=0):
     """1, X, Y, XY with X² = a, Y² = b, XY + YX = m."""
-    return StructureAlgebra(
+    return dense_algebra(
         ["1", "X", "Y", "XY"],
         [1, 0, 0, 0],
         [
@@ -65,7 +64,7 @@ def test_axioms_detect_corruption():
     good = quaternion_algebra(Q(1), Q(1))
     mult = dense_mult(good)
     mult[1][2][0] += Q(1)  # perturb X·Y
-    rep = check_algebra_axioms(StructureAlgebra(good.basis, good.unit, mult))
+    rep = check_algebra_axioms(dense_algebra(good.basis, unit_vec(good), mult))
     assert not rep.ok and any("associativity" in f for f in rep.failures)
 
 
@@ -75,7 +74,7 @@ def test_axiom_failures_on_a_corrupted_sharp_rung_are_pinned():
     rung = _ladder_rung_d8().alg
     mult = dense_mult(rung)
     mult[3][5][6] += Q(1, 3)  # perturb (1#x#x)·(x#1#x)
-    rep = check_algebra_axioms(StructureAlgebra(rung.basis, rung.unit, mult))
+    rep = check_algebra_axioms(dense_algebra(rung.basis, unit_vec(rung), mult))
     triples = [
         (1, 2, 5), (1, 3, 5), (1, 7, 5), (2, 1, 5), (2, 3, 5), (2, 7, 5), (3, 1, 4), (3, 1, 7),
         (3, 2, 7), (3, 3, 5), (3, 3, 6), (3, 4, 1), (3, 5, 1), (3, 5, 2), (3, 5, 3), (3, 5, 4),
@@ -86,7 +85,7 @@ def test_axiom_failures_on_a_corrupted_sharp_rung_are_pinned():
     mult = dense_mult(rung)
     mult[0][2][2] -= 1  # the unit no longer fixes 1#x#1
     mult[0][2][3] += 2
-    rep = check_algebra_axioms(StructureAlgebra(rung.basis, rung.unit, mult))
+    rep = check_algebra_axioms(dense_algebra(rung.basis, unit_vec(rung), mult))
     assert rep.failures[0] == "unit law fails at basis element 1#x#1"
     assert len(rep.failures) == 39 and rep.failures[1] == "associativity fails at triple (0,1,3)"
     assert rep.failures[-1] == "associativity fails at triple (7,7,2)"
@@ -95,7 +94,7 @@ def test_axiom_failures_on_a_corrupted_sharp_rung_are_pinned():
 def test_multiply_unit_and_relation():
     alg = c_algebra(Q(5))
     x = {1: Q(1)}
-    one = sparse_vec(alg.unit)
+    one = sparse_vec(unit_vec(alg))
     assert mul_sparse(alg, one, x) == x == mul_sparse(alg, x, one)
     assert mul_sparse(alg, x, x) == {k: 5 * u for k, u in one.items()}
 
@@ -167,7 +166,7 @@ def test_central_simplicity_examples():
 def test_center():
     end = endomorphism_algebra(2)
     z = center(end)
-    assert len(z) == 1 and in_span(z, end.unit)
+    assert len(z) == 1 and in_span(z, unit_vec(end))
     assert len(center(c_algebra(Q(2)))) == 2
     rng = random.Random(4)
     alg = quaternion_algebra(Q(2), Q(5), Q(1))
@@ -178,7 +177,7 @@ def test_center():
 
 def test_unit_in_center_random():
     for alg in (group_algebra_z2(), quaternion_algebra(Q(2), Q(-1), Q(3)), endomorphism_algebra(2)):
-        assert in_span(center(alg), alg.unit)
+        assert in_span(center(alg), unit_vec(alg))
 
 
 def super_center_bruteforce(alg, parity):
@@ -215,7 +214,7 @@ def test_super_center_clifford():
     alg = quaternion_algebra(Q(1), Q(-1))
     grading = Grading(alg, (0, 1, 1, 0))
     sc = super_center(alg, grading)
-    assert len(sc) == 1 and in_span(sc, alg.unit)
+    assert len(sc) == 1 and in_span(sc, unit_vec(alg))
     brute = super_center_bruteforce(alg, (0, 1, 1, 0))
     assert len(brute) == len(sc)
 
@@ -253,7 +252,7 @@ def _check_algebra_axioms_reference(a):
     failures = []
     for i in range(a.dim):
         ei = a.basis_vec(i)
-        if not (a.mul_vec(a.unit, ei) == ei and a.mul_vec(ei, a.unit) == ei):
+        if not (a.mul_vec(unit_vec(a), ei) == ei and a.mul_vec(ei, unit_vec(a)) == ei):
             failures.append(f"unit law fails at basis element {a.basis[i]}")
     for i in range(a.dim):
         for j in range(a.dim):
@@ -277,8 +276,8 @@ def test_axioms_match_dense_reference():
         good,
         endomorphism_algebra(3),
         opposite_algebra(c_algebra(Q(-7))),
-        StructureAlgebra(good.basis, good.unit, mult),
-        StructureAlgebra(good.basis, unit, dense_mult(good)),
+        dense_algebra(good.basis, unit_vec(good), mult),
+        dense_algebra(good.basis, unit, dense_mult(good)),
     ]
     for alg in algebras:
         want = _check_algebra_axioms_reference(alg)

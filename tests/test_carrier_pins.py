@@ -5,8 +5,9 @@ object with product, action and coaction; the algebra, the action matrices
 and the flat coaction rows otherwise) and hashed. A change to any builder
 that moves a single structure constant, action entry or coaction entry, or
 renames a basis element, changes its digest. Each builder's output also
-round-trips between its sparse store and its dense views, and the store is
-in canonical form.
+round-trips between its integer store and the dense action and coaction
+the tests read from it (``tests/conftest.py``), and the store is in
+canonical form.
 
 A second table pins the outputs of every builder that multiplies elements
 rather than basis vectors: E(2)'s coproduct and antipode columns, the maps T
@@ -19,7 +20,7 @@ import json
 from fractions import Fraction as Q
 
 import pytest
-from conftest import cop_sparse, sparse_yd, yd_images, yd_rho
+from conftest import action_matrices, coaction_rows, cop_sparse, dense_yd, s_matrix, sparse_yd, yd_images, yd_rho
 
 from hopfbrauer.algebra import sandwich_matrix
 from hopfbrauer.defio import algebra_to_json, yd_to_json
@@ -38,13 +39,12 @@ from hopfbrauer.sweedler import (
     dh4_relations,
     quaternion_yd_algebra,
 )
-from hopfbrauer.yd import YDObject, double_to_yd, end_yd, h_opposite, module_tensor, sharp_product, yd_to_double
+from hopfbrauer.yd import double_to_yd, end_yd, h_opposite, module_tensor, sharp_product, yd_to_double
 
 
 def _digest(obj) -> str:
     alg = getattr(obj, "alg", None)
-    action = getattr(obj, "action", None)
-    coaction = getattr(obj, "coaction", None)
+    action, coaction = action_matrices(obj), coaction_rows(obj)
     if alg is not None and action is not None and coaction is not None:
         payload = yd_to_json(obj, hopf_name=obj.hopf.name)
     else:
@@ -116,9 +116,9 @@ def test_builder_output_is_pinned(name):
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_dense_and_sparse_forms_round_trip(name):
     obj = BUILDERS[name]()
-    dense = YDObject(obj.hopf, obj.dim, obj.alg, obj.action, obj.coaction)
+    dense = dense_yd(obj.hopf, obj.dim, obj.alg, action_matrices(obj), coaction_rows(obj))
     assert (yd_images(dense), yd_rho(dense)) == (yd_images(obj), yd_rho(obj))
-    assert (dense.action, dense.coaction) == (obj.action, obj.coaction)
+    assert (action_matrices(dense), coaction_rows(dense)) == (action_matrices(obj), coaction_rows(obj))
     images = None if yd_images(obj) is None else [[dict(reversed(v.items())) for v in row] for row in yd_images(obj)]
     rho = None if yd_rho(obj) is None else [list(reversed(row)) for row in yd_rho(obj)]
     fresh = sparse_yd(obj.hopf, obj.dim, obj.alg, images, rho)
@@ -144,7 +144,7 @@ def _e2_dump():
     e2 = build_e2()
     return {
         "coproduct": [[[p, q, format_rational(c)] for p, q, c in cop_sparse(e2, i)] for i in range(e2.dim)],
-        "antipode": [[format_rational(v) for v in e2.antipode.col(j)] for j in range(e2.dim)],
+        "antipode": [[format_rational(v) for v in s_matrix(e2).col(j)] for j in range(e2.dim)],
     }
 
 

@@ -11,9 +11,8 @@ defined by a decorator or by a class-level ``cached_property(...)`` or
 ``property(...)``, counts as referenced by an attribute of its name only,
 so a Fraction mirror of an integer store that nothing in ``src/`` reads is
 found. ``ALLOWED`` names exactly the helpers that only the benchmark's tracer
-(``perfbench/tracer.py``) holds; ROADMAP item 1 drops them from its ``TIMED``
-list, and then they go or move into the tests. ``EDGE_VIEWS`` names the dense
-views at the I/O edge that only the tests read.
+(``perfbench/tracer.py``) holds, the guard's one exception; ROADMAP item 1
+drops them from its ``TIMED`` list, and then they go or move into the tests.
 
 No value without a reader either: a local that a function assigns and that
 neither it nor a function nested in it reads (``dead_locals``; a name that
@@ -29,10 +28,6 @@ SRC = ROOT / "src" / "hopfbrauer"
 
 # held only by perfbench/tracer.py, until ROADMAP item 1 frees them
 ALLOWED = {"antipode_from_bialgebra", "f0_g0_matrices", "kernel_basis"}
-
-# dense views of an integer store (R, R⁻¹, r, r⁻¹ and σ) that the package
-# itself never reads: the tests read them, to compare with a dense reference
-EDGE_VIEWS = {"QTStructure.r", "QTStructure.r_inv", "CoQTStructure.form", "CoQTStructure.form_inv", "LazyCocycle.table"}
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 VIEW_MAKERS = {"property", "cached_property"}
@@ -137,7 +132,7 @@ def unused_imports(src: pathlib.Path = SRC) -> set[str]:
 
 
 def test_every_helper_has_a_caller():
-    assert unreferenced() == ALLOWED | EDGE_VIEWS
+    assert unreferenced() == ALLOWED
 
 
 def test_the_allowed_helpers_are_held_by_the_tracer():
@@ -157,7 +152,7 @@ def test_an_uncalled_helper_is_found(tmp_path):
     alias = "    sp_view = cached_property(lambda self: self.int_sp)\n\n"
     algebra.write_text(algebra.read_text().replace("    def mul_int(", method + mirror + alias + "    def mul_int(", 1))
     found = {"orphan", "StructureAlgebra.mul_twice", "StructureAlgebra._sp", "StructureAlgebra.sp_view"}
-    assert unreferenced(tmp_path) == ALLOWED | EDGE_VIEWS | found
+    assert unreferenced(tmp_path) == ALLOWED | found
 
 
 def test_no_value_goes_unread():

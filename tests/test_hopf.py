@@ -5,9 +5,24 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import dense_cop, dense_mult, int_form, s_cols, transpose, zero_matrix
+from conftest import (
+    counit_vec,
+    dense_algebra,
+    dense_cop,
+    dense_hopf,
+    dense_mult,
+    form_matrix,
+    int_form,
+    r_vec,
+    s_cols,
+    s_matrix,
+    transpose,
+    unit_vec,
+    zero_matrix,
+)
 
 from hopfbrauer.algebra import StructureAlgebra
+from hopfbrauer.defio import SchemaError, hopf_to_json, load_hopf
 from hopfbrauer.e2 import build_e2
 from hopfbrauer import hopf
 from hopfbrauer.hopf import (
@@ -41,11 +56,11 @@ from hopfbrauer.sweedler import (
 
 
 def group_hopf_z2() -> HopfAlgebra:
-    alg = StructureAlgebra(["1", "g"], [1, 0], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]], name="kZ2")
+    alg = dense_algebra(["1", "g"], [1, 0], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]], name="kZ2")
     cop = [zero_vec(4), zero_vec(4)]
     cop[0][0] = Q(1)        # 1⊗1
     cop[1][1 * 2 + 1] = Q(1)  # g⊗g
-    return HopfAlgebra(alg, cop, [1, 1], Matrix.identity(2), name="kZ2")
+    return dense_hopf(alg, cop, [1, 1], Matrix.identity(2), name="kZ2")
 
 
 def test_h4_axioms():
@@ -62,29 +77,35 @@ def test_h4_dual_axioms():
 
 def test_corrupted_antipode_fails():
     h4 = build_h4()
-    bad = HopfAlgebra(h4.alg, dense_cop(h4), h4.counit, Matrix.identity(4), name="bad")
+    bad = dense_hopf(h4.alg, dense_cop(h4), counit_vec(h4), Matrix.identity(4), name="bad")
     rep = check_hopf_axioms(bad)
     assert not rep.ok
     assert any("S" in f and "Δ" in f for f in rep.failures)
 
 
+# S and S⁻¹ (None: the field is left out) and the field path the refusal names
 WRONG_SHAPES = {
-    "3x3 S": lambda h4: (Matrix.identity(3), None),
-    "4x5 S": lambda h4: (zero_matrix(4, 5), None),
-    "5x4 S": lambda h4: (zero_matrix(5, 4), None),
-    "3x3 S_inv": lambda h4: (h4.antipode, Matrix.identity(3)),
-    "4x5 S_inv": lambda h4: (h4.antipode, zero_matrix(4, 5)),
+    "3x3 S": lambda h4: (Matrix.identity(3), None, "hopf.antipode: expected 4 rows"),
+    "4x5 S": lambda h4: (zero_matrix(4, 5), None, r"hopf.antipode\[0\]: expected 4 entries, got 5"),
+    "5x4 S": lambda h4: (zero_matrix(5, 4), None, "hopf.antipode: expected 4 rows"),
+    "3x3 S_inv": lambda h4: (s_matrix(h4), Matrix.identity(3), "hopf.antipode_inv: expected 4 rows"),
+    "4x5 S_inv": lambda h4: (s_matrix(h4), zero_matrix(4, 5), r"hopf.antipode_inv\[0\]: expected 4 entries, got 5"),
 }
 
 
 @pytest.mark.parametrize("shape", WRONG_SHAPES)
 def test_a_wrongly_shaped_antipode_is_rejected(shape):
     # such an S used to construct, and check_hopf_axioms and drinfeld_double
-    # then died with IndexError
+    # then died with IndexError; a dense S reaches the package through a
+    # definition file, whose loader checks its shape
     h4 = build_h4()
-    antipode, antipode_inv = WRONG_SHAPES[shape](h4)
-    with pytest.raises(ValueError, match="expected 4×4"):
-        HopfAlgebra(h4.alg, dense_cop(h4), h4.counit, antipode, antipode_inv)
+    antipode, antipode_inv, message = WRONG_SHAPES[shape](h4)
+    obj = {k: v for k, v in hopf_to_json(h4).items() if k != "antipode_inv"}
+    for key, m in (("antipode", antipode), ("antipode_inv", antipode_inv)):
+        if m is not None:
+            obj[key] = [[format_rational(x) for x in row] for row in m.data]
+    with pytest.raises(SchemaError, match=f"^{message}$"):
+        load_hopf(obj)
 
 
 @pytest.mark.parametrize(
@@ -117,10 +138,10 @@ def test_the_antipode_is_stored_as_sparse_columns():
     h4 = build_h4()
     assert s_cols(h4) == [{0: 1}, {1: 1}, {3: 1}, {2: -1}]
     assert s_cols(h4, inverse=True) == [{0: 1}, {1: 1}, {3: -1}, {2: 1}]
-    dense = HopfAlgebra(h4.alg, dense_cop(h4), h4.counit, h4.antipode)
+    dense = dense_hopf(h4.alg, dense_cop(h4), counit_vec(h4), s_matrix(h4))
     assert s_cols(dense) == s_cols(h4) and s_cols(dense, inverse=True) == s_cols(h4, inverse=True)
-    assert dense.antipode_inv == h4.antipode.inverse()
-    assert dual_hopf(h4).antipode == transpose(h4.antipode)
+    assert s_matrix(dense, inverse=True) == s_matrix(h4).inverse()
+    assert s_matrix(dual_hopf(h4)) == transpose(s_matrix(h4))
 
 
 # the failure lists of the dense matrix-product check, message for message
@@ -142,19 +163,19 @@ ANTIPODE_FAILURES = {
 def test_antipode_failure_lists_are_pinned(case):
     h4 = build_h4()
     antipode, antipode_inv, want = ANTIPODE_FAILURES[case]
-    bad = HopfAlgebra(h4.alg, dense_cop(h4), h4.counit, antipode or h4.antipode, antipode_inv, name="bad")
+    bad = dense_hopf(h4.alg, dense_cop(h4), counit_vec(h4), antipode or s_matrix(h4), antipode_inv, name="bad")
     assert check_hopf_axioms(bad).failures == want
     with pytest.raises(ValueError, match="closed-form antipode fails: "):
         drinfeld_double(bad)
 
 
 def _with(h, cop=None, counit=None, antipode=None):
-    return HopfAlgebra(
+    return dense_hopf(
         h.alg,
         cop or dense_cop(h),
-        counit or h.counit,
-        antipode or h.antipode,
-        None if antipode else h.antipode_inv,
+        counit or counit_vec(h),
+        antipode or s_matrix(h),
+        None if antipode else s_matrix(h, inverse=True),
         name="bad",
     )
 
@@ -218,8 +239,8 @@ def test_double_dual_canonical():
     dd = dual_hopf(dual_hopf(h4))
     assert dd.alg.same_product(h4.alg)
     assert dd.same_coproduct(h4)
-    assert dd.counit == h4.counit
-    assert dd.antipode == h4.antipode
+    assert counit_vec(dd) == counit_vec(h4)
+    assert s_matrix(dd) == s_matrix(h4)
 
 
 def test_drinfeld_double_of_kz2():
@@ -248,8 +269,8 @@ def test_dh4_key_relation_explicitly():
     lhs = [x - y for x, y in zip(a.mul_vec(fh, h), a.mul_vec(h, fh))]
     rhs = [x - y for x, y in zip(fg, g)]
     assert lhs == rhs
-    assert a.mul_vec(g, g) == a.unit
-    assert a.mul_vec(fg, fg) == a.unit
+    assert a.mul_vec(g, g) == unit_vec(a)
+    assert a.mul_vec(fg, fg) == unit_vec(a)
 
 
 @pytest.mark.parametrize("t", [Q(0), Q(1), Q(-3, 2), Q(7, 5)])
@@ -277,7 +298,8 @@ def test_coqt_store_is_in_lowest_terms(t):
     )
     assert (moved.int_table, moved.int_inv) == (ct.int_table, ct.int_inv)
     assert check_coquasitriangular(h4, moved).data["cotriangular"]
-    assert moved.form == ct.form and moved.form_inv == ct.form_inv
+    assert form_matrix(*moved.int_table) == form_matrix(*ct.int_table)
+    assert form_matrix(*moved.int_inv) == form_matrix(*ct.int_inv)
 
 
 def _unit_stores():
@@ -285,8 +307,8 @@ def _unit_stores():
 
     h4, e2 = build_h4(), build_e2()
     for h in (h4, build_h4_dual(), build_dh4()[0], e2, drinfeld_double(e2)[0], _rescaled_hopf(h4, H4_SCALES)):
-        yield h.name, h.alg.int_unit, h.alg.unit
-        yield h.name, h.int_counit, h.counit
+        yield h.name, h.alg.int_unit, unit_vec(h.alg)
+        yield h.name, h.int_counit, counit_vec(h)
 
 
 def test_unit_and_counit_stores_are_in_lowest_terms():
@@ -310,8 +332,8 @@ def test_closed_form_inverses_equal_the_solved_ones(t):
     # R_t is triangular and r_t cotriangular, so their inverses are (R_t)₂₁
     # and r_tᵀ: closed forms independent of the (S⊗id)R and r∘(S⊗id) derived
     rt, form = build_rt(t), build_rt_form(t)
-    assert rt.r_inv == [rt.r[(k % 4) * 4 + k // 4] for k in range(16)]
-    assert form.form_inv == transpose(form.form)
+    assert r_vec(rt, inverse=True) == [r_vec(rt)[(k % 4) * 4 + k // 4] for k in range(16)]
+    assert form_matrix(*form.int_inv) == transpose(form_matrix(*form.int_table))
 
 
 def test_wrong_known_inverses_are_rejected():
@@ -323,9 +345,9 @@ def test_wrong_known_inverses_are_rejected():
     with pytest.raises(ValueError, match="not the inverse of R"):
         qt_structure(h4, two)
     with pytest.raises(ValueError, match="not the convolution inverse of r"):
-        coqt_structure(h4, int_form(Matrix([[2 * a * b for b in h4.counit] for a in h4.counit])))
+        coqt_structure(h4, int_form(Matrix([[2 * a * b for b in counit_vec(h4)] for a in counit_vec(h4)])))
     # one perturbed coefficient of R_t
-    wrong = list(build_rt(Q(3, 2)).r)
+    wrong = list(r_vec(build_rt(Q(3, 2))))
     wrong[5] += 1
     with pytest.raises(ValueError, match="not the inverse of R"):
         qt_structure(h4, wrong)
@@ -397,7 +419,7 @@ def test_phi_push_matches_rt_table():
         # in lowest terms, keys in order, as QTStructure stores R
         assert math.gcd(den, *pushed.values()) == 1 and list(pushed) == sorted(pushed)
         table = [[Q(pushed.get((u, v), 0), den) for v in range(4)] for u in range(4)]
-        assert table == build_rt_form(t).form.data
+        assert table == form_matrix(*build_rt_form(t).int_table).data
 
 
 def test_identity_morphism():
@@ -424,14 +446,14 @@ def double_sha256(double, qt) -> str:
     a = double.alg
     obj = {
         "basis": a.basis,
-        "unit": _sparse_dump(a.unit),
+        "unit": _sparse_dump(unit_vec(a)),
         "mult": [[_sparse_dump(v) for v in row] for row in dense_mult(a)],
         "cop": [_sparse_dump(c) for c in dense_cop(double)],
-        "counit": _sparse_dump(double.counit),
-        "antipode": [_sparse_dump(r) for r in double.antipode.data],
-        "antipode_inv": [_sparse_dump(r) for r in double.antipode_inv.data],
-        "r": _sparse_dump(qt.r),
-        "r_inv": _sparse_dump(qt.r_inv),
+        "counit": _sparse_dump(counit_vec(double)),
+        "antipode": [_sparse_dump(r) for r in s_matrix(double).data],
+        "antipode_inv": [_sparse_dump(r) for r in s_matrix(double, inverse=True).data],
+        "r": _sparse_dump(r_vec(qt)),
+        "r_inv": _sparse_dump(r_vec(qt, inverse=True)),
     }
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -457,8 +479,8 @@ def test_double_tensors_are_pinned(build, digest):
 def test_closed_form_antipode_matches_the_solved_one(build):
     double, _ = drinfeld_double(build())
     solved = antipode_from_bialgebra(double.alg, double.int_cop, double.int_counit)
-    assert double.antipode == solved
-    assert double.antipode_inv == solved.inverse()
+    assert s_matrix(double) == solved
+    assert s_matrix(double, inverse=True) == solved.inverse()
 
 
 def test_double_of_e2_passes_hopf_and_qt_checks():
@@ -471,7 +493,7 @@ def test_double_of_e2_passes_hopf_and_qt_checks():
 
 def test_double_rejects_corrupted_antipode_inv():
     h4 = build_h4()
-    bad = HopfAlgebra(h4.alg, dense_cop(h4), h4.counit, h4.antipode, Matrix.identity(4), name="bad")
+    bad = dense_hopf(h4.alg, dense_cop(h4), counit_vec(h4), s_matrix(h4), Matrix.identity(4), name="bad")
     with pytest.raises(ValueError):
         drinfeld_double(bad)
 
@@ -480,14 +502,14 @@ def test_double_rejects_corrupted_antipode():
     # S enters only the closed-form S_D and R⁻¹, not the product, so the
     # convolution check is what must catch it
     h4 = build_h4()
-    bad = HopfAlgebra(h4.alg, dense_cop(h4), h4.counit, Matrix.identity(4), h4.antipode_inv, name="bad")
+    bad = dense_hopf(h4.alg, dense_cop(h4), counit_vec(h4), Matrix.identity(4), s_matrix(h4, inverse=True), name="bad")
     with pytest.raises(ValueError, match="antipode fails"):
         drinfeld_double(bad)
 
 
 def test_double_checks_r_inverse(monkeypatch):
     h4 = build_h4()
-    bad = HopfAlgebra(h4.alg, dense_cop(h4), h4.counit, Matrix.identity(4), h4.antipode_inv, name="bad")
+    bad = dense_hopf(h4.alg, dense_cop(h4), counit_vec(h4), Matrix.identity(4), s_matrix(h4, inverse=True), name="bad")
     monkeypatch.setattr(hopf, "antipode_failures", lambda *args: iter(()))
     with pytest.raises(ValueError, match="not the inverse of R"):
         drinfeld_double(bad)

@@ -18,10 +18,11 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import cop_sparse, fraction_cop, s_cols
+from conftest import cop_sparse, counit_vec, dense_hopf, fraction_cop, s_cols, s_matrix
 from test_integer_scaling import H4_SCALES, _rescaled_hopf
 
 from hopfbrauer.algebra import StructureAlgebra
+from hopfbrauer.defio import SchemaError, hopf_to_json, load_hopf
 from hopfbrauer.e2 import build_e2
 from hopfbrauer.hopf import HopfAlgebra, check_hopf_axioms, drinfeld_double, dual_hopf
 from hopfbrauer.linalg import Matrix, format_rational, scaled_rows, scaled_vecs
@@ -38,7 +39,7 @@ def _store_sha256(h) -> str:
         "cop": [[[p, q, f(c)] for p, q, c in cop_sparse(h, i)] for i in range(h.dim)],
         "s_cols": [[[k, f(c)] for k, c in col.items()] for col in s_cols(h)],
         "s_inv_cols": [[[k, f(c)] for k, c in col.items()] for col in s_cols(h, inverse=True)],
-        "counit": [f(c) for c in h.counit],
+        "counit": [f(c) for c in counit_vec(h)],
     }
     return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
 
@@ -88,17 +89,17 @@ def _kz2(cop=(1, [[(0, 0, 1)], [(1, 1, 1)]]), s=KZ2_S, s_inv=KZ2_S, counit=(1, {
 
 def test_from_int_sorts_and_divides_by_the_gcd():
     # Δ(g) = (g⊗1 + 1⊗g)/2 written unsorted over 12, every c divisible by 6
-    h = _kz2(cop=(12, [[(0, 0, 12)], [(1, 0, 6), (0, 1, 6)]]), s=(4, [{0: 4}, {1: -4}]), s_inv=None)
+    h = _kz2(cop=(12, [[(0, 0, 12)], [(1, 0, 6), (0, 1, 6)]]), s=(4, [{0: 4}, {1: -4}]), s_inv=(2, [{0: 2}, {1: -2}]))
     assert h.int_cop == (2, [((0, 0, 2),), ((0, 1, 1), (1, 0, 1))])
     assert h.int_s == (1, [{0: 1}, {1: -1}]) and h.int_s_inv == h.int_s
     assert cop_sparse(h, 1) == ((0, 1, Q(1, 2)), (1, 0, Q(1, 2)))
-    assert s_cols(h) == [{0: 1}, {1: -1}] and h.antipode_inv == Matrix.diag([1, -1])
+    assert s_cols(h) == [{0: 1}, {1: -1}] and s_matrix(h, inverse=True) == Matrix.diag([1, -1])
     unsorted = _kz2(s=(3, [{0: 3}, {1: 6, 0: 3}]))
     assert unsorted.int_s == (1, [{0: 1}, {0: 1, 1: 2}]) and list(unsorted.int_s[1][1]) == [0, 1]
     # the same rationals scaled once into from_int, and through the dense constructor
     cop = scaled_rows([[(0, 0, 1)], [(1, 0, Q(1, 2)), (0, 1, Q(1, 2))]])
-    sparse = HopfAlgebra.from_int(KZ2, cop, (1, {0: 1, 1: 1}), scaled_vecs([{0: 1}, {1: -1}]))
-    dense = HopfAlgebra(KZ2, [[1, 0, 0, 0], [0, Q(1, 2), Q(1, 2), 0]], [1, 1], Matrix.diag([1, -1]))
+    sparse = HopfAlgebra.from_int(KZ2, cop, (1, {0: 1, 1: 1}), *[scaled_vecs([{0: 1}, {1: -1}])] * 2)
+    dense = dense_hopf(KZ2, [[1, 0, 0, 0], [0, Q(1, 2), Q(1, 2), 0]], [1, 1], Matrix.diag([1, -1]))
     for other in (sparse, dense):
         assert (other.int_cop, other.int_s, other.int_s_inv) == (h.int_cop, h.int_s, h.int_s_inv)
 
@@ -134,8 +135,14 @@ def test_from_int_rejects_a_bad_table(kwargs, message):
 
 
 def test_from_int_inverts_the_antipode_when_no_inverse_is_given():
+    # from_int always takes S⁻¹; the one input that may leave it out is a
+    # definition file, and its loader inverts S
     h4 = build_h4()
-    h = HopfAlgebra.from_int(h4.alg, h4.int_cop, h4.int_counit, h4.int_s)
+    with pytest.raises(TypeError):
+        HopfAlgebra.from_int(h4.alg, h4.int_cop, h4.int_counit, h4.int_s)
+    obj = {k: v for k, v in hopf_to_json(h4).items() if k != "antipode_inv"}
+    h = load_hopf(obj)
     assert h.int_s_inv == h4.int_s_inv and check_hopf_axioms(h).ok
-    with pytest.raises(ZeroDivisionError):
-        HopfAlgebra.from_int(h4.alg, h4.int_cop, h4.int_counit, (1, [{0: 1}, {1: 1}, {}, {}]))
+    obj["antipode"] = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0"] * 4, ["0"] * 4]
+    with pytest.raises(SchemaError, match="^hopf.antipode: singular matrix, so not an antipode$"):
+        load_hopf(obj)

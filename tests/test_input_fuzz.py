@@ -91,3 +91,16 @@ def test_theorem61_mutants_exit_cleanly(capsys, tmp_path):
     codes = _fuzz(capsys, tmp_path, "theorem61", [named, inline], 150, seed=61)
     assert sum(codes.values()) == 300
     assert {0, 2} <= set(codes)
+
+
+def test_root_mutants_exit_cleanly(capsys, tmp_path):
+    # ``_paths`` skips the root, so each POOL value stands in for a whole file
+    # here; a root that is not an object raised TypeError in detect_kind
+    path = tmp_path / "root.json"
+    for command, prefix in (("define", "schema error: "), ("theorem61", "error: ")):
+        for value in POOL:
+            path.write_text(json.dumps(value))
+            code = main([command, str(path)])
+            err = capsys.readouterr().err
+            want = "missing field 'dim'" if value == {} else f"expected a JSON object, got {value!r}"
+            assert (code, err) == (2, f"{prefix}{'algebra' if value == {} else 'definition'}: {want}\n"), value

@@ -17,9 +17,9 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from conftest import cop_sparse, mul_basis, mul_sparse, s_cols, sparse_yd, yd_images, yd_rho
+from conftest import cop_sparse, dense_algebra, form_matrix, mul_basis, mul_sparse, s_cols, sparse_yd, yd_images, yd_rho
 
-from hopfbrauer.algebra import StructureAlgebra, endomorphism_algebra, opposite_algebra, sandwich_matrix
+from hopfbrauer.algebra import endomorphism_algebra, opposite_algebra, sandwich_matrix
 from hopfbrauer.e2 import (
     _k_z2,
     build_c_e2,
@@ -64,7 +64,7 @@ def ref_induced_coaction(a, r):
 
 
 def ref_induced_action(a, r):
-    form = r.form.data
+    form = form_matrix(*r.int_table).data
     images = [[sparse_sum((c * form[i][k], {b: 1}) for b, k, c in row) for i in range(a.hopf.dim)] for row in yd_rho(a)]
     return sparse_yd(a.hopf, a.dim, a.alg, images, yd_rho(a))
 
@@ -150,7 +150,7 @@ def _ref_e12(t):
 
 
 def _ref_c_alg(a, name):
-    return StructureAlgebra(["1", "x"], [1, 0], [[[1, 0], [0, 1]], [[0, 1], [a, 0]]], name=name)
+    return dense_algebra(["1", "x"], [1, 0], [[[1, 0], [0, 1]], [[0, 1], [a, 0]]], name=name)
 
 
 def ref_build_c_e2(a, t1, t2):

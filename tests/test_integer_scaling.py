@@ -11,21 +11,29 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import cop_sparse, dense_cop, dense_mult, mul_basis, mul_sparse, sweedler2, yd_images, yd_rho
-from hopfbrauer.algebra import CheckReport, StructureAlgebra, check_algebra_axioms
+from conftest import (
+    action_matrices,
+    coaction_rows,
+    cop_sparse,
+    counit_vec,
+    dense_algebra,
+    dense_cop,
+    dense_hopf,
+    dense_mult,
+    dense_yd,
+    mul_basis,
+    mul_sparse,
+    s_matrix,
+    sweedler2,
+    unit_vec,
+    yd_images,
+    yd_rho,
+)
+from hopfbrauer.algebra import CheckReport, check_algebra_axioms
 from hopfbrauer.e2 import build_c_e2
-from hopfbrauer.hopf import HopfAlgebra
 from hopfbrauer.linalg import Matrix, common_denominator, sparse_sum, sparse_vec, zero_vec
 from hopfbrauer.sweedler import CFamilyDescriptor, build_C, build_h4
-from hopfbrauer.yd import (
-    FGContraction,
-    YDObject,
-    check_yd_algebra,
-    check_yd_module,
-    fg_maps,
-    h_opposite,
-    sharp_product,
-)
+from hopfbrauer.yd import FGContraction, check_yd_algebra, check_yd_module, fg_maps, h_opposite, sharp_product
 
 # H₄ on the basis 2·1, g/2, h/3, gh/5. Scaling h and gh alone would leave
 # Δ and S⁻¹ integral (each of their terms is linear in h), so 1 and g are
@@ -37,13 +45,13 @@ def _rescaled_hopf(h, s):
     """``h`` on the basis s_i·e_i."""
     n = h.dim
     cop = [[s[i] * c / (s[k // n] * s[k % n]) for k, c in enumerate(row)] for i, row in enumerate(dense_cop(h))]
-    counit = [s[i] * e for i, e in enumerate(h.counit)]
+    counit = [s[i] * e for i, e in enumerate(counit_vec(h))]
 
     def conj(m):
         return Matrix([[s[j] * m.data[k][j] / s[k] for j in range(n)] for k in range(n)])
 
-    return HopfAlgebra(
-        _rescaled(h.alg, s), cop, counit, conj(h.antipode), conj(h.antipode_inv), name="H4'", meta=h.meta
+    return dense_hopf(
+        _rescaled(h.alg, s), cop, counit, conj(s_matrix(h)), conj(s_matrix(h, inverse=True)), name="H4'", meta=h.meta
     )
 
 
@@ -53,10 +61,12 @@ def _transported(a, hopf, s, r):
     n, d = hopf.dim, a.dim
     action = [
         Matrix([[s[i] * r[j] * m.data[k][j] / r[k] for j in range(d)] for k in range(d)])
-        for i, m in enumerate(a.action)
+        for i, m in enumerate(action_matrices(a))
     ]
-    coaction = [[r[j] * c / (r[k // n] * s[k % n]) for k, c in enumerate(row)] for j, row in enumerate(a.coaction)]
-    return YDObject(hopf, d, _rescaled(a.alg, r), action, coaction)
+    coaction = [
+        [r[j] * c / (r[k // n] * s[k % n]) for k, c in enumerate(row)] for j, row in enumerate(coaction_rows(a))
+    ]
+    return dense_yd(hopf, d, _rescaled(a.alg, r), action, coaction)
 
 
 def _object(name):
@@ -113,7 +123,7 @@ def _reference_fg(a):
 def _reference_axioms(a):
     """``check_algebra_axioms`` as it was on Fractions."""
     rep = CheckReport(f"algebra axioms ({a.name or 'unnamed'})")
-    unit = sparse_vec(a.unit)
+    unit = sparse_vec(unit_vec(a))
     basis = [{i: Q(1)} for i in range(a.dim)]
     for i, ei in enumerate(basis):
         rep.require(
@@ -185,19 +195,19 @@ def _rescaled(alg, s):
         [[s[i] * s[j] * c / s[k] for k, c in enumerate(v)] for j, v in enumerate(row)]
         for i, row in enumerate(dense_mult(alg))
     ]
-    return StructureAlgebra(alg.basis, [u / s[k] for k, u in enumerate(alg.unit)], mult, name=alg.name)
+    return dense_algebra(alg.basis, [u / s[k] for k, u in enumerate(unit_vec(alg))], mult, name=alg.name)
 
 
 def _corrupt(alg, kind):
     mult = dense_mult(alg)
-    unit = list(alg.unit)
+    unit = list(unit_vec(alg))
     if kind == "constant + 1/97":
         mult[1][2][3] += Q(1, 97)
     elif kind == "constant - 3":
         mult[3][1][0] -= 3
     else:
         unit[1] += Q(1, 5)
-    return StructureAlgebra(alg.basis, unit, mult, name=kind)
+    return dense_algebra(alg.basis, unit, mult, name=kind)
 
 
 @pytest.mark.parametrize("kind", ["constant + 1/97", "constant - 3", "unit law"])
@@ -226,7 +236,7 @@ def _reference_module(m):
     """``check_module`` as it was on Fractions."""
     rep = CheckReport(f"H-module over {m.hopf.name}")
     h = m.hopf
-    rep.require(m.act_matrix(h.alg.unit) == Matrix.identity(m.dim), "unit of H does not act as id")
+    rep.require(m.act_matrix(unit_vec(h.alg)) == Matrix.identity(m.dim), "unit of H does not act as id")
     images = yd_images(m)
     for i in range(h.dim):
         for j in range(h.dim):
@@ -246,8 +256,8 @@ def _reference_module_algebra(a):
     rep.merge(_reference_module(a))
     h, alg, images = a.hopf, a.alg, yd_images(a)
     for i in range(h.dim):
-        acted_one = a.action[i].apply(alg.unit)
-        rep.require(acted_one == [h.counit[i] * u for u in alg.unit], f"h·1 ≠ ε(h)1 at {h.alg.basis[i]}")
+        acted_one = action_matrices(a)[i].apply(unit_vec(alg))
+        rep.require(acted_one == [counit_vec(h)[i] * u for u in unit_vec(alg)], f"h·1 ≠ ε(h)1 at {h.alg.basis[i]}")
         cop = cop_sparse(h, i)
         for x in range(alg.dim):
             for y in range(alg.dim):
@@ -268,7 +278,7 @@ def _reference_comodule(m):
         sp = yd_rho(m)[j]
         ej = zero_vec(dim)
         for a, k, c in sp:
-            ej[a] += c * h.counit[k]
+            ej[a] += c * counit_vec(h)[k]
         want = zero_vec(dim)
         want[j] = Q(1)
         rep.require(ej == want, f"(id⊗ε)ρ fails at index {j}")
@@ -290,10 +300,10 @@ def _reference_comodule_algebra_op(a):
     rep.merge(_reference_comodule(a))
     h, alg, rho = a.hopf, a.alg, yd_rho(a)
     n = h.dim
-    rho_flat = [sparse_vec(row) for row in a.coaction]
-    unit = sparse_vec(alg.unit)
+    rho_flat = [sparse_vec(row) for row in coaction_rows(a)]
+    unit = sparse_vec(unit_vec(alg))
     rho_one = sparse_sum((c, rho_flat[j]) for j, c in unit.items())
-    rep.require(rho_one == _tensor(unit.items(), sparse_vec(h.alg.unit).items(), n), "ρ(1) ≠ 1⊗1")
+    rep.require(rho_one == _tensor(unit.items(), sparse_vec(unit_vec(h.alg)).items(), n), "ρ(1) ≠ 1⊗1")
     for x in range(alg.dim):
         for y in range(alg.dim):
             lhs = sparse_sum((c, rho_flat[j]) for j, c in mul_basis(alg, x, y))
@@ -311,8 +321,8 @@ def _reference_yd_condition(m):
     rep = CheckReport(f"Yetter-Drinfeld condition over {m.hopf.name}")
     h, images, rho = m.hopf, yd_images(m), yd_rho(m)
     n = h.dim
-    rho_flat = [sparse_vec(row) for row in m.coaction]
-    sinv = [sparse_vec(h.antipode_inv.col(k)) for k in range(n)]
+    rho_flat = [sparse_vec(row) for row in coaction_rows(m)]
+    sinv = [sparse_vec(s_matrix(h, inverse=True).col(k)) for k in range(n)]
 
     def h_factor(l3, k, l1):
         return mul_sparse(h.alg, dict(mul_basis(h.alg, l3, k)), sinv[l1]).items()
@@ -366,7 +376,7 @@ YD_MODULES = ["C#C module", "C#C module over rescaled H4"]
 def _yd_object(name):
     if name.endswith("module") or "module over" in name:
         a = _object(name.replace(" module", ""))
-        return YDObject(a.hopf, a.dim, None, a.action, a.coaction)
+        return dense_yd(a.hopf, a.dim, None, action_matrices(a), coaction_rows(a))
     return _object(name)
 
 
@@ -374,7 +384,7 @@ def _corrupt_yd(a, kind):
     """``a`` with one entry changed: of an action matrix, of the coaction, of
     A's product or of H's product."""
     h, d, n = a.hopf, a.dim, a.hopf.dim
-    action, coaction, alg = list(a.action), a.coaction, a.alg
+    action, coaction, alg = list(action_matrices(a)), coaction_rows(a), a.alg
     if kind == "action + 1/97":
         data = [list(row) for row in action[n - 1].data]
         data[0][d - 1] += Q(1, 97)
@@ -385,13 +395,15 @@ def _corrupt_yd(a, kind):
     elif kind == "A constant + 1/5":
         mult = dense_mult(alg)
         mult[d - 1][0][d - 1] += Q(1, 5)
-        alg = StructureAlgebra(alg.basis, alg.unit, mult, name=alg.name)
+        alg = dense_algebra(alg.basis, unit_vec(alg), mult, name=alg.name)
     else:
         mult = dense_mult(h.alg)
         mult[1][n - 1][0] += Q(1, 5)
-        h_alg = StructureAlgebra(h.alg.basis, h.alg.unit, mult, name=h.alg.name)
-        h = HopfAlgebra(h_alg, dense_cop(h), h.counit, h.antipode, h.antipode_inv, name=h.name, meta=h.meta)
-    return YDObject(h, d, alg, action, coaction)
+        h_alg = dense_algebra(h.alg.basis, unit_vec(h.alg), mult, name=h.alg.name)
+        h = dense_hopf(
+            h_alg, dense_cop(h), counit_vec(h), s_matrix(h), s_matrix(h, inverse=True), name=h.name, meta=h.meta
+        )
+    return dense_yd(h, d, alg, action, coaction)
 
 
 def _yd_failures(a):
@@ -402,14 +414,14 @@ def test_rescaled_h4_has_a_scale_on_every_tensor():
     a = _object("C#C over rescaled H4")
     h = a.hopf
     scales = {
-        "unit of H": common_denominator(h.alg.unit),
-        "unit of A": common_denominator(a.alg.unit),
-        "counit": common_denominator(h.counit),
+        "unit of H": common_denominator(unit_vec(h.alg)),
+        "unit of A": common_denominator(unit_vec(a.alg)),
+        "counit": common_denominator(counit_vec(h)),
         "product of H": h.alg.int_sp[0],
         "product of A": a.alg.int_sp[0],
         "coproduct": common_denominator(c for i in range(h.dim) for _, _, c in cop_sparse(h, i)),
         "(Δ⊗id)Δ": common_denominator(c for i in range(h.dim) for *_, c in sweedler2(h, i)),
-        "S⁻¹": common_denominator(c for row in h.antipode_inv.data for c in row),
+        "S⁻¹": common_denominator(c for row in s_matrix(h, inverse=True).data for c in row),
         "action": a.int_images[0],
         "coaction": a.int_rho[0],
     }
@@ -442,6 +454,6 @@ def test_yd_failures_match_the_fraction_loops(name, kind):
 def test_h_opposite_equals_the_fraction_loop(name):
     a = _object(name)
     opposite = h_opposite(a)
-    reference = StructureAlgebra(a.alg.basis, a.alg.unit, _reference_h_opposite_mult(a))
+    reference = dense_algebra(a.alg.basis, unit_vec(a.alg), _reference_h_opposite_mult(a))
     assert opposite.alg.same_product(reference)
     assert _yd_failures(opposite) == _reference_yd_failures(opposite) == []

@@ -16,19 +16,25 @@ import pytest
 
 from conftest import (
     cop_sparse,
+    counit_vec,
+    dense_algebra,
     dense_cop,
+    dense_hopf,
     dense_mult,
     fraction_cop,
     fraction_table,
     mul_basis,
     mul_sparse,
+    s_matrix,
     scaled_cells,
     sweedler2,
     transpose,
+    unit_vec,
 )
 from test_integer_scaling import H4_SCALES, _rescaled_hopf
 
 from hopfbrauer.algebra import StructureAlgebra, opposite_algebra
+from hopfbrauer.defio import SchemaError, load_algebra, load_hopf
 from hopfbrauer.e2 import build_e2
 from hopfbrauer.hopf import HopfAlgebra, check_hopf_axioms, drinfeld_double, dual_hopf, qt_structure
 from hopfbrauer.linalg import Matrix, dense_vec, scaled, scaled_rows, sparse_vec, zero_vec
@@ -45,14 +51,14 @@ def _reference_dual(h: HopfAlgebra) -> HopfAlgebra:
     for m in range(n):
         for p, q, c in cop_sparse(h, m):
             mult[p][q][m] += c
-    alg = StructureAlgebra(basis, h.counit, mult, name=(h.name or "H") + "*")
+    alg = dense_algebra(basis, counit_vec(h), mult, name=(h.name or "H") + "*")
     cop = [zero_vec(n * n) for _ in range(n)]
     for u in range(n):
         for v in range(n):
             for i, c in mul_basis(h.alg, u, v):
                 cop[i][u * n + v] += c
-    return HopfAlgebra(
-        alg, cop, list(h.alg.unit), transpose(h.antipode), transpose(h.antipode_inv), name=alg.name
+    return dense_hopf(
+        alg, cop, list(unit_vec(h.alg)), transpose(s_matrix(h)), transpose(s_matrix(h, inverse=True)), name=alg.name
     )
 
 
@@ -67,13 +73,13 @@ def _reference_double(h: HopfAlgebra) -> HopfAlgebra:
     big = n * n
     one = Q(1)
     basis = [f"{da.basis[i]}⋈{ha.basis[j]}" for i in range(n) for j in range(n)]
-    eps = sparse_vec(da.unit)
-    unit_h = sparse_vec(ha.unit)
+    eps = sparse_vec(unit_vec(da))
+    unit_h = sparse_vec(unit_vec(ha))
     unit = dense_vec(_bowtie(n, eps, unit_h), big)
 
     lam = {}
     for r in range(n):
-        sinv_r = sparse_vec(h.antipode_inv.col(r))
+        sinv_r = sparse_vec(s_matrix(h, inverse=True).col(r))
         for m in range(n):
             left = mul_sparse(ha, sinv_r, {m: one})
             for p in range(n):
@@ -97,7 +103,7 @@ def _reference_double(h: HopfAlgebra) -> HopfAlgebra:
                         for wi, fv in fpart.items():
                             for hj, hv in hq:
                                 out[wi * n + hj] += fv * hv
-    alg = StructureAlgebra(basis, unit, mult, name=f"D({h.name or 'H'})")
+    alg = dense_algebra(basis, unit, mult, name=f"D({h.name or 'H'})")
 
     cop = [zero_vec(big * big) for _ in range(big)]
     for i in range(n):
@@ -106,7 +112,7 @@ def _reference_double(h: HopfAlgebra) -> HopfAlgebra:
             for u, v, cuv in cop_sparse(hd, i):
                 for p, q, cpq in cop_sparse(h, j):
                     row[(v * n + p) * big + u * n + q] += cuv * cpq
-    counit = [hd.counit[i] * h.counit[j] for i in range(n) for j in range(n)]
+    counit = [counit_vec(hd)[i] * counit_vec(h)[j] for i in range(n) for j in range(n)]
 
     def closed_antipode(s_h, s_dual):
         hcols = [sparse_vec(s_h.col(j)) for j in range(n)]
@@ -117,12 +123,12 @@ def _reference_double(h: HopfAlgebra) -> HopfAlgebra:
             for j in range(n)
         ])
 
-    return HopfAlgebra(
+    return dense_hopf(
         alg,
         cop,
         counit,
-        closed_antipode(h.antipode, hd.antipode_inv),
-        closed_antipode(h.antipode_inv, hd.antipode),
+        closed_antipode(s_matrix(h), s_matrix(hd, inverse=True)),
+        closed_antipode(s_matrix(h, inverse=True), s_matrix(hd)),
         name=alg.name,
     )
 
@@ -149,8 +155,8 @@ def _rebased_h4():
             sum(x[a] * y[b] * mult[a][b][k] for a in range(n) for b in range(n)) for k in range(n)
         ])
 
-    alg = StructureAlgebra(
-        [f"b{i}" for i in range(n)], p_inv.apply(h.alg.unit),
+    alg = dense_algebra(
+        [f"b{i}" for i in range(n)], p_inv.apply(unit_vec(h.alg)),
         [[product(cols[i], cols[j]) for j in range(n)] for i in range(n)], name="H4 rebased",
     )
     cop = []
@@ -161,8 +167,8 @@ def _rebased_h4():
             for a in range(n)
             for b in range(n)
         ])
-    counit = [sum(cols[i][k] * h.counit[k] for k in range(n)) for i in range(n)]
-    return HopfAlgebra(alg, cop, counit, p_inv @ h.antipode @ p, p_inv @ h.antipode_inv @ p, name=alg.name)
+    counit = [sum(cols[i][k] * counit_vec(h)[k] for k in range(n)) for i in range(n)]
+    return dense_hopf(alg, cop, counit, p_inv @ s_matrix(h) @ p, p_inv @ s_matrix(h, inverse=True) @ p, name=alg.name)
 
 
 BUILDS = [build_h4, build_e2, _rescaled_h4, _rebased_h4]
@@ -177,10 +183,10 @@ def _assert_same_hopf(got: HopfAlgebra, want: HopfAlgebra) -> None:
     assert got.alg.basis == want.alg.basis and got.alg.name == want.alg.name
     assert fraction_table(got.alg) == fraction_table(want.alg)
     assert fraction_cop(got) == fraction_cop(want)
-    assert got.alg.unit == want.alg.unit
-    assert got.counit == want.counit
-    assert got.antipode == want.antipode
-    assert got.antipode_inv == want.antipode_inv
+    assert unit_vec(got.alg) == unit_vec(want.alg)
+    assert counit_vec(got) == counit_vec(want)
+    assert s_matrix(got) == s_matrix(want)
+    assert s_matrix(got, inverse=True) == s_matrix(want, inverse=True)
     assert got.alg.int_sp == want.alg.int_sp
     assert got.alg.same_product(want.alg) and got.same_coproduct(want)
 
@@ -202,7 +208,7 @@ def test_opposite_transposes_the_sparse_table():
     opp = opposite_algebra(h.alg)
     mult = dense_mult(h.alg)
     dense = [[mult[j][i] for j in range(h.dim)] for i in range(h.dim)]
-    assert fraction_table(opp) == fraction_table(StructureAlgebra(h.alg.basis, h.alg.unit, dense))
+    assert fraction_table(opp) == fraction_table(dense_algebra(h.alg.basis, unit_vec(h.alg), dense))
     assert dense_mult(opp) == dense
     assert opposite_algebra(opp).same_product(h.alg)
 
@@ -211,16 +217,20 @@ def test_same_product_and_coproduct_see_one_coefficient():
     h = _rescaled_h4()
     mult = dense_mult(h.alg)
     mult[1][2][3] += Q(1, 7)
-    assert not StructureAlgebra(h.alg.basis, h.alg.unit, mult).same_product(h.alg)
+    assert not dense_algebra(h.alg.basis, unit_vec(h.alg), mult).same_product(h.alg)
     cop = dense_cop(h)
     cop[2][5] -= Q(3)
-    assert not HopfAlgebra(h.alg, cop, h.counit, h.antipode, h.antipode_inv).same_coproduct(h)
+    assert not dense_hopf(h.alg, cop, counit_vec(h), s_matrix(h), s_matrix(h, inverse=True)).same_coproduct(h)
     assert dual_hopf(dual_hopf(h)).same_coproduct(h)
 
 
 # -- robustness ----------------------------------------------------------------
 
 KZ2_TABLE = [[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, 1)]]]
+# kZ₂ as a definition file
+KZ2_JSON = {
+    "dim": 2, "basis": ["1", "g"], "unit": ["1", "0"], "mult": [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]],
+}
 
 
 def _sparse_algebra(basis, unit, table, name=""):
@@ -246,7 +256,7 @@ def _with_term(term):
 
 def test_sparse_algebra_equals_the_dense_one():
     alg = _kz2([[[(0, Q(1))], [(1, 1)]], [[(1, 1)], [(0, 1)]]])
-    dense = StructureAlgebra(["1", "g"], [1, 0], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
+    dense = dense_algebra(["1", "g"], [1, 0], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
     assert fraction_table(alg) == fraction_table(dense) and alg.same_product(dense)
     # the terms of a product may come in any order
     alg = _kz2([[[], []], [[], [(1, Q(2)), (0, 3)]]])
@@ -279,8 +289,10 @@ def test_sparse_algebra_rejects_bad_tables(table):
 
 
 def test_sparse_algebra_rejects_a_short_unit():
-    with pytest.raises(ValueError, match="unit vector has wrong length"):
-        StructureAlgebra(["1", "g"], [1], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
+    # a dense unit is read from a definition file, whose loader checks its length
+    obj = dict(KZ2_JSON, unit=["1"])
+    with pytest.raises(SchemaError, match=r"^algebra.unit: expected 2 entries, got 1$"):
+        load_algebra(obj)
 
 
 BAD_VECTORS = {
@@ -300,57 +312,62 @@ def test_int_constructors_reject_a_bad_unit_or_counit(vector):
     with pytest.raises(ValueError):
         StructureAlgebra.from_int(["1", "g"], vector, KZ2_TABLE, 1)
     with pytest.raises(ValueError):
-        HopfAlgebra.from_int(_kz2(KZ2_TABLE), scaled_rows(KZ2_COP), vector, (1, [{0: 1}, {1: 1}]))
+        HopfAlgebra.from_int(_kz2(KZ2_TABLE), scaled_rows(KZ2_COP), vector, *[(1, [{0: 1}, {1: 1}])] * 2)
 
 
 @pytest.mark.parametrize("bad", [0.1, "1/2"], ids=["float", "string"])
 def test_dense_constructors_refuse_a_unit_or_counit_that_is_not_rational(bad):
     with pytest.raises(ValueError, match="not rational"):
-        StructureAlgebra(["1", "g"], [1, bad], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
+        dense_algebra(["1", "g"], [1, bad], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
     with pytest.raises(ValueError, match="not rational"):
-        HopfAlgebra(_kz2(KZ2_TABLE), [[1, 0, 0, 0], [0, 0, 0, 1]], [1, bad], Matrix.identity(2))
+        dense_hopf(_kz2(KZ2_TABLE), [[1, 0, 0, 0], [0, 0, 0, 1]], [1, bad], Matrix.identity(2))
     # the tables, S and R pass through ``vec`` or a ``Matrix``, which refuse
     # the entry as well: 0.1 was stored as 3602879701896397/36028797018963968
     with pytest.raises(ValueError, match="not rational"):
-        StructureAlgebra(["1", "g"], [1, 0], [[[1, 0], [0, 1]], [[0, 1], [bad, 0]]])
+        dense_algebra(["1", "g"], [1, 0], [[[1, 0], [0, 1]], [[0, 1], [bad, 0]]])
     with pytest.raises(ValueError, match="not rational"):
-        HopfAlgebra(_kz2(KZ2_TABLE), [[1, 0, 0, 0], [0, 0, bad, 1]], [1, 1], Matrix.identity(2))
+        dense_hopf(_kz2(KZ2_TABLE), [[1, 0, 0, 0], [0, 0, bad, 1]], [1, 1], Matrix.identity(2))
     for build in (lambda: Matrix([[1, 0], [0, bad]]), lambda: Matrix.diag([1, bad]),
                   lambda: Matrix.from_cols([[1, 0], [bad, 1]])):
         with pytest.raises(ValueError, match="not rational"):
-            HopfAlgebra(_kz2(KZ2_TABLE), [[1, 0, 0, 0], [0, 0, 0, 1]], [1, 1], build())
+            dense_hopf(_kz2(KZ2_TABLE), [[1, 0, 0, 0], [0, 0, 0, 1]], [1, 1], build())
     with pytest.raises(ValueError, match="not rational"):
         qt_structure(build_h4(), [1] + [0] * 14 + [bad])
 
 
 def test_dense_constructors_reject_bad_shapes():
-    # the dense counterparts of the shape errors above; a short tensor used
-    # to raise IndexError
-    with pytest.raises(ValueError):
-        StructureAlgebra(["1", "g"], [1, 0], [[[1, 0], [0, 1]]])
-    with pytest.raises(ValueError):
-        StructureAlgebra(["1", "g"], [1, 0], [[[1, 0], [0, 1]], [[0, 1], [1, 0, 0]]])
-    with pytest.raises(ValueError):
-        StructureAlgebra(["1", "g"], [1, 0], [[[1, 0], [0, 1]], [[0, 1], [1, "x"]]])
-    alg = _kz2(KZ2_TABLE)
-    with pytest.raises(ValueError):
-        HopfAlgebra(alg, [[1, 0, 0, 0]], [1, 1], Matrix.identity(2))
-    with pytest.raises(ValueError):
-        HopfAlgebra(alg, [[1, 0, 0, 0], [0, 0, 0]], [1, 1], Matrix.identity(2))
+    # the dense counterparts of the shape errors above, which a definition
+    # file's loader refuses; a short tensor used to raise IndexError
+    first = [["1", "0"], ["0", "1"]]
+    cases = [
+        ([first], r"algebra.mult: expected 2 rows"),
+        ([first, [["0", "1"], ["1", "0", "0"]]], r"algebra.mult\[1\]\[1\]: expected 2 entries, got 3"),
+        ([first, [["0", "1"], ["1", "x"]]], r"algebra.mult\[1\]\[1\]\[1\]: not a rational"),
+    ]
+    for mult, message in cases:
+        with pytest.raises(SchemaError, match=f"^{message}"):
+            load_algebra(dict(KZ2_JSON, mult=mult))
+    hopf = dict(KZ2_JSON, counit=["1", "1"], antipode=[["1", "0"], ["0", "1"]])
+    for coproduct, message in (
+        ([[["1", "0"], ["0", "0"]]], r"hopf.coproduct: expected 2 entries"),
+        ([[["1", "0"], ["0", "0"]], [["0", "0"], ["0"]]], r"hopf.coproduct\[1\]\[1\]: expected 2 entries, got 1"),
+    ):
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            load_hopf(dict(hopf, coproduct=coproduct))
 
 
 KZ2_COP = [[(0, 0, 1)], [(1, 1, 1)]]
 
 
 def _kz2_hopf(cop, counit=(1, {0: 1, 1: 1})):
-    return HopfAlgebra.from_int(_kz2(KZ2_TABLE), scaled_rows(cop), counit, (1, [{0: 1}, {1: 1}]))
+    return HopfAlgebra.from_int(_kz2(KZ2_TABLE), scaled_rows(cop), counit, *[(1, [{0: 1}, {1: 1}])] * 2)
 
 
 def test_sparse_hopf_equals_the_dense_one():
     h = _kz2_hopf(KZ2_COP)
-    dense = HopfAlgebra(h.alg, [[1, 0, 0, 0], [0, 0, 0, 1]], [1, 1], Matrix.identity(2))
+    dense = dense_hopf(h.alg, [[1, 0, 0, 0], [0, 0, 0, 1]], [1, 1], Matrix.identity(2))
     assert fraction_cop(h) == fraction_cop(dense) and h.same_coproduct(dense)
-    assert h.antipode_inv == Matrix.identity(2)
+    assert s_matrix(h, inverse=True) == Matrix.identity(2)
 
 
 @pytest.mark.parametrize(
@@ -375,10 +392,13 @@ def test_sparse_hopf_rejects_bad_coproducts(cop):
 def test_sparse_hopf_rejects_a_short_counit():
     with pytest.raises(ValueError):
         _kz2_hopf(KZ2_COP, counit=(1,))
-    # the dense counit is checked for its length before it is scaled
-    for counit in ([1], [1, 1, 1]):
-        with pytest.raises(ValueError, match="counit vector has wrong length"):
-            HopfAlgebra(_kz2(KZ2_TABLE), [[1, 0, 0, 0], [0, 0, 0, 1]], counit, Matrix.identity(2))
+    # a dense counit, read from a definition file, is checked for its length
+    # before it is scaled
+    hopf = dict(KZ2_JSON, coproduct=[[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]],
+                antipode=[["1", "0"], ["0", "1"]])
+    for counit in (["1"], ["1", "1", "1"]):
+        with pytest.raises(SchemaError, match=f"^hopf.counit: expected 2 entries, got {len(counit)}$"):
+            load_hopf(dict(hopf, counit=counit))
 
 
 # -- integer tables ------------------------------------------------------------
@@ -397,11 +417,11 @@ def _seeded_int_table(rng, dim):
 
 
 def _same_algebra(got: StructureAlgebra, want: StructureAlgebra) -> None:
-    assert "unit" not in got.__dict__  # the dense view waits for a reader
+    assert not hasattr(got, "unit")  # the store is the one form, with no dense unit
     assert got.int_sp == want.int_sp
     assert fraction_table(got) == fraction_table(want)
     assert got.same_product(want) and want.same_product(got)
-    assert (got.basis, got.unit, got.name) == (want.basis, want.unit, want.name)
+    assert (got.basis, unit_vec(got), got.name) == (want.basis, unit_vec(want), want.name)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -435,7 +455,7 @@ def test_int_algebra_matches_the_double():
     double = drinfeld_double(build_e2())[0].alg
     den, table = double.int_sp
     again = StructureAlgebra.from_int(double.basis, double.int_unit, table, den, name=double.name)
-    _same_algebra(again, _sparse_algebra(double.basis, double.unit, fraction_table(double), name=double.name))
+    _same_algebra(again, _sparse_algebra(double.basis, unit_vec(double), fraction_table(double), name=double.name))
 
 
 KZ2_INT = [[[(0, 2)], [(1, 2)]], [[(1, 2)], [(0, 2)]]]

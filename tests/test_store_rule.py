@@ -6,9 +6,9 @@ Each malformed term below is written into one cell of each entry point, in
 that entry point's own format over kZ₂ (dim 2), and each must be refused with
 the same message. A dict store cannot repeat a key, and its cell is the dict's
 own items, never an iterator, so those two cases are not given to the dict
-stores. Then
-each carrier, rebuilt from its own stores with the scale and every integer
-times 6, must give ``==`` stores.
+stores. A dict store given a cell that is not a dict is refused with a
+message that names the cell. Then each carrier, rebuilt from its own stores
+with the scale and every integer times 6, must give ``==`` stores.
 """
 
 import pytest
@@ -38,8 +38,8 @@ ENTRY_POINTS = {
         ["1", "g"], (1, {0: 1}), [KZ2_TABLE[0], [KZ2_TABLE[1][0], cell]], den)),
     "unit": (False, True, lambda den, cell: StructureAlgebra.from_int(["1", "g"], (den, dict(cell)), KZ2_TABLE, 1)),
     "cop": (True, False, lambda den, cell: HopfAlgebra.from_int(KZ2, (den, [KZ2_COP[0], _triples(cell)]),
-                                                               (1, {0: 1, 1: 1}), KZ2_S)),
-    "counit": (False, True, lambda den, cell: HopfAlgebra.from_int(KZ2, (1, KZ2_COP), (den, dict(cell)), KZ2_S)),
+                                                               (1, {0: 1, 1: 1}), KZ2_S, KZ2_S)),
+    "counit": (False, True, lambda den, cell: HopfAlgebra.from_int(KZ2, (1, KZ2_COP), (den, dict(cell)), KZ2_S, KZ2_S)),
     "S": (False, True, lambda den, cell: HopfAlgebra.from_int(KZ2, (1, KZ2_COP), (1, {0: 1, 1: 1}),
                                                                (den, [{0: 1}, dict(cell)]), KZ2_S)),
     "S_inv": (False, True, lambda den, cell: HopfAlgebra.from_int(KZ2, (1, KZ2_COP), (1, {0: 1, 1: 1}), KZ2_S,
@@ -80,6 +80,30 @@ def test_every_entry_point_refuses_a_bad_term_with_the_same_message(entry, case)
     with pytest.raises(ValueError) as err:
         build(den, cell)
     assert str(err.value) == want
+
+
+# a dict store given a cell that is not a dict: (build, the full message)
+NOT_A_DICT = {
+    "S column": (lambda h4: HopfAlgebra.from_int(h4.alg, h4.int_cop, h4.int_counit,
+                                                 (1, [{0: 1}, {1: 1}, [(3, 1)], {2: -1}]), h4.int_s_inv),
+                 "antipode column 2 must be {index: int}, not [(3, 1)]"),
+    "S_inv column": (lambda h4: HopfAlgebra.from_int(h4.alg, h4.int_cop, h4.int_counit, h4.int_s,
+                                                     (1, [{0: 1}, (1, 1), {3: -1}, {2: 1}])),
+                     "antipode_inv column 1 must be {index: int}, not (1, 1)"),
+    "image cell": (lambda h4: YDObject.from_int(h4, 1, images=(1, [[[(0, 1)], {0: 1}, {}, {}]])),
+                   "image cell (0, 0) must be {index: int}, not [(0, 1)]"),
+    "R": (lambda h4: QTStructure(h4, (1, [1, 2]), (1, {})), "R must be {(i, j): int}, not [1, 2]"),
+    "R_inv": (lambda h4: QTStructure(h4, ONE, (1, ((0, 0, 1),))), "R⁻¹ must be {(i, j): int}, not ((0, 0, 1),)"),
+}
+
+
+@pytest.mark.parametrize("cell", NOT_A_DICT)
+def test_a_cell_that_is_not_a_dict_is_refused(cell):
+    # each raised AttributeError in the store rule's call site
+    build, message = NOT_A_DICT[cell]
+    with pytest.raises(ValueError) as err:
+        build(build_h4())
+    assert str(err.value) == message
 
 
 def _times6(v: dict) -> dict:

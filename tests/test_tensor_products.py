@@ -16,18 +16,11 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import dense_cop, dense_qt, mul_basis
+from conftest import counit_vec, dense_cop, dense_hopf, dense_qt, mul_basis, r_vec, s_matrix, unit_vec
 from test_integer_scaling import H4_SCALES, _rescaled_hopf
 
 from hopfbrauer.e2 import build_e2
-from hopfbrauer.hopf import (
-    HopfAlgebra,
-    check_hopf_axioms,
-    check_quasitriangular,
-    _t2_int,
-    _t3_int,
-    drinfeld_double,
-)
+from hopfbrauer.hopf import check_hopf_axioms, check_quasitriangular, _t2_int, _t3_int, drinfeld_double
 from hopfbrauer.linalg import Matrix, over, scaled
 from hopfbrauer.sweedler import build_h4, build_rt
 
@@ -143,7 +136,7 @@ def _vec_mul(alg, x, y):
 
 def _one_plus_minus(alg, u, sign):
     """1 + sign·u as a sparse vector."""
-    out = {k: c for k, c in enumerate(alg.unit) if c}
+    out = {k: c for k, c in enumerate(unit_vec(alg)) if c}
     for k, c in u.items():
         _acc(out, k, sign * c)
     return out
@@ -164,7 +157,7 @@ def _cases(name, order):
     rng = random.Random(f"{name}:{order}")
     u = _involution(name, h)
     plus, minus = _one_plus_minus(alg, u, 1), _one_plus_minus(alg, u, -1)
-    assert _vec_mul(alg, u, u) == {k: c for k, c in enumerate(alg.unit) if c}
+    assert _vec_mul(alg, u, u) == {k: c for k, c in enumerate(unit_vec(alg)) if c}
     assert plus != {} and minus != {} and _vec_mul(alg, plus, minus) == {}
     cases = [(_element(rng, n, order, nnz), _element(rng, n, order, nnz)) for nnz in (1, 3, 8, 20)]
     for _ in range(3):
@@ -214,11 +207,11 @@ def _h4_corruptions():
     cop[2][5] += Q(1, 2)
     return {
         "clean": h4,
-        "identity antipode": HopfAlgebra(h4.alg, h4_cop, h4.counit, Matrix.identity(4), name="bad"),
-        "coproduct": HopfAlgebra(h4.alg, cop, h4.counit, h4.antipode, h4.antipode_inv, name="bad"),
-        "counit": HopfAlgebra(h4.alg, h4_cop, [1, 1, 1, 0], h4.antipode, h4.antipode_inv, name="bad"),
-        "antipode inverse": HopfAlgebra(
-            h4.alg, h4_cop, h4.counit, h4.antipode, Matrix.diag([1, 1, 1, 2]), name="bad"
+        "identity antipode": dense_hopf(h4.alg, h4_cop, counit_vec(h4), Matrix.identity(4), name="bad"),
+        "coproduct": dense_hopf(h4.alg, cop, counit_vec(h4), s_matrix(h4), s_matrix(h4, inverse=True), name="bad"),
+        "counit": dense_hopf(h4.alg, h4_cop, [1, 1, 1, 0], s_matrix(h4), s_matrix(h4, inverse=True), name="bad"),
+        "antipode inverse": dense_hopf(
+            h4.alg, h4_cop, counit_vec(h4), s_matrix(h4), Matrix.diag([1, 1, 1, 2]), name="bad"
         ),
     }
 
@@ -240,13 +233,13 @@ def _rescaled_r(r, s):
 @pytest.mark.parametrize("bump", [None, 5, 10])
 def test_qt_failures_do_not_depend_on_the_basis_scale(t, bump):
     h4, rt = build_h4(), build_rt(t)
-    r = list(rt.r)
+    r = list(r_vec(rt))
     if bump is not None:
         r[bump] += Q(1, 3)
-    rep = check_quasitriangular(h4, dense_qt(h4, r, rt.r_inv))
+    rep = check_quasitriangular(h4, dense_qt(h4, r, r_vec(rt, inverse=True)))
     assert rep.ok == (bump is None)
     scaled = _rescaled_hopf(h4, H4_SCALES)
-    qt = dense_qt(scaled, _rescaled_r(r, H4_SCALES), _rescaled_r(rt.r_inv, H4_SCALES))
+    qt = dense_qt(scaled, _rescaled_r(r, H4_SCALES), _rescaled_r(r_vec(rt, inverse=True), H4_SCALES))
     rescaled = check_quasitriangular(scaled, qt)
     assert rescaled.failures == rep.failures
     assert rescaled.data == rep.data

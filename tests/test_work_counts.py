@@ -23,8 +23,8 @@ on its generators, a passing Yetter-Drinfeld check loops over the
 generators of A and of H only, and the module law is checked once per
 object. A Hopf algebra that passed ``check_hopf_axioms`` is not checked
 again for the Yetter-Drinfeld condition, an inverse is one elimination,
-neither the seed-7 report nor the d = 16 rung builds the dense action or
-coaction view of any object, and an object built from another's integer
+no object of the seed-7 report or the d = 16 rung has a dense action or
+coaction view (the store is its one form), and an object built from another's integer
 action or coaction shares it without validating or scaling it again. The
 inverse, rank, kernel and solve of a matrix built from integer rows build
 no dense view of it, and the YD centralizers build one echelon of the
@@ -34,8 +34,7 @@ antipode view, the Hopf check makes no dense matrix product, and
 readers that work on the integer store (``INTEGER_PATHS``, among them the
 cross-checks ``sharp_product_matches_presentation`` and ``validate_c_iso``)
 make no Fraction product and read no Fraction structure constant in the
-seed-7 report or on the d = 16 rung, and neither calls the dense
-``__init__`` of any carrier; ``sandwich_matrix`` and ``braiding_psi``
+seed-7 report or on the d = 16 rung; ``sandwich_matrix`` and ``braiding_psi``
 build no dense ``Matrix``, and ``sandwich_matrix`` makes only its d² dense
 products e_i·e_k. R is expanded and scaled once per quasitriangular structure, into
 its integer store ``QTStructure.int_pairs``, however often the builders read
@@ -52,8 +51,8 @@ seven builtins built at set-up make no linear solve (R_N⁻¹ is (S⊗id)R_N);
 and ``FGContraction`` forms its ``right`` table only for a
 reader of it, which ``f_value``, ``g_value`` and the F/G decomposition
 residuals are not. The seed-7 report rescales no unit or counit where it reads
-one (``int_unit`` and ``int_counit`` are the store), and no check in it reads
-the dense ``unit`` or ``counit`` view. A Fraction product is a contraction
+one (``int_unit`` and ``int_counit`` are the store), and there is no dense
+``unit`` or ``counit`` view to read. A Fraction product is a contraction
 of ``algebra._contract``, the one product loop, on a coefficient that is not
 an int; a Fraction structure constant is read only by the dense ``mul_vec``."""
 
@@ -64,7 +63,7 @@ import sys
 from collections import Counter
 from fractions import Fraction as Q
 
-from conftest import dense_qt, rank
+from conftest import action_matrices, dense_qt, r_vec, rank, s_matrix, unit_vec
 
 import hopfbrauer
 from hopfbrauer import algebra, hopf, linalg, sweedler, yd
@@ -122,8 +121,8 @@ def test_double_and_its_checks_read_no_fraction_structure_constant(monkeypatch):
 
 
 def _dense_constructions(monkeypatch) -> list[str]:
-    """Record the class of every call to a carrier's dense ``__init__``, the
-    rational edge that scales its input and calls ``from_int``."""
+    """Record the class of every call of a carrier class itself, which has
+    no dense constructor left (``from_int`` builds without one)."""
     calls = []
     for cls in (StructureAlgebra, hopf.HopfAlgebra, yd.YDObject):
         def recorded(obj, *args, init=cls.__init__, **kwargs):
@@ -355,9 +354,9 @@ def test_witness_solvers_and_morphism_checks_make_no_dense_product(monkeypatch):
     assert yd.inner_witness(e2_object, meta["x1"], meta["c"]) is not None
     assert yd.conjugation_implementer(e2_object, meta["c"]) is None
     assert not yd.strongly_inner_witness_e2(end_p).strongly_inner
-    left, right = yd.yd_centralizers(h4_carrier, [h4_carrier.alg.unit])
+    left, right = yd.yd_centralizers(h4_carrier, [unit_vec(h4_carrier.alg)])
     assert len(left) == len(right) == 4
-    assert h4_carrier.alg.is_invertible(h4_carrier.alg.unit)
+    assert h4_carrier.alg.is_invertible(unit_vec(h4_carrier.alg))
     assert all(hopf.check_hopf_morphism(f).ok for f in morphisms)
     assert vec_calls == Counter()
 
@@ -404,7 +403,7 @@ def test_only_sandwich_matrix_makes_a_dense_product(monkeypatch):
     assert sweedler.sharp_product_matches_presentation(d1, d2)
     assert sweedler.validate_c_iso(d1, d1, Q(1))
     h4 = sweedler.build_h4()
-    assert hopf.antipode_from_bialgebra(h4.alg, h4.int_cop, h4.int_counit) == h4.antipode
+    assert hopf.antipode_from_bialgebra(h4.alg, h4.int_cop, h4.int_counit) == s_matrix(h4)
     assert callers == Counter()
     assert algebra.is_central_simple(algebra.endomorphism_algebra(2))
     assert callers["sandwich_matrix"] > 0
@@ -520,25 +519,17 @@ def test_an_inverse_is_one_elimination(monkeypatch):
     assert [max(c for row in rows for c in row) + 1 for rows in calls] == [8]
 
 
-def test_no_dense_action_or_coaction_view_is_built(monkeypatch):
-    built = []
-    for name in ("action", "coaction"):
-        view = yd.YDObject.__dict__[name].func
-
-        def recorded(obj, view=view, name=name):
-            built.append(name)
-            return view(obj)
-
-        monkeypatch.setattr(yd.YDObject, name, property(recorded))
-    run_verification(("all",), 7, 20)
+def test_no_dense_action_or_coaction_view_is_built():
+    # the object has one form, its stores; the tests read the action from them
+    assert not any(hasattr(yd.YDObject, name) for name in ("action", "coaction"))
+    assert run_verification(("all",), 7, 20)["summary"]["fail"] == 0
     rung = _ladder_rung_d16()
     opposite = h_opposite(rung)
     for a in (rung, opposite):
         assert check_yd_algebra(a).ok
         fg_maps(a)
-    assert built == []
-    assert rung.action[1] == Matrix.diag([(-1) ** bin(j).count("1") for j in range(16)])
-    assert built == ["action"]
+        assert not any(hasattr(a, name) for name in ("action", "coaction"))
+    assert action_matrices(rung)[1] == Matrix.diag([(-1) ** bin(j).count("1") for j in range(16)])
 
 
 def test_derived_objects_share_the_store_they_keep(monkeypatch):
@@ -689,11 +680,12 @@ def test_sandwich_matrix_and_braiding_build_no_dense_matrix(monkeypatch):
 
 def test_r_is_expanded_and_scaled_once_per_structure(monkeypatch):
     rn, v = build_RN(), build_c_e2(Q(2), Q(3), Q(-1))
-    want = hopf.t2_from_vec(rn.r, rn.hopf.dim)
+    r = r_vec(rn)
+    want = hopf.t2_from_vec(r, rn.hopf.dim)
     expanded = Counter()
     original = hopf.t2_from_vec
-    monkeypatch.setattr(hopf, "t2_from_vec", lambda r, n: expanded.update([r is rn.r]) or original(r, n))
-    fresh = dense_qt(rn.hopf, rn.r, rn.r_inv)  # the one expansion of each; the store is integer
+    monkeypatch.setattr(hopf, "t2_from_vec", lambda x, n: expanded.update([x is r]) or original(x, n))
+    fresh = dense_qt(rn.hopf, r, r_vec(rn, inverse=True))  # the one expansion of each; the store is integer
     assert expanded == Counter({True: 1, False: 1})
     expanded.clear()
     for _ in range(3):
@@ -711,27 +703,16 @@ def test_push_qt_builds_no_dense_r(monkeypatch):
         rt = sweedler.build_rt(t)
         hopf.push_qt(sweedler.phi_iso(), rt)
         assert "r" not in rt.__dict__
-    # the phi-push, push and theta-push checks compare integer stores: a
-    # property shadows any view an earlier test cached on a shared structure
-    built = []
-    view = hopf.QTStructure.__dict__["r"].func
-    monkeypatch.setattr(hopf.QTStructure, "r", property(lambda rt: built.append(rt) or view(rt)))
+    # the phi-push, push and theta-push checks compare integer stores: R has
+    # no dense view left to build
+    assert not any(hasattr(hopf.QTStructure, name) for name in ("r", "r_inv"))
     report = run_verification(("qt", "eq5.1"), 7, 20)
     assert report["summary"]["fail"] == 0
-    assert built == []
 
 
 # a unit or counit rescaled where it is read, as the checks and the double
 # did before the unit and the counit joined the integer store
 UNIT_READ = re.compile(r"scaled\((sparse_vec\([\w.]*\b(co)?unit\)|eps|unit_h)\)")
-
-
-def _in_a_check(frame) -> bool:
-    while frame is not None:
-        if frame.f_code.co_name.startswith("check_"):
-            return True
-        frame = frame.f_back
-    return False
 
 
 def test_the_report_scales_no_unit_and_reads_no_unit_view_in_a_check(monkeypatch):
@@ -751,20 +732,11 @@ def test_the_report_scales_no_unit_and_reads_no_unit_view_in_a_check(monkeypatch
         module = getattr(hopfbrauer, name)
         if getattr(module, "scaled", None) is scaled:
             monkeypatch.setattr(module, "scaled", counted)
-    # the dense views, read through a property that sees every read, cached or not
-    reads = []
-    for cls, name in ((StructureAlgebra, "unit"), (hopf.HopfAlgebra, "counit")):
-        def read(obj, view=cls.__dict__[name].func, name=name):
-            reads.append((name, _in_a_check(sys._getframe(1))))
-            return view(obj)
-
-        monkeypatch.setattr(cls, name, property(read))
+    # the unit and the counit have no dense view left to read, in a check or not
+    assert not hasattr(StructureAlgebra, "unit") and not hasattr(hopf.HopfAlgebra, "counit")
     report = run_verification(("all",), 7, 20)
     assert report["summary"]["fail"] == 0
     assert scalings[False] > 0 and scalings[True] == 0
-    assert [r for r in reads if r[1]] == []
-    sweedler.build_h4().alg.unit, sweedler.build_h4().counit
-    assert reads[-2:] == [("unit", False), ("counit", False)]
 
 
 SCALINGS = ("common_denominator", "scaled", "scaled_rows", "scaled_vecs")
