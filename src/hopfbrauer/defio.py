@@ -16,7 +16,9 @@ Rationals are serialized as "p/q" or "p" strings everywhere. The schemas
   yd:       algebra keys plus {"hopf": <builtin name or inline hopf>,
             "action", "coaction"}; action[i][j] is the image vector of
             e_i^H·e_j^A, coaction[j][a] is the H-coefficient vector of the
-            e_a-component of ρ(e_j).
+            e_a-component of ρ(e_j). A file with any of "hopf", "action"
+            or "coaction" is a yd file and needs all three; one that also
+            has "coproduct" is refused.
 
 Builtin Hopf names: H4, H4dual, E2, DH4.
 """
@@ -171,9 +173,13 @@ def builtin_hopf(name: str) -> HopfAlgebra:
     return table[name]()
 
 
+# the fields that make a file a YD file, each of them required there
+YD_FIELDS = ("hopf", "action", "coaction")
+
+
 def load_yd(obj: dict, path: str = "yd") -> YDObject:
+    hopf_field, rows, coaction = (_need(obj, key, path) for key in YD_FIELDS)
     alg = load_algebra(obj, path)
-    hopf_field = _need(obj, "hopf", path)
     if isinstance(hopf_field, str):
         hopf = builtin_hopf(hopf_field)
     elif isinstance(hopf_field, dict):
@@ -181,7 +187,7 @@ def load_yd(obj: dict, path: str = "yd") -> YDObject:
     else:
         raise SchemaError(f"{path}.hopf", "expected a builtin name or an inline hopf object")
     n, dim = hopf.dim, alg.dim
-    action, rows = [], _need(obj, "action", path)
+    action = []
     for i, row in enumerate(_list(rows, n, f"{path}.action", "rows (one per Hopf basis element)")):
         row = _list(row, dim, f"{path}.action[{i}]", "image vectors")
         action.append([_sparse(v, dim, f"{path}.action[{i}][{j}]") for j, v in enumerate(row)])
@@ -193,13 +199,18 @@ def load_yd(obj: dict, path: str = "yd") -> YDObject:
             for a, hvec in enumerate(_list(row, dim, f"{path}.coaction[{j}]", "carrier components"))
             for k, c in _sparse(hvec, n, f"{path}.coaction[{j}][{a}]").items()
         ]
-        for j, row in enumerate(_list(_need(obj, "coaction", path), dim, f"{path}.coaction", "rows"))
+        for j, row in enumerate(_list(coaction, dim, f"{path}.coaction", "rows"))
     )
     return YDObject.from_int(hopf, dim, alg, (den, [cells[j * n:(j + 1) * n] for j in range(dim)]), rho)
 
 
 def detect_kind(obj: dict) -> str:
-    if "action" in obj and "coaction" in obj:
+    """"yd" for a file with any of ``YD_FIELDS``, "hopf" for one with a
+    coproduct, else "algebra"; a file with both is refused."""
+    yd = [key for key in YD_FIELDS if key in obj]
+    if yd and "coproduct" in obj:
+        raise SchemaError("definition", f"'coproduct' and the YD field '{yd[0]}' in one file")
+    if yd:
         return "yd"
     if "coproduct" in obj:
         return "hopf"
@@ -263,6 +274,11 @@ def hopf_to_json(h: HopfAlgebra) -> dict:
 
 
 def yd_to_json(a: YDObject, hopf_name: str | None = None) -> dict:
+    """The yd file of ``a``, which needs a product, an action and a coaction."""
+    stores = (("product", a.alg), ("action", a.int_images), ("coaction", a.int_rho))
+    missing = [what for what, store in stores if store is None]
+    if missing:
+        raise ValueError(f"yd_to_json: the object has no {' and no '.join(missing)}")
     out = algebra_to_json(a.alg)
     out["hopf"] = hopf_name if hopf_name else hopf_to_json(a.hopf)
     den, rows = a.int_images

@@ -1,28 +1,26 @@
-"""Deterministic hypothesis for the test suite: every ``@given`` test draws
-the same examples on every run, with no per-example deadline, and no result
-depends on the ``.hypothesis/`` example database. Each test keeps its own
-``max_examples``.
+"""Shared set-up and the tests' edge to the integer stores.
 
-Each carrier has one form, its integer stores, built by ``from_int``; these
-helpers are the tests' dense edge. ``dense_algebra``, ``dense_hopf`` and
-``dense_yd`` hand a dense product, coproduct, counit, antipode, action or
-coaction over ℚ to ``from_int``, each table scaled once by ``linalg``'s
-scaling, and ``dense_qt`` hands dense R and R⁻¹ vectors to ``QTStructure``.
-``unit_vec``, ``counit_vec``, ``s_matrix``, ``action_matrices``,
-``coaction_rows``, ``r_vec`` and ``form_matrix`` read a store back as a dense
-vector or matrix, and ``dense_mult`` and ``dense_cop`` write a product and a
-coproduct out as dense tensors, for tests that corrupt one entry or compare
-with a dense reference; ``sweedler2`` is (Δ⊗id)Δ on Fractions, the
-reference for ``int_cop2``. ``scaled_cells`` and ``sparse_yd`` hand sparse
-rational tables to the ``from_int`` constructors. ``zero_matrix``,
-``transpose``, ``rank``, ``consistent`` and ``int_form`` are the
-dense-matrix helpers the tests use and the package does not.
-``fraction_table``, ``mul_basis``, ``mul_sparse``, ``fraction_cop``,
-``cop_sparse``, ``s_cols``, ``yd_images`` and ``yd_rho`` read the integer
-stores back as Fractions, the independent references of the tests that
-compare a contraction on integers with one on ℚ; the cached ones hand every
-caller the same lists, which no test mutates. ``acc`` adds into such a
-sparse dict, dropping a zero."""
+Every ``@given`` test draws the same examples on every run, with no
+per-example deadline and no ``.hypothesis/`` database; each test keeps its
+own ``max_examples``.
+
+Each carrier has one form, its integer stores, built by ``from_int``:
+
+- ``dense_algebra``, ``dense_hopf``, ``dense_yd`` and ``dense_qt`` hand a
+  dense table over ℚ to ``from_int`` (``QTStructure``), each scaled once by
+  ``linalg``; ``scaled_cells`` and ``sparse_yd`` do so for sparse tables;
+- ``fraction_table``, ``mul_basis``, ``mul_sparse``, ``cop_sparse``,
+  ``fraction_cop``, ``sweedler2`` ((Δ⊗id)Δ, the reference for ``int_cop2``),
+  ``s_cols``, ``yd_images`` and ``yd_rho`` read the stores back as sparse
+  Fractions: the only way ``tests/reference.py`` reads them, and ``acc``
+  adds into such a dict, dropping a zero. The cached readers hand every
+  caller the same lists, which no test mutates;
+- ``unit_vec``, ``counit_vec``, ``s_matrix``, ``action_matrices``,
+  ``coaction_rows``, ``r_vec`` and ``form_matrix`` read a store as a dense
+  vector or matrix, and ``dense_mult`` and ``dense_cop`` write a product or
+  a coproduct out in new lists, for tests that corrupt one entry;
+- ``zero_matrix``, ``transpose``, ``rank``, ``consistent`` and ``int_form``
+  are dense-matrix helpers that the package does not have."""
 
 from fractions import Fraction
 from functools import cache
@@ -78,9 +76,11 @@ def mul_sparse(alg, x, y, out=None):
     out = {} if out is None else out
     table = fraction_table(alg)
     for i, xi in x.items():
+        row = table[i]
         for j, yj in y.items():
-            for k, c in table[i][j]:
-                acc(out, k, xi * yj * c)
+            xy = xi * yj
+            for k, c in row[j]:
+                acc(out, k, xy * c)
     return out
 
 

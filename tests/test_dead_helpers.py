@@ -17,20 +17,36 @@ drops them from its ``TIMED`` list, and then they go or move into the tests.
 No value without a reader either: a local that a function assigns and that
 neither it nor a function nested in it reads (``dead_locals``; a name that
 starts with ``_`` is exempt), and a name that a module imports and never
-uses (``unused_imports``; the re-exports of ``__init__`` are exempt)."""
+uses (``unused_imports``; the re-exports of ``__init__`` are exempt).
+
+The tests' helpers follow the rule too: each function of ``tests/conftest.py``
+and ``tests/reference.py`` has a caller in ``tests/``
+(``uncalled_test_helpers``), and the oracle ``tests/reference.py`` names no
+package kernel (``kernel_names``)."""
 
 import ast
 import pathlib
 from collections import Counter
+from functools import cache
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hopfbrauer"
+TESTS = ROOT / "tests"
+HELPER_MODULES = ("conftest", "reference")
+# the package's contractions and certificates that the oracle re-derives
+KERNELS = {"mul_int", "mul_vec", "_contract", "act_matrix", "FGContraction", "commutator_columns", "on_generators"}
 
 # held only by perfbench/tracer.py, until ROADMAP item 1 frees them
 ALLOWED = {"antipode_from_bialgebra", "f0_g0_matrices", "kernel_basis"}
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 VIEW_MAKERS = {"property", "cached_property"}
+
+
+@cache
+def _tree(text: str) -> ast.Module:
+    """``ast.parse``, once per text; no guard mutates a tree."""
+    return ast.parse(text)
 
 
 def _maker(node) -> str | None:
@@ -59,7 +75,7 @@ def unreferenced(src: pathlib.Path = SRC) -> set[str]:
     names, attrs, aliases = Counter(), Counter(), Counter()
     defs = []  # (reported name, bare name, kind: "function", "method" or "view", node)
     for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text())
+        tree = _tree(path.read_text())
         n, a = _references(tree)
         names += n
         attrs += a
@@ -98,7 +114,7 @@ def dead_locals(src: pathlib.Path = SRC) -> set[str]:
     locals, and a name that starts with ``_`` is exempt."""
     out = set()
     for path in sorted(src.glob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text())):
+        for fn in ast.walk(_tree(path.read_text())):
             if not isinstance(fn, FUNCTIONS):
                 continue
             stores, outer, todo = set(), set(), list(fn.body)
@@ -122,7 +138,7 @@ def unused_imports(src: pathlib.Path = SRC) -> set[str]:
     for path in sorted(src.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        tree = ast.parse(path.read_text())
+        tree = _tree(path.read_text())
         names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
@@ -171,3 +187,62 @@ def test_a_dead_local_and_an_unused_import_are_found(tmp_path):
     algebra.write_text(text.replace("        return _contract(", dead + "        return _contract(", 1))
     assert dead_locals(tmp_path) == {"algebra.mul_int: unused"}
     assert unused_imports(tmp_path) == {"algebra: random"}
+
+
+def uncalled_test_helpers(tests: pathlib.Path = TESTS) -> set[str]:
+    """"module.function" for each function of ``conftest`` and ``reference``
+    that no module imports and names or reads as an attribute, and that no
+    other statement of its own module names."""
+    trees = {path.stem: _tree(path.read_text()) for path in sorted(tests.glob("*.py"))}
+    called = set()
+    for tree in trees.values():
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in HELPER_MODULES:
+                called |= {(node.module, a.name) for a in node.names if (a.asname or a.name) in names}
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in HELPER_MODULES:
+                called.add((node.value.id, node.attr))
+    out = set()
+    for stem in HELPER_MODULES:
+        names = Counter(n.id for n in ast.walk(trees[stem]) if isinstance(n, ast.Name))
+        for fn in trees[stem].body:
+            if isinstance(fn, FUNCTIONS) and (stem, fn.name) not in called:
+                own = sum(isinstance(n, ast.Name) and n.id == fn.name for n in ast.walk(fn))
+                if names[fn.name] == own:
+                    out.add(f"{stem}.{fn.name}")
+    return out
+
+
+def kernel_names(path: pathlib.Path = TESTS / "reference.py") -> set[str]:
+    """The names, attributes and imports in ``path`` that are in ``KERNELS``
+    or are a ``check_*`` or a ``*_failures``."""
+    tree = _tree(path.read_text())
+    found = {getattr(n, "id", getattr(n, "attr", getattr(n, "name", None))) for n in ast.walk(tree)}
+    found = {x for x in found if isinstance(x, str)}
+    return {x for x in found if x in KERNELS or x.startswith("check_") or x.endswith("_failures")}
+
+
+def test_every_test_helper_has_a_caller():
+    assert uncalled_test_helpers() == set()
+
+
+def test_an_uncalled_test_helper_is_found(tmp_path):
+    for path in TESTS.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    # a reader that only calls itself, and a reference imported, never named
+    conftest = tmp_path / "conftest.py"
+    conftest.write_text(conftest.read_text() + "\n\ndef orphan(a):\n    return orphan(a.alg) if a else a.int_sp\n")
+    ref = tmp_path / "reference.py"
+    ref.write_text(ref.read_text() + "\n\ndef unread(a):\n    return a\n")
+    (tmp_path / "test_stub.py").write_text("from reference import unread\n")
+    assert uncalled_test_helpers(tmp_path) == {"conftest.orphan", "reference.unread"}
+
+
+def test_the_oracle_calls_no_package_kernel(tmp_path):
+    assert kernel_names() == set()
+    ref = tmp_path / "reference.py"
+    text = (TESTS / "reference.py").read_text()
+    ref.write_text(text.replace("    ik = dict(mul_basis(a, i, k))", "    ik = a.mul_vec(i, k)", 1))
+    assert kernel_names(ref) == {"mul_vec"}
+    ref.write_text(text + "\ncheck_module(a.module_failures)\n")
+    assert kernel_names(ref) == {"check_module", "module_failures"}

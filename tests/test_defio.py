@@ -17,9 +17,10 @@ from hopfbrauer.defio import (
     validate_definition,
     yd_to_json,
 )
+from hopfbrauer.e2 import witness_p_module
 from hopfbrauer.hopf import HopfAlgebra
 from hopfbrauer.sweedler import CFamilyDescriptor, build_C, build_h4
-from hopfbrauer.yd import YDObject, check_yd_algebra
+from hopfbrauer.yd import YDObject, check_yd_algebra, module_tensor
 
 
 def stores(obj):
@@ -122,6 +123,17 @@ def test_missing_coaction_is_schema_error():
     with pytest.raises(SchemaError) as exc:
         load_yd(obj)
     assert "coaction" in str(exc.value)
+
+
+def test_yd_to_json_of_a_module_without_product_is_refused():
+    with pytest.raises(ValueError, match="^yd_to_json: the object has no product and no coaction$"):
+        yd_to_json(module_tensor(witness_p_module(), witness_p_module()))
+
+
+def test_yd_to_json_of_an_object_without_coaction_is_refused():
+    c = build_C(CFamilyDescriptor(Q(1), Q(1), Q(0)))
+    with pytest.raises(ValueError, match="^yd_to_json: the object has no coaction$"):
+        yd_to_json(YDObject.from_int(c.hopf, c.dim, c.alg, c.int_images))
 
 
 def test_bad_rational_is_schema_error_with_path():

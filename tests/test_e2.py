@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+import reference
 from conftest import action_matrices, coaction_rows, counit_vec, dense_yd, r_vec, rank, zero_matrix
 
 from hopfbrauer.algebra import endomorphism_algebra, is_central_simple, operator_to_vec
@@ -431,23 +432,6 @@ def test_prop62_with_trivial_module():
     assert res["agree"] and res["x1"][0] and res["x2"][0]
 
 
-def _reference_e2_action(c_mat, x1_mat, x2_mat):
-    """The earlier loop: each monomial c^a x₁^b x₂^d as a product from the
-    identity, twelve products and eight identities in all."""
-    mats = {1: c_mat, 2: x1_mat, 4: x2_mat}
-    action = []
-    for d in (0, 1):
-        for b in (0, 1):
-            for a in (0, 1):
-                acc = Matrix.identity(c_mat.rows)
-                for gen, e in ((1, a), (2, b), (4, d)):
-                    for _ in range(e):
-                        acc = acc @ mats[gen]
-                action.append((a + 2 * b + 4 * d, acc))
-    action.sort(key=lambda t: t[0])
-    return [m for _, m in action]
-
-
 def test_e2_action_from_generators_matches_the_monomial_loop():
     gen = random.Random(41)
 
@@ -459,8 +443,7 @@ def test_e2_action_from_generators_matches_the_monomial_loop():
     cases.append((end_p[1], end_p[2], end_p[4]))  # c, x₁, x₂ on End(P)
     assert end_p[1].rows == 4
     for c_mat, x1_mat, x2_mat in cases:
-        reference = [_columns(m) for m in _reference_e2_action(c_mat, x1_mat, x2_mat)]
         den, images = e2_action_from_generators(*map(_scaled_columns, (c_mat, x1_mat, x2_mat)))
-        assert [[over(v, den) for v in row] for row in images] == [
-            [cols[j] for cols in reference] for j in range(c_mat.rows)
-        ]
+        assert [[over(v, den) for v in row] for row in images] == reference.e2_action(
+            *map(_columns, (c_mat, x1_mat, x2_mat))
+        )

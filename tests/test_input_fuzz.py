@@ -9,7 +9,7 @@ from collections import Counter
 from fractions import Fraction as Q
 
 from hopfbrauer.cli import main
-from hopfbrauer.defio import algebra_to_json, hopf_to_json, yd_to_json
+from hopfbrauer.defio import YD_FIELDS, algebra_to_json, hopf_to_json, yd_to_json
 from hopfbrauer.e2 import build_c_e2, build_e2
 from hopfbrauer.sweedler import CFamilyDescriptor, build_C, build_h4
 
@@ -104,3 +104,34 @@ def test_root_mutants_exit_cleanly(capsys, tmp_path):
             err = capsys.readouterr().err
             want = "missing field 'dim'" if value == {} else f"expected a JSON object, got {value!r}"
             assert (code, err) == (2, f"{prefix}{'algebra' if value == {} else 'definition'}: {want}\n"), value
+
+
+def _run(capsys, tmp_path, command: str, obj) -> tuple[int, str, str]:
+    path = tmp_path / "def.json"
+    path.write_text(json.dumps(obj))
+    code = main([command, str(path)])
+    return (code, *capsys.readouterr())
+
+
+def test_a_yd_file_without_coaction_is_no_algebra_file(capsys, tmp_path):
+    # it was read as an algebra and passed; its action was never read
+    obj = yd_to_json(build_C(CFamilyDescriptor(Q(3), Q(2), Q(5))), hopf_name="H4")
+    del obj["coaction"]
+    obj["action"][1][0] = ["x", "y"]
+    assert _run(capsys, tmp_path, "define", obj) == (2, "", "schema error: yd: missing field 'coaction'\n")
+
+
+def test_each_yd_field_deleted_exits_2(capsys, tmp_path):
+    bases = [
+        yd_to_json(build_C(CFamilyDescriptor(Q(3), Q(2), Q(5))), hopf_name="H4"),
+        yd_to_json(build_C(CFamilyDescriptor(Q(1), Q(0), Q(2)))),
+        yd_to_json(build_c_e2(1, 2, 3), hopf_name="E2"),
+    ]
+    for base in bases:
+        for command, prefix in (("define", "schema error: "), ("theorem61", "error: ")):
+            for key in YD_FIELDS:
+                obj = {k: v for k, v in base.items() if k != key}
+                assert _run(capsys, tmp_path, command, obj) == (2, "", f"{prefix}yd: missing field '{key}'\n")
+            # a Hopf field beside the YD fields
+            line = f"{prefix}definition: 'coproduct' and the YD field 'hopf' in one file\n"
+            assert _run(capsys, tmp_path, command, dict(base, coproduct=[])) == (2, "", line)

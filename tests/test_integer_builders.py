@@ -4,8 +4,9 @@
 common denominators, and every builder on the (E(2), R_N) and H₄ paths writes
 integer terms into that store. The builders as they were, on Fractions and
 scaled once into ``YDObject.from_int`` (``conftest.sparse_yd``), are kept
-here as the reference, as
-``_sparse_rref`` and ``_det_bareiss`` are kept beside their replacements.
+here as the reference, as ``_sparse_rref`` and ``_det_bareiss`` are kept
+beside their replacements; the E(2) action and the sandwich matrix are
+``tests/reference.py``'s.
 Each integer builder must give ``==`` Fraction ``images`` and ``rho`` and an
 equal canonical integer store, on seeded parameters over E(2) and H₄ that
 include t = 0, negative values, denominators near 10⁶ and singular
@@ -17,6 +18,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+import reference
 from conftest import cop_sparse, dense_algebra, form_matrix, mul_basis, mul_sparse, s_cols, sparse_yd, yd_images, yd_rho
 
 from hopfbrauer.algebra import endomorphism_algebra, opposite_algebra, sandwich_matrix
@@ -135,16 +137,6 @@ def ref_end_yd(m, variant):
     return sparse_yd(h, d * d, alg, images, [[(*k, c) for k, c in out.items() if c] for out in rho])
 
 
-def ref_e2_action(c, x1, x2):
-    images = []
-    for j in range(len(c)):
-        row = {0: {j: Q(1)}}
-        for cols, bit in ((x2, 4), (x1, 2), (c, 1)):
-            row.update([(k + bit, sparse_sum((w, cols[q]) for q, w in v.items())) for k, v in row.items()])
-        images.append([row[k] for k in range(8)])
-    return images
-
-
 def _ref_e12(t):
     return [{}, {0: t} if t else {}]
 
@@ -155,13 +147,13 @@ def _ref_c_alg(a, name):
 
 def ref_build_c_e2(a, t1, t2):
     a, t1, t2 = Q(a), Q(t1), Q(t2)
-    images = ref_e2_action([{0: Q(1)}, {1: Q(-1)}], _ref_e12(t1), _ref_e12(t2))
+    images = reference.e2_action([{0: Q(1)}, {1: Q(-1)}], _ref_e12(t1), _ref_e12(t2))
     alg = _ref_c_alg(a, f"C({a};{t1},{t2})@E2")
     return ref_induced_coaction(sparse_yd(build_e2(), 2, alg, images), build_RN())
 
 
 def ref_build_e2_module(l1, l2):
-    images = ref_e2_action([{0: Q(1)}, {1: Q(-1)}], _ref_e12(Q(l1)), _ref_e12(Q(l2)))
+    images = reference.e2_action([{0: Q(1)}, {1: Q(-1)}], _ref_e12(Q(l1)), _ref_e12(Q(l2)))
     return ref_induced_coaction(sparse_yd(build_e2(), 2, images=images), build_RN())
 
 
@@ -186,20 +178,6 @@ def ref_braiding_psi(v, w, r):
         for y in range(w.dim)
     ]
     return Matrix.from_cols([dense_vec(col, v.dim * w.dim) for col in columns])
-
-
-def ref_sandwich_matrix(a):
-    d = a.dim
-    m = [[Q(0)] * (d * d) for _ in range(d * d)]
-    basis = [a.basis_vec(i) for i in range(d)]
-    for i, ei in enumerate(basis):
-        for k, ek in enumerate(basis):
-            eik = a.mul_vec(ei, ek)
-            for col, ej in enumerate(basis, i * d):
-                for p, c in enumerate(a.mul_vec(eik, ej)):
-                    if c:
-                        m[k * d + p][col] = c
-    return Matrix(m)
 
 
 # -- Seeded parameters --------------------------------------------------------
@@ -280,7 +258,7 @@ def test_e2_action_from_generators_matches_on_random_generators():
             ]
             gens = [[{k: c for k, c in col.items() if c} for col in cols] for cols in gens]
             den, images = e2_action_from_generators(*map(scaled_vecs, gens))
-            assert [[over(v, den) for v in row] for row in images] == ref_e2_action(*gens)
+            assert [[over(v, den) for v in row] for row in images] == reference.e2_action(*gens)
     end_p = witness_end_p()
     _same(end_p, ref_induced_coaction(sparse_yd(end_p.hopf, end_p.dim, end_p.alg, yd_images(end_p)), build_RN()))
 
@@ -313,7 +291,7 @@ def test_sandwich_matrix_matches_the_dense_product():
     algebras += [sharp_product(build_C(H4_PARAMS[0]), build_C(H4_PARAMS[-1])).alg]
     algebras += [sharp_product(build_c_e2(*E2_PARAMS[0]), build_c_e2(*E2_PARAMS[-3])).alg]
     for alg in algebras:
-        assert sandwich_matrix(alg) == ref_sandwich_matrix(alg)
+        assert sandwich_matrix(alg) == reference.sandwich(alg)
 
 
 # -- from_int ------------------------------------------------------------------

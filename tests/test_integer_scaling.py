@@ -1,10 +1,11 @@
 """F, G, the associativity check, the Yetter-Drinfeld axiom checks and the
 H-opposite contract on integers, each tensor over its own common
-denominator. These tests compare them with Fraction references on objects
-whose product, action and coaction have different denominators, and on an
-H₄ whose rescaled basis gives its unit, counit, product, coproduct and S⁻¹
-non-integer coefficients, so a scale applied to the wrong tensor, or a
-missing one, changes an entry or a failure list."""
+denominator. These tests compare them with the Fraction references of
+``tests/reference.py`` on objects whose product, action and coaction have
+different denominators, and on an H₄ whose rescaled basis gives its unit,
+counit, product, coproduct and S⁻¹ non-integer coefficients, so a scale
+applied to the wrong tensor, or a missing one, changes an entry or a failure
+list."""
 
 import random
 from fractions import Fraction as Q
@@ -21,17 +22,16 @@ from conftest import (
     dense_hopf,
     dense_mult,
     dense_yd,
-    mul_basis,
-    mul_sparse,
     s_matrix,
     sweedler2,
     unit_vec,
     yd_images,
     yd_rho,
 )
-from hopfbrauer.algebra import CheckReport, check_algebra_axioms
+import reference
+from hopfbrauer.algebra import check_algebra_axioms
 from hopfbrauer.e2 import build_c_e2
-from hopfbrauer.linalg import Matrix, common_denominator, sparse_sum, sparse_vec, zero_vec
+from hopfbrauer.linalg import Matrix, common_denominator
 from hopfbrauer.sweedler import CFamilyDescriptor, build_C, build_h4
 from hopfbrauer.yd import FGContraction, check_yd_algebra, check_yd_module, fg_maps, h_opposite, sharp_product
 
@@ -89,57 +89,6 @@ def _object(name):
 OBJECTS = ["C#C", "C#C opposite", "E(2) C#C"]
 
 
-def _reference_fg(a):
-    """F and G by the Fraction contraction that built them before the
-    integer scaling: the same loop, on ``mul_sparse``."""
-    alg, d = a.alg, a.dim
-    images, rho = yd_images(a), yd_rho(a)
-
-    def mul(x, y, out=None):
-        return mul_sparse(alg, x, y, out)
-
-    basis = [{j: Q(1)} for j in range(d)]
-    right = [[[mul(basis[k], hy) for k in range(d)] for hy in images[y]] for y in range(d)]
-    f = [[Q(0)] * (d * d) for _ in range(d * d)]
-    g = [[Q(0)] * (d * d) for _ in range(d * d)]
-    for x in range(d):
-        for z in range(d):
-            f_left = {}
-            for z0, z1, c in rho[z]:
-                mul(basis[x], {z0: c}, f_left.setdefault(z1, {}))
-            g_left = {}
-            for x0, x1, c in rho[x]:
-                mul({x0: c}, images[z][x1], g_left)
-            for y in range(d):
-                col = x * d + y
-                fz = sparse_sum((uk, right[y][h][k]) for h, u in f_left.items() for k, uk in u.items())
-                for p, v in fz.items():
-                    f[z * d + p][col] = v
-                for p, v in mul(g_left, basis[y]).items():
-                    g[z * d + p][col] = v
-    return f, g
-
-
-def _reference_axioms(a):
-    """``check_algebra_axioms`` as it was on Fractions."""
-    rep = CheckReport(f"algebra axioms ({a.name or 'unnamed'})")
-    unit = sparse_vec(unit_vec(a))
-    basis = [{i: Q(1)} for i in range(a.dim)]
-    for i, ei in enumerate(basis):
-        rep.require(
-            mul_sparse(a, unit, ei) == ei and mul_sparse(a, ei, unit) == ei,
-            f"unit law fails at basis element {a.basis[i]}",
-        )
-    for i, ei in enumerate(basis):
-        for j in range(a.dim):
-            ij = dict(mul_basis(a, i, j))
-            for l, el in enumerate(basis):
-                lhs = mul_sparse(a, ij, el)
-                rhs = mul_sparse(a, ei, dict(mul_basis(a, j, l)))
-                rep.require(lhs == rhs, f"associativity fails at triple ({i},{j},{l})")
-    return rep.failures
-
-
 @pytest.mark.parametrize("name", OBJECTS)
 def test_tensors_have_distinct_denominators(name):
     a = _object(name)
@@ -154,9 +103,9 @@ def test_tensors_have_distinct_denominators(name):
 def test_fg_maps_equal_the_fraction_loop(name):
     a = _object(name)
     f, g = fg_maps(a)
-    ref_f, ref_g = _reference_fg(a)
-    assert f.data == ref_f
-    assert g.data == ref_g
+    ref_f, ref_g = reference.fg(a)
+    assert f.data == ref_f.data
+    assert g.data == ref_g.data
     assert any(v.denominator > 1 for row in f.data for v in row)
 
 
@@ -215,10 +164,10 @@ def _corrupt(alg, kind):
 def test_axiom_failures_match_the_fraction_check(name, kind):
     alg = _object(name).alg
     alg = _rescaled(alg, [Q(7, 3)] + [1] * (alg.dim - 1))
-    assert check_algebra_axioms(alg).failures == _reference_axioms(alg) == []
+    assert check_algebra_axioms(alg).failures == reference.algebra_axioms(alg) == []
     bad = _corrupt(alg, kind)
     failures = check_algebra_axioms(bad).failures
-    assert failures == _reference_axioms(bad)
+    assert failures == reference.algebra_axioms(bad)
     assert failures
     assert any(f.startswith("unit law") for f in failures) == (kind == "unit law")
 
@@ -226,147 +175,6 @@ def test_axiom_failures_match_the_fraction_check(name, kind):
 # ---------------------------------------------------------------------------
 # Yetter-Drinfeld axiom checks and the H-opposite against their Fraction loops
 # ---------------------------------------------------------------------------
-
-
-def _tensor(u, w, n):
-    return {p * n + q: cp * cq for p, cp in u for q, cq in w}
-
-
-def _reference_module(m):
-    """``check_module`` as it was on Fractions."""
-    rep = CheckReport(f"H-module over {m.hopf.name}")
-    h = m.hopf
-    rep.require(m.act_matrix(unit_vec(h.alg)) == Matrix.identity(m.dim), "unit of H does not act as id")
-    images = yd_images(m)
-    for i in range(h.dim):
-        for j in range(h.dim):
-            ij = mul_basis(h.alg, i, j)
-            ok = all(
-                sparse_sum((c, images[k][i]) for k, c in images[y][j].items())
-                == sparse_sum((c, images[y][k]) for k, c in ij)
-                for y in range(m.dim)
-            )
-            rep.require(ok, f"action not multiplicative at ({h.alg.basis[i]},{h.alg.basis[j]})")
-    return rep
-
-
-def _reference_module_algebra(a):
-    """``check_module_algebra`` as it was on Fractions."""
-    rep = CheckReport(f"module algebra over {a.hopf.name}")
-    rep.merge(_reference_module(a))
-    h, alg, images = a.hopf, a.alg, yd_images(a)
-    for i in range(h.dim):
-        acted_one = action_matrices(a)[i].apply(unit_vec(alg))
-        rep.require(acted_one == [counit_vec(h)[i] * u for u in unit_vec(alg)], f"h·1 ≠ ε(h)1 at {h.alg.basis[i]}")
-        cop = cop_sparse(h, i)
-        for x in range(alg.dim):
-            for y in range(alg.dim):
-                lhs = sparse_sum((c, images[k][i]) for k, c in mul_basis(alg, x, y))
-                rhs = sparse_sum((c, mul_sparse(alg, images[x][p], images[y][q])) for p, q, c in cop)
-                rep.require(
-                    lhs == rhs,
-                    f"module-algebra law fails at ({h.alg.basis[i]}; {alg.basis[x]},{alg.basis[y]})",
-                )
-    return rep
-
-
-def _reference_comodule(m):
-    """``check_comodule`` as it was on Fractions."""
-    rep = CheckReport(f"H-comodule over {m.hopf.name}")
-    h, dim = m.hopf, m.dim
-    for j in range(dim):
-        sp = yd_rho(m)[j]
-        ej = zero_vec(dim)
-        for a, k, c in sp:
-            ej[a] += c * counit_vec(h)[k]
-        want = zero_vec(dim)
-        want[j] = Q(1)
-        rep.require(ej == want, f"(id⊗ε)ρ fails at index {j}")
-        lhs, rhs = {}, {}
-        for a, k, c in sp:
-            for b, l, d in yd_rho(m)[a]:
-                lhs[(b, l, k)] = lhs.get((b, l, k), Q(0)) + c * d
-            for p, q, d in cop_sparse(h, k):
-                rhs[(a, p, q)] = rhs.get((a, p, q), Q(0)) + c * d
-        lhs = {k: v for k, v in lhs.items() if v}
-        rhs = {k: v for k, v in rhs.items() if v}
-        rep.require(lhs == rhs, f"coassociativity of ρ fails at index {j}")
-    return rep
-
-
-def _reference_comodule_algebra_op(a):
-    """``check_comodule_algebra_op`` as it was on Fractions."""
-    rep = CheckReport(f"H^op-comodule algebra over {a.hopf.name}")
-    rep.merge(_reference_comodule(a))
-    h, alg, rho = a.hopf, a.alg, yd_rho(a)
-    n = h.dim
-    rho_flat = [sparse_vec(row) for row in coaction_rows(a)]
-    unit = sparse_vec(unit_vec(alg))
-    rho_one = sparse_sum((c, rho_flat[j]) for j, c in unit.items())
-    rep.require(rho_one == _tensor(unit.items(), sparse_vec(unit_vec(h.alg)).items(), n), "ρ(1) ≠ 1⊗1")
-    for x in range(alg.dim):
-        for y in range(alg.dim):
-            lhs = sparse_sum((c, rho_flat[j]) for j, c in mul_basis(alg, x, y))
-            rhs = sparse_sum(
-                (cx * cy, _tensor(mul_basis(alg, ax, ay), mul_basis(h.alg, ky, kx), n))
-                for ax, kx, cx in rho[x]
-                for ay, ky, cy in rho[y]
-            )
-            rep.require(lhs == rhs, f"ρ not H^op-multiplicative at ({alg.basis[x]},{alg.basis[y]})")
-    return rep
-
-
-def _reference_yd_condition(m):
-    """``check_yd_condition`` as it was on Fractions."""
-    rep = CheckReport(f"Yetter-Drinfeld condition over {m.hopf.name}")
-    h, images, rho = m.hopf, yd_images(m), yd_rho(m)
-    n = h.dim
-    rho_flat = [sparse_vec(row) for row in coaction_rows(m)]
-    sinv = [sparse_vec(s_matrix(h, inverse=True).col(k)) for k in range(n)]
-
-    def h_factor(l3, k, l1):
-        return mul_sparse(h.alg, dict(mul_basis(h.alg, l3, k)), sinv[l1]).items()
-
-    for li in range(n):
-        sw2 = sweedler2(h, li)
-        for b in range(m.dim):
-            lhs = sparse_sum((c, rho_flat[j]) for j, c in images[b][li].items())
-            rhs = sparse_sum(
-                (c * d, _tensor(images[a][l2].items(), h_factor(l3, k, l1), n))
-                for l1, l2, l3, c in sw2
-                for a, k, d in rho[b]
-            )
-            rep.require(lhs == rhs, f"YD condition fails at (l={h.alg.basis[li]}, b=index {b})")
-    return rep
-
-
-def _reference_yd_failures(a):
-    """Failures of ``check_yd_algebra`` (or ``check_yd_module`` when ``a``
-    has no product) by the Fraction loops, merged in the same order."""
-    if a.alg is None:
-        rep = CheckReport("Yetter-Drinfeld module")
-        parts = (_reference_module(a), _reference_comodule(a), _reference_yd_condition(a))
-    else:
-        rep = CheckReport("Yetter-Drinfeld module algebra")
-        parts = (_reference_module_algebra(a), _reference_comodule_algebra_op(a), _reference_yd_condition(a))
-    for part in parts:
-        rep.merge(part)
-    return rep.failures
-
-
-def _reference_h_opposite_mult(a):
-    """The H-opposite's structure constants by the Fraction loop."""
-    alg = a.alg
-    return [
-        [
-            [
-                sparse_sum((c, mul_sparse(alg, {b: Q(1)}, yd_images(a)[i][k])) for b, k, c in yd_rho(a)[j]).get(p, Q(0))
-                for p in range(alg.dim)
-            ]
-            for j in range(alg.dim)
-        ]
-        for i in range(alg.dim)
-    ]
 
 
 YD_OBJECTS = OBJECTS + ["C over rescaled H4", "C#C over rescaled H4"]
@@ -431,7 +239,7 @@ def test_rescaled_h4_has_a_scale_on_every_tensor():
 @pytest.mark.parametrize("name", YD_OBJECTS + YD_MODULES)
 def test_yd_checks_pass_like_the_fraction_loops(name):
     a = _yd_object(name)
-    assert _yd_failures(a) == _reference_yd_failures(a) == []
+    assert _yd_failures(a) == reference.yd_laws(a) == []
 
 
 YD_CORRUPTIONS = [
@@ -447,13 +255,13 @@ def test_yd_failures_match_the_fraction_loops(name, kind):
     bad = _corrupt_yd(_yd_object(name), kind)
     failures = _yd_failures(bad)
     assert failures
-    assert failures == _reference_yd_failures(bad)
+    assert failures == reference.yd_laws(bad)
 
 
 @pytest.mark.parametrize("name", ["C#C", "E(2) C#C", "C over rescaled H4", "C#C over rescaled H4"])
 def test_h_opposite_equals_the_fraction_loop(name):
     a = _object(name)
     opposite = h_opposite(a)
-    reference = dense_algebra(a.alg.basis, unit_vec(a.alg), _reference_h_opposite_mult(a))
-    assert opposite.alg.same_product(reference)
-    assert _yd_failures(opposite) == _reference_yd_failures(opposite) == []
+    want = dense_algebra(a.alg.basis, unit_vec(a.alg), reference.h_opposite_table(a))
+    assert opposite.alg.same_product(want)
+    assert _yd_failures(opposite) == reference.yd_laws(opposite) == []

@@ -3,10 +3,9 @@ them, and the Drinfeld double contract on integers over known scales.
 
 The integer kernels ``_t2_int`` and ``_t3_int``, each operand over its least
 common denominator (``t2_mul`` and ``t3_mul`` below), are compared with the
-Fraction loops that computed these products before the integer scaling, kept
-below as the reference, on seeded
-sparse elements of H₄, E(2), D(H₄) and an H₄ on a rescaled basis (product
-constants over D_m > 1), including products that cancel to zero. The checks
+Fraction loop ``reference.tensor_product`` on seeded sparse elements of H₄,
+E(2), D(H₄) and an H₄ on a rescaled basis (product constants over D_m > 1),
+including products that cancel to zero. The checks
 are compared on the rescaled H₄ with the same checks on H₄: rescaling a
 basis vector changes no identity's truth, so the failure lists agree, while a
 scale dropped on a tensor whose denominator is 1 on H₄ shows up here."""
@@ -16,7 +15,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import counit_vec, dense_cop, dense_hopf, dense_qt, mul_basis, r_vec, s_matrix, unit_vec
+import reference
+from conftest import acc, counit_vec, dense_cop, dense_hopf, dense_qt, mul_basis, r_vec, s_matrix, unit_vec
 from test_integer_scaling import H4_SCALES, _rescaled_hopf
 
 from hopfbrauer.e2 import build_e2
@@ -37,52 +37,6 @@ def t3_mul(alg, x, y):
     den_m, sp = alg.int_sp
     (xi, dx), (yi, dy) = scaled(x), scaled(y)
     return over(_t3_int(sp, xi, yi), dx * dy * den_m**3)
-
-
-# -- the Fraction loops, kept as the reference ---------------------------------
-
-
-def _acc(d, key, val):
-    nv = d.get(key, Q(0)) + val
-    if nv:
-        d[key] = nv
-    elif key in d:
-        del d[key]
-
-
-def _reference_t2_mul(alg, x, y):
-    out = {}
-    ys = list(y.items())
-    for (i, j), c in x.items():
-        for (k, l), d in ys:
-            right = mul_basis(alg, j, l)
-            if not right:
-                continue
-            coef = c * d
-            for p, cp in mul_basis(alg, i, k):
-                a = coef * cp
-                for q, cq in right:
-                    v = a * cq
-                    key = (p, q)
-                    if key in out:
-                        v += out[key]
-                        if not v:
-                            del out[key]
-                            continue
-                    out[key] = v
-    return out
-
-
-def _reference_t3_mul(alg, x, y):
-    out = {}
-    for (i, j, m), c in x.items():
-        for (k, l, n), d in y.items():
-            coef = c * d
-            for p, cp in mul_basis(alg, i, k):
-                for q, cq in mul_basis(alg, j, l):
-                    for r, cr in mul_basis(alg, m, n):
-                        _acc(out, (p, q, r), coef * cp * cq * cr)
-    return out
 
 
 # -- the Hopf algebras and an involution u (u² = 1, u ≠ ±1) in each --------------
@@ -130,7 +84,7 @@ def _vec_mul(alg, x, y):
     for i, a in x.items():
         for j, b in y.items():
             for k, c in mul_basis(alg, i, j):
-                _acc(out, k, a * b * c)
+                acc(out, k, a * b * c)
     return out
 
 
@@ -138,7 +92,7 @@ def _one_plus_minus(alg, u, sign):
     """1 + sign·u as a sparse vector."""
     out = {k: c for k, c in enumerate(unit_vec(alg)) if c}
     for k, c in u.items():
-        _acc(out, k, sign * c)
+        acc(out, k, sign * c)
     return out
 
 
@@ -175,7 +129,7 @@ def test_t2_mul_equals_the_fraction_loop(name):
     alg, cases = _cases(name, 2)
     zeros = 0
     for x, y in cases:
-        want = _reference_t2_mul(alg, x, y)
+        want = reference.tensor_product(alg, x, y)
         assert t2_mul(alg, x, y) == want
         zeros += want == {}
     assert zeros >= 4
@@ -186,7 +140,7 @@ def test_t3_mul_equals_the_fraction_loop(name):
     alg, cases = _cases(name, 3)
     zeros = 0
     for x, y in cases:
-        want = _reference_t3_mul(alg, x, y)
+        want = reference.tensor_product(alg, x, y)
         assert t3_mul(alg, x, y) == want
         zeros += want == {}
     assert zeros >= 4

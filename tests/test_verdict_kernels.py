@@ -3,28 +3,31 @@
 ``mat_det`` finds its pivot row by a ``min`` over a dict of row lengths kept
 in row-index order, ``fg_maps`` accumulates F for every y at once and G from
 one flat list of product terms, and ``sandwich_matrix`` forms each e_i·e_k
-once. The earlier loops are kept here as references, as ``_det_bareiss`` is
-in test_linalg: the determinants, the pivot sequences, the integer rows of F
-and G (denominator and dict) and the sandwich matrices must be equal, on C(a;t,s)
-towers from d = 2 to 16, a singular tower, A_α, E(2) objects with a # product
-and their parity views, and seeded integer-row matrices with the edge cases
-of the elimination. ``mat_det`` also divides each pivot row by its content,
-which the reference does not; on the seed-7 d = 8 rung that cuts the
-entries multiplied to rescale target rows, a count pinned here."""
+once. The earlier ``mat_det`` loop is kept here as a reference, as
+``_det_bareiss`` is in test_linalg; F, G and the sandwich matrix are checked
+against ``tests/reference.py``. The determinants, the pivot sequences, the
+integer rows of F and G (denominator and dict) and the sandwich matrices
+must be equal, on C(a;t,s) towers from d = 2 to 16, a singular tower, A_α,
+E(2) objects with a # product and their parity views, and seeded
+integer-row matrices with the edge cases of the elimination. ``mat_det``
+also divides each pivot row by its content, which the reference does not;
+on the seed-7 d = 8 rung that cuts the entries multiplied to rescale target
+rows, a count pinned here."""
 
 import math
 import random
 from fractions import Fraction as Q
 
 import pytest
+import reference
 from test_linalg import _mat_det_line_hits
 
 from hopfbrauer import linalg
 from hopfbrauer.algebra import sandwich_matrix
 from hopfbrauer.e2 import build_c_e2, parity_object
-from hopfbrauer.linalg import CONTENT_BITS, DimensionError, Matrix, _perm_sign, mat_det, sparse_sum
+from hopfbrauer.linalg import CONTENT_BITS, DimensionError, Matrix, _perm_sign, mat_det
 from hopfbrauer.sweedler import CFamilyDescriptor, aut_algebra, build_C
-from hopfbrauer.yd import FGContraction, fg_maps, sharp_product
+from hopfbrauer.yd import fg_maps, sharp_product
 
 
 def _mat_det_reference(m: Matrix, trace: list | None = None) -> Q:
@@ -105,42 +108,6 @@ def _mat_det_reference(m: Matrix, trace: list | None = None) -> Q:
     return Q(num * _perm_sign(row_order) * _perm_sign(col_order), den)
 
 
-def _fg_rows_reference(a):
-    """The integer rows of F and G by one F sum and one product per column."""
-    alg = a.alg
-    d = alg.dim
-    fg = FGContraction(a)
-    basis = [{j: 1} for j in range(d)]
-    f = [{} for _ in range(d * d)]
-    g = [{} for _ in range(d * d)]
-    for x in range(d):
-        for z in range(d):
-            f_left = fg.f_left(basis[x], basis[z])
-            g_left = fg.g_left(basis[x], fg.images[z])
-            for y in range(d):
-                col = x * d + y
-                fy = sparse_sum((uk, fg.right[y][h][k]) for h, u in f_left for k, uk in u.items())
-                for p, v in fy.items():
-                    f[z * d + p][col] = v
-                for p, v in alg.mul_int(g_left, basis[y]).items():
-                    g[z * d + p][col] = v
-    return [(fg.den, r) for r in f], [(fg.den, r) for r in g]
-
-
-def _sandwich_reference(alg) -> Matrix:
-    """The sandwich matrix with two products per (i, j, k)."""
-    d = alg.dim
-    m = [[Q(0)] * (d * d) for _ in range(d * d)]
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                w = alg.mul_vec(alg.mul_vec(alg.basis_vec(i), alg.basis_vec(k)), alg.basis_vec(j))
-                for p, c in enumerate(w):
-                    if c:
-                        m[k * d + p][i * d + j] = c
-    return Matrix(m)
-
-
 def _pivots(monkeypatch) -> list:
     """Record the row and column orders ``mat_det`` hands to ``_perm_sign``."""
     orders = []
@@ -202,13 +169,15 @@ def _e2_objects():
 
 def _check_verdict_kernels(monkeypatch, a, expect_nonzero: bool | None = None):
     f, g = fg_maps(a)
-    ref_f, ref_g = _fg_rows_reference(a)
+    # the integer rows of F and G share the scale D_c·D_a·D_m²
+    den = a.int_rho[0] * a.int_images[0] * a.alg.int_sp[0] ** 2
+    ref_f, ref_g = ([(den, {c: v * den for c, v in enumerate(row) if v}) for row in m.data] for m in reference.fg(a))
     assert f.int_rows == ref_f and g.int_rows == ref_g
     dets = [_assert_same_det(monkeypatch, m) for m in (f, g)]
     if expect_nonzero is not None:
         assert all(dets) == expect_nonzero and any(dets) == expect_nonzero
     if a.dim <= 8:
-        assert sandwich_matrix(a.alg) == _sandwich_reference(a.alg)
+        assert sandwich_matrix(a.alg) == reference.sandwich(a.alg)
 
 
 def test_c_tower_from_2_to_16(monkeypatch):

@@ -3,10 +3,10 @@ from fractions import Fraction as Q
 
 import pytest
 
+import reference
 from conftest import (
     action_matrices,
     coaction_rows,
-    cop_sparse,
     counit_vec,
     dense_algebra,
     dense_mult,
@@ -682,105 +682,6 @@ def test_cocycle_twist_rejects_invalid_cocycle():
         cocycle_twist(build_C(CFamilyDescriptor(Q(1), Q(0), Q(1))), bad)
 
 
-# ---------------------------------------------------------------------------
-# Dense reference loops for the sparse contraction kernel
-# ---------------------------------------------------------------------------
-
-
-def _fg_maps_reference(a):
-    """F and G by dense basis loops, straight from the defining formulas."""
-    alg = a.alg
-    d = alg.dim
-    n = a.hopf.dim
-    f = [[Q(0)] * (d * d) for _ in range(d * d)]
-    g = [[Q(0)] * (d * d) for _ in range(d * d)]
-    for x in range(d):
-        ex = alg.basis_vec(x)
-        for y in range(d):
-            ey = alg.basis_vec(y)
-            col = x * d + y
-            for z in range(d):
-                outf = zero_vec(d)
-                outg = zero_vec(d)
-                for z0, z1, c in coaction_sparse(coaction_rows(a), n, z):
-                    acted = action_matrices(a)[z1].apply(ey)
-                    part = alg.mul_vec(alg.mul_vec(ex, alg.basis_vec(z0)), acted)
-                    for p, v in enumerate(part):
-                        outf[p] += c * v
-                for x0, x1, c in coaction_sparse(coaction_rows(a), n, x):
-                    acted = action_matrices(a)[x1].apply(alg.basis_vec(z))
-                    part = alg.mul_vec(alg.mul_vec(alg.basis_vec(x0), acted), ey)
-                    for p, v in enumerate(part):
-                        outg[p] += c * v
-                for p in range(d):
-                    if outf[p]:
-                        f[z * d + p][col] = outf[p]
-                    if outg[p]:
-                        g[z * d + p][col] = outg[p]
-    return Matrix(f), Matrix(g)
-
-
-def _h_opposite_mult_reference(a):
-    """Structure constants of x∘y = y₍₀₎(y₍₁₎·x) by dense loops."""
-    alg = a.alg
-    n = a.hopf.dim
-    mult = [[zero_vec(alg.dim) for _ in range(alg.dim)] for _ in range(alg.dim)]
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            out = mult[i][j]
-            for b, k, c in coaction_sparse(coaction_rows(a), n, j):
-                acted = action_matrices(a)[k].apply(alg.basis_vec(i))
-                for p, v in enumerate(alg.mul_vec(alg.basis_vec(b), acted)):
-                    out[p] += c * v
-    return mult
-
-
-def _module_algebra_failures_reference(a):
-    """Failure messages of the module-algebra law h·(xy) = (h₍₁₎·x)(h₍₂₎·y)."""
-    h, alg = a.hopf, a.alg
-    failures = []
-    for i in range(h.dim):
-        for x in range(alg.dim):
-            ex = alg.basis_vec(x)
-            for y in range(alg.dim):
-                ey = alg.basis_vec(y)
-                lhs = action_matrices(a)[i].apply(alg.mul_vec(ex, ey))
-                rhs = zero_vec(alg.dim)
-                for p, q, c in cop_sparse(h, i):
-                    acted = alg.mul_vec(action_matrices(a)[p].apply(ex), action_matrices(a)[q].apply(ey))
-                    for k, v in enumerate(acted):
-                        rhs[k] += c * v
-                if lhs != rhs:
-                    failures.append(
-                        f"module-algebra law fails at ({h.alg.basis[i]}; {alg.basis[x]},{alg.basis[y]})"
-                    )
-    return failures
-
-
-def _comodule_algebra_failures_reference(a):
-    """Failure messages of ρ(xy) = x₍₀₎y₍₀₎ ⊗ y₍₁₎x₍₁₎ on basis pairs."""
-    h, alg = a.hopf, a.alg
-    n = h.dim
-    failures = []
-    for x in range(alg.dim):
-        for y in range(alg.dim):
-            lhs = zero_vec(alg.dim * n)
-            for j, c in enumerate(alg.mul_vec(alg.basis_vec(x), alg.basis_vec(y))):
-                for k, v in enumerate(coaction_rows(a)[j]):
-                    lhs[k] += c * v
-            rhs = zero_vec(alg.dim * n)
-            for ax, kx, cx in coaction_sparse(coaction_rows(a), n, x):
-                for ay, ky, cy in coaction_sparse(coaction_rows(a), n, y):
-                    apart = alg.mul_vec(alg.basis_vec(ax), alg.basis_vec(ay))
-                    hpart = h.alg.mul_vec(h.alg.basis_vec(ky), h.alg.basis_vec(kx))
-                    for p, cp in enumerate(apart):
-                        for q, cq in enumerate(hpart):
-                            rhs[p * n + q] += cx * cy * cp * cq
-            if lhs != rhs:
-                failures.append(f"ρ not H^op-multiplicative at ({alg.basis[x]},{alg.basis[y]})")
-    return failures
-
-
 def _kernel_cases():
     local = random.Random(2718)
 
@@ -822,19 +723,19 @@ KERNEL_CASES = _kernel_cases()
 @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
 def test_fg_maps_match_dense_reference(name):
     a = KERNEL_CASES[name]
-    assert fg_maps(a) == _fg_maps_reference(a)
+    assert fg_maps(a) == reference.fg(a)
 
 
 def test_fg_maps_match_reference_without_associativity():
     a = _perturbed(KERNEL_CASES["C#C d=4"])
-    assert fg_maps(a) == _fg_maps_reference(a)
+    assert fg_maps(a) == reference.fg(a)
 
 
 @pytest.mark.parametrize("name", ["C(a;t,s)", "C#C d=4", "C#C#C d=8", "C(a;t1,t2) over E(2)"])
 def test_h_opposite_matches_dense_reference(name):
     a = KERNEL_CASES[name]
-    reference = dense_algebra(a.alg.basis, unit_vec(a.alg), _h_opposite_mult_reference(a))
-    assert h_opposite(a).alg.same_product(reference)
+    want = dense_algebra(a.alg.basis, unit_vec(a.alg), reference.h_opposite_table(a))
+    assert h_opposite(a).alg.same_product(want)
 
 
 def test_yd_algebra_checks_report_reference_failures():
@@ -844,10 +745,12 @@ def test_yd_algebra_checks_report_reference_failures():
     bad = _perturbed(good)
     module_law = [f for f in check_module_algebra(bad).failures if "module-algebra law" in f]
     comodule_law = [f for f in check_comodule_algebra_op(bad).failures if "H^op-multiplicative" in f]
-    assert module_law and module_law == _module_algebra_failures_reference(bad)
-    assert comodule_law and comodule_law == _comodule_algebra_failures_reference(bad)
-    assert _module_algebra_failures_reference(good) == []
-    assert _comodule_algebra_failures_reference(good) == []
+    assert module_law and module_law == [f for f in reference.module_algebra(bad) if "module-algebra law" in f]
+    assert comodule_law and comodule_law == [
+        f for f in reference.comodule_algebra_op(bad) if "H^op-multiplicative" in f
+    ]
+    assert reference.module_algebra(good) == []
+    assert reference.comodule_algebra_op(good) == []
 
 
 def test_corruption_failure_messages_are_pinned():
