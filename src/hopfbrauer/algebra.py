@@ -345,9 +345,9 @@ def operator_to_vec(m: Matrix) -> list[Fraction]:
     """Expand an operator matrix in the matrix-unit basis of End(kⁿ)."""
     n = m.rows
     out = zero_vec(n * n)
-    for p in range(n):
-        for q in range(n):
-            out[q * n + p] = m.data[p][q]
+    for p, (den, v) in enumerate(m.int_rows):
+        for q, x in v.items():
+            out[q * n + p] = Fraction(x, den)
     return out
 
 

@@ -128,8 +128,8 @@ def load_hopf(obj: dict, path: str = "hopf") -> HopfAlgebra:
         except ZeroDivisionError:
             # a finite-dimensional antipode is bijective
             raise SchemaError(f"{path}.antipode", "singular matrix, so not an antipode") from None
-    s, s_inv = (scaled_vecs(sparse_vec(col) for col in zip(*m.data)) for m in (antipode, antipode_inv))
-    return HopfAlgebra.from_int(alg, cop, (den_e, counit), s, s_inv, name=str(obj.get("name", "")), meta=meta)
+    return HopfAlgebra.from_int(alg, cop, (den_e, counit), antipode.scaled_cols(), antipode_inv.scaled_cols(),
+                                name=str(obj.get("name", "")), meta=meta)
 
 
 # meta keys naming one basis element each; "pi_keep" names two

@@ -19,6 +19,7 @@ graded central simple representative.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 from .algebra import (
@@ -246,7 +247,7 @@ def restrict_along(f: HopfMorphism, a: YDObject, r_source: QTStructure | None = 
     validity is re-checked.
     """
     src = f.source
-    (den_f, cols), (den_a, rows) = f.int_cols, a.int_images
+    (den_f, cols), (den_a, rows) = f.matrix.scaled_cols(), a.int_images
     images = [[sparse_sum((c, row[k]) for k, c in col.items()) for col in cols] for row in rows]
     out = YDObject.from_int(src, a.dim, a.alg, (den_f * den_a, images))
     check_module_algebra(out).raise_if_failed()
@@ -328,7 +329,7 @@ class KernelWitness:
 
 
 def _witness_matrices() -> tuple[Matrix, Matrix, Matrix, Matrix]:
-    u = Matrix.diag([1, -1])
+    u = Matrix([[1, 0], [0, -1]])
     w = Matrix([[0, 0], [-2, 0]])
     big_u = -1 * u
     big_w = Matrix([[0, 1], [0, 0]])
@@ -346,9 +347,11 @@ def witness_p_module() -> YDObject:
         (big_w + big_u @ big_w) * Q(1, 2),        # h*  = φ((h+gh)/2)
         (big_w - big_u @ big_w) * Q(1, 2),        # gh* = φ((h−gh)/2)
     ]
-    action = [act_dual[i] @ act_alg[j] for i in range(4) for j in range(4)]
-    den, cols = scaled_vecs(sparse_vec(m.col(j)) for j in range(2) for m in action)
-    return YDObject.from_int(double, 2, images=(den, [cols[:16], cols[16:]]))
+    action = [(act_dual[i] @ act_alg[j]).int_rows for i in range(4) for j in range(4)]
+    # e_k·e_j is column j of action[k], every entry lifted to the lcm of the dens
+    den = math.lcm(*(d for rows in action for d, _ in rows))
+    images = [[{i: v[j] * (den // d) for i, (d, v) in enumerate(rows) if j in v} for rows in action] for j in range(2)]
+    return YDObject.from_int(double, 2, images=(den, images))
 
 
 def witness_end_p() -> YDObject:

@@ -36,10 +36,8 @@ from .linalg import (
     Matrix,
     SparseVec,
     dense_vec,
-    over,
     scale_sparse,
     scaled,
-    scaled_vecs,
     solve_sparse,
     sparse_sum,
     sparse_vec,
@@ -305,7 +303,7 @@ def antipode_from_bialgebra(alg: StructureAlgebra, cop: tuple[int, Sequence], co
     s = Matrix([[sol.particular[u * n + p] for u in range(n)] for p in range(n)])
     # verify the right antipode law, which is not part of the solve: both
     # sides over D_Δ·D_m·D_S·D_ε·D_u
-    den_s, cols = scaled_vecs(sparse_vec(s.col(v)) for v in range(n))
+    den_s, cols = s.scaled_cols()
     for z in range(n):
         acc: IntVec = {}
         for u, v, c in cop[z]:
@@ -473,11 +471,6 @@ class QTStructure:
     def __init__(self, hopf: HopfAlgebra, r: tuple[int, dict], r_inv: tuple[int, dict]):
         self.hopf = hopf
         self.int_pairs, self.int_inv = _int_pairs(*r, hopf.dim), _int_pairs(*r_inv, hopf.dim, "R⁻¹")
-
-    def pairs(self) -> dict[tuple[int, int], Fraction]:
-        """R as {(i, j): c}, read from ``int_pairs``."""
-        den, r = self.int_pairs
-        return over(r, den)
 
 
 def _int_pairs(den: int, v: dict, n: int, label: str = "R") -> tuple[int, dict]:
@@ -705,22 +698,16 @@ class HopfMorphism:
             raise ValueError("morphism matrix has wrong shape")
         self.source, self.target, self.matrix, self.name = source, target, matrix, name
 
-    @cached_property
-    def int_cols(self) -> tuple[int, list[IntVec]]:
-        """(D_f, [D_f·f(e_i) as {index: int}]), D_f the least common
-        denominator of the matrix, built on first use."""
-        return scaled_vecs(sparse_vec(self.matrix.col(i)) for i in range(self.source.dim))
-
 
 def check_hopf_morphism(f: HopfMorphism) -> CheckReport:
     """Unit, product, counit, coproduct and antipode preserved, compared on
-    integers: the columns F_i of ``int_cols`` against each side's integer
-    tables, the two sides of an identity lifted to one scale; a message is
-    formatted only on failure."""
+    integers: the columns F_i of ``f.matrix.scaled_cols()`` against each
+    side's integer tables, the two sides of an identity lifted to one scale;
+    a message is formatted only on failure."""
     rep = CheckReport(f"Hopf morphism ({f.name or f.source.name + '→' + f.target.name})")
     src, tgt = f.source, f.target
     basis = src.alg.basis
-    den_f, cols = f.int_cols
+    den_f, cols = f.matrix.scaled_cols()
 
     def image(v: IntVec, scale: int, images=cols) -> IntVec:
         """scale·Σ v_k·images[k]."""
@@ -760,9 +747,9 @@ def check_hopf_morphism(f: HopfMorphism) -> CheckReport:
 
 def push_qt(f: HopfMorphism, rt: QTStructure) -> tuple[int, dict]:
     """(f ⊗ f)(R) in target ⊗ target for R of ``rt``, contracted on integers:
-    ``rt.int_pairs`` over D_R and ``int_cols`` over D_f, so the image is over
-    D_R·D_f², returned reduced as ``int_pairs`` stores R."""
-    den_f, cols = f.int_cols
+    ``rt.int_pairs`` over D_R and ``f.matrix.scaled_cols()`` over D_f, so the
+    image is over D_R·D_f², returned reduced as ``int_pairs`` stores R."""
+    den_f, cols = f.matrix.scaled_cols()
     den_r, r = rt.int_pairs
     out = sparse_sum(
         (c * va, {(a, b): vb for b, vb in cols[j].items()})

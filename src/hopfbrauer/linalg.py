@@ -1,10 +1,10 @@
 """Exact rational linear algebra.
 
 Everything in this package runs over ℚ, represented by ``fractions.Fraction``.
-This module supplies the matrix type (built dense or from integer rows, each
-form a lazy view of the other), determinants (sparse pivoting elimination on
-integer rows, each over one row denominator, for every size), one integer
-echelon for every solve, Kronecker products and rational square testing.
+This module supplies the matrix type (one form: integer rows, each over one
+row denominator), determinants (sparse pivoting elimination on those rows,
+for every size), one integer echelon for every solve, Kronecker products
+and rational square testing.
 
 Tensor index convention, fixed globally: the left factor is major, so the
 basis vector e_i ⊗ e_j of V ⊗ W sits at flat index ``i * dim(W) + j``.
@@ -141,19 +141,19 @@ class DimensionError(ValueError):
 class Matrix:
     """Matrix over ℚ. Treated as immutable after construction.
 
-    It is built either dense, from rows of rationals, or from integer rows
-    (``from_int_rows``). Each form is a view of the other, built the first
-    time it is read: ``data`` holds the dense Fraction rows and ``int_rows``
-    the integer rows that ``mat_det`` eliminates. A matrix built from integer
-    rows and only handed to ``mat_det`` never allocates its rows × cols list.
+    Its one form is ``int_rows``, one (den, {column: integer}) pair per row,
+    the row being v/den: ``Matrix(rows)`` writes rows of rationals so, each
+    in lowest terms, ``from_int_rows`` keeps the rows it is given, and every
+    operation computes on them. ``data``, the dense Fraction rows, is built
+    only when read, and nothing in the package reads it.
     """
 
     def __init__(self, data: Sequence[Sequence]):
-        self.data = [vec(row) for row in data]
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else 0
-        if any(len(row) != self.cols for row in self.data):
+        rows = [vec(row) for row in data]
+        self.rows, self.cols = len(rows), len(rows[0]) if rows else 0
+        if any(len(row) != self.cols for row in rows):
             raise DimensionError("ragged rows")
+        self.int_rows = [(den, v) for v, den in map(scaled, map(sparse_vec, rows))]
 
     # -- constructors -------------------------------------------------
 
@@ -168,136 +168,118 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def diag(cls, entries: Sequence) -> "Matrix":
-        n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.from_int_rows([(1, {i: 1}) for i in range(n)], n)
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence]) -> "Matrix":
-        n = len(cols[0])
-        return cls([[col[i] for col in cols] for i in range(n)])
+        return cls(zip(*cols))
 
     # -- views -----------------------------------------------------------
 
     @cached_property
     def data(self) -> list[list[Fraction]]:
-        """Dense rows of Fractions, one shared zero for the absent entries."""
-        zero = Fraction(0)
-        out = [[zero] * self.cols for _ in range(self.rows)]
-        for row, (den, v) in zip(out, self.int_rows):
-            for c, x in v.items():
-                row[c] = Fraction(x, den)
-        return out
+        """Dense Fraction rows, built on first read for the benchmark tracer
+        alone, which counts ``mat_det``'s nonzeros on them."""
+        return [dense_vec(over(v, den), self.cols) for den, v in self.int_rows]
 
     @cached_property
-    def int_rows(self) -> list[tuple[int, IntVec]]:
-        """(den, {column: integer}) for each row: den is the least common
-        denominator of the row's nonzero entries and the integers are those
-        entries times den, so they share no factor with den."""
-        return [(den, v) for v, den in map(scaled, map(sparse_vec, self.data))]
+    def _key(self) -> tuple:
+        """The shape and the rows in lowest terms, which ``==`` and ``hash`` compare."""
+        return self.rows, self.cols, tuple((d, frozenset(w.items())) for d, w in (_lowest(*r) for r in self.int_rows))
+
+    def scaled_cols(self) -> tuple[int, list[IntVec]]:
+        """(D, [D·column j as {row: integer}]), D the lcm of the row dens."""
+        den = math.lcm(*(d for d, _ in self.int_rows))
+        cols = [{} for _ in range(self.cols)]
+        for i, (d, v) in enumerate(self.int_rows):
+            for c, x in v.items():
+                cols[c][i] = x * (den // d)
+        return den, cols
 
     # -- basics --------------------------------------------------------
 
-    @property
-    def entries(self) -> list[Fraction]:
-        """Row-major flat copy of the entries."""
-        return [v for row in self.data for v in row]
-
-    def __getitem__(self, rc):
-        r, c = rc
-        return self.data[r][c]
-
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
+        return isinstance(other, Matrix) and self._key == other._key
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.entries)))
+        return hash(self._key)
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(format_rational(v) for v in row) for row in self.data)
+        body = "; ".join(" ".join(format_rational(Fraction(v.get(c, 0), den)) for c in range(self.cols))
+                         for den, v in self.int_rows)
         return f"Matrix[{self.rows}x{self.cols}: {body}]"
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.data for v in row)
-
-    def col(self, j: int) -> list[Fraction]:
-        return [self.data[i][j] for i in range(self.rows)]
+        return not any(v for _, v in self.int_rows)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError("matrix addition shape mismatch")
-        return Matrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionError(f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}")
+        return Matrix.from_int_rows([_lowest(d1 * d2, sparse_sum(((d2, v1), (d1, v2))))
+                                     for (d1, v1), (d2, v2) in zip(self.int_rows, other.int_rows)], self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError("matrix subtraction shape mismatch")
-        return Matrix([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
+        return self + -other
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self.data])
+        return self * -1
 
     def __mul__(self, scalar) -> "Matrix":
         c = _rational(scalar)
-        return Matrix([[a * c for a in row] for row in self.data])
+        p, q = c.numerator, c.denominator
+        return Matrix.from_int_rows([_lowest(den * q, {k: p * x for k, x in v.items()} if p else {})
+                                     for den, v in self.int_rows], self.cols)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = [[Fraction(0)] * other.cols for _ in range(self.rows)]
-        for i, row in enumerate(self.data):
-            orow = out[i]
-            for k, a in enumerate(row):
-                if a:
-                    brow = other.data[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            orow[j] += a * b
-        return Matrix(out)
+        b, out = other.int_rows, []
+        for den, v in self.int_rows:
+            # Σ_k (a_k/den)·(b_k/d_k) over den·L, L the lcm of those d_k
+            lift = math.lcm(*(b[k][0] for k in v))
+            out.append(_lowest(den * lift, sparse_sum((a * lift // b[k][0], b[k][1]) for k, a in v.items())))
+        return Matrix.from_int_rows(out, other.cols)
 
     def apply(self, v: Sequence[Fraction]) -> list[Fraction]:
         """Matrix-vector product."""
         if self.cols != len(v):
             raise DimensionError("matrix-vector shape mismatch")
-        out = zero_vec(self.rows)
-        for j, x in enumerate(v):
-            if x:
-                for i in range(self.rows):
-                    a = self.data[i][j]
-                    if a:
-                        out[i] += a * x
-        return out
+        x, dx = scaled(sparse_vec(vec(v)))
+        return [Fraction(sum(a * x.get(c, 0) for c, a in row.items()), den * dx) for den, row in self.int_rows]
 
     # -- elimination-based operations -----------------------------------
 
     def inverse(self) -> "Matrix":
-        """A⁻¹, read off the ``Echelon`` [I | A⁻¹] of [A | I]; ``ZeroDivisionError`` if singular."""
+        """A⁻¹, read off the ``Echelon`` [I | A⁻¹] of [A | I] (each row of
+        content 1, so in lowest terms); ``ZeroDivisionError`` if singular."""
         if not self.is_square():
             raise DimensionError("inverse of non-square matrix")
         n = self.rows
         pivots = Echelon({**v, n + i: den} for i, (den, v) in enumerate(self.int_rows)).rows
         if any(p not in pivots for p in range(n)):
             raise ZeroDivisionError("matrix is singular")
-        return Matrix([[Fraction(pivots[p].get(n + c, 0), pivots[p][p]) for c in range(n)] for p in range(n)])
+        return Matrix.from_int_rows([(pivots[p][p], {c - n: x for c, x in pivots[p].items() if c >= n})
+                                     for p in range(n)], n)
+
+
+def _lowest(den: int, v: IntVec) -> tuple[int, IntVec]:
+    """The row v/den in lowest terms: den and the integers over their gcd."""
+    g = math.gcd(den, *v.values())
+    return den // g, {c: x // g for c, x in v.items()}
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product with the left factor major in both indices."""
-    return Matrix([[x * y for x in ra for y in rb] for ra in a.data for rb in b.data])
+    n = b.cols
+    return Matrix.from_int_rows([_lowest(da * db, {i * n + j: x * y for i, x in va.items() for j, y in vb.items()})
+                                 for da, va in a.int_rows for db, vb in b.int_rows], a.cols * n)
 
 
 # ---------------------------------------------------------------------------

@@ -107,13 +107,13 @@ def build_dh4() -> tuple[HopfAlgebra, QTStructure]:
     """D(H₄) with canonical ℛ = Σᵢ (ε⋈e_i) ⊗ (e_i*⋈1) and named generators."""
     h4 = build_h4()
     double, canonical = drinfeld_double(h4)
-    phi = phi_iso().matrix
+    den_f, phi = phi_iso().matrix.scaled_cols()
     # ε, the unit of H₄*, and the unit of H₄, read from their stores
     eps, one = (dense_vec(over(v, den), 4) for den, v in (build_h4_dual().alg.int_unit, h4.alg.int_unit))
     named: dict[str, list[Fraction]] = {}
     for label, idx in (("one", 0), ("g", 1), ("h", 2), ("gh", 3)):
         named[label] = bowtie_vec(4, eps, h4.alg.basis_vec(idx))
-        named["phi_" + label] = bowtie_vec(4, phi.col(idx), one)
+        named["phi_" + label] = bowtie_vec(4, dense_vec(over(phi[idx], den_f), 4), one)
     double.meta["named"] = named
     double.meta["g"] = None  # the grading generators are combinations, see named
     return double, canonical
@@ -546,8 +546,7 @@ def phi_transport(d: CFamilyDescriptor, inverse: bool = False) -> CFamilyDescrip
 def _validate_phi(d: CFamilyDescriptor, t: Fraction, result: CFamilyDescriptor) -> None:
     h4 = build_h4()
     built = build_C(d)
-    phinv = phi_iso().matrix.inverse()
-    den_f, cols = scaled_vecs(sparse_vec(phinv.col(i)) for i in range(4))
+    den_f, cols = phi_iso().matrix.inverse().scaled_cols()
     den_a, rows = built.int_images
     opp = opposite_algebra(built.alg)
     # ρ(e_j) = Σ_i (e_i·e_j) ⊗ φ⁻¹(e_i*), over D_a·D_φ

@@ -475,7 +475,7 @@ def suite_eq51(s: Suite) -> None:
     e2 = build_e2()
     rep = check_quasitriangular(e2, rn)
     s.check("rn-qt", "Eq (5.1) R_N is quasitriangular", rep.ok)
-    coeff = rn.pairs().get((2, 5), Q(0))
+    coeff = Q(rn.int_pairs[1].get((2, 5), 0), rn.int_pairs[0])
     s.check("rn-coefficient", "Eq (5.1) coefficient of x₁⊗cx₂", coeff == Q(1, 2), witness=coeff)
     for k in range(max(10, s.samples // 2)):
         lam, mu = s.rat(), s.rat()

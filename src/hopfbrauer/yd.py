@@ -164,9 +164,15 @@ class YDObject:
         return over(sparse_sum((c * w, rows[j][i]) for i, c in hi.items() for j, w in vi.items()), den * dh * dv)
 
     def act_matrix(self, hvec: Sequence[Fraction]) -> Matrix:
-        """The matrix by which the element Σ hvec[i]·e_i of H acts."""
-        h = sparse_vec(hvec)
-        return Matrix.from_cols([dense_vec(self.act(h, {s: 1}), self.dim) for s in range(self.dim)])
+        """The matrix by which the element Σ hvec[i]·e_i of H acts, as integer
+        rows over D_a·D_h: column s is h·e_s."""
+        den, images = self.int_images
+        h, den_h = scaled(sparse_vec(hvec))
+        rows = [{} for _ in range(self.dim)]
+        for s, row in enumerate(images):
+            for p, c in sparse_sum((x, row[i]) for i, x in h.items()).items():
+                rows[p][s] = c
+        return Matrix.from_int_rows([(den * den_h, r) for r in rows], self.dim)
 
     def same_structure(self, other: "YDObject") -> bool:
         """Equal product and integer stores (None only equals None)."""

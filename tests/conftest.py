@@ -17,10 +17,14 @@ Each carrier has one form, its integer stores, built by ``from_int``:
   caller the same lists, which no test mutates;
 - ``unit_vec``, ``counit_vec``, ``s_matrix``, ``action_matrices``,
   ``coaction_rows``, ``r_vec`` and ``form_matrix`` read a store as a dense
-  vector or matrix, and ``dense_mult`` and ``dense_cop`` write a product or
-  a coproduct out in new lists, for tests that corrupt one entry;
-- ``zero_matrix``, ``transpose``, ``rank``, ``consistent`` and ``int_form``
-  are dense-matrix helpers that the package does not have."""
+  vector or matrix, ``r_pairs`` reads R as a sparse Fraction dict, and
+  ``dense_mult`` and ``dense_cop`` write a product or a coproduct out in new
+  lists, for tests that corrupt one entry;
+- ``dense`` and ``column`` read a ``Matrix``'s integer rows back as dense
+  Fraction rows or one column: the tests read a matrix densely only through
+  them, bar the test of the tracer's ``data`` view itself;
+- ``diag``, ``zero_matrix``, ``transpose``, ``rank``, ``consistent`` and
+  ``int_form`` are dense-matrix helpers that the package does not have."""
 
 from fractions import Fraction
 from functools import cache
@@ -187,8 +191,7 @@ def dense_hopf(alg, coproduct, counit, antipode, antipode_inv=None, name="", met
     n = alg.dim
     cop = scaled_rows([(k // n, k % n, c) for k, c in enumerate(vec(row)) if c] for row in coproduct)
     counit, den_e = scaled(sparse_vec(vec(counit)))
-    s, s_inv = (scaled_vecs(sparse_vec(col) for col in zip(*m.data))
-                for m in (antipode, antipode.inverse() if antipode_inv is None else antipode_inv))
+    s, s_inv = (m.scaled_cols() for m in (antipode, antipode.inverse() if antipode_inv is None else antipode_inv))
     return HopfAlgebra.from_int(alg, cop, (den_e, counit), s, s_inv, name, meta)
 
 
@@ -199,7 +202,7 @@ def dense_yd(h, dim, alg=None, action=None, coaction=None):
     n = h.dim
     images = rho = None
     if action is not None:
-        den, cols = scaled_vecs(sparse_vec(m.col(j)) for j in range(dim) for m in action)
+        den, cols = scaled_vecs(sparse_vec(column(m, j)) for j in range(dim) for m in action)
         images = den, [cols[j * n:(j + 1) * n] for j in range(dim)]
     if coaction is not None:
         rho = scaled_rows([(k // n, k % n, c) for k, c in enumerate(vec(row)) if c] for row in coaction)
@@ -249,10 +252,32 @@ def r_vec(rt, inverse=False):
     return dense_vec({i * n + j: Fraction(c, den) for (i, j), c in pairs.items()}, n * n)
 
 
+def r_pairs(rt):
+    """R as {(i, j): Fraction}, from ``int_pairs``, keys in store order."""
+    den, pairs = rt.int_pairs
+    return over(pairs, den)
+
+
 def form_matrix(den, rows):
     """The dense Fraction matrix of integer rows over den: a form r, r⁻¹ or σ
     read from its store."""
     return Matrix([[Fraction(v, den) for v in row] for row in rows])
+
+
+def dense(m):
+    """The matrix m as dense rows of Fractions, read from its integer rows."""
+    return [dense_vec(over(v, den), m.cols) for den, v in m.int_rows]
+
+
+def column(m, j):
+    """Column j of the matrix m as a dense list of Fractions."""
+    return [Fraction(v.get(j, 0), den) for den, v in m.int_rows]
+
+
+def diag(entries):
+    """The diagonal matrix of the rationals ``entries``."""
+    n = len(entries)
+    return Matrix([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def zero_matrix(rows, cols):
@@ -262,7 +287,7 @@ def zero_matrix(rows, cols):
 
 def transpose(m):
     """The transpose of the matrix m, dense."""
-    return Matrix([[m.data[r][c] for r in range(m.rows)] for c in range(m.cols)])
+    return Matrix([list(col) for col in zip(*dense(m))])
 
 
 def rank(m):
@@ -278,5 +303,6 @@ def consistent(sol):
 def int_form(m):
     """(D_r, D_r·m as integer rows), D_r the least common denominator of the
     matrix m: the ``CoQTStructure`` and ``LazyCocycle`` store of a dense form."""
-    den = common_denominator(v for row in m.data for v in row)
-    return den, [[v.numerator * (den // v.denominator) for v in row] for row in m.data]
+    rows = dense(m)
+    den = common_denominator(v for row in rows for v in row)
+    return den, [[v.numerator * (den // v.denominator) for v in row] for row in rows]

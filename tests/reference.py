@@ -7,7 +7,9 @@ generator certificate, no integer scaling and no package kernel
 through ``conftest``'s readers, so a test that compares a kernel with its
 reference compares two computations. A law's reference returns the
 kernel's failure messages in the kernel's order, each merged part prefixed
-by its report title as ``CheckReport.merge`` does.
+by its report title as ``CheckReport.merge`` does. The ``mat_*`` functions
+are the references of the ``Matrix`` operations: they read a matrix through
+``conftest.dense`` and compute entry by entry on its Fraction rows.
 
 Two determinant references stay beside ``mat_det``, as they check what no
 reference here can: ``test_linalg._det_bareiss`` is fraction-free Bareiss
@@ -26,6 +28,7 @@ from conftest import (
     acc,
     cop_sparse,
     counit_vec,
+    dense,
     mul_basis,
     mul_sparse,
     s_cols,
@@ -339,3 +342,53 @@ def e2_action(c, x1, x2):
         return v
 
     return [[image(k, j) for k in range(8)] for j in range(len(c))]
+
+
+# -- Matrix: each operation on the dense Fraction rows that ``conftest.dense``
+# reads, entry by entry, with no integer row
+
+
+def mat_sum(a, b, sign=1):
+    """The rows of a + sign·b."""
+    return [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(dense(a), dense(b))]
+
+
+def mat_scale(a, c):
+    """The rows of c·a."""
+    return [[c * x for x in row] for row in dense(a)]
+
+
+def mat_product(a, b):
+    """The rows of a·b, each entry Σ_k a_ik·b_kj."""
+    rb = dense(b)
+    return [[sum((x * rb[k][j] for k, x in enumerate(row)), ZERO) for j in range(b.cols)] for row in dense(a)]
+
+
+def mat_apply(a, v):
+    """a·v for a list v of rationals."""
+    return [sum((x * y for x, y in zip(row, v)), ZERO) for row in dense(a)]
+
+
+def mat_kron(a, b):
+    """The rows of a ⊗ b, row (i, k) and column (j, l) at i·rows(b) + k and
+    j·cols(b) + l."""
+    return [[x * y for x in ra for y in rb] for ra in dense(a) for rb in dense(b)]
+
+
+def mat_inverse(a):
+    """The rows of a⁻¹ by Gauss-Jordan elimination of [a | I] over ℚ, None if
+    a is singular."""
+    n = a.rows
+    rows = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(dense(a))]
+    for c in range(n):
+        p = next((r for r in range(c, n) if rows[r][c]), None)
+        if p is None:
+            return None
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c][c]
+        rows[c] = [x / pivot for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows]

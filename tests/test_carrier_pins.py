@@ -20,7 +20,18 @@ import json
 from fractions import Fraction as Q
 
 import pytest
-from conftest import action_matrices, coaction_rows, cop_sparse, dense_yd, s_matrix, sparse_yd, yd_images, yd_rho
+from conftest import (
+    action_matrices,
+    coaction_rows,
+    column,
+    cop_sparse,
+    dense,
+    dense_yd,
+    s_matrix,
+    sparse_yd,
+    yd_images,
+    yd_rho,
+)
 
 from hopfbrauer.algebra import sandwich_matrix
 from hopfbrauer.defio import algebra_to_json, yd_to_json
@@ -53,7 +64,7 @@ def _digest(obj) -> str:
             "dim": obj.dim,
             "alg": algebra_to_json(alg) if alg is not None else None,
             "action": None if action is None else [
-                [[format_rational(x) for x in row] for row in m.data] for m in action
+                [[format_rational(x) for x in row] for row in dense(m)] for m in action
             ],
             "coaction": None if coaction is None else [
                 [format_rational(x) for x in row] for row in coaction
@@ -137,14 +148,14 @@ def _sha256_of(payload) -> str:
 
 
 def _matrix_dump(m) -> list:
-    return [[format_rational(v) for v in row] for row in m.data]
+    return [[format_rational(v) for v in row] for row in dense(m)]
 
 
 def _e2_dump():
     e2 = build_e2()
     return {
         "coproduct": [[[p, q, format_rational(c)] for p, q, c in cop_sparse(e2, i)] for i in range(e2.dim)],
-        "antipode": [[format_rational(v) for v in s_matrix(e2).col(j)] for j in range(e2.dim)],
+        "antipode": [[format_rational(v) for v in column(s_matrix(e2), j)] for j in range(e2.dim)],
     }
 
 

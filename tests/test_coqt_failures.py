@@ -29,6 +29,7 @@ import pytest
 from conftest import (
     coaction_rows,
     counit_vec,
+    dense,
     dense_algebra,
     dense_qt,
     form_matrix,
@@ -68,7 +69,7 @@ from hopfbrauer.yd import sharp_product
 
 
 def _bumped(m, i, j):
-    rows = [list(r) for r in m.data]
+    rows = dense(m)
     rows[i][j] += Q(1, 3)
     return Matrix(rows)
 
@@ -79,19 +80,20 @@ def _pin(failures):
 
 def _reference_push(m, r):
     """(f⊗f)(R) for the matrix m of f, by the dense Fraction loop."""
-    n, rows = m.cols, m.rows
+    n, rows, md = m.cols, m.rows, dense(m)
     out = [Q(0)] * (rows * rows)
     for i in range(n):
         for j in range(n):
             for a in range(rows):
                 for b in range(rows):
-                    out[a * rows + b] += r[i * n + j] * m.data[a][i] * m.data[b][j]
+                    out[a * rows + b] += r[i * n + j] * md[a][i] * md[b][j]
     return out
 
 
 def _congruent(m, s):
     """Pᵀ m P for P = diag(s): the bilinear form m on the basis s_i·e_i."""
-    return Matrix([[s[i] * s[j] * m.data[i][j] for j in range(len(s))] for i in range(len(s))])
+    md = dense(m)
+    return Matrix([[s[i] * s[j] * md[i][j] for j in range(len(s))] for i in range(len(s))])
 
 
 # (t, corrupted tensor, bumped entry) -> (failures, digest, data["cotriangular"])
@@ -180,13 +182,14 @@ def test_hopf_morphism_failures_are_pinned(bump):
     source = _rescaled_hopf(build_h4(), s)
     target = dual_hopf(source)
     assert target.alg.int_sp[0] > 1 and target.int_cop[0] > 1
-    moved = Matrix([[s[k] * s[j] * m.data[k][j] for j in range(4)] for k in range(4)])
+    md = dense(m)
+    moved = Matrix([[s[k] * s[j] * md[k][j] for j in range(4)] for k in range(4)])
     assert check_hopf_morphism(HopfMorphism(source, target, moved, name="phi")).failures == failures
 
 
 def _reference_twist(a, sigma):
     """x•y = x₍₀₎y₍₀₎σ(x₍₁₎⊗y₍₁₎) by the dense Fraction loop."""
-    alg, s = a.alg, form_matrix(*sigma.int_table).data
+    alg, s = a.alg, dense(form_matrix(*sigma.int_table))
     mult = [[[Q(0)] * alg.dim for _ in range(alg.dim)] for _ in range(alg.dim)]
     for i in range(alg.dim):
         for j in range(alg.dim):

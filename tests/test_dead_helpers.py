@@ -19,6 +19,11 @@ neither it nor a function nested in it reads (``dead_locals``; a name that
 starts with ``_`` is exempt), and a name that a module imports and never
 uses (``unused_imports``; the re-exports of ``__init__`` are exempt).
 
+No package code reads a ``Matrix``'s dense ``data`` view (``data_reads``):
+it is kept for the benchmark's tracer alone. ``CheckReport.data`` has the
+same name, so ``unreferenced`` cannot tell the two apart; the guard allows
+``.data`` only on a report (``rep``, ``….report``, or ``self`` in the class).
+
 The tests' helpers follow the rule too: each function of ``tests/conftest.py``
 and ``tests/reference.py`` has a caller in ``tests/``
 (``uncalled_test_helpers``), and the oracle ``tests/reference.py`` names no
@@ -38,6 +43,9 @@ KERNELS = {"mul_int", "mul_vec", "_contract", "act_matrix", "FGContraction", "co
 
 # held only by perfbench/tracer.py, until ROADMAP item 1 frees them
 ALLOWED = {"antipode_from_bialgebra", "f0_g0_matrices", "kernel_basis"}
+
+# the names under which the package holds a CheckReport whose ``data`` it reads
+REPORTS = {"rep", "report"}
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 VIEW_MAKERS = {"property", "cached_property"}
@@ -187,6 +195,40 @@ def test_a_dead_local_and_an_unused_import_are_found(tmp_path):
     algebra.write_text(text.replace("        return _contract(", dead + "        return _contract(", 1))
     assert dead_locals(tmp_path) == {"algebra.mul_int: unused"}
     assert unused_imports(tmp_path) == {"algebra: random"}
+
+
+def data_reads(src: pathlib.Path = SRC) -> set[str]:
+    """"module:line" for each ``.data`` that code in ``src`` reads off anything
+    but a ``CheckReport``: ``rep``, ``….report``, or ``self`` inside the class."""
+    out = set()
+    for path in sorted(src.glob("*.py")):
+        tree = _tree(path.read_text())
+        own = {id(n) for c in ast.walk(tree) if getattr(c, "name", None) == "CheckReport" for n in ast.walk(c)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "data" and id(node) not in own:
+                if getattr(node.value, "id", getattr(node.value, "attr", None)) not in REPORTS:
+                    out.add(f"{path.stem}:{node.lineno}")
+    return out
+
+
+def test_no_package_code_reads_a_matrix_data_view():
+    assert data_reads() == set()
+
+
+def test_a_matrix_data_read_is_found(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    # operator_to_vec reading the dense view again, as it did before integer rows
+    algebra = tmp_path / "algebra.py"
+    loop = ("    for p, (den, v) in enumerate(m.int_rows):\n        for q, x in v.items():\n"
+            "            out[q * n + p] = Fraction(x, den)\n")
+    dense = "    for p in range(n):\n        for q in range(n):\n            out[q * n + p] = m.data[p][q]\n"
+    text = algebra.read_text()
+    assert loop in text
+    text = text.replace(loop, dense, 1)
+    algebra.write_text(text)
+    line = text[:text.index("m.data[p][q]")].count("\n") + 1
+    assert data_reads(tmp_path) == {f"algebra:{line}"}
 
 
 def uncalled_test_helpers(tests: pathlib.Path = TESTS) -> set[str]:

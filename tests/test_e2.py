@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 import reference
-from conftest import action_matrices, coaction_rows, counit_vec, dense_yd, r_vec, rank, zero_matrix
+from conftest import action_matrices, coaction_rows, column, counit_vec, dense_yd, diag, r_vec, rank, zero_matrix
 
 from hopfbrauer.algebra import endomorphism_algebra, is_central_simple, operator_to_vec
 from hopfbrauer.e2 import (
@@ -87,7 +87,7 @@ def test_t_is_quasitriangular_surjection():
     t = t_morphism()
     assert check_hopf_morphism(t).ok
     assert push_qt(t, canonical) == build_RN().int_pairs
-    assert rank(Matrix(t.matrix.data)) == 8
+    assert rank(t.matrix) == 8
 
 
 def test_t_generator_images():
@@ -199,7 +199,7 @@ def _inner_end(u, w, big_w):
 
 def _columns(m: Matrix) -> list[dict]:
     """The columns of m as sparse vectors."""
-    return [{k: v for k, v in enumerate(m.col(j)) if v} for j in range(m.cols)]
+    return [{k: v for k, v in enumerate(column(m, j)) if v} for j in range(m.cols)]
 
 
 def _scaled_columns(m: Matrix) -> tuple[int, list[dict]]:
@@ -208,7 +208,7 @@ def _scaled_columns(m: Matrix) -> tuple[int, list[dict]]:
 
 
 def test_strongly_inner_witness_of_an_inner_end():
-    u = Matrix.diag([1, -1, 1])
+    u = diag([1, -1, 1])
     w = Matrix([[0, 0, 0], [2, 0, 0], [0, 0, 0]])
     big_w = Matrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
     a = _inner_end(u, w, big_w)
@@ -226,7 +226,7 @@ def test_witnesses_of_a_conjugated_inner_end_are_pinned():
     p = Matrix([[1, 2, 0], [0, 1, 0], [1, 0, 1]])
     p_inv = p.inverse()
     u, w, big_w = (p @ m @ p_inv for m in (
-        Matrix.diag([1, -1, 1]), Matrix([[0, 0, 0], [Q(2, 3), 0, 0], [0, 0, 0]]),
+        diag([1, -1, 1]), Matrix([[0, 0, 0], [Q(2, 3), 0, 0], [0, 0, 0]]),
         Matrix([[0, 0, 0], [0, 0, Q(-5, 4)], [0, 0, 0]]),
     ))
     a = _inner_end(u, w, big_w)

@@ -19,6 +19,8 @@ from fractions import Fraction as Q
 import pytest
 
 from test_linalg import SOLVER_SEEDS, _solver_case
+from conftest import dense
+
 from hopfbrauer.linalg import Echelon, LinearSolution, scaled, solve_columns, solve_sparse, sparse_vec, zero_vec
 from hopfbrauer.verify import run_verification
 
@@ -102,7 +104,7 @@ def _assert_agrees(rows, rhs, nunknowns: int) -> None:
 @pytest.mark.parametrize("seed", SOLVER_SEEDS)
 def test_echelon_matches_the_fraction_rref_on_the_solver_cases(seed):
     m = _solver_case(seed)
-    rows = [sparse_vec(r) for r in m.data]
+    rows = [sparse_vec(r) for r in dense(m)]
     _assert_agrees(rows, [0] * m.rows, m.cols)
     _assert_agrees(rows, m.apply([Q(1, k + 1) for k in range(m.cols)]), m.cols)  # consistent
     _assert_agrees(rows, [Q(seed - k, 10**6 - 7 * k) for k in range(m.rows)], m.cols)

@@ -23,11 +23,13 @@ from conftest import (
     coaction_rows,
     cop_sparse,
     counit_vec,
+    dense,
     dense_algebra,
     dense_cop,
     dense_hopf,
     dense_mult,
     dense_yd,
+    diag,
     mul_basis,
     s_matrix,
     unit_vec,
@@ -84,7 +86,7 @@ DELTAS = [Q(1), Q(-1), Q(1, 2), Q(2), Q(-3, 2)]
 
 
 def _matrix_with(m, r, c, delta):
-    data = [list(row) for row in m.data]
+    data = dense(m)
     data[r][c] += delta
     return Matrix(data)
 
@@ -366,7 +368,7 @@ def _trivial_hopf(cop_scale):
 
 def test_module_law_needs_1_to_act_as_id():
     alg = _dual_numbers("k[x]")
-    h = dense_hopf(alg, [[1, 0, 0, 0], [0, 1, 1, 0]], [1, 0], Matrix.diag([1, -1]), name="k[x]")
+    h = dense_hopf(alg, [[1, 0, 0, 0], [0, 1, 1, 0]], [1, 0], diag([1, -1]), name="k[x]")
     assert alg.generators == (1,)
     # 1 acts as 2, x as 0: e_x·(e_j·v) = (e_x e_j)·v holds, 1·(1·v) = 4v ≠ 2v
     bad = dense_yd(h, 1, action=[Matrix([[Q(2)]]), Matrix([[Q(0)]])])
@@ -381,7 +383,7 @@ def test_module_algebra_law_needs_the_counit_law():
     assert h.coalgebra_failures and a.generators == (1,)
     # 1 ∈ H acts as the projection onto k·1: the law holds at x = y, and at
     # x = y = 1 it reads 1 = 2·1
-    bad = dense_yd(h, 2, a, [Matrix.diag([1, 0])])
+    bad = dense_yd(h, 2, a, [diag([1, 0])])
     failures = check_module_algebra(bad).failures
     assert failures == reference.module_algebra(bad)
     assert "module-algebra law fails at (1; 1,1)" in failures
@@ -446,20 +448,20 @@ def _dense_p(d, seed, lower=True):
 
     u = Matrix([[Q(1) if i == j else entry() if j > i else Q(0) for j in range(d)] for i in range(d)])
     low = Matrix([[Q(1) if i == j else entry() if j < i else Q(0) for j in range(d)] for i in range(d)])
-    diag = Matrix.diag([Q(rng.choice([-2, -1, 1, 2, 3]), rng.randint(1, 2)) for _ in range(d)])
-    return u @ diag @ low if lower else u @ diag
+    scale = diag([Q(rng.choice([-2, -1, 1, 2, 3]), rng.randint(1, 2)) for _ in range(d)])
+    return u @ scale @ low if lower else u @ scale
 
 
 def _rebase_algebra(alg, p, q):
-    d = alg.dim
+    d, pd = alg.dim, dense(p)
     mult = []
     for i in range(d):
         row = []
         for j in range(d):
             prod = sparse_sum(
-                (p.data[k][i] * p.data[l][j], dict(mul_basis(alg, k, l)))
-                for k in range(d) if p.data[k][i]
-                for l in range(d) if p.data[l][j]
+                (pd[k][i] * pd[l][j], dict(mul_basis(alg, k, l)))
+                for k in range(d) if pd[k][i]
+                for l in range(d) if pd[l][j]
             )
             row.append(q.apply([prod.get(m, Q(0)) for m in range(d)]))
         mult.append(row)
@@ -471,15 +473,16 @@ def _rebase_yd(a, seed):
     d, n = a.dim, a.hopf.dim
     p = _dense_p(d, seed)
     q = p.inverse()
+    pd, qd = dense(p), dense(q)
     action = [q @ m @ p for m in action_matrices(a)]
     coaction = []
     for j in range(d):
         out = zero_vec(d * n)
         for l in range(d):
-            if p.data[l][j]:
+            if pd[l][j]:
                 for x, k, c in yd_rho(a)[l]:
                     for i in range(d):
-                        out[i * n + k] += p.data[l][j] * q.data[i][x] * c
+                        out[i * n + k] += pd[l][j] * qd[i][x] * c
         coaction.append(out)
     return dense_yd(a.hopf, d, _rebase_algebra(a.alg, p, q), action, coaction), p
 
@@ -488,17 +491,18 @@ def _rebase_hopf(h, seed, lower):
     n = h.dim
     p = _dense_p(n, seed, lower)
     q = p.inverse()
+    pd, qd = dense(p), dense(q)
     cop = []
     for i in range(n):
         out = zero_vec(n * n)
         for k in range(n):
-            if p.data[k][i]:
+            if pd[k][i]:
                 for a, b, c in cop_sparse(h, k):
                     for x in range(n):
                         for y in range(n):
-                            out[x * n + y] += p.data[k][i] * q.data[x][a] * q.data[y][b] * c
+                            out[x * n + y] += pd[k][i] * qd[x][a] * qd[y][b] * c
         cop.append(out)
-    counit = [sum((p.data[k][i] * counit_vec(h)[k] for k in range(n)), Q(0)) for i in range(n)]
+    counit = [sum((pd[k][i] * counit_vec(h)[k] for k in range(n)), Q(0)) for i in range(n)]
     return dense_hopf(_rebase_algebra(h.alg, p, q), cop, counit, q @ s_matrix(h) @ p, q @ s_matrix(h, inverse=True) @ p,
                        name=f"{h.name}^P")
 

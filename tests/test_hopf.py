@@ -7,10 +7,12 @@ import pytest
 
 from conftest import (
     counit_vec,
+    dense,
     dense_algebra,
     dense_cop,
     dense_hopf,
     dense_mult,
+    diag,
     form_matrix,
     int_form,
     r_vec,
@@ -103,7 +105,7 @@ def test_a_wrongly_shaped_antipode_is_rejected(shape):
     obj = {k: v for k, v in hopf_to_json(h4).items() if k != "antipode_inv"}
     for key, m in (("antipode", antipode), ("antipode_inv", antipode_inv)):
         if m is not None:
-            obj[key] = [[format_rational(x) for x in row] for row in m.data]
+            obj[key] = [[format_rational(x) for x in row] for row in dense(m)]
     with pytest.raises(SchemaError, match=f"^{message}$"):
         load_hopf(obj)
 
@@ -151,11 +153,11 @@ ANTIPODE_FAILURES = {
         ["m(S⊗id)Δ fails at h", "m(id⊗S)Δ fails at h", "m(S⊗id)Δ fails at gh", "m(id⊗S)Δ fails at gh"],
     ),
     "S=diag(-1,1,1,1)": (
-        Matrix.diag([-1, 1, 1, 1]), None,
+        diag([-1, 1, 1, 1]), None,
         ["m(S⊗id)Δ fails at 1", "m(id⊗S)Δ fails at 1", "m(S⊗id)Δ fails at h", "m(id⊗S)Δ fails at h",
          "m(S⊗id)Δ fails at gh", "m(id⊗S)Δ fails at gh"],
     ),
-    "wrong S_inv": (None, Matrix.diag([1, 1, 1, 2]), ["S∘S⁻¹ ≠ id", "S⁻¹∘S ≠ id"]),
+    "wrong S_inv": (None, diag([1, 1, 1, 2]), ["S∘S⁻¹ ≠ id", "S⁻¹∘S ≠ id"]),
 }
 
 
@@ -419,7 +421,7 @@ def test_phi_push_matches_rt_table():
         # in lowest terms, keys in order, as QTStructure stores R
         assert math.gcd(den, *pushed.values()) == 1 and list(pushed) == sorted(pushed)
         table = [[Q(pushed.get((u, v), 0), den) for v in range(4)] for u in range(4)]
-        assert table == form_matrix(*build_rt_form(t).int_table).data
+        assert table == dense(form_matrix(*build_rt_form(t).int_table))
 
 
 def test_identity_morphism():
@@ -429,7 +431,7 @@ def test_identity_morphism():
 
 def test_morphism_rejects_non_algebra_map():
     h4 = build_h4()
-    bad = Matrix.diag([1, 1, 2, 1])  # scaling h alone breaks Δ-compatibility
+    bad = diag([1, 1, 2, 1])  # scaling h alone breaks Δ-compatibility
     rep = check_hopf_morphism(HopfMorphism(h4, h4, bad))
     assert not rep.ok
 
@@ -450,8 +452,8 @@ def double_sha256(double, qt) -> str:
         "mult": [[_sparse_dump(v) for v in row] for row in dense_mult(a)],
         "cop": [_sparse_dump(c) for c in dense_cop(double)],
         "counit": _sparse_dump(counit_vec(double)),
-        "antipode": [_sparse_dump(r) for r in s_matrix(double).data],
-        "antipode_inv": [_sparse_dump(r) for r in s_matrix(double, inverse=True).data],
+        "antipode": [_sparse_dump(r) for r in dense(s_matrix(double))],
+        "antipode_inv": [_sparse_dump(r) for r in dense(s_matrix(double, inverse=True))],
         "r": _sparse_dump(r_vec(qt)),
         "r_inv": _sparse_dump(r_vec(qt, inverse=True)),
     }

@@ -18,14 +18,14 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import cop_sparse, counit_vec, dense_hopf, fraction_cop, s_cols, s_matrix
+from conftest import cop_sparse, counit_vec, dense_hopf, diag, fraction_cop, s_cols, s_matrix
 from test_integer_scaling import H4_SCALES, _rescaled_hopf
 
 from hopfbrauer.algebra import StructureAlgebra
 from hopfbrauer.defio import SchemaError, hopf_to_json, load_hopf
 from hopfbrauer.e2 import build_e2
 from hopfbrauer.hopf import HopfAlgebra, check_hopf_axioms, drinfeld_double, dual_hopf
-from hopfbrauer.linalg import Matrix, format_rational, scaled_rows, scaled_vecs
+from hopfbrauer.linalg import format_rational, scaled_rows, scaled_vecs
 from hopfbrauer.sweedler import build_h4
 
 
@@ -93,13 +93,13 @@ def test_from_int_sorts_and_divides_by_the_gcd():
     assert h.int_cop == (2, [((0, 0, 2),), ((0, 1, 1), (1, 0, 1))])
     assert h.int_s == (1, [{0: 1}, {1: -1}]) and h.int_s_inv == h.int_s
     assert cop_sparse(h, 1) == ((0, 1, Q(1, 2)), (1, 0, Q(1, 2)))
-    assert s_cols(h) == [{0: 1}, {1: -1}] and s_matrix(h, inverse=True) == Matrix.diag([1, -1])
+    assert s_cols(h) == [{0: 1}, {1: -1}] and s_matrix(h, inverse=True) == diag([1, -1])
     unsorted = _kz2(s=(3, [{0: 3}, {1: 6, 0: 3}]))
     assert unsorted.int_s == (1, [{0: 1}, {0: 1, 1: 2}]) and list(unsorted.int_s[1][1]) == [0, 1]
     # the same rationals scaled once into from_int, and through the dense constructor
     cop = scaled_rows([[(0, 0, 1)], [(1, 0, Q(1, 2)), (0, 1, Q(1, 2))]])
     sparse = HopfAlgebra.from_int(KZ2, cop, (1, {0: 1, 1: 1}), *[scaled_vecs([{0: 1}, {1: -1}])] * 2)
-    dense = dense_hopf(KZ2, [[1, 0, 0, 0], [0, Q(1, 2), Q(1, 2), 0]], [1, 1], Matrix.diag([1, -1]))
+    dense = dense_hopf(KZ2, [[1, 0, 0, 0], [0, Q(1, 2), Q(1, 2), 0]], [1, 1], diag([1, -1]))
     for other in (sparse, dense):
         assert (other.int_cop, other.int_s, other.int_s_inv) == (h.int_cop, h.int_s, h.int_s_inv)
 

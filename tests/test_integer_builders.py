@@ -19,7 +19,19 @@ from fractions import Fraction as Q
 
 import pytest
 import reference
-from conftest import cop_sparse, dense_algebra, form_matrix, mul_basis, mul_sparse, s_cols, sparse_yd, yd_images, yd_rho
+from conftest import (
+    cop_sparse,
+    dense,
+    dense_algebra,
+    form_matrix,
+    mul_basis,
+    mul_sparse,
+    r_pairs,
+    s_cols,
+    sparse_yd,
+    yd_images,
+    yd_rho,
+)
 
 from hopfbrauer.algebra import endomorphism_algebra, opposite_algebra, sandwich_matrix
 from hopfbrauer.e2 import (
@@ -58,7 +70,7 @@ def _act(m, u, x):
 def ref_induced_coaction(a, r):
     rho = [
         [(*key, v) for key, v in sparse_sum(
-            (c, {(p, i): x for p, x in images[k].items()}) for (i, k), c in r.pairs().items()
+            (c, {(p, i): x for p, x in images[k].items()}) for (i, k), c in r_pairs(r).items()
         ).items()]
         for images in yd_images(a)
     ]
@@ -66,7 +78,7 @@ def ref_induced_coaction(a, r):
 
 
 def ref_induced_action(a, r):
-    form = form_matrix(*r.int_table).data
+    form = dense(form_matrix(*r.int_table))
     images = [[sparse_sum((c * form[i][k], {b: 1}) for b, k, c in row) for i in range(a.hopf.dim)] for row in yd_rho(a)]
     return sparse_yd(a.hopf, a.dim, a.alg, images, yd_rho(a))
 
@@ -173,7 +185,7 @@ def ref_parity_view(a):
 def ref_braiding_psi(v, w, r):
     vi, wi = yd_images(v), yd_images(w)
     columns = [
-        sparse_sum((c, _tensor(wi[y][j].items(), vi[x][i].items(), v.dim)) for (i, j), c in r.pairs().items())
+        sparse_sum((c, _tensor(wi[y][j].items(), vi[x][i].items(), v.dim)) for (i, j), c in r_pairs(r).items())
         for x in range(v.dim)
         for y in range(w.dim)
     ]

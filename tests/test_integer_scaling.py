@@ -17,6 +17,7 @@ from conftest import (
     coaction_rows,
     cop_sparse,
     counit_vec,
+    dense,
     dense_algebra,
     dense_cop,
     dense_hopf,
@@ -48,7 +49,8 @@ def _rescaled_hopf(h, s):
     counit = [s[i] * e for i, e in enumerate(counit_vec(h))]
 
     def conj(m):
-        return Matrix([[s[j] * m.data[k][j] / s[k] for j in range(n)] for k in range(n)])
+        md = dense(m)
+        return Matrix([[s[j] * md[k][j] / s[k] for j in range(n)] for k in range(n)])
 
     return dense_hopf(
         _rescaled(h.alg, s), cop, counit, conj(s_matrix(h)), conj(s_matrix(h, inverse=True)), name="H4'", meta=h.meta
@@ -60,8 +62,8 @@ def _transported(a, hopf, s, r):
     carrier on the basis r_j·e_j."""
     n, d = hopf.dim, a.dim
     action = [
-        Matrix([[s[i] * r[j] * m.data[k][j] / r[k] for j in range(d)] for k in range(d)])
-        for i, m in enumerate(action_matrices(a))
+        Matrix([[s[i] * r[j] * md[k][j] / r[k] for j in range(d)] for k in range(d)])
+        for i, md in enumerate(map(dense, action_matrices(a)))
     ]
     coaction = [
         [r[j] * c / (r[k // n] * s[k % n]) for k, c in enumerate(row)] for j, row in enumerate(coaction_rows(a))
@@ -104,9 +106,9 @@ def test_fg_maps_equal_the_fraction_loop(name):
     a = _object(name)
     f, g = fg_maps(a)
     ref_f, ref_g = reference.fg(a)
-    assert f.data == ref_f.data
-    assert g.data == ref_g.data
-    assert any(v.denominator > 1 for row in f.data for v in row)
+    assert dense(f) == dense(ref_f)
+    assert dense(g) == dense(ref_g)
+    assert any(v.denominator > 1 for row in dense(f) for v in row)
 
 
 def _sparse(rng, dim):
@@ -120,7 +122,7 @@ def _sparse(rng, dim):
 def test_f_and_g_values_are_column_combinations(name):
     a = _object(name)
     d = a.dim
-    f, g = fg_maps(a)
+    f, g = map(dense, fg_maps(a))
     fg = FGContraction(a)
     rng = random.Random(name)
     for _ in range(4):
@@ -131,7 +133,7 @@ def test_f_and_g_values_are_column_combinations(name):
                 for j, cy in y.items():
                     for k, cz in z.items():
                         for p in range(d):
-                            entry = m.data[k * d + p][i * d + j]
+                            entry = m[k * d + p][i * d + j]
                             if entry:
                                 want[p] = want.get(p, Q(0)) + cx * cy * cz * entry
             assert value == {p: v for p, v in want.items() if v}
@@ -194,7 +196,7 @@ def _corrupt_yd(a, kind):
     h, d, n = a.hopf, a.dim, a.hopf.dim
     action, coaction, alg = list(action_matrices(a)), coaction_rows(a), a.alg
     if kind == "action + 1/97":
-        data = [list(row) for row in action[n - 1].data]
+        data = dense(action[n - 1])
         data[0][d - 1] += Q(1, 97)
         action[n - 1] = Matrix(data)
     elif kind == "coaction - 3":
@@ -229,7 +231,7 @@ def test_rescaled_h4_has_a_scale_on_every_tensor():
         "product of A": a.alg.int_sp[0],
         "coproduct": common_denominator(c for i in range(h.dim) for _, _, c in cop_sparse(h, i)),
         "(Δ⊗id)Δ": common_denominator(c for i in range(h.dim) for *_, c in sweedler2(h, i)),
-        "S⁻¹": common_denominator(c for row in s_matrix(h, inverse=True).data for c in row),
+        "S⁻¹": common_denominator(c for row in dense(s_matrix(h, inverse=True)) for c in row),
         "action": a.int_images[0],
         "coaction": a.int_rho[0],
     }

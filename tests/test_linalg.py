@@ -6,7 +6,8 @@ from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
-from conftest import consistent, rank, transpose, zero_matrix
+import reference
+from conftest import consistent, dense, diag, rank, transpose, zero_matrix
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
@@ -35,16 +36,16 @@ def square_matrix(n):
 
 
 def cofactor_det(m: Matrix) -> Q:
-    n = m.rows
+    n, md = m.rows, dense(m)
     if n == 1:
-        return m.data[0][0]
+        return md[0][0]
     total = Q(0)
     for j in range(n):
-        if m.data[0][j] == 0:
+        if md[0][j] == 0:
             continue
-        minor = Matrix([[m.data[i][k] for k in range(n) if k != j] for i in range(1, n)])
+        minor = Matrix([[md[i][k] for k in range(n) if k != j] for i in range(1, n)])
         sign = Q(-1) ** j
-        total += sign * m.data[0][j] * cofactor_det(minor)
+        total += sign * md[0][j] * cofactor_det(minor)
     return total
 
 
@@ -57,7 +58,7 @@ def _det_bareiss(m: Matrix) -> Q:
         return Q(1)
     a: list[list[int]] = []
     scale = Q(1)
-    for row in m.data:
+    for row in dense(m):
         lcm = math.lcm(*(v.denominator for v in row))
         scale *= lcm
         a.append([int(v * lcm) for v in row])
@@ -243,16 +244,16 @@ def _mat_det_content_lines(m: Matrix) -> tuple[Q, int, int]:
 
 def test_int_row_matrix_equals_the_dense_matrix():
     for _, rows, n in _int_row_cases(3):
-        dense = Matrix([[Q(v.get(c, 0), den) for c in range(n)] for den, v in rows])
+        full = Matrix([[Q(v.get(c, 0), den) for c in range(n)] for den, v in rows])
         m = Matrix.from_int_rows(rows, n)
-        assert (m.rows, m.cols) == (dense.rows, dense.cols) == (n, n)
+        assert (m.rows, m.cols) == (full.rows, full.cols) == (n, n)
         assert "data" not in vars(m)
-        assert m.data == dense.data
-        assert m == dense and dense == m
-        assert hash(m) == hash(dense)
-        assert transpose(Matrix.from_int_rows(rows, n)) == transpose(dense)
-        # the integer-row view of the dense matrix is the same rows, reduced
-        assert [{c: Q(x, den) for c, x in v.items()} for den, v in dense.int_rows] == [
+        assert m.data == full.data
+        assert m == full and full == m
+        assert hash(m) == hash(full)
+        assert transpose(Matrix.from_int_rows(rows, n)) == transpose(full)
+        # the matrix built from rationals stores the same rows, reduced
+        assert [{c: Q(x, den) for c, x in v.items()} for den, v in full.int_rows] == [
             {c: Q(x, den) for c, x in v.items() if x} for den, v in rows
         ]
 
@@ -324,7 +325,7 @@ def test_sparse_det_matches_sympy():
     sympy = pytest.importorskip("sympy")
     for kind, m in _sparse_det_cases(65, dense_rows=False):
         want = sympy.Matrix(
-            [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in m.data]
+            [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in dense(m)]
         ).det()
         assert mat_det(m) == Q(int(want.p), int(want.q)), kind
 
@@ -388,7 +389,7 @@ def oracle_matrices(draw):
 @given(case=oracle_matrices())
 def test_det_matches_sympy_oracle(case):
     kind, m = case
-    exact = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in m.data])
+    exact = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in dense(m)])
     want = exact.det(method="domain-ge")  # exact elimination over QQ
     got = mat_det(m)
     assert got == Q(int(want.p), int(want.q))
@@ -403,7 +404,7 @@ def _qq(m: Matrix):
     from sympy.polys.matrices import DomainMatrix
 
     return DomainMatrix(
-        [[QQ(v.numerator, v.denominator) for v in row] for row in m.data], (m.rows, m.cols), QQ
+        [[QQ(v.numerator, v.denominator) for v in row] for row in dense(m)], (m.rows, m.cols), QQ
     )
 
 
@@ -463,8 +464,8 @@ def test_solve_sparse_matches_sympy_oracle(seed):
     else:
         rhs = [Q(rng.randint(-9, 9), rng.randint(1, 10**6)) for _ in range(m.rows)]
     want = _qq(m).rank()
-    solvable = _qq(Matrix([row + [b] for row, b in zip(m.data, rhs)])).rank() == want
-    sol = solve_sparse([sparse_vec(row) for row in m.data], rhs, m.cols)
+    solvable = _qq(Matrix([row + [b] for row, b in zip(dense(m), rhs)])).rank() == want
+    sol = solve_sparse([sparse_vec(row) for row in dense(m)], rhs, m.cols)
     assert consistent(sol) == solvable
     if solvable:
         assert m.apply(sol.particular) == rhs
@@ -483,7 +484,7 @@ def test_inverse_matches_sympy_oracle(seed):
             m.inverse()
         assert mat_det(m) == 0
     else:
-        assert m.inverse().data == _from_qq(exact.inv().to_list())
+        assert dense(m.inverse()) == _from_qq(exact.inv().to_list())
 
 
 @settings(max_examples=40, deadline=None)
@@ -565,11 +566,87 @@ def test_solve_random_consistent_substitute_back():
             assert a.apply(v) == [Q(0)] * 6
 
 
+entries = st.one_of(st.integers(min_value=-9, max_value=9), rationals)
+
+
+def _grid(draw, rows, cols):
+    return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+
+@st.composite
+def matrix_cases(draw):
+    """Rows of rationals for A and B (r × k), C (k × c) and a square S, a
+    vector v of length k, a scalar x and a positive scale per row of A."""
+    r, k, c = (draw(st.integers(min_value=1, max_value=4)) for _ in range(3))
+    scales = draw(st.lists(st.integers(min_value=1, max_value=6), min_size=r, max_size=r))
+    return (_grid(draw, r, k), _grid(draw, r, k), _grid(draw, k, c), _grid(draw, k, k),
+            draw(st.lists(entries, min_size=k, max_size=k)), draw(entries), scales)
+
+
+def _scaled_rows(m, scales):
+    """m from ``from_int_rows`` with row i written over scales[i]·den, not reduced."""
+    rows = [(den * s, {c: x * s for c, x in v.items()}) for (den, v), s in zip(m.int_rows, scales)]
+    return Matrix.from_int_rows(rows, m.cols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=matrix_cases())
+def test_matrix_operations_match_the_fraction_rows_reference(case):
+    a_rows, b_rows, c_rows, s_rows, v, x, scales = case
+    a, b, c, s = Matrix(a_rows), Matrix(b_rows), Matrix(c_rows), Matrix(s_rows)
+    # every operation gives the same matrix on rows in lowest terms and on rows
+    # over a larger denominator
+    for m in (a, _scaled_rows(a, scales)):
+        assert dense(m) == [[Q(e) for e in row] for row in a_rows]
+        assert dense(m + b) == reference.mat_sum(a, b)
+        assert dense(m - b) == reference.mat_sum(a, b, -1)
+        assert dense(-m) == reference.mat_scale(a, -1)
+        assert dense(m * x) == dense(x * m) == reference.mat_scale(a, x)
+        assert dense(m @ c) == reference.mat_product(a, c)
+        assert m.apply(v) == reference.mat_apply(a, v)
+        assert dense(kron(m, c)) == reference.mat_kron(a, c)
+        assert m.is_zero() == all(e == 0 for row in a_rows for e in row)
+    want = reference.mat_inverse(s)
+    if want is None:
+        with pytest.raises(ZeroDivisionError):
+            s.inverse()
+    else:
+        assert dense(s.inverse()) == want
+        assert dense(_scaled_rows(s, scales[:1] * s.rows).inverse()) == want
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Rows of rationals for A, for B (A with at most one entry changed, so
+    that A = B is drawn often) and a positive scale per row of A."""
+    r, k = (draw(st.integers(min_value=1, max_value=4)) for _ in range(2))
+    a_rows = _grid(draw, r, k)
+    b_rows = [list(row) for row in a_rows]
+    if draw(st.booleans()):
+        b_rows[draw(st.integers(0, r - 1))][draw(st.integers(0, k - 1))] = draw(entries)
+    return a_rows, b_rows, draw(st.lists(st.integers(min_value=1, max_value=6), min_size=r, max_size=r))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=matrix_pairs())
+def test_matrix_equality_and_hash_follow_the_fraction_values(case):
+    a_rows, b_rows, scales = case
+    a, b = Matrix(a_rows), Matrix(b_rows)
+    same = Matrix.from_int_rows(a.int_rows, a.cols)
+    scaled = _scaled_rows(a, scales)
+    assert a == same == scaled and same == a and scaled == a
+    assert hash(a) == hash(same) == hash(scaled)
+    assert (a == b) == (dense(a) == dense(b)) == (scaled == b)
+    if a == b:
+        assert hash(a) == hash(b) == hash(_scaled_rows(b, scales))
+    assert a != Matrix.from_int_rows(a.int_rows, a.cols + 1) and a != dense(a)
+
+
 def test_kron_identities():
     i2 = Matrix.identity(2)
     assert kron(i2, i2) == Matrix.identity(4)
-    u = Matrix.diag([1, -1])
-    assert kron(u, i2) == Matrix.diag([1, 1, -1, -1])
+    u = diag([1, -1])
+    assert kron(u, i2) == diag([1, 1, -1, -1])
 
 
 @settings(max_examples=40, deadline=None)

@@ -15,12 +15,15 @@ from fractions import Fraction as Q
 import pytest
 
 from conftest import (
+    column,
     cop_sparse,
     counit_vec,
+    dense,
     dense_algebra,
     dense_cop,
     dense_hopf,
     dense_mult,
+    diag,
     fraction_cop,
     fraction_table,
     mul_basis,
@@ -79,7 +82,7 @@ def _reference_double(h: HopfAlgebra) -> HopfAlgebra:
 
     lam = {}
     for r in range(n):
-        sinv_r = sparse_vec(s_matrix(h, inverse=True).col(r))
+        sinv_r = sparse_vec(column(s_matrix(h, inverse=True), r))
         for m in range(n):
             left = mul_sparse(ha, sinv_r, {m: one})
             for p in range(n):
@@ -115,8 +118,8 @@ def _reference_double(h: HopfAlgebra) -> HopfAlgebra:
     counit = [counit_vec(hd)[i] * counit_vec(h)[j] for i in range(n) for j in range(n)]
 
     def closed_antipode(s_h, s_dual):
-        hcols = [sparse_vec(s_h.col(j)) for j in range(n)]
-        dcols = [sparse_vec(s_dual.col(i)) for i in range(n)]
+        hcols = [sparse_vec(column(s_h, j)) for j in range(n)]
+        dcols = [sparse_vec(column(s_dual, i)) for i in range(n)]
         return Matrix.from_cols([
             dense_vec(mul_sparse(alg, _bowtie(n, eps, hcols[j]), _bowtie(n, dcols[i], unit_h)), big)
             for i in range(n)
@@ -147,7 +150,7 @@ def _rebased_h4():
     n = h.dim
     p = Matrix([[1, 0, 0, -1], [-1, 1, 0, 1], [0, 0, 1, 0], [0, 0, -1, 1]])
     p_inv = p.inverse()
-    cols = [p.col(i) for i in range(n)]
+    cols, q = [column(p, i) for i in range(n)], dense(p_inv)
     mult, h_cop = dense_mult(h.alg), dense_cop(h)
 
     def product(x, y):
@@ -163,7 +166,7 @@ def _rebased_h4():
     for i in range(n):
         old = [sum(cols[i][k] * h_cop[k][x] for k in range(n)) for x in range(n * n)]
         cop.append([
-            sum(old[u * n + v] * p_inv.data[a][u] * p_inv.data[b][v] for u in range(n) for v in range(n))
+            sum(old[u * n + v] * q[a][u] * q[b][v] for u in range(n) for v in range(n))
             for a in range(n)
             for b in range(n)
         ])
@@ -327,7 +330,7 @@ def test_dense_constructors_refuse_a_unit_or_counit_that_is_not_rational(bad):
         dense_algebra(["1", "g"], [1, 0], [[[1, 0], [0, 1]], [[0, 1], [bad, 0]]])
     with pytest.raises(ValueError, match="not rational"):
         dense_hopf(_kz2(KZ2_TABLE), [[1, 0, 0, 0], [0, 0, bad, 1]], [1, 1], Matrix.identity(2))
-    for build in (lambda: Matrix([[1, 0], [0, bad]]), lambda: Matrix.diag([1, bad]),
+    for build in (lambda: Matrix([[1, 0], [0, bad]]), lambda: diag([1, bad]),
                   lambda: Matrix.from_cols([[1, 0], [bad, 1]])):
         with pytest.raises(ValueError, match="not rational"):
             dense_hopf(_kz2(KZ2_TABLE), [[1, 0, 0, 0], [0, 0, 0, 1]], [1, 1], build())

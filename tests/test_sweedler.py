@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import action_matrices, coaction_rows, form_matrix
+from conftest import action_matrices, coaction_rows, column, dense, form_matrix
 from hopfbrauer import e2
 from hopfbrauer.linalg import Matrix, rational_is_square
 from hopfbrauer.sweedler import (
@@ -259,8 +259,8 @@ def test_squarefree_part_large_cofactors():
 
 def test_sigma_table_values():
     sig = build_sigma(Q(5))
-    assert form_matrix(*sig.int_table).data[2][2] == Q(5, 2)    # σ(h⊗h) = t/2
-    assert form_matrix(*sig.int_table).data[3][3] == Q(-5, 2)   # σ(gh⊗gh) = −t/2
+    assert dense(form_matrix(*sig.int_table))[2][2] == Q(5, 2)    # σ(h⊗h) = t/2
+    assert dense(form_matrix(*sig.int_table))[3][3] == Q(-5, 2)   # σ(gh⊗gh) = −t/2
     assert check_lazy_cocycle(sig).ok
 
 
@@ -312,7 +312,7 @@ def test_transported_action_value():
     a, t = Q(5), Q(7)
     out = phi_transport(CFamilyDescriptor(a, 1, t))
     built = build_C(out)
-    assert action_matrices(built)[2].col(1) == [t, Q(0)]
+    assert column(action_matrices(built)[2], 1) == [t, Q(0)]
 
 
 # -- Aut(H4) action ------------------------------------------------------------
@@ -350,11 +350,11 @@ def test_h_alpha_module():
     assert check_module(h_alpha).ok
     assert check_comodule(h_alpha).ok
     # h·g = −(1+α)gh and h·h = 0
-    assert action_matrices(h_alpha)[2].col(1) == [Q(0), Q(0), Q(0), -(1 + alpha)]
-    assert action_matrices(h_alpha)[2].col(2) == [Q(0)] * 4
+    assert column(action_matrices(h_alpha)[2], 1) == [Q(0), Q(0), Q(0), -(1 + alpha)]
+    assert column(action_matrices(h_alpha)[2], 2) == [Q(0)] * 4
     # g·g = g, g·h = −h
-    assert action_matrices(h_alpha)[1].col(1) == [Q(0), Q(1), Q(0), Q(0)]
-    assert action_matrices(h_alpha)[1].col(2) == [Q(0), Q(0), Q(-1), Q(0)]
+    assert column(action_matrices(h_alpha)[1], 1) == [Q(0), Q(1), Q(0), Q(0)]
+    assert column(action_matrices(h_alpha)[1], 2) == [Q(0), Q(0), Q(-1), Q(0)]
 
 
 def test_aut_algebra_is_azumaya():

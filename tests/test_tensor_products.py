@@ -16,7 +16,7 @@ from fractions import Fraction as Q
 import pytest
 
 import reference
-from conftest import acc, counit_vec, dense_cop, dense_hopf, dense_qt, mul_basis, r_vec, s_matrix, unit_vec
+from conftest import acc, counit_vec, dense_cop, dense_hopf, dense_qt, diag, mul_basis, r_vec, s_matrix, unit_vec
 from test_integer_scaling import H4_SCALES, _rescaled_hopf
 
 from hopfbrauer.e2 import build_e2
@@ -165,7 +165,7 @@ def _h4_corruptions():
         "coproduct": dense_hopf(h4.alg, cop, counit_vec(h4), s_matrix(h4), s_matrix(h4, inverse=True), name="bad"),
         "counit": dense_hopf(h4.alg, h4_cop, [1, 1, 1, 0], s_matrix(h4), s_matrix(h4, inverse=True), name="bad"),
         "antipode inverse": dense_hopf(
-            h4.alg, h4_cop, counit_vec(h4), s_matrix(h4), Matrix.diag([1, 1, 1, 2]), name="bad"
+            h4.alg, h4_cop, counit_vec(h4), s_matrix(h4), diag([1, 1, 1, 2]), name="bad"
         ),
     }
 

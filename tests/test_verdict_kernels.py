@@ -22,6 +22,8 @@ import pytest
 import reference
 from test_linalg import _mat_det_line_hits
 
+from conftest import dense
+
 from hopfbrauer import linalg
 from hopfbrauer.algebra import sandwich_matrix
 from hopfbrauer.e2 import build_c_e2, parity_object
@@ -171,7 +173,7 @@ def _check_verdict_kernels(monkeypatch, a, expect_nonzero: bool | None = None):
     f, g = fg_maps(a)
     # the integer rows of F and G share the scale D_c·D_a·D_m²
     den = a.int_rho[0] * a.int_images[0] * a.alg.int_sp[0] ** 2
-    ref_f, ref_g = ([(den, {c: v * den for c, v in enumerate(row) if v}) for row in m.data] for m in reference.fg(a))
+    ref_f, ref_g = ([(den, {c: v * den for c, v in enumerate(row) if v}) for row in dense(m)] for m in reference.fg(a))
     assert f.int_rows == ref_f and g.int_rows == ref_g
     dets = [_assert_same_det(monkeypatch, m) for m in (f, g)]
     if expect_nonzero is not None:

@@ -18,6 +18,8 @@ from fractions import Fraction as Q
 
 import pytest
 
+from conftest import dense
+
 from hopfbrauer.e2 import build_c_e2, f0_g0_matrices, is_graded_central_simple, not_subgroup_demo, witness_end_p
 from hopfbrauer.linalg import format_rational, mat_det
 from hopfbrauer.sweedler import CFamilyDescriptor, aut_algebra, build_C
@@ -47,7 +49,7 @@ def _sha256(text: str) -> str:
 
 
 def _fg_dump_sha256(f, g, keys=("F", "G")):
-    dump = {key: [[format_rational(v) for v in row] for row in m.data] for key, m in zip(keys, (f, g))}
+    dump = {key: [[format_rational(v) for v in row] for row in dense(m)] for key, m in zip(keys, (f, g))}
     return _sha256(json.dumps(dump))
 
 
@@ -131,7 +133,7 @@ def test_contraction_on_sparse_vectors_combines_fg_columns(name):
     else:
         a = _verdict_input(name)
     d = a.dim
-    f, g = fg_maps(a)
+    f, g = map(dense, fg_maps(a))
     fg = FGContraction(a)
     rng = random.Random(d)
     for _ in range(3):
@@ -142,7 +144,7 @@ def test_contraction_on_sparse_vectors_combines_fg_columns(name):
                 for j, cy in y.items():
                     for k, cz in z.items():
                         for p in range(d):
-                            entry = m.data[k * d + p][i * d + j]
+                            entry = m[k * d + p][i * d + j]
                             if entry:
                                 want[p] = want.get(p, Q(0)) + cx * cy * cz * entry
             assert value == {p: v for p, v in want.items() if v}

@@ -50,20 +50,20 @@ dense counit or antipode view of either double; the
 seven builtins built at set-up make no linear solve (R_N⁻¹ is (S⊗id)R_N);
 and ``FGContraction`` forms its ``right`` table only for a
 reader of it, which ``f_value``, ``g_value`` and the F/G decomposition
-residuals are not. The seed-7 report rescales no unit or counit where it reads
-one (``int_unit`` and ``int_counit`` are the store), and there is no dense
-``unit`` or ``counit`` view to read. A Fraction product is a contraction
+residuals are not. No check of the seed-7 report hands a stored unit or
+counit (``int_unit`` and ``int_counit`` are the store), or a view made from
+one, to ``scaled`` or ``over``, and there is no dense ``unit`` or ``counit``
+view to read. A Fraction product is a contraction
 of ``algebra._contract``, the one product loop, on a coefficient that is not
 an int; a Fraction structure constant is read only by the dense ``mul_vec``."""
 
-import linecache
+import gc
 import random
-import re
 import sys
 from collections import Counter
 from fractions import Fraction as Q
 
-from conftest import action_matrices, dense_qt, r_vec, rank, s_matrix, unit_vec
+from conftest import action_matrices, dense_qt, diag, r_pairs, r_vec, rank, s_matrix, unit_vec
 
 import hopfbrauer
 from hopfbrauer import algebra, hopf, linalg, sweedler, yd
@@ -529,7 +529,7 @@ def test_no_dense_action_or_coaction_view_is_built():
         assert check_yd_algebra(a).ok
         fg_maps(a)
         assert not any(hasattr(a, name) for name in ("action", "coaction"))
-    assert action_matrices(rung)[1] == Matrix.diag([(-1) ** bin(j).count("1") for j in range(16)])
+    assert action_matrices(rung)[1] == diag([(-1) ** bin(j).count("1") for j in range(16)])
 
 
 def test_derived_objects_share_the_store_they_keep(monkeypatch):
@@ -692,7 +692,7 @@ def test_r_is_expanded_and_scaled_once_per_structure(monkeypatch):
         yd.induced_coaction(v, fresh)
         yd.braiding_psi(v, v, fresh)
     assert not expanded and "r" not in fresh.__dict__ and "r_inv" not in fresh.__dict__
-    assert fresh.pairs() == want and list(fresh.pairs()) == list(want)
+    assert r_pairs(fresh) == want and list(r_pairs(fresh)) == list(want)
 
 
 HOPF_VIEWS = ("counit", "antipode", "antipode_inv")
@@ -710,33 +710,74 @@ def test_push_qt_builds_no_dense_r(monkeypatch):
     assert report["summary"]["fail"] == 0
 
 
-# a unit or counit rescaled where it is read, as the checks and the double
-# did before the unit and the counit joined the integer store
-UNIT_READ = re.compile(r"scaled\((sparse_vec\([\w.]*\b(co)?unit\)|eps|unit_h)\)")
+# the linalg functions that carry a unit or counit store into a new container
+UNIT_VIEWS = ("over", "sparse_vec", "dense_vec")
+
+
+def _in_a_check(frame) -> bool:
+    """Whether a ``check_*`` function of the package is on the stack at frame."""
+    while frame is not None:
+        if frame.f_code.co_name.startswith("check_") and frame.f_globals["__name__"].startswith("hopfbrauer."):
+            return True
+        frame = frame.f_back
+    return False
 
 
 def test_the_report_scales_no_unit_and_reads_no_unit_view_in_a_check(monkeypatch):
-    # linalg.scaled is wrapped in every module that holds it; a call counts as
-    # a unit or counit read when its caller's line scales one. The seed-7
-    # report made 1,041 such calls before ``int_unit`` and ``int_counit``
-    # (1,039 in the checks, 2 in ``drinfeld_double``), besides 1,876 others.
-    scalings = Counter()
-    scaled = linalg.scaled
+    # A read is a ``scaled`` or ``over`` call inside a check whose argument is
+    # a stored unit or counit (the ``int_unit[1]`` or ``int_counit[1]`` object)
+    # or a view of one: a container that ``over``, ``sparse_vec`` or
+    # ``dense_vec`` made from one, or that holds a Fraction ``over`` made from
+    # one. The seed-7 report made 1,041 such rescalings before ``int_unit`` and
+    # ``int_counit`` (1,039 in the checks, 2 in ``drinfeld_double``), besides
+    # 1,876 other ``scaled`` calls. Every store and view is held, so no id is
+    # reused.
+    stores, views, counts = {}, {}, Counter()
 
-    def counted(v):
-        frame = sys._getframe(1)
-        scalings[bool(UNIT_READ.search(linecache.getline(frame.f_code.co_filename, frame.f_lineno)))] += 1
-        return scaled(v)
+    def keep(obj):
+        for store in (getattr(obj, "int_unit", None), getattr(obj, "int_counit", None)):
+            if store is not None:
+                stores[id(store[1])] = store[1]
+        return obj
 
-    for name in hopfbrauer.__dict__:
-        module = getattr(hopfbrauer, name)
-        if getattr(module, "scaled", None) is scaled:
-            monkeypatch.setattr(module, "scaled", counted)
+    for obj in gc.get_objects():
+        if isinstance(obj, (StructureAlgebra, hopf.HopfAlgebra)):
+            keep(obj)
+    for cls in (StructureAlgebra, hopf.HopfAlgebra):
+        build = cls.from_int.__func__
+        monkeypatch.setattr(cls, "from_int", classmethod(lambda c, *a, build=build, **k: keep(build(c, *a, **k))))
+
+    def is_unit(v) -> bool:
+        held = v.values() if isinstance(v, dict) else v if isinstance(v, (list, tuple)) else ()
+        return id(v) in stores or id(v) in views or any(id(x) in views for x in held)
+
+    def traced(name, fn):
+        def wrapper(v, *rest):
+            out = fn(v, *rest)
+            unit = is_unit(v)
+            if name in ("scaled", "over"):
+                counts[name] += 1
+                counts["read"] += unit and _in_a_check(sys._getframe(1))
+            if unit and name in UNIT_VIEWS:
+                views[id(out)] = out
+                views.update((id(x), x) for x in (out.values() if isinstance(out, dict) else out))
+            return out
+
+        return wrapper
+
+    modules = [getattr(hopfbrauer, name) for name in dir(hopfbrauer)]
+    for name in ("scaled", *UNIT_VIEWS):
+        fn = getattr(linalg, name)
+        wrapper = traced(name, fn)
+        for module in modules:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, wrapper)
     # the unit and the counit have no dense view left to read, in a check or not
     assert not hasattr(StructureAlgebra, "unit") and not hasattr(hopf.HopfAlgebra, "counit")
     report = run_verification(("all",), 7, 20)
     assert report["summary"]["fail"] == 0
-    assert scalings[False] > 0 and scalings[True] == 0
+    assert counts["scaled"] > 0 and counts["over"] > 0 and counts["read"] == 0
+    assert len(stores) > 100
 
 
 SCALINGS = ("common_denominator", "scaled", "scaled_rows", "scaled_vecs")

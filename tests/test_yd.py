@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from functools import cache
 
 import pytest
 
@@ -7,10 +8,14 @@ import reference
 from conftest import (
     action_matrices,
     coaction_rows,
+    column,
     counit_vec,
+    dense,
     dense_algebra,
     dense_mult,
     dense_yd,
+    diag,
+    r_pairs,
     sparse_yd,
     unit_vec,
     yd_images,
@@ -19,9 +24,11 @@ from conftest import (
 )
 from hopfbrauer.algebra import StructureAlgebra
 from hopfbrauer.defio import SchemaError, load_yd, yd_to_json
+from hopfbrauer.e2 import build_c_e2
 from hopfbrauer.linalg import Matrix, in_span, is_zero_vec, mat_det, zero_vec
 from hopfbrauer.sweedler import (
     CFamilyDescriptor,
+    aut_algebra,
     build_C,
     build_dh4,
     build_h4,
@@ -96,7 +103,7 @@ def test_from_sparse_stores_the_canonical_form():
     ints = sparse_yd(c.hopf, 2, c.alg, images, [[(0, 0, 1)], [(1, 1, 1), (0, 2, 5)]])
     assert ints.same_structure(c)
     # the dense views of an integer store hold Fractions, not ints
-    assert all(type(x) is Q for m in action_matrices(ints) for row in m.data for x in row)
+    assert all(type(x) is Q for m in action_matrices(ints) for row in dense(m) for x in row)
     assert all(type(x) is Q for row in coaction_rows(ints) for x in row)
 
 
@@ -158,7 +165,7 @@ def test_dense_constructor_names_a_wrong_shape(action, coaction, message):
     # from a·dim(H) on), whose loader names the field of the wrong shape
     obj = yd_to_json(build_C(CFamilyDescriptor(Q(3), Q(2), Q(5))), hopf_name="H4")
     if action is not None:
-        obj["action"] = [[[str(x) for x in m.col(j)] for j in range(m.cols)] for m in action]
+        obj["action"] = [[[str(x) for x in column(m, j)] for j in range(m.cols)] for m in action]
     if coaction is not None:
         obj["coaction"] = [[[str(x) for x in row[a:a + 4]] for a in range(0, len(row), 4)] for row in coaction]
     with pytest.raises(SchemaError, match=f"^{message}$"):
@@ -172,7 +179,9 @@ def test_carrier_is_frozen_and_computes_its_views_once():
     c = build_C(CFamilyDescriptor(Q(3), Q(2), Q(5)))
     assert not any(hasattr(c, name) for name in ("action", "coaction"))
     assert yd_rho(c) == [coaction_sparse(coaction_rows(c), 4, j) for j in range(2)]
-    assert yd_images(c) == [[{k: v for k, v in enumerate(m.col(j)) if v} for m in action_matrices(c)] for j in range(2)]
+    assert yd_images(c) == [
+        [{k: v for k, v in enumerate(column(m, j)) if v} for m in action_matrices(c)] for j in range(2)
+    ]
     with pytest.raises(dataclasses.FrozenInstanceError):
         c.int_rho = ()
     with pytest.raises(ValueError):
@@ -240,8 +249,8 @@ def test_phi_g_acts_by_coaction_pairing():
         if c:
             mat = mat + action_matrices(over_double)[i] * c
     # ρ(x) = x⊗g + s⊗h and φ(g) pairs g ↦ −1, h ↦ 0, so φ(g)·x = −x
-    assert mat.col(1) == [Q(0), Q(-1)]
-    assert mat.col(0) == [Q(1), Q(0)]
+    assert column(mat, 1) == [Q(0), Q(-1)]
+    assert column(mat, 0) == [Q(1), Q(0)]
 
 
 def test_trivial_coaction_gives_identity_phi_g_action():
@@ -336,22 +345,22 @@ def test_fg_matrix_matches_printed_table():
     a, t, s = Q(3), Q(2), Q(5)
     f, g = fg_maps(build_C(CFamilyDescriptor(a, t, s)))
     st = s * t
-    assert f.data == Matrix(
+    assert dense(f) == dense(Matrix(
         [
             [1, 0, 0, a],
             [0, 1, 1, 0],
             [0, st - a, a, 0],
             [1, 0, 0, st - a],
         ]
-    ).data
-    assert g.data == Matrix(
+    ))
+    assert dense(g) == dense(Matrix(
         [
             [1, 0, 0, a],
             [0, 1, 1, 0],
             [0, a, st - a, 0],
             [1, 0, 0, st - a],
         ]
-    ).data
+    ))
 
 
 def test_fg_determinants():
@@ -431,7 +440,7 @@ def test_braiding_matches_term_expansion():
             y = [rnd() for _ in range(dw)]
             flat = [xi * yj for xi in x for yj in y]
             expanded = [Q(0)] * (dv * dw)
-            for (i, j), coef in rt.pairs().items():
+            for (i, j), coef in r_pairs(rt).items():
                 wy = action_matrices(w)[j].apply(y)
                 vx = action_matrices(v)[i].apply(x)
                 for p, cp in enumerate(wy):
@@ -553,7 +562,7 @@ def test_inner_witness_on_neutralized_product():
 def test_inner_witness_trivial_action_is_zero():
     alg = dense_algebra(["1", "x"], [1, 0], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
     h4 = build_h4()
-    action = [Matrix.identity(2), Matrix.diag([1, -1]), zero_matrix(2, 2), zero_matrix(2, 2)]
+    action = [Matrix.identity(2), diag([1, -1]), zero_matrix(2, 2), zero_matrix(2, 2)]
     a = dense_yd(h4, alg.dim, alg, action)
     v = inner_witness(a, h4.meta["h"], h4.meta["g"])
     assert v == [Q(0), Q(0)]
@@ -615,7 +624,7 @@ def test_fg_maps_are_yd_morphisms():
                 assert lhs == rhs
         for h in range(4):
             for j in range(4):
-                assert matrix.apply(action_matrices(source)[h].col(j)) == \
+                assert matrix.apply(column(action_matrices(source)[h], j)) == \
                     action_matrices(target)[h].apply(matrix.apply(source.alg.basis_vec(j)))
         for j in range(4):
             lhs = zero_vec(16)
@@ -682,7 +691,9 @@ def test_cocycle_twist_rejects_invalid_cocycle():
         cocycle_twist(build_C(CFamilyDescriptor(Q(1), Q(0), Q(1))), bad)
 
 
-def _kernel_cases():
+def _kernel_rats():
+    """The 13 random rationals of the kernel cases, drawn in the order the
+    cases read them: three C(a;t,s), then α, then C(a;t₁,t₂) over E(2)."""
     local = random.Random(2718)
 
     def rat():
@@ -691,21 +702,33 @@ def _kernel_cases():
             n = local.randint(-9, 9)
         return Q(n, local.randint(1, 9))
 
-    from hopfbrauer.e2 import build_c_e2
-    from hopfbrauer.sweedler import aut_algebra
+    return [rat() for _ in range(13)]
 
-    c1, c2, c3 = (build_C(CFamilyDescriptor(rat(), rat(), rat())) for _ in range(3))
-    d4 = sharp_product(c1, c2)
-    singular = build_C(CFamilyDescriptor(Q(3), Q(2), Q(3)))  # 2a = st
-    return {
-        "C(a;t,s)": c1,
-        "singular C": singular,
-        "C#C d=4": d4,
-        "C#C#C d=8": sharp_product(d4, c3),
-        "A_alpha": aut_algebra(rat()),
-        "H-opposite of C#C": h_opposite(d4),
-        "C(a;t1,t2) over E(2)": build_c_e2(rat(), rat(), rat()),
-    }
+
+KERNEL_RATS = _kernel_rats()
+
+
+def _c(i):
+    return build_C(CFamilyDescriptor(*KERNEL_RATS[3 * i:3 * i + 3]))
+
+
+# one builder per case, run by ``kernel_case`` on first use: a builder that
+# raises fails the tests of its case, not the collection of this file
+KERNEL_BUILDERS = {
+    "C(a;t,s)": lambda: _c(0),
+    "singular C": lambda: build_C(CFamilyDescriptor(Q(3), Q(2), Q(3))),  # 2a = st
+    "C#C d=4": lambda: sharp_product(_c(0), _c(1)),
+    "C#C#C d=8": lambda: sharp_product(kernel_case("C#C d=4"), _c(2)),
+    "A_alpha": lambda: aut_algebra(KERNEL_RATS[9]),
+    "H-opposite of C#C": lambda: h_opposite(kernel_case("C#C d=4")),
+    "C(a;t1,t2) over E(2)": lambda: build_c_e2(*KERNEL_RATS[10:]),
+}
+
+
+@cache
+def kernel_case(name):
+    """The kernel case ``name``, built once."""
+    return KERNEL_BUILDERS[name]()
 
 
 def _perturbed(a):
@@ -717,23 +740,20 @@ def _perturbed(a):
     return dense_yd(a.hopf, a.dim, alg, action_matrices(a), coaction_rows(a))
 
 
-KERNEL_CASES = _kernel_cases()
-
-
-@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+@pytest.mark.parametrize("name", sorted(KERNEL_BUILDERS))
 def test_fg_maps_match_dense_reference(name):
-    a = KERNEL_CASES[name]
+    a = kernel_case(name)
     assert fg_maps(a) == reference.fg(a)
 
 
 def test_fg_maps_match_reference_without_associativity():
-    a = _perturbed(KERNEL_CASES["C#C d=4"])
+    a = _perturbed(kernel_case("C#C d=4"))
     assert fg_maps(a) == reference.fg(a)
 
 
 @pytest.mark.parametrize("name", ["C(a;t,s)", "C#C d=4", "C#C#C d=8", "C(a;t1,t2) over E(2)"])
 def test_h_opposite_matches_dense_reference(name):
-    a = KERNEL_CASES[name]
+    a = kernel_case(name)
     want = dense_algebra(a.alg.basis, unit_vec(a.alg), reference.h_opposite_table(a))
     assert h_opposite(a).alg.same_product(want)
 
@@ -741,7 +761,7 @@ def test_h_opposite_matches_dense_reference(name):
 def test_yd_algebra_checks_report_reference_failures():
     from hopfbrauer.yd import check_comodule_algebra_op
 
-    good = KERNEL_CASES["C#C d=4"]
+    good = kernel_case("C#C d=4")
     bad = _perturbed(good)
     module_law = [f for f in check_module_algebra(bad).failures if "module-algebra law" in f]
     comodule_law = [f for f in check_comodule_algebra_op(bad).failures if "H^op-multiplicative" in f]
