@@ -142,8 +142,8 @@ class Matrix:
     """Matrix over ℚ. Treated as immutable after construction.
 
     Its one form is ``int_rows``, one (den, {column: integer}) pair per row,
-    the row being v/den: ``Matrix(rows)`` writes rows of rationals so, each
-    in lowest terms, ``from_int_rows`` keeps the rows it is given, and every
+    the row being v/den. ``Matrix(rows)`` stores rows of rationals this way,
+    each in lowest terms; ``from_int_rows`` keeps the rows it is given; every
     operation computes on them. ``data``, the dense Fraction rows, is built
     only when read, and nothing in the package reads it.
     """
