@@ -594,17 +594,18 @@ def _scaled_rows(m, scales):
 def test_matrix_operations_match_the_fraction_rows_reference(case):
     a_rows, b_rows, c_rows, s_rows, v, x, scales = case
     a, b, c, s = Matrix(a_rows), Matrix(b_rows), Matrix(c_rows), Matrix(s_rows)
+    scaled = _scaled_rows(a, scales), _scaled_rows(b, scales), _scaled_rows(c, scales[:1] * c.rows)
     # every operation gives the same matrix on rows in lowest terms and on rows
     # over a larger denominator
-    for m in (a, _scaled_rows(a, scales)):
+    for m, n, p in ((a, b, c), scaled):
         assert dense(m) == [[Q(e) for e in row] for row in a_rows]
-        assert dense(m + b) == reference.mat_sum(a, b)
-        assert dense(m - b) == reference.mat_sum(a, b, -1)
+        assert dense(m + n) == reference.mat_sum(a, b)
+        assert dense(m - n) == reference.mat_sum(a, b, -1)
         assert dense(-m) == reference.mat_scale(a, -1)
         assert dense(m * x) == dense(x * m) == reference.mat_scale(a, x)
-        assert dense(m @ c) == reference.mat_product(a, c)
+        assert dense(m @ p) == reference.mat_product(a, c)
         assert m.apply(v) == reference.mat_apply(a, v)
-        assert dense(kron(m, c)) == reference.mat_kron(a, c)
+        assert dense(kron(m, p)) == reference.mat_kron(a, c)
         assert m.is_zero() == all(e == 0 for row in a_rows for e in row)
     want = reference.mat_inverse(s)
     if want is None:
