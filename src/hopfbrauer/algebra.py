@@ -341,16 +341,6 @@ def endomorphism_algebra(n: int) -> StructureAlgebra:
     return StructureAlgebra.from_int(basis, (1, unit), table, 1, name=f"End(k^{n})")
 
 
-def operator_to_vec(m: Matrix) -> list[Fraction]:
-    """Expand an operator matrix in the matrix-unit basis of End(kⁿ)."""
-    n = m.rows
-    out = zero_vec(n * n)
-    for p, (den, v) in enumerate(m.int_rows):
-        for q, x in v.items():
-            out[q * n + p] = Fraction(x, den)
-    return out
-
-
 def commutator_columns(a: StructureAlgebra, x: IntVec, sign: int, y: IntVec, js) -> list[IntVec]:
     """D_m·(e_j·x + sign·(y·e_j)) for each j in js, x and y integers on one
     scale: the ``solve_columns`` columns of v ↦ v·x + sign·(y·v) on the js."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -55,8 +56,18 @@ def _rat(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a word that starts like a negative number ("-7/3", "-1e3") as a
+    value, for ``_rat`` to parse or refuse: argparse's own pattern knows only
+    -5 and -.5 and took the rest for options. Subparsers share the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hopfbrauer",
         description="Exact verification engine for braided Brauer-group constructions "
         "over Sweedler's Hopf algebra H4 and Nichols' E(2).",
@@ -289,8 +300,11 @@ def cmd_theorem61(args) -> int:
         except (OSError, json.JSONDecodeError, SchemaError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return USAGE_ERROR
-        if kind != "yd" or loaded.hopf.meta.get("c") is None:
-            print("error: theorem61 needs a YD definition over E2", file=sys.stderr)
+        # theorem61_check reads the generators c, x1 and x2 from the meta
+        missing = [key for key in ("c", "x1", "x2") if kind == "yd" and loaded.hopf.meta.get(key) is None]
+        if kind != "yd" or missing:
+            where = f": the Hopf algebra's meta has no {missing[0]!r}" if missing else ""
+            print(f"error: theorem61 needs a YD definition over E2{where}", file=sys.stderr)
             return USAGE_ERROR
         if not report.ok:
             print("error: definition fails its axioms:", *report.failures[:5], sep="\n  ", file=sys.stderr)

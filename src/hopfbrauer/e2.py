@@ -26,24 +26,23 @@ from .algebra import (
     CheckReport,
     Grading,
     StructureAlgebra,
+    endomorphism_algebra,
     is_central_simple,
     super_center,
 )
-from .hopf import HopfAlgebra, HopfMorphism, QTStructure, _t2_int, qt_structure
+from .hopf import HopfAlgebra, HopfMorphism, QTStructure, _qt_from_int, _t2_int, _tensor
 from .linalg import (
     IntVec,
     Matrix,
-    SparseVec,
     _rational,
     dense_vec,
     in_span,
     over,
-    scaled_vecs,
     sparse_sum,
     sparse_vec,
     zero_vec,
 )
-from .sweedler import build_dh4, build_h4, c_algebra, dh4_named
+from .sweedler import build_dh4, build_h4, c_algebra
 from .yd import (
     FGContraction,
     YDObject,
@@ -86,8 +85,7 @@ def _e2_index(a: int, b: int, d: int) -> int:
 @functools.lru_cache(maxsize=None)
 def build_e2() -> HopfAlgebra:
     """E(2) on the monomial basis c^a x₁^b x₂^d (index a + 2b + 4d)."""
-    exps = [(a, b, d) for d in (0, 1) for b in (0, 1) for a in (0, 1)]
-    order = sorted(exps, key=lambda e: _e2_index(*e))
+    order = [(a, b, d) for d in (0, 1) for b in (0, 1) for a in (0, 1)]  # index a + 2b + 4d
     basis = [_e2_label(*e) for e in order]
     table = [
         [
@@ -135,20 +133,9 @@ def build_e2() -> HopfAlgebra:
 
 @functools.lru_cache(maxsize=None)
 def build_RN() -> QTStructure:
-    """R_N = ½(1⊗1 + 1⊗c + c⊗1 − c⊗c + x₁⊗cx₂ + x₁⊗x₂ + cx₁⊗cx₂ − cx₁⊗x₂)."""
-    e2 = build_e2()
-    half = Q(1, 2)
-    terms = {
-        (0, 0): half,
-        (0, 1): half,
-        (1, 0): half,
-        (1, 1): -half,
-        (2, 5): half,
-        (2, 4): half,
-        (3, 5): half,
-        (3, 4): -half,
-    }
-    return qt_structure(e2, dense_vec({i * 8 + j: c for (i, j), c in terms.items()}, 64))
+    """R_N = ½(1⊗1 + 1⊗c + c⊗1 − c⊗c + x₁⊗cx₂ + x₁⊗x₂ + cx₁⊗cx₂ − cx₁⊗x₂), over 2."""
+    r = {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1, (2, 4): 1, (2, 5): 1, (3, 4): -1, (3, 5): 1}
+    return _qt_from_int(build_e2(), 2, r)
 
 
 @functools.lru_cache(maxsize=None)
@@ -194,9 +181,8 @@ def theta(lam, mu) -> HopfMorphism:
                     if e:
                         den_g, image = images[gen]
                         acc, den = alg.mul_int(acc, image), den * alg.int_sp[0] * den_g
-                cols.append((_e2_index(a, b, d), dense_vec(over(acc, den), alg.dim)))
-    cols.sort(key=lambda t: t[0])
-    return HopfMorphism(e2, h4, Matrix.from_cols([c for _, c in cols]), name=f"theta({lam},{mu})")
+                cols.append(dense_vec(over(acc, den), alg.dim))  # column a + 2b + 4d
+    return HopfMorphism(e2, h4, Matrix.from_cols(cols), name=f"theta({lam},{mu})")
 
 
 # ---------------------------------------------------------------------------
@@ -362,23 +348,22 @@ def witness_end_p() -> YDObject:
     u_inv = u.inverse()
     big_u_inv = big_u.inverse()
     d = 2
-    from .algebra import endomorphism_algebra, operator_to_vec
-
     alg = endomorphism_algebra(d)
 
-    def op_map(fun) -> list[SparseVec]:
-        """The columns of f ↦ fun(f) on the matrix units, E_pq at q·d + p."""
-        return [
-            sparse_vec(operator_to_vec(fun(Matrix([[int((r, s) == (p, q)) for s in range(d)] for r in range(d)]))))
-            for q in range(d)
-            for p in range(d)
-        ]
+    def op_map(fun) -> tuple[int, list[IntVec]]:
+        """(D, the columns of f ↦ fun(f) on the matrix units times D), E_pq at
+        q·d + p, read from the integer rows of each image over their lcm D."""
+        images = [fun(Matrix([[int((r, s) == (p, q)) for s in range(d)] for r in range(d)])).int_rows
+                  for q in range(d) for p in range(d)]
+        den = math.lcm(*(e for rows in images for e, _ in rows))
+        return den, [{j * d + i: x * (den // e) for i, (e, v) in enumerate(rows) for j, x in v.items()}
+                     for rows in images]
 
     c = op_map(lambda f: u @ f @ u_inv)
     x1 = op_map(lambda f: w @ f @ u_inv + f @ u @ w)
     cx2 = op_map(lambda f: big_w @ f - big_u @ f @ big_u_inv @ big_w)
-    x2 = [sparse_sum((v, c[k]) for k, v in col.items()) for col in cx2]  # x₂ = c·(cx₂)
-    images = e2_action_from_generators(*map(scaled_vecs, (c, x1, x2)))
+    x2 = c[0] * cx2[0], [sparse_sum((v, c[1][k]) for k, v in col.items()) for col in cx2[1]]  # x₂ = c·(cx₂)
+    images = e2_action_from_generators(c, x1, x2)
     return induced_coaction(YDObject.from_int(e2, alg.dim, alg, images), build_RN())
 
 
@@ -399,8 +384,9 @@ def kernel_witness() -> KernelWitness:
     rep.merge(step_i)
     steps["i: P is a D(H4)-module"] = step_i.ok
 
-    g_on_p = p.act_matrix(dh4_named("g"))
-    phig_on_p = p.act_matrix(dh4_named("phi_g"))
+    named = p.hopf.meta["named"]
+    g_on_p = p.act_matrix(named["g"])
+    phig_on_p = p.act_matrix(named["phi_g"])
     rep.require(g_on_p == u and phig_on_p == big_u, "(stored matrices) named actions differ")
     steps["ii: P is not an E(2)-module"] = g_on_p != phig_on_p
     rep.require(steps["ii: P is not an E(2)-module"], "(ii) g and φ(g) should differ on P")
@@ -416,7 +402,7 @@ def kernel_witness() -> KernelWitness:
     canonical = end_yd(p)
     for name, label, e2_gen in (("g", "g", 1), ("h", "h", 2), ("φ(h)", "phi_h", _e2_index(1, 0, 1))):
         rep.require(
-            end_p.act_matrix(end_p.hopf.alg.basis_vec(e2_gen)) == canonical.act_matrix(dh4_named(label)),
+            end_p.act_matrix((1, {e2_gen: 1})) == canonical.act_matrix(named[label]),
             f"End(P) action of {name} disagrees with the canonical one",
         )
 
@@ -433,9 +419,7 @@ def kernel_witness() -> KernelWitness:
     rep.require(len(strong.branch_failures) == 2, "(v) both sign branches must be analysed")
 
     pp = module_tensor(p, p)
-    steps["vi: g and φ(g) agree on P⊗P"] = pp.act_matrix(dh4_named("g")) == pp.act_matrix(
-        dh4_named("phi_g")
-    )
+    steps["vi: g and φ(g) agree on P⊗P"] = pp.act_matrix(named["g"]) == pp.act_matrix(named["phi_g"])
     rep.require(steps["vi: g and φ(g) agree on P⊗P"], "(vi) g and φ(g) must agree on P⊗P")
     return KernelWitness(u, w, big_u, big_w, p, end_p, rep, steps)
 
@@ -603,12 +587,16 @@ def braiding_decomposition_residual(v: YDObject, w: YDObject, vvec, wvec) -> lis
     wpar = _parity_of(wvec, par_w)
     psi = braiding_psi(v, w, rn)
     psi0 = graded_flip(par_v, par_w)
-    x = _tensor_vec(vvec, wvec)
+
+    def tensor(x, y) -> list[Fraction]:  # x ⊗ y, e_i ⊗ e_j at i·dim(w) + j
+        return dense_vec(_tensor(sparse_vec(x).items(), sparse_vec(y).items(), w.dim), v.dim * w.dim)
+
+    x = tensor(vvec, wvec)
     lhs = psi.apply(x)
     t1 = psi0.apply(x)
     xv = dense_vec(v.act({x1_idx: 1}, sparse_vec(vvec)), v.dim)
     xw = dense_vec(w.act({x2_idx: 1}, sparse_vec(wvec)), w.dim)
-    t2 = psi0.apply(_tensor_vec(xv, xw))
+    t2 = psi0.apply(tensor(xv, xw))
     sign = Q(-1) if wpar == 0 else Q(1)
     return [l - (p + sign * s) for l, p, s in zip(lhs, t1, t2)]
 
@@ -618,16 +606,6 @@ def _parity_of(vecv, parity) -> int:
     if len(pars) != 1:
         raise ValueError("element is not homogeneous")
     return pars.pop()
-
-
-def _tensor_vec(x, y) -> list[Fraction]:
-    out = zero_vec(len(x) * len(y))
-    for i, a in enumerate(x):
-        if a:
-            for j, b in enumerate(y):
-                if b:
-                    out[i * len(y) + j] = a * b
-    return out
 
 
 def fg_decomposition_residuals(a: YDObject, xv, yv, zv) -> tuple[list[Fraction], list[Fraction]]:

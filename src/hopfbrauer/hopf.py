@@ -35,12 +35,10 @@ from .linalg import (
     IntVec,
     Matrix,
     SparseVec,
-    dense_vec,
     scale_sparse,
     scaled,
     solve_sparse,
     sparse_sum,
-    sparse_vec,
     vec,
 )
 
@@ -379,7 +377,7 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
                                 out[k] = out[k] + fv * hv if k in out else fv * hv
     alg = StructureAlgebra.from_int(
         basis,
-        (den_e * den_u, _bowtie(n, eps_i, unit_i)),
+        (den_e * den_u, _tensor(eps_i.items(), unit_i.items(), n)),
         # sums that cancelled to zero are dropped: from_int rejects zero terms
         [[[t for t in out.items() if t[1]] for out in row] for row in table],
         den_w * den_s * den_h**3 * da.int_sp[0],
@@ -395,12 +393,12 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
         for j in range(n)
     ]
     (den_fe, fcounit), (den_ae, acounit) = hd.int_counit, h.int_counit
-    counit = den_fe * den_ae, _bowtie(n, fcounit, acounit)
+    counit = den_fe * den_ae, _tensor(fcounit.items(), acounit.items(), n)
 
     def closed_antipode(s_h: tuple, s_dual: tuple) -> tuple[int, list[IntVec]]:
         # column i·n + j is (ε ⋈ s_h e_j)(s_dual f_i ⋈ 1), over D_ε·D_l·D_r·D_u·D_m
-        lefts = [_bowtie(n, eps_i, col) for col in s_h[1]]
-        rights = [_bowtie(n, col, unit_i) for col in s_dual[1]]
+        lefts = [_tensor(eps_i.items(), col.items(), n) for col in s_h[1]]
+        rights = [_tensor(col.items(), unit_i.items(), n) for col in s_dual[1]]
         scale = den_e * s_h[0] * s_dual[0] * den_u * alg.int_sp[0]
         return scale, [alg.mul_int(lefts[j], rights[i]) for i in range(n) for j in range(n)]
 
@@ -416,9 +414,10 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
     return double, _qt_from_int(double, den_e * den_u, r)
 
 
-def _bowtie(n: int, f: SparseVec, a: SparseVec) -> SparseVec:
-    """f ⋈ a inside D(H) from the sparse dual and algebra parts."""
-    return {i * n + j: x * y for i, x in f.items() for j, y in a.items()}
+def _tensor(u, w, n: int) -> SparseVec:
+    """u ⊗ w at flat indices p·n + q, from (index, coefficient) pairs; f ⋈ a
+    in D(H) for the dual part f and the algebra part a."""
+    return {p * n + q: cp * cq for p, cp in u for q, cq in w}
 
 
 def antipode_failures(h: HopfAlgebra) -> Iterator[str]:
@@ -448,12 +447,6 @@ def antipode_failures(h: HopfAlgebra) -> Iterator[str]:
     for x, y, label in ((s, t, "S∘S⁻¹"), (t, s, "S⁻¹∘S")):
         if any(sparse_sum((c, x[k]) for k, c in y[z].items()) != {z: one} for z in range(h.dim)):
             yield f"{label} ≠ id"
-
-
-def bowtie_vec(double_dim_factor: int, fvec: Sequence[Fraction], avec: Sequence[Fraction]) -> list[Fraction]:
-    """Coefficient vector of f ⋈ a inside D(H), given dual/algebra parts."""
-    n = double_dim_factor
-    return dense_vec(_bowtie(n, sparse_vec(fvec), sparse_vec(avec)), n * n)
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,14 @@ from .hopf import (
     IntTable,
     QTStructure,
     _lowest_rows,
-    bowtie_vec,
+    _qt_from_int,
+    _tensor,
     coqt_structure,
     drinfeld_double,
     dual_hopf,
     form_products,
-    qt_structure,
 )
-from .linalg import Matrix, _rational, dense_vec, over, rational_is_square, scaled, scaled_vecs, sparse_sum, sparse_vec
+from .linalg import IntVec, Matrix, _rational, dense_vec, over, rational_is_square, scaled, sparse_sum
 from .yd import (
     YDObject,
     check_yd_algebra,
@@ -71,9 +71,12 @@ def build_h4() -> HopfAlgebra:
 
 def build_rt(t) -> QTStructure:
     """The triangular structure R_t = ½(1⊗1 + 1⊗g + g⊗1 − g⊗g)
-    + (t/2)(h⊗h + h⊗gh + gh⊗gh − gh⊗h) of H₄, e_i⊗e_j at 4i + j."""
-    half, th = Q(1, 2), _rational(t) / 2
-    return qt_structure(build_h4(), [half, half, 0, 0, half, -half, 0, 0, 0, 0, th, th, 0, 0, -th, th])
+    + (t/2)(h⊗h + h⊗gh + gh⊗gh − gh⊗h) of H₄, over 2q for t = p/q."""
+    p, q = _rational(t).as_integer_ratio()
+    r = {(0, 0): q, (0, 1): q, (1, 0): q, (1, 1): -q}
+    if p:
+        r.update({(2, 2): p, (2, 3): p, (3, 2): -p, (3, 3): p})
+    return _qt_from_int(build_h4(), 2 * q, r)
 
 
 def build_rt_form(t) -> CoQTStructure:
@@ -104,33 +107,31 @@ def phi_iso() -> HopfMorphism:
 
 @functools.lru_cache(maxsize=None)
 def build_dh4() -> tuple[HopfAlgebra, QTStructure]:
-    """D(H₄) with canonical ℛ = Σᵢ (ε⋈e_i) ⊗ (e_i*⋈1) and named generators."""
+    """D(H₄) with canonical ℛ = Σᵢ (ε⋈e_i) ⊗ (e_i*⋈1) and named generators:
+    meta["named"] holds ε⋈e_i and φ(e_i)⋈1 as (D, {index: integer}), the
+    form of ``int_unit``."""
     h4 = build_h4()
     double, canonical = drinfeld_double(h4)
     den_f, phi = phi_iso().matrix.scaled_cols()
     # ε, the unit of H₄*, and the unit of H₄, read from their stores
-    eps, one = (dense_vec(over(v, den), 4) for den, v in (build_h4_dual().alg.int_unit, h4.alg.int_unit))
-    named: dict[str, list[Fraction]] = {}
+    (den_e, eps), (den_u, one) = build_h4_dual().alg.int_unit, h4.alg.int_unit
+    named: dict[str, tuple[int, IntVec]] = {}
     for label, idx in (("one", 0), ("g", 1), ("h", 2), ("gh", 3)):
-        named[label] = bowtie_vec(4, eps, h4.alg.basis_vec(idx))
-        named["phi_" + label] = bowtie_vec(4, dense_vec(over(phi[idx], den_f), 4), one)
+        named[label] = den_e, _tensor(eps.items(), ((idx, 1),), 4)
+        named["phi_" + label] = den_f * den_u, _tensor(phi[idx].items(), one.items(), 4)
     double.meta["named"] = named
     double.meta["g"] = None  # the grading generators are combinations, see named
     return double, canonical
-
-
-def dh4_named(label: str) -> list[Fraction]:
-    double, _ = build_dh4()
-    return list(double.meta["named"][label])
 
 
 def dh4_relations() -> list[tuple[str, list[Fraction]]]:
     """The ten defining relations of D(H₄), each as an element that must vanish."""
     double, _ = build_dh4()
     a = double.alg
-    den_u, unit = a.int_unit
-    named = [sparse_vec(dh4_named(label)) for label in ("g", "h", "phi_g", "phi_h")]
-    den, (g, h, fg, fh, one) = scaled_vecs([*named, over(unit, den_u)])
+    elements = [double.meta["named"][label] for label in ("g", "h", "phi_g", "phi_h")] + [a.int_unit]
+    # g, h, φ(g), φ(h) and 1 lifted to one scale, the lcm of theirs
+    den = math.lcm(*(d for d, _ in elements))
+    g, h, fg, fh, one = ({k: c * (den // d) for k, c in v.items()} for d, v in elements)
     m, x = a.mul_int, den * a.int_sp[0]  # a product is over den·x, so 1 and a generator are lifted by x
 
     def rel(*terms):

@@ -31,7 +31,7 @@ from .algebra import (
     on_generators,
     opposite_algebra,
 )
-from .hopf import CoQTStructure, HopfAlgebra, QTStructure
+from .hopf import CoQTStructure, HopfAlgebra, QTStructure, _tensor
 from .linalg import (
     IntVec,
     Matrix,
@@ -163,14 +163,15 @@ class YDObject:
         (hi, dh), (vi, dv) = scaled(hvec), scaled(v)
         return over(sparse_sum((c * w, rows[j][i]) for i, c in hi.items() for j, w in vi.items()), den * dh * dv)
 
-    def act_matrix(self, hvec: Sequence[Fraction]) -> Matrix:
-        """The matrix by which the element Σ hvec[i]·e_i of H acts, as integer
-        rows over D_a·D_h: column s is h·e_s."""
+    def act_matrix(self, h: tuple[int, IntVec]) -> Matrix:
+        """The matrix by which h of H acts, for h = (D_h, {index: integer}) the
+        element over D_h, as ``int_unit`` stores 1: integer rows over D_a·D_h,
+        column s is h·e_s."""
         den, images = self.int_images
-        h, den_h = scaled(sparse_vec(hvec))
+        den_h, hv = h
         rows = [{} for _ in range(self.dim)]
         for s, row in enumerate(images):
-            for p, c in sparse_sum((x, row[i]) for i, x in h.items()).items():
+            for p, c in sparse_sum((x, row[i]) for i, x in hv.items()).items():
                 rows[p][s] = c
         return Matrix.from_int_rows([(den * den_h, r) for r in rows], self.dim)
 
@@ -353,11 +354,6 @@ def check_yd_condition(m: YDObject) -> CheckReport:
 
     rep.failures += on_generators(yd_law, h.alg, h.certified and not m.module_failures)
     return rep
-
-
-def _tensor(u, w, n: int) -> SparseVec:
-    """u ⊗ w at flat indices p·n + q, from (index, coefficient) pairs."""
-    return {p * n + q: cp * cq for p, cp in u for q, cq in w}
 
 
 def check_yd_module(m: YDObject) -> CheckReport:

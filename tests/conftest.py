@@ -22,7 +22,9 @@ Each carrier has one form, its integer stores, built by ``from_int``:
   lists, for tests that corrupt one entry;
 - ``dense`` and ``column`` read a ``Matrix``'s integer rows back as dense
   Fraction rows or one column: the tests read a matrix densely only through
-  them, bar the test of the tracer's ``data`` view itself;
+  them, bar the test of the tracer's ``data`` view itself; ``operator_to_vec``
+  reads one in the matrix-unit basis of End(kⁿ);
+- ``dh4_named`` reads a named D(H₄) generator back as a dense vector;
 - ``diag``, ``zero_matrix``, ``transpose``, ``rank``, ``consistent`` and
   ``int_form`` are dense-matrix helpers that the package does not have."""
 
@@ -46,6 +48,7 @@ from hopfbrauer.linalg import (
     sparse_vec,
     vec,
 )
+from hopfbrauer.sweedler import build_dh4
 from hopfbrauer.yd import YDObject
 
 settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
@@ -272,6 +275,20 @@ def dense(m):
 def column(m, j):
     """Column j of the matrix m as a dense list of Fractions."""
     return [Fraction(v.get(j, 0), den) for den, v in m.int_rows]
+
+
+def operator_to_vec(m):
+    """The n×n matrix m in the matrix-unit basis of End(kⁿ), E_pq at q·n + p,
+    as a dense list of Fractions."""
+    n = m.rows
+    return dense_vec({q * n + p: Fraction(x, den) for p, (den, v) in enumerate(m.int_rows) for q, x in v.items()}, n * n)
+
+
+def dh4_named(label):
+    """The named generator ``label`` of D(H₄) ("g", "phi_h", …) as a dense
+    list of Fractions, read from its (D, {index: integer}) store."""
+    den, v = build_dh4()[0].meta["named"][label]
+    return dense_vec(over(v, den), 16)
 
 
 def diag(entries):

@@ -220,6 +220,54 @@ def test_inline_hopf_meta_indices_are_validated(capsys, tmp_path):
         assert f"yd.hopf.meta.{field}:" in err and len(err.strip().splitlines()) == 1
 
 
+# each command that takes a rational, with a negative one as argparse's
+# default pattern (-5, -.5) does not read it; the reference spells the same
+# arguments with "--" or "=", which argparse always read as values
+NEGATIVE_RATIONALS = [
+    (("classify", "-7/3", "2", "0"), ("classify", "--", "-7/3", "2", "0")),
+    (("product", "-1/2", "0", "2", "1", "1", "4"), ("product", "--", "-1/2", "0", "2", "1", "1", "4")),
+    (("conjugate", "1", "1", "1", "-2/3"), ("conjugate", "--", "1", "1", "1", "-2/3")),
+    (("transport", "psi", "1", "0", "1", "--param", "-1/2"), ("transport", "psi", "1", "0", "1", "--param=-1/2")),
+    (("intersect", "-1/2", "3"), ("intersect", "--", "-1/2", "3")),
+    (("counterexample", "-1/2", "3"), ("counterexample", "--", "-1/2", "3")),
+    (("verify", "--suite", "thm6.3", "--t", "-1/2"), ("verify", "--suite", "thm6.3", "--t=-1/2")),
+]
+
+
+@pytest.mark.parametrize("argv, reference", NEGATIVE_RATIONALS, ids=[a[0] for a, _ in NEGATIVE_RATIONALS])
+def test_a_negative_rational_is_a_value(capsys, argv, reference):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert (code, out, err) == run_cli(capsys, *reference)
+
+
+def test_theorem61_reads_a_negative_rational(capsys, tmp_path):
+    # --c takes three values, so "--c=-1/2 1 1" is no reference: the same
+    # algebra is read from a file instead
+    from hopfbrauer.e2 import build_c_e2
+
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(yd_to_json(build_c_e2(Q(-1, 2), 1, 1), hopf_name="E2")))
+    code, out, err = run_cli(capsys, "theorem61", "--c", "-1/2", "1", "1")
+    assert code == 0 and err == "" and "three-way equivalence holds: True" in out
+    assert (code, out, err) == run_cli(capsys, "theorem61", str(path))
+
+
+@pytest.mark.parametrize("word", ["-7/3", "-1e3", "-.5", "-2.5e-1", "-1_000", "-0"])
+def test_every_negative_word_parse_rational_reads_is_a_value(capsys, word):
+    code, out, err = run_cli(capsys, "classify", word, "2", "0")
+    assert code == 0 and err == ""
+    assert (code, out, err) == run_cli(capsys, "classify", "--", word, "2", "0")
+
+
+def test_a_dash_word_that_starts_like_a_number_is_parsed_and_refused(capsys):
+    code, out, err = run_cli(capsys, "classify", "-1/0", "2", "0")
+    assert code == 2 and out == ""
+    assert err.endswith("error: argument a: not a rational: '-1/0'\n")
+    # an option still is one
+    assert run_cli(capsys, "classify", "-x", "2", "0")[0] == 2
+
+
 def test_define_builtin_and_files(capsys, tmp_path):
     assert run_cli(capsys, "define", "H4")[0] == 0
     good = tmp_path / "c.json"

@@ -24,6 +24,12 @@ it is kept for the benchmark's tracer alone. ``CheckReport.data`` has the
 same name, so ``unreferenced`` cannot tell the two apart; the guard allows
 ``.data`` only on a report (``rep``, ``….report``, or ``self`` in the class).
 
+No integer store takes a Fraction round trip (``round_trips``): a call of
+a rescaler (``scaled``, ``scaled_vecs``, ``scale_sparse``, ``sparse_vec``)
+on a Fraction writer (``over``, ``dense_vec``, ``mul_vec``,
+``operator_to_vec``) turns integers into ℚ and back with no effect on the
+result; ``ALLOWED_ROUND_TRIPS`` names the one site kept, with its reason.
+
 The tests' helpers follow the rule too: each function of ``tests/conftest.py``
 and ``tests/reference.py`` has a caller in ``tests/``
 (``uncalled_test_helpers``), and the oracle ``tests/reference.py`` names no
@@ -43,6 +49,14 @@ KERNELS = {"mul_int", "mul_vec", "_contract", "act_matrix", "FGContraction", "co
 
 # held only by perfbench/tracer.py, until ROADMAP item 1 frees them
 ALLOWED = {"antipode_from_bialgebra", "f0_g0_matrices", "kernel_basis"}
+
+# a Fraction round trip, integers → ℚ → integers: a rescaler called on a writer
+ROUND_TRIP_OUTER = {"scaled", "scaled_vecs", "scale_sparse", "sparse_vec"}
+ROUND_TRIP_INNER = {"over", "dense_vec", "mul_vec", "operator_to_vec"}
+# sandwich_matrix forms each e_i·e_k with mul_vec, the package's only mul_vec
+# call; perfbench/test_bench.py asserts that the tracer counts a mul_vec
+# call, so the site stays while that assertion does
+ALLOWED_ROUND_TRIPS = {"algebra.sandwich_matrix"}
 
 # the names under which the package holds a CheckReport whose ``data`` it reads
 REPORTS = {"rep", "report"}
@@ -218,17 +232,55 @@ def test_no_package_code_reads_a_matrix_data_view():
 def test_a_matrix_data_read_is_found(tmp_path):
     for path in SRC.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text())
-    # operator_to_vec reading the dense view again, as it did before integer rows
-    algebra = tmp_path / "algebra.py"
-    loop = ("    for p, (den, v) in enumerate(m.int_rows):\n        for q, x in v.items():\n"
-            "            out[q * n + p] = Fraction(x, den)\n")
-    dense = "    for p in range(n):\n        for q in range(n):\n            out[q * n + p] = m.data[p][q]\n"
-    text = algebra.read_text()
-    assert loop in text
-    text = text.replace(loop, dense, 1)
-    algebra.write_text(text)
-    line = text[:text.index("m.data[p][q]")].count("\n") + 1
-    assert data_reads(tmp_path) == {f"algebra:{line}"}
+    # End(P)'s op_map reading the dense view of each image, not its integer rows
+    e2 = tmp_path / "e2.py"
+    rows = ").int_rows\n                  for q in range(d) for p in range(d)]"
+    text = e2.read_text()
+    assert rows in text
+    text = text.replace(rows, rows.replace("int_rows", "data"), 1)
+    e2.write_text(text)
+    line = text[:text.index(").data\n")].count("\n") + 1
+    assert data_reads(tmp_path) == {f"e2:{line}"}
+
+
+def round_trips(src: pathlib.Path = SRC) -> set[str]:
+    """"module.function:line" for each call of a rescaler (``ROUND_TRIP_OUTER``)
+    whose argument calls a Fraction writer (``ROUND_TRIP_INNER``): an integer
+    store written out over ℚ and scaled back to integers, in one expression."""
+    out = set()
+    for path in sorted(src.glob("*.py")):
+        body = _tree(path.read_text()).body
+        # each outermost function or method; a nested function counts as part of it
+        for fn in (f for node in body for f in (node.body if isinstance(node, ast.ClassDef) else [node])):
+            if not isinstance(fn, FUNCTIONS):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and _maker(node.func) in ROUND_TRIP_OUTER:
+                    inner = (n for arg in (*node.args, *node.keywords) for n in ast.walk(arg))
+                    if any(isinstance(n, ast.Call) and _maker(n.func) in ROUND_TRIP_INNER for n in inner):
+                        out.add(f"{path.stem}.{fn.name}:{node.lineno}")
+    return out
+
+
+def test_no_integer_store_takes_a_fraction_round_trip():
+    sites = round_trips()
+    assert len(sites) == len(ALLOWED_ROUND_TRIPS) and {site.split(":")[0] for site in sites} == ALLOWED_ROUND_TRIPS
+
+
+def test_a_round_trip_is_found(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    # End(P)'s generator columns scaled back from Fraction columns, as before
+    # the integer rows were read directly
+    e2 = tmp_path / "e2.py"
+    call = "    images = e2_action_from_generators(c, x1, x2)\n"
+    planted = "    images = e2_action_from_generators(scaled_vecs([over(v, c[0]) for v in c[1]]), x1, x2)\n"
+    text = e2.read_text()
+    assert call in text
+    text = text.replace(call, planted, 1)
+    e2.write_text(text)
+    line = text[:text.index(planted)].count("\n") + 1
+    assert round_trips(tmp_path) - round_trips() == {f"e2.witness_end_p:{line}"}
 
 
 def uncalled_test_helpers(tests: pathlib.Path = TESTS) -> set[str]:

@@ -3,9 +3,21 @@ from fractions import Fraction as Q
 
 import pytest
 import reference
-from conftest import action_matrices, coaction_rows, column, counit_vec, dense_yd, diag, r_vec, rank, zero_matrix
+from conftest import (
+    action_matrices,
+    coaction_rows,
+    column,
+    counit_vec,
+    dense_yd,
+    dh4_named,
+    diag,
+    operator_to_vec,
+    r_vec,
+    rank,
+    zero_matrix,
+)
 
-from hopfbrauer.algebra import endomorphism_algebra, is_central_simple, operator_to_vec
+from hopfbrauer.algebra import endomorphism_algebra, is_central_simple
 from hopfbrauer.e2 import (
     braiding_decomposition_residual,
     build_c_e2,
@@ -30,7 +42,7 @@ from hopfbrauer.e2 import (
 )
 from hopfbrauer.hopf import HopfMorphism, check_hopf_morphism, check_quasitriangular, push_qt
 from hopfbrauer.linalg import Matrix, is_zero_vec, over, scaled_vecs
-from hopfbrauer.sweedler import CFamilyDescriptor, build_C, build_dh4, build_h4, build_rt, dh4_named
+from hopfbrauer.sweedler import CFamilyDescriptor, build_C, build_dh4, build_h4, build_rt
 from hopfbrauer.yd import (
     GradingError,
     YDObject,
@@ -405,7 +417,8 @@ def test_end_p_is_azumaya_and_module_checks():
 def test_p_module_but_not_e2():
     p = witness_p_module()
     assert check_module(p).ok
-    assert p.act_matrix(dh4_named("g")) != p.act_matrix(dh4_named("phi_g"))
+    named = build_dh4()[0].meta["named"]
+    assert p.act_matrix(named["g"]) != p.act_matrix(named["phi_g"])
 
 
 def test_braiding_with_parity_structure_is_graded_flip():

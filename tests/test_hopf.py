@@ -12,6 +12,7 @@ from conftest import (
     dense_cop,
     dense_hopf,
     dense_mult,
+    dh4_named,
     diag,
     form_matrix,
     int_form,
@@ -51,7 +52,6 @@ from hopfbrauer.sweedler import (
     build_h4_dual,
     build_rt,
     build_rt_form,
-    dh4_named,
     dh4_relations,
     phi_iso,
 )

@@ -50,14 +50,17 @@ def _mutant(base: dict, rng: random.Random) -> dict:
     return obj
 
 
-def _fuzz(capsys, tmp_path, command: str, bases: list[dict], per_base: int, seed: int) -> Counter:
+def _fuzz(capsys, tmp_path, command: str, bases: list[dict], per_base: int, seed: int, wrap=None) -> Counter:
+    """Run ``command`` on per_base mutants of each base; ``wrap`` turns a
+    mutant's "meta" into the whole file, when only a meta is mutated."""
     rng = random.Random(seed)
     path = tmp_path / "mutant.json"
     codes: Counter = Counter()
     raised = []
     for b, base in enumerate(bases):
         for k in range(per_base):
-            path.write_text(json.dumps(_mutant(base, rng)))
+            mutant = _mutant(base, rng)
+            path.write_text(json.dumps(mutant if wrap is None else wrap(mutant.get("meta"))))
             try:
                 code = main([command, str(path)])
             except Exception as exc:  # a traceback at the command line
@@ -91,6 +94,32 @@ def test_theorem61_mutants_exit_cleanly(capsys, tmp_path):
     codes = _fuzz(capsys, tmp_path, "theorem61", [named, inline], 150, seed=61)
     assert sum(codes.values()) == 300
     assert {0, 2} <= set(codes)
+
+
+E2_META = {"c": 1, "x1": 2, "x2": 4, "pi_keep": [0, 1]}
+
+
+def _inline_e2(meta) -> dict:
+    """C(2;1,5) over an inline E(2) whose Hopf algebra carries ``meta``."""
+    obj = yd_to_json(build_c_e2(2, 1, 5))
+    obj["hopf"] = dict(hopf_to_json(build_e2()), meta=meta)
+    return obj
+
+
+def test_theorem61_meta_mutants_exit_cleanly(capsys, tmp_path):
+    # the whole-file fuzz above draws no meta deletion in its 300 mutants: the
+    # meta is a handful of its paths, so here only the meta is mutated
+    codes = _fuzz(capsys, tmp_path, "theorem61", [{"meta": E2_META}], 60, seed=62, wrap=_inline_e2)
+    assert sum(codes.values()) == 60
+    assert {0, 2} <= set(codes)
+
+
+def test_each_e2_meta_key_deleted_exits_2(capsys, tmp_path):
+    # theorem61_check reads c, x1 and x2 from the meta; a missing one raised KeyError
+    for key in ("c", "x1", "x2"):
+        meta = {k: v for k, v in E2_META.items() if k != key}
+        line = f"error: theorem61 needs a YD definition over E2: the Hopf algebra's meta has no {key!r}\n"
+        assert _run(capsys, tmp_path, "theorem61", _inline_e2(meta)) == (2, "", line)
 
 
 def test_root_mutants_exit_cleanly(capsys, tmp_path):

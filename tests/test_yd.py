@@ -14,6 +14,7 @@ from conftest import (
     dense_algebra,
     dense_mult,
     dense_yd,
+    dh4_named,
     diag,
     r_pairs,
     sparse_yd,
@@ -241,8 +242,6 @@ def test_phi_g_acts_by_coaction_pairing():
     double, _ = build_dh4()
     d = CFamilyDescriptor(Q(3), Q(2), Q(5))
     over_double = yd_to_double(build_C(d), double)
-    from hopfbrauer.sweedler import dh4_named
-
     phig = dh4_named("phi_g")
     mat = zero_matrix(2, 2)
     for i, c in enumerate(phig):
@@ -258,8 +257,6 @@ def test_trivial_coaction_gives_identity_phi_g_action():
     triv = trivial_yd_on(alg)
     double, _ = build_dh4()
     over_double = yd_to_double(triv, double)
-    from hopfbrauer.sweedler import dh4_named
-
     phig = dh4_named("phi_g")
     mat = zero_matrix(2, 2)
     for i, c in enumerate(phig):
