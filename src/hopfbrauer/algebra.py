@@ -25,7 +25,6 @@ from .linalg import (
     Echelon,
     IntVec,
     Matrix,
-    SparseVec,
     dense_vec,
     mat_det,
     over,
@@ -230,14 +229,6 @@ class StructureAlgebra:
                 rows[k][j] = c
         den *= self.int_sp[0]
         return mat_det(Matrix.from_int_rows([(den, row) for row in rows], self.dim)) != 0
-
-    def scalar_part(self, x: SparseVec) -> Fraction | None:
-        """If the sparse vector x is c·1, return c, else None."""
-        unit = over(self.int_unit[1], self.int_unit[0])
-        if not unit:
-            return None
-        c = x.get(min(unit), 0) / unit[min(unit)]
-        return c if {k: c * u for k, u in unit.items() if c} == x else None
 
     def __repr__(self) -> str:
         label = self.name or "algebra"

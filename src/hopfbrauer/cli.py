@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 
 from .defio import SchemaError, builtin_hopf, validate_definition
-from .e2 import build_c_e2, kernel_witness, not_subgroup_demo, theorem61_check
+from .e2 import build_c_e2, generator_error, kernel_witness, not_subgroup_demo, theorem61_check
 from .linalg import format_rational, parse_rational
 from .sweedler import (
     CFamilyDescriptor,
@@ -308,6 +308,10 @@ def cmd_theorem61(args) -> int:
             return USAGE_ERROR
         if not report.ok:
             print("error: definition fails its axioms:", *report.failures[:5], sep="\n  ", file=sys.stderr)
+            return USAGE_ERROR
+        bad = generator_error(loaded.hopf)
+        if bad:
+            print(f"error: theorem61 needs the generators of E2: {bad}", file=sys.stderr)
             return USAGE_ERROR
         a = loaded
     else:

@@ -25,12 +25,11 @@ from fractions import Fraction
 from .algebra import (
     CheckReport,
     Grading,
-    StructureAlgebra,
     endomorphism_algebra,
     is_central_simple,
     super_center,
 )
-from .hopf import HopfAlgebra, HopfMorphism, QTStructure, _qt_from_int, _t2_int, _tensor
+from .hopf import HopfAlgebra, HopfMorphism, QTStructure, _qt_from_int, _tensor
 from .linalg import (
     IntVec,
     Matrix,
@@ -42,7 +41,7 @@ from .linalg import (
     sparse_vec,
     zero_vec,
 )
-from .sweedler import build_dh4, build_h4, c_algebra
+from .sweedler import build_dh4, build_h4, c_algebra, nichols
 from .yd import (
     FGContraction,
     YDObject,
@@ -73,62 +72,10 @@ Q = Fraction
 # ---------------------------------------------------------------------------
 
 
-def _e2_label(a: int, b: int, d: int) -> str:
-    word = ("c" if a else "") + ("x1" if b else "") + ("x2" if d else "")
-    return word or "1"
-
-
-def _e2_index(a: int, b: int, d: int) -> int:
-    return a + 2 * b + 4 * d
-
-
 @functools.lru_cache(maxsize=None)
 def build_e2() -> HopfAlgebra:
     """E(2) on the monomial basis c^a x₁^b x₂^d (index a + 2b + 4d)."""
-    order = [(a, b, d) for d in (0, 1) for b in (0, 1) for a in (0, 1)]  # index a + 2b + 4d
-    basis = [_e2_label(*e) for e in order]
-    table = [
-        [
-            [(_e2_index((a + a2) % 2, b + b2, d + d2), (-1) ** (a2 * (b + d) + d * b2))]
-            if b + b2 < 2 and d + d2 < 2 else []
-            for a2, b2, d2 in order
-        ]
-        for a, b, d in order
-    ]
-    alg = StructureAlgebra.from_int(basis, (1, {0: 1}), table, 1, name="E2")
-    # over D_m = 1, the integer products below are exact
-
-    # coproduct: multiplicative extension of the generator rules
-    c_idx, x1_idx, x2_idx = 1, 2, 4
-    delta_gen = {
-        c_idx: {(c_idx, c_idx): 1},
-        x1_idx: {(0, x1_idx): 1, (x1_idx, c_idx): 1},
-        x2_idx: {(0, x2_idx): 1, (x2_idx, c_idx): 1},
-    }
-    cop = []
-    for a, b, d in order:
-        acc = {(0, 0): 1}
-        for gen, e in ((c_idx, a), (x1_idx, b), (x2_idx, d)):
-            for _ in range(e):
-                acc = _t2_int(alg.int_sp[1], acc, delta_gen[gen])
-        cop.append([(p, q, c) for (p, q), c in acc.items()])
-    counit = 1, {k: 1 for k, (a, b, d) in enumerate(order) if b == d == 0}
-
-    # S and S⁻¹: anti-multiplicative extensions of S(c) = c, S(x_i) = cx_i
-    # and S⁻¹(c) = c, S⁻¹(x_i) = −cx_i
-    antipodes = []
-    for sign in (1, -1):
-        s_gen = {c_idx: {c_idx: 1}, x1_idx: {3: sign}, x2_idx: {5: sign}}
-        cols = []
-        for a, b, d in order:
-            word = [c_idx] * a + [x1_idx] * b + [x2_idx] * d
-            acc = {0: 1}
-            for gen in reversed(word):
-                acc = alg.mul_int(acc, s_gen[gen])
-            cols.append(acc)
-        antipodes.append((1, cols))
-    meta = {"c": 1, "x1": 2, "x2": 4, "pi_keep": (0, 1)}
-    return HopfAlgebra.from_int(alg, (1, cop), counit, *antipodes, name="E2", meta=meta)
+    return nichols("E2", "c", ("x1", "x2"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -256,10 +203,7 @@ def bq_grad_member(a: YDObject) -> bool:
 @functools.cache
 def _k_z2() -> HopfAlgebra:
     """The group algebra kℤ₂ on the basis 1, g, with g grouplike and g² = 1."""
-    one = 1, {0: 1}
-    alg = StructureAlgebra.from_int(["1", "g"], one, [[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, 1)]]], 1, name="kZ2")
-    s, meta = (1, [{0: 1}, {1: 1}]), {"g": 1, "pi_keep": (0, 1)}
-    return HopfAlgebra.from_int(alg, (1, [[(0, 0, 1)], [(1, 1, 1)]]), (1, {0: 1, 1: 1}), s, s, name="kZ2", meta=meta)
+    return nichols("kZ2", "g", ())
 
 
 def parity_object(a: YDObject) -> YDObject:
@@ -400,7 +344,8 @@ def kernel_witness() -> KernelWitness:
 
     # the explicit action formulas agree with the canonical End(P) structure
     canonical = end_yd(p)
-    for name, label, e2_gen in (("g", "g", 1), ("h", "h", 2), ("φ(h)", "phi_h", _e2_index(1, 0, 1))):
+    c, x1, x2 = (build_e2().meta[key] for key in ("c", "x1", "x2"))  # cx₂ is at index c + x2
+    for name, label, e2_gen in (("g", "g", c), ("h", "h", x1), ("φ(h)", "phi_h", c + x2)):
         rep.require(
             end_p.act_matrix((1, {e2_gen: 1})) == canonical.act_matrix(named[label]),
             f"End(P) action of {name} disagrees with the canonical one",
@@ -452,6 +397,23 @@ class Thm61Report:
     @property
     def addendum_holds(self) -> bool:
         return self.e2_inner == self.central_simple
+
+
+def generator_error(h: HopfAlgebra) -> str | None:
+    """One line naming the first of meta's c, x1, x2 that fails, on the stores
+    with 1 read from ``int_unit``: c a grouplike other than 1, and x1 ≠ x2
+    with Δ(xᵢ) = 1⊗xᵢ + xᵢ⊗c; None when none fails."""
+    (den, rows), (den_u, unit) = h.int_cop, h.alg.int_unit
+    c, x1, x2 = (h.meta[key] for key in ("c", "x1", "x2"))
+    delta = [{(p, q): den_u * v for p, q, v in row} for row in rows]  # D_u·D_Δ·Δ
+    if delta[c] != {(c, c): den_u * den} or unit == {c: den_u}:
+        return f"meta 'c' = {c} is not a grouplike other than 1"
+    if x1 == x2:
+        return f"meta 'x2' = {x2} is 'x1'"
+    for key, x in (("x1", x1), ("x2", x2)):
+        if delta[x] != sparse_sum(((den, {(k, x): u for k, u in unit.items()}), (den * den_u, {(x, c): 1}))):
+            return f"meta {key!r} = {x} has Δ({key}) ≠ 1⊗{key} + {key}⊗c"
+    return None
 
 
 def theorem61_check(a: YDObject) -> Thm61Report:

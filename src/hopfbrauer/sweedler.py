@@ -24,6 +24,7 @@ from .hopf import (
     QTStructure,
     _lowest_rows,
     _qt_from_int,
+    _t2_int,
     _tensor,
     coqt_structure,
     drinfeld_double,
@@ -49,24 +50,37 @@ Q = Fraction
 # ---------------------------------------------------------------------------
 
 
+def nichols(name: str, grouplike: str, nilpotents: tuple[str, ...]) -> HopfAlgebra:
+    """Nichols' E(n), n = len(nilpotents), on the monomials c^a x₁^b₁⋯xₙ^bₙ at
+    index a + 2b₁ + ⋯ + 2ⁿbₙ, labelled by their letters or "1": c² = 1, xᵢ² = 0,
+    cxᵢ = −xᵢc, xᵢxⱼ = −xⱼxᵢ, Δ(c) = c⊗c, Δ(xᵢ) = 1⊗xᵢ + xᵢ⊗c, S(xᵢ) = cxᵢ.
+    E(0) = kℤ₂ and E(1) = H₄; ``meta`` names each generator by its index."""
+    letters, dim = (grouplike, *nilpotents), 2 << len(nilpotents)
+    gens = [1 << i for i in range(len(letters))]  # c, x₁, …, xₙ
+    words = [[x for x in gens if k & x] for k in range(dim)]
+    basis = ["".join(w for w, x in zip(letters, gens) if k & x) or "1" for k in range(dim)]
+
+    def product(k: int, l: int) -> list[tuple[int, int]]:
+        # each letter of l passes the x's of k after it: all of them for c, the xⱼ with j > i for xᵢ
+        if k & l & ~1:
+            return []
+        return [(k ^ l, (-1) ** sum((k // (2 * x)).bit_count() for x in words[l]))]
+
+    alg = StructureAlgebra.from_int(basis, (1, {0: 1}), [[product(k, l) for l in range(dim)] for k in range(dim)],
+                                    1, name=name)
+    # Δ, S and S⁻¹ (S⁻¹(xᵢ) = −cxᵢ) extend the generator rules (anti-)multiplicatively, exact over D_m = 1
+    delta = {x: {(0, x): 1, (x, 1): 1} if x > 1 else {(1, 1): 1} for x in gens}
+    cop = [functools.reduce(lambda acc, x: _t2_int(alg.int_sp[1], acc, delta[x]), w, {(0, 0): 1}) for w in words]
+    antipodes = [(1, [functools.reduce(lambda acc, x: alg.mul_int(acc, {x | 1: sign} if x > 1 else {1: 1}),
+                                       reversed(w), {0: 1}) for w in words]) for sign in (1, -1)]
+    return HopfAlgebra.from_int(alg, (1, [[(*pq, c) for pq, c in row.items()] for row in cop]), (1, {0: 1, 1: 1}),
+                                *antipodes, name=name, meta={**dict(zip(letters, gens)), "pi_keep": (0, 1)})
+
+
 @functools.lru_cache(maxsize=None)
 def build_h4() -> HopfAlgebra:
     """Sweedler's four-dimensional Hopf algebra on the basis (1, g, h, gh)."""
-    basis = ["1", "g", "h", "gh"]
-    mult = [
-        [[(0, 1)], [(1, 1)], [(2, 1)], [(3, 1)]],
-        [[(1, 1)], [(0, 1)], [(3, 1)], [(2, 1)]],
-        [[(2, 1)], [(3, -1)], [], []],
-        [[(3, 1)], [(2, -1)], [], []],
-    ]
-    alg = StructureAlgebra.from_int(basis, (1, {0: 1}), mult, 1, name="H4")
-    # Δ1 = 1⊗1, Δg = g⊗g, Δh = 1⊗h + h⊗g, Δ(gh) = g⊗gh + gh⊗1
-    cop = [[(0, 0, 1)], [(1, 1, 1)], [(0, 2, 1), (2, 1, 1)], [(1, 3, 1), (3, 0, 1)]]
-    counit = (1, {0: 1, 1: 1})
-    # S(1) = 1, S(g) = g, S(h) = gh, S(gh) = −h; S⁻¹(h) = −gh, S⁻¹(gh) = h
-    antipode, antipode_inv = [{0: 1}, {1: 1}, {3: 1}, {2: -1}], [{0: 1}, {1: 1}, {3: -1}, {2: 1}]
-    meta = {"g": 1, "h": 2, "pi_keep": (0, 1)}
-    return HopfAlgebra.from_int(alg, (1, cop), counit, (1, antipode), (1, antipode_inv), name="H4", meta=meta)
+    return nichols("H4", "g", ("h",))
 
 
 def build_rt(t) -> QTStructure:

@@ -862,10 +862,17 @@ def conjugation_implementer(a: YDObject, g_index: int) -> list[Fraction] | None:
 
 
 def _square_scalar(alg: StructureAlgebra, x: Sequence[Fraction]) -> Fraction | None:
-    """c if x² = c·1, else None: x scaled by D, x² by ``mul_int`` over D²·D_m."""
+    """c if x² = c·1, else None: x scaled by D, x² by ``mul_int`` over D²·D_m,
+    against the unit store (D_u, U) on integers: U_k·x² = x²_k·U at k = min U."""
     xi, den = scaled(sparse_vec(x))
-    c = alg.scalar_part(alg.mul_int(xi, xi))
-    return None if c is None else c / (den * den * alg.int_sp[0])
+    sq, (den_u, unit) = alg.mul_int(xi, xi), alg.int_unit
+    if not unit:
+        return None
+    k = min(unit)
+    s = sq.get(k, 0)
+    if {j: unit[k] * v for j, v in sq.items()} != {j: s * u for j, u in unit.items() if s}:
+        return None
+    return Fraction(den_u * s, unit[k] * den * den * alg.int_sp[0])
 
 
 def normalized_implementer(a: YDObject, g_index: int) -> list[Fraction] | None:

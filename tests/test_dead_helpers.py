@@ -30,6 +30,11 @@ on a Fraction writer (``over``, ``dense_vec``, ``mul_vec``,
 ``operator_to_vec``) turns integers into ℚ and back with no effect on the
 result; ``ALLOWED_ROUND_TRIPS`` names the one site kept, with its reason.
 
+No Hopf algebra is written out by hand (``hopf_builders``): only the E(n)
+builder (``sweedler.nichols``, which makes kℤ₂, H₄ and E(2)), ``dual_hopf``,
+``drinfeld_double`` and the file edge ``defio.load_hopf`` call
+``HopfAlgebra.from_int``, so a literal Hopf table elsewhere is found.
+
 The tests' helpers follow the rule too: each function of ``tests/conftest.py``
 and ``tests/reference.py`` has a caller in ``tests/``
 (``uncalled_test_helpers``), and the oracle ``tests/reference.py`` names no
@@ -57,6 +62,10 @@ ROUND_TRIP_INNER = {"over", "dense_vec", "mul_vec", "operator_to_vec"}
 # call; perfbench/test_bench.py asserts that the tracer counts a mul_vec
 # call, so the site stays while that assertion does
 ALLOWED_ROUND_TRIPS = {"algebra.sandwich_matrix"}
+
+# the only callers of HopfAlgebra.from_int: the E(n) builder, the dual, the
+# double and the file edge
+HOPF_MAKERS = {"sweedler.nichols", "hopf.dual_hopf", "hopf.drinfeld_double", "defio.load_hopf"}
 
 # the names under which the package holds a CheckReport whose ``data`` it reads
 REPORTS = {"rep", "report"}
@@ -281,6 +290,36 @@ def test_a_round_trip_is_found(tmp_path):
     e2.write_text(text)
     line = text[:text.index(planted)].count("\n") + 1
     assert round_trips(tmp_path) - round_trips() == {f"e2.witness_end_p:{line}"}
+
+
+def hopf_builders(src: pathlib.Path = SRC) -> set[str]:
+    """"module.function" for each outermost function or method of ``src`` that
+    calls ``HopfAlgebra.from_int``, "module" for a call outside any function."""
+    out = set()
+    for path in sorted(src.glob("*.py")):
+        for node in _tree(path.read_text()).body:
+            for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
+                if any(isinstance(n, ast.Call) and _maker(n.func) == "from_int"
+                       and getattr(n.func.value, "id", None) == "HopfAlgebra" for n in ast.walk(fn)):
+                    out.add(f"{path.stem}.{fn.name}" if isinstance(fn, FUNCTIONS) else path.stem)
+    return out
+
+
+def test_only_the_builders_make_a_hopf_algebra():
+    assert hopf_builders() == HOPF_MAKERS
+
+
+def test_a_literal_hopf_table_is_found(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    # kℤ₂ written out as the table it was before the E(n) builder, in a
+    # function and at module level
+    e2 = tmp_path / "e2.py"
+    table = ("HopfAlgebra.from_int(StructureAlgebra.from_int(['1', 'g'], (1, {0: 1}), "
+             "[[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, 1)]]], 1), (1, [[(0, 0, 1)], [(1, 1, 1)]]), "
+             "(1, {0: 1, 1: 1}), (1, [{0: 1}, {1: 1}]), (1, [{0: 1}, {1: 1}]))")
+    e2.write_text(e2.read_text() + f"\n\ndef _k_z2_table():\n    return {table}\n\n\nKZ2 = {table}\n")
+    assert hopf_builders(tmp_path) == HOPF_MAKERS | {"e2._k_z2_table", "e2"}
 
 
 def uncalled_test_helpers(tests: pathlib.Path = TESTS) -> set[str]:

@@ -3,6 +3,7 @@ and ``theorem61`` definitions must end with exit code 0, 1 or 2 and never
 raise, as the documented exit codes promise for any input."""
 
 import copy
+import itertools
 import json
 import random
 from collections import Counter
@@ -10,7 +11,7 @@ from fractions import Fraction as Q
 
 from hopfbrauer.cli import main
 from hopfbrauer.defio import YD_FIELDS, algebra_to_json, hopf_to_json, yd_to_json
-from hopfbrauer.e2 import build_c_e2, build_e2
+from hopfbrauer.e2 import build_c_e2, build_e2, generator_error
 from hopfbrauer.sweedler import CFamilyDescriptor, build_C, build_h4
 
 # replacement values: valid and invalid rationals, wrong JSON types, indices
@@ -120,6 +121,34 @@ def test_each_e2_meta_key_deleted_exits_2(capsys, tmp_path):
         meta = {k: v for k, v in E2_META.items() if k != key}
         line = f"error: theorem61 needs a YD definition over E2: the Hopf algebra's meta has no {key!r}\n"
         assert _run(capsys, tmp_path, "theorem61", _inline_e2(meta)) == (2, "", line)
+
+
+def test_theorem61_refuses_a_meta_that_mislabels_the_generators(capsys, tmp_path):
+    # the first two ran the theorem on the wrong generators: the unit as c printed
+    # "graded central simple: False" and exited 0, c = x1 = 0 and x2 = x1x2
+    # printed "three-way equivalence holds: False" and exited 1
+    cases = [
+        ({"c": 0, "x1": 2, "x2": 4}, "meta 'c' = 0 is not a grouplike other than 1"),
+        ({"c": 0, "x1": 0, "x2": 6}, "meta 'c' = 0 is not a grouplike other than 1"),
+        ({"c": 1, "x1": 3, "x2": 4}, "meta 'x1' = 3 has Δ(x1) ≠ 1⊗x1 + x1⊗c"),
+        ({"c": 1, "x1": 2, "x2": 6}, "meta 'x2' = 6 has Δ(x2) ≠ 1⊗x2 + x2⊗c"),
+        ({"c": 1, "x1": 4, "x2": 4}, "meta 'x2' = 4 is 'x1'"),
+    ]
+    for meta, why in cases:
+        line = f"error: theorem61 needs the generators of E2: {why}\n"
+        assert _run(capsys, tmp_path, "theorem61", _inline_e2(dict(meta, pi_keep=[0, 1]))) == (2, "", line)
+    assert _run(capsys, tmp_path, "theorem61", _inline_e2(dict(E2_META, x1=4, x2=2)))[0] == 0
+
+
+def test_the_generator_check_accepts_exactly_c_and_the_two_orders_of_x1_x2():
+    # decided on the stores, once per meta, without running the theorem
+    accepted = []
+    for c, x1, x2 in itertools.product(range(8), repeat=3):
+        h = copy.copy(build_e2())
+        h.meta = {"c": c, "x1": x1, "x2": x2}
+        if generator_error(h) is None:
+            accepted.append((c, x1, x2))
+    assert accepted == [(1, 2, 4), (1, 4, 2)]
 
 
 def test_root_mutants_exit_cleanly(capsys, tmp_path):
