@@ -95,7 +95,8 @@ def int_content(den: int, cells: list, dim: int, width: int = 0) -> tuple[int, l
     (a, b). ``ValueError``, naming the scale or the key, unless den > 0 and
     every c ≠ 0 are ints, every k is in range(dim) or (a, b) in
     range(dim)×range(width), no key occurs twice in a cell and each cell is
-    a collection (it is read twice)."""
+    a collection (it is read twice). An empty cell passes at once, without a
+    set of its keys."""
     if type(den) is not int or den <= 0:
         raise ValueError(f"scale {den!r} is not a positive int")
 
@@ -108,6 +109,8 @@ def int_content(den: int, cells: list, dim: int, width: int = 0) -> tuple[int, l
     # none stands for itself, so the message names it
     size, g = dim * width if width else dim, den
     for cell in cells:
+        if not cell:  # an empty collection; an iterator is never falsy
+            continue
         if iter(cell) is cell:
             raise ValueError("integer terms must be a collection, not an iterator")
         if width:

@@ -9,16 +9,18 @@ Rationals are serialized as "p/q" or "p" strings everywhere. The schemas
 
   algebra:  {"dim", "basis", "unit", "mult"}
             mult[i][j] is the coefficient vector of e_i·e_j.
-  hopf:     algebra keys plus {"coproduct", "counit", "antipode"} and an
-            optional "antipode_inv" (S inverted when it is absent);
-            coproduct[i] is a dim×dim matrix with entry [p][q] the
-            coefficient of e_p⊗e_q in Δ(e_i).
+  hopf:     algebra keys plus {"coproduct", "counit", "antipode"} and
+            the optional "antipode_inv" (S inverted when it is absent) and
+            "meta" (named basis indices); coproduct[i] is a dim×dim matrix
+            with entry [p][q] the coefficient of e_p⊗e_q in Δ(e_i).
   yd:       algebra keys plus {"hopf": <builtin name or inline hopf>,
             "action", "coaction"}; action[i][j] is the image vector of
             e_i^H·e_j^A, coaction[j][a] is the H-coefficient vector of the
-            e_a-component of ρ(e_j). A file with any of "hopf", "action"
-            or "coaction" is a yd file and needs all three; one that also
-            has "coproduct" is refused.
+            e_a-component of ρ(e_j).
+
+A file with any of the five Hopf keys is a hopf file, and one with any of
+the three YD keys a yd file; each needs its required keys, and a file with
+keys of both kinds is refused.
 
 Builtin Hopf names: H4, H4dual, E2, DH4.
 """
@@ -204,17 +206,19 @@ def load_yd(obj: dict, path: str = "yd") -> YDObject:
     return YDObject.from_int(hopf, dim, alg, (den, [cells[j * n:(j + 1) * n] for j in range(dim)]), rho)
 
 
+# the fields that ``load_hopf`` reads beyond the algebra's, the last two
+# optional; any of them makes a file a Hopf file
+HOPF_FIELDS = ("coproduct", "counit", "antipode", "antipode_inv", "meta")
+
+
 def detect_kind(obj: dict) -> str:
-    """"yd" for a file with any of ``YD_FIELDS``, "hopf" for one with a
-    coproduct, else "algebra"; a file with both is refused."""
+    """"yd" for a file with any of ``YD_FIELDS``, "hopf" for one with any of
+    ``HOPF_FIELDS``, else "algebra"; a file with both is refused."""
     yd = [key for key in YD_FIELDS if key in obj]
-    if yd and "coproduct" in obj:
-        raise SchemaError("definition", f"'coproduct' and the YD field '{yd[0]}' in one file")
-    if yd:
-        return "yd"
-    if "coproduct" in obj:
-        return "hopf"
-    return "algebra"
+    hopf = [key for key in HOPF_FIELDS if key in obj]
+    if yd and hopf:
+        raise SchemaError("definition", f"'{hopf[0]}' and the YD field '{yd[0]}' in one file")
+    return "yd" if yd else "hopf" if hopf else "algebra"
 
 
 def load_definition(obj: dict):

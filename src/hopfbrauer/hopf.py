@@ -354,22 +354,30 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
                     lam.setdefault((p, r, i2), {})[m] = c
 
     # (Δ⊗id)Δ over D_w; each constant of the double is then an integer over
-    # D_w·D_s·D_h³·D_d (the product of H* over D_d), divided once below
+    # D_w·D_s·D_h³·D_d (the product of H* over D_d), divided once below.
+    # A cell is a dict once a term reaches it and the empty tuple until then;
+    # right[q] holds the j2 with e_q·e_j2 ≠ 0
     den_w, sw2 = h.int_cop2
-    table: list[list[IntVec]] = [[{} for _ in range(big)] for _ in range(big)]
+    right = [[(j2, hq) for j2, hq in enumerate(row) if hq] for row in sp_h]
+    table: list[list] = [[()] * big for _ in range(big)]
     for j in range(n):
         for i2 in range(n):
             terms = [(q, c, lam[(p, r, i2)]) for p, q, r, c in sw2[j] if (p, r, i2) in lam]
+            if not terms:
+                continue
             for i in range(n):
                 # Σ c·(f_i · lam) over the Sweedler terms, collected by e_q
                 fparts: dict[int, IntVec] = {}
                 for q, c, lm in terms:
                     da.mul_int({i: c}, lm, fparts.setdefault(q, {}))
                 row = table[i * n + j]
-                for j2 in range(n):
-                    out = row[i2 * n + j2]
-                    for q, fpart in fparts.items():
-                        hq = sp_h[q][j2]
+                for q, fpart in fparts.items():
+                    if not fpart:  # f_i · lam vanished or cancelled
+                        continue
+                    for j2, hq in right[q]:
+                        out = row[i2 * n + j2]
+                        if not out:
+                            out = row[i2 * n + j2] = {}
                         for wi, fv in fpart.items():
                             base = wi * n
                             for hj, hv in hq:
@@ -379,7 +387,7 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
         basis,
         (den_e * den_u, _tensor(eps_i.items(), unit_i.items(), n)),
         # sums that cancelled to zero are dropped: from_int rejects zero terms
-        [[[t for t in out.items() if t[1]] for out in row] for row in table],
+        [[[t for t in out.items() if t[1]] if out else () for out in row] for row in table],
         den_w * den_s * den_h**3 * da.int_sp[0],
         name=f"D({h.name or 'H'})",
     )

@@ -10,9 +10,9 @@ from collections import Counter
 from fractions import Fraction as Q
 
 from hopfbrauer.cli import main
-from hopfbrauer.defio import YD_FIELDS, algebra_to_json, hopf_to_json, yd_to_json
+from hopfbrauer.defio import HOPF_FIELDS, YD_FIELDS, algebra_to_json, hopf_to_json, yd_to_json
 from hopfbrauer.e2 import build_c_e2, build_e2, generator_error
-from hopfbrauer.sweedler import CFamilyDescriptor, build_C, build_h4
+from hopfbrauer.sweedler import CFamilyDescriptor, build_C, build_dh4, build_h4
 
 # replacement values: valid and invalid rationals, wrong JSON types, indices
 # in and out of range, and builtin and unknown Hopf names
@@ -193,3 +193,45 @@ def test_each_yd_field_deleted_exits_2(capsys, tmp_path):
             # a Hopf field beside the YD fields
             line = f"{prefix}definition: 'coproduct' and the YD field 'hopf' in one file\n"
             assert _run(capsys, tmp_path, command, dict(base, coproduct=[])) == (2, "", line)
+
+
+def _dumps():
+    """The H₄ algebra dump and the H₄ and D(H₄) Hopf dumps, each with its kind."""
+    return [("algebra", algebra_to_json(build_h4().alg)), ("hopf", hopf_to_json(build_h4())),
+            ("hopf", hopf_to_json(build_dh4()[0]))]
+
+
+def test_each_algebra_and_hopf_field_deleted_exits_2(capsys, tmp_path):
+    # name and the documented optional antipode_inv keep a valid definition
+    for kind, base in _dumps():
+        for key in base:
+            obj = {k: v for k, v in base.items() if k != key}
+            code, out, err = _run(capsys, tmp_path, "define", obj)
+            if key in ("name", "antipode_inv"):
+                assert (code, err) == (0, "") and out.startswith(f"valid {kind} definition"), (kind, key)
+            else:
+                assert (code, out, err) == (2, "", f"schema error: {kind}: missing field '{key}'\n"), (kind, key)
+
+
+def test_a_hopf_field_makes_a_hopf_file(capsys, tmp_path):
+    # each was validated as an algebra and passed, its Hopf fields never read:
+    # an algebra dump with a counit, and Hopf dumps without their coproduct
+    algebra = dict(algebra_to_json(build_h4().alg), counit=["x"])
+    line = "schema error: hopf: missing field 'coproduct'\n"
+    assert _run(capsys, tmp_path, "define", algebra) == (2, "", line)
+    for _, base in _dumps()[1:]:
+        obj = {k: v for k, v in base.items() if k != "coproduct"}
+        assert _run(capsys, tmp_path, "define", obj) == (2, "", line)
+    # each Hopf field but the coproduct (which always made a Hopf file), meta
+    # included, makes an algebra dump a Hopf file
+    for key in HOPF_FIELDS[1:]:
+        obj = dict(algebra_to_json(build_h4().alg), **{key: {}})
+        assert _run(capsys, tmp_path, "define", obj) == (2, "", line), key
+
+
+def test_a_hopf_field_beside_a_yd_field_is_refused(capsys, tmp_path):
+    base = yd_to_json(build_C(CFamilyDescriptor(Q(3), Q(2), Q(5))), hopf_name="H4")
+    for command, prefix in (("define", "schema error: "), ("theorem61", "error: ")):
+        for key in HOPF_FIELDS:
+            line = f"{prefix}definition: '{key}' and the YD field 'hopf' in one file\n"
+            assert _run(capsys, tmp_path, command, dict(base, **{key: {}})) == (2, "", line), (command, key)

@@ -13,7 +13,7 @@ with the scale and every integer times 6, must give ``==`` stores.
 
 import pytest
 
-from hopfbrauer.algebra import StructureAlgebra
+from hopfbrauer.algebra import StructureAlgebra, int_content
 from hopfbrauer.hopf import HopfAlgebra, QTStructure
 from hopfbrauer.sweedler import CFamilyDescriptor, build_C, build_h4, build_rt
 from hopfbrauer.yd import YDObject
@@ -135,3 +135,16 @@ def test_a_store_times_6_is_the_same_store():
     rt = build_rt(5)
     again = QTStructure(h4, *((6 * den, _times6(r)) for den, r in (rt.int_pairs, rt.int_inv)))
     assert (again.int_pairs, again.int_inv) == (rt.int_pairs, rt.int_inv)
+
+
+def test_an_empty_cell_passes_at_once_and_an_iterator_is_still_refused():
+    # an empty collection skips the checks; an iterator is truthy, even an
+    # exhausted one, so it is refused whatever cells come before it
+    message = "integer terms must be a collection, not an iterator"
+    for cells in ([(), iter(())], [(), [], (t for t in [(0, 1)])], [{}.items(), (), (t for t in ())]):
+        with pytest.raises(ValueError) as err:
+            int_content(1, cells, 2)
+        assert str(err.value) == message
+    # a table of only empty cells has scale 1, whatever scale it is given
+    assert int_content(9, [(), [], {}.items()], 2) == (1, [(), (), ()])
+    assert StructureAlgebra.from_int(["1", "g"], (1, {0: 1}), [[(), []], [[], ()]], 9).int_sp == (1, [[(), ()]] * 2)

@@ -42,7 +42,10 @@ it, the quasitriangular check of D(E(2)) builds no dense R or R⁻¹,
 ``push_qt`` builds no dense R of the structure it pushes, and the report's
 phi-push, push and theta-push checks compare integer stores, building no
 dense R at all. r_t is built, checked and read by ``induced_action`` from
-its integer table, with no rescaling and no dense view. E(2) is built with
+its integer table, with no rescaling and no dense view. The double hands
+``from_int`` a list only in a cell of its table that a term reaches (96 of
+256 for D(H₄), 1,152 of 4,096 for D(E(2))) and the empty tuple in every
+other cell. E(2) is built with
 its S⁻¹, so no dense antipode is inverted. The
 double of E(2) and its quasitriangular check, and the double of H₄ with its
 Hopf and quasitriangular checks, call no dense constructor and build no
@@ -586,6 +589,25 @@ def test_centralizers_build_one_echelon_of_the_sub_basis(monkeypatch):
     assert len(left) == len(right) == 2
     # the sub-basis once, then the left and the right solve
     assert len(calls) == 3 and calls[0] == [{0: 1}, {2: 1}, {4: 1}, {6: 1}]
+
+
+def test_the_double_writes_a_list_only_where_a_term_lands(monkeypatch):
+    tables = {}
+    from_int = StructureAlgebra.from_int.__func__
+
+    def captured(cls, basis, unit, table, den, name=""):
+        tables[name] = table
+        return from_int(cls, basis, unit, table, den, name)
+
+    monkeypatch.setattr(StructureAlgebra, "from_int", classmethod(captured))
+    for h, reached, terms in ((sweedler.build_h4(), 96, 136), (build_e2(), 1152, 2056)):
+        double, _ = hopf.drinfeld_double(h)
+        cells = [cell for row in tables[double.name] for cell in row]
+        lists = [cell for cell in cells if type(cell) is list]
+        assert (len(cells), len(lists), sum(map(len, lists))) == (h.dim**4, reached, terms)
+        # every other cell is the empty tuple, and a reached cell keeps a term
+        assert all(type(cell) is tuple and not cell for cell in cells if type(cell) is not list)
+        assert [type(cell) is list for cell in cells] == [bool(t) for row in double.alg.int_sp[1] for t in row]
 
 
 def test_double_of_e2_builds_no_dense_antipode():
