@@ -107,6 +107,11 @@ class HopfAlgebra:
         return out
 
     @cached_property
+    def dual(self) -> "HopfAlgebra":
+        """H*, built once by ``dual_hopf``."""
+        return dual_hopf(self)
+
+    @cached_property
     def certified(self) -> bool:
         """Whether ``check_hopf_axioms`` passes; each completed check records it."""
         return check_hopf_axioms(self).ok
@@ -174,11 +179,12 @@ def _t2_unit(unit: dict, scale: int) -> dict[tuple[int, int], int]:
     return {(i, j): scale * a * b for i, a in unit.items() for j, b in unit.items()}
 
 
-def _is_one(alg: StructureAlgebra, x: dict, y: dict, den: int) -> bool:
-    """Whether x·y = 1⊗1 for integer x, y in H⊗H with x·y over den."""
+def _product_and_one(alg: StructureAlgebra, x: dict, y: dict, den: int) -> tuple[dict, dict]:
+    """x·y and 1⊗1 for integer x, y in H⊗H with x·y over den, both over
+    den·D_m²·D_u²."""
     den_m, sp = alg.int_sp
     den_u, unit = alg.int_unit
-    return scale_sparse(_t2_int(sp, x, y), den_u * den_u) == _t2_unit(unit, den * den_m * den_m)
+    return scale_sparse(_t2_int(sp, x, y), den_u * den_u), _t2_unit(unit, den * den_m * den_m)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +338,7 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
     convolution laws, S∘S⁻¹ = id = S⁻¹∘S, R·R⁻¹ = 1⊗1 = R⁻¹·R); a failure
     raises ValueError. The tables are written as integers for ``from_int``.
     """
-    hd = dual_hopf(h)
+    hd = h.dual
     ha, da = h.alg, hd.alg
     n = h.dim
     big = n * n
@@ -473,6 +479,12 @@ class QTStructure:
         self.hopf = hopf
         self.int_pairs, self.int_inv = _int_pairs(*r, hopf.dim), _int_pairs(*r_inv, hopf.dim, "R⁻¹")
 
+    @property
+    def triangular(self) -> bool:
+        """R₂₁ = R⁻¹; reduced integer forms are equal exactly when their values are."""
+        (den_r, r), (den_i, rinv) = self.int_pairs, self.int_inv
+        return den_r == den_i and {(j, i): c for (i, j), c in r.items()} == rinv
+
 
 def _int_pairs(den: int, v: dict, n: int, label: str = "R") -> tuple[int, dict]:
     """An element v/den of H⊗H, v = {(i, j): int}, as ``int_content`` stores
@@ -485,16 +497,21 @@ def _int_pairs(den: int, v: dict, n: int, label: str = "R") -> tuple[int, dict]:
     return den, {(i, j): c for i, j, c in terms}
 
 
-def _qt_from_int(h: HopfAlgebra, den: int, r: dict) -> QTStructure:
-    """R = r/den in H⊗H, r integer keyed (i, j), with R⁻¹ = (S⊗id)R, the
-    inverse of every quasitriangular R (Kassel, *Quantum Groups*, VIII.2),
-    over den·D_S; ``ValueError`` unless R·R⁻¹ = 1⊗1 = R⁻¹·R exactly."""
+def _qt_inverse(h: HopfAlgebra, den: int, r: dict, error: str) -> tuple[int, dict]:
+    """(S⊗id)R over den·D_S for R = r/den in H⊗H, r integer keyed (i, j): the
+    inverse of every quasitriangular R (Kassel, *Quantum Groups*, VIII.2);
+    ``ValueError(error)`` unless R·R⁻¹ = 1⊗1 = R⁻¹·R exactly."""
     den_s, s = h.int_s
     r_inv = sparse_sum((c, {(k, j): v for k, v in s[i].items()}) for (i, j), c in r.items())
-    one = den * den * den_s
-    if not (_is_one(h.alg, r, r_inv, one) and _is_one(h.alg, r_inv, r, one)):
-        raise ValueError(f"{h.name}: (S⊗id)R is not the inverse of R")
-    return QTStructure(h, (den, r), (den * den_s, r_inv))
+    sides = (_product_and_one(h.alg, x, y, den * den * den_s) for x, y in ((r, r_inv), (r_inv, r)))
+    if not all(a == b for a, b in sides):
+        raise ValueError(error)
+    return den * den_s, r_inv
+
+
+def _qt_from_int(h: HopfAlgebra, den: int, r: dict) -> QTStructure:
+    """R = r/den in H⊗H, r integer keyed (i, j), with R⁻¹ = (S⊗id)R."""
+    return QTStructure(h, (den, r), _qt_inverse(h, den, r, f"{h.name}: (S⊗id)R is not the inverse of R"))
 
 
 def qt_structure(h: HopfAlgebra, rvec: Sequence[Fraction]) -> QTStructure:
@@ -509,24 +526,34 @@ def qt_structure(h: HopfAlgebra, rvec: Sequence[Fraction]) -> QTStructure:
     return _qt_from_int(h, den, r)
 
 
-def check_quasitriangular(h: HopfAlgebra, rt: QTStructure) -> CheckReport:
-    """All quasitriangular axioms, exactly; data["triangular"] = (R₂₁ = R⁻¹).
+def _built_on(h: HopfAlgebra, structure) -> None:
+    """``ValueError`` unless ``structure`` is built on h, in h's basis."""
+    if structure.hopf is not h:
+        raise ValueError(f"{type(structure).__name__} is built on {structure.hopf!r}, not on {h!r}")
+
+
+def _qt_laws(h: HopfAlgebra, rt: QTStructure) -> Iterator[tuple[str, int | None, dict]]:
+    """(label, z, lhs − rhs) per failing law, z the e_z of R·Δ(e_z) = Δ^cop(e_z)·R
+    or None; lhs − rhs, keyed by index, pair or triple, is formed only on
+    failure. R⁻¹·R follows a failing R·R⁻¹, under its label.
 
     On integers: R over D_R (``int_pairs``), R⁻¹ over D_I (``int_inv``), Δ
     over D_Δ, 1 and ε over D_u and D_ε, products over D_m, both sides lifted
     to one scale."""
-    rep = CheckReport(f"quasitriangular ({h.name})")
     alg = h.alg
     den_r, r = rt.int_pairs
     den_m, sp = alg.int_sp
     den_d, cop = h.int_cop
     (den_u, unit), (den_e, counit) = alg.int_unit, h.int_counit
 
+    def law(label, lhs, rhs, z=None):
+        return () if lhs == rhs else ((label, z, sparse_sum(((1, lhs), (-1, rhs)))),)
+
     # (ε⊗id)R and (id⊗ε)R over D_R·D_ε against 1 over D_u
     one = scale_sparse(unit, den_r * den_e)
     for label, k in (("(ε⊗id)R ≠ 1", 0), ("(id⊗ε)R ≠ 1", 1)):
         image = sparse_sum((den_u * c * counit[key[k]], {key[1 - k]: 1}) for key, c in r.items() if key[k] in counit)
-        rep.require(image == one, label)
+        yield from law(label, image, one)
 
     # (Δ⊗id)R and (id⊗Δ)R over D_R·D_Δ against R₁₃R₂₃ and R₁₃R₁₂ over
     # (D_R·D_u)²·D_m³, R₁₃, R₂₃ and R₁₂ over D_R·D_u
@@ -535,21 +562,31 @@ def check_quasitriangular(h: HopfAlgebra, rt: QTStructure) -> CheckReport:
     r12 = {(i, j, k): c * u for (i, j), c in r.items() for k, u in unit.items()}
     lift = den_r * den_u * den_u * den_m**3
     lhs = sparse_sum((c * lift, {(p, q, j): d for p, q, d in cop[i]}) for (i, j), c in r.items())
-    rep.require(lhs == scale_sparse(_t3_int(sp, r13, r23), den_d), "(Δ⊗id)R ≠ R₁₃R₂₃")
+    yield from law("(Δ⊗id)R ≠ R₁₃R₂₃", lhs, scale_sparse(_t3_int(sp, r13, r23), den_d))
     lhs = sparse_sum((c * lift, {(i, p, q): d for p, q, d in cop[j]}) for (i, j), c in r.items())
-    rep.require(lhs == scale_sparse(_t3_int(sp, r13, r12), den_d), "(id⊗Δ)R ≠ R₁₃R₁₂")
+    yield from law("(id⊗Δ)R ≠ R₁₃R₁₂", lhs, scale_sparse(_t3_int(sp, r13, r12), den_d))
 
     # both sides of R·Δ(e_z) = Δ^cop(e_z)·R are integers over D_R·D_Δ·D_m²
     for z, terms in enumerate(cop):
-        rep.require(
-            _t2_int(sp, r, {(p, q): c for p, q, c in terms}) == _t2_int(sp, {(q, p): c for p, q, c in terms}, r),
-            f"R·Δ ≠ Δ^cop·R at {alg.basis[z]}",
-        )
+        lhs = _t2_int(sp, r, {(p, q): c for p, q, c in terms})
+        yield from law("R·Δ ≠ Δ^cop·R", lhs, _t2_int(sp, {(q, p): c for p, q, c in terms}, r), z)
 
     den_i, rinv = rt.int_inv
-    rep.require(_is_one(alg, r, rinv, den_r * den_i), "R·R⁻¹ ≠ 1⊗1")
-    # two reduced integer forms are equal exactly when their values are
-    rep.data["triangular"] = den_r == den_i and {(j, i): c for (i, j), c in r.items()} == rinv
+    for x, y in ((r, rinv), (rinv, r)):
+        failed = law("R·R⁻¹ ≠ 1⊗1", *_product_and_one(alg, x, y, den_r * den_i))
+        if not failed:
+            break
+        yield from failed
+
+
+def check_quasitriangular(h: HopfAlgebra, rt: QTStructure) -> CheckReport:
+    """All quasitriangular axioms, exactly: a message per failing law of
+    ``_qt_laws``; data["triangular"] = (R₂₁ = R⁻¹)."""
+    _built_on(h, rt)
+    rep = CheckReport(f"quasitriangular ({h.name})")
+    for label, z in dict.fromkeys(law[:2] for law in _qt_laws(h, rt)):
+        rep.failures.append(label if z is None else f"{label} at {h.alg.basis[z]}")
+    rep.data["triangular"] = rt.triangular
     return rep
 
 
@@ -569,6 +606,17 @@ class CoQTStructure:
         self.hopf = hopf
         self.int_table, self.int_inv = _lowest_rows(form, hopf.dim, "r"), _lowest_rows(form_inv, hopf.dim, "r⁻¹")
 
+    @cached_property
+    def qt(self) -> QTStructure:
+        """R_r = Σ r(e_i⊗e_j)·e_i*⊗e_j* on H*, quasitriangular iff r is
+        coquasitriangular (Kassel, *Quantum Groups*, Ch. VIII)."""
+        return QTStructure(self.hopf.dual, _form_pairs(self.int_table), _form_pairs(self.int_inv))
+
+
+def _form_pairs(form: IntTable) -> tuple[int, dict]:
+    den, rows = form
+    return den, {(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row) if c}
+
 
 def _lowest_rows(form: IntTable, n: int, label: str) -> IntTable:
     """(den, rows) divided by the gcd of den and every entry; ``ValueError``
@@ -585,9 +633,9 @@ def _lowest_rows(form: IntTable, n: int, label: str) -> IntTable:
     return den // g, [[v // g for v in row] for row in rows]
 
 
-def form_products(h: HopfAlgebra, form: list[list[int]], x: int, y: int, flip: bool) -> tuple[IntVec, IntVec]:
-    """r(x₍₁₎⊗y₍₁₎)·x₍₂₎y₍₂₎ and x₍₁₎y₍₁₎·r(x₍₂₎⊗y₍₂₎) (y₍₁₎x₍₁₎ if ``flip``) for
-    basis elements x, y and integer rows r over D_r: integers over D_Δ²·D_r·D_m."""
+def form_products(h: HopfAlgebra, form: list[list[int]], x: int, y: int) -> tuple[IntVec, IntVec]:
+    """r(x₍₁₎⊗y₍₁₎)·x₍₂₎y₍₂₎ and x₍₁₎y₍₁₎·r(x₍₂₎⊗y₍₂₎) for basis elements x, y
+    and integer rows r over D_r: integers over D_Δ²·D_r·D_m."""
     cop, mul = h.int_cop[1], h.alg.mul_int
     lhs: IntVec = {}
     rhs: IntVec = {}
@@ -596,95 +644,45 @@ def form_products(h: HopfAlgebra, form: list[list[int]], x: int, y: int, flip: b
             if form[p][u]:
                 mul({q: c * d * form[p][u]}, {v: 1}, lhs)
             if form[q][v]:
-                left, right = (u, p) if flip else (p, u)
-                mul({left: c * d * form[q][v]}, {right: 1}, rhs)
+                mul({p: c * d * form[q][v]}, {u: 1}, rhs)
     return lhs, rhs
-
-
-def _inverse_failures(h: HopfAlgebra, form: IntTable, form_inv: IntTable):
-    """Yield each (x, y) where r⁻¹ * r or r * r⁻¹ is not ε⊗ε at e_x ⊗ e_y, for
-    r and r⁻¹ as integer rows (D, rows), (a * b)(x⊗y) = Σ a(x₍₁₎⊗y₍₁₎)·b(x₍₂₎⊗y₍₂₎)
-    compared as integers: over D_Δ²·D_r·D_i, against ε(x)ε(y) over D_ε²."""
-    den_d, cop = h.int_cop
-    (den_r, r), (den_i, ri) = form, form_inv
-    den_e, counit = h.int_counit
-    scale = den_d * den_d * den_r * den_i
-    for x in range(h.dim):
-        for y in range(h.dim):
-            left = right = 0
-            for p, q, c in cop[x]:
-                for u, v, d in cop[y]:
-                    left += c * d * ri[p][u] * r[q][v]
-                    right += c * d * r[p][u] * ri[q][v]
-            want = counit.get(x, 0) * counit.get(y, 0) * scale
-            if left * den_e * den_e != want or right * den_e * den_e != want:
-                yield x, y
 
 
 def coqt_structure(h: HopfAlgebra, form: IntTable) -> CoQTStructure:
     """Wrap a bilinear form r on H, given as (D_r, D_r·r as dim × dim integer
     rows; ``ValueError`` otherwise), with r⁻¹(x⊗y) = r(S x ⊗ y), the
-    convolution inverse of every coquasitriangular r, over D_r·D_S;
-    ``ValueError`` unless r⁻¹ * r = ε⊗ε = r * r⁻¹ exactly."""
+    convolution inverse of every coquasitriangular r, over D_r·D_S, as R_r⁻¹ =
+    (S*⊗id)R_r on H*; ``ValueError`` unless r⁻¹ * r = ε⊗ε = r * r⁻¹ exactly."""
     n = h.dim
-    den_r, r = form = _lowest_rows(form, n, "r")
-    den_s, s = h.int_s
-    inv = [[sum(c * r[k][y] for k, c in s[x].items()) for y in range(n)] for x in range(n)]
-    inv = (den_r * den_s, inv)
-    if any(_inverse_failures(h, form, inv)):
-        raise ValueError("r∘(S⊗id) is not the convolution inverse of r")
-    return CoQTStructure(h, form, inv)
+    form = _lowest_rows(form, n, "r")
+    den, r_inv = _qt_inverse(h.dual, *_form_pairs(form),
+                             "r∘(S⊗id) is not the convolution inverse of r")
+    return CoQTStructure(h, form, (den, [[r_inv.get((x, y), 0) for y in range(n)] for x in range(n)]))
+
+
+# R_r's laws on H* as r's, (group, order, message); sorted by (group, key,
+# order), r(1⊗x) and r(x⊗1) interleave by x, and so on
+_COQT_LAWS = {
+    "(ε⊗id)R ≠ 1": (0, 0, "r(1⊗{b}) ≠ ε"),
+    "(id⊗ε)R ≠ 1": (0, 1, "r({b}⊗1) ≠ ε"),
+    "(Δ⊗id)R ≠ R₁₃R₂₃": (1, 0, "r(ab⊗c) axiom fails at ({b})"),
+    "(id⊗Δ)R ≠ R₁₃R₁₂": (1, 1, "r(a⊗bc) axiom fails at ({b})"),
+    "R·Δ ≠ Δ^cop·R": (2, 0, "r-commutation axiom fails at ({b})"),
+    "R·R⁻¹ ≠ 1⊗1": (3, 0, "convolution inverse fails at ({0},{1})"),
+}
 
 
 def check_coquasitriangular(h: HopfAlgebra, ct: CoQTStructure) -> CheckReport:
-    """Coquasitriangular axioms on basis triples; data["cotriangular"].
-
-    Compared on integers, r over D_r (``int_table``): r(ab⊗c) and r(a⊗bc)
-    over D_m·D_r against r(a⊗c₍₁₎)r(b⊗c₍₂₎) and r(a₍₁₎⊗c)r(a₍₂₎⊗b) over
-    D_Δ·D_r², each lifted by the other's scale; the r-commutation by
-    ``form_products``. Messages are formatted only for failures.
-    """
+    """The coquasitriangular axioms of r: the laws of R_r on H* (``qt``), each
+    failure named at the keys of its residual; data["cotriangular"] = (r⁻¹ = r₂₁)."""
+    _built_on(h, ct)
     rep = CheckReport(f"coquasitriangular ({h.name})")
-    n = h.dim
-    alg = h.alg
-    basis = alg.basis
-    den_m, sp = alg.int_sp
-    den_d, cop = h.int_cop
-    den_r, r = ct.int_table
-    (den_u, unit), (den_e, counit) = alg.int_unit, h.int_counit
-
-    for x in range(n):
-        want = den_u * den_r * counit.get(x, 0)
-        if den_e * sum(a * r[i][x] for i, a in unit.items()) != want:
-            rep.failures.append(f"r(1⊗{basis[x]}) ≠ ε")
-        if den_e * sum(a * r[x][i] for i, a in unit.items()) != want:
-            rep.failures.append(f"r({basis[x]}⊗1) ≠ ε")
-
-    lift = den_d * den_r
-    for u in range(n):
-        ru = r[u]
-        for v in range(n):
-            rv, prod_uv = r[v], sp[u][v]
-            for w in range(n):
-                lhs = sum(c * r[k][w] for k, c in prod_uv)
-                rhs = sum(d * ru[p] * rv[q] for p, q, d in cop[w])
-                if lhs * lift != rhs * den_m:
-                    rep.failures.append(f"r(ab⊗c) axiom fails at ({basis[u]},{basis[v]},{basis[w]})")
-                lhs = sum(c * ru[k] for k, c in sp[v][w])
-                rhs = sum(d * r[p][w] * r[q][v] for p, q, d in cop[u])
-                if lhs * lift != rhs * den_m:
-                    rep.failures.append(f"r(a⊗bc) axiom fails at ({basis[u]},{basis[v]},{basis[w]})")
-
-    for x in range(n):
-        for y in range(n):
-            lhs, rhs = form_products(h, r, x, y, flip=True)
-            if lhs != rhs:
-                rep.failures.append(f"r-commutation axiom fails at ({basis[x]},{basis[y]})")
-
-    for x, y in _inverse_failures(h, ct.int_table, ct.int_inv):
-        rep.failures.append(f"convolution inverse fails at ({x},{y})")
-
-    rep.data["cotriangular"] = ct.int_inv == (den_r, [list(col) for col in zip(*r)])
+    failed = set()
+    for label, _, residual in _qt_laws(h.dual, ct.qt):
+        group, order, message = _COQT_LAWS[label]
+        failed.update((group, k if type(k) is tuple else (k,), order, message) for k in residual)
+    rep.failures = [message.format(*k, b=",".join(h.alg.basis[i] for i in k)) for _, k, _, message in sorted(failed)]
+    rep.data["cotriangular"] = ct.qt.triangular
     return rep
 
 
@@ -750,6 +748,7 @@ def push_qt(f: HopfMorphism, rt: QTStructure) -> tuple[int, dict]:
     """(f ⊗ f)(R) in target ⊗ target for R of ``rt``, contracted on integers:
     ``rt.int_pairs`` over D_R and ``f.matrix.scaled_cols()`` over D_f, so the
     image is over D_R·D_f², returned reduced as ``int_pairs`` stores R."""
+    _built_on(f.source, rt)
     den_f, cols = f.matrix.scaled_cols()
     den_r, r = rt.int_pairs
     out = sparse_sum(

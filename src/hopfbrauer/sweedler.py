@@ -28,7 +28,6 @@ from .hopf import (
     _tensor,
     coqt_structure,
     drinfeld_double,
-    dual_hopf,
     form_products,
 )
 from .linalg import IntVec, Matrix, _rational, dense_vec, over, rational_is_square, scaled, sparse_sum
@@ -101,7 +100,7 @@ def build_rt_form(t) -> CoQTStructure:
 
 @functools.lru_cache(maxsize=None)
 def build_h4_dual() -> HopfAlgebra:
-    return dual_hopf(build_h4())
+    return build_h4().dual
 
 
 @functools.lru_cache(maxsize=None)
@@ -473,7 +472,7 @@ def check_lazy_cocycle(sigma: LazyCocycle) -> CheckReport:
                     rep.failures.append(f"cocycle condition fails at ({i},{j},{m})")
     for i in range(4):
         for j in range(4):
-            lhs, rhs = form_products(h, s, i, j, flip=False)
+            lhs, rhs = form_products(h, s, i, j)
             if lhs != rhs:
                 rep.failures.append(f"laziness fails at ({i},{j})")
     return rep

@@ -40,7 +40,6 @@ from .hopf import (
     check_hopf_axioms,
     check_hopf_morphism,
     check_quasitriangular,
-    dual_hopf,
     push_qt,
 )
 from .linalg import format_rational, is_zero_vec, mat_det, sparse_vec, zero_vec
@@ -168,8 +167,8 @@ def suite_hopf(s: Suite) -> None:
         "§1 isomorphism φ: H₄ → H₄*",
         mat_det(phi_iso().matrix) != 0,
     )
-    dd = dual_hopf(dual_hopf(build_h4()))
     h4 = build_h4()
+    dd = h4.dual.dual
     s.check(
         "double-dual",
         "§1 self-duality of H₄",

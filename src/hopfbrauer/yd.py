@@ -31,7 +31,7 @@ from .algebra import (
     on_generators,
     opposite_algebra,
 )
-from .hopf import CoQTStructure, HopfAlgebra, QTStructure, _tensor
+from .hopf import CoQTStructure, HopfAlgebra, QTStructure, _built_on, _tensor
 from .linalg import (
     IntVec,
     Matrix,
@@ -408,8 +408,7 @@ def sharp_product(a: YDObject, b: YDObject) -> YDObject:
     The product is contracted from the coaction of A, the action on B and
     the products of A and B over D_c·D_a·D_A·D_B, the coaction from those of
     A and B and the product of H."""
-    if a.hopf is not b.hopf:
-        raise ValueError("sharp product requires the same Hopf algebra")
+    _built_on(a.hopf, b)
     h = a.hopf
     da, db = a.dim, b.dim
     dim = da * db
@@ -654,6 +653,7 @@ def is_h_azumaya(a: YDObject) -> bool:
 def induced_coaction(a: YDObject, r: QTStructure) -> YDObject:
     """Equip an H-module (algebra) with ρ(x) = (R⁽²⁾·x) ⊗ R⁽¹⁾, replacing
     any coaction it has; over D_R·D_a."""
+    _built_on(a.hopf, r)
     den_r, pairs = r.int_pairs
     den_a, images = a.int_images
     rho = [
@@ -668,6 +668,7 @@ def induced_coaction(a: YDObject, r: QTStructure) -> YDObject:
 def induced_action(a: YDObject, r: CoQTStructure) -> YDObject:
     """Equip an H-comodule (algebra) with h·x = x₍₀₎ r(h ⊗ x₍₁₎), replacing
     any action it has; over D_c·D_r."""
+    _built_on(a.hopf, r)
     den_r, form = r.int_table
     den_c, rho = a.int_rho
     images = [[sparse_sum((c * form[i][k], {b: 1}) for b, k, c in row) for i in range(a.hopf.dim)] for row in rho]
@@ -682,6 +683,8 @@ def induced_action(a: YDObject, r: CoQTStructure) -> YDObject:
 def braiding_psi(v: YDObject, w: YDObject, r: QTStructure) -> Matrix:
     """ψ: V⊗W → W⊗V, v⊗w ↦ R⁽²⁾·w ⊗ R⁽¹⁾·v (left-major flat indices):
     Σ R⁽²⁾ ⊗ R⁽¹⁾ acting on W⊗V, after the plain flip V⊗W → W⊗V, as integer rows."""
+    _built_on(v.hopf, r)
+    _built_on(w.hopf, r)
     den_r, pairs = r.int_pairs
     (den_v, vi), (den_w, wi) = v.int_images, w.int_images
     rows = [{} for _ in range(v.dim * w.dim)]

@@ -168,6 +168,53 @@ def hopf_axioms(h):
     return out + antipode_laws(h)
 
 
+def coqt_laws(h, r, r_inv):
+    """``check_coquasitriangular`` for a form r with inverse r⁻¹, each a list
+    of dense Fraction rows, r[x][y] = r(e_x⊗e_y): r(1⊗x) = ε(x) and
+    r(x⊗1) = ε(x) at each x; r(ab⊗c) = r(a⊗c₍₁₎)r(b⊗c₍₂₎) and
+    r(a⊗bc) = r(a₍₁₎⊗c)r(a₍₂₎⊗b) at each triple (a, b, c);
+    r(x₍₁₎⊗y₍₁₎)x₍₂₎y₍₂₎ = y₍₁₎x₍₁₎r(x₍₂₎⊗y₍₂₎) at each pair; then
+    r⁻¹ * r = ε⊗ε = r * r⁻¹ at each pair (x, y), named by its indices."""
+    alg, n, counit, unit = h.alg, h.dim, counit_vec(h), unit_vec(h.alg)
+    basis, cop = alg.basis, [cop_sparse(h, i) for i in range(n)]
+    out = []
+    for x in range(n):
+        if sum(u * r[i][x] for i, u in enumerate(unit)) != counit[x]:
+            out.append(f"r(1⊗{basis[x]}) ≠ ε")
+        if sum(u * r[x][i] for i, u in enumerate(unit)) != counit[x]:
+            out.append(f"r({basis[x]}⊗1) ≠ ε")
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                at = f"({basis[a]},{basis[b]},{basis[c]})"
+                lhs = sum(v * r[k][c] for k, v in mul_basis(alg, a, b))
+                if lhs != sum(d * r[a][p] * r[b][q] for p, q, d in cop[c]):
+                    out.append(f"r(ab⊗c) axiom fails at {at}")
+                lhs = sum(v * r[a][k] for k, v in mul_basis(alg, b, c))
+                if lhs != sum(d * r[p][c] * r[q][b] for p, q, d in cop[a]):
+                    out.append(f"r(a⊗bc) axiom fails at {at}")
+    for x in range(n):
+        for y in range(n):
+            lhs, rhs = {}, {}
+            for p, q, c in cop[x]:
+                for u, v, d in cop[y]:
+                    for k, w in mul_basis(alg, q, v):
+                        acc(lhs, k, c * d * r[p][u] * w)
+                    for k, w in mul_basis(alg, u, p):
+                        acc(rhs, k, c * d * r[q][v] * w)
+            if lhs != rhs:
+                out.append(f"r-commutation axiom fails at ({basis[x]},{basis[y]})")
+
+    def convolution(f, g, x, y):
+        return sum(c * d * f[p][u] * g[q][v] for p, q, c in cop[x] for u, v, d in cop[y])
+
+    for x in range(n):
+        for y in range(n):
+            if not convolution(r_inv, r, x, y) == counit[x] * counit[y] == convolution(r, r_inv, x, y):
+                out.append(f"convolution inverse fails at ({x},{y})")
+    return out
+
+
 # -- Yetter-Drinfeld laws ------------------------------------------------------
 
 

@@ -333,7 +333,7 @@ def test_import_loads_no_dataclasses_or_inspect():
         "import sys; sys.path.insert(0, sys.argv[1]); import hopfbrauer, hopfbrauer.cli; "
         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     )
-    run = subprocess.run([sys.executable, "-I", "-c", code, str(src)], capture_output=True, text=True, timeout=60)
+    run = subprocess.run([sys.executable, "-I", "-B", "-c", code, str(src)], capture_output=True, text=True, timeout=60)
     assert (run.returncode, run.stdout.strip(), run.stderr) == (0, "[]", "")
 
 
