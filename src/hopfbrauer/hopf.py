@@ -7,7 +7,7 @@ S⁻¹ stored as integers, the one form, built by ``HopfAlgebra.from_int``;
 ``algebra.int_content``; the dense rows of r, r⁻¹ and σ pass
 ``_lowest_rows``. The module checks axioms and builds duals, Drinfeld
 doubles with their canonical R, (co)quasitriangular structures and Hopf
-morphisms.
+morphisms. Forms on H (r, σ) are checked as elements of H*⊗H*.
 
 Elements of H ⊗ H and H ⊗ H ⊗ H are sparse dicts keyed by index tuples,
 left factor major. Their products (``_t2_int``, ``_t3_int``), the Hopf and
@@ -526,10 +526,29 @@ def qt_structure(h: HopfAlgebra, rvec: Sequence[Fraction]) -> QTStructure:
     return _qt_from_int(h, den, r)
 
 
-def _built_on(h: HopfAlgebra, structure) -> None:
-    """``ValueError`` unless ``structure`` is built on h, in h's basis."""
+def _built_on(h: HopfAlgebra, structure, **stores) -> None:
+    """``ValueError`` unless ``structure`` is built on h, in h's basis, with
+    each named store."""
     if structure.hopf is not h:
         raise ValueError(f"{type(structure).__name__} is built on {structure.hopf!r}, not on {h!r}")
+    missing = " and no ".join(name for name, store in stores.items() if store is None)
+    if missing:
+        raise ValueError(f"{type(structure).__name__} has no {missing}")
+
+
+def _law(label: str, lhs: dict, rhs: dict, z=None) -> tuple:
+    """(label, z, lhs − rhs) if lhs ≠ rhs, else nothing."""
+    return () if lhs == rhs else ((label, z, sparse_sum(((1, lhs), (-1, rhs)))),)
+
+
+def _counit_laws(h: HopfAlgebra, den: int, x: dict, labels: tuple[str, str]) -> Iterator[tuple]:
+    """``_law`` of (ε⊗id)x = 1, then of (id⊗ε)x = 1, for x/den in H⊗H keyed
+    (i, j); both sides over den·D_ε·D_u."""
+    (den_u, unit), (den_e, counit) = h.alg.int_unit, h.int_counit
+    one = scale_sparse(unit, den * den_e)
+    for k, label in enumerate(labels):
+        yield from _law(label, sparse_sum((den_u * c * counit[key[k]], {key[1 - k]: 1})
+                                          for key, c in x.items() if key[k] in counit), one)
 
 
 def _qt_laws(h: HopfAlgebra, rt: QTStructure) -> Iterator[tuple[str, int | None, dict]]:
@@ -538,22 +557,14 @@ def _qt_laws(h: HopfAlgebra, rt: QTStructure) -> Iterator[tuple[str, int | None,
     failure. R⁻¹·R follows a failing R·R⁻¹, under its label.
 
     On integers: R over D_R (``int_pairs``), R⁻¹ over D_I (``int_inv``), Δ
-    over D_Δ, 1 and ε over D_u and D_ε, products over D_m, both sides lifted
-    to one scale."""
+    over D_Δ, 1 over D_u, products over D_m, both sides lifted to one scale."""
     alg = h.alg
     den_r, r = rt.int_pairs
     den_m, sp = alg.int_sp
     den_d, cop = h.int_cop
-    (den_u, unit), (den_e, counit) = alg.int_unit, h.int_counit
+    den_u, unit = alg.int_unit
 
-    def law(label, lhs, rhs, z=None):
-        return () if lhs == rhs else ((label, z, sparse_sum(((1, lhs), (-1, rhs)))),)
-
-    # (ε⊗id)R and (id⊗ε)R over D_R·D_ε against 1 over D_u
-    one = scale_sparse(unit, den_r * den_e)
-    for label, k in (("(ε⊗id)R ≠ 1", 0), ("(id⊗ε)R ≠ 1", 1)):
-        image = sparse_sum((den_u * c * counit[key[k]], {key[1 - k]: 1}) for key, c in r.items() if key[k] in counit)
-        yield from law(label, image, one)
+    yield from _counit_laws(h, den_r, r, ("(ε⊗id)R ≠ 1", "(id⊗ε)R ≠ 1"))
 
     # (Δ⊗id)R and (id⊗Δ)R over D_R·D_Δ against R₁₃R₂₃ and R₁₃R₁₂ over
     # (D_R·D_u)²·D_m³, R₁₃, R₂₃ and R₁₂ over D_R·D_u
@@ -562,18 +573,18 @@ def _qt_laws(h: HopfAlgebra, rt: QTStructure) -> Iterator[tuple[str, int | None,
     r12 = {(i, j, k): c * u for (i, j), c in r.items() for k, u in unit.items()}
     lift = den_r * den_u * den_u * den_m**3
     lhs = sparse_sum((c * lift, {(p, q, j): d for p, q, d in cop[i]}) for (i, j), c in r.items())
-    yield from law("(Δ⊗id)R ≠ R₁₃R₂₃", lhs, scale_sparse(_t3_int(sp, r13, r23), den_d))
+    yield from _law("(Δ⊗id)R ≠ R₁₃R₂₃", lhs, scale_sparse(_t3_int(sp, r13, r23), den_d))
     lhs = sparse_sum((c * lift, {(i, p, q): d for p, q, d in cop[j]}) for (i, j), c in r.items())
-    yield from law("(id⊗Δ)R ≠ R₁₃R₁₂", lhs, scale_sparse(_t3_int(sp, r13, r12), den_d))
+    yield from _law("(id⊗Δ)R ≠ R₁₃R₁₂", lhs, scale_sparse(_t3_int(sp, r13, r12), den_d))
 
     # both sides of R·Δ(e_z) = Δ^cop(e_z)·R are integers over D_R·D_Δ·D_m²
     for z, terms in enumerate(cop):
         lhs = _t2_int(sp, r, {(p, q): c for p, q, c in terms})
-        yield from law("R·Δ ≠ Δ^cop·R", lhs, _t2_int(sp, {(q, p): c for p, q, c in terms}, r), z)
+        yield from _law("R·Δ ≠ Δ^cop·R", lhs, _t2_int(sp, {(q, p): c for p, q, c in terms}, r), z)
 
     den_i, rinv = rt.int_inv
     for x, y in ((r, rinv), (rinv, r)):
-        failed = law("R·R⁻¹ ≠ 1⊗1", *_product_and_one(alg, x, y, den_r * den_i))
+        failed = _law("R·R⁻¹ ≠ 1⊗1", *_product_and_one(alg, x, y, den_r * den_i))
         if not failed:
             break
         yield from failed
@@ -631,21 +642,6 @@ def _lowest_rows(form: IntTable, n: int, label: str) -> IntTable:
         raise ValueError(f"{label} has an entry that is not an int")
     g = math.gcd(den, *(v for row in rows for v in row))
     return den // g, [[v // g for v in row] for row in rows]
-
-
-def form_products(h: HopfAlgebra, form: list[list[int]], x: int, y: int) -> tuple[IntVec, IntVec]:
-    """r(x₍₁₎⊗y₍₁₎)·x₍₂₎y₍₂₎ and x₍₁₎y₍₁₎·r(x₍₂₎⊗y₍₂₎) for basis elements x, y
-    and integer rows r over D_r: integers over D_Δ²·D_r·D_m."""
-    cop, mul = h.int_cop[1], h.alg.mul_int
-    lhs: IntVec = {}
-    rhs: IntVec = {}
-    for p, q, c in cop[x]:
-        for u, v, d in cop[y]:
-            if form[p][u]:
-                mul({q: c * d * form[p][u]}, {v: 1}, lhs)
-            if form[q][v]:
-                mul({p: c * d * form[q][v]}, {u: 1}, rhs)
-    return lhs, rhs
 
 
 def coqt_structure(h: HopfAlgebra, form: IntTable) -> CoQTStructure:

@@ -22,13 +22,16 @@ from .hopf import (
     HopfMorphism,
     IntTable,
     QTStructure,
+    _built_on,
+    _counit_laws,
+    _form_pairs,
     _lowest_rows,
     _qt_from_int,
     _t2_int,
+    _t3_int,
     _tensor,
     coqt_structure,
     drinfeld_double,
-    form_products,
 )
 from .linalg import IntVec, Matrix, _rational, dense_vec, over, rational_is_square, scaled, sparse_sum
 from .yd import (
@@ -449,59 +452,43 @@ def build_sigma(t) -> LazyCocycle:
 
 
 def check_lazy_cocycle(sigma: LazyCocycle) -> CheckReport:
-    """Left 2-cocycle condition plus the laziness condition, on basis triples,
-    compared on integers (σ over D_s, ``int_table``): the cocycle sides over
-    D_Δ²·D_s²·D_m, the laziness sides by ``form_products``."""
+    """σ's laws as those of Σ = Σ σ(e_i⊗e_j)·e_i*⊗e_j* on H₄* (Bichon–Carnovale):
+    (ε⊗id)Σ = 1 = (id⊗ε)Σ, Σ₁₂·(Δ⊗id)Σ = Σ₂₃·(id⊗Δ)Σ and Σ·Δ(f) = Δ(f)·Σ,
+    each failure named at the keys of its residual."""
     rep = CheckReport("lazy cocycle")
-    h = build_h4()
-    den_s, s = sigma.int_table
-    den_e, counit = h.int_counit
-    eps = [den_s * counit.get(k, 0) for k in range(4)]
-    rep.require([den_e * v for v in s[0]] == eps, "σ(1⊗·) ≠ ε")
-    rep.require([den_e * row[0] for row in s] == eps, "σ(·⊗1) ≠ ε")
-    sp, cop = h.alg.int_sp[1], h.int_cop[1]
-    # σ(e_q e_v ⊗ e_m) at [q][v][m] and σ(e_i ⊗ e_v e_q) at [v][q][i]
-    left = [[[sum(e * s[k][m] for k, e in sp[q][v]) for m in range(4)] for v in range(4)] for q in range(4)]
-    right = [[[sum(e * s[i][k] for k, e in sp[v][q]) for i in range(4)] for q in range(4)] for v in range(4)]
-    for i in range(4):
-        for j in range(4):
-            for m in range(4):
-                lhs = sum(c * d * s[p][u] * left[q][v][m] for p, q, c in cop[i] for u, v, d in cop[j])
-                rhs = sum(c * d * s[u][p] * right[v][q][i] for u, v, d in cop[j] for p, q, c in cop[m])
-                if lhs != rhs:
-                    rep.failures.append(f"cocycle condition fails at ({i},{j},{m})")
-    for i in range(4):
-        for j in range(4):
-            lhs, rhs = form_products(h, s, i, j)
-            if lhs != rhs:
-                rep.failures.append(f"laziness fails at ({i},{j})")
+    hd = build_h4().dual
+    den_s, s = _form_pairs(sigma.int_table)
+    rep.failures += [law[0] for law in _counit_laws(hd, den_s, s, ("σ(1⊗·) ≠ ε", "σ(·⊗1) ≠ ε"))]
+    sp, unit, cop = hd.alg.int_sp[1], hd.alg.int_unit[1].items(), hd.int_cop[1]
+    # Σ₁₂·(Δ⊗id)Σ and Σ₂₃·(id⊗Δ)Σ over D_s²·D_u·D_Δ·D_m³; the residual's
+    # keys: those of items on one side only
+    lhs = _t3_int(sp, {(i, j, k): c * u for (i, j), c in s.items() for k, u in unit},
+                  sparse_sum((c, {(p, q, j): d for p, q, d in cop[i]}) for (i, j), c in s.items()))
+    rhs = _t3_int(sp, {(k, i, j): c * u for (i, j), c in s.items() for k, u in unit},
+                  sparse_sum((c, {(i, p, q): d for p, q, d in cop[j]}) for (i, j), c in s.items()))
+    rep.failures += [f"cocycle condition fails at ({i},{j},{m})" for i, j, m in sorted(dict(lhs.items() ^ rhs.items()))]
+    # Σ·Δ(f_z) and Δ(f_z)·Σ over D_s·D_Δ·D_m²
+    deltas = ({(p, q): c for p, q, c in terms} for terms in cop)
+    pairs = {k for d in deltas for k, _ in _t2_int(sp, s, d).items() ^ _t2_int(sp, d, s).items()}
+    rep.failures += [f"laziness fails at ({i},{j})" for i, j in sorted(pairs)]
     return rep
 
 
 def cocycle_twist(a, sigma: LazyCocycle):
-    """Twist a right H₄^op-comodule algebra: x•y = x₍₀₎y₍₀₎ σ(x₍₁₎⊗y₍₁₎).
+    """Twist a right H₄^op-comodule algebra (``ValueError`` for any other a):
+    x•y = x₍₀₎y₍₀₎ σ(x₍₁₎⊗y₍₁₎).
 
     The coaction is unchanged; the output is a comodule algebra (any action
     on the input is dropped — transported actions are reinduced from the
     matching cotriangular structure by the caller). The product goes to
     ``StructureAlgebra.from_int`` as integers over D_c²·D_s·D_m.
     """
+    _built_on(build_h4(), a, product=a.alg, coaction=a.int_rho)
     check_lazy_cocycle(sigma).raise_if_failed()
-    alg = a.alg
-    mul = alg.mul_int
-    den_s, s = sigma.int_table
-    den_c, rho = a.int_rho
-    table = []
-    for rho_i in rho:
-        row = []
-        for rho_j in rho:
-            out: dict[int, int] = {}
-            for a0, k0, c0 in rho_i:
-                for b0, l0, c1 in rho_j:
-                    if s[k0][l0]:
-                        mul({a0: c0 * c1 * s[k0][l0]}, {b0: 1}, out)
-            row.append(out.items())
-        table.append(row)
+    alg, (den_c, rho) = a.alg, a.int_rho
+    den_s, s = _form_pairs(sigma.int_table)
+    table = [[sparse_sum((c0 * c1 * s[k0, l0], alg.mul_int({a0: 1}, {b0: 1})) for a0, k0, c0 in rho_i
+                         for b0, l0, c1 in rho_j if (k0, l0) in s).items() for rho_j in rho] for rho_i in rho]
     twisted = StructureAlgebra.from_int(
         alg.basis, alg.int_unit, table, den_c * den_c * den_s * alg.int_sp[0], name=f"{alg.name}_twist"
     )
@@ -580,15 +567,22 @@ def _validate_phi(d: CFamilyDescriptor, t: Fraction, result: CFamilyDescriptor) 
 # ---------------------------------------------------------------------------
 
 
+def _automorphism(alpha) -> Fraction:
+    alpha = _rational(alpha)
+    if alpha == 0:
+        raise ValueError("automorphism parameter must be nonzero")
+    return alpha
+
+
 def aut_twist(a, alpha):
-    """Twist a YD algebra by the automorphism h ↦ αh: the action becomes
+    """Twist a YD module or algebra over H₄ (``ValueError`` otherwise, or for
+    α = 0) by the automorphism h ↦ αh: the action becomes
     h·_α b = α(h)·b and the coaction ρ_α(b) = b₍₀₎ ⊗ α⁻¹(b₍₁₎). On integers,
     α = p/q: the h and gh columns times p, the others times q, over D_a·q;
     the h and gh terms of ρ times q, the others times p, over D_c·p (each
     sign flipped when p < 0)."""
-    alpha = _rational(alpha)
-    if alpha == 0:
-        raise ValueError("automorphism parameter must be nonzero")
+    alpha = _automorphism(alpha)
+    _built_on(build_h4(), a, action=a.int_images, coaction=a.int_rho)
     p, q = alpha.numerator, alpha.denominator
     sign = 1 if p > 0 else -1
     (den_a, rows), (den_c, rho) = a.int_images, a.int_rho
@@ -600,9 +594,7 @@ def aut_twist(a, alpha):
 def aut_conjugate(d: CFamilyDescriptor, alpha) -> CFamilyDescriptor:
     """Conjugation by the Aut(H₄)-class of α: (a,t,s) ↦ (a, αt, s/α),
     structurally validated through the automorphism twist."""
-    alpha = _rational(alpha)
-    if alpha == 0:
-        raise ValueError("automorphism parameter must be nonzero")
+    alpha = _automorphism(alpha)
     result = CFamilyDescriptor(d.a, alpha * d.t, d.s / alpha)
     if not aut_twist(build_C(d), alpha).same_structure(build_C(result)):
         raise AssertionError(f"Aut-twist of {d!r} does not rebuild {result!r}")
@@ -612,7 +604,7 @@ def aut_conjugate(d: CFamilyDescriptor, alpha) -> CFamilyDescriptor:
 def build_h_alpha(alpha):
     """The module H_α: carrier H₄ with l·m = α(l₍₂₎) m S⁻¹(l₍₁₎) and
     the regular coaction Δ; the action over D_Δ·D_m²·D_S·den(α)."""
-    alpha = _rational(alpha)
+    alpha = _automorphism(alpha)
     h4 = build_h4()
     alg = h4.alg
     (den_d, cop), (den_s, sinv) = h4.int_cop, h4.int_s_inv

@@ -38,6 +38,7 @@ from conftest import (
     yd_rho,
 )
 from hopfbrauer.linalg import Matrix, sparse_sum, sparse_vec
+from hopfbrauer.sweedler import build_h4
 
 ZERO = Fraction(0)
 
@@ -212,6 +213,40 @@ def coqt_laws(h, r, r_inv):
         for y in range(n):
             if not convolution(r_inv, r, x, y) == counit[x] * counit[y] == convolution(r, r_inv, x, y):
                 out.append(f"convolution inverse fails at ({x},{y})")
+    return out
+
+
+def lazy_cocycle(sigma):
+    """``check_lazy_cocycle`` for a form σ on H₄ as dense Fraction rows,
+    sigma[x][y] = σ(e_x⊗e_y): σ(1⊗x) = ε(x) at every x, then σ(x⊗1) = ε(x),
+    each law one message; σ(a₍₁₎⊗b₍₁₎)σ(a₍₂₎b₍₂₎⊗c) = σ(b₍₁₎⊗c₍₁₎)σ(a⊗b₍₂₎c₍₂₎)
+    at each triple (a, b, c); σ(x₍₁₎⊗y₍₁₎)x₍₂₎y₍₂₎ = x₍₁₎y₍₁₎σ(x₍₂₎⊗y₍₂₎) at
+    each pair, both named by their indices."""
+    h = build_h4()
+    alg, n, counit, unit = h.alg, h.dim, counit_vec(h), unit_vec(h.alg)
+    cop = [cop_sparse(h, i) for i in range(n)]
+    out = []
+    if any(sum(u * sigma[i][x] for i, u in enumerate(unit)) != counit[x] for x in range(n)):
+        out.append("σ(1⊗·) ≠ ε")
+    if any(sum(u * sigma[x][i] for i, u in enumerate(unit)) != counit[x] for x in range(n)):
+        out.append("σ(·⊗1) ≠ ε")
+    for a, b, c in product(range(n), repeat=3):
+        lhs = sum(x * y * sigma[p][u] * w * sigma[k][c]
+                  for p, q, x in cop[a] for u, v, y in cop[b] for k, w in mul_basis(alg, q, v))
+        rhs = sum(x * y * sigma[u][p] * w * sigma[a][k]
+                  for u, v, y in cop[b] for p, q, x in cop[c] for k, w in mul_basis(alg, v, q))
+        if lhs != rhs:
+            out.append(f"cocycle condition fails at ({a},{b},{c})")
+    for x, y in product(range(n), repeat=2):
+        lhs, rhs = {}, {}
+        for p, q, c in cop[x]:
+            for u, v, d in cop[y]:
+                for k, w in mul_basis(alg, q, v):
+                    acc(lhs, k, c * d * sigma[p][u] * w)
+                for k, w in mul_basis(alg, p, u):
+                    acc(rhs, k, c * d * sigma[q][v] * w)
+        if lhs != rhs:
+            out.append(f"laziness fails at ({x},{y})")
     return out
 
 

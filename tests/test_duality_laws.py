@@ -1,12 +1,14 @@
-"""The coquasitriangular check is the quasitriangular check on H*: its
-failure lists are read off the residuals of R_r = Σ r(e_i⊗e_j)·e_i*⊗e_j*.
-These tests compare them with ``reference.coqt_laws``, which checks r's own
-laws itemized over ℚ, on seeded corruptions of r_t and r_t⁻¹ (one or two
-entries bumped) at several t, on H₄ and on H₄ over the rescaled basis of
-``test_integer_scaling``; and they pin that every reader of an R or an r
-refuses one built on another Hopf algebra, whose indices it would read in
-the wrong basis, as ``sharp_product`` refuses two objects over different
-Hopf algebras."""
+"""The coquasitriangular and lazy-cocycle checks are laws on H*: their
+failure lists are read off the residuals of R_r = Σ r(e_i⊗e_j)·e_i*⊗e_j*
+and of Σ = Σ σ(e_i⊗e_j)·e_i*⊗e_j*. These tests compare them with
+``reference.coqt_laws`` and ``reference.lazy_cocycle``, which check r's and
+σ's own laws itemized over ℚ, on seeded corruptions of r_t and r_t⁻¹, and
+of σ_t (one or two entries bumped) at several t, r's on H₄ and on H₄ over
+the rescaled basis of ``test_integer_scaling``, with fixed cases that break
+each law of σ; and they pin that every reader of an R or an r, and H₄'s
+twists, refuse one built on another Hopf algebra, whose indices they would
+read in the wrong basis, as ``sharp_product`` refuses two objects over
+different Hopf algebras."""
 
 import random
 from fractions import Fraction as Q
@@ -20,7 +22,19 @@ import reference
 from hopfbrauer.e2 import build_c_e2, build_e2, build_RN
 from hopfbrauer.hopf import CoQTStructure, check_coquasitriangular, check_quasitriangular, push_qt
 from hopfbrauer.linalg import Matrix
-from hopfbrauer.sweedler import CFamilyDescriptor, build_C, build_h4, build_rt, build_rt_form, phi_iso
+from hopfbrauer.sweedler import (
+    CFamilyDescriptor,
+    LazyCocycle,
+    aut_twist,
+    build_C,
+    build_h4,
+    build_rt,
+    build_rt_form,
+    build_sigma,
+    check_lazy_cocycle,
+    cocycle_twist,
+    phi_iso,
+)
 from hopfbrauer.yd import braiding_psi, induced_action, induced_coaction, sharp_product
 
 TS = [Q(0), Q(1), Q(-3, 2), Q(5, 2), Q(7, 3)]
@@ -35,22 +49,44 @@ FIXED = {
 }
 
 
-def _corrupted(case):
-    """(r, r⁻¹) as dense Fraction rows: r_t and r_t⁻¹ with the bumps of a
-    ``FIXED`` case, or one or two seeded entries, of either, moved by a
-    seeded nonzero rational."""
-    if case in FIXED:
-        t, bumps = FIXED[case]
+# σ_t with a law broken: one counit law, σ(1⊗·) and then σ(·⊗1); both
+# counit laws, in that order; the cocycle law alone; laziness alone,
+# σ_0 + 3·g*⊗g* being the coboundary of the γ with γ(1) = 1, γ(g) = 2,
+# γ(h) = γ(gh) = 0
+SIGMA_FIXED = {
+    "σ at 1⊗g": (Q(1), [(0, 0, 1, Q(1, 3))]),
+    "σ at g⊗1": (Q(-3, 2), [(0, 1, 0, Q(-1, 2))]),
+    "σ at 1⊗1": (Q(5, 2), [(0, 0, 0, Q(2))]),
+    "σ at h⊗h": (Q(7, 3), [(0, 2, 2, Q(1, 3))]),
+    "σ at g⊗g, a coboundary": (Q(0), [(0, 1, 1, Q(3))]),
+}
+
+
+def _rt_forms(t):
+    ct = build_rt_form(t)
+    return ct.int_table, ct.int_inv
+
+
+def _corrupted(case, fixed=FIXED, forms=_rt_forms):
+    """The integer ``forms(t)`` (r_t and r_t⁻¹ by default) as dense Fraction
+    rows, with the bumps of a ``fixed`` case, or one or two seeded entries,
+    of any of them, moved by a seeded nonzero rational."""
+    if case in fixed:
+        t, bumps = fixed[case]
     else:
         rng = random.Random(case)
         t = rng.choice(TS)
-        bumps = [(rng.randrange(2), rng.randrange(4), rng.randrange(4),
+    rows = [dense(form_matrix(*form)) for form in forms(t)]
+    if case not in fixed:
+        bumps = [(rng.randrange(len(rows)), rng.randrange(4), rng.randrange(4),
                   Q(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 3)))) for _ in range(rng.choice((1, 2)))]
-    ct = build_rt_form(t)
-    rows = [dense(form_matrix(*ct.int_table)), dense(form_matrix(*ct.int_inv))]
     for which, i, j, step in bumps:
         rows[which][i][j] += step
     return rows
+
+
+def _sigma(case):
+    return _corrupted(case, SIGMA_FIXED, lambda t: (build_sigma(t).int_table,))[0]
 
 
 def _checked(h, r, r_inv):
@@ -84,6 +120,24 @@ def test_the_seeded_corruptions_break_every_law():
     assert reference.coqt_laws(build_h4(), *_corrupted("r at 1⊗h and h⊗1"))[:2] == ["r(1⊗h) ≠ ε", "r(h⊗1) ≠ ε"]
 
 
+@pytest.mark.parametrize("case", [*SEEDS, *SIGMA_FIXED])
+def test_lazy_cocycle_failures_equal_the_itemized_laws(case):
+    sigma = _sigma(case)
+    # the check reads σ's table only, not its label t
+    assert check_lazy_cocycle(LazyCocycle(None, int_form(Matrix(sigma)))).failures == reference.lazy_cocycle(sigma)
+
+
+def test_the_sigma_corruptions_break_every_law():
+    kinds = {case: [f.split(" at ")[0] for f in reference.lazy_cocycle(_sigma(case))] for case in SIGMA_FIXED}
+    assert kinds["σ at 1⊗g"][0] == "σ(1⊗·) ≠ ε" and "σ(·⊗1) ≠ ε" not in kinds["σ at 1⊗g"]
+    assert kinds["σ at g⊗1"][0] == "σ(·⊗1) ≠ ε" and "σ(1⊗·) ≠ ε" not in kinds["σ at g⊗1"]
+    assert kinds["σ at 1⊗1"][:2] == ["σ(1⊗·) ≠ ε", "σ(·⊗1) ≠ ε"]
+    assert set(kinds["σ at h⊗h"]) == {"cocycle condition fails"}
+    assert set(kinds["σ at g⊗g, a coboundary"]) == {"laziness fails"}
+    seeded = {f.split(" at ")[0] for seed in SEEDS for f in reference.lazy_cocycle(_sigma(seed))}
+    assert seeded == {"σ(1⊗·) ≠ ε", "σ(·⊗1) ≠ ε", "cocycle condition fails", "laziness fails"}
+
+
 def _c_h4():
     return build_C(CFamilyDescriptor(Q(1), Q(1), Q(1)))
 
@@ -103,6 +157,9 @@ MISMATCHED = {
     "push_qt R_N along phi": lambda: push_qt(phi_iso(), build_RN()),
     # the # product's own guard is the same rule
     "sharp_product C, C@E2": lambda: sharp_product(_c_h4(), build_c_e2(1, 0, 0)),
+    # H₄'s twists read E(2)'s coaction indices, or its action columns, as H₄'s
+    "cocycle_twist C@E2": lambda: cocycle_twist(build_c_e2(1, 1, 1), build_sigma(1)),
+    "aut_twist C@E2": lambda: aut_twist(build_c_e2(1, 1, 1), 2),
 }
 
 

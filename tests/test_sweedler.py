@@ -36,6 +36,7 @@ from hopfbrauer.sweedler import (
     validate_c_iso,
 )
 from hopfbrauer.yd import (
+    YDObject,
     check_comodule,
     check_module,
     check_yd_algebra,
@@ -364,8 +365,37 @@ def test_aut_algebra_is_azumaya():
 
 
 def test_aut_zero_rejected():
-    with pytest.raises(ValueError):
-        aut_conjugate(CFamilyDescriptor(1, 1, 1), 0)
+    # α = 0 is no automorphism: H_0 failed its YD condition, and A_0 passed
+    # check_yd_algebra without being Azumaya
+    for call in (lambda: aut_conjugate(CFamilyDescriptor(1, 1, 1), 0),
+                 lambda: aut_twist(build_C(CFamilyDescriptor(1, 1, 1)), 0),
+                 lambda: build_h_alpha(0), lambda: aut_algebra(Q(0))):
+        with pytest.raises(ValueError, match="^automorphism parameter must be nonzero$"):
+            call()
+
+
+def _c_keeping(*stores):
+    """C(1;1,1) with its product and only the named stores of its action
+    (``int_images``) and coaction (``int_rho``)."""
+    c = build_C(CFamilyDescriptor(1, 1, 1))
+    return YDObject.from_int(c.hopf, c.dim, c.alg, **{name[4:]: getattr(c, name) for name in stores})
+
+
+# an object over H₄ without a store the twist reads, which raised TypeError
+# or AttributeError
+MISSING_STORES = {
+    "cocycle_twist H_alpha": (lambda: cocycle_twist(build_h_alpha(2), build_sigma(1)), "product"),
+    "cocycle_twist module algebra": (lambda: cocycle_twist(_c_keeping("int_images"), build_sigma(1)), "coaction"),
+    "aut_twist comodule algebra": (lambda: aut_twist(_c_keeping("int_rho"), 2), "action"),
+    "aut_twist algebra": (lambda: aut_twist(_c_keeping(), 2), "action and no coaction"),
+}
+
+
+@pytest.mark.parametrize("case", MISSING_STORES)
+def test_a_twist_names_the_store_it_lacks(case):
+    call, missing = MISSING_STORES[case]
+    with pytest.raises(ValueError, match=f"^YDObject has no {missing}$"):
+        call()
 
 
 # -- intersections ---------------------------------------------------------------
