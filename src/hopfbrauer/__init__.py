@@ -27,7 +27,6 @@ from .e2 import (
     theta,
 )
 from .hopf import (
-    CoQTStructure,
     HopfAlgebra,
     HopfMorphism,
     QTStructure,
@@ -35,7 +34,6 @@ from .hopf import (
     check_hopf_axioms,
     check_hopf_morphism,
     check_quasitriangular,
-    coqt_structure,
     drinfeld_double,
     dual_hopf,
     push_qt,

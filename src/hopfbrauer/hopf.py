@@ -4,10 +4,10 @@ A Hopf algebra is a :class:`~hopfbrauer.algebra.StructureAlgebra` with a
 coproduct, a counit vector and an antipode S with its inverse, ε, Δ, S and
 S⁻¹ stored as integers, the one form, built by ``HopfAlgebra.from_int``;
 ``defio`` reads and writes it over ℚ. These stores and R, R⁻¹ pass
-``algebra.int_content``; the dense rows of r, r⁻¹ and σ pass
-``_lowest_rows``. The module checks axioms and builds duals, Drinfeld
+``algebra.int_content``. The module checks axioms and builds duals, Drinfeld
 doubles with their canonical R, (co)quasitriangular structures and Hopf
-morphisms. Forms on H (r, σ) are checked as elements of H*⊗H*.
+morphisms. A form on H (r, σ) is stored and checked as its element of
+H*⊗H*: r as the ``QTStructure`` of R_r on ``h.dual``.
 
 Elements of H ⊗ H and H ⊗ H ⊗ H are sparse dicts keyed by index tuples,
 left factor major. Their products (``_t2_int``, ``_t3_int``), the Hopf and
@@ -19,7 +19,6 @@ divided once per entry.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -179,14 +178,6 @@ def _t2_unit(unit: dict, scale: int) -> dict[tuple[int, int], int]:
     return {(i, j): scale * a * b for i, a in unit.items() for j, b in unit.items()}
 
 
-def _product_and_one(alg: StructureAlgebra, x: dict, y: dict, den: int) -> tuple[dict, dict]:
-    """x·y and 1⊗1 for integer x, y in H⊗H with x·y over den, both over
-    den·D_m²·D_u²."""
-    den_m, sp = alg.int_sp
-    den_u, unit = alg.int_unit
-    return scale_sparse(_t2_int(sp, x, y), den_u * den_u), _t2_unit(unit, den * den_m * den_m)
-
-
 # ---------------------------------------------------------------------------
 # Axiom checking
 # ---------------------------------------------------------------------------
@@ -335,8 +326,9 @@ def drinfeld_double(h: HopfAlgebra) -> tuple[HopfAlgebra, "QTStructure"]:
         S(f ⋈ a) = (ε ⋈ S a)(S_{H*cop} f ⋈ 1),   R⁻¹ = (S ⊗ id)R,
     where S_{H*cop} is the inverse of the antipode of H*, and S⁻¹ likewise
     from S_H⁻¹ and S_{H*}. Both are unique and verified exactly (the
-    convolution laws, S∘S⁻¹ = id = S⁻¹∘S, R·R⁻¹ = 1⊗1 = R⁻¹·R); a failure
-    raises ValueError. The tables are written as integers for ``from_int``.
+    convolution laws, S∘S⁻¹ = id = S⁻¹∘S, R·R⁻¹ = 1⊗1, so R⁻¹·R = 1⊗1 in
+    the associative algebra D(H)⊗D(H)); a failure raises ValueError. The
+    tables are written as integers for ``from_int``.
     """
     hd = h.dual
     ha, da = h.alg, hd.alg
@@ -473,7 +465,10 @@ class QTStructure:
     D·c}), D the least common denominator and the keys in index order; the
     constructor takes (D, {(i, j): int}) pairs over any D > 0, checked and
     reduced by ``int_content`` (``ValueError`` names a bad scale or term, or
-    an element that is not a dict)."""
+    an element that is not a dict). A form r on H and its convolution inverse
+    are this type on H*, as R_r = Σ r(e_i⊗e_j)·e_i*⊗e_j* and R_r⁻¹: R_r is
+    quasitriangular iff r is coquasitriangular (Kassel, *Quantum Groups*,
+    Ch. VIII)."""
 
     def __init__(self, hopf: HopfAlgebra, r: tuple[int, dict], r_inv: tuple[int, dict]):
         self.hopf = hopf
@@ -497,21 +492,17 @@ def _int_pairs(den: int, v: dict, n: int, label: str = "R") -> tuple[int, dict]:
     return den, {(i, j): c for i, j, c in terms}
 
 
-def _qt_inverse(h: HopfAlgebra, den: int, r: dict, error: str) -> tuple[int, dict]:
-    """(S⊗id)R over den·D_S for R = r/den in H⊗H, r integer keyed (i, j): the
-    inverse of every quasitriangular R (Kassel, *Quantum Groups*, VIII.2);
-    ``ValueError(error)`` unless R·R⁻¹ = 1⊗1 = R⁻¹·R exactly."""
+def _qt_from_int(h: HopfAlgebra, den: int, r: dict) -> QTStructure:
+    """R = r/den in H⊗H, r integer keyed (i, j), with R⁻¹ = (S⊗id)R over
+    den·D_S, the inverse of every quasitriangular R (Kassel, *Quantum Groups*,
+    VIII.2): the one rule that builds a ``QTStructure``, of an R on H or of a
+    form r on H as R_r on H*. ``ValueError`` unless R·R⁻¹ = 1⊗1 exactly
+    (``_inverse_laws``), which makes R⁻¹ two-sided."""
     den_s, s = h.int_s
     r_inv = sparse_sum((c, {(k, j): v for k, v in s[i].items()}) for (i, j), c in r.items())
-    sides = (_product_and_one(h.alg, x, y, den * den * den_s) for x, y in ((r, r_inv), (r_inv, r)))
-    if not all(a == b for a, b in sides):
-        raise ValueError(error)
-    return den * den_s, r_inv
-
-
-def _qt_from_int(h: HopfAlgebra, den: int, r: dict) -> QTStructure:
-    """R = r/den in H⊗H, r integer keyed (i, j), with R⁻¹ = (S⊗id)R."""
-    return QTStructure(h, (den, r), _qt_inverse(h, den, r, f"{h.name}: (S⊗id)R is not the inverse of R"))
+    if next(_inverse_laws(h.alg, den * den * den_s, r, r_inv), None):
+        raise ValueError(f"{h.name}: (S⊗id)R is not the inverse of R")
+    return QTStructure(h, (den, r), (den * den_s, r_inv))
 
 
 def qt_structure(h: HopfAlgebra, rvec: Sequence[Fraction]) -> QTStructure:
@@ -551,10 +542,24 @@ def _counit_laws(h: HopfAlgebra, den: int, x: dict, labels: tuple[str, str]) -> 
                                           for key, c in x.items() if key[k] in counit), one)
 
 
+def _inverse_laws(alg: StructureAlgebra, den: int, r: dict, r_inv: dict) -> Iterator[tuple]:
+    """``_law`` of R·R⁻¹ = 1⊗1 for integer r, r_inv in H⊗H with r·r_inv over
+    den, both sides over den·D_m²·D_u², then of R⁻¹·R = 1⊗1 only if that
+    fails: in the associative algebra H⊗H a one-sided inverse is two-sided."""
+    den_m, sp = alg.int_sp
+    den_u, unit = alg.int_unit
+    one = _t2_unit(unit, den * den_m * den_m)
+    for x, y in ((r, r_inv), (r_inv, r)):
+        failed = _law("R·R⁻¹ ≠ 1⊗1", scale_sparse(_t2_int(sp, x, y), den_u * den_u), one)
+        if not failed:
+            return
+        yield from failed
+
+
 def _qt_laws(h: HopfAlgebra, rt: QTStructure) -> Iterator[tuple[str, int | None, dict]]:
     """(label, z, lhs − rhs) per failing law, z the e_z of R·Δ(e_z) = Δ^cop(e_z)·R
     or None; lhs − rhs, keyed by index, pair or triple, is formed only on
-    failure. R⁻¹·R follows a failing R·R⁻¹, under its label.
+    failure. R⁻¹·R follows a failing R·R⁻¹, under its label (``_inverse_laws``).
 
     On integers: R over D_R (``int_pairs``), R⁻¹ over D_I (``int_inv``), Δ
     over D_Δ, 1 over D_u, products over D_m, both sides lifted to one scale."""
@@ -583,11 +588,7 @@ def _qt_laws(h: HopfAlgebra, rt: QTStructure) -> Iterator[tuple[str, int | None,
         yield from _law("R·Δ ≠ Δ^cop·R", lhs, _t2_int(sp, {(q, p): c for p, q, c in terms}, r), z)
 
     den_i, rinv = rt.int_inv
-    for x, y in ((r, rinv), (rinv, r)):
-        failed = _law("R·R⁻¹ ≠ 1⊗1", *_product_and_one(alg, x, y, den_r * den_i))
-        if not failed:
-            break
-        yield from failed
+    yield from _inverse_laws(alg, den_r * den_i, r, rinv)
 
 
 def check_quasitriangular(h: HopfAlgebra, rt: QTStructure) -> CheckReport:
@@ -606,56 +607,6 @@ def check_quasitriangular(h: HopfAlgebra, rt: QTStructure) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-IntTable = tuple[int, list[list[int]]]  # (D, D·r as integer rows)
-
-
-class CoQTStructure:
-    """r and r⁻¹ on H, stored as ``int_table`` and ``int_inv`` in lowest
-    terms."""
-
-    def __init__(self, hopf: HopfAlgebra, form: IntTable, form_inv: IntTable):
-        self.hopf = hopf
-        self.int_table, self.int_inv = _lowest_rows(form, hopf.dim, "r"), _lowest_rows(form_inv, hopf.dim, "r⁻¹")
-
-    @cached_property
-    def qt(self) -> QTStructure:
-        """R_r = Σ r(e_i⊗e_j)·e_i*⊗e_j* on H*, quasitriangular iff r is
-        coquasitriangular (Kassel, *Quantum Groups*, Ch. VIII)."""
-        return QTStructure(self.hopf.dual, _form_pairs(self.int_table), _form_pairs(self.int_inv))
-
-
-def _form_pairs(form: IntTable) -> tuple[int, dict]:
-    den, rows = form
-    return den, {(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row) if c}
-
-
-def _lowest_rows(form: IntTable, n: int, label: str) -> IntTable:
-    """(den, rows) divided by the gcd of den and every entry; ``ValueError``
-    unless den is a positive int and rows n × n ints."""
-    den, rows = form
-    if type(den) is not int or den <= 0:
-        raise ValueError(f"{label}: scale {den!r} is not a positive int")
-    shape = [len(row) for row in rows]
-    if shape != [n] * n:
-        raise ValueError(f"{label} has row lengths {shape}, expected {n}×{n}")
-    if any(type(v) is not int for row in rows for v in row):
-        raise ValueError(f"{label} has an entry that is not an int")
-    g = math.gcd(den, *(v for row in rows for v in row))
-    return den // g, [[v // g for v in row] for row in rows]
-
-
-def coqt_structure(h: HopfAlgebra, form: IntTable) -> CoQTStructure:
-    """Wrap a bilinear form r on H, given as (D_r, D_r·r as dim × dim integer
-    rows; ``ValueError`` otherwise), with r⁻¹(x⊗y) = r(S x ⊗ y), the
-    convolution inverse of every coquasitriangular r, over D_r·D_S, as R_r⁻¹ =
-    (S*⊗id)R_r on H*; ``ValueError`` unless r⁻¹ * r = ε⊗ε = r * r⁻¹ exactly."""
-    n = h.dim
-    form = _lowest_rows(form, n, "r")
-    den, r_inv = _qt_inverse(h.dual, *_form_pairs(form),
-                             "r∘(S⊗id) is not the convolution inverse of r")
-    return CoQTStructure(h, form, (den, [[r_inv.get((x, y), 0) for y in range(n)] for x in range(n)]))
-
-
 # R_r's laws on H* as r's, (group, order, message); sorted by (group, key,
 # order), r(1⊗x) and r(x⊗1) interleave by x, and so on
 _COQT_LAWS = {
@@ -668,17 +619,19 @@ _COQT_LAWS = {
 }
 
 
-def check_coquasitriangular(h: HopfAlgebra, ct: CoQTStructure) -> CheckReport:
-    """The coquasitriangular axioms of r: the laws of R_r on H* (``qt``), each
-    failure named at the keys of its residual; data["cotriangular"] = (r⁻¹ = r₂₁)."""
-    _built_on(h, ct)
+def check_coquasitriangular(h: HopfAlgebra, rr: QTStructure) -> CheckReport:
+    """The coquasitriangular axioms of a form r on H, given as R_r on H*
+    (``ValueError`` for one built elsewhere): the laws of ``_qt_laws`` on H*,
+    each failure named at the keys of its residual; data["cotriangular"] =
+    (r⁻¹ = r₂₁)."""
+    _built_on(h.dual, rr)
     rep = CheckReport(f"coquasitriangular ({h.name})")
     failed = set()
-    for label, _, residual in _qt_laws(h.dual, ct.qt):
+    for label, _, residual in _qt_laws(h.dual, rr):
         group, order, message = _COQT_LAWS[label]
         failed.update((group, k if type(k) is tuple else (k,), order, message) for k in residual)
     rep.failures = [message.format(*k, b=",".join(h.alg.basis[i] for i in k)) for _, k, _, message in sorted(failed)]
-    rep.data["cotriangular"] = ct.qt.triangular
+    rep.data["cotriangular"] = rr.triangular
     return rep
 
 

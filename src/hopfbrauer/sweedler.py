@@ -17,20 +17,16 @@ from fractions import Fraction
 
 from .algebra import CheckReport, StructureAlgebra, opposite_algebra
 from .hopf import (
-    CoQTStructure,
     HopfAlgebra,
     HopfMorphism,
-    IntTable,
     QTStructure,
     _built_on,
     _counit_laws,
-    _form_pairs,
-    _lowest_rows,
+    _int_pairs,
     _qt_from_int,
     _t2_int,
     _t3_int,
     _tensor,
-    coqt_structure,
     drinfeld_double,
 )
 from .linalg import IntVec, Matrix, _rational, dense_vec, over, rational_is_square, scaled, sparse_sum
@@ -95,10 +91,13 @@ def build_rt(t) -> QTStructure:
     return _qt_from_int(build_h4(), 2 * q, r)
 
 
-def build_rt_form(t) -> CoQTStructure:
-    """The cotriangular structure r_t of H₄, over q for t = p/q."""
+def build_rt_form(t) -> QTStructure:
+    """The cotriangular structure r_t of H₄, as R_r on H₄*, over q for t = p/q."""
     p, q = _rational(t).as_integer_ratio()
-    return coqt_structure(build_h4(), (q, [[q, q, 0, 0], [q, -q, 0, 0], [0, 0, p, -p], [0, 0, p, p]]))
+    r = {(0, 0): q, (0, 1): q, (1, 0): q, (1, 1): -q}
+    if p:
+        r.update({(2, 2): p, (2, 3): -p, (3, 2): p, (3, 3): p})
+    return _qt_from_int(build_h4().dual, q, r)
 
 
 @functools.lru_cache(maxsize=None)
@@ -431,11 +430,12 @@ def classify_bm0(d: CFamilyDescriptor) -> BM0Invariant:
 
 
 class LazyCocycle:
-    """σ on the basis (1, g, h, gh), stored as ``int_table`` = (D_s, D_s·σ as
-    integer rows)."""
+    """σ on the basis (1, g, h, gh), stored as Σ = Σ σ(e_i⊗e_j)·e_i*⊗e_j*:
+    ``int_pairs`` = (D_s, {(i, j): D_s·σ(e_i⊗e_j)}), reduced as ``QTStructure``
+    stores R."""
 
-    def __init__(self, t: Fraction, sigma: IntTable):
-        self.t, self.int_table = t, _lowest_rows(sigma, 4, "σ")
+    def __init__(self, t: Fraction, sigma: tuple[int, dict]):
+        self.t, self.int_pairs = t, _int_pairs(*sigma, 4, "σ")
 
 
 def build_sigma(t) -> LazyCocycle:
@@ -448,7 +448,10 @@ def build_sigma(t) -> LazyCocycle:
     t = _rational(t)
     p, q = (t / 2).as_integer_ratio()
     # over q, checked where it is consumed, by cocycle_twist
-    return LazyCocycle(t, (q, [[q, q, 0, 0], [q, q, 0, 0], [0, 0, p, -p], [0, 0, p, -p]]))
+    s = {(0, 0): q, (0, 1): q, (1, 0): q, (1, 1): q}
+    if p:
+        s.update({(2, 2): p, (2, 3): -p, (3, 2): p, (3, 3): -p})
+    return LazyCocycle(t, (q, s))
 
 
 def check_lazy_cocycle(sigma: LazyCocycle) -> CheckReport:
@@ -457,7 +460,7 @@ def check_lazy_cocycle(sigma: LazyCocycle) -> CheckReport:
     each failure named at the keys of its residual."""
     rep = CheckReport("lazy cocycle")
     hd = build_h4().dual
-    den_s, s = _form_pairs(sigma.int_table)
+    den_s, s = sigma.int_pairs
     rep.failures += [law[0] for law in _counit_laws(hd, den_s, s, ("σ(1⊗·) ≠ ε", "σ(·⊗1) ≠ ε"))]
     sp, unit, cop = hd.alg.int_sp[1], hd.alg.int_unit[1].items(), hd.int_cop[1]
     # Σ₁₂·(Δ⊗id)Σ and Σ₂₃·(id⊗Δ)Σ over D_s²·D_u·D_Δ·D_m³; the residual's
@@ -486,7 +489,7 @@ def cocycle_twist(a, sigma: LazyCocycle):
     _built_on(build_h4(), a, product=a.alg, coaction=a.int_rho)
     check_lazy_cocycle(sigma).raise_if_failed()
     alg, (den_c, rho) = a.alg, a.int_rho
-    den_s, s = _form_pairs(sigma.int_table)
+    den_s, s = sigma.int_pairs
     table = [[sparse_sum((c0 * c1 * s[k0, l0], alg.mul_int({a0: 1}, {b0: 1})) for a0, k0, c0 in rho_i
                          for b0, l0, c1 in rho_j if (k0, l0) in s).items() for rho_j in rho] for rho_i in rho]
     twisted = StructureAlgebra.from_int(

@@ -191,7 +191,7 @@ def suite_qt(s: Suite) -> None:
         form = build_rt_form(t)
         rep = check_coquasitriangular(build_h4(), form)
         s.check(f"rt-coqt-{k}", "§1 cotriangular structures r_t", rep.ok and rep.data["cotriangular"], {"t": t})
-        s.check(f"phi-push-{k}", "§1 (φ⊗φ)(R_t) = r_t", push_qt(phi, rt) == form.qt.int_pairs, {"t": t})
+        s.check(f"phi-push-{k}", "§1 (φ⊗φ)(R_t) = r_t", push_qt(phi, rt) == form.int_pairs, {"t": t})
 
 
 def _random_descriptor(s: Suite, azumaya: bool | None = None) -> CFamilyDescriptor:
@@ -337,7 +337,8 @@ def suite_transports(s: Suite) -> None:
     s.check(
         "sigma-zero",
         "§2 lazy cocycles σ_t",
-        not any(build_sigma(0).int_table[1][2]),
+        # σ_0 = ε⊗ε
+        build_sigma(0).int_pairs == (1, {(i, j): 1 for i in (0, 1) for j in (0, 1)}),
     )
     for k in range(max(10, s.samples // 2)):
         a = s.rat()

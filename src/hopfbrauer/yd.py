@@ -31,7 +31,7 @@ from .algebra import (
     on_generators,
     opposite_algebra,
 )
-from .hopf import CoQTStructure, HopfAlgebra, QTStructure, _built_on, _tensor
+from .hopf import HopfAlgebra, QTStructure, _built_on, _tensor
 from .linalg import (
     IntVec,
     Matrix,
@@ -364,11 +364,17 @@ def check_yd_module(m: YDObject) -> CheckReport:
     return rep
 
 
+def _yd_algebra(h: HopfAlgebra, a: YDObject) -> None:
+    """``_built_on``: a is over h, with a product, an action and a coaction."""
+    _built_on(h, a, product=a.alg, action=a.int_images, coaction=a.int_rho)
+
+
 def check_yd_algebra(a: YDObject) -> CheckReport:
     """Module algebra + H^op-comodule algebra + YD compatibility, itemised.
 
     Every identity is compared on integers, from the object's ``int_images``
     and ``int_rho`` and the ``int_sp`` of A and H (module docstring)."""
+    _yd_algebra(a.hopf, a)
     rep = CheckReport("Yetter-Drinfeld module algebra")
     rep.merge(check_module_algebra(a))
     rep.merge(check_comodule_algebra_op(a))
@@ -384,6 +390,7 @@ def check_yd_algebra(a: YDObject) -> CheckReport:
 def h_opposite(a: YDObject) -> YDObject:
     """The H-opposite algebra: same action and coaction, x∘y = y₍₀₎(y₍₁₎·x),
     contracted over D_c·D_a·D_m for ``StructureAlgebra.from_int``."""
+    _yd_algebra(a.hopf, a)
     alg = a.alg
     den_c, rho = a.int_rho
     den_a, images = a.int_images
@@ -408,7 +415,8 @@ def sharp_product(a: YDObject, b: YDObject) -> YDObject:
     The product is contracted from the coaction of A, the action on B and
     the products of A and B over D_c·D_a·D_A·D_B, the coaction from those of
     A and B and the product of H."""
-    _built_on(a.hopf, b)
+    _yd_algebra(a.hopf, a)
+    _yd_algebra(a.hopf, b)
     h = a.hopf
     da, db = a.dim, b.dim
     dim = da * db
@@ -461,6 +469,7 @@ def end_yd(m: YDObject, variant: str = "plain") -> YDObject:
     """
     if variant not in ("plain", "op"):
         raise ValueError("variant must be 'plain' or 'op'")
+    _built_on(m.hopf, m, action=m.int_images)
     h, n, d = m.hopf, m.hopf.dim, m.dim
     plain = variant == "plain"
     alg = endomorphism_algebra(d) if plain else opposite_algebra(endomorphism_algebra(d))
@@ -597,6 +606,7 @@ def fg_maps(a: YDObject) -> tuple[Matrix, Matrix]:
     written once into integer rows over ``den`` for ``Matrix.from_int_rows``;
     equal values share one int object.
     """
+    _yd_algebra(a.hopf, a)
     d = a.dim
     fg = FGContraction(a)
     # cells[h][k] = the (y, e_k·(e_h·e_y)) that are not empty
@@ -654,6 +664,7 @@ def induced_coaction(a: YDObject, r: QTStructure) -> YDObject:
     """Equip an H-module (algebra) with ρ(x) = (R⁽²⁾·x) ⊗ R⁽¹⁾, replacing
     any coaction it has; over D_R·D_a."""
     _built_on(a.hopf, r)
+    _built_on(a.hopf, a, action=a.int_images)
     den_r, pairs = r.int_pairs
     den_a, images = a.int_images
     rho = [
@@ -665,13 +676,15 @@ def induced_coaction(a: YDObject, r: QTStructure) -> YDObject:
     return YDObject.from_int(a.hopf, a.dim, a.alg, a.int_images, (den_r * den_a, rho))
 
 
-def induced_action(a: YDObject, r: CoQTStructure) -> YDObject:
+def induced_action(a: YDObject, r: QTStructure) -> YDObject:
     """Equip an H-comodule (algebra) with h·x = x₍₀₎ r(h ⊗ x₍₁₎), replacing
-    any action it has; over D_c·D_r."""
-    _built_on(a.hopf, r)
-    den_r, form = r.int_table
+    any action it has, for a form r on H given as R_r on H*; over D_c·D_r."""
+    _built_on(a.hopf.dual, r)
+    _built_on(a.hopf, a, coaction=a.int_rho)
+    den_r, form = r.int_pairs
     den_c, rho = a.int_rho
-    images = [[sparse_sum((c * form[i][k], {b: 1}) for b, k, c in row) for i in range(a.hopf.dim)] for row in rho]
+    images = [[sparse_sum((c * form[i, k], {b: 1}) for b, k, c in row if (i, k) in form) for i in range(a.hopf.dim)]
+              for row in rho]
     return YDObject.from_int(a.hopf, a.dim, a.alg, (den_c * den_r, images), a.int_rho)
 
 
@@ -753,6 +766,7 @@ def coaction_grading(obj: YDObject, pi_keep: Sequence[int]) -> tuple[int, ...]:
 
 def gradings(a: YDObject) -> GradingPair:
     """Both natural ℤ₂-gradings of a YD object over H₄ or E(2)."""
+    _built_on(a.hopf, a, action=a.int_images, coaction=a.int_rho)
     g_index = grouplike_index(a.hopf)
     if g_index is None:
         raise ValueError("Hopf algebra metadata lacks a grouplike generator index")

@@ -39,7 +39,6 @@ from hopfbrauer.hopf import HopfAlgebra
 from hopfbrauer.linalg import (
     Echelon,
     Matrix,
-    common_denominator,
     dense_vec,
     over,
     scaled,
@@ -261,10 +260,10 @@ def r_pairs(rt):
     return over(pairs, den)
 
 
-def form_matrix(den, rows):
-    """The dense Fraction matrix of integer rows over den: a form r, r⁻¹ or σ
-    read from its store."""
-    return Matrix([[Fraction(v, den) for v in row] for row in rows])
+def form_matrix(den, pairs, n=4):
+    """The dense n × n Fraction matrix of {(i, j): int} over den: a form r, r⁻¹
+    or σ on H read from its store, n = 4 for H₄."""
+    return Matrix([[Fraction(pairs.get((i, j), 0), den) for j in range(n)] for i in range(n)])
 
 
 def dense(m):
@@ -318,8 +317,8 @@ def consistent(sol):
 
 
 def int_form(m):
-    """(D_r, D_r·m as integer rows), D_r the least common denominator of the
-    matrix m: the ``CoQTStructure`` and ``LazyCocycle`` store of a dense form."""
-    rows = dense(m)
-    den = common_denominator(v for row in rows for v in row)
-    return den, [[v.numerator * (den // v.denominator) for v in row] for row in rows]
+    """(D, {(i, j): D·m_ij} over the nonzero entries), D the least common
+    denominator of the matrix m: a dense form as ``QTStructure`` on H* and
+    ``LazyCocycle`` take it."""
+    pairs, den = scaled({(i, j): v for i, row in enumerate(dense(m)) for j, v in enumerate(row) if v})
+    return den, pairs

@@ -43,8 +43,8 @@ from test_integer_scaling import H4_SCALES, _rescaled_hopf, _transported
 
 from hopfbrauer.e2 import build_e2, build_RN
 from hopfbrauer.hopf import (
-    CoQTStructure,
     HopfMorphism,
+    QTStructure,
     check_coquasitriangular,
     check_hopf_morphism,
     check_quasitriangular,
@@ -117,18 +117,18 @@ COQT_PINS = {
 def test_coquasitriangular_failures_are_pinned(case):
     t, which, bump = case
     ct = build_rt_form(t)
-    form, inv = form_matrix(*ct.int_table), form_matrix(*ct.int_inv)
+    form, inv = form_matrix(*ct.int_pairs), form_matrix(*ct.int_inv)
     if bump is not None:
         if which == "form":
             form = _bumped(form, *bump)
         else:
             inv = _bumped(inv, *bump)
     h4 = build_h4()
-    rep = check_coquasitriangular(h4, CoQTStructure(h4, int_form(form), int_form(inv)))
+    rep = check_coquasitriangular(h4, QTStructure(h4.dual, int_form(form), int_form(inv)))
     assert _pin(rep.failures) + (rep.data["cotriangular"],) == COQT_PINS[case]
     scaled = _rescaled_hopf(h4, H4_SCALES)
     assert scaled.alg.int_sp[0] > 1 and scaled.int_cop[0] > 1
-    moved = CoQTStructure(scaled, int_form(_congruent(form, H4_SCALES)), int_form(_congruent(inv, H4_SCALES)))
+    moved = QTStructure(scaled.dual, int_form(_congruent(form, H4_SCALES)), int_form(_congruent(inv, H4_SCALES)))
     rescaled = check_coquasitriangular(scaled, moved)
     assert rescaled.failures == rep.failures
     assert rescaled.data == rep.data
@@ -150,7 +150,7 @@ SIGMA_PINS = {
 @pytest.mark.parametrize("case", SIGMA_PINS)
 def test_lazy_cocycle_failures_are_pinned(case):
     t, bump = case
-    table = form_matrix(*build_sigma(t).int_table)
+    table = form_matrix(*build_sigma(t).int_pairs)
     if bump is not None:
         table = _bumped(table, *bump)
     assert _pin(check_lazy_cocycle(LazyCocycle(t, int_form(table))).failures) == SIGMA_PINS[case]
@@ -189,7 +189,7 @@ def test_hopf_morphism_failures_are_pinned(bump):
 
 def _reference_twist(a, sigma):
     """x•y = x₍₀₎y₍₀₎σ(x₍₁₎⊗y₍₁₎) by the dense Fraction loop."""
-    alg, s = a.alg, dense(form_matrix(*sigma.int_table))
+    alg, s = a.alg, dense(form_matrix(*sigma.int_pairs))
     mult = [[[Q(0)] * alg.dim for _ in range(alg.dim)] for _ in range(alg.dim)]
     for i in range(alg.dim):
         for j in range(alg.dim):

@@ -30,10 +30,14 @@ on a Fraction writer (``over``, ``dense_vec``, ``mul_vec``,
 ``operator_to_vec``) turns integers into ℚ and back with no effect on the
 result; ``ALLOWED_ROUND_TRIPS`` names the one site kept, with its reason.
 
-No Hopf algebra is written out by hand (``hopf_builders``): only the E(n)
+No Hopf algebra is written out by hand (``callers``): only the E(n)
 builder (``sweedler.nichols``, which makes kℤ₂, H₄ and E(2)), ``dual_hopf``,
 ``drinfeld_double`` and the file edge ``defio.load_hopf`` call
-``HopfAlgebra.from_int``, so a literal Hopf table elsewhere is found.
+``HopfAlgebra.from_int``, so a literal Hopf table elsewhere is found. Only
+``hopf._qt_from_int``, which derives R⁻¹ and checks it, calls
+``QTStructure``, for an R on H and for a form r on H as R_r on H*; its
+callers are the builders of R_t, r_t and R_N, ``qt_structure`` and the
+double, so a second path to a structure, unchecked, is found.
 
 The tests' helpers follow the rule too: each function of ``tests/conftest.py``
 and ``tests/reference.py`` has a caller in ``tests/``
@@ -66,6 +70,12 @@ ALLOWED_ROUND_TRIPS = {"algebra.sandwich_matrix"}
 # the only callers of HopfAlgebra.from_int: the E(n) builder, the dual, the
 # double and the file edge
 HOPF_MAKERS = {"sweedler.nichols", "hopf.dual_hopf", "hopf.drinfeld_double", "defio.load_hopf"}
+
+# the one rule that builds a QTStructure, an R on H or a form r on H as R_r
+# on H*, and its callers: R_t, r_t, R_N, a user's R and the double's R
+QT_MAKERS = {"hopf._qt_from_int"}
+QT_RULE_CALLERS = {"sweedler.build_rt", "sweedler.build_rt_form", "e2.build_RN", "hopf.qt_structure",
+                   "hopf.drinfeld_double"}
 
 # the names under which the package holds a CheckReport whose ``data`` it reads
 REPORTS = {"rep", "report"}
@@ -292,21 +302,46 @@ def test_a_round_trip_is_found(tmp_path):
     assert round_trips(tmp_path) - round_trips() == {f"e2.witness_end_p:{line}"}
 
 
-def hopf_builders(src: pathlib.Path = SRC) -> set[str]:
+def callers(callee: str, src: pathlib.Path = SRC) -> set[str]:
     """"module.function" for each outermost function or method of ``src`` that
-    calls ``HopfAlgebra.from_int``, "module" for a call outside any function."""
+    calls ``callee``, "module" for a call outside any function. A callee
+    "Owner.name" is matched as that attribute of that name; a bare "name" as
+    any call of it, bare or an attribute (``hopf.name``)."""
+    owner, _, name = callee.rpartition(".")
     out = set()
     for path in sorted(src.glob("*.py")):
         for node in _tree(path.read_text()).body:
             for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
-                if any(isinstance(n, ast.Call) and _maker(n.func) == "from_int"
-                       and getattr(n.func.value, "id", None) == "HopfAlgebra" for n in ast.walk(fn)):
+                if any(isinstance(n, ast.Call) and _maker(n.func) == name
+                       and (not owner or getattr(getattr(n.func, "value", None), "id", None) == owner)
+                       for n in ast.walk(fn)):
                     out.add(f"{path.stem}.{fn.name}" if isinstance(fn, FUNCTIONS) else path.stem)
     return out
 
 
 def test_only_the_builders_make_a_hopf_algebra():
-    assert hopf_builders() == HOPF_MAKERS
+    assert callers("HopfAlgebra.from_int") == HOPF_MAKERS
+
+
+def test_one_rule_makes_a_quasitriangular_structure():
+    assert callers("QTStructure") == QT_MAKERS
+    assert callers("_qt_from_int") == QT_RULE_CALLERS
+
+
+def test_a_second_constructor_path_is_found(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    # r_t's pairs handed to QTStructure with no inverse derived or checked,
+    # in a function and, through the module, in a method; the rule called at
+    # module level
+    sweedler = tmp_path / "sweedler.py"
+    sweedler.write_text(sweedler.read_text() + "\n\ndef _rt_form_unchecked(q, r, r_inv):\n"
+                        "    return QTStructure(build_h4().dual, (q, r), (q, r_inv))\n\n\n"
+                        "class _Forms:\n    def form(self, q, r):\n"
+                        "        return hopf.QTStructure(build_h4().dual, (q, r), (q, r))\n\n\n"
+                        "R_ONE = _qt_from_int(build_h4(), 1, {(0, 0): 1})\n")
+    assert callers("QTStructure", tmp_path) == QT_MAKERS | {"sweedler._rt_form_unchecked", "sweedler.form"}
+    assert callers("_qt_from_int", tmp_path) == QT_RULE_CALLERS | {"sweedler"}
 
 
 def test_a_literal_hopf_table_is_found(tmp_path):
@@ -319,7 +354,7 @@ def test_a_literal_hopf_table_is_found(tmp_path):
              "[[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, 1)]]], 1), (1, [[(0, 0, 1)], [(1, 1, 1)]]), "
              "(1, {0: 1, 1: 1}), (1, [{0: 1}, {1: 1}]), (1, [{0: 1}, {1: 1}]))")
     e2.write_text(e2.read_text() + f"\n\ndef _k_z2_table():\n    return {table}\n\n\nKZ2 = {table}\n")
-    assert hopf_builders(tmp_path) == HOPF_MAKERS | {"e2._k_z2_table", "e2"}
+    assert callers("HopfAlgebra.from_int", tmp_path) == HOPF_MAKERS | {"e2._k_z2_table", "e2"}
 
 
 def uncalled_test_helpers(tests: pathlib.Path = TESTS) -> set[str]:

@@ -8,7 +8,8 @@ the rescaled basis of ``test_integer_scaling``, with fixed cases that break
 each law of σ; and they pin that every reader of an R or an r, and H₄'s
 twists, refuse one built on another Hopf algebra, whose indices they would
 read in the wrong basis, as ``sharp_product`` refuses two objects over
-different Hopf algebras."""
+different Hopf algebras. A form r on H is stored as R_r, a ``QTStructure``
+on H*, so a reader of r also refuses an R of H itself."""
 
 import random
 from fractions import Fraction as Q
@@ -20,7 +21,7 @@ from test_integer_scaling import H4_SCALES, _rescaled_hopf
 
 import reference
 from hopfbrauer.e2 import build_c_e2, build_e2, build_RN
-from hopfbrauer.hopf import CoQTStructure, check_coquasitriangular, check_quasitriangular, push_qt
+from hopfbrauer.hopf import QTStructure, check_coquasitriangular, check_quasitriangular, push_qt
 from hopfbrauer.linalg import Matrix
 from hopfbrauer.sweedler import (
     CFamilyDescriptor,
@@ -64,7 +65,7 @@ SIGMA_FIXED = {
 
 def _rt_forms(t):
     ct = build_rt_form(t)
-    return ct.int_table, ct.int_inv
+    return ct.int_pairs, ct.int_inv
 
 
 def _corrupted(case, fixed=FIXED, forms=_rt_forms):
@@ -86,11 +87,11 @@ def _corrupted(case, fixed=FIXED, forms=_rt_forms):
 
 
 def _sigma(case):
-    return _corrupted(case, SIGMA_FIXED, lambda t: (build_sigma(t).int_table,))[0]
+    return _corrupted(case, SIGMA_FIXED, lambda t: (build_sigma(t).int_pairs,))[0]
 
 
 def _checked(h, r, r_inv):
-    rep = check_coquasitriangular(h, CoQTStructure(h, int_form(Matrix(r)), int_form(Matrix(r_inv))))
+    rep = check_coquasitriangular(h, QTStructure(h.dual, int_form(Matrix(r)), int_form(Matrix(r_inv))))
     return rep.failures, rep.data["cotriangular"]
 
 
@@ -150,8 +151,11 @@ MISMATCHED = {
     "check_quasitriangular R_t on rescaled H4": lambda: check_quasitriangular(
         _rescaled_hopf(build_h4(), H4_SCALES), build_rt(0)),
     "check_coquasitriangular r_t on E(2)": lambda: check_coquasitriangular(build_e2(), build_rt_form(0)),
+    # a form on H is R_r on H*: an R of H₄ itself is no form on H₄
+    "check_coquasitriangular R_t as a form": lambda: check_coquasitriangular(build_h4(), build_rt(1)),
     "induced_coaction R_N on C": lambda: induced_coaction(_c_h4(), build_RN()),
     "induced_action r_t on C@E2": lambda: induced_action(build_c_e2(1, 0, 0), build_rt_form(0)),
+    "induced_action R_t as a form on C": lambda: induced_action(_c_h4(), build_rt(1)),
     "braiding_psi R_N on C": lambda: braiding_psi(_c_h4(), _c_h4(), build_RN()),
     "braiding_psi R_t on C, C@E2": lambda: braiding_psi(_c_h4(), build_c_e2(1, 0, 0), build_rt(0)),
     "push_qt R_N along phi": lambda: push_qt(phi_iso(), build_RN()),

@@ -15,7 +15,6 @@ from conftest import (
     dh4_named,
     diag,
     form_matrix,
-    int_form,
     r_vec,
     s_cols,
     s_matrix,
@@ -29,7 +28,6 @@ from hopfbrauer.defio import SchemaError, hopf_to_json, load_hopf
 from hopfbrauer.e2 import build_e2
 from hopfbrauer import hopf
 from hopfbrauer.hopf import (
-    CoQTStructure,
     HopfAlgebra,
     HopfMorphism,
     QTStructure,
@@ -38,7 +36,6 @@ from hopfbrauer.hopf import (
     check_hopf_axioms,
     check_hopf_morphism,
     check_quasitriangular,
-    coqt_structure,
     drinfeld_double,
     dual_hopf,
     push_qt,
@@ -292,15 +289,15 @@ def test_coqt_store_is_in_lowest_terms(t):
     # r and r⁻¹ handed over at any common scale are stored reduced, so equal
     # forms have equal stores and the cotriangular flag compares integers
     h4, ct = build_h4(), build_rt_form(t)
-    (den, r), (den_i, ri) = ct.int_table, ct.int_inv
-    assert math.gcd(den, *(v for row in r for v in row)) == 1
-    assert math.gcd(den_i, *(v for row in ri for v in row)) == 1
-    moved = CoQTStructure(
-        h4, (6 * den, [[6 * v for v in row] for row in r]), (35 * den_i, [[35 * v for v in row] for row in ri])
+    (den, r), (den_i, ri) = ct.int_pairs, ct.int_inv
+    assert math.gcd(den, *r.values()) == 1 and list(r) == sorted(r)
+    assert math.gcd(den_i, *ri.values()) == 1 and list(ri) == sorted(ri)
+    moved = QTStructure(
+        h4.dual, (6 * den, {k: 6 * v for k, v in r.items()}), (35 * den_i, {k: 35 * v for k, v in ri.items()})
     )
-    assert (moved.int_table, moved.int_inv) == (ct.int_table, ct.int_inv)
+    assert (moved.int_pairs, moved.int_inv) == (ct.int_pairs, ct.int_inv)
     assert check_coquasitriangular(h4, moved).data["cotriangular"]
-    assert form_matrix(*moved.int_table) == form_matrix(*ct.int_table)
+    assert form_matrix(*moved.int_pairs) == form_matrix(*ct.int_pairs)
     assert form_matrix(*moved.int_inv) == form_matrix(*ct.int_inv)
 
 
@@ -335,19 +332,20 @@ def test_closed_form_inverses_equal_the_solved_ones(t):
     # and r_tᵀ: closed forms independent of the (S⊗id)R and r∘(S⊗id) derived
     rt, form = build_rt(t), build_rt_form(t)
     assert r_vec(rt, inverse=True) == [r_vec(rt)[(k % 4) * 4 + k // 4] for k in range(16)]
-    assert form_matrix(*form.int_inv) == transpose(form_matrix(*form.int_table))
+    assert form_matrix(*form.int_inv) == transpose(form_matrix(*form.int_pairs))
 
 
 def test_wrong_known_inverses_are_rejected():
     # 2·(1⊗1) and 2·(ε⊗ε) have the inverses ½·(1⊗1) and ½·(ε⊗ε), but they
-    # are not (co)quasitriangular, so (S⊗id)R and r∘(S⊗id) are not those
+    # are not (co)quasitriangular, so (S⊗id)R and r∘(S⊗id) are not those;
+    # the form 2·(ε⊗ε) on H₄ is given as R_r on H₄*
     h4 = build_h4()
     two = zero_vec(16)
     two[0] = Q(2)
     with pytest.raises(ValueError, match="not the inverse of R"):
         qt_structure(h4, two)
-    with pytest.raises(ValueError, match="not the convolution inverse of r"):
-        coqt_structure(h4, int_form(Matrix([[2 * a * b for b in counit_vec(h4)] for a in counit_vec(h4)])))
+    with pytest.raises(ValueError, match=r"^H4\*: \(S⊗id\)R is not the inverse of R$"):
+        qt_structure(h4.dual, [2 * a * b for a in counit_vec(h4) for b in counit_vec(h4)])
     # one perturbed coefficient of R_t
     wrong = list(r_vec(build_rt(Q(3, 2))))
     wrong[5] += 1
@@ -363,18 +361,25 @@ def test_qt_structure_rejects_a_misshapen_r(length):
 
 @pytest.mark.parametrize("shape", [(2, 2), (4, 3), (3, 4), (5, 5)])
 def test_coqt_structure_rejects_a_misshapen_form(shape):
-    bad = Matrix([[Q(int(i == j)) for j in range(shape[1])] for i in range(shape[0])])
-    with pytest.raises(ValueError, match="expected 4×4"):
-        coqt_structure(build_h4(), int_form(bad))
+    # a form on H₄ is built as R_r on H₄*, from its dim² coefficients
+    bad = [Q(int(i == j)) for i in range(shape[0]) for j in range(shape[1])]
+    with pytest.raises(ValueError, match=f"^R has {len(bad)} entries, expected dim² = 16$"):
+        qt_structure(build_h4().dual, bad)
 
 
-SIGMA_ROWS = [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, -1], [0, 0, 1, -1]]
+# σ_2 over 1, which the forms' cases corrupt
+SIGMA_PAIRS = {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1, (2, 2): 1, (2, 3): -1, (3, 2): 1, (3, 3): -1}
 BAD_TABLES = {
-    "2x2": ((1, [[1, 0], [0, 1]]), "expected 4×4"),
-    "scale 0": ((0, SIGMA_ROWS), "not a positive int"),
-    "scale -2": ((-2, SIGMA_ROWS), "not a positive int"),
-    "float scale": ((2.0, SIGMA_ROWS), "not a positive int"),
-    "float entry": ((2, [SIGMA_ROWS[0], SIGMA_ROWS[1], [0, 0, 0.5, -1], SIGMA_ROWS[3]]), "not an int"),
+    # a form r or σ as its pairs, which were dense rows; a 2×2 σ raised
+    # IndexError in check_lazy_cocycle, and D_s = 0 was accepted and then
+    # reported as "σ(1⊗·) ≠ ε". Dense rows of any shape are now refused
+    "2x2": ((1, [[1, 0], [0, 1]]), r"must be \{\(i, j\): int\}, not \[\[1, 0\], \[0, 1\]\]$"),
+    "5x5": ((1, {(k, k): 1 for k in range(5)}), r"^sparse term index \(4, 4\) is not in range\(4\)×range\(4\)$"),
+    "scale 0": ((0, SIGMA_PAIRS), "^scale 0 is not a positive int$"),
+    "scale -2": ((-2, SIGMA_PAIRS), "^scale -2 is not a positive int$"),
+    "float scale": ((2.0, SIGMA_PAIRS), "^scale 2.0 is not a positive int$"),
+    "float entry": ((2, {**SIGMA_PAIRS, (2, 2): 0.5}),
+                    r"^sparse term index \(2, 2\) has coefficient 0.5, not a nonzero int$"),
     # R or R⁻¹ as (D, {(i, j): int}); each was stored unchecked (scale 0
     # raised ZeroDivisionError, a float coefficient TypeError)
     "R key (9, 9)": ((1, {(0, 0): 1, (9, 9): 1}), r"^sparse term index \(9, 9\) is not in range\(4\)×range\(4\)$"),
@@ -390,16 +395,12 @@ BAD_TABLES = {
 
 @pytest.mark.parametrize("table, message", BAD_TABLES.values(), ids=BAD_TABLES)
 def test_integer_forms_are_refused_with_a_clean_error(table, message):
-    # a 2×2 σ used to raise IndexError in check_lazy_cocycle, and D_s = 0
-    # was accepted and then reported as "σ(1⊗·) ≠ ε"
-    h4 = build_h4()
-    if isinstance(table[1], dict):
-        good = build_rt(Q(3, 2)).int_pairs
-        builds = (lambda: QTStructure(h4, table, good), lambda: QTStructure(h4, good, table))
-    else:
-        good = build_rt_form(Q(3, 2)).int_table
-        builds = (lambda: LazyCocycle(Q(2), table), lambda: CoQTStructure(h4, table, good),
-                  lambda: CoQTStructure(h4, good, table), lambda: coqt_structure(h4, table))
+    # R and R⁻¹ on H₄, a form r and r⁻¹ as R_r and R_r⁻¹ on H₄*, and σ share
+    # one store and one rule
+    builds = [lambda: LazyCocycle(Q(2), table)]
+    for h, good in ((build_h4(), build_rt(Q(3, 2))), (build_h4().dual, build_rt_form(Q(3, 2)))):
+        builds += [lambda h=h, good=good: QTStructure(h, table, good.int_inv),
+                   lambda h=h, good=good: QTStructure(h, good.int_pairs, table)]
     for build in builds:
         with pytest.raises(ValueError, match=message):
             build()
@@ -421,7 +422,7 @@ def test_phi_push_matches_rt_table():
         # in lowest terms, keys in order, as QTStructure stores R
         assert math.gcd(den, *pushed.values()) == 1 and list(pushed) == sorted(pushed)
         table = [[Q(pushed.get((u, v), 0), den) for v in range(4)] for u in range(4)]
-        assert table == dense(form_matrix(*build_rt_form(t).int_table))
+        assert table == dense(form_matrix(*build_rt_form(t).int_pairs))
 
 
 def test_identity_morphism():

@@ -78,7 +78,7 @@ def ref_induced_coaction(a, r):
 
 
 def ref_induced_action(a, r):
-    form = dense(form_matrix(*r.int_table))
+    form = dense(form_matrix(*r.int_pairs))
     images = [[sparse_sum((c * form[i][k], {b: 1}) for b, k, c in row) for i in range(a.hopf.dim)] for row in yd_rho(a)]
     return sparse_yd(a.hopf, a.dim, a.alg, images, yd_rho(a))
 

@@ -260,8 +260,8 @@ def test_squarefree_part_large_cofactors():
 
 def test_sigma_table_values():
     sig = build_sigma(Q(5))
-    assert dense(form_matrix(*sig.int_table))[2][2] == Q(5, 2)    # σ(h⊗h) = t/2
-    assert dense(form_matrix(*sig.int_table))[3][3] == Q(-5, 2)   # σ(gh⊗gh) = −t/2
+    assert dense(form_matrix(*sig.int_pairs))[2][2] == Q(5, 2)    # σ(h⊗h) = t/2
+    assert dense(form_matrix(*sig.int_pairs))[3][3] == Q(-5, 2)   # σ(gh⊗gh) = −t/2
     assert check_lazy_cocycle(sig).ok
 
 

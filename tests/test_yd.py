@@ -23,6 +23,8 @@ from conftest import (
     yd_rho,
     zero_matrix,
 )
+from test_sweedler import _c_keeping
+
 from hopfbrauer.algebra import StructureAlgebra
 from hopfbrauer.defio import SchemaError, load_yd, yd_to_json
 from hopfbrauer.e2 import build_c_e2
@@ -683,7 +685,9 @@ def test_solve_linear_dimension_mismatch():
 def test_cocycle_twist_rejects_invalid_cocycle():
     from hopfbrauer.sweedler import LazyCocycle, cocycle_twist
 
-    bad = LazyCocycle(Q(1), (1, [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]]))
+    # σ_2 with σ(h⊗gh) and σ(gh⊗gh) of the wrong sign
+    pairs = {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1, (2, 2): 1, (2, 3): 1, (3, 2): 1, (3, 3): 1}
+    bad = LazyCocycle(Q(1), (1, pairs))
     with pytest.raises(AssertionError):
         cocycle_twist(build_C(CFamilyDescriptor(Q(1), Q(0), Q(1))), bad)
 
@@ -785,3 +789,31 @@ def test_corruption_failure_messages_are_pinned():
     assert check_yd_algebra(dense_yd(c.hopf, c.dim, c.alg, action, coaction_rows(c))).failures == [
         f"{prefix} (g,h)", f"{prefix} (g,gh)", f"{prefix} (h,g)", f"{prefix} (gh,g)",
     ]
+
+
+def _c_without_product():
+    c = _c_keeping("int_images", "int_rho")
+    return YDObject.from_int(c.hopf, c.dim, None, c.int_images, c.int_rho)
+
+
+# each YD function, given an object over H₄ without a store it reads; each
+# raised TypeError (cannot unpack None) or AttributeError
+MISSING_STORES = {
+    "induced_action": (lambda: induced_action(_c_keeping("int_images"), build_rt_form(1)), "coaction"),
+    "induced_coaction": (lambda: induced_coaction(_c_keeping("int_rho"), build_rt(1)), "action"),
+    "h_opposite": (lambda: h_opposite(_c_keeping("int_images")), "coaction"),
+    "sharp_product left": (lambda: sharp_product(_c_keeping("int_images"), _c(1)), "coaction"),
+    "sharp_product right": (lambda: sharp_product(_c(1), _c_keeping("int_rho")), "action"),
+    "fg_maps": (lambda: fg_maps(_c_keeping("int_rho")), "action"),
+    "is_h_azumaya": (lambda: is_h_azumaya(_c_without_product()), "product"),
+    "check_yd_algebra": (lambda: check_yd_algebra(_c_keeping()), "action and no coaction"),
+    "end_yd": (lambda: end_yd(_c_keeping("int_rho")), "action"),
+    "gradings": (lambda: gradings(_c_keeping("int_images")), "coaction"),
+}
+
+
+@pytest.mark.parametrize("case", MISSING_STORES)
+def test_a_yd_function_names_the_store_it_lacks(case):
+    call, missing = MISSING_STORES[case]
+    with pytest.raises(ValueError, match=f"^YDObject has no {missing}$"):
+        call()
