@@ -30,7 +30,6 @@ from .e2 import build_c_e2, generator_error, kernel_witness, not_subgroup_demo, 
 from .linalg import format_rational, parse_rational
 from .sweedler import (
     CFamilyDescriptor,
-    TransportShapeError,
     aut_conjugate,
     c_membership,
     c_product,
@@ -135,11 +134,9 @@ def _emit(payload: dict, json_path: str | None) -> None:
 
 def cmd_verify(args) -> int:
     if args.samples < 1:
-        print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if args.samples > MAX_SAMPLES:
-        print(f"error: --samples must be at most {MAX_SAMPLES}, got {args.samples}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
     options = {}
     if args.t is not None:
         options["t"] = args.t
@@ -223,9 +220,9 @@ def cmd_product(args) -> int:
 def cmd_conjugate(args) -> int:
     try:
         out = aut_conjugate(CFamilyDescriptor(args.a, args.t, args.s), args.alpha)
-    except (ValueError, AssertionError) as exc:
+    except AssertionError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR if isinstance(exc, ValueError) else CHECK_FAILED
+        return CHECK_FAILED
     print(repr(out))
     return 0
 
@@ -235,14 +232,10 @@ def cmd_transport(args) -> int:
     try:
         if args.kind == "psi":
             if args.param is None:
-                print("error: psi transport needs --param", file=sys.stderr)
-                return USAGE_ERROR
+                raise ValueError("psi transport needs --param")
             out = psi_transport(d, args.param, inverse=args.inverse)
         else:
             out = phi_transport(d, inverse=args.inverse)
-    except TransportShapeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except AssertionError as exc:
         print(f"error: structural validation failed: {exc}", file=sys.stderr)
         return CHECK_FAILED
@@ -272,11 +265,7 @@ def cmd_kernel_witness(_args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    try:
-        ns = not_subgroup_demo(args.t, args.q)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    ns = not_subgroup_demo(args.t, args.q)
     print(f"factors Azumaya: {ns.factors_azumaya}, graded central simple: {ns.factors_gcs}")
     print(f"product Azumaya: {ns.product_azumaya}, graded central simple: {ns.product_gcs}")
     print(f"super-central odd element X−Y found: {ns.super_central_witness is not None}")
@@ -297,29 +286,23 @@ def cmd_theorem61(args) -> int:
             with open(args.file, encoding="utf-8") as fh:
                 obj = json.load(fh)
             kind, loaded, report = validate_definition(obj)
-        except (OSError, json.JSONDecodeError, SchemaError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+        except OSError as exc:
+            raise ValueError(exc) from exc
         # theorem61_check reads the generators c, x1 and x2 from the meta
         missing = [key for key in ("c", "x1", "x2") if kind == "yd" and loaded.hopf.meta.get(key) is None]
         if kind != "yd" or missing:
             where = f": the Hopf algebra's meta has no {missing[0]!r}" if missing else ""
-            print(f"error: theorem61 needs a YD definition over E2{where}", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError(f"theorem61 needs a YD definition over E2{where}")
         if not report.ok:
-            print("error: definition fails its axioms:", *report.failures[:5], sep="\n  ", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError("\n  ".join(["definition fails its axioms:", *report.failures[:5]]))
         bad = generator_error(loaded.hopf)
         if bad:
-            print(f"error: theorem61 needs the generators of E2: {bad}", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError(f"theorem61 needs the generators of E2: {bad}")
         a = loaded
     else:
-        print("error: provide a file or --c A T1 T2", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("provide a file or --c A T1 T2")
     if not is_h_azumaya(a):
-        print("error: algebra is not (E(2),R_N)-Azumaya; the equivalence does not apply", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("algebra is not (E(2),R_N)-Azumaya; the equivalence does not apply")
     rep = theorem61_check(a)
     print(f"x1-action inner: {rep.x1_inner}")
     print(f"x2-action inner: {rep.x2_inner}")

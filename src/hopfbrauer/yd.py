@@ -357,6 +357,7 @@ def check_yd_condition(m: YDObject) -> CheckReport:
 
 
 def check_yd_module(m: YDObject) -> CheckReport:
+    _built_on(m.hopf, m, action=m.int_images, coaction=m.int_rho)
     rep = CheckReport("Yetter-Drinfeld module")
     rep.merge(check_module(m))
     rep.merge(check_comodule(m))
@@ -783,6 +784,7 @@ def yd_centralizers(a: YDObject, sub_basis: list[list[Fraction]]) -> tuple[list,
 
     C^l = {x : b·x = x₍₀₎(x₍₁₎·b) ∀b∈B}, C^r = {x : x·b = b₍₀₎(b₍₁₎·x) ∀b∈B}.
     """
+    _yd_algebra(a.hopf, a)
     alg = a.alg
     mul = alg.mul_int
     d, n = alg.dim, a.hopf.dim
@@ -827,24 +829,21 @@ def yd_centralizers(a: YDObject, sub_basis: list[list[Fraction]]) -> tuple[list,
 # ---------------------------------------------------------------------------
 
 
-def _inner_blocks(a: YDObject, x_index: int, c_index: int, js) -> list:
-    """x·z = v(c·z) − zv for v on the coordinates js, a block per z."""
-    den_a, images = a.int_images
-    den_m = a.alg.int_sp[0]
-    return [(commutator_columns(a.alg, acts[c_index], -1, {z: den_a}, js), sparse_sum([(den_m, acts[x_index])]))
-            for z, acts in enumerate(images)]
-
-
 def inner_witness(a: YDObject, x_index: int, c_index: int) -> list[Fraction] | None:
     """Solve x·z = v(c·z) − zv for an odd element v; None when inconsistent.
 
     ``a`` needs an action and an action-grading; any odd solution is
     accepted (witnesses are unique only up to graded-center elements).
     """
+    _built_on(a.hopf, a, product=a.alg, action=a.int_images)
     alg = a.alg
+    (den_a, images), den_m = a.int_images, alg.int_sp[0]
     parity = action_grading(a, c_index)
     odd = [j for j in range(alg.dim) if parity[j] == 1]
-    sol = solve_columns(_inner_blocks(a, x_index, c_index, odd), len(odd))
+    # a block per z, over D_m·D_a
+    blocks = [(commutator_columns(alg, acts[c_index], -1, {z: den_a}, odd), sparse_sum([(den_m, acts[x_index])]))
+              for z, acts in enumerate(images)]
+    sol = solve_columns(blocks, len(odd))
     return None if sol.particular is None else dense_vec(dict(zip(odd, sol.particular)), alg.dim)
 
 
@@ -868,6 +867,7 @@ def conjugation_implementer(a: YDObject, g_index: int) -> list[Fraction] | None:
     searched among basis vectors, pairwise sums and a few deterministic
     pseudo-random combinations (``_candidates``).
     """
+    _built_on(a.hopf, a, product=a.alg, action=a.int_images)
     alg = a.alg
     den_a, images = a.int_images
     equations = [(commutator_columns(alg, {z: den_a}, -1, acts[g_index], range(alg.dim)), {})
@@ -906,26 +906,40 @@ def normalized_implementer(a: YDObject, g_index: int) -> list[Fraction] | None:
     return [x / root for x in u]
 
 
+def _strong_inner_solver(a: YDObject, u: list[Fraction]):
+    """x ↦ p(x) for an algebra map p: E(n) → A, p(c) = u, u² = 1, giving the
+    action: x·z = p(x)·z·u + z·u·p(x) for all z, u·p(x) + p(x)·u = 0; the
+    ``solve_columns`` particular solution, or None. The columns of v ↦ vy + yv
+    for y = u, then y = zu for each z, are built once, over D_m²·D_u·D_a."""
+    alg, d = a.alg, a.dim
+    den_a, images = a.int_images
+    su, den_u = scaled(sparse_vec(u))
+    lift = alg.int_sp[0] ** 2 * den_u
+    ys = (su, *(alg.mul_int({z: den_a}, su) for z in range(d)))
+    columns = [commutator_columns(alg, y, 1, y, range(d)) for y in ys]
+
+    def strong_inner_p(x: int) -> list[Fraction] | None:
+        targets = [{}] + [sparse_sum([(lift, acts[x])]) for acts in images]
+        return solve_columns(zip(columns, targets), d).particular
+
+    return strong_inner_p
+
+
 def strongly_inner_witness_h4(a: YDObject):
     """Witness (u, w, β) for g·z = uzu⁻¹, h·z = w(g·z) − zw, u²=1, wu+uw=0, w²=β.
 
+    H₄ = E(1): w = p(h)·u for p(h) from ``_strong_inner_solver``.
     Returns None when the defining linear systems are inconsistent. β is the
     scalar w² and is the (k,+)-component of the class; a non-scalar w² is an
     error because this invariant is then undefined.
     """
-    h4 = a.hopf
-    g_index, h_index = h4.meta["g"], h4.meta["h"]
-    u = normalized_implementer(a, g_index)
-    if u is None:
+    h4, alg = a.hopf, a.alg
+    u = normalized_implementer(a, h4.meta["g"])
+    p_h = None if u is None else _strong_inner_solver(a, u)(h4.meta["h"])
+    if p_h is None:
         return None
-    alg = a.alg
-    equations = _inner_blocks(a, h_index, g_index, range(alg.dim))
-    su = scaled(sparse_vec(u))[0]
-    equations.append((commutator_columns(alg, su, 1, su, range(alg.dim)), {}))
-    sol = solve_columns(equations, alg.dim)
-    if sol.particular is None:
-        return None
-    w = sol.particular
+    (sp, den_p), (su, den_u) = scaled(sparse_vec(p_h)), scaled(sparse_vec(u))
+    w = dense_vec(over(alg.mul_int(sp, su), den_p * den_u * alg.int_sp[0]), alg.dim)
     beta = _square_scalar(alg, w)
     if beta is None:
         raise ValueError("w² is not scalar; the (k,+)-invariant is undefined here")
@@ -946,71 +960,47 @@ def strongly_inner_witness_e2(a: YDObject) -> StrongInnerE2Result:
     """Exhaustive branch analysis for a strongly inner E(2)-action.
 
     A convolution-invertible algebra map p: E(2) → A giving the action
-    would satisfy, with u' = p(c), w' = p(x₁), W' = p(cx₂):
+    would satisfy, with u' = p(c), w' = p(x₁), W' = p(cx₂) = u'·p(x₂):
         c·f  = u' f u'⁻¹,
-        x₁·f = w' f u' + f u' w',
-        (cx₂)·f = W' f − u' f u' W'.
-    Centrality forces u' = ±u; both sign branches are solved linearly and
-    then all E(2) relations are checked on the candidate generators.
+        x·f  = p(x) f u' + f u' p(x), u'p(x) + p(x)u' = 0 (x = x₁, x₂).
+    Centrality forces u' = ±u; in both sign branches ``_strong_inner_solver``
+    solves p(x₁) and p(x₂), then all E(2) relations are checked on the
+    candidate generators.
     """
     meta = a.hopf.meta
-    c_index, x1_index, x2_index = meta["c"], meta["x1"], meta["x2"]
-    alg = a.alg
-    d = alg.dim
-    u0 = normalized_implementer(a, c_index)
+    u0 = normalized_implementer(a, meta["c"])
     if u0 is None:
         return StrongInnerE2Result(None, ["c-action is not implemented by conjugation"])
-    den_a, images = a.int_images
-    den_m = alg.int_sp[0]
-    # cx₂ acts as c·(x₂·-): (cx₂)·e_z = Σ_k (x₂·e_z)_k·(c·e_k), over D_a²
-    cx2 = [sparse_sum((v, images[k][c_index]) for k, v in acts[x2_index].items()) for acts in images]
+    alg = a.alg
     failures = []
     for lam in (Q(1), Q(-1)):
         u = [lam * x for x in u0]
-        su, den_u = scaled(sparse_vec(u))
-        anti = (commutator_columns(alg, su, 1, su, range(d)), {})  # u'v + vu' = 0 for v = w' and v = W'
         label = f"branch u' = {'+' if lam > 0 else '-'}u"
-
-        # x₁·z = w'zu + zuw', plus u'w' + w'u' = 0; over D_m²·D_u·D_a
-        lift = den_m * den_m * den_u
-        eqs = [anti]
-        for z, acts in enumerate(images):
-            ezu = alg.mul_int({z: den_a}, su)
-            eqs.append((commutator_columns(alg, ezu, 1, ezu, range(d)), sparse_sum([(lift, acts[x1_index])])))
-        sol_w = solve_columns(eqs, d)
-        if sol_w.particular is None:
+        strong_inner_p = _strong_inner_solver(a, u)
+        w = strong_inner_p(meta["x1"])
+        if w is None:
             failures.append(f"{label}: no solution for p(x₁)")
             continue
-        w = sol_w.particular
-
-        # (cx₂)·z = W'z − uzuW', plus u'W' + W'u' = 0; over (D_m·D_u·D_a)²·D_m
-        lift *= den_m * den_u
-        eqs = [anti]
-        for z in range(d):
-            uzu = alg.mul_int(alg.mul_int(su, {z: den_a * den_a}), su)
-            columns = commutator_columns(alg, {z: lift * den_a**2 // den_m}, -1, uzu, range(d))
-            eqs.append((columns, sparse_sum([(lift, cx2[z])])))
-        sol_big = solve_columns(eqs, d)
-        if sol_big.particular is None:
+        px2 = strong_inner_p(meta["x2"])
+        if px2 is None:  # then no p(cx₂) = u'·p(x₂) either
             failures.append(f"{label}: no solution for p(cx₂)")
             continue
-        bigw = sol_big.particular
 
-        # the relations on integer multiples of w and W, each side of a sum
-        # on one scale; a multiple is zero exactly when the value is
-        sw, sbig = scaled(sparse_vec(w))[0], scaled(sparse_vec(bigw))[0]
-        px2 = alg.mul_int(su, sbig)  # p(x₂) = p(c)p(cx₂)
+        # the relations on integer multiples of w, p(x₂) and W', each side
+        # of a sum on one scale; a multiple is zero exactly when the value is
+        (su, den_u), (spx2, den_p) = scaled(sparse_vec(u)), scaled(sparse_vec(px2))
+        sw, sbig = scaled(sparse_vec(w))[0], alg.mul_int(su, spx2)  # W' over D_u·D_p·D_m
         relation_checks = [
             ("p(x₁)² = 0", alg.mul_int(sw, sw)),
-            ("p(x₂)² = 0", alg.mul_int(px2, px2)),
-            ("p(x₁)p(x₂) + p(x₂)p(x₁) = 0", alg.mul_int(sw, px2, alg.mul_int(px2, sw))),
+            ("p(x₂)² = 0", alg.mul_int(spx2, spx2)),
+            ("p(x₁)p(x₂) + p(x₂)p(x₁) = 0", alg.mul_int(sw, spx2, alg.mul_int(spx2, sw))),
             ("(cx₂)x₁ − x₁(cx₂) = 0", sparse_sum(((1, alg.mul_int(sbig, sw)), (-1, alg.mul_int(sw, sbig))))),
         ]
         bad = [name for name, value in relation_checks if value]
         if bad:
             failures.append(f"{label}: relation(s) not respected: {', '.join(bad)}")
             continue
-        return StrongInnerE2Result((u, w, bigw), failures)
+        return StrongInnerE2Result((u, w, dense_vec(over(sbig, den_u * den_p * alg.int_sp[0]), a.dim)), failures)
     return StrongInnerE2Result(None, failures)
 
 
@@ -1025,6 +1015,7 @@ def yd_to_double(a: YDObject, double: HopfAlgebra) -> YDObject:
     1⋈l acts as l; (f⋈1)·m = m₍₀₎ f(m₍₁₎); general basis elements are the
     composites (f⋈1)(1⋈l), over D_a·D_c.
     """
+    _built_on(a.hopf, a, action=a.int_images, coaction=a.int_rho)
     n = a.hopf.dim
     (den_a, rows), (den_c, rho) = a.int_images, a.int_rho
     # (f_i⋈e_j)·e_b = Σ_q (e_j·e_b)_q·Σ c·e_p over the (p, i, c) of ρ(e_q)
@@ -1060,6 +1051,8 @@ def double_to_yd(a: YDObject, h: HopfAlgebra) -> YDObject:
 def module_tensor(m: YDObject, w: YDObject) -> YDObject:
     """Tensor product of two H-modules via Δ (left factor major)."""
     h = m.hopf
+    for x in (m, w):
+        _built_on(h, x, action=x.int_images)
     den_d, cop = h.int_cop
     (den_m, m_images), (den_w, w_images) = m.int_images, w.int_images
     images = [

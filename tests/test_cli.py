@@ -178,6 +178,37 @@ def test_counterexample(capsys):
     assert run_cli(capsys, "counterexample", "1", "3")[0] == 2
 
 
+# each refusal of a command: exit code 2, nothing on stdout, one message
+ERROR_PATHS = [
+    (("transport", "psi", "1", "0", "1"), "psi transport needs --param"),
+    (("transport", "psi", "1", "1", "1", "--param", "2"), "Ψ_s needs shape (a;0,1), got C(1;1,1)"),
+    (("counterexample", "1", "3"), "need t ∉ {0,1} and q ≠ 2"),
+    (("conjugate", "3", "2", "5", "0"), "automorphism parameter must be nonzero"),
+    (("theorem61",), "provide a file or --c A T1 T2"),
+    (("theorem61", "--c", "1", "2", "1"), "algebra is not (E(2),R_N)-Azumaya; the equivalence does not apply"),
+]
+
+
+@pytest.mark.parametrize("argv, message", ERROR_PATHS, ids=[" ".join(argv) for argv, _ in ERROR_PATHS])
+def test_an_error_path_is_pinned(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_theorem61_file_errors_are_pinned(capsys, tmp_path):
+    from hopfbrauer.e2 import build_c_e2
+
+    missing = tmp_path / "missing.json"
+    line = f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+    assert run_cli(capsys, "theorem61", str(missing)) == (2, "", line)
+    obj = yd_to_json(build_c_e2(1, 2, 3), hopf_name="E2")
+    obj["mult"][1][1][1] = "9"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    laws = "".join(f"  module algebra over E2: module-algebra law fails at ({h}; x,x)\n"
+                   for h in ("c", "x1", "cx1", "x2", "cx2"))
+    assert run_cli(capsys, "theorem61", str(bad)) == (2, "", "error: definition fails its axioms:\n" + laws)
+
+
 def test_theorem61_builtin(capsys):
     code, out, _ = run_cli(capsys, "theorem61", "--c", "1", "1", "1")
     assert code == 0

@@ -173,8 +173,8 @@ def test_echelon_matches_the_fraction_rref_on_every_seed7_solve(monkeypatch):
                     monkeypatch.setattr(module, solver.__name__, stand_in)
     run_verification(("all",), 7, 20)
     assert len(systems) > 100
-    # the p(x₁) and p(cx₂) systems of End(P), on their own integer scales
-    assert callers["strongly_inner_witness_e2"] >= 2
+    # the p(x₁) and p(x₂) systems of End(P)'s two branches, from one solver
+    assert callers["strong_inner_p"] >= 4
     assert {"inner_witness", "conjugation_implementer", "super_center"} <= set(callers), callers
     for system in systems:
         _assert_agrees(*system)

@@ -16,6 +16,7 @@ from conftest import (
     dense_yd,
     dh4_named,
     diag,
+    operator_to_vec,
     r_pairs,
     sparse_yd,
     unit_vec,
@@ -46,6 +47,7 @@ from hopfbrauer.yd import (
     check_module_algebra,
     check_yd_algebra,
     check_yd_condition,
+    check_yd_module,
     conjugation_implementer,
     double_to_yd,
     end_yd,
@@ -57,6 +59,7 @@ from hopfbrauer.yd import (
     induced_coaction,
     inner_witness,
     is_h_azumaya,
+    module_tensor,
     sharp_product,
     strongly_inner_witness_h4,
     yd_centralizers,
@@ -603,6 +606,32 @@ def test_strongly_inner_rational_obstruction():
         strongly_inner_witness_h4(s)
 
 
+def test_strongly_inner_witness_h4_is_pinned():
+    # w = p(h)·u; here u·p(h) = [0, −5/6, 0, 0] ≠ w, though β and wu + uw = 0
+    # hold for either product
+    s = sharp_product(build_C(CFamilyDescriptor(Q(3), Q(-5), Q(0))), build_C(CFamilyDescriptor(Q(-3), Q(0), Q(0))))
+    assert strongly_inner_witness_h4(s) == ([0, 0, 0, Q(1, 3)], [0, 0, Q(5, 6), 0], Q(25, 12))
+
+
+def test_strongly_inner_witness_h4_requires_wu_plus_uw_zero():
+    # on End(k²), g·f = ufu and h·f = pfu + fup for u = diag(1, −1) and
+    # p = E11: p solves the equations in f, but pu + up = 2·E11 = h·1 (so this
+    # is no module algebra), and no p(h) with u·p(h) + p(h)·u = 0 gives this h
+    from hopfbrauer.algebra import endomorphism_algebra
+
+    u, p = diag([1, -1]), diag([1, 0])
+    # the matrix unit E_pq at index q·2 + p
+    units = [Matrix([[int((r, s) == (k % 2, k // 2)) for s in range(2)] for r in range(2)]) for k in range(4)]
+
+    def act(fun):
+        return Matrix.from_cols([operator_to_vec(fun(e)) for e in units])
+
+    g = act(lambda f: u @ f @ u)
+    h = act(lambda f: p @ f @ u + f @ u @ p)
+    a = dense_yd(build_h4(), 4, endomorphism_algebra(2), [Matrix.identity(4), g, h, g @ h])
+    assert strongly_inner_witness_h4(a) is None
+
+
 def test_fg_maps_are_yd_morphisms():
     # F: A#Ā → End(A) and G: Ā#A → End(A)^op are isomorphisms of YD module
     # algebras for Azumaya A: algebra maps, H-linear and colinear
@@ -809,6 +838,13 @@ MISSING_STORES = {
     "check_yd_algebra": (lambda: check_yd_algebra(_c_keeping()), "action and no coaction"),
     "end_yd": (lambda: end_yd(_c_keeping("int_rho")), "action"),
     "gradings": (lambda: gradings(_c_keeping("int_images")), "coaction"),
+    "module_tensor left": (lambda: module_tensor(_c_keeping("int_rho"), _c(1)), "action"),
+    "module_tensor right": (lambda: module_tensor(_c(1), _c_keeping("int_rho")), "action"),
+    "yd_centralizers": (lambda: yd_centralizers(_c_keeping("int_images"), [[1, 0, 0, 0]]), "coaction"),
+    "yd_to_double": (lambda: yd_to_double(_c_keeping("int_rho"), build_dh4()[0]), "action"),
+    "inner_witness": (lambda: inner_witness(_c_keeping("int_rho"), 2, 1), "action"),
+    "conjugation_implementer": (lambda: conjugation_implementer(_c_keeping("int_rho"), 1), "action"),
+    "check_yd_module": (lambda: check_yd_module(_c_keeping("int_images")), "coaction"),
 }
 
 
@@ -817,3 +853,8 @@ def test_a_yd_function_names_the_store_it_lacks(case):
     call, missing = MISSING_STORES[case]
     with pytest.raises(ValueError, match=f"^YDObject has no {missing}$"):
         call()
+
+
+def test_module_tensor_refuses_a_factor_over_another_hopf_algebra():
+    with pytest.raises(ValueError, match="^YDObject is built on HopfAlgebra"):
+        module_tensor(_c(1), build_c_e2(1, 1, 1))
